@@ -190,8 +190,7 @@ SHARED_BY_COMMAND: "Dict[str, Dict[str, Dict[str, Any]]]" = {
     },
     "throughput": {
         "storages": dict(
-            help="storage formats (default: frsz2_16 frsz2_32; "
-                 "'adaptive' is not batchable)",
+            help="storage formats (default: frsz2_16 frsz2_32)",
         ),
         "scale": dict(
             default="smoke", choices=_SCALES,

@@ -206,19 +206,11 @@ def _run_cell(
                 faults_injected=injector.injected,
                 final_rrn=rr.final_rrn,
             )
-        adaptive = storage == ADAPTIVE_STORAGE
-        factory = None
-        storage_factory = None
-        if wrap is not None:
-            if adaptive:
-                # the controller rebuilds accessors on format switches;
-                # the (storage, n) factory keeps every rebuild faulty
-                storage_factory = wrap
-            else:
-                factory = (lambda n: wrap(storage, n))
         solver = CbGmres(
             a, storage, m=m, max_iter=max_iter,
-            accessor_factory=factory, storage_factory=storage_factory,
+            # the (storage, n) factory keeps every accessor faulty, also
+            # the ones the adaptive controller rebuilds on format switches
+            storage_factory=wrap,
             recovery=hardened, basis_mode=basis_mode, backend=backend,
             preconditioner=prec,
         )

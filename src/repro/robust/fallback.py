@@ -230,12 +230,8 @@ class RobustCbGmres:
         x_start = x0
         best_rrn = np.inf
         for storage, floor in self.attempt_plan():
-            adaptive = storage == ADAPTIVE_STORAGE
-            factory = None
-            if self._factory is not None and not adaptive:
-                factory = (lambda n, s=storage: self._factory(s, n))
             precision = None
-            if adaptive:
+            if storage == ADAPTIVE_STORAGE:
                 precision = dataclasses.replace(
                     self.precision or ControllerConfig(), floor=floor
                 )
@@ -246,10 +242,9 @@ class RobustCbGmres:
                 eta=self.eta,
                 max_iter=self.max_iter,
                 stall_restarts=self.policy.stall_restarts,
-                accessor_factory=factory,
-                # adaptive attempts keep wrapping accessors (fault
-                # injectors) across the controller's format switches
-                storage_factory=self._factory if adaptive else None,
+                # the (storage, n) factory keeps wrapping accessors (fault
+                # injectors) across the controller's format switches too
+                storage_factory=self._factory,
                 precision=precision,
                 preconditioner=self.preconditioner,
                 orthogonalization=self.orthogonalization,

@@ -344,13 +344,10 @@ class SolveEngine:
     def _batchable(self, job: JobRecord) -> bool:
         """Only pristine jobs coalesce: first attempt, no chaos plan, no
         deadline (a shared task cannot honor one member's wall budget),
-        no pending cancel, and no adaptive-precision basis (each
-        column's controller would diverge from the lockstep, so
-        ``solve_batch`` refuses it — adaptive jobs always run solo)."""
+        and no pending cancel."""
         return (
             not job.attempts
             and job.spec.chaos is None
-            and job.spec.storage != "adaptive"
             and self._deadline_of(job) is None
             and not job.cancel_requested
         )

@@ -28,11 +28,11 @@ contract with the engine:
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from contextlib import contextmanager
+from typing import Any, Callable, Dict, Iterator, Optional, Sequence
 
 import numpy as np
 
-from ..accessor import make_accessor
 from ..observe import Tracer
 from ..robust.chaos import (
     ChaosSpec,
@@ -69,6 +69,126 @@ def _make_rhs(problem, rhs_seed: Optional[int]) -> np.ndarray:
     return problem.a.matvec(x)
 
 
+@contextmanager
+def _owning_worker(kind: str, tag: str) -> Iterator[None]:
+    """Hold the isolation sentinel for one ``kind`` (job/batch) attempt."""
+    global _ACTIVE_JOB
+    if _ACTIVE_JOB is not None:
+        raise IsolationError(
+            f"worker started {kind} {tag} while job {_ACTIVE_JOB} "
+            "still owns this process — per-job state leaked"
+        )
+    _ACTIVE_JOB = tag
+    try:
+        yield
+    finally:
+        _ACTIVE_JOB = None
+
+
+def _build_problem(spec: Dict[str, Any]):
+    """Problem, target and preconditioner of one (lead) job spec."""
+    problem = make_problem(
+        spec["matrix"], spec["scale"], target_rrn=spec.get("target_rrn")
+    )
+    target = (
+        spec["target_rrn"]
+        if spec.get("target_rrn") is not None
+        else problem.target_rrn
+    )
+    # the preconditioner factors the *raw* operator — chaos wrappers
+    # poison the solve's SpMV, never the factorization
+    prec = None
+    if spec.get("preconditioner", "none") != "none":
+        prec = make_preconditioner(
+            spec["preconditioner"],
+            problem.a,
+            storage=spec.get("prec_storage", "float64"),
+            backend=spec.get("backend", "numpy"),
+        )
+    return problem, target, prec
+
+
+def _build_solver(spec, storage, a, prec, tracer, storage_factory=None) -> CbGmres:
+    return CbGmres(
+        a,
+        storage,
+        m=spec["m"],
+        max_iter=spec["max_iter"],
+        spmv_format=spec.get("spmv_format", "csr"),
+        basis_mode=spec.get("basis_mode", "cached"),
+        backend=spec.get("backend", "numpy"),
+        preconditioner=prec,
+        tracer=tracer,
+        storage_factory=storage_factory,
+    )
+
+
+class _Progress:
+    """The per-step monitor: progress events for the engine's heartbeat.
+
+    Called as ``monitor(col, iteration, j, basis, implicit_rrn)``;
+    column ``col`` emits at its own spec's ``progress_every`` and
+    ``job_ids`` (batched attempts only) tags each event with its
+    member's id so the engine can route it.
+    """
+
+    def __init__(self, emit, tracer, storage, specs, job_ids=None) -> None:
+        self.emit = emit
+        self.tracer = tracer
+        self.storage = storage
+        self.every = [max(int(s.get("progress_every", 25)), 1) for s in specs]
+        self.job_ids = job_ids
+        self.emitted = 0
+
+    def __call__(self, col, iteration, j, basis, implicit_rrn) -> None:
+        if self.emit is None:
+            return
+        if iteration % self.every[col] != 0 and j != 0:
+            return
+        self.emitted += 1
+        event = {
+            "kind": "progress",
+            "iteration": int(iteration),
+            "restart_slot": int(j),
+            "implicit_rrn": float(implicit_rrn),
+            # the format the basis is *currently* stored in — under
+            # adaptive precision this moves between restarts
+            "basis_storage": getattr(basis, "storage", self.storage),
+            "phase_seconds": {
+                phase: self.tracer.total_seconds(phase)
+                for phase in _PROGRESS_PHASES
+            },
+        }
+        if self.job_ids is not None:
+            event["job_id"] = self.job_ids[col]
+        self.emit(event)
+
+
+def _payload(job_id, attempt, result, storage, wall, progress, **extra):
+    """The result payload of one job (solo-shaped for batch members)."""
+    return {
+        "job_id": job_id,
+        "attempt": int(attempt),
+        "x": result.x,
+        "converged": bool(result.converged),
+        "stalled": bool(result.stalled),
+        "iterations": int(result.iterations),
+        "final_rrn": float(result.final_rrn),
+        "target_rrn": float(result.target_rrn),
+        "storage_used": storage,
+        "recoveries": int(result.recoveries),
+        "breakdowns": len(result.breakdown_events),
+        "wall_seconds": wall,
+        "progress_events": int(progress.emitted),
+        "worker_jobs_run": int(_JOBS_RUN),
+        **extra,
+        "counters": {
+            str(k): (float(v) if isinstance(v, float) else int(v))
+            for k, v in sorted(progress.tracer.counters.items())
+        },
+    }
+
+
 def run_solve_job(
     spec: Dict[str, Any],
     job_id: str,
@@ -93,24 +213,11 @@ def run_solve_job(
         Progress channel injected by the pool; ``None`` (direct calls
         in tests) disables event emission.
     """
-    global _ACTIVE_JOB, _JOBS_RUN
-    if _ACTIVE_JOB is not None:
-        raise IsolationError(
-            f"worker started job {job_id} while job {_ACTIVE_JOB} "
-            "still owns this process — per-job state leaked"
-        )
-    _ACTIVE_JOB = job_id
-    try:
+    global _JOBS_RUN
+    with _owning_worker("job", job_id):
         t0 = time.perf_counter()
-        problem = make_problem(
-            spec["matrix"], spec["scale"], target_rrn=spec.get("target_rrn")
-        )
+        problem, target, prec = _build_problem(spec)
         b = _make_rhs(problem, spec.get("rhs_seed"))
-        target = (
-            spec["target_rrn"]
-            if spec.get("target_rrn") is not None
-            else problem.target_rrn
-        )
 
         chaos = None
         if spec.get("chaos"):
@@ -118,101 +225,34 @@ def run_solve_job(
             if not chaos.armed(attempt):
                 chaos = None
 
-        # the preconditioner factors the *raw* operator — chaos wrappers
-        # poison the solve's SpMV, never the factorization
-        prec = None
-        if spec.get("preconditioner", "none") != "none":
-            prec = make_preconditioner(
-                spec["preconditioner"],
-                problem.a,
-                storage=spec.get("prec_storage", "float64"),
-                backend=spec.get("backend", "numpy"),
-            )
-
+        tracer = Tracer()
+        progress = _Progress(emit, tracer, storage, [spec])
         a = problem.a
-        accessor_factory = None
         storage_factory = None
         chaos_tick = None
         if chaos is not None:
             if chaos.is_spmv_kind:
                 a = chaos_spmv_wrapper(chaos, a)
             elif chaos.is_accessor_kind:
-                factory = chaos_accessor_factory(chaos)
-                if storage == "adaptive":
-                    # adaptive solves rebuild accessors on every format
-                    # switch; the (storage, n) factory keeps the chaos
-                    # wrapper attached across switches
-                    storage_factory = factory
-                else:
-                    accessor_factory = lambda n, _s=storage: factory(_s, n)
+                # the (storage, n) factory keeps the chaos wrapper
+                # attached across adaptive format switches too
+                storage_factory = chaos_accessor_factory(chaos)
             else:
                 chaos_tick = chaos_monitor(chaos)
 
-        tracer = Tracer()
-        progress_every = max(int(spec.get("progress_every", 25)), 1)
-        emitted = 0
-
-        def monitor(iteration, j, basis, implicit_rrn) -> None:
-            nonlocal emitted
+        def monitor(*step) -> None:
             if chaos_tick is not None:
-                chaos_tick(iteration, j, basis, implicit_rrn)
-            if emit is None:
-                return
-            if iteration % progress_every != 0 and j != 0:
-                return
-            emitted += 1
-            emit({
-                "kind": "progress",
-                "iteration": int(iteration),
-                "restart_slot": int(j),
-                "implicit_rrn": float(implicit_rrn),
-                # the format the basis is *currently* stored in — under
-                # adaptive precision this moves between restarts
-                "basis_storage": getattr(basis, "storage", storage),
-                "phase_seconds": {
-                    phase: tracer.total_seconds(phase)
-                    for phase in _PROGRESS_PHASES
-                },
-            })
+                chaos_tick(*step)
+            progress(0, *step)
 
-        solver = CbGmres(
-            a,
-            storage,
-            m=spec["m"],
-            max_iter=spec["max_iter"],
-            spmv_format=spec.get("spmv_format", "csr"),
-            basis_mode=spec.get("basis_mode", "cached"),
-            backend=spec.get("backend", "numpy"),
-            preconditioner=prec,
-            accessor_factory=accessor_factory,
-            storage_factory=storage_factory,
-            tracer=tracer,
-        )
+        solver = _build_solver(spec, storage, a, prec, tracer, storage_factory)
         result = solver.solve(b, target, record_history=False, monitor=monitor)
 
         _JOBS_RUN += 1
-        return {
-            "job_id": job_id,
-            "attempt": int(attempt),
-            "x": result.x,
-            "converged": bool(result.converged),
-            "stalled": bool(result.stalled),
-            "iterations": int(result.iterations),
-            "final_rrn": float(result.final_rrn),
-            "target_rrn": float(result.target_rrn),
-            "storage_used": storage,
-            "recoveries": int(result.recoveries),
-            "breakdowns": len(result.breakdown_events),
-            "wall_seconds": float(time.perf_counter() - t0),
-            "progress_events": int(emitted),
-            "worker_jobs_run": int(_JOBS_RUN),
-            "counters": {
-                str(k): (float(v) if isinstance(v, float) else int(v))
-                for k, v in sorted(tracer.counters.items())
-            },
-        }
-    finally:
-        _ACTIVE_JOB = None
+        return _payload(
+            job_id, attempt, result, storage,
+            float(time.perf_counter() - t0), progress,
+        )
 
 
 def run_solve_batch_job(
@@ -258,124 +298,43 @@ def run_solve_batch_job(
         ``{"results": {job_id: payload}}`` with one solo-shaped result
         payload per member, plus batch-level bookkeeping.
     """
-    global _ACTIVE_JOB, _JOBS_RUN
+    global _JOBS_RUN
     specs = list(specs)
     job_ids = list(job_ids)
     if not specs or len(specs) != len(job_ids):
         raise ValueError("specs and job_ids must be equal-length and non-empty")
-    batch_tag = "+".join(job_ids)
-    if _ACTIVE_JOB is not None:
-        raise IsolationError(
-            f"worker started batch {batch_tag} while job {_ACTIVE_JOB} "
-            "still owns this process — per-job state leaked"
-        )
-    _ACTIVE_JOB = batch_tag
-    try:
+    with _owning_worker("batch", "+".join(job_ids)):
         t0 = time.perf_counter()
-        lead = specs[0]
-        problem = make_problem(
-            lead["matrix"], lead["scale"], target_rrn=lead.get("target_rrn")
-        )
-        columns = [_make_rhs(problem, spec.get("rhs_seed")) for spec in specs]
-        target = (
-            lead["target_rrn"]
-            if lead.get("target_rrn") is not None
-            else problem.target_rrn
-        )
-
         tracer = Tracer()
-        every: List[int] = [
-            max(int(spec.get("progress_every", 25)), 1) for spec in specs
-        ]
-        emitted = 0
-
-        def monitor(col, iteration, j, basis, implicit_rrn) -> None:
-            nonlocal emitted
-            if emit is None:
-                return
-            if iteration % every[col] != 0 and j != 0:
-                return
-            emitted += 1
-            emit({
-                "kind": "progress",
-                "job_id": job_ids[col],
-                "iteration": int(iteration),
-                "restart_slot": int(j),
-                "implicit_rrn": float(implicit_rrn),
-                "basis_storage": getattr(basis, "storage", storage),
-                "phase_seconds": {
-                    phase: tracer.total_seconds(phase)
-                    for phase in _PROGRESS_PHASES
-                },
-            })
-
-        # batch members share the whole preconditioner config (it is
-        # part of the engine's batch key), so one factorization serves
-        # every column
-        prec = None
-        if lead.get("preconditioner", "none") != "none":
-            prec = make_preconditioner(
-                lead["preconditioner"],
-                problem.a,
-                storage=lead.get("prec_storage", "float64"),
-                backend=lead.get("backend", "numpy"),
-            )
-
-        solver = CbGmres(
-            problem.a,
-            storage,
-            m=lead["m"],
-            max_iter=lead["max_iter"],
-            spmv_format=lead.get("spmv_format", "csr"),
-            basis_mode=lead.get("basis_mode", "cached"),
-            backend=lead.get("backend", "numpy"),
-            preconditioner=prec,
-            tracer=tracer,
-        )
+        progress = _Progress(emit, tracer, storage, specs, job_ids)
+        # batch members share the whole solver and preconditioner config
+        # (it is part of the engine's batch key), so one problem and one
+        # factorization serve every column
+        problem, target, prec = _build_problem(specs[0])
+        solver = _build_solver(specs[0], storage, problem.a, prec, tracer)
+        columns = [_make_rhs(problem, spec.get("rhs_seed")) for spec in specs]
         batch = solver.solve_batch(
-            np.stack(columns, axis=1),
-            target,
-            record_history=False,
-            monitor=monitor,
+            np.stack(columns, axis=1), target,
+            record_history=False, monitor=progress,
         )
 
         _JOBS_RUN += 1
+        # wall clock + tracer are per-batch, shared by members
         wall = float(time.perf_counter() - t0)
-        counters = {
-            str(k): (float(v) if isinstance(v, float) else int(v))
-            for k, v in sorted(tracer.counters.items())
-        }
-        results: Dict[str, Any] = {}
-        for job_id, result in zip(job_ids, batch.results):
-            results[job_id] = {
-                "job_id": job_id,
-                "attempt": int(attempt),
-                "x": result.x,
-                "converged": bool(result.converged),
-                "stalled": bool(result.stalled),
-                "iterations": int(result.iterations),
-                "final_rrn": float(result.final_rrn),
-                "target_rrn": float(result.target_rrn),
-                "storage_used": storage,
-                "recoveries": int(result.recoveries),
-                "breakdowns": len(result.breakdown_events),
-                # wall clock + tracer are per-batch, shared by members
-                "wall_seconds": wall,
-                "progress_events": int(emitted),
-                "worker_jobs_run": int(_JOBS_RUN),
-                "batch_columns": len(job_ids),
-                "counters": counters,
-            }
         return {
-            "results": results,
+            "results": {
+                job_id: _payload(
+                    job_id, attempt, result, storage, wall, progress,
+                    batch_columns=len(job_ids),
+                )
+                for job_id, result in zip(job_ids, batch.results)
+            },
             "batch_columns": len(job_ids),
             "batched_spmv_calls": int(batch.batched_spmv_calls),
             "batched_basis_writes": int(batch.batched_basis_writes),
             "batched_ortho_steps": int(batch.batched_ortho_steps),
             "wall_seconds": wall,
         }
-    finally:
-        _ACTIVE_JOB = None
 
 
 def _leak_state_for_tests(job_id: str) -> None:

@@ -1,10 +1,18 @@
-"""Batched multi-RHS CB-GMRES (lockstep block Arnoldi over ``(n, B)``).
+"""The Arnoldi core: one lockstep restart-cycle driver (paper Fig. 1).
 
-Serving traffic is many right-hand sides against few matrices (ROADMAP
-item 2).  This module runs ``B`` simultaneous restarted-GMRES processes
-against one matrix: every unfinished column performs its restart
-evaluation together (one multi-vector SpMV), and all columns inside an
-Arnoldi cycle advance through the same step ``j`` in lockstep, so
+Every solver of the package runs this module's single restart cycle:
+:meth:`~repro.solvers.gmres.CbGmres.solve` is its width-1 call,
+:meth:`~repro.solvers.gmres.CbGmres.solve_batch` its width-``B`` call,
+and :class:`~repro.solvers.fgmres.FlexibleGmres` the same calls with
+the two hook points overridden (see :class:`_Lockstep`).  Tracer
+spans, breakdown recovery, the adaptive precision controller and the
+stats billing are threaded through the cycle once, here.
+
+Serving traffic is many right-hand sides against few matrices, so the
+driver runs ``B`` simultaneous restarted-GMRES processes against one
+matrix: every unfinished column performs its restart evaluation
+together (one multi-vector SpMV), and all columns inside an Arnoldi
+cycle advance through the same step ``j`` in lockstep, so
 
 * the SpMV is one :meth:`~repro.sparse.engine.SpmvEngine.matmat` over
   the active columns instead of ``B`` separate matvecs,
@@ -23,27 +31,31 @@ Column ``c`` of a batched solve is **bit-identical** to an independent
 solution bits, residual history, iteration counts, events, and
 per-column work stats.  This holds because every per-column scalar
 decision (convergence, stalling, the eta test, breakdown handling,
-recovery budgets) is evaluated with exactly the solo code's operations
-in the solo code's order, and each batched kernel is bit-identical per
+recovery budgets, the adaptive controller's storage choice) lives in
+that column's own :class:`_Column` state and is evaluated by the same
+code at every width, and each batched kernel is bit-identical per
 column to its solo counterpart (see :mod:`repro.fused.batch`,
 :meth:`~repro.sparse.csr.CSRMatrix.matmat`,
 :func:`~repro.accessor.frsz2_accessor.write_frsz2_batch`).  Columns
 that converge, break down, or get poisoned simply leave the lockstep
 early — they stop doing work while the rest of the batch proceeds.
 
-With ``B == 1`` (or an operator without ``matmat``, e.g. a fault
-injector) every batched fast path is bypassed and the code runs the
+Whenever a single column is live (``B == 1``, or the rest of the batch
+has finished) — or the operator has no ``matmat``, e.g. a fault
+injector — every batched fast path is bypassed and the step runs the
 solo kernels directly.
 """
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
 from ..fused.batch import BatchTileReader, axpy_batch, dot_basis_batch
+from .adaptive import ADAPTIVE_STORAGE, CycleFeedback, PrecisionController
 from .basis import KrylovBasis, write_basis_vectors_batch
 from .gmres import BreakdownEvent, GmresResult, ResidualSample, SolveStats
 from .hessenberg import GivensLeastSquares
@@ -55,6 +67,12 @@ from .orthogonal import (
 )
 
 __all__ = ["BatchGmresResult", "solve_batch"]
+
+#: ``FusedOpLog`` fields mirrored into ``SolveStats.fused_*``
+_FUSED_FIELDS = (
+    "dot_calls", "dot_vectors", "axpy_calls", "axpy_vectors",
+    "combine_calls", "combine_vectors", "tiles", "values",
+)
 
 
 @dataclass
@@ -94,49 +112,173 @@ class BatchGmresResult:
 
 
 class _Column:
-    """Mutable per-RHS solver state, mirroring ``CbGmres.solve`` locals."""
+    """Mutable solver state of one right-hand side.
 
-    __slots__ = (
-        "idx", "b", "bnorm", "target", "x", "basis", "stats", "history",
-        "events", "total_iters", "stagnant", "fruitless", "prev_explicit",
-        "rrn", "converged", "stalled", "exhausted", "finished", "result",
-        "lsq", "j_used", "poison", "in_cycle", "in_step", "v", "last_impl",
-    )
+    ``basis`` is the Arnoldi basis ``V`` the column orthogonalizes
+    against; ``stored`` is the basis whose traffic the timing model
+    prices as compressed and whose format the adaptive ``controller``
+    moves — ``V`` itself for CB-GMRES, the second (``Z``) basis of
+    flexible GMRES, whose ``V`` stays float64.
+    """
 
-    def __init__(self, idx, b, bnorm, target, x, basis, stats):
+    # per-solve progress
+    total_iters = 0
+    stagnant = 0
+    fruitless = 0
+    prev_explicit = np.inf
+    rrn = np.inf
+    converged = False
+    stalled = False
+    exhausted = False
+    finished = False
+    result: Optional[GmresResult] = None
+    # the open Arnoldi cycle
+    lsq: Optional[GivensLeastSquares] = None
+    v: Optional[np.ndarray] = None
+    j_used = 0
+    last_impl = np.inf
+    poison: Optional[BreakdownEvent] = None
+    in_step = False
+    #: adaptive: stat counters at the open cycle's start (for the
+    #: per-cycle feedback deltas)
+    cycle_mark: Optional[dict] = None
+
+    def __init__(self, idx, b, target, x, basis, stored, stats, controller):
         self.idx = idx
         self.b = b
-        self.bnorm = bnorm
+        self.bnorm = float(np.linalg.norm(b))
         self.target = target
         self.x = x
         self.basis = basis
+        self.stored = stored
         self.stats = stats
         self.history: List[ResidualSample] = []
         self.events: List[BreakdownEvent] = []
-        self.total_iters = 0
-        self.stagnant = 0
-        self.fruitless = 0
-        self.prev_explicit = np.inf
-        self.rrn = np.inf
-        self.converged = False
-        self.stalled = False
-        self.exhausted = False
-        self.finished = False
-        self.result: Optional[GmresResult] = None
-        self.lsq: Optional[GivensLeastSquares] = None
-        self.j_used = 0
-        self.poison: Optional[BreakdownEvent] = None
-        self.in_cycle = False
-        self.in_step = False
-        self.v: Optional[np.ndarray] = None
-        self.last_impl = np.inf
+        # adaptive: the column's own controller (a fresh one per solve
+        # keeps solves independent — and the cached/streaming and
+        # solo/batched bit-identity contracts: decisions depend only on
+        # explicit residuals, which all of those share exactly) and the
+        # stored bits of every format actually used (for the
+        # traffic-weighted mean)
+        self.controller: Optional[PrecisionController] = controller
+        self.bits_seen: Dict[str, float] = {}
 
     def recover(self, event: BreakdownEvent, max_recoveries: int) -> bool:
-        """Log a recovery; True while the fruitless budget remains."""
+        """Log a recovery; False — and the column finished, exhausted —
+        once the fruitless budget is spent."""
         self.events.append(event)
         self.stats.recoveries += 1
         self.fruitless += 1
-        return self.fruitless <= max_recoveries
+        if self.fruitless > max_recoveries:
+            self.exhausted = True
+            self.finished = True
+            return False
+        return True
+
+    def bill(self, basis: KrylovBasis, reads: int = 0, writes: int = 0) -> None:
+        """Bill vector touches of ``basis`` to the work log.
+
+        The stored basis feeds ``basis_reads``/``basis_writes`` (split
+        per storage format under the controller); reads of a separate
+        float64 ``V`` are full-width vectors the timing model prices
+        uncompressed, and its writes are not stored-basis traffic.
+        """
+        stats = self.stats
+        if basis is not self.stored:
+            stats.uncompressed_basis_reads += reads
+            return
+        stats.basis_reads += reads
+        stats.basis_writes += writes
+        if self.controller is not None:
+            fmt = basis.storage
+            self.bits_seen[fmt] = basis.bits_per_value
+            for bucket, k in (
+                (stats.reads_by_storage, reads), (stats.writes_by_storage, writes)
+            ):
+                if k:
+                    bucket[fmt] = bucket.get(fmt, 0) + k
+
+    def precondition(self, prec, v: np.ndarray) -> np.ndarray:
+        """``M^-1 v``, billed; the identity passes ``v`` through."""
+        if prec.is_identity:
+            return v
+        self.stats.preconditioner_applies += 1
+        return prec.apply(v)
+
+    def select_storage(self) -> None:
+        """Adaptive restart step: feed the finished cycle back, then
+        pick this cycle's storage — both on explicit residuals, so the
+        decision stream is identical across basis modes and widths."""
+        controller, stats, stored = self.controller, self.stats, self.stored
+        mark = self.cycle_mark
+        if mark is not None:
+            controller.observe_cycle(CycleFeedback(
+                storage=stored.storage,
+                start_rrn=mark["rrn"],
+                end_rrn=self.rrn,
+                iterations=stats.iterations - mark["iters"],
+                reorthogonalizations=stats.reorthogonalizations - mark["reorth"],
+                loss_of_orthogonality=any(
+                    e.kind == "loss_of_orthogonality"
+                    for e in self.events[mark["events"]:]
+                ),
+                recoveries=stats.recoveries - mark["recov"],
+            ))
+        decision = controller.decide(self.rrn, self.target)
+        if decision.storage != stored.storage:
+            stored.set_storage(decision.storage)
+        stats.storage_trace.append(decision.storage)
+        self.cycle_mark = {
+            "rrn": self.rrn,
+            "iters": stats.iterations,
+            "reorth": stats.reorthogonalizations,
+            "recov": stats.recoveries,
+            "events": len(self.events),
+        }
+
+    def finalize(self, final_rrn: float, storage: str) -> None:
+        """Close the work log and build the column's result."""
+        stats, stored, controller = self.stats, self.stored, self.controller
+        # round-trip formats only know their compressed size after writing
+        stats.bits_per_value = stored.bits_per_value
+        if controller is not None:
+            stats.precision_upshifts = controller.upshifts
+            stats.precision_downshifts = controller.downshifts
+            # one scalar cannot name a mixed-storage solve's width, so
+            # report the traffic-weighted mean of the formats used
+            touches = {
+                fmt: stats.reads_by_storage.get(fmt, 0)
+                + stats.writes_by_storage.get(fmt, 0)
+                for fmt in self.bits_seen
+            }
+            weight = sum(touches.values())
+            if weight:
+                stats.bits_per_value = (
+                    sum(self.bits_seen[f] * t for f, t in touches.items()) / weight
+                )
+        # every basis of the column contributes float64 working set and
+        # fused-kernel work (flexible GMRES holds two)
+        bases = [self.basis] if stored is self.basis else [self.basis, stored]
+        stats.basis_peak_float64_bytes = sum(b.peak_float64_bytes for b in bases)
+        for name in _FUSED_FIELDS:
+            setattr(
+                stats, f"fused_{name}",
+                sum(getattr(b.fused_log, name) for b in bases),
+            )
+        self.result = GmresResult(
+            x=self.x,
+            converged=self.converged,
+            iterations=self.total_iters,
+            final_rrn=final_rrn,
+            target_rrn=self.target,
+            storage=storage,
+            history=self.history,
+            stats=stats,
+            stalled=self.stalled,
+            breakdown_events=self.events,
+            recovery_exhausted=self.exhausted,
+            precision_trace=list(controller.decisions) if controller else [],
+        )
 
 
 def _cgs_orthogonalize_batch(
@@ -158,35 +300,32 @@ def _cgs_orthogonalize_batch(
     per column (:mod:`repro.fused.batch`).
     """
     C = len(cols)
-    logs = [b.fused_log for b in bases]
-    w_tilde = [float(np.linalg.norm(W[:, col])) for col in cols]
     readers = [b._reader(j) for b in bases]
-    breader = BatchTileReader(readers)
-    with tracer.span("basis_read", vectors=C * j):
-        for b in bases:
-            b._count_read(j)
-        H = dot_basis_batch(breader, W, cols, tile_elems, tracer, logs)
-    with tracer.span("basis_read", vectors=C * j):
-        for b in bases:
-            b._count_read(j)
-        axpy_batch(breader, H, W, cols, tile_elems, tracer, logs)
+
+    def sweep(sub: "List[int]") -> np.ndarray:
+        """One fused ``V^T w`` then ``w -= V h`` pass over columns ``sub``."""
+        reader = BatchTileReader([readers[i] for i in sub])
+        logs = [bases[i].fused_log for i in sub]
+        scols = [cols[i] for i in sub]
+        with tracer.span("basis_read", vectors=len(sub) * j):
+            for i in sub:
+                bases[i]._count_read(j)
+            H = dot_basis_batch(reader, W, scols, tile_elems, tracer, logs)
+        with tracer.span("basis_read", vectors=len(sub) * j):
+            for i in sub:
+                bases[i]._count_read(j)
+            axpy_batch(reader, H, W, scols, tile_elems, tracer, logs)
+        return H
+
+    w_tilde = [float(np.linalg.norm(W[:, col])) for col in cols]
+    H = sweep(list(range(C)))
     h_next = [float(np.linalg.norm(W[:, col])) for col in cols]
     h_first = list(h_next)
     h_cols: "List[np.ndarray]" = [H[:, i] for i in range(C)]
     reorth = [hn < eta * wt for hn, wt in zip(h_next, w_tilde)]
     sub = [i for i in range(C) if reorth[i]]
     if sub:
-        sreader = BatchTileReader([readers[i] for i in sub])
-        slogs = [logs[i] for i in sub]
-        scols = [cols[i] for i in sub]
-        with tracer.span("basis_read", vectors=len(sub) * j):
-            for i in sub:
-                bases[i]._count_read(j)
-            U = dot_basis_batch(sreader, W, scols, tile_elems, tracer, slogs)
-        with tracer.span("basis_read", vectors=len(sub) * j):
-            for i in sub:
-                bases[i]._count_read(j)
-            axpy_batch(sreader, U, W, scols, tile_elems, tracer, slogs)
+        U = sweep(sub)
         for k, i in enumerate(sub):
             h_cols[i] = h_cols[i] + U[:, k]
             h_next[i] = float(np.linalg.norm(W[:, cols[i]]))
@@ -197,6 +336,336 @@ def _cgs_orthogonalize_batch(
         )
         for i in range(C)
     ]
+
+
+class _Lockstep:
+    """The package's only restart loop, over one :class:`_Column` per
+    right-hand side.
+
+    ``solver`` supplies the configuration (operator, restart length,
+    tolerances, preconditioner, recovery budget, tracer, storage
+    factories) and the two hook points:
+
+    ``solver._direction(c, j) -> z``
+        The SpMV operand of step ``j`` — ``M^-1 v`` (Fig. 1 step 2) for
+        :class:`~repro.solvers.gmres.CbGmres`.
+    ``solver._correction(c) -> update``
+        The solution update closing a cycle — ``M^-1 (V_m y)`` (step
+        18).  Must read ``c.j_used`` vectors of ``c.stored``: the driver
+        bills them once the update is known to be finite.
+
+    A solver with ``_flexible`` set (:class:`~repro.solvers.fgmres.
+    FlexibleGmres`) gets a float64 ``V`` plus a second basis in
+    ``solver.storage`` as ``c.stored`` — the one its hooks fill and
+    read, under the solver's accessor factories and controller.
+    """
+
+    def __init__(self, solver, b_cols, targets, x0_cols, record_history, monitor):
+        self.solver = solver
+        self.record_history = record_history
+        self.monitor = monitor
+        self.tracer = tracer = solver.tracer
+        self.out = BatchGmresResult()
+        a = solver.a
+        self.n = n = a.shape[0]
+        self.matmat = getattr(a, "matmat", None)
+        # Arnoldi SpMV scratch: while a single column is live every
+        # matvec of the cycle lands in the same preallocated buffer (the
+        # orthogonalization copies w before mutating it, so the buffer
+        # never escapes a step); skipped for operators whose matvec
+        # lacks an ``out=`` parameter
+        try:
+            takes_out = "out" in inspect.signature(a.matvec).parameters
+        except (TypeError, ValueError):  # builtins/C callables
+            takes_out = False
+        self.w_buf = np.empty(n) if takes_out else None
+
+        storage = solver.storage
+        self.label = f"fgmres[{storage}]" if solver._flexible else storage
+
+        # the single KrylovBasis construction site
+        def new_basis(fmt, factory=None, storage_factory=None) -> KrylovBasis:
+            return KrylovBasis(
+                n, solver.m, fmt, factory, tracer=tracer,
+                basis_mode=solver.basis_mode, tile_elems=solver.tile_elems,
+                storage_factory=storage_factory, backend=solver.backend,
+            )
+
+        self.cols: List[_Column] = []
+        for idx, (b, target) in enumerate(zip(b_cols, targets)):
+            controller = None
+            if storage == ADAPTIVE_STORAGE:
+                controller = PrecisionController(solver.precision, tracer=tracer)
+            stored = new_basis(
+                # adaptive: first decision lands before the first write;
+                # the ladder top is a never-read placeholder until then
+                controller.config.ladder[-1] if controller else storage,
+                solver._factory, solver._storage_factory,
+            )
+            basis = new_basis("float64") if solver._flexible else stored
+            stats = SolveStats(
+                n=n,
+                nnz=a.nnz,
+                bits_per_value=stored.bits_per_value,
+                spmv_format=getattr(a, "resolved_format", "csr"),
+                spmv_padded_entries=int(getattr(a, "padded_entries", a.nnz)),
+                basis_mode=solver.basis_mode,
+                basis_tile_elems=stored.tile_elems,
+            )
+            x = (
+                np.zeros(n) if x0_cols is None
+                else np.array(x0_cols[idx], dtype=np.float64)
+            )
+            col = _Column(idx, b, target, x, basis, stored, stats, controller)
+            if col.bnorm == 0.0:
+                col.finished = True
+                col.result = GmresResult(
+                    x=np.zeros(n), converged=True, iterations=0, final_rrn=0.0,
+                    target_rrn=target, storage=self.label, history=col.history,
+                    stats=stats,
+                )
+            self.cols.append(col)
+
+    # -- shared kernels -------------------------------------------------
+    def spmv(self, vectors: "List[np.ndarray]", scratch: bool = False):
+        """One SpMV per vector; multi-vector kernel when available."""
+        if self.matmat is not None and len(vectors) > 1:
+            Z = np.empty((self.n, len(vectors)), order="F")
+            for i, z in enumerate(vectors):
+                Z[:, i] = z
+            with self.tracer.span("spmv"):
+                Y = self.matmat(Z)
+            self.out.batched_spmv_calls += 1
+            return [Y[:, i] for i in range(len(vectors))]
+        lone = scratch and len(vectors) == 1 and self.w_buf is not None
+        kwargs = {"out": self.w_buf} if lone else {}
+        results = []
+        for z in vectors:
+            with self.tracer.span("spmv"):
+                results.append(self.solver.a.matvec(z, **kwargs))
+        return results
+
+    def write_slot(self, writers: "List[_Column]", j: int) -> "List[_Column]":
+        """Batched basis write; returns columns needing the solo path."""
+        if len(writers) > 1:
+            with self.tracer.span("basis_write", slot=j, columns=len(writers)):
+                batched = write_basis_vectors_batch(
+                    [c.basis for c in writers], j, [c.v for c in writers]
+                )
+            if batched:
+                for c in writers:
+                    c.bill(c.basis, writes=1)
+                self.out.batched_basis_writes += len(writers)
+                return []
+        return writers
+
+    def orthogonalize(self, j: int, step: "List[_Column]", ws):
+        """Fig. 1 steps 4-11 for every stepping column — the one place
+        that picks stacked or solo kernels, from the live column count."""
+        solver = self.solver
+        use_cgs = solver.orthogonalization == "cgs"
+        with self.tracer.span("orthogonalize", columns=len(step)):
+            if use_cgs and len(step) > 1:
+                # the CGS copy (w := np.array(w)) is the fill of the
+                # Fortran-ordered block
+                W = np.empty((self.n, len(step)), order="F")
+                for i, w in enumerate(ws):
+                    W[:, i] = w
+                self.out.batched_ortho_steps += len(step)
+                return _cgs_orthogonalize_batch(
+                    [c.basis for c in step], j, W, list(range(len(step))),
+                    solver.eta, step[0].basis.tile_elems, self.tracer,
+                )
+            kernel = cgs_orthogonalize if use_cgs else mgs_orthogonalize
+            return [kernel(c.basis, j, w, solver.eta) for c, w in zip(step, ws)]
+
+    # -- the restart cycle ----------------------------------------------
+    def run(self) -> BatchGmresResult:
+        passes = 0
+        while True:
+            active = [c for c in self.cols if not c.finished]
+            if not active:
+                break
+            with self.tracer.span("restart", index=passes, columns=len(active)):
+                cycle = self.restart(active)
+                for j in range(1, self.solver.m + 1):
+                    live = [c for c in cycle if c.in_step]
+                    if not live:
+                        break
+                    with self.tracer.span("arnoldi", j=j, columns=len(live)):
+                        self.arnoldi_step(j, live)
+                self.update(cycle)
+            passes += 1
+        self.verify()
+        self.out.results = [c.result for c in self.cols]
+        return self.out
+
+    def restart(self, active: "List[_Column]") -> "List[_Column]":
+        """Explicit residuals and exit tests; returns the columns that
+        open a new Arnoldi cycle (slot 0 written)."""
+        solver = self.solver
+        entering: List[_Column] = []
+        for c, ax in zip(active, self.spmv([c.x for c in active])):
+            r = c.b - ax
+            c.stats.spmv_calls += 1
+            c.stats.dense_vector_ops += 2
+            beta = float(np.linalg.norm(r))
+            if solver.recovery and not np.isfinite(beta):
+                # a fault in the restart SpMV itself (x is known finite:
+                # poisoned updates are never applied) — recompute on the
+                # next pass
+                c.recover(
+                    BreakdownEvent(c.total_iters, "nonfinite_residual"),
+                    solver.max_recoveries,
+                )
+                continue
+            c.rrn = beta / c.bnorm
+            if c.rrn < c.prev_explicit:
+                c.fruitless = 0  # real progress: replenish the budget
+            if self.record_history:
+                c.history.append(ResidualSample(c.total_iters, c.rrn, "explicit"))
+            if c.rrn <= c.target:
+                c.converged = True
+                c.finished = True
+                continue
+            if c.total_iters >= solver.max_iter:
+                c.finished = True
+                continue
+            if solver.stall_restarts is not None and c.stats.restarts > 0:
+                if c.rrn > c.prev_explicit * solver.stall_factor:
+                    c.stagnant += 1
+                    if c.stagnant >= solver.stall_restarts:
+                        c.stalled = True
+                        c.finished = True
+                        continue
+                else:
+                    c.stagnant = 0
+            c.prev_explicit = min(c.prev_explicit, c.rrn)
+
+            if c.controller is not None:
+                c.select_storage()
+            c.basis.reset()
+            if c.stored is not c.basis:
+                c.stored.reset()
+            c.v = r / beta
+            c.lsq = GivensLeastSquares(solver.m, beta)
+            c.j_used = 0
+            c.poison = None
+            c.in_step = True
+            entering.append(c)
+
+        # slot-0 writes of every entering column, batched when possible
+        for c in self.write_slot(entering, 0):
+            c.basis.write_vector(0, c.v)  # storage rejections propagate
+            c.bill(c.basis, writes=1)
+        return entering
+
+    def arnoldi_step(self, j: int, live: "List[_Column]") -> None:
+        """Fig. 1 steps 2-16 at depth ``j`` for every live column."""
+        solver = self.solver
+        ws = self.spmv([solver._direction(c, j) for c in live], scratch=True)
+        step: List[_Column] = []
+        step_ws: List[np.ndarray] = []
+        for c, w in zip(live, ws):
+            c.stats.spmv_calls += 1
+            if solver.recovery and not np.all(np.isfinite(w)):
+                c.poison = BreakdownEvent(c.total_iters, "nonfinite_spmv")
+                c.in_step = False
+            else:
+                step.append(c)
+                step_ws.append(w)
+        if not step:
+            return
+
+        writers: List[_Column] = []
+        for c, ores in zip(step, self.orthogonalize(j, step, step_ws)):
+            c.bill(c.basis, reads=2 * j if ores.reorthogonalized else j)
+            c.stats.reorthogonalizations += int(ores.reorthogonalized)
+            c.stats.dense_vector_ops += 4
+            if solver.recovery and ores.nonfinite:
+                c.poison = BreakdownEvent(
+                    c.total_iters, "nonfinite_orthogonalization"
+                )
+                c.in_step = False
+                continue
+            c.total_iters += 1
+            c.stats.iterations += 1
+            impl = c.lsq.append_column(ores.h, ores.h_next) / c.bnorm
+            c.last_impl = impl
+            c.j_used = j
+            if self.record_history:
+                c.history.append(ResidualSample(c.total_iters, impl, "implicit"))
+            if self.monitor is not None:
+                self.monitor(c.idx, c.total_iters, j, c.basis, impl)
+            if ores.breakdown:
+                c.in_step = False  # happy breakdown: solution is in the subspace
+                continue
+            if solver.recovery and ores.loss_of_orthogonality:
+                # the columns absorbed so far are valid: apply the
+                # partial update, then restart the cycle early
+                c.events.append(
+                    BreakdownEvent(c.total_iters, "loss_of_orthogonality")
+                )
+                c.in_step = False
+                continue
+            c.v = ores.w / ores.h_next
+            writers.append(c)
+        for c in self.write_slot(writers, j):
+            try:
+                c.basis.write_vector(j, c.v)
+            except (ValueError, OverflowError) as exc:
+                if not solver.recovery:
+                    raise
+                c.poison = BreakdownEvent(
+                    c.total_iters, "basis_write_failed", str(exc)
+                )
+                c.in_step = False
+                continue
+            c.bill(c.basis, writes=1)
+        for c in writers:
+            if c.in_step and (
+                c.last_impl <= c.target or c.total_iters >= solver.max_iter
+            ):
+                c.in_step = False
+
+    def update(self, cycle: "List[_Column]") -> None:
+        """Per-column solution updates closing the cycle."""
+        solver = self.solver
+        for c in cycle:
+            if c.poison is not None:
+                # discard the poisoned tail; columns absorbed before the
+                # fault are provably finite and are salvaged into a
+                # partial update below (the next restart re-anchors on a
+                # fresh explicit residual either way)
+                if not c.recover(c.poison, solver.max_recoveries):
+                    continue
+                if c.j_used == 0:
+                    continue  # fault hit before any column was absorbed
+            update = solver._correction(c)
+            if solver.recovery and not np.all(np.isfinite(update)):
+                # corrupted stored vectors leaked into the update: drop it
+                c.recover(
+                    BreakdownEvent(c.total_iters, "nonfinite_update"),
+                    solver.max_recoveries,
+                )
+                continue
+            c.x = c.x + update
+            c.bill(c.stored, reads=c.j_used)
+            c.stats.dense_vector_ops += 1
+            c.stats.restarts += 1
+
+    def verify(self) -> None:
+        """Final explicit residual of every solved column (batched)."""
+        pending = [c for c in self.cols if c.result is None]
+        for c, final_ax in zip(pending, self.spmv([c.x for c in pending])):
+            final_rrn = float(np.linalg.norm(c.b - final_ax) / c.bnorm)
+            c.stats.spmv_calls += 1
+            if self.solver.recovery and not np.isfinite(final_rrn):
+                # the verification SpMV itself was hit; x is finite, so
+                # report the last trustworthy explicit residual, not NaN
+                c.events.append(BreakdownEvent(c.total_iters, "nonfinite_residual"))
+                final_rrn = c.rrn if np.isfinite(c.rrn) else float(c.prev_explicit)
+            c.finalize(final_rrn, self.label)
 
 
 def solve_batch(
@@ -230,13 +699,7 @@ def solve_batch(
         Per-column :class:`~repro.solvers.gmres.GmresResult` objects
         (bit-identical to independent solves) plus batch-path counters.
     """
-    a = solver.a
-    n = a.shape[0]
-    m = solver.m
-    prec = solver.preconditioner
-    tracer = solver.tracer
-    use_cgs = solver.orthogonalization == "cgs"
-
+    n = solver.a.shape[0]
     if isinstance(B, np.ndarray):
         if B.ndim == 1:
             B = B[:, None]
@@ -261,302 +724,12 @@ def solve_batch(
     for t in targets:
         if t < 0:
             raise ValueError("target_rrn must be non-negative")
+    x0_cols = None
     if x0 is not None:
         x0 = np.asarray(x0, dtype=np.float64)
         if x0.shape != (n, nrhs):
             raise ValueError(f"x0 must have shape ({n}, {nrhs})")
-
-    matmat = getattr(a, "matmat", None)
-    out = BatchGmresResult()
-
-    cols: List[_Column] = []
-    for c, b in enumerate(b_cols):
-        basis = KrylovBasis(
-            n, m, solver.storage, solver._factory, tracer=tracer,
-            basis_mode=solver.basis_mode, tile_elems=solver.tile_elems,
-            backend=getattr(solver, "backend", None),
-        )
-        stats = SolveStats(
-            n=n,
-            nnz=a.nnz,
-            bits_per_value=basis.bits_per_value,
-            spmv_format=getattr(a, "resolved_format", "csr"),
-            spmv_padded_entries=int(getattr(a, "padded_entries", a.nnz)),
-            basis_mode=solver.basis_mode,
-            basis_tile_elems=basis.tile_elems,
-        )
-        bnorm = float(np.linalg.norm(b))
-        x = np.zeros(n) if x0 is None else np.array(x0[:, c], dtype=np.float64)
-        col = _Column(c, b, bnorm, targets[c], x, basis, stats)
-        if bnorm == 0.0:
-            col.finished = True
-            col.result = GmresResult(
-                x=np.zeros(n), converged=True, iterations=0, final_rrn=0.0,
-                target_rrn=targets[c], storage=solver.storage,
-                history=col.history, stats=stats,
-            )
-        cols.append(col)
-
-    def spmv_block(vectors: "List[np.ndarray]") -> "List[np.ndarray]":
-        """One SpMV per vector; multi-vector kernel when available."""
-        if matmat is not None and len(vectors) > 1:
-            Z = np.empty((n, len(vectors)), order="F")
-            for i, z in enumerate(vectors):
-                Z[:, i] = z
-            with tracer.span("spmv"):
-                Y = matmat(Z)
-            out.batched_spmv_calls += 1
-            return [Y[:, i] for i in range(len(vectors))]
-        results = []
-        for z in vectors:
-            with tracer.span("spmv"):
-                results.append(a.matvec(z))
-        return results
-
-    def write_slot(writers: "List[_Column]", j: int) -> "List[_Column]":
-        """Batched basis write; returns columns needing the solo path."""
-        if len(writers) > 1 and write_basis_vectors_batch(
-            [c.basis for c in writers], j, [c.v for c in writers]
-        ):
-            for c in writers:
-                c.stats.basis_writes += 1
-            out.batched_basis_writes += len(writers)
-            return []
-        return writers
-
-    # -- lockstep outer loop ------------------------------------------
-    while True:
-        active = [c for c in cols if not c.finished]
-        if not active:
-            break
-
-        # -- (re)start: explicit residual -----------------------------
-        axs = spmv_block([c.x for c in active])
-        entering: List[_Column] = []
-        for c, ax in zip(active, axs):
-            c.in_cycle = False
-            r = c.b - ax
-            c.stats.spmv_calls += 1
-            c.stats.dense_vector_ops += 2
-            beta = float(np.linalg.norm(r))
-            if solver.recovery and not np.isfinite(beta):
-                if c.recover(
-                    BreakdownEvent(c.total_iters, "nonfinite_residual"),
-                    solver.max_recoveries,
-                ):
-                    continue  # re-evaluate the restart next pass
-                c.exhausted = True
-                c.finished = True
-                continue
-            c.rrn = beta / c.bnorm
-            if c.rrn < c.prev_explicit:
-                c.fruitless = 0  # real progress: replenish the budget
-            if record_history:
-                c.history.append(
-                    ResidualSample(c.total_iters, c.rrn, "explicit")
-                )
-            if c.rrn <= c.target:
-                c.converged = True
-                c.finished = True
-                continue
-            if c.total_iters >= solver.max_iter:
-                c.finished = True
-                continue
-            if solver.stall_restarts is not None and c.stats.restarts > 0:
-                if c.rrn > c.prev_explicit * solver.stall_factor:
-                    c.stagnant += 1
-                    if c.stagnant >= solver.stall_restarts:
-                        c.stalled = True
-                        c.finished = True
-                        continue
-                else:
-                    c.stagnant = 0
-            c.prev_explicit = min(c.prev_explicit, c.rrn)
-
-            c.basis.reset()
-            c.v = r / beta
-            c.lsq = GivensLeastSquares(m, beta)
-            c.j_used = 0
-            c.poison = None
-            c.in_cycle = True
-            c.in_step = True
-            entering.append(c)
-
-        # slot-0 writes of every entering column, batched when possible
-        for c in write_slot(entering, 0):
-            c.basis.write_vector(0, c.v)  # storage rejections propagate
-            c.stats.basis_writes += 1
-
-        cycle = [c for c in active if c.in_cycle]
-        if not cycle:
-            continue
-
-        # -- lockstep Arnoldi cycle -----------------------------------
-        for j in range(1, m + 1):
-            live = [c for c in cycle if c.in_step]
-            if not live:
-                break
-            with tracer.span("arnoldi", j=j, columns=len(live)):
-                zs = []
-                for c in live:
-                    if prec.is_identity:
-                        zs.append(c.v)
-                    else:
-                        zs.append(prec.apply(c.v))
-                        c.stats.preconditioner_applies += 1
-                ws = spmv_block(zs)
-                step: List[_Column] = []
-                step_ws: List[np.ndarray] = []
-                for c, w in zip(live, ws):
-                    c.stats.spmv_calls += 1
-                    if solver.recovery and not np.all(np.isfinite(w)):
-                        c.poison = BreakdownEvent(c.total_iters, "nonfinite_spmv")
-                        c.in_step = False
-                    else:
-                        step.append(c)
-                        step_ws.append(w)
-                if not step:
-                    continue
-
-                # orthogonalization: the CGS copy (w := np.array(w)) is
-                # the fill of the Fortran-ordered block
-                with tracer.span("orthogonalize", columns=len(step)):
-                    if use_cgs and len(step) > 1:
-                        W = np.empty((n, len(step)), order="F")
-                        for i, w in enumerate(step_ws):
-                            W[:, i] = w
-                        oress = _cgs_orthogonalize_batch(
-                            [c.basis for c in step], j, W,
-                            list(range(len(step))), solver.eta,
-                            step[0].basis.tile_elems, tracer,
-                        )
-                        out.batched_ortho_steps += len(step)
-                    else:
-                        orthogonalize = (
-                            cgs_orthogonalize if use_cgs else mgs_orthogonalize
-                        )
-                        oress = [
-                            orthogonalize(c.basis, j, w, solver.eta)
-                            for c, w in zip(step, step_ws)
-                        ]
-                writers: List[_Column] = []
-                for c, ores in zip(step, oress):
-                    c.stats.basis_reads += 2 * j if ores.reorthogonalized else j
-                    c.stats.reorthogonalizations += int(ores.reorthogonalized)
-                    c.stats.dense_vector_ops += 4
-                    if solver.recovery and ores.nonfinite:
-                        c.poison = BreakdownEvent(
-                            c.total_iters, "nonfinite_orthogonalization"
-                        )
-                        c.in_step = False
-                        continue
-                    c.total_iters += 1
-                    c.stats.iterations += 1
-                    impl = c.lsq.append_column(ores.h, ores.h_next) / c.bnorm
-                    c.last_impl = impl
-                    c.j_used = j
-                    if record_history:
-                        c.history.append(
-                            ResidualSample(c.total_iters, impl, "implicit")
-                        )
-                    if monitor is not None:
-                        monitor(c.idx, c.total_iters, j, c.basis, impl)
-                    if ores.breakdown:
-                        c.in_step = False  # happy breakdown
-                        continue
-                    if solver.recovery and ores.loss_of_orthogonality:
-                        c.events.append(
-                            BreakdownEvent(c.total_iters, "loss_of_orthogonality")
-                        )
-                        c.in_step = False
-                        continue
-                    c.v = ores.w / ores.h_next
-                    writers.append(c)
-                for c in write_slot(writers, j):
-                    try:
-                        c.basis.write_vector(j, c.v)
-                    except (ValueError, OverflowError) as exc:
-                        if not solver.recovery:
-                            raise
-                        c.poison = BreakdownEvent(
-                            c.total_iters, "basis_write_failed", str(exc)
-                        )
-                        c.in_step = False
-                        continue
-                    c.stats.basis_writes += 1
-                for c in writers:
-                    if not c.in_step:
-                        continue
-                    if c.last_impl <= c.target or c.total_iters >= solver.max_iter:
-                        c.in_step = False
-
-        # -- per-column solution updates ------------------------------
-        for c in cycle:
-            if c.poison is not None:
-                if not c.recover(c.poison, solver.max_recoveries):
-                    c.exhausted = True
-                    c.finished = True
-                    continue
-                if c.j_used == 0:
-                    continue  # fault hit before any column was absorbed
-            with tracer.span("update", columns=c.j_used):
-                y = c.lsq.solve()
-                update = c.basis.combine(c.j_used, y)
-            if not prec.is_identity:
-                update = prec.apply(update)
-                c.stats.preconditioner_applies += 1
-            if solver.recovery and not np.all(np.isfinite(update)):
-                if c.recover(
-                    BreakdownEvent(c.total_iters, "nonfinite_update"),
-                    solver.max_recoveries,
-                ):
-                    continue
-                c.exhausted = True
-                c.finished = True
-                continue
-            c.x = c.x + update
-            c.stats.basis_reads += c.j_used
-            c.stats.dense_vector_ops += 1
-            c.stats.restarts += 1
-
-    # -- final verification (batched over every solved column) --------
-    pending = [c for c in cols if c.result is None]
-    if pending:
-        final_axs = spmv_block([c.x for c in pending])
-        for c, final_ax in zip(pending, final_axs):
-            final_rrn = float(np.linalg.norm(c.b - final_ax) / c.bnorm)
-            c.stats.spmv_calls += 1
-            if solver.recovery and not np.isfinite(final_rrn):
-                c.events.append(
-                    BreakdownEvent(c.total_iters, "nonfinite_residual")
-                )
-                final_rrn = (
-                    c.rrn if np.isfinite(c.rrn) else float(c.prev_explicit)
-                )
-            c.stats.bits_per_value = c.basis.bits_per_value
-            c.stats.basis_peak_float64_bytes = c.basis.peak_float64_bytes
-            flog = c.basis.fused_log
-            c.stats.fused_dot_calls = flog.dot_calls
-            c.stats.fused_dot_vectors = flog.dot_vectors
-            c.stats.fused_axpy_calls = flog.axpy_calls
-            c.stats.fused_axpy_vectors = flog.axpy_vectors
-            c.stats.fused_combine_calls = flog.combine_calls
-            c.stats.fused_combine_vectors = flog.combine_vectors
-            c.stats.fused_tiles = flog.tiles
-            c.stats.fused_values = flog.values
-            c.result = GmresResult(
-                x=c.x,
-                converged=c.converged,
-                iterations=c.total_iters,
-                final_rrn=final_rrn,
-                target_rrn=c.target,
-                storage=solver.storage,
-                history=c.history,
-                stats=c.stats,
-                stalled=c.stalled,
-                breakdown_events=c.events,
-                recovery_exhausted=c.exhausted,
-            )
-
-    out.results = [c.result for c in cols]
-    return out
+        x0_cols = [x0[:, c] for c in range(nrhs)]
+    return _Lockstep(
+        solver, b_cols, targets, x0_cols, record_history, monitor
+    ).run()

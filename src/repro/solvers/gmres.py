@@ -24,7 +24,6 @@ with ``x = M^-1 u``.
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
@@ -36,16 +35,9 @@ from ..observe import NULL_TRACER
 from ..sparse.csr import CSRMatrix
 from ..sparse.engine import SPMV_FORMATS, SpmvEngine
 from ..fused import DEFAULT_TILE_ELEMS
-from .adaptive import (
-    ADAPTIVE_STORAGE,
-    ControllerConfig,
-    CycleFeedback,
-    PrecisionController,
-    PrecisionDecision,
-)
+from .adaptive import ADAPTIVE_STORAGE, ControllerConfig, PrecisionDecision
 from .basis import BASIS_MODES, KrylovBasis
-from .hessenberg import GivensLeastSquares
-from .orthogonal import DEFAULT_ETA, cgs_orthogonalize, mgs_orthogonalize
+from .orthogonal import DEFAULT_ETA
 from .preconditioner import IdentityPreconditioner, Preconditioner
 
 __all__ = [
@@ -427,326 +419,32 @@ class CbGmres:
         ValueError
             If ``b`` has the wrong shape or ``target_rrn`` is negative.
         """
-        a = self.a
-        n = a.shape[0]
-        prec = self.preconditioner
-        orthogonalize = (
-            cgs_orthogonalize if self.orthogonalization == "cgs" else mgs_orthogonalize
-        )
-        b = np.asarray(b, dtype=np.float64)
-        if b.shape != (n,):
-            raise ValueError(f"b must have shape ({n},)")
-        if target_rrn < 0:
-            raise ValueError("target_rrn must be non-negative")
-        bnorm = float(np.linalg.norm(b))
-        x = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64)
+        from .block import solve_batch
 
-        tracer = self.tracer
-        adaptive = self.storage == ADAPTIVE_STORAGE
-        controller: Optional[PrecisionController] = (
-            PrecisionController(self.precision, tracer=tracer) if adaptive else None
-        )
-        # a fresh controller per solve keeps solves independent (and the
-        # cached/streaming bit-identity contract: decisions depend only
-        # on explicit residuals, which the modes share exactly)
-        basis = KrylovBasis(
-            n,
-            self.m,
-            # adaptive: first decision lands before the first write; the
-            # ladder top is a never-read placeholder until then
-            controller.config.ladder[-1] if controller else self.storage,
-            self._factory,
-            tracer=tracer,
-            basis_mode=self.basis_mode,
-            tile_elems=self.tile_elems,
-            storage_factory=self._storage_factory,
-            backend=self.backend,
-        )
-        stats = SolveStats(
-            n=n,
-            nnz=a.nnz,
-            bits_per_value=basis.bits_per_value,
-            spmv_format=getattr(a, "resolved_format", "csr"),
-            spmv_padded_entries=int(getattr(a, "padded_entries", a.nnz)),
-            basis_mode=self.basis_mode,
-            basis_tile_elems=basis.tile_elems,
-        )
-        history: List[ResidualSample] = []
-        if bnorm == 0.0:
-            return GmresResult(
-                x=np.zeros(n),
-                converged=True,
-                iterations=0,
-                final_rrn=0.0,
-                target_rrn=target_rrn,
-                storage=self.storage,
-                history=history,
-                stats=stats,
-            )
+        # the width-1 call of the package's one restart cycle
+        return solve_batch(
+            self,
+            [b],
+            target_rrn,
+            None if x0 is None else np.asarray(x0, dtype=np.float64)[:, None],
+            record_history,
+            None if monitor is None else lambda col, *step: monitor(*step),
+        )[0]
 
-        # Arnoldi SpMV scratch: every matvec in the cycle lands in the
-        # same preallocated buffer (the orthogonalization copies w before
-        # mutating it, so the buffer never escapes an iteration); skipped
-        # for operators whose matvec lacks an ``out=`` parameter
-        try:
-            matvec_takes_out = "out" in inspect.signature(a.matvec).parameters
-        except (TypeError, ValueError):  # builtins/C callables
-            matvec_takes_out = False
-        w_buf = np.empty(n) if matvec_takes_out else None
+    # -- the Arnoldi core's two hook points (repro.solvers.block) ------
+    #: flexible variants keep V in float64 and fill a second stored basis
+    _flexible = False
 
-        total_iters = 0
-        stagnant = 0
-        fruitless = 0
-        prev_explicit = np.inf
-        rrn = np.inf
-        converged = False
-        stalled = False
-        events: List[BreakdownEvent] = []
-        exhausted = False
-        # adaptive bookkeeping: stat counters at the open cycle's start
-        # (to compute per-cycle feedback deltas) and the stored bits of
-        # every format actually used (for the traffic-weighted mean)
-        cycle_mark: Optional[dict] = None
-        bits_seen: Dict[str, float] = {}
+    def _direction(self, c, j: int) -> np.ndarray:
+        """Fig. 1 step 2 operand ``M^-1 v``; the newest vector stays in
+        double precision."""
+        return c.precondition(self.preconditioner, c.v)
 
-        def bucket(d: Dict[str, int], k: int) -> None:
-            d[basis.storage] = d.get(basis.storage, 0) + k
-
-        def recover(event: BreakdownEvent) -> bool:
-            """Log a recovery; True while the fruitless budget remains."""
-            nonlocal fruitless
-            events.append(event)
-            stats.recoveries += 1
-            fruitless += 1
-            return fruitless <= self.max_recoveries
-
-        while True:
-          with tracer.span("restart", index=stats.restarts):
-            # -- (re)start: explicit residual ---------------------------
-            with tracer.span("spmv"):
-                ax = a.matvec(x)
-            r = b - ax
-            stats.spmv_calls += 1
-            stats.dense_vector_ops += 2
-            beta = float(np.linalg.norm(r))
-            if self.recovery and not np.isfinite(beta):
-                # a fault in the restart SpMV itself (x is known finite:
-                # poisoned updates are never applied) — recompute
-                if recover(BreakdownEvent(total_iters, "nonfinite_residual")):
-                    continue
-                exhausted = True
-                break
-            rrn = beta / bnorm
-            if rrn < prev_explicit:
-                fruitless = 0  # real progress: replenish the budget
-            if record_history:
-                history.append(ResidualSample(total_iters, rrn, "explicit"))
-            if rrn <= target_rrn:
-                converged = True
-                break
-            if total_iters >= self.max_iter:
-                break
-            if self.stall_restarts is not None and stats.restarts > 0:
-                if rrn > prev_explicit * self.stall_factor:
-                    stagnant += 1
-                    if stagnant >= self.stall_restarts:
-                        stalled = True
-                        break
-                else:
-                    stagnant = 0
-            prev_explicit = min(prev_explicit, rrn)
-
-            if controller is not None:
-                # feed the finished cycle back, then pick this cycle's
-                # storage — both on explicit residuals, so the decision
-                # stream is identical across basis modes
-                if cycle_mark is not None:
-                    controller.observe_cycle(CycleFeedback(
-                        storage=basis.storage,
-                        start_rrn=cycle_mark["rrn"],
-                        end_rrn=rrn,
-                        iterations=stats.iterations - cycle_mark["iters"],
-                        reorthogonalizations=(
-                            stats.reorthogonalizations - cycle_mark["reorth"]
-                        ),
-                        loss_of_orthogonality=any(
-                            e.kind == "loss_of_orthogonality"
-                            for e in events[cycle_mark["events"]:]
-                        ),
-                        recoveries=stats.recoveries - cycle_mark["recov"],
-                    ))
-                decision = controller.decide(rrn, target_rrn)
-                if decision.storage != basis.storage:
-                    basis.set_storage(decision.storage)
-                stats.storage_trace.append(decision.storage)
-                cycle_mark = {
-                    "rrn": rrn,
-                    "iters": stats.iterations,
-                    "reorth": stats.reorthogonalizations,
-                    "recov": stats.recoveries,
-                    "events": len(events),
-                }
-
-            basis.reset()
-            v = r / beta
-            basis.write_vector(0, v)
-            stats.basis_writes += 1
-            if adaptive:
-                bucket(stats.writes_by_storage, 1)
-                bits_seen[basis.storage] = basis.bits_per_value
-            lsq = GivensLeastSquares(self.m, beta)
-
-            # -- Arnoldi cycle ------------------------------------------
-            j_used = 0
-            poison: Optional[BreakdownEvent] = None
-            for j in range(1, self.m + 1):
-              with tracer.span("arnoldi", j=j):
-                # Fig. 1 step 2: w := A (M^-1 v); the newest vector stays
-                # in double precision
-                if prec.is_identity:
-                    z = v
-                else:
-                    z = prec.apply(v)
-                    stats.preconditioner_applies += 1
-                with tracer.span("spmv"):
-                    if w_buf is not None:
-                        w = a.matvec(z, out=w_buf)
-                    else:
-                        w = a.matvec(z)
-                stats.spmv_calls += 1
-                if self.recovery and not np.all(np.isfinite(w)):
-                    poison = BreakdownEvent(total_iters, "nonfinite_spmv")
-                    break
-                with tracer.span("orthogonalize"):
-                    ores = orthogonalize(basis, j, w, self.eta)
-                stats.basis_reads += 2 * j if ores.reorthogonalized else j
-                if adaptive:
-                    bucket(
-                        stats.reads_by_storage,
-                        2 * j if ores.reorthogonalized else j,
-                    )
-                stats.reorthogonalizations += int(ores.reorthogonalized)
-                stats.dense_vector_ops += 4
-                if self.recovery and ores.nonfinite:
-                    poison = BreakdownEvent(
-                        total_iters, "nonfinite_orthogonalization"
-                    )
-                    break
-                total_iters += 1
-                stats.iterations += 1
-                impl = lsq.append_column(ores.h, ores.h_next) / bnorm
-                j_used = j
-                if record_history:
-                    history.append(ResidualSample(total_iters, impl, "implicit"))
-                if monitor is not None:
-                    monitor(total_iters, j, basis, impl)
-                if ores.breakdown:
-                    break  # happy breakdown: solution is in the subspace
-                if self.recovery and ores.loss_of_orthogonality:
-                    # the columns absorbed so far are valid: apply the
-                    # partial update below, then restart the cycle early
-                    events.append(
-                        BreakdownEvent(total_iters, "loss_of_orthogonality")
-                    )
-                    break
-                v = ores.w / ores.h_next
-                try:
-                    basis.write_vector(j, v)
-                except (ValueError, OverflowError) as exc:
-                    if not self.recovery:
-                        raise
-                    poison = BreakdownEvent(
-                        total_iters, "basis_write_failed", str(exc)
-                    )
-                    break
-                stats.basis_writes += 1
-                if adaptive:
-                    bucket(stats.writes_by_storage, 1)
-                if impl <= target_rrn or total_iters >= self.max_iter:
-                    break
-
-            if poison is not None:
-                # discard the poisoned tail; columns absorbed before the
-                # fault are provably finite and are salvaged into a
-                # partial update below (the next restart re-anchors on a
-                # fresh explicit residual either way)
-                if not recover(poison):
-                    exhausted = True
-                    break
-                if j_used == 0:
-                    continue  # fault hit before any column was absorbed
-
-            # -- solution update ----------------------------------------
-            # Fig. 1 step 18: x := x0 + M^-1 (V_m y)
-            with tracer.span("update", columns=j_used):
-                y = lsq.solve()
-                update = basis.combine(j_used, y)
-            if not prec.is_identity:
-                update = prec.apply(update)
-                stats.preconditioner_applies += 1
-            if self.recovery and not np.all(np.isfinite(update)):
-                # corrupted stored vectors leaked into V_m y: drop it
-                if recover(BreakdownEvent(total_iters, "nonfinite_update")):
-                    continue
-                exhausted = True
-                break
-            x = x + update
-            stats.basis_reads += j_used
-            if adaptive:
-                bucket(stats.reads_by_storage, j_used)
-            stats.dense_vector_ops += 1
-            stats.restarts += 1
-
-        with tracer.span("spmv"):
-            final_ax = a.matvec(x)
-        final_rrn = float(np.linalg.norm(b - final_ax) / bnorm)
-        stats.spmv_calls += 1
-        if self.recovery and not np.isfinite(final_rrn):
-            # the verification SpMV itself was hit; x is finite, so report
-            # the last trustworthy explicit residual instead of NaN
-            events.append(BreakdownEvent(total_iters, "nonfinite_residual"))
-            final_rrn = rrn if np.isfinite(rrn) else float(prev_explicit)
-        # round-trip formats only know their compressed size after writing
-        stats.bits_per_value = basis.bits_per_value
-        if controller is not None:
-            stats.precision_upshifts = controller.upshifts
-            stats.precision_downshifts = controller.downshifts
-            # one scalar cannot name a mixed-storage solve's width, so
-            # report the traffic-weighted mean of the formats used
-            touches = {
-                fmt: stats.reads_by_storage.get(fmt, 0)
-                + stats.writes_by_storage.get(fmt, 0)
-                for fmt in bits_seen
-            }
-            weight = sum(touches.values())
-            if weight:
-                stats.bits_per_value = (
-                    sum(bits_seen[f] * t for f, t in touches.items()) / weight
-                )
-        stats.basis_peak_float64_bytes = basis.peak_float64_bytes
-        flog = basis.fused_log
-        stats.fused_dot_calls = flog.dot_calls
-        stats.fused_dot_vectors = flog.dot_vectors
-        stats.fused_axpy_calls = flog.axpy_calls
-        stats.fused_axpy_vectors = flog.axpy_vectors
-        stats.fused_combine_calls = flog.combine_calls
-        stats.fused_combine_vectors = flog.combine_vectors
-        stats.fused_tiles = flog.tiles
-        stats.fused_values = flog.values
-        return GmresResult(
-            x=x,
-            converged=converged,
-            iterations=total_iters,
-            final_rrn=final_rrn,
-            target_rrn=target_rrn,
-            storage=self.storage,
-            history=history,
-            stats=stats,
-            stalled=stalled,
-            breakdown_events=events,
-            recovery_exhausted=exhausted,
-            precision_trace=list(controller.decisions) if controller else [],
-        )
+    def _correction(self, c) -> np.ndarray:
+        """Fig. 1 step 18: ``M^-1 (V_m y)``."""
+        with self.tracer.span("update", columns=c.j_used):
+            update = c.basis.combine(c.j_used, c.lsq.solve())
+        return c.precondition(self.preconditioner, update)
 
     def solve_batch(
         self,
@@ -789,19 +487,6 @@ class CbGmres:
             Per-column :class:`GmresResult` objects plus counters for
             how much work ran through the batched fast paths.
         """
-        from .block import solve_batch as _solve_batch
+        from .block import solve_batch
 
-        if self.storage == ADAPTIVE_STORAGE:
-            raise ValueError(
-                "solve_batch does not support adaptive storage: each "
-                "column's controller would diverge from the lockstep; "
-                "solve the columns independently instead"
-            )
-        return _solve_batch(
-            self,
-            B,
-            target_rrn,
-            x0=x0,
-            record_history=record_history,
-            monitor=monitor,
-        )
+        return solve_batch(self, B, target_rrn, x0, record_history, monitor)

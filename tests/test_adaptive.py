@@ -201,10 +201,22 @@ class TestAdaptiveSolve:
                 accessor_factory=lambda n: make_accessor("frsz2_32", n),
             )
 
-    def test_adaptive_rejects_solve_batch(self, lung2):
-        solver = CbGmres(lung2.a, "adaptive", m=30, max_iter=200)
-        with pytest.raises(ValueError, match="batch"):
-            solver.solve_batch(np.stack([lung2.b, lung2.b], axis=1), 1e-6)
+    def test_adaptive_solve_batch_matches_solo(self, atmosmodd):
+        """Every batch column owns a controller, so adaptive storage
+        runs in the lockstep — decisions and bits equal the solo solve."""
+        def solver():
+            return CbGmres(atmosmodd.a, "adaptive", m=30, max_iter=600)
+
+        B = np.stack([atmosmodd.b, 0.5 * atmosmodd.b], axis=1)
+        solos = [solver().solve(B[:, c], atmosmodd.target_rrn) for c in range(2)]
+        batch = solver().solve_batch(B, atmosmodd.target_rrn)
+        for solo, col in zip(solos, batch):
+            assert col.storage == ADAPTIVE_STORAGE
+            assert col.converged
+            assert np.array_equal(solo.x, col.x)
+            assert col.stats.storage_trace == solo.stats.storage_trace
+            assert col.precision_trace == solo.precision_trace
+            assert col.stats.writes_by_storage == solo.stats.writes_by_storage
 
     def test_fgmres_adaptive_z_basis(self, lung2):
         res = FlexibleGmres(lung2.a, "adaptive", m=30, max_iter=500).solve(

@@ -7,9 +7,14 @@ format and batch width.  Everything else (counters, masking, input
 validation) rides on top of that contract.
 """
 
+import gc
+import time
+
 import numpy as np
 import pytest
 
+from repro.accessor import make_accessor
+from repro.observe import Tracer
 from repro.solvers import BatchGmresResult, CbGmres, make_problem
 
 
@@ -41,12 +46,21 @@ def assert_columns_identical(solo_results, batch_result):
         assert (
             solo.stats.reorthogonalizations == col.stats.reorthogonalizations
         )
+        # adaptive storage: the column's own controller must have taken
+        # the solo decisions (all empty for fixed-storage solves)
+        assert solo.stats.storage_trace == col.stats.storage_trace
+        assert solo.precision_trace == col.precision_trace
+        assert solo.stats.reads_by_storage == col.stats.reads_by_storage
+        assert solo.stats.writes_by_storage == col.stats.writes_by_storage
+        assert solo.stats.bits_per_value == col.stats.bits_per_value
 
 
 class TestBitIdentity:
     """Satellite 4: batched == loop column-for-column across the grid."""
 
-    @pytest.mark.parametrize("storage", ["frsz2_16", "frsz2_32", "float64"])
+    @pytest.mark.parametrize(
+        "storage", ["frsz2_16", "frsz2_32", "float64", "adaptive"]
+    )
     @pytest.mark.parametrize("spmv_format", ["csr", "ell", "sell"])
     @pytest.mark.parametrize("nrhs", [1, 2, 7])
     def test_matches_independent_solves(self, storage, spmv_format, nrhs):
@@ -64,7 +78,9 @@ class TestBitIdentity:
         batch = solver().solve_batch(B, target)
         assert_columns_identical(solos, batch)
 
-    @pytest.mark.parametrize("storage", ["frsz2_16", "frsz2_32", "float64"])
+    @pytest.mark.parametrize(
+        "storage", ["frsz2_16", "frsz2_32", "float64", "adaptive"]
+    )
     def test_b1_is_the_plain_solver(self, storage):
         """A width-1 batch must be today's solver, not a near-clone."""
         problem = make_problem("lung2", "smoke")
@@ -76,6 +92,32 @@ class TestBitIdentity:
             b, problem.target_rrn
         )
         assert_columns_identical([solo], batch)
+
+    @pytest.mark.parametrize("basis_mode", ["cached", "streaming"])
+    def test_adaptive_columns_diverge_inside_the_lockstep(self, basis_mode):
+        """Each column carries its own controller: columns whose
+        decisions differ run side by side in different formats (the
+        batched kernels fall back per column on codec mismatch)."""
+        problem = make_problem("atmosmodd", "smoke")
+        B = rhs_block(problem, 4)
+        target = problem.target_rrn
+
+        def solver():
+            return CbGmres(
+                problem.a, "adaptive", m=30, max_iter=600,
+                basis_mode=basis_mode,
+            )
+
+        solos = [solver().solve(B[:, c], target) for c in range(4)]
+        batch = solver().solve_batch(B, target)
+        assert_columns_identical(solos, batch)
+        traces = {tuple(r.stats.storage_trace) for r in batch}
+        assert len(traces) > 1, "columns should have chosen different formats"
+        assert any(len(r.stats.writes_by_storage) > 1 for r in batch)
+        for r in batch:
+            assert r.storage == "adaptive"
+            assert sum(r.stats.writes_by_storage.values()) == r.stats.basis_writes
+            assert sum(r.stats.reads_by_storage.values()) == r.stats.basis_reads
 
     def test_streaming_basis_mode(self):
         problem = make_problem("lung2", "smoke")
@@ -185,6 +227,94 @@ class TestBatchedFastPaths:
             assert [t[1] for t in calls] == list(
                 range(1, result.iterations + 1)
             )
+
+
+class TestOneCore:
+    """``solve`` and ``solve_batch`` are one restart cycle: what the
+    solver is configured with, and what it reports, cannot depend on
+    the entry point."""
+
+    @pytest.mark.parametrize("storage", ["frsz2_32", "adaptive"])
+    def test_storage_factory_reaches_batched_solves(self, storage):
+        """Regression: ``solve_batch`` used to build its bases without
+        ``storage_factory``, silently bypassing wrapped accessors."""
+        problem = make_problem("lung2", "smoke")
+        B = rhs_block(problem, 3)
+        built = []
+
+        def factory(fmt, n):
+            built.append(fmt)
+            return make_accessor(fmt, n)
+
+        def solver():
+            return CbGmres(
+                problem.a, storage, m=20, max_iter=400, storage_factory=factory
+            )
+
+        solos = [solver().solve(B[:, c], problem.target_rrn) for c in range(3)]
+        solo_builds = len(built)
+        assert solo_builds >= 3 * 21  # m + 1 slots per solve
+        built.clear()
+        batch = solver().solve_batch(B, problem.target_rrn)
+        assert len(built) == solo_builds
+        assert_columns_identical(solos, batch)
+
+    def test_a_solve_leaves_no_reference_cycles(self):
+        """The driver holds every column's basis (the solve's big
+        allocation): it must die by refcount when the call returns, not
+        wait for the cycle collector — serve workers run job after job
+        and their peak RSS is a gated benchmark metric."""
+        problem = make_problem("cfd2", "smoke")
+        B = rhs_block(problem, 3)
+        gc.collect()
+        gc.disable()
+        try:
+            CbGmres(problem.a, "frsz2_32", m=30).solve(B[:, 0], problem.target_rrn)
+            CbGmres(problem.a, "adaptive", m=30).solve_batch(B, problem.target_rrn)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def _traced(self, nrhs, batched):
+        problem = make_problem("atmosmodd", "smoke")
+        B = rhs_block(problem, nrhs)
+        tracer = Tracer()
+        solver = CbGmres(problem.a, "frsz2_32", m=30, max_iter=600, tracer=tracer)
+        t0 = time.perf_counter()
+        if batched:
+            solver.solve_batch(B, problem.target_rrn)
+        else:
+            solver.solve(B[:, 0], problem.target_rrn)
+        return tracer, time.perf_counter() - t0
+
+    def test_span_names_do_not_depend_on_the_width(self):
+        names = [
+            {rec.name for rec in self._traced(nrhs, batched)[0].spans}
+            for nrhs, batched in ((1, False), (1, True), (4, True))
+        ]
+        assert names[0] == names[1] == names[2]
+        assert {"restart", "arnoldi", "spmv", "orthogonalize", "basis_read",
+                "basis_write", "update"} <= names[0]
+
+    def test_restart_span_opens_once_per_lockstep_pass(self):
+        tracer, _ = self._traced(4, True)
+        restarts = [rec for rec in tracer.spans if rec.name == "restart"]
+        assert [rec.attrs["index"] for rec in restarts] == list(range(len(restarts)))
+        assert restarts[0].attrs["columns"] == 4
+        assert all(rec.depth == 0 for rec in restarts)
+
+    def test_named_phases_cover_a_batched_solve(self):
+        phases = {"spmv", "prec.apply", "orthogonalize", "basis_read",
+                  "basis_write", "update", "restart", "arnoldi"}
+        best = 0.0
+        for _ in range(3):  # wall-clock share: best of three
+            tracer, wall = self._traced(4, True)
+            named = sum(
+                rec.exclusive_seconds for rec in tracer.spans
+                if rec.name in phases
+            )
+            best = max(best, named / wall)
+        assert best >= 0.95
 
 
 class TestResultContainer:

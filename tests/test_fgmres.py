@@ -105,3 +105,80 @@ class TestRef17TradeOff:
         res = FlexibleGmres(p.a, "frsz2_32", m=20).solve(p.b, p.target_rrn)
         assert res.converged
         assert res.stats.restarts >= 2
+
+
+class _NanAfter:
+    """An operator whose matvec turns NaN after ``clean`` calls."""
+
+    def __init__(self, inner, clean):
+        self.inner = inner
+        self.shape = inner.shape
+        self.nnz = inner.nnz
+        self.clean = clean
+        self.calls = 0
+
+    def matvec(self, x):
+        self.calls += 1
+        y = self.inner.matvec(x)
+        if self.calls > self.clean:
+            y = np.full_like(y, np.nan)
+        return y
+
+
+class TestArnoldiCoreInheritance:
+    """FGMRES is the shared restart cycle with two hooks replaced, so
+    it inherits what the cycle carries: recovery and tracer spans."""
+
+    @pytest.mark.parametrize("z_storage", ["float64", "frsz2_32"])
+    def test_nan_operator_ends_like_cb_gmres(self, z_storage):
+        p = make_problem("lung2", "smoke")
+        cb = CbGmres(_NanAfter(p.a, 5), "frsz2_32", m=20).solve(
+            p.b, p.target_rrn
+        )
+        fg = FlexibleGmres(_NanAfter(p.a, 5), z_storage, m=20).solve(
+            p.b, p.target_rrn
+        )
+        for res in (cb, fg):
+            assert not res.converged
+            assert res.recovery_exhausted
+            assert np.all(np.isfinite(res.x))
+            assert np.isfinite(res.final_rrn)
+            assert res.recoveries > 0
+            assert {e.kind for e in res.breakdown_events} <= {
+                "nonfinite_spmv", "nonfinite_residual",
+            }
+        assert [e.kind for e in fg.breakdown_events] == [
+            e.kind for e in cb.breakdown_events
+        ]
+        # the clean prefix was salvaged into a partial update
+        assert fg.iterations == cb.iterations > 0
+
+    def test_traced_solve_emits_the_cycle_spans(self):
+        from repro.observe import Tracer
+
+        p = make_problem("lung2", "smoke")
+        solver = FlexibleGmres(p.a, "frsz2_32")
+        solver.tracer = Tracer()
+        traced = solver.solve(p.b, p.target_rrn)
+        plain = FlexibleGmres(p.a, "frsz2_32").solve(p.b, p.target_rrn)
+        assert np.array_equal(traced.x, plain.x)
+        names = {rec.name for rec in solver.tracer.spans}
+        assert {"restart", "arnoldi", "spmv", "orthogonalize", "basis_read",
+                "basis_write", "update"} <= names
+
+    def test_solve_batch_columns_match_solo(self):
+        """The flexible hooks run at any width of the shared driver."""
+        p = make_problem("atmosmodd", "smoke")
+        B = np.stack([p.b, p.b[::-1].copy(), 0.25 * p.b], axis=1)
+
+        def solver():
+            return FlexibleGmres(p.a, "frsz2_32", m=30)
+
+        batch = solver().solve_batch(B, p.target_rrn)
+        for c, col in enumerate(batch):
+            solo = solver().solve(B[:, c], p.target_rrn)
+            assert col.storage == "fgmres[frsz2_32]"
+            assert np.array_equal(solo.x, col.x)
+            assert solo.iterations == col.iterations
+            assert solo.final_rrn == col.final_rrn
+            assert vars(solo.stats) == vars(col.stats)

@@ -384,18 +384,26 @@ class TestCoalescing:
     """Opt-in multi-RHS coalescing (``ServeConfig(coalesce=True)``)."""
 
     @staticmethod
-    def _occupy_and_queue(engine, nrhs):
+    def _occupy_and_queue(engine, nrhs, **spec):
         """Fill the single worker with a hang, queue ``nrhs`` batchable
         jobs behind it, then cancel the hang so the freed dispatch slot
         gathers the queued peers into one batch."""
         hang = engine.submit(_spec(chaos=HANG, max_retries=0))
         time.sleep(0.4)  # let the hang start and occupy the worker
-        jobs = [engine.submit(_spec(rhs_seed=i)) for i in range(nrhs)]
+        jobs = [engine.submit(_spec(rhs_seed=i, **spec)) for i in range(nrhs)]
         assert all(j.state == JobState.QUEUED for j in jobs)
         engine.cancel(hang.job_id)
         return jobs
 
     def test_coalesced_jobs_bit_identical_to_solo(self):
+        self._check_coalesced_bit_identical("frsz2_32")
+
+    def test_adaptive_jobs_coalesce_bit_identical_to_solo(self):
+        """Every batch column owns a precision controller, so adaptive
+        jobs coalesce like any other storage."""
+        self._check_coalesced_bit_identical("adaptive")
+
+    def _check_coalesced_bit_identical(self, storage):
         tracer = Tracer()
         attempts = []
         config = _config(workers=1, coalesce=True, cancel_grace_s=0.2,
@@ -404,7 +412,7 @@ class TestCoalescing:
             engine.subscribe(
                 lambda e: attempts.append(e) if e.kind == "attempt" else None
             )
-            jobs = self._occupy_and_queue(engine, 3)
+            jobs = self._occupy_and_queue(engine, 3, storage=storage)
             assert engine.drain(timeout=60)
         for job in jobs:
             assert job.state == JobState.DONE
@@ -421,7 +429,7 @@ class TestCoalescing:
         # the coalesced columns are bit-identical to solo attempts
         for i, job in enumerate(jobs):
             ref = run_solve_job(
-                _spec(rhs_seed=i).to_dict(), "ref", 1, "frsz2_32"
+                _spec(rhs_seed=i, storage=storage).to_dict(), "ref", 1, storage
             )
             assert np.array_equal(job.result["x"], ref["x"])
             assert job.result["iterations"] == ref["iterations"]
@@ -506,21 +514,30 @@ class TestCoalescing:
             assert peer.result["batch_columns"] == 3
 
     def test_worker_entry_matches_solo_jobs(self):
+        self._check_worker_entry("frsz2_32")
+
+    def test_worker_entry_matches_solo_jobs_adaptive(self):
+        self._check_worker_entry("adaptive")
+
+    def _check_worker_entry(self, storage):
         from repro.serve.worker import run_solve_batch_job
 
-        specs = [_spec(rhs_seed=i).to_dict() for i in range(3)]
+        specs = [_spec(rhs_seed=i, storage=storage).to_dict() for i in range(3)]
         out = run_solve_batch_job(
-            specs, ["a", "b", "c"], attempt=1, storage="frsz2_32"
+            specs, ["a", "b", "c"], attempt=1, storage=storage
         )
         assert out["batch_columns"] == 3
         assert out["batched_spmv_calls"] > 0
         for i, job_id in enumerate(["a", "b", "c"]):
-            ref = run_solve_job(specs[i], "ref", 1, "frsz2_32")
+            ref = run_solve_job(specs[i], "ref", 1, storage)
             got = out["results"][job_id]
             assert np.array_equal(got["x"], ref["x"])
             assert got["iterations"] == ref["iterations"]
             assert got["final_rrn"] == ref["final_rrn"]
             assert got["converged"] == ref["converged"]
+            # the payload shape is shared by both entry points
+            assert set(got) == set(ref) | {"batch_columns"}
+            assert got["counters"] and ref["counters"]
 
     def test_worker_entry_validates_lengths(self):
         from repro.serve.worker import run_solve_batch_job
