@@ -11,7 +11,6 @@ and end-to-end iterations on atmosmodd.
 import numpy as np
 import pytest
 
-from repro.accessor import accessor_factory
 from repro.bench import format_table
 from repro.core import FRSZ2
 from repro.gpu import H100_PCIE

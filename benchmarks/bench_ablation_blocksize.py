@@ -50,7 +50,7 @@ def test_ablation_block_size_end_to_end(benchmark, paper_report):
         base_time = None
         for bs in BLOCK_SIZES:
             factory = accessor_factory("frsz2_32", block_size=bs)
-            res = CbGmres(p.a, "frsz2_32", accessor_factory=factory).solve(
+            res = CbGmres(p.a, "frsz2_32", storage_factory=factory).solve(
                 p.b, p.target_rrn
             )
             bits = 32 + 32.0 / bs  # Eq. 3 storage per value

@@ -56,7 +56,7 @@ def test_ablation_rounding_end_to_end(benchmark, paper_report):
         rows = []
         for rounding in (False, True):
             factory = accessor_factory("frsz2_32", rounding=rounding)
-            res = CbGmres(p.a, "frsz2_32", accessor_factory=factory).solve(
+            res = CbGmres(p.a, "frsz2_32", storage_factory=factory).solve(
                 p.b, p.target_rrn
             )
             rows.append(

@@ -99,8 +99,8 @@ SHARED_OPTIONS: "Dict[str, Dict[str, Any]]" = {
         default="numpy", choices=_BACKENDS,
         help="kernel backend: numpy reference or jit-compiled kernels "
              "(bit-identical results; jit falls back to numpy with a "
-             "warning when no engine is available — install the [jit] "
-             "extra or a C compiler)",
+             "warning when the C engine is unavailable — it needs the "
+             "[jit] extra and a C compiler)",
     ),
     "preconditioner": dict(
         default="none", choices=_PRECONDITIONERS,
@@ -292,8 +292,6 @@ def _cmd_solve(args) -> int:
     # not once from the engine and again from the solver
     backend = _dispatch.resolve_backend(args.backend)
     prec_name = args.preconditioner
-    if args.jacobi and prec_name == "none":
-        prec_name = "jacobi"  # deprecated alias
     prec = None
     if prec_name != "none":
         prec = make_preconditioner(
@@ -815,8 +813,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_command("solve", "run CB-GMRES on a suite matrix")
     p.add_argument("matrix")
     p.add_argument("--target", type=float, default=None)
-    p.add_argument("--jacobi", action="store_true",
-                   help="deprecated alias for --preconditioner jacobi")
     p.add_argument("--solver", default="cb", choices=["cb", "fgmres"],
                    help="cb = CB-GMRES (compress V); fgmres = ref [17] (compress Z)")
     _add_shared(p, "solve")

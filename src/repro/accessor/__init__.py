@@ -2,13 +2,7 @@
 float64 arithmetic format (paper refs [1], [9])."""
 
 from .base import TrafficCounter, VectorAccessor
-from .frsz2_accessor import (
-    DEFAULT_CACHE_BLOCKS,
-    CacheStats,
-    Frsz2Accessor,
-    read_frsz2_tiles,
-    write_frsz2_batch,
-)
+from .frsz2_accessor import Frsz2Accessor, read_frsz2_tiles, write_frsz2_batch
 from .precision import (
     Float16Accessor,
     Float32Accessor,
@@ -26,8 +20,6 @@ __all__ = [
     "Float32Accessor",
     "Float16Accessor",
     "Frsz2Accessor",
-    "CacheStats",
-    "DEFAULT_CACHE_BLOCKS",
     "RoundTripAccessor",
     "read_frsz2_tiles",
     "write_frsz2_batch",

@@ -8,20 +8,16 @@ the full vector because finding ``e_max`` needs every value of a block
 simultaneously").
 
 On a GPU the decode rides for free inside the memory-bound kernels (the
-"46 spare instructions" budget); in Python it is a real per-read cost.
-The accessor therefore keeps an LRU cache of *decoded* blocks: repeated
-reads of the same block — the Gram-Schmidt access pattern, where every
-stored basis vector is re-read each Arnoldi step — skip the codec
-entirely.  Decoding is deterministic, so cached reads are bit-identical
-to uncached ones (asserted in the test suite); the cache is invalidated
-on every write.
+"46 spare instructions" budget); in Python it is a real per-read cost,
+paid in one bulk codec call per read.  Every read decodes the stored
+payload as it is *now*: the accessor keeps no decoded copy, so an
+out-of-band change to :attr:`Frsz2Accessor.compressed` (the fault
+injectors flipping stored bits) is visible to the next read.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -29,37 +25,10 @@ from ..core import FRSZ2, Frsz2Compressed
 from .base import VectorAccessor
 
 __all__ = [
-    "CacheStats",
     "Frsz2Accessor",
-    "DEFAULT_CACHE_BLOCKS",
     "read_frsz2_tiles",
     "write_frsz2_batch",
 ]
-
-#: default decoded-block cache capacity (blocks); 0 disables the cache
-DEFAULT_CACHE_BLOCKS = 256
-
-
-@dataclass
-class CacheStats:
-    """Hit/miss/eviction tallies of one accessor's decoded-block cache."""
-
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-    invalidations: int = 0
-
-    @property
-    def hit_rate(self) -> float:
-        """Hits over lookups, 0.0 before any lookup."""
-        lookups = self.hits + self.misses
-        return self.hits / lookups if lookups else 0.0
-
-    def reset(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.invalidations = 0
 
 
 class Frsz2Accessor(VectorAccessor):
@@ -76,21 +45,10 @@ class Frsz2Accessor(VectorAccessor):
         ``BS``, values per block (paper default 32 = one GPU warp).
     rounding : bool, default False
         Round-to-nearest instead of the paper's truncation (ablation).
-    cache_blocks : int, default DEFAULT_CACHE_BLOCKS
-        Capacity of the decoded-block LRU cache, in blocks.  ``0``
-        disables caching (every read re-decodes, the pre-cache
-        behaviour).  Cached and uncached reads are bit-identical.
     backend : {"numpy", "jit"}, optional
         Codec kernel backend (forwarded to :class:`~repro.core.FRSZ2`).
         Bit-identical across backends, so mixed-backend accessors may
         share batched reads/writes freely.
-
-    Attributes
-    ----------
-    cache : CacheStats
-        Hit/miss/eviction counters; also mirrored into the attached
-        :mod:`repro.observe` tracer as ``accessor.cache.hits`` /
-        ``.misses`` / ``.evictions``.
     """
 
     def __init__(
@@ -99,7 +57,6 @@ class Frsz2Accessor(VectorAccessor):
         bit_length: int = 32,
         block_size: int = 32,
         rounding: bool = False,
-        cache_blocks: int = DEFAULT_CACHE_BLOCKS,
         backend: Optional[str] = None,
     ) -> None:
         super().__init__(n)
@@ -111,107 +68,26 @@ class Frsz2Accessor(VectorAccessor):
         )
         self.name = f"frsz2_{bit_length}"
         self._compressed: Optional[Frsz2Compressed] = None
-        if cache_blocks < 0:
-            raise ValueError("cache_blocks must be non-negative")
-        self.cache_blocks = int(cache_blocks)
-        self.cache = CacheStats()
-        #: block index -> decoded (read-only) float64 block, LRU order
-        self._block_cache: "OrderedDict[int, np.ndarray]" = OrderedDict()
 
     def set_tracer(self, tracer) -> None:
         """Attach a tracer to the accessor *and* its codec."""
         super().set_tracer(tracer)
         self.codec.tracer = tracer
 
-    # -- cache plumbing ----------------------------------------------------
-
-    def invalidate_cache(self) -> None:
-        """Drop every cached decoded block.
-
-        Called automatically on :meth:`write`; must be called manually
-        after any out-of-band mutation of :attr:`compressed` (e.g. the
-        fault injectors flipping stored bits), or reads may serve stale
-        pre-mutation data.
-        """
-        if self._block_cache:
-            self._block_cache.clear()
-            self.cache.invalidations += 1
-
-    def _cache_store(self, block: int, values: np.ndarray) -> None:
-        """Insert a decoded block, evicting LRU entries over capacity."""
-        if self.cache_blocks == 0:
-            return
-        values = values.copy()
-        values.flags.writeable = False
-        self._block_cache[block] = values
-        self._block_cache.move_to_end(block)
-        while len(self._block_cache) > self.cache_blocks:
-            self._block_cache.popitem(last=False)
-            self.cache.evictions += 1
-            if self.tracer.enabled:
-                self.tracer.count("accessor.cache.evictions")
-
-    def _cache_lookup(self, block: int) -> Optional[np.ndarray]:
-        """A cached decoded block (refreshing LRU order), or None."""
-        cached = self._block_cache.get(block)
-        if cached is None:
-            self.cache.misses += 1
-            if self.tracer.enabled:
-                self.tracer.count("accessor.cache.misses")
-            return None
-        self._block_cache.move_to_end(block)
-        self.cache.hits += 1
-        if self.tracer.enabled:
-            self.tracer.count("accessor.cache.hits")
-        return cached
-
     # -- storage interface -------------------------------------------------
 
     def write(self, values: np.ndarray) -> None:
-        """Compress and store the full vector (invalidates the cache)."""
+        """Compress and store the full vector."""
         values = self._check_write(values)
         self._compressed = self.codec.compress(values)
-        self.invalidate_cache()
         self._record_write()
 
     def read(self) -> np.ndarray:
-        """Decompress the full vector.
-
-        Returns
-        -------
-        ndarray, shape (n,), dtype float64
-            Cached blocks are served from the decoded-block cache; the
-            remaining blocks are decoded in one bulk
-            :meth:`~repro.core.frsz2.FRSZ2.decompress_blocks` call and
-            cached.  Bit-identical to a cache-off decompression.
-        """
-        if self._compressed is None:
-            self._record_read()
-            return np.zeros(self.n)
+        """Decompress the full vector into a fresh float64 array."""
         self._record_read()
-        comp = self._compressed
-        nb = comp.layout.num_blocks
-        if self.cache_blocks == 0 or nb > self.cache_blocks:
-            # cache off, or the vector cannot fit: a full read would
-            # evict every entry it just inserted (sequential-scan LRU
-            # thrash), so bypass the cache entirely
-            return self.codec.decompress(comp)
-        bs = comp.layout.block_size
-        out = np.empty(self.n, dtype=np.float64)
-        missing: List[int] = []
-        for block in range(nb):
-            cached = self._cache_lookup(block)
-            if cached is None:
-                missing.append(block)
-            else:
-                out[block * bs:block * bs + cached.size] = cached
-        if missing:
-            for block, values in zip(
-                missing, self.codec.decompress_blocks(comp, missing)
-            ):
-                out[block * bs:block * bs + values.size] = values
-                self._cache_store(block, values)
-        return out
+        if self._compressed is None:
+            return np.zeros(self.n)
+        return self.codec.decompress(self._compressed)
 
     def read_block(self, block: int) -> np.ndarray:
         """Block-granular random access (paper Section IV-B).
@@ -225,27 +101,17 @@ class Frsz2Accessor(VectorAccessor):
         -------
         ndarray, dtype float64
             The decoded block — ``block_size`` values, fewer for a
-            trailing partial block.  Served from the decoded-block cache
-            when possible; bit-identical either way.
+            trailing partial block.
         """
         if self._compressed is None:
             raise RuntimeError("nothing stored yet")
-        if self.cache_blocks == 0:
-            return self.codec.decompress_block(self._compressed, block)
-        cached = self._cache_lookup(block)
-        if cached is not None:
-            return cached.copy()
-        values = self.codec.decompress_block(self._compressed, block)
-        self._cache_store(block, values)
-        return values
+        return self.codec.decompress_block(self._compressed, block)
 
     def read_into(self, out: np.ndarray) -> np.ndarray:
         """Bulk-decode the full vector into ``out``.
 
-        One vectorized codec pass, no intermediate allocation and no
-        decoded-block cache traffic — a full sequential decode would
-        only thrash the LRU (see :meth:`read`'s scan bypass).
-        Bit-identical to :meth:`read`.
+        One vectorized codec pass with no intermediate allocation;
+        bit-identical to :meth:`read`.
         """
         if out.shape != (self.n,) or out.dtype != np.float64:
             raise ValueError(
@@ -275,9 +141,7 @@ class Frsz2Accessor(VectorAccessor):
     def read_tile(self, i0: int, i1: int) -> np.ndarray:
         """Decode the blocks spanning ``[i0, i1)`` (paper Section IV-B).
 
-        The fused kernels stream tiles sequentially, so decoded tiles
-        bypass the LRU cache (caching a scan evicts everything useful);
-        bit-identical to ``self.read()[i0:i1]``.
+        Bit-identical to ``self.read()[i0:i1]``.
         """
         i0, i1 = self._check_tile(i0, i1)
         self._record_tile_read(i0, i1)
@@ -294,9 +158,8 @@ class Frsz2Accessor(VectorAccessor):
         return values[i0 - b0 * bs:i1 - b0 * bs]
 
     def clear(self) -> None:
-        """Drop the stored payload and every cached decoded block."""
+        """Drop the stored payload."""
         self._compressed = None
-        self.invalidate_cache()
 
     def stored_nbytes(self) -> int:
         return self.codec.layout_for(self.n).total_nbytes
@@ -305,8 +168,8 @@ class Frsz2Accessor(VectorAccessor):
     def compressed(self) -> Optional[Frsz2Compressed]:
         """The raw compressed representation (for inspection/tests).
 
-        Mutating its arrays in place bypasses the accessor; call
-        :meth:`invalidate_cache` afterwards.
+        Every read decodes these arrays afresh, so an in-place mutation
+        (a fault injector's bit flip) is seen by the next read.
         """
         return self._compressed
 
@@ -372,8 +235,8 @@ def write_frsz2_batch(accessors, X: np.ndarray) -> bool:
     parameters, all columns encode in one
     :meth:`~repro.core.frsz2.FRSZ2.compress_batch` call (one vectorized
     exponent-reduce/shift/truncate pass instead of one per vector).
-    Each accessor's write is billed individually and its decoded-block
-    cache invalidated, exactly like a per-accessor
+    Each accessor's write is billed individually, exactly like a
+    per-accessor
     :meth:`~Frsz2Accessor.write` loop — which is the bitwise-identical
     fallback this fast path is exchangeable with.
 
@@ -425,6 +288,5 @@ def write_frsz2_batch(accessors, X: np.ndarray) -> bool:
     compressed = c0.compress_batch(columns)
     for acc, comp in zip(accessors, compressed):
         acc._compressed = comp
-        acc.invalidate_cache()
         acc._record_write()
     return True

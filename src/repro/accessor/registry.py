@@ -66,12 +66,18 @@ def make_accessor(
 
 def accessor_factory(
     name: str, backend: "str | None" = None, **kwargs
-) -> Callable[[int], VectorAccessor]:
-    """Return ``n -> accessor`` for a format name (validates eagerly)."""
+) -> Callable[[str, int], VectorAccessor]:
+    """Return a ``storage_factory``: ``(fmt, n) -> accessor``.
+
+    The solvers' ``storage_factory=`` hook with ``backend`` and the
+    FRSZ2 ``kwargs`` (``block_size``, ``rounding``) applied to every
+    accessor it builds; ``name`` is the format they are validated
+    against eagerly.
+    """
     from ..jit import dispatch as _dispatch
 
     # resolve once so an unavailable-jit warning fires at factory build
     # time, not on every accessor the solver constructs
     backend = _dispatch.resolve_backend(backend)
     make_accessor(name, 0, backend=backend, **kwargs)  # fail fast on bad names
-    return lambda n: make_accessor(name, n, backend=backend, **kwargs)
+    return lambda fmt, n: make_accessor(fmt, n, backend=backend, **kwargs)

@@ -338,16 +338,6 @@ def run_bench_entry(
         prec_info=prec.cost_info() if prec is not None else None,
     )
 
-    # surface the decoded-block cache's hit rate whenever the storage
-    # format performed any cache lookups (zero keys would otherwise be
-    # absent from the tracer's sparse counter dict)
-    hits = tracer.counters.get("accessor.cache.hits", 0)
-    misses = tracer.counters.get("accessor.cache.misses", 0)
-    if hits or misses:
-        tracer.counters["accessor.cache.hits"] = hits
-        tracer.counters["accessor.cache.misses"] = misses
-        tracer.counters["accessor.cache.hit_rate"] = hits / (hits + misses)
-
     # measured SpMV speedup over the CSR kernel: time the engine's
     # matvec and the raw CSR matvec back to back with tracing disabled
     # (spans would perturb both sides).  When the resolved format *is*
@@ -934,6 +924,9 @@ def validate_bench(doc: dict) -> None:
                        f"{where}.basis.modeled_fused_seconds")
         _expect(isinstance(basis["bit_identical_modes"], bool),
                 f"{where}.basis.bit_identical_modes", "expected a boolean")
+        _expect(basis["bit_identical_modes"] is True,
+                f"{where}.basis.bit_identical_modes",
+                "cached and streaming basis modes diverged")
         modes = basis["modes"]
         _expect(isinstance(modes, dict), f"{where}.basis.modes",
                 "expected an object")

@@ -1,21 +1,20 @@
 """JIT-compiled kernel backend (``backend={numpy,jit}``).
 
-This package provides the second implementation of every hot kernel in
-the reproduction, selected through the kernel-dispatch registry in
+This package provides the compiled implementation of every hot kernel
+in the reproduction, selected through the kernel-dispatch registry in
 :mod:`repro.jit.dispatch`:
 
-* :mod:`repro.jit.nbackend` — Numba ``@njit`` kernels (preferred;
-  installed via the ``[jit]`` optional extra),
 * :mod:`repro.jit.cbackend` — C kernels compiled at runtime with the
-  system compiler through cffi (fallback when Numba is absent),
+  system compiler through cffi (the ``[jit]`` optional extra),
 * the numpy reference kernels, registered by the modules defining them.
 
 The contract is byte-equality: a JIT kernel must reproduce the numpy
 reference bit-for-bit (same accumulation order, same rounding, no FMA
-contraction).  Engines are vetted by :mod:`repro.jit.selftest` before
-acceptance, and ``backend='jit'`` silently *degrades* to ``numpy`` —
-with a :class:`JitUnavailableWarning` naming the reason — when no
-engine works, so every caller can request ``jit`` unconditionally.
+contraction).  The engine is vetted by :mod:`repro.jit.selftest` before
+acceptance, and ``backend='jit'`` *degrades* to ``numpy`` — with a
+:class:`JitUnavailableWarning` naming the reason — when it cannot be
+built or fails that test, so every caller can request ``jit``
+unconditionally.
 """
 
 from .dispatch import (

@@ -1,8 +1,8 @@
 """Runtime-compiled C kernel engine (cffi + the system C compiler).
 
-This is the fallback JIT engine behind :mod:`repro.jit.nbackend`: the
-same scalar kernels, written once in C, compiled to a shared library on
-first use and loaded through cffi's ABI mode.  "JIT" is meant literally
+This is the engine behind ``backend='jit'``: every hot kernel as a
+scalar loop, written once in C, compiled to a shared library on first
+use and loaded through cffi's ABI mode.  "JIT" is meant literally
 — the library is built at runtime from the source below, cached by
 content hash, so upgrading the kernels invalidates the cache
 automatically.

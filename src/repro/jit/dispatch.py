@@ -16,19 +16,13 @@ Backends
     that define them (:mod:`repro.core.bitpack`, :mod:`repro.core.frsz2`,
     :mod:`repro.sparse`, :mod:`repro.fused`).
 ``jit``
-    Runtime-compiled scalar kernels that replay the *exact* arithmetic
-    of the reference (same accumulation order, same rounding, no FMA
-    contraction), so results are byte-equal.  Two engines are tried in
-    order:
-
-    1. :mod:`repro.jit.nbackend` — Numba ``@njit`` kernels (install via
-       the ``[jit]`` extra).
-    2. :mod:`repro.jit.cbackend` — C kernels compiled at runtime with
-       the system C compiler through cffi.
-
-    Whichever engine loads first must pass a bit-identity self-test
-    against the numpy reference before it is accepted; a failing or
-    missing engine falls through to the next.  When no engine works,
+    The C kernels of :class:`repro.jit.cbackend.CEngine`, compiled at
+    runtime with the system C compiler through cffi.  They replay the
+    *exact* arithmetic of the reference (same accumulation order, same
+    rounding, no FMA contraction), so results are byte-equal.  The
+    engine must pass a bit-identity self-test against the numpy
+    reference (:func:`repro.jit.selftest.run`) before it is accepted;
+    when it cannot be built or fails that test,
     :func:`resolve_backend` degrades ``jit`` to ``numpy`` with a
     :class:`JitUnavailableWarning` naming the reason.
 
@@ -63,7 +57,7 @@ BACKENDS = ("numpy", "jit")
 
 
 class JitUnavailableWarning(UserWarning):
-    """``backend='jit'`` was requested but no JIT engine could be loaded."""
+    """``backend='jit'`` was requested but the JIT engine could not be loaded."""
 
 
 class JitUnavailableError(RuntimeError):
@@ -95,7 +89,7 @@ def get_kernel(name: str, backend: str = "numpy") -> Callable:
 
     For ``backend='jit'`` the engine is loaded (and its kernels
     registered) on first use; raises :class:`JitUnavailableError` when
-    no engine works — callers are expected to pass a backend that went
+    it is unavailable — callers are expected to pass a backend that went
     through :func:`resolve_backend` first.
     """
     if backend == "jit":
@@ -124,28 +118,14 @@ _ENGINE_LOADED = False
 _ENGINE_FAILURE: Optional[str] = None
 
 
-def _load_numba():
-    from . import nbackend
-
-    return nbackend.NumbaEngine()
-
-
-def _load_cffi():
-    from . import cbackend
-
-    return cbackend.CEngine()
-
-
 def load_engine():
     """The process-wide JIT engine, or ``None`` with the reason recorded.
 
-    Engines are tried in preference order (numba, then the cffi/C
-    fallback); each candidate must pass :func:`selftest.run` — a
-    bit-identity check of every kernel family against the numpy
-    reference — before it is accepted.  The result (including failure)
-    is cached for the process; set ``REPRO_JIT_DISABLE=1`` to force the
-    unavailable path or ``REPRO_JIT_ENGINE={numba,cffi}`` to pin one
-    candidate.
+    The engine is :class:`repro.jit.cbackend.CEngine`; it must pass
+    :func:`selftest.run` — a bit-identity check of every kernel family
+    against the numpy reference — before it is accepted.  The result
+    (including failure) is cached for the process; set
+    ``REPRO_JIT_DISABLE=1`` to force the unavailable path.
     """
     global _ENGINE, _ENGINE_LOADED, _ENGINE_FAILURE
     if _ENGINE_LOADED:
@@ -154,23 +134,16 @@ def load_engine():
     if os.environ.get("REPRO_JIT_DISABLE"):
         _ENGINE_FAILURE = "disabled via REPRO_JIT_DISABLE"
         return None
-    preferred = os.environ.get("REPRO_JIT_ENGINE")
-    reasons = []
-    for name, loader in (("numba", _load_numba), ("cffi", _load_cffi)):
-        if preferred and name != preferred:
-            continue
-        try:
-            engine = loader()
-            from . import selftest
+    try:
+        from . import cbackend, selftest
 
-            selftest.run(engine)
-        except Exception as exc:  # noqa: BLE001 - any failure disables the engine
-            reasons.append(f"{name}: {type(exc).__name__}: {exc}")
-            continue
-        _ENGINE = engine
-        return engine
-    _ENGINE_FAILURE = "; ".join(reasons) or "no engine candidates"
-    return None
+        engine = cbackend.CEngine()
+        selftest.run(engine)
+    except Exception as exc:  # noqa: BLE001 - any failure disables the engine
+        _ENGINE_FAILURE = f"cffi: {type(exc).__name__}: {exc}"
+        return None
+    _ENGINE = engine
+    return engine
 
 
 def jit_available() -> bool:
@@ -179,13 +152,13 @@ def jit_available() -> bool:
 
 
 def jit_engine_name() -> Optional[str]:
-    """``'numba'`` / ``'cffi'`` when available, else ``None``."""
+    """``'cffi'`` when the engine is available, else ``None``."""
     engine = load_engine()
     return engine.name if engine is not None else None
 
 
 def jit_unavailable_reason() -> Optional[str]:
-    """Why no engine loaded (``None`` while one is available)."""
+    """Why the engine did not load (``None`` while it is available)."""
     load_engine()
     return None if _ENGINE is not None else _ENGINE_FAILURE
 

@@ -1,9 +1,9 @@
-"""Bit-identity self-test every JIT engine must pass before acceptance.
+"""Bit-identity self-test the JIT engine must pass before acceptance.
 
-:func:`repro.jit.dispatch.load_engine` runs :func:`run` on each engine
-candidate; any mismatch (or crash) rejects the engine and the loader
-falls through to the next candidate, ultimately to the numpy backend.
-This is the first line of the byte-equality contract — the parametrized
+:func:`repro.jit.dispatch.load_engine` runs :func:`run` on the engine;
+any mismatch (or crash) rejects it and ``backend='jit'`` degrades to
+the numpy backend.  It is the only gate between a freshly compiled
+library and the solvers, and the first line of the byte-equality contract — the parametrized
 backend suite in ``tests/test_jit.py`` is the second.
 
 The inputs deliberately cover the codec's edge geometry: straddling and

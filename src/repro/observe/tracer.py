@@ -216,7 +216,7 @@ class Tracer:
         ----------
         name : str
             Dotted counter name (``frsz2.compress.values``,
-            ``accessor.cache.hits``, ...).  One flat namespace per
+            ``accessor.tile_reads``, ...).  One flat namespace per
             tracer.
         value : int or float, default 1
             Increment; tallies are monotone by convention.

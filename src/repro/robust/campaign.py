@@ -190,7 +190,7 @@ def _run_cell(
                 policy.chain_from(storage),
                 m=m,
                 max_iter=max_iter,
-                accessor_factory=wrap,
+                storage_factory=wrap,
                 preconditioner=prec,
                 basis_mode=basis_mode,
                 backend=backend,

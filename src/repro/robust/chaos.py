@@ -149,9 +149,9 @@ def chaos_accessor_factory(
 ) -> Callable[[str, int], VectorAccessor]:
     """An accessor factory wrapping every basis in a seeded injector.
 
-    Shaped for :class:`repro.robust.RobustCbGmres`'s
-    ``accessor_factory`` / for currying into
-    :class:`~repro.solvers.gmres.CbGmres`'s single-format factory.
+    Shaped for the ``storage_factory`` of
+    :class:`repro.robust.RobustCbGmres` and
+    :class:`~repro.solvers.gmres.CbGmres`.
     """
     if not spec.is_accessor_kind:
         raise ValueError(f"{spec.kind!r} is not an accessor fault kind")

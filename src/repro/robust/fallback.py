@@ -136,7 +136,7 @@ class RobustCbGmres:
 
     Parameters mirror :class:`~repro.solvers.gmres.CbGmres`, with the
     storage format replaced by a :class:`FallbackPolicy`.
-    ``accessor_factory``, when given, maps ``(storage, n)`` to an
+    ``storage_factory``, when given, maps ``(storage, n)`` to an
     accessor — the hook the fault-injection campaign uses to wrap every
     attempt's basis in a :class:`~repro.robust.faults.FaultyAccessor`.
     ``spmv_format`` (default ``"csr"``) wraps ``a`` in a
@@ -154,7 +154,7 @@ class RobustCbGmres:
         m: int = DEFAULT_RESTART,
         eta: float = DEFAULT_ETA,
         max_iter: int = DEFAULT_MAX_ITER,
-        accessor_factory: "Callable[[str, int], VectorAccessor] | None" = None,
+        storage_factory: "Callable[[str, int], VectorAccessor] | None" = None,
         preconditioner: Optional[Preconditioner] = None,
         orthogonalization: str = "cgs",
         spmv_format: str = "csr",
@@ -178,13 +178,13 @@ class RobustCbGmres:
         self.m = int(m)
         self.eta = float(eta)
         self.max_iter = int(max_iter)
-        self._factory = accessor_factory
+        self._factory = storage_factory
         self.preconditioner = preconditioner
         self.orthogonalization = orthogonalization
         self.basis_mode = basis_mode
         self.tile_elems = tile_elems
         self.precision = precision
-        if accessor_factory is None:
+        if storage_factory is None:
             # fail fast on unknown format names in the chain (adaptive
             # expands to its ladder, validated by ControllerConfig)
             for storage in self.policy.chain:

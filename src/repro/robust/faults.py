@@ -170,10 +170,6 @@ class FaultyAccessor(VectorAccessor):
         if arr is None or arr.nbytes == 0:
             return
         flip_array_bit(arr, self.injector.choose(arr.nbytes * 8))
-        if isinstance(self.inner, Frsz2Accessor):
-            # the flip bypassed the accessor: decoded blocks cached
-            # before it are stale now
-            self.inner.invalidate_cache()
 
     def write(self, values: np.ndarray) -> None:
         self.inner.write(values)

@@ -33,7 +33,7 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from ..accessor import VectorAccessor, make_accessor
+from ..accessor import VectorAccessor, accessor_factory
 from ..jit import dispatch as _dispatch
 from ..fused import (
     DEFAULT_TILE_ELEMS,
@@ -62,16 +62,12 @@ class KrylovBasis:
         Vector length and restart length (slots ``0..m``).
     storage:
         Storage-format name (see :func:`repro.accessor.make_accessor`).
-    accessor_factory:
-        Override the per-slot accessor construction with a fixed-format
-        ``factory(n)``.  Incompatible with :meth:`set_storage` (the
-        factory cannot express a format change) — adaptive callers pass
-        ``storage_factory`` instead.
     storage_factory:
-        Format-aware accessor construction ``factory(storage, n)``,
-        used for the initial build *and* every later
-        :meth:`set_storage` — the hook fault injectors use to keep
-        wrapping accessors across adaptive format switches.
+        Override the per-slot accessor construction with a format-aware
+        ``factory(storage, n)``, used for the initial build *and* every
+        later :meth:`set_storage` — the hook ablations use for custom
+        codec parameters and fault injectors use to keep wrapping
+        accessors across adaptive format switches.
     tracer:
         Optional observe-layer tracer.
     basis_mode:
@@ -85,9 +81,8 @@ class KrylovBasis:
         Kernel backend (``"numpy"``/``"jit"``) forwarded to the default
         accessor construction — and, because :meth:`set_storage` reuses
         the same construction hook, preserved across adaptive format
-        switches.  Custom ``accessor_factory``/``storage_factory``
-        callables own their accessor construction and are expected to
-        close over a backend themselves.
+        switches.  A custom ``storage_factory`` owns its accessor
+        construction and is expected to close over a backend itself.
     """
 
     def __init__(
@@ -95,7 +90,6 @@ class KrylovBasis:
         n: int,
         m: int,
         storage: str = "float64",
-        accessor_factory: "Callable[[int], VectorAccessor] | None" = None,
         tracer=None,
         basis_mode: str = "cached",
         tile_elems: int = DEFAULT_TILE_ELEMS,
@@ -110,39 +104,20 @@ class KrylovBasis:
             )
         if tile_elems < 1:
             raise ValueError("tile_elems must be positive")
-        if accessor_factory is not None and storage_factory is not None:
-            raise ValueError(
-                "pass accessor_factory (fixed format) or storage_factory "
-                "(format-aware), not both"
-            )
         self.n = int(n)
         self.m = int(m)
         self.storage = storage
         self.basis_mode = basis_mode
         self.tracer = tracer or NULL_TRACER
-        self._storage_factory = storage_factory
         self.backend = _dispatch.resolve_backend(backend)
-        if accessor_factory is not None:
-            self._make: "Callable[[str, int], VectorAccessor] | None" = None
-            factory = accessor_factory
-        else:
-            if storage_factory is not None:
-                self._make = storage_factory
-            else:
-                resolved = self.backend
-
-                def _make_default(fmt: str, size: int) -> VectorAccessor:
-                    return make_accessor(fmt, size, backend=resolved)
-
-                # set_storage rebuilds through this same hook, so the
-                # backend stays pinned across adaptive format switches
-                self._make = _make_default
-            make = self._make
-
-            def factory(size: int) -> VectorAccessor:
-                return make(storage, size)
-
-        self.accessors: List[VectorAccessor] = [factory(n) for _ in range(m + 1)]
+        # set_storage rebuilds through this same hook, so the backend
+        # stays pinned across adaptive format switches
+        self._make: "Callable[[str, int], VectorAccessor]" = (
+            storage_factory or accessor_factory(storage, backend=self.backend)
+        )
+        self.accessors: List[VectorAccessor] = [
+            self._make(storage, n) for _ in range(m + 1)
+        ]
         #: per-slot storage-format names (uniform until :meth:`set_storage`
         #: is called with explicit ``slots``)
         self.slot_storages: List[str] = [storage] * (m + 1)
@@ -210,11 +185,9 @@ class KrylovBasis:
         Raises
         ------
         ValueError
-            If the basis was built with a fixed-format
-            ``accessor_factory`` (the factory cannot express the
-            change), or if the new format's decode granularity does not
-            divide the established tile grid (the grid is part of the
-            determinism contract and never moves after construction).
+            If the new format's decode granularity does not divide the
+            established tile grid (the grid is part of the determinism
+            contract and never moves after construction).
 
         Notes
         -----
@@ -223,11 +196,6 @@ class KrylovBasis:
         boundaries — exactly where the controller sits — or on slots
         not yet written this cycle.
         """
-        if self._make is None:
-            raise ValueError(
-                "this basis was built with a fixed-format accessor_factory; "
-                "pass storage_factory=... to enable set_storage"
-            )
         targets = list(range(self.m + 1)) if slots is None else list(slots)
         for j in targets:
             if not 0 <= j <= self.m:

@@ -384,9 +384,9 @@ class _Lockstep:
         self.label = f"fgmres[{storage}]" if solver._flexible else storage
 
         # the single KrylovBasis construction site
-        def new_basis(fmt, factory=None, storage_factory=None) -> KrylovBasis:
+        def new_basis(fmt, storage_factory=None) -> KrylovBasis:
             return KrylovBasis(
-                n, solver.m, fmt, factory, tracer=tracer,
+                n, solver.m, fmt, tracer=tracer,
                 basis_mode=solver.basis_mode, tile_elems=solver.tile_elems,
                 storage_factory=storage_factory, backend=solver.backend,
             )
@@ -400,7 +400,7 @@ class _Lockstep:
                 # adaptive: first decision lands before the first write;
                 # the ladder top is a never-read placeholder until then
                 controller.config.ladder[-1] if controller else storage,
-                solver._factory, solver._storage_factory,
+                solver._storage_factory,
             )
             basis = new_basis("float64") if solver._flexible else stored
             stats = SolveStats(

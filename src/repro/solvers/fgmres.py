@@ -81,13 +81,10 @@ class FlexibleGmres(CbGmres):
         Consecutive non-improving restarts before declaring a stall.
     preconditioner : Preconditioner, optional
         ``M`` in ``z = M^-1 v`` (identity when omitted).
-    accessor_factory : callable, optional
-        ``n -> VectorAccessor`` override for the Z basis (fixed formats
-        only; incompatible with ``z_storage="adaptive"``).
     storage_factory : callable, optional
-        ``(storage, n) -> VectorAccessor`` override used for adaptive
-        solves, where the controller rebuilds accessors per format
-        switch.  Mutually exclusive with ``accessor_factory``.
+        ``(storage, n) -> VectorAccessor`` override for the Z basis,
+        also used when the adaptive controller rebuilds accessors per
+        format switch.
     precision : ControllerConfig, optional
         Controller tuning for ``z_storage="adaptive"``.
     basis_mode : str, optional
@@ -109,7 +106,6 @@ class FlexibleGmres(CbGmres):
         max_iter: int = DEFAULT_MAX_ITER,
         stall_restarts: Optional[int] = 8,
         preconditioner: Optional[Preconditioner] = None,
-        accessor_factory: "Callable[[int], VectorAccessor] | None" = None,
         storage_factory: "Callable[[str, int], VectorAccessor] | None" = None,
         precision: Optional[ControllerConfig] = None,
         basis_mode: str = "cached",
@@ -124,7 +120,6 @@ class FlexibleGmres(CbGmres):
             max_iter=max_iter,
             stall_restarts=stall_restarts,
             preconditioner=preconditioner,
-            accessor_factory=accessor_factory,
             storage_factory=storage_factory,
             precision=precision,
             basis_mode=basis_mode,

@@ -35,7 +35,7 @@ from ..observe import NULL_TRACER
 from ..sparse.csr import CSRMatrix
 from ..sparse.engine import SPMV_FORMATS, SpmvEngine
 from ..fused import DEFAULT_TILE_ELEMS
-from .adaptive import ADAPTIVE_STORAGE, ControllerConfig, PrecisionDecision
+from .adaptive import ControllerConfig, PrecisionDecision
 from .basis import BASIS_MODES, KrylovBasis
 from .orthogonal import DEFAULT_ETA
 from .preconditioner import IdentityPreconditioner, Preconditioner
@@ -203,9 +203,6 @@ class CbGmres:
         declared stalled (saves the full 20k iterations on hopeless
         format/problem combinations like float16 on PR02R; ``None``
         reproduces the paper's run-to-the-cap behaviour).
-    accessor_factory:
-        Override the storage factory (ablation studies: custom block
-        sizes, rounding modes).
     preconditioner:
         Right preconditioner ``M`` (the ``M^-1`` of Fig. 1); default is
         the identity, matching the paper's experiments (Section V-C).
@@ -262,10 +259,10 @@ class CbGmres:
         carry ``stats.storage_trace`` / ``stats.reads_by_storage`` /
         ``stats.writes_by_storage`` and ``result.precision_trace``.
     storage_factory:
-        Format-aware accessor construction ``factory(storage, n)``,
-        honored across adaptive format switches (fault injectors wrap
-        storage through this hook).  Mutually exclusive with
-        ``accessor_factory``, which pins one format.
+        Override the accessor construction with a format-aware
+        ``factory(storage, n)``, honored across adaptive format
+        switches (ablation studies pass custom block sizes and rounding
+        modes, fault injectors wrap storage through this hook).
     max_recoveries:
         Bound on *consecutive fruitless* recoveries: the counter grows
         with every recovery and resets whenever the explicit residual
@@ -293,7 +290,6 @@ class CbGmres:
         max_iter: int = DEFAULT_MAX_ITER,
         stall_restarts: Optional[int] = 8,
         stall_factor: float = 0.999,
-        accessor_factory: "Callable[[int], VectorAccessor] | None" = None,
         preconditioner: Optional[Preconditioner] = None,
         orthogonalization: str = "cgs",
         recovery: bool = True,
@@ -341,7 +337,6 @@ class CbGmres:
         self.max_iter = int(max_iter)
         self.stall_restarts = stall_restarts
         self.stall_factor = float(stall_factor)
-        self._factory = accessor_factory
         self.preconditioner = preconditioner or IdentityPreconditioner()
         if orthogonalization not in ("cgs", "mgs"):
             raise ValueError("orthogonalization must be 'cgs' or 'mgs'")
@@ -360,17 +355,6 @@ class CbGmres:
         if self.tracer is not NULL_TRACER:
             getattr(self.preconditioner, "attach_tracer", lambda t: None)(
                 self.tracer
-            )
-        if accessor_factory is not None and storage_factory is not None:
-            raise ValueError(
-                "pass accessor_factory (fixed format) or storage_factory "
-                "(format-aware), not both"
-            )
-        if storage == ADAPTIVE_STORAGE and accessor_factory is not None:
-            raise ValueError(
-                "adaptive storage switches formats mid-solve; override "
-                "accessor construction with storage_factory=... instead of "
-                "the fixed-format accessor_factory"
             )
         self.precision = precision
         self._storage_factory = storage_factory

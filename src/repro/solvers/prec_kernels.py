@@ -4,7 +4,7 @@ The three hot kernels of :mod:`repro.solvers.preconditioner` — the
 sparse unit-lower/upper triangular solves of ILU(0) and the batched
 block-diagonal apply of block-Jacobi — are registered here under the
 ``numpy`` backend of the :mod:`repro.jit` dispatch registry, mirroring
-how the codec and SpMV kernels are wired.  The jit engines register the
+how the codec and SpMV kernels are wired.  The jit engine registers the
 same names under ``jit`` and must reproduce these results *bit for bit*
 (:mod:`repro.jit.selftest`).
 
@@ -16,11 +16,10 @@ no vectorized formulation that preserves the evaluation order.  The
 reference therefore runs the scalar loops in pure Python over
 ``.tolist()`` data: a Python ``float`` is an IEEE-754 double and every
 ``s -= vals[k] * y[cols[k]]`` rounds the multiply, then the subtract,
-exactly like the compiled kernels built with ``-ffp-contract=off`` (C)
-or Numba's default no-fastmath semantics.  The block-diagonal apply
-accumulates each output row in stored order for the same reason.
+exactly like the C kernels built with ``-ffp-contract=off``.  The
+block-diagonal apply accumulates each output row in stored order for the same reason.
 These loops are the *reference semantics*, not the fast path — the jit
-engines replay them in compiled code.
+engine replays them in compiled code.
 """
 
 from __future__ import annotations

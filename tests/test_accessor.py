@@ -202,8 +202,8 @@ class TestRegistry:
         with pytest.raises(KeyError):
             accessor_factory("bogus")
         f = accessor_factory("frsz2_32")
-        assert f(10).n == 10
+        assert f("frsz2_32", 10).n == 10
 
     def test_factory_forwards_kwargs(self):
         f = accessor_factory("frsz2_32", block_size=16)
-        assert f(32).codec.block_size == 16
+        assert f("frsz2_32", 32).codec.block_size == 16

@@ -1,10 +1,11 @@
-"""Decoded-block cache and batch-codec equivalence tests.
+"""No-stale-read and batch-codec equivalence tests.
 
-The cache's one law: any interleaving of ``write`` / ``read`` /
-``read_block`` on a cache-enabled :class:`Frsz2Accessor` is
-*byte-identical* to the same interleaving on a cache-disabled one.  The
-batch codec entry points obey the analogous law against their
-per-vector / per-block counterparts.
+The accessor's one law: any interleaving of ``write`` / ``read`` /
+``read_block`` / ``clear`` on a :class:`Frsz2Accessor` returns exactly
+what the codec decodes from the payload stored *at that moment* — the
+accessor holds no decoded copy that could outlive a rewrite, a clear or
+an out-of-band bit flip.  The batch codec entry points obey the
+analogous law against their per-vector / per-block counterparts.
 """
 
 import numpy as np
@@ -12,10 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.accessor import DEFAULT_CACHE_BLOCKS, Frsz2Accessor
+from repro.accessor import Frsz2Accessor
 from repro.core import FRSZ2
-from repro.observe import Tracer
-from repro.solvers import CbGmres, make_problem
 
 #: lengths straddling block boundaries for BS=32 (partial/full/multi)
 BOUNDARY_SIZES = [1, 31, 32, 33, 63, 64, 65, 100, 257]
@@ -26,61 +25,58 @@ def vec(n, seed=0):
 
 
 class TestCacheWriteFuzz:
-    """Hypothesis: interleaved ops match the cache-off accessor exactly."""
+    """Hypothesis: interleaved ops match a fresh codec decode exactly."""
 
     @given(
         n=st.sampled_from(BOUNDARY_SIZES),
         bit_length=st.sampled_from([16, 21, 32]),
-        cache_blocks=st.sampled_from([1, 2, 3, DEFAULT_CACHE_BLOCKS]),
         ops=st.lists(
             st.one_of(
                 st.tuples(st.just("write"), st.integers(0, 2**31 - 1)),
                 st.tuples(st.just("read"), st.just(0)),
                 st.tuples(st.just("read_block"), st.integers(0, 2**31 - 1)),
+                st.tuples(st.just("clear"), st.just(0)),
             ),
             min_size=1,
             max_size=14,
         ),
     )
     @settings(max_examples=60, deadline=None)
-    def test_interleaved_ops_bit_identical(self, n, bit_length, cache_blocks, ops):
-        cached = Frsz2Accessor(n, bit_length=bit_length, cache_blocks=cache_blocks)
-        plain = Frsz2Accessor(n, bit_length=bit_length, cache_blocks=0)
-        nb = cached.codec.layout_for(n).num_blocks
-        wrote = False
+    def test_interleaved_ops_bit_identical(self, n, bit_length, ops):
+        acc = Frsz2Accessor(n, bit_length=bit_length)
+        codec = FRSZ2(bit_length=bit_length)
+        nb = codec.layout_for(n).num_blocks
+        stored = None  # reference: what the last write/clear left behind
         for op, arg in ops:
             if op == "write":
                 x = vec(n, seed=arg)
-                cached.write(x)
-                plain.write(x)
-                wrote = True
+                acc.write(x)
+                stored = codec.compress(x)
+            elif op == "clear":
+                acc.clear()
+                stored = None
             elif op == "read":
-                a, b = cached.read(), plain.read()
-                assert a.dtype == b.dtype == np.float64
-                assert a.tobytes() == b.tobytes()
-            elif op == "read_block" and wrote:
+                got = acc.read()
+                want = np.zeros(n) if stored is None else codec.decompress(stored)
+                assert got.dtype == np.float64
+                assert got.tobytes() == want.tobytes()
+            elif op == "read_block" and stored is not None:
                 block = arg % nb
-                a = cached.read_block(block)
-                b = plain.read_block(block)
-                assert a.tobytes() == b.tobytes()
-        if wrote:
-            assert cached.read().tobytes() == plain.read().tobytes()
+                got = acc.read_block(block)
+                assert got.tobytes() == codec.decompress_block(stored, block).tobytes()
 
     @given(n=st.sampled_from(BOUNDARY_SIZES), seed=st.integers(0, 1000))
     @settings(max_examples=25, deadline=None)
     def test_cached_reread_identical(self, n, seed):
-        """Second (cache-served) read equals the first, byte for byte."""
+        """A second read equals the first, byte for byte."""
         acc = Frsz2Accessor(n)
         acc.write(vec(n, seed))
-        first = acc.read()
-        second = acc.read()
-        assert first.tobytes() == second.tobytes()
-        assert acc.cache.hits > 0
+        assert acc.read().tobytes() == acc.read().tobytes()
 
 
 class TestCacheSemantics:
     def test_returned_arrays_are_safe_copies(self):
-        """Mutating a read result must not poison later cached reads."""
+        """Mutating a read result must not poison later reads."""
         acc = Frsz2Accessor(64)
         acc.write(vec(64))
         out = acc.read()
@@ -93,74 +89,38 @@ class TestCacheSemantics:
         assert np.array_equal(acc.read_block(0), blk_expected)
 
     def test_write_invalidates_cache(self):
+        """A rewrite or a clear is what the very next read sees."""
         acc = Frsz2Accessor(64)
         acc.write(vec(64, seed=1))
-        acc.read()
+        first = acc.read()
         acc.write(vec(64, seed=2))
-        assert acc.cache.invalidations == 1
-        assert np.array_equal(acc.read(), acc.codec.decompress(acc.compressed))
+        second = acc.read()
+        assert second.tobytes() != first.tobytes()
+        assert np.array_equal(second, acc.codec.decompress(acc.compressed))
+        assert np.array_equal(acc.read_block(1), second[32:])
+        acc.clear()
+        assert np.array_equal(acc.read(), np.zeros(64))
+        with pytest.raises(RuntimeError):
+            acc.read_block(0)
 
-    def test_hit_miss_counters(self):
-        acc = Frsz2Accessor(64)  # 2 blocks
-        acc.write(vec(64))
-        acc.read()  # 2 misses
-        acc.read()  # 2 hits
-        acc.read_block(1)  # 1 hit
-        assert (acc.cache.hits, acc.cache.misses) == (3, 2)
-        assert acc.cache.hit_rate == pytest.approx(3 / 5)
-
-    def test_lru_eviction(self):
-        acc = Frsz2Accessor(96, cache_blocks=2)  # 3 blocks, capacity 2
-        acc.write(vec(96))
-        for block in range(3):
-            acc.read_block(block)
-        assert acc.cache.evictions == 1
-        # block 0 was evicted; blocks 1 and 2 still hit
-        acc.read_block(1)
-        acc.read_block(2)
-        assert acc.cache.hits == 2
-        acc.read_block(0)
-        assert acc.cache.misses == 4
-
-    def test_full_read_bypasses_too_small_cache(self):
-        """A scan larger than capacity must not thrash the cache."""
-        acc = Frsz2Accessor(96, cache_blocks=2)
-        acc.write(vec(96))
-        out = acc.read()
-        assert np.array_equal(out, acc.codec.decompress(acc.compressed))
-        assert acc.cache.evictions == 0
-        assert acc.cache.misses == 0  # bypass, not a miss storm
-
-    def test_cache_disabled_counts_nothing(self):
-        acc = Frsz2Accessor(64, cache_blocks=0)
-        acc.write(vec(64))
-        acc.read()
-        acc.read_block(0)
-        assert (acc.cache.hits, acc.cache.misses, acc.cache.evictions) == (0, 0, 0)
-
-    def test_negative_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            Frsz2Accessor(64, cache_blocks=-1)
-
-    def test_tracer_counters(self):
-        tracer = Tracer()
-        acc = Frsz2Accessor(64)
-        acc.set_tracer(tracer)
-        acc.write(vec(64))
-        acc.read()
-        acc.read()
-        assert tracer.counters["accessor.cache.misses"] == 2
-        assert tracer.counters["accessor.cache.hits"] == 2
-
-    def test_manual_invalidate_after_out_of_band_mutation(self):
-        acc = Frsz2Accessor(64)
-        acc.write(np.ones(64))
-        before = acc.read()
-        acc.compressed.payload[0] ^= acc.compressed.payload.dtype.type(1)
-        acc.invalidate_cache()
-        after = acc.read()
-        assert after.tobytes() != before.tobytes()
-        assert np.array_equal(after, acc.codec.decompress(acc.compressed))
+    def test_out_of_band_flip_is_visible_without_invalidate(self):
+        """The fault injectors flip stored bits behind the accessor's
+        back; the next read must decode the flipped payload, with no
+        call in between to tell the accessor about it."""
+        for n in (64, 8192):
+            acc = Frsz2Accessor(n)
+            acc.write(np.ones(n))
+            before = acc.read()
+            before_block = acc.read_block(0)
+            acc.compressed.payload[0] ^= acc.compressed.payload.dtype.type(1)
+            after = acc.read()
+            assert after.tobytes() != before.tobytes()
+            assert np.array_equal(after, acc.codec.decompress(acc.compressed))
+            after_block = acc.read_block(0)
+            assert after_block.tobytes() != before_block.tobytes()
+            assert np.array_equal(after_block, after[:32])
+            assert np.array_equal(acc.read_into(np.empty(n)), after)
+            assert np.array_equal(acc.read_tile(0, 32), after[:32])
 
 
 class TestBatchCodec:
@@ -232,23 +192,3 @@ class TestBatchCodec:
         small = self._transient_encode_bytes(codec, 8, n)
         large = self._transient_encode_bytes(codec, 64, n)
         assert large <= small * 1.6 + (1 << 20), (small, large)
-
-
-class TestSolverBitIdentity:
-    def test_cached_solve_matches_uncached(self):
-        """End-to-end: accessor cache must not perturb the solver."""
-        p = make_problem("lung2", "smoke")
-        results = []
-        for cache_blocks in (DEFAULT_CACHE_BLOCKS, 0):
-            res = CbGmres(
-                p.a,
-                m=30,
-                max_iter=400,
-                accessor_factory=lambda n: Frsz2Accessor(n, cache_blocks=cache_blocks),
-            ).solve(p.b, p.target_rrn)
-            results.append(res)
-        a, b = results
-        assert a.converged == b.converged
-        assert a.iterations == b.iterations
-        assert a.x.tobytes() == b.x.tobytes()
-        assert a.final_rrn == b.final_rrn

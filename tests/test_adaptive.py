@@ -192,15 +192,6 @@ class TestAdaptiveSolve:
         assert a.stats.storage_trace == b.stats.storage_trace
         np.testing.assert_array_equal(a.x, b.x)
 
-    def test_adaptive_rejects_fixed_accessor_factory(self, lung2):
-        from repro.accessor import make_accessor
-
-        with pytest.raises(ValueError, match="storage_factory"):
-            CbGmres(
-                lung2.a, "adaptive",
-                accessor_factory=lambda n: make_accessor("frsz2_32", n),
-            )
-
     def test_adaptive_solve_batch_matches_solo(self, atmosmodd):
         """Every batch column owns a controller, so adaptive storage
         runs in the lockstep — decisions and bits equal the solo solve."""
@@ -308,16 +299,6 @@ class TestMixedStorageBasis:
             outs[b] = (basis.dot_basis(3, w), basis.combine(3, np.ones(3)))
         np.testing.assert_array_equal(outs["numpy"][0], outs[backend][0])
         np.testing.assert_array_equal(outs["numpy"][1], outs[backend][1])
-
-    def test_set_storage_rejects_fixed_factory(self):
-        from repro.accessor import make_accessor
-
-        basis = KrylovBasis(
-            64, 2, "frsz2_32",
-            accessor_factory=lambda n: make_accessor("frsz2_32", n),
-        )
-        with pytest.raises(ValueError, match="factory"):
-            basis.set_storage("float64")
 
     def test_set_storage_rejects_slot_out_of_range(self):
         basis = KrylovBasis(64, 2, "frsz2_32")

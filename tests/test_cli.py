@@ -46,10 +46,7 @@ class TestCommands:
         assert rc == 1
 
     def test_solve_with_jacobi(self, capsys):
-        assert main(["solve", "lung2", "--jacobi"]) == 0
-
-    def test_jacobi_flag_is_alias_for_preconditioner_choice(self, capsys):
-        assert main(["solve", "lung2", "--jacobi"]) == 0
+        assert main(["solve", "lung2", "--preconditioner", "jacobi"]) == 0
         out = capsys.readouterr().out
         assert "preconditioner: jacobi" in out
 

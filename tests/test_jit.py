@@ -6,7 +6,7 @@ accumulation order, same rounding, no FMA contraction.  This suite
 pins that contract at every layer: raw bitpack fields, codec
 round-trips, SpMV formats, fused cached/streaming solves and full
 ``CbGmres.solve``/``solve_batch`` runs must all be *byte*-equal across
-backends.  When no jit engine is available (no numba, no C compiler)
+backends.  When the jit engine is unavailable (no cffi, no C compiler)
 the jit half skips with the engine's own failure reason.
 """
 
@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro.accessor import make_accessor
 from repro.core.frsz2 import FRSZ2
-from repro.jit import dispatch
+from repro.jit import cbackend, dispatch
 from repro.solvers import CbGmres, make_problem
 from repro.sparse import build_matrix
 from repro.sparse.engine import SPMV_FORMATS, SpmvEngine
@@ -30,7 +30,7 @@ requires_jit = pytest.mark.skipif(
 )
 
 #: the standard cross-backend axis: numpy always runs, jit skips with
-#: the engine's own failure reason when no engine compiles
+#: the engine's own failure reason when it does not compile
 BACKENDS = [
     pytest.param("numpy", id="numpy"),
     pytest.param("jit", id="jit", marks=requires_jit),
@@ -94,8 +94,43 @@ class TestDispatch:
         dispatch.get_kernel("frsz2.encode_fields", "jit")  # force load
         assert dispatch.registered_kernels("jit") == \
             dispatch.registered_kernels("numpy")
-        assert dispatch.jit_engine_name() in ("numba", "cffi")
+        assert dispatch.jit_engine_name() == "cffi"
         assert dispatch.jit_unavailable_reason() is None
+
+    @requires_jit
+    def test_engine_pin_variable_is_inert(self, monkeypatch):
+        """There is one engine: the retired ``REPRO_JIT_ENGINE`` pin
+        neither selects nor disables anything."""
+        monkeypatch.setenv("REPRO_JIT_ENGINE", "numba")
+        dispatch._reset_engine_cache()
+        try:
+            assert dispatch.jit_engine_name() == "cffi"
+            assert dispatch.resolve_backend("jit") == "jit"
+        finally:
+            dispatch._reset_engine_cache()
+
+    @requires_jit
+    def test_selftest_rejects_an_engine_that_flips_one_bit(self, monkeypatch):
+        """The self-test is the only gate before compiled code runs: an
+        engine off by a single bit in one kernel must never load."""
+
+        class OneBitOff(cbackend.CEngine):
+            def decode_stream(self, comp, out):
+                out = super().decode_stream(comp, out)
+                out.view(np.uint64)[0] ^= np.uint64(1)
+                return out
+
+        monkeypatch.setattr(cbackend, "CEngine", OneBitOff)
+        dispatch._reset_engine_cache()
+        try:
+            assert dispatch.load_engine() is None
+            assert "frsz2.decode_stream" in dispatch.jit_unavailable_reason()
+            with pytest.warns(dispatch.JitUnavailableWarning,
+                              match="frsz2.decode_stream"):
+                assert dispatch.resolve_backend("jit") == "numpy"
+        finally:
+            monkeypatch.undo()
+            dispatch._reset_engine_cache()
 
 
 # ----------------------------------------------------------------------

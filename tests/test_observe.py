@@ -7,6 +7,8 @@ the ``python -m repro bench`` document lifecycle (run, validate,
 persist, compare).
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -249,6 +251,10 @@ class TestBenchDocument:
         del bad["entries"][0]["iterations"]
         with pytest.raises(ValueError, match="iterations"):
             validate_bench(bad)
+        bad = copy.deepcopy(bench_doc)
+        bad["entries"][0]["basis"]["bit_identical_modes"] = False
+        with pytest.raises(ValueError, match="bit_identical_modes"):
+            validate_bench(bad)
 
     def test_deterministic_metrics_reproducible(self, bench_doc):
         again = run_bench(**BENCH_KW)
@@ -256,6 +262,54 @@ class TestBenchDocument:
             assert a["iterations"] == b["iterations"]
             assert a["modeled_seconds"] == b["modeled_seconds"]
             assert a["final_rrn"] == b["final_rrn"]
+
+
+class TestCommittedTrajectory:
+    """Artifact gates on the committed ``BENCH_gmres.json``: what the
+    trajectory point must *show*, beyond the key sets and identity
+    flags ``validate_bench`` enforces on every document."""
+
+    @pytest.fixture(scope="class")
+    def doc(self):
+        doc = load_bench(str(Path(__file__).resolve().parents[1] / "BENCH_gmres.json"))
+        validate_bench(doc)
+        return doc
+
+    @pytest.fixture(scope="class")
+    def tier(self, doc):
+        """``(matrix, preconditioner) -> (entry, preconditioner block)``."""
+        return {
+            (e["matrix"], e["preconditioner"]["name"]): (e, e["preconditioner"])
+            for e in doc["entries"] if "preconditioner" in e
+        }
+
+    def test_every_entry_records_fused_basis_counters(self, doc):
+        for e in doc["entries"]:
+            assert {"basis.fused.dot_calls", "basis.fused.tiles",
+                    "basis.fused.values"} <= set(e["counters"]), \
+                (e["matrix"], e["storage"])
+
+    def test_grid_includes_adaptive_entries(self, doc):
+        assert any(e["storage"] == "adaptive" for e in doc["entries"])
+
+    @pytest.mark.parametrize("matrix", ["aniso_jump", "conv_dom", "bem_dense"])
+    def test_ilu0_beats_unpreconditioned_baseline(self, tier, matrix):
+        entry, block = tier[(matrix, "ilu0")]
+        assert entry["converged"]
+        assert block["iteration_ratio"] < 1.0
+
+    def test_at_least_two_baselines_hit_the_iteration_cap(self, tier):
+        capped = [
+            matrix for (matrix, _), (entry, block) in tier.items()
+            if entry["converged"] and not block["baseline_converged"]
+        ]
+        assert len(capped) >= 2, capped
+
+    def test_compressed_block_jacobi_halves_factor_bytes(self, tier):
+        entry, block = tier[("lung2", "block_jacobi")]
+        assert block["storage"].startswith("frsz2_")
+        assert entry["converged"]
+        assert block["bytes_saved_fraction"] > 0.5
 
 
 class TestBenchCompare:

@@ -246,9 +246,9 @@ class TestRecovery:
     def test_basis_readout_nan_never_escapes(self, seed):
         p = make_problem("lung2", "smoke")
         inj = FaultInjector(0.1, seed)
-        factory = lambda n: FaultyAccessor(make_accessor("frsz2_32", n), inj, "readout_nan")
+        factory = lambda fmt, n: FaultyAccessor(make_accessor(fmt, n), inj, "readout_nan")
         res = CbGmres(p.a, "frsz2_32", m=30, max_iter=400,
-                      accessor_factory=factory).solve(p.b, p.target_rrn)
+                      storage_factory=factory).solve(p.b, p.target_rrn)
         assert np.all(np.isfinite(res.x))
 
 

@@ -292,7 +292,7 @@ class TestCbGmresStorageFormats:
 
         p = make_problem("lung2", "smoke")
         solver = CbGmres(
-            p.a, "frsz2_32", accessor_factory=accessor_factory("frsz2_32", block_size=8)
+            p.a, "frsz2_32", storage_factory=accessor_factory("frsz2_32", block_size=8)
         )
         res = solver.solve(p.b, p.target_rrn)
         assert res.converged
