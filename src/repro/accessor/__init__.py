@@ -2,7 +2,7 @@
 float64 arithmetic format (paper refs [1], [9])."""
 
 from .base import TrafficCounter, VectorAccessor
-from .frsz2_accessor import Frsz2Accessor, read_frsz2_tiles, write_frsz2_batch
+from .frsz2_accessor import Frsz2Accessor, Frsz2Tiles, write_frsz2_batch
 from .precision import (
     Float16Accessor,
     Float32Accessor,
@@ -21,7 +21,7 @@ __all__ = [
     "Float16Accessor",
     "Frsz2Accessor",
     "RoundTripAccessor",
-    "read_frsz2_tiles",
+    "Frsz2Tiles",
     "write_frsz2_batch",
     "make_accessor",
     "accessor_factory",

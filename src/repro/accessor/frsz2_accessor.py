@@ -26,7 +26,7 @@ from .base import VectorAccessor
 
 __all__ = [
     "Frsz2Accessor",
-    "read_frsz2_tiles",
+    "Frsz2Tiles",
     "write_frsz2_batch",
 ]
 
@@ -149,13 +149,8 @@ class Frsz2Accessor(VectorAccessor):
             return np.zeros(0)
         if self._compressed is None:
             return np.zeros(i1 - i0)
-        comp = self._compressed
-        bs = comp.layout.block_size
-        b0, b1 = i0 // bs, (i1 - 1) // bs + 1
-        values = np.concatenate(
-            self.codec.decompress_blocks(comp, range(b0, b1))
-        )
-        return values[i0 - b0 * bs:i1 - b0 * bs]
+        out = np.empty((1, i1 - i0))
+        return self.codec.decode_tile([self._compressed], i0, i1, out)[0]
 
     def clear(self) -> None:
         """Drop the stored payload."""
@@ -174,63 +169,75 @@ class Frsz2Accessor(VectorAccessor):
         return self._compressed
 
 
-def read_frsz2_tiles(accessors, i0: int, i1: int, out: np.ndarray) -> bool:
-    """Decode one tile across several FRSZ2 accessors in a single pass.
+class Frsz2Tiles:
+    """One fused call's tile source over several plain FRSZ2 accessors.
 
-    The Python analog of the paper's fused warp decode: when every
-    accessor is a plain :class:`Frsz2Accessor` over the same layout with
-    a written payload, the tile's blocks of **all** vectors decode in one
-    :meth:`~repro.core.frsz2.FRSZ2.decompress_blocks_batch` call and land
-    in ``out[row, :i1 - i0]``.  Each accessor's tile read is billed
-    individually, exactly like a per-accessor
+    The Python analog of the paper's fused warp decode: every tile of
+    **all** vectors decodes in one :meth:`~repro.core.frsz2.FRSZ2.
+    tile_decoder` call into the fused kernels' scratch rows.  Eligibility
+    is proved once, by :meth:`open`, not per tile; the decoder holds the
+    compressed arrays it was opened on alive and decodes what they hold
+    at the time of each :meth:`load`.  Each accessor's tile read is
+    billed individually, exactly like a per-accessor
     :meth:`~Frsz2Accessor.read_tile` loop — which is also the bitwise
-    fallback this fast path is exchangeable with.
-
-    Returns
-    -------
-    bool
-        ``True`` if the batched decode ran; ``False`` when any accessor
-        is ineligible (wrapped, unwritten, or layout mismatch) and the
-        caller should fall back to per-accessor ``read_tile``.
+    fallback this source is exchangeable with.
     """
-    accessors = list(accessors)
-    if not accessors:
-        return False
-    for acc in accessors:
-        if not isinstance(acc, Frsz2Accessor) or acc._compressed is None:
-            return False
-    first = accessors[0]._compressed.layout
-    if any(acc._compressed.layout != first for acc in accessors[1:]):
-        return False
-    i0, i1 = accessors[0]._check_tile(i0, i1)
-    if i0 == i1:
-        return True
-    codec = accessors[0].codec
-    bs = first.block_size
-    b0, b1 = i0 // bs, (i1 - 1) // bs + 1
-    tiles = codec.decompress_blocks_batch(
-        [acc._compressed for acc in accessors], range(b0, b1)
-    )
-    lo = i0 - b0 * bs
-    # every accessor shares the layout, so the per-tile stored size is
-    # identical: compute it once and apply the same accounting
-    # _record_tile_read would, without recomputing it per accessor
-    nbytes = accessors[0].tile_stored_nbytes(i0, i1)
-    for row, (acc, values) in enumerate(zip(accessors, tiles)):
-        traffic = acc.traffic
-        traffic.bytes_read += nbytes
-        traffic.tile_reads += 1
-        if acc.tracer.enabled:
+
+    def __init__(self, accessors) -> None:
+        self.accessors = accessors
+        layout = accessors[0]._compressed.layout
+        self._block_size = layout.block_size
+        # per-block stored bytes: value words + one int32 exponent
+        self._block_nbytes = layout.words_per_block * 4 + 4
+        self._decode = accessors[0].codec.tile_decoder(
+            [acc._compressed for acc in accessors]
+        )
+        self._traced = [acc for acc in accessors if acc.tracer.enabled]
+
+    @classmethod
+    def open(cls, accessors) -> "Optional[Frsz2Tiles]":
+        """A tile source over ``accessors``, or ``None`` when ineligible.
+
+        Eligible means: every accessor is exactly a
+        :class:`Frsz2Accessor` (a subclass or wrapper may override
+        ``read_tile``, which reading ``_compressed`` directly would
+        silently bypass), holds a written payload, and shares one
+        length, bit length and block size — hence one block layout.
+        Callers fall back to per-accessor ``read_tile`` on ``None``.
+        """
+        accessors = list(accessors)
+        if not accessors:
+            return None
+        for acc in accessors:
+            if type(acc) is not Frsz2Accessor or acc._compressed is None:
+                return None
+        first = accessors[0]
+        key = (first.n, first.codec.bit_length, first.codec.block_size)
+        for acc in accessors[1:]:
+            if (acc.n, acc.codec.bit_length, acc.codec.block_size) != key:
+                return None
+        return cls(accessors)
+
+    def load(self, i0: int, i1: int, out: np.ndarray) -> None:
+        """Fill ``out[row, :i1 - i0]`` with every accessor's ``[i0, i1)``."""
+        self._decode(i0, i1, out)
+        if i0 == i1:
+            return
+        bs = self._block_size
+        nbytes = ((i1 - 1) // bs - i0 // bs + 1) * self._block_nbytes
+        for acc in self.accessors:
+            traffic = acc.traffic
+            traffic.bytes_read += nbytes
+            traffic.tile_reads += 1
+        for acc in self._traced:
             acc.tracer.count("accessor.tile_reads")
             acc.tracer.count("accessor.bytes_read", nbytes)
-        out[row, :i1 - i0] = values[lo:lo + (i1 - i0)]
-    return True
 
 
 def write_frsz2_batch(accessors, X: np.ndarray) -> bool:
     """Compress one column of ``X`` into each accessor in a single pass.
 
-    The write-side counterpart of :func:`read_frsz2_tiles`: when every
+    The write-side counterpart of :class:`Frsz2Tiles`: when every
     accessor is a plain :class:`Frsz2Accessor` with identical codec
     parameters, all columns encode in one
     :meth:`~repro.core.frsz2.FRSZ2.compress_batch` call (one vectorized

@@ -226,18 +226,52 @@ def decode_stream_numpy(comp: "Frsz2Compressed", out: np.ndarray) -> np.ndarray:
 
 
 @_dispatch.register("frsz2.decode_gather", "numpy")
-def decode_gather_numpy(
-    comp: "Frsz2Compressed", indices: np.ndarray, out: "Optional[np.ndarray]" = None
-) -> np.ndarray:
+def decode_gather_numpy(comp: "Frsz2Compressed", indices: np.ndarray) -> np.ndarray:
     """Positional decode: the composition the jit engine fuses."""
     indices = np.asarray(indices, dtype=np.int64)
     fields = _read_fields_numpy(comp, indices)
     e_max = comp.exponents.astype(np.int64)[indices // comp.layout.block_size]
-    values = decode_fields_numpy(fields, e_max, comp.layout.bit_length)
-    if out is not None:
-        out[:] = values
-        return out
-    return values
+    return decode_fields_numpy(fields, e_max, comp.layout.bit_length)
+
+
+@_dispatch.register("frsz2.decode_tile", "numpy")
+def decode_tile_numpy(comps: "Sequence[Frsz2Compressed]"):
+    """Window decoder over same-layout containers (the reference pass).
+
+    Returns ``kernel(i0, i1, out)``, which writes values ``[i0, i1)`` of
+    container ``r`` into ``out[r, :i1 - i0]`` — the contract the jit
+    engine's pointer table (:class:`repro.jit.cbackend.TileTable`)
+    replays in one C call per window.  The decode pipeline allocates
+    ~a dozen elementwise temporaries spanning its input, so one giant
+    pass over a large window would stream through DRAM instead of
+    cache; the (bitwise order-independent) transform is therefore split
+    into cache-resident passes — chunks of one container for long
+    windows, groups of whole containers for short ones — and every
+    value stays bit-identical to a solo :meth:`FRSZ2.decompress`.
+    """
+    layout = comps[0].layout
+    bs, l = layout.block_size, layout.bit_length
+
+    def kernel(i0: int, i1: int, out: np.ndarray) -> None:
+        m = i1 - i0
+        step = min(m, _DECODE_CHUNK_VALUES)
+        group = max(1, _DECODE_CHUNK_VALUES // m)
+        for s in range(i0, i1, step):
+            flat = np.arange(s, min(s + step, i1), dtype=np.int64)
+            e_block = flat // bs
+            for g in range(0, len(comps), group):
+                rows = comps[g:g + group]
+                fields = np.concatenate(
+                    [_read_fields_numpy(c, flat) for c in rows]
+                )
+                e_max = np.concatenate(
+                    [c.exponents.astype(np.int64)[e_block] for c in rows]
+                )
+                out[g:g + len(rows), s - i0:s - i0 + flat.size] = (
+                    decode_fields_numpy(fields, e_max, l).reshape(len(rows), -1)
+                )
+
+    return kernel
 
 
 class FRSZ2:
@@ -287,9 +321,10 @@ class FRSZ2:
         self._pack_stream_kernel = _dispatch.get_kernel(
             "frsz2.pack_stream", self.backend
         )
-        # Container-level fused paths exist only on the jit engine; the
-        # numpy paths keep their existing composition (read fields,
-        # repeat exponents, decode) so the default hot path is unchanged.
+        self._tile_kernel = _dispatch.get_kernel("frsz2.decode_tile", self.backend)
+        # Whole-container and positional fused paths exist only on the
+        # jit engine; the numpy paths keep their existing composition
+        # (read fields, repeat exponents, decode).
         if self.backend == "jit":
             self._stream_kernel = _dispatch.get_kernel("frsz2.decode_stream", "jit")
             self._gather_kernel = _dispatch.get_kernel("frsz2.decode_gather", "jit")
@@ -459,69 +494,92 @@ class FRSZ2:
     def _read_fields(self, comp: Frsz2Compressed, indices: np.ndarray) -> np.ndarray:
         return _read_fields_numpy(comp, indices)
 
-    def _decode_containers(
+    def tile_decoder(self, comps: "Sequence[Frsz2Compressed]"):
+        """Prepare same-layout containers for repeated window decodes.
+
+        The fused tile kernels decode the same ``j`` stored vectors once
+        per tile; this validates them once and returns
+        ``decode(i0, i1, out)``, which writes values ``[i0, i1)`` of
+        ``comps[r]`` into ``out[r, :i1 - i0]``, bit-identical to
+        ``self.decompress(comps[r])[i0:i1]``.  Under ``backend="jit"``
+        the preparation is a C pointer table and each window is one C
+        call (:class:`repro.jit.cbackend.TileTable`); under numpy it is
+        the reference pass (:func:`decode_tile_numpy`).  The decoder
+        keeps the containers' arrays alive and reads them afresh on
+        every call, so an in-place change to a payload is seen by the
+        next decode.
+
+        Raises
+        ------
+        ValueError
+            If ``comps`` is empty or the containers do not share one
+            layout (their payloads could not be walked in lockstep).
+        """
+        comps = list(comps)
+        if not comps:
+            raise ValueError("tile_decoder needs at least one container")
+        layout = comps[0].layout
+        if any(c.layout != layout for c in comps[1:]):
+            raise ValueError("tile_decoder needs same-layout containers")
+        kernel = self._tile_kernel(comps)
+        j, n = len(comps), layout.n
+        block_nbytes = layout.words_per_block * 4 + 4
+        bs = layout.block_size
+
+        def decode(i0: int, i1: int, out: np.ndarray) -> None:
+            if not 0 <= i0 <= i1 <= n:
+                raise IndexError(
+                    f"window [{i0}, {i1}) out of range for {n} stored values"
+                )
+            if (
+                out.dtype != np.float64
+                or out.ndim != 2
+                or out.shape[0] != j
+                or out.shape[1] < i1 - i0
+                or not out.flags.c_contiguous
+            ):
+                raise ValueError(
+                    f"out must be a C-contiguous float64 array of shape "
+                    f"({j}, >= {i1 - i0})"
+                )
+            if i0 == i1:
+                return
+            kernel(i0, i1, out)
+            if self.tracer.enabled:
+                blocks = (i1 - 1) // bs - i0 // bs + 1
+                self.tracer.count("frsz2.decode_tile.calls")
+                self.tracer.count("frsz2.decode_tile.vectors", j)
+                self.tracer.count("frsz2.decode_tile.values", (i1 - i0) * j)
+                self.tracer.count("frsz2.decode_tile.bytes",
+                                  blocks * block_nbytes * j)
+
+        return decode
+
+    def decode_tile(
         self,
         comps: "Sequence[Frsz2Compressed]",
-        flat: np.ndarray,
-        e_block: np.ndarray,
+        i0: int,
+        i1: int,
+        out: np.ndarray,
     ) -> np.ndarray:
-        """Decode positions ``flat`` of every same-layout container.
+        """Decode values ``[i0, i1)`` of every container into ``out``.
 
-        The shared engine of the batched decompress paths.  The decode
-        pipeline allocates ~a dozen elementwise temporaries spanning its
-        whole input, so one giant fused pass over a large batch streams
-        through DRAM instead of cache; this helper splits the (bitwise
-        order-independent) transform into cache-resident chunks — within
-        a container for long streams, across grouped containers for
-        short ones — while every value stays bit-identical to a solo
-        :meth:`decompress` of its container.
+        The fused-kernel tile decode (paper Fig. 1 steps 4/18): one
+        window across **all** ``j`` stored Krylov vectors at once.  The
+        one-shot form of :meth:`tile_decoder`, which see.
 
-        Returns the concatenated values, ``m`` per container.
+        Parameters
+        ----------
+        comps : sequence of Frsz2Compressed
+            Same-layout containers.
+        i0, i1 : int
+            Value window, ``0 <= i0 <= i1 <= n``; need not be
+            block-aligned.
+        out : ndarray, shape (j, >= i1 - i0), dtype float64, C-contiguous
+            Destination; row ``r`` receives ``comps[r]``'s window.
         """
-        m = int(flat.size)
-        if self._gather_kernel is not None:
-            # The compiled gather has no elementwise temporaries, so no
-            # chunking is needed: decode each container straight into
-            # its contiguous output slice.
-            values = np.empty(len(comps) * m)
-            for i, c in enumerate(comps):
-                self._gather_kernel(c, flat, out=values[i * m:(i + 1) * m])
-            return values
-        chunk = _DECODE_CHUNK_VALUES
-        if m * len(comps) <= chunk:
-            # small enough that one fused pass stays cache-resident
-            fields = np.concatenate([self._read_fields(c, flat) for c in comps])
-            e_max = np.concatenate(
-                [c.exponents.astype(np.int64)[e_block] for c in comps]
-            )
-            return self._decode_fields(fields, e_max)
-        values = np.empty(len(comps) * m)
-        if m >= chunk:
-            for i, c in enumerate(comps):
-                fields = self._read_fields(c, flat)
-                e_max = c.exponents.astype(np.int64)[e_block]
-                base = i * m
-                for s in range(0, m, chunk):
-                    e = min(s + chunk, m)
-                    values[base + s:base + e] = self._decode_fields(
-                        fields[s:e], e_max[s:e]
-                    )
-            return values
-        # many small containers: fuse whole containers into chunk-sized
-        # groups so each decode pass amortizes its Python overhead
-        group = max(1, chunk // m)
-        for g0 in range(0, len(comps), group):
-            gcomps = comps[g0:g0 + group]
-            fields = np.concatenate(
-                [self._read_fields(c, flat) for c in gcomps]
-            )
-            e_max = np.concatenate(
-                [c.exponents.astype(np.int64)[e_block] for c in gcomps]
-            )
-            values[g0 * m:(g0 + len(gcomps)) * m] = self._decode_fields(
-                fields, e_max
-            )
-        return values
+        self.tile_decoder(comps)(i0, i1, out)
+        return out
 
     def _decode_fields(
         self, fields: np.ndarray, e_max_per_value: np.ndarray
@@ -578,6 +636,14 @@ class FRSZ2:
             return out
         return values
 
+    def _gather(self, comp: Frsz2Compressed, idx: np.ndarray) -> np.ndarray:
+        """Decode arbitrary (in-range) positions of one container."""
+        if self._gather_kernel is not None:
+            return self._gather_kernel(comp, idx)
+        fields = self._read_fields(comp, idx)
+        e_max = comp.exponents.astype(np.int64)[idx // comp.layout.block_size]
+        return self._decode_fields(fields, e_max)
+
     def get(self, comp: Frsz2Compressed, indices: Union[int, np.ndarray]) -> np.ndarray:
         """Random access decompression (paper Section IV-B).
 
@@ -588,12 +654,7 @@ class FRSZ2:
         idx = np.atleast_1d(np.asarray(indices, dtype=np.int64))
         if idx.size and (idx.min() < 0 or idx.max() >= comp.n):
             raise IndexError("index out of range")
-        if self._gather_kernel is not None:
-            values = self._gather_kernel(comp, idx)
-        else:
-            fields = self._read_fields(comp, idx)
-            e_max = comp.exponents.astype(np.int64)[idx // comp.layout.block_size]
-            values = self._decode_fields(fields, e_max)
+        values = self._gather(comp, idx)
         if self.tracer.enabled:
             layout = comp.layout
             blocks_touched = int(np.unique(idx // layout.block_size).size)
@@ -648,12 +709,7 @@ class FRSZ2:
         grid = idx[:, None] * bs + np.arange(bs, dtype=np.int64)[None, :]
         valid = grid < comp.n
         flat = grid.ravel()[valid.ravel()]
-        if self._gather_kernel is not None:
-            values = self._gather_kernel(comp, flat)
-        else:
-            fields = self._read_fields(comp, flat)
-            e_max = comp.exponents.astype(np.int64)[flat // bs]
-            values = self._decode_fields(fields, e_max)
+        values = self._gather(comp, flat)
         counts = valid.sum(axis=1)
         offsets = np.concatenate([[0], np.cumsum(counts)])
         out = [values[offsets[i]:offsets[i + 1]] for i in range(idx.size)]
@@ -694,10 +750,9 @@ class FRSZ2:
         if any(c.layout != first for c in comps[1:]):
             return [self.decompress(c) for c in comps]
         n = first.n
-        indices = np.arange(n, dtype=np.int64)
-        values = self._decode_containers(
-            comps, indices, indices // first.block_size
-        )
+        values = np.empty((len(comps), n))
+        if n:
+            self._tile_kernel(comps)(0, n, values)
         if self.tracer.enabled:
             self.tracer.count("frsz2.decompress_batch.calls")
             self.tracer.count("frsz2.decompress_batch.vectors", len(comps))
@@ -706,19 +761,18 @@ class FRSZ2:
                               first.total_nbytes * len(comps))
             self.tracer.count("frsz2.decompress.blocks",
                               first.num_blocks * len(comps))
-        return [values[i * n:(i + 1) * n] for i in range(len(comps))]
+        return list(values)
 
     def decompress_blocks_batch(
         self, comps: "Sequence[Frsz2Compressed]", blocks: Sequence[int]
     ) -> "List[np.ndarray]":
         """Decompress the same blocks from several containers in one pass.
 
-        This is the fused-kernel tile decode (paper Fig. 1 steps 4/18):
-        one *tile* — a run of blocks — is decoded across **all** ``j``
-        stored Krylov vectors at once, with the bit-assembly decode
-        (steps 2-4) running in a single vectorized pass over every
-        container's fields.  Each returned array is bit-identical to
-        concatenating :meth:`decompress_blocks` of the same container.
+        The block-indexed front of :meth:`decode_tile`: an ascending
+        run of blocks is one tile window decoded across **all** ``j``
+        containers at once; any other selection decodes positionally,
+        container by container.  Each returned array is bit-identical
+        to concatenating :meth:`decompress_blocks` of the same container.
 
         Parameters
         ----------
@@ -756,12 +810,19 @@ class FRSZ2:
                 f"block index out of range [0, {nb}) in {list(blocks)!r}"
             )
         bs = first.block_size
-        grid = idx[:, None] * bs + np.arange(bs, dtype=np.int64)[None, :]
-        valid = grid < first.n
-        flat = grid.ravel()[valid.ravel()]
-        values = self._decode_containers(comps, flat, flat // bs)
-        m = int(flat.size)
-        out = [values[i * m:(i + 1) * m] for i in range(len(comps))]
+        if idx.size == 1 or np.all(idx[1:] - idx[:-1] == 1):
+            # an ascending block run is one tile window (the only shape
+            # the repo itself passes): a single decode for all containers
+            i0 = int(idx[0]) * bs
+            i1 = min(i0 + idx.size * bs, first.n)
+            values = np.empty((len(comps), i1 - i0))
+            self._tile_kernel(comps)(i0, i1, values)
+            out = list(values)
+        else:
+            grid = idx[:, None] * bs + np.arange(bs, dtype=np.int64)[None, :]
+            flat = grid.ravel()[(grid < first.n).ravel()]
+            out = [self._gather(c, flat) for c in comps]
+        m = int(out[0].size)
         if self.tracer.enabled:
             block_nbytes = first.words_per_block * 4 + 4
             unique_blocks = int(np.unique(idx).size)

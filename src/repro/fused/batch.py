@@ -7,9 +7,9 @@ so one decoded tile pass can serve every column: the scratch buffer
 stacks the per-column ``(j, tile)`` tiles into one C-contiguous
 ``(C*j, tile)`` rectangle, and — when every basis streams FRSZ2
 payloads — the whole stack decodes in a **single**
-:meth:`~repro.core.frsz2.FRSZ2.decompress_blocks_batch` codec pass per
-tile (via :func:`repro.accessor.frsz2_accessor.read_frsz2_tiles` over
-the flattened ``C*j`` accessor list).  That is the throughput claim of
+:meth:`~repro.core.frsz2.FRSZ2.tile_decoder` codec pass per tile (via
+:class:`repro.accessor.frsz2_accessor.Frsz2Tiles` over the flattened
+``C*j`` accessor list).  That is the throughput claim of
 the batched path: the FRSZ2 integer decode is paid once per batch
 instead of once per vector.
 
@@ -75,19 +75,21 @@ class BatchTileReader:
         for r in readers[1:]:
             if r.j != self.j or r.n != self.n:
                 raise ValueError("batch readers must share n and j")
-        self._flat: "Optional[list]" = None
+        self._tiles = None
         if all(isinstance(r, StreamingTileReader) for r in readers):
-            self._flat = [a for r in readers for a in r.accessors]
-            from ..accessor.frsz2_accessor import read_frsz2_tiles
+            from ..accessor.frsz2_accessor import Frsz2Tiles
 
-            self._batched = read_frsz2_tiles
+            self._tiles = Frsz2Tiles.open(
+                [a for r in readers for a in r.accessors]
+            )
 
     @property
     def columns(self) -> int:
         return len(self.readers)
 
     def load(self, t0: int, t1: int, out: np.ndarray) -> None:
-        if self._flat is not None and self._batched(self._flat, t0, t1, out):
+        if self._tiles is not None:
+            self._tiles.load(t0, t1, out)
             return
         j = self.j
         for c, r in enumerate(self.readers):

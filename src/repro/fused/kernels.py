@@ -128,24 +128,36 @@ class CachedTileReader(TileReader):
 class StreamingTileReader(TileReader):
     """Tiles decoded on the fly from the accessors' compressed payloads.
 
-    When every accessor is an FRSZ2 accessor over the same layout, the
-    whole tile — all ``j`` vectors' blocks — decodes in **one** batched
-    codec pass (:func:`repro.accessor.frsz2_accessor.read_frsz2_tiles`),
-    the Python analog of the paper's warp-per-block fused decode.  Other
-    formats fall back to one :meth:`~repro.accessor.base.VectorAccessor.
-    read_tile` call per vector.
+    A reader lives for one fused call.  On its first :meth:`load` it
+    proves, once, whether the leading ``j`` accessors are plain FRSZ2
+    accessors with written payloads over one layout (:meth:`repro.
+    accessor.frsz2_accessor.Frsz2Tiles.open`); if so every load is one
+    codec tile decode straight into the scratch rows — under
+    ``backend="jit"`` a single C call through a pointer table built
+    then — the analog of the paper's warp-per-block fused decode.
+    Wrapped (fault-injecting), mixed-format and unwritten bases take
+    one :meth:`~repro.accessor.base.VectorAccessor.read_tile` call per
+    vector instead, with identical bits and identical traffic totals.
+    (A reader stacked under a :class:`~repro.fused.batch.
+    BatchTileReader` whose own source serves every column never loads,
+    and so never builds a table of its own.)
     """
 
     def __init__(self, accessors: Sequence, j: int) -> None:
         self.accessors = list(accessors[:j])
         self.j = int(j)
         self.n = int(accessors[0].n) if accessors else 0
-        from ..accessor.frsz2_accessor import read_frsz2_tiles
-
-        self._batched: "Callable[..., bool]" = read_frsz2_tiles
+        self._tiles = None
+        self._opened = False
 
     def load(self, t0: int, t1: int, out: np.ndarray) -> None:
-        if self._batched(self.accessors, t0, t1, out):
+        if not self._opened:
+            from ..accessor.frsz2_accessor import Frsz2Tiles
+
+            self._tiles = Frsz2Tiles.open(self.accessors)
+            self._opened = True
+        if self._tiles is not None:
+            self._tiles.load(t0, t1, out)
             return
         for row, acc in enumerate(self.accessors):
             out[row, : t1 - t0] = acc.read_tile(t0, t1)
@@ -295,11 +307,17 @@ def norm_fused(
 # The fused tile kernels are registered for the numpy backend here; the
 # jit backend registers the *same* callables (see
 # ``repro.jit.dispatch._ensure_jit_kernels``).  The per-tile BLAS ``@``
-# reduction is the determinism contract itself — its internal blocking
-# cannot be replayed in scalar compiled code — so ``backend="jit"``
-# keeps these kernels and gains its speedup from the engine's compiled
-# FRSZ2 decode feeding the tiles (:class:`StreamingTileReader` /
-# ``read_frsz2_tiles``), whose outputs are byte-equal to numpy's.
+# reduction over the C-contiguous ``(j, tile)`` scratch is the
+# determinism contract itself — its internal blocking cannot be replayed
+# in scalar compiled code — so it stays, in both basis modes and both
+# backends.  What ``backend="jit"`` replaces is how a streaming tile gets
+# *into* the scratch: one ``frsz2_decode_tile`` C call per tile, through a
+# pointer table the :class:`StreamingTileReader` builds once per fused
+# call, decoding each block as ``c_sig * 2^(e_max - (l-2) - 1023)`` (an
+# exact product whenever ``l <= 54`` and every nonzero value of the block
+# is normal; bit assembly otherwise) — byte-equal to the numpy reference
+# pass.  A reduction that never materialises the tile is still open
+# behind this contract (ROADMAP item 1b).
 for _name, _fn in (
     ("fused.dot_basis", dot_basis_fused),
     ("fused.combine", combine_fused),

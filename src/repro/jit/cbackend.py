@@ -1,7 +1,7 @@
 """Runtime-compiled C kernel engine (cffi + the system C compiler).
 
 This is the engine behind ``backend='jit'``: every hot kernel as a
-scalar loop, written once in C, compiled to a shared library on first
+plain loop, written once in C, compiled to a shared library on first
 use and loaded through cffi's ABI mode.  "JIT" is meant literally
 — the library is built at runtime from the source below, cached by
 content hash, so upgrading the kernels invalidates the cache
@@ -11,8 +11,11 @@ Bit-identity contract
 ---------------------
 Every kernel replays the numpy reference *operation for operation*:
 
-* the FRSZ2 encode/decode are pure integer bit manipulation — identical
-  by construction;
+* the FRSZ2 encode and the field-by-field decode are pure integer bit
+  manipulation — identical by construction; the block decoder
+  (``frsz2_decode_tile`` / ``frsz2_decode_stream``) additionally decodes
+  blocks whose values are all normal as an exact integer-times-power-
+  of-two product, which yields the same bits (see ``DECODE_BLOCK_RUN``);
 * the SpMV kernels accumulate each row strictly sequentially in entry
   order, exactly like ``np.bincount`` (CSR) and the slot-wise ELL/SELL
   passes;
@@ -36,7 +39,7 @@ import tempfile
 
 import numpy as np
 
-__all__ = ["CEngine", "C_SOURCE"]
+__all__ = ["CEngine", "TileTable", "C_SOURCE"]
 
 C_SOURCE = r"""
 #include <stdint.h>
@@ -207,6 +210,16 @@ void frsz2_pack_stream(const uint64_t *fields, int64_t n, int64_t bs,
 
 /* Payload "kind": 0/1/2/3 = aligned uint8/16/32/64 slots, 4 = packed
  * uint32 word stream with word-aligned blocks. */
+static uint64_t read_packed(const uint32_t *words, int64_t nwords,
+                            int64_t bitpos, int64_t l)
+{
+    int64_t lo_bits = l < 32 ? l : 32;
+    uint64_t val = get_chunk(words, nwords, bitpos, lo_bits);
+    if (l > 32)
+        val |= get_chunk(words, nwords, bitpos + 32, l - 32) << 32;
+    return val;
+}
+
 static uint64_t read_slot(const uint8_t *payload, int32_t kind,
                           int64_t nwords, int64_t i, int64_t bs, int64_t l,
                           int64_t wpb)
@@ -217,28 +230,105 @@ static uint64_t read_slot(const uint8_t *payload, int32_t kind,
     case 2: return ((const uint32_t *)payload)[i];
     case 3: return ((const uint64_t *)payload)[i];
     default: {
-        const uint32_t *words = (const uint32_t *)payload;
         int64_t block = i / bs;
-        int64_t bitpos = block * wpb * 32 + (i - block * bs) * l;
-        int64_t lo_bits = l < 32 ? l : 32;
-        uint64_t val = get_chunk(words, nwords, bitpos, lo_bits);
-        if (l > 32)
-            val |= get_chunk(words, nwords, bitpos + 32, l - 32) << 32;
-        return val;
+        return read_packed((const uint32_t *)payload, nwords,
+                           block * wpb * 32 + (i - block * bs) * l, l);
     }
     }
 }
 
-/* Decode values [0, n) of one container in a single pass. */
+/* Decode cnt consecutive fields of ONE block into o[0..cnt).  FIELD
+ * reads field k; CONV is the signed integer type c_sig converts from
+ * (int32 when the slot is <= 32 bits wide, so SSE2 can vectorise it).
+ *
+ * Exact-scale blocks: when l <= 54 every c_sig < 2^53 converts to
+ * double exactly, and when l - 1 <= e_max <= 2046 the smallest nonzero
+ * value (c_sig = 1, biased exponent e_max - (l - 2)) is normal and the
+ * largest is finite, so c_sig * 2^(e_max - (l - 2) - 1023) is an exact
+ * product: the very bits decode_field assembles, with c_sig = 0 giving
+ * +0 before the sign is OR-ed in.  No clz, no branch per value.  Every
+ * other block (tiny/subnormal values, l >= 55, a corrupted exponent)
+ * takes decode_field. */
+#define DECODE_BLOCK_RUN(FIELD, CONV)                                     \
+    if (exact) {                                                          \
+        for (int64_t k = 0; k < cnt; k++) {                               \
+            uint64_t f = (FIELD);                                         \
+            double mag = (double)(CONV)(f & sig_mask) * scale;            \
+            o[k] = u2d(d2u(mag) | ((f >> (l - 1)) << 63));                \
+        }                                                                 \
+    } else {                                                              \
+        for (int64_t k = 0; k < cnt; k++)                                 \
+            o[k] = decode_field((FIELD), e_max, l);                       \
+    }
+
+/* Decode values [i0, i1) of one container into out[0 .. i1 - i0): one
+ * exponent read and one slot-width dispatch per block. */
+static void decode_range(const uint8_t *payload, int32_t kind,
+                         int64_t nwords, const int32_t *exponents,
+                         int64_t i0, int64_t i1, int64_t bs, int64_t l,
+                         int64_t wpb, double *out)
+{
+    uint64_t sig_mask = (1ULL << (l - 1)) - 1ULL;
+    for (int64_t b = i0 / bs; b * bs < i1; b++) {
+        int64_t lo = b * bs < i0 ? i0 : b * bs;
+        int64_t hi = (b + 1) * bs < i1 ? (b + 1) * bs : i1;
+        int64_t cnt = hi - lo;
+        int64_t e_max = exponents[b];
+        int exact = l <= 54 && e_max >= l - 1 && e_max <= 2046;
+        double scale = exact ? u2d((uint64_t)(e_max - (l - 2)) << 52) : 0.0;
+        double *restrict o = out + (lo - i0);
+        switch (kind) {
+        case 0: {
+            const uint8_t *p = payload + lo;
+            DECODE_BLOCK_RUN(p[k], int32_t)
+            break;
+        }
+        case 1: {
+            const uint16_t *p = (const uint16_t *)payload + lo;
+            DECODE_BLOCK_RUN(p[k], int32_t)
+            break;
+        }
+        case 2: {
+            const uint32_t *p = (const uint32_t *)payload + lo;
+            DECODE_BLOCK_RUN(p[k], int32_t)
+            break;
+        }
+        case 3: {
+            const uint64_t *p = (const uint64_t *)payload + lo;
+            DECODE_BLOCK_RUN(p[k], int64_t)
+            break;
+        }
+        default: {
+            const uint32_t *words = (const uint32_t *)payload;
+            int64_t bit0 = b * wpb * 32 + (lo - b * bs) * l;
+            DECODE_BLOCK_RUN(read_packed(words, nwords, bit0 + k * l, l),
+                             int64_t)
+            break;
+        }
+        }
+    }
+}
+
+/* Decode the whole of one container (the 1-row, whole-vector tile). */
 void frsz2_decode_stream(const uint8_t *payload, int32_t kind,
                          int64_t nwords, const int32_t *exponents,
                          int64_t n, int64_t bs, int64_t l, int64_t wpb,
                          double *out)
 {
-    for (int64_t i = 0; i < n; i++) {
-        uint64_t f = read_slot(payload, kind, nwords, i, bs, l, wpb);
-        out[i] = decode_field(f, exponents[i / bs], l);
-    }
+    decode_range(payload, kind, nwords, exponents, 0, n, bs, l, wpb, out);
+}
+
+/* Decode rows v_0[i0:i1] ... v_{j-1}[i0:i1] of j same-layout containers
+ * into a row-major (j, ld) buffer: the fused kernels' scratch tile. */
+void frsz2_decode_tile(const uint8_t *const *payloads,
+                       const int32_t *const *exponents, int64_t j,
+                       int32_t kind, int64_t nwords, int64_t bs, int64_t l,
+                       int64_t wpb, int64_t i0, int64_t i1, double *out,
+                       int64_t ld)
+{
+    for (int64_t r = 0; r < j; r++)
+        decode_range(payloads[r], kind, nwords, exponents[r], i0, i1, bs, l,
+                     wpb, out + r * ld);
 }
 
 /* Decode arbitrary value positions of one container. */
@@ -366,6 +456,11 @@ void frsz2_decode_stream(const uint8_t *payload, int32_t kind,
                          int64_t nwords, const int32_t *exponents,
                          int64_t n, int64_t bs, int64_t l, int64_t wpb,
                          double *out);
+void frsz2_decode_tile(const uint8_t *const *payloads,
+                       const int32_t *const *exponents, int64_t j,
+                       int32_t kind, int64_t nwords, int64_t bs, int64_t l,
+                       int64_t wpb, int64_t i0, int64_t i1, double *out,
+                       int64_t ld);
 void frsz2_decode_gather(const uint8_t *payload, int32_t kind,
                          int64_t nwords, const int32_t *exponents,
                          const int64_t *idx, int64_t m, int64_t bs,
@@ -388,8 +483,10 @@ void prec_block_diag_apply(const double *blocks, const double *v,
 """
 
 #: flags that pin IEEE semantics: no FMA contraction, no fast-math —
-#: an FMA would change the rounding of every accumulation vs numpy
-_CFLAGS = ["-O2", "-fPIC", "-shared", "-ffp-contract=off", "-fno-fast-math"]
+#: an FMA would change the rounding of every accumulation vs numpy.
+#: -O3 is for the loop vectoriser (the exact-scale FRSZ2 decode); it
+#: reorders no floating-point operation under these two flags.
+_CFLAGS = ["-O3", "-fPIC", "-shared", "-ffp-contract=off", "-fno-fast-math"]
 
 #: payload-kind codes shared with the C source
 _ALIGNED_KINDS = {8: 0, 16: 1, 32: 2, 64: 3}
@@ -412,8 +509,13 @@ def _compiler() -> str:
 
 def _build_library() -> str:
     """Compile (once, content-hashed) and return the shared-library path."""
+    # the compiler is part of the key: -O3 code differs per compiler and
+    # each build must face the self-test itself
+    compiler = _compiler()
     key = hashlib.sha256(
-        "\x00".join([C_SOURCE, _CDEF, " ".join(_CFLAGS), sys.platform]).encode()
+        "\x00".join(
+            [C_SOURCE, _CDEF, " ".join(_CFLAGS), sys.platform, compiler]
+        ).encode()
     ).hexdigest()[:16]
     cache = _cache_dir()
     lib_path = os.path.join(cache, f"repro_jit_{key}.so")
@@ -426,7 +528,7 @@ def _build_library() -> str:
             f.write(C_SOURCE)
         tmp_lib = src_path + ".so"
         subprocess.run(
-            [_compiler(), *_CFLAGS, src_path, "-o", tmp_lib],
+            [compiler, *_CFLAGS, src_path, "-o", tmp_lib],
             check=True,
             capture_output=True,
             text=True,
@@ -440,6 +542,61 @@ def _build_library() -> str:
             except OSError:
                 pass
     return lib_path
+
+
+class TileTable:
+    """C pointer table over ``j`` same-layout containers.
+
+    Built once, called once per tile: ``table(i0, i1, out)`` writes
+    rows ``v_0[i0:i1] ... v_{j-1}[i0:i1]`` into the C-contiguous
+    ``(j, >= i1 - i0)`` float64 buffer ``out`` in a single C call.  The
+    table points into the containers' arrays — the row pointers own
+    references that keep them alive for the table's lifetime — and
+    copies nothing, so an in-place change to a stored payload is decoded
+    as it is *now*.  The caller (:meth:`repro.core.frsz2.FRSZ2.
+    tile_decoder`) has checked that the containers share one layout and
+    that the window and ``out`` fit.
+    """
+
+    __slots__ = ("_engine", "_keep", "_args")
+
+    def __init__(self, engine: "CEngine", comps) -> None:
+        layout = comps[0].layout
+        if layout.is_aligned:
+            dtype = np.dtype(f"uint{layout.bit_length}")
+            size = layout.num_blocks * layout.block_size
+        else:
+            dtype, size = np.dtype(np.uint32), layout.value_words
+        for c in comps:
+            # the C loop indexes every array by the shared layout alone
+            if (c.payload.dtype != dtype or c.payload.size != size
+                    or c.exponents.size != layout.num_blocks):
+                raise ValueError(
+                    "container arrays do not match their block layout"
+                )
+        self._engine = engine
+        payloads = [engine._ptr(c.payload, "uint8_t *") for c in comps]
+        exponents = [
+            engine._ptr(engine._exponents(c), "int32_t *") for c in comps
+        ]
+        #: the row pointers own the references that keep the arrays alive
+        self._keep = (payloads, exponents)
+        self._args = (
+            engine._ffi.new("uint8_t *[]", payloads),
+            engine._ffi.new("int32_t *[]", exponents),
+            len(comps),
+            engine._payload_kind(layout),
+            0 if layout.is_aligned else size,
+            layout.block_size,
+            layout.bit_length,
+            layout.words_per_block,
+        )
+
+    def __call__(self, i0: int, i1: int, out: np.ndarray) -> None:
+        engine = self._engine
+        engine._lib.frsz2_decode_tile(
+            *self._args, i0, i1, engine._ptr(out, "double *"), out.shape[1]
+        )
 
 
 class CEngine:
@@ -462,7 +619,15 @@ class CEngine:
     # -- pointer plumbing ---------------------------------------------
 
     def _ptr(self, arr: np.ndarray, ctype: str):
-        return self._ffi.cast(ctype, arr.ctypes.data)
+        # a from_buffer pointer owns a reference to ``arr`` (alive for
+        # as long as the pointer is) and rejects non-contiguous views
+        return self._ffi.from_buffer(ctype, arr, require_writable=False)
+
+    @staticmethod
+    def _exponents(comp) -> np.ndarray:
+        """The container's ``int32`` exponent stream, as stored."""
+        e = comp.exponents
+        return e if e.dtype == np.int32 else np.ascontiguousarray(e, np.int32)
 
     @staticmethod
     def _c(arr, dtype) -> np.ndarray:
@@ -589,7 +754,7 @@ class CEngine:
         """Full-container decode straight from the stored payload."""
         layout = comp.layout
         payload = comp.payload
-        exponents = self._c(comp.exponents, np.int32)
+        exponents = self._exponents(comp)
         if comp.n:
             self._lib.frsz2_decode_stream(
                 self._ptr(payload, "uint8_t *"),
@@ -604,14 +769,17 @@ class CEngine:
             )
         return out
 
-    def decode_gather(self, comp, indices, out=None) -> np.ndarray:
+    def decode_tile(self, comps) -> "TileTable":
+        """Same-layout containers prepared for repeated window decodes."""
+        return TileTable(self, comps)
+
+    def decode_gather(self, comp, indices) -> np.ndarray:
         """Decode arbitrary positions straight from the stored payload."""
         layout = comp.layout
         payload = comp.payload
         indices = self._c(indices, np.int64)
-        exponents = self._c(comp.exponents, np.int32)
-        if out is None:
-            out = np.empty(indices.size, dtype=np.float64)
+        exponents = self._exponents(comp)
+        out = np.empty(indices.size, dtype=np.float64)
         if indices.size:
             self._lib.frsz2_decode_gather(
                 self._ptr(payload, "uint8_t *"),

@@ -214,6 +214,7 @@ def _ensure_jit_kernels() -> None:
     register_kernel("frsz2.decode_fields", "jit", engine.decode_fields)
     register_kernel("frsz2.pack_stream", "jit", engine.pack_stream)
     register_kernel("frsz2.decode_stream", "jit", engine.decode_stream)
+    register_kernel("frsz2.decode_tile", "jit", engine.decode_tile)
     register_kernel("frsz2.decode_gather", "jit", engine.decode_gather)
     register_kernel("spmv.csr_matvec", "jit", engine.csr_matvec)
     register_kernel("spmv.ell_matvec", "jit", engine.ell_matvec)
@@ -228,8 +229,8 @@ def _ensure_jit_kernels() -> None:
     # The fused tile kernels are backend-shared: the per-tile BLAS ``@``
     # reduction is the determinism contract itself (its internal blocking
     # cannot be replayed in scalar compiled code), so ``jit`` registers
-    # the numpy callables and gains its speedup from the engine's codec
-    # decode feeding the tiles.
+    # the numpy callables and gains its speedup from ``frsz2.decode_tile``
+    # filling each scratch tile in one C call.
     from ..fused import batch as _fused_batch
     from ..fused import kernels as _fused_kernels
 

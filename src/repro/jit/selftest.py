@@ -8,7 +8,11 @@ backend suite in ``tests/test_jit.py`` is the second.
 
 The inputs deliberately cover the codec's edge geometry: straddling and
 aligned bit lengths, partial trailing blocks, rounding carries, signed
-zeros, subnormals, and huge dynamic range within one block.
+zeros, subnormals, huge dynamic range within one block — and both sides
+of the decoder's exact-scale/bit-assembly split: blocks whose
+``e_max`` is the largest double's, ordinary-magnitude blocks, tiny
+blocks whose low values fall below the normal range, and all-subnormal
+blocks.
 """
 
 from __future__ import annotations
@@ -29,7 +33,24 @@ def _sample_values(rng: np.random.Generator, n: int) -> np.ndarray:
     x[:: 7] = 0.0
     x[1:: 11] = -0.0
     x[2:: 13] = 5e-324  # subnormal
-    x[3:: 17] = -1.7976931348623157e308
+    x[3:: 17] = -1.7976931348623157e308  # e_max = 2046 in every full block
+    return x
+
+
+def _sample_small(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Blocks the largest double does not dominate.
+
+    Thirds of the vector: ordinary magnitudes (every value normal after
+    decode: the exact-scale branch for ``l <= 54``), values near the
+    bottom of the normal range (``e_max < l - 1`` for wide ``l``: bit
+    assembly with flush-to-zero), and subnormals only (``e_max = 1``).
+    """
+    x = rng.standard_normal(n)
+    x[::9] = 0.0
+    x[1::10] = -0.0
+    third = n // 3
+    x[third:2 * third] *= 2.0 ** -1010
+    x[2 * third:] = rng.integers(-(1 << 40), 1 << 40, n - 2 * third) * 5e-324
     return x
 
 
@@ -113,6 +134,45 @@ def _check_codec(engine, rng: np.random.Generator) -> None:
                         ref_dec.view(np.uint64), got_dec.view(np.uint64)
                     ),
                     f"frsz2.decode_fields ({tag})",
+                )
+
+
+def _check_decode_tile(engine, rng: np.random.Generator) -> None:
+    """The block decoder against the reference pass, as raw bits."""
+    from ..core.frsz2 import FRSZ2, decode_tile_numpy
+
+    n = 203  # partial trailing block for bs in {32, 5}
+    vectors = [_sample_small(rng, n), _sample_values(rng, n),
+               _sample_small(rng, n)]
+    # every slot width of the C decoder (uint16, uint32, uint64, packed
+    # <= 32 bits, packed > 32 bits), then short blocks
+    for bit_length, block_size in (
+        (16, 32), (21, 32), (32, 32), (51, 32), (64, 32), (21, 5), (32, 5)
+    ):
+        codec = FRSZ2(bit_length=bit_length, block_size=block_size)
+        comps = [codec.compress(x) for x in vectors]
+        ref = np.empty((3, n))
+        decode_tile_numpy(comps)(0, n, ref)
+        ref = ref.view(np.uint64)
+        got = engine.decode_stream(comps[0], np.empty(n))
+        _expect(
+            np.array_equal(ref[0], got.view(np.uint64)),
+            f"frsz2.decode_stream (small magnitudes, l={bit_length} "
+            f"bs={block_size})",
+        )
+        # whole vector; mid-block start to the partial trailing block;
+        # inside one block — into rows wider than the window
+        for j in (1, 3):
+            table = engine.decode_tile(comps[:j])
+            for i0, i1 in ((0, n), (37, n), (66, 69)):
+                got = np.zeros((j, n + 3))
+                table(i0, i1, got)
+                got = got.view(np.uint64)
+                _expect(
+                    np.array_equal(got[:, :i1 - i0], ref[:j, i0:i1])
+                    and not got[:, i1 - i0:].any(),
+                    f"frsz2.decode_tile (l={bit_length} bs={block_size} "
+                    f"j={j} [{i0}, {i1}))",
                 )
 
 
@@ -202,5 +262,6 @@ def run(engine) -> None:
     rng = np.random.default_rng(0xF25F2)
     _check_bitpack(engine, rng)
     _check_codec(engine, rng)
+    _check_decode_tile(engine, rng)
     _check_spmv(engine, rng)
     _check_prec(engine, rng)

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.accessor import make_accessor
-from repro.accessor.frsz2_accessor import Frsz2Accessor, read_frsz2_tiles
+from repro.accessor.frsz2_accessor import Frsz2Accessor, Frsz2Tiles
 from repro.fused import (
     DEFAULT_TILE_ELEMS,
     CachedTileReader,
@@ -29,6 +29,8 @@ from repro.fused import (
 from repro.solvers import CbGmres, make_problem
 from repro.solvers.basis import BASIS_MODES, KrylovBasis
 from repro.solvers.orthogonal import cgs_orthogonalize
+
+from .backends import BACKENDS, requires_jit
 
 STORAGES = ["frsz2_16", "frsz2_32", "float32", "float64"]
 
@@ -156,9 +158,11 @@ class TestReaderBitIdentity:
         for acc in accs:
             assert isinstance(acc, Frsz2Accessor)
             acc.write(rng.standard_normal(n))
+        tiles = Frsz2Tiles.open(accs)
+        assert tiles is not None
         for t0, t1 in [(0, 64), (32, 96), (5, 71), (192, 260), (0, n)]:
             out = np.empty((j, t1 - t0))
-            assert read_frsz2_tiles(accs, t0, t1, out)
+            tiles.load(t0, t1, out)
             for row, acc in enumerate(accs):
                 np.testing.assert_array_equal(out[row], acc.read_tile(t0, t1))
 
@@ -170,11 +174,161 @@ class TestReaderBitIdentity:
         for acc, v in zip(accs, vals):
             acc.write(v)
         out = np.empty((2, 64))
-        assert not read_frsz2_tiles(accs, 0, 64, out)
+        assert Frsz2Tiles.open(accs) is None
         reader = StreamingTileReader(accs, 2)
         reader.load(0, 64, out)
         for row, acc in enumerate(accs):
             np.testing.assert_array_equal(out[row], acc.read()[:64])
+
+
+class TestStreamingReaderSemantics:
+    """What a :class:`StreamingTileReader` promises with a pointer table
+    in play: it decodes what is stored *now*, it never outlives the
+    arrays it points into, every ineligible basis takes the per-accessor
+    route with the same bits, and the traffic bill does not change."""
+
+    @staticmethod
+    def _basis(mode, backend, n=300):
+        rng = np.random.default_rng(3)
+        basis = KrylovBasis(n, 3, "frsz2_32", basis_mode=mode,
+                            tile_elems=64, backend=backend)
+        vectors = rng.standard_normal((n, 3))
+        return basis, vectors, rng.standard_normal(n)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_payload_flip_between_calls_is_seen(self, backend):
+        basis, vectors, w = self._basis("streaming", backend)
+        for i in range(3):
+            basis.write_vector(i, vectors[:, i])
+        held = basis._reader(3)  # one table, alive across the flip
+        before = basis.dot_basis(3, w)
+        np.testing.assert_array_equal(dot_basis_fused(held, w, 64), before)
+        basis.accessors[1].compressed.payload[70] ^= np.uint32(1 << 30)
+        after = basis.dot_basis(3, w)
+        assert after[1] != before[1]
+        assert after[0] == before[0] and after[2] == before[2]
+        # the flipped payload decoded afresh, by any route
+        np.testing.assert_array_equal(dot_basis_fused(held, w, 64), after)
+        expect = np.array([acc.read() for acc in basis.accessors[:3]])
+        scratch = np.empty((3, 64))
+        held.load(64, 128, scratch)
+        np.testing.assert_array_equal(scratch, expect[:, 64:128])
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_reader_outlives_reset_and_set_storage(self, backend):
+        import gc
+
+        basis, vectors, w = self._basis("streaming", backend)
+        for i in range(3):
+            basis.write_vector(i, vectors[:, i])
+        held = basis._reader(3)
+        before = dot_basis_fused(held, w, 64)
+        basis.reset()  # drops every accessor's container
+        gc.collect()
+        churn = [np.full(300, 7, dtype=np.uint32) for _ in range(64)]
+        np.testing.assert_array_equal(dot_basis_fused(held, w, 64), before)
+        basis.set_storage("frsz2_16")  # replaces the accessors themselves
+        gc.collect()
+        np.testing.assert_array_equal(dot_basis_fused(held, w, 64), before)
+        del churn
+        # a reader opened now sees the emptied basis, not the old bits
+        basis.write_vector(0, vectors[:, 0])
+        assert basis.dot_basis(1, w)[0] != before[0]
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("case", ["plain", "mixed", "unwritten"])
+    def test_every_route_matches_cached_mode(self, backend, case):
+        """plain: the one-call tile source; mixed formats and an
+        unwritten slot: per-accessor ``read_tile``."""
+        results = []
+        for mode in BASIS_MODES:
+            basis, vectors, w = self._basis(mode, backend)
+            if case == "mixed":
+                basis.set_storage("frsz2_16", slots=[1])
+            for i in (0, 2) if case == "unwritten" else (0, 1, 2):
+                basis.write_vector(i, vectors[:, i])
+            if mode == "streaming":
+                one_call = Frsz2Tiles.open(basis.accessors[:3]) is not None
+                assert one_call == (case == "plain")
+            y = np.array([0.5, -2.0, 0.25])
+            results.append((
+                basis.dot_basis(3, w), basis.combine(3, y),
+                basis.axpy(3, y, w.copy()),
+                [a.traffic.tile_reads for a in basis.accessors],
+                [a.traffic.bytes_read for a in basis.accessors],
+            ))
+        cached, streaming = results
+        for c, s in zip(cached[:3], streaming[:3]):
+            np.testing.assert_array_equal(c, s)
+        tiles = len(tile_grid(300, 64))
+        assert streaming[3] == [3 * tiles] * 3 + [0]
+        if case == "plain":
+            # 33 bits per value: 3 fused calls x 300 values, whole blocks
+            assert streaming[4][0] == 3 * (10 * 132)
+
+    def test_subclass_is_not_read_behind_its_back(self):
+        """The eligibility hole: a subclass overriding ``read_tile`` must
+        be served by its override, not by a direct ``_compressed`` read."""
+
+        class Doubling(Frsz2Accessor):
+            def read_tile(self, i0, i1):
+                return 2.0 * super().read_tile(i0, i1)
+
+        rng = np.random.default_rng(2)
+        accs = [Frsz2Accessor(100), Doubling(100)]
+        vals = [rng.standard_normal(100) for _ in accs]
+        for acc, v in zip(accs, vals):
+            acc.write(v)
+        assert Frsz2Tiles.open(accs) is None
+        out = np.empty((2, 64))
+        StreamingTileReader(accs, 2).load(0, 64, out)
+        np.testing.assert_array_equal(out[0], accs[0].read()[:64])
+        np.testing.assert_array_equal(out[1], 2.0 * accs[0].codec.decompress(
+            accs[1].compressed)[:64])
+
+    @requires_jit
+    def test_traffic_and_counters_of_one_streaming_solve(self):
+        """The ``stream_lowmem`` benchmark system (atmosmodd 24^3,
+        frsz2_32, m=50): the bill of one solve, unchanged since the
+        per-vector gather loop it replaced."""
+        from repro.observe import Tracer
+        from repro.sparse import generators
+
+        a = generators.convection_diffusion_3d(
+            24, 24, 24, peclet=(0.45, 0.25, 0.10), shift=0.02, name="atmosmodd"
+        )
+        s = np.sin(np.arange(a.shape[0], dtype=np.float64))
+        b = a.matvec(s / np.linalg.norm(s))
+        made = []
+
+        def factory(fmt, n):
+            made.append(make_accessor(fmt, n, backend="jit"))
+            return made[-1]
+
+        tracer = Tracer()
+        result = CbGmres(
+            a, "frsz2_32", m=50, max_iter=2000, basis_mode="streaming",
+            backend="jit", tracer=tracer, storage_factory=factory,
+        ).solve(b, 1e-12)
+        assert result.converged and result.iterations == 119
+        assert result.stats.fused_tiles == 3325
+        assert sum(acc.traffic.tile_reads for acc in made) == 77525
+        assert sum(acc.traffic.bytes_read for acc in made) == 631540800
+        assert sum(acc.traffic.reads for acc in made) == 0
+        expected = {
+            "accessor.tile_reads": 77525,
+            "accessor.bytes_read": 631540800,
+            "accessor.writes": 122,
+            "accessor.bytes_written": 6956928,
+            "basis.vector_reads": 11075,
+            "basis.bytes_read": 631540800,
+            "basis.fused.dot_calls": 236,
+            "basis.fused.axpy_calls": 236,
+            "basis.fused.combine_calls": 3,
+            "basis.fused.tiles": 3325,
+            "basis.fused.values": 153100800,
+        }
+        assert {k: tracer.counters[k] for k in expected} == expected
 
 
 class TestArnoldiBitIdentity:

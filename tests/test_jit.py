@@ -24,17 +24,7 @@ from repro.solvers import CbGmres, make_problem
 from repro.sparse import build_matrix
 from repro.sparse.engine import SPMV_FORMATS, SpmvEngine
 
-requires_jit = pytest.mark.skipif(
-    not dispatch.jit_available(),
-    reason=f"jit engine unavailable: {dispatch.jit_unavailable_reason()}",
-)
-
-#: the standard cross-backend axis: numpy always runs, jit skips with
-#: the engine's own failure reason when it does not compile
-BACKENDS = [
-    pytest.param("numpy", id="numpy"),
-    pytest.param("jit", id="jit", marks=requires_jit),
-]
+from .backends import BACKENDS, requires_jit
 
 
 # ----------------------------------------------------------------------
@@ -65,7 +55,7 @@ class TestDispatch:
             "bitpack.pack_at", "bitpack.unpack_at",
             "frsz2.encode_fields", "frsz2.decode_fields",
             "frsz2.pack_stream", "frsz2.decode_stream",
-            "frsz2.decode_gather",
+            "frsz2.decode_tile", "frsz2.decode_gather",
             "spmv.csr_matvec", "spmv.ell_matvec", "spmv.sell_group_matvec",
             "fused.dot_basis", "fused.combine", "fused.axpy", "fused.norm",
             "fused.dot_basis_batch", "fused.axpy_batch",
@@ -132,6 +122,44 @@ class TestDispatch:
             monkeypatch.undo()
             dispatch._reset_engine_cache()
 
+    @requires_jit
+    def test_selftest_gates_the_tile_decoder(self, monkeypatch):
+        """A tile decoder wrong in the last value of the last row only —
+        the whole-container decode stays right — must not load either."""
+
+        class LastValueOff(cbackend.CEngine):
+            def decode_tile(self, comps):
+                table = super().decode_tile(comps)
+
+                def kernel(i0, i1, out):
+                    table(i0, i1, out)
+                    out.view(np.uint64)[-1, i1 - i0 - 1] ^= np.uint64(1)
+
+                return kernel
+
+        monkeypatch.setattr(cbackend, "CEngine", LastValueOff)
+        dispatch._reset_engine_cache()
+        try:
+            assert dispatch.load_engine() is None
+            assert "frsz2.decode_tile" in dispatch.jit_unavailable_reason()
+        finally:
+            monkeypatch.undo()
+            dispatch._reset_engine_cache()
+
+    @requires_jit
+    def test_selftest_covers_both_decoder_branches(self):
+        """Self-test inputs must put blocks on both sides of the
+        exact-scale split for every bit length it runs."""
+        from repro.jit import selftest
+
+        rng = np.random.default_rng(0)
+        small = selftest._sample_small(rng, 203)
+        large = selftest._sample_values(rng, 203)
+        for l in (16, 21, 32, 51):
+            e_small = FRSZ2(l).compress(small).exponents
+            assert (e_small >= l - 1).any() and (e_small < l - 1).any()
+            assert (FRSZ2(l).compress(large).exponents[:-1] == 2046).all()
+
 
 # ----------------------------------------------------------------------
 # codec round-trips
@@ -179,6 +207,87 @@ class TestCodecBitIdentity:
         for a, b in zip(ref.decompress_blocks_batch(comps_ref, blocks),
                         alt.decompress_blocks_batch(comps_alt, blocks)):
             np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("bit_length", [8, 16, 21, 32, 52, 64])
+    @pytest.mark.parametrize("block_size", [32, 5])
+    def test_tile_windows_match_numpy(self, backend, bit_length, block_size):
+        ref = FRSZ2(bit_length=bit_length, block_size=block_size)
+        alt = FRSZ2(bit_length=bit_length, block_size=block_size,
+                    backend=backend)
+        n = 203
+        xs = [_sample(n, seed=s) for s in (1, 2, 3)]
+        xs[1] *= 2.0 ** -1000  # tiny blocks: flush-to-zero decode
+        comps_ref = [ref.compress(x) for x in xs]
+        comps_alt = [alt.compress(x) for x in xs]
+        # a stored exponent a fault injector flipped out of range
+        for comps in (comps_ref, comps_alt):
+            comps[2].exponents[0] = 3000
+            comps[2].exponents[1] = -7
+        full = np.array([ref.decompress(c) for c in comps_ref])
+        for j in (1, 3):
+            decode = alt.tile_decoder(comps_alt[:j])
+            for i0, i1 in [(0, n), (0, 64), (37, 101), (190, n), (66, 69), (9, 9)]:
+                out = np.full((j, i1 - i0 + 3), np.nan)
+                decode(i0, i1, out)
+                np.testing.assert_array_equal(
+                    out[:, :i1 - i0].view(np.uint64),
+                    full[:j, i0:i1].view(np.uint64),
+                )
+                assert np.isnan(out[:, i1 - i0:]).all()
+        for a, b in zip(alt.decompress_batch(comps_alt), full):
+            np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+
+    def test_tile_decoder_reads_the_arrays_in_place(self, backend):
+        codec = FRSZ2(bit_length=32, backend=backend)
+        comps = [codec.compress(_sample(100, seed=s)) for s in (1, 2)]
+        decode = codec.tile_decoder(comps)
+        out = np.empty((2, 100))
+        decode(0, 100, out)
+        before = out.copy()
+        comps[1].payload[40] ^= np.uint32(1 << 29)
+        decode(0, 100, out)
+        assert out[1, 40] != before[1, 40]
+        np.testing.assert_array_equal(out[0], before[0])
+        np.testing.assert_array_equal(out[1], codec.decompress(comps[1]))
+
+    def test_tile_decoder_serves_read_only_containers(self, backend):
+        from repro.core.serialize import dump_bytes, load_bytes
+
+        codec = FRSZ2(bit_length=21, backend=backend)
+        comp = load_bytes(dump_bytes(codec.compress(_sample(100))))
+        out = np.empty((1, 100))
+        codec.decode_tile([comp], 0, 100, out)
+        np.testing.assert_array_equal(out[0], codec.decompress(comp))
+
+    def test_tile_decoder_rejects_what_it_cannot_walk(self, backend):
+        from repro.core.frsz2 import Frsz2Compressed
+
+        codec = FRSZ2(bit_length=32, backend=backend)
+        comp = codec.compress(_sample(100))
+        with pytest.raises(ValueError, match="at least one"):
+            codec.tile_decoder([])
+        with pytest.raises(ValueError, match="same-layout"):
+            codec.tile_decoder([comp, codec.compress(_sample(99))])
+        decode = codec.tile_decoder([comp])
+        with pytest.raises(IndexError):
+            decode(0, 101, np.empty((1, 101)))
+        with pytest.raises(IndexError):
+            decode(5, 4, np.empty((1, 8)))
+        for bad in (
+            np.empty((2, 100)),                # one row per container
+            np.empty((1, 63)),                 # narrower than the window
+            np.empty((1, 100), dtype=np.float32),
+            np.empty((1, 200))[:, ::2],        # not C-contiguous
+            np.empty(100),
+        ):
+            with pytest.raises(ValueError, match="out must be"):
+                decode(0, 64, bad)
+        if backend == "jit":
+            # a container whose arrays disagree with its layout would
+            # send the C loop out of bounds
+            short = Frsz2Compressed(comp.layout, comp.exponents, comp.payload[:64])
+            with pytest.raises(ValueError, match="do not match"):
+                codec.tile_decoder([short])
 
     def test_accessor_write_read_matches_numpy(self, backend):
         x = _sample(777, seed=5)

@@ -12,9 +12,11 @@ from hypothesis import strategies as st
 
 from repro.accessor import make_accessor
 from repro.compressors import ErrorBoundMode, list_compressors, make_compressor
-from repro.core import FRSZ2
+from repro.core import FRSZ2, reference
 from repro.solvers import CbGmres, GivensLeastSquares
 from repro.sparse import COOMatrix
+
+from .backends import BACKENDS
 
 finite_vec = st.lists(
     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_subnormal=False),
@@ -299,3 +301,127 @@ class TestFrsz2RandomAccessLaw:
         assert np.array_equal(
             got.view(np.uint64), full[idx].view(np.uint64)
         )
+
+
+# ----------------------------------------------------------------------
+# codec truth: the block decoders against the scalar reference
+# ----------------------------------------------------------------------
+
+_LARGEST = 1.7976931348623157e308
+
+
+def _regime_block(regime: str, bs: int, rng: np.random.Generator) -> np.ndarray:
+    """One block of values from a named corner of the float64 range."""
+    if regime == "zeros":
+        return np.zeros(bs)
+    if regime == "signed_zeros":
+        return np.where(rng.random(bs) < 0.5, 0.0, -0.0)
+    if regime == "subnormal":
+        # e_max = 1 < l - 1 for every l > 2: the bit-assembly branch
+        return rng.integers(-(1 << 52) + 1, 1 << 52, bs) * 5e-324
+    if regime == "tiny":
+        # normal, but e_max straddles l - 1 over l in 2..64
+        return rng.standard_normal(bs) * np.exp2(
+            rng.integers(-1022, -955, bs).astype(float)
+        )
+    if regime == "pr02r":
+        # one block spanning the PR02R exponent range 2^-178 .. 2^36
+        return rng.standard_normal(bs) * np.exp2(
+            rng.integers(-178, 37, bs).astype(float)
+        )
+    x = rng.standard_normal(bs)
+    if regime == "largest":
+        # e_max = 2046, the largest exact scale
+        x[rng.integers(bs)] = rng.choice([-_LARGEST, _LARGEST])
+    x[rng.random(bs) < 0.1] = 0.0
+    return x
+
+
+_REGIMES = ["zeros", "signed_zeros", "subnormal", "tiny", "pr02r", "largest",
+            "ordinary"]
+
+
+class TestBlockDecodersAgainstScalarReference:
+    """``decode_tile`` and the whole-container decode must reproduce
+    :mod:`repro.core.reference` — the one-value-at-a-time oracle — as raw
+    ``uint64``, on both sides of the C decoder's exact-scale split."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("l", range(2, 65))
+    @given(data=st.data())
+    @settings(max_examples=8, deadline=None)
+    def test_decoded_bits_equal_reference(self, backend, l, data):
+        bs = data.draw(st.sampled_from([32, 5]), label="bs")
+        rounding = data.draw(st.booleans(), label="rounding")
+        regimes = data.draw(
+            st.lists(st.sampled_from(_REGIMES), min_size=1, max_size=4),
+            label="regimes",
+        )
+        rng = np.random.default_rng(
+            data.draw(st.integers(0, 2**32 - 1), label="seed")
+        )
+        tail = data.draw(st.integers(1, bs), label="tail")
+        j = data.draw(st.integers(1, 3), label="j")
+        n = (len(regimes) - 1) * bs + tail  # partial trailing block
+        vectors = [
+            np.concatenate([_regime_block(r, bs, rng) for r in regimes])[:n]
+            for _ in range(j)
+        ]
+        expected = np.array([
+            np.concatenate([
+                reference.decompress_block(
+                    *reference.compress_block(x[s:s + bs], l, rounding), l
+                )
+                for s in range(0, n, bs)
+            ])
+            for x in vectors
+        ]).view(np.uint64)
+
+        codec = FRSZ2(bit_length=l, block_size=bs, rounding=rounding,
+                      backend=backend)
+        assert codec.backend == backend
+        comps = [codec.compress(x) for x in vectors]
+        for comp, want in zip(comps, expected):
+            assert np.array_equal(
+                codec.decompress(comp).view(np.uint64), want
+            )
+        i0 = data.draw(st.integers(0, n), label="i0")
+        i1 = data.draw(st.integers(i0, n), label="i1")
+        out = np.full((j, i1 - i0 + 2), np.nan)  # ld > i1 - i0
+        codec.decode_tile(comps, i0, i1, out)
+        assert np.array_equal(
+            out[:, :i1 - i0].view(np.uint64), expected[:, i0:i1]
+        )
+        assert np.isnan(out[:, i1 - i0:]).all()
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_exact_scale_boundary_blocks(self, backend):
+        """Blocks whose ``e_max`` sits on either side of ``l - 1`` (the
+        smallest exponent at which every nonzero value is normal) and at
+        2046 (the largest finite scale), for every bit length."""
+        rng = np.random.default_rng(7)
+        bs = 32
+        for l in range(2, 65):
+            e_maxes = [e for e in (l - 2, l - 1, l, 2045, 2046) if e >= 1]
+            blocks = []
+            for e_max in e_maxes:
+                drop = rng.integers(0, 70, bs)
+                drop[0] = 0  # pins the block's maximum exponent
+                mant = (1.0 + rng.random(bs)) * rng.choice([-1.0, 1.0], bs)
+                blocks.append(np.ldexp(mant, e_max - 1023 - drop))
+            x = np.concatenate(blocks)
+            codec = FRSZ2(bit_length=l, block_size=bs, backend=backend)
+            comp = codec.compress(x)
+            assert comp.exponents.tolist() == e_maxes
+            want = np.concatenate([
+                reference.decompress_block(
+                    *reference.compress_block(b, l), l
+                )
+                for b in blocks
+            ]).view(np.uint64)
+            out = np.empty((1, x.size))
+            codec.decode_tile([comp], 0, x.size, out)
+            assert np.array_equal(out[0].view(np.uint64), want), l
+            assert np.array_equal(
+                codec.decompress(comp).view(np.uint64), want
+            ), l

@@ -330,3 +330,43 @@ class TestCampaign:
         # without recovery, NaN faults crash or diverge at least somewhere
         assert outcomes & {"crashed", "diverged", "stalled", "capped", "failed"}
         assert camp.survival_rate < 1.0
+
+
+class TestWrappedBasisTakesPerAccessorReads:
+    """A fault-injecting wrapper intercepts reads, so the streaming
+    reader must not decode its inner payload behind its back: it takes
+    the per-accessor route, with cached-mode bits when no fault fires."""
+
+    @pytest.mark.parametrize("backend", ["numpy", "jit"])
+    def test_wrapped_slot_falls_back_and_matches_cached(self, backend):
+        from repro.accessor import Frsz2Tiles
+        from repro.jit import resolve_backend
+        from repro.solvers.basis import KrylovBasis
+
+        backend = resolve_backend(backend, warn=False)
+        rng = np.random.default_rng(4)
+        n = 300
+        vectors = rng.standard_normal((n, 3))
+        w = rng.standard_normal(n)
+        out = []
+        for mode in ("cached", "streaming"):
+            injector = FaultInjector(0.0, 0)
+            slots = iter(range(4))
+
+            def factory(fmt, n, injector=injector, slots=slots):
+                acc = make_accessor(fmt, n, backend=backend)
+                # only slot 1 is wrapped: one ineligible accessor suffices
+                if next(slots) == 1:
+                    return FaultyAccessor(acc, injector, "payload_bitflip")
+                return acc
+
+            basis = KrylovBasis(n, 3, "frsz2_32", basis_mode=mode,
+                                tile_elems=64, storage_factory=factory)
+            for i in range(3):
+                basis.write_vector(i, vectors[:, i])
+            if mode == "streaming":
+                assert Frsz2Tiles.open(basis.accessors[:3]) is None
+            out.append((basis.dot_basis(3, w),
+                        basis.axpy(3, np.array([1.0, -0.5, 2.0]), w.copy())))
+        for c, s in zip(*out):
+            np.testing.assert_array_equal(c, s)
