@@ -68,6 +68,8 @@ class Frsz2Accessor(VectorAccessor):
         )
         self.name = f"frsz2_{bit_length}"
         self._compressed: Optional[Frsz2Compressed] = None
+        #: the compiled engine's pointers into ``_compressed`` (jit codecs)
+        self._pointers = None
 
     def set_tracer(self, tracer) -> None:
         """Attach a tracer to the accessor *and* its codec."""
@@ -79,8 +81,19 @@ class Frsz2Accessor(VectorAccessor):
     def write(self, values: np.ndarray) -> None:
         """Compress and store the full vector."""
         values = self._check_write(values)
-        self._compressed = self.codec.compress(values)
+        self._store(self.codec.compress(values))
         self._record_write()
+
+    def _store(self, comp: Frsz2Compressed) -> None:
+        """Keep ``comp`` as the stored payload, with its C pointers.
+
+        The pointers are made here, once per stored container, so a
+        fused call assembles its table from ready pointers; a replaced
+        container replaces them, and an in-place change to the stored
+        arrays is read through them as it is.
+        """
+        self._compressed = comp
+        self._pointers = self.codec.row_pointers(comp)
 
     def read(self) -> np.ndarray:
         """Decompress the full vector into a fresh float64 array."""
@@ -155,6 +168,7 @@ class Frsz2Accessor(VectorAccessor):
     def clear(self) -> None:
         """Drop the stored payload."""
         self._compressed = None
+        self._pointers = None
 
     def stored_nbytes(self) -> int:
         return self.codec.layout_for(self.n).total_nbytes
@@ -170,27 +184,38 @@ class Frsz2Accessor(VectorAccessor):
 
 
 class Frsz2Tiles:
-    """One fused call's tile source over several plain FRSZ2 accessors.
+    """One fused call's source over several plain FRSZ2 accessors.
 
-    The Python analog of the paper's fused warp decode: every tile of
-    **all** vectors decodes in one :meth:`~repro.core.frsz2.FRSZ2.
-    tile_decoder` call into the fused kernels' scratch rows.  Eligibility
-    is proved once, by :meth:`open`, not per tile; the decoder holds the
-    compressed arrays it was opened on alive and decodes what they hold
-    at the time of each :meth:`load`.  Each accessor's tile read is
-    billed individually, exactly like a per-accessor
-    :meth:`~Frsz2Accessor.read_tile` loop — which is also the bitwise
-    fallback this source is exchangeable with.
+    The Python analog of the paper's fused warp decode.  Eligibility is
+    proved once, by :meth:`open`; the source holds the containers (and
+    their C pointers) it was opened on alive and reads what they hold at
+    the time of each call.  Two routes serve it:
+
+    * :meth:`sweep` — under jit codecs, the engine's row table: one C
+      call per fused operation decodes each row-tile into a work buffer
+      and reduces it at once, so no tile is ever materialised;
+    * :meth:`load` — every tile of **all** vectors decoded in one
+      :meth:`~repro.core.frsz2.FRSZ2.tile_decoder` call into the fused
+      kernels' scratch rows (numpy codecs, and any tile-at-a-time user).
+
+    Either way each accessor's tile reads are billed individually,
+    exactly like a per-accessor :meth:`~Frsz2Accessor.read_tile` loop —
+    which is also the bitwise fallback this source is exchangeable with.
     """
 
     def __init__(self, accessors) -> None:
         self.accessors = accessors
-        layout = accessors[0]._compressed.layout
+        self._comps = [acc._compressed for acc in accessors]
+        layout = self._comps[0].layout
+        self._n = layout.n
         self._block_size = layout.block_size
         # per-block stored bytes: value words + one int32 exponent
         self._block_nbytes = layout.words_per_block * 4 + 4
-        self._decode = accessors[0].codec.tile_decoder(
-            [acc._compressed for acc in accessors]
+        self._decode = None
+        pointers = [acc._pointers for acc in accessors]
+        self._table = (
+            None if any(p is None for p in pointers)
+            else pointers[0].engine.row_table(pointers)
         )
         self._traced = [acc for acc in accessors if acc.tracer.enabled]
 
@@ -218,20 +243,46 @@ class Frsz2Tiles:
                 return None
         return cls(accessors)
 
-    def load(self, i0: int, i1: int, out: np.ndarray) -> None:
-        """Fill ``out[row, :i1 - i0]`` with every accessor's ``[i0, i1)``."""
-        self._decode(i0, i1, out)
-        if i0 == i1:
-            return
-        bs = self._block_size
-        nbytes = ((i1 - 1) // bs - i0 // bs + 1) * self._block_nbytes
+    def _bill(self, tiles: int, nbytes: int) -> None:
         for acc in self.accessors:
             traffic = acc.traffic
             traffic.bytes_read += nbytes
-            traffic.tile_reads += 1
+            traffic.tile_reads += tiles
         for acc in self._traced:
-            acc.tracer.count("accessor.tile_reads")
+            acc.tracer.count("accessor.tile_reads", tiles)
             acc.tracer.count("accessor.bytes_read", nbytes)
+
+    def _blocks(self, i0: int, i1: int) -> int:
+        bs = self._block_size
+        return (i1 - 1) // bs - i0 // bs + 1
+
+    def sweep(self, tile_elems: int):
+        """The engine's row table for one pass over the whole tile grid.
+
+        ``None`` unless every accessor carries C pointers (jit codecs).
+        Bills each accessor the ``ceil(n / tile_elems)`` tile reads of
+        the pass the caller is about to make in one C call.
+        """
+        if self._table is None:
+            return None
+        n = self._n
+        if tile_elems % self._block_size == 0:
+            blocks = self._blocks(0, n) if n else 0
+        else:  # blocks straddling a tile boundary are read twice
+            blocks = sum(
+                self._blocks(t0, min(t0 + tile_elems, n))
+                for t0 in range(0, n, tile_elems)
+            )
+        self._bill(-(-n // tile_elems), blocks * self._block_nbytes)
+        return self._table
+
+    def load(self, i0: int, i1: int, out: np.ndarray) -> None:
+        """Fill ``out[row, :i1 - i0]`` with every accessor's ``[i0, i1)``."""
+        if self._decode is None:
+            self._decode = self.accessors[0].codec.tile_decoder(self._comps)
+        self._decode(i0, i1, out)
+        if i0 != i1:
+            self._bill(1, self._blocks(i0, i1) * self._block_nbytes)
 
 
 def write_frsz2_batch(accessors, X: np.ndarray) -> bool:
@@ -294,6 +345,6 @@ def write_frsz2_batch(accessors, X: np.ndarray) -> bool:
     ]
     compressed = c0.compress_batch(columns)
     for acc, comp in zip(accessors, compressed):
-        acc._compressed = comp
+        acc._store(comp)
         acc._record_write()
     return True

@@ -581,6 +581,20 @@ class FRSZ2:
         self.tile_decoder(comps)(i0, i1, out)
         return out
 
+    def row_pointers(self, comp: Frsz2Compressed):
+        """The compiled engine's view of ``comp``, or ``None``.
+
+        Under ``backend="jit"`` this is the
+        :class:`repro.jit.cbackend.RowPointers` the fused reductions read
+        the container through, made once per stored container; the numpy
+        backend has no pointers.  Neither has a container whose exponent
+        stream is not ``int32`` (pointing at a converted copy would miss
+        a later in-place change): its readers decode it tile by tile.
+        """
+        if self.backend != "jit" or comp.exponents.dtype != np.int32:
+            return None
+        return _dispatch.load_engine().row_pointers(comp)
+
     def _decode_fields(
         self, fields: np.ndarray, e_max_per_value: np.ndarray
     ) -> np.ndarray:

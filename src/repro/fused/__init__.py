@@ -10,7 +10,6 @@ from .kernels import (
     axpy_fused,
     combine_fused,
     dot_basis_fused,
-    norm_fused,
     tile_grid,
 )
 
@@ -26,6 +25,5 @@ __all__ = [
     "combine_fused",
     "dot_basis_batch",
     "dot_basis_fused",
-    "norm_fused",
     "tile_grid",
 ]

@@ -3,25 +3,44 @@
 The paper's central performance claim is *fusion*: FRSZ2 decompression
 happens in-register inside the orthogonalization and solution-update
 kernels, so the compressed Krylov basis is never materialized as float64
-in main memory.  This module reproduces that kernel structure in NumPy:
-``dot_basis_fused`` (``V^T w``), ``combine_fused`` (``V y``),
-``axpy_fused`` (``w -= V y``) and ``norm_fused`` stream over the stored
-basis one *tile* at a time — a tile is a fixed run of storage blocks
-decoded for **all** ``j`` vectors at once into a small scratch buffer —
-and accumulate the result tile by tile.  The float64 working set is
-``O(tile x j)`` instead of the ``O(n x j)`` a materialized basis costs.
+in main memory.  ``dot_basis_fused`` (``V^T w``), ``combine_fused``
+(``V y``) and ``axpy_fused`` (``w -= V y``) reproduce that structure:
+they reduce the stored basis row by row over a fixed grid of *tiles*
+(runs of ``tile_elems`` elements), reading every row where it is stored.
+Under ``backend="jit"`` one C call per fused operation walks the whole
+grid: the columns of the cached mirror are read in place, and a
+streaming FRSZ2 basis is decoded one row-tile at a time into a
+``tile``-double work buffer and reduced at once — no ``(j, tile)``
+rectangle exists.  Sources C cannot walk (wrapped, mixed-format or
+unwritten slots, dense formats, numpy codecs) are loaded tile by tile
+into a ``(j, tile)`` scratch and reduced by the same kernels.
 
 Determinism contract
 --------------------
-Floating-point accumulation order is fixed by the tile grid, the scratch
-layout (one C-contiguous ``(j, tile)`` buffer) and the per-tile reduction,
-*not* by where the tile's values came from.  A :class:`CachedTileReader`
-(slicing a dense decompressed cache) and a :class:`StreamingTileReader`
-(decoding compressed payloads on the fly) therefore produce bit-identical
-results — the property the ``basis_mode={cached,streaming}`` knob of
-:class:`~repro.solvers.basis.KrylovBasis` relies on, and the reason a
-full-matrix BLAS call (whose internal blocking differs) is *not* used on
-the cached side.
+The accumulation order is written down here, not inherited from a BLAS
+kernel, so it is the same on every host, compiler and backend:
+
+**dot** — for each tile ``[t0, t1)`` in grid order, for each row ``r``
+    in order: eight accumulators ``a[0..7] = +0.0``;
+    ``a[(i - t0) mod 8] += v_r[i] * w[i]`` for ascending ``i`` (the
+    product is rounded, then the sum is rounded — no FMA); the tile
+    partial is ``((a0+a1)+(a2+a3))+((a4+a5)+(a6+a7))``; and
+    ``h[r] += partial`` starting from ``h[r] = +0.0``.
+**axpy / combine** — for each element ``i``: ``s = y[0] * v_0[i]``, then
+    ``s += y[r] * v_r[i]`` for ``r = 1 .. j-1``, then ``w[i] -= s``
+    (axpy) or ``out[i] = s`` (combine).  Independent of the grid.
+
+The result depends on the values of the rows, the operand and the tile
+size — *not* on where the rows came from.  A :class:`CachedTileReader`
+and a :class:`StreamingTileReader` over the same stored basis, the numpy
+and the compiled kernels, and a batch column and its solo call are
+therefore bit-identical: the property ``basis_mode={cached,streaming}``
+of :class:`~repro.solvers.basis.KrylovBasis` relies on.  The numpy
+kernels below spell the order out with operations whose order numpy
+defines (elementwise arithmetic and ``np.add.accumulate``); they are the
+no-compiler engine and the oracle of the engine's self-test.  Per-tile
+partials summed in tile order are also what a tile-parallel kernel needs
+to keep these bits for any thread count.
 
 On a GPU each tile maps onto a thread block's registers: the paper's
 "46 spare instructions" budget pays for the in-register decode while the
@@ -32,10 +51,11 @@ kernel stays bound by *compressed* memory traffic
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence
 
 import numpy as np
 
+from ..accessor.frsz2_accessor import Frsz2Tiles
 from ..jit import dispatch as _dispatch
 from ..observe import NULL_TRACER
 
@@ -49,12 +69,15 @@ __all__ = [
     "dot_basis_fused",
     "combine_fused",
     "axpy_fused",
-    "norm_fused",
 ]
 
 #: default decoded-tile size in elements (64 FRSZ2 warp blocks); the
 #: per-basis value is rounded up to the storage format's block size
 DEFAULT_TILE_ELEMS = 2048
+
+#: elements per pass of the numpy axpy (its order is grid-independent;
+#: this only bounds the two temporaries)
+_NUMPY_AXPY_PIECE = 8192
 
 
 @dataclass
@@ -73,11 +96,12 @@ class FusedOpLog:
     axpy_vectors: int = 0
     combine_calls: int = 0
     combine_vectors: int = 0
-    norm_calls: int = 0
     tiles: int = 0
-    #: decoded values streamed through scratch (sum of tile x j)
+    #: basis values reduced (sum of n x j)
     values: int = 0
-    #: largest float64 scratch buffer any fused call allocated
+    #: largest float64 buffer any fused call allocated: the ``tile``-double
+    #: decode buffer of a compressed source, or the ``(j, tile)`` scratch
+    #: of a source loaded tile by tile (rows read in place need neither)
     peak_scratch_bytes: int = 0
 
     def observe_scratch(self, nbytes: int) -> None:
@@ -88,8 +112,8 @@ class FusedOpLog:
 def tile_grid(n: int, tile_elems: int) -> "List[tuple[int, int]]":
     """The fixed ``[t0, t1)`` tile ranges covering ``n`` elements.
 
-    Both basis modes iterate exactly this grid, which is what pins the
-    accumulation order (and hence bit-identity) between them.
+    Both basis modes reduce over exactly this grid, which is what pins
+    the accumulation order (and hence bit-identity) between them.
     """
     if tile_elems < 1:
         raise ValueError("tile_elems must be positive")
@@ -97,65 +121,94 @@ def tile_grid(n: int, tile_elems: int) -> "List[tuple[int, int]]":
 
 
 class TileReader:
-    """Source of decoded basis tiles for the fused kernels.
+    """Source of basis rows for the fused kernels.
 
-    A reader exposes ``n`` (vector length), ``j`` (leading vectors) and
-    :meth:`load`, which fills ``out[:, :t1 - t0]`` with rows
-    ``v_0[t0:t1] ... v_{j-1}[t0:t1]`` in float64.  Subclasses differ only
-    in where the values come from; they must deliver bit-identical
-    values for the same stored basis.
+    A reader exposes ``n`` (vector length), ``j`` (leading vectors),
+    ``backend`` (which kernels reduce it) and two ways to its rows
+    ``v_0 ... v_{j-1}``, which must deliver bit-identical values:
+
+    * :meth:`rows` — the rows where they are stored, for one pass over
+      the whole tile grid, or ``None`` when they cannot be read in place;
+    * :meth:`load` — fill ``out[:, :t1 - t0]`` with ``v_r[t0:t1]``.
     """
 
     n: int
     j: int
+    backend: str = "numpy"
+
+    def rows(self, tile_elems: int):
+        """A ``(>= j, >= n)`` C-contiguous float64 array, an engine row
+        table (``backend="jit"`` only), or ``None``."""
+        return None
 
     def load(self, t0: int, t1: int, out: np.ndarray) -> None:
         raise NotImplementedError
 
 
 class CachedTileReader(TileReader):
-    """Tiles sliced out of a dense decompressed ``(n, m+1)`` cache."""
+    """Rows read in place from a dense decompressed ``(n, m+1)`` cache.
 
-    def __init__(self, cache: np.ndarray, j: int) -> None:
+    The columns of a Fortran-ordered cache are the rows of its
+    transpose, so the kernels read them where they are, with no copy;
+    any other layout is served tile by tile through :meth:`load`.
+    """
+
+    def __init__(self, cache: np.ndarray, j: int, backend: Optional[str] = None) -> None:
+        if cache.ndim != 2 or not 0 <= j <= cache.shape[1]:
+            raise ValueError(
+                f"cache must be an (n, >= j) array; got shape {cache.shape} for j={j}"
+            )
         self.cache = cache
         self.n = int(cache.shape[0])
         self.j = int(j)
+        self.backend = _dispatch.resolve_backend(backend)
+
+    def rows(self, tile_elems: int):
+        rows = self.cache.T
+        if rows.dtype == np.float64 and rows.flags.c_contiguous:
+            return rows
+        return None
 
     def load(self, t0: int, t1: int, out: np.ndarray) -> None:
         out[:, : t1 - t0] = self.cache[t0:t1, : self.j].T
 
 
 class StreamingTileReader(TileReader):
-    """Tiles decoded on the fly from the accessors' compressed payloads.
+    """Rows decoded on the fly from the accessors' compressed payloads.
 
-    A reader lives for one fused call.  On its first :meth:`load` it
-    proves, once, whether the leading ``j`` accessors are plain FRSZ2
-    accessors with written payloads over one layout (:meth:`repro.
-    accessor.frsz2_accessor.Frsz2Tiles.open`); if so every load is one
-    codec tile decode straight into the scratch rows — under
-    ``backend="jit"`` a single C call through a pointer table built
-    then — the analog of the paper's warp-per-block fused decode.
-    Wrapped (fault-injecting), mixed-format and unwritten bases take
-    one :meth:`~repro.accessor.base.VectorAccessor.read_tile` call per
-    vector instead, with identical bits and identical traffic totals.
-    (A reader stacked under a :class:`~repro.fused.batch.
-    BatchTileReader` whose own source serves every column never loads,
-    and so never builds a table of its own.)
+    The reader proves, once, whether the leading ``j`` accessors are
+    plain FRSZ2 accessors with written payloads over one layout
+    (:meth:`repro.accessor.frsz2_accessor.Frsz2Tiles.open`).  If so and
+    the codecs are compiled, :meth:`rows` is the engine's row table: one
+    C call per fused operation decodes each row-tile into a work buffer
+    and reduces it at once — the analog of the paper's warp-per-block
+    fused decode.  Otherwise :meth:`load` fills a scratch tile: one codec
+    pass for eligible accessors under numpy codecs, one
+    :meth:`~repro.accessor.base.VectorAccessor.read_tile` per vector for
+    wrapped (fault-injecting), mixed-format, unwritten or dense-format
+    slots — identical bits and identical traffic totals on every route.
+    ``backend`` defaults to ``"jit"`` when every accessor's codec is
+    compiled, else ``"numpy"``.
     """
 
-    def __init__(self, accessors: Sequence, j: int) -> None:
+    def __init__(self, accessors: Sequence, j: int, backend: Optional[str] = None) -> None:
         self.accessors = list(accessors[:j])
         self.j = int(j)
         self.n = int(accessors[0].n) if accessors else 0
-        self._tiles = None
-        self._opened = False
+        if backend is None and self.accessors and all(
+            getattr(getattr(acc, "codec", None), "backend", None) == "jit"
+            for acc in self.accessors
+        ):
+            backend = "jit"
+        self.backend = _dispatch.resolve_backend(backend)
+        self._tiles = Frsz2Tiles.open(self.accessors)
+
+    def rows(self, tile_elems: int):
+        if self._tiles is None or self.backend != "jit":
+            return None
+        return self._tiles.sweep(tile_elems)
 
     def load(self, t0: int, t1: int, out: np.ndarray) -> None:
-        if not self._opened:
-            from ..accessor.frsz2_accessor import Frsz2Tiles
-
-            self._tiles = Frsz2Tiles.open(self.accessors)
-            self._opened = True
         if self._tiles is not None:
             self._tiles.load(t0, t1, out)
             return
@@ -163,26 +216,141 @@ class StreamingTileReader(TileReader):
             out[row, : t1 - t0] = acc.read_tile(t0, t1)
 
 
-def _scratch_for(reader: TileReader, tile_elems: int, log: Optional[FusedOpLog]) -> np.ndarray:
-    scratch = np.empty((reader.j, min(tile_elems, max(reader.n, 1))))
+# ----------------------------------------------------------------------
+# the written order in numpy (reference kernels over float64 rows)
+# ----------------------------------------------------------------------
+
+
+def dot_rows_numpy(rows, j, n, tile, w, h, work=None) -> None:
+    """``h[r] += v_r[:n] . w`` in the written lane order (see module doc).
+
+    ``rows[r, i]`` is ``v_r[i]``.  A tile's products are laid out as
+    lane-rows of eight under a leading lane-row of ``+0.0`` and zero
+    padding after the ``len mod 8`` tail, so one ``np.add.accumulate``
+    along the lane-row axis performs every lane's sequential sum
+    (``+0.0`` added to a lane that never holds ``-0.0`` changes nothing).
+    """
+    lane_rows = -(-min(tile, n) // 8) + 1
+    products = np.zeros((j, lane_rows * 8))
+    sums = np.empty((j, lane_rows, 8))
+    for t0 in range(0, n, tile):
+        t1 = min(t0 + tile, n)
+        used = -(-(t1 - t0) // 8) + 1
+        np.multiply(rows[:j, t0:t1], w[t0:t1], out=products[:, 8:8 + t1 - t0])
+        products[:, 8 + t1 - t0:8 * used] = 0.0
+        a = np.add.accumulate(
+            products[:, :8 * used].reshape(j, used, 8), axis=1, out=sums[:, :used]
+        )[:, -1]
+        h += ((a[:, 0] + a[:, 1]) + (a[:, 2] + a[:, 3])) + (
+            (a[:, 4] + a[:, 5]) + (a[:, 6] + a[:, 7])
+        )
+
+
+def axpy_rows_numpy(rows, j, n, y, w, store=False) -> None:
+    """``w[:n] -= sum_r y[r] v_r[:n]`` (``store``: ``w = sum``), each
+    element's sum running over the rows in order."""
+    piece = min(n, _NUMPY_AXPY_PIECE)
+    s, term = np.empty(piece), np.empty(piece)
+    for i0 in range(0, n, piece):
+        i1 = min(i0 + piece, n)
+        si, ti = s[: i1 - i0], term[: i1 - i0]
+        np.multiply(rows[0, i0:i1], y[0], out=si)
+        for r in range(1, j):
+            np.multiply(rows[r, i0:i1], y[r], out=ti)
+            si += ti
+        if store:
+            w[i0:i1] = si
+        else:
+            w[i0:i1] -= si
+
+
+def _row_kernels(reader: TileReader):
+    """``(dot, axpy)`` row kernels of the reader's backend."""
+    if reader.backend == "jit":
+        engine = _dispatch.load_engine()
+        return engine.fused_dot, engine.fused_axpy
+    return dot_rows_numpy, axpy_rows_numpy
+
+
+# ----------------------------------------------------------------------
+# the fused operations
+# ----------------------------------------------------------------------
+
+
+def _operand(arr, shape, name: str, order: str = "C") -> np.ndarray:
+    """``arr`` as given, once it is what the kernels will index.
+
+    The row kernels read raw memory (under jit, in C), so an operand is
+    a float64 array of ``order`` contiguity and of ``shape`` (``None``:
+    any extent) — or a named error, never a broadcast failure or an
+    out-of-bounds read.
+    """
+    if not (
+        isinstance(arr, np.ndarray)
+        and arr.dtype == np.float64
+        and arr.ndim == len(shape)
+        and arr.flags[f"{order}_CONTIGUOUS"]
+        and all(want in (None, have) for have, want in zip(arr.shape, shape))
+    ):
+        raise ValueError(
+            f"{name} must be a {order}-contiguous float64 array of shape "
+            f"{shape} (None: any), got {getattr(arr, 'dtype', type(arr).__name__)} "
+            f"{getattr(arr, 'shape', '')}"
+        )
+    return arr
+
+
+def _coefficients(y, j: int) -> np.ndarray:
+    """The leading ``j`` coefficients of the float64 vector ``y``."""
+    y = _operand(y, (None,), "y")
+    if y.shape[0] < j:
+        raise ValueError(
+            f"y must hold at least j={j} coefficients, got {y.shape[0]}"
+        )
+    return y[:j]
+
+
+def _pieces(reader: TileReader, tile_elems: int, log: Optional[FusedOpLog]) -> Iterator:
+    """``(rows, work, t0, t1)`` pieces covering the reader's ``n`` values.
+
+    Rows readable where they are stored come as one piece over the whole
+    grid (``work`` is the decode buffer a compressed source needs);
+    anything else comes tile by tile in a reused ``(j, tile)`` scratch.
+    """
+    if tile_elems < 1:
+        raise ValueError("tile_elems must be positive")
+    n = reader.n
+    tile = min(tile_elems, n)
+    rows = reader.rows(tile_elems)
+    if rows is not None:
+        work = None if isinstance(rows, np.ndarray) else np.empty(tile)
+        if log is not None and work is not None:
+            log.observe_scratch(work.nbytes)
+        yield rows, work, 0, n
+        return
+    scratch = np.empty((reader.j, tile))
     if log is not None:
         log.observe_scratch(scratch.nbytes)
-    return scratch
+    for t0 in range(0, n, tile_elems):
+        t1 = min(t0 + tile_elems, n)
+        reader.load(t0, t1, scratch)
+        yield scratch, None, t0, t1
 
 
 def _count_call(
-    tracer, log: Optional[FusedOpLog], kind: str, vectors: int, tiles: int, values: int
+    tracer, log: Optional[FusedOpLog], kind: str, reader: TileReader, tile_elems: int
 ) -> None:
+    j = reader.j
+    tiles = -(-reader.n // tile_elems)
     if log is not None:
         setattr(log, f"{kind}_calls", getattr(log, f"{kind}_calls") + 1)
-        if kind != "norm":
-            setattr(log, f"{kind}_vectors", getattr(log, f"{kind}_vectors") + vectors)
+        setattr(log, f"{kind}_vectors", getattr(log, f"{kind}_vectors") + j)
         log.tiles += tiles
-        log.values += values
+        log.values += j * reader.n
     if tracer.enabled:
         tracer.count(f"basis.fused.{kind}_calls")
         tracer.count("basis.fused.tiles", tiles)
-        tracer.count("basis.fused.values", values)
+        tracer.count("basis.fused.values", j * reader.n)
 
 
 def dot_basis_fused(
@@ -192,13 +360,13 @@ def dot_basis_fused(
     tracer=NULL_TRACER,
     log: Optional[FusedOpLog] = None,
 ) -> np.ndarray:
-    """``V_j^T w`` streamed tile-by-tile over the compressed basis.
+    """``V_j^T w`` reduced tile-by-tile over the stored basis.
 
     Parameters
     ----------
     reader : TileReader
-        Decoded-tile source for the leading ``j`` basis vectors.
-    w : ndarray, shape (n,), dtype float64
+        Row source for the leading ``j`` basis vectors.
+    w : ndarray, shape (n,), dtype float64, contiguous
         The vector being orthogonalized (Fig. 1 step 4).
     tile_elems : int
         Tile size in elements; part of the determinism contract — the
@@ -209,19 +377,35 @@ def dot_basis_fused(
     Returns
     -------
     ndarray, shape (j,)
-        The projection coefficients, accumulated in tile order.
+        The projection coefficients, in the written order.
+
+    Raises
+    ------
+    ValueError
+        If ``w`` is not a contiguous float64 vector of length ``n``.
     """
     j = reader.j
-    if j == 0:
-        return np.zeros(0)
-    grid = tile_grid(reader.n, tile_elems)
-    scratch = _scratch_for(reader, tile_elems, log)
+    w = _operand(w, (reader.n,), "w")
     h = np.zeros(j)
-    for t0, t1 in grid:
-        reader.load(t0, t1, scratch)
-        h += scratch[:, : t1 - t0] @ w[t0:t1]
-    _count_call(tracer, log, "dot", j, len(grid), j * reader.n)
+    if j == 0:
+        return h
+    dot_rows, _ = _row_kernels(reader)
+    for rows, work, t0, t1 in _pieces(reader, tile_elems, log):
+        dot_rows(rows, j, t1 - t0, tile_elems, w[t0:t1], h, work)
+    _count_call(tracer, log, "dot", reader, tile_elems)
     return h
+
+
+def _axpy(reader, y, w, tile_elems, tracer, log, kind: str) -> np.ndarray:
+    j = reader.j
+    if j == 0:
+        return w
+    y = _coefficients(y, j)
+    _, axpy_rows = _row_kernels(reader)
+    for rows, _, t0, t1 in _pieces(reader, tile_elems, log):
+        axpy_rows(rows, j, t1 - t0, y, w[t0:t1], kind == "combine")
+    _count_call(tracer, log, kind, reader, tile_elems)
+    return w
 
 
 def combine_fused(
@@ -231,24 +415,12 @@ def combine_fused(
     tracer=NULL_TRACER,
     log: Optional[FusedOpLog] = None,
 ) -> np.ndarray:
-    """``V_j y`` assembled tile-by-tile (Fig. 1 step 18).
+    """``V_j y`` assembled element by element (Fig. 1 step 18).
 
-    Every output element is produced by exactly one per-tile vec-mat
-    product, so the result depends only on the tile grid and scratch
-    layout — identical across basis modes.
+    Every output element is one sum over the rows in order, so the
+    result is independent of the tile grid and of the row source.
     """
-    j = reader.j
-    out = np.zeros(reader.n)
-    if j == 0:
-        return out
-    grid = tile_grid(reader.n, tile_elems)
-    scratch = _scratch_for(reader, tile_elems, log)
-    yj = np.ascontiguousarray(y[:j], dtype=np.float64)
-    for t0, t1 in grid:
-        reader.load(t0, t1, scratch)
-        out[t0:t1] = yj @ scratch[:, : t1 - t0]
-    _count_call(tracer, log, "combine", j, len(grid), j * reader.n)
-    return out
+    return _axpy(reader, y, np.zeros(reader.n), tile_elems, tracer, log, "combine")
 
 
 def axpy_fused(
@@ -264,65 +436,29 @@ def axpy_fused(
     Element-for-element this computes the same update as
     ``w - combine_fused(reader, y)`` (each element is touched once), but
     never materializes the ``(n,)`` product vector: the subtraction
-    happens tile-by-tile while the decoded tile is scratch-resident —
+    happens while the partial sums are register- or stack-resident —
     the fused-update kernel of the paper's solution update.
+
+    Raises
+    ------
+    ValueError
+        If ``w`` is not a contiguous float64 vector of length ``n`` or
+        ``y`` holds fewer than ``j`` float64 coefficients.
     """
-    j = reader.j
-    if j == 0:
-        return w
-    grid = tile_grid(reader.n, tile_elems)
-    scratch = _scratch_for(reader, tile_elems, log)
-    yj = np.ascontiguousarray(y[:j], dtype=np.float64)
-    for t0, t1 in grid:
-        reader.load(t0, t1, scratch)
-        w[t0:t1] -= yj @ scratch[:, : t1 - t0]
-    _count_call(tracer, log, "axpy", j, len(grid), j * reader.n)
-    return w
+    w = _operand(w, (reader.n,), "w")
+    return _axpy(reader, y, w, tile_elems, tracer, log, "axpy")
 
 
-def norm_fused(
-    segments: "Callable[[int, int], np.ndarray]",
-    n: int,
-    tile_elems: int = DEFAULT_TILE_ELEMS,
-    tracer=NULL_TRACER,
-    log: Optional[FusedOpLog] = None,
-) -> float:
-    """2-norm of one stored vector, streamed tile-by-tile.
-
-    ``segments(t0, t1)`` returns the decoded values of ``[t0, t1)`` —
-    a cache-column slice (cached mode) or a freshly decoded tile
-    (streaming mode); both are contiguous float64, so the per-tile
-    ``seg @ seg`` reduction and the tile-order accumulation pin the
-    result bit-for-bit across modes.
-    """
-    total = 0.0
-    grid = tile_grid(n, tile_elems)
-    for t0, t1 in grid:
-        seg = segments(t0, t1)
-        total += float(seg @ seg)
-    _count_call(tracer, log, "norm", 1, len(grid), n)
-    return float(np.sqrt(total))
-
-
-# The fused tile kernels are registered for the numpy backend here; the
-# jit backend registers the *same* callables (see
-# ``repro.jit.dispatch._ensure_jit_kernels``).  The per-tile BLAS ``@``
-# reduction over the C-contiguous ``(j, tile)`` scratch is the
-# determinism contract itself — its internal blocking cannot be replayed
-# in scalar compiled code — so it stays, in both basis modes and both
-# backends.  What ``backend="jit"`` replaces is how a streaming tile gets
-# *into* the scratch: one ``frsz2_decode_tile`` C call per tile, through a
-# pointer table the :class:`StreamingTileReader` builds once per fused
-# call, decoding each block as ``c_sig * 2^(e_max - (l-2) - 1023)`` (an
-# exact product whenever ``l <= 54`` and every nonzero value of the block
-# is normal; bit assembly otherwise) — byte-equal to the numpy reference
-# pass.  A reduction that never materialises the tile is still open
-# behind this contract (ROADMAP item 1b).
+# Registered under both backends (the jit side in ``repro.jit.dispatch.
+# _ensure_jit_kernels``): the *reader's* backend picks the row kernels, so
+# one callable serves both names — ``dot_rows_numpy`` / ``axpy_rows_numpy``
+# above, or the C ``fused_dot`` / ``fused_axpy`` of ``repro.jit.cbackend``,
+# one routine fed by float64 rows in place or FRSZ2 rows decoded a
+# row-tile at a time, held to these numpy kernels by the engine self-test.
 for _name, _fn in (
     ("fused.dot_basis", dot_basis_fused),
     ("fused.combine", combine_fused),
     ("fused.axpy", axpy_fused),
-    ("fused.norm", norm_fused),
 ):
     _dispatch.register_kernel(_name, "numpy", _fn)
 del _name, _fn

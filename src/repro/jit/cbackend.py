@@ -19,6 +19,11 @@ Every kernel replays the numpy reference *operation for operation*:
 * the SpMV kernels accumulate each row strictly sequentially in entry
   order, exactly like ``np.bincount`` (CSR) and the slot-wise ELL/SELL
   passes;
+* the fused basis reductions (``fused_dot`` / ``fused_axpy``) follow the
+  accumulation order written in :mod:`repro.fused.kernels` — eight
+  independent lanes and a fixed tree per tile, a row-ordered sum per
+  element — whatever the rows come from: float64 rows read in place or
+  FRSZ2 containers decoded a row piece at a time feed the same loop;
 * the build forces ``-ffp-contract=off`` so the compiler cannot fuse a
   multiply-add into an FMA, which would change the rounding of every
   accumulation against the reference.
@@ -39,7 +44,7 @@ import tempfile
 
 import numpy as np
 
-__all__ = ["CEngine", "TileTable", "C_SOURCE"]
+__all__ = ["CEngine", "RowPointers", "TileTable", "C_SOURCE"]
 
 C_SOURCE = r"""
 #include <stdint.h>
@@ -344,6 +349,95 @@ void frsz2_decode_gather(const uint8_t *payload, int32_t kind,
     }
 }
 
+/* ---- fused basis reductions ------------------------------------------
+ * A source is j rows of n values: float64 rows read where they are stored
+ * (row r = dense + r * ld: the columns of the basis mirror, or the rows
+ * of a scratch a fallback reader filled) or, when dense == NULL, FRSZ2
+ * containers of one layout, decoded one row piece at a time into buf. */
+#define FUSED_SOURCE                                                      \
+    const double *dense, int64_t ld, const uint8_t *const *payloads,      \
+    const int32_t *const *exponents, int32_t kind, int64_t nwords,        \
+    int64_t bs, int64_t l, int64_t wpb
+#define FUSED_ROW(r, i0, i1, buf)                                         \
+    (dense ? dense + (r) * ld + (i0)                                      \
+           : (decode_range(payloads[r], kind, nwords, exponents[r], i0,   \
+                           i1, bs, l, wpb, buf), (const double *)(buf)))
+
+/* h[r] += the tile partial of v_r . w, for every tile [t0, t1) of the
+ * grid in order and every row in order.  The partial is the written
+ * lane order: eight accumulators from +0.0, element i joins lane
+ * (i - t0) mod 8 as a rounded product added with a rounded sum, then
+ * the fixed tree below.  The eight lanes are independent, so the
+ * vectoriser may keep them in any register width without moving a bit. */
+void fused_dot(FUSED_SOURCE, int64_t j, int64_t n, int64_t tile,
+               const double *w, double *h, double *work)
+{
+    for (int64_t t0 = 0; t0 < n; t0 += tile) {
+        int64_t len = (t0 + tile < n ? t0 + tile : n) - t0;
+        const double *restrict x = w + t0;
+        for (int64_t r = 0; r < j; r++) {
+            const double *restrict v = FUSED_ROW(r, t0, t0 + len, work);
+            double a[8] = {0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0};
+            int64_t i = 0;
+            for (; i + 8 <= len; i += 8)
+                for (int k = 0; k < 8; k++)
+                    a[k] += v[i + k] * x[i + k];
+            for (int k = 0; i < len; i++, k++)
+                a[k] += v[i] * x[i];
+            h[r] += ((a[0] + a[1]) + (a[2] + a[3]))
+                    + ((a[4] + a[5]) + (a[6] + a[7]));
+        }
+    }
+}
+
+/* Per element: s = y[0] v_0[i], then s += y[r] v_r[i] for r = 1..j-1,
+ * then w[i] -= s (store == 0) or w[i] = s (store != 0: combine).  Every
+ * element is independent, so the walk is free: short pieces keep the
+ * partial sums and the decoded row pieces on the stack, and rows are
+ * taken four at a time so a partial sum stays in a register across four
+ * of its additions — still added one row after the other, in row order. */
+#define FUSED_PIECE 256
+void fused_axpy(FUSED_SOURCE, int64_t j, int64_t n, const double *y,
+                double *w, int32_t store)
+{
+    double s[FUSED_PIECE], buf[4][FUSED_PIECE];
+    for (int64_t i0 = 0; i0 < n; i0 += FUSED_PIECE) {
+        int64_t len = (i0 + FUSED_PIECE < n ? i0 + FUSED_PIECE : n) - i0;
+        const double *restrict a = FUSED_ROW(0, i0, i0 + len, buf[0]);
+        double ca = y[0];
+        for (int64_t i = 0; i < len; i++)
+            s[i] = ca * a[i];
+        int64_t r = 1;
+        for (; r + 4 <= j; r += 4) {
+            a = FUSED_ROW(r, i0, i0 + len, buf[0]);
+            const double *restrict b = FUSED_ROW(r + 1, i0, i0 + len, buf[1]);
+            const double *restrict c = FUSED_ROW(r + 2, i0, i0 + len, buf[2]);
+            const double *restrict d = FUSED_ROW(r + 3, i0, i0 + len, buf[3]);
+            double cb = y[r + 1], cc = y[r + 2], cd = y[r + 3];
+            ca = y[r];
+            for (int64_t i = 0; i < len; i++) {
+                double t = s[i] + ca * a[i];
+                t += cb * b[i];
+                t += cc * c[i];
+                s[i] = t + cd * d[i];
+            }
+        }
+        for (; r < j; r++) {
+            a = FUSED_ROW(r, i0, i0 + len, buf[0]);
+            ca = y[r];
+            for (int64_t i = 0; i < len; i++)
+                s[i] += ca * a[i];
+        }
+        double *restrict o = w + i0;
+        if (store)
+            for (int64_t i = 0; i < len; i++)
+                o[i] = s[i];
+        else
+            for (int64_t i = 0; i < len; i++)
+                o[i] -= s[i];
+    }
+}
+
 /* y = A @ x, CSR with an expanded per-entry row array: entries
  * accumulate in stored order, exactly like np.bincount. */
 void csr_matvec(const int64_t *rows, const int64_t *cols,
@@ -465,6 +559,18 @@ void frsz2_decode_gather(const uint8_t *payload, int32_t kind,
                          int64_t nwords, const int32_t *exponents,
                          const int64_t *idx, int64_t m, int64_t bs,
                          int64_t l, int64_t wpb, double *out);
+void fused_dot(const double *dense, int64_t ld,
+               const uint8_t *const *payloads,
+               const int32_t *const *exponents, int32_t kind,
+               int64_t nwords, int64_t bs, int64_t l, int64_t wpb,
+               int64_t j, int64_t n, int64_t tile, const double *w,
+               double *h, double *work);
+void fused_axpy(const double *dense, int64_t ld,
+                const uint8_t *const *payloads,
+                const int32_t *const *exponents, int32_t kind,
+                int64_t nwords, int64_t bs, int64_t l, int64_t wpb,
+                int64_t j, int64_t n, const double *y, double *w,
+                int32_t store);
 void csr_matvec(const int64_t *rows, const int64_t *cols,
                 const double *data, int64_t nnz, const double *x,
                 double *y, int64_t m);
@@ -544,49 +650,65 @@ def _build_library() -> str:
     return lib_path
 
 
-class TileTable:
-    """C pointer table over ``j`` same-layout containers.
+class RowPointers:
+    """The C view of one stored container: its two array pointers.
 
-    Built once, called once per tile: ``table(i0, i1, out)`` writes
-    rows ``v_0[i0:i1] ... v_{j-1}[i0:i1]`` into the C-contiguous
-    ``(j, >= i1 - i0)`` float64 buffer ``out`` in a single C call.  The
-    table points into the containers' arrays — the row pointers own
-    references that keep them alive for the table's lifetime — and
-    copies nothing, so an in-place change to a stored payload is decoded
-    as it is *now*.  The caller (:meth:`repro.core.frsz2.FRSZ2.
-    tile_decoder`) has checked that the containers share one layout and
-    that the window and ``out`` fit.
+    Made once per container (an accessor makes it when the container is
+    stored), so a fused call assembles its table from ready pointers.
+    Each pointer owns a reference that keeps its array alive and reads
+    the array where it is: an in-place change to a stored payload is
+    decoded as it is *now*.  The arrays are checked against the layout
+    here, before C may index them by the layout alone.
     """
 
-    __slots__ = ("_engine", "_keep", "_args")
+    __slots__ = ("engine", "layout", "payload", "exponents")
 
-    def __init__(self, engine: "CEngine", comps) -> None:
-        layout = comps[0].layout
+    def __init__(self, engine: "CEngine", comp) -> None:
+        layout = comp.layout
         if layout.is_aligned:
             dtype = np.dtype(f"uint{layout.bit_length}")
             size = layout.num_blocks * layout.block_size
         else:
             dtype, size = np.dtype(np.uint32), layout.value_words
-        for c in comps:
-            # the C loop indexes every array by the shared layout alone
-            if (c.payload.dtype != dtype or c.payload.size != size
-                    or c.exponents.size != layout.num_blocks):
-                raise ValueError(
-                    "container arrays do not match their block layout"
-                )
+        if (comp.payload.dtype != dtype or comp.payload.size != size
+                or comp.exponents.size != layout.num_blocks):
+            raise ValueError(
+                "container arrays do not match their block layout"
+            )
+        self.engine = engine
+        self.layout = layout
+        self.payload = engine._ptr(comp.payload, "uint8_t *")
+        self.exponents = engine._ptr(engine._exponents(comp), "int32_t *")
+
+
+class TileTable:
+    """C pointer table over ``j`` same-layout containers.
+
+    The compressed source of the fused reductions
+    (:meth:`CEngine.fused_dot` / :meth:`CEngine.fused_axpy` decode and
+    reduce each row piece in registers) and, called as
+    ``table(i0, i1, out)``, the window decoder that writes rows
+    ``v_0[i0:i1] ... v_{j-1}[i0:i1]`` into the C-contiguous
+    ``(j, >= i1 - i0)`` float64 buffer ``out`` in one C call.  It holds
+    the :class:`RowPointers` it was built from and copies nothing.  The
+    caller has checked that the containers share one layout.
+    """
+
+    __slots__ = ("_engine", "_rows", "layout", "count", "source")
+
+    def __init__(self, engine: "CEngine", rows) -> None:
         self._engine = engine
-        payloads = [engine._ptr(c.payload, "uint8_t *") for c in comps]
-        exponents = [
-            engine._ptr(engine._exponents(c), "int32_t *") for c in comps
-        ]
-        #: the row pointers own the references that keep the arrays alive
-        self._keep = (payloads, exponents)
-        self._args = (
-            engine._ffi.new("uint8_t *[]", payloads),
-            engine._ffi.new("int32_t *[]", exponents),
-            len(comps),
+        self._rows = rows = list(rows)
+        self.layout = layout = rows[0].layout
+        self.count = len(rows)
+        #: the FUSED_SOURCE arguments of the C kernels
+        self.source = (
+            engine._ffi.NULL,
+            0,
+            engine._ffi.new("uint8_t *[]", [r.payload for r in rows]),
+            engine._ffi.new("int32_t *[]", [r.exponents for r in rows]),
             engine._payload_kind(layout),
-            0 if layout.is_aligned else size,
+            0 if layout.is_aligned else layout.value_words,
             layout.block_size,
             layout.bit_length,
             layout.words_per_block,
@@ -595,7 +717,8 @@ class TileTable:
     def __call__(self, i0: int, i1: int, out: np.ndarray) -> None:
         engine = self._engine
         engine._lib.frsz2_decode_tile(
-            *self._args, i0, i1, engine._ptr(out, "double *"), out.shape[1]
+            *self.source[2:4], self.count, *self.source[4:], i0, i1,
+            engine._ptr(out, "double *"), out.shape[1],
         )
 
 
@@ -769,9 +892,94 @@ class CEngine:
             )
         return out
 
+    def row_pointers(self, comp) -> "RowPointers":
+        """``comp``'s array pointers, checked against its layout."""
+        return RowPointers(self, comp)
+
+    def row_table(self, rows) -> "TileTable":
+        """Same-layout :class:`RowPointers` as one fused-kernel source."""
+        return TileTable(self, rows)
+
     def decode_tile(self, comps) -> "TileTable":
         """Same-layout containers prepared for repeated window decodes."""
-        return TileTable(self, comps)
+        return TileTable(self, [RowPointers(self, c) for c in comps])
+
+    # -- fused basis reductions -----------------------------------------
+
+    def _fused_source(self, rows, j: int, n: int):
+        """The C source arguments for ``j`` rows of ``n`` values of ``rows``.
+
+        ``rows`` is a :class:`TileTable` or a C-contiguous float64
+        ``(>= j, >= n)`` array whose rows are read in place.
+        """
+        if isinstance(rows, TileTable):
+            if rows._engine is not self:
+                raise ValueError("row table belongs to another engine")
+            count, length, source = rows.count, rows.layout.n, rows.source
+            if n != length:
+                raise ValueError(
+                    f"compressed rows hold {length} values, not n={n}"
+                )
+        elif (isinstance(rows, np.ndarray) and rows.ndim == 2
+                and rows.dtype == np.float64 and rows.flags.c_contiguous):
+            count, length = rows.shape
+            source = (self._ptr(rows, "double *"), length,
+                      self._ffi.NULL, self._ffi.NULL, 0, 0, 0, 0, 0)
+        else:
+            raise ValueError(
+                "rows must be a TileTable or a C-contiguous 2-D float64 array"
+            )
+        if not 0 <= j <= count or not 0 <= n <= length:
+            raise ValueError(
+                f"source holds {count} rows of {length} values; asked for "
+                f"j={j}, n={n}"
+            )
+        return source
+
+    def _operand(self, arr, size: int, name: str, written: bool = False):
+        """Pointer to a contiguous float64 vector of at least ``size``."""
+        if (not isinstance(arr, np.ndarray) or arr.dtype != np.float64
+                or arr.ndim != 1 or arr.size < size
+                or not arr.flags.c_contiguous
+                or (written and not arr.flags.writeable)):
+            raise ValueError(
+                f"{name} must be a contiguous{' writable' * written} float64 "
+                f"vector of at least {size} values"
+            )
+        return self._ptr(arr, "double *")
+
+    def fused_dot(self, rows, j, n, tile, w, h, work=None) -> None:
+        """``h[r] += v_r[:n] . w`` for the leading ``j`` rows, in place.
+
+        One C call walks the tile grid of ``tile`` elements in the
+        written lane order (see ``fused_dot`` in ``C_SOURCE``).  A
+        compressed source decodes one row-tile at a time into ``work``
+        (at least ``min(tile, n)`` values); float64 rows need none.
+        Everything C will index is checked here first.
+        """
+        j, n, tile = int(j), int(n), int(tile)
+        if tile < 1:
+            raise ValueError("tile must be positive")
+        source = self._fused_source(rows, j, n)
+        args = (self._operand(w, n, "w"), self._operand(h, j, "h", True))
+        if isinstance(rows, TileTable):
+            args += (self._operand(work, min(tile, n), "work", True),)
+        else:
+            args += (self._ffi.NULL,)
+        if j and n:
+            self._lib.fused_dot(*source, j, n, tile, *args)
+
+    def fused_axpy(self, rows, j, n, y, w, store=False) -> None:
+        """``w[:n] -= sum_r y[r] v_r[:n]`` in place (``store``: ``w = sum``).
+
+        Per element the sum runs over rows ``0 .. j-1`` in order (see
+        ``fused_axpy`` in ``C_SOURCE``); it needs no work buffer.
+        """
+        j, n = int(j), int(n)
+        source = self._fused_source(rows, j, n)
+        args = (self._operand(y, j, "y"), self._operand(w, n, "w", True))
+        if j and n:
+            self._lib.fused_axpy(*source, j, n, *args, int(bool(store)))
 
     def decode_gather(self, comp, indices) -> np.ndarray:
         """Decode arbitrary positions straight from the stored payload."""

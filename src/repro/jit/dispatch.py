@@ -226,17 +226,18 @@ def _ensure_jit_kernels() -> None:
     # so the numpy/jit registries stay mirrored even when no
     # preconditioner object has been constructed yet.
     from ..solvers import prec_kernels as _prec_kernels  # noqa: F401
-    # The fused tile kernels are backend-shared: the per-tile BLAS ``@``
-    # reduction is the determinism contract itself (its internal blocking
-    # cannot be replayed in scalar compiled code), so ``jit`` registers
-    # the numpy callables and gains its speedup from ``frsz2.decode_tile``
-    # filling each scratch tile in one C call.
+    # The fused operations are backend-shared callables: which row kernels
+    # reduce a call follows the *reader's* backend, so a reader built by a
+    # jit basis hands its rows — mirror columns read in place, or FRSZ2
+    # containers decoded a row-tile at a time — to ``engine.fused_dot`` /
+    # ``engine.fused_axpy``, one C call per operation in the written lane
+    # order of ``repro.fused.kernels``, and a numpy reader runs the numpy
+    # spelling of the same order.
     from ..fused import batch as _fused_batch
     from ..fused import kernels as _fused_kernels
 
     register_kernel("fused.dot_basis", "jit", _fused_kernels.dot_basis_fused)
     register_kernel("fused.combine", "jit", _fused_kernels.combine_fused)
     register_kernel("fused.axpy", "jit", _fused_kernels.axpy_fused)
-    register_kernel("fused.norm", "jit", _fused_kernels.norm_fused)
     register_kernel("fused.dot_basis_batch", "jit", _fused_batch.dot_basis_batch)
     register_kernel("fused.axpy_batch", "jit", _fused_batch.axpy_batch)

@@ -176,6 +176,62 @@ def _check_decode_tile(engine, rng: np.random.Generator) -> None:
                 )
 
 
+def _check_fused(engine, rng: np.random.Generator) -> None:
+    """The fused reductions against the written order's numpy spelling.
+
+    Float64 rows read in place and FRSZ2 rows decoded in the kernel must
+    both reproduce ``dot_rows_numpy`` / ``axpy_rows_numpy`` over the
+    decoded rows bit for bit: tiles with and without a ``len mod 8``
+    tail, a tile not aligned to the block size, signed zeros, subnormals
+    and terms 600 orders of magnitude apart.
+    """
+    from ..core.frsz2 import FRSZ2, decode_tile_numpy
+    from ..fused.kernels import axpy_rows_numpy, dot_rows_numpy
+
+    n = 203
+    # ordinary rows next to each other, so that any reassociation of a
+    # sum rounds differently somewhere; a reversed sample puts ordinary
+    # magnitudes in the ``len mod 8`` tail
+    vectors = [_sample_small(rng, n), rng.standard_normal(n),
+               rng.standard_normal(n), _sample_small(rng, n)[::-1].copy(),
+               rng.standard_normal(n), rng.standard_normal(n)]
+    # an ordinary operand, whose sums feel every reassociation, for all
+    # sources; a hostile one (its 1e300 terms absorb their neighbours)
+    # for the float64 rows only — the lane code is shared
+    plain = rng.standard_normal(n) * np.exp2(rng.integers(-8, 8, n).astype(float))
+    hostile = plain.copy()
+    hostile[::5] = -0.0
+    hostile[3::31] = 1e300
+    y = np.array([0.5, 3.0, -0.25, 7.0, -1.75, 1.5])
+    sources = [("float64", np.array(vectors), np.array(vectors), (plain, hostile))]
+    for bit_length, block_size in ((16, 32), (21, 32), (32, 32), (32, 5)):
+        comps = [FRSZ2(bit_length, block_size).compress(x) for x in vectors]
+        decoded = np.empty((len(comps), n))
+        decode_tile_numpy(comps)(0, n, decoded)
+        table = engine.row_table([engine.row_pointers(c) for c in comps])
+        sources.append((f"l={bit_length} bs={block_size}", table, decoded, (plain,)))
+    work = np.empty(n)
+    for tag, rows, dense, operands in sources:
+        for j in (1, 6):  # axpy: the first row alone; a group of four + one
+            for w in operands:
+                for tile in (32, 40, n):
+                    ref, got = np.zeros(j), np.zeros(j)
+                    dot_rows_numpy(dense, j, n, tile, w, ref)
+                    engine.fused_dot(rows, j, n, tile, w, got, work)
+                    _expect(
+                        np.array_equal(ref.view(np.uint64), got.view(np.uint64)),
+                        f"fused.dot_basis ({tag} j={j} tile={tile})",
+                    )
+                for store, name in ((False, "fused.axpy"), (True, "fused.combine")):
+                    ref, got = w.copy(), w.copy()
+                    axpy_rows_numpy(dense, j, n, y, ref, store)
+                    engine.fused_axpy(rows, j, n, y, got, store)
+                    _expect(
+                        np.array_equal(ref.view(np.uint64), got.view(np.uint64)),
+                        f"{name} ({tag} j={j})",
+                    )
+
+
 def _check_spmv(engine, rng: np.random.Generator) -> None:
     from ..sparse.csr import CSRMatrix
     from ..sparse.ell import ELLMatrix
@@ -263,5 +319,6 @@ def run(engine) -> None:
     _check_bitpack(engine, rng)
     _check_codec(engine, rng)
     _check_decode_tile(engine, rng)
+    _check_fused(engine, rng)
     _check_spmv(engine, rng)
     _check_prec(engine, rng)

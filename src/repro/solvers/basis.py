@@ -14,15 +14,15 @@ Two basis modes reproduce the two kernel structures the paper compares:
     the storage format.
 ``streaming``
     Never materializes the basis: the fused kernels of
-    :mod:`repro.fused` decode one tile of compressed blocks across all
-    ``j`` vectors at a time, so the float64 working set is ``O(tile)`` —
-    the paper's in-register fusion argument, and the CB-GMRES memory
-    argument of Aliaga et al.
+    :mod:`repro.fused` decode one row-tile of compressed blocks at a
+    time and reduce it at once, so the float64 working set is
+    ``O(tile)`` — the paper's in-register fusion argument, and the
+    CB-GMRES memory argument of Aliaga et al.
 
-Both modes run ``V^T w`` / ``V y`` through the *same* fused tile kernels
-(cached feeds tiles from the dense view, streaming decodes them), which
-pins the accumulation order and makes the two modes bit-identical —
-asserted across storages in the test suite.  The traffic a GPU would
+Both modes run ``V^T w`` / ``V y`` through the *same* fused reduction in
+one written accumulation order (cached hands it the columns of the dense
+view in place, streaming the containers to decode), which makes the two
+modes bit-identical — asserted across storages in the test suite.  The traffic a GPU would
 move is accounted analytically by the timing model from the iteration
 log (:class:`repro.solvers.gmres.SolveStats`), not from the cache.
 """
@@ -43,7 +43,6 @@ from ..fused import (
     axpy_fused,
     combine_fused,
     dot_basis_fused,
-    norm_fused,
 )
 from ..observe import NULL_TRACER
 
@@ -72,8 +71,8 @@ class KrylovBasis:
         Optional observe-layer tracer.
     basis_mode:
         ``"cached"`` (dense decompressed view, the default) or
-        ``"streaming"`` (tile-streamed fused kernels, ``O(tile)``
-        float64 working set).  Bit-identical to each other.
+        ``"streaming"`` (rows decoded inside the fused kernels,
+        ``O(tile)`` float64 working set).  Bit-identical to each other.
     tile_elems:
         Fused-kernel tile size in elements; rounded up to the storage
         format's decode granularity (FRSZ2: the block size ``BS``).
@@ -81,7 +80,8 @@ class KrylovBasis:
         Kernel backend (``"numpy"``/``"jit"``) forwarded to the default
         accessor construction — and, because :meth:`set_storage` reuses
         the same construction hook, preserved across adaptive format
-        switches.  A custom ``storage_factory`` owns its accessor
+        switches — and carried by every fused-kernel reader this basis
+        builds, which is what selects the reduction kernels.  A custom ``storage_factory`` owns its accessor
         construction and is expected to close over a backend itself.
     """
 
@@ -156,8 +156,10 @@ class KrylovBasis:
         """Largest float64 working set this basis has held.
 
         ``cached``: the dense ``(n, m+1)`` view, allocated up front.
-        ``streaming``: the biggest fused-kernel scratch tile so far —
-        ``O(tile x j)`` instead of ``O(n x m)``.
+        ``streaming``: the biggest fused-kernel buffer so far — the
+        ``tile``-double decode buffer of the compiled kernels, or the
+        ``(j, tile)`` scratch of a basis reduced tile by tile — instead
+        of ``O(n x m)``.
         """
         if self._cache is not None:
             return int(self._cache.nbytes)
@@ -289,8 +291,8 @@ class KrylovBasis:
         if j > self._written:
             raise IndexError(f"only {self._written} basis vectors written")
         if self._cache is not None:
-            return CachedTileReader(self._cache, j)
-        return StreamingTileReader(self.accessors, j)
+            return CachedTileReader(self._cache, j, self.backend)
+        return StreamingTileReader(self.accessors, j, self.backend)
 
     def dot_basis(self, j: int, w: np.ndarray) -> np.ndarray:
         """``V_j^T w`` — the orthogonalization read of Fig. 1 step 4."""
@@ -320,26 +322,6 @@ class KrylovBasis:
             return axpy_fused(
                 self._reader(j), y, w, self.tile_elems, self.tracer, self.fused_log
             )
-
-    def norm_vector(self, j: int) -> float:
-        """2-norm of stored vector ``v_j``, streamed tile-by-tile."""
-        if j >= self._written:
-            raise IndexError(f"basis slot {j} has not been written")
-        if self._cache is not None:
-            col = self._cache[:, j]
-
-            def segments(t0: int, t1: int) -> np.ndarray:
-                return col[t0:t1]
-
-        else:
-            acc = self.accessors[j]
-
-            def segments(t0: int, t1: int) -> np.ndarray:
-                return acc.read_tile(t0, t1)
-
-        return norm_fused(
-            segments, self.n, self.tile_elems, self.tracer, self.fused_log
-        )
 
     def _count_read(self, j: int) -> None:
         """Tally the stored bytes a GPU kernel would stream for ``V_j``."""

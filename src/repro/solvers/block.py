@@ -16,10 +16,10 @@ cycle advance through the same step ``j`` in lockstep, so
 
 * the SpMV is one :meth:`~repro.sparse.engine.SpmvEngine.matmat` over
   the active columns instead of ``B`` separate matvecs,
-* the orthogonalization streams every column's stored basis through one
-  stacked tile pass (:mod:`repro.fused.batch`) — for FRSZ2 storage the
-  decode of all ``C*j`` basis vectors is a single batched codec call
-  per tile,
+* the orthogonalization runs the fused dot/axpy of every column
+  (:mod:`repro.fused.batch`: a column loop over the solo kernels, each
+  reading its basis rows where they are stored) with one reader per
+  column serving the whole step,
 * new basis vectors of all active columns compress in one
   :meth:`~repro.core.frsz2.FRSZ2.compress_batch` encode
   (:func:`repro.solvers.basis.write_basis_vectors_batch`).
@@ -90,7 +90,7 @@ class BatchGmresResult:
     batched_spmv_calls: int = 0
     #: basis vectors written through the one-encode batched path
     batched_basis_writes: int = 0
-    #: Arnoldi steps orthogonalized through the stacked tile kernels
+    #: Arnoldi steps orthogonalized through the batched fused kernels
     batched_ortho_steps: int = 0
 
     def __len__(self) -> int:
@@ -461,7 +461,7 @@ class _Lockstep:
 
     def orthogonalize(self, j: int, step: "List[_Column]", ws):
         """Fig. 1 steps 4-11 for every stepping column — the one place
-        that picks stacked or solo kernels, from the live column count."""
+        that picks batched or solo kernels, from the live column count."""
         solver = self.solver
         use_cgs = solver.orthogonalization == "cgs"
         with self.tracer.span("orthogonalize", columns=len(step)):

@@ -123,7 +123,7 @@ class SolveStats:
     basis_peak_float64_bytes: int = 0
     #: fused-kernel work log (feeds the modeled fused-kernel time):
     #: calls and stored-vector operands of each fused primitive, plus
-    #: the total decoded tiles/values streamed through scratch
+    #: the total tiles visited and basis values reduced
     fused_dot_calls: int = 0
     fused_dot_vectors: int = 0
     fused_axpy_calls: int = 0
@@ -442,8 +442,8 @@ class CbGmres:
 
         The batched path shares one matrix structure across all
         columns: restart residuals and Arnoldi SpMVs run through the
-        multi-vector kernels (``A @ X``), orthogonalization streams
-        every column's stored basis in one stacked tile pass, and new
+        multi-vector kernels (``A @ X``), orthogonalization runs every
+        column's fused dot/axpy off one reader per column, and new
         basis vectors FRSZ2-encode in a single
         :meth:`~repro.core.frsz2.FRSZ2.compress_batch` call per step.
         Column ``c`` of the result is **bit-identical** to

@@ -17,6 +17,8 @@ from repro.accessor import make_accessor
 from repro.observe import Tracer
 from repro.solvers import BatchGmresResult, CbGmres, make_problem
 
+from .backends import BACKENDS
+
 
 def rhs_block(problem, nrhs, seed_base=1000):
     """Deterministic (n, nrhs) RHS block with solvable columns."""
@@ -133,6 +135,28 @@ class TestBitIdentity:
         solos = [solver().solve(B[:, c], target) for c in range(3)]
         batch = solver().solve_batch(B, target)
         assert_columns_identical(solos, batch)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("basis_mode", ["cached", "streaming"])
+    @pytest.mark.parametrize("storage", ["frsz2_32", "float64"])
+    def test_columns_match_solo_on_each_backend(self, storage, basis_mode, backend):
+        """A batch column is a loop iteration of the solo fused kernel,
+        so it is its solo solve's bits on the compiled reduction too —
+        and the compiled column is the numpy column."""
+        problem = make_problem("lung2", "smoke")
+        B = rhs_block(problem, 3)
+        target = problem.target_rrn
+
+        def solver(b=backend):
+            return CbGmres(
+                problem.a, storage, m=30, max_iter=400,
+                basis_mode=basis_mode, backend=b,
+            )
+
+        solos = [solver().solve(B[:, c], target) for c in range(3)]
+        batch = solver().solve_batch(B, target)
+        assert_columns_identical(solos, batch)
+        assert_columns_identical(solver("numpy").solve_batch(B, target), batch)
 
     def test_mgs_falls_back_to_solo_kernels(self):
         problem = make_problem("lung2", "smoke")

@@ -1,12 +1,18 @@
 """Fused compressed-basis kernels and the streaming basis mode.
 
 The load-bearing property is the determinism contract of
-:mod:`repro.fused`: the ``cached`` and ``streaming`` basis modes must be
-*bit-identical* — same Hessenberg entries, same residual histories, same
-solutions — because they run the same tile kernels over the same grid.
-The satellite property is the memory claim: streaming never materializes
-an ``(n, m)`` float64 basis.
+:mod:`repro.fused`: the accumulation order is *written down* — a scalar
+oracle of it lives here — and every route (cached mirror read in place,
+streaming FRSZ2 decoded in the kernel, every tile-by-tile fallback, a
+batch column; numpy and compiled) reproduces it bit for bit, so the
+``cached`` and ``streaming`` basis modes give the same Hessenberg
+entries, residual histories and solutions.  The satellite property is
+the memory claim: streaming never materializes an ``(n, m)`` float64
+basis.
 """
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,15 +21,18 @@ from hypothesis import strategies as st
 
 from repro.accessor import make_accessor
 from repro.accessor.frsz2_accessor import Frsz2Accessor, Frsz2Tiles
+import repro.fused
 from repro.fused import (
     DEFAULT_TILE_ELEMS,
+    BatchTileReader,
     CachedTileReader,
     FusedOpLog,
     StreamingTileReader,
+    axpy_batch,
     axpy_fused,
     combine_fused,
+    dot_basis_batch,
     dot_basis_fused,
-    norm_fused,
     tile_grid,
 )
 from repro.solvers import CbGmres, make_problem
@@ -104,15 +113,6 @@ class TestKernelsAgainstDense:
         via_axpy = axpy_fused(CachedTileReader(cache, j), y, w.copy(), 128)
         np.testing.assert_array_equal(via_axpy, via_combine)
 
-    def test_norm_fused_matches_tile_accumulation(self):
-        rng = np.random.default_rng(3)
-        x = rng.standard_normal(500)
-        got = norm_fused(lambda t0, t1: x[t0:t1], 500, 64)
-        ref = 0.0
-        for t0, t1 in tile_grid(500, 64):
-            ref += float(x[t0:t1] @ x[t0:t1])
-        assert got == float(np.sqrt(ref))
-
     def test_zero_vectors_edge(self):
         cache = np.zeros((10, 1), order="F")
         reader = CachedTileReader(cache, 0)
@@ -120,6 +120,253 @@ class TestKernelsAgainstDense:
         np.testing.assert_array_equal(
             combine_fused(reader, np.zeros(0)), np.zeros(10)
         )
+
+
+def oracle_dot(rows, w, tile):
+    """The written dot order, one Python float operation at a time."""
+    rows = [np.asarray(r, dtype=np.float64).tolist() for r in rows]
+    w = np.asarray(w, dtype=np.float64).tolist()
+    h = [0.0] * len(rows)
+    for t0 in range(0, len(w), tile):
+        t1 = min(t0 + tile, len(w))
+        for r, v in enumerate(rows):
+            a = [0.0] * 8
+            for i in range(t0, t1):
+                a[(i - t0) % 8] += v[i] * w[i]
+            h[r] += ((a[0] + a[1]) + (a[2] + a[3])) + ((a[4] + a[5]) + (a[6] + a[7]))
+    return np.array(h, dtype=np.float64)
+
+
+def oracle_axpy(rows, y, w, store):
+    """The written axpy (``store``: combine) order, element by element."""
+    rows = [np.asarray(r, dtype=np.float64).tolist() for r in rows]
+    y = np.asarray(y, dtype=np.float64).tolist()
+    out = np.asarray(w, dtype=np.float64).tolist()
+    for i in range(len(out)):
+        s = y[0] * rows[0][i]
+        for r in range(1, len(rows)):
+            s += y[r] * rows[r][i]
+        out[i] = s if store else out[i] - s
+    return np.array(out, dtype=np.float64)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.uint64).tolist()
+
+
+#: the values that break a sloppy summation: signed zeros, subnormals,
+#: and magnitudes whose sums cancel 600 orders of magnitude apart
+_SPECIALS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+             1e300, -1e300, 1e-300, -1e-300, 1.0, -1.0]
+
+
+def _hostile_values(rng, shape, spread=40, specials=_SPECIALS):
+    x = rng.standard_normal(shape) * np.exp2(
+        rng.integers(-spread, spread, shape).astype(float))
+    special = rng.random(shape) < 0.4
+    x[special] = rng.choice(specials, size=int(special.sum()))
+    return x
+
+
+def _hostile_operand(rng, shape):
+    """Like the rows, but small enough that no product overflows."""
+    return _hostile_values(rng, shape, 8, [s for s in _SPECIALS if abs(s) <= 1.0])
+
+
+class TestWrittenOrder:
+    """numpy and compiled kernels equal the scalar oracle as raw bits."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("tile", [32, 96, 2048])
+    @pytest.mark.parametrize("j", [0, 1, 3, 6, 25])
+    @given(seed=st.integers(0, 2**16), eights=st.integers(0, 30),
+           tail=st.integers(1, 7), long=st.booleans(), hostile=st.booleans())
+    @settings(max_examples=8, deadline=None)
+    def test_kernels_equal_the_scalar_oracle(self, backend, tile, j, seed,
+                                             eights, tail, long, hostile):
+        # never a multiple of 8, hence never of a tile; ``long`` crosses
+        # the 2048 boundary so the widest tile also sees two tiles
+        n = 8 * eights + tail + (2048 if long and j <= 6 else 0)
+        rng = np.random.default_rng(seed)
+        if hostile:
+            cache = np.asfortranarray(_hostile_values(rng, (n, j + 1)))
+            w, y = _hostile_operand(rng, n), _hostile_operand(rng, j)
+        else:  # ordinary magnitudes: every reassociation rounds differently
+            cache = np.asfortranarray(rng.standard_normal((n, j + 1)))
+            w, y = rng.standard_normal(n), rng.standard_normal(j)
+        rows = [cache[:, r] for r in range(j)]
+        reader = CachedTileReader(cache, j, backend)
+        assert _bits(dot_basis_fused(reader, w, tile)) == _bits(
+            oracle_dot(rows, w, tile))
+        if j:
+            assert _bits(combine_fused(reader, y, tile)) == _bits(
+                oracle_axpy(rows, y, np.zeros(n), True))
+            assert _bits(axpy_fused(reader, y, w.copy(), tile)) == _bits(
+                oracle_axpy(rows, y, w, False))
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_all_negative_zero_products(self, backend):
+        """Lanes start at +0.0, so a dot of -0.0 products is +0.0; a
+        combine has no +0.0 to start from and keeps the sign."""
+        n, j = 77, 3
+        cache = np.asfortranarray(np.full((n, j), -0.0))
+        reader = CachedTileReader(cache, j, backend)
+        w, y = np.full(n, 2.0), np.full(j, 3.0)
+        assert _bits(dot_basis_fused(reader, w, 32)) == _bits(np.zeros(j))
+        assert _bits(combine_fused(reader, y, 32)) == _bits(np.full(n, -0.0))
+        assert _bits(axpy_fused(reader, y, np.full(n, -0.0), 32)) == _bits(np.zeros(n))
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_rows_and_load_serve_the_same_values(self, backend):
+        """A C-ordered cache cannot be read in place; its tile-by-tile
+        route gives the bits of the in-place one."""
+        rng = np.random.default_rng(5)
+        dense = rng.standard_normal((333, 4))
+        w, y = rng.standard_normal(333), rng.standard_normal(4)
+        in_place = CachedTileReader(np.asfortranarray(dense), 4, backend)
+        by_tile = CachedTileReader(np.ascontiguousarray(dense), 4, backend)
+        assert in_place.rows(96) is not None and by_tile.rows(96) is None
+        for op in (lambda r: dot_basis_fused(r, w, 96),
+                   lambda r: combine_fused(r, y, 96),
+                   lambda r: axpy_fused(r, y, w.copy(), 96)):
+            assert _bits(op(in_place)) == _bits(op(by_tile))
+
+
+class TestHostileInputs:
+    """Behind a C call a wrong-shaped operand would be an out-of-bounds
+    read, so every operand is checked where Python hands over to the
+    kernels: a named ``ValueError``, on both backends alike."""
+
+    n, j = 100, 3
+
+    def _readers(self, backend):
+        rng = np.random.default_rng(0)
+        cache = np.asfortranarray(rng.standard_normal((self.n, self.j + 1)))
+        accs = [make_accessor("frsz2_32", self.n, backend=backend)
+                for _ in range(self.j)]
+        for r, acc in enumerate(accs):
+            acc.write(cache[:, r])
+        return (CachedTileReader(cache, self.j, backend),
+                StreamingTileReader(accs, self.j, backend))
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("bad_w", [
+        np.zeros(99), np.zeros(101), np.zeros((100, 1)),
+        np.zeros(100, dtype=np.float32), np.zeros(200)[::2], [0.0] * 100,
+    ], ids=["short", "long", "2d", "float32", "strided", "list"])
+    def test_wrong_w_is_a_named_error(self, backend, bad_w):
+        for reader in self._readers(backend):
+            with pytest.raises(ValueError, match="w must be"):
+                dot_basis_fused(reader, bad_w, 32)
+            with pytest.raises(ValueError, match="w must be"):
+                axpy_fused(reader, np.ones(self.j), bad_w, 32)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_wrong_y_and_tile_are_named_errors(self, backend):
+        w = np.zeros(self.n)
+        for reader in self._readers(backend):
+            with pytest.raises(ValueError, match="at least j=3"):
+                combine_fused(reader, np.ones(2), 32)
+            with pytest.raises(ValueError, match="y must be"):
+                axpy_fused(reader, np.ones(3, dtype=np.float32), w, 32)
+            with pytest.raises(ValueError, match="y must be"):
+                axpy_fused(reader, np.ones(6)[::2], w, 32)
+            with pytest.raises(ValueError, match="tile_elems"):
+                dot_basis_fused(reader, w, 0)
+            # a longer y is fine: the leading j coefficients apply
+            np.testing.assert_array_equal(
+                combine_fused(reader, np.array([1.0, 2.0, 3.0, 99.0]), 32),
+                combine_fused(reader, np.array([1.0, 2.0, 3.0]), 32))
+
+    def test_more_rows_than_the_cache_holds(self):
+        with pytest.raises(ValueError, match="cache must be"):
+            CachedTileReader(np.zeros((10, 2), order="F"), 3)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_wrong_blocks_are_named_errors(self, backend):
+        cached, streaming = self._readers(backend)
+        batch = BatchTileReader([cached, streaming])
+        good = np.zeros((self.n, 2), order="F")
+        Y = np.zeros((self.j, 2), order="F")
+        for bad in (np.zeros((self.n, 2)), np.zeros((99, 2), order="F"),
+                    np.zeros((self.n, 2), dtype=np.float32, order="F")):
+            with pytest.raises(ValueError, match="W must be"):
+                dot_basis_batch(batch, bad, [0, 1], 32)
+            with pytest.raises(ValueError, match="W must be"):
+                axpy_batch(batch, Y, bad, [0, 1], 32)
+        for bad in (np.zeros((2, self.j)).T[:, ::-1], np.zeros((2, 2), order="F"),
+                    np.zeros((self.j, 1), order="F")):
+            with pytest.raises(ValueError, match="Y must"):
+                axpy_batch(batch, bad, good, [0, 1], 32)
+
+    @requires_jit
+    def test_the_engine_checks_what_it_hands_to_c(self):
+        """The compiled kernels' own boundary: rows, counts, operands and
+        the work buffer are checked before any pointer is taken."""
+        from repro.jit import load_engine
+
+        engine = load_engine()
+        cached, streaming = self._readers("jit")
+        rows, table = cached.rows(32), streaming.rows(32)
+        w, h, y = np.zeros(self.n), np.zeros(self.j), np.ones(self.j)
+        work = np.empty(32)
+        engine.fused_dot(table, self.j, self.n, 32, w, h, work)
+        for call in (
+            lambda: engine.fused_dot(rows, self.j + 2, self.n, 32, w, np.zeros(5)),
+            lambda: engine.fused_dot(rows, self.j, self.n + 1, 32, np.zeros(101), h),
+            lambda: engine.fused_dot(rows, self.j, self.n, 32, w[:50], h),
+            lambda: engine.fused_dot(rows, self.j, self.n, 32, w, h[:2]),
+            lambda: engine.fused_dot(rows, self.j, self.n, 0, w, h),
+            lambda: engine.fused_dot(rows[:, ::2], self.j, 50, 32, w, h),
+            lambda: engine.fused_dot(rows.astype(np.float32), self.j, self.n, 32, w, h),
+            lambda: engine.fused_dot(table, self.j, self.n, 32, w, h),
+            lambda: engine.fused_dot(table, self.j, self.n, 32, w, h, work[:31]),
+            lambda: engine.fused_dot(table, self.j, 64, 32, w, h, work),
+            lambda: engine.fused_dot(table, self.j + 1, self.n, 32, w, np.zeros(4), work),
+            lambda: engine.fused_axpy(rows, self.j, self.n, y[:2], w),
+            lambda: engine.fused_axpy(rows, self.j, self.n, y, w[:99]),
+            lambda: engine.fused_axpy(table, self.j, self.n, y, np.zeros(self.n)[::1][:50]),
+        ):
+            with pytest.raises(ValueError):
+                call()
+        frozen = np.zeros(self.n)
+        frozen.flags.writeable = False
+        with pytest.raises(ValueError, match="writable"):
+            engine.fused_axpy(rows, self.j, self.n, y, frozen)
+
+    @requires_jit
+    def test_container_arrays_must_match_their_layout(self):
+        """Row pointers are only made for arrays the layout describes."""
+        from repro.jit import load_engine
+
+        acc = make_accessor("frsz2_32", self.n, backend="jit")
+        acc.write(np.ones(self.n))
+        comp = acc.compressed
+        comp.payload = comp.payload[:-1]
+        with pytest.raises(ValueError, match="block layout"):
+            load_engine().row_pointers(comp)
+
+
+class TestNoBlasInFused:
+    """ROADMAP item 1, as code: no BLAS call left inside ``repro.fused``.
+
+    A ``@``, ``np.dot``, ``matmul`` or ``einsum`` would hand the
+    accumulation order back to whatever kernel the host's BLAS picks.
+    """
+
+    def test_no_matmul_node_or_call(self):
+        root = Path(repro.fused.__file__).parent
+        modules = sorted(root.glob("*.py"))
+        assert len(modules) >= 3
+        for path in modules:
+            for node in ast.walk(ast.parse(path.read_text())):
+                assert not isinstance(node, ast.MatMult), f"@ in {path.name}"
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = getattr(func, "attr", getattr(func, "id", None))
+                    assert name not in {"dot", "vdot", "matmul", "einsum",
+                                        "tensordot", "inner"}, (
+                        f"{name}() in {path.name}:{node.lineno}")
 
 
 class TestReaderBitIdentity:
@@ -146,7 +393,6 @@ class TestReaderBitIdentity:
             cached.axpy(j, y, wc), streaming.axpy(j, y, ws)
         )
         for i in range(j):
-            assert cached.norm_vector(i) == streaming.norm_vector(i)
             np.testing.assert_array_equal(
                 cached.vector(i), streaming.vector(i)
             )
@@ -188,10 +434,10 @@ class TestStreamingReaderSemantics:
     route with the same bits, and the traffic bill does not change."""
 
     @staticmethod
-    def _basis(mode, backend, n=300):
+    def _basis(mode, backend, n=300, storage="frsz2_32", factory=None):
         rng = np.random.default_rng(3)
-        basis = KrylovBasis(n, 3, "frsz2_32", basis_mode=mode,
-                            tile_elems=64, backend=backend)
+        basis = KrylovBasis(n, 3, storage, basis_mode=mode, tile_elems=64,
+                            backend=backend, storage_factory=factory)
         vectors = rng.standard_normal((n, 3))
         return basis, vectors, rng.standard_normal(n)
 
@@ -236,13 +482,30 @@ class TestStreamingReaderSemantics:
         assert basis.dot_basis(1, w)[0] != before[0]
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("case", ["plain", "mixed", "unwritten"])
+    @pytest.mark.parametrize(
+        "case", ["plain", "mixed", "unwritten", "wrapped", "float32"])
     def test_every_route_matches_cached_mode(self, backend, case):
-        """plain: the one-call tile source; mixed formats and an
-        unwritten slot: per-accessor ``read_tile``."""
-        results = []
+        """plain: FRSZ2 rows decoded inside the one C call (jit) or one
+        codec pass per tile (numpy); mixed formats, an unwritten slot, a
+        fault-injecting wrapper and dense float32 storage: per-accessor
+        ``read_tile`` into a scratch the same kernels reduce.  Every
+        route, and a batch column of it, is the scalar oracle's bits."""
+        from repro.robust import FaultInjector, FaultyAccessor
+
+        def wrapping(fmt, n, count=iter(range(8))):
+            acc = make_accessor(fmt, n, backend=backend)
+            if next(count) % 4 == 1:  # slot 1 of each basis
+                return FaultyAccessor(acc, FaultInjector(0.0, 0), "readout_nan")
+            return acc
+
+        results, readers = [], []
+        y = np.array([0.5, -2.0, 0.25])
         for mode in BASIS_MODES:
-            basis, vectors, w = self._basis(mode, backend)
+            basis, vectors, w = self._basis(
+                mode, backend,
+                storage="float32" if case == "float32" else "frsz2_32",
+                factory=wrapping if case == "wrapped" else None,
+            )
             if case == "mixed":
                 basis.set_storage("frsz2_16", slots=[1])
             for i in (0, 2) if case == "unwritten" else (0, 1, 2):
@@ -250,21 +513,36 @@ class TestStreamingReaderSemantics:
             if mode == "streaming":
                 one_call = Frsz2Tiles.open(basis.accessors[:3]) is not None
                 assert one_call == (case == "plain")
-            y = np.array([0.5, -2.0, 0.25])
             results.append((
                 basis.dot_basis(3, w), basis.combine(3, y),
                 basis.axpy(3, y, w.copy()),
                 [a.traffic.tile_reads for a in basis.accessors],
                 [a.traffic.bytes_read for a in basis.accessors],
             ))
+            readers.append(basis._reader(3))
+            stored = [basis.accessors[i].read() for i in range(3)]
         cached, streaming = results
         for c, s in zip(cached[:3], streaming[:3]):
             np.testing.assert_array_equal(c, s)
         tiles = len(tile_grid(300, 64))
-        assert streaming[3] == [3 * tiles] * 3 + [0]
+        if case != "wrapped":  # a wrapper without seek bills whole reads
+            assert streaming[3] == [3 * tiles] * 3 + [0]
         if case == "plain":
             # 33 bits per value: 3 fused calls x 300 values, whole blocks
             assert streaming[4][0] == 3 * (10 * 132)
+        # a batch whose columns are the two modes' readers
+        W = np.asfortranarray(np.stack([w, w, w], axis=1))
+        batch = BatchTileReader(readers)
+        H = dot_basis_batch(batch, W, [0, 2], 64)
+        axpy_batch(batch, np.asfortranarray(np.stack([y, y], axis=1)), W, [0, 2], 64)
+        for col, h in zip((0, 2), H.T):
+            np.testing.assert_array_equal(h, cached[0])
+            np.testing.assert_array_equal(W[:, col], cached[2])
+        np.testing.assert_array_equal(W[:, 1], w)
+        # ... and all of it is the written order
+        assert _bits(cached[0]) == _bits(oracle_dot(stored, w, 64))
+        assert _bits(cached[1]) == _bits(oracle_axpy(stored, y, np.zeros(300), True))
+        assert _bits(cached[2]) == _bits(oracle_axpy(stored, y, w, False))
 
     def test_subclass_is_not_read_behind_its_back(self):
         """The eligibility hole: a subclass overriding ``read_tile`` must

@@ -57,7 +57,7 @@ class TestDispatch:
             "frsz2.pack_stream", "frsz2.decode_stream",
             "frsz2.decode_tile", "frsz2.decode_gather",
             "spmv.csr_matvec", "spmv.ell_matvec", "spmv.sell_group_matvec",
-            "fused.dot_basis", "fused.combine", "fused.axpy", "fused.norm",
+            "fused.dot_basis", "fused.combine", "fused.axpy",
             "fused.dot_basis_batch", "fused.axpy_batch",
             "prec.lower_trisolve", "prec.upper_trisolve",
             "prec.block_diag_apply",
@@ -145,6 +145,54 @@ class TestDispatch:
         finally:
             monkeypatch.undo()
             dispatch._reset_engine_cache()
+
+    @requires_jit
+    def test_selftest_gates_the_fused_reductions(self, monkeypatch):
+        """A dot whose lanes are summed in another tree order — right to
+        the last bit but one on most inputs — must not load."""
+
+        class PairwiseLate(cbackend.CEngine):
+            def fused_dot(self, rows, j, n, tile, w, h, work=None):
+                # two half-tiles instead of one tile: same values, same
+                # lanes, another association of the partial sums
+                if tile >= 16:
+                    tile //= 2
+                super().fused_dot(rows, j, n, tile, w, h, work)
+
+        monkeypatch.setattr(cbackend, "CEngine", PairwiseLate)
+        dispatch._reset_engine_cache()
+        try:
+            assert dispatch.load_engine() is None
+            assert "fused.dot_basis" in dispatch.jit_unavailable_reason()
+        finally:
+            monkeypatch.undo()
+            dispatch._reset_engine_cache()
+
+    @requires_jit
+    def test_selftest_is_small_and_quick(self):
+        """Every process that asks for ``backend="jit"`` pays the
+        self-test once, in wall and in resident memory: its operands
+        stay a few hundred values and the fused family a few ms."""
+        import time
+        import tracemalloc
+
+        from repro.jit import selftest
+
+        engine = dispatch.load_engine()
+        tracemalloc.start()
+        try:
+            selftest.run(engine)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        walls = []
+        for _ in range(5):
+            t0 = time.perf_counter()
+            selftest._check_fused(engine, np.random.default_rng(0))
+            walls.append(time.perf_counter() - t0)
+        # the family is what this engine's self-test adds to the parent's
+        assert min(walls) < 0.010
 
     @requires_jit
     def test_selftest_covers_both_decoder_branches(self):
