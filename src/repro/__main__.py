@@ -21,18 +21,14 @@ faults
     format × rate) and print the survival-rate table.  ``--jobs N``
     fans the grid over worker processes with identical results.
 bench
-    Run the traced matrix × storage performance grid and emit a
-    schema-versioned ``BENCH_gmres.json`` (``--compare OLD NEW`` diffs
-    two bench files and exits nonzero on regressions; ``--check FILE``
-    validates a file against the schema).  ``--jobs N`` fans the grid
-    over worker processes; deterministic metrics are identical for any
-    job count.
-throughput
-    Time the batched multi-RHS solve path against a loop of independent
-    solves over a matrix × storage grid and emit a schema-versioned
-    ``BENCH_throughput.json`` with per-entry and aggregate
-    solves-per-second (``--check FILE`` validates a file and
-    ``--min-speedup X`` gates on its aggregate speedup).
+    Run the traced matrix × storage model grid and emit a
+    schema-versioned ``BENCH_gmres.json`` — iterations, modeled H100
+    seconds, counters and the identity gates, no host time, so the file
+    is reproducible byte for byte (``--compare OLD NEW`` diffs two
+    bench files and exits nonzero on regressions; ``--check FILE``
+    validates a file against the schema and refuses one that this
+    checkout's sources did not produce).  ``--jobs N`` fans the grid
+    over worker processes; the document is identical for any job count.
 serve
     Submit solve jobs to the hardened job engine (supervised workers,
     deadlines, retries, backpressure) and stream per-restart progress
@@ -40,8 +36,11 @@ serve
 soak
     Run the serve soak: hundreds of mixed jobs + seeded chaos
     (crashes, hangs, solve errors, bit flips), invariants asserted,
-    serve health written to ``BENCH_serve.json``.  ``--check FILE``
-    validates an existing report.
+    serve health written to ``soak-report.json`` (a run output, not a
+    committed file).  ``--check FILE`` validates an existing report.
+
+Durations are measured by ``benchmarks/perf`` (``BENCHMARK.json``), not
+by any command here.
 """
 
 from __future__ import annotations
@@ -164,9 +163,8 @@ SHARED_BY_COMMAND: "Dict[str, Dict[str, Dict[str, Any]]]" = {
         ),
         "scale": dict(
             default="default", choices=_SCALES,
-            help="problem scale (default: 'default' — smoke-scale "
-                 "matrices are too small for meaningful SpMV "
-                 "wall-clock measurements)",
+            help="problem scale (default: 'default', the scale of the "
+                 "committed BENCH_gmres.json)",
         ),
         "restart": {},
         "max-iter": {},
@@ -187,22 +185,6 @@ SHARED_BY_COMMAND: "Dict[str, Dict[str, Dict[str, Any]]]" = {
                  "appends the preconditioned tier entries)",
         ),
         "prec-storage": {},
-    },
-    "throughput": {
-        "storages": dict(
-            help="storage formats (default: frsz2_16 frsz2_32)",
-        ),
-        "scale": dict(
-            default="smoke", choices=_SCALES,
-            help="problem scale (default: smoke — the batched path "
-                 "amortizes per-call codec overhead, which is largest "
-                 "at small scale)",
-        ),
-        "restart": dict(default=30),
-        "max-iter": dict(default=400),
-        "spmv-format": {},
-        "basis-mode": {},
-        "backend": {},
     },
     "serve": {
         "storage": {},
@@ -482,10 +464,10 @@ def _cmd_bench(args) -> int:
     from .parallel import WorkerCrashError
     from .bench.perf import (
         BENCH_PHASES,
+        check_bench,
         compare_bench,
         load_bench,
         run_bench,
-        validate_bench,
         write_bench,
     )
 
@@ -509,11 +491,11 @@ def _cmd_bench(args) -> int:
 
     if args.check:
         try:
-            validate_bench(load_bench(args.check))
+            check_bench(args.check)
         except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        print(f"{args.check}: valid bench document")
+        print(f"{args.check}: valid bench document of this checkout")
         return 0
 
     try:
@@ -546,8 +528,6 @@ def _cmd_bench(args) -> int:
                 "yes" if e["converged"] else "no",
                 e["iterations"],
                 e["spmv"]["format"],
-                f"{e['spmv']['speedup_vs_csr']:.2f}x",
-                f"{e['wall_seconds'] * 1e3:.1f}",
                 f"{e['modeled_seconds'] * 1e3:.3f}",
             )
             + tuple(
@@ -557,8 +537,7 @@ def _cmd_bench(args) -> int:
         )
     print(format_table(
         f"bench grid ({doc['scale']} scale, modeled on {doc['device']})",
-        ["matrix", "storage", "prec", "conv", "iters", "spmv", "spmv x",
-         "wall ms", "model ms"]
+        ["matrix", "storage", "prec", "conv", "iters", "spmv", "model ms"]
         + [f"{p}%" for p in BENCH_PHASES],
         rows,
     ))
@@ -566,90 +545,8 @@ def _cmd_bench(args) -> int:
     line = f"\nbackend: {bk['resolved']}"
     if bk["engine"]:
         line += f" ({bk['engine']})"
-    if bk["codec_speedup_geomean"] is not None:
-        line += (f", codec speedup geomean "
-                 f"{bk['codec_speedup_geomean']:.2f}x vs numpy")
     print(line)
     print(f"wrote {args.out} ({len(doc['entries'])} entries)")
-    return 0
-
-
-def _cmd_throughput(args) -> int:
-    from .bench import format_table
-    from .bench.throughput import (
-        load_throughput,
-        run_throughput,
-        write_throughput,
-    )
-
-    if args.check:
-        try:
-            doc = load_throughput(args.check)
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        speedup = doc["aggregate"]["speedup"]
-        if args.min_speedup is not None and speedup < args.min_speedup:
-            print(
-                f"{args.check}: aggregate speedup {speedup:.2f}x is below "
-                f"the required {args.min_speedup:.2f}x",
-                file=sys.stderr,
-            )
-            return 1
-        print(f"{args.check}: valid throughput document "
-              f"(aggregate speedup {speedup:.2f}x)")
-        return 0
-
-    try:
-        doc = run_throughput(
-            matrices=args.matrices,
-            storages=args.storages,
-            scale=args.scale,
-            m=args.restart,
-            max_iter=args.max_iter,
-            batch=args.batch,
-            rounds=args.rounds,
-            spmv_format=args.spmv_format,
-            basis_mode=args.basis_mode,
-            backend=args.backend,
-        )
-    except (KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    write_throughput(doc, args.out)
-    rows = [
-        (
-            e["matrix"],
-            e["storage"],
-            e["batch"],
-            "yes" if all(e["converged"]) else "no",
-            f"{e['loop_solves_per_second']:.1f}",
-            f"{e['batch_solves_per_second']:.1f}",
-            f"{e['speedup']:.2f}x",
-        )
-        for e in doc["entries"]
-    ]
-    agg = doc["aggregate"]
-    print(format_table(
-        f"throughput grid ({doc['scale']} scale, B={doc['batch']}, "
-        f"{doc['spmv_format']}/{doc['basis_mode']})",
-        ["matrix", "storage", "B", "conv", "loop/s", "batch/s", "speedup"],
-        rows,
-    ))
-    print(
-        f"\naggregate: {agg['solves']} solves, "
-        f"loop {agg['loop_solves_per_second']:.1f}/s vs "
-        f"batch {agg['batch_solves_per_second']:.1f}/s "
-        f"({agg['speedup']:.2f}x)"
-    )
-    print(f"wrote {args.out} ({len(doc['entries'])} entries)")
-    if args.min_speedup is not None and agg["speedup"] < args.min_speedup:
-        print(
-            f"aggregate speedup {agg['speedup']:.2f}x is below the "
-            f"required {args.min_speedup:.2f}x",
-            file=sys.stderr,
-        )
-        return 1
     return 0
 
 
@@ -753,6 +650,8 @@ def _cmd_soak(args) -> int:
         try:
             with open(args.check) as fh:
                 doc = json.load(fh)
+            if not isinstance(doc, dict):
+                raise ValueError("serve report must be a JSON object")
             validate_serve_health(doc["serve"])
         except (OSError, KeyError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
@@ -849,7 +748,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_command(
         "bench",
-        "run the traced perf grid / compare or validate bench files",
+        "run the traced model grid / compare or validate bench files",
     )
     p.add_argument("--out", default="BENCH_gmres.json",
                    help="output path for the bench document")
@@ -860,7 +759,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tolerance", type=float, default=0.05,
                    help="relative regression tolerance for --compare")
     p.add_argument("--check", default=None, metavar="FILE",
-                   help="validate an existing bench file against the schema")
+                   help="validate an existing bench file against the schema "
+                        "and this checkout's source fingerprint")
     _add_shared(p, "bench")
 
     p = add_command("serve", "run solve jobs through the hardened job engine")
@@ -892,29 +792,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_shared(p, "serve")
 
     p = add_command(
-        "throughput",
-        "time batched multi-RHS solves vs a loop of independent "
-        "solves; write BENCH_throughput.json",
-    )
-    p.add_argument("--out", default="BENCH_throughput.json",
-                   help="output path for the throughput document")
-    p.add_argument("--matrices", nargs="*", default=None,
-                   help="suite matrices (default: cfd2 lung2 — the "
-                        "codec-bound cells batching targets)")
-    p.add_argument("--batch", type=int, default=8,
-                   help="simultaneous right-hand sides per batch")
-    p.add_argument("--rounds", type=int, default=3,
-                   help="timing rounds per cell (best-of wins)")
-    p.add_argument("--min-speedup", type=float, default=None,
-                   help="exit 1 unless the aggregate speedup reaches "
-                        "this factor (also applies to --check)")
-    p.add_argument("--check", default=None, metavar="FILE",
-                   help="validate an existing throughput document")
-    _add_shared(p, "throughput")
-
-    p = add_command(
         "soak",
-        "run the serve soak with seeded chaos; write BENCH_serve.json",
+        "run the serve soak with seeded chaos; write soak-report.json",
     )
     p.add_argument("--jobs", type=int, default=200,
                    help="solve jobs to queue (mixed configs)")
@@ -924,7 +803,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verify-every", type=int, default=10,
                    help="bit-identity-check every n-th clean job")
     p.add_argument("--heartbeat-timeout", type=float, default=2.0)
-    p.add_argument("--out", default="BENCH_serve.json",
+    p.add_argument("--out", default="soak-report.json",
                    help="serve health report path")
     p.add_argument("--check", default=None, metavar="FILE",
                    help="validate an existing serve report")
@@ -941,7 +820,6 @@ _COMMANDS = {
     "predict": _cmd_predict,
     "faults": _cmd_faults,
     "bench": _cmd_bench,
-    "throughput": _cmd_throughput,
     "serve": _cmd_serve,
     "soak": _cmd_soak,
 }

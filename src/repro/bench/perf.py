@@ -1,30 +1,35 @@
-"""Solver-wide performance bench: ``python -m repro bench``.
+"""Solver-wide model bench: ``python -m repro bench``.
 
 Replays a fixed matrix × storage-format grid through the traced
-CB-GMRES solver and merges two views of every solve:
+CB-GMRES solver and records, for every solve, only what a machine can
+reproduce byte for byte: iteration / restart / re-orthogonalisation
+counts, the final RRN, the stored bits per value, the tracer's counter
+snapshot, and the GPU timing model's predicted per-kernel seconds
+(:meth:`repro.gpu.timing.GmresTimingModel.phase_times`, the quantity
+the paper's Fig. 11 argues about) attributed to the phases ``spmv`` /
+``preconditioner`` / ``orthogonalize`` / ``basis_read`` /
+``basis_write`` / ``update`` / ``other``.
 
-* **observed** — wall-clock spans from a :class:`repro.observe.Tracer`
-  threaded through the solver, basis, accessors, codec and SpMV;
-* **modeled** — the GPU timing model's predicted per-kernel seconds
-  (:meth:`repro.gpu.timing.GmresTimingModel.phase_times`), the quantity
-  the paper's Fig. 11 argues about.
+Nothing here reads a clock.  Host durations are the business of
+``benchmarks/perf`` (``BENCHMARK.json``), the repository's one
+wall-clock instrument; this module is the model axis and the identity
+gates (cached ≡ streaming, jit ≡ numpy) that ride on the same solves.
 
-The merged per-phase attribution (``spmv`` / ``preconditioner`` /
-``orthogonalize`` / ``basis_read`` / ``basis_write`` / ``update`` /
-``other``) is emitted as
-a schema-versioned ``BENCH_gmres.json`` so successive commits leave a
-comparable perf trajectory; ``compare_bench`` diffs two such files and
-flags regressions beyond a tolerance (convergence lost, iteration-count
-or modeled-time growth).  Wall-clock seconds are recorded but never
-compared — they depend on the host — while iteration counts and modeled
-times are deterministic for a fixed grid.
+The grid is emitted as a schema-versioned ``BENCH_gmres.json`` that
+records the SHA-256 of the ``repro`` sources that produced it
+(:func:`source_fingerprint`), so a committed file cannot outlive the
+code it describes: :func:`check_bench` refuses a document whose
+fingerprint is not the checkout's.  ``compare_bench`` diffs two such
+files across commits and flags regressions beyond a tolerance
+(convergence lost, iteration-count or modeled-time growth).
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
-import time
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -56,40 +61,21 @@ __all__ = [
     "DEFAULT_PREC_TIER",
     "PRECISION_BASELINE_STORAGE",
     "Regression",
+    "source_fingerprint",
     "run_bench_entry",
     "run_bench",
     "validate_bench",
     "write_bench",
     "load_bench",
+    "check_bench",
     "compare_bench",
 ]
 
 #: schema identifier embedded in every bench file
 BENCH_SCHEMA = "repro.bench.gmres"
-#: bump on any incompatible change to the document layout
-#: (v2: top-level ``spmv_format`` + per-entry ``spmv`` block;
-#: v3: top-level ``basis_mode`` + per-entry ``basis`` block with
-#: per-mode wall time / peak float64 bytes and modeled fused-kernel time;
-#: v4: ``adaptive`` joins the default storage grid and adaptive entries
-#: carry a ``precision`` block — per-restart storage trace, modeled
-#: stored-basis bytes saved vs a fixed frsz2_32 companion solve, and the
-#: iteration-count delta;
-#: v5: kernel backends — top-level and per-entry ``backend`` blocks
-#: recording the requested/resolved backend and jit engine, a
-#: best-of-rounds codec write+read microbench with ``speedup_vs_numpy``
-#: on codec-bound (frsz2_*) entries, and an in-bench full-solve
-#: jit-vs-numpy bit-identity gate that refuses to emit on divergence;
-#: every entry is preceded by an untimed warm-up solve so jit compile
-#: and first-round cold caches never pollute the timed regions;
-#: v6: preconditioning tier — ``preconditioner`` joins the phase keys,
-#: the document records the grid's ``preconditioner``/``prec_storage``,
-#: preconditioned entries carry a ``preconditioner`` block (setup
-#: seconds, apply count, stored-preconditioner bytes vs float64, and
-#: iteration ratio / wall speedup against an untraced unpreconditioned
-#: companion solve), and the default grid appends a preconditioned
-#: tier: ILU(0) on the two stalling stencil scenarios plus a
-#: frsz2_16-compressed block-Jacobi entry)
-BENCH_SCHEMA_VERSION = 6
+#: bump on any incompatible change to the document layout (v7: every
+#: host-time field is gone and the document records ``source_sha256``)
+BENCH_SCHEMA_VERSION = 7
 #: per-phase attribution keys (observe span names + the remainder)
 BENCH_PHASES = (
     "spmv",
@@ -110,10 +96,10 @@ PRECISION_BASELINE_STORAGE = "frsz2_32"
 #: small-but-varied default matrix grid (fast at smoke scale)
 DEFAULT_BENCH_MATRICES = ("atmosmodd", "cfd2", "lung2")
 #: (matrix, storage, preconditioner, prec_storage) cells appended to the
-#: default grid (schema v6): ILU(0) on the two scenario stencils where
+#: default grid: ILU(0) on the two scenario stencils where
 #: unpreconditioned CB-GMRES stalls at the iteration cap, plus
 #: compressed block-Jacobi storage on a Table I matrix — together the
-#: preconditioned perf trajectory the CI gate tracks
+#: preconditioned trajectory the committed artifact tracks
 DEFAULT_PREC_TIER = (
     ("aniso_jump", "frsz2_32", "ilu0", "float64"),
     ("conv_dom", "frsz2_32", "ilu0", "float64"),
@@ -133,54 +119,35 @@ _ENTRY_SCALARS = {
     "final_rrn": float,
     "target_rrn": float,
     "bits_per_value": float,
-    "wall_seconds": float,
     "modeled_seconds": float,
 }
 
 
-def _spmv_wall_seconds(op, x, rounds: int = 7, reps: int = 10) -> float:
-    """Best-of-``rounds`` mean matvec wall time over ``reps`` calls.
+def source_fingerprint() -> str:
+    """SHA-256 over the ``repro`` package's Python sources.
 
-    The minimum over rounds is the standard noise-robust wall-clock
-    estimate: scheduler preemption and frequency scaling only ever make
-    a round slower, never faster.
+    Every ``*.py`` under the package directory, in sorted order of its
+    ``/``-separated relative path, contributes that path and its bytes
+    (each NUL-terminated) — so the digest moves when any source file is
+    edited, added, removed or renamed, and only then.
     """
-    op.matvec(x)  # warm caches and lazy allocations outside the timing
-    best = float("inf")
-    for _ in range(rounds):
-        t0 = time.perf_counter()
-        for _ in range(reps):
-            op.matvec(x)
-        best = min(best, (time.perf_counter() - t0) / reps)
-    return best
+    root = Path(__file__).resolve().parents[1]
+    digest = hashlib.sha256()
+    for rel, path in sorted(
+        (p.relative_to(root).as_posix(), p) for p in root.rglob("*.py")
+    ):
+        digest.update(rel.encode("utf-8") + b"\0")
+        digest.update(path.read_bytes() + b"\0")
+    return digest.hexdigest()
 
 
-def _codec_cycle_seconds(
-    n: int, bit_length: int, backend: str, rounds: int = 5, reps: int = 3
-) -> float:
-    """Best-of-``rounds`` mean FRSZ2 write+read cycle wall time.
-
-    The per-entry ``speedup_vs_numpy`` microbench: one compress of an
-    ``n``-vector followed by one full decompress, through the given
-    kernel backend.  The warm-up call outside the timing absorbs the
-    jit engine's one-time compile/load (and numpy's first-touch
-    allocations), so best-of-rounds only ever sees steady state.
-    """
-    from ..accessor.frsz2_accessor import Frsz2Accessor
-
-    rng = np.random.default_rng(0)
-    values = rng.standard_normal(n)
-    acc = Frsz2Accessor(n, bit_length=bit_length, backend=backend)
-    acc.write(values)
-    acc.read()  # warm-up: engine compile + allocations outside the timing
-    best = float("inf")
-    for _ in range(rounds):
-        t0 = time.perf_counter()
-        for _ in range(reps):
-            acc.write(values)
-            acc.read()
-        best = min(best, (time.perf_counter() - t0) / reps)
-    return best
+def _same_solve(a, b) -> bool:
+    """Exact equality of two solves: iterations, solution bits, history."""
+    return bool(
+        a.iterations == b.iterations
+        and np.array_equal(a.x, b.x)
+        and [s.rrn for s in a.history] == [s.rrn for s in b.history]
+    )
 
 
 def run_bench_entry(
@@ -216,28 +183,26 @@ def run_bench_entry(
     spmv_format : str, default "auto"
         SpMV engine format (``auto`` / ``csr`` / ``ell`` / ``sell``);
         the entry's ``spmv`` block records the requested and resolved
-        format plus a measured matvec speedup over the CSR kernel.
+        format plus the padding it costs.
     basis_mode : str, default "cached"
         Basis kernel structure of the primary traced solve (``cached``
-        or ``streaming``).  Both modes additionally run once untraced
-        for the entry's ``basis.modes`` wall/peak-memory comparison and
-        its ``bit_identical_modes`` equality check.
+        or ``streaming``).  The other mode additionally runs once
+        untraced for the entry's ``basis.modes`` peak-memory comparison
+        and its ``bit_identical_modes`` equality check.
     backend : str, default "numpy"
         Kernel backend (``numpy``/``jit``) applied to the solver, the
         SpMV engine and the codec.  ``jit`` entries additionally run an
         untraced full solve on the numpy backend and raise
         ``ValueError`` on any bit divergence — a diverging grid refuses
         to emit a bench document.  The entry's ``backend`` block
-        records the resolved backend, the jit engine name, and (for
-        frsz2_* storages) the codec write+read microbench with its
-        ``speedup_vs_numpy``.
+        records the resolved backend and the jit engine name.
     preconditioner : str, default "none"
         Right preconditioner applied to every solve in the entry
         (``none``/``jacobi``/``block_jacobi``/``ilu0``).  Preconditioned
         entries additionally run an untraced *unpreconditioned*
-        companion solve and carry a ``preconditioner`` block: setup
-        seconds, apply count, stored-preconditioner bytes vs float64,
-        and the iteration ratio / wall speedup against that companion.
+        companion solve and carry a ``preconditioner`` block: apply
+        count, stored-preconditioner bytes vs float64, and the
+        iteration ratio against that companion.
     prec_storage : str, default "float64"
         Storage rung for the preconditioner's factor values
         (``float64``/``float32``/``frsz2_32``/``frsz2_16``); decoded
@@ -248,8 +213,8 @@ def run_bench_entry(
     -------
     dict
         One ``entries[]`` element of the bench schema: deterministic
-        solve metrics, per-phase wall/modeled seconds, the ``spmv``
-        format/speedup block, the ``basis`` fused-kernel block, and the
+        solve metrics, per-phase modeled seconds, the ``spmv``
+        format/padding block, the ``basis`` fused-kernel block, and the
         tracer's counter snapshot.  Top-level callable for the
         ``--jobs`` worker pool (must stay picklable).
     """
@@ -272,123 +237,50 @@ def run_bench_entry(
     engine_name = _dispatch.jit_engine_name() if backend == "jit" else None
     problem = make_problem(matrix, scale, target_rrn=target_rrn)
     # the preconditioner is factored once from the raw CSR operator and
-    # shared by every solve in the entry; setup is timed directly (it
-    # happens before the tracer exists) and reported in the entry's
-    # ``preconditioner`` block rather than inside wall_total
+    # shared by every solve in the entry
     prec = None
-    prec_setup_seconds = 0.0
     if preconditioner != "none":
-        pt0 = time.perf_counter()
         prec = make_preconditioner(
             preconditioner, problem.a, storage=prec_storage, backend=backend,
         )
-        prec_setup_seconds = time.perf_counter() - pt0
-    # untimed warm-up pass (schema v5): a single-restart solve touches
-    # every kernel family first, so the jit engine's one-time compile
-    # and the numpy path's first-round cold caches are paid here, never
-    # inside wall_total or the best-of-rounds microbenches below
-    CbGmres(
-        problem.a, storage, m=m, max_iter=m,
-        spmv_format=spmv_format, basis_mode=basis_mode, backend=backend,
-        preconditioner=prec,
-    ).solve(problem.b, problem.target_rrn)
     tracer = Tracer()
-
-    # the operator and the preconditioner are shared across the traced
-    # solve and several untraced companions; these toggles keep their
-    # spans/counters scoped to the traced solve only
-    def _untrace() -> None:
-        problem.a.tracer = NULL_TRACER
-        if prec is not None:
-            prec.tracer = NULL_TRACER
-
-    def _retrace() -> None:
-        problem.a.tracer = tracer
-        if prec is not None:
-            prec.tracer = tracer
-
-    _retrace()
+    problem.a.tracer = tracer
+    if prec is not None:
+        prec.tracer = tracer
     solver = CbGmres(
         problem.a, storage, m=m, max_iter=max_iter,
         spmv_format=spmv_format, basis_mode=basis_mode, tracer=tracer,
         backend=backend, preconditioner=prec,
     )
-    t0 = time.perf_counter()
     result = solver.solve(problem.b, problem.target_rrn)
-    wall_total = time.perf_counter() - t0
-
-    # observed wall seconds per phase; orthogonalize/update report time
-    # *exclusive* of the basis reads nested inside them, and the
-    # preconditioner applies sit outside the other phase spans, so the
-    # seven phases partition the solve without double counting
-    wall = {
-        "spmv": tracer.total_seconds("spmv"),
-        "preconditioner": tracer.total_seconds("prec.apply"),
-        "basis_read": tracer.total_seconds("basis_read"),
-        "basis_write": tracer.total_seconds("basis_write"),
-        "orthogonalize": tracer.total_seconds("orthogonalize")
-        - tracer.total_seconds("basis_read", under="orthogonalize"),
-        "update": tracer.total_seconds("update")
-        - tracer.total_seconds("basis_read", under="update"),
-    }
-    wall["other"] = max(wall_total - sum(wall.values()), 0.0)
+    # the operator and the preconditioner are shared with the untraced
+    # companion solves below; detaching them here keeps the counter
+    # snapshot scoped to the traced solve
+    problem.a.tracer = NULL_TRACER
+    if prec is not None:
+        prec.tracer = NULL_TRACER
 
     modeled = GmresTimingModel(device).phase_times(
         result.stats, storage,
         prec_info=prec.cost_info() if prec is not None else None,
     )
 
-    # measured SpMV speedup over the CSR kernel: time the engine's
-    # matvec and the raw CSR matvec back to back with tracing disabled
-    # (spans would perturb both sides).  When the resolved format *is*
-    # CSR the two operators are the same object, so the speedup is
-    # exactly 1.0 by construction rather than timing noise.
     engine = solver.a
     resolved = getattr(engine, "resolved_format", "csr")
     padding_ratio = float(getattr(engine, "padding_ratio", 1.0))
-    _untrace()
-    try:
-        if engine is problem.a or getattr(engine, "impl", None) is problem.a:
-            spmv_wall = csr_wall = _spmv_wall_seconds(problem.a, problem.b)
-            speedup = 1.0
-        else:
-            spmv_wall = _spmv_wall_seconds(engine, problem.b)
-            csr_wall = _spmv_wall_seconds(problem.a, problem.b)
-            speedup = csr_wall / spmv_wall if spmv_wall > 0 else 1.0
-    finally:
-        _retrace()
     tracer.counters["spmv.padding_ratio"] = padding_ratio
 
-    # per-mode comparison: run both basis modes untraced (spans would
-    # perturb the wall clocks) on the same operator, record wall time
-    # and peak float64 working set, and check the modes' outputs for
+    # per-mode comparison: the primary solve is its own mode's row; the
+    # other basis mode runs once untraced on the same operator for its
+    # peak float64 working set, and the two outputs are checked for
     # exact equality — the determinism contract of the fused kernels
-    mode_blocks: Dict[str, dict] = {}
-    mode_results: Dict[str, object] = {}
-    _untrace()
-    try:
-        for mode in BENCH_BASIS_MODES:
-            mode_solver = CbGmres(
-                engine, storage, m=m, max_iter=max_iter, basis_mode=mode,
-                backend=backend, preconditioner=prec,
-            )
-            mt0 = time.perf_counter()
-            mode_result = mode_solver.solve(problem.b, problem.target_rrn)
-            mode_blocks[mode] = {
-                "wall_seconds": float(time.perf_counter() - mt0),
-                "peak_float64_bytes": int(
-                    mode_result.stats.basis_peak_float64_bytes
-                ),
-            }
-            mode_results[mode] = mode_result
-    finally:
-        _retrace()
-    rc, rs = mode_results["cached"], mode_results["streaming"]
-    bit_identical = bool(
-        rc.iterations == rs.iterations
-        and np.array_equal(rc.x, rs.x)
-        and [s.rrn for s in rc.history] == [s.rrn for s in rs.history]
-    )
+    (other_mode,) = (mode for mode in BENCH_BASIS_MODES if mode != basis_mode)
+    other = CbGmres(
+        engine, storage, m=m, max_iter=max_iter, basis_mode=other_mode,
+        backend=backend, preconditioner=prec,
+    ).solve(problem.b, problem.target_rrn)
+    mode_stats = {basis_mode: result.stats, other_mode: other.stats}
+    bit_identical = _same_solve(result, other)
 
     # adaptive entries report the controller's decisions and their
     # payoff against an untraced fixed-storage companion solve on the
@@ -398,14 +290,10 @@ def run_bench_entry(
     precision_block: Optional[dict] = None
     if storage == ADAPTIVE_STORAGE:
         model = GmresTimingModel(device)
-        _untrace()
-        try:
-            fixed = CbGmres(
-                engine, PRECISION_BASELINE_STORAGE, m=m, max_iter=max_iter,
-                basis_mode=basis_mode, backend=backend, preconditioner=prec,
-            ).solve(problem.b, problem.target_rrn)
-        finally:
-            _retrace()
+        fixed = CbGmres(
+            engine, PRECISION_BASELINE_STORAGE, m=m, max_iter=max_iter,
+            basis_mode=basis_mode, backend=backend, preconditioner=prec,
+        ).solve(problem.b, problem.target_rrn)
         adaptive_bytes = model.basis_bytes_moved(result.stats, storage)
         fixed_bytes = model.basis_bytes_moved(
             fixed.stats, PRECISION_BASELINE_STORAGE
@@ -449,26 +337,18 @@ def run_bench_entry(
 
     # preconditioned entries measure their payoff against an untraced
     # *unpreconditioned* companion on the same operator: the iteration
-    # ratio (the convergence win) and the wall speedup (whether the win
-    # survives the per-iteration apply cost).  Runs before the backend
-    # gate below, which flips the shared engine's kernels to numpy.
+    # ratio (the convergence win).  Runs before the backend gate below,
+    # which flips the shared engine's kernels to numpy.
     prec_block: Optional[dict] = None
     if prec is not None:
-        _untrace()
-        try:
-            bt0 = time.perf_counter()
-            base = CbGmres(
-                engine, storage, m=m, max_iter=max_iter,
-                basis_mode=basis_mode, backend=backend,
-            ).solve(problem.b, problem.target_rrn)
-            baseline_wall = time.perf_counter() - bt0
-        finally:
-            _retrace()
+        base = CbGmres(
+            engine, storage, m=m, max_iter=max_iter,
+            basis_mode=basis_mode, backend=backend,
+        ).solve(problem.b, problem.target_rrn)
         info = prec.cost_info()
         prec_block = {
             "name": str(preconditioner),
             "storage": str(prec_storage),
-            "setup_seconds": float(prec_setup_seconds),
             "applies": int(result.stats.preconditioner_applies),
             "stored_bytes": int(info["stored_bytes"]),
             "float64_bytes": int(info["float64_bytes"]),
@@ -484,18 +364,15 @@ def run_bench_entry(
                 if base.iterations
                 else 0.0
             ),
-            "wall_speedup": float(
-                baseline_wall / wall_total if wall_total > 0 else 1.0
-            ),
         }
 
-    # backend block (schema v5).  jit entries re-run the full solve on
-    # the numpy reference backend and must match bit for bit — a
-    # diverging jit kernel refuses to emit rather than record timings
-    # for a different computation.  This gate runs last because it
-    # flips the shared engine's kernels to numpy in place.  The
-    # reference solve rebuilds the preconditioner on the numpy backend
-    # so the gate covers the triangular-solve/block-apply kernels too.
+    # backend block.  jit entries re-run the full solve on the numpy
+    # reference backend and must match bit for bit — a diverging jit
+    # kernel refuses to emit rather than record the metrics of a
+    # different computation.  This gate runs last because it flips the
+    # shared engine's kernels to numpy in place.  The reference solve
+    # rebuilds the preconditioner on the numpy backend so the gate
+    # covers the triangular-solve/block-apply kernels too.
     bit_identical_numpy = True
     if backend == "jit":
         ref_prec = None
@@ -504,48 +381,22 @@ def run_bench_entry(
                 preconditioner, problem.a, storage=prec_storage,
                 backend="numpy",
             )
-        _untrace()
-        try:
-            ref = CbGmres(
-                engine, storage, m=m, max_iter=max_iter,
-                basis_mode=basis_mode, backend="numpy",
-                preconditioner=ref_prec,
-            ).solve(problem.b, problem.target_rrn)
-        finally:
-            _retrace()
-        bit_identical_numpy = bool(
-            ref.iterations == result.iterations
-            and np.array_equal(ref.x, result.x)
-            and [s.rrn for s in ref.history] == [s.rrn for s in result.history]
-        )
+        ref = CbGmres(
+            engine, storage, m=m, max_iter=max_iter,
+            basis_mode=basis_mode, backend="numpy",
+            preconditioner=ref_prec,
+        ).solve(problem.b, problem.target_rrn)
+        bit_identical_numpy = _same_solve(ref, result)
         if not bit_identical_numpy:
             raise ValueError(
                 f"jit backend diverged from numpy on {matrix}/{storage}: "
                 "refusing to emit a bench entry for a different computation"
             )
-    codec_wall = numpy_codec_wall = speedup_vs_numpy = None
-    if storage.startswith("frsz2_"):
-        bit_length = int(storage.split("_", 1)[1])
-        numpy_codec_wall = _codec_cycle_seconds(
-            int(result.stats.n), bit_length, "numpy"
-        )
-        if backend == "jit":
-            codec_wall = _codec_cycle_seconds(
-                int(result.stats.n), bit_length, "jit"
-            )
-        else:
-            codec_wall = numpy_codec_wall
-        speedup_vs_numpy = (
-            numpy_codec_wall / codec_wall if codec_wall > 0 else 1.0
-        )
     backend_block = {
         "requested": requested_backend,
         "resolved": str(backend),
         "engine": engine_name,
         "bit_identical_numpy": bit_identical_numpy,
-        "codec_wall_seconds": codec_wall,
-        "numpy_codec_wall_seconds": numpy_codec_wall,
-        "speedup_vs_numpy": speedup_vs_numpy,
     }
 
     return {
@@ -560,7 +411,6 @@ def run_bench_entry(
         "final_rrn": float(result.final_rrn),
         "target_rrn": float(result.target_rrn),
         "bits_per_value": float(result.stats.bits_per_value),
-        "wall_seconds": float(wall_total),
         "modeled_seconds": float(sum(modeled.values())),
         "backend": backend_block,
         "spmv": {
@@ -568,9 +418,6 @@ def run_bench_entry(
             "format": str(resolved),
             "padding_ratio": padding_ratio,
             "padded_entries": int(getattr(engine, "padded_entries", problem.a.nnz)),
-            "wall_seconds": float(spmv_wall),
-            "csr_wall_seconds": float(csr_wall),
-            "speedup_vs_csr": float(speedup),
         },
         "basis": {
             "mode": str(basis_mode),
@@ -585,13 +432,15 @@ def run_bench_entry(
                 )
             ),
             "bit_identical_modes": bit_identical,
-            "modes": mode_blocks,
+            "modes": {
+                mode: {"peak_float64_bytes": int(
+                    mode_stats[mode].basis_peak_float64_bytes
+                )}
+                for mode in BENCH_BASIS_MODES
+            },
         },
         "phases": {
-            phase: {
-                "wall_seconds": float(wall[phase]),
-                "modeled_seconds": float(modeled[phase]),
-            }
+            phase: {"modeled_seconds": float(modeled[phase])}
             for phase in BENCH_PHASES
         },
         "counters": {
@@ -635,9 +484,8 @@ def run_bench(
     jobs : int, default 1
         Worker processes for the grid (:mod:`repro.parallel`).  Every
         cell is an independent deterministic solve, so any ``jobs``
-        value produces identical deterministic metrics (iterations,
-        modeled seconds, counters); only ``wall_seconds`` varies.
-        ``1`` keeps the historical serial path.
+        value produces the identical document.  ``1`` keeps the
+        historical serial path.
     spmv_format : str, default "auto"
         SpMV engine format applied to every cell (``--spmv-format``);
         ``auto`` selections are deterministic per matrix, so the grid's
@@ -645,14 +493,12 @@ def run_bench(
     basis_mode : str, default "cached"
         Basis kernel structure of every cell's primary traced solve
         (``--basis-mode``); each entry's ``basis.modes`` block always
-        times *both* modes regardless.
+        covers *both* modes regardless.
     backend : str, default "numpy"
         Kernel backend (``--backend``) applied to every cell.  The
         document's top-level ``backend`` block records the requested
-        and resolved backend plus the geometric-mean codec
-        ``speedup_vs_numpy`` over the grid's codec-bound (frsz2_*)
-        entries; any jit-vs-numpy bit divergence in a cell raises
-        before a document is produced.
+        and resolved backend; any jit-vs-numpy bit divergence in a
+        cell raises before a document is produced.
     preconditioner, prec_storage : str
         Right preconditioner (``--preconditioner``) and its factor
         storage rung (``--prec-storage``) applied to every cell.  When
@@ -703,9 +549,9 @@ def run_bench(
         for matrix, storage in grid
     ]
     labels = [f"bench[{matrix}/{storage}]" for matrix, storage in grid]
-    # schema v6: the acceptance-floor document always carries the
-    # preconditioned tier alongside the unpreconditioned grid; explicit
-    # matrix selections or an explicit preconditioner opt out
+    # the acceptance-floor document always carries the preconditioned
+    # tier alongside the unpreconditioned grid; explicit matrix
+    # selections or an explicit preconditioner opt out
     if default_grid and preconditioner == "none":
         for mx, st, pname, pstorage in DEFAULT_PREC_TIER:
             kwargs.append(
@@ -719,25 +565,16 @@ def run_bench(
     entries = run_grid(run_bench_entry, kwargs, jobs=jobs, labels=labels)
     # grid-wide backend summary: every cell resolved identically (the
     # same process/worker environment), so the first entry's resolution
-    # speaks for the grid; the geomean covers codec-bound entries only
-    speedups = [
-        e["backend"]["speedup_vs_numpy"]
-        for e in entries
-        if e["backend"]["speedup_vs_numpy"] is not None
-    ]
-    geomean = (
-        float(np.exp(np.mean(np.log(speedups)))) if speedups else None
-    )
+    # speaks for the grid
     backend_block = {
         "requested": str(backend),
         "resolved": entries[0]["backend"]["resolved"] if entries else str(backend),
         "engine": entries[0]["backend"]["engine"] if entries else None,
-        "codec_speedup_geomean": geomean,
     }
     return {
         "schema": BENCH_SCHEMA,
         "schema_version": BENCH_SCHEMA_VERSION,
-        "created": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+        "source_sha256": source_fingerprint(),
         "device": device.name,
         "scale": scale,
         "restart": int(m),
@@ -781,8 +618,14 @@ def validate_bench(doc: dict) -> None:
     _expect(doc.get("schema_version") == BENCH_SCHEMA_VERSION,
             "$.schema_version",
             f"expected {BENCH_SCHEMA_VERSION}, got {doc.get('schema_version')!r}")
-    for key in ("created", "device", "scale", "spmv_format", "basis_mode"):
+    for key in ("source_sha256", "device", "scale", "spmv_format",
+                "basis_mode"):
         _expect(isinstance(doc.get(key), str), f"$.{key}", "expected a string")
+    _expect(
+        len(doc["source_sha256"]) == 64
+        and set(doc["source_sha256"]) <= set("0123456789abcdef"),
+        "$.source_sha256", "expected 64 lowercase hex digits",
+    )
     _expect(doc["spmv_format"] in ("auto", "csr", "ell", "sell"),
             "$.spmv_format",
             f"expected one of auto/csr/ell/sell, got {doc['spmv_format']!r}")
@@ -792,21 +635,20 @@ def validate_bench(doc: dict) -> None:
             f"got {doc['basis_mode']!r}")
     _expect(doc.get("preconditioner") in PRECONDITIONERS,
             "$.preconditioner",
-            f"expected one of {'/'.join(PRECONDITIONERS)} (schema v6), "
+            f"expected one of {'/'.join(PRECONDITIONERS)}, "
             f"got {doc.get('preconditioner')!r}")
     _expect(doc.get("prec_storage") in PREC_STORAGES,
             "$.prec_storage",
-            f"expected one of {'/'.join(PREC_STORAGES)} (schema v6), "
+            f"expected one of {'/'.join(PREC_STORAGES)}, "
             f"got {doc.get('prec_storage')!r}")
     for key in ("restart", "max_iter"):
         _expect(isinstance(doc.get(key), int) and doc[key] > 0,
                 f"$.{key}", "expected a positive integer")
     top_backend = doc.get("backend")
     _expect(isinstance(top_backend, dict), "$.backend",
-            "expected a backend block (schema v5)")
+            "expected a backend block")
     _expect(
-        set(top_backend) == {"requested", "resolved", "engine",
-                             "codec_speedup_geomean"},
+        set(top_backend) == {"requested", "resolved", "engine"},
         "$.backend",
         f"unexpected backend block keys {sorted(top_backend)}",
     )
@@ -818,9 +660,6 @@ def validate_bench(doc: dict) -> None:
         top_backend["engine"] is None or isinstance(top_backend["engine"], str),
         "$.backend.engine", "expected a string or null",
     )
-    if top_backend["codec_speedup_geomean"] is not None:
-        _expect_number(top_backend["codec_speedup_geomean"],
-                       "$.backend.codec_speedup_geomean")
     for key in ("matrices", "storages"):
         _expect(
             isinstance(doc.get(key), list) and doc[key]
@@ -851,11 +690,10 @@ def validate_bench(doc: dict) -> None:
                         "expected a string")
         eb = entry.get("backend")
         _expect(isinstance(eb, dict), f"{where}.backend",
-                "expected a backend block (schema v5)")
+                "expected a backend block")
         _expect(
             set(eb) == {"requested", "resolved", "engine",
-                        "bit_identical_numpy", "codec_wall_seconds",
-                        "numpy_codec_wall_seconds", "speedup_vs_numpy"},
+                        "bit_identical_numpy"},
             f"{where}.backend",
             f"unexpected backend block keys {sorted(eb)}",
         )
@@ -870,21 +708,11 @@ def validate_bench(doc: dict) -> None:
         _expect(eb["bit_identical_numpy"] is True,
                 f"{where}.backend.bit_identical_numpy",
                 "a diverging backend must never be emitted")
-        codec_keys = ("codec_wall_seconds", "numpy_codec_wall_seconds",
-                      "speedup_vs_numpy")
-        if entry.get("storage", "").startswith("frsz2_"):
-            for key in codec_keys:
-                _expect_number(eb[key], f"{where}.backend.{key}")
-        else:
-            for key in codec_keys:
-                _expect(eb[key] is None, f"{where}.backend.{key}",
-                        "codec microbench applies to frsz2_* entries only")
         spmv = entry.get("spmv")
         _expect(isinstance(spmv, dict), f"{where}.spmv", "expected an object")
         _expect(
             set(spmv) == {"requested", "format", "padding_ratio",
-                          "padded_entries", "wall_seconds",
-                          "csr_wall_seconds", "speedup_vs_csr"},
+                          "padded_entries"},
             f"{where}.spmv",
             f"unexpected spmv block keys {sorted(spmv)}",
         )
@@ -899,9 +727,7 @@ def validate_bench(doc: dict) -> None:
             and not isinstance(spmv["padded_entries"], bool),
             f"{where}.spmv.padded_entries", "expected an integer",
         )
-        for key in ("padding_ratio", "wall_seconds", "csr_wall_seconds",
-                    "speedup_vs_csr"):
-            _expect_number(spmv[key], f"{where}.spmv.{key}")
+        _expect_number(spmv["padding_ratio"], f"{where}.spmv.padding_ratio")
         basis = entry.get("basis")
         _expect(isinstance(basis, dict), f"{where}.basis", "expected an object")
         _expect(
@@ -936,9 +762,8 @@ def validate_bench(doc: dict) -> None:
         for mode, cell in modes.items():
             mwhere = f"{where}.basis.modes.{mode}"
             _expect(isinstance(cell, dict), mwhere, "expected an object")
-            _expect(set(cell) == {"wall_seconds", "peak_float64_bytes"},
-                    mwhere, "expected wall_seconds and peak_float64_bytes")
-            _expect_number(cell["wall_seconds"], f"{mwhere}.wall_seconds")
+            _expect(set(cell) == {"peak_float64_bytes"},
+                    mwhere, "expected exactly peak_float64_bytes")
             _expect(
                 isinstance(cell["peak_float64_bytes"], int)
                 and not isinstance(cell["peak_float64_bytes"], bool),
@@ -953,9 +778,8 @@ def validate_bench(doc: dict) -> None:
         for phase, cell in phases.items():
             pwhere = f"{where}.phases.{phase}"
             _expect(isinstance(cell, dict), pwhere, "expected an object")
-            _expect(set(cell) == {"wall_seconds", "modeled_seconds"}, pwhere,
-                    "expected wall_seconds and modeled_seconds")
-            _expect_number(cell["wall_seconds"], f"{pwhere}.wall_seconds")
+            _expect(set(cell) == {"modeled_seconds"}, pwhere,
+                    "expected exactly modeled_seconds")
             _expect_number(cell["modeled_seconds"], f"{pwhere}.modeled_seconds")
         counters = entry.get("counters")
         _expect(isinstance(counters, dict), f"{where}.counters",
@@ -974,7 +798,7 @@ def validate_bench(doc: dict) -> None:
 
 
 def _validate_precision_block(precision: object, where: str) -> None:
-    """Validate one adaptive entry's ``precision`` block (schema v4)."""
+    """Validate one adaptive entry's ``precision`` block."""
     _expect(isinstance(precision, dict), where,
             "adaptive entries must carry a precision block")
     expected = {
@@ -1035,12 +859,12 @@ def _validate_precision_block(precision: object, where: str) -> None:
 
 
 def _validate_preconditioner_block(prec: object, where: str) -> None:
-    """Validate one preconditioned entry's ``preconditioner`` block (v6)."""
+    """Validate one preconditioned entry's ``preconditioner`` block."""
     _expect(isinstance(prec, dict), where, "expected an object")
     expected = {
-        "name", "storage", "setup_seconds", "applies", "stored_bytes",
-        "float64_bytes", "bytes_saved_fraction", "baseline_iterations",
-        "baseline_converged", "iteration_ratio", "wall_speedup",
+        "name", "storage", "applies", "stored_bytes", "float64_bytes",
+        "bytes_saved_fraction", "baseline_iterations", "baseline_converged",
+        "iteration_ratio",
     }
     _expect(set(prec) == expected, where,
             f"unexpected preconditioner block keys {sorted(prec)}")
@@ -1058,8 +882,7 @@ def _validate_preconditioner_block(prec: object, where: str) -> None:
             isinstance(prec[key], int) and not isinstance(prec[key], bool),
             f"{where}.{key}", "expected an integer",
         )
-    for key in ("setup_seconds", "bytes_saved_fraction", "iteration_ratio",
-                "wall_speedup"):
+    for key in ("bytes_saved_fraction", "iteration_ratio"):
         _expect_number(prec[key], f"{where}.{key}")
     _expect(isinstance(prec["baseline_converged"], bool),
             f"{where}.baseline_converged", "expected a boolean")
@@ -1083,6 +906,25 @@ def load_bench(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     validate_bench(doc)
+    return doc
+
+
+def check_bench(path: str) -> dict:
+    """:func:`load_bench`, then refuse a document of some other source.
+
+    Raises ``ValueError`` naming both digests when the document's
+    ``source_sha256`` is not this checkout's :func:`source_fingerprint`:
+    the file describes code that is no longer (or not yet) here, and
+    must be regenerated with ``python -m repro bench``.
+    """
+    doc = load_bench(path)
+    here = source_fingerprint()
+    if doc["source_sha256"] != here:
+        raise ValueError(
+            f"{path} is stale: it records source_sha256 "
+            f"{doc['source_sha256']} but this checkout's repro sources "
+            f"hash to {here}; regenerate it with `python -m repro bench`"
+        )
     return doc
 
 
@@ -1110,8 +952,9 @@ def compare_bench(
 
     Only deterministic metrics are compared: lost convergence, iteration
     count and modeled seconds growing by more than ``tolerance``
-    (relative), and grid entries that disappeared.  Host-dependent
-    wall-clock numbers are deliberately ignored.
+    (relative), and grid entries that disappeared.  The documents'
+    ``source_sha256`` is not looked at: comparing across commits is
+    the point.
     """
     if tolerance < 0:
         raise ValueError("tolerance must be non-negative")
@@ -1120,7 +963,7 @@ def compare_bench(
 
     def _key(e: dict) -> tuple:
         # preconditioned and unpreconditioned entries for the same
-        # matrix/storage cell are distinct trajectory points (v6)
+        # matrix/storage cell are distinct trajectory points
         prec = e.get("preconditioner") or {}
         return (e["matrix"], e["storage"], prec.get("name", "none"))
 

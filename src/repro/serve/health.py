@@ -1,13 +1,13 @@
-"""Serve health block: the engine's trajectory metric across PRs.
+"""Serve health block: how the job engine behaved under load.
 
 The bench reports track solver quality (iterations, storage traffic,
-convergence); this module adds the *service* dimension — how the job
-engine behaved under load: jobs accepted vs rejected (and why), how
-many retried / degraded / crashed / hung, and the p50/p95 queue wait
-that quantifies backpressure.  The block is its own small
-schema-versioned document (``repro.serve.health`` v1) written to
-``BENCH_serve.json`` by the soak harness, so the service health is
-diffable across PRs exactly like ``BENCH.json``.
+convergence); this module adds the *service* dimension: jobs accepted
+vs rejected (and why), how many retried / degraded / crashed / hung,
+and the p50/p95 queue wait that quantifies backpressure.  The block is
+its own small schema-versioned document (``repro.serve.health`` v1)
+printed by ``python -m repro serve`` and written into the soak
+harness's report — a run output that depends on the host, so it is
+validated (:func:`validate_serve_health`) rather than committed.
 """
 
 from __future__ import annotations

@@ -16,8 +16,11 @@ mid-flight, and then checks the invariants that define the contract:
 * backpressure engaged (the bounded queue rejected with
   ``queue_full`` at least once when the submit rate exceeds drain).
 
-The run writes the serve health block (plus the soak summary) to
-``BENCH_serve.json`` — the service-side trajectory metric across PRs.
+The run can write the serve health block (plus the soak summary) to a
+report file — ``python -m repro soak`` defaults to ``soak-report.json``.
+That report is a run output, not a committed artifact: queue waits and
+rejection counts depend on the host, and tier-1
+``tests/test_serve_soak.py`` re-runs the seeded 200-job soak live.
 """
 
 from __future__ import annotations

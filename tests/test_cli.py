@@ -22,8 +22,11 @@ class TestParser:
         assert args.max_iter == 20_000
 
     def test_unknown_command(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["frobnicate"])
+        # the deleted batch-vs-loop clock must stay an invalid choice
+        for command in ("frobnicate", "throughput"):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args([command])
+            assert exc.value.code == 2
 
 
 class TestCommands:
@@ -130,8 +133,8 @@ class TestBenchCommand:
     def test_bench_parser_defaults(self):
         args = build_parser().parse_args(["bench"])
         assert args.out == "BENCH_gmres.json"
-        # smoke-scale matrices are too small for meaningful SpMV
-        # wall-clock ratios, so the CLI benches at "default" scale
+        # the scale of the committed artifact, so the plain command
+        # regenerates it
         assert args.scale == "default"
         assert args.tolerance == 0.05
 
@@ -186,63 +189,25 @@ class TestBenchCommand:
         assert "unknown matrices" in capsys.readouterr().err
 
 
-class TestThroughputCommand:
-    def _run_throughput(self, tmp_path, name="tp.json", batch="2"):
-        out = tmp_path / name
-        rc = main([
-            "throughput", "--matrices", "lung2", "--storages", "frsz2_32",
-            "--batch", batch, "--rounds", "1", "--out", str(out),
-        ])
-        return rc, out
+class TestSoakCheck:
+    def test_accepts_a_report_run_soak_wrote(self, tmp_path, capsys):
+        from repro.serve import run_soak
 
-    def test_throughput_parser_defaults(self):
-        args = build_parser().parse_args(["throughput"])
-        assert args.out == "BENCH_throughput.json"
-        assert args.scale == "smoke"
-        assert args.batch == 8
-        assert args.spmv_format == "csr"
-        assert args.min_speedup is None
+        out = tmp_path / "soak-report.json"
+        run_soak(jobs=6, workers=2, out=str(out), check=False)
+        assert main(["soak", "--check", str(out)]) == 0
+        assert "valid serve report" in capsys.readouterr().out
 
-    def test_throughput_writes_valid_json(self, tmp_path, capsys):
-        rc, out = self._run_throughput(tmp_path)
-        assert rc == 0
-        assert out.exists()
-        text = capsys.readouterr().out
-        assert "lung2" in text and "aggregate" in text
-        assert main(["throughput", "--check", str(out)]) == 0
+    @pytest.mark.parametrize("text", ["[1, 2]", '{"serve": 3}', None])
+    def test_rejects_hostile_documents(self, text, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        if text is not None:
+            path.write_text(text)
+        assert main(["soak", "--check", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
-    def test_throughput_check_rejects_corrupt_file(self, tmp_path, capsys):
-        rc, out = self._run_throughput(tmp_path)
-        assert rc == 0
-        import json
-
-        doc = json.loads(out.read_text())
-        doc["schema_version"] = 999
-        out.write_text(json.dumps(doc))
-        assert main(["throughput", "--check", str(out)]) == 2
-        assert "schema_version" in capsys.readouterr().err
-
-    def test_throughput_check_rejects_identity_tampering(self, tmp_path, capsys):
-        rc, out = self._run_throughput(tmp_path)
-        assert rc == 0
-        import json
-
-        doc = json.loads(out.read_text())
-        doc["entries"][0]["bit_identical_b1"] = False
-        out.write_text(json.dumps(doc))
-        assert main(["throughput", "--check", str(out)]) == 2
-        assert "bit_identical" in capsys.readouterr().err
-
-    def test_throughput_min_speedup_gate(self, tmp_path, capsys):
-        rc, out = self._run_throughput(tmp_path)
-        assert rc == 0
-        assert main([
-            "throughput", "--check", str(out), "--min-speedup", "1000",
-        ]) == 1
-        assert "below" in capsys.readouterr().err
-
-    def test_throughput_unknown_matrix(self, capsys):
-        assert main(["throughput", "--matrices", "not_a_matrix"]) == 2
+    def test_parser_default_is_a_run_output(self):
+        assert build_parser().parse_args(["soak"]).out == "soak-report.json"
 
 
 class TestSharedOptionRegistry:
@@ -282,7 +247,7 @@ class TestSharedOptionRegistry:
         subcommand must take --spmv-format AND --basis-mode (the faults
         subcommand historically lacked --basis-mode)."""
         subs = self._subparsers()
-        for command in ("solve", "faults", "bench", "serve", "throughput"):
+        for command in ("solve", "faults", "bench", "serve"):
             helptext = subs[command].format_help()
             assert "--spmv-format" in helptext, command
             assert "--basis-mode" in helptext, command

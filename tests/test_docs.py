@@ -53,7 +53,7 @@ REQUIRED_PAGES = {
         "## Right preconditioning in Fig. 1",
         "## The factor-storage ladder",
         "## Stagnating scenarios",
-        "## Bench tier and the v6 schema",
+        "## Bench tier",
     ),
 }
 

@@ -4,25 +4,34 @@ Covers the tracer substrate (nested spans, counters, aggregation), the
 instrumented hot paths (solver, basis, accessors, codec, SpMV), the
 zero-overhead/bit-identical guarantee of the default null tracer, and
 the ``python -m repro bench`` document lifecycle (run, validate,
-persist, compare).
+persist, compare, and the source fingerprint that ties a committed
+document to the checkout).
 """
 
+import copy
+import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.__main__ import main
+from repro.bench import perf
 from repro.bench.perf import (
     BENCH_PHASES,
     BENCH_SCHEMA_VERSION,
+    check_bench,
     compare_bench,
     load_bench,
     run_bench,
     run_bench_entry,
+    source_fingerprint,
     validate_bench,
     write_bench,
 )
 from repro.core import FRSZ2
+from repro.jit import jit_unavailable_reason
 from repro.observe import NULL_TRACER, NullTracer, Tracer
 from repro.solvers import CbGmres, make_problem
 from repro.sparse.generators import stencil_2d
@@ -217,8 +226,11 @@ class TestBenchDocument:
             assert modeled == pytest.approx(entry["modeled_seconds"])
             assert entry["phases"]["spmv"]["modeled_seconds"] > 0
             assert entry["phases"]["basis_read"]["modeled_seconds"] > 0
-            wall = sum(p["wall_seconds"] for p in entry["phases"].values())
-            assert wall <= entry["wall_seconds"] * 1.001
+
+    def test_document_reads_no_clock(self, bench_doc):
+        keys = re.findall(r'"([^"]+)":', json.dumps(bench_doc))
+        assert [k for k in keys if re.search("wall|speedup|created", k)] == []
+        assert bench_doc["source_sha256"] == source_fingerprint()
 
     def test_frsz2_entry_carries_codec_counters(self, bench_doc):
         entry = next(
@@ -230,11 +242,9 @@ class TestBenchDocument:
     def test_write_load_roundtrip(self, bench_doc, tmp_path):
         path = tmp_path / "bench.json"
         write_bench(bench_doc, str(path))
-        assert load_bench(str(path)) == __import__("json").load(open(path))
+        assert load_bench(str(path)) == json.load(open(path)) == bench_doc
 
     def test_validator_rejects_mutations(self, bench_doc):
-        import copy
-
         bad = copy.deepcopy(bench_doc)
         bad["schema_version"] = 999
         with pytest.raises(ValueError, match="schema_version"):
@@ -255,25 +265,87 @@ class TestBenchDocument:
         bad["entries"][0]["basis"]["bit_identical_modes"] = False
         with pytest.raises(ValueError, match="bit_identical_modes"):
             validate_bench(bad)
+        bad = copy.deepcopy(bench_doc)
+        bad["entries"][0]["backend"]["bit_identical_numpy"] = False
+        with pytest.raises(ValueError, match="bit_identical_numpy"):
+            validate_bench(bad)
+        bad = copy.deepcopy(bench_doc)
+        bad["entries"][0]["phases"]["spmv"]["wall_seconds"] = 0.1
+        with pytest.raises(ValueError, match="phases.spmv"):
+            validate_bench(bad)
+        bad = copy.deepcopy(bench_doc)
+        bad["source_sha256"] = "not-a-digest"
+        with pytest.raises(ValueError, match="source_sha256"):
+            validate_bench(bad)
 
     def test_deterministic_metrics_reproducible(self, bench_doc):
-        again = run_bench(**BENCH_KW)
-        for a, b in zip(bench_doc["entries"], again["entries"]):
-            assert a["iterations"] == b["iterations"]
-            assert a["modeled_seconds"] == b["modeled_seconds"]
-            assert a["final_rrn"] == b["final_rrn"]
+        assert run_bench(**BENCH_KW) == bench_doc
+
+    def test_diverging_numpy_reference_refuses_to_emit(self, monkeypatch):
+        """The jit ≡ numpy gate: a jit entry whose numpy reference solve
+        lands one ulp elsewhere must raise, not record the entry."""
+        reason = jit_unavailable_reason()
+        if reason is not None:
+            pytest.skip(f"no jit engine to gate: {reason}")
+
+        class OffByOneUlpOnNumpy(CbGmres):
+            def solve(self, b, target_rrn):
+                result = super().solve(b, target_rrn)
+                if self.backend == "numpy":
+                    result.x[0] = np.nextafter(result.x[0], np.inf)
+                return result
+
+        kwargs = dict(scale="smoke", m=20, max_iter=300, backend="jit")
+        entry = run_bench_entry("lung2", "frsz2_32", **kwargs)
+        assert entry["backend"]["resolved"] == "jit"
+        assert entry["backend"]["bit_identical_numpy"] is True
+        monkeypatch.setattr(perf, "CbGmres", OffByOneUlpOnNumpy)
+        with pytest.raises(ValueError, match="refusing to emit"):
+            run_bench_entry("lung2", "frsz2_32", **kwargs)
+
+
+COMMITTED = str(Path(__file__).resolve().parents[1] / "BENCH_gmres.json")
 
 
 class TestCommittedTrajectory:
-    """Artifact gates on the committed ``BENCH_gmres.json``: what the
-    trajectory point must *show*, beyond the key sets and identity
-    flags ``validate_bench`` enforces on every document."""
+    """Artifact gates on the committed ``BENCH_gmres.json``: it is this
+    checkout's (``check_bench`` refuses a stale fingerprint), it
+    regenerates, and it *shows* what the trajectory point must, beyond
+    the key sets and identity flags ``validate_bench`` enforces on
+    every document."""
 
     @pytest.fixture(scope="class")
     def doc(self):
-        doc = load_bench(str(Path(__file__).resolve().parents[1] / "BENCH_gmres.json"))
-        validate_bench(doc)
-        return doc
+        return check_bench(COMMITTED)
+
+    def test_cheapest_cell_regenerates_field_for_field(self, doc):
+        (committed,) = [
+            dict(e) for e in doc["entries"]
+            if (e["matrix"], e["storage"]) == ("lung2", "float64")
+        ]
+        entry = run_bench_entry(
+            "lung2", "float64", scale=doc["scale"], m=doc["restart"],
+            max_iter=doc["max_iter"], spmv_format=doc["spmv_format"],
+            basis_mode=doc["basis_mode"], backend=doc["backend"]["requested"],
+        )
+        # the one field downstream of a BLAS dot/nrm2, whose kernel
+        # OpenBLAS picks per CPU; everything else is exact
+        assert entry.pop("final_rrn") == pytest.approx(
+            committed.pop("final_rrn"), rel=1e-9
+        )
+        assert entry == committed
+
+    def test_planted_stale_fingerprint_is_refused(self, doc, tmp_path, capsys):
+        stale = copy.deepcopy(doc)
+        digest = doc["source_sha256"]
+        stale["source_sha256"] = ("0" if digest[0] != "0" else "1") + digest[1:]
+        path = tmp_path / "stale.json"
+        path.write_text(json.dumps(stale))
+        assert main(["bench", "--check", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert stale["source_sha256"] in err and digest in err
+        # comparing across commits is --compare's purpose
+        assert main(["bench", "--compare", COMMITTED, str(path)]) == 0
 
     @pytest.fixture(scope="class")
     def tier(self, doc):
@@ -317,40 +389,30 @@ class TestBenchCompare:
         assert compare_bench(bench_doc, bench_doc) == []
 
     def test_injected_iteration_regression_flagged(self, bench_doc):
-        import copy
-
         worse = copy.deepcopy(bench_doc)
         worse["entries"][0]["iterations"] *= 2
         regs = compare_bench(bench_doc, worse, tolerance=0.05)
         assert any(r.metric == "iterations" for r in regs)
 
     def test_injected_modeled_time_regression_flagged(self, bench_doc):
-        import copy
-
         worse = copy.deepcopy(bench_doc)
         worse["entries"][-1]["modeled_seconds"] *= 1.5
         regs = compare_bench(bench_doc, worse)
         assert [r.metric for r in regs] == ["modeled_seconds"]
 
     def test_lost_convergence_flagged(self, bench_doc):
-        import copy
-
         worse = copy.deepcopy(bench_doc)
         worse["entries"][0]["converged"] = False
         regs = compare_bench(bench_doc, worse)
         assert any(r.metric == "converged" for r in regs)
 
     def test_missing_entry_flagged(self, bench_doc):
-        import copy
-
         worse = copy.deepcopy(bench_doc)
         worse["entries"] = worse["entries"][1:]
         regs = compare_bench(bench_doc, worse)
         assert any("coverage" in r.metric for r in regs)
 
     def test_improvement_is_not_a_regression(self, bench_doc):
-        import copy
-
         better = copy.deepcopy(bench_doc)
         for e in better["entries"]:
             e["iterations"] = max(e["iterations"] - 5, 1)
@@ -358,8 +420,6 @@ class TestBenchCompare:
         assert compare_bench(bench_doc, better) == []
 
     def test_tolerance_absorbs_small_drift(self, bench_doc):
-        import copy
-
         drift = copy.deepcopy(bench_doc)
         for e in drift["entries"]:
             e["modeled_seconds"] *= 1.03
@@ -372,5 +432,4 @@ class TestBenchEntry:
         entry = run_bench_entry("lung2", "frsz2_32", "smoke", m=20, max_iter=300)
         assert entry["matrix"] == "lung2"
         assert entry["converged"]
-        assert entry["wall_seconds"] > 0
         assert entry["counters"]["spmv.calls"] > 0

@@ -15,7 +15,7 @@ from repro.serve import run_soak, validate_serve_health
 
 
 def test_soak_200_jobs_with_chaos(tmp_path):
-    out = tmp_path / "BENCH_serve.json"
+    out = tmp_path / "soak-report.json"
     report = run_soak(jobs=200, workers=4, seed=0, out=str(out), check=True)
     soak = report["soak"]
     serve = report["serve"]
