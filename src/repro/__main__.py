@@ -263,7 +263,10 @@ def _cmd_list(args) -> int:
 
 def _cmd_solve(args) -> int:
     from .gpu import GmresTimingModel
-    from .solvers import CbGmres, FlexibleGmres, make_preconditioner, make_problem
+    from .solvers import (
+        CbGmres, FlexibleGmres, PreconditionerError, make_preconditioner,
+        make_problem,
+    )
     from .sparse import SpmvEngine
 
     from .jit import dispatch as _dispatch
@@ -276,9 +279,14 @@ def _cmd_solve(args) -> int:
     prec_name = args.preconditioner
     prec = None
     if prec_name != "none":
-        prec = make_preconditioner(
-            prec_name, p.a, storage=args.prec_storage, backend=backend
-        )
+        try:
+            prec = make_preconditioner(
+                prec_name, p.a, storage=args.prec_storage, backend=backend
+            )
+        except PreconditionerError as exc:
+            # e.g. an ILU(0) pivot that is zero, or that the storage rounds to zero
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         info = prec.cost_info()
         print(f"preconditioner: {prec_name} ({args.prec_storage} factors, "
               f"{info['stored_bytes']} bytes stored"

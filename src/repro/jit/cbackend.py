@@ -24,6 +24,13 @@ Every kernel replays the numpy reference *operation for operation*:
   independent lanes and a fixed tree per tile, a row-ordered sum per
   element — whatever the rows come from: float64 rows read in place or
   FRSZ2 containers decoded a row piece at a time feed the same loop;
+* the ILU(0) factorisation and the triangular sweeps perform each row's
+  operations in the reference's order; the sweeps visit the *rows* in
+  another one — chunks of consecutive rows, independent chunks
+  interleaved (``prec_lower_trisolve`` below) — which is free because a
+  row only ever reads rows that are finished, in either order.  Their
+  factor values are sources like the fused kernels' rows: float64 read
+  in place or one FRSZ2 container decoded a chunk at a time;
 * the build forces ``-ffp-contract=off`` so the compiler cannot fuse a
   multiply-add into an FMA, which would change the rounding of every
   accumulation against the reference.
@@ -37,6 +44,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import re
 import subprocess
 import sys
 import sysconfig
@@ -44,7 +52,7 @@ import tempfile
 
 import numpy as np
 
-__all__ = ["CEngine", "RowPointers", "TileTable", "C_SOURCE"]
+__all__ = ["CEngine", "ChunkSweep", "RowPointers", "TileTable", "C_SOURCE"]
 
 C_SOURCE = r"""
 #include <stdint.h>
@@ -349,19 +357,26 @@ void frsz2_decode_gather(const uint8_t *payload, int32_t kind,
     }
 }
 
-/* ---- fused basis reductions ------------------------------------------
+/* ---- value sources -----------------------------------------------------
  * A source is j rows of n values: float64 rows read where they are stored
- * (row r = dense + r * ld: the columns of the basis mirror, or the rows
- * of a scratch a fallback reader filled) or, when dense == NULL, FRSZ2
- * containers of one layout, decoded one row piece at a time into buf. */
-#define FUSED_SOURCE                                                      \
-    const double *dense, int64_t ld, const uint8_t *const *payloads,      \
-    const int32_t *const *exponents, int32_t kind, int64_t nwords,        \
-    int64_t bs, int64_t l, int64_t wpb
-#define FUSED_ROW(r, i0, i1, buf)                                         \
-    (dense ? dense + (r) * ld + (i0)                                      \
-           : (decode_range(payloads[r], kind, nwords, exponents[r], i0,   \
-                           i1, bs, l, wpb, buf), (const double *)(buf)))
+ * (row r = dense + r * ld: the columns of the basis mirror, the rows of a
+ * scratch a fallback reader filled, a float64 factor) or, when dense ==
+ * NULL, FRSZ2 containers of one layout, decoded one row piece at a time
+ * into buf.  p prefixes the argument names, so a kernel may take two. */
+#define SOURCE(p)                                                         \
+    const double *p##dense, int64_t p##ld,                                \
+    const uint8_t *const *p##payloads,                                    \
+    const int32_t *const *p##exponents, int32_t p##kind,                  \
+    int64_t p##nwords, int64_t p##bs, int64_t p##l, int64_t p##wpb
+#define SOURCE_ROW(p, r, i0, i1, buf)                                     \
+    (p##dense ? p##dense + (r) * p##ld + (i0)                             \
+              : (decode_range(p##payloads[r], p##kind, p##nwords,         \
+                              p##exponents[r], i0, i1, p##bs, p##l,       \
+                              p##wpb, buf), (const double *)(buf)))
+
+/* ---- fused basis reductions: one source, the basis rows --------------- */
+#define FUSED_SOURCE SOURCE(v_)
+#define FUSED_ROW(r, i0, i1, buf) SOURCE_ROW(v_, r, i0, i1, buf)
 
 /* h[r] += the tile partial of v_r . w, for every tile [t0, t1) of the
  * grid in order and every row in order.  The partial is the written
@@ -484,30 +499,174 @@ void sell_group_matvec(const int64_t *rows, const int64_t *cols_t,
     }
 }
 
-/* In-place forward sweep: L y = b with strictly-lower CSR L and an
- * implicit unit diagonal (the ILU(0) L factor). */
-void prec_lower_trisolve(const int64_t *indptr, const int64_t *indices,
-                         const double *data, double *y, int64_t n)
+/* ILU(0) numeric factorisation, in place on lu: the IKJ loop of
+ * ilu0_factor_numpy operation for operation (a rounded quotient, then a
+ * rounded product and a rounded difference per update; a scatter
+ * workspace pos, all -1 on entry and on exit).  Rows are column-sorted.
+ * Returns -1, or the first row whose pivot is missing or exactly zero. */
+int64_t prec_ilu0_factor(const int64_t *indptr, const int64_t *cols,
+                         double *lu, int64_t n, int64_t *pos,
+                         int64_t *diag_pos)
 {
     for (int64_t i = 0; i < n; i++) {
-        double s = y[i];
-        for (int64_t k = indptr[i]; k < indptr[i + 1]; k++)
-            s -= data[k] * y[indices[k]];
-        y[i] = s;
+        int64_t s = indptr[i], e = indptr[i + 1];
+        for (int64_t k = s; k < e; k++)
+            pos[cols[k]] = k;
+        for (int64_t kk = s; kk < e; kk++) {
+            int64_t j = cols[kk];
+            if (j >= i)
+                break;
+            int64_t dp = diag_pos[j];
+            double f = lu[kk] / lu[dp];
+            lu[kk] = f;
+            for (int64_t t = dp + 1; t < indptr[j + 1]; t++) {
+                int64_t p = pos[cols[t]];
+                if (p >= 0)
+                    lu[p] = lu[p] - f * lu[t];
+            }
+        }
+        int64_t dpi = -1;
+        for (int64_t k = s; k < e; k++) {
+            if (dpi < 0 && cols[k] == i)
+                dpi = k;
+            pos[cols[k]] = -1;
+        }
+        if (dpi < 0 || lu[dpi] == 0.0)
+            return i;
+        diag_pos[i] = dpi;
+    }
+    return -1;
+}
+
+/* ---- chunk-wavefront triangular sweeps --------------------------------
+ * The result of a sweep is defined by the natural-order recurrence of
+ * lower_unit_trisolve_numpy / upper_trisolve_numpy; the order rows are
+ * visited in is free wherever they do not depend on each other.  Rows are
+ * cut into chunks of SWEEP_ROWS consecutive rows; a chunk's level is 0
+ * when its rows reference no other chunk, else 1 + the highest level of
+ * the chunks they reference.  Chunks of one level are independent, so up
+ * to SWEEP_CHUNKS of them are walked in lock-step (row q of each, then
+ * row q + 1): their recurrences overlap in the pipeline where one chunk
+ * alone waits a multiply, a subtraction and a divide for every row.  Rows
+ * of a chunk stay in order and every row keeps its entry order, so no bit
+ * depends on the geometry; both constants are picked by measurement
+ * (docs/PRECONDITIONING.md). */
+#define SWEEP_ROWS 256
+#define SWEEP_CHUNKS 4
+const int64_t prec_sweep_rows = SWEEP_ROWS;
+const int64_t prec_sweep_chunks = SWEEP_CHUNKS;
+
+/* level[c] of every chunk, forward over a strictly-lower pattern or
+ * backward over a strictly-upper one (level: zeros on entry).  Returns
+ * -1, or the first visited row holding an entry that is not strictly on
+ * its side of the diagonal (which also bounds every index by n). */
+int64_t prec_chunk_levels(const int64_t *indptr, const int64_t *indices,
+                          int64_t n, int32_t upper, int64_t *level)
+{
+    int64_t nc = (n + SWEEP_ROWS - 1) / SWEEP_ROWS;
+    for (int64_t step = 0; step < nc; step++) {
+        int64_t c = upper ? nc - 1 - step : step;
+        int64_t lo = c * SWEEP_ROWS;
+        int64_t hi = lo + SWEEP_ROWS < n ? lo + SWEEP_ROWS : n;
+        int64_t lev = 0;
+        for (int64_t i = lo; i < hi; i++)
+            for (int64_t k = indptr[i]; k < indptr[i + 1]; k++) {
+                int64_t j = indices[k];
+                if (upper ? (j <= i || j >= n) : (j >= i || j < 0))
+                    return i;
+                if (j < lo || j >= hi) {
+                    int64_t dep = level[j / SWEEP_ROWS] + 1;
+                    if (dep > lev)
+                        lev = dep;
+                }
+            }
+        level[c] = lev;
+    }
+    return -1;
+}
+
+/* The chunks [c0, c0 + g) of order, one level's lock-step group: rows
+ * [lo[c], lo[c] + len[c]) and the chunk's values, read where they are
+ * stored or decoded into its slice of work. */
+#define SWEEP_GROUP(p, work, stride)                                      \
+    int64_t lo[SWEEP_CHUNKS], len[SWEEP_CHUNKS], k0[SWEEP_CHUNKS];        \
+    const double *val[SWEEP_CHUNKS];                                      \
+    int64_t g = end - c0 < SWEEP_CHUNKS ? end - c0 : SWEEP_CHUNKS;        \
+    int64_t longest = 0;                                                  \
+    for (int64_t c = 0; c < g; c++) {                                     \
+        lo[c] = order[c0 + c] * SWEEP_ROWS;                               \
+        len[c] = (lo[c] + SWEEP_ROWS < n ? lo[c] + SWEEP_ROWS : n) - lo[c]; \
+        if (len[c] > longest)                                             \
+            longest = len[c];                                             \
+        k0[c] = indptr[lo[c]];                                            \
+        val[c] = SOURCE_ROW(p, 0, k0[c], indptr[lo[c] + len[c]],          \
+                            (work) + c * (stride));                       \
+    }
+
+/* Forward sweep: L y = b with strictly-lower CSR L and an implicit unit
+ * diagonal (the ILU(0) L factor).  order lists the chunks level by level,
+ * level l being order[level_ptr[l] .. level_ptr[l + 1]); work holds
+ * SWEEP_CHUNKS * stride doubles when the values are compressed (stride:
+ * the most values any chunk has). */
+void prec_lower_trisolve(const int64_t *indptr, const int64_t *indices,
+                         SOURCE(v_), const int64_t *order,
+                         const int64_t *level_ptr, int64_t nlevels,
+                         const double *b, double *y, int64_t n,
+                         double *work, int64_t stride)
+{
+    for (int64_t lev = 0; lev < nlevels; lev++) {
+        int64_t end = level_ptr[lev + 1];
+        for (int64_t c0 = level_ptr[lev]; c0 < end; c0 += SWEEP_CHUNKS) {
+            SWEEP_GROUP(v_, work, stride)
+            for (int64_t q = 0; q < longest; q++)
+                for (int64_t c = 0; c < g; c++) {
+                    if (q >= len[c])
+                        continue;
+                    int64_t i = lo[c] + q;
+                    int64_t s0 = indptr[i], cnt = indptr[i + 1] - s0;
+                    const double *v = val[c] + (s0 - k0[c]);
+                    const int64_t *col = indices + s0;
+                    double s = b[i];
+                    for (int64_t k = 0; k < cnt; k++)
+                        s -= v[k] * y[col[k]];
+                    y[i] = s;
+                }
+        }
     }
 }
 
-/* In-place backward sweep: U y = b with strictly-upper CSR entries
- * plus a separate diagonal array. */
+/* Backward sweep: U y = b with strictly-upper CSR entries plus a separate
+ * diagonal source (d_: its chunk slices follow the value slices in work,
+ * SWEEP_ROWS doubles each). */
 void prec_upper_trisolve(const int64_t *indptr, const int64_t *indices,
-                         const double *data, const double *udiag,
-                         double *y, int64_t n)
+                         SOURCE(v_), SOURCE(d_), const int64_t *order,
+                         const int64_t *level_ptr, int64_t nlevels,
+                         const double *b, double *y, int64_t n,
+                         double *work, int64_t stride)
 {
-    for (int64_t i = n - 1; i >= 0; i--) {
-        double s = y[i];
-        for (int64_t k = indptr[i]; k < indptr[i + 1]; k++)
-            s -= data[k] * y[indices[k]];
-        y[i] = s / udiag[i];
+    double *dwork = work + SWEEP_CHUNKS * stride;
+    for (int64_t lev = 0; lev < nlevels; lev++) {
+        int64_t end = level_ptr[lev + 1];
+        for (int64_t c0 = level_ptr[lev]; c0 < end; c0 += SWEEP_CHUNKS) {
+            SWEEP_GROUP(v_, work, stride)
+            const double *diag[SWEEP_CHUNKS];
+            for (int64_t c = 0; c < g; c++)
+                diag[c] = SOURCE_ROW(d_, 0, lo[c], lo[c] + len[c],
+                                     dwork + c * SWEEP_ROWS);
+            for (int64_t q = 0; q < longest; q++)
+                for (int64_t c = 0; c < g; c++) {
+                    if (q >= len[c])
+                        continue;
+                    int64_t r = len[c] - 1 - q, i = lo[c] + r;
+                    int64_t s0 = indptr[i], cnt = indptr[i + 1] - s0;
+                    const double *v = val[c] + (s0 - k0[c]);
+                    const int64_t *col = indices + s0;
+                    double s = b[i];
+                    for (int64_t k = 0; k < cnt; k++)
+                        s -= v[k] * y[col[k]];
+                    y[i] = s / diag[c][r];
+                }
+        }
     }
 }
 
@@ -533,6 +692,8 @@ void prec_block_diag_apply(const double *blocks, const double *v,
 }
 """
 
+#: the declarations cffi parses; ``SOURCE(p)`` stands for the nine
+#: arguments of one value source, as in ``C_SOURCE``
 _CDEF = """
 void bitpack_pack_at(uint32_t *words, const int64_t *bitpos,
                      const uint64_t *fields, const int64_t *widths,
@@ -559,18 +720,10 @@ void frsz2_decode_gather(const uint8_t *payload, int32_t kind,
                          int64_t nwords, const int32_t *exponents,
                          const int64_t *idx, int64_t m, int64_t bs,
                          int64_t l, int64_t wpb, double *out);
-void fused_dot(const double *dense, int64_t ld,
-               const uint8_t *const *payloads,
-               const int32_t *const *exponents, int32_t kind,
-               int64_t nwords, int64_t bs, int64_t l, int64_t wpb,
-               int64_t j, int64_t n, int64_t tile, const double *w,
-               double *h, double *work);
-void fused_axpy(const double *dense, int64_t ld,
-                const uint8_t *const *payloads,
-                const int32_t *const *exponents, int32_t kind,
-                int64_t nwords, int64_t bs, int64_t l, int64_t wpb,
-                int64_t j, int64_t n, const double *y, double *w,
-                int32_t store);
+void fused_dot(SOURCE(v_), int64_t j, int64_t n, int64_t tile,
+               const double *w, double *h, double *work);
+void fused_axpy(SOURCE(v_), int64_t j, int64_t n, const double *y,
+                double *w, int32_t store);
 void csr_matvec(const int64_t *rows, const int64_t *cols,
                 const double *data, int64_t nnz, const double *x,
                 double *y, int64_t m);
@@ -579,14 +732,36 @@ void ell_matvec(const int64_t *cols_t, const double *vals_t, int64_t width,
 void sell_group_matvec(const int64_t *rows, const int64_t *cols_t,
                        const double *vals_t, int64_t width, int64_t g,
                        const double *x, double *y);
+int64_t prec_ilu0_factor(const int64_t *indptr, const int64_t *cols,
+                         double *lu, int64_t n, int64_t *pos,
+                         int64_t *diag_pos);
+extern int64_t prec_sweep_rows;
+extern int64_t prec_sweep_chunks;
+int64_t prec_chunk_levels(const int64_t *indptr, const int64_t *indices,
+                          int64_t n, int32_t upper, int64_t *level);
 void prec_lower_trisolve(const int64_t *indptr, const int64_t *indices,
-                         const double *data, double *y, int64_t n);
+                         SOURCE(v_), const int64_t *order,
+                         const int64_t *level_ptr, int64_t nlevels,
+                         const double *b, double *y, int64_t n,
+                         double *work, int64_t stride);
 void prec_upper_trisolve(const int64_t *indptr, const int64_t *indices,
-                         const double *data, const double *udiag,
-                         double *y, int64_t n);
+                         SOURCE(v_), SOURCE(d_), const int64_t *order,
+                         const int64_t *level_ptr, int64_t nlevels,
+                         const double *b, double *y, int64_t n,
+                         double *work, int64_t stride);
 void prec_block_diag_apply(const double *blocks, const double *v,
                            int64_t bs, int64_t n, double *out);
 """
+_CDEF = re.sub(
+    r"SOURCE\((\w+)\)",
+    lambda m: (
+        "const double *{p}dense, int64_t {p}ld, "
+        "const uint8_t *const *{p}payloads, "
+        "const int32_t *const *{p}exponents, int32_t {p}kind, "
+        "int64_t {p}nwords, int64_t {p}bs, int64_t {p}l, int64_t {p}wpb"
+    ).format(p=m.group(1)),
+    _CDEF,
+)
 
 #: flags that pin IEEE semantics: no FMA contraction, no fast-math —
 #: an FMA would change the rounding of every accumulation vs numpy.
@@ -722,6 +897,119 @@ class TileTable:
         )
 
 
+def _check_csr_pattern(indptr: np.ndarray, indices: np.ndarray) -> None:
+    """Raise unless ``indptr`` walks ``indices`` row by row, in bounds."""
+    if (indptr.ndim != 1 or indptr.size < 1 or indptr[0] != 0
+            or indptr[-1] != indices.size or np.any(np.diff(indptr) < 0)):
+        raise ValueError(
+            "indptr must rise from 0 to the number of stored indices"
+        )
+
+
+#: the dense stand-in for a source of no values
+_NO_VALUES = np.zeros((1, 1))
+
+
+class ChunkSweep:
+    """One strictly-triangular CSR pattern prepared for repeated sweeps.
+
+    The preparation is the chunk-wavefront schedule of the C kernels
+    (see ``prec_lower_trisolve`` in ``C_SOURCE``): :attr:`order` lists
+    the chunks of ``engine.sweep_rows`` consecutive rows level by level,
+    level ``l`` being ``order[level_ptr[l]:level_ptr[l + 1]]``.  It is
+    made once, from the pattern alone, and checked here — every index in
+    bounds and strictly on its side of the diagonal — before C may walk
+    it.  The values come with each call: a one-row :class:`TileTable`
+    (decoded a chunk at a time into a per-call work buffer) or float64
+    values read where they are stored.
+    """
+
+    __slots__ = ("_engine", "indptr", "indices", "n", "order", "level_ptr",
+                 "stride", "_pattern", "_levels")
+
+    #: sweep direction; the subclasses fix it
+    upper = False
+
+    def __init__(self, engine: "CEngine", indptr, indices) -> None:
+        self._engine = engine
+        self.indptr = indptr = engine._c(indptr, np.int64)
+        self.indices = indices = engine._c(indices, np.int64)
+        _check_csr_pattern(indptr, indices)
+        self.n = n = indptr.size - 1
+        rows = engine.sweep_rows
+        chunks = -(-n // rows)
+        level = np.zeros(chunks, dtype=np.int64)
+        self._pattern = (engine._ptr(indptr, "int64_t *"),
+                         engine._ptr(indices, "int64_t *"))
+        bad = engine._lib.prec_chunk_levels(
+            *self._pattern, n, int(self.upper), engine._ptr(level, "int64_t *")
+        )
+        if bad >= 0:
+            side = "above" if self.upper else "below"
+            raise ValueError(
+                f"row {bad} holds an entry that is not strictly {side} the "
+                "diagonal"
+            )
+        # level by level and, inside a level, in the sweep's direction
+        if self.upper:
+            self.order = chunks - 1 - np.argsort(level[::-1], kind="stable")
+        else:
+            self.order = np.argsort(level, kind="stable")
+        self.level_ptr = np.concatenate(
+            ([0], np.cumsum(np.bincount(level)))
+        ).astype(np.int64)
+        self._levels = (engine._ptr(self.order, "int64_t *"),
+                        engine._ptr(self.level_ptr, "int64_t *"),
+                        self.level_ptr.size - 1)
+        #: the most values any chunk holds (one chunk's share of the work)
+        bounds = indptr[np.minimum(np.arange(chunks + 1) * rows, n)]
+        self.stride = int(np.diff(bounds).max(initial=0))
+
+    def _solve(self, kernel, b, data, *udiag) -> np.ndarray:
+        engine = self._engine
+        n = self.n
+        b = engine._c(b, np.float64)
+        if b.shape != (n,):
+            raise ValueError(f"expected a right-hand side of length {n}")
+        sources = [*engine._values_source(data, self.indices.size, "data")]
+        for diagonal in udiag:
+            sources += engine._values_source(diagonal, n, "udiag")
+        work = engine._ffi.NULL
+        if any(isinstance(values, TileTable) for values in (data, *udiag)):
+            work = engine._ptr(
+                np.empty(engine.sweep_chunks * (self.stride + engine.sweep_rows)),
+                "double *",
+            )
+        y = np.empty(n)
+        kernel(
+            *self._pattern, *sources, *self._levels,
+            engine._ptr(b, "double *"), engine._ptr(y, "double *"), n,
+            work, self.stride,
+        )
+        return y
+
+
+class LowerSweep(ChunkSweep):
+    """``L y = b``: strictly-lower entries, implicit unit diagonal."""
+
+    __slots__ = ()
+
+    def __call__(self, data, b) -> np.ndarray:
+        return self._solve(self._engine._lib.prec_lower_trisolve, b, data)
+
+
+class UpperSweep(ChunkSweep):
+    """``U y = b``: strictly-upper entries plus the diagonal ``udiag``."""
+
+    __slots__ = ()
+    upper = True
+
+    def __call__(self, data, udiag, b) -> np.ndarray:
+        return self._solve(
+            self._engine._lib.prec_upper_trisolve, b, data, udiag
+        )
+
+
 class CEngine:
     """cffi/ABI-mode wrapper over the runtime-compiled C kernels.
 
@@ -738,6 +1026,9 @@ class CEngine:
         self._ffi = cffi.FFI()
         self._ffi.cdef(_CDEF)
         self._lib = self._ffi.dlopen(_build_library())
+        #: chunk-wavefront geometry of the triangular sweeps (C constants)
+        self.sweep_rows = int(self._lib.prec_sweep_rows)
+        self.sweep_chunks = int(self._lib.prec_sweep_chunks)
 
     # -- pointer plumbing ---------------------------------------------
 
@@ -1066,37 +1357,59 @@ class CEngine:
         )
         y[rows] = tmp
 
-    # -- preconditioner applies ---------------------------------------
+    # -- preconditioner set-up and applies ------------------------------
 
-    def lower_unit_trisolve(self, indptr, indices, data, b) -> np.ndarray:
-        indptr = self._c(indptr, np.int64)
-        indices = self._c(indices, np.int64)
-        data = self._c(data, np.float64)
-        y = np.array(b, dtype=np.float64)
-        self._lib.prec_lower_trisolve(
-            self._ptr(indptr, "int64_t *"),
-            self._ptr(indices, "int64_t *"),
-            self._ptr(data, "double *"),
-            self._ptr(y, "double *"),
-            y.size,
-        )
-        return y
+    def ilu0_factor(self, indptr, cols, vals):
+        """ILU(0) of column-sorted CSR rows; see ``ilu0_factor_numpy``.
 
-    def upper_trisolve(self, indptr, indices, data, udiag, b) -> np.ndarray:
+        Returns ``(lu, diag_pos, row)``: the factored values in the
+        pattern's order, each row's diagonal position, and ``-1`` or the
+        first row whose pivot is missing or exactly zero.
+        """
         indptr = self._c(indptr, np.int64)
-        indices = self._c(indices, np.int64)
-        data = self._c(data, np.float64)
-        udiag = self._c(udiag, np.float64)
-        y = np.array(b, dtype=np.float64)
-        self._lib.prec_upper_trisolve(
+        cols = self._c(cols, np.int64)
+        n = indptr.size - 1
+        _check_csr_pattern(indptr, cols)
+        if cols.size and (cols.min() < 0 or cols.max() >= n):
+            raise ValueError("column index out of range")
+        lu = np.array(vals, dtype=np.float64)
+        if lu.shape != cols.shape:
+            raise ValueError("cols and vals must have the same length")
+        pos = np.full(n, -1, dtype=np.int64)
+        diag_pos = np.empty(n, dtype=np.int64)
+        row = self._lib.prec_ilu0_factor(
             self._ptr(indptr, "int64_t *"),
-            self._ptr(indices, "int64_t *"),
-            self._ptr(data, "double *"),
-            self._ptr(udiag, "double *"),
-            self._ptr(y, "double *"),
-            y.size,
+            self._ptr(cols, "int64_t *"),
+            self._ptr(lu, "double *"),
+            n,
+            self._ptr(pos, "int64_t *"),
+            self._ptr(diag_pos, "int64_t *"),
         )
-        return y
+        return lu, diag_pos, int(row)
+
+    def lower_unit_trisolve(self, indptr, indices) -> "LowerSweep":
+        """``sweep(data, b)`` over one strictly-lower pattern."""
+        return LowerSweep(self, indptr, indices)
+
+    def upper_trisolve(self, indptr, indices) -> "UpperSweep":
+        """``sweep(data, udiag, b)`` over one strictly-upper pattern."""
+        return UpperSweep(self, indptr, indices)
+
+    def _values_source(self, values, size: int, name: str):
+        """The C source arguments of one row of exactly ``size`` values.
+
+        ``values`` is a one-row :class:`TileTable`, decoded a chunk at a
+        time inside the sweep, or float64 values read where they are.
+        """
+        if not isinstance(values, TileTable):
+            values = self._c(values, np.float64).reshape(1, -1)
+            if values.shape[1] != size:
+                raise ValueError(
+                    f"{name} must hold {size} values, got {values.shape[1]}"
+                )
+            if not size:  # C tells the two kinds of source apart by a pointer
+                values = _NO_VALUES
+        return self._fused_source(values, 1, size)
 
     def block_diag_apply(self, blocks, v, bs, n) -> np.ndarray:
         blocks = self._c(blocks, np.float64)

@@ -2,9 +2,9 @@
 
 Every hot kernel of the reproduction — the bitpack scatter/gather, the
 FRSZ2 encode/decode block loops, the CSR/ELL/SELL SpMV kernels and the
-fused tile reductions, plus the preconditioner triangular-solve and
-block-diagonal applies — is registered here under a ``(name, backend)``
-key.  Components (the codec, the sparse matrices, the solvers) resolve
+fused tile reductions, plus the preconditioner's ILU(0) factorisation,
+triangular sweeps and block-diagonal apply — is registered here under a
+``(name, backend)`` key.  Components (the codec, the sparse matrices, the solvers) resolve
 their kernels through :func:`get_kernel` at construction time, so the
 ``backend={numpy,jit}`` switch is a single attribute threaded from the
 CLI down to the innermost loop.
@@ -219,6 +219,7 @@ def _ensure_jit_kernels() -> None:
     register_kernel("spmv.csr_matvec", "jit", engine.csr_matvec)
     register_kernel("spmv.ell_matvec", "jit", engine.ell_matvec)
     register_kernel("spmv.sell_group_matvec", "jit", engine.sell_group_matvec)
+    register_kernel("prec.ilu0_factor", "jit", engine.ilu0_factor)
     register_kernel("prec.lower_trisolve", "jit", engine.lower_unit_trisolve)
     register_kernel("prec.upper_trisolve", "jit", engine.upper_trisolve)
     register_kernel("prec.block_diag_apply", "jit", engine.block_diag_apply)

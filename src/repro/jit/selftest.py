@@ -232,6 +232,13 @@ def _check_fused(engine, rng: np.random.Generator) -> None:
                     )
 
 
+def _csr_arrays(mask: np.ndarray, values: np.ndarray):
+    """``(indptr, cols, values[mask])`` of the entries ``mask`` keeps."""
+    indptr = np.zeros(mask.shape[0] + 1, dtype=np.int64)
+    np.cumsum(mask.sum(axis=1), out=indptr[1:])
+    return indptr, np.nonzero(mask)[1].astype(np.int64), values[mask]
+
+
 def _check_spmv(engine, rng: np.random.Generator) -> None:
     from ..sparse.csr import CSRMatrix
     from ..sparse.ell import ELLMatrix
@@ -242,11 +249,7 @@ def _check_spmv(engine, rng: np.random.Generator) -> None:
     mask = rng.random((m, m)) < density
     np.fill_diagonal(mask, True)
     dense = np.where(mask, rng.standard_normal((m, m)), 0.0)
-    indptr = np.zeros(m + 1, dtype=np.int64)
-    np.cumsum(mask.sum(axis=1), out=indptr[1:])
-    cols = np.nonzero(mask)[1].astype(np.int64)
-    data = dense[mask]
-    a = CSRMatrix((m, m), indptr, cols, data)
+    a = CSRMatrix((m, m), *_csr_arrays(mask, dense))
     x = rng.standard_normal(m)
 
     ref = a.matvec(x)
@@ -267,48 +270,88 @@ def _check_spmv(engine, rng: np.random.Generator) -> None:
             "spmv.sell_group_matvec")
 
 
+def _banded_csr(rng: np.random.Generator, n: int, zero_pivot_row=None):
+    """A diagonally dominant band matrix as column-sorted CSR arrays.
+
+    ``zero_pivot_row = r`` empties rows ``r - 1`` and ``r`` down to a
+    2 x 2 block of ones on the diagonal, so row ``r`` eliminates to
+    ``u_rr = 1 - 1 * 1``: an exactly-zero pivot.
+    """
+    i, j = np.indices((n, n))
+    mask = np.isin(j - i, (-9, -2, -1, 0, 1, 3, 7))
+    dense = np.where(mask, rng.standard_normal((n, n)), 0.0) + 6.0 * np.eye(n)
+    if zero_pivot_row is not None:
+        r = zero_pivot_row
+        dense[r - 1:r + 1] = 0.0
+        dense[r - 1:r + 1, r - 1:r + 1] = 1.0
+    return _csr_arrays(mask, dense)
+
+
+def _chunked_pattern(n: int, rows: int, upper: bool):
+    """A strictly-triangular pattern whose chunks of ``rows`` rows mostly
+    keep to themselves — so one level holds more chunks than a lock-step
+    group — while the chunks at the far end of the sweep reach five
+    chunks back and into their neighbour, which makes two more levels.
+    """
+    i = np.arange(n)[:, None]
+    step = np.array([5 * rows - 3, rows, 5, 1])
+    late = (n - 1 - i if upper else i) >= 5 * rows
+    j = i + step if upper else i - step
+    keep = (j >= 0) & (j < n) & ((j // rows == i // rows) | (late & (step > 5)))
+    if upper:
+        j, keep = j[:, ::-1], keep[:, ::-1]  # ascending columns
+    indptr, _, cols = _csr_arrays(keep, j)
+    return indptr, cols.astype(np.int64)
+
+
 def _check_prec(engine, rng: np.random.Generator) -> None:
+    from ..core.frsz2 import FRSZ2
     from ..solvers import prec_kernels
 
-    n = 83
-    # random strictly-triangular patterns with ~6 entries per row
-    lower_rows = [
-        np.unique(rng.integers(0, i, min(6, i))) if i else np.empty(0, np.int64)
-        for i in range(n)
-    ]
-    l_ip = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum([r.size for r in lower_rows], out=l_ip[1:])
-    l_cols = np.concatenate(lower_rows).astype(np.int64)
-    l_vals = rng.standard_normal(l_cols.size)
+    # the factorisation: every stored value, every diagonal position and
+    # the row a zero pivot is reported at
+    for zero_pivot_row in (None, 5):
+        ip, cols, vals = _banded_csr(rng, 48, zero_pivot_row)
+        ref_lu, ref_diag, ref_row = prec_kernels.ilu0_factor_numpy(ip, cols, vals)
+        lu, diag, row = engine.ilu0_factor(ip, cols, vals)
+        done = slice(None) if zero_pivot_row is None else slice(0, zero_pivot_row)
+        _expect(
+            row == ref_row == (-1 if zero_pivot_row is None else zero_pivot_row)
+            and np.array_equal(ref_lu.view(np.uint64), lu.view(np.uint64))
+            and np.array_equal(ref_diag[done], diag[done]),
+            f"prec.ilu0_factor (zero pivot row: {zero_pivot_row})",
+        )
+
+    # the scheduled sweeps: seven chunks, the last one short, five of
+    # them in one level; float64 values read in place and FRSZ2 values
+    # decoded a chunk at a time must both replay the natural-order
+    # recurrence over the same (decoded) values
+    rows = engine.sweep_rows
+    n = 6 * rows + 37
     b = rng.standard_normal(n) * np.exp2(rng.integers(-30, 30, n).astype(float))
+    codec = FRSZ2(bit_length=21, block_size=32)
+    for upper, name in ((False, "prec.lower_trisolve"), (True, "prec.upper_trisolve")):
+        ip, cols = _chunked_pattern(n, rows, upper)
+        comps = [codec.compress(rng.standard_normal(cols.size))]
+        if upper:
+            diag = rng.standard_normal(n)
+            comps.append(codec.compress(diag + 2.0 * np.sign(diag)))
+        dense = [codec.decompress(c) for c in comps]
+        tables = [engine.row_table([engine.row_pointers(c)]) for c in comps]
+        reference = (prec_kernels.upper_trisolve_numpy if upper
+                     else prec_kernels.lower_unit_trisolve_numpy)
+        ref = reference(ip, cols)(*dense, b).view(np.uint64)
+        sweep = (engine.upper_trisolve if upper else engine.lower_unit_trisolve)(ip, cols)
+        for tag, values in (("float64", dense), ("l=21 bs=32", tables)):
+            _expect(np.array_equal(ref, sweep(*values, b).view(np.uint64)),
+                    f"{name} ({tag})")
 
-    ref = prec_kernels.lower_unit_trisolve_numpy(l_ip, l_cols, l_vals, b)
-    got = engine.lower_unit_trisolve(l_ip, l_cols, l_vals, b)
-    _expect(np.array_equal(ref.view(np.uint64), got.view(np.uint64)),
-            "prec.lower_trisolve")
-
-    upper_rows = [
-        np.unique(rng.integers(i + 1, n, min(6, n - 1 - i)))
-        if i < n - 1
-        else np.empty(0, np.int64)
-        for i in range(n)
-    ]
-    u_ip = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum([r.size for r in upper_rows], out=u_ip[1:])
-    u_cols = np.concatenate(upper_rows).astype(np.int64)
-    u_vals = rng.standard_normal(u_cols.size)
-    udiag = rng.standard_normal(n) + np.sign(rng.standard_normal(n)) * 2.0
-
-    ref = prec_kernels.upper_trisolve_numpy(u_ip, u_cols, u_vals, udiag, b)
-    got = engine.upper_trisolve(u_ip, u_cols, u_vals, udiag, b)
-    _expect(np.array_equal(ref.view(np.uint64), got.view(np.uint64)),
-            "prec.upper_trisolve")
-
+    n = 83
     for bs in (8, 7):  # aligned and partial trailing block
         nb = -(-n // bs)
         blocks = rng.standard_normal(nb * bs * bs)
-        ref = prec_kernels.block_diag_apply_numpy(blocks, b, bs, n)
-        got = engine.block_diag_apply(blocks, b, bs, n)
+        ref = prec_kernels.block_diag_apply_numpy(blocks, b[:n], bs, n)
+        got = engine.block_diag_apply(blocks, b[:n], bs, n)
         _expect(np.array_equal(ref.view(np.uint64), got.view(np.uint64)),
                 f"prec.block_diag_apply (bs={bs})")
 

@@ -20,12 +20,19 @@ This module provides that machinery as a first-class tier:
     unit-lower / upper triangular solves.  Factor values may sit on the
     same storage ladder.
 
-The hot apply paths — the two triangular solves and the batched
-block-diagonal apply — are dispatch-registry kernels
-(``prec.lower_trisolve``, ``prec.upper_trisolve``,
-``prec.block_diag_apply``; see :mod:`repro.solvers.prec_kernels`) with
-bit-identical ``numpy`` and ``jit`` implementations, so a preconditioned
-solve stays byte-equal across backends.
+Set-up and apply are dispatch-registry kernels — the ILU(0) numeric
+factorisation, the two triangular sweeps and the batched
+block-diagonal apply (``prec.ilu0_factor``, ``prec.lower_trisolve``,
+``prec.upper_trisolve``, ``prec.block_diag_apply``; see
+:mod:`repro.solvers.prec_kernels`) — with bit-identical ``numpy`` and
+``jit`` implementations, so a preconditioned solve stays byte-equal
+across backends.  The sequential Python loops there are the
+*definition* of every result; the compiled sweeps visit independent
+chunks of rows in another order and read the factor values where they
+are stored (:func:`_stored_values`), which moves no bit.  Everything
+around the kernels — canonicalisation, the L / D / U split, the checks
+that turn a bad pivot into a named error — is vectorised numpy shared
+by both backends.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ from typing import Any, Dict, Optional
 
 import numpy as np
 
-from ..accessor import make_accessor
+from ..accessor import Float64Accessor, Frsz2Tiles, make_accessor
 from ..jit import dispatch as _dispatch
 from ..observe import NULL_TRACER
 from ..sparse.csr import CSRMatrix
@@ -75,10 +82,15 @@ class PreconditionerError(ValueError):
 
 
 class ZeroPivotError(PreconditionerError):
-    """ILU(0) hit a structurally missing or exactly-zero pivot."""
+    """ILU(0) hit a structurally missing or exactly-zero pivot.
 
-    def __init__(self, row: int) -> None:
-        super().__init__(f"ILU(0) zero pivot at row {row}")
+    ``storage`` names the factor storage when the pivot was nonzero in
+    float64 and only the storage rounded it to zero.
+    """
+
+    def __init__(self, row: int, storage: Optional[str] = None) -> None:
+        rounded = f" after rounding to {storage} storage" if storage else ""
+        super().__init__(f"ILU(0) zero pivot at row {row}{rounded}")
         self.row = int(row)
 
 
@@ -89,6 +101,61 @@ def _storage_limit(storage: str) -> float:
     if storage == "float16":
         return float(np.finfo(np.float16).max)
     return float(np.finfo(np.float64).max)
+
+
+def _invert_blocks(blocks: np.ndarray, n: int) -> np.ndarray:
+    """Inverses of the ``(nb, bs, bs)`` diagonal blocks of an order-``n`` matrix.
+
+    One batched LAPACK call; the short trailing block (zero-padded to
+    ``bs``) is inverted at its own size and padded again.  Only when
+    some block is singular are they taken one by one, so that block
+    alone falls back to the identity.
+    """
+    nb, bs, _ = blocks.shape
+    full = n // bs
+    m = n - full * bs
+    inv = np.zeros_like(blocks)
+    try:
+        inv[:full] = np.linalg.inv(blocks[:full])
+        if m:
+            inv[full, :m, :m] = np.linalg.inv(blocks[full, :m, :m])
+    except np.linalg.LinAlgError:
+        for b in range(nb):
+            k = bs if b < full else m
+            try:
+                inv[b, :k, :k] = np.linalg.inv(blocks[b, :k, :k])
+            except np.linalg.LinAlgError:
+                inv[b, :k, :k] = np.eye(k)
+    return inv
+
+
+def _offsets(counts: np.ndarray) -> np.ndarray:
+    """CSR ``indptr`` of rows holding ``counts`` entries each."""
+    indptr = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    return indptr
+
+
+def _stored_values(acc):
+    """The values ``acc`` stores, for a kernel that reads them in place.
+
+    Read where they are stored when that is provably what ``read()``
+    would decode: the array of an exact :class:`Float64Accessor` itself
+    (not a copy — the kernels only read it) and, under a compiled codec,
+    the engine's one-row table over a plain :class:`Frsz2Accessor`
+    (:meth:`Frsz2Tiles.open`'s eligibility rule), which the sweeps decode
+    a chunk at a time.  Anything else — narrower IEEE rungs, wrappers and
+    subclasses, which may override ``read`` — is decoded by ``read()``
+    into a float64 temporary.  Each route is billed as one read.
+    """
+    if acc is None:
+        return np.empty(0, dtype=np.float64)
+    if type(acc) is Float64Accessor:
+        acc._record_read()
+        return acc._data
+    tiles = Frsz2Tiles.open([acc])
+    table = tiles.sweep(acc.n) if tiles is not None else None
+    return table if table is not None else acc.read()
 
 
 class Preconditioner(abc.ABC):
@@ -226,22 +293,14 @@ class BlockJacobiPreconditioner(Preconditioner):
         nb = -(-n // bs)
         self.num_blocks = nb
         with self.tracer.span("prec.setup", kind="block_jacobi", storage=storage):
-            flat = np.zeros(nb * bs * bs, dtype=np.float64)
-            rows = a._rows
-            for b in range(nb):
-                lo = b * bs
-                hi = min(lo + bs, n)
-                m = hi - lo
-                block = np.zeros((m, m))
-                sel = (rows >= lo) & (rows < hi) & (a.indices >= lo) & (a.indices < hi)
-                block[rows[sel] - lo, a.indices[sel] - lo] = a.data[sel]
-                try:
-                    inv = np.linalg.inv(block)
-                except np.linalg.LinAlgError:
-                    inv = np.eye(m)
-                padded = np.zeros((bs, bs))
-                padded[:m, :m] = inv
-                flat[b * bs * bs : (b + 1) * bs * bs] = padded.ravel()
+            # one pass: the entries inside a diagonal block, scattered in
+            # stored order (a later duplicate overwrites an earlier one)
+            rows, cols = a._rows, a.indices
+            inside = rows // bs == cols // bs
+            r, c = rows[inside], cols[inside]
+            blocks = np.zeros((nb, bs, bs))
+            blocks[r // bs, r % bs, c % bs] = a.data[inside]
+            flat = _invert_blocks(blocks, n).ravel()
             # saturate before encoding so narrow carriers store +-max,
             # not inf (the pre-ladder semantics of this class)
             limit = _storage_limit(storage)
@@ -283,19 +342,25 @@ class ILU0Preconditioner(Preconditioner):
     """Incomplete LU factorization with zero fill-in, ``M = L U``.
 
     The factorization keeps exactly the sparsity pattern of ``A`` (IKJ
-    ordering with a scatter workspace), splitting into a unit-lower
-    factor ``L`` (strictly-lower multipliers, implicit unit diagonal)
-    and an upper factor ``U`` (strictly-upper entries plus a diagonal).
-    Applying ``M^-1`` is two sparse triangular sweeps through the
-    ``prec.lower_trisolve`` / ``prec.upper_trisolve`` dispatch kernels.
+    ordering with a scatter workspace: the ``prec.ilu0_factor`` dispatch
+    kernel), splitting into a unit-lower factor ``L`` (strictly-lower
+    multipliers, implicit unit diagonal) and an upper factor ``U``
+    (strictly-upper entries plus a diagonal).  Applying ``M^-1`` is two
+    sparse triangular sweeps through the ``prec.lower_trisolve`` /
+    ``prec.upper_trisolve`` dispatch kernels, each prepared once for its
+    pattern at set-up.
 
     Factor *values* may live on the reduced/compressed storage ladder
-    (decoded per apply); the integer pattern arrays are identical for
-    every storage and excluded from the byte accounting.  A structurally
-    missing or exactly-zero pivot raises :class:`ZeroPivotError` naming
-    the row — ILU(0) existence is not guaranteed for indefinite
-    matrices.  Note a narrow storage can round a small pivot further;
-    ``float64`` (the default) is the robust choice.
+    (decoded per apply — under the compiled engine a chunk of rows at a
+    time, inside the sweep); the integer pattern arrays, and what the
+    sweeps prepare from them, are identical for every storage and
+    excluded from the byte accounting.  A structurally missing or
+    exactly-zero pivot raises :class:`ZeroPivotError` naming the row —
+    ILU(0) existence is not guaranteed for indefinite matrices — and so
+    does a pivot that only the storage rounds to zero, which the sweeps
+    would otherwise divide by: ``float64`` (the default) is the robust
+    choice.  A factor value that is not finite raises
+    :class:`PreconditionerError` naming its row.
     """
 
     def __init__(
@@ -317,71 +382,50 @@ class ILU0Preconditioner(Preconditioner):
         self.storage = storage
         self.backend = _dispatch.resolve_backend(backend)
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self._lower = _dispatch.get_kernel("prec.lower_trisolve", self.backend)
-        self._upper = _dispatch.get_kernel("prec.upper_trisolve", self.backend)
         with self.tracer.span("prec.setup", kind="ilu0", storage=storage):
             self._factorize(a)
 
     def _factorize(self, a: CSRMatrix) -> None:
-        n = self.n
+        backend = self.backend
+        rows, cols, vals = a._rows, a.indices, a.data
         # canonicalize to column-sorted rows so "entries left of the
-        # diagonal" is a prefix of each row
-        rows = a._rows
-        order = np.lexsort((a.indices, rows))
-        cols_arr = np.asarray(a.indices, dtype=np.int64)[order]
-        vals_arr = np.asarray(a.data, dtype=np.float64)[order]
-        ip = a.indptr.tolist()
-        cols = cols_arr.tolist()
-        lu = vals_arr.tolist()
-        pos = [-1] * n
-        diag_pos = [-1] * n
-        for i in range(n):
-            s, e = ip[i], ip[i + 1]
-            for k in range(s, e):
-                pos[cols[k]] = k
-            for kk in range(s, e):
-                j = cols[kk]
-                if j >= i:
-                    break
-                dp = diag_pos[j]
-                f = lu[kk] / lu[dp]
-                lu[kk] = f
-                for t in range(dp + 1, ip[j + 1]):
-                    p = pos[cols[t]]
-                    if p >= 0:
-                        lu[p] = lu[p] - f * lu[t]
-            dpi = -1
-            for k in range(s, e):
-                if cols[k] == i:
-                    dpi = k
-                    break
-            if dpi < 0 or lu[dpi] == 0.0:
-                for k in range(s, e):
-                    pos[cols[k]] = -1
-                raise ZeroPivotError(i)
-            diag_pos[i] = dpi
-            for k in range(s, e):
-                pos[cols[k]] = -1
-        l_ip, l_cols, l_vals = [0], [], []
-        u_ip, u_cols, u_vals = [0], [], []
-        udiag = []
-        for i in range(n):
-            for k in range(ip[i], diag_pos[i]):
-                l_cols.append(cols[k])
-                l_vals.append(lu[k])
-            l_ip.append(len(l_cols))
-            udiag.append(lu[diag_pos[i]])
-            for k in range(diag_pos[i] + 1, ip[i + 1]):
-                u_cols.append(cols[k])
-                u_vals.append(lu[k])
-            u_ip.append(len(u_cols))
-        self._l_indptr = np.asarray(l_ip, dtype=np.int64)
-        self._l_indices = np.asarray(l_cols, dtype=np.int64)
-        self._u_indptr = np.asarray(u_ip, dtype=np.int64)
-        self._u_indices = np.asarray(u_cols, dtype=np.int64)
-        self._l_acc = self._store(np.asarray(l_vals, dtype=np.float64))
-        self._u_acc = self._store(np.asarray(u_vals, dtype=np.float64))
-        self._d_acc = self._store(np.asarray(udiag, dtype=np.float64))
+        # diagonal" is a prefix of each row; a matrix whose rows are
+        # strictly sorted already (every generator's) is its own sort
+        if np.any((rows[1:] == rows[:-1]) & (cols[1:] <= cols[:-1])):
+            order = np.lexsort((cols, rows))
+            cols, vals = cols[order], vals[order]
+        factor = _dispatch.get_kernel("prec.ilu0_factor", backend)
+        lu, diag_pos, bad_row = factor(a.indptr, cols, vals)
+        if bad_row >= 0:
+            raise ZeroPivotError(bad_row)
+        finite = np.isfinite(lu)
+        if not finite.all():
+            raise PreconditionerError(
+                f"ILU(0) factor is not finite at row {rows[np.argmin(finite)]}"
+            )
+        # strict-L / diagonal / strict-U: what each row stores before,
+        # at and after its diagonal position
+        past_diagonal = np.arange(lu.size, dtype=np.int64) - diag_pos[rows]
+        lower, upper = past_diagonal < 0, past_diagonal > 0
+        self._l_indptr = _offsets(diag_pos - a.indptr[:-1])
+        self._l_indices = cols[lower]
+        self._u_indptr = _offsets(a.indptr[1:] - diag_pos - 1)
+        self._u_indices = cols[upper]
+        self._l_acc = self._store(lu[lower])
+        self._u_acc = self._store(lu[upper])
+        self._d_acc = self._store(lu[diag_pos])
+        # the pivots the sweeps will divide by are the *stored* ones
+        rounded = np.flatnonzero(self._read(self._d_acc) == 0.0)
+        if rounded.size:
+            raise ZeroPivotError(int(rounded[0]), self.storage)
+        # each pattern prepared once for its sweeps (the engine's
+        # visiting order lives there, beside the pattern arrays)
+        self._lower = _dispatch.get_kernel("prec.lower_trisolve", backend)(
+            self._l_indptr, self._l_indices
+        )
+        self._upper = _dispatch.get_kernel("prec.upper_trisolve", backend)(
+            self._u_indptr, self._u_indices
+        )
 
     def _store(self, values: np.ndarray):
         if values.size == 0:
@@ -429,15 +473,9 @@ class ILU0Preconditioner(Preconditioner):
         if v.shape != (self.n,):
             raise ValueError(f"expected vector of length {self.n}")
         with self.tracer.span("prec.apply", kind="ilu0", storage=self.storage):
-            y = self._lower(
-                self._l_indptr, self._l_indices, self._read(self._l_acc), v
-            )
+            y = self._lower(_stored_values(self._l_acc), v)
             out = self._upper(
-                self._u_indptr,
-                self._u_indices,
-                self._read(self._u_acc),
-                self._read(self._d_acc),
-                y,
+                _stored_values(self._u_acc), _stored_values(self._d_acc), y
             )
         self.tracer.count("prec.applies", 1)
         self.tracer.count("prec.apply.bytes", self.stored_nbytes + 16 * self.n)

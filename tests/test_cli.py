@@ -69,6 +69,22 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "frsz2_16" in out
 
+    @pytest.mark.parametrize("backend", ["numpy", "jit"])
+    def test_storage_rounded_zero_pivot_is_a_named_error(self, capsys, backend):
+        # frsz2_16 rounds 16 ILU(0) pivots of this matrix to zero: a
+        # named error at set-up and exit 2 on either backend — not a
+        # ZeroDivisionError traceback (numpy) or a division by zero in C
+        # reported as "hit cap after 0 iterations" (jit)
+        rc = main([
+            "solve", "aniso_jump", "--scale", "smoke",
+            "--preconditioner", "ilu0", "--prec-storage", "frsz2_16",
+            "--backend", backend,
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error: ILU(0) zero pivot at row 384" in err
+        assert "frsz2_16" in err
+
     def test_preconditioner_choices_validated(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["solve", "lung2", "--preconditioner", "amg"])

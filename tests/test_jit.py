@@ -59,6 +59,7 @@ class TestDispatch:
             "spmv.csr_matvec", "spmv.ell_matvec", "spmv.sell_group_matvec",
             "fused.dot_basis", "fused.combine", "fused.axpy",
             "fused.dot_basis_batch", "fused.axpy_batch",
+            "prec.ilu0_factor",
             "prec.lower_trisolve", "prec.upper_trisolve",
             "prec.block_diag_apply",
         } <= names
@@ -169,6 +170,36 @@ class TestDispatch:
             dispatch._reset_engine_cache()
 
     @requires_jit
+    def test_selftest_gates_the_scheduled_sweeps(self, monkeypatch):
+        """A sweep that walks its levels in another order — every row
+        still computed once, by the same operations — reads entries
+        before they are solved and must not load; nor may a
+        factorisation off by one bit in one multiplier."""
+
+        class LevelsReversed(cbackend.CEngine):
+            def lower_unit_trisolve(self, indptr, indices):
+                sweep = super().lower_unit_trisolve(indptr, indices)
+                sweep.order[:] = sweep.order[::-1].copy()
+                return sweep
+
+        class OneMultiplierOff(cbackend.CEngine):
+            def ilu0_factor(self, indptr, cols, vals):
+                lu, diag_pos, row = super().ilu0_factor(indptr, cols, vals)
+                lu.view(np.uint64)[indptr[1]] ^= np.uint64(1)
+                return lu, diag_pos, row
+
+        for broken, family in ((LevelsReversed, "prec.lower_trisolve"),
+                               (OneMultiplierOff, "prec.ilu0_factor")):
+            monkeypatch.setattr(cbackend, "CEngine", broken)
+            dispatch._reset_engine_cache()
+            try:
+                assert dispatch.load_engine() is None
+                assert family in dispatch.jit_unavailable_reason()
+            finally:
+                monkeypatch.undo()
+                dispatch._reset_engine_cache()
+
+    @requires_jit
     def test_selftest_is_small_and_quick(self):
         """Every process that asks for ``backend="jit"`` pays the
         self-test once, in wall and in resident memory: its operands
@@ -192,6 +223,14 @@ class TestDispatch:
             selftest._check_fused(engine, np.random.default_rng(0))
             walls.append(time.perf_counter() - t0)
         # the family is what this engine's self-test adds to the parent's
+        assert min(walls) < 0.010
+        # so is the prec.* family: its references are Python loops over
+        # seven chunks of rows, every one a few ms at engine load
+        walls = []
+        for _ in range(5):
+            t0 = time.perf_counter()
+            selftest._check_prec(engine, np.random.default_rng(0))
+            walls.append(time.perf_counter() - t0)
         assert min(walls) < 0.010
 
     @requires_jit
@@ -453,10 +492,10 @@ class TestSolveBitIdentity:
 @requires_jit
 def test_trisolve_kernels_match_numpy_bitwise():
     """The triangular-solve bit-identity suite: the jit engine's
-    sequential sweeps must replay the pure-Python reference
-    recurrence exactly (multiply-then-subtract rounding order)."""
-    from repro.solvers import prec_kernels
-
+    scheduled sweeps must give what the pure-Python reference
+    recurrence gives in natural order (multiply-then-subtract
+    rounding order), here on rows that reach anywhere before them.
+    ``tests/test_preconditioner.py`` holds the storage x pattern grid."""
     rng = np.random.default_rng(42)
     n = 211
     rows = [
@@ -471,11 +510,11 @@ def test_trisolve_kernels_match_numpy_bitwise():
         rng.integers(-40, 40, cols.size).astype(float)
     )
     b = rng.standard_normal(n)
-    lower_np = dispatch.get_kernel("prec.lower_trisolve", "numpy")
-    lower_jit = dispatch.get_kernel("prec.lower_trisolve", "jit")
+    lower_np = dispatch.get_kernel("prec.lower_trisolve", "numpy")(ip, cols)
+    lower_jit = dispatch.get_kernel("prec.lower_trisolve", "jit")(ip, cols)
     np.testing.assert_array_equal(
-        np.asarray(lower_np(ip, cols, vals, b)).view(np.uint64),
-        np.asarray(lower_jit(ip, cols, vals, b)).view(np.uint64),
+        np.asarray(lower_np(vals, b)).view(np.uint64),
+        np.asarray(lower_jit(vals, b)).view(np.uint64),
     )
     udiag = rng.standard_normal(n) + 2.0 * np.sign(
         rng.standard_normal(n)
@@ -489,11 +528,11 @@ def test_trisolve_kernels_match_numpy_bitwise():
     np.cumsum([r.size for r in urows], out=uip[1:])
     ucols = np.concatenate(urows).astype(np.int64)
     uvals = rng.standard_normal(ucols.size)
-    upper_np = dispatch.get_kernel("prec.upper_trisolve", "numpy")
-    upper_jit = dispatch.get_kernel("prec.upper_trisolve", "jit")
+    upper_np = dispatch.get_kernel("prec.upper_trisolve", "numpy")(uip, ucols)
+    upper_jit = dispatch.get_kernel("prec.upper_trisolve", "jit")(uip, ucols)
     np.testing.assert_array_equal(
-        np.asarray(upper_np(uip, ucols, uvals, udiag, b)).view(np.uint64),
-        np.asarray(upper_jit(uip, ucols, uvals, udiag, b)).view(np.uint64),
+        np.asarray(upper_np(uvals, udiag, b)).view(np.uint64),
+        np.asarray(upper_jit(uvals, udiag, b)).view(np.uint64),
     )
     for bs in (8, 5):
         nb = -(-n // bs)
@@ -504,7 +543,6 @@ def test_trisolve_kernels_match_numpy_bitwise():
             np.asarray(bd_np(blocks, b, bs, n)).view(np.uint64),
             np.asarray(bd_jit(blocks, b, bs, n)).view(np.uint64),
         )
-    assert prec_kernels is not None
 
 
 # ----------------------------------------------------------------------
