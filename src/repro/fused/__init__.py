@@ -7,7 +7,9 @@ from .kernels import (
     FusedOpLog,
     StreamingTileReader,
     TileReader,
+    axpy_dot_fused,
     axpy_fused,
+    bill_dot_fused,
     combine_fused,
     dot_basis_fused,
     tile_grid,
@@ -21,7 +23,9 @@ __all__ = [
     "StreamingTileReader",
     "TileReader",
     "axpy_batch",
+    "axpy_dot_fused",
     "axpy_fused",
+    "bill_dot_fused",
     "combine_fused",
     "dot_basis_batch",
     "dot_basis_fused",

@@ -1,12 +1,15 @@
-"""Batched fused kernels for the multi-RHS solve path.
+"""Column loops over the solo fused kernels, for a block of operands.
 
-A batched Arnoldi step orthogonalizes one new vector per right-hand
-side against that RHS's own stored basis.  All the active bases sit at
-the same depth ``j`` (the batch solver runs its columns in lockstep), and
-every basis row is read where it is stored, so a batched kernel is a
-loop of the solo kernel of :mod:`repro.fused.kernels` over the columns:
-there is no stacked scratch to fill and nothing a shared tile pass could
-save.
+Nothing in the package calls these any more: every basis row is read
+where it is stored, so a batched kernel has been a loop of the solo
+kernel of :mod:`repro.fused.kernels` over the columns since the
+in-register reductions, and the batched solve now loops
+:func:`~repro.solvers.orthogonal.cgs_orthogonalize` over its columns
+itself (:mod:`repro.solvers.block`).  The module stays because
+``benchmarks/perf/layers.py`` imports :class:`BatchTileReader`,
+:func:`dot_basis_batch` and :func:`axpy_batch` (``fused.batch_dot_gbps``)
+and a change that claims a gain may not edit the benchmark; it can go
+with the next ``[benchmark]`` change (ROADMAP item 4).
 
 Bit-identity contract
 ---------------------

@@ -4,15 +4,17 @@ The paper's central performance claim is *fusion*: FRSZ2 decompression
 happens in-register inside the orthogonalization and solution-update
 kernels, so the compressed Krylov basis is never materialized as float64
 in main memory.  ``dot_basis_fused`` (``V^T w``), ``combine_fused``
-(``V y``) and ``axpy_fused`` (``w -= V y``) reproduce that structure:
+(``V y``), ``axpy_fused`` (``w -= V y``) and the sweep ``axpy_dot_fused``
+(``w -= V y``, then ``V^T w``, in one walk) reproduce that structure:
 they reduce the stored basis row by row over a fixed grid of *tiles*
 (runs of ``tile_elems`` elements), reading every row where it is stored.
 Under ``backend="jit"`` one C call per fused operation walks the whole
 grid: the columns of the cached mirror are read in place, and a
 streaming FRSZ2 basis is decoded one row-tile at a time into a
 ``tile``-double work buffer and reduced at once — no ``(j, tile)``
-rectangle exists.  Sources C cannot walk (wrapped, mixed-format or
-unwritten slots, dense formats, numpy codecs) are loaded tile by tile
+rectangle exists (the sweep keeps ``j`` row *pieces* of 256 values, the
+one thing it reads twice).  Sources C cannot walk (wrapped, mixed-format
+or unwritten slots, dense formats, numpy codecs) are loaded tile by tile
 into a ``(j, tile)`` scratch and reduced by the same kernels.
 
 Determinism contract
@@ -29,6 +31,15 @@ kernel, so it is the same on every host, compiler and backend:
 **axpy / combine** — for each element ``i``: ``s = y[0] * v_0[i]``, then
     ``s += y[r] * v_r[i]`` for ``r = 1 .. j-1``, then ``w[i] -= s``
     (axpy) or ``out[i] = s`` (combine).  Independent of the grid.
+**sweep** — *defined* as the axpy followed by the dot of the updated
+    ``w``: nothing new is specified, so ``w`` and ``u`` carry exactly
+    the bytes of the two calls.  What the compiled kernel changes is the
+    walk: per tile it finishes ``w`` piece by piece and adds each piece
+    to the rows' lanes while it is at hand, so a row's eight lanes
+    persist across the pieces of a tile (pieces start a multiple of
+    eight from the tile's start, so element ``i`` still joins lane
+    ``(i - t0) mod 8`` in ascending order) and every stored value is
+    read — a streaming basis decoded — once instead of twice.
 
 The result depends on the values of the rows, the operand and the tile
 size — *not* on where the rows came from.  A :class:`CachedTileReader`
@@ -69,6 +80,8 @@ __all__ = [
     "dot_basis_fused",
     "combine_fused",
     "axpy_fused",
+    "axpy_dot_fused",
+    "bill_dot_fused",
 ]
 
 #: default decoded-tile size in elements (64 FRSZ2 warp blocks); the
@@ -99,9 +112,10 @@ class FusedOpLog:
     tiles: int = 0
     #: basis values reduced (sum of n x j)
     values: int = 0
-    #: largest float64 buffer any fused call allocated: the ``tile``-double
-    #: decode buffer of a compressed source, or the ``(j, tile)`` scratch
-    #: of a source loaded tile by tile (rows read in place need neither)
+    #: most float64 bytes any fused call allocated: the ``tile``-double
+    #: decode buffer of a compressed source, the sweep's ``8 j`` lanes and
+    #: ``(j, piece)`` decoded row pieces, or the ``(j, tile)`` scratch of
+    #: a source loaded tile by tile
     peak_scratch_bytes: int = 0
 
     def observe_scratch(self, nbytes: int) -> None:
@@ -241,9 +255,10 @@ def dot_rows_numpy(rows, j, n, tile, w, h, work=None) -> None:
         a = np.add.accumulate(
             products[:, :8 * used].reshape(j, used, 8), axis=1, out=sums[:, :used]
         )[:, -1]
-        h += ((a[:, 0] + a[:, 1]) + (a[:, 2] + a[:, 3])) + (
-            (a[:, 4] + a[:, 5]) + (a[:, 6] + a[:, 7])
-        )
+        # ((a0+a1)+(a2+a3))+((a4+a5)+(a6+a7)), a tree level per addition
+        pairs = a[:, 0::2] + a[:, 1::2]
+        halves = pairs[:, 0::2] + pairs[:, 1::2]
+        h += halves[:, 0] + halves[:, 1]
 
 
 def axpy_rows_numpy(rows, j, n, y, w, store=False) -> None:
@@ -264,12 +279,19 @@ def axpy_rows_numpy(rows, j, n, y, w, store=False) -> None:
             w[i0:i1] -= si
 
 
+def axpy_dot_rows_numpy(rows, j, n, tile, y, w, u, work=None) -> None:
+    """The sweep, as it is defined: :func:`axpy_rows_numpy` on ``w``, then
+    :func:`dot_rows_numpy` of the updated ``w`` into ``u``."""
+    axpy_rows_numpy(rows, j, n, y, w)
+    dot_rows_numpy(rows, j, n, tile, w, u)
+
+
 def _row_kernels(reader: TileReader):
-    """``(dot, axpy)`` row kernels of the reader's backend."""
+    """``(dot, axpy, axpy_dot)`` row kernels of the reader's backend."""
     if reader.backend == "jit":
         engine = _dispatch.load_engine()
-        return engine.fused_dot, engine.fused_axpy
-    return dot_rows_numpy, axpy_rows_numpy
+        return engine.fused_dot, engine.fused_axpy, engine.fused_axpy_dot
+    return dot_rows_numpy, axpy_rows_numpy, axpy_dot_rows_numpy
 
 
 # ----------------------------------------------------------------------
@@ -310,47 +332,68 @@ def _coefficients(y, j: int) -> np.ndarray:
     return y[:j]
 
 
-def _pieces(reader: TileReader, tile_elems: int, log: Optional[FusedOpLog]) -> Iterator:
+def _work_buffer(size: int) -> np.ndarray:
+    """``size`` float64 values starting on a cache line: the compiled
+    kernels walk their work buffers in 64-byte registers, and a buffer
+    that straddles lines costs the sweep a tenth of its time."""
+    raw = np.empty(size + 7)
+    skip = -(raw.ctypes.data // 8) % 8
+    return raw[skip:skip + size]
+
+
+def _pieces(
+    reader: TileReader, tile_elems: int, log: Optional[FusedOpLog], sweep: bool = False
+) -> Iterator:
     """``(rows, work, t0, t1)`` pieces covering the reader's ``n`` values.
 
     Rows readable where they are stored come as one piece over the whole
-    grid (``work`` is the decode buffer a compressed source needs);
-    anything else comes tile by tile in a reused ``(j, tile)`` scratch.
+    grid; anything else comes tile by tile in a reused ``(j, tile)``
+    scratch.  ``work`` is what the compiled kernels need beside the rows:
+    the ``tile``-double decode buffer of a compressed source or, for the
+    ``sweep``, its ``8 j`` lane accumulators plus the ``(j, piece)``
+    decoded row pieces of a compressed source.
     """
     if tile_elems < 1:
         raise ValueError("tile_elems must be positive")
-    n = reader.n
+    n, j = reader.n, reader.j
     tile = min(tile_elems, n)
     rows = reader.rows(tile_elems)
+    scratch = np.empty((j, tile)) if rows is None else None
+    work = None
+    if reader.backend == "jit":
+        compressed = rows is not None and not isinstance(rows, np.ndarray)
+        if sweep:
+            piece = _dispatch.load_engine().fused_piece if compressed else 0
+            work = _work_buffer(j * (8 + piece))
+        elif compressed:
+            work = _work_buffer(tile)
+    if log is not None:
+        log.observe_scratch(
+            sum(buf.nbytes for buf in (scratch, work) if buf is not None)
+        )
     if rows is not None:
-        work = None if isinstance(rows, np.ndarray) else np.empty(tile)
-        if log is not None and work is not None:
-            log.observe_scratch(work.nbytes)
         yield rows, work, 0, n
         return
-    scratch = np.empty((reader.j, tile))
-    if log is not None:
-        log.observe_scratch(scratch.nbytes)
     for t0 in range(0, n, tile_elems):
         t1 = min(t0 + tile_elems, n)
         reader.load(t0, t1, scratch)
-        yield scratch, None, t0, t1
+        yield scratch, work, t0, t1
 
 
 def _count_call(
-    tracer, log: Optional[FusedOpLog], kind: str, reader: TileReader, tile_elems: int
+    tracer, log: Optional[FusedOpLog], kind: str, j: int, n: int, tile_elems: int
 ) -> None:
-    j = reader.j
-    tiles = -(-reader.n // tile_elems)
+    """Bill one Fig. 1 kernel of ``kind`` over ``j`` rows of ``n`` values."""
+    tiles = -(-n // tile_elems)
     if log is not None:
         setattr(log, f"{kind}_calls", getattr(log, f"{kind}_calls") + 1)
         setattr(log, f"{kind}_vectors", getattr(log, f"{kind}_vectors") + j)
         log.tiles += tiles
-        log.values += j * reader.n
+        log.values += j * n
     if tracer.enabled:
         tracer.count(f"basis.fused.{kind}_calls")
         tracer.count("basis.fused.tiles", tiles)
-        tracer.count("basis.fused.values", j * reader.n)
+        tracer.count("basis.fused.values", j * n)
 
 
 def dot_basis_fused(
@@ -389,10 +432,10 @@ def dot_basis_fused(
     h = np.zeros(j)
     if j == 0:
         return h
-    dot_rows, _ = _row_kernels(reader)
+    dot_rows = _row_kernels(reader)[0]
     for rows, work, t0, t1 in _pieces(reader, tile_elems, log):
         dot_rows(rows, j, t1 - t0, tile_elems, w[t0:t1], h, work)
-    _count_call(tracer, log, "dot", reader, tile_elems)
+    _count_call(tracer, log, "dot", j, reader.n, tile_elems)
     return h
 
 
@@ -401,10 +444,10 @@ def _axpy(reader, y, w, tile_elems, tracer, log, kind: str) -> np.ndarray:
     if j == 0:
         return w
     y = _coefficients(y, j)
-    _, axpy_rows = _row_kernels(reader)
+    axpy_rows = _row_kernels(reader)[1]
     for rows, _, t0, t1 in _pieces(reader, tile_elems, log):
         axpy_rows(rows, j, t1 - t0, y, w[t0:t1], kind == "combine")
-    _count_call(tracer, log, kind, reader, tile_elems)
+    _count_call(tracer, log, kind, j, reader.n, tile_elems)
     return w
 
 
@@ -449,16 +492,59 @@ def axpy_fused(
     return _axpy(reader, y, w, tile_elems, tracer, log, "axpy")
 
 
+def axpy_dot_fused(
+    reader: TileReader,
+    y: np.ndarray,
+    w: np.ndarray,
+    tile_elems: int = DEFAULT_TILE_ELEMS,
+    tracer=NULL_TRACER,
+    log: Optional[FusedOpLog] = None,
+) -> np.ndarray:
+    """``w -= V_j y`` in place, then ``u = V_j^T w`` of the updated ``w``.
+
+    *Defined* as :func:`axpy_fused` followed by :func:`dot_basis_fused` —
+    ``w`` and the returned ``u`` carry exactly those bits — but every row
+    piece is read, and a streaming basis decoded, once instead of twice:
+    a Gram–Schmidt pass plus the projection the next pass starts from.
+
+    Billed as the axpy alone: the counters describe the paper's Fig. 1
+    kernels, and a caller that uses ``u`` in place of a dot says so with
+    :func:`bill_dot_fused`.  What was really read is on the accessors'
+    own traffic counters.  Raises ``ValueError`` like :func:`axpy_fused`.
+    """
+    j = reader.j
+    w = _operand(w, (reader.n,), "w")
+    u = np.zeros(j)
+    if j == 0:
+        return u
+    y = _coefficients(y, j)
+    axpy_dot_rows = _row_kernels(reader)[2]
+    for rows, work, t0, t1 in _pieces(reader, tile_elems, log, sweep=True):
+        axpy_dot_rows(rows, j, t1 - t0, tile_elems, y, w[t0:t1], u, work)
+    _count_call(tracer, log, "axpy", j, reader.n, tile_elems)
+    return u
+
+
+def bill_dot_fused(j: int, n: int, tile_elems: int, tracer=NULL_TRACER,
+                   log: Optional[FusedOpLog] = None) -> None:
+    """Bill the :func:`dot_basis_fused` (``j`` rows of ``n`` values) that a
+    used :func:`axpy_dot_fused` result stands for, as that call would."""
+    if j:
+        _count_call(tracer, log, "dot", j, n, tile_elems)
+
+
 # Registered under both backends (the jit side in ``repro.jit.dispatch.
 # _ensure_jit_kernels``): the *reader's* backend picks the row kernels, so
 # one callable serves both names — ``dot_rows_numpy`` / ``axpy_rows_numpy``
-# above, or the C ``fused_dot`` / ``fused_axpy`` of ``repro.jit.cbackend``,
-# one routine fed by float64 rows in place or FRSZ2 rows decoded a
-# row-tile at a time, held to these numpy kernels by the engine self-test.
+# / ``axpy_dot_rows_numpy`` above, or the C ``fused_dot`` / ``fused_axpy``
+# / ``fused_axpy_dot`` of ``repro.jit.cbackend``, each one routine fed by
+# float64 rows in place or FRSZ2 rows decoded as it goes, held to these
+# numpy kernels by the engine self-test.
 for _name, _fn in (
     ("fused.dot_basis", dot_basis_fused),
     ("fused.combine", combine_fused),
     ("fused.axpy", axpy_fused),
+    ("fused.axpy_dot", axpy_dot_fused),
 ):
     _dispatch.register_kernel(_name, "numpy", _fn)
 del _name, _fn

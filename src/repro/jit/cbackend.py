@@ -24,6 +24,8 @@ Every kernel replays the numpy reference *operation for operation*:
   independent lanes and a fixed tree per tile, a row-ordered sum per
   element — whatever the rows come from: float64 rows read in place or
   FRSZ2 containers decoded a row piece at a time feed the same loop;
+  the sweep ``fused_axpy_dot`` is the one followed by the other, walked
+  once: a row's lanes persist across the pieces of a tile;
 * the ILU(0) factorisation and the triangular sweeps perform each row's
   operations in the reference's order; the sweeps visit the *rows* in
   another one — chunks of consecutive rows, independent chunks
@@ -34,6 +36,25 @@ Every kernel replays the numpy reference *operation for operation*:
 * the build forces ``-ffp-contract=off`` so the compiler cannot fuse a
   multiply-add into an FMA, which would change the rounding of every
   accumulation against the reference.
+
+ISA clones
+----------
+The library is built for baseline x86-64, so that one cached file loads
+on every CPU that shares the cache directory — and the routines whose
+time is the decode and the lanes (``frsz2_encode``, ``decode_range``,
+``fused_dot``, ``fused_axpy``, ``fused_axpy_dot``) are compiled a second
+time for ``x86-64-v4`` (``CLONED`` in ``C_SOURCE``, GCC/Clang
+``target_clones``); the dynamic loader binds the widest clone the CPU
+runs, and :attr:`CEngine.isa` names it.  Register width moves no bit:
+every operation order above is written out, the two IEEE flags hold in
+every clone, and a rounded product or sum is the same in a 128-bit and
+in a 512-bit register — which the self-test checks at every load for
+whichever clone was bound.  The SpMV kernels are not cloned (their
+gathers gain nothing, measured).  A compiler that rejects the attribute
+gets one retry with ``-DREPRO_NO_CLONES``, which is the plain build;
+:attr:`CEngine.clone_fallback` then keeps its reason.  ``-march=native``
+was measured equal and not taken: a cached library would be fatal
+(``SIGILL``), not a named degrade, on any lesser CPU.
 
 The engine is only accepted by :func:`repro.jit.dispatch.load_engine`
 after :mod:`repro.jit.selftest` verifies byte-equality on every kernel
@@ -49,6 +70,7 @@ import subprocess
 import sys
 import sysconfig
 import tempfile
+from typing import Optional
 
 import numpy as np
 
@@ -60,6 +82,36 @@ C_SOURCE = r"""
 
 #define MANTISSA_MASK 0xFFFFFFFFFFFFFULL
 #define IMPLICIT_BIT  (1ULL << 52)
+
+/* ---- ISA clones --------------------------------------------------------
+ * A CLONED routine is compiled once per target below and the loader binds
+ * the widest the CPU runs ("default": the baseline code of a plain build);
+ * why width moves no bit is in the module docstring.  Off x86-64 ELF /
+ * GNU-compatible compilers the macro is empty — the plain build — and so
+ * it is under REPRO_NO_CLONES, the retry for a compiler that rejected the
+ * attribute, defined as a string saying why.  engine_isa() names the
+ * bound clone, by the resolver's own order. */
+#if defined(__x86_64__) && defined(__ELF__) && defined(__GNUC__) \
+    && !defined(REPRO_NO_CLONES)
+#define CLONED __attribute__((target_clones("default", "arch=x86-64-v4")))
+const char *engine_isa(void)
+{
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512bw")
+        && __builtin_cpu_supports("avx512cd")
+        && __builtin_cpu_supports("avx512dq")
+        && __builtin_cpu_supports("avx512vl"))
+        return "x86-64-v4";
+    return "default";
+}
+#else
+#define CLONED
+const char *engine_isa(void) { return "baseline"; }
+#endif
+#ifndef REPRO_NO_CLONES
+#define REPRO_NO_CLONES ""
+#endif
+const char *engine_clone_fallback(void) { return REPRO_NO_CLONES; }
 
 static uint64_t d2u(double x) { uint64_t u; memcpy(&u, &x, 8); return u; }
 static double u2d(uint64_t u) { double x; memcpy(&x, &u, 8); return x; }
@@ -131,6 +183,7 @@ void bitpack_unpack_at(const uint32_t *words, int64_t nwords,
 
 /* FRSZ2 compression steps 1-5 (paper Section IV-A).  Returns 0 on
  * success, i+1 when x[i] is NaN/Inf. */
+CLONED
 int64_t frsz2_encode(const double *x, int64_t n, int64_t bs, int64_t l,
                      int32_t rounding, uint64_t *fields, int32_t *e_max_out)
 {
@@ -276,6 +329,7 @@ static uint64_t read_slot(const uint8_t *payload, int32_t kind,
 
 /* Decode values [i0, i1) of one container into out[0 .. i1 - i0): one
  * exponent read and one slot-width dispatch per block. */
+CLONED
 static void decode_range(const uint8_t *payload, int32_t kind,
                          int64_t nwords, const int32_t *exponents,
                          int64_t i0, int64_t i1, int64_t bs, int64_t l,
@@ -384,6 +438,7 @@ void frsz2_decode_gather(const uint8_t *payload, int32_t kind,
  * (i - t0) mod 8 as a rounded product added with a rounded sum, then
  * the fixed tree below.  The eight lanes are independent, so the
  * vectoriser may keep them in any register width without moving a bit. */
+CLONED
 void fused_dot(FUSED_SOURCE, int64_t j, int64_t n, int64_t tile,
                const double *w, double *h, double *work)
 {
@@ -408,41 +463,60 @@ void fused_dot(FUSED_SOURCE, int64_t j, int64_t n, int64_t tile,
 /* Per element: s = y[0] v_0[i], then s += y[r] v_r[i] for r = 1..j-1,
  * then w[i] -= s (store == 0) or w[i] = s (store != 0: combine).  Every
  * element is independent, so the walk is free: short pieces keep the
- * partial sums and the decoded row pieces on the stack, and rows are
- * taken four at a time so a partial sum stays in a register across four
- * of its additions — still added one row after the other, in row order. */
+ * partial sums and the decoded row pieces close, and rows are taken four
+ * at a time so a partial sum stays in a register across four of its
+ * additions — still added one row after the other, in row order.
+ *
+ * axpy_piece leaves the sums of elements [i0, i0 + len) in s.  A
+ * compressed row piece is decoded into buf + slot * FUSED_PIECE: slot is
+ * the row when keep != 0 (the sweep below reads every row piece again),
+ * else the row's place in its group of four. */
 #define FUSED_PIECE 256
+const int64_t fused_piece = FUSED_PIECE;
+
+static inline __attribute__((always_inline)) void
+axpy_piece(FUSED_SOURCE, int64_t j, int64_t i0, int64_t len, const double *y,
+           double *restrict s, double *buf, int keep)
+{
+#define PIECE_ROW(r, g)                                                   \
+    FUSED_ROW(r, i0, i0 + len, buf + (keep ? (r) : (g)) * FUSED_PIECE)
+    const double *restrict a = PIECE_ROW(0, 0);
+    double ca = y[0];
+    for (int64_t i = 0; i < len; i++)
+        s[i] = ca * a[i];
+    int64_t r = 1;
+    for (; r + 4 <= j; r += 4) {
+        a = PIECE_ROW(r, 0);
+        const double *restrict b = PIECE_ROW(r + 1, 1);
+        const double *restrict c = PIECE_ROW(r + 2, 2);
+        const double *restrict d = PIECE_ROW(r + 3, 3);
+        double cb = y[r + 1], cc = y[r + 2], cd = y[r + 3];
+        ca = y[r];
+        for (int64_t i = 0; i < len; i++) {
+            double t = s[i] + ca * a[i];
+            t += cb * b[i];
+            t += cc * c[i];
+            s[i] = t + cd * d[i];
+        }
+    }
+    for (; r < j; r++) {
+        a = PIECE_ROW(r, 0);
+        ca = y[r];
+        for (int64_t i = 0; i < len; i++)
+            s[i] += ca * a[i];
+    }
+#undef PIECE_ROW
+}
+
+CLONED
 void fused_axpy(FUSED_SOURCE, int64_t j, int64_t n, const double *y,
                 double *w, int32_t store)
 {
-    double s[FUSED_PIECE], buf[4][FUSED_PIECE];
+    double s[FUSED_PIECE], buf[4 * FUSED_PIECE];
     for (int64_t i0 = 0; i0 < n; i0 += FUSED_PIECE) {
         int64_t len = (i0 + FUSED_PIECE < n ? i0 + FUSED_PIECE : n) - i0;
-        const double *restrict a = FUSED_ROW(0, i0, i0 + len, buf[0]);
-        double ca = y[0];
-        for (int64_t i = 0; i < len; i++)
-            s[i] = ca * a[i];
-        int64_t r = 1;
-        for (; r + 4 <= j; r += 4) {
-            a = FUSED_ROW(r, i0, i0 + len, buf[0]);
-            const double *restrict b = FUSED_ROW(r + 1, i0, i0 + len, buf[1]);
-            const double *restrict c = FUSED_ROW(r + 2, i0, i0 + len, buf[2]);
-            const double *restrict d = FUSED_ROW(r + 3, i0, i0 + len, buf[3]);
-            double cb = y[r + 1], cc = y[r + 2], cd = y[r + 3];
-            ca = y[r];
-            for (int64_t i = 0; i < len; i++) {
-                double t = s[i] + ca * a[i];
-                t += cb * b[i];
-                t += cc * c[i];
-                s[i] = t + cd * d[i];
-            }
-        }
-        for (; r < j; r++) {
-            a = FUSED_ROW(r, i0, i0 + len, buf[0]);
-            ca = y[r];
-            for (int64_t i = 0; i < len; i++)
-                s[i] += ca * a[i];
-        }
+        axpy_piece(v_dense, v_ld, v_payloads, v_exponents, v_kind, v_nwords,
+                   v_bs, v_l, v_wpb, j, i0, len, y, s, buf, 0);
         double *restrict o = w + i0;
         if (store)
             for (int64_t i = 0; i < len; i++)
@@ -450,6 +524,56 @@ void fused_axpy(FUSED_SOURCE, int64_t j, int64_t n, const double *y,
         else
             for (int64_t i = 0; i < len; i++)
                 o[i] -= s[i];
+    }
+}
+
+/* The sweep: w -= V y, then u[r] += the tile partials of v_r . w over the
+ * updated w — by definition the bytes of fused_axpy followed by fused_dot,
+ * in one walk that reads (or decodes) every row piece once.  Per tile of
+ * the grid: zero the j x 8 lane accumulators; for each piece of the tile,
+ * finish w on the piece (axpy_piece, then the subtraction), then add the
+ * piece to every row's lanes; at the tile's end reduce each row's lanes by
+ * the fixed tree into u[r].  Pieces start a multiple of FUSED_PIECE — of
+ * eight — from the tile's start, so element i joins lane (i - t0) mod 8 in
+ * ascending order, as in fused_dot, and only a tile's last piece has a
+ * tail.  work: 8 j doubles of lanes, then j * FUSED_PIECE more for the
+ * decoded row pieces of a compressed source. */
+CLONED
+void fused_axpy_dot(FUSED_SOURCE, int64_t j, int64_t n, int64_t tile,
+                    const double *y, double *w, double *u, double *work)
+{
+    double s[FUSED_PIECE];
+    double *lanes = work, *buf = work + 8 * j;
+    for (int64_t t0 = 0; t0 < n; t0 += tile) {
+        int64_t t1 = t0 + tile < n ? t0 + tile : n;
+        for (int64_t k = 0; k < 8 * j; k++)
+            lanes[k] = 0.0;
+        for (int64_t i0 = t0; i0 < t1; i0 += FUSED_PIECE) {
+            int64_t len = (i0 + FUSED_PIECE < t1 ? i0 + FUSED_PIECE : t1) - i0;
+            axpy_piece(v_dense, v_ld, v_payloads, v_exponents, v_kind,
+                       v_nwords, v_bs, v_l, v_wpb, j, i0, len, y, s, buf, 1);
+            double *restrict x = w + i0;
+            for (int64_t i = 0; i < len; i++)
+                x[i] -= s[i];
+            for (int64_t r = 0; r < j; r++) {
+                const double *restrict v =
+                    v_dense ? v_dense + r * v_ld + i0 : buf + r * FUSED_PIECE;
+                double a[8];
+                memcpy(a, lanes + 8 * r, sizeof a);
+                int64_t i = 0;
+                for (; i + 8 <= len; i += 8)
+                    for (int k = 0; k < 8; k++)
+                        a[k] += v[i + k] * x[i + k];
+                for (int k = 0; i < len; i++, k++)
+                    a[k] += v[i] * x[i];
+                memcpy(lanes + 8 * r, a, sizeof a);
+            }
+        }
+        for (int64_t r = 0; r < j; r++) {
+            const double *a = lanes + 8 * r;
+            u[r] += ((a[0] + a[1]) + (a[2] + a[3]))
+                    + ((a[4] + a[5]) + (a[6] + a[7]));
+        }
     }
 }
 
@@ -695,6 +819,8 @@ void prec_block_diag_apply(const double *blocks, const double *v,
 #: the declarations cffi parses; ``SOURCE(p)`` stands for the nine
 #: arguments of one value source, as in ``C_SOURCE``
 _CDEF = """
+const char *engine_isa(void);
+const char *engine_clone_fallback(void);
 void bitpack_pack_at(uint32_t *words, const int64_t *bitpos,
                      const uint64_t *fields, const int64_t *widths,
                      int64_t n);
@@ -724,6 +850,9 @@ void fused_dot(SOURCE(v_), int64_t j, int64_t n, int64_t tile,
                const double *w, double *h, double *work);
 void fused_axpy(SOURCE(v_), int64_t j, int64_t n, const double *y,
                 double *w, int32_t store);
+extern int64_t fused_piece;
+void fused_axpy_dot(SOURCE(v_), int64_t j, int64_t n, int64_t tile,
+                    const double *y, double *w, double *u, double *work);
 void csr_matvec(const int64_t *rows, const int64_t *cols,
                 const double *data, int64_t nnz, const double *x,
                 double *y, int64_t m);
@@ -766,7 +895,8 @@ _CDEF = re.sub(
 #: flags that pin IEEE semantics: no FMA contraction, no fast-math —
 #: an FMA would change the rounding of every accumulation vs numpy.
 #: -O3 is for the loop vectoriser (the exact-scale FRSZ2 decode); it
-#: reorders no floating-point operation under these two flags.
+#: reorders no floating-point operation under these two flags.  No -m
+#: flag: width comes from the CLONED routines of C_SOURCE.
 _CFLAGS = ["-O3", "-fPIC", "-shared", "-ffp-contract=off", "-fno-fast-math"]
 
 #: payload-kind codes shared with the C source
@@ -788,8 +918,37 @@ def _compiler() -> str:
     return "cc"
 
 
+def _compile(compiler: str, flags, lib_path: str) -> None:
+    """Compile ``C_SOURCE`` with ``flags`` and publish it at ``lib_path``."""
+    fd, src_path = tempfile.mkstemp(suffix=".c", dir=os.path.dirname(lib_path))
+    try:
+        with os.fdopen(fd, "w") as f:
+            f.write(C_SOURCE)
+        tmp_lib = src_path + ".so"
+        subprocess.run(
+            [compiler, *flags, src_path, "-o", tmp_lib],
+            check=True,
+            capture_output=True,
+            text=True,
+        )
+        # atomic publish: concurrent builders race benignly
+        os.replace(tmp_lib, lib_path)
+    finally:
+        for leftover in (src_path, src_path + ".so"):
+            try:
+                os.unlink(leftover)
+            except OSError:
+                pass
+
+
 def _build_library() -> str:
-    """Compile (once, content-hashed) and return the shared-library path."""
+    """Compile (once, content-hashed) and return the shared-library path.
+
+    A compiler that rejects the build as written — the ``CLONED``
+    attribute, in practice — gets one retry with ``-DREPRO_NO_CLONES``:
+    the plain build of the same source, which carries the compiler's
+    reason (:attr:`CEngine.clone_fallback`).
+    """
     # the compiler is part of the key: -O3 code differs per compiler and
     # each build must face the self-test itself
     compiler = _compiler()
@@ -803,25 +962,15 @@ def _build_library() -> str:
     if os.path.exists(lib_path):
         return lib_path
     os.makedirs(cache, exist_ok=True)
-    fd, src_path = tempfile.mkstemp(suffix=".c", dir=cache)
     try:
-        with os.fdopen(fd, "w") as f:
-            f.write(C_SOURCE)
-        tmp_lib = src_path + ".so"
-        subprocess.run(
-            [compiler, *_CFLAGS, src_path, "-o", tmp_lib],
-            check=True,
-            capture_output=True,
-            text=True,
-        )
-        # atomic publish: concurrent builders race benignly
-        os.replace(tmp_lib, lib_path)
-    finally:
-        for leftover in (src_path, src_path + ".so"):
-            try:
-                os.unlink(leftover)
-            except OSError:
-                pass
+        _compile(compiler, _CFLAGS, lib_path)
+    except subprocess.CalledProcessError as exc:
+        lines = exc.stderr.splitlines() or [str(exc)]
+        reason = next((ln for ln in lines if "error" in ln), lines[0])
+        # a C string literal: nothing that could end or escape it
+        reason = re.sub(r"[^\w .,:;=()<>+/'-]", "?", reason.strip())[:200]
+        why = f'"{compiler} rejected the cloned build: {reason}"'
+        _compile(compiler, [*_CFLAGS, f"-DREPRO_NO_CLONES={why}"], lib_path)
     return lib_path
 
 
@@ -1026,9 +1175,18 @@ class CEngine:
         self._ffi = cffi.FFI()
         self._ffi.cdef(_CDEF)
         self._lib = self._ffi.dlopen(_build_library())
+        #: the ISA clone the loader bound, by the resolver's order;
+        #: ``"baseline"`` for a build without clones
+        self.isa = self._ffi.string(self._lib.engine_isa()).decode()
+        #: why the compiler, asked for clones, built none — or ``None``
+        self.clone_fallback: Optional[str] = (
+            self._ffi.string(self._lib.engine_clone_fallback()).decode() or None
+        )
         #: chunk-wavefront geometry of the triangular sweeps (C constants)
         self.sweep_rows = int(self._lib.prec_sweep_rows)
         self.sweep_chunks = int(self._lib.prec_sweep_chunks)
+        #: elements per piece of the fused axpy and sweep (C constant)
+        self.fused_piece = int(self._lib.fused_piece)
 
     # -- pointer plumbing ---------------------------------------------
 
@@ -1271,6 +1429,28 @@ class CEngine:
         args = (self._operand(y, j, "y"), self._operand(w, n, "w", True))
         if j and n:
             self._lib.fused_axpy(*source, j, n, *args, int(bool(store)))
+
+    def fused_axpy_dot(self, rows, j, n, tile, y, w, u, work) -> None:
+        """``w[:n] -= sum_r y[r] v_r[:n]``, then ``u[r] += v_r[:n] . w``.
+
+        One C walk whose bytes are :meth:`fused_axpy` followed by
+        :meth:`fused_dot` over the updated ``w`` (see ``fused_axpy_dot``
+        in ``C_SOURCE``), reading or decoding every row piece once.
+        ``work`` holds the ``8 j`` lane accumulators and, for a
+        compressed source, ``j * fused_piece`` decoded values after them.
+        """
+        j, n, tile = int(j), int(n), int(tile)
+        if tile < 1:
+            raise ValueError("tile must be positive")
+        source = self._fused_source(rows, j, n)
+        pieces = self.fused_piece if isinstance(rows, TileTable) else 0
+        args = (
+            self._operand(y, j, "y"), self._operand(w, n, "w", True),
+            self._operand(u, j, "u", True),
+            self._operand(work, j * (8 + pieces), "work", True),
+        )
+        if j and n:
+            self._lib.fused_axpy_dot(*source, j, n, tile, *args)
 
     def decode_gather(self, comp, indices) -> np.ndarray:
         """Decode arbitrary positions straight from the stored payload."""

@@ -231,14 +231,15 @@ def _ensure_jit_kernels() -> None:
     # reduce a call follows the *reader's* backend, so a reader built by a
     # jit basis hands its rows — mirror columns read in place, or FRSZ2
     # containers decoded a row-tile at a time — to ``engine.fused_dot`` /
-    # ``engine.fused_axpy``, one C call per operation in the written lane
-    # order of ``repro.fused.kernels``, and a numpy reader runs the numpy
-    # spelling of the same order.
+    # ``engine.fused_axpy`` / ``engine.fused_axpy_dot``, one C call per
+    # operation in the written lane order of ``repro.fused.kernels``, and a
+    # numpy reader runs the numpy spelling of the same order.
     from ..fused import batch as _fused_batch
     from ..fused import kernels as _fused_kernels
 
     register_kernel("fused.dot_basis", "jit", _fused_kernels.dot_basis_fused)
     register_kernel("fused.combine", "jit", _fused_kernels.combine_fused)
     register_kernel("fused.axpy", "jit", _fused_kernels.axpy_fused)
+    register_kernel("fused.axpy_dot", "jit", _fused_kernels.axpy_dot_fused)
     register_kernel("fused.dot_basis_batch", "jit", _fused_batch.dot_basis_batch)
     register_kernel("fused.axpy_batch", "jit", _fused_batch.axpy_batch)

@@ -180,56 +180,99 @@ def _check_fused(engine, rng: np.random.Generator) -> None:
     """The fused reductions against the written order's numpy spelling.
 
     Float64 rows read in place and FRSZ2 rows decoded in the kernel must
-    both reproduce ``dot_rows_numpy`` / ``axpy_rows_numpy`` over the
-    decoded rows bit for bit: tiles with and without a ``len mod 8``
-    tail, a tile not aligned to the block size, signed zeros, subnormals
-    and terms 600 orders of magnitude apart.
+    both reproduce ``dot_rows_numpy`` / ``axpy_rows_numpy`` — and the
+    sweep the one after the other, which is its definition — over the
+    decoded rows bit for bit: tiles with and without a
+    ``len mod 8`` tail, a tile not aligned to the block size, signed
+    zeros, subnormals and terms 600 orders of magnitude apart.  The short
+    sources cover every slot width; a long one crosses the axpy's piece
+    boundary, where a group of four rows continues into the next piece
+    and the sweep's lanes must persist from one piece to the next.
     """
     from ..core.frsz2 import FRSZ2, decode_tile_numpy
     from ..fused.kernels import axpy_rows_numpy, dot_rows_numpy
 
+    def sample(n):
+        # ordinary rows next to each other, so that any reassociation of
+        # a sum rounds differently somewhere; a reversed sample puts
+        # ordinary magnitudes in the ``len mod 8`` tail
+        vectors = [_sample_small(rng, n), rng.standard_normal(n),
+                   rng.standard_normal(n), _sample_small(rng, n)[::-1].copy(),
+                   rng.standard_normal(n), rng.standard_normal(n)]
+        # an ordinary operand, whose sums feel every reassociation, for
+        # all sources; a hostile one (its 1e300 terms absorb their
+        # neighbours) for the float64 rows only — the lane code is shared
+        plain = rng.standard_normal(n) * np.exp2(
+            rng.integers(-8, 8, n).astype(float))
+        hostile = plain.copy()
+        hostile[::5] = -0.0
+        hostile[3::31] = 1e300
+        return vectors, plain, hostile
+
+    def compressed(vectors, bit_length, block_size):
+        comps = FRSZ2(bit_length, block_size).compress_batch(vectors)
+        decoded = np.empty((len(comps), vectors[0].size))
+        decode_tile_numpy(comps)(0, vectors[0].size, decoded)
+        table = engine.row_table([engine.row_pointers(c) for c in comps])
+        return f"l={bit_length} bs={block_size}", table, decoded
+
+    piece = engine.fused_piece
+    cases = []
     n = 203
-    # ordinary rows next to each other, so that any reassociation of a
-    # sum rounds differently somewhere; a reversed sample puts ordinary
-    # magnitudes in the ``len mod 8`` tail
-    vectors = [_sample_small(rng, n), rng.standard_normal(n),
-               rng.standard_normal(n), _sample_small(rng, n)[::-1].copy(),
-               rng.standard_normal(n), rng.standard_normal(n)]
-    # an ordinary operand, whose sums feel every reassociation, for all
-    # sources; a hostile one (its 1e300 terms absorb their neighbours)
-    # for the float64 rows only — the lane code is shared
-    plain = rng.standard_normal(n) * np.exp2(rng.integers(-8, 8, n).astype(float))
-    hostile = plain.copy()
-    hostile[::5] = -0.0
-    hostile[3::31] = 1e300
-    y = np.array([0.5, 3.0, -0.25, 7.0, -1.75, 1.5])
+    vectors, plain, hostile = sample(n)
     sources = [("float64", np.array(vectors), np.array(vectors), (plain, hostile))]
     for bit_length, block_size in ((16, 32), (21, 32), (32, 32), (32, 5)):
-        comps = [FRSZ2(bit_length, block_size).compress(x) for x in vectors]
-        decoded = np.empty((len(comps), n))
-        decode_tile_numpy(comps)(0, n, decoded)
-        table = engine.row_table([engine.row_pointers(c) for c in comps])
-        sources.append((f"l={bit_length} bs={block_size}", table, decoded, (plain,)))
-    work = np.empty(n)
-    for tag, rows, dense, operands in sources:
-        for j in (1, 6):  # axpy: the first row alone; a group of four + one
+        sources.append((*compressed(vectors, bit_length, block_size), (plain,)))
+    # the sweep's tile walk is one piece here: a tile that ends inside a
+    # block and leaves a ``mod 8`` tail, and n, do
+    cases.append((n, (32, 40, n), (104, n), sources))
+    # more than two pieces; tiles of one piece plus a tail that is not a
+    # multiple of 8, of one piece plus one whole lane group, and of n
+    n = 2 * piece + 77
+    vectors, plain, _ = sample(n)
+    sources = [("float64", np.array(vectors), np.array(vectors), (plain,)),
+               (*compressed(vectors, 32, 32), (plain,))]
+    tiles = (piece + 13, piece + 8, n)
+    cases.append((n, tiles, tiles, sources))
+
+    y = np.array([0.5, 3.0, -0.25, 7.0, -1.75, 1.5])
+
+    def same(ref, got):
+        return ref.tobytes() == got.tobytes()
+
+    for n, tiles, sweep_tiles, sources in cases:
+        work = np.empty(n)
+        sweep_work = np.empty(y.size * (8 + piece))
+        for tag, rows, dense, operands in sources:
+            tag = f"{tag} n={n}"
             for w in operands:
-                for tile in (32, 40, n):
-                    ref, got = np.zeros(j), np.zeros(j)
-                    dot_rows_numpy(dense, j, n, tile, w, ref)
-                    engine.fused_dot(rows, j, n, tile, w, got, work)
-                    _expect(
-                        np.array_equal(ref.view(np.uint64), got.view(np.uint64)),
-                        f"fused.dot_basis ({tag} j={j} tile={tile})",
-                    )
-                for store, name in ((False, "fused.axpy"), (True, "fused.combine")):
-                    ref, got = w.copy(), w.copy()
-                    axpy_rows_numpy(dense, j, n, y, ref, store)
-                    engine.fused_axpy(rows, j, n, y, got, store)
-                    _expect(
-                        np.array_equal(ref.view(np.uint64), got.view(np.uint64)),
-                        f"{name} ({tag} j={j})",
-                    )
+                for tile in tiles:
+                    # a dot's rows are independent: one reference for any j
+                    ref = np.zeros(y.size)
+                    dot_rows_numpy(dense, y.size, n, tile, w, ref)
+                    for j in (1, 6):
+                        got = np.zeros(j)
+                        engine.fused_dot(rows, j, n, tile, w, got, work)
+                        _expect(same(ref[:j], got),
+                                f"fused.dot_basis ({tag} j={j} tile={tile})")
+                for j in (1, 6):  # axpy: the first row alone; a group of four + one
+                    combined, got = w.copy(), w.copy()
+                    axpy_rows_numpy(dense, j, n, y, combined, True)
+                    engine.fused_axpy(rows, j, n, y, got, True)
+                    _expect(same(combined, got), f"fused.combine ({tag} j={j})")
+                    # element for element, the axpy is w minus the combine
+                    updated, got = w - combined, w.copy()
+                    engine.fused_axpy(rows, j, n, y, got)
+                    _expect(same(updated, got), f"fused.axpy ({tag} j={j})")
+                    # the sweep is the axpy, then the dot of what it left;
+                    # the ordinary operand does, the lane code is shared
+                    for tile in sweep_tiles if w is operands[0] else ():
+                        ref, got, got_w = np.zeros(j), np.zeros(j), w.copy()
+                        dot_rows_numpy(dense, j, n, tile, updated, ref)
+                        engine.fused_axpy_dot(
+                            rows, j, n, tile, y, got_w, got, sweep_work)
+                        _expect(same(ref, got) and same(updated, got_w),
+                                f"fused.axpy_dot ({tag} j={j} tile={tile})")
 
 
 def _csr_arrays(mask: np.ndarray, values: np.ndarray):

@@ -40,7 +40,9 @@ from ..fused import (
     CachedTileReader,
     FusedOpLog,
     StreamingTileReader,
+    axpy_dot_fused,
     axpy_fused,
+    bill_dot_fused,
     combine_fused,
     dot_basis_fused,
 )
@@ -157,7 +159,8 @@ class KrylovBasis:
 
         ``cached``: the dense ``(n, m+1)`` view, allocated up front.
         ``streaming``: the biggest fused-kernel buffer so far — the
-        ``tile``-double decode buffer of the compiled kernels, or the
+        ``tile``-double decode buffer of the compiled kernels, the
+        ``(j, 256)`` row pieces and ``8 j`` lanes of their sweep, or the
         ``(j, tile)`` scratch of a basis reduced tile by tile — instead
         of ``O(n x m)``.
         """
@@ -322,6 +325,26 @@ class KrylovBasis:
             return axpy_fused(
                 self._reader(j), y, w, self.tile_elems, self.tracer, self.fused_log
             )
+
+    def axpy_dot(self, j: int, y: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """``w -= V_j y`` in place, then ``u = V_j^T w`` of the updated ``w``.
+
+        The bits of :meth:`axpy` followed by :meth:`dot_basis` in one
+        walk: every stored value read (streaming: decoded) once.  Billed
+        as the :meth:`axpy` alone, so the counters keep describing
+        Fig. 1's kernels; a caller that uses ``u`` in place of a
+        :meth:`dot_basis` calls :meth:`bill_dot`.
+        """
+        with self.tracer.span("basis_read", vectors=j):
+            self._count_read(j)
+            return axpy_dot_fused(
+                self._reader(j), y, w, self.tile_elems, self.tracer, self.fused_log
+            )
+
+    def bill_dot(self, j: int) -> None:
+        """Bill the :meth:`dot_basis` whose result :meth:`axpy_dot` gave."""
+        self._count_read(j)
+        bill_dot_fused(j, self.n, self.tile_elems, self.tracer, self.fused_log)
 
     def _count_read(self, j: int) -> None:
         """Tally the stored bytes a GPU kernel would stream for ``V_j``."""

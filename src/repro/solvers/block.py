@@ -16,10 +16,10 @@ cycle advance through the same step ``j`` in lockstep, so
 
 * the SpMV is one :meth:`~repro.sparse.engine.SpmvEngine.matmat` over
   the active columns instead of ``B`` separate matvecs,
-* the orthogonalization runs the fused dot/axpy of every column
-  (:mod:`repro.fused.batch`: a column loop over the solo kernels, each
-  reading its basis rows where they are stored) with one reader per
-  column serving the whole step,
+* the orthogonalization is the solo :func:`~repro.solvers.orthogonal.
+  cgs_orthogonalize` of every column in turn — each reads its own basis
+  rows where they are stored, so a pass shared between columns would
+  save nothing,
 * new basis vectors of all active columns compress in one
   :meth:`~repro.core.frsz2.FRSZ2.compress_batch` encode
   (:func:`repro.solvers.basis.write_basis_vectors_batch`).
@@ -34,7 +34,7 @@ decision (convergence, stalling, the eta test, breakdown handling,
 recovery budgets, the adaptive controller's storage choice) lives in
 that column's own :class:`_Column` state and is evaluated by the same
 code at every width, and each batched kernel is bit-identical per
-column to its solo counterpart (see :mod:`repro.fused.batch`,
+column to its solo counterpart (see
 :meth:`~repro.sparse.csr.CSRMatrix.matmat`,
 :func:`~repro.accessor.frsz2_accessor.write_frsz2_batch`).  Columns
 that converge, break down, or get poisoned simply leave the lockstep
@@ -54,17 +54,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from ..fused.batch import BatchTileReader, axpy_batch, dot_basis_batch
 from .adaptive import ADAPTIVE_STORAGE, CycleFeedback, PrecisionController
 from .basis import KrylovBasis, write_basis_vectors_batch
 from .gmres import BreakdownEvent, GmresResult, ResidualSample, SolveStats
 from .hessenberg import GivensLeastSquares
-from .orthogonal import (
-    OrthogonalizationResult,
-    _finish,
-    cgs_orthogonalize,
-    mgs_orthogonalize,
-)
+from .orthogonal import cgs_orthogonalize, mgs_orthogonalize
 
 __all__ = ["BatchGmresResult", "solve_batch"]
 
@@ -90,8 +84,6 @@ class BatchGmresResult:
     batched_spmv_calls: int = 0
     #: basis vectors written through the one-encode batched path
     batched_basis_writes: int = 0
-    #: Arnoldi steps orthogonalized through the batched fused kernels
-    batched_ortho_steps: int = 0
 
     def __len__(self) -> int:
         return len(self.results)
@@ -281,63 +273,6 @@ class _Column:
         )
 
 
-def _cgs_orthogonalize_batch(
-    bases: "List[KrylovBasis]",
-    j: int,
-    W: np.ndarray,
-    cols: Sequence[int],
-    eta: float,
-    tile_elems: int,
-    tracer,
-) -> "List[OrthogonalizationResult]":
-    """Batched CGS + conditional re-orthogonalization.
-
-    ``W[:, cols[i]]`` holds column ``i``'s (already copied) SpMV result
-    and is orthogonalized in place against ``bases[i]``.  Result ``i``
-    is bit-identical to ``cgs_orthogonalize(bases[i], j, w_i, eta)``:
-    the per-column scalar sequence (norms, eta test, ``h = h + u``) is
-    the solo code's, and the fused dot/axpy passes are bit-identical
-    per column (:mod:`repro.fused.batch`).
-    """
-    C = len(cols)
-    readers = [b._reader(j) for b in bases]
-
-    def sweep(sub: "List[int]") -> np.ndarray:
-        """One fused ``V^T w`` then ``w -= V h`` pass over columns ``sub``."""
-        reader = BatchTileReader([readers[i] for i in sub])
-        logs = [bases[i].fused_log for i in sub]
-        scols = [cols[i] for i in sub]
-        with tracer.span("basis_read", vectors=len(sub) * j):
-            for i in sub:
-                bases[i]._count_read(j)
-            H = dot_basis_batch(reader, W, scols, tile_elems, tracer, logs)
-        with tracer.span("basis_read", vectors=len(sub) * j):
-            for i in sub:
-                bases[i]._count_read(j)
-            axpy_batch(reader, H, W, scols, tile_elems, tracer, logs)
-        return H
-
-    w_tilde = [float(np.linalg.norm(W[:, col])) for col in cols]
-    H = sweep(list(range(C)))
-    h_next = [float(np.linalg.norm(W[:, col])) for col in cols]
-    h_first = list(h_next)
-    h_cols: "List[np.ndarray]" = [H[:, i] for i in range(C)]
-    reorth = [hn < eta * wt for hn, wt in zip(h_next, w_tilde)]
-    sub = [i for i in range(C) if reorth[i]]
-    if sub:
-        U = sweep(sub)
-        for k, i in enumerate(sub):
-            h_cols[i] = h_cols[i] + U[:, k]
-            h_next[i] = float(np.linalg.norm(W[:, cols[i]]))
-    return [
-        _finish(
-            h_cols[i], h_next[i], W[:, cols[i]], w_tilde[i],
-            reorth[i], h_first[i], eta,
-        )
-        for i in range(C)
-    ]
-
-
 class _Lockstep:
     """The package's only restart loop, over one :class:`_Column` per
     right-hand side.
@@ -460,23 +395,15 @@ class _Lockstep:
         return writers
 
     def orthogonalize(self, j: int, step: "List[_Column]", ws):
-        """Fig. 1 steps 4-11 for every stepping column — the one place
-        that picks batched or solo kernels, from the live column count."""
+        """Fig. 1 steps 4-11 for every stepping column, each against its
+        own basis: every basis row is read where it is stored, so there
+        is nothing a pass shared between columns could save."""
         solver = self.solver
-        use_cgs = solver.orthogonalization == "cgs"
+        kernel = (
+            cgs_orthogonalize if solver.orthogonalization == "cgs"
+            else mgs_orthogonalize
+        )
         with self.tracer.span("orthogonalize", columns=len(step)):
-            if use_cgs and len(step) > 1:
-                # the CGS copy (w := np.array(w)) is the fill of the
-                # Fortran-ordered block
-                W = np.empty((self.n, len(step)), order="F")
-                for i, w in enumerate(ws):
-                    W[:, i] = w
-                self.out.batched_ortho_steps += len(step)
-                return _cgs_orthogonalize_batch(
-                    [c.basis for c in step], j, W, list(range(len(step))),
-                    solver.eta, step[0].basis.tile_elems, self.tracer,
-                )
-            kernel = cgs_orthogonalize if use_cgs else mgs_orthogonalize
             return [kernel(c.basis, j, w, solver.eta) for c, w in zip(step, ws)]
 
     # -- the restart cycle ----------------------------------------------

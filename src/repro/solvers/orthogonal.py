@@ -82,13 +82,15 @@ def cgs_orthogonalize(
     w = np.array(w, dtype=np.float64)
     w_tilde = float(np.linalg.norm(w))  # omega-tilde of Fig. 1 step 3
     h = basis.dot_basis(j, w)
-    basis.axpy(j, h, w)  # w -= V_j h, fused with the basis decode
+    # w -= V_j h and, in the same walk over the stored basis, the u = V_j^T w
+    # a second pass starts from: the eta test asks for that pass on nearly
+    # every step, and when it does not, u is dropped unbilled
+    u = basis.axpy_dot(j, h, w)
     h_next = float(np.linalg.norm(w))
     h_first = h_next
-    reorth = False
-    if h_next < eta * w_tilde:
-        reorth = True
-        u = basis.dot_basis(j, w)
+    reorth = h_next < eta * w_tilde
+    if reorth:
+        basis.bill_dot(j)
         basis.axpy(j, u, w)
         h = h + u
         h_next = float(np.linalg.norm(w))

@@ -29,7 +29,9 @@ from repro.fused import (
     FusedOpLog,
     StreamingTileReader,
     axpy_batch,
+    axpy_dot_fused,
     axpy_fused,
+    bill_dot_fused,
     combine_fused,
     dot_basis_batch,
     dot_basis_fused,
@@ -203,6 +205,14 @@ class TestWrittenOrder:
                 oracle_axpy(rows, y, np.zeros(n), True))
             assert _bits(axpy_fused(reader, y, w.copy(), tile)) == _bits(
                 oracle_axpy(rows, y, w, False))
+            # the sweep: the oracle's axpy, then its dot of the result
+            # (hostile rows leave 1e300s in w: their products overflow)
+            swept = w.copy()
+            with np.errstate(over="ignore", invalid="ignore"):
+                u = axpy_dot_fused(reader, y, swept, tile)
+            updated = oracle_axpy(rows, y, w, False)
+            assert _bits(swept) == _bits(updated)
+            assert _bits(u) == _bits(oracle_dot(rows, updated, tile))
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_all_negative_zero_products(self, backend):
@@ -215,6 +225,10 @@ class TestWrittenOrder:
         assert _bits(dot_basis_fused(reader, w, 32)) == _bits(np.zeros(j))
         assert _bits(combine_fused(reader, y, 32)) == _bits(np.full(n, -0.0))
         assert _bits(axpy_fused(reader, y, np.full(n, -0.0), 32)) == _bits(np.zeros(n))
+        # the sweep leaves w = +0.0, whose -0.0 products sum to +0.0
+        swept = np.full(n, -0.0)
+        assert _bits(axpy_dot_fused(reader, y, swept, 32)) == _bits(np.zeros(j))
+        assert _bits(swept) == _bits(np.zeros(n))
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_rows_and_load_serve_the_same_values(self, backend):
@@ -230,6 +244,128 @@ class TestWrittenOrder:
                    lambda r: combine_fused(r, y, 96),
                    lambda r: axpy_fused(r, y, w.copy(), 96)):
             assert _bits(op(in_place)) == _bits(op(by_tile))
+
+
+#: reader routes of the sweep: name -> storage of each slot (cycled),
+#: ``None`` for the dense caches
+_SWEEP_ROUTES = {
+    "mirror": None,          # F-order cache, rows read in place
+    "c_order": None,         # C-order cache, tile by tile through load()
+    "streaming": ["frsz2_32"],   # jit: the row table; numpy: codec tiles
+    "numpy_codecs": ["frsz2_32"],  # numpy codecs under the reader's kernels
+    "wrapped": ["frsz2_32"],       # a fault-injecting wrapper on slot 1
+    "mixed": ["frsz2_32", "frsz2_16", "float32"],
+    "float32": ["float32"],
+    "float64": ["float64"],
+}
+
+
+def _sweep_reader(route, backend, vectors, j):
+    """A reader over the leading ``j`` columns of ``vectors`` by ``route``."""
+    from repro.robust import FaultInjector, FaultyAccessor
+
+    n = vectors.shape[0]
+    if route == "mirror":
+        return CachedTileReader(np.asfortranarray(vectors), j, backend)
+    if route == "c_order":
+        return CachedTileReader(np.ascontiguousarray(vectors), j, backend)
+    formats = _SWEEP_ROUTES[route]
+    accs = []
+    for r in range(max(j, 1)):
+        acc = make_accessor(
+            formats[r % len(formats)], n,
+            backend="numpy" if route == "numpy_codecs" else backend)
+        if route == "wrapped" and r == 1:
+            # every write flips a stored bit: the values both orders of
+            # evaluation read back are equally wrong
+            acc = FaultyAccessor(acc, FaultInjector(1.0, 7), "payload_bitflip")
+        acc.write(vectors[:, r])
+        accs.append(acc)
+    return StreamingTileReader(accs, j, backend)
+
+
+class TestSweepIsAxpyThenDot:
+    """``axpy_dot_fused`` is *defined* as ``axpy_fused`` followed by
+    ``dot_basis_fused``: ``w`` and ``u`` carry those bytes on every
+    reader route, tile grid, depth and backend, whether a tile ends on a
+    lane group, a piece boundary or neither."""
+
+    #: no tails; ``mod 8`` and ``mod 256`` tails; one piece and a lane group
+    SIZES = (512, 523, 264)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("route", sorted(_SWEEP_ROUTES))
+    def test_every_route_tile_and_depth(self, backend, route):
+        rng = np.random.default_rng(41)
+        for n in self.SIZES:
+            vectors = rng.standard_normal((n, 50)) / np.sqrt(n)
+            w = rng.standard_normal(n)
+            for j in (0, 1, 4, 5, 50):
+                y = rng.standard_normal(j)
+                for tile in (32, 40, 2048, n + 7):
+                    reader = _sweep_reader(route, backend, vectors, j)
+                    if route == "streaming":
+                        one_call = reader.rows(tile) is not None
+                        assert one_call == (backend == "jit" and j > 0)
+                    separate = w.copy()
+                    axpy_fused(reader, y, separate, tile)
+                    u_separate = dot_basis_fused(reader, separate, tile)
+                    swept = w.copy()
+                    u = axpy_dot_fused(reader, y, swept, tile)
+                    where = f"{route} n={n} j={j} tile={tile}"
+                    assert swept.view(np.uint64).tolist() == \
+                        separate.view(np.uint64).tolist(), where
+                    assert _bits(u) == _bits(u_separate), where
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_routes_agree_with_each_other(self, backend):
+        """Same stored values, same bits: the mirror read in place, the
+        tile-by-tile cache and the streaming decode of one float64 basis."""
+        rng = np.random.default_rng(43)
+        n, j = 523, 5
+        vectors = rng.standard_normal((n, j))
+        w, y = rng.standard_normal(n), rng.standard_normal(j)
+        results = []
+        for route in ("mirror", "c_order", "float64"):
+            swept = w.copy()
+            u = axpy_dot_fused(
+                _sweep_reader(route, backend, vectors, j), y, swept, 96)
+            results.append((_bits(u), _bits(swept)))
+        assert results[0] == results[1] == results[2]
+
+    def test_billed_as_the_axpy_alone(self):
+        """The counters describe Fig. 1's kernels: the sweep bills its
+        axpy, and the dot only when the caller says it was used."""
+        from repro.observe import Tracer
+
+        rng = np.random.default_rng(3)
+        n, j = 300, 3
+        tracer = Tracer()
+        basis = KrylovBasis(n, j, "frsz2_32", basis_mode="streaming",
+                            tile_elems=64, tracer=tracer)
+        for i in range(j):
+            basis.write_vector(i, rng.standard_normal(n))
+        tracer.reset()
+        basis.axpy_dot(j, rng.standard_normal(j), rng.standard_normal(n))
+        log = basis.fused_log
+        tiles = len(tile_grid(n, 64))
+        assert (log.axpy_calls, log.axpy_vectors, log.dot_calls) == (1, j, 0)
+        assert (log.tiles, log.values) == (tiles, j * n)
+        assert tracer.counters["basis.vector_reads"] == j
+        assert tracer.counters["basis.fused.axpy_calls"] == 1
+        assert "basis.fused.dot_calls" not in tracer.counters
+        # one walk over the stored basis was decoded, not two
+        assert tracer.counters["accessor.tile_reads"] == j * tiles
+        basis.bill_dot(j)
+        assert (log.dot_calls, log.dot_vectors) == (1, j)
+        assert (log.tiles, log.values) == (2 * tiles, 2 * j * n)
+        assert tracer.counters["basis.vector_reads"] == 2 * j
+        assert tracer.counters["basis.fused.dot_calls"] == 1
+        assert tracer.counters["accessor.tile_reads"] == j * tiles
+        # nothing to bill at depth 0, as a dot over no rows bills nothing
+        before = (log.dot_calls, log.tiles)
+        bill_dot_fused(0, n, 64, tracer, log)
+        assert (log.dot_calls, log.tiles) == before
 
 
 class TestHostileInputs:
@@ -260,6 +396,18 @@ class TestHostileInputs:
                 dot_basis_fused(reader, bad_w, 32)
             with pytest.raises(ValueError, match="w must be"):
                 axpy_fused(reader, np.ones(self.j), bad_w, 32)
+            with pytest.raises(ValueError, match="w must be"):
+                axpy_dot_fused(reader, np.ones(self.j), bad_w, 32)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_read_only_w_is_an_error_before_it_is_written(self, backend):
+        frozen = np.ones(self.n)
+        frozen.flags.writeable = False
+        for reader in self._readers(backend):
+            for op in (axpy_fused, axpy_dot_fused):
+                with pytest.raises(ValueError, match="writable|read-only"):
+                    op(reader, np.ones(self.j), frozen, 32)
+        np.testing.assert_array_equal(frozen, np.ones(self.n))
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_wrong_y_and_tile_are_named_errors(self, backend):
@@ -273,6 +421,12 @@ class TestHostileInputs:
                 axpy_fused(reader, np.ones(6)[::2], w, 32)
             with pytest.raises(ValueError, match="tile_elems"):
                 dot_basis_fused(reader, w, 0)
+            with pytest.raises(ValueError, match="at least j=3"):
+                axpy_dot_fused(reader, np.ones(2), w, 32)
+            with pytest.raises(ValueError, match="y must be"):
+                axpy_dot_fused(reader, np.ones(6)[::2], w, 32)
+            with pytest.raises(ValueError, match="tile_elems"):
+                axpy_dot_fused(reader, np.ones(3), w, 0)
             # a longer y is fine: the leading j coefficients apply
             np.testing.assert_array_equal(
                 combine_fused(reader, np.array([1.0, 2.0, 3.0, 99.0]), 32),
@@ -333,6 +487,31 @@ class TestHostileInputs:
         frozen.flags.writeable = False
         with pytest.raises(ValueError, match="writable"):
             engine.fused_axpy(rows, self.j, self.n, y, frozen)
+        # the sweep indexes y, w, u, the 8 j lanes of work and, for a
+        # compressed source, j decoded pieces after them
+        lanes, pieces = 8 * self.j, self.j * engine.fused_piece
+        u, work = np.zeros(self.j), np.empty(lanes + pieces)
+        engine.fused_axpy_dot(rows, self.j, self.n, 32, y, w, u, work[:lanes])
+        engine.fused_axpy_dot(table, self.j, self.n, 32, y, w, u, work)
+        other = type(engine)()
+        for call in (
+            lambda: engine.fused_axpy_dot(rows, self.j, self.n, 32, y[:2], w, u, work),
+            lambda: engine.fused_axpy_dot(rows, self.j, self.n, 32, y, w[:99], u, work),
+            lambda: engine.fused_axpy_dot(rows, self.j, self.n, 32, y, w, u[:2], work),
+            lambda: engine.fused_axpy_dot(rows, self.j, self.n, 32, y, w, u, work[:lanes - 1]),
+            lambda: engine.fused_axpy_dot(rows, self.j, self.n, 32, y, w, u, None),
+            lambda: engine.fused_axpy_dot(rows, self.j, self.n, 0, y, w, u, work),
+            lambda: engine.fused_axpy_dot(rows, self.j, self.n, 32, y, frozen, u, work),
+            lambda: engine.fused_axpy_dot(rows, self.j + 2, self.n, 32, np.ones(5), w, np.zeros(5), work),
+            lambda: engine.fused_axpy_dot(table, self.j, self.n, 32, y, w, u, work[:lanes]),
+            lambda: engine.fused_axpy_dot(table, self.j, self.n, 32, y, w, u, work[:-1]),
+            lambda: engine.fused_axpy_dot(table, self.j, 64, 32, y, w, u, work),
+            lambda: engine.fused_axpy_dot(work[::2].reshape(1, -1), 1, 8, 32, y, w, u, work),
+            lambda: other.fused_axpy_dot(table, self.j, self.n, 32, y, w, u, work),
+            lambda: other.fused_dot(table, self.j, self.n, 32, w, h, work),
+        ):
+            with pytest.raises(ValueError):
+                call()
 
     @requires_jit
     def test_container_arrays_must_match_their_layout(self):
@@ -567,8 +746,12 @@ class TestStreamingReaderSemantics:
     @requires_jit
     def test_traffic_and_counters_of_one_streaming_solve(self):
         """The ``stream_lowmem`` benchmark system (atmosmodd 24^3,
-        frsz2_32, m=50): the bill of one solve, unchanged since the
-        per-vector gather loop it replaced."""
+        frsz2_32, m=50): the bill of one solve.  The ``basis.*`` side
+        bills Fig. 1's kernels — a dot and an axpy per Gram–Schmidt pass,
+        unchanged since the per-vector gather loop — and not the sweep's
+        speculative dot on the 2 of 119 steps that drop it; the accessor
+        side counts what was really decoded: three walks over the stored
+        basis per two-pass step where there were four."""
         from repro.observe import Tracer
         from repro.sparse import generators
 
@@ -590,12 +773,13 @@ class TestStreamingReaderSemantics:
         ).solve(b, 1e-12)
         assert result.converged and result.iterations == 119
         assert result.stats.fused_tiles == 3325
-        assert sum(acc.traffic.tile_reads for acc in made) == 77525
-        assert sum(acc.traffic.bytes_read for acc in made) == 631540800
+        assert result.stats.reorthogonalizations == 117
+        assert sum(acc.traffic.tile_reads for acc in made) == 58359
+        assert sum(acc.traffic.bytes_read for acc in made) == 475409088
         assert sum(acc.traffic.reads for acc in made) == 0
         expected = {
-            "accessor.tile_reads": 77525,
-            "accessor.bytes_read": 631540800,
+            "accessor.tile_reads": 58359,
+            "accessor.bytes_read": 475409088,
             "accessor.writes": 122,
             "accessor.bytes_written": 6956928,
             "basis.vector_reads": 11075,
@@ -670,12 +854,33 @@ class TestStreamingMemory:
         w = rng.standard_normal(n)
         basis.dot_basis(m, w)
         basis.axpy(m, rng.standard_normal(m), w)
+        basis.axpy_dot(m, rng.standard_normal(m), w)
         dense_bytes = n * (m + 1) * 8
         assert basis.peak_float64_bytes > 0
         assert basis.peak_float64_bytes <= m * basis.tile_elems * 8
         assert basis.peak_float64_bytes < dense_bytes
         # scratch is (j, tile): growing n does not grow the working set
         assert basis.peak_float64_bytes == basis.fused_log.peak_scratch_bytes
+
+    @requires_jit
+    def test_sweep_reports_its_real_buffers(self):
+        """The compiled sweep decodes every row piece once and keeps it:
+        ``j`` pieces and ``8 j`` lanes, whatever ``n`` is."""
+        from repro.jit import load_engine
+
+        m, piece = 50, load_engine().fused_piece
+        peaks = []
+        for n in (4096, 16384):
+            basis = KrylovBasis(n, m, "frsz2_32", basis_mode="streaming",
+                                backend="jit")
+            rng = np.random.default_rng(0)
+            for i in range(m):
+                basis.write_vector(i, rng.standard_normal(n))
+            w = rng.standard_normal(n)
+            basis.axpy_dot(m, basis.dot_basis(m, w), w)
+            peaks.append(basis.peak_float64_bytes)
+        assert peaks == [8 * m * (piece + 8)] * 2  # ~103 KB at j = 50
+        assert peaks[0] <= m * basis.tile_elems * 8
 
     def test_cached_mode_reports_dense_footprint(self):
         basis = KrylovBasis(1000, 30, "frsz2_32", basis_mode="cached")

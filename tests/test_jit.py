@@ -58,6 +58,7 @@ class TestDispatch:
             "frsz2.decode_tile", "frsz2.decode_gather",
             "spmv.csr_matvec", "spmv.ell_matvec", "spmv.sell_group_matvec",
             "fused.dot_basis", "fused.combine", "fused.axpy",
+            "fused.axpy_dot",
             "fused.dot_basis_batch", "fused.axpy_batch",
             "prec.ilu0_factor",
             "prec.lower_trisolve", "prec.upper_trisolve",
@@ -168,6 +169,54 @@ class TestDispatch:
         finally:
             monkeypatch.undo()
             dispatch._reset_engine_cache()
+
+    @requires_jit
+    def test_selftest_crosses_a_piece_boundary(self, monkeypatch):
+        """The sweep's lanes live across the pieces of a tile.  An engine
+        that starts them afresh at every piece is right for any tile of
+        one piece — every operand the self-test had before the sweep —
+        and must not load."""
+
+        class LanesPerPiece(cbackend.CEngine):
+            def fused_axpy_dot(self, rows, j, n, tile, y, w, u, work):
+                super().fused_axpy_dot(
+                    rows, j, n, min(tile, self.fused_piece), y, w, u, work)
+
+        monkeypatch.setattr(cbackend, "CEngine", LanesPerPiece)
+        dispatch._reset_engine_cache()
+        try:
+            assert dispatch.load_engine() is None
+            reason = dispatch.jit_unavailable_reason()
+            assert "fused.axpy_dot" in reason and "n=589" in reason
+        finally:
+            monkeypatch.undo()
+            dispatch._reset_engine_cache()
+
+    @requires_jit
+    def test_rejected_clones_fall_back_to_the_plain_build(
+            self, monkeypatch, tmp_path):
+        """A compiler that rejects the ISA-clone attribute still yields
+        an engine — the plain build of the same source, self-test green —
+        and the engine says why it has no clones, on every later load."""
+        from repro.jit import selftest
+
+        host = dispatch.load_engine()
+        monkeypatch.setenv("REPRO_JIT_CACHE", str(tmp_path))
+        monkeypatch.setattr(
+            cbackend, "C_SOURCE",
+            cbackend.C_SOURCE.replace('"arch=x86-64-v4"', '"arch=no-such-isa"'))
+        assert "no-such-isa" in cbackend.C_SOURCE
+        for _ in range(2):  # a fresh build, then the cached library
+            engine = cbackend.CEngine()
+            selftest.run(engine)
+            assert engine.isa == "baseline"
+            if host.isa == "baseline":  # no clones to reject on this platform
+                assert engine.clone_fallback is None
+            else:
+                assert "rejected the cloned build" in engine.clone_fallback
+                assert "no-such-isa" in engine.clone_fallback
+        assert len(list(tmp_path.glob("*.so"))) == 1
+        assert host.isa in ("baseline", "default", "x86-64-v4")
 
     @requires_jit
     def test_selftest_gates_the_scheduled_sweeps(self, monkeypatch):
