@@ -2,7 +2,7 @@
 float64 arithmetic format (paper refs [1], [9])."""
 
 from .base import TrafficCounter, VectorAccessor
-from .frsz2_accessor import Frsz2Accessor, Frsz2Tiles, write_frsz2_batch
+from .frsz2_accessor import Frsz2Accessor, Frsz2Tiles
 from .precision import (
     Float16Accessor,
     Float32Accessor,
@@ -22,7 +22,6 @@ __all__ = [
     "Frsz2Accessor",
     "RoundTripAccessor",
     "Frsz2Tiles",
-    "write_frsz2_batch",
     "make_accessor",
     "accessor_factory",
     "list_storage_formats",

@@ -17,6 +17,7 @@ injectors flipping stored bits) is visible to the next read.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Optional
 
 import numpy as np
@@ -27,7 +28,6 @@ from .base import VectorAccessor
 __all__ = [
     "Frsz2Accessor",
     "Frsz2Tiles",
-    "write_frsz2_batch",
 ]
 
 
@@ -184,12 +184,13 @@ class Frsz2Accessor(VectorAccessor):
 
 
 class Frsz2Tiles:
-    """One fused call's source over several plain FRSZ2 accessors.
+    """A fused-kernel source over plain FRSZ2 accessors of one layout.
 
     The Python analog of the paper's fused warp decode.  Eligibility is
-    proved once, by :meth:`open`; the source holds the containers (and
-    their C pointers) it was opened on alive and reads what they hold at
-    the time of each call.  Two routes serve it:
+    proved when a row joins the source — by :meth:`open` for the rows it
+    starts with, by :meth:`bind` for each later one — and the source holds
+    the containers (and their C pointers) it was given alive and reads
+    what they hold at the time of each call.  Two routes serve it:
 
     * :meth:`sweep` — under jit codecs, the engine's row table: one C
       call per fused operation decodes each row-tile into a work buffer
@@ -201,80 +202,141 @@ class Frsz2Tiles:
     Either way each accessor's tile reads are billed individually,
     exactly like a per-accessor :meth:`~Frsz2Accessor.read_tile` loop —
     which is also the bitwise fallback this source is exchangeable with.
+
+    A :class:`~repro.solvers.basis.KrylovBasis` keeps one source with
+    room for all its slots for as long as the layout lasts: every write
+    binds the slot's fresh container in place, and every fused call asks
+    :meth:`covers` — at C speed — whether the leading rows are still the
+    accessors, holding the containers, that were proved.
     """
 
-    def __init__(self, accessors) -> None:
-        self.accessors = accessors
-        self._comps = [acc._compressed for acc in accessors]
-        layout = self._comps[0].layout
-        self._n = layout.n
-        self._block_size = layout.block_size
+    def __init__(self, accessors, capacity: int = 0) -> None:
+        self.accessors = list(accessors)
+        self._comps = [acc._compressed for acc in self.accessors]
+        pointers = [acc._pointers for acc in self.accessors]
+        self.layout = layout = self._comps[0].layout
+        self._decode = None
+        self._engine = (
+            None if any(p is None for p in pointers) else pointers[0].engine
+        )
+        #: the engine's row table (``None``: numpy codecs, no in-place route)
+        self.table = (
+            None if self._engine is None
+            else self._engine.row_table(pointers, capacity)
+        )
+        #: the RowPointers bound to the table's rows, for :meth:`covers`
+        self._rows = pointers
         # per-block stored bytes: value words + one int32 exponent
         self._block_nbytes = layout.words_per_block * 4 + 4
-        self._decode = None
-        pointers = [acc._pointers for acc in accessors]
-        self._table = (
-            None if any(p is None for p in pointers)
-            else pointers[0].engine.row_table(pointers)
-        )
-        self._traced = [acc for acc in accessors if acc.tracer.enabled]
+        #: ``tile_elems -> (tiles, bytes)`` one accessor is billed per pass
+        self._pass_bill: dict = {}
 
     @classmethod
-    def open(cls, accessors) -> "Optional[Frsz2Tiles]":
+    def open(cls, accessors, capacity: int = 0) -> "Optional[Frsz2Tiles]":
         """A tile source over ``accessors``, or ``None`` when ineligible.
 
         Eligible means: every accessor is exactly a
-        :class:`Frsz2Accessor` (a subclass or wrapper may override
-        ``read_tile``, which reading ``_compressed`` directly would
-        silently bypass), holds a written payload, and shares one
-        length, bit length and block size — hence one block layout.
-        Callers fall back to per-accessor ``read_tile`` on ``None``.
+        :class:`Frsz2Accessor`, holds a written payload, and shares one
+        block layout.  Callers fall back to per-accessor ``read_tile``
+        on ``None``.  ``capacity`` leaves room for :meth:`bind`.
         """
         accessors = list(accessors)
         if not accessors:
             return None
         for acc in accessors:
+            # exact type: a subclass or wrapper may override ``read_tile``,
+            # which reading ``_compressed`` directly would silently bypass
             if type(acc) is not Frsz2Accessor or acc._compressed is None:
                 return None
-        first = accessors[0]
-        key = (first.n, first.codec.bit_length, first.codec.block_size)
-        for acc in accessors[1:]:
-            if (acc.n, acc.codec.bit_length, acc.codec.block_size) != key:
-                return None
-        return cls(accessors)
+        layout = accessors[0]._compressed.layout
+        if any(acc._compressed.layout != layout for acc in accessors[1:]):
+            return None
+        return cls(accessors, capacity)
 
-    def _bill(self, tiles: int, nbytes: int) -> None:
-        for acc in self.accessors:
+    @property
+    def work_nbytes(self) -> int:
+        """Bytes of the work buffer the engine's table keeps."""
+        return 0 if self.table is None else self.table.work_nbytes
+
+    def bind(self, k: int, acc) -> bool:
+        """Make ``acc``, just written, row ``k <= count`` of the table.
+
+        The per-write half of the proof :meth:`open` makes per call: exact
+        type, a written payload with C pointers of this table's engine,
+        the same layout.  Returns ``False`` — and forgets the rows from
+        ``k`` on, so calls that deep take the per-call route — when ``acc``
+        cannot join or would leave a gap.
+        """
+        table = self.table
+        if (table is not None and k <= len(self.accessors) and k < table.capacity
+                and type(acc) is Frsz2Accessor):
+            row = acc._pointers  # None: nothing stored, or a numpy codec
+            if (row is not None and row.engine is self._engine
+                    and row.layout == self.layout):
+                table.bind(k, row)
+                self.accessors[k:k + 1] = [acc]
+                self._comps[k:k + 1] = [acc._compressed]
+                self._rows[k:k + 1] = [row]
+                self._decode = None
+                return True
+        self.truncate(k)
+        return False
+
+    def truncate(self, count: int) -> None:
+        """Forget the rows from ``count`` on."""
+        del self.accessors[count:], self._comps[count:], self._rows[count:]
+        self._decode = None
+        if self.table is not None:
+            self.table.truncate(count)
+
+    def covers(self, accessors, j: int) -> bool:
+        """Whether ``accessors[:j]`` are this source's leading rows still:
+        the same objects, holding the containers their rows point into
+        (an accessor makes new pointers for every container it stores and
+        drops them when cleared).  Two list comparisons, no Python loop.
+        """
+        return (
+            j <= len(self._rows)
+            and accessors[:j] == self.accessors[:j]
+            and list(map(_POINTERS, accessors[:j])) == self._rows[:j]
+        )
+
+    def _bill(self, tiles: int, nbytes: int, j: Optional[int]) -> None:
+        for acc in self.accessors[:j]:
             traffic = acc.traffic
             traffic.bytes_read += nbytes
             traffic.tile_reads += tiles
-        for acc in self._traced:
-            acc.tracer.count("accessor.tile_reads", tiles)
-            acc.tracer.count("accessor.bytes_read", nbytes)
+            if acc.tracer.enabled:
+                acc.tracer.count("accessor.tile_reads", tiles)
+                acc.tracer.count("accessor.bytes_read", nbytes)
 
     def _blocks(self, i0: int, i1: int) -> int:
-        bs = self._block_size
+        bs = self.layout.block_size
         return (i1 - 1) // bs - i0 // bs + 1
 
-    def sweep(self, tile_elems: int):
+    def sweep(self, tile_elems: int, j: Optional[int] = None):
         """The engine's row table for one pass over the whole tile grid.
 
         ``None`` unless every accessor carries C pointers (jit codecs).
-        Bills each accessor the ``ceil(n / tile_elems)`` tile reads of
-        the pass the caller is about to make in one C call.
+        Bills each of the leading ``j`` accessors (default: all) the
+        ``ceil(n / tile_elems)`` tile reads of the pass the caller is
+        about to make in one C call.
         """
-        if self._table is None:
+        if self.table is None:
             return None
-        n = self._n
-        if tile_elems % self._block_size == 0:
-            blocks = self._blocks(0, n) if n else 0
-        else:  # blocks straddling a tile boundary are read twice
+        bill = self._pass_bill.get(tile_elems)
+        if bill is None:
+            n = self.layout.n
+            # blocks straddling a tile boundary are read twice
             blocks = sum(
                 self._blocks(t0, min(t0 + tile_elems, n))
                 for t0 in range(0, n, tile_elems)
             )
-        self._bill(-(-n // tile_elems), blocks * self._block_nbytes)
-        return self._table
+            bill = self._pass_bill[tile_elems] = (
+                -(-n // tile_elems), blocks * self._block_nbytes
+            )
+        self._bill(*bill, j)
+        return self.table
 
     def load(self, i0: int, i1: int, out: np.ndarray) -> None:
         """Fill ``out[row, :i1 - i0]`` with every accessor's ``[i0, i1)``."""
@@ -282,69 +344,8 @@ class Frsz2Tiles:
             self._decode = self.accessors[0].codec.tile_decoder(self._comps)
         self._decode(i0, i1, out)
         if i0 != i1:
-            self._bill(1, self._blocks(i0, i1) * self._block_nbytes)
+            self._bill(1, self._blocks(i0, i1) * self._block_nbytes, None)
 
 
-def write_frsz2_batch(accessors, X: np.ndarray) -> bool:
-    """Compress one column of ``X`` into each accessor in a single pass.
-
-    The write-side counterpart of :class:`Frsz2Tiles`: when every
-    accessor is a plain :class:`Frsz2Accessor` with identical codec
-    parameters, all columns encode in one
-    :meth:`~repro.core.frsz2.FRSZ2.compress_batch` call (one vectorized
-    exponent-reduce/shift/truncate pass instead of one per vector).
-    Each accessor's write is billed individually, exactly like a
-    per-accessor
-    :meth:`~Frsz2Accessor.write` loop — which is the bitwise-identical
-    fallback this fast path is exchangeable with.
-
-    Parameters
-    ----------
-    accessors : sequence of VectorAccessor
-        Target accessors, one per column of ``X``.
-    X : ndarray, shape (n, B), dtype float64
-        Vectors to store; column ``c`` goes to ``accessors[c]``.
-
-    Returns
-    -------
-    bool
-        ``True`` if the batched encode ran; ``False`` when any accessor
-        is ineligible (wrapped/subclassed, or codec mismatch) and the
-        caller should fall back to per-accessor ``write``.
-
-    Raises
-    ------
-    ValueError
-        If any column contains NaN/Inf (from the codec) — the same
-        error a per-accessor write loop would raise, with no accessor
-        mutated (the whole batch is encoded before any store).
-    """
-    accessors = list(accessors)
-    if not accessors:
-        return False
-    for acc in accessors:
-        # exact type: a subclass may override write(), which the direct
-        # payload store below would silently bypass
-        if type(acc) is not Frsz2Accessor:
-            return False
-    c0 = accessors[0].codec
-    n = accessors[0].n
-    for acc in accessors[1:]:
-        if (
-            acc.n != n
-            or acc.codec.bit_length != c0.bit_length
-            or acc.codec.block_size != c0.block_size
-            or acc.codec.rounding != c0.rounding
-        ):
-            return False
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape != (n, len(accessors)):
-        raise ValueError(f"expected X of shape ({n}, {len(accessors)})")
-    columns = [
-        acc._check_write(X[:, c]) for c, acc in enumerate(accessors)
-    ]
-    compressed = c0.compress_batch(columns)
-    for acc, comp in zip(accessors, compressed):
-        acc._store(comp)
-        acc._record_write()
-    return True
+#: an accessor's C pointers (``None``: cleared, or a numpy codec)
+_POINTERS = attrgetter("_pointers")

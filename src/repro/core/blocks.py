@@ -16,6 +16,7 @@ which is Eq. (3) of the paper specialised to a 4-byte word type.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 __all__ = ["BlockLayout", "DEFAULT_BLOCK_SIZE"]
 
@@ -29,6 +30,8 @@ class BlockLayout:
 
     Parameters mirror the two optimization parameters of the format:
     ``block_size`` (BS) and ``bit_length`` (l), plus the element count.
+    The derived sizes every write and every pointer check asks for are
+    computed once per instance.
     """
 
     n: int
@@ -44,17 +47,17 @@ class BlockLayout:
         if not 2 <= self.bit_length <= 64:
             raise ValueError(f"bit_length must be in [2, 64], got {self.bit_length}")
 
-    @property
+    @cached_property
     def num_blocks(self) -> int:
         """Number of blocks, ``ceil(n / BS)``."""
         return -(-self.n // self.block_size)
 
-    @property
+    @cached_property
     def words_per_block(self) -> int:
         """32-bit words holding one block's compressed values."""
         return -(-(self.block_size * self.bit_length) // 32)
 
-    @property
+    @cached_property
     def value_words(self) -> int:
         """Total 32-bit words in the compressed-value stream."""
         return self.num_blocks * self.words_per_block
@@ -69,7 +72,7 @@ class BlockLayout:
         """Bytes of the per-block exponent stream (second term of Eq. 3)."""
         return self.num_blocks * 4
 
-    @property
+    @cached_property
     def total_nbytes(self) -> int:
         """Total storage in bytes (Eq. 3)."""
         return self.value_nbytes + self.exponent_nbytes
@@ -85,7 +88,7 @@ class BlockLayout:
             return 0.0
         return self.total_nbytes * 8 / self.n
 
-    @property
+    @cached_property
     def is_aligned(self) -> bool:
         """True when l is a power of two >= 8, i.e. fields never straddle.
 

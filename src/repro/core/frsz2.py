@@ -333,13 +333,21 @@ class FRSZ2:
             self._gather_kernel = None
         #: observe-layer tracer; the null tracer keeps the hot path free
         self.tracer = NULL_TRACER
+        #: the layout of the last length asked for (a codec serves one
+        #: vector length for its whole life inside an accessor)
+        self._layout: Optional[BlockLayout] = None
 
     # ------------------------------------------------------------------
     # compression (paper Section IV-A)
     # ------------------------------------------------------------------
 
     def layout_for(self, n: int) -> BlockLayout:
-        return BlockLayout(n, self.block_size, self.bit_length)
+        layout = self._layout
+        if layout is None or (layout.n, layout.block_size, layout.bit_length) != (
+            n, self.block_size, self.bit_length
+        ):
+            layout = self._layout = BlockLayout(n, self.block_size, self.bit_length)
+        return layout
 
     def _encode_fields(self, x: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
         """Steps 1-5: per-value l-bit fields and per-block exponents.
@@ -398,6 +406,8 @@ class FRSZ2:
             # keeping containers bit-identical while avoiding a second
             # allocation + copy per vector.
             full = layout.num_blocks * self.block_size
+            if fields.size == full:  # no tail to zero: one pass
+                return fields.astype(_ALIGNED_DTYPES[l])
             payload = np.zeros(full, dtype=_ALIGNED_DTYPES[l])
             payload[: fields.size] = fields
             return payload
@@ -737,45 +747,6 @@ class FRSZ2:
             self.tracer.count("frsz2.decompress_blocks.bytes",
                               unique_blocks * block_nbytes)
         return out
-
-    def decompress_batch(
-        self, comps: "Sequence[Frsz2Compressed]"
-    ) -> "List[np.ndarray]":
-        """Decompress several same-layout containers in one pass.
-
-        The bit-assembly decode (the expensive part) runs once over the
-        concatenated field stream of all containers; results are
-        bit-identical to calling :meth:`decompress` per container.
-        Containers with differing layouts fall back to per-container
-        decompression.
-
-        Parameters
-        ----------
-        comps : sequence of Frsz2Compressed
-
-        Returns
-        -------
-        list of ndarray, each shape (n_i,), dtype float64
-        """
-        comps = list(comps)
-        if not comps:
-            return []
-        first = comps[0].layout
-        if any(c.layout != first for c in comps[1:]):
-            return [self.decompress(c) for c in comps]
-        n = first.n
-        values = np.empty((len(comps), n))
-        if n:
-            self._tile_kernel(comps)(0, n, values)
-        if self.tracer.enabled:
-            self.tracer.count("frsz2.decompress_batch.calls")
-            self.tracer.count("frsz2.decompress_batch.vectors", len(comps))
-            self.tracer.count("frsz2.decompress.values", n * len(comps))
-            self.tracer.count("frsz2.decompress.bytes",
-                              first.total_nbytes * len(comps))
-            self.tracer.count("frsz2.decompress.blocks",
-                              first.num_blocks * len(comps))
-        return list(values)
 
     def decompress_blocks_batch(
         self, comps: "Sequence[Frsz2Compressed]", blocks: Sequence[int]

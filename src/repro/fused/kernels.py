@@ -17,6 +17,22 @@ one thing it reads twice).  Sources C cannot walk (wrapped, mixed-format
 or unwritten slots, dense formats, numpy codecs) are loaded tile by tile
 into a ``(j, tile)`` scratch and reduced by the same kernels.
 
+One call, one layer of checks
+-----------------------------
+A fused operation validates its operands here, first — a named
+``ValueError`` before anything is billed or written, the same on both
+backends — and asks its reader for the rows.  Rows that can be read in
+place (``reader.rows`` is not ``None``) are a *source* with three walks,
+``fused_dot`` / ``fused_axpy`` / ``fused_axpy_dot``: an engine source
+(:class:`repro.jit.cbackend.TileTable`, :class:`~repro.jit.cbackend.
+DenseRows`) passes the operands straight to C with the work buffer it
+keeps, :class:`_NumpyRows` runs the numpy spelling; either way the call
+is a straight line — one walk, one ``_count_call``.  Only a reader
+without rows takes the generator :func:`_tiles`.  What the reader is —
+built for this call, or the one a :class:`~repro.solvers.basis.
+KrylovBasis` keeps and extends with every write — is the basis's
+business (``docs/ARCHITECTURE.md``, "The life of a fused call").
+
 Determinism contract
 --------------------
 The accumulation order is written down here, not inherited from a BLAS
@@ -118,10 +134,6 @@ class FusedOpLog:
     #: a source loaded tile by tile
     peak_scratch_bytes: int = 0
 
-    def observe_scratch(self, nbytes: int) -> None:
-        if nbytes > self.peak_scratch_bytes:
-            self.peak_scratch_bytes = int(nbytes)
-
 
 def tile_grid(n: int, tile_elems: int) -> "List[tuple[int, int]]":
     """The fixed ``[t0, t1)`` tile ranges covering ``n`` elements.
@@ -152,7 +164,8 @@ class TileReader:
 
     def rows(self, tile_elems: int):
         """A ``(>= j, >= n)`` C-contiguous float64 array, an engine row
-        table (``backend="jit"`` only), or ``None``."""
+        source of at least ``j`` rows of exactly ``n`` values
+        (``backend="jit"`` only), or ``None``."""
         return None
 
     def load(self, t0: int, t1: int, out: np.ndarray) -> None:
@@ -235,7 +248,7 @@ class StreamingTileReader(TileReader):
 # ----------------------------------------------------------------------
 
 
-def dot_rows_numpy(rows, j, n, tile, w, h, work=None) -> None:
+def dot_rows_numpy(rows, j, n, tile, w, h) -> None:
     """``h[r] += v_r[:n] . w`` in the written lane order (see module doc).
 
     ``rows[r, i]`` is ``v_r[i]``.  A tile's products are laid out as
@@ -279,117 +292,122 @@ def axpy_rows_numpy(rows, j, n, y, w, store=False) -> None:
             w[i0:i1] -= si
 
 
-def axpy_dot_rows_numpy(rows, j, n, tile, y, w, u, work=None) -> None:
-    """The sweep, as it is defined: :func:`axpy_rows_numpy` on ``w``, then
-    :func:`dot_rows_numpy` of the updated ``w`` into ``u``."""
-    axpy_rows_numpy(rows, j, n, y, w)
-    dot_rows_numpy(rows, j, n, tile, w, u)
+class _NumpyRows:
+    """Float64 rows reduced by the numpy kernels above: the no-compiler
+    spelling of the engine's row sources (:class:`repro.jit.cbackend.
+    DenseRows`), with their three walks.  It needs no work buffer."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: np.ndarray) -> None:
+        self.rows = rows
+
+    def fused_dot(self, j, n, tile, w, h) -> int:
+        dot_rows_numpy(self.rows, j, n, tile, w, h)
+        return 0
+
+    def fused_axpy(self, j, n, y, w, store=False) -> int:
+        axpy_rows_numpy(self.rows, j, n, y, w, store)
+        return 0
+
+    def fused_axpy_dot(self, j, n, tile, y, w, u) -> int:
+        # the sweep, as it is defined: the axpy, then the dot of what it left
+        axpy_rows_numpy(self.rows, j, n, y, w)
+        dot_rows_numpy(self.rows, j, n, tile, w, u)
+        return 0
 
 
-def _row_kernels(reader: TileReader):
-    """``(dot, axpy, axpy_dot)`` row kernels of the reader's backend."""
-    if reader.backend == "jit":
-        engine = _dispatch.load_engine()
-        return engine.fused_dot, engine.fused_axpy, engine.fused_axpy_dot
-    return dot_rows_numpy, axpy_rows_numpy, axpy_dot_rows_numpy
+def _dense_source(rows: np.ndarray, backend: str):
+    """What walks float64 ``rows`` in place under ``backend`` (any other
+    ``TileReader.rows`` result is an engine source already)."""
+    if backend == "jit":
+        return _dispatch.load_engine().dense_rows(rows)
+    return _NumpyRows(rows)
 
 
 # ----------------------------------------------------------------------
 # the fused operations
 # ----------------------------------------------------------------------
+#
+# Operands are validated here and nowhere below: the sources' walks trust
+# what they are handed (under jit they pass it to C), so every fused
+# operation checks its operands first — before anything is billed or
+# written — and raises the same named ``ValueError`` on both backends.
 
 
-def _operand(arr, shape, name: str, order: str = "C") -> np.ndarray:
+def _reject(arr, name: str, wanted: str):
+    raise ValueError(
+        f"{name} must be {wanted}, got "
+        f"{getattr(arr, 'dtype', type(arr).__name__)} {getattr(arr, 'shape', '')}"
+    )
+
+
+def _operand(arr, shape, name: str, order: str = "C", written: bool = False):
     """``arr`` as given, once it is what the kernels will index.
 
     The row kernels read raw memory (under jit, in C), so an operand is
     a float64 array of ``order`` contiguity and of ``shape`` (``None``:
-    any extent) — or a named error, never a broadcast failure or an
-    out-of-bounds read.
+    any extent), writable when ``written`` — or a named error, never a
+    broadcast failure or an out-of-bounds access.
     """
-    if not (
+    if (
         isinstance(arr, np.ndarray)
         and arr.dtype == np.float64
         and arr.ndim == len(shape)
-        and arr.flags[f"{order}_CONTIGUOUS"]
-        and all(want in (None, have) for have, want in zip(arr.shape, shape))
+        and (arr.flags.c_contiguous if order == "C" else arr.flags.f_contiguous)
+        and (arr.shape == shape or None in shape and all(
+            want in (None, have) for have, want in zip(arr.shape, shape)))
+        and (arr.flags.writeable or not written)
     ):
-        raise ValueError(
-            f"{name} must be a {order}-contiguous float64 array of shape "
-            f"{shape} (None: any), got {getattr(arr, 'dtype', type(arr).__name__)} "
-            f"{getattr(arr, 'shape', '')}"
-        )
-    return arr
+        return arr
+    _reject(arr, name, f"a {order}-contiguous{' writable' * written} float64 "
+                       f"array of shape {shape} (None: any)")
 
 
 def _coefficients(y, j: int) -> np.ndarray:
-    """The leading ``j`` coefficients of the float64 vector ``y``."""
-    y = _operand(y, (None,), "y")
+    """The float64 vector ``y``, once it holds ``j`` coefficients."""
+    if not (isinstance(y, np.ndarray) and y.dtype == np.float64
+            and y.ndim == 1 and y.flags.c_contiguous):
+        _reject(y, "y", "a C-contiguous float64 vector")
     if y.shape[0] < j:
         raise ValueError(
             f"y must hold at least j={j} coefficients, got {y.shape[0]}"
         )
-    return y[:j]
+    return y
 
 
-def _work_buffer(size: int) -> np.ndarray:
-    """``size`` float64 values starting on a cache line: the compiled
-    kernels walk their work buffers in 64-byte registers, and a buffer
-    that straddles lines costs the sweep a tenth of its time."""
-    raw = np.empty(size + 7)
-    skip = -(raw.ctypes.data // 8) % 8
-    return raw[skip:skip + size]
-
-
-def _pieces(
-    reader: TileReader, tile_elems: int, log: Optional[FusedOpLog], sweep: bool = False
-) -> Iterator:
-    """``(rows, work, t0, t1)`` pieces covering the reader's ``n`` values.
-
-    Rows readable where they are stored come as one piece over the whole
-    grid; anything else comes tile by tile in a reused ``(j, tile)``
-    scratch.  ``work`` is what the compiled kernels need beside the rows:
-    the ``tile``-double decode buffer of a compressed source or, for the
-    ``sweep``, its ``8 j`` lane accumulators plus the ``(j, piece)``
-    decoded row pieces of a compressed source.
-    """
-    if tile_elems < 1:
-        raise ValueError("tile_elems must be positive")
-    n, j = reader.n, reader.j
-    tile = min(tile_elems, n)
-    rows = reader.rows(tile_elems)
-    scratch = np.empty((j, tile)) if rows is None else None
-    work = None
-    if reader.backend == "jit":
-        compressed = rows is not None and not isinstance(rows, np.ndarray)
-        if sweep:
-            piece = _dispatch.load_engine().fused_piece if compressed else 0
-            work = _work_buffer(j * (8 + piece))
-        elif compressed:
-            work = _work_buffer(tile)
-    if log is not None:
-        log.observe_scratch(
-            sum(buf.nbytes for buf in (scratch, work) if buf is not None)
-        )
-    if rows is not None:
-        yield rows, work, 0, n
-        return
+def _tiles(reader: TileReader, tile_elems: int) -> Iterator:
+    """``(source, t0, t1)`` for every tile of a reader whose rows cannot be
+    read where they are stored: each tile loaded into one reused
+    ``(j, tile)`` scratch that the reader's backend then walks."""
+    n = reader.n
+    scratch = np.empty((reader.j, min(tile_elems, n)))
+    source = _dense_source(scratch, reader.backend)
     for t0 in range(0, n, tile_elems):
         t1 = min(t0 + tile_elems, n)
         reader.load(t0, t1, scratch)
-        yield scratch, work, t0, t1
+        yield source, t0, t1
 
 
-def _count_call(
-    tracer, log: Optional[FusedOpLog], kind: str, j: int, n: int, tile_elems: int
-) -> None:
-    """Bill one Fig. 1 kernel of ``kind`` over ``j`` rows of ``n`` values."""
+def _count_call(tracer, log: Optional[FusedOpLog], kind: str, j: int, n: int,
+                tile_elems: int, scratch: int = 0) -> None:
+    """Bill one Fig. 1 kernel of ``kind`` over ``j`` rows of ``n`` values
+    that used ``scratch`` doubles of buffers."""
     tiles = -(-n // tile_elems)
     if log is not None:
-        setattr(log, f"{kind}_calls", getattr(log, f"{kind}_calls") + 1)
-        setattr(log, f"{kind}_vectors", getattr(log, f"{kind}_vectors") + j)
+        if kind == "dot":
+            log.dot_calls += 1
+            log.dot_vectors += j
+        elif kind == "axpy":
+            log.axpy_calls += 1
+            log.axpy_vectors += j
+        else:
+            log.combine_calls += 1
+            log.combine_vectors += j
         log.tiles += tiles
         log.values += j * n
+        if 8 * scratch > log.peak_scratch_bytes:
+            log.peak_scratch_bytes = 8 * scratch
     if tracer.enabled:
         tracer.count(f"basis.fused.{kind}_calls")
         tracer.count("basis.fused.tiles", tiles)
@@ -427,27 +445,44 @@ def dot_basis_fused(
     ValueError
         If ``w`` is not a contiguous float64 vector of length ``n``.
     """
-    j = reader.j
-    w = _operand(w, (reader.n,), "w")
+    j, n = reader.j, reader.n
+    w = _operand(w, (n,), "w")
+    if tile_elems < 1:
+        raise ValueError("tile_elems must be positive")
     h = np.zeros(j)
     if j == 0:
         return h
-    dot_rows = _row_kernels(reader)[0]
-    for rows, work, t0, t1 in _pieces(reader, tile_elems, log):
-        dot_rows(rows, j, t1 - t0, tile_elems, w[t0:t1], h, work)
-    _count_call(tracer, log, "dot", j, reader.n, tile_elems)
+    rows = reader.rows(tile_elems)
+    if rows is not None:
+        if isinstance(rows, np.ndarray):
+            rows = _dense_source(rows, reader.backend)
+        used = rows.fused_dot(j, n, tile_elems, w, h)
+    else:
+        used = j * min(tile_elems, n)
+        for source, t0, t1 in _tiles(reader, tile_elems):
+            source.fused_dot(j, t1 - t0, tile_elems, w[t0:t1], h)
+    _count_call(tracer, log, "dot", j, n, tile_elems, used)
     return h
 
 
 def _axpy(reader, y, w, tile_elems, tracer, log, kind: str) -> np.ndarray:
-    j = reader.j
+    j, n = reader.j, reader.n
+    if tile_elems < 1:
+        raise ValueError("tile_elems must be positive")
     if j == 0:
         return w
     y = _coefficients(y, j)
-    axpy_rows = _row_kernels(reader)[1]
-    for rows, _, t0, t1 in _pieces(reader, tile_elems, log):
-        axpy_rows(rows, j, t1 - t0, y, w[t0:t1], kind == "combine")
-    _count_call(tracer, log, kind, j, reader.n, tile_elems)
+    store = kind == "combine"
+    rows = reader.rows(tile_elems)
+    if rows is not None:
+        if isinstance(rows, np.ndarray):
+            rows = _dense_source(rows, reader.backend)
+        used = rows.fused_axpy(j, n, y, w, store)
+    else:
+        used = j * min(tile_elems, n)
+        for source, t0, t1 in _tiles(reader, tile_elems):
+            source.fused_axpy(j, t1 - t0, y, w[t0:t1], store)
+    _count_call(tracer, log, kind, j, n, tile_elems, used)
     return w
 
 
@@ -485,10 +520,10 @@ def axpy_fused(
     Raises
     ------
     ValueError
-        If ``w`` is not a contiguous float64 vector of length ``n`` or
-        ``y`` holds fewer than ``j`` float64 coefficients.
+        If ``w`` is not a contiguous writable float64 vector of length
+        ``n`` or ``y`` holds fewer than ``j`` float64 coefficients.
     """
-    w = _operand(w, (reader.n,), "w")
+    w = _operand(w, (reader.n,), "w", written=True)
     return _axpy(reader, y, w, tile_elems, tracer, log, "axpy")
 
 
@@ -512,16 +547,25 @@ def axpy_dot_fused(
     :func:`bill_dot_fused`.  What was really read is on the accessors'
     own traffic counters.  Raises ``ValueError`` like :func:`axpy_fused`.
     """
-    j = reader.j
-    w = _operand(w, (reader.n,), "w")
+    j, n = reader.j, reader.n
+    w = _operand(w, (n,), "w", written=True)
+    if tile_elems < 1:
+        raise ValueError("tile_elems must be positive")
     u = np.zeros(j)
     if j == 0:
         return u
     y = _coefficients(y, j)
-    axpy_dot_rows = _row_kernels(reader)[2]
-    for rows, work, t0, t1 in _pieces(reader, tile_elems, log, sweep=True):
-        axpy_dot_rows(rows, j, t1 - t0, tile_elems, y, w[t0:t1], u, work)
-    _count_call(tracer, log, "axpy", j, reader.n, tile_elems)
+    rows = reader.rows(tile_elems)
+    if rows is not None:
+        if isinstance(rows, np.ndarray):
+            rows = _dense_source(rows, reader.backend)
+        used = rows.fused_axpy_dot(j, n, tile_elems, y, w, u)
+    else:
+        lanes = 0
+        for source, t0, t1 in _tiles(reader, tile_elems):
+            lanes = source.fused_axpy_dot(j, t1 - t0, tile_elems, y, w[t0:t1], u)
+        used = j * min(tile_elems, n) + lanes
+    _count_call(tracer, log, "axpy", j, n, tile_elems, used)
     return u
 
 
@@ -536,10 +580,10 @@ def bill_dot_fused(j: int, n: int, tile_elems: int, tracer=NULL_TRACER,
 # Registered under both backends (the jit side in ``repro.jit.dispatch.
 # _ensure_jit_kernels``): the *reader's* backend picks the row kernels, so
 # one callable serves both names — ``dot_rows_numpy`` / ``axpy_rows_numpy``
-# / ``axpy_dot_rows_numpy`` above, or the C ``fused_dot`` / ``fused_axpy``
-# / ``fused_axpy_dot`` of ``repro.jit.cbackend``, each one routine fed by
-# float64 rows in place or FRSZ2 rows decoded as it goes, held to these
-# numpy kernels by the engine self-test.
+# above, or the C ``fused_dot`` / ``fused_axpy`` / ``fused_axpy_dot`` of
+# ``repro.jit.cbackend``, each one routine fed by float64 rows in place or
+# FRSZ2 rows decoded as it goes, held to these numpy kernels by the engine
+# self-test.
 for _name, _fn in (
     ("fused.dot_basis", dot_basis_fused),
     ("fused.combine", combine_fused),

@@ -74,7 +74,8 @@ from typing import Optional
 
 import numpy as np
 
-__all__ = ["CEngine", "ChunkSweep", "RowPointers", "TileTable", "C_SOURCE"]
+__all__ = ["CEngine", "ChunkSweep", "DenseRows", "RowPointers", "TileTable",
+           "C_SOURCE"]
 
 C_SOURCE = r"""
 #include <stdint.h>
@@ -182,7 +183,11 @@ void bitpack_unpack_at(const uint32_t *words, int64_t nwords,
 }
 
 /* FRSZ2 compression steps 1-5 (paper Section IV-A).  Returns 0 on
- * success, i+1 when x[i] is NaN/Inf. */
+ * success, i+1 when x[i] is NaN/Inf.  The exponent scan is a plain max
+ * reduction — no exit inside it, so it vectorises — and the offending
+ * index is looked for only in a block whose largest biased exponent is
+ * 0x7FF.  (The rounding != 0 body is not vectorised by gcc 12: its
+ * data-dependent half-bit shift keeps it scalar, ~3 ns per value.) */
 CLONED
 int64_t frsz2_encode(const double *x, int64_t n, int64_t bs, int64_t l,
                      int32_t rounding, uint64_t *fields, int32_t *e_max_out)
@@ -191,16 +196,15 @@ int64_t frsz2_encode(const double *x, int64_t n, int64_t bs, int64_t l,
     for (int64_t b = 0; b < nb; b++) {
         int64_t i0 = b * bs;
         int64_t i1 = i0 + bs < n ? i0 + bs : n;
-        uint64_t e_max = 1;
+        uint64_t e_max = 1;  /* zeros and subnormals count as exponent 1 */
         for (int64_t i = i0; i < i1; i++) {
-            uint64_t bits = d2u(x[i]);
-            uint64_t be = (bits >> 52) & 0x7FF;
-            if (be == 0x7FF)
-                return i + 1;
-            uint64_t e_eff = be ? be : 1;
-            if (e_eff > e_max)
-                e_max = e_eff;
+            uint64_t be = (d2u(x[i]) >> 52) & 0x7FF;
+            e_max = be > e_max ? be : e_max;
         }
+        if (e_max == 0x7FF)
+            for (int64_t i = i0; i < i1; i++)
+                if (((d2u(x[i]) >> 52) & 0x7FF) == 0x7FF)
+                    return i + 1;
         e_max_out[b] = (int32_t)e_max;
         for (int64_t i = i0; i < i1; i++) {
             uint64_t bits = d2u(x[i]);
@@ -990,53 +994,175 @@ class RowPointers:
     def __init__(self, engine: "CEngine", comp) -> None:
         layout = comp.layout
         if layout.is_aligned:
-            dtype = np.dtype(f"uint{layout.bit_length}")
+            itemsize = layout.bit_length // 8
             size = layout.num_blocks * layout.block_size
         else:
-            dtype, size = np.dtype(np.uint32), layout.value_words
-        if (comp.payload.dtype != dtype or comp.payload.size != size
-                or comp.exponents.size != layout.num_blocks):
+            itemsize, size = 4, layout.value_words
+        payload, exponents = comp.payload, engine._exponents(comp)
+        if (payload.dtype.kind != "u" or payload.itemsize != itemsize
+                or payload.size != size
+                or exponents.size != layout.num_blocks):
             raise ValueError(
                 "container arrays do not match their block layout"
             )
         self.engine = engine
         self.layout = layout
-        self.payload = engine._ptr(comp.payload, "uint8_t *")
-        self.exponents = engine._ptr(engine._exponents(comp), "int32_t *")
+        from_buffer = engine._ffi.from_buffer
+        self.payload = from_buffer("uint8_t *", payload)
+        self.exponents = from_buffer("int32_t *", exponents)
 
 
-class TileTable:
-    """C pointer table over ``j`` same-layout containers.
+class _Rows:
+    """``count`` rows of ``length`` values, as the fused kernels walk them:
+    the base of the two ``FUSED_SOURCE``s of ``C_SOURCE``.
 
-    The compressed source of the fused reductions
-    (:meth:`CEngine.fused_dot` / :meth:`CEngine.fused_axpy` decode and
-    reduce each row piece in registers) and, called as
-    ``table(i0, i1, out)``, the window decoder that writes rows
-    ``v_0[i0:i1] ... v_{j-1}[i0:i1]`` into the C-contiguous
-    ``(j, >= i1 - i0)`` float64 buffer ``out`` in one C call.  It holds
-    the :class:`RowPointers` it was built from and copies nothing.  The
-    caller has checked that the containers share one layout.
+    A source is made once by whoever owns the rows and walked many times,
+    so it keeps what a walk needs beside its operands: the C arguments
+    (:attr:`source`) and one cache-line-aligned work buffer, allocated on
+    first use and sized by ``capacity`` — never by ``n``.
+
+    :meth:`fused_dot`, :meth:`fused_axpy` and :meth:`fused_axpy_dot` are
+    the in-place route of :mod:`repro.fused.kernels`, which has validated
+    the operands it passes (contiguous float64 vectors: ``w`` of at least
+    ``n`` values, writable where written; ``y``, ``h``, ``u`` of at least
+    ``j``; ``tile >= 1``).  They check what only the source knows — ``j``
+    against its rows, ``n`` against their length — and return the doubles
+    of work the walk used.  Anyone else calls the checked
+    :meth:`CEngine.fused_dot` / ``fused_axpy`` / ``fused_axpy_dot``.
     """
 
-    __slots__ = ("_engine", "_rows", "layout", "count", "source")
+    __slots__ = ("_engine", "source", "count", "length", "capacity", "piece",
+                 "_work", "_work_ptr")
 
-    def __init__(self, engine: "CEngine", rows) -> None:
+    def __init__(self, engine: "CEngine", count: int, length: int,
+                 capacity: int, piece: int) -> None:
         self._engine = engine
+        self.count, self.length = count, length
+        #: rows the source can hold: what sizes the work buffer
+        self.capacity = capacity
+        #: values per decoded row piece a walk keeps (0: rows read in place)
+        self.piece = piece
+        self._work, self._work_ptr = np.empty(0), engine._ffi.NULL
+
+    @property
+    def work_nbytes(self) -> int:
+        """Bytes of the kept work buffer (0 until a walk needed one)."""
+        return int(self._work.nbytes)
+
+    def _walk(self, j: int, n: int, work: int = 0):
+        """The library, the pointer maker and ``work`` doubles of buffer,
+        once ``j`` rows of ``n`` values are known to be there (C decodes
+        compressed rows by their layout: all ``length`` values or none)."""
+        if (not 0 < j <= self.count or not 0 <= n <= self.length
+                or (self.piece and n != self.length)):
+            raise ValueError(
+                f"source holds {self.count} rows of {self.length} values; "
+                f"asked for j={j}, n={n}"
+            )
+        if work > self._work.size:
+            # 64-byte registers walk it: a buffer that straddles cache
+            # lines costs the sweep a tenth of its time
+            raw = np.empty(work + 7)
+            skip = -(raw.ctypes.data // 8) % 8
+            self._work = raw[skip:skip + work]
+            self._work_ptr = self._engine._ptr(self._work, "double *")
+        return self._engine._lib, self._engine._ffi.from_buffer, self._work_ptr
+
+    def fused_dot(self, j: int, n: int, tile: int, w, h) -> int:
+        """``h[r] += v_r[:n] . w`` (``fused_dot`` in ``C_SOURCE``)."""
+        used = min(tile, n) if self.piece else 0
+        lib, ptr, work = self._walk(j, n, used)
+        lib.fused_dot(*self.source, j, n, tile, ptr("double *", w),
+                      ptr("double *", h), work)
+        return used
+
+    def fused_axpy(self, j: int, n: int, y, w, store: bool = False) -> int:
+        """``w[:n] -= sum_r y[r] v_r[:n]`` (``store``: ``w = sum``)."""
+        lib, ptr, _ = self._walk(j, n)
+        lib.fused_axpy(*self.source, j, n, ptr("double *", y),
+                       ptr("double *", w), store)
+        return 0
+
+    def fused_axpy_dot(self, j: int, n: int, tile: int, y, w, u) -> int:
+        """:meth:`fused_axpy`, then ``u[r] += v_r[:n] . w``, in one walk."""
+        lanes = 8 + self.piece
+        lib, ptr, work = self._walk(j, n, self.capacity * lanes)
+        lib.fused_axpy_dot(*self.source, j, n, tile, ptr("double *", y),
+                           ptr("double *", w), ptr("double *", u), work)
+        return j * lanes
+
+
+class DenseRows(_Rows):
+    """The rows of a C-contiguous float64 ``(count, length)`` array, read
+    where they are stored (the columns of a basis mirror, a scratch tile);
+    its pointer keeps the array alive."""
+
+    __slots__ = ()
+
+    def __init__(self, engine: "CEngine", rows: np.ndarray) -> None:
+        if not (isinstance(rows, np.ndarray) and rows.ndim == 2
+                and rows.dtype == np.float64 and rows.flags.c_contiguous):
+            raise ValueError(
+                "rows must be a TileTable or a C-contiguous 2-D float64 array"
+            )
+        super().__init__(engine, *rows.shape, rows.shape[0], 0)
+        null = engine._ffi.NULL
+        self.source = (engine._ptr(rows, "double *"), self.length,
+                       null, null, 0, 0, 0, 0, 0)
+
+
+class TileTable(_Rows):
+    """C pointer table over up to ``capacity`` same-layout containers.
+
+    The compressed source of the fused reductions (each row piece is
+    decoded and reduced in registers) and, called as
+    ``table(i0, i1, out)``, the window decoder that writes rows
+    ``v_0[i0:i1] ... v_{count-1}[i0:i1]`` into the C-contiguous
+    ``(count, >= i1 - i0)`` float64 buffer ``out`` in one C call.  It
+    holds the :class:`RowPointers` it was built from and copies nothing.
+    The two C arrays are allocated once, for ``capacity`` rows (default:
+    the rows given), and :meth:`bind` points a row at another container
+    in place, so a Krylov basis extends one table with every write
+    instead of assembling one per fused call.  The caller has checked
+    that the containers share one layout.
+    """
+
+    __slots__ = ("_rows", "layout")
+
+    def __init__(self, engine: "CEngine", rows, capacity: int = 0) -> None:
         self._rows = rows = list(rows)
         self.layout = layout = rows[0].layout
-        self.count = len(rows)
+        super().__init__(engine, len(rows), layout.n,
+                         max(capacity, len(rows)), engine.fused_piece)
         #: the FUSED_SOURCE arguments of the C kernels
         self.source = (
             engine._ffi.NULL,
             0,
-            engine._ffi.new("uint8_t *[]", [r.payload for r in rows]),
-            engine._ffi.new("int32_t *[]", [r.exponents for r in rows]),
+            engine._ffi.new("uint8_t *[]", self.capacity),
+            engine._ffi.new("int32_t *[]", self.capacity),
             engine._payload_kind(layout),
             0 if layout.is_aligned else layout.value_words,
             layout.block_size,
             layout.bit_length,
             layout.words_per_block,
         )
+        for k, row in enumerate(rows):
+            self.source[2][k], self.source[3][k] = row.payload, row.exponents
+
+    def bind(self, k: int, row: "RowPointers") -> None:
+        """Point row ``k`` at ``row``'s container (``k == count`` appends)."""
+        if not 0 <= k <= self.count or k >= self.capacity:
+            raise IndexError(
+                f"row {k} of {self.count} rows (capacity {self.capacity})"
+            )
+        self.source[2][k], self.source[3][k] = row.payload, row.exponents
+        self._rows[k:k + 1] = [row]  # owns the arrays the C row points into
+        self.count = len(self._rows)
+
+    def truncate(self, count: int) -> None:
+        """Forget the rows from ``count`` on (their containers with them)."""
+        del self._rows[count:]
+        self.count = len(self._rows)
 
     def __call__(self, i0: int, i1: int, out: np.ndarray) -> None:
         engine = self._engine
@@ -1267,20 +1393,21 @@ class CEngine:
 
     def encode_fields(self, x, bit_length, block_size, rounding):
         """Steps 1-5; byte-equal to the reference ``encode_fields``."""
-        x = self._c(x, np.float64)
+        x = np.ascontiguousarray(x, dtype=np.float64)
         n = x.size
         nb = -(-n // block_size)
         fields = np.empty(n, dtype=np.uint64)
         e_max = np.empty(nb, dtype=np.int32)
         if n:
+            from_buffer = self._ffi.from_buffer
             rc = self._lib.frsz2_encode(
-                self._ptr(x, "double *"),
+                from_buffer("double *", x),
                 n,
                 block_size,
                 bit_length,
                 int(bool(rounding)),
-                self._ptr(fields, "uint64_t *"),
-                self._ptr(e_max, "int32_t *"),
+                from_buffer("uint64_t *", fields),
+                from_buffer("int32_t *", e_max),
             )
             if rc:
                 raise ValueError("FRSZ2 does not support NaN or Inf inputs")
@@ -1345,9 +1472,14 @@ class CEngine:
         """``comp``'s array pointers, checked against its layout."""
         return RowPointers(self, comp)
 
-    def row_table(self, rows) -> "TileTable":
-        """Same-layout :class:`RowPointers` as one fused-kernel source."""
-        return TileTable(self, rows)
+    def row_table(self, rows, capacity: int = 0) -> "TileTable":
+        """Same-layout :class:`RowPointers` as one fused-kernel source,
+        with room for ``capacity`` rows (:meth:`TileTable.bind`)."""
+        return TileTable(self, rows, capacity)
+
+    def dense_rows(self, rows: np.ndarray) -> "DenseRows":
+        """A C-contiguous 2-D float64 array as a fused-kernel source."""
+        return DenseRows(self, rows)
 
     def decode_tile(self, comps) -> "TileTable":
         """Same-layout containers prepared for repeated window decodes."""
@@ -1358,32 +1490,23 @@ class CEngine:
     def _fused_source(self, rows, j: int, n: int):
         """The C source arguments for ``j`` rows of ``n`` values of ``rows``.
 
-        ``rows`` is a :class:`TileTable` or a C-contiguous float64
-        ``(>= j, >= n)`` array whose rows are read in place.
+        ``rows`` is a :class:`TileTable`, a :class:`DenseRows` or a
+        C-contiguous float64 ``(>= j, >= n)`` array read in place.
         """
-        if isinstance(rows, TileTable):
-            if rows._engine is not self:
-                raise ValueError("row table belongs to another engine")
-            count, length, source = rows.count, rows.layout.n, rows.source
-            if n != length:
-                raise ValueError(
-                    f"compressed rows hold {length} values, not n={n}"
-                )
-        elif (isinstance(rows, np.ndarray) and rows.ndim == 2
-                and rows.dtype == np.float64 and rows.flags.c_contiguous):
-            count, length = rows.shape
-            source = (self._ptr(rows, "double *"), length,
-                      self._ffi.NULL, self._ffi.NULL, 0, 0, 0, 0, 0)
-        else:
+        if not isinstance(rows, _Rows):
+            rows = DenseRows(self, rows)
+        elif rows._engine is not self:
+            raise ValueError("row table belongs to another engine")
+        if rows.piece and n != rows.length:
             raise ValueError(
-                "rows must be a TileTable or a C-contiguous 2-D float64 array"
+                f"compressed rows hold {rows.length} values, not n={n}"
             )
-        if not 0 <= j <= count or not 0 <= n <= length:
+        if not 0 <= j <= rows.count or not 0 <= n <= rows.length:
             raise ValueError(
-                f"source holds {count} rows of {length} values; asked for "
-                f"j={j}, n={n}"
+                f"source holds {rows.count} rows of {rows.length} values; "
+                f"asked for j={j}, n={n}"
             )
-        return source
+        return rows.source
 
     def _operand(self, arr, size: int, name: str, written: bool = False):
         """Pointer to a contiguous float64 vector of at least ``size``."""
@@ -1443,7 +1566,7 @@ class CEngine:
         if tile < 1:
             raise ValueError("tile must be positive")
         source = self._fused_source(rows, j, n)
-        pieces = self.fused_piece if isinstance(rows, TileTable) else 0
+        pieces = getattr(rows, "piece", 0)
         args = (
             self._operand(y, j, "y"), self._operand(w, n, "w", True),
             self._operand(u, j, "u", True),
@@ -1493,16 +1616,17 @@ class CEngine:
 
     def ell_matvec(self, cols_t, vals_t, x, work, out) -> np.ndarray:
         """Slot-ordered ELL accumulation (matches both numpy kernels)."""
-        x = self._c(x, np.float64)
+        x = np.ascontiguousarray(x, dtype=np.float64)
         width, m = cols_t.shape
         y = out if out is not None and out.flags.c_contiguous else np.empty(m)
+        from_buffer = self._ffi.from_buffer
         self._lib.ell_matvec(
-            self._ptr(cols_t, "int64_t *"),
-            self._ptr(vals_t, "double *"),
+            from_buffer("int64_t *", cols_t),
+            from_buffer("double *", vals_t),
             width,
             m,
-            self._ptr(x, "double *"),
-            self._ptr(y, "double *"),
+            from_buffer("double *", x),
+            from_buffer("double *", y),
         )
         if out is not None and y is not out:
             out[:] = y

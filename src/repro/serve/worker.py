@@ -331,7 +331,6 @@ def run_solve_batch_job(
             },
             "batch_columns": len(job_ids),
             "batched_spmv_calls": int(batch.batched_spmv_calls),
-            "batched_basis_writes": int(batch.batched_basis_writes),
             "wall_seconds": wall,
         }
 

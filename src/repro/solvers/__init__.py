@@ -10,7 +10,7 @@ from .adaptive import (
     storage_unit_roundoff,
 )
 from .analysis import OrthogonalityTrace, basis_perturbation, trace_orthogonality
-from .basis import KrylovBasis, write_basis_vectors_batch
+from .basis import KrylovBasis
 from .block import BatchGmresResult, solve_batch
 from .calibration import CalibrationResult, calibrate_suite, calibrate_target
 from .fgmres import FlexibleGmres
@@ -62,7 +62,6 @@ __all__ = [
     "BatchGmresResult",
     "KrylovBasis",
     "solve_batch",
-    "write_basis_vectors_batch",
     "OrthogonalityTrace",
     "basis_perturbation",
     "trace_orthogonality",

@@ -22,9 +22,20 @@ Two basis modes reproduce the two kernel structures the paper compares:
 Both modes run ``V^T w`` / ``V y`` through the *same* fused reduction in
 one written accumulation order (cached hands it the columns of the dense
 view in place, streaming the containers to decode), which makes the two
-modes bit-identical — asserted across storages in the test suite.  The traffic a GPU would
-move is accounted analytically by the timing model from the iteration
-log (:class:`repro.solvers.gmres.SolveStats`), not from the cache.
+modes bit-identical — asserted across storages in the test suite.  The
+traffic a GPU would move is accounted analytically by the timing model
+from the iteration log (:class:`repro.solvers.gmres.SolveStats`), not
+from the cache.
+
+A fused call costs one kernel call plus ``O(1)`` Python because the basis
+*keeps* what the call walks for as long as it stays true: the mirror's
+rows and their C pointer from construction on, and — streaming, compiled
+— one engine row table that every :meth:`KrylovBasis.write_vector`
+extends in place with the slot it has just proved eligible.  A call only
+checks that the leading ``j``
+slots are still those accessors holding those containers
+(:meth:`KrylovBasis._rows`); if not, it builds the per-call reader that
+proves everything from scratch and loads tile by tile what C cannot walk.
 """
 
 from __future__ import annotations
@@ -33,13 +44,14 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from ..accessor import VectorAccessor, accessor_factory
+from ..accessor import Frsz2Tiles, VectorAccessor, accessor_factory
 from ..jit import dispatch as _dispatch
 from ..fused import (
     DEFAULT_TILE_ELEMS,
     CachedTileReader,
     FusedOpLog,
     StreamingTileReader,
+    TileReader,
     axpy_dot_fused,
     axpy_fused,
     bill_dot_fused,
@@ -48,10 +60,28 @@ from ..fused import (
 )
 from ..observe import NULL_TRACER
 
-__all__ = ["KrylovBasis", "BASIS_MODES", "write_basis_vectors_batch"]
+__all__ = ["KrylovBasis", "BASIS_MODES"]
 
 #: supported basis modes (``--basis-mode`` on the CLI)
 BASIS_MODES = ("cached", "streaming")
+
+
+class _KeptRows(TileReader):
+    """The leading ``j`` rows of the source a :class:`KrylovBasis` keeps:
+    the one reader of its fused calls that build nothing — the basis sets
+    ``j`` and hands it to the call.  ``source`` is the mirror's rows
+    (cached mode), the basis's :class:`~repro.accessor.Frsz2Tiles`, which
+    bills the ``j`` accessors the pass it hands out, or ``None`` while a
+    streaming basis has no rows C can walk."""
+
+    def __init__(self, source, n: int, backend: str) -> None:
+        self.source, self.j, self.n, self.backend = source, 0, n, backend
+
+    def rows(self, tile_elems: int):
+        source = self.source
+        if isinstance(source, Frsz2Tiles):
+            return source.sweep(tile_elems, self.j)
+        return source
 
 
 class KrylovBasis:
@@ -142,6 +172,18 @@ class KrylovBasis:
             np.zeros((n, m + 1), order="F") if basis_mode == "cached" else None
         )
         self._written = 0
+        #: the reader, and in it the row source, that fused calls walk
+        #: without building anything (see :meth:`_rows`).  Cached: the
+        #: mirror's columns as C rows — and, under jit, their pointer —
+        #: made here, once.  Streaming: one engine table over the slots
+        #: written so far, started by the first eligible write and
+        #: extended in place by each later one.
+        kept = None
+        if self._cache is not None:
+            kept = self._cache.T
+            if self.backend == "jit":
+                kept = _dispatch.load_engine().dense_rows(kept)
+        self._kept = _KeptRows(kept, self.n, self.backend)
 
     @property
     def bits_per_value(self) -> float:
@@ -158,15 +200,18 @@ class KrylovBasis:
         """Largest float64 working set this basis has held.
 
         ``cached``: the dense ``(n, m+1)`` view, allocated up front.
-        ``streaming``: the biggest fused-kernel buffer so far — the
-        ``tile``-double decode buffer of the compiled kernels, the
-        ``(j, 256)`` row pieces and ``8 j`` lanes of their sweep, or the
-        ``(j, tile)`` scratch of a basis reduced tile by tile — instead
-        of ``O(n x m)``.
+        ``streaming``: the work buffer the compiled kernels keep — a
+        ``tile``-double decode buffer or the ``(m+1, 256)`` row pieces
+        and ``8 (m+1)`` lanes of their sweep, whichever a call asked for
+        last — or, if larger, the ``(j, tile)`` scratch of a basis
+        reduced tile by tile: ``O(m x tile)`` either way, never
+        ``O(n x m)``.
         """
         if self._cache is not None:
             return int(self._cache.nbytes)
-        return int(self.fused_log.peak_scratch_bytes)
+        source = self._kept.source
+        kept = 0 if source is None else source.work_nbytes
+        return max(kept, int(self.fused_log.peak_scratch_bytes))
 
     def set_storage(self, storage: str, slots: "Optional[List[int]]" = None) -> None:
         """Switch slot(s) to a new storage format.
@@ -221,6 +266,8 @@ class KrylovBasis:
             self.slot_storages[j] = storage
             if self._cache is not None:
                 self._cache[:, j] = 0.0
+        if isinstance(self._kept.source, Frsz2Tiles) and targets:
+            self._kept.source.truncate(min(targets))
         if slots is None:
             self.storage = storage
 
@@ -242,7 +289,22 @@ class KrylovBasis:
                 # just wrote (one bulk decode straight into the column;
                 # it is part of the write, not a stored-basis read)
                 acc.read_into(self._cache[:, j])
-        self._written = max(self._written, j + 1)
+            elif self.backend == "jit":
+                # the container just stored becomes row j of the kept
+                # source: what a per-call reader proves over all its
+                # accessors on every fused call is proved here, once, for
+                # the one that changed.  A slot the source cannot take —
+                # wrapped, another format or layout, no C pointers, a gap
+                # before it — cuts it at j (deeper calls build the
+                # per-call reader); slot 0 then starts a new source
+                source = self._kept.source
+                if (source is None or not source.bind(j, acc)) and j == 0:
+                    source = Frsz2Tiles.open([acc], self.m + 1)
+                    if source is not None and source.table is None:
+                        source = None  # numpy codecs: nothing C can walk
+                    self._kept.source = source
+        if j >= self._written:
+            self._written = j + 1
 
     def vector(self, j: int) -> np.ndarray:
         """The decompressed basis vector ``v_j`` (lossy).
@@ -290,28 +352,58 @@ class KrylovBasis:
         return out
 
     def _reader(self, j: int):
-        """The fused-kernel tile source for the leading ``j`` vectors."""
+        """A per-call tile source for the leading ``j`` vectors: built —
+        and, streaming, proved eligible over all ``j`` accessors — from
+        scratch, holding what it was opened on.  What a fused call gets
+        when the kept source does not cover it (see :meth:`_rows`)."""
         if j > self._written:
             raise IndexError(f"only {self._written} basis vectors written")
         if self._cache is not None:
             return CachedTileReader(self._cache, j, self.backend)
         return StreamingTileReader(self.accessors, j, self.backend)
 
+    def _rows(self, j: int):
+        """The reader a fused call over the leading ``j`` vectors walks.
+
+        The kept source, whenever it still is the basis: the mirror always
+        is; the streaming table is when the leading ``j`` slots are the
+        accessor objects, holding the containers, that
+        :meth:`write_vector` bound (``covers``: two list comparisons).  Anything else — a
+        swapped or wrapped accessor, a slot written or cleared behind the
+        basis's back, a mixed-format or unwritten slot, numpy codecs —
+        gets :meth:`_reader`'s per-call reader, which proves what it can
+        and loads the rest tile by tile.
+        """
+        kept = self._kept
+        source = kept.source
+        if source is None or j > self._written or (
+            self._cache is None and not source.covers(self.accessors, j)
+        ):
+            return self._reader(j)
+        kept.j = j
+        return kept
+
+    def _read(self, fused, j: int, *operands):
+        """One fused kernel over the leading ``j`` vectors, as a counted
+        ``basis_read`` (span and counters only under a live tracer)."""
+        tracer = self.tracer
+        if not tracer.enabled:
+            return fused(
+                self._rows(j), *operands, self.tile_elems, tracer, self.fused_log
+            )
+        with tracer.span("basis_read", vectors=j):
+            self._count_read(j)
+            return fused(
+                self._rows(j), *operands, self.tile_elems, tracer, self.fused_log
+            )
+
     def dot_basis(self, j: int, w: np.ndarray) -> np.ndarray:
         """``V_j^T w`` — the orthogonalization read of Fig. 1 step 4."""
-        with self.tracer.span("basis_read", vectors=j):
-            self._count_read(j)
-            return dot_basis_fused(
-                self._reader(j), w, self.tile_elems, self.tracer, self.fused_log
-            )
+        return self._read(dot_basis_fused, j, w)
 
     def combine(self, j: int, y: np.ndarray) -> np.ndarray:
         """``V_j y`` — the solution-update read of Fig. 1 step 18."""
-        with self.tracer.span("basis_read", vectors=j):
-            self._count_read(j)
-            return combine_fused(
-                self._reader(j), y, self.tile_elems, self.tracer, self.fused_log
-            )
+        return self._read(combine_fused, j, y)
 
     def axpy(self, j: int, y: np.ndarray, w: np.ndarray) -> np.ndarray:
         """``w -= V_j y`` in place, fused with the basis decode.
@@ -320,11 +412,7 @@ class KrylovBasis:
         but without materializing the ``(n,)`` product (the fused-update
         structure of the paper's kernels).
         """
-        with self.tracer.span("basis_read", vectors=j):
-            self._count_read(j)
-            return axpy_fused(
-                self._reader(j), y, w, self.tile_elems, self.tracer, self.fused_log
-            )
+        return self._read(axpy_fused, j, y, w)
 
     def axpy_dot(self, j: int, y: np.ndarray, w: np.ndarray) -> np.ndarray:
         """``w -= V_j y`` in place, then ``u = V_j^T w`` of the updated ``w``.
@@ -335,20 +423,18 @@ class KrylovBasis:
         Fig. 1's kernels; a caller that uses ``u`` in place of a
         :meth:`dot_basis` calls :meth:`bill_dot`.
         """
-        with self.tracer.span("basis_read", vectors=j):
-            self._count_read(j)
-            return axpy_dot_fused(
-                self._reader(j), y, w, self.tile_elems, self.tracer, self.fused_log
-            )
+        return self._read(axpy_dot_fused, j, y, w)
 
     def bill_dot(self, j: int) -> None:
         """Bill the :meth:`dot_basis` whose result :meth:`axpy_dot` gave."""
-        self._count_read(j)
+        if self.tracer.enabled:
+            self._count_read(j)
         bill_dot_fused(j, self.n, self.tile_elems, self.tracer, self.fused_log)
 
     def _count_read(self, j: int) -> None:
-        """Tally the stored bytes a GPU kernel would stream for ``V_j``."""
-        if self.tracer.enabled and j > 0:
+        """Tally the stored bytes a GPU kernel would stream for ``V_j``
+        (callers skip the call under the null tracer)."""
+        if j > 0:
             self.tracer.count("basis.vector_reads", j)
             if self.uniform_storage:
                 nbytes = j * self.stored_vector_nbytes
@@ -368,6 +454,8 @@ class KrylovBasis:
         self._written = 0
         if self._cache is not None:
             self._cache[:] = 0.0
+        elif self._kept.source is not None:
+            self._kept.source.truncate(0)
         for acc in self.accessors:
             try:
                 acc.clear()
@@ -375,70 +463,3 @@ class KrylovBasis:
                 # third-party accessors without clear(): the _written
                 # guard alone fences their stale payloads
                 pass
-
-
-def write_basis_vectors_batch(
-    bases: "List[KrylovBasis]", j: int, vectors: "List[np.ndarray]"
-) -> bool:
-    """Write ``vectors[i]`` into ``bases[i]`` slot ``j`` in one encode.
-
-    The batched-solve counterpart of :meth:`KrylovBasis.write_vector`:
-    when every target accessor is a plain FRSZ2 accessor with matching
-    codec parameters, all vectors compress in a single
-    :meth:`~repro.core.frsz2.FRSZ2.compress_batch` pass
-    (:func:`repro.accessor.frsz2_accessor.write_frsz2_batch`), then each
-    basis refreshes its cached view and write accounting exactly as a
-    per-basis ``write_vector`` loop would — the bitwise-identical
-    fallback this fast path is exchangeable with.
-
-    Returns
-    -------
-    bool
-        ``True`` if the batched encode ran and every basis is updated.
-        ``False`` when ineligible (fewer than two bases, shape mismatch,
-        a non-finite vector, wrapped accessors, codec mismatch, or a
-        storage rejection): **no basis is mutated** and the caller must
-        fall back to per-basis ``write_vector`` so per-column write
-        failures surface on the right column.
-    """
-    from ..accessor.frsz2_accessor import write_frsz2_batch
-
-    if len(bases) < 2 or len(bases) != len(vectors):
-        return False
-    n = bases[0].n
-    if any(b.n != n for b in bases):
-        return False
-    V = np.empty((n, len(bases)), order="F")
-    for i, v in enumerate(vectors):
-        v = np.asarray(v)
-        if v.shape != (n,):
-            return False
-        V[:, i] = v
-    if not np.all(np.isfinite(V)):
-        # a solo write of a non-finite vector raises on that column only
-        return False
-    accessors = [b.accessors[j] for b in bases]
-    try:
-        if not write_frsz2_batch(accessors, V):
-            return False
-    except (ValueError, OverflowError):
-        # all-or-nothing: the batch is encoded before any store, so a
-        # rejection leaves every accessor untouched
-        return False
-    # refresh the lossy cached views in one batched decode (the values
-    # are bit-identical to per-accessor read_into: decoding is an
-    # elementwise function of the container just stored)
-    cached = [(b, acc) for b, acc in zip(bases, accessors)
-              if b._cache is not None]
-    if cached:
-        codec = cached[0][1].codec
-        decoded = codec.decompress_batch(
-            [acc._compressed for _, acc in cached]
-        )
-        for (b, acc), values in zip(cached, decoded):
-            with b.tracer.span("basis_write", slot=j):
-                acc._record_read()
-                b._cache[:, j] = values
-    for b in bases:
-        b._written = max(b._written, j + 1)
-    return True

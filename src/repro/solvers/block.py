@@ -20,9 +20,9 @@ cycle advance through the same step ``j`` in lockstep, so
   cgs_orthogonalize` of every column in turn — each reads its own basis
   rows where they are stored, so a pass shared between columns would
   save nothing,
-* new basis vectors of all active columns compress in one
-  :meth:`~repro.core.frsz2.FRSZ2.compress_batch` encode
-  (:func:`repro.solvers.basis.write_basis_vectors_batch`).
+* and every column writes its new basis vector itself
+  (:meth:`~repro.solvers.basis.KrylovBasis.write_vector`): one batched
+  encode of all columns' vectors was measured slower than the loop.
 
 Bit-identity contract
 ---------------------
@@ -33,17 +33,16 @@ per-column work stats.  This holds because every per-column scalar
 decision (convergence, stalling, the eta test, breakdown handling,
 recovery budgets, the adaptive controller's storage choice) lives in
 that column's own :class:`_Column` state and is evaluated by the same
-code at every width, and each batched kernel is bit-identical per
+code at every width, and the one batched kernel is bit-identical per
 column to its solo counterpart (see
-:meth:`~repro.sparse.csr.CSRMatrix.matmat`,
-:func:`~repro.accessor.frsz2_accessor.write_frsz2_batch`).  Columns
+:meth:`~repro.sparse.csr.CSRMatrix.matmat`).  Columns
 that converge, break down, or get poisoned simply leave the lockstep
 early — they stop doing work while the rest of the batch proceeds.
 
 Whenever a single column is live (``B == 1``, or the rest of the batch
 has finished) — or the operator has no ``matmat``, e.g. a fault
-injector — every batched fast path is bypassed and the step runs the
-solo kernels directly.
+injector — the batched SpMV is bypassed and the step runs the solo
+kernel directly.
 """
 
 from __future__ import annotations
@@ -55,7 +54,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 import numpy as np
 
 from .adaptive import ADAPTIVE_STORAGE, CycleFeedback, PrecisionController
-from .basis import KrylovBasis, write_basis_vectors_batch
+from .basis import KrylovBasis
 from .gmres import BreakdownEvent, GmresResult, ResidualSample, SolveStats
 from .hessenberg import GivensLeastSquares
 from .orthogonal import cgs_orthogonalize, mgs_orthogonalize
@@ -75,15 +74,13 @@ class BatchGmresResult:
 
     ``results[c]`` is the full :class:`~repro.solvers.gmres.GmresResult`
     of column ``c`` — bit-identical to an independent solve of that
-    column.  The batch-level counters record how much work actually ran
-    through the shared fast paths.
+    column.  The batch-level counter records how much work actually ran
+    through the shared SpMV.
     """
 
     results: List[GmresResult] = field(default_factory=list)
     #: multi-vector SpMV invocations (restart + Arnoldi + final check)
     batched_spmv_calls: int = 0
-    #: basis vectors written through the one-encode batched path
-    batched_basis_writes: int = 0
 
     def __len__(self) -> int:
         return len(self.results)
@@ -380,20 +377,6 @@ class _Lockstep:
                 results.append(self.solver.a.matvec(z, **kwargs))
         return results
 
-    def write_slot(self, writers: "List[_Column]", j: int) -> "List[_Column]":
-        """Batched basis write; returns columns needing the solo path."""
-        if len(writers) > 1:
-            with self.tracer.span("basis_write", slot=j, columns=len(writers)):
-                batched = write_basis_vectors_batch(
-                    [c.basis for c in writers], j, [c.v for c in writers]
-                )
-            if batched:
-                for c in writers:
-                    c.bill(c.basis, writes=1)
-                self.out.batched_basis_writes += len(writers)
-                return []
-        return writers
-
     def orthogonalize(self, j: int, step: "List[_Column]", ws):
         """Fig. 1 steps 4-11 for every stepping column, each against its
         own basis: every basis row is read where it is stored, so there
@@ -481,8 +464,7 @@ class _Lockstep:
             c.in_step = True
             entering.append(c)
 
-        # slot-0 writes of every entering column, batched when possible
-        for c in self.write_slot(entering, 0):
+        for c in entering:
             c.basis.write_vector(0, c.v)  # storage rejections propagate
             c.bill(c.basis, writes=1)
         return entering
@@ -535,9 +517,10 @@ class _Lockstep:
                 )
                 c.in_step = False
                 continue
-            c.v = ores.w / ores.h_next
+            c.v = ores.w  # the step's own copy: normalised where it is
+            c.v /= ores.h_next
             writers.append(c)
-        for c in self.write_slot(writers, j):
+        for c in writers:
             try:
                 c.basis.write_vector(j, c.v)
             except (ValueError, OverflowError) as exc:

@@ -442,10 +442,8 @@ class CbGmres:
 
         The batched path shares one matrix structure across all
         columns: restart residuals and Arnoldi SpMVs run through the
-        multi-vector kernels (``A @ X``), orthogonalization runs every
-        column's fused dot/axpy off one reader per column, and new
-        basis vectors FRSZ2-encode in a single
-        :meth:`~repro.core.frsz2.FRSZ2.compress_batch` call per step.
+        multi-vector kernels (``A @ X``); orthogonalization and the
+        basis writes run every column's own fused dot/axpy and encode.
         Column ``c`` of the result is **bit-identical** to
         ``self.solve(B[:, c], ...)`` — converged/poisoned columns
         simply leave the lockstep early (see
@@ -469,7 +467,7 @@ class CbGmres:
         -------
         BatchGmresResult
             Per-column :class:`GmresResult` objects plus counters for
-            how much work ran through the batched fast paths.
+            how much work ran through the batched SpMV.
         """
         from .block import solve_batch
 

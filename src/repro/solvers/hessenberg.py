@@ -11,6 +11,8 @@ by an explicit residual computation at each restart.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = ["GivensLeastSquares"]
@@ -25,10 +27,12 @@ class GivensLeastSquares:
         self.m = m
         # R is stored upper-triangular, column j filled at step j
         self._r = np.zeros((m + 1, m))
-        self._cs = np.zeros(m)
-        self._sn = np.zeros(m)
-        self._g = np.zeros(m + 1)
-        self._g[0] = beta
+        # rotations and right-hand side as machine floats: a step touches
+        # O(j) scalars, which the interpreter moves faster unboxed — the
+        # same IEEE double operations, one rounding each, as on float64
+        self._cs: "list[float]" = []
+        self._sn: "list[float]" = []
+        self._g = [float(beta)] + [0.0] * m
         self._j = 0
 
     @property
@@ -39,7 +43,7 @@ class GivensLeastSquares:
     @property
     def residual_norm(self) -> float:
         """Implicit residual norm ``|g_{j+1}|`` after ``j`` steps."""
-        return abs(float(self._g[self._j]))
+        return abs(self._g[self._j])
 
     def append_column(self, h: np.ndarray, h_next: float) -> float:
         """Absorb Hessenberg column ``(h_{1:j,j}, h_{j+1,j})``.
@@ -49,36 +53,38 @@ class GivensLeastSquares:
         j = self._j
         if j >= self.m:
             raise RuntimeError("least-squares system is full")
-        if not (np.isfinite(h_next) and bool(np.all(np.isfinite(h)))):
+        col = h.tolist()
+        col.append(float(h_next))
+        if not all(map(math.isfinite, col)):
             # A NaN/Inf here would silently poison every later rotation
             # and the right-hand side; fail loudly so the solver's
             # recovery path (or the caller) can discard the cycle.
             raise FloatingPointError("non-finite Hessenberg column")
-        col = np.zeros(self.m + 1)
-        col[: h.size] = h
-        col[h.size] = h_next
+        col += [0.0] * (j + 2 - len(col))
         # apply the accumulated rotations to the new column
-        for i in range(j):
-            c, s = self._cs[i], self._sn[i]
-            t = c * col[i] + s * col[i + 1]
-            col[i + 1] = -s * col[i] + c * col[i + 1]
-            col[i] = t
+        lo = col[0]
+        for i, (c, s) in enumerate(zip(self._cs, self._sn)):
+            hi = col[i + 1]
+            col[i] = c * lo + s * hi
+            lo = -s * lo + c * hi
         # new rotation annihilating the subdiagonal entry
-        a, b = col[j], col[j + 1]
+        a, b = lo, col[j + 1]
+        # np.hypot, not math.hypot: the two round differently
         r = float(np.hypot(a, b))
         if r == 0.0:
             c, s = 1.0, 0.0
         else:
             c, s = a / r, b / r
-        self._cs[j], self._sn[j] = c, s
+        self._cs.append(c)
+        self._sn.append(s)
         col[j], col[j + 1] = r, 0.0
         # rotate the right-hand side
         gj = self._g[j]
         self._g[j] = c * gj
         self._g[j + 1] = -s * gj
-        self._r[:, j] = col[: self.m + 1]
+        self._r[: len(col), j] = col
         self._j += 1
-        return self.residual_norm
+        return abs(self._g[j + 1])
 
     def solve(self) -> np.ndarray:
         """Back-substitute for the minimizer ``y`` over the first j columns."""

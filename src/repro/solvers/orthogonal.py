@@ -10,6 +10,7 @@ as an alternative for comparison studies.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,15 @@ __all__ = ["OrthogonalizationResult", "cgs_orthogonalize", "mgs_orthogonalize", 
 
 #: re-orthogonalization threshold; 1/sqrt(2) is the usual DGKS-style choice
 DEFAULT_ETA = 2.0 ** -0.5
+
+_EPS = float(np.finfo(np.float64).eps)
+
+
+def _norm(w: np.ndarray) -> float:
+    """``||w||_2`` of a float64 vector as a machine float: the dot and the
+    correctly rounded root ``np.linalg.norm`` computes for such a vector
+    (same bits — held by a test), without its argument handling."""
+    return math.sqrt(float(w.dot(w)))
 
 
 @dataclass
@@ -54,9 +64,9 @@ def _finish(
     eta: float,
 ) -> OrthogonalizationResult:
     """Classify the step outcome shared by the CGS and MGS paths."""
-    nonfinite = not (np.isfinite(h_next) and bool(np.all(np.isfinite(h))))
+    nonfinite = not (math.isfinite(h_next) and bool(np.isfinite(h).all()))
     breakdown = (not nonfinite) and (
-        h_next == 0.0 or h_next < eta * np.finfo(np.float64).eps * w_tilde
+        h_next == 0.0 or h_next < eta * _EPS * w_tilde
     )
     loss = (
         not nonfinite
@@ -80,20 +90,20 @@ def cgs_orthogonalize(
 ) -> OrthogonalizationResult:
     """Classical Gram-Schmidt with conditional re-orthogonalization."""
     w = np.array(w, dtype=np.float64)
-    w_tilde = float(np.linalg.norm(w))  # omega-tilde of Fig. 1 step 3
+    w_tilde = _norm(w)  # omega-tilde of Fig. 1 step 3
     h = basis.dot_basis(j, w)
     # w -= V_j h and, in the same walk over the stored basis, the u = V_j^T w
     # a second pass starts from: the eta test asks for that pass on nearly
     # every step, and when it does not, u is dropped unbilled
     u = basis.axpy_dot(j, h, w)
-    h_next = float(np.linalg.norm(w))
+    h_next = _norm(w)
     h_first = h_next
     reorth = h_next < eta * w_tilde
     if reorth:
         basis.bill_dot(j)
         basis.axpy(j, u, w)
         h = h + u
-        h_next = float(np.linalg.norm(w))
+        h_next = _norm(w)
     return _finish(h, h_next, w, w_tilde, reorth, h_first, eta)
 
 
@@ -107,7 +117,7 @@ def mgs_orthogonalize(
     re-orthogonalization; provided for numerical comparisons.
     """
     w = np.array(w, dtype=np.float64)
-    w_tilde = float(np.linalg.norm(w))
+    w_tilde = _norm(w)
     h = np.zeros(j)
     for i in range(j):
         # read_vector, not vector(): each MGS pass streams every stored
@@ -116,7 +126,7 @@ def mgs_orthogonalize(
         vi = basis.read_vector(i)
         h[i] = float(vi @ w)
         w -= h[i] * vi
-    h_next = float(np.linalg.norm(w))
+    h_next = _norm(w)
     h_first = h_next
     reorth = False
     if h_next < eta * w_tilde:
@@ -126,5 +136,5 @@ def mgs_orthogonalize(
             u = float(vi @ w)
             w -= u * vi
             h[i] += u
-        h_next = float(np.linalg.norm(w))
+        h_next = _norm(w)
     return _finish(h, h_next, w, w_tilde, reorth, h_first, eta)

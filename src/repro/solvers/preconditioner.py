@@ -167,9 +167,8 @@ class Preconditioner(abc.ABC):
     def apply(self, v: np.ndarray) -> np.ndarray:
         """Return ``M^-1 v``."""
 
-    @property
-    def is_identity(self) -> bool:
-        return False
+    #: whether ``apply`` returns its argument (callers then skip it)
+    is_identity = False
 
     def attach_tracer(self, tracer) -> None:
         """Adopt the solver's tracer unless one was set at construction."""
@@ -187,9 +186,7 @@ class IdentityPreconditioner(Preconditioner):
     def apply(self, v: np.ndarray) -> np.ndarray:
         return np.asarray(v, dtype=np.float64)
 
-    @property
-    def is_identity(self) -> bool:
-        return True
+    is_identity = True
 
 
 class JacobiPreconditioner(Preconditioner):

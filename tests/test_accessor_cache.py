@@ -140,14 +140,6 @@ class TestBatchCodec:
                 assert np.array_equal(comp.payload, ref.payload)
 
     @pytest.mark.parametrize("bit_length", [16, 21, 32])
-    def test_decompress_batch_matches_per_vector(self, bit_length):
-        codec = FRSZ2(bit_length=bit_length)
-        comps = [codec.compress(vec(n, seed=n)) for n in [31, 64, 100]]
-        outs = codec.decompress_batch(comps)
-        for comp, out in zip(comps, outs):
-            assert out.tobytes() == codec.decompress(comp).tobytes()
-
-    @pytest.mark.parametrize("bit_length", [16, 21, 32])
     def test_decompress_blocks_matches_per_block(self, bit_length):
         codec = FRSZ2(bit_length=bit_length)
         for n in [33, 100, 257]:

@@ -865,11 +865,13 @@ class TestStreamingMemory:
     @requires_jit
     def test_sweep_reports_its_real_buffers(self):
         """The compiled sweep decodes every row piece once and keeps it:
-        ``j`` pieces and ``8 j`` lanes, whatever ``n`` is."""
+        ``j`` pieces and ``8 j`` lanes, whatever ``n`` is — in a work
+        buffer the basis keeps, sized for all ``m + 1`` slots and counted
+        in its peak whether or not a call has used all of it."""
         from repro.jit import load_engine
 
         m, piece = 50, load_engine().fused_piece
-        peaks = []
+        used, peaks = [], []
         for n in (4096, 16384):
             basis = KrylovBasis(n, m, "frsz2_32", basis_mode="streaming",
                                 backend="jit")
@@ -878,8 +880,12 @@ class TestStreamingMemory:
                 basis.write_vector(i, rng.standard_normal(n))
             w = rng.standard_normal(n)
             basis.axpy_dot(m, basis.dot_basis(m, w), w)
+            basis.axpy(m, rng.standard_normal(m), w)
+            used.append(basis.fused_log.peak_scratch_bytes)
             peaks.append(basis.peak_float64_bytes)
-        assert peaks == [8 * m * (piece + 8)] * 2  # ~103 KB at j = 50
+        assert used == [8 * m * (piece + 8)] * 2  # what the j = 50 call used
+        assert peaks == [8 * (m + 1) * (piece + 8)] * 2  # ~105 KB kept
+        assert peaks[0] <= 8 * ((m + 1) * (piece + 8) + basis.tile_elems)
         assert peaks[0] <= m * basis.tile_elems * 8
 
     def test_cached_mode_reports_dense_footprint(self):
@@ -940,3 +946,160 @@ class TestResetIsolation:
         assert log.values == 3 * 300
         basis.combine(3, rng.standard_normal(3))
         assert log.combine_calls == 1 and log.combine_vectors == 3
+
+
+class TestKeptSource:
+    """A basis keeps what its fused calls walk — the mirror's rows, or one
+    engine table extended by every write — and checks per call only that
+    the leading slots are still what was proved when they were written.
+    Whatever happens to a slot behind the basis's back, the next fused
+    call is the bits of a reader constructed from scratch."""
+
+    n, m, tile = 300, 6, 64
+
+    def _basis(self, mode, backend, storage="frsz2_32", written=(0, 1, 2, 3)):
+        rng = np.random.default_rng(17)
+        basis = KrylovBasis(self.n, self.m, storage, basis_mode=mode,
+                            tile_elems=self.tile, backend=backend)
+        vectors = rng.standard_normal((self.n, self.m + 1))
+        for i in written:
+            basis.write_vector(i, vectors[:, i])
+        return basis, vectors, rng.standard_normal(self.n)
+
+    def _assert_fresh(self, basis, j, w):
+        """Every fused operation of ``basis`` at depth ``j`` against the
+        same operation over a reader built now, as raw uint64."""
+        y = np.linspace(-1.5, 2.0, j)
+
+        def fresh():  # a reader that proves everything from scratch
+            return basis._reader(j)
+
+        pairs = [
+            (basis.dot_basis(j, w), dot_basis_fused(fresh(), w, self.tile)),
+            (basis.combine(j, y), combine_fused(fresh(), y, self.tile)),
+            (basis.axpy(j, y, w.copy()), axpy_fused(fresh(), y, w.copy(), self.tile)),
+        ]
+        kept_w, fresh_w = w.copy(), w.copy()
+        pairs += [
+            (basis.axpy_dot(j, y, kept_w), axpy_dot_fused(fresh(), y, fresh_w, self.tile)),
+            (kept_w, fresh_w),
+        ]
+        for got, want in pairs:
+            assert _bits(got) == _bits(want)
+
+    @staticmethod
+    def _wrap(basis, vectors):
+        from repro.robust import FaultInjector, FaultyAccessor
+
+        basis.accessors[1] = FaultyAccessor(
+            basis.accessors[1], FaultInjector(0.0, 0), "readout_nan")
+
+    @staticmethod
+    def _direct_write(basis, vectors):
+        basis.accessors[1].write(vectors[:, 5])
+
+    @staticmethod
+    def _set_storage(basis, vectors):
+        basis.set_storage("frsz2_16", slots=[1])
+        basis.write_vector(1, vectors[:, 1])
+
+    @staticmethod
+    def _float32_slot(basis, vectors):
+        basis.set_storage("float32", slots=[2])
+        basis.write_vector(2, vectors[:, 2])
+
+    @staticmethod
+    def _reset(basis, vectors):
+        basis.reset()
+        for i in range(4):
+            basis.write_vector(i, vectors[:, 6 - i])
+
+    @staticmethod
+    def _bit_flip(basis, vectors):
+        basis.accessors[1].compressed.payload[70] ^= np.uint32(1 << 30)
+
+    @staticmethod
+    def _rewrite_lower(basis, vectors):
+        basis.write_vector(1, vectors[:, 4])
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("mode", BASIS_MODES)
+    @pytest.mark.parametrize("event", [
+        "wrap", "direct_write", "set_storage", "float32_slot", "reset",
+        "bit_flip", "rewrite_lower",
+    ])
+    def test_next_call_equals_a_fresh_reader(self, mode, backend, event):
+        basis, vectors, w = self._basis(mode, backend)
+        self._assert_fresh(basis, 4, w)  # the kept source is in use
+        getattr(self, f"_{event}")(basis, vectors)
+        for j in (4, 2, 1):
+            self._assert_fresh(basis, j, w)
+        # ... and a later write of the slot is walked again
+        basis.write_vector(1, vectors[:, 6])
+        self._assert_fresh(basis, 4, w)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("mode", BASIS_MODES)
+    def test_a_slot_left_unwritten(self, mode, backend):
+        basis, vectors, w = self._basis(mode, backend, written=(0, 2, 3))
+        self._assert_fresh(basis, 4, w)
+        self._assert_fresh(basis, 1, w)
+
+    @requires_jit
+    def test_a_bit_flip_is_decoded_through_the_kept_table(self):
+        basis, vectors, w = self._basis("streaming", "jit")
+        before = basis.dot_basis(4, w)
+        kept = basis._kept.source
+        self._bit_flip(basis, vectors)
+        assert kept.covers(basis.accessors, 4)  # same containers, new bits
+        after = basis.dot_basis(4, w)
+        assert after[1] != before[1]
+        assert _bits(np.delete(after, 1)) == _bits(np.delete(before, 1))
+
+    @requires_jit
+    def test_a_second_engines_pointers_do_not_join_the_table(self, monkeypatch):
+        """An engine reloaded mid-cycle hands the next stored container
+        pointers of its own: that slot is not bound into the first
+        engine's table, and the call falls back."""
+        from repro.jit import dispatch, load_engine
+
+        basis, vectors, w = self._basis("streaming", "jit")
+        kept = basis._kept.source
+        monkeypatch.setattr(dispatch, "_ENGINE", type(load_engine())())
+        basis.write_vector(2, vectors[:, 5])
+        assert len(kept.accessors) == 2 and not kept.covers(basis.accessors, 3)
+        self._assert_fresh(basis, 4, w)
+        self._assert_fresh(basis, 2, w)
+
+    @requires_jit
+    def test_one_table_per_cycle_extended_by_each_write(self, monkeypatch):
+        """m + 1 writes and every fused call between them open one
+        source — at the first write — and later cycles open none; the
+        table has room for the m + 1 slots and never more rows."""
+        opened = []
+        real_open = Frsz2Tiles.open.__func__
+        monkeypatch.setattr(
+            Frsz2Tiles, "open",
+            classmethod(lambda cls, *a, **k: opened.append(a) or real_open(cls, *a, **k)),
+        )
+        basis, vectors, w = self._basis("streaming", "jit", written=())
+        for cycle in range(3):
+            basis.reset()
+            for i in range(self.m + 1):
+                basis.write_vector(i, vectors[:, (i + cycle) % (self.m + 1)])
+                table = basis._kept.source.table
+                assert table.count == i + 1 <= table.capacity == self.m + 1
+                basis.axpy_dot(i + 1, basis.dot_basis(i + 1, w), w.copy())
+            assert len(opened) == 1
+        with pytest.raises(IndexError):
+            basis.write_vector(self.m + 1, w)
+        # the work buffer is kept too: one allocation, sized by m
+        work = table._work
+        basis.axpy_dot(3, np.ones(3), w.copy())
+        assert table._work is work
+        assert work.size == (self.m + 1) * (8 + table.piece)
+
+    def test_numpy_codecs_keep_no_table(self):
+        basis, vectors, w = self._basis("streaming", "numpy")
+        assert basis._kept.source is None
+        self._assert_fresh(basis, 4, w)

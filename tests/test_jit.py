@@ -370,8 +370,6 @@ class TestCodecBitIdentity:
                     full[:j, i0:i1].view(np.uint64),
                 )
                 assert np.isnan(out[:, i1 - i0:]).all()
-        for a, b in zip(alt.decompress_batch(comps_alt), full):
-            np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
 
     def test_tile_decoder_reads_the_arrays_in_place(self, backend):
         codec = FRSZ2(bit_length=32, backend=backend)
