@@ -51,12 +51,12 @@ from typing import Any, Dict
 
 import numpy as np
 
-_SCALES = ["smoke", "default", "paper"]
-_SPMV_CHOICES = ["auto", "csr", "ell", "sell"]
-_BASIS_MODES = ["cached", "streaming"]
-_BACKENDS = ["numpy", "jit"]
-_PRECONDITIONERS = ["none", "jacobi", "block_jacobi", "ilu0"]
-_PREC_STORAGES = ["float64", "float32", "frsz2_32", "frsz2_16"]
+# every ``choices=`` below is its owner's tuple, not a copy of it
+from .jit.dispatch import BACKENDS
+from .solvers.basis import BASIS_MODES
+from .solvers.preconditioner import PRECONDITIONERS, PREC_STORAGES
+from .sparse.engine import SPMV_FORMATS
+from .sparse.suite import SCALES
 
 #: single source of truth for options shared across subcommands.
 #: ``build_parser`` registers each subcommand's flags from this table
@@ -74,7 +74,7 @@ SHARED_OPTIONS: "Dict[str, Dict[str, Any]]" = {
         help="storage formats for the grid",
     ),
     "scale": dict(
-        default=None, choices=[None] + _SCALES,
+        default=None, choices=(None,) + SCALES,
         help="problem scale (default: suite default / $REPRO_SCALE)",
     ),
     "restart": dict(type=int, default=50, help="GMRES restart length m"),
@@ -85,30 +85,30 @@ SHARED_OPTIONS: "Dict[str, Dict[str, Any]]" = {
              "0 = all cores; results are identical for any value)",
     ),
     "spmv-format": dict(
-        default="csr", choices=_SPMV_CHOICES,
+        default="csr", choices=SPMV_FORMATS,
         help="SpMV storage format (auto = structure-driven selection)",
     ),
     "basis-mode": dict(
-        default="cached", choices=_BASIS_MODES,
+        default="cached", choices=BASIS_MODES,
         help="Krylov-basis working-set mode: cached keeps a dense "
              "float64 mirror; streaming decodes compressed tiles "
              "on the fly (O(tile) instead of O(n*m) float64)",
     ),
     "backend": dict(
-        default="numpy", choices=_BACKENDS,
+        default="numpy", choices=BACKENDS,
         help="kernel backend: numpy reference or jit-compiled kernels "
              "(bit-identical results; jit falls back to numpy with a "
              "warning when the C engine is unavailable — it needs the "
              "[jit] extra and a C compiler)",
     ),
     "preconditioner": dict(
-        default="none", choices=_PRECONDITIONERS,
+        default="none", choices=PRECONDITIONERS,
         help="right preconditioner built from the operator: jacobi "
              "(diagonal), block_jacobi (inverted diagonal blocks), "
              "ilu0 (incomplete LU on the sparsity pattern)",
     ),
     "prec-storage": dict(
-        default="float64", choices=_PREC_STORAGES,
+        default="float64", choices=PREC_STORAGES,
         help="storage rung for the preconditioner's factor values "
              "(frsz2_* store compressed and decode per apply, "
              "like the Krylov basis)",
@@ -162,7 +162,7 @@ SHARED_BY_COMMAND: "Dict[str, Dict[str, Dict[str, Any]]]" = {
                  "adaptive)",
         ),
         "scale": dict(
-            default="default", choices=_SCALES,
+            default="default", choices=SCALES,
             help="problem scale (default: 'default', the scale of the "
                  "committed BENCH_gmres.json)",
         ),
@@ -188,7 +188,7 @@ SHARED_BY_COMMAND: "Dict[str, Dict[str, Dict[str, Any]]]" = {
     },
     "serve": {
         "storage": {},
-        "scale": dict(default="smoke", choices=_SCALES),
+        "scale": dict(default="smoke", choices=SCALES),
         "restart": dict(default=30),
         "max-iter": dict(default=400),
         "spmv-format": {},
@@ -244,6 +244,20 @@ def _add_shared(p: argparse.ArgumentParser, command: str) -> None:
         p.add_argument(f"--{name}", **shared_option_kwargs(command, name))
 
 
+def _solve_kwargs(args) -> "Dict[str, Any]":
+    """The shared solve flags of a parsed command line, under the names
+    ``SolveOptions`` / ``JobSpec`` / ``run_bench`` / ``run_campaign`` take."""
+    return dict(
+        m=args.restart,
+        max_iter=args.max_iter,
+        spmv_format=args.spmv_format,
+        basis_mode=args.basis_mode,
+        backend=args.backend,
+        preconditioner=args.preconditioner,
+        prec_storage=args.prec_storage,
+    )
+
+
 def _cmd_list(args) -> int:
     from .accessor import list_storage_formats
     from .bench import format_table
@@ -263,52 +277,27 @@ def _cmd_list(args) -> int:
 
 def _cmd_solve(args) -> int:
     from .gpu import GmresTimingModel
-    from .solvers import (
-        CbGmres, FlexibleGmres, PreconditionerError, make_preconditioner,
-        make_problem,
-    )
-    from .sparse import SpmvEngine
+    from .solvers import CbGmres, FlexibleGmres, SolveOptions, make_problem
 
-    from .jit import dispatch as _dispatch
-
+    options = SolveOptions(storage=args.storage, **_solve_kwargs(args))
     p = make_problem(args.matrix, args.scale)
     target = args.target if args.target is not None else p.target_rrn
-    # resolve once so an unavailable-jit warning prints a single time,
-    # not once from the engine and again from the solver
-    backend = _dispatch.resolve_backend(args.backend)
-    prec_name = args.preconditioner
-    prec = None
-    if prec_name != "none":
-        try:
-            prec = make_preconditioner(
-                prec_name, p.a, storage=args.prec_storage, backend=backend
-            )
-        except PreconditionerError as exc:
-            # e.g. an ILU(0) pivot that is zero, or that the storage rounds to zero
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        info = prec.cost_info()
-        print(f"preconditioner: {prec_name} ({args.prec_storage} factors, "
+    # a PreconditionerError (an ILU(0) pivot that is zero, or that the
+    # storage rounds to zero) is a ValueError: main() reports it, exit 2
+    solver = options.build(
+        p.a, solver=FlexibleGmres if args.solver == "fgmres" else CbGmres
+    )
+    if args.preconditioner != "none":
+        info = solver.preconditioner.cost_info()
+        print(f"preconditioner: {args.preconditioner} ({args.prec_storage} factors, "
               f"{info['stored_bytes']} bytes stored"
               + (f", {1 - info['stored_bytes'] / info['float64_bytes']:.0%} "
                  f"below float64" if info["stored_bytes"] < info["float64_bytes"]
                  else "")
               + ")")
-    a = p.a
     if args.spmv_format != "csr":
-        a = SpmvEngine(a, format=args.spmv_format, backend=backend)
-        print(f"SpMV engine: {args.spmv_format} -> {a.resolved_format} "
-              f"(padding {a.padding_ratio:.2f}x)")
-    solver_cls = FlexibleGmres if args.solver == "fgmres" else CbGmres
-    solver = solver_cls(
-        a,
-        args.storage,
-        m=args.restart,
-        max_iter=args.max_iter,
-        preconditioner=prec,
-        basis_mode=args.basis_mode,
-        backend=backend,
-    )
+        print(f"SpMV engine: {args.spmv_format} -> {solver.a.resolved_format} "
+              f"(padding {solver.a.padding_ratio:.2f}x)")
     res = solver.solve(p.b, target)
     status = "converged" if res.converged else ("stalled" if res.stalled else "hit cap")
     print(f"{args.matrix} (n={p.a.n}, nnz={p.a.nnz}) with {args.storage} basis:")
@@ -436,31 +425,20 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_faults(args) -> int:
-    from .parallel import WorkerCrashError
     from .robust import DEFAULT_FAULTS, DEFAULT_RATES, DEFAULT_STORAGES, run_campaign
 
-    try:
-        camp = run_campaign(
-            matrix=args.matrix,
-            scale=args.scale,
-            faults=args.kinds or DEFAULT_FAULTS,
-            storages=args.storages or DEFAULT_STORAGES,
-            rates=args.rates or DEFAULT_RATES,
-            seed=args.seed,
-            m=args.restart,
-            max_iter=args.max_iter,
-            hardened=not args.unhardened,
-            fallback=not args.no_fallback,
-            jobs=args.jobs,
-            spmv_format=args.spmv_format,
-            basis_mode=args.basis_mode,
-            backend=args.backend,
-            preconditioner=args.preconditioner,
-            prec_storage=args.prec_storage,
-        )
-    except (KeyError, ValueError, WorkerCrashError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    camp = run_campaign(
+        matrix=args.matrix,
+        scale=args.scale,
+        faults=args.kinds or DEFAULT_FAULTS,
+        storages=args.storages or DEFAULT_STORAGES,
+        rates=args.rates or DEFAULT_RATES,
+        seed=args.seed,
+        hardened=not args.unhardened,
+        fallback=not args.no_fallback,
+        jobs=args.jobs,
+        **_solve_kwargs(args),
+    )
     print(camp.table())
     print()
     print(camp.summary())
@@ -469,7 +447,6 @@ def _cmd_faults(args) -> int:
 
 def _cmd_bench(args) -> int:
     from .bench import format_table
-    from .parallel import WorkerCrashError
     from .bench.perf import (
         BENCH_PHASES,
         check_bench,
@@ -481,12 +458,8 @@ def _cmd_bench(args) -> int:
 
     if args.compare:
         base_path, new_path = args.compare
-        try:
-            base, new = load_bench(base_path), load_bench(new_path)
-            regressions = compare_bench(base, new, tolerance=args.tolerance)
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        base, new = load_bench(base_path), load_bench(new_path)
+        regressions = compare_bench(base, new, tolerance=args.tolerance)
         if regressions:
             print(f"{len(regressions)} regression(s) beyond "
                   f"tolerance {args.tolerance:.0%}:")
@@ -498,31 +471,17 @@ def _cmd_bench(args) -> int:
         return 0
 
     if args.check:
-        try:
-            check_bench(args.check)
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        check_bench(args.check)
         print(f"{args.check}: valid bench document of this checkout")
         return 0
 
-    try:
-        doc = run_bench(
-            matrices=args.matrices,
-            storages=args.storages,
-            scale=args.scale,
-            m=args.restart,
-            max_iter=args.max_iter,
-            jobs=args.jobs,
-            spmv_format=args.spmv_format,
-            basis_mode=args.basis_mode,
-            backend=args.backend,
-            preconditioner=args.preconditioner,
-            prec_storage=args.prec_storage,
-        )
-    except (KeyError, ValueError, WorkerCrashError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    doc = run_bench(
+        matrices=args.matrices,
+        storages=args.storages,
+        scale=args.scale,
+        jobs=args.jobs,
+        **_solve_kwargs(args),
+    )
     write_bench(doc, args.out)
     rows = []
     for e in doc["entries"]:
@@ -582,17 +541,11 @@ def _cmd_serve(args) -> int:
                 matrix=matrix,
                 storage=args.storage,
                 scale=args.scale,
-                m=args.restart,
-                max_iter=args.max_iter,
                 rhs_seed=None if args.rhs_seed is None else args.rhs_seed + i,
-                spmv_format=args.spmv_format,
-                basis_mode=args.basis_mode,
-                backend=args.backend,
-                preconditioner=args.preconditioner,
-                prec_storage=args.prec_storage,
                 deadline_s=args.deadline,
                 progress_every=args.progress_every,
                 chaos=chaos,
+                **_solve_kwargs(args),
             ))
 
     config = ServeConfig(
@@ -655,15 +608,11 @@ def _cmd_soak(args) -> int:
     from .serve import SoakError, run_soak, validate_serve_health
 
     if args.check:
-        try:
-            with open(args.check) as fh:
-                doc = json.load(fh)
-            if not isinstance(doc, dict):
-                raise ValueError("serve report must be a JSON object")
-            validate_serve_health(doc["serve"])
-        except (OSError, KeyError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        with open(args.check) as fh:
+            doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ValueError("serve report must be a JSON object")
+        validate_serve_health(doc["serve"])
         print(f"{args.check}: valid serve report")
         return 0
 
@@ -834,8 +783,23 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    """Run one command; a refused argument is ``error: ...`` and exit 2.
+
+    The one handler for what argparse cannot check: a value
+    ``SolveOptions`` refuses or a preconditioner that cannot be factored
+    (``ValueError``), an unknown matrix or storage (``KeyError``), an
+    unreadable input file (``OSError``), a grid worker that died.
+    """
+    from .parallel import WorkerCrashError
+
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except (KeyError, ValueError, OSError, WorkerCrashError) as exc:
+        # str() of a KeyError is the repr of its message
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
@@ -42,11 +42,8 @@ from ..parallel import run_grid
 from ..solvers.adaptive import ADAPTIVE_STORAGE
 from ..solvers.basis import BASIS_MODES
 from ..solvers.gmres import CbGmres
-from ..solvers.preconditioner import (
-    PRECONDITIONERS,
-    PREC_STORAGES,
-    make_preconditioner,
-)
+from ..solvers.options import SolveOptions
+from ..solvers.preconditioner import PRECONDITIONERS, PREC_STORAGES
 from ..solvers.problems import make_problem
 from ..sparse.engine import SPMV_FORMATS
 from ..sparse.suite import resolve_scale, suite_names
@@ -55,7 +52,6 @@ __all__ = [
     "BENCH_SCHEMA",
     "BENCH_SCHEMA_VERSION",
     "BENCH_PHASES",
-    "BENCH_BASIS_MODES",
     "DEFAULT_BENCH_STORAGES",
     "DEFAULT_BENCH_MATRICES",
     "DEFAULT_PREC_TIER",
@@ -86,8 +82,6 @@ BENCH_PHASES = (
     "update",
     "other",
 )
-#: basis modes every entry's ``basis.modes`` block must cover
-BENCH_BASIS_MODES = BASIS_MODES
 #: the storage grid the perf trajectory tracks (acceptance floor)
 DEFAULT_BENCH_STORAGES = ("float64", "float32", "frsz2_32", "adaptive")
 #: fixed-storage companion every adaptive entry's ``precision`` block
@@ -170,44 +164,26 @@ def run_bench_entry(
     ----------
     matrix : str
         Suite matrix name (``python -m repro list``).
-    storage : str
-        Krylov-basis storage format label (``float64``, ``frsz2_32``, ...).
     scale : str, default "smoke"
         Problem scale; controls the analog matrix dimension.
-    m, max_iter : int
-        Restart length and iteration cap.
     target_rrn : float, optional
         Override the matrix's calibrated target.
     device : DeviceSpec
         Device model for the ``modeled_seconds`` attribution.
-    spmv_format : str, default "auto"
-        SpMV engine format (``auto`` / ``csr`` / ``ell`` / ``sell``);
-        the entry's ``spmv`` block records the requested and resolved
-        format plus the padding it costs.
-    basis_mode : str, default "cached"
-        Basis kernel structure of the primary traced solve (``cached``
-        or ``streaming``).  The other mode additionally runs once
-        untraced for the entry's ``basis.modes`` peak-memory comparison
-        and its ``bit_identical_modes`` equality check.
-    backend : str, default "numpy"
-        Kernel backend (``numpy``/``jit``) applied to the solver, the
-        SpMV engine and the codec.  ``jit`` entries additionally run an
-        untraced full solve on the numpy backend and raise
-        ``ValueError`` on any bit divergence — a diverging grid refuses
-        to emit a bench document.  The entry's ``backend`` block
-        records the resolved backend and the jit engine name.
-    preconditioner : str, default "none"
-        Right preconditioner applied to every solve in the entry
-        (``none``/``jacobi``/``block_jacobi``/``ilu0``).  Preconditioned
-        entries additionally run an untraced *unpreconditioned*
-        companion solve and carry a ``preconditioner`` block: apply
-        count, stored-preconditioner bytes vs float64, and the
-        iteration ratio against that companion.
-    prec_storage : str, default "float64"
-        Storage rung for the preconditioner's factor values
-        (``float64``/``float32``/``frsz2_32``/``frsz2_16``); decoded
-        per apply, so compression trades preconditioner memory traffic
-        against decode work exactly like the Krylov basis does.
+    storage, m, max_iter, spmv_format, basis_mode, backend,
+    preconditioner, prec_storage
+        The fields of :class:`~repro.solvers.options.SolveOptions`
+        (accepted values there), with this module's defaults.  What
+        each adds to the entry: the ``spmv`` block records the requested
+        and resolved format plus the padding it costs; the basis mode
+        that is *not* the primary one runs once untraced for the
+        ``basis.modes`` peak-memory comparison and the
+        ``bit_identical_modes`` check; a ``jit`` entry re-runs the full
+        solve on numpy and raises ``ValueError`` on any bit divergence
+        (a diverging grid refuses to emit a document); a preconditioned
+        entry runs an untraced *unpreconditioned* companion and carries
+        a ``preconditioner`` block — apply count, stored bytes vs
+        float64, iteration ratio against that companion.
 
     Returns
     -------
@@ -218,40 +194,22 @@ def run_bench_entry(
         tracer's counter snapshot.  Top-level callable for the
         ``--jobs`` worker pool (must stay picklable).
     """
-    if basis_mode not in BASIS_MODES:
-        raise ValueError(
-            f"unknown basis_mode {basis_mode!r}; expected one of {BASIS_MODES}"
-        )
-    if preconditioner not in PRECONDITIONERS:
-        raise ValueError(
-            f"unknown preconditioner {preconditioner!r}; "
-            f"expected one of {PRECONDITIONERS}"
-        )
-    if prec_storage not in PREC_STORAGES:
-        raise ValueError(
-            f"unknown prec_storage {prec_storage!r}; "
-            f"expected one of {PREC_STORAGES}"
-        )
     requested_backend = str(backend)
-    backend = _dispatch.resolve_backend(backend)
-    engine_name = _dispatch.jit_engine_name() if backend == "jit" else None
+    # resolved here so the companion solves below do not warn again
+    opts = SolveOptions(
+        storage=storage, m=m, max_iter=max_iter, spmv_format=spmv_format,
+        basis_mode=basis_mode, backend=backend,
+        preconditioner=preconditioner, prec_storage=prec_storage,
+    ).resolved()
+    backend = opts.backend
     problem = make_problem(matrix, scale, target_rrn=target_rrn)
-    # the preconditioner is factored once from the raw CSR operator and
-    # shared by every solve in the entry
-    prec = None
-    if preconditioner != "none":
-        prec = make_preconditioner(
-            preconditioner, problem.a, storage=prec_storage, backend=backend,
-        )
     tracer = Tracer()
     problem.a.tracer = tracer
-    if prec is not None:
-        prec.tracer = tracer
-    solver = CbGmres(
-        problem.a, storage, m=m, max_iter=max_iter,
-        spmv_format=spmv_format, basis_mode=basis_mode, tracer=tracer,
-        backend=backend, preconditioner=prec,
-    )
+    solver = opts.build(problem.a, tracer=tracer, solver=CbGmres)
+    engine_name = _dispatch.jit_engine_name() if backend == "jit" else None
+    # the preconditioner is factored once from the raw CSR operator and
+    # shared by every solve in the entry
+    prec = solver.preconditioner if preconditioner != "none" else None
     result = solver.solve(problem.b, problem.target_rrn)
     # the operator and the preconditioner are shared with the untraced
     # companion solves below; detaching them here keeps the counter
@@ -260,12 +218,21 @@ def run_bench_entry(
     if prec is not None:
         prec.tracer = NULL_TRACER
 
+    engine = solver.a
+
+    def companion(factors=prec, **changes):
+        """An untraced solve on the shared engine, ``changes`` apart;
+        ``factors=None`` leaves the preconditioner to the options."""
+        shared = {} if factors is None else {"preconditioner": factors}
+        return replace(opts, **changes).build(
+            engine, solver=CbGmres, **shared
+        ).solve(problem.b, problem.target_rrn)
+
     modeled = GmresTimingModel(device).phase_times(
         result.stats, storage,
         prec_info=prec.cost_info() if prec is not None else None,
     )
 
-    engine = solver.a
     resolved = getattr(engine, "resolved_format", "csr")
     padding_ratio = float(getattr(engine, "padding_ratio", 1.0))
     tracer.counters["spmv.padding_ratio"] = padding_ratio
@@ -274,11 +241,8 @@ def run_bench_entry(
     # other basis mode runs once untraced on the same operator for its
     # peak float64 working set, and the two outputs are checked for
     # exact equality — the determinism contract of the fused kernels
-    (other_mode,) = (mode for mode in BENCH_BASIS_MODES if mode != basis_mode)
-    other = CbGmres(
-        engine, storage, m=m, max_iter=max_iter, basis_mode=other_mode,
-        backend=backend, preconditioner=prec,
-    ).solve(problem.b, problem.target_rrn)
+    (other_mode,) = (mode for mode in BASIS_MODES if mode != basis_mode)
+    other = companion(basis_mode=other_mode)
     mode_stats = {basis_mode: result.stats, other_mode: other.stats}
     bit_identical = _same_solve(result, other)
 
@@ -290,10 +254,7 @@ def run_bench_entry(
     precision_block: Optional[dict] = None
     if storage == ADAPTIVE_STORAGE:
         model = GmresTimingModel(device)
-        fixed = CbGmres(
-            engine, PRECISION_BASELINE_STORAGE, m=m, max_iter=max_iter,
-            basis_mode=basis_mode, backend=backend, preconditioner=prec,
-        ).solve(problem.b, problem.target_rrn)
+        fixed = companion(storage=PRECISION_BASELINE_STORAGE)
         adaptive_bytes = model.basis_bytes_moved(result.stats, storage)
         fixed_bytes = model.basis_bytes_moved(
             fixed.stats, PRECISION_BASELINE_STORAGE
@@ -341,10 +302,7 @@ def run_bench_entry(
     # which flips the shared engine's kernels to numpy.
     prec_block: Optional[dict] = None
     if prec is not None:
-        base = CbGmres(
-            engine, storage, m=m, max_iter=max_iter,
-            basis_mode=basis_mode, backend=backend,
-        ).solve(problem.b, problem.target_rrn)
+        base = companion(factors=None, preconditioner="none")
         info = prec.cost_info()
         prec_block = {
             "name": str(preconditioner),
@@ -375,17 +333,7 @@ def run_bench_entry(
     # covers the triangular-solve/block-apply kernels too.
     bit_identical_numpy = True
     if backend == "jit":
-        ref_prec = None
-        if preconditioner != "none":
-            ref_prec = make_preconditioner(
-                preconditioner, problem.a, storage=prec_storage,
-                backend="numpy",
-            )
-        ref = CbGmres(
-            engine, storage, m=m, max_iter=max_iter,
-            basis_mode=basis_mode, backend="numpy",
-            preconditioner=ref_prec,
-        ).solve(problem.b, problem.target_rrn)
+        ref = companion(factors=None, backend="numpy")
         bit_identical_numpy = _same_solve(ref, result)
         if not bit_identical_numpy:
             raise ValueError(
@@ -436,7 +384,7 @@ def run_bench_entry(
                 mode: {"peak_float64_bytes": int(
                     mode_stats[mode].basis_peak_float64_bytes
                 )}
-                for mode in BENCH_BASIS_MODES
+                for mode in BASIS_MODES
             },
         },
         "phases": {
@@ -475,8 +423,6 @@ def run_bench(
         Grid axes; defaults are the acceptance-floor grid.
     scale : str, optional
         Problem scale (``smoke`` / ``default`` / ``paper``).
-    m, max_iter : int
-        Restart length and iteration cap passed to every solve.
     target_rrn : float, optional
         Override the per-matrix calibrated targets.
     device : DeviceSpec
@@ -486,50 +432,18 @@ def run_bench(
         cell is an independent deterministic solve, so any ``jobs``
         value produces the identical document.  ``1`` keeps the
         historical serial path.
-    spmv_format : str, default "auto"
-        SpMV engine format applied to every cell (``--spmv-format``);
-        ``auto`` selections are deterministic per matrix, so the grid's
-        resolved formats are part of the reproducible trajectory.
-    basis_mode : str, default "cached"
-        Basis kernel structure of every cell's primary traced solve
-        (``--basis-mode``); each entry's ``basis.modes`` block always
-        covers *both* modes regardless.
-    backend : str, default "numpy"
-        Kernel backend (``--backend``) applied to every cell.  The
-        document's top-level ``backend`` block records the requested
-        and resolved backend; any jit-vs-numpy bit divergence in a
-        cell raises before a document is produced.
-    preconditioner, prec_storage : str
-        Right preconditioner (``--preconditioner``) and its factor
-        storage rung (``--prec-storage``) applied to every cell.  When
-        the matrix grid is the default *and* no preconditioner is
-        requested, the document additionally appends the
-        ``DEFAULT_PREC_TIER`` cells — the preconditioned trajectory —
-        so the acceptance-floor file always tracks both regimes.
+    m, max_iter, spmv_format, basis_mode, backend, preconditioner,
+    prec_storage
+        :class:`~repro.solvers.options.SolveOptions` fields applied to
+        every cell (see :func:`run_bench_entry`); a refused value raises
+        before any cell runs.  ``auto`` SpMV selections are
+        deterministic per matrix, so the resolved formats are part of
+        the reproducible trajectory.  When the matrix grid is the
+        default *and* no preconditioner is requested, the document
+        additionally appends the ``DEFAULT_PREC_TIER`` cells — the
+        preconditioned trajectory — so the acceptance-floor file always
+        tracks both regimes.
     """
-    if spmv_format not in SPMV_FORMATS:
-        raise ValueError(
-            f"unknown SpMV format {spmv_format!r}; expected one of {SPMV_FORMATS}"
-        )
-    if basis_mode not in BASIS_MODES:
-        raise ValueError(
-            f"unknown basis_mode {basis_mode!r}; expected one of {BASIS_MODES}"
-        )
-    if backend not in _dispatch.BACKENDS:
-        raise ValueError(
-            f"unknown backend {backend!r}; "
-            f"expected one of {_dispatch.BACKENDS}"
-        )
-    if preconditioner not in PRECONDITIONERS:
-        raise ValueError(
-            f"unknown preconditioner {preconditioner!r}; "
-            f"expected one of {PRECONDITIONERS}"
-        )
-    if prec_storage not in PREC_STORAGES:
-        raise ValueError(
-            f"unknown prec_storage {prec_storage!r}; "
-            f"expected one of {PREC_STORAGES}"
-        )
     scale = resolve_scale(scale)
     default_grid = matrices is None
     matrices = list(matrices) if matrices else list(DEFAULT_BENCH_MATRICES)
@@ -539,29 +453,34 @@ def run_bench(
         raise KeyError(
             f"unknown matrices {unknown}; suite: {', '.join(suite_names())}"
         )
-    grid = [(matrix, storage) for matrix in matrices for storage in storages]
-    kwargs = [
-        dict(matrix=matrix, storage=storage, scale=scale, m=m,
-             max_iter=max_iter, target_rrn=target_rrn, device=device,
-             spmv_format=spmv_format, basis_mode=basis_mode,
-             backend=backend, preconditioner=preconditioner,
-             prec_storage=prec_storage)
-        for matrix, storage in grid
+    base = SolveOptions(
+        m=m, max_iter=max_iter, spmv_format=spmv_format,
+        basis_mode=basis_mode, backend=backend,
+        preconditioner=preconditioner, prec_storage=prec_storage,
+    )
+    cells = [
+        (matrix, replace(base, storage=storage))
+        for matrix in matrices for storage in storages
     ]
-    labels = [f"bench[{matrix}/{storage}]" for matrix, storage in grid]
     # the acceptance-floor document always carries the preconditioned
     # tier alongside the unpreconditioned grid; explicit matrix
     # selections or an explicit preconditioner opt out
     if default_grid and preconditioner == "none":
-        for mx, st, pname, pstorage in DEFAULT_PREC_TIER:
-            kwargs.append(
-                dict(matrix=mx, storage=st, scale=scale, m=m,
-                     max_iter=max_iter, target_rrn=target_rrn, device=device,
-                     spmv_format=spmv_format, basis_mode=basis_mode,
-                     backend=backend, preconditioner=pname,
-                     prec_storage=pstorage)
-            )
-            labels.append(f"bench[{mx}/{st}+{pname}]")
+        cells += [
+            (mx, replace(base, storage=st, preconditioner=pname,
+                         prec_storage=pstorage))
+            for mx, st, pname, pstorage in DEFAULT_PREC_TIER
+        ]
+    kwargs = [
+        dict(matrix=matrix, scale=scale, target_rrn=target_rrn,
+             device=device, **opts.to_dict())
+        for matrix, opts in cells
+    ]
+    labels = [
+        f"bench[{matrix}/{opts.storage}"
+        + (f"+{opts.preconditioner}]" if opts.preconditioner != "none" else "]")
+        for matrix, opts in cells
+    ]
     entries = run_grid(run_bench_entry, kwargs, jobs=jobs, labels=labels)
     # grid-wide backend summary: every cell resolved identically (the
     # same process/worker environment), so the first entry's resolution
@@ -610,6 +529,11 @@ def _expect_number(value: object, where: str) -> None:
             where, "number must be finite")
 
 
+def _expect_choice(value: object, allowed: Sequence[str], where: str) -> None:
+    _expect(value in allowed, where,
+            f"expected one of {'/'.join(allowed)}, got {value!r}")
+
+
 def validate_bench(doc: dict) -> None:
     """Validate a bench document; raises ``ValueError`` naming the field."""
     _expect(isinstance(doc, dict), "$", "document must be an object")
@@ -626,21 +550,10 @@ def validate_bench(doc: dict) -> None:
         and set(doc["source_sha256"]) <= set("0123456789abcdef"),
         "$.source_sha256", "expected 64 lowercase hex digits",
     )
-    _expect(doc["spmv_format"] in ("auto", "csr", "ell", "sell"),
-            "$.spmv_format",
-            f"expected one of auto/csr/ell/sell, got {doc['spmv_format']!r}")
-    _expect(doc["basis_mode"] in BENCH_BASIS_MODES,
-            "$.basis_mode",
-            f"expected one of {'/'.join(BENCH_BASIS_MODES)}, "
-            f"got {doc['basis_mode']!r}")
-    _expect(doc.get("preconditioner") in PRECONDITIONERS,
-            "$.preconditioner",
-            f"expected one of {'/'.join(PRECONDITIONERS)}, "
-            f"got {doc.get('preconditioner')!r}")
-    _expect(doc.get("prec_storage") in PREC_STORAGES,
-            "$.prec_storage",
-            f"expected one of {'/'.join(PREC_STORAGES)}, "
-            f"got {doc.get('prec_storage')!r}")
+    _expect_choice(doc["spmv_format"], SPMV_FORMATS, "$.spmv_format")
+    _expect_choice(doc["basis_mode"], BASIS_MODES, "$.basis_mode")
+    _expect_choice(doc.get("preconditioner"), PRECONDITIONERS, "$.preconditioner")
+    _expect_choice(doc.get("prec_storage"), PREC_STORAGES, "$.prec_storage")
     for key in ("restart", "max_iter"):
         _expect(isinstance(doc.get(key), int) and doc[key] > 0,
                 f"$.{key}", "expected a positive integer")
@@ -653,9 +566,7 @@ def validate_bench(doc: dict) -> None:
         f"unexpected backend block keys {sorted(top_backend)}",
     )
     for key in ("requested", "resolved"):
-        _expect(top_backend[key] in _dispatch.BACKENDS, f"$.backend.{key}",
-                f"expected one of {'/'.join(_dispatch.BACKENDS)}, "
-                f"got {top_backend[key]!r}")
+        _expect_choice(top_backend[key], _dispatch.BACKENDS, f"$.backend.{key}")
     _expect(
         top_backend["engine"] is None or isinstance(top_backend["engine"], str),
         "$.backend.engine", "expected a string or null",
@@ -698,9 +609,7 @@ def validate_bench(doc: dict) -> None:
             f"unexpected backend block keys {sorted(eb)}",
         )
         for key in ("requested", "resolved"):
-            _expect(eb[key] in _dispatch.BACKENDS, f"{where}.backend.{key}",
-                    f"expected one of {'/'.join(_dispatch.BACKENDS)}, "
-                    f"got {eb[key]!r}")
+            _expect_choice(eb[key], _dispatch.BACKENDS, f"{where}.backend.{key}")
         _expect(eb["engine"] is None or isinstance(eb["engine"], str),
                 f"{where}.backend.engine", "expected a string or null")
         _expect(isinstance(eb["bit_identical_numpy"], bool),
@@ -719,9 +628,10 @@ def validate_bench(doc: dict) -> None:
         for key in ("requested", "format"):
             _expect(isinstance(spmv[key], str), f"{where}.spmv.{key}",
                     "expected a string")
-        _expect(spmv["format"] in ("csr", "ell", "sell"),
-                f"{where}.spmv.format",
-                f"expected a resolved format, got {spmv['format']!r}")
+        _expect_choice(  # a resolved format: never ``auto``
+            spmv["format"], [f for f in SPMV_FORMATS if f != "auto"],
+            f"{where}.spmv.format",
+        )
         _expect(
             isinstance(spmv["padded_entries"], int)
             and not isinstance(spmv["padded_entries"], bool),
@@ -737,9 +647,7 @@ def validate_bench(doc: dict) -> None:
             f"{where}.basis",
             f"unexpected basis block keys {sorted(basis)}",
         )
-        _expect(basis["mode"] in BENCH_BASIS_MODES, f"{where}.basis.mode",
-                f"expected one of {'/'.join(BENCH_BASIS_MODES)}, "
-                f"got {basis['mode']!r}")
+        _expect_choice(basis["mode"], BASIS_MODES, f"{where}.basis.mode")
         for key in ("tile_elems", "peak_float64_bytes",
                     "stored_bytes_per_vector"):
             _expect(
@@ -756,8 +664,8 @@ def validate_bench(doc: dict) -> None:
         modes = basis["modes"]
         _expect(isinstance(modes, dict), f"{where}.basis.modes",
                 "expected an object")
-        _expect(set(modes) == set(BENCH_BASIS_MODES), f"{where}.basis.modes",
-                f"expected exactly the modes {sorted(BENCH_BASIS_MODES)}, "
+        _expect(set(modes) == set(BASIS_MODES), f"{where}.basis.modes",
+                f"expected exactly the modes {sorted(BASIS_MODES)}, "
                 f"got {sorted(modes)}")
         for mode, cell in modes.items():
             mwhere = f"{where}.basis.modes.{mode}"
@@ -873,9 +781,7 @@ def _validate_preconditioner_block(prec: object, where: str) -> None:
         f"{where}.name",
         "unpreconditioned entries must not carry a preconditioner block",
     )
-    _expect(prec["storage"] in PREC_STORAGES, f"{where}.storage",
-            f"expected one of {'/'.join(PREC_STORAGES)}, "
-            f"got {prec['storage']!r}")
+    _expect_choice(prec["storage"], PREC_STORAGES, f"{where}.storage")
     for key in ("applies", "stored_bytes", "float64_bytes",
                 "baseline_iterations"):
         _expect(

@@ -30,7 +30,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..jit import dispatch as _dispatch
 from ..observe import NULL_TRACER
 from .kernels import (
     DEFAULT_TILE_ELEMS,
@@ -114,11 +113,3 @@ def axpy_batch(
             logs[i] if logs is not None else None,
         )
     return W
-
-
-# Backend-shared registration, mirroring repro.fused.kernels: each
-# column runs the solo operation, whose row kernels follow its reader's
-# backend, so the same callables serve "numpy" here and "jit" in
-# repro.jit.dispatch._ensure_jit_kernels.
-_dispatch.register_kernel("fused.dot_basis_batch", "numpy", dot_basis_batch)
-_dispatch.register_kernel("fused.axpy_batch", "numpy", axpy_batch)

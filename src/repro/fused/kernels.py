@@ -575,20 +575,3 @@ def bill_dot_fused(j: int, n: int, tile_elems: int, tracer=NULL_TRACER,
     used :func:`axpy_dot_fused` result stands for, as that call would."""
     if j:
         _count_call(tracer, log, "dot", j, n, tile_elems)
-
-
-# Registered under both backends (the jit side in ``repro.jit.dispatch.
-# _ensure_jit_kernels``): the *reader's* backend picks the row kernels, so
-# one callable serves both names — ``dot_rows_numpy`` / ``axpy_rows_numpy``
-# above, or the C ``fused_dot`` / ``fused_axpy`` / ``fused_axpy_dot`` of
-# ``repro.jit.cbackend``, each one routine fed by float64 rows in place or
-# FRSZ2 rows decoded as it goes, held to these numpy kernels by the engine
-# self-test.
-for _name, _fn in (
-    ("fused.dot_basis", dot_basis_fused),
-    ("fused.combine", combine_fused),
-    ("fused.axpy", axpy_fused),
-    ("fused.axpy_dot", axpy_dot_fused),
-):
-    _dispatch.register_kernel(_name, "numpy", _fn)
-del _name, _fn

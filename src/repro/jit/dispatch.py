@@ -1,20 +1,23 @@
 """Kernel-dispatch registry and backend resolution.
 
-Every hot kernel of the reproduction — the bitpack scatter/gather, the
-FRSZ2 encode/decode block loops, the CSR/ELL/SELL SpMV kernels and the
-fused tile reductions, plus the preconditioner's ILU(0) factorisation,
-triangular sweeps and block-diagonal apply — is registered here under a
-``(name, backend)`` key.  Components (the codec, the sparse matrices, the solvers) resolve
+Every kernel a component looks up by name — the bitpack scatter/gather,
+the FRSZ2 encode/decode block loops, the CSR/ELL/SELL SpMV kernels and
+the preconditioner's ILU(0) factorisation, triangular sweeps and
+block-diagonal apply — is registered here under a ``(name, backend)``
+key.  Components (the codec, the sparse matrices, the solvers) resolve
 their kernels through :func:`get_kernel` at construction time, so the
 ``backend={numpy,jit}`` switch is a single attribute threaded from the
-CLI down to the innermost loop.
+CLI down to the innermost loop.  The fused tile reductions of
+:mod:`repro.fused` are not here: they are imported directly, one
+callable for both backends, and the *reader's* backend picks the row
+kernels that reduce a call.
 
 Backends
 --------
 ``numpy``
     The vectorized reference implementations, registered by the modules
     that define them (:mod:`repro.core.bitpack`, :mod:`repro.core.frsz2`,
-    :mod:`repro.sparse`, :mod:`repro.fused`).
+    :mod:`repro.sparse`, :mod:`repro.solvers.prec_kernels`).
 ``jit``
     The C kernels of :class:`repro.jit.cbackend.CEngine`, compiled at
     runtime with the system C compiler through cffi.  They replay the
@@ -227,19 +230,3 @@ def _ensure_jit_kernels() -> None:
     # so the numpy/jit registries stay mirrored even when no
     # preconditioner object has been constructed yet.
     from ..solvers import prec_kernels as _prec_kernels  # noqa: F401
-    # The fused operations are backend-shared callables: which row kernels
-    # reduce a call follows the *reader's* backend, so a reader built by a
-    # jit basis hands its rows — mirror columns read in place, or FRSZ2
-    # containers decoded a row-tile at a time — to ``engine.fused_dot`` /
-    # ``engine.fused_axpy`` / ``engine.fused_axpy_dot``, one C call per
-    # operation in the written lane order of ``repro.fused.kernels``, and a
-    # numpy reader runs the numpy spelling of the same order.
-    from ..fused import batch as _fused_batch
-    from ..fused import kernels as _fused_kernels
-
-    register_kernel("fused.dot_basis", "jit", _fused_kernels.dot_basis_fused)
-    register_kernel("fused.combine", "jit", _fused_kernels.combine_fused)
-    register_kernel("fused.axpy", "jit", _fused_kernels.axpy_fused)
-    register_kernel("fused.axpy_dot", "jit", _fused_kernels.axpy_dot_fused)
-    register_kernel("fused.dot_basis_batch", "jit", _fused_batch.dot_basis_batch)
-    register_kernel("fused.axpy_batch", "jit", _fused_batch.axpy_batch)

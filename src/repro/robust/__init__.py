@@ -31,9 +31,7 @@ from .chaos import (
     PROCESS_CHAOS_KINDS,
     ChaosError,
     ChaosSpec,
-    chaos_accessor_factory,
     chaos_monitor,
-    chaos_spmv_wrapper,
 )
 from .campaign import (
     DEFAULT_FAULTS,
@@ -50,6 +48,7 @@ from .faults import (
     FaultInjector,
     FaultyAccessor,
     FaultySpmvMatrix,
+    fault_hooks,
     flip_array_bit,
     flip_container_bit,
     flip_exponent_bit,
@@ -62,9 +61,7 @@ __all__ = [
     "PROCESS_CHAOS_KINDS",
     "ChaosError",
     "ChaosSpec",
-    "chaos_accessor_factory",
     "chaos_monitor",
-    "chaos_spmv_wrapper",
     "DEFAULT_CHAIN",
     "DEFAULT_FAULTS",
     "DEFAULT_RATES",
@@ -80,6 +77,7 @@ __all__ = [
     "FaultInjector",
     "FaultyAccessor",
     "FaultySpmvMatrix",
+    "fault_hooks",
     "flip_array_bit",
     "flip_container_bit",
     "flip_exponent_bit",

@@ -22,26 +22,17 @@ with ``(seed, fault index, storage index, rate index)`` spawn keys.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..accessor import make_accessor
 from ..bench.report import format_table
-from ..jit import dispatch as _dispatch
 from ..parallel import WorkerCrashError, run_grid
-from ..sparse.engine import SPMV_FORMATS, SpmvEngine
-from ..solvers.adaptive import ADAPTIVE_STORAGE
-from ..solvers.gmres import CbGmres
-from ..solvers.preconditioner import (
-    PRECONDITIONERS,
-    PREC_STORAGES,
-    make_preconditioner,
-)
+from ..solvers.options import SolveOptions, check_choice
 from ..solvers.problems import Problem, make_problem
 from .fallback import FallbackPolicy, RobustCbGmres
-from .faults import FaultInjector, FaultyAccessor, FaultySpmvMatrix
+from .faults import FAULT_KINDS, FaultInjector, fault_hooks
 
 __all__ = [
     "DEFAULT_FAULTS",
@@ -59,8 +50,6 @@ DEFAULT_RATES = (0.02, 0.05)
 
 #: outcomes that count as surviving the injected faults
 SURVIVING_OUTCOMES = ("converged", "fell_back")
-
-_SPMV_FAULTS = ("spmv_nan", "spmv_inf")
 
 
 @dataclass(frozen=True)
@@ -144,56 +133,36 @@ class CampaignResult:
         )
 
 
+def _crashed(fault: str, storage: str, rate: float, injected: int = 0) -> CampaignCell:
+    return CampaignCell(
+        fault=fault, storage=storage, rate=rate,
+        outcome="crashed", storage_used=storage, attempts=1,
+        iterations=0, recoveries=0, breakdowns=0,
+        faults_injected=injected, final_rrn=float("nan"),
+    )
+
+
 def _run_cell(
     problem: Problem,
     fault: str,
-    storage: str,
     rate: float,
     seed_key: Sequence[int],
-    m: int,
-    max_iter: int,
     hardened: bool,
     fallback: bool,
     policy: FallbackPolicy,
-    spmv_format: str = "csr",
-    basis_mode: str = "cached",
-    backend: "str | None" = None,
-    preconditioner: str = "none",
-    prec_storage: str = "float64",
+    options: SolveOptions,
 ) -> CampaignCell:
     injector = FaultInjector(rate, seed_key)
-    a = problem.a
-    # factor the *raw* operator: injected faults poison the solve's
-    # SpMV and basis traffic, never the preconditioner setup
-    prec = None
-    if preconditioner != "none":
-        prec = make_preconditioner(
-            preconditioner, problem.a, storage=prec_storage, backend=backend,
-        )
-    if spmv_format != "csr":
-        # build the engine first so SpMV faults poison the *selected*
-        # format's output, exactly as they would the CSR kernel's
-        a = SpmvEngine(a, format=spmv_format, backend=backend)
-    if fault in _SPMV_FAULTS:
-        a = FaultySpmvMatrix(a, injector, fault)
-        wrap = None
-    else:
-        def wrap(fmt: str, n: int):
-            return FaultyAccessor(
-                make_accessor(fmt, n, backend=backend), injector, fault
-            )
-
+    storage = options.storage
+    hooks = fault_hooks(fault, injector)
     try:
         if hardened and fallback:
-            solver = RobustCbGmres(
-                a,
-                policy.chain_from(storage),
-                m=m,
-                max_iter=max_iter,
-                storage_factory=wrap,
-                preconditioner=prec,
-                basis_mode=basis_mode,
-                backend=backend,
+            solver = options.build(
+                problem.a,
+                solver=lambda a, storage, **kw: RobustCbGmres(
+                    a, policy.chain_from(storage), **kw
+                ),
+                **hooks,
             )
             rr = solver.solve(problem.b, problem.target_rrn)
             return CampaignCell(
@@ -206,14 +175,7 @@ def _run_cell(
                 faults_injected=injector.injected,
                 final_rrn=rr.final_rrn,
             )
-        solver = CbGmres(
-            a, storage, m=m, max_iter=max_iter,
-            # the (storage, n) factory keeps every accessor faulty, also
-            # the ones the adaptive controller rebuilds on format switches
-            storage_factory=wrap,
-            recovery=hardened, basis_mode=basis_mode, backend=backend,
-            preconditioner=prec,
-        )
+        solver = options.build(problem.a, recovery=hardened, **hooks)
         res = solver.solve(problem.b, problem.target_rrn)
         if res.converged:
             outcome = "converged"
@@ -231,14 +193,8 @@ def _run_cell(
             faults_injected=injector.injected,
             final_rrn=res.final_rrn,
         )
-    except Exception as exc:  # the unhardened baseline crashes; report it
-        return CampaignCell(
-            fault=fault, storage=storage, rate=rate,
-            outcome="crashed", storage_used=storage, attempts=1,
-            iterations=0, recoveries=0, breakdowns=0,
-            faults_injected=injector.injected,
-            final_rrn=float("nan"),
-        )
+    except Exception:  # the unhardened baseline crashes; report it
+        return _crashed(fault, storage, rate, injector.injected)
 
 
 def run_campaign(
@@ -276,56 +232,31 @@ def run_campaign(
     any random stream: any ``jobs`` value yields identical cells, in
     identical order.  ``jobs=1`` keeps the historical serial path.
     """
-    from ..accessor import list_storage_formats
-    from .faults import FAULT_KINDS
-
     for fault in faults:
-        if fault not in FAULT_KINDS:
-            raise ValueError(
-                f"unknown fault kind {fault!r}; expected one of {FAULT_KINDS}"
-            )
-    known = tuple(list_storage_formats()) + (ADAPTIVE_STORAGE,)
-    for storage in storages:
-        if storage not in known:
-            raise ValueError(
-                f"unknown storage format {storage!r}; expected one of {known}"
-            )
+        check_choice("fault kind", fault, FAULT_KINDS)
     for rate in rates:
         rate = float(rate)
         if not 0.0 <= rate <= 1.0:
             raise ValueError(f"fault rate must be in [0, 1], got {rate}")
-    if spmv_format not in SPMV_FORMATS:
-        raise ValueError(
-            f"unknown SpMV format {spmv_format!r}; expected one of {SPMV_FORMATS}"
-        )
-    if preconditioner not in PRECONDITIONERS:
-        raise ValueError(
-            f"unknown preconditioner {preconditioner!r}; "
-            f"expected one of {PRECONDITIONERS}"
-        )
-    if prec_storage not in PREC_STORAGES:
-        raise ValueError(
-            f"unknown prec_storage {prec_storage!r}; "
-            f"expected one of {PREC_STORAGES}"
-        )
-    # resolve the backend once in the parent so an unavailable-jit
-    # warning fires a single time, not once per grid cell or worker;
-    # the jit kernels are bit-identical, so fault reproduction is
-    # unchanged across backends
-    backend = _dispatch.resolve_backend(backend)
+    # one validated description per storage.  the backend is resolved
+    # here, in the parent, so an unavailable jit engine warns a single
+    # time and not once per grid cell or worker (``None`` means numpy)
+    base = SolveOptions(
+        m=m, max_iter=max_iter, spmv_format=spmv_format,
+        basis_mode=basis_mode, backend=backend or "numpy",
+        preconditioner=preconditioner, prec_storage=prec_storage,
+    ).resolved()
+    grid = [replace(base, storage=storage) for storage in storages]
     problem = make_problem(matrix, scale, target_rrn=target_rrn)
     policy = policy or FallbackPolicy()
     tasks = [
         dict(
-            problem=problem, fault=fault, storage=storage, rate=float(rate),
-            seed_key=(seed, i_f, i_s, i_r), m=m, max_iter=max_iter,
-            hardened=hardened, fallback=fallback, policy=policy,
-            spmv_format=spmv_format, basis_mode=basis_mode,
-            backend=backend, preconditioner=preconditioner,
-            prec_storage=prec_storage,
+            problem=problem, fault=fault, rate=float(rate),
+            seed_key=(seed, i_f, i_s, i_r), hardened=hardened,
+            fallback=fallback, policy=policy, options=options,
         )
         for i_f, fault in enumerate(faults)
-        for i_s, storage in enumerate(storages)
+        for i_s, options in enumerate(grid)
         for i_r, rate in enumerate(rates)
     ]
     # collect mode: a worker that dies outright (OOM kill, segfault)
@@ -337,17 +268,13 @@ def run_campaign(
         tasks,
         jobs=jobs,
         labels=[
-            f"faults[{t['fault']}/{t['storage']}@{t['rate']}]" for t in tasks
+            f"faults[{t['fault']}/{t['options'].storage}@{t['rate']}]"
+            for t in tasks
         ],
         on_error="collect",
     )
     cells = [
-        CampaignCell(
-            fault=t["fault"], storage=t["storage"], rate=t["rate"],
-            outcome="crashed", storage_used=t["storage"], attempts=1,
-            iterations=0, recoveries=0, breakdowns=0, faults_injected=0,
-            final_rrn=float("nan"),
-        )
+        _crashed(t["fault"], t["options"].storage, t["rate"])
         if isinstance(cell, WorkerCrashError)
         else cell
         for t, cell in zip(tasks, raw)

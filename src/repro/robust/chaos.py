@@ -23,9 +23,8 @@ Process-level kinds (interpreted by :func:`chaos_monitor`):
 
 Data-level kinds (every entry of
 :data:`repro.robust.faults.FAULT_KINDS`) are delegated to the existing
-seeded injectors via :func:`chaos_accessor_factory` /
-:func:`chaos_spmv_wrapper`, so a chaos plan can also subject a job to
-the classic bit-flip campaign conditions.
+seeded injectors via :func:`repro.robust.faults.fault_hooks`, so a chaos
+plan can also subject a job to the classic bit-flip campaign conditions.
 
 ``only_attempt`` (default 1) arms the plan for a single job attempt:
 a crash plan armed for attempt 1 kills the first try and lets the
@@ -40,17 +39,15 @@ import time
 from dataclasses import asdict, dataclass
 from typing import Callable, Optional
 
-from ..accessor import VectorAccessor, make_accessor
-from .faults import FAULT_KINDS, FaultInjector, FaultyAccessor, FaultySpmvMatrix
+from ..solvers.options import check_choice, from_fields
+from .faults import FAULT_KINDS
 
 __all__ = [
     "CHAOS_KINDS",
     "PROCESS_CHAOS_KINDS",
     "ChaosError",
     "ChaosSpec",
-    "chaos_accessor_factory",
     "chaos_monitor",
-    "chaos_spmv_wrapper",
 ]
 
 #: process-level chaos kinds (interpreted by :func:`chaos_monitor`)
@@ -58,9 +55,6 @@ PROCESS_CHAOS_KINDS = ("worker_crash", "worker_hang", "slowdown", "solve_error")
 
 #: every chaos kind: process-level plus the data-level fault kinds
 CHAOS_KINDS = PROCESS_CHAOS_KINDS + FAULT_KINDS
-
-_SPMV_KINDS = ("spmv_nan", "spmv_inf")
-_ACCESSOR_KINDS = tuple(k for k in FAULT_KINDS if k not in _SPMV_KINDS)
 
 #: "forever" for ``worker_hang`` — long past any sane deadline, while
 #: still unwinding cleanly if a test's cleanup outlives the supervisor
@@ -105,10 +99,7 @@ class ChaosSpec:
     only_attempt: Optional[int] = 1
 
     def __post_init__(self) -> None:
-        if self.kind not in CHAOS_KINDS:
-            raise ValueError(
-                f"unknown chaos kind {self.kind!r}; expected one of {CHAOS_KINDS}"
-            )
+        check_choice("chaos kind", self.kind, CHAOS_KINDS)
         if not 0.0 <= self.rate <= 1.0:
             raise ValueError(f"chaos rate must be in [0, 1], got {self.rate}")
         if self.at_iteration < 0:
@@ -126,14 +117,6 @@ class ChaosSpec:
     def is_process_kind(self) -> bool:
         return self.kind in PROCESS_CHAOS_KINDS
 
-    @property
-    def is_accessor_kind(self) -> bool:
-        return self.kind in _ACCESSOR_KINDS
-
-    @property
-    def is_spmv_kind(self) -> bool:
-        return self.kind in _SPMV_KINDS
-
     # -- serialization (job specs cross process boundaries as dicts) ----
 
     def to_dict(self) -> dict:
@@ -141,33 +124,7 @@ class ChaosSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ChaosSpec":
-        return cls(**data)
-
-
-def chaos_accessor_factory(
-    spec: ChaosSpec,
-) -> Callable[[str, int], VectorAccessor]:
-    """An accessor factory wrapping every basis in a seeded injector.
-
-    Shaped for the ``storage_factory`` of
-    :class:`repro.robust.RobustCbGmres` and
-    :class:`~repro.solvers.gmres.CbGmres`.
-    """
-    if not spec.is_accessor_kind:
-        raise ValueError(f"{spec.kind!r} is not an accessor fault kind")
-    injector = FaultInjector(spec.rate, spec.seed)
-
-    def factory(storage: str, n: int) -> VectorAccessor:
-        return FaultyAccessor(make_accessor(storage, n), injector, spec.kind)
-
-    return factory
-
-
-def chaos_spmv_wrapper(spec: ChaosSpec, a) -> FaultySpmvMatrix:
-    """Wrap an operator so its matvec outputs are seeded-poisoned."""
-    if not spec.is_spmv_kind:
-        raise ValueError(f"{spec.kind!r} is not an SpMV fault kind")
-    return FaultySpmvMatrix(a, FaultInjector(spec.rate, spec.seed), spec.kind)
+        return from_fields(cls, data)
 
 
 def chaos_monitor(spec: ChaosSpec) -> Callable[..., None]:

@@ -18,9 +18,6 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from ..accessor import VectorAccessor, make_accessor
-from ..jit import dispatch as _dispatch
-from ..sparse.csr import CSRMatrix
-from ..sparse.engine import SpmvEngine
 from ..solvers.adaptive import ADAPTIVE_STORAGE, ControllerConfig
 from ..solvers.gmres import (
     DEFAULT_MAX_ITER,
@@ -163,17 +160,13 @@ class RobustCbGmres:
         precision: Optional[ControllerConfig] = None,
         backend: "str | None" = None,
     ) -> None:
-        # resolve once so every attempt of the chain shares one resolved
-        # backend (and any unavailable-jit warning fires exactly once)
-        self.backend = (
-            _dispatch.resolve_backend(backend) if backend is not None else None
-        )
-        if spmv_format != "csr" and isinstance(a, CSRMatrix):
-            a = SpmvEngine(a, format=spmv_format, backend=self.backend)
-        elif backend is not None and hasattr(a, "set_backend"):
-            a.set_backend(self.backend)
+        # a throwaway solver does what every attempt would repeat: it
+        # resolves the backend (one unavailable-jit warning) and converts
+        # the operator, once; the attempts share both
+        first = CbGmres(a, spmv_format=spmv_format, backend=backend)
+        self.backend = first.backend if backend is not None else None
         self.spmv_format = spmv_format
-        self.a = a
+        self.a = first.a
         self.policy = policy or FallbackPolicy()
         self.m = int(m)
         self.eta = float(eta)

@@ -25,15 +25,17 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from ..accessor import VectorAccessor
+from ..accessor import VectorAccessor, make_accessor
 from ..accessor.frsz2_accessor import Frsz2Accessor
 from ..core.frsz2 import Frsz2Compressed
+from ..solvers.options import check_choice
 
 __all__ = [
     "FAULT_KINDS",
     "FaultInjector",
     "FaultyAccessor",
     "FaultySpmvMatrix",
+    "fault_hooks",
     "flip_array_bit",
     "flip_payload_bit",
     "flip_exponent_bit",
@@ -259,3 +261,24 @@ class FaultySpmvMatrix:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<FaultySpmvMatrix {self.kind} rate={self.injector.rate} over {self.inner!r}>"
+
+
+def fault_hooks(kind: str, injector: FaultInjector) -> dict:
+    """The :meth:`repro.solvers.options.SolveOptions.build` keywords that
+    subject a solve to one fault kind.
+
+    An SpMV kind wraps the operator — ``build`` puts the wrapper around
+    the engine, so the fault lands on the selected format's output.
+    Every other kind wraps each accessor the basis builds, with the
+    solve's resolved ``backend`` and across the adaptive controller's
+    format switches.  The fault campaign's cells and a serve job's chaos
+    plan both come through here.
+    """
+    check_choice("fault kind", kind, FAULT_KINDS)
+    if kind in _SPMV_KINDS:
+        return {"wrap_operator": lambda a: FaultySpmvMatrix(a, injector, kind)}
+    return {
+        "storage_factory": lambda storage, n, backend=None: FaultyAccessor(
+            make_accessor(storage, n, backend=backend), injector, kind
+        )
+    }

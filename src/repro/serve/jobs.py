@@ -31,8 +31,12 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List, Optional
+
+from ..robust.chaos import ChaosSpec
+from ..solvers.options import SolveOptions, check_choice, from_fields
+from ..sparse.suite import SCALES, SUITE
 
 __all__ = [
     "JobState",
@@ -114,14 +118,12 @@ class JobSpec:
     rhs_seed : int, optional
         ``None`` uses the paper's deterministic RHS; an integer builds a
         seeded random unit-norm RHS instead (``b = A x_rand``).
-    spmv_format, basis_mode, backend : str
-        Forwarded to :class:`~repro.solvers.gmres.CbGmres` (``backend``
-        selects the numpy or jit kernel backend; bit-identical).
-    preconditioner, prec_storage : str
-        Right preconditioner built worker-side from the raw operator
-        (``none``/``jacobi``/``block_jacobi``/``ilu0``) and its factor
-        storage rung.  Part of the batch-coalescing key: jobs only
-        coalesce when they share the whole preconditioner config.
+    spmv_format, basis_mode, backend, preconditioner, prec_storage : str
+        With ``storage``, ``m`` and ``max_iter`` the eight fields of
+        :class:`~repro.solvers.options.SolveOptions` (:attr:`options`),
+        checked on construction; the worker builds its solver from them
+        (the preconditioner from the raw operator).  All are part of the
+        batch-coalescing key.
     deadline_s : float, optional
         Whole-job wall deadline, counted from the job's *first* dispatch
         to a worker (queue wait does not consume it); spans retries and
@@ -154,29 +156,32 @@ class JobSpec:
     progress_every: int = 25
     chaos: Optional[Dict[str, Any]] = None
 
+    def __post_init__(self) -> None:
+        # a malformed job is refused here, by name, before admission:
+        # retry and storage degradation are for attempts that ran
+        self.options
+        check_choice("matrix", self.matrix, SUITE)
+        check_choice("scale", self.scale, SCALES)
+        if self.chaos:
+            ChaosSpec.from_dict(self.chaos)
+
+    @property
+    def options(self) -> SolveOptions:
+        """The solve this job describes (validated on construction)."""
+        return SolveOptions(
+            **{f.name: getattr(self, f.name) for f in fields(SolveOptions)}
+        )
+
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "matrix": self.matrix,
-            "storage": self.storage,
-            "scale": self.scale,
-            "m": self.m,
-            "max_iter": self.max_iter,
-            "target_rrn": self.target_rrn,
-            "rhs_seed": self.rhs_seed,
-            "spmv_format": self.spmv_format,
-            "basis_mode": self.basis_mode,
-            "backend": self.backend,
-            "preconditioner": self.preconditioner,
-            "prec_storage": self.prec_storage,
-            "deadline_s": self.deadline_s,
-            "max_retries": self.max_retries,
-            "progress_every": self.progress_every,
-            "chaos": dict(self.chaos) if self.chaos else None,
-        }
+        """The flat wire format: what crosses the pipe to a worker, and
+        (minus two keys) the engine's batch-coalescing key."""
+        data = dict(vars(self))  # the fields, in declaration order
+        data["chaos"] = dict(self.chaos) if self.chaos else None
+        return data
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "JobSpec":
-        return cls(**data)
+        return from_fields(cls, data)
 
 
 @dataclass

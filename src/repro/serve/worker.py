@@ -29,20 +29,16 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 from typing import Any, Callable, Dict, Iterator, Optional, Sequence
 
 import numpy as np
 
 from ..observe import Tracer
-from ..robust.chaos import (
-    ChaosSpec,
-    chaos_accessor_factory,
-    chaos_monitor,
-    chaos_spmv_wrapper,
-)
-from ..solvers.gmres import CbGmres
-from ..solvers.preconditioner import make_preconditioner
+from ..robust.chaos import ChaosSpec, chaos_monitor
+from ..robust.faults import FaultInjector, fault_hooks
 from ..solvers.problems import make_problem
+from .jobs import JobSpec
 
 __all__ = ["IsolationError", "run_solve_job", "run_solve_batch_job"]
 
@@ -85,42 +81,16 @@ def _owning_worker(kind: str, tag: str) -> Iterator[None]:
         _ACTIVE_JOB = None
 
 
-def _build_problem(spec: Dict[str, Any]):
-    """Problem, target and preconditioner of one (lead) job spec."""
-    problem = make_problem(
-        spec["matrix"], spec["scale"], target_rrn=spec.get("target_rrn")
+def _prepare(spec: Dict[str, Any], storage: str, tracer, **hooks):
+    """Problem and solver of one (lead) job spec, for this attempt's
+    ``storage``; ``hooks`` are the chaos wrappers of
+    :meth:`~repro.solvers.options.SolveOptions.build`."""
+    job = JobSpec.from_dict(spec)
+    problem = make_problem(job.matrix, job.scale, target_rrn=job.target_rrn)
+    solver = replace(job.options, storage=storage).build(
+        problem.a, tracer=tracer, **hooks
     )
-    target = (
-        spec["target_rrn"]
-        if spec.get("target_rrn") is not None
-        else problem.target_rrn
-    )
-    # the preconditioner factors the *raw* operator — chaos wrappers
-    # poison the solve's SpMV, never the factorization
-    prec = None
-    if spec.get("preconditioner", "none") != "none":
-        prec = make_preconditioner(
-            spec["preconditioner"],
-            problem.a,
-            storage=spec.get("prec_storage", "float64"),
-            backend=spec.get("backend", "numpy"),
-        )
-    return problem, target, prec
-
-
-def _build_solver(spec, storage, a, prec, tracer, storage_factory=None) -> CbGmres:
-    return CbGmres(
-        a,
-        storage,
-        m=spec["m"],
-        max_iter=spec["max_iter"],
-        spmv_format=spec.get("spmv_format", "csr"),
-        basis_mode=spec.get("basis_mode", "cached"),
-        backend=spec.get("backend", "numpy"),
-        preconditioner=prec,
-        tracer=tracer,
-        storage_factory=storage_factory,
-    )
+    return problem, solver
 
 
 class _Progress:
@@ -216,9 +186,6 @@ def run_solve_job(
     global _JOBS_RUN
     with _owning_worker("job", job_id):
         t0 = time.perf_counter()
-        problem, target, prec = _build_problem(spec)
-        b = _make_rhs(problem, spec.get("rhs_seed"))
-
         chaos = None
         if spec.get("chaos"):
             chaos = ChaosSpec.from_dict(spec["chaos"])
@@ -227,26 +194,26 @@ def run_solve_job(
 
         tracer = Tracer()
         progress = _Progress(emit, tracer, storage, [spec])
-        a = problem.a
-        storage_factory = None
+        hooks = {}
         chaos_tick = None
         if chaos is not None:
-            if chaos.is_spmv_kind:
-                a = chaos_spmv_wrapper(chaos, a)
-            elif chaos.is_accessor_kind:
-                # the (storage, n) factory keeps the chaos wrapper
-                # attached across adaptive format switches too
-                storage_factory = chaos_accessor_factory(chaos)
-            else:
+            if chaos.is_process_kind:
                 chaos_tick = chaos_monitor(chaos)
+            else:
+                hooks = fault_hooks(
+                    chaos.kind, FaultInjector(chaos.rate, chaos.seed)
+                )
 
         def monitor(*step) -> None:
             if chaos_tick is not None:
                 chaos_tick(*step)
             progress(0, *step)
 
-        solver = _build_solver(spec, storage, a, prec, tracer, storage_factory)
-        result = solver.solve(b, target, record_history=False, monitor=monitor)
+        problem, solver = _prepare(spec, storage, tracer, **hooks)
+        b = _make_rhs(problem, spec.get("rhs_seed"))
+        result = solver.solve(
+            b, problem.target_rrn, record_history=False, monitor=monitor
+        )
 
         _JOBS_RUN += 1
         return _payload(
@@ -310,11 +277,10 @@ def run_solve_batch_job(
         # batch members share the whole solver and preconditioner config
         # (it is part of the engine's batch key), so one problem and one
         # factorization serve every column
-        problem, target, prec = _build_problem(specs[0])
-        solver = _build_solver(specs[0], storage, problem.a, prec, tracer)
+        problem, solver = _prepare(specs[0], storage, tracer)
         columns = [_make_rhs(problem, spec.get("rhs_seed")) for spec in specs]
         batch = solver.solve_batch(
-            np.stack(columns, axis=1), target,
+            np.stack(columns, axis=1), problem.target_rrn,
             record_history=False, monitor=progress,
         )
 

@@ -25,6 +25,7 @@ from .gmres import (
     SolveStats,
 )
 from .hessenberg import GivensLeastSquares
+from .options import SolveOptions
 from .orthogonal import (
     DEFAULT_ETA,
     OrthogonalizationResult,
@@ -78,6 +79,7 @@ __all__ = [
     "DEFAULT_MAX_RECOVERIES",
     "DEFAULT_RESTART",
     "GivensLeastSquares",
+    "SolveOptions",
     "DEFAULT_ETA",
     "OrthogonalizationResult",
     "cgs_orthogonalize",

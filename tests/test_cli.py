@@ -137,6 +137,38 @@ class TestCommands:
         assert "atmosmodd" in out
 
 
+class TestHostileArguments:
+    """A refused argument is one ``error: ...`` line and exit 2 —
+    argparse's for a flag with ``choices``, ``main()``'s for the rest —
+    never a traceback."""
+
+    @pytest.mark.parametrize("argv, named", [
+        (["solve", "cfd2", "--storage", "nope"], "storage 'nope'"),
+        (["solve", "cfd2", "--restart", "0"], "m must be an integer >= 1"),
+        (["solve", "nope"], "unknown matrix 'nope'"),
+        (["solve", "cfd2", "--prec-storage", "int8"], "--prec-storage"),
+        (["solve", "cfd2", "--basis-mode", "nope"], "--basis-mode"),
+        (["serve", "nope"], "unknown matrix 'nope'"),
+        (["serve", "cfd2", "--storage", "nope"], "storage 'nope'"),
+        (["serve", "cfd2", "--chaos", "meteor"], "chaos kind 'meteor'"),
+        (["faults", "--storages", "nope"], "storage 'nope'"),
+        (["faults", "--kinds", "meteor"], "fault kind 'meteor'"),
+        (["bench", "--storages", "nope"], "storage 'nope'"),
+        (["bench", "--max-iter", "0"], "max_iter must be an integer >= 1"),
+        (["bench", "--check", "/no/such/file.json"], "No such file"),
+        (["compress", "--input", "/no/such/file.npy"], "No such file"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+    def test_error_line_and_exit_2(self, argv, named, capsys):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse's own refusal
+            rc = exc.code
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "error: " in captured.err and named in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
+
 class TestBenchCommand:
     def _run_bench(self, tmp_path, name="base.json"):
         out = tmp_path / name

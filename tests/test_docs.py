@@ -43,6 +43,7 @@ REQUIRED_PAGES = {
     "docs/ARCHITECTURE.md": (
         "Adaptive precision data flow",
         "## Kernel dispatch: the numpy and jit backends",
+        "## One description of a solve",
     ),
     "docs/EXPERIMENTS.md": (
         "--storage adaptive",
@@ -101,3 +102,33 @@ def test_no_dead_relative_links(md):
         if not resolved.exists():
             dead.append(target)
     assert not dead, f"dead links in {md.name}: {dead}"
+
+
+#: ``--flag {a,b,c}`` / ``name={a,b,c}`` as the docs quote an option's values
+_ENUMERATION = re.compile(r"(?:--([a-z-]+) |\b([a-z_]+)=)\{([a-z0-9_,]+)\}")
+
+
+@pytest.mark.parametrize("page", ["docs/ARCHITECTURE.md", "docs/EXPERIMENTS.md"])
+def test_quoted_option_values_are_the_owners(page):
+    """An option enumeration quoted in the docs is its owner's tuple,
+    value for value and in order — the same tuples ``SolveOptions``
+    checks against and the CLI takes its ``choices`` from."""
+    from repro.jit.dispatch import BACKENDS
+    from repro.solvers import PREC_STORAGES, PRECONDITIONERS
+    from repro.solvers.basis import BASIS_MODES
+    from repro.sparse.engine import SPMV_FORMATS
+    from repro.sparse.suite import SCALES
+
+    owners = {
+        "spmv_format": SPMV_FORMATS, "basis_mode": BASIS_MODES,
+        "backend": BACKENDS, "preconditioner": PRECONDITIONERS,
+        "prec_storage": PREC_STORAGES, "scale": SCALES,
+    }
+    quoted = [
+        ((flag or name).replace("-", "_"), tuple(values.split(",")))
+        for flag, name, values in _ENUMERATION.findall((REPO / page).read_text())
+    ]
+    checked = [(name, values) for name, values in quoted if name in owners]
+    assert len(checked) >= 2, f"{page}: the enumeration pattern matches nothing"
+    for name, values in checked:
+        assert values == owners[name], f"{page} quotes {name} as {values}"

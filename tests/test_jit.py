@@ -57,9 +57,6 @@ class TestDispatch:
             "frsz2.pack_stream", "frsz2.decode_stream",
             "frsz2.decode_tile", "frsz2.decode_gather",
             "spmv.csr_matvec", "spmv.ell_matvec", "spmv.sell_group_matvec",
-            "fused.dot_basis", "fused.combine", "fused.axpy",
-            "fused.axpy_dot",
-            "fused.dot_basis_batch", "fused.axpy_batch",
             "prec.ilu0_factor",
             "prec.lower_trisolve", "prec.upper_trisolve",
             "prec.block_diag_apply",

@@ -20,6 +20,7 @@ from repro.robust import (
     FaultyAccessor,
     FaultySpmvMatrix,
     RobustCbGmres,
+    fault_hooks,
     flip_array_bit,
     flip_container_bit,
     flip_exponent_bit,
@@ -330,6 +331,58 @@ class TestCampaign:
         # without recovery, NaN faults crash or diverge at least somewhere
         assert outcomes & {"crashed", "diverged", "stalled", "capped", "failed"}
         assert camp.survival_rate < 1.0
+
+
+class TestFaultHooks:
+    """One place turns a fault kind into ``SolveOptions.build`` keywords,
+    for the campaign's cells and a serve job's chaos plan alike."""
+
+    def test_accessor_faults_carry_the_resolved_backend(self):
+        """A ``backend="jit"`` job under an accessor fault used to get
+        numpy codecs behind its back (the chaos factory dropped the
+        backend; the campaign's passed it)."""
+        from repro.jit import resolve_backend
+        from repro.solvers import SolveOptions
+
+        jit = resolve_backend("jit", warn=False)
+        p = make_problem("lung2", "smoke")
+        hooks = fault_hooks("payload_bitflip", FaultInjector(0.0, 1))
+        solver = SolveOptions(storage="frsz2_32", backend=jit).build(p.a, **hooks)
+        acc = solver._storage_factory("frsz2_32", p.a.n)
+        assert isinstance(acc, FaultyAccessor)
+        assert acc.inner.codec.backend == solver.backend == jit
+
+    @pytest.mark.parametrize("kind", ["payload_bitflip", "readout_nan"])
+    def test_accessor_chaos_job_equals_the_campaign_cell(self, kind):
+        """Same plan, rate 0, jit when there is an engine: the serve
+        job, a hand-wrapped solve and the campaign's cell agree — ``x``
+        to the byte where it is returned."""
+        from repro.jit import resolve_backend
+        from repro.serve import JobSpec, run_solve_job
+
+        jit = resolve_backend("jit", warn=False)
+        kw = dict(m=30, max_iter=400, basis_mode="streaming", backend=jit)
+        spec = JobSpec(matrix="lung2", storage="frsz2_32", **kw,
+                       chaos={"kind": kind, "rate": 0.0})
+        out = run_solve_job(spec.to_dict(), "j", 1, spec.storage)
+        p = make_problem("lung2", "smoke")
+        injector = FaultInjector(0.0, 0)
+        ref = CbGmres(
+            p.a, "frsz2_32", **kw,
+            storage_factory=lambda fmt, n: FaultyAccessor(
+                make_accessor(fmt, n, backend=jit), injector, kind),
+        ).solve(p.b, p.target_rrn)
+        assert out["x"].tobytes() == ref.x.tobytes()
+        (cell,) = run_campaign(
+            matrix="lung2", scale="smoke", faults=(kind,),
+            storages=("frsz2_32",), rates=(0.0,), **kw,
+        ).cells
+        assert (cell.iterations, cell.final_rrn) == (
+            out["iterations"], out["final_rrn"])
+
+    def test_unknown_kind_is_named(self):
+        with pytest.raises(ValueError, match="fault kind 'meteor'"):
+            fault_hooks("meteor", FaultInjector(0.0, 0))
 
 
 class TestWrappedBasisTakesPerAccessorReads:

@@ -566,3 +566,89 @@ class TestChaosMonitor:
         assert spec.armed(1) and not spec.armed(2)
         persistent = ChaosSpec("worker_crash", only_attempt=None)
         assert persistent.armed(1) and persistent.armed(7)
+
+
+# -- one description of a solve (SolveOptions) ---------------------------
+
+
+class TestMalformedJobsNeverReachAWorker:
+    """A typo is not a fault: a malformed spec raises a ``ValueError``
+    naming its field at construction, so retry and storage degradation
+    stay reserved for attempts that actually ran."""
+
+    BAD = [
+        ("basis_mode", dict(basis_mode="nope")),
+        ("m", dict(m=0)),
+        ("preconditioner", dict(preconditioner="lu9")),
+        ("matrix", dict(matrix="nope")),
+        ("scale", dict(scale="huge")),
+        ("storage", dict(storage="frsz2_99")),
+        ("chaos kind", dict(chaos={"kind": "meteor"})),
+        ("when", dict(chaos={"kind": "worker_crash", "when": 3})),
+    ]
+
+    @pytest.mark.parametrize("field, bad", BAD, ids=[f for f, _ in BAD])
+    def test_constructor_and_from_dict_name_the_field(self, field, bad):
+        with pytest.raises(ValueError, match=field):
+            _spec(**bad)
+        with pytest.raises(ValueError, match=field):
+            JobSpec.from_dict({**_spec().to_dict(), **bad})
+
+    def test_chaos_spec_from_dict_names_an_unknown_key(self):
+        with pytest.raises(ValueError, match="after_iteration"):
+            ChaosSpec.from_dict({"kind": "solve_error", "after_iteration": 2})
+
+    def test_nothing_is_admitted_and_a_valid_job_still_completes(self):
+        with SolveEngine(_config()) as engine:
+            for _, bad in self.BAD[:4]:  # the four specs of the issue
+                with pytest.raises(ValueError):
+                    engine.submit(_spec(**bad))
+            assert engine.admission.accepted == 0
+            good = engine.submit(_spec())
+            assert engine.drain(timeout=60)
+        assert engine.admission.accepted == 1
+        assert good.state == JobState.DONE
+        assert [a.outcome for a in good.attempts] == ["done"]
+        assert good.retries == 0 and good.degradations == 0
+
+
+class TestChaosGoesAroundTheEngine:
+    """Build order: the SpMV injector wraps the *engine*, so a chaos job
+    with ``spmv_format != "csr"`` solves (it used to die on every
+    attempt with "requires a CSRMatrix ... got FaultySpmvMatrix")."""
+
+    @pytest.mark.parametrize("spmv_format", ["auto", "sell"])
+    def test_spmv_chaos_job_matches_the_hand_built_plan(self, spmv_format):
+        from repro.robust import FaultInjector, FaultySpmvMatrix, run_campaign
+        from repro.solvers import CbGmres, make_problem
+        from repro.sparse import SpmvEngine
+
+        plan = ChaosSpec("spmv_nan", rate=0.0, seed=7)
+        spec = _spec(spmv_format=spmv_format, chaos=plan.to_dict())
+        out = run_solve_job(spec.to_dict(), "j", 1, spec.storage)
+        assert out["converged"]
+
+        p = make_problem(MATRIX, spec.scale)
+        faulty = FaultySpmvMatrix(
+            SpmvEngine(p.a, format=spmv_format),
+            FaultInjector(plan.rate, plan.seed), plan.kind,
+        )
+        ref = CbGmres(faulty, spec.storage, m=spec.m, max_iter=spec.max_iter)
+        ref = ref.solve(p.b, p.target_rrn)
+        assert out["x"].tobytes() == ref.x.tobytes()
+        # ... and the campaign's cell for the same plan agrees
+        (cell,) = run_campaign(
+            matrix=MATRIX, scale=spec.scale, faults=(plan.kind,),
+            storages=(spec.storage,), rates=(plan.rate,), m=spec.m,
+            max_iter=spec.max_iter, spmv_format=spmv_format,
+        ).cells
+        assert (cell.iterations, cell.final_rrn) == (
+            out["iterations"], out["final_rrn"])
+
+    def test_a_firing_plan_survives_through_the_engine(self):
+        plan = ChaosSpec("spmv_nan", rate=0.05, seed=3, only_attempt=None)
+        with SolveEngine(_config()) as engine:
+            job = engine.submit(_spec(spmv_format="auto", chaos=plan.to_dict()))
+            assert engine.drain(timeout=60)
+        assert job.state == JobState.DONE and job.result["converged"]
+        assert len(job.attempts) == 1 and job.result["recoveries"] > 0
