@@ -192,9 +192,11 @@ class Frsz2Tiles:
     the containers (and their C pointers) it was given alive and reads
     what they hold at the time of each call.  Two routes serve it:
 
-    * :meth:`sweep` — under jit codecs, the engine's row table: one C
-      call per fused operation decodes each row-tile into a work buffer
-      and reduces it at once, so no tile is ever materialised;
+    * the three walks :meth:`fused_dot` / :meth:`fused_axpy` /
+      :meth:`fused_axpy_dot` of a row source (:mod:`repro.fused.kernels`)
+      — under jit codecs, one C call over the engine's row table decodes
+      each row-tile into a work buffer and reduces it at once, so no tile
+      is ever materialised;
     * :meth:`load` — every tile of **all** vectors decoded in one
       :meth:`~repro.core.frsz2.FRSZ2.tile_decoder` call into the fused
       kernels' scratch rows (numpy codecs, and any tile-at-a-time user).
@@ -314,16 +316,10 @@ class Frsz2Tiles:
         bs = self.layout.block_size
         return (i1 - 1) // bs - i0 // bs + 1
 
-    def sweep(self, tile_elems: int, j: Optional[int] = None):
-        """The engine's row table for one pass over the whole tile grid.
-
-        ``None`` unless every accessor carries C pointers (jit codecs).
-        Bills each of the leading ``j`` accessors (default: all) the
-        ``ceil(n / tile_elems)`` tile reads of the pass the caller is
-        about to make in one C call.
-        """
-        if self.table is None:
-            return None
+    def bill_pass(self, tile_elems: int, j: Optional[int] = None) -> None:
+        """Bill each of the leading ``j`` accessors (default: all) the
+        ``ceil(n / tile_elems)`` tile reads of one pass over the whole
+        tile grid, which the caller makes in one C call."""
         bill = self._pass_bill.get(tile_elems)
         if bill is None:
             n = self.layout.n
@@ -336,7 +332,18 @@ class Frsz2Tiles:
                 -(-n // tile_elems), blocks * self._block_nbytes
             )
         self._bill(*bill, j)
-        return self.table
+
+    def fused_dot(self, j, n, tile, w, h) -> int:
+        self.bill_pass(tile, j)
+        return self.table.fused_dot(j, n, tile, w, h)
+
+    def fused_axpy(self, j, n, tile, y, w, store=False) -> int:
+        self.bill_pass(tile, j)
+        return self.table.fused_axpy(j, n, tile, y, w, store)
+
+    def fused_axpy_dot(self, j, n, tile, y, w, u) -> int:
+        self.bill_pass(tile, j)
+        return self.table.fused_axpy_dot(j, n, tile, y, w, u)
 
     def load(self, i0: int, i1: int, out: np.ndarray) -> None:
         """Fill ``out[row, :i1 - i0]`` with every accessor's ``[i0, i1)``."""

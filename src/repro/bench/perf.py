@@ -529,6 +529,11 @@ def _expect_number(value: object, where: str) -> None:
             where, "number must be finite")
 
 
+def _expect_int(value: object, where: str) -> None:
+    _expect(isinstance(value, int) and not isinstance(value, bool),
+            where, "expected an integer")
+
+
 def _expect_choice(value: object, allowed: Sequence[str], where: str) -> None:
     _expect(value in allowed, where,
             f"expected one of {'/'.join(allowed)}, got {value!r}")
@@ -588,11 +593,7 @@ def validate_bench(doc: dict) -> None:
             if typ is float:
                 _expect_number(entry[key], f"{where}.{key}")
             elif typ is int:
-                _expect(
-                    isinstance(entry[key], int)
-                    and not isinstance(entry[key], bool),
-                    f"{where}.{key}", "expected an integer",
-                )
+                _expect_int(entry[key], f"{where}.{key}")
             elif typ is bool:
                 _expect(isinstance(entry[key], bool), f"{where}.{key}",
                         "expected a boolean")
@@ -632,11 +633,7 @@ def validate_bench(doc: dict) -> None:
             spmv["format"], [f for f in SPMV_FORMATS if f != "auto"],
             f"{where}.spmv.format",
         )
-        _expect(
-            isinstance(spmv["padded_entries"], int)
-            and not isinstance(spmv["padded_entries"], bool),
-            f"{where}.spmv.padded_entries", "expected an integer",
-        )
+        _expect_int(spmv["padded_entries"], f"{where}.spmv.padded_entries")
         _expect_number(spmv["padding_ratio"], f"{where}.spmv.padding_ratio")
         basis = entry.get("basis")
         _expect(isinstance(basis, dict), f"{where}.basis", "expected an object")
@@ -650,10 +647,7 @@ def validate_bench(doc: dict) -> None:
         _expect_choice(basis["mode"], BASIS_MODES, f"{where}.basis.mode")
         for key in ("tile_elems", "peak_float64_bytes",
                     "stored_bytes_per_vector"):
-            _expect(
-                isinstance(basis[key], int) and not isinstance(basis[key], bool),
-                f"{where}.basis.{key}", "expected an integer",
-            )
+            _expect_int(basis[key], f"{where}.basis.{key}")
         _expect_number(basis["modeled_fused_seconds"],
                        f"{where}.basis.modeled_fused_seconds")
         _expect(isinstance(basis["bit_identical_modes"], bool),
@@ -672,11 +666,7 @@ def validate_bench(doc: dict) -> None:
             _expect(isinstance(cell, dict), mwhere, "expected an object")
             _expect(set(cell) == {"peak_float64_bytes"},
                     mwhere, "expected exactly peak_float64_bytes")
-            _expect(
-                isinstance(cell["peak_float64_bytes"], int)
-                and not isinstance(cell["peak_float64_bytes"], bool),
-                f"{mwhere}.peak_float64_bytes", "expected an integer",
-            )
+            _expect_int(cell["peak_float64_bytes"], f"{mwhere}.peak_float64_bytes")
         phases = entry.get("phases")
         _expect(isinstance(phases, dict), f"{where}.phases",
                 "expected an object")
@@ -733,19 +723,14 @@ def _validate_precision_block(precision: object, where: str) -> None:
         _expect(set(dec) == {"restart", "storage", "rrn", "needed_gain",
                              "reason"},
                 dwhere, f"unexpected decision keys {sorted(dec)}")
-        for key in ("restart",):
-            _expect(isinstance(dec[key], int) and not isinstance(dec[key], bool),
-                    f"{dwhere}.{key}", "expected an integer")
+        _expect_int(dec["restart"], f"{dwhere}.restart")
         for key in ("storage", "reason"):
             _expect(isinstance(dec[key], str), f"{dwhere}.{key}",
                     "expected a string")
         for key in ("rrn", "needed_gain"):
             _expect_number(dec[key], f"{dwhere}.{key}")
     for key in ("upshifts", "downshifts", "baseline_iterations"):
-        _expect(
-            isinstance(precision[key], int) and not isinstance(precision[key], bool),
-            f"{where}.{key}", "expected an integer",
-        )
+        _expect_int(precision[key], f"{where}.{key}")
     for key in ("reads_by_storage", "writes_by_storage"):
         buckets = precision[key]
         _expect(
@@ -784,10 +769,7 @@ def _validate_preconditioner_block(prec: object, where: str) -> None:
     _expect_choice(prec["storage"], PREC_STORAGES, f"{where}.storage")
     for key in ("applies", "stored_bytes", "float64_bytes",
                 "baseline_iterations"):
-        _expect(
-            isinstance(prec[key], int) and not isinstance(prec[key], bool),
-            f"{where}.{key}", "expected an integer",
-        )
+        _expect_int(prec[key], f"{where}.{key}")
     for key in ("bytes_saved_fraction", "iteration_ratio"):
         _expect_number(prec[key], f"{where}.{key}")
     _expect(isinstance(prec["baseline_converged"], bool),

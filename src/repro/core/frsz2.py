@@ -322,15 +322,12 @@ class FRSZ2:
             "frsz2.pack_stream", self.backend
         )
         self._tile_kernel = _dispatch.get_kernel("frsz2.decode_tile", self.backend)
-        # Whole-container and positional fused paths exist only on the
-        # jit engine; the numpy paths keep their existing composition
-        # (read fields, repeat exponents, decode).
-        if self.backend == "jit":
-            self._stream_kernel = _dispatch.get_kernel("frsz2.decode_stream", "jit")
-            self._gather_kernel = _dispatch.get_kernel("frsz2.decode_gather", "jit")
-        else:
-            self._stream_kernel = None
-            self._gather_kernel = None
+        self._stream_kernel = _dispatch.get_kernel(
+            "frsz2.decode_stream", self.backend
+        )
+        self._gather_kernel = _dispatch.get_kernel(
+            "frsz2.decode_gather", self.backend
+        )
         #: observe-layer tracer; the null tracer keeps the hot path free
         self.tracer = NULL_TRACER
         #: the layout of the last length asked for (a codec serves one
@@ -496,14 +493,6 @@ class FRSZ2:
     # decompression (paper Section IV-B)
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def _bit_positions(indices: np.ndarray, layout: BlockLayout) -> np.ndarray:
-        """Stream bit offsets of value fields (blocks are word-aligned)."""
-        return _stream_bit_positions(indices, layout)
-
-    def _read_fields(self, comp: Frsz2Compressed, indices: np.ndarray) -> np.ndarray:
-        return _read_fields_numpy(comp, indices)
-
     def tile_decoder(self, comps: "Sequence[Frsz2Compressed]"):
         """Prepare same-layout containers for repeated window decodes.
 
@@ -635,20 +624,8 @@ class FRSZ2:
         n = comp.n
         if out is not None and (out.shape != (n,) or out.dtype != np.float64):
             raise ValueError("out must be a float64 array of matching size")
-        if self._stream_kernel is not None:
-            values = (
-                out
-                if out is not None and out.flags.c_contiguous
-                else np.empty(n)
-            )
-            self._stream_kernel(comp, values)
-        else:
-            indices = np.arange(n, dtype=np.int64)
-            fields = self._read_fields(comp, indices)
-            e_max = np.repeat(
-                comp.exponents.astype(np.int64), comp.layout.block_size
-            )[:n]
-            values = self._decode_fields(fields, e_max)
+        values = out if out is not None and out.flags.c_contiguous else np.empty(n)
+        self._stream_kernel(comp, values)
         if self.tracer.enabled:
             self.tracer.count("frsz2.decompress.calls")
             self.tracer.count("frsz2.decompress.values", n)
@@ -662,11 +639,7 @@ class FRSZ2:
 
     def _gather(self, comp: Frsz2Compressed, idx: np.ndarray) -> np.ndarray:
         """Decode arbitrary (in-range) positions of one container."""
-        if self._gather_kernel is not None:
-            return self._gather_kernel(comp, idx)
-        fields = self._read_fields(comp, idx)
-        e_max = comp.exponents.astype(np.int64)[idx // comp.layout.block_size]
-        return self._decode_fields(fields, e_max)
+        return self._gather_kernel(comp, idx)
 
     def get(self, comp: Frsz2Compressed, indices: Union[int, np.ndarray]) -> np.ndarray:
         """Random access decompression (paper Section IV-B).

@@ -13,7 +13,7 @@ grid: the columns of the cached mirror are read in place, and a
 streaming FRSZ2 basis is decoded one row-tile at a time into a
 ``tile``-double work buffer and reduced at once — no ``(j, tile)``
 rectangle exists (the sweep keeps ``j`` row *pieces* of 256 values, the
-one thing it reads twice).  Sources C cannot walk (wrapped, mixed-format
+one thing it reads twice).  Rows C cannot walk (wrapped, mixed-format
 or unwritten slots, dense formats, numpy codecs) are loaded tile by tile
 into a ``(j, tile)`` scratch and reduced by the same kernels.
 
@@ -21,17 +21,19 @@ One call, one layer of checks
 -----------------------------
 A fused operation validates its operands here, first — a named
 ``ValueError`` before anything is billed or written, the same on both
-backends — and asks its reader for the rows.  Rows that can be read in
-place (``reader.rows`` is not ``None``) are a *source* with three walks,
-``fused_dot`` / ``fused_axpy`` / ``fused_axpy_dot``: an engine source
-(:class:`repro.jit.cbackend.TileTable`, :class:`~repro.jit.cbackend.
-DenseRows`) passes the operands straight to C with the work buffer it
-keeps, :class:`_NumpyRows` runs the numpy spelling; either way the call
-is a straight line — one walk, one ``_count_call``.  Only a reader
-without rows takes the generator :func:`_tiles`.  What the reader is —
-built for this call, or the one a :class:`~repro.solvers.basis.
-KrylovBasis` keeps and extends with every write — is the basis's
-business (``docs/ARCHITECTURE.md``, "The life of a fused call").
+backends — and then makes one call: a walk of its reader's *row source*.
+A source is anything with the three walks ``fused_dot(j, n, tile, w, h)``,
+``fused_axpy(j, n, tile, y, w, store)`` and ``fused_axpy_dot(j, n, tile,
+y, w, u)``, each returning the doubles of work it used.  There are four:
+:class:`_NumpyRows` (float64 rows under the numpy kernels below — the
+reference), the engine's :class:`~repro.jit.cbackend.DenseRows` (the
+same rows, handed to C), :class:`~repro.accessor.Frsz2Tiles` (bills its
+leading ``j`` accessors, then walks the engine's row table over their
+containers) and :class:`_LoadedRows`, the tile-by-tile route of
+everything else.  Which one a reader carries is decided once, where the
+reader is built — for one call, or kept by a :class:`~repro.solvers.
+basis.KrylovBasis` and extended with every write
+(``docs/ARCHITECTURE.md``, "The life of a fused call").
 
 Determinism contract
 --------------------
@@ -78,7 +80,7 @@ kernel stays bound by *compressed* memory traffic
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -147,29 +149,11 @@ def tile_grid(n: int, tile_elems: int) -> "List[tuple[int, int]]":
 
 
 class TileReader:
-    """Source of basis rows for the fused kernels.
+    """The leading ``j`` rows, of ``n`` values each, of a row ``source``
+    (the module doc's protocol), reduced by ``backend``'s kernels."""
 
-    A reader exposes ``n`` (vector length), ``j`` (leading vectors),
-    ``backend`` (which kernels reduce it) and two ways to its rows
-    ``v_0 ... v_{j-1}``, which must deliver bit-identical values:
-
-    * :meth:`rows` — the rows where they are stored, for one pass over
-      the whole tile grid, or ``None`` when they cannot be read in place;
-    * :meth:`load` — fill ``out[:, :t1 - t0]`` with ``v_r[t0:t1]``.
-    """
-
-    n: int
-    j: int
-    backend: str = "numpy"
-
-    def rows(self, tile_elems: int):
-        """A ``(>= j, >= n)`` C-contiguous float64 array, an engine row
-        source of at least ``j`` rows of exactly ``n`` values
-        (``backend="jit"`` only), or ``None``."""
-        return None
-
-    def load(self, t0: int, t1: int, out: np.ndarray) -> None:
-        raise NotImplementedError
+    def __init__(self, source, j: int, n: int, backend: str) -> None:
+        self.source, self.j, self.n, self.backend = source, int(j), int(n), backend
 
 
 class CachedTileReader(TileReader):
@@ -177,7 +161,7 @@ class CachedTileReader(TileReader):
 
     The columns of a Fortran-ordered cache are the rows of its
     transpose, so the kernels read them where they are, with no copy;
-    any other layout is served tile by tile through :meth:`load`.
+    any other layout is loaded tile by tile (:class:`_LoadedRows`).
     """
 
     def __init__(self, cache: np.ndarray, j: int, backend: Optional[str] = None) -> None:
@@ -185,19 +169,16 @@ class CachedTileReader(TileReader):
             raise ValueError(
                 f"cache must be an (n, >= j) array; got shape {cache.shape} for j={j}"
             )
-        self.cache = cache
-        self.n = int(cache.shape[0])
-        self.j = int(j)
-        self.backend = _dispatch.resolve_backend(backend)
-
-    def rows(self, tile_elems: int):
-        rows = self.cache.T
+        backend = _dispatch.resolve_backend(backend)
+        rows = cache.T
         if rows.dtype == np.float64 and rows.flags.c_contiguous:
-            return rows
-        return None
+            source = _dense_source(rows, backend)
+        else:
+            def load(t0: int, t1: int, out: np.ndarray) -> None:
+                out[:, : t1 - t0] = cache[t0:t1, : out.shape[0]].T
 
-    def load(self, t0: int, t1: int, out: np.ndarray) -> None:
-        out[:, : t1 - t0] = self.cache[t0:t1, : self.j].T
+            source = _LoadedRows(load, backend)
+        super().__init__(source, j, cache.shape[0], backend)
 
 
 class StreamingTileReader(TileReader):
@@ -206,11 +187,11 @@ class StreamingTileReader(TileReader):
     The reader proves, once, whether the leading ``j`` accessors are
     plain FRSZ2 accessors with written payloads over one layout
     (:meth:`repro.accessor.frsz2_accessor.Frsz2Tiles.open`).  If so and
-    the codecs are compiled, :meth:`rows` is the engine's row table: one
-    C call per fused operation decodes each row-tile into a work buffer
-    and reduces it at once — the analog of the paper's warp-per-block
-    fused decode.  Otherwise :meth:`load` fills a scratch tile: one codec
-    pass for eligible accessors under numpy codecs, one
+    the codecs are compiled, that :class:`~repro.accessor.Frsz2Tiles` is
+    the source: one C call per fused operation decodes each row-tile
+    into a work buffer and reduces it at once — the analog of the
+    paper's warp-per-block fused decode.  Otherwise a scratch tile is
+    loaded: one codec pass for eligible accessors under numpy codecs, one
     :meth:`~repro.accessor.base.VectorAccessor.read_tile` per vector for
     wrapped (fault-injecting), mixed-format, unwritten or dense-format
     slots — identical bits and identical traffic totals on every route.
@@ -219,28 +200,24 @@ class StreamingTileReader(TileReader):
     """
 
     def __init__(self, accessors: Sequence, j: int, backend: Optional[str] = None) -> None:
-        self.accessors = list(accessors[:j])
-        self.j = int(j)
-        self.n = int(accessors[0].n) if accessors else 0
-        if backend is None and self.accessors and all(
+        n = int(accessors[0].n) if accessors else 0
+        accessors = list(accessors[:j])
+        if backend is None and accessors and all(
             getattr(getattr(acc, "codec", None), "backend", None) == "jit"
-            for acc in self.accessors
+            for acc in accessors
         ):
             backend = "jit"
-        self.backend = _dispatch.resolve_backend(backend)
-        self._tiles = Frsz2Tiles.open(self.accessors)
+        backend = _dispatch.resolve_backend(backend)
+        source = Frsz2Tiles.open(accessors)
+        if source is None:
+            def load(t0: int, t1: int, out: np.ndarray) -> None:
+                for row, acc in enumerate(accessors):
+                    out[row, : t1 - t0] = acc.read_tile(t0, t1)
 
-    def rows(self, tile_elems: int):
-        if self._tiles is None or self.backend != "jit":
-            return None
-        return self._tiles.sweep(tile_elems)
-
-    def load(self, t0: int, t1: int, out: np.ndarray) -> None:
-        if self._tiles is not None:
-            self._tiles.load(t0, t1, out)
-            return
-        for row, acc in enumerate(self.accessors):
-            out[row, : t1 - t0] = acc.read_tile(t0, t1)
+            source = _LoadedRows(load, backend)
+        elif backend != "jit" or source.table is None:
+            source = _LoadedRows(source.load, backend)
+        super().__init__(source, j, n, backend)
 
 
 # ----------------------------------------------------------------------
@@ -306,7 +283,7 @@ class _NumpyRows:
         dot_rows_numpy(self.rows, j, n, tile, w, h)
         return 0
 
-    def fused_axpy(self, j, n, y, w, store=False) -> int:
+    def fused_axpy(self, j, n, tile, y, w, store=False) -> int:
         axpy_rows_numpy(self.rows, j, n, y, w, store)
         return 0
 
@@ -318,11 +295,48 @@ class _NumpyRows:
 
 
 def _dense_source(rows: np.ndarray, backend: str):
-    """What walks float64 ``rows`` in place under ``backend`` (any other
-    ``TileReader.rows`` result is an engine source already)."""
+    """The source that walks C-contiguous float64 ``rows`` in place under
+    ``backend``."""
     if backend == "jit":
         return _dispatch.load_engine().dense_rows(rows)
     return _NumpyRows(rows)
+
+
+class _LoadedRows:
+    """Rows that cannot be walked where they are stored — the tile-by-tile
+    route: ``load(t0, t1, out)`` fills ``out[r, :t1 - t0]`` with
+    ``v_r[t0:t1]`` for every row of one reused ``(j, tile)`` scratch, and
+    ``backend``'s dense source walks the scratch — the same kernels, so
+    the same bits."""
+
+    __slots__ = ("load", "backend")
+
+    def __init__(self, load, backend: str) -> None:
+        self.load, self.backend = load, backend
+
+    def _each_tile(self, j, n, tile, walk) -> int:
+        """``walk(source, t0, t1)`` over every tile once it is loaded;
+        the scratch's doubles plus what the last walk used."""
+        scratch = np.empty((j, min(tile, n)))
+        source = _dense_source(scratch, self.backend)
+        used = 0
+        for t0 in range(0, n, tile):
+            t1 = min(t0 + tile, n)
+            self.load(t0, t1, scratch)
+            used = walk(source, t0, t1)
+        return scratch.size + used
+
+    def fused_dot(self, j, n, tile, w, h) -> int:
+        return self._each_tile(j, n, tile, lambda rows, t0, t1: rows.fused_dot(
+            j, t1 - t0, tile, w[t0:t1], h))
+
+    def fused_axpy(self, j, n, tile, y, w, store=False) -> int:
+        return self._each_tile(j, n, tile, lambda rows, t0, t1: rows.fused_axpy(
+            j, t1 - t0, tile, y, w[t0:t1], store))
+
+    def fused_axpy_dot(self, j, n, tile, y, w, u) -> int:
+        return self._each_tile(j, n, tile, lambda rows, t0, t1: rows.fused_axpy_dot(
+            j, t1 - t0, tile, y, w[t0:t1], u))
 
 
 # ----------------------------------------------------------------------
@@ -374,19 +388,6 @@ def _coefficients(y, j: int) -> np.ndarray:
             f"y must hold at least j={j} coefficients, got {y.shape[0]}"
         )
     return y
-
-
-def _tiles(reader: TileReader, tile_elems: int) -> Iterator:
-    """``(source, t0, t1)`` for every tile of a reader whose rows cannot be
-    read where they are stored: each tile loaded into one reused
-    ``(j, tile)`` scratch that the reader's backend then walks."""
-    n = reader.n
-    scratch = np.empty((reader.j, min(tile_elems, n)))
-    source = _dense_source(scratch, reader.backend)
-    for t0 in range(0, n, tile_elems):
-        t1 = min(t0 + tile_elems, n)
-        reader.load(t0, t1, scratch)
-        yield source, t0, t1
 
 
 def _count_call(tracer, log: Optional[FusedOpLog], kind: str, j: int, n: int,
@@ -450,18 +451,9 @@ def dot_basis_fused(
     if tile_elems < 1:
         raise ValueError("tile_elems must be positive")
     h = np.zeros(j)
-    if j == 0:
-        return h
-    rows = reader.rows(tile_elems)
-    if rows is not None:
-        if isinstance(rows, np.ndarray):
-            rows = _dense_source(rows, reader.backend)
-        used = rows.fused_dot(j, n, tile_elems, w, h)
-    else:
-        used = j * min(tile_elems, n)
-        for source, t0, t1 in _tiles(reader, tile_elems):
-            source.fused_dot(j, t1 - t0, tile_elems, w[t0:t1], h)
-    _count_call(tracer, log, "dot", j, n, tile_elems, used)
+    if j:
+        used = reader.source.fused_dot(j, n, tile_elems, w, h)
+        _count_call(tracer, log, "dot", j, n, tile_elems, used)
     return h
 
 
@@ -469,20 +461,10 @@ def _axpy(reader, y, w, tile_elems, tracer, log, kind: str) -> np.ndarray:
     j, n = reader.j, reader.n
     if tile_elems < 1:
         raise ValueError("tile_elems must be positive")
-    if j == 0:
-        return w
-    y = _coefficients(y, j)
-    store = kind == "combine"
-    rows = reader.rows(tile_elems)
-    if rows is not None:
-        if isinstance(rows, np.ndarray):
-            rows = _dense_source(rows, reader.backend)
-        used = rows.fused_axpy(j, n, y, w, store)
-    else:
-        used = j * min(tile_elems, n)
-        for source, t0, t1 in _tiles(reader, tile_elems):
-            source.fused_axpy(j, t1 - t0, y, w[t0:t1], store)
-    _count_call(tracer, log, kind, j, n, tile_elems, used)
+    if j:
+        used = reader.source.fused_axpy(
+            j, n, tile_elems, _coefficients(y, j), w, kind == "combine")
+        _count_call(tracer, log, kind, j, n, tile_elems, used)
     return w
 
 
@@ -552,20 +534,10 @@ def axpy_dot_fused(
     if tile_elems < 1:
         raise ValueError("tile_elems must be positive")
     u = np.zeros(j)
-    if j == 0:
-        return u
-    y = _coefficients(y, j)
-    rows = reader.rows(tile_elems)
-    if rows is not None:
-        if isinstance(rows, np.ndarray):
-            rows = _dense_source(rows, reader.backend)
-        used = rows.fused_axpy_dot(j, n, tile_elems, y, w, u)
-    else:
-        lanes = 0
-        for source, t0, t1 in _tiles(reader, tile_elems):
-            lanes = source.fused_axpy_dot(j, t1 - t0, tile_elems, y, w[t0:t1], u)
-        used = j * min(tile_elems, n) + lanes
-    _count_call(tracer, log, "axpy", j, n, tile_elems, used)
+    if j:
+        used = reader.source.fused_axpy_dot(
+            j, n, tile_elems, _coefficients(y, j), w, u)
+        _count_call(tracer, log, "axpy", j, n, tile_elems, used)
     return u
 
 

@@ -820,81 +820,30 @@ void prec_block_diag_apply(const double *blocks, const double *v,
 }
 """
 
-#: the declarations cffi parses; ``SOURCE(p)`` stands for the nine
-#: arguments of one value source, as in ``C_SOURCE``
-_CDEF = """
-const char *engine_isa(void);
-const char *engine_clone_fallback(void);
-void bitpack_pack_at(uint32_t *words, const int64_t *bitpos,
-                     const uint64_t *fields, const int64_t *widths,
-                     int64_t n);
-void bitpack_unpack_at(const uint32_t *words, int64_t nwords,
-                       const int64_t *bitpos, const int64_t *widths,
-                       int64_t n, uint64_t *out);
-int64_t frsz2_encode(const double *x, int64_t n, int64_t bs, int64_t l,
-                     int32_t rounding, uint64_t *fields, int32_t *e_max_out);
-void frsz2_decode_fields(const uint64_t *fields, const int64_t *e_max,
-                         int64_t n, int64_t l, double *out);
-void frsz2_pack_stream(const uint64_t *fields, int64_t n, int64_t bs,
-                       int64_t l, int64_t wpb, uint32_t *words);
-void frsz2_decode_stream(const uint8_t *payload, int32_t kind,
-                         int64_t nwords, const int32_t *exponents,
-                         int64_t n, int64_t bs, int64_t l, int64_t wpb,
-                         double *out);
-void frsz2_decode_tile(const uint8_t *const *payloads,
-                       const int32_t *const *exponents, int64_t j,
-                       int32_t kind, int64_t nwords, int64_t bs, int64_t l,
-                       int64_t wpb, int64_t i0, int64_t i1, double *out,
-                       int64_t ld);
-void frsz2_decode_gather(const uint8_t *payload, int32_t kind,
-                         int64_t nwords, const int32_t *exponents,
-                         const int64_t *idx, int64_t m, int64_t bs,
-                         int64_t l, int64_t wpb, double *out);
-void fused_dot(SOURCE(v_), int64_t j, int64_t n, int64_t tile,
-               const double *w, double *h, double *work);
-void fused_axpy(SOURCE(v_), int64_t j, int64_t n, const double *y,
-                double *w, int32_t store);
-extern int64_t fused_piece;
-void fused_axpy_dot(SOURCE(v_), int64_t j, int64_t n, int64_t tile,
-                    const double *y, double *w, double *u, double *work);
-void csr_matvec(const int64_t *rows, const int64_t *cols,
-                const double *data, int64_t nnz, const double *x,
-                double *y, int64_t m);
-void ell_matvec(const int64_t *cols_t, const double *vals_t, int64_t width,
-                int64_t m, const double *x, double *y);
-void sell_group_matvec(const int64_t *rows, const int64_t *cols_t,
-                       const double *vals_t, int64_t width, int64_t g,
-                       const double *x, double *y);
-int64_t prec_ilu0_factor(const int64_t *indptr, const int64_t *cols,
-                         double *lu, int64_t n, int64_t *pos,
-                         int64_t *diag_pos);
-extern int64_t prec_sweep_rows;
-extern int64_t prec_sweep_chunks;
-int64_t prec_chunk_levels(const int64_t *indptr, const int64_t *indices,
-                          int64_t n, int32_t upper, int64_t *level);
-void prec_lower_trisolve(const int64_t *indptr, const int64_t *indices,
-                         SOURCE(v_), const int64_t *order,
-                         const int64_t *level_ptr, int64_t nlevels,
-                         const double *b, double *y, int64_t n,
-                         double *work, int64_t stride);
-void prec_upper_trisolve(const int64_t *indptr, const int64_t *indices,
-                         SOURCE(v_), SOURCE(d_), const int64_t *order,
-                         const int64_t *level_ptr, int64_t nlevels,
-                         const double *b, double *y, int64_t n,
-                         double *work, int64_t stride);
-void prec_block_diag_apply(const double *blocks, const double *v,
-                           int64_t bs, int64_t n, double *out);
-"""
-_CDEF = re.sub(
-    r"SOURCE\((\w+)\)",
-    lambda m: (
-        "const double *{p}dense, int64_t {p}ld, "
-        "const uint8_t *const *{p}payloads, "
-        "const int32_t *const *{p}exponents, int32_t {p}kind, "
-        "int64_t {p}nwords, int64_t {p}bs, int64_t {p}l, int64_t {p}wpb"
-    ).format(p=m.group(1)),
-    _CDEF,
-)
+
+def _declarations(source: str) -> str:
+    """The declarations cffi parses, read off ``source`` itself: every
+    top-level definition that is not ``static`` and every ``const int64_t``
+    constant, with ``SOURCE(p)`` — the nine arguments of one value source —
+    expanded by the body of the C macro of that name.  One spelling of each
+    prototype: ABI mode checks nothing, so a second one that drifted would
+    be silent memory corruption."""
+    prototypes = dict(  # by name: engine_isa is defined once per #if branch
+        (name, prototype + ";") for prototype, name in re.findall(
+            r"^(?!static\b)(\w[\w *]*?\b(\w+)\((?:[^()]|\(\w*\))*\))\s*\{",
+            source, re.M))
+    constants = re.findall(r"^const (int64_t \w+) = ", source, re.M)
+    macro = re.search(r"^#define SOURCE\(p\)((?:.*\\\n)*.*)", source, re.M)
+    arguments = macro.group(1).replace("\\\n", " ")
+    return re.sub(
+        r"SOURCE\((\w+)\)",
+        lambda m: arguments.replace("p##", m.group(1)),
+        "\n".join([*prototypes.values(), *(f"extern {c};" for c in constants)])
+        .replace("FUSED_SOURCE", "SOURCE(v_)"),
+    )
+
+
+_CDEF = _declarations(C_SOURCE)
 
 #: flags that pin IEEE semantics: no FMA contraction, no fast-math —
 #: an FMA would change the rounding of every accumulation vs numpy.
@@ -1022,13 +971,13 @@ class _Rows:
     first use and sized by ``capacity`` — never by ``n``.
 
     :meth:`fused_dot`, :meth:`fused_axpy` and :meth:`fused_axpy_dot` are
-    the in-place route of :mod:`repro.fused.kernels`, which has validated
-    the operands it passes (contiguous float64 vectors: ``w`` of at least
-    ``n`` values, writable where written; ``y``, ``h``, ``u`` of at least
-    ``j``; ``tile >= 1``).  They check what only the source knows — ``j``
-    against its rows, ``n`` against their length — and return the doubles
-    of work the walk used.  Anyone else calls the checked
-    :meth:`CEngine.fused_dot` / ``fused_axpy`` / ``fused_axpy_dot``.
+    the three walks of a row source of :mod:`repro.fused.kernels` — the
+    only way to the C kernels, for a solve and for the self-test alike.
+    Their caller has validated the operands it passes (contiguous float64
+    vectors: ``w`` of at least ``n`` values, writable where written;
+    ``y``, ``h``, ``u`` of at least ``j``; ``tile >= 1``); they check what
+    only the source knows — ``j`` against its rows, ``n`` against their
+    length — and return the doubles of work the walk used.
     """
 
     __slots__ = ("_engine", "source", "count", "length", "capacity", "piece",
@@ -1076,8 +1025,10 @@ class _Rows:
                       ptr("double *", h), work)
         return used
 
-    def fused_axpy(self, j: int, n: int, y, w, store: bool = False) -> int:
-        """``w[:n] -= sum_r y[r] v_r[:n]`` (``store``: ``w = sum``)."""
+    def fused_axpy(self, j: int, n: int, tile: int, y, w,
+                   store: bool = False) -> int:
+        """``w[:n] -= sum_r y[r] v_r[:n]`` (``store``: ``w = sum``); the
+        sum is per element, so the grid (``tile``) plays no part."""
         lib, ptr, _ = self._walk(j, n)
         lib.fused_axpy(*self.source, j, n, ptr("double *", y),
                        ptr("double *", w), store)
@@ -1485,96 +1436,6 @@ class CEngine:
         """Same-layout containers prepared for repeated window decodes."""
         return TileTable(self, [RowPointers(self, c) for c in comps])
 
-    # -- fused basis reductions -----------------------------------------
-
-    def _fused_source(self, rows, j: int, n: int):
-        """The C source arguments for ``j`` rows of ``n`` values of ``rows``.
-
-        ``rows`` is a :class:`TileTable`, a :class:`DenseRows` or a
-        C-contiguous float64 ``(>= j, >= n)`` array read in place.
-        """
-        if not isinstance(rows, _Rows):
-            rows = DenseRows(self, rows)
-        elif rows._engine is not self:
-            raise ValueError("row table belongs to another engine")
-        if rows.piece and n != rows.length:
-            raise ValueError(
-                f"compressed rows hold {rows.length} values, not n={n}"
-            )
-        if not 0 <= j <= rows.count or not 0 <= n <= rows.length:
-            raise ValueError(
-                f"source holds {rows.count} rows of {rows.length} values; "
-                f"asked for j={j}, n={n}"
-            )
-        return rows.source
-
-    def _operand(self, arr, size: int, name: str, written: bool = False):
-        """Pointer to a contiguous float64 vector of at least ``size``."""
-        if (not isinstance(arr, np.ndarray) or arr.dtype != np.float64
-                or arr.ndim != 1 or arr.size < size
-                or not arr.flags.c_contiguous
-                or (written and not arr.flags.writeable)):
-            raise ValueError(
-                f"{name} must be a contiguous{' writable' * written} float64 "
-                f"vector of at least {size} values"
-            )
-        return self._ptr(arr, "double *")
-
-    def fused_dot(self, rows, j, n, tile, w, h, work=None) -> None:
-        """``h[r] += v_r[:n] . w`` for the leading ``j`` rows, in place.
-
-        One C call walks the tile grid of ``tile`` elements in the
-        written lane order (see ``fused_dot`` in ``C_SOURCE``).  A
-        compressed source decodes one row-tile at a time into ``work``
-        (at least ``min(tile, n)`` values); float64 rows need none.
-        Everything C will index is checked here first.
-        """
-        j, n, tile = int(j), int(n), int(tile)
-        if tile < 1:
-            raise ValueError("tile must be positive")
-        source = self._fused_source(rows, j, n)
-        args = (self._operand(w, n, "w"), self._operand(h, j, "h", True))
-        if isinstance(rows, TileTable):
-            args += (self._operand(work, min(tile, n), "work", True),)
-        else:
-            args += (self._ffi.NULL,)
-        if j and n:
-            self._lib.fused_dot(*source, j, n, tile, *args)
-
-    def fused_axpy(self, rows, j, n, y, w, store=False) -> None:
-        """``w[:n] -= sum_r y[r] v_r[:n]`` in place (``store``: ``w = sum``).
-
-        Per element the sum runs over rows ``0 .. j-1`` in order (see
-        ``fused_axpy`` in ``C_SOURCE``); it needs no work buffer.
-        """
-        j, n = int(j), int(n)
-        source = self._fused_source(rows, j, n)
-        args = (self._operand(y, j, "y"), self._operand(w, n, "w", True))
-        if j and n:
-            self._lib.fused_axpy(*source, j, n, *args, int(bool(store)))
-
-    def fused_axpy_dot(self, rows, j, n, tile, y, w, u, work) -> None:
-        """``w[:n] -= sum_r y[r] v_r[:n]``, then ``u[r] += v_r[:n] . w``.
-
-        One C walk whose bytes are :meth:`fused_axpy` followed by
-        :meth:`fused_dot` over the updated ``w`` (see ``fused_axpy_dot``
-        in ``C_SOURCE``), reading or decoding every row piece once.
-        ``work`` holds the ``8 j`` lane accumulators and, for a
-        compressed source, ``j * fused_piece`` decoded values after them.
-        """
-        j, n, tile = int(j), int(n), int(tile)
-        if tile < 1:
-            raise ValueError("tile must be positive")
-        source = self._fused_source(rows, j, n)
-        pieces = getattr(rows, "piece", 0)
-        args = (
-            self._operand(y, j, "y"), self._operand(w, n, "w", True),
-            self._operand(u, j, "u", True),
-            self._operand(work, j * (8 + pieces), "work", True),
-        )
-        if j and n:
-            self._lib.fused_axpy_dot(*source, j, n, tile, *args)
-
     def decode_gather(self, comp, indices) -> np.ndarray:
         """Decode arbitrary positions straight from the stored payload."""
         layout = comp.layout
@@ -1713,7 +1574,9 @@ class CEngine:
                 )
             if not size:  # C tells the two kinds of source apart by a pointer
                 values = _NO_VALUES
-        return self._fused_source(values, 1, size)
+            values = DenseRows(self, values)
+        values._walk(1, size)  # one row of ``size`` values, or a named error
+        return values.source
 
     def block_diag_apply(self, blocks, v, bs, n) -> np.ndarray:
         blocks = self._c(blocks, np.float64)

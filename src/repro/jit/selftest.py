@@ -179,6 +179,8 @@ def _check_decode_tile(engine, rng: np.random.Generator) -> None:
 def _check_fused(engine, rng: np.random.Generator) -> None:
     """The fused reductions against the written order's numpy spelling.
 
+    The walks are those of the engine's own row sources
+    (``engine.dense_rows`` / ``engine.row_table``): the route a solve takes.
     Float64 rows read in place and FRSZ2 rows decoded in the kernel must
     both reproduce ``dot_rows_numpy`` / ``axpy_rows_numpy`` — and the
     sweep the one after the other, which is its definition — over the
@@ -216,11 +218,15 @@ def _check_fused(engine, rng: np.random.Generator) -> None:
         table = engine.row_table([engine.row_pointers(c) for c in comps])
         return f"l={bit_length} bs={block_size}", table, decoded
 
+    def float64(vectors):
+        dense = np.array(vectors)
+        return "float64", engine.dense_rows(dense), dense
+
     piece = engine.fused_piece
     cases = []
     n = 203
     vectors, plain, hostile = sample(n)
-    sources = [("float64", np.array(vectors), np.array(vectors), (plain, hostile))]
+    sources = [(*float64(vectors), (plain, hostile))]
     for bit_length, block_size in ((16, 32), (21, 32), (32, 32), (32, 5)):
         sources.append((*compressed(vectors, bit_length, block_size), (plain,)))
     # the sweep's tile walk is one piece here: a tile that ends inside a
@@ -230,7 +236,7 @@ def _check_fused(engine, rng: np.random.Generator) -> None:
     # multiple of 8, of one piece plus one whole lane group, and of n
     n = 2 * piece + 77
     vectors, plain, _ = sample(n)
-    sources = [("float64", np.array(vectors), np.array(vectors), (plain,)),
+    sources = [(*float64(vectors), (plain,)),
                (*compressed(vectors, 32, 32), (plain,))]
     tiles = (piece + 13, piece + 8, n)
     cases.append((n, tiles, tiles, sources))
@@ -241,8 +247,6 @@ def _check_fused(engine, rng: np.random.Generator) -> None:
         return ref.tobytes() == got.tobytes()
 
     for n, tiles, sweep_tiles, sources in cases:
-        work = np.empty(n)
-        sweep_work = np.empty(y.size * (8 + piece))
         for tag, rows, dense, operands in sources:
             tag = f"{tag} n={n}"
             for w in operands:
@@ -252,25 +256,24 @@ def _check_fused(engine, rng: np.random.Generator) -> None:
                     dot_rows_numpy(dense, y.size, n, tile, w, ref)
                     for j in (1, 6):
                         got = np.zeros(j)
-                        engine.fused_dot(rows, j, n, tile, w, got, work)
+                        rows.fused_dot(j, n, tile, w, got)
                         _expect(same(ref[:j], got),
                                 f"fused.dot_basis ({tag} j={j} tile={tile})")
                 for j in (1, 6):  # axpy: the first row alone; a group of four + one
                     combined, got = w.copy(), w.copy()
                     axpy_rows_numpy(dense, j, n, y, combined, True)
-                    engine.fused_axpy(rows, j, n, y, got, True)
+                    rows.fused_axpy(j, n, n, y, got, True)
                     _expect(same(combined, got), f"fused.combine ({tag} j={j})")
                     # element for element, the axpy is w minus the combine
                     updated, got = w - combined, w.copy()
-                    engine.fused_axpy(rows, j, n, y, got)
+                    rows.fused_axpy(j, n, n, y, got)
                     _expect(same(updated, got), f"fused.axpy ({tag} j={j})")
                     # the sweep is the axpy, then the dot of what it left;
                     # the ordinary operand does, the lane code is shared
                     for tile in sweep_tiles if w is operands[0] else ():
                         ref, got, got_w = np.zeros(j), np.zeros(j), w.copy()
                         dot_rows_numpy(dense, j, n, tile, updated, ref)
-                        engine.fused_axpy_dot(
-                            rows, j, n, tile, y, got_w, got, sweep_work)
+                        rows.fused_axpy_dot(j, n, tile, y, got_w, got)
                         _expect(same(ref, got) and same(updated, got_w),
                                 f"fused.axpy_dot ({tag} j={j} tile={tile})")
 

@@ -28,12 +28,12 @@ from the iteration log (:class:`repro.solvers.gmres.SolveStats`), not
 from the cache.
 
 A fused call costs one kernel call plus ``O(1)`` Python because the basis
-*keeps* what the call walks for as long as it stays true: the mirror's
-rows and their C pointer from construction on, and — streaming, compiled
-— one engine row table that every :meth:`KrylovBasis.write_vector`
-extends in place with the slot it has just proved eligible.  A call only
-checks that the leading ``j``
-slots are still those accessors holding those containers
+*keeps* the row source the call walks for as long as it stays true: the
+mirror's rows (and their C pointer) from construction on, and —
+streaming, compiled — one :class:`~repro.accessor.Frsz2Tiles` that every
+:meth:`KrylovBasis.write_vector` extends in place with the slot it has
+just proved eligible.  A call only checks that the leading ``j`` slots
+are still those accessors holding those containers
 (:meth:`KrylovBasis._rows`); if not, it builds the per-call reader that
 proves everything from scratch and loads tile by tile what C cannot walk.
 """
@@ -64,24 +64,6 @@ __all__ = ["KrylovBasis", "BASIS_MODES"]
 
 #: supported basis modes (``--basis-mode`` on the CLI)
 BASIS_MODES = ("cached", "streaming")
-
-
-class _KeptRows(TileReader):
-    """The leading ``j`` rows of the source a :class:`KrylovBasis` keeps:
-    the one reader of its fused calls that build nothing — the basis sets
-    ``j`` and hands it to the call.  ``source`` is the mirror's rows
-    (cached mode), the basis's :class:`~repro.accessor.Frsz2Tiles`, which
-    bills the ``j`` accessors the pass it hands out, or ``None`` while a
-    streaming basis has no rows C can walk."""
-
-    def __init__(self, source, n: int, backend: str) -> None:
-        self.source, self.j, self.n, self.backend = source, 0, n, backend
-
-    def rows(self, tile_elems: int):
-        source = self.source
-        if isinstance(source, Frsz2Tiles):
-            return source.sweep(tile_elems, self.j)
-        return source
 
 
 class KrylovBasis:
@@ -173,17 +155,17 @@ class KrylovBasis:
         )
         self._written = 0
         #: the reader, and in it the row source, that fused calls walk
-        #: without building anything (see :meth:`_rows`).  Cached: the
-        #: mirror's columns as C rows — and, under jit, their pointer —
-        #: made here, once.  Streaming: one engine table over the slots
+        #: without building anything (see :meth:`_rows`): the basis sets
+        #: its ``j`` and hands it to the call.  Cached: the mirror's
+        #: columns as C rows — and, under jit, their pointer — made here,
+        #: once.  Streaming: one :class:`Frsz2Tiles` over the slots
         #: written so far, started by the first eligible write and
-        #: extended in place by each later one.
-        kept = None
-        if self._cache is not None:
-            kept = self._cache.T
-            if self.backend == "jit":
-                kept = _dispatch.load_engine().dense_rows(kept)
-        self._kept = _KeptRows(kept, self.n, self.backend)
+        #: extended in place by each later one; ``None`` while there are
+        #: no rows C can walk.
+        self._kept = (
+            TileReader(None, 0, self.n, self.backend) if self._cache is None
+            else CachedTileReader(self._cache, 0, self.backend)
+        )
 
     @property
     def bits_per_value(self) -> float:

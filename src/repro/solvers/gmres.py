@@ -401,7 +401,8 @@ class CbGmres:
         Raises
         ------
         ValueError
-            If ``b`` has the wrong shape or ``target_rrn`` is negative.
+            If ``b`` has the wrong shape, ``b`` or ``x0`` holds a NaN or
+            an Inf, or ``target_rrn`` is negative.
         """
         from .block import solve_batch
 

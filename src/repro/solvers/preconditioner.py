@@ -154,8 +154,10 @@ def _stored_values(acc):
         acc._record_read()
         return acc._data
     tiles = Frsz2Tiles.open([acc])
-    table = tiles.sweep(acc.n) if tiles is not None else None
-    return table if table is not None else acc.read()
+    if tiles is None or tiles.table is None:
+        return acc.read()
+    tiles.bill_pass(acc.n)
+    return tiles.table
 
 
 class Preconditioner(abc.ABC):

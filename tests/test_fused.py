@@ -37,6 +37,7 @@ from repro.fused import (
     dot_basis_fused,
     tile_grid,
 )
+from repro.fused.kernels import TileReader, _LoadedRows, _NumpyRows
 from repro.solvers import CbGmres, make_problem
 from repro.solvers.basis import BASIS_MODES, KrylovBasis
 from repro.solvers.orthogonal import cgs_orthogonalize
@@ -239,7 +240,8 @@ class TestWrittenOrder:
         w, y = rng.standard_normal(333), rng.standard_normal(4)
         in_place = CachedTileReader(np.asfortranarray(dense), 4, backend)
         by_tile = CachedTileReader(np.ascontiguousarray(dense), 4, backend)
-        assert in_place.rows(96) is not None and by_tile.rows(96) is None
+        assert type(in_place.source) is not _LoadedRows
+        assert type(by_tile.source) is _LoadedRows
         for op in (lambda r: dot_basis_fused(r, w, 96),
                    lambda r: combine_fused(r, y, 96),
                    lambda r: axpy_fused(r, y, w.copy(), 96)):
@@ -250,7 +252,7 @@ class TestWrittenOrder:
 #: ``None`` for the dense caches
 _SWEEP_ROUTES = {
     "mirror": None,          # F-order cache, rows read in place
-    "c_order": None,         # C-order cache, tile by tile through load()
+    "c_order": None,         # C-order cache, loaded tile by tile
     "streaming": ["frsz2_32"],   # jit: the row table; numpy: codec tiles
     "numpy_codecs": ["frsz2_32"],  # numpy codecs under the reader's kernels
     "wrapped": ["frsz2_32"],       # a fault-injecting wrapper on slot 1
@@ -305,7 +307,7 @@ class TestSweepIsAxpyThenDot:
                 for tile in (32, 40, 2048, n + 7):
                     reader = _sweep_reader(route, backend, vectors, j)
                     if route == "streaming":
-                        one_call = reader.rows(tile) is not None
+                        one_call = type(reader.source) is Frsz2Tiles
                         assert one_call == (backend == "jit" and j > 0)
                     separate = w.copy()
                     axpy_fused(reader, y, separate, tile)
@@ -366,6 +368,82 @@ class TestSweepIsAxpyThenDot:
         before = (log.dot_calls, log.tiles)
         bill_dot_fused(0, n, 64, tracer, log)
         assert (log.dot_calls, log.tiles) == before
+
+
+class _Subclassed(Frsz2Accessor):
+    """Not exactly a ``Frsz2Accessor``, so never read behind its back: a
+    wrapped slot that bills its tiles like the format it wraps."""
+
+
+class TestEverySourceKind:
+    """The row-source protocol of :mod:`repro.fused.kernels`: whatever
+    source a reader carries, each of the three walks leaves the same bytes
+    and bills every accessor the tile reads of a ``read_tile`` loop."""
+
+    n, j, tile = 523, 5, 96
+
+    def _accessors(self, vectors, backend, wrapped=None):
+        accs = [(_Subclassed if r == wrapped else Frsz2Accessor)(self.n, backend=backend)
+                for r in range(self.j)]
+        for r, acc in enumerate(accs):
+            acc.write(vectors[:, r])
+        return accs
+
+    def _reader(self, kind, backend, vectors, decoded):
+        """``(reader, the accessors it bills)``, once the reader carries
+        the source its ``kind`` and ``backend`` call for."""
+        from repro.jit.cbackend import DenseRows
+
+        jit = backend == "jit"
+        if kind in ("rows", "c_order"):  # the mirror's layout, or not
+            order = np.asfortranarray if kind == "rows" else np.ascontiguousarray
+            accs, reader = [], CachedTileReader(order(decoded), self.j, backend)
+        else:  # plain accessors; "read_tile": slot 1 is not exactly one
+            accs = self._accessors(
+                vectors, backend, wrapped=1 if kind == "read_tile" else None)
+            reader = StreamingTileReader(accs, self.j, backend)
+        expected = {"rows": DenseRows if jit else _NumpyRows,
+                    "tiles": Frsz2Tiles if jit else _LoadedRows}
+        assert type(reader.source) is expected.get(kind, _LoadedRows)
+        if kind == "tiles" and not jit:  # loaded by the codec's tile decoder
+            assert type(reader.source.load.__self__) is Frsz2Tiles
+        elif kind == "read_tile":  # ... and here by one read_tile per slot
+            assert not hasattr(reader.source.load, "__self__")
+        return reader, accs
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("kind", ["rows", "tiles", "c_order", "read_tile"])
+    @pytest.mark.parametrize("walk", ["dot", "axpy", "sweep"])
+    def test_same_bytes_and_the_same_bill(self, walk, kind, backend):
+        rng = np.random.default_rng(29)
+        vectors = rng.standard_normal((self.n, self.j)) / np.sqrt(self.n)
+        w, y = rng.standard_normal(self.n), rng.standard_normal(self.j)
+        # the reference: the decoded values under the numpy kernels, and
+        # the bill of one read_tile per accessor per tile
+        billed = self._accessors(vectors, "numpy")
+        decoded = np.stack([acc.read() for acc in billed], axis=1)
+        for acc in billed:
+            acc.traffic.reads = acc.traffic.bytes_read = 0
+            for t0, t1 in tile_grid(self.n, self.tile):
+                acc.read_tile(t0, t1)
+
+        def run(reader):
+            out_w = w.copy()
+            if walk == "dot":
+                out = dot_basis_fused(reader, out_w, self.tile)
+            elif walk == "axpy":
+                out = axpy_fused(reader, y, out_w, self.tile)
+            else:
+                out = axpy_dot_fused(reader, y, out_w, self.tile)
+            return _bits(out), _bits(out_w)
+
+        reference = TileReader(_NumpyRows(np.ascontiguousarray(decoded.T)),
+                               self.j, self.n, "numpy")
+        reader, accs = self._reader(kind, backend, vectors, decoded)
+        assert run(reader) == run(reference)
+        for acc, ref in zip(accs, billed):
+            assert (acc.traffic.tile_reads, acc.traffic.bytes_read) == (
+                ref.traffic.tile_reads, ref.traffic.bytes_read)
 
 
 class TestHostileInputs:
@@ -455,63 +533,62 @@ class TestHostileInputs:
 
     @requires_jit
     def test_the_engine_checks_what_it_hands_to_c(self):
-        """The compiled kernels' own boundary: rows, counts, operands and
-        the work buffer are checked before any pointer is taken."""
+        """The compiled kernels' boundary, in the two layers that own it:
+        the fused functions check every operand they are handed (and make
+        ``h`` / ``u`` / the work buffer themselves), the source's
+        ``_walk`` checks ``j`` and ``n`` against the rows it really holds —
+        both before any pointer reaches C."""
         from repro.jit import load_engine
 
         engine = load_engine()
         cached, streaming = self._readers("jit")
-        rows, table = cached.rows(32), streaming.rows(32)
-        w, h, y = np.zeros(self.n), np.zeros(self.j), np.ones(self.j)
-        work = np.empty(32)
-        engine.fused_dot(table, self.j, self.n, 32, w, h, work)
-        for call in (
-            lambda: engine.fused_dot(rows, self.j + 2, self.n, 32, w, np.zeros(5)),
-            lambda: engine.fused_dot(rows, self.j, self.n + 1, 32, np.zeros(101), h),
-            lambda: engine.fused_dot(rows, self.j, self.n, 32, w[:50], h),
-            lambda: engine.fused_dot(rows, self.j, self.n, 32, w, h[:2]),
-            lambda: engine.fused_dot(rows, self.j, self.n, 0, w, h),
-            lambda: engine.fused_dot(rows[:, ::2], self.j, 50, 32, w, h),
-            lambda: engine.fused_dot(rows.astype(np.float32), self.j, self.n, 32, w, h),
-            lambda: engine.fused_dot(table, self.j, self.n, 32, w, h),
-            lambda: engine.fused_dot(table, self.j, self.n, 32, w, h, work[:31]),
-            lambda: engine.fused_dot(table, self.j, 64, 32, w, h, work),
-            lambda: engine.fused_dot(table, self.j + 1, self.n, 32, w, np.zeros(4), work),
-            lambda: engine.fused_axpy(rows, self.j, self.n, y[:2], w),
-            lambda: engine.fused_axpy(rows, self.j, self.n, y, w[:99]),
-            lambda: engine.fused_axpy(table, self.j, self.n, y, np.zeros(self.n)[::1][:50]),
-        ):
-            with pytest.raises(ValueError):
-                call()
+        rows = np.zeros((4, self.n))
+        w, y = np.zeros(self.n), np.ones(self.j)
         frozen = np.zeros(self.n)
         frozen.flags.writeable = False
-        with pytest.raises(ValueError, match="writable"):
-            engine.fused_axpy(rows, self.j, self.n, y, frozen)
-        # the sweep indexes y, w, u, the 8 j lanes of work and, for a
-        # compressed source, j decoded pieces after them
-        lanes, pieces = 8 * self.j, self.j * engine.fused_piece
-        u, work = np.zeros(self.j), np.empty(lanes + pieces)
-        engine.fused_axpy_dot(rows, self.j, self.n, 32, y, w, u, work[:lanes])
-        engine.fused_axpy_dot(table, self.j, self.n, 32, y, w, u, work)
-        other = type(engine)()
+
+        def depth(reader, j, n=self.n):  # the same source, asked for more
+            return TileReader(reader.source, j, n, "jit")
+
+        dot_basis_fused(streaming, w, 32)
         for call in (
-            lambda: engine.fused_axpy_dot(rows, self.j, self.n, 32, y[:2], w, u, work),
-            lambda: engine.fused_axpy_dot(rows, self.j, self.n, 32, y, w[:99], u, work),
-            lambda: engine.fused_axpy_dot(rows, self.j, self.n, 32, y, w, u[:2], work),
-            lambda: engine.fused_axpy_dot(rows, self.j, self.n, 32, y, w, u, work[:lanes - 1]),
-            lambda: engine.fused_axpy_dot(rows, self.j, self.n, 32, y, w, u, None),
-            lambda: engine.fused_axpy_dot(rows, self.j, self.n, 0, y, w, u, work),
-            lambda: engine.fused_axpy_dot(rows, self.j, self.n, 32, y, frozen, u, work),
-            lambda: engine.fused_axpy_dot(rows, self.j + 2, self.n, 32, np.ones(5), w, np.zeros(5), work),
-            lambda: engine.fused_axpy_dot(table, self.j, self.n, 32, y, w, u, work[:lanes]),
-            lambda: engine.fused_axpy_dot(table, self.j, self.n, 32, y, w, u, work[:-1]),
-            lambda: engine.fused_axpy_dot(table, self.j, 64, 32, y, w, u, work),
-            lambda: engine.fused_axpy_dot(work[::2].reshape(1, -1), 1, 8, 32, y, w, u, work),
-            lambda: other.fused_axpy_dot(table, self.j, self.n, 32, y, w, u, work),
-            lambda: other.fused_dot(table, self.j, self.n, 32, w, h, work),
+            lambda: dot_basis_fused(depth(cached, self.j + 2), w, 32),
+            lambda: dot_basis_fused(depth(cached, self.j, self.n + 1), np.zeros(101), 32),
+            lambda: dot_basis_fused(cached, w[:50], 32),
+            lambda: dot_basis_fused(cached, w, 0),
+            lambda: engine.dense_rows(rows[:, ::2]),
+            lambda: engine.dense_rows(rows.astype(np.float32)),
+            lambda: engine.dense_rows(rows[0]),
+            lambda: dot_basis_fused(depth(streaming, self.j, 64), np.zeros(64), 32),
+            lambda: dot_basis_fused(depth(streaming, self.j + 1), w, 32),
+            lambda: axpy_fused(cached, y[:2], w, 32),
+            lambda: axpy_fused(cached, y, w[:99], 32),
+            lambda: axpy_fused(streaming, y, np.zeros(self.n)[:50], 32),
+            lambda: axpy_fused(depth(streaming, self.j, 64), y, np.zeros(64), 32),
         ):
             with pytest.raises(ValueError):
                 call()
+        with pytest.raises(ValueError, match="writable"):
+            axpy_fused(cached, y, frozen, 32)
+        # the sweep indexes y, w and u; its lanes and, for a compressed
+        # source, its decoded pieces live in a buffer the source keeps
+        axpy_dot_fused(cached, y, w, 32)
+        axpy_dot_fused(streaming, y, w, 32)
+        table = streaming.source.table
+        assert table._work.size == self.j * (8 + engine.fused_piece)
+        for call in (
+            lambda: axpy_dot_fused(cached, y[:2], w, 32),
+            lambda: axpy_dot_fused(cached, y, w[:99], 32),
+            lambda: axpy_dot_fused(cached, y, w, 0),
+            lambda: axpy_dot_fused(cached, y, frozen, 32),
+            lambda: axpy_dot_fused(depth(cached, self.j + 2), np.ones(5), w, 32),
+            lambda: axpy_dot_fused(depth(streaming, self.j, 64), y, np.zeros(64), 32),
+            lambda: axpy_dot_fused(depth(streaming, self.j + 1), np.ones(4), w, 32),
+            lambda: table.fused_axpy_dot(0, self.n, 32, y, w, np.zeros(0)),
+        ):
+            with pytest.raises(ValueError):
+                call()
+        np.testing.assert_array_equal(frozen, np.zeros(self.n))
 
     @requires_jit
     def test_container_arrays_must_match_their_layout(self):
@@ -601,7 +678,8 @@ class TestReaderBitIdentity:
         out = np.empty((2, 64))
         assert Frsz2Tiles.open(accs) is None
         reader = StreamingTileReader(accs, 2)
-        reader.load(0, 64, out)
+        assert type(reader.source) is _LoadedRows
+        reader.source.load(0, 64, out)
         for row, acc in enumerate(accs):
             np.testing.assert_array_equal(out[row], acc.read()[:64])
 
@@ -636,7 +714,7 @@ class TestStreamingReaderSemantics:
         np.testing.assert_array_equal(dot_basis_fused(held, w, 64), after)
         expect = np.array([acc.read() for acc in basis.accessors[:3]])
         scratch = np.empty((3, 64))
-        held.load(64, 128, scratch)
+        held.source.load(64, 128, scratch)  # either source's own loader
         np.testing.assert_array_equal(scratch, expect[:, 64:128])
 
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -738,7 +816,7 @@ class TestStreamingReaderSemantics:
             acc.write(v)
         assert Frsz2Tiles.open(accs) is None
         out = np.empty((2, 64))
-        StreamingTileReader(accs, 2).load(0, 64, out)
+        StreamingTileReader(accs, 2).source.load(0, 64, out)
         np.testing.assert_array_equal(out[0], accs[0].read()[:64])
         np.testing.assert_array_equal(out[1], 2.0 * accs[0].codec.decompress(
             accs[1].compressed)[:64])

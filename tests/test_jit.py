@@ -150,15 +150,15 @@ class TestDispatch:
         """A dot whose lanes are summed in another tree order — right to
         the last bit but one on most inputs — must not load."""
 
-        class PairwiseLate(cbackend.CEngine):
-            def fused_dot(self, rows, j, n, tile, w, h, work=None):
-                # two half-tiles instead of one tile: same values, same
-                # lanes, another association of the partial sums
-                if tile >= 16:
-                    tile //= 2
-                super().fused_dot(rows, j, n, tile, w, h, work)
+        real = cbackend._Rows.fused_dot
 
-        monkeypatch.setattr(cbackend, "CEngine", PairwiseLate)
+        def pairwise_late(self, j, n, tile, w, h):
+            # two half-tiles instead of one tile: same values, same
+            # lanes, another association of the partial sums
+            return real(self, j, n, tile // 2 if tile >= 16 else tile, w, h)
+
+        # the walk every source of the engine inherits: the one a solve takes
+        monkeypatch.setattr(cbackend._Rows, "fused_dot", pairwise_late)
         dispatch._reset_engine_cache()
         try:
             assert dispatch.load_engine() is None
@@ -174,12 +174,12 @@ class TestDispatch:
         one piece — every operand the self-test had before the sweep —
         and must not load."""
 
-        class LanesPerPiece(cbackend.CEngine):
-            def fused_axpy_dot(self, rows, j, n, tile, y, w, u, work):
-                super().fused_axpy_dot(
-                    rows, j, n, min(tile, self.fused_piece), y, w, u, work)
+        real = cbackend._Rows.fused_axpy_dot
 
-        monkeypatch.setattr(cbackend, "CEngine", LanesPerPiece)
+        def lanes_per_piece(self, j, n, tile, y, w, u):
+            return real(self, j, n, min(tile, self._engine.fused_piece), y, w, u)
+
+        monkeypatch.setattr(cbackend._Rows, "fused_axpy_dot", lanes_per_piece)
         dispatch._reset_engine_cache()
         try:
             assert dispatch.load_engine() is None
@@ -188,6 +188,34 @@ class TestDispatch:
         finally:
             monkeypatch.undo()
             dispatch._reset_engine_cache()
+
+    @requires_jit
+    def test_declarations_are_read_off_the_c_source(self):
+        """cffi's ABI mode checks no prototype against the library, so
+        there is one spelling of each: what cffi is told is derived from
+        ``C_SOURCE``, and names exactly what the built library exports."""
+        import re
+        import shutil
+        import subprocess
+
+        declared = {  # the name before a prototype's "(" or a constant's ";"
+            re.search(r"(\w+)\s*(?:\(|$)", declaration.strip()).group(1)
+            for declaration in cbackend._CDEF.split(";") if declaration.strip()
+        }
+        assert len(declared) == 24 == cbackend._CDEF.count(";")
+        assert "SOURCE" not in cbackend._CDEF  # every macro expanded
+        assert cbackend._CDEF == cbackend._declarations(cbackend.C_SOURCE)
+        assert dispatch.jit_unavailable_reason() is None
+        engine = dispatch.load_engine()
+        for name in declared:  # each resolves in the library that loaded
+            getattr(engine._lib, name)
+        if shutil.which("nm"):
+            symbols = subprocess.run(
+                ["nm", "-D", "--defined-only", cbackend._build_library()],
+                check=True, capture_output=True, text=True).stdout
+            # ISA clones export ``name.default`` etc. beside ``name``
+            exported = {line.split()[-1] for line in symbols.splitlines()}
+            assert {s for s in exported if re.fullmatch(r"[a-z]\w*", s)} == declared
 
     @requires_jit
     def test_rejected_clones_fall_back_to_the_plain_build(

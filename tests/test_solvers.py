@@ -373,3 +373,32 @@ class TestSolveStats:
         # each iteration writes at most one basis vector (+1 per cycle)
         assert s.basis_writes <= s.iterations + s.restarts + 1
         assert s.basis_reads > 0
+
+
+@pytest.mark.filterwarnings("error")
+class TestHostileRightHandSide:
+    """ROADMAP 6(e): a NaN in ``b`` used to end as ``converged=False``
+    without a word and an Inf as a ``RuntimeWarning`` from a division deep
+    in the cycle; both, and the same in ``x0``, are refused at the entry,
+    naming the column — no warning on the way."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["b", "x0"])
+    @pytest.mark.parametrize("entry, width", [
+        ("solve", 1), ("solve_batch", 1), ("solve_batch", 3), ("fgmres", 1),
+    ])
+    def test_a_non_finite_column_is_refused_by_name(self, entry, width, where, bad):
+        from repro.solvers import FlexibleGmres
+
+        a, b, _ = small_system()
+        col = width // 2
+        block = {"b": np.stack([b] * width, axis=1), "x0": np.zeros((60, width))}
+        block[where][7, col] = bad
+        named = f"{'x0' if where == 'x0' else 'right-hand side'} column {col}"
+        solver = (FlexibleGmres if entry == "fgmres" else CbGmres)(
+            a, "frsz2_32", m=10, max_iter=50)
+        with pytest.raises(ValueError, match=named):
+            if entry == "solve_batch":
+                solver.solve_batch(block["b"], 1e-10, x0=block["x0"])
+            else:
+                solver.solve(block["b"][:, 0], 1e-10, x0=block["x0"][:, 0])
