@@ -70,6 +70,9 @@ class Frsz2Accessor(VectorAccessor):
         self._compressed: Optional[Frsz2Compressed] = None
         #: the compiled engine's pointers into ``_compressed`` (jit codecs)
         self._pointers = None
+        #: the engine's one-row table over ``_pointers``: the kept decoder
+        #: every full read goes through, re-pointed by each store
+        self._table = None
 
     def set_tracer(self, tracer) -> None:
         """Attach a tracer to the accessor *and* its codec."""
@@ -87,20 +90,27 @@ class Frsz2Accessor(VectorAccessor):
     def _store(self, comp: Frsz2Compressed) -> None:
         """Keep ``comp`` as the stored payload, with its C pointers.
 
-        The pointers are made here, once per stored container, so a
-        fused call assembles its table from ready pointers; a replaced
-        container replaces them, and an in-place change to the stored
-        arrays is read through them as it is.
+        The pointers are made here — where the container's arrays are
+        checked against its layout — once per stored container, so a
+        read decodes, and a fused call assembles its table, from ready
+        pointers; a replaced container replaces them, and an in-place
+        change to the stored arrays is read through them as it is.
         """
-        self._compressed = comp
-        self._pointers = self.codec.row_pointers(comp)
+        rows = self.codec.row_pointers(comp)  # before anything changes
+        self._compressed, self._pointers = comp, rows
+        if rows is None:
+            self._table = None
+        elif self._table is None or self._table.layout is not rows.layout:
+            self._table = rows.engine.row_table([rows])
+        else:
+            self._table.bind(0, rows)
 
     def read(self) -> np.ndarray:
         """Decompress the full vector into a fresh float64 array."""
         self._record_read()
         if self._compressed is None:
             return np.zeros(self.n)
-        return self.codec.decompress(self._compressed)
+        return self.codec.decompress(self._compressed, decode=self._table)
 
     def read_block(self, block: int) -> np.ndarray:
         """Block-granular random access (paper Section IV-B).
@@ -134,7 +144,9 @@ class Frsz2Accessor(VectorAccessor):
         if self._compressed is None:
             out[:] = 0.0
             return out
-        return self.codec.decompress(self._compressed, out=out)
+        return self.codec.decompress(
+            self._compressed, out=out, decode=self._table
+        )
 
     @property
     def tile_granularity(self) -> int:
@@ -169,6 +181,8 @@ class Frsz2Accessor(VectorAccessor):
         """Drop the stored payload."""
         self._compressed = None
         self._pointers = None
+        if self._table is not None:
+            self._table.truncate(0)
 
     def stored_nbytes(self) -> int:
         return self.codec.layout_for(self.n).total_nbytes

@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 __all__ = ["BlockLayout", "DEFAULT_BLOCK_SIZE"]
 
 #: The paper mandates BS = 32 on NVIDIA GPUs so a block maps onto a warp.
@@ -97,6 +99,34 @@ class BlockLayout:
         """
         l = self.bit_length
         return l in (8, 16, 32, 64)
+
+    @cached_property
+    def payload_dtype(self) -> np.dtype:
+        """Stored dtype of the value stream: ``uint8/16/32/64`` slots on
+        the aligned path, packed ``uint32`` words otherwise."""
+        return np.dtype(f"u{self.bit_length // 8 if self.is_aligned else 4}")
+
+    @cached_property
+    def payload_size(self) -> int:
+        """Elements of the stored value stream: one slot per value of
+        every (whole) block when aligned, else :attr:`value_words`."""
+        if self.is_aligned:
+            return self.num_blocks * self.block_size
+        return self.value_words
+
+    def check_arrays(self, payload, exponents) -> None:
+        """Raise unless the two arrays are a container of this layout.
+
+        The one check between a container built anywhere — loaded, sliced
+        or assembled by hand — and a decoder that indexes its arrays by
+        the layout alone.  The exponents may be any integer dtype (the
+        decoders convert); the payload is read as stored.
+        """
+        if (payload.dtype != self.payload_dtype
+                or payload.shape != (self.payload_size,)
+                or exponents.dtype.kind not in "iu"
+                or exponents.shape != (self.num_blocks,)):
+            raise ValueError("container arrays do not match their block layout")
 
     def block_bit_start(self, block: int) -> int:
         """Bit offset of a block's first field in the value stream."""

@@ -24,7 +24,7 @@ Two data paths exist, as in the paper (Section IV-C opt. 3):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from typing import Callable, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -72,13 +72,6 @@ class Frsz2Compressed:
         return self.layout.bits_per_value
 
 
-_ALIGNED_DTYPES = {8: np.uint8, 16: np.uint16, 32: np.uint32, 64: np.uint64}
-
-#: ceiling on the number of float64 values staged per batched-encode
-#: chunk (2 MiB of staging); keeps ``compress_batch`` peak transient
-#: memory bounded independent of the batch size
-_BATCH_CHUNK_VALUES = 1 << 18
-
 #: values per batched-decode chunk: large enough to amortize the
 #: ~20-ufunc decode pipeline's Python overhead, small enough that its
 #: elementwise temporaries (~a dozen 8-byte-per-value arrays) stay
@@ -87,17 +80,10 @@ _DECODE_CHUNK_VALUES = 1 << 14
 
 
 # ----------------------------------------------------------------------
-# numpy reference kernels (the `backend="numpy"` registry entries)
+# numpy reference kernels: the three `backend="numpy"` registry entries
+# and the steps they are made of (which the tests' oracles import)
 # ----------------------------------------------------------------------
 
-# The bitpack primitives are kernels in their own right (the jit engine
-# replaces them); register the reference implementations here so both
-# backends resolve through the same registry.
-_dispatch.register_kernel("bitpack.pack_at", "numpy", bitpack.pack_at)
-_dispatch.register_kernel("bitpack.unpack_at", "numpy", bitpack.unpack_at)
-
-
-@_dispatch.register("frsz2.encode_fields", "numpy")
 def encode_fields_numpy(
     x: np.ndarray, bit_length: int, block_size: int, rounding: bool
 ) -> "tuple[np.ndarray, np.ndarray]":
@@ -156,7 +142,6 @@ def encode_fields_numpy(
     return fields, e_max.astype(np.int32)
 
 
-@_dispatch.register("frsz2.decode_fields", "numpy")
 def decode_fields_numpy(
     fields: np.ndarray, e_max_per_value: np.ndarray, bit_length: int
 ) -> np.ndarray:
@@ -187,48 +172,44 @@ def decode_fields_numpy(
     return ieee754.assemble(sign, e_field, mant)
 
 
-def _stream_bit_positions(indices: np.ndarray, layout: BlockLayout) -> np.ndarray:
-    """Stream bit offsets of value fields (blocks are word-aligned)."""
-    bs = layout.block_size
-    block = indices // bs
-    within = indices - block * bs
-    return block * (layout.words_per_block * 32) + within * layout.bit_length
-
-
 def _read_fields_numpy(comp: "Frsz2Compressed", indices: np.ndarray) -> np.ndarray:
-    l = comp.layout.bit_length
     if comp.layout.is_aligned:
         return comp.payload[indices].astype(np.uint64)
-    bitpos = _stream_bit_positions(indices, comp.layout)
-    return bitpack.unpack_at(comp.payload, bitpos, l)
+    bitpos = comp.layout.value_bit_position(indices)[1]
+    return bitpack.unpack_at(comp.payload, bitpos, comp.layout.bit_length)
 
 
-@_dispatch.register("frsz2.pack_stream", "numpy")
 def pack_stream_numpy(fields: np.ndarray, layout: BlockLayout) -> np.ndarray:
     """Straddling-path payload build (blocks word-aligned)."""
     payload = np.zeros(layout.value_words, dtype=np.uint32)
-    bitpos = _stream_bit_positions(
-        np.arange(fields.size, dtype=np.int64), layout
-    )
+    bitpos = layout.value_bit_position(np.arange(fields.size, dtype=np.int64))[1]
     bitpack.pack_at(payload, bitpos, fields, layout.bit_length)
     return payload
 
 
-@_dispatch.register("frsz2.decode_stream", "numpy")
-def decode_stream_numpy(comp: "Frsz2Compressed", out: np.ndarray) -> np.ndarray:
-    """Full-container decode: the composition the jit engine fuses."""
-    n = comp.n
-    indices = np.arange(n, dtype=np.int64)
-    fields = _read_fields_numpy(comp, indices)
-    e_max = np.repeat(comp.exponents.astype(np.int64), comp.layout.block_size)[:n]
-    out[:] = decode_fields_numpy(fields, e_max, comp.layout.bit_length)
-    return out
+@_dispatch.register("frsz2.encode", "numpy")
+def encode_numpy(
+    x: np.ndarray, layout: BlockLayout, rounding: bool
+) -> "tuple[np.ndarray, np.ndarray]":
+    """Steps 1-6: ``x`` as the stored payload (in its stored dtype, the
+    Eq. 3 padding zero) and the ``int32`` block exponents of ``layout``."""
+    fields, exponents = encode_fields_numpy(
+        x, layout.bit_length, layout.block_size, rounding
+    )
+    if not layout.is_aligned:
+        return pack_stream_numpy(fields, layout), exponents
+    payload = np.zeros(layout.payload_size, dtype=layout.payload_dtype)
+    payload[: fields.size] = fields  # fields are < 2**l: the cast is exact
+    return payload, exponents
 
 
 @_dispatch.register("frsz2.decode_gather", "numpy")
 def decode_gather_numpy(comp: "Frsz2Compressed", indices: np.ndarray) -> np.ndarray:
-    """Positional decode: the composition the jit engine fuses."""
+    """Positional decode of one (checked) container."""
+    comp.layout.check_arrays(comp.payload, comp.exponents)
     indices = np.asarray(indices, dtype=np.int64)
+    if indices.size and (indices.min() < 0 or indices.max() >= comp.n):
+        raise IndexError(f"index out of range for {comp.n} stored values")
     fields = _read_fields_numpy(comp, indices)
     e_max = comp.exponents.astype(np.int64)[indices // comp.layout.block_size]
     return decode_fields_numpy(fields, e_max, comp.layout.bit_length)
@@ -251,6 +232,8 @@ def decode_tile_numpy(comps: "Sequence[Frsz2Compressed]"):
     """
     layout = comps[0].layout
     bs, l = layout.block_size, layout.bit_length
+    for c in comps:
+        layout.check_arrays(c.payload, c.exponents)
 
     def kernel(i0: int, i1: int, out: np.ndarray) -> None:
         m = i1 - i0
@@ -312,19 +295,8 @@ class FRSZ2:
         self.block_size = int(block_size)
         self.rounding = bool(rounding)
         self.backend = _dispatch.resolve_backend(backend)
-        self._encode_kernel = _dispatch.get_kernel(
-            "frsz2.encode_fields", self.backend
-        )
-        self._decode_kernel = _dispatch.get_kernel(
-            "frsz2.decode_fields", self.backend
-        )
-        self._pack_stream_kernel = _dispatch.get_kernel(
-            "frsz2.pack_stream", self.backend
-        )
+        self._encode_kernel = _dispatch.get_kernel("frsz2.encode", self.backend)
         self._tile_kernel = _dispatch.get_kernel("frsz2.decode_tile", self.backend)
-        self._stream_kernel = _dispatch.get_kernel(
-            "frsz2.decode_stream", self.backend
-        )
         self._gather_kernel = _dispatch.get_kernel(
             "frsz2.decode_gather", self.backend
         )
@@ -345,16 +317,6 @@ class FRSZ2:
         ):
             layout = self._layout = BlockLayout(n, self.block_size, self.bit_length)
         return layout
-
-    def _encode_fields(self, x: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
-        """Steps 1-5: per-value l-bit fields and per-block exponents.
-
-        Dispatches to the backend's ``frsz2.encode_fields`` kernel
-        (:func:`encode_fields_numpy` is the reference).
-        """
-        return self._encode_kernel(
-            x, self.bit_length, self.block_size, self.rounding
-        )
 
     def compress(self, x: np.ndarray) -> Frsz2Compressed:
         """Compress a 1-D float64 array into an :class:`Frsz2Compressed`.
@@ -383,8 +345,7 @@ class FRSZ2:
         if x.ndim != 1:
             raise ValueError("FRSZ2 compresses 1-D arrays")
         layout = self.layout_for(x.size)
-        fields, exponents = self._encode_fields(x)
-        payload = self._pack_fields(fields, layout)
+        payload, exponents = self._encode_kernel(x, layout, self.rounding)
         if self.tracer.enabled:
             self.tracer.count("frsz2.compress.calls")
             self.tracer.count("frsz2.compress.values", x.size)
@@ -392,34 +353,8 @@ class FRSZ2:
             self.tracer.count("frsz2.compress.blocks", layout.num_blocks)
         return Frsz2Compressed(layout=layout, exponents=exponents, payload=payload)
 
-    def _pack_fields(self, fields: np.ndarray, layout: BlockLayout) -> np.ndarray:
-        """Turn ``n`` encoded l-bit fields into the stored payload array."""
-        l = self.bit_length
-        if layout.is_aligned:
-            # Allocate the padded grid once (Eq. 3 storage) and write the
-            # fields into it; the tail stays zero.  The assignment casts
-            # uint64 -> narrow dtype exactly like the former astype +
-            # concatenate pair (fields are < 2**l, so no truncation),
-            # keeping containers bit-identical while avoiding a second
-            # allocation + copy per vector.
-            full = layout.num_blocks * self.block_size
-            if fields.size == full:  # no tail to zero: one pass
-                return fields.astype(_ALIGNED_DTYPES[l])
-            payload = np.zeros(full, dtype=_ALIGNED_DTYPES[l])
-            payload[: fields.size] = fields
-            return payload
-        return self._pack_stream_kernel(fields, layout)
-
     def compress_batch(self, xs: Sequence[np.ndarray]) -> "List[Frsz2Compressed]":
-        """Compress several same-length vectors in one vectorized pass.
-
-        The encode (steps 1-5: exponent reduction, shift, truncate/round)
-        runs once over the concatenated block grid of *all* vectors, so
-        per-call Python/NumPy overhead is paid once instead of once per
-        vector.  Each vector is padded to a whole number of blocks before
-        concatenation, so no block ever straddles two vectors and the
-        result is bit-identical to calling :meth:`compress` per vector
-        (asserted in the test suite).
+        """Compress several same-length vectors, one :meth:`compress` each.
 
         Parameters
         ----------
@@ -432,62 +367,13 @@ class FRSZ2:
             ``out[i]`` equals ``self.compress(xs[i])`` bit-for-bit.
         """
         arrays = [np.ascontiguousarray(x, dtype=np.float64) for x in xs]
-        if not arrays:
-            return []
-        n = arrays[0].size
         for a in arrays:
-            if a.ndim != 1:
-                raise ValueError("FRSZ2 compresses 1-D arrays")
-            if a.size != n:
+            if a.shape != arrays[0].shape:
                 raise ValueError(
-                    f"compress_batch needs equal-length vectors, got {a.size} != {n}"
+                    f"compress_batch needs equal-length vectors, got "
+                    f"{a.size} != {arrays[0].size}"
                 )
-        layout = self.layout_for(n)
-        bs = self.block_size
-        padded = layout.num_blocks * bs
-        # Encode in bounded chunks: the float64 staging rectangle (and
-        # the uint64 field array the encode returns) covers at most
-        # _BATCH_CHUNK_VALUES values regardless of batch size, so peak
-        # transient memory is independent of B (the streaming-basis
-        # guarantee from PR 5 would otherwise be undone here).  Each
-        # vector pads to a whole number of blocks before concatenation,
-        # so no block straddles two vectors and chunk boundaries fall on
-        # vector boundaries — results are bit-identical to the unchunked
-        # encode.  Zero padding cannot raise a block exponent (zeros
-        # contribute the minimum e_max candidate) and encodes to
-        # all-zero fields, so the split results match the per-vector
-        # encode exactly.
-        chunk_vecs = max(1, _BATCH_CHUNK_VALUES // max(padded, 1))
-        staging = np.zeros((min(chunk_vecs, len(arrays)), padded), dtype=np.float64)
-        out: "List[Frsz2Compressed]" = []
-        for start in range(0, len(arrays), chunk_vecs):
-            chunk = arrays[start : start + chunk_vecs]
-            for i, a in enumerate(chunk):
-                # only [:n] is ever written, so the pad columns stay zero
-                # across reuses of the staging buffer
-                staging[i, :n] = a
-            fields, exponents = self._encode_fields(
-                staging[: len(chunk)].reshape(-1)
-            )
-            fields = fields.reshape(len(chunk), padded)
-            exponents = exponents.reshape(len(chunk), layout.num_blocks)
-            out.extend(
-                Frsz2Compressed(
-                    layout=layout,
-                    exponents=np.ascontiguousarray(exponents[i]),
-                    payload=self._pack_fields(fields[i, :n], layout),
-                )
-                for i in range(len(chunk))
-            )
-        if self.tracer.enabled:
-            self.tracer.count("frsz2.compress_batch.calls")
-            self.tracer.count("frsz2.compress_batch.vectors", len(arrays))
-            self.tracer.count("frsz2.compress.values", n * len(arrays))
-            self.tracer.count("frsz2.compress.bytes",
-                              layout.total_nbytes * len(arrays))
-            self.tracer.count("frsz2.compress.blocks",
-                              layout.num_blocks * len(arrays))
-        return out
+        return [self.compress(a) for a in arrays]
 
     # ------------------------------------------------------------------
     # decompression (paper Section IV-B)
@@ -511,8 +397,10 @@ class FRSZ2:
         Raises
         ------
         ValueError
-            If ``comps`` is empty or the containers do not share one
-            layout (their payloads could not be walked in lockstep).
+            If ``comps`` is empty, the containers do not share one
+            layout (their payloads could not be walked in lockstep), or
+            a container's arrays are not its layout's
+            (:meth:`BlockLayout.check_arrays` — as from every decode).
         """
         comps = list(comps)
         if not comps:
@@ -594,18 +482,14 @@ class FRSZ2:
             return None
         return _dispatch.load_engine().row_pointers(comp)
 
-    def _decode_fields(
-        self, fields: np.ndarray, e_max_per_value: np.ndarray
+    def decompress(
+        self,
+        comp: Frsz2Compressed,
+        out: Optional[np.ndarray] = None,
+        decode: Optional[Callable] = None,
     ) -> np.ndarray:
-        """Steps 2-4: fields + block exponents -> float64 values.
-
-        Dispatches to the backend's ``frsz2.decode_fields`` kernel
-        (:func:`decode_fields_numpy` is the reference).
-        """
-        return self._decode_kernel(fields, e_max_per_value, self.bit_length)
-
-    def decompress(self, comp: Frsz2Compressed, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Decompress the full array.
+        """Decompress the full array: the one-row, whole-vector window
+        of the backend's ``frsz2.decode_tile`` kernel.
 
         Parameters
         ----------
@@ -614,6 +498,10 @@ class FRSZ2:
             serialized form).
         out : ndarray, shape (n,), dtype float64, optional
             Preallocated destination; reused and returned when given.
+        decode : callable, optional
+            A kept window kernel over ``[comp]`` (an accessor's, made
+            when it stored ``comp``); by default one is prepared — and
+            the container checked against its layout — for this call.
 
         Returns
         -------
@@ -625,7 +513,10 @@ class FRSZ2:
         if out is not None and (out.shape != (n,) or out.dtype != np.float64):
             raise ValueError("out must be a float64 array of matching size")
         values = out if out is not None and out.flags.c_contiguous else np.empty(n)
-        self._stream_kernel(comp, values)
+        if decode is None:
+            decode = self._tile_kernel([comp])
+        if n:
+            decode(0, n, values.reshape(1, n))
         if self.tracer.enabled:
             self.tracer.count("frsz2.decompress.calls")
             self.tracer.count("frsz2.decompress.values", n)
@@ -637,21 +528,16 @@ class FRSZ2:
             return out
         return values
 
-    def _gather(self, comp: Frsz2Compressed, idx: np.ndarray) -> np.ndarray:
-        """Decode arbitrary (in-range) positions of one container."""
-        return self._gather_kernel(comp, idx)
-
     def get(self, comp: Frsz2Compressed, indices: Union[int, np.ndarray]) -> np.ndarray:
         """Random access decompression (paper Section IV-B).
 
         Only the requested fields plus their blocks' ``e_max`` entries are
         touched — the random-access-by-block property CB-GMRES requires.
+        An index outside ``[0, n)`` is an ``IndexError`` from the kernel.
         """
         scalar = np.isscalar(indices)
         idx = np.atleast_1d(np.asarray(indices, dtype=np.int64))
-        if idx.size and (idx.min() < 0 or idx.max() >= comp.n):
-            raise IndexError("index out of range")
-        values = self._gather(comp, idx)
+        values = self._gather_kernel(comp, idx)
         if self.tracer.enabled:
             layout = comp.layout
             blocks_touched = int(np.unique(idx // layout.block_size).size)
@@ -706,7 +592,7 @@ class FRSZ2:
         grid = idx[:, None] * bs + np.arange(bs, dtype=np.int64)[None, :]
         valid = grid < comp.n
         flat = grid.ravel()[valid.ravel()]
-        values = self._gather(comp, flat)
+        values = self._gather_kernel(comp, flat)
         counts = valid.sum(axis=1)
         offsets = np.concatenate([[0], np.cumsum(counts)])
         out = [values[offsets[i]:offsets[i + 1]] for i in range(idx.size)]
@@ -779,7 +665,7 @@ class FRSZ2:
         else:
             grid = idx[:, None] * bs + np.arange(bs, dtype=np.int64)[None, :]
             flat = grid.ravel()[(grid < first.n).ravel()]
-            out = [self._gather(c, flat) for c in comps]
+            out = [self._gather_kernel(c, flat) for c in comps]
         m = int(out[0].size)
         if self.tracer.enabled:
             block_nbytes = first.words_per_block * 4 + 4

@@ -33,7 +33,7 @@ import zlib
 import numpy as np
 
 from .blocks import BlockLayout
-from .frsz2 import _ALIGNED_DTYPES, Frsz2Compressed
+from .frsz2 import Frsz2Compressed
 
 __all__ = ["dump_bytes", "load_bytes", "dump_file", "load_file", "CONTAINER_VERSION"]
 
@@ -93,7 +93,8 @@ def load_bytes(data: bytes) -> Frsz2Compressed:
     off = _HEADER.size
     exp_bytes = layout.num_blocks * 4
     trailer = _CRC.size if version >= 2 else 0
-    body_size = _HEADER.size + exp_bytes + _payload_nbytes(layout)
+    payload_bytes = layout.payload_size * layout.payload_dtype.itemsize
+    body_size = _HEADER.size + exp_bytes + payload_bytes
     expected = body_size + trailer
     if len(data) != expected:
         # Python ints don't overflow, so a hostile element count simply
@@ -112,20 +113,10 @@ def load_bytes(data: bytes) -> Frsz2Compressed:
             )
     exponents = np.frombuffer(data, dtype=np.int32, count=layout.num_blocks, offset=off).copy()
     off += exp_bytes
-    if layout.is_aligned:
-        dtype = _ALIGNED_DTYPES[l]
-        count = layout.num_blocks * bs
-    else:
-        dtype = np.uint32
-        count = layout.value_words
-    payload = np.frombuffer(data, dtype=dtype, count=count, offset=off).copy()
+    payload = np.frombuffer(
+        data, dtype=layout.payload_dtype, count=layout.payload_size, offset=off
+    ).copy()
     return Frsz2Compressed(layout=layout, exponents=exponents, payload=payload)
-
-
-def _payload_nbytes(layout: BlockLayout) -> int:
-    if layout.is_aligned:
-        return layout.num_blocks * layout.block_size * (layout.bit_length // 8)
-    return layout.value_words * 4
 
 
 def dump_file(path, comp: Frsz2Compressed, version: int = CONTAINER_VERSION) -> None:

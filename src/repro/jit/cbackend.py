@@ -11,11 +11,20 @@ Bit-identity contract
 ---------------------
 Every kernel replays the numpy reference *operation for operation*:
 
-* the FRSZ2 encode and the field-by-field decode are pure integer bit
-  manipulation — identical by construction; the block decoder
-  (``frsz2_decode_tile`` / ``frsz2_decode_stream``) additionally decodes
-  blocks whose values are all normal as an exact integer-times-power-
-  of-two product, which yields the same bits (see ``DECODE_BLOCK_RUN``);
+* the FRSZ2 encode and the field-by-field decode
+  (``frsz2_decode_gather``) are pure integer bit manipulation —
+  identical by construction; the encode stores each field at its stored
+  width as it makes it (a typed store for ``l`` in {8, 16, 32, 64}, a
+  bit-pack into the block's own words otherwise), so the container is
+  written once and no field array exists.  The block decoder
+  (``frsz2_decode_tile``; a whole container is its one-row window)
+  additionally decodes blocks whose values are all normal as an exact
+  integer-times-power-of-two product, which yields the same bits (see
+  ``DECODE_BLOCK_RUN``);
+* no decode takes a raw array pointer: each reads a container through
+  its :class:`RowPointers`, whose constructor holds the arrays to the
+  layout C indexes them by, and the gather checks every index it is
+  handed;
 * the SpMV kernels accumulate each row strictly sequentially in entry
   order, exactly like ``np.bincount`` (CSR) and the slot-wise ELL/SELL
   passes;
@@ -117,29 +126,14 @@ const char *engine_clone_fallback(void) { return REPRO_NO_CLONES; }
 static uint64_t d2u(double x) { uint64_t u; memcpy(&u, &x, 8); return u; }
 static double u2d(uint64_t u) { double x; memcpy(&x, &u, 8); return x; }
 
-/* OR one <=32-bit chunk into a little-endian uint32 word stream.  A
- * chunk shifted past its first word spills into the next one; bits
- * beyond the stream are provably zero for in-bounds fields, so the
- * spill store is skipped exactly when numpy's scatter skips it. */
-static void put_chunk(uint32_t *words, int64_t bitpos, uint64_t chunk,
-                      int64_t nbits)
-{
-    if (nbits <= 0)
-        return;
-    uint64_t mask = (1ULL << nbits) - 1ULL;
-    uint64_t v = (chunk & mask) << (bitpos & 31);
-    int64_t wi = bitpos >> 5;
-    words[wi] |= (uint32_t)(v & 0xFFFFFFFFULL);
-    uint32_t hi = (uint32_t)(v >> 32);
-    if (hi)
-        words[wi + 1] |= hi;
-}
-
 /* Read one <=32-bit chunk; the straddle read of the following word is
  * clamped to the stream like the numpy gather (the shifted-in bits are
- * masked off either way). */
-static uint64_t get_chunk(const uint32_t *words, int64_t nwords,
-                          int64_t bitpos, int64_t nbits)
+ * masked off either way).  Inlined by force, with read_packed: left to
+ * its own count of their callers, gcc 12 makes the packed decode a third
+ * slower. */
+static inline __attribute__((always_inline)) uint64_t
+get_chunk(const uint32_t *words, int64_t nwords, int64_t bitpos,
+          int64_t nbits)
 {
     int64_t wi = bitpos >> 5;
     int64_t off = bitpos & 31;
@@ -153,36 +147,71 @@ static uint64_t get_chunk(const uint32_t *words, int64_t nwords,
     return combined & mask;
 }
 
-void bitpack_pack_at(uint32_t *words, const int64_t *bitpos,
-                     const uint64_t *fields, const int64_t *widths,
-                     int64_t n)
+/* FRSZ2 compression steps 2-5 (paper Section IV-A) for one value of a
+ * block whose step-1 maximum is e_max: the l-bit field, sign first. */
+static inline __attribute__((always_inline)) uint64_t
+encode_field(double x, uint64_t e_max, int64_t l, int32_t rounding)
 {
-    for (int64_t i = 0; i < n; i++) {
-        int64_t w = widths[i];
-        uint64_t mask = w >= 64 ? ~0ULL : (1ULL << w) - 1ULL;
-        uint64_t val = fields[i] & mask;
-        int64_t lo_bits = w < 32 ? w : 32;
-        put_chunk(words, bitpos[i], val, lo_bits);
-        if (w > 32)
-            put_chunk(words, bitpos[i] + 32, val >> 32, w - 32);
+    uint64_t bits = d2u(x);
+    uint64_t be = (bits >> 52) & 0x7FF;
+    uint64_t sign = bits >> 63;
+    uint64_t e_eff = be ? be : 1;
+    uint64_t sig53 = (bits & MANTISSA_MASK) | (be ? IMPLICIT_BIT : 0);
+    int64_t k = (int64_t)(e_max - e_eff);
+    int64_t shift = 54 - l + k;
+    uint64_t base = sig53;
+    if (rounding) {
+        int64_t half_bit = shift - 1;
+        if (half_bit < 0) half_bit = 0;
+        if (half_bit > 63) half_bit = 63;
+        if (shift > 0 && shift <= 54)
+            base = sig53 + (1ULL << half_bit);
     }
+    int64_t pos = shift < 0 ? 0 : (shift > 63 ? 63 : shift);
+    int64_t neg = -shift < 0 ? 0 : (-shift > 63 ? 63 : -shift);
+    uint64_t c_sig = (base >> pos) << neg;
+    if (rounding) {
+        uint64_t limit = (1ULL << (l - 1)) - 1ULL;
+        if (c_sig > limit)
+            c_sig = limit;
+    }
+    return (sign << (l - 1)) | c_sig;
 }
 
-void bitpack_unpack_at(const uint32_t *words, int64_t nwords,
-                       const int64_t *bitpos, const int64_t *widths,
-                       int64_t n, uint64_t *out)
-{
-    for (int64_t i = 0; i < n; i++) {
-        int64_t w = widths[i];
-        int64_t lo_bits = w < 32 ? w : 32;
-        uint64_t val = get_chunk(words, nwords, bitpos[i], lo_bits);
-        if (w > 32)
-            val |= get_chunk(words, nwords, bitpos[i] + 32, w - 32) << 32;
-        out[i] = val;
+/* Step 6 for one block of an aligned layout: every field stored at its
+ * slot width (a field is < 2^l, so the cast drops nothing), the slots a
+ * short trailing block leaves over zeroed. */
+#define ENCODE_BLOCK_RUN(TYPE)                                            \
+    {                                                                     \
+        TYPE *restrict p = (TYPE *)payload + i0;                          \
+        for (int64_t k = 0; k < cnt; k++)                                 \
+            p[k] = (TYPE)encode_field(xb[k], e_max, l, rounding);         \
+        for (int64_t k = cnt; k < bs; k++)                                \
+            p[k] = 0;                                                     \
+        break;                                                            \
     }
-}
 
-/* FRSZ2 compression steps 1-5 (paper Section IV-A).  Returns 0 on
+/* Step 6 for the packed layout: a block's bit stream goes through a
+ * 64-bit accumulator acc holding fill < 32 bits; a chunk of <= 32 bits
+ * joins above them and a whole word leaves for *w as soon as it is full.
+ * ENCODE_RUN fields are made at a time, in a loop of their own that
+ * vectorises like the aligned ones. */
+#define ENCODE_RUN 32
+#define PUT_BITS(chunk, nbits)                                            \
+    {                                                                     \
+        acc |= (uint64_t)(chunk) << fill;                                 \
+        fill += (nbits);                                                  \
+        if (fill >= 32) {                                                 \
+            *w++ = (uint32_t)acc;                                         \
+            acc >>= 32;                                                   \
+            fill -= 32;                                                   \
+        }                                                                 \
+    }
+
+/* FRSZ2 compression steps 1-6: the whole stored payload — every byte of
+ * it, in its stored width — and the block exponents.  The payload's kind:
+ * 0/1/2/3 = aligned uint8/16/32/64 slots, 4 = packed uint32 word stream
+ * with word-aligned blocks of wpb words (the decoders' too).  Returns 0 on
  * success, i+1 when x[i] is NaN/Inf.  The exponent scan is a plain max
  * reduction — no exit inside it, so it vectorises — and the offending
  * index is looked for only in a block whose largest biased exponent is
@@ -190,47 +219,48 @@ void bitpack_unpack_at(const uint32_t *words, int64_t nwords,
  * data-dependent half-bit shift keeps it scalar, ~3 ns per value.) */
 CLONED
 int64_t frsz2_encode(const double *x, int64_t n, int64_t bs, int64_t l,
-                     int32_t rounding, uint64_t *fields, int32_t *e_max_out)
+                     int32_t rounding, int32_t kind, int64_t wpb,
+                     uint8_t *payload, int32_t *e_max_out)
 {
     int64_t nb = (n + bs - 1) / bs;
     for (int64_t b = 0; b < nb; b++) {
         int64_t i0 = b * bs;
-        int64_t i1 = i0 + bs < n ? i0 + bs : n;
+        int64_t cnt = (i0 + bs < n ? i0 + bs : n) - i0;
+        const double *restrict xb = x + i0;
         uint64_t e_max = 1;  /* zeros and subnormals count as exponent 1 */
-        for (int64_t i = i0; i < i1; i++) {
-            uint64_t be = (d2u(x[i]) >> 52) & 0x7FF;
+        for (int64_t k = 0; k < cnt; k++) {
+            uint64_t be = (d2u(xb[k]) >> 52) & 0x7FF;
             e_max = be > e_max ? be : e_max;
         }
         if (e_max == 0x7FF)
-            for (int64_t i = i0; i < i1; i++)
-                if (((d2u(x[i]) >> 52) & 0x7FF) == 0x7FF)
-                    return i + 1;
+            for (int64_t k = 0; k < cnt; k++)
+                if (((d2u(xb[k]) >> 52) & 0x7FF) == 0x7FF)
+                    return i0 + k + 1;
         e_max_out[b] = (int32_t)e_max;
-        for (int64_t i = i0; i < i1; i++) {
-            uint64_t bits = d2u(x[i]);
-            uint64_t be = (bits >> 52) & 0x7FF;
-            uint64_t sign = bits >> 63;
-            uint64_t e_eff = be ? be : 1;
-            uint64_t sig53 = (bits & MANTISSA_MASK) | (be ? IMPLICIT_BIT : 0);
-            int64_t k = (int64_t)(e_max - e_eff);
-            int64_t shift = 54 - l + k;
-            uint64_t base = sig53;
-            if (rounding) {
-                int64_t half_bit = shift - 1;
-                if (half_bit < 0) half_bit = 0;
-                if (half_bit > 63) half_bit = 63;
-                if (shift > 0 && shift <= 54)
-                    base = sig53 + (1ULL << half_bit);
+        switch (kind) {
+        case 0: ENCODE_BLOCK_RUN(uint8_t)
+        case 1: ENCODE_BLOCK_RUN(uint16_t)
+        case 2: ENCODE_BLOCK_RUN(uint32_t)
+        case 3: ENCODE_BLOCK_RUN(uint64_t)
+        default: {
+            uint32_t *w = (uint32_t *)payload + b * wpb, *end = w + wpb;
+            uint64_t acc = 0, run[ENCODE_RUN];
+            int64_t fill = 0;
+            for (int64_t k0 = 0; k0 < cnt; k0 += ENCODE_RUN) {
+                int64_t len = cnt - k0 < ENCODE_RUN ? cnt - k0 : ENCODE_RUN;
+                for (int64_t k = 0; k < len; k++)
+                    run[k] = encode_field(xb[k0 + k], e_max, l, rounding);
+                for (int64_t k = 0; k < len; k++) {
+                    PUT_BITS(run[k] & 0xFFFFFFFFULL, l < 32 ? l : 32)
+                    if (l > 32)
+                        PUT_BITS(run[k] >> 32, l - 32)
+                }
             }
-            int64_t pos = shift < 0 ? 0 : (shift > 63 ? 63 : shift);
-            int64_t neg = -shift < 0 ? 0 : (-shift > 63 ? 63 : -shift);
-            uint64_t c_sig = (base >> pos) << neg;
-            if (rounding) {
-                uint64_t limit = (1ULL << (l - 1)) - 1ULL;
-                if (c_sig > limit)
-                    c_sig = limit;
-            }
-            fields[i] = (sign << (l - 1)) | c_sig;
+            if (fill)
+                *w++ = (uint32_t)acc;
+            while (w < end)  /* what a short trailing block leaves over */
+                *w++ = 0;
+        }
         }
     }
     return 0;
@@ -257,31 +287,8 @@ static double decode_field(uint64_t f, int64_t e_max, int64_t l)
     return u2d(bits);
 }
 
-void frsz2_decode_fields(const uint64_t *fields, const int64_t *e_max,
-                         int64_t n, int64_t l, double *out)
-{
-    for (int64_t i = 0; i < n; i++)
-        out[i] = decode_field(fields[i], e_max[i], l);
-}
-
-/* Pack n l-bit fields into word-aligned blocks (straddling path). */
-void frsz2_pack_stream(const uint64_t *fields, int64_t n, int64_t bs,
-                       int64_t l, int64_t wpb, uint32_t *words)
-{
-    for (int64_t i = 0; i < n; i++) {
-        int64_t block = i / bs;
-        int64_t bitpos = block * wpb * 32 + (i - block * bs) * l;
-        int64_t lo_bits = l < 32 ? l : 32;
-        put_chunk(words, bitpos, fields[i], lo_bits);
-        if (l > 32)
-            put_chunk(words, bitpos + 32, fields[i] >> 32, l - 32);
-    }
-}
-
-/* Payload "kind": 0/1/2/3 = aligned uint8/16/32/64 slots, 4 = packed
- * uint32 word stream with word-aligned blocks. */
-static uint64_t read_packed(const uint32_t *words, int64_t nwords,
-                            int64_t bitpos, int64_t l)
+static inline __attribute__((always_inline)) uint64_t
+read_packed(const uint32_t *words, int64_t nwords, int64_t bitpos, int64_t l)
 {
     int64_t lo_bits = l < 32 ? l : 32;
     uint64_t val = get_chunk(words, nwords, bitpos, lo_bits);
@@ -380,15 +387,6 @@ static void decode_range(const uint8_t *payload, int32_t kind,
     }
 }
 
-/* Decode the whole of one container (the 1-row, whole-vector tile). */
-void frsz2_decode_stream(const uint8_t *payload, int32_t kind,
-                         int64_t nwords, const int32_t *exponents,
-                         int64_t n, int64_t bs, int64_t l, int64_t wpb,
-                         double *out)
-{
-    decode_range(payload, kind, nwords, exponents, 0, n, bs, l, wpb, out);
-}
-
 /* Decode rows v_0[i0:i1] ... v_{j-1}[i0:i1] of j same-layout containers
  * into a row-major (j, ld) buffer: the fused kernels' scratch tile. */
 void frsz2_decode_tile(const uint8_t *const *payloads,
@@ -402,17 +400,22 @@ void frsz2_decode_tile(const uint8_t *const *payloads,
                      wpb, out + r * ld);
 }
 
-/* Decode arbitrary value positions of one container. */
-void frsz2_decode_gather(const uint8_t *payload, int32_t kind,
-                         int64_t nwords, const int32_t *exponents,
-                         const int64_t *idx, int64_t m, int64_t bs,
-                         int64_t l, int64_t wpb, double *out)
+/* Decode arbitrary value positions of one container of n values.
+ * Returns 0, or i + 1 for the first idx[i] outside [0, n) — nothing is
+ * read through it. */
+int64_t frsz2_decode_gather(const uint8_t *payload, int32_t kind,
+                            int64_t nwords, const int32_t *exponents,
+                            const int64_t *idx, int64_t m, int64_t n,
+                            int64_t bs, int64_t l, int64_t wpb, double *out)
 {
     for (int64_t i = 0; i < m; i++) {
         int64_t j = idx[i];
+        if (j < 0 || j >= n)
+            return i + 1;
         uint64_t f = read_slot(payload, kind, nwords, j, bs, l, wpb);
         out[i] = decode_field(f, exponents[j / bs], l);
     }
+    return 0;
 }
 
 /* ---- value sources -----------------------------------------------------
@@ -930,34 +933,28 @@ def _build_library() -> str:
 class RowPointers:
     """The C view of one stored container: its two array pointers.
 
-    Made once per container (an accessor makes it when the container is
-    stored), so a fused call assembles its table from ready pointers.
-    Each pointer owns a reference that keeps its array alive and reads
-    the array where it is: an in-place change to a stored payload is
-    decoded as it is *now*.  The arrays are checked against the layout
-    here, before C may index them by the layout alone.
+    Every C decode reads a container through one of these — made once
+    per stored container by the accessor that stores it (so a read, or a
+    fused call's table, starts from ready pointers), or for the one call
+    — which makes this constructor the one place the arrays are held to
+    the layout before C indexes them by the layout alone.  Each pointer
+    owns a reference that keeps its array alive and reads the array
+    where it is: an in-place change to a stored payload is decoded as it
+    is *now*.
     """
 
     __slots__ = ("engine", "layout", "payload", "exponents")
 
     def __init__(self, engine: "CEngine", comp) -> None:
         layout = comp.layout
-        if layout.is_aligned:
-            itemsize = layout.bit_length // 8
-            size = layout.num_blocks * layout.block_size
-        else:
-            itemsize, size = 4, layout.value_words
-        payload, exponents = comp.payload, engine._exponents(comp)
-        if (payload.dtype.kind != "u" or payload.itemsize != itemsize
-                or payload.size != size
-                or exponents.size != layout.num_blocks):
-            raise ValueError(
-                "container arrays do not match their block layout"
-            )
+        layout.check_arrays(comp.payload, comp.exponents)
+        # any integer exponents decode (a converted copy, alive as long
+        # as its pointer); only an int32 stream is read in place
+        exponents = np.ascontiguousarray(comp.exponents, dtype=np.int32)
         self.engine = engine
         self.layout = layout
         from_buffer = engine._ffi.from_buffer
-        self.payload = from_buffer("uint8_t *", payload)
+        self.payload = from_buffer("uint8_t *", comp.payload)
         self.exponents = from_buffer("int32_t *", exponents)
 
 
@@ -1091,11 +1088,7 @@ class TileTable(_Rows):
             0,
             engine._ffi.new("uint8_t *[]", self.capacity),
             engine._ffi.new("int32_t *[]", self.capacity),
-            engine._payload_kind(layout),
-            0 if layout.is_aligned else layout.value_words,
-            layout.block_size,
-            layout.bit_length,
-            layout.words_per_block,
+            *engine._layout_args(layout),
         )
         for k, row in enumerate(rows):
             self.source[2][k], self.source[3][k] = row.payload, row.exponents
@@ -1273,151 +1266,48 @@ class CEngine:
         return self._ffi.from_buffer(ctype, arr, require_writable=False)
 
     @staticmethod
-    def _exponents(comp) -> np.ndarray:
-        """The container's ``int32`` exponent stream, as stored."""
-        e = comp.exponents
-        return e if e.dtype == np.int32 else np.ascontiguousarray(e, np.int32)
-
-    @staticmethod
     def _c(arr, dtype) -> np.ndarray:
         return np.ascontiguousarray(arr, dtype=dtype)
 
-    # -- bitpack ------------------------------------------------------
-
-    def pack_at(self, words, bitpos, fields, widths) -> None:
-        """In-place OR of width-bit fields; mirrors ``bitpack.pack_at``."""
-        from ..core import bitpack
-
-        if words.dtype != np.uint32:
-            raise TypeError("words must be uint32")
-        bitpos = np.asarray(bitpos, dtype=np.int64)
-        fields = np.asarray(fields, dtype=np.uint64)
-        widths = np.broadcast_to(np.asarray(widths, dtype=np.int64), fields.shape)
-        if bitpos.shape != fields.shape:
-            raise ValueError("bitpos and fields must have the same shape")
-        if fields.size == 0:
-            return
-        if np.any(widths < 1) or np.any(widths > 64):
-            raise ValueError("widths must be in [1, 64]")
-        if np.any(fields & ~bitpack._field_mask(widths)):
-            raise ValueError("field value exceeds its declared width")
-        bitpack._check_bounds(bitpos, widths, words.size)
-        if not words.flags.c_contiguous:
-            # the C kernel mutates the buffer in place; fall back rather
-            # than write into a copy of a strided view
-            bitpack.pack_at(words, bitpos, fields, widths)
-            return
-        self._lib.bitpack_pack_at(
-            self._ptr(words, "uint32_t *"),
-            self._ptr(self._c(bitpos, np.int64), "int64_t *"),
-            self._ptr(self._c(fields, np.uint64), "uint64_t *"),
-            self._ptr(self._c(widths, np.int64), "int64_t *"),
-            fields.size,
-        )
-
-    def unpack_at(self, words, bitpos, widths) -> np.ndarray:
-        """Read width-bit fields; mirrors ``bitpack.unpack_at``."""
-        from ..core import bitpack
-
-        if words.dtype != np.uint32:
-            raise TypeError("words must be uint32")
-        bitpos = np.asarray(bitpos, dtype=np.int64)
-        widths = np.broadcast_to(np.asarray(widths, dtype=np.int64), bitpos.shape)
-        if bitpos.size == 0:
-            return np.zeros(0, dtype=np.uint64)
-        if np.any(widths < 1) or np.any(widths > 64):
-            raise ValueError("widths must be in [1, 64]")
-        bitpack._check_bounds(bitpos, widths, words.size)
-        words = self._c(words, np.uint32)
-        out = np.empty(bitpos.shape, dtype=np.uint64)
-        self._lib.bitpack_unpack_at(
-            self._ptr(words, "uint32_t *"),
-            words.size,
-            self._ptr(self._c(bitpos, np.int64), "int64_t *"),
-            self._ptr(self._c(widths, np.int64), "int64_t *"),
-            bitpos.size,
-            self._ptr(out, "uint64_t *"),
-        )
-        return out
-
     # -- FRSZ2 codec --------------------------------------------------
 
-    def encode_fields(self, x, bit_length, block_size, rounding):
-        """Steps 1-5; byte-equal to the reference ``encode_fields``."""
-        x = np.ascontiguousarray(x, dtype=np.float64)
-        n = x.size
-        nb = -(-n // block_size)
-        fields = np.empty(n, dtype=np.uint64)
-        e_max = np.empty(nb, dtype=np.int32)
-        if n:
+    @staticmethod
+    def _layout_args(layout) -> tuple:
+        """``(kind, nwords, bs, l, wpb)``: a layout, as C is told it."""
+        if layout.is_aligned:
+            kind, nwords = _ALIGNED_KINDS[layout.bit_length], 0
+        else:
+            kind, nwords = _PACKED_KIND, layout.value_words
+        return (kind, nwords, layout.block_size, layout.bit_length,
+                layout.words_per_block)
+
+    def encode(self, x, layout, rounding):
+        """Steps 1-6: ``x`` as the stored ``(payload, exponents)`` of
+        ``layout``; byte-equal to the reference ``encode_numpy``."""
+        if x.dtype != np.float64 or x.shape != (layout.n,):
+            raise ValueError(
+                f"expected a float64 vector of {layout.n} values"
+            )
+        # C writes every byte of both, padding included
+        payload = np.empty(layout.payload_size, dtype=layout.payload_dtype)
+        e_max = np.empty(layout.num_blocks, dtype=np.int32)
+        if layout.n:
+            kind, _, bs, l, wpb = self._layout_args(layout)
             from_buffer = self._ffi.from_buffer
             rc = self._lib.frsz2_encode(
                 from_buffer("double *", x),
-                n,
-                block_size,
-                bit_length,
+                layout.n,
+                bs,
+                l,
                 int(bool(rounding)),
-                from_buffer("uint64_t *", fields),
+                kind,
+                wpb,
+                from_buffer("uint8_t *", payload),
                 from_buffer("int32_t *", e_max),
             )
             if rc:
                 raise ValueError("FRSZ2 does not support NaN or Inf inputs")
-        return fields, e_max
-
-    def decode_fields(self, fields, e_max_per_value, bit_length) -> np.ndarray:
-        """Steps 2-4; byte-equal to the reference ``decode_fields``."""
-        fields = self._c(fields, np.uint64)
-        e_max = self._c(e_max_per_value, np.int64)
-        out = np.empty(fields.size, dtype=np.float64)
-        if fields.size:
-            self._lib.frsz2_decode_fields(
-                self._ptr(fields, "uint64_t *"),
-                self._ptr(e_max, "int64_t *"),
-                fields.size,
-                bit_length,
-                self._ptr(out, "double *"),
-            )
-        return out
-
-    def pack_stream(self, fields, layout) -> np.ndarray:
-        """Straddling-path payload build (blocks word-aligned)."""
-        fields = self._c(fields, np.uint64)
-        words = np.zeros(layout.value_words, dtype=np.uint32)
-        if fields.size:
-            self._lib.frsz2_pack_stream(
-                self._ptr(fields, "uint64_t *"),
-                fields.size,
-                layout.block_size,
-                layout.bit_length,
-                layout.words_per_block,
-                self._ptr(words, "uint32_t *"),
-            )
-        return words
-
-    @staticmethod
-    def _payload_kind(layout) -> int:
-        if layout.is_aligned:
-            return _ALIGNED_KINDS[layout.bit_length]
-        return _PACKED_KIND
-
-    def decode_stream(self, comp, out) -> np.ndarray:
-        """Full-container decode straight from the stored payload."""
-        layout = comp.layout
-        payload = comp.payload
-        exponents = self._exponents(comp)
-        if comp.n:
-            self._lib.frsz2_decode_stream(
-                self._ptr(payload, "uint8_t *"),
-                self._payload_kind(layout),
-                0 if layout.is_aligned else payload.size,
-                self._ptr(exponents, "int32_t *"),
-                comp.n,
-                layout.block_size,
-                layout.bit_length,
-                layout.words_per_block,
-                self._ptr(out, "double *"),
-            )
-        return out
+        return payload, e_max
 
     def row_pointers(self, comp) -> "RowPointers":
         """``comp``'s array pointers, checked against its layout."""
@@ -1438,23 +1328,25 @@ class CEngine:
 
     def decode_gather(self, comp, indices) -> np.ndarray:
         """Decode arbitrary positions straight from the stored payload."""
-        layout = comp.layout
-        payload = comp.payload
+        rows = RowPointers(self, comp)
         indices = self._c(indices, np.int64)
-        exponents = self._exponents(comp)
         out = np.empty(indices.size, dtype=np.float64)
-        if indices.size:
-            self._lib.frsz2_decode_gather(
-                self._ptr(payload, "uint8_t *"),
-                self._payload_kind(layout),
-                0 if layout.is_aligned else payload.size,
-                self._ptr(exponents, "int32_t *"),
-                self._ptr(indices, "int64_t *"),
-                indices.size,
-                layout.block_size,
-                layout.bit_length,
-                layout.words_per_block,
-                self._ptr(out, "double *"),
+        kind, nwords, *geometry = self._layout_args(rows.layout)
+        bad = self._lib.frsz2_decode_gather(
+            rows.payload,
+            kind,
+            nwords,
+            rows.exponents,
+            self._ptr(indices, "int64_t *"),
+            indices.size,
+            rows.layout.n,
+            *geometry,
+            self._ptr(out, "double *"),
+        )
+        if bad:
+            raise IndexError(
+                f"index {indices[bad - 1]} out of range for "
+                f"{rows.layout.n} stored values"
             )
         return out
 

@@ -1,8 +1,8 @@
 """Kernel-dispatch registry and backend resolution.
 
-Every kernel a component looks up by name — the bitpack scatter/gather,
-the FRSZ2 encode/decode block loops, the CSR/ELL/SELL SpMV kernels and
-the preconditioner's ILU(0) factorisation, triangular sweeps and
+Every kernel a component looks up by name — the FRSZ2 encode, window
+decode and gather, the CSR/ELL/SELL SpMV kernels and the
+preconditioner's ILU(0) factorisation, triangular sweeps and
 block-diagonal apply — is registered here under a ``(name, backend)``
 key.  Components (the codec, the sparse matrices, the solvers) resolve
 their kernels through :func:`get_kernel` at construction time, so the
@@ -16,8 +16,8 @@ Backends
 --------
 ``numpy``
     The vectorized reference implementations, registered by the modules
-    that define them (:mod:`repro.core.bitpack`, :mod:`repro.core.frsz2`,
-    :mod:`repro.sparse`, :mod:`repro.solvers.prec_kernels`).
+    that define them (:mod:`repro.core.frsz2`, :mod:`repro.sparse`,
+    :mod:`repro.solvers.prec_kernels`).
 ``jit``
     The C kernels of :class:`repro.jit.cbackend.CEngine`, compiled at
     runtime with the system C compiler through cffi.  They replay the
@@ -209,14 +209,9 @@ def _ensure_jit_kernels() -> None:
         raise JitUnavailableError(
             f"jit backend unavailable: {jit_unavailable_reason()}"
         )
-    if ("frsz2.encode_fields", "jit") in _REGISTRY:
+    if ("frsz2.encode", "jit") in _REGISTRY:
         return
-    register_kernel("bitpack.pack_at", "jit", engine.pack_at)
-    register_kernel("bitpack.unpack_at", "jit", engine.unpack_at)
-    register_kernel("frsz2.encode_fields", "jit", engine.encode_fields)
-    register_kernel("frsz2.decode_fields", "jit", engine.decode_fields)
-    register_kernel("frsz2.pack_stream", "jit", engine.pack_stream)
-    register_kernel("frsz2.decode_stream", "jit", engine.decode_stream)
+    register_kernel("frsz2.encode", "jit", engine.encode)
     register_kernel("frsz2.decode_tile", "jit", engine.decode_tile)
     register_kernel("frsz2.decode_gather", "jit", engine.decode_gather)
     register_kernel("spmv.csr_matvec", "jit", engine.csr_matvec)

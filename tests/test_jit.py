@@ -3,7 +3,7 @@
 The ``backend={numpy,jit}`` switch is only sound because every jit
 kernel replays the numpy reference's arithmetic exactly — same
 accumulation order, same rounding, no FMA contraction.  This suite
-pins that contract at every layer: raw bitpack fields, codec
+pins that contract at every layer: stored containers, codec
 round-trips, SpMV formats, fused cached/streaming solves and full
 ``CbGmres.solve``/``solve_batch`` runs must all be *byte*-equal across
 backends.  When the jit engine is unavailable (no cffi, no C compiler)
@@ -14,8 +14,6 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.accessor import make_accessor
 from repro.core.frsz2 import FRSZ2
@@ -49,18 +47,41 @@ class TestDispatch:
         with pytest.raises(ValueError, match="unknown backend"):
             dispatch.register_kernel("x", "cuda", lambda: None)
 
+    #: every registered name: one way into a container (``frsz2.encode``)
+    #: and two out, the SpMV formats, the preconditioner's four
+    KERNELS = sorted([
+        "frsz2.encode", "frsz2.decode_tile", "frsz2.decode_gather",
+        "spmv.csr_matvec", "spmv.ell_matvec", "spmv.sell_group_matvec",
+        "prec.ilu0_factor",
+        "prec.lower_trisolve", "prec.upper_trisolve",
+        "prec.block_diag_apply",
+    ])
+
     def test_numpy_registry_covers_hot_kernels(self):
-        names = set(dispatch.registered_kernels("numpy"))
-        assert {
-            "bitpack.pack_at", "bitpack.unpack_at",
-            "frsz2.encode_fields", "frsz2.decode_fields",
-            "frsz2.pack_stream", "frsz2.decode_stream",
-            "frsz2.decode_tile", "frsz2.decode_gather",
-            "spmv.csr_matvec", "spmv.ell_matvec", "spmv.sell_group_matvec",
-            "prec.ilu0_factor",
-            "prec.lower_trisolve", "prec.upper_trisolve",
-            "prec.block_diag_apply",
-        } <= names
+        assert dispatch.registered_kernels("numpy") == self.KERNELS
+
+    def test_every_registered_kernel_and_c_function_has_a_caller(self):
+        """No dead registration can come back: each registered name is
+        resolved by a ``get_kernel("<name>"`` call in the package proper
+        (the self-test does not count), and each function the C source
+        exports is called as ``_lib.<name>`` by some wrapper."""
+        import pathlib
+        import re
+
+        package = pathlib.Path(cbackend.__file__).resolve().parents[1]
+        sources = {
+            path: path.read_text() for path in package.rglob("*.py")
+            if path.name != "selftest.py"
+        }
+        for name in self.KERNELS:
+            call = re.compile(r'get_kernel\(\s*"%s"' % re.escape(name))
+            assert any(call.search(text) for text in sources.values()), name
+        wrappers = sources[pathlib.Path(cbackend.__file__).resolve()]
+        wrappers = wrappers.replace(cbackend.C_SOURCE, "")
+        exported = re.findall(r"(\w+)\(", cbackend._CDEF)
+        assert len(exported) == 16 and "frsz2_encode" in exported
+        for name in exported:
+            assert re.search(r"\b_?lib\.%s\b" % name, wrappers), name
 
     def test_unavailable_jit_degrades_with_named_warning(self, monkeypatch):
         monkeypatch.setenv("REPRO_JIT_DISABLE", "1")
@@ -73,16 +94,16 @@ class TestDispatch:
                 warnings.simplefilter("error")
                 assert dispatch.resolve_backend("jit", warn=False) == "numpy"
             with pytest.raises(dispatch.JitUnavailableError):
-                dispatch.get_kernel("frsz2.encode_fields", "jit")
+                dispatch.get_kernel("frsz2.encode", "jit")
         finally:
             monkeypatch.delenv("REPRO_JIT_DISABLE")
             dispatch._reset_engine_cache()
 
     @requires_jit
     def test_jit_registry_mirrors_numpy(self):
-        dispatch.get_kernel("frsz2.encode_fields", "jit")  # force load
+        dispatch.get_kernel("frsz2.encode", "jit")  # force load
         assert dispatch.registered_kernels("jit") == \
-            dispatch.registered_kernels("numpy")
+            dispatch.registered_kernels("numpy") == self.KERNELS
         assert dispatch.jit_engine_name() == "cffi"
         assert dispatch.jit_unavailable_reason() is None
 
@@ -104,18 +125,22 @@ class TestDispatch:
         engine off by a single bit in one kernel must never load."""
 
         class OneBitOff(cbackend.CEngine):
-            def decode_stream(self, comp, out):
-                out = super().decode_stream(comp, out)
-                out.view(np.uint64)[0] ^= np.uint64(1)
-                return out
+            def decode_tile(self, comps):
+                table = super().decode_tile(comps)
+
+                def kernel(i0, i1, out):
+                    table(i0, i1, out)
+                    out.view(np.uint64)[0, 0] ^= np.uint64(1)
+
+                return kernel
 
         monkeypatch.setattr(cbackend, "CEngine", OneBitOff)
         dispatch._reset_engine_cache()
         try:
             assert dispatch.load_engine() is None
-            assert "frsz2.decode_stream" in dispatch.jit_unavailable_reason()
+            assert "frsz2.decode_tile" in dispatch.jit_unavailable_reason()
             with pytest.warns(dispatch.JitUnavailableWarning,
-                              match="frsz2.decode_stream"):
+                              match="frsz2.decode_tile"):
                 assert dispatch.resolve_backend("jit") == "numpy"
         finally:
             monkeypatch.undo()
@@ -202,7 +227,7 @@ class TestDispatch:
             re.search(r"(\w+)\s*(?:\(|$)", declaration.strip()).group(1)
             for declaration in cbackend._CDEF.split(";") if declaration.strip()
         }
-        assert len(declared) == 24 == cbackend._CDEF.count(";")
+        assert len(declared) == 19 == cbackend._CDEF.count(";")
         assert "SOURCE" not in cbackend._CDEF  # every macro expanded
         assert cbackend._CDEF == cbackend._declarations(cbackend.C_SOURCE)
         assert dispatch.jit_unavailable_reason() is None
@@ -441,12 +466,11 @@ class TestCodecBitIdentity:
         ):
             with pytest.raises(ValueError, match="out must be"):
                 decode(0, 64, bad)
-        if backend == "jit":
-            # a container whose arrays disagree with its layout would
-            # send the C loop out of bounds
-            short = Frsz2Compressed(comp.layout, comp.exponents, comp.payload[:64])
-            with pytest.raises(ValueError, match="do not match"):
-                codec.tile_decoder([short])
+        # a container whose arrays disagree with its layout would send
+        # the C loop out of bounds
+        short = Frsz2Compressed(comp.layout, comp.exponents, comp.payload[:64])
+        with pytest.raises(ValueError, match="do not match"):
+            codec.tile_decoder([short])
 
     def test_accessor_write_read_matches_numpy(self, backend):
         x = _sample(777, seed=5)
@@ -455,6 +479,147 @@ class TestCodecBitIdentity:
         ref.write(x)
         alt.write(x)
         np.testing.assert_array_equal(ref.read(), alt.read())
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestHostileContainers:
+    """A container enters the codec through one check of its arrays
+    against its layout: anything else is the same named ``ValueError``
+    from every decode on both backends — never an unnamed ``IndexError``
+    (numpy), heap garbage or a segfault (C indexing by the layout)."""
+
+    MALFORMED = "container arrays do not match their block layout"
+
+    @staticmethod
+    def _malformed(comp):
+        from repro.core.frsz2 import Frsz2Compressed
+
+        e, p = comp.exponents, comp.payload
+        wide = np.uint64 if p.dtype != np.uint64 else np.uint32
+        return {
+            # the issue's repro: 1e241-sized values under the parent's jit
+            "both truncated": Frsz2Compressed(comp.layout, e[:2].copy(), p[:40].copy()),
+            "payload short": Frsz2Compressed(comp.layout, e, p[:-1].copy()),
+            "payload long": Frsz2Compressed(comp.layout, e, np.append(p, p[:1])),
+            "payload dtype": Frsz2Compressed(comp.layout, e, p.astype(wide)),
+            "payload signed": Frsz2Compressed(comp.layout, e, p.view(p.dtype.str.replace("u", "i"))),
+            "payload 2-D": Frsz2Compressed(comp.layout, e, p.reshape(1, -1)),
+            "exponents short": Frsz2Compressed(comp.layout, e[:-1].copy(), p),
+            "exponents float": Frsz2Compressed(comp.layout, e.astype(np.float64), p),
+        }
+
+    @pytest.mark.parametrize("bit_length", [32, 21])
+    def test_every_decode_names_a_malformed_container(self, backend, bit_length):
+        n = 4096
+        codec = FRSZ2(bit_length=bit_length, backend=backend)
+        assert codec.backend == backend
+        comp = codec.compress(_sample(n, seed=11))
+        for what, bad in self._malformed(comp).items():
+            acc = make_accessor(f"frsz2_{bit_length}", n, backend=backend)
+            decodes = {
+                "decompress": lambda: codec.decompress(bad),
+                "get": lambda: codec.get(bad, 5),
+                "decompress_block": lambda: codec.decompress_block(bad, 3),
+                "decompress_blocks": lambda: codec.decompress_blocks(bad, [0, 3]),
+                "decompress_blocks_batch (window)":
+                    lambda: codec.decompress_blocks_batch([comp, bad], [0, 1]),
+                "decompress_blocks_batch (gather)":
+                    lambda: codec.decompress_blocks_batch([comp, bad], [3, 0]),
+                "tile_decoder": lambda: codec.tile_decoder([comp, bad]),
+                "decode_tile": lambda: codec.decode_tile(
+                    [bad], 0, 64, np.empty((1, 64))),
+                # stored (jit checks there) or read (numpy decodes there)
+                "read": lambda: (acc._store(bad), acc.read()),
+                "read_into": lambda: (acc._store(bad), acc.read_into(np.empty(n))),
+                "read_tile": lambda: (acc._store(bad), acc.read_tile(0, 64)),
+                "read_block": lambda: (acc._store(bad), acc.read_block(1)),
+            }
+            for name, decode in decodes.items():
+                with pytest.raises(ValueError, match=self.MALFORMED):
+                    decode()
+                    pytest.fail(f"{name} decoded a container with {what}")
+
+    def test_a_refused_container_leaves_the_accessor_as_it_was(self, backend):
+        n = 300
+        x = _sample(n, seed=4)
+        acc = make_accessor("frsz2_32", n, backend=backend)
+        acc.write(x)
+        before = acc.read()
+        bad = self._malformed(acc.compressed)["both truncated"]
+        if backend == "jit":
+            with pytest.raises(ValueError, match=self.MALFORMED):
+                acc._store(bad)
+            assert acc.compressed is not bad
+        np.testing.assert_array_equal(acc.read_into(np.empty(n)), before)
+
+    def test_the_gather_kernel_checks_its_indices(self, backend):
+        gather = dispatch.get_kernel("frsz2.decode_gather", backend)
+        for bit_length in (32, 21):
+            codec = FRSZ2(bit_length=bit_length, backend=backend)
+            comp = codec.compress(_sample(100))
+            for idx in ([0, 100], [-1], [3, 1 << 40], [99, -(1 << 40)]):
+                with pytest.raises(IndexError, match="out of range"):
+                    gather(comp, np.array(idx))
+                with pytest.raises(IndexError, match="out of range"):
+                    codec.get(comp, idx)
+            np.testing.assert_array_equal(
+                gather(comp, np.array([99, 0])), codec.decompress(comp)[[99, 0]]
+            )
+            assert gather(comp, np.zeros(0, dtype=np.int64)).shape == (0,)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint16, np.int16])
+    def test_any_integer_exponent_stream_decodes_to_the_same_bits(
+            self, backend, dtype):
+        """A hand-built container need not carry ``int32`` exponents: it
+        decodes through a converted copy made for the call, and no
+        pointer into such a copy is ever kept."""
+        from repro.core.frsz2 import Frsz2Compressed
+
+        n = 203
+        for bit_length in (32, 21):
+            codec = FRSZ2(bit_length=bit_length, backend=backend)
+            comp = codec.compress(_sample(n, seed=2))
+            hand = Frsz2Compressed(
+                comp.layout, comp.exponents.astype(dtype), comp.payload)
+            want = codec.decompress(comp).view(np.uint64)
+            assert codec.row_pointers(hand) is None
+            np.testing.assert_array_equal(
+                codec.decompress(hand).view(np.uint64), want)
+            idx = np.array([0, 77, n - 1])
+            np.testing.assert_array_equal(
+                codec.get(hand, idx).view(np.uint64), want[idx])
+            out = np.empty((2, 40))
+            codec.decode_tile([comp, hand], 37, 77, out)
+            np.testing.assert_array_equal(out[1].view(np.uint64), want[37:77])
+            acc = make_accessor(f"frsz2_{bit_length}", n, backend=backend)
+            acc._store(hand)
+            assert acc._pointers is None and acc._table is None
+            np.testing.assert_array_equal(acc.read().view(np.uint64), want)
+            # read afresh: the next decode sees an in-place change
+            hand.exponents[0] += 1
+            assert acc.read()[:32].tobytes() != want[:32].tobytes()
+
+
+@requires_jit
+@pytest.mark.parametrize("bit_length", [16, 21, 32])
+def test_a_write_allocates_what_it_stores(bit_length):
+    """The C encode stores each field at its stored width: one compress
+    peaks at the container it returns (plus slack for small objects),
+    not at an ``n``-long ``uint64`` field array — 2–4x the container —
+    beside it."""
+    import tracemalloc
+
+    n = 110_592
+    codec = FRSZ2(bit_length=bit_length, backend="jit")
+    x = _sample(n, seed=6)
+    codec.compress(x)  # the layout, the interpreter's caches
+    tracemalloc.start()
+    try:
+        comp = codec.compress(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * comp.nbytes + (16 << 10), (peak, comp.nbytes)
 
 
 # ----------------------------------------------------------------------
@@ -615,47 +780,3 @@ def test_trisolve_kernels_match_numpy_bitwise():
             np.asarray(bd_np(blocks, b, bs, n)).view(np.uint64),
             np.asarray(bd_jit(blocks, b, bs, n)).view(np.uint64),
         )
-
-
-# ----------------------------------------------------------------------
-# bitpack fuzz: width/straddle edges
-# ----------------------------------------------------------------------
-
-
-@st.composite
-def field_streams(draw):
-    """A field stream hitting word-straddle edges: random widths in
-    [1, 64] at a random starting bit offset, so fields land aligned,
-    word-interior and straddling one or two uint32 boundaries."""
-    widths = draw(st.lists(st.integers(1, 64), min_size=1, max_size=24))
-    fields = [
-        draw(st.integers(0, (1 << w) - 1)) for w in widths
-    ]
-    start = draw(st.integers(0, 31))
-    return widths, fields, start
-
-
-@requires_jit
-@settings(max_examples=60, deadline=None)
-@given(field_streams())
-def test_bitpack_fuzz_jit_matches_numpy(stream):
-    widths, fields, start = stream
-    widths = np.asarray(widths, dtype=np.int64)
-    fields_arr = np.asarray(fields, dtype=np.uint64)
-    bitpos = start + np.concatenate(
-        ([0], np.cumsum(widths[:-1], dtype=np.int64))
-    )
-    nwords = int((bitpos[-1] + widths[-1] + 31) // 32)
-    packs = {}
-    unpacks = {}
-    for backend in ("numpy", "jit"):
-        pack = dispatch.get_kernel("bitpack.pack_at", backend)
-        unpack = dispatch.get_kernel("bitpack.unpack_at", backend)
-        words = np.zeros(nwords, dtype=np.uint32)
-        pack(words, bitpos, fields_arr, widths)
-        packs[backend] = words
-        unpacks[backend] = unpack(words, bitpos, widths)
-    np.testing.assert_array_equal(packs["numpy"], packs["jit"])
-    np.testing.assert_array_equal(unpacks["numpy"], unpacks["jit"])
-    # both backends must also round-trip the original fields
-    np.testing.assert_array_equal(unpacks["numpy"], fields_arr)

@@ -425,3 +425,69 @@ class TestBlockDecodersAgainstScalarReference:
             assert np.array_equal(
                 codec.decompress(comp).view(np.uint64), want
             ), l
+
+
+# ----------------------------------------------------------------------
+# codec truth: the encode against the scalar reference, as stored bytes
+# ----------------------------------------------------------------------
+
+
+class TestEncodeAgainstScalarReference:
+    """The write-side twin of the class above: a container's ``payload``
+    (dtype and bytes, Eq. 3 padding included) and ``exponents`` must be
+    what :mod:`repro.core.reference` and Python's exact integers spell —
+    on both backends, so under the C encode that stores each field at
+    its stored width as it makes it."""
+
+    @staticmethod
+    def _stored(x, l, bs, rounding):
+        """``(payload, exponents)`` of ``x`` from the one-value oracle."""
+        e_maxes, slots, blob = [], [], b""
+        words_per_block = -(-bs * l // 32)
+        for s in range(0, x.size, bs):
+            e_max, fields = reference.compress_block(x[s:s + bs], l, rounding)
+            e_maxes.append(e_max)
+            # aligned: one slot per value of a whole block
+            slots += fields + [0] * (bs - len(fields))
+            # straddling: the block's bit stream, little-endian, in words
+            stream = sum(f << (k * l) for k, f in enumerate(fields))
+            blob += stream.to_bytes(4 * words_per_block, "little")
+        if l in (8, 16, 32, 64):
+            payload = np.array(slots, dtype=f"u{l // 8}")
+        else:
+            payload = np.frombuffer(blob, dtype="<u4")
+        return payload, np.array(e_maxes, dtype=np.int32)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("l", range(2, 65))
+    def test_stored_bytes_equal_reference(self, backend, l):
+        from repro.jit import selftest
+
+        rng = np.random.default_rng(l)
+        n = 203  # a partial trailing block for both block sizes
+        # the engine's own hostile sample (signed zeros, subnormals, the
+        # largest double in every full block: carries into the sign bit
+        # under rounding), and blocks it does not dominate
+        vectors = [selftest._sample_values(rng, n), selftest._sample_small(rng, n)]
+        for bs in (32, 5):
+            for rounding in (False, True):
+                codec = FRSZ2(l, bs, rounding, backend=backend)
+                assert codec.backend == backend
+                for x in vectors:
+                    payload, exponents = self._stored(x, l, bs, rounding)
+                    comp = codec.compress(x)
+                    tag = (bs, rounding)
+                    assert comp.payload.dtype == payload.dtype, tag
+                    assert comp.payload.tobytes() == payload.tobytes(), tag
+                    assert comp.exponents.dtype == np.int32, tag
+                    assert comp.exponents.tobytes() == exponents.tobytes(), tag
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_stays_a_named_error(self, backend, bad):
+        for l in (32, 21):
+            codec = FRSZ2(l, backend=backend)
+            x = np.ones(100)
+            x[70] = bad  # not in the first block
+            with pytest.raises(ValueError, match="NaN or Inf"):
+                codec.compress(x)
