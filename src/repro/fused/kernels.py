@@ -67,9 +67,12 @@ therefore bit-identical: the property ``basis_mode={cached,streaming}``
 of :class:`~repro.solvers.basis.KrylovBasis` relies on.  The numpy
 kernels below spell the order out with operations whose order numpy
 defines (elementwise arithmetic and ``np.add.accumulate``); they are the
-no-compiler engine and the oracle of the engine's self-test.  Per-tile
-partials summed in tile order are also what a tile-parallel kernel needs
-to keep these bits for any thread count.
+no-compiler engine and the oracle of the engine's self-test.  Nor does
+it depend on the thread count: the compiled walks split the grid over
+the engine's thread pool a tile (the axpy: a run of pieces) at a time
+and add the per-tile partials in tile order after the join —
+``tests/test_threads.py`` holds every walk to the same bits on one, two,
+three and the pool's threads.
 
 On a GPU each tile maps onto a thread block's registers: the paper's
 "46 spare instructions" budget pays for the in-register decode while the
@@ -130,9 +133,10 @@ class FusedOpLog:
     tiles: int = 0
     #: basis values reduced (sum of n x j)
     values: int = 0
-    #: most float64 bytes any fused call allocated: the ``tile``-double
-    #: decode buffer of a compressed source, the sweep's ``8 j`` lanes and
-    #: ``(j, piece)`` decoded row pieces, or the ``(j, tile)`` scratch of
+    #: most float64 bytes any fused call used: a round of ``j`` tile
+    #: partials plus, per thread of the pool, the ``tile``-double decode
+    #: buffer of a compressed source or the sweep's ``8 j`` lanes and
+    #: ``(j, piece)`` decoded row pieces — or the ``(j, tile)`` scratch of
     #: a source loaded tile by tile
     peak_scratch_bytes: int = 0
 

@@ -50,9 +50,9 @@ ISA clones
 ----------
 The library is built for baseline x86-64, so that one cached file loads
 on every CPU that shares the cache directory — and the routines whose
-time is the decode and the lanes (``frsz2_encode``, ``decode_range``,
-``fused_dot``, ``fused_axpy``, ``fused_axpy_dot``) are compiled a second
-time for ``x86-64-v4`` (``CLONED`` in ``C_SOURCE``, GCC/Clang
+time is the decode and the lanes (``frsz2_encode``, ``decode_range``
+and the units of the three fused walks, ``dot_tile``, ``axpy_run`` and
+``axpy_dot_tile``) are compiled a second time for ``x86-64-v4`` (``CLONED`` in ``C_SOURCE``, GCC/Clang
 ``target_clones``); the dynamic loader binds the widest clone the CPU
 runs, and :attr:`CEngine.isa` names it.  Register width moves no bit:
 every operation order above is written out, the two IEEE flags hold in
@@ -64,6 +64,34 @@ gets one retry with ``-DREPRO_NO_CLONES``, which is the plain build;
 :attr:`CEngine.clone_fallback` then keeps its reason.  ``-march=native``
 was measured equal and not taken: a cached library would be fatal
 (``SIGILL``), not a named degrade, on any lesser CPU.
+
+Threads
+-------
+The three fused walks and the SpMV kernels are split over one pool of
+threads (pthreads inside ``C_SOURCE``, "one pool, two clients" there).
+The unit of a split is a tile of the walk's grid (``fused_dot``, the
+sweep), a run of eight pieces (``fused_axpy``) or a run of
+``POOL_ROWS`` rows (SpMV).  The caller claims units from the last one
+down, the helpers from the first up, off one atomic word.  Every unit
+writes only what is its own: the elements of ``w`` or ``y`` in its
+range, each summed in the written order on one thread, or the ``j``
+partials of its tile, into the caller's buffer.  The caller adds the
+partials to ``h`` / ``u`` in tile order after the join, a round of
+``FUSED_ROUND`` tiles at a time.  So no bit depends on the thread count
+or on which thread took which unit; and since a call on one thread
+takes its tiles last first, the self-test fails a reduction in any
+other order.  Each thread's decode buffer, lanes and row pieces are its
+slice of the work buffer the source keeps (:class:`_Rows`: ``capacity x
+(FUSED_ROUND + threads x slice)`` doubles); helpers allocate nothing.
+
+The pool has :attr:`CEngine.threads` threads, the caller included: the
+CPUs in the process's affinity mask, or its share when it is one of
+several worker processes (:func:`repro.jit.dispatch.share_cpus`).  It
+starts with the first call that splits, and its helpers sleep on a
+condition variable between calls.  A call runs alone when it reduces
+fewer than ``POOL_MIN_WORK`` values, or when another thread of the
+process holds the pool.  A forked child resets the pool and starts its
+own helpers; unloading the library joins them.
 
 The engine is only accepted by :func:`repro.jit.dispatch.load_engine`
 after :mod:`repro.jit.selftest` verifies byte-equality on every kernel
@@ -87,8 +115,11 @@ __all__ = ["CEngine", "ChunkSweep", "DenseRows", "RowPointers", "TileTable",
            "C_SOURCE"]
 
 C_SOURCE = r"""
+#include <pthread.h>
+#include <signal.h>
 #include <stdint.h>
 #include <string.h>
+#include <unistd.h>
 
 #define MANTISSA_MASK 0xFFFFFFFFFFFFFULL
 #define IMPLICIT_BIT  (1ULL << 52)
@@ -418,6 +449,221 @@ int64_t frsz2_decode_gather(const uint8_t *payload, int32_t kind,
     return 0;
 }
 
+/* ---- one pool, two clients ---------------------------------------------
+ * A split call cuts its work into units — the tiles of a fused walk's grid,
+ * runs of pieces of the axpy, runs of rows of an SpMV — which the caller
+ * and the helper threads claim off one atomic word: the caller from the
+ * last unit down, the helpers from the first up.  A unit writes only what
+ * is its own (its rows of y, its elements of w, its tile's partials), so
+ * no bit depends on which thread ran it or when; a reduction across units
+ * is the caller's, in unit order, after the join.  A call runs alone — the
+ * same units, last first — when it is small (POOL_MIN_WORK), when its
+ * buffer has one slice, or when another thread of the process is inside a
+ * split call (pool.run is taken).
+ *
+ * The helpers, pool.size - 1 of them, start with the first call that
+ * splits, in the process that makes it (pool.owner); a forked child has
+ * none of them and starts its own (pool_forked resets the pool in the
+ * child, whatever its parent was doing).  Between calls they sleep on
+ * pool.wake — no spin, so an idle pool takes no core from a sibling
+ * process — with every signal blocked, and they allocate nothing: their
+ * work slices are in the caller's buffer.  Unloading the library stops
+ * and joins them. */
+#define POOL_MAX 64
+
+/* Values a walk (rows x n) or an SpMV (stored entries) must have before it
+ * is split — below it, waking a helper costs what the second core saves;
+ * elements per piece of the axpy and the sweep; tiles whose partials a
+ * walk holds before adding them up (a round: the partials are a bound
+ * independent of n).  Measured: docs/ARCHITECTURE.md, "One pool, two
+ * clients". */
+#define POOL_MIN_WORK 65536
+#define FUSED_PIECE 256
+#define FUSED_ROUND 64
+const int64_t pool_min_work = POOL_MIN_WORK;
+const int64_t fused_piece = FUSED_PIECE;
+const int64_t fused_round = FUSED_ROUND;
+
+typedef void (*pool_task)(const void *job, int64_t unit, int64_t me);
+
+static struct {
+    pthread_mutex_t lock;  /* guards the open call and the helpers' wait */
+    pthread_mutex_t run;   /* held by the call that is split, and to resize */
+    pthread_cond_t wake;   /* helpers wait here for a call to open */
+    pthread_cond_t idle;   /* the caller waits here for its helpers */
+    pid_t owner;           /* the process the helpers run in; 0: none */
+    int64_t size;          /* threads of a split call, the caller included */
+    int64_t helpers;       /* helper threads running, numbered 1..helpers */
+    int64_t busy;          /* helpers inside the open call */
+    int open, stop;
+    uint64_t call;         /* the last call opened */
+    pool_task task;
+    const void *job;
+    int64_t units, threads;
+    uint64_t claims;       /* units claimed: helpers' (low word), caller's */
+    pthread_t tid[POOL_MAX];
+} pool = {PTHREAD_MUTEX_INITIALIZER, PTHREAD_MUTEX_INITIALIZER,
+          PTHREAD_COND_INITIALIZER, PTHREAD_COND_INITIALIZER, 0, 1};
+
+/* The next unit for thread me (0: the caller), or -1 when none is left. */
+static int64_t pool_claim(int64_t units, int64_t me)
+{
+    uint64_t got = __atomic_fetch_add(&pool.claims, me ? 1 : 1ULL << 32,
+                                      __ATOMIC_RELAXED);
+    int64_t up = (int64_t)(got & 0xFFFFFFFFu), down = (int64_t)(got >> 32);
+    if (up + down >= units)
+        return -1;
+    return me ? up : units - 1 - down;
+}
+
+static void *pool_helper(void *arg)
+{
+    int64_t me = (int64_t)(intptr_t)arg;
+    uint64_t served = 0;
+    pthread_mutex_lock(&pool.lock);
+    for (;;) {
+        while (!pool.stop && (!pool.open || pool.call == served))
+            pthread_cond_wait(&pool.wake, &pool.lock);
+        if (pool.stop)
+            break;
+        served = pool.call;
+        if (me >= pool.threads)
+            continue;
+        pool_task task = pool.task;
+        const void *job = pool.job;
+        int64_t units = pool.units;
+        pool.busy++;
+        pthread_mutex_unlock(&pool.lock);
+        for (int64_t u; (u = pool_claim(units, me)) >= 0;)
+            task(job, u, me);
+        pthread_mutex_lock(&pool.lock);
+        if (--pool.busy == 0 && !pool.open)
+            pthread_cond_signal(&pool.idle);
+    }
+    pthread_mutex_unlock(&pool.lock);
+    return NULL;
+}
+
+/* Under pool.run: join the helpers this process started. */
+static void pool_stop(void)
+{
+    if (pool.owner != getpid())
+        return;
+    pthread_mutex_lock(&pool.lock);
+    pool.stop = 1;
+    pthread_cond_broadcast(&pool.wake);
+    pthread_mutex_unlock(&pool.lock);
+    for (int64_t h = 1; h <= pool.helpers; h++)
+        pthread_join(pool.tid[h], NULL);
+    pool.stop = 0;
+    pool.helpers = 0;
+}
+
+/* Under pool.run: the process's pool.size - 1 helpers, started as needed;
+ * whether any runs. */
+static int pool_start(void)
+{
+    int64_t want = __atomic_load_n(&pool.size, __ATOMIC_RELAXED) - 1;
+    if (pool.owner != getpid()) {
+        pool.owner = getpid();
+        pool.helpers = 0;
+    }
+    if (pool.helpers > want)
+        pool_stop();
+    if (pool.helpers < want) {
+        sigset_t all, old;
+        sigfillset(&all);
+        pthread_sigmask(SIG_SETMASK, &all, &old);
+        while (pool.helpers < want
+               && pthread_create(&pool.tid[pool.helpers + 1], NULL,
+                                 pool_helper,
+                                 (void *)(intptr_t)(pool.helpers + 1)) == 0)
+            pool.helpers++;
+        pthread_sigmask(SIG_SETMASK, &old, NULL);
+    }
+    return pool.helpers > 0;
+}
+
+/* task(job, u, me) for every unit u < units, on up to threads threads
+ * when the call's work is worth it. */
+static void pool_split(pool_task task, const void *job, int64_t units,
+                       int64_t threads, int64_t work)
+{
+    int64_t size = __atomic_load_n(&pool.size, __ATOMIC_RELAXED);
+    if (work < POOL_MIN_WORK)
+        threads = 1;
+    if (threads > size)
+        threads = size;
+    if (threads > units)
+        threads = units;
+    if (threads > 1 && pthread_mutex_trylock(&pool.run) == 0) {
+        if (pool_start()) {
+            pthread_mutex_lock(&pool.lock);
+            pool.task = task;
+            pool.job = job;
+            pool.units = units;
+            pool.threads = threads;
+            __atomic_store_n(&pool.claims, 0, __ATOMIC_RELAXED);
+            pool.call++;
+            pool.open = 1;
+            pthread_cond_broadcast(&pool.wake);
+            pthread_mutex_unlock(&pool.lock);
+            for (int64_t u; (u = pool_claim(units, 0)) >= 0;)
+                task(job, u, 0);
+            pthread_mutex_lock(&pool.lock);
+            pool.open = 0;
+            while (pool.busy)
+                pthread_cond_wait(&pool.idle, &pool.lock);
+            pthread_mutex_unlock(&pool.lock);
+            pthread_mutex_unlock(&pool.run);
+            return;
+        }
+        pthread_mutex_unlock(&pool.run);
+    }
+    for (int64_t u = units - 1; u >= 0; u--)
+        task(job, u, 0);
+}
+
+/* Threads a split call may use from now on (1 .. POOL_MAX, returned); a
+ * smaller pool lets its extra helpers go at once. */
+int64_t engine_set_threads(int64_t threads)
+{
+    threads = threads < 1 ? 1 : threads > POOL_MAX ? POOL_MAX : threads;
+    pthread_mutex_lock(&pool.run);
+    if (pool.helpers > threads - 1)
+        pool_stop();
+    __atomic_store_n(&pool.size, threads, __ATOMIC_RELAXED);
+    pthread_mutex_unlock(&pool.run);
+    return threads;
+}
+
+/* In a forked child: the parent's helpers are not here, and its locks may
+ * have been held by a thread that is not here either. */
+static void pool_forked(void)
+{
+    pthread_mutex_init(&pool.lock, NULL);
+    pthread_mutex_init(&pool.run, NULL);
+    pthread_cond_init(&pool.wake, NULL);
+    pthread_cond_init(&pool.idle, NULL);
+    pool.owner = 0;
+    pool.helpers = pool.busy = 0;
+    pool.open = pool.stop = 0;
+}
+
+__attribute__((constructor))
+static void pool_load(void)
+{
+    pthread_atfork(NULL, NULL, pool_forked);
+}
+
+__attribute__((destructor))
+static void pool_unload(void)
+{
+    pthread_mutex_lock(&pool.run);
+    pool_stop();
+    pthread_mutex_unlock(&pool.run);
+}
+
 /* ---- value sources -----------------------------------------------------
  * A source is j rows of n values: float64 rows read where they are stored
  * (row r = dense + r * ld: the columns of the basis mirror, the rows of a
@@ -435,36 +681,88 @@ int64_t frsz2_decode_gather(const uint8_t *payload, int32_t kind,
                               p##exponents[r], i0, i1, p##bs, p##l,       \
                               p##wpb, buf), (const double *)(buf)))
 
-/* ---- fused basis reductions: one source, the basis rows --------------- */
+/* ---- fused basis reductions: one source, the basis rows ---------------
+ * Each walk is cut into units for the pool: the tiles of its grid (dot,
+ * sweep) or runs of pieces (axpy).  A walk's arguments travel to the
+ * units in one struct walk: the source (FUSED_SOURCE's nine, so
+ * FUSED_ROW reads k->v_*), the operands, and the caller's work buffer —
+ * FUSED_ROUND * j tile partials, then one slice of stride doubles per
+ * thread (thread me's at slices + me * stride). */
 #define FUSED_SOURCE SOURCE(v_)
-#define FUSED_ROW(r, i0, i1, buf) SOURCE_ROW(v_, r, i0, i1, buf)
+#define FUSED_ROW(r, i0, i1, buf) SOURCE_ROW(k->v_, r, i0, i1, buf)
+#define WALK_SOURCE                                                       \
+    v_dense, v_ld, v_payloads, v_exponents, v_kind, v_nwords, v_bs, v_l,  \
+    v_wpb
 
-/* h[r] += the tile partial of v_r . w, for every tile [t0, t1) of the
- * grid in order and every row in order.  The partial is the written
- * lane order: eight accumulators from +0.0, element i joins lane
- * (i - t0) mod 8 as a rounded product added with a rounded sum, then
- * the fixed tree below.  The eight lanes are independent, so the
- * vectoriser may keep them in any register width without moving a bit. */
-CLONED
-void fused_dot(FUSED_SOURCE, int64_t j, int64_t n, int64_t tile,
-               const double *w, double *h, double *work)
+struct walk {
+    const double *v_dense;
+    int64_t v_ld;
+    const uint8_t *const *v_payloads;
+    const int32_t *const *v_exponents;
+    int32_t v_kind;
+    int64_t v_nwords, v_bs, v_l, v_wpb;
+    int64_t j, n, tile;
+    int64_t round;          /* the round's first tile */
+    const double *y;
+    double *w;
+    double *part, *slices;
+    int64_t stride;
+    int32_t store;
+};
+
+/* Every tile of the grid, a round at a time: the round's tiles on the
+ * pool, each writing its j partials, then acc[r] += them in tile order. */
+static void fused_rounds(pool_task task, struct walk *k, double *acc,
+                         int64_t threads)
 {
-    for (int64_t t0 = 0; t0 < n; t0 += tile) {
-        int64_t len = (t0 + tile < n ? t0 + tile : n) - t0;
-        const double *restrict x = w + t0;
-        for (int64_t r = 0; r < j; r++) {
-            const double *restrict v = FUSED_ROW(r, t0, t0 + len, work);
-            double a[8] = {0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0};
-            int64_t i = 0;
-            for (; i + 8 <= len; i += 8)
-                for (int k = 0; k < 8; k++)
-                    a[k] += v[i + k] * x[i + k];
-            for (int k = 0; i < len; i++, k++)
-                a[k] += v[i] * x[i];
-            h[r] += ((a[0] + a[1]) + (a[2] + a[3]))
-                    + ((a[4] + a[5]) + (a[6] + a[7]));
-        }
+    int64_t tiles = (k->n + k->tile - 1) / k->tile;
+    for (k->round = 0; k->round < tiles; k->round += FUSED_ROUND) {
+        int64_t units = tiles - k->round;
+        units = units < FUSED_ROUND ? units : FUSED_ROUND;
+        pool_split(task, k, units, threads, k->j * k->n);
+        for (int64_t t = 0; t < units; t++)
+            for (int64_t r = 0; r < k->j; r++)
+                acc[r] += k->part[t * k->j + r];
     }
+}
+
+/* The partials of v_r . w over tile t of the round, for every row in
+ * order.  A partial is the written lane order: eight accumulators from
+ * +0.0, element i joins lane (i - t0) mod 8 as a rounded product added
+ * with a rounded sum, then the fixed tree below.  The eight lanes are
+ * independent, so the vectoriser may keep them in any register width
+ * without moving a bit. */
+CLONED
+static void dot_tile(const void *job, int64_t t, int64_t me)
+{
+    const struct walk *k = job;
+    int64_t t0 = (k->round + t) * k->tile;
+    int64_t len = (t0 + k->tile < k->n ? t0 + k->tile : k->n) - t0;
+    const double *restrict x = k->w + t0;
+    double *buf = k->slices + me * k->stride, *p = k->part + t * k->j;
+    for (int64_t r = 0; r < k->j; r++) {
+        const double *restrict v = FUSED_ROW(r, t0, t0 + len, buf);
+        double a[8] = {0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0};
+        int64_t i = 0;
+        for (; i + 8 <= len; i += 8)
+            for (int q = 0; q < 8; q++)
+                a[q] += v[i + q] * x[i + q];
+        for (int q = 0; i < len; i++, q++)
+            a[q] += v[i] * x[i];
+        p[r] = ((a[0] + a[1]) + (a[2] + a[3])) + ((a[4] + a[5]) + (a[6] + a[7]));
+    }
+}
+
+/* h[r] += the tile partials of v_r . w in tile order.  A compressed row
+ * tile is decoded into the thread's slice: min(tile, n) doubles, rounded
+ * up to a cache line. */
+void fused_dot(FUSED_SOURCE, int64_t j, int64_t n, int64_t tile,
+               const double *w, double *h, double *work, int64_t threads)
+{
+    int64_t stride = v_dense ? 0 : ((tile < n ? tile : n) + 7) & ~7LL;
+    struct walk k = {WALK_SOURCE, j, n, tile, 0, NULL, (double *)w, work,
+                     work + FUSED_ROUND * j, stride, 0};
+    fused_rounds(dot_tile, &k, h, threads);
 }
 
 /* Per element: s = y[0] v_0[i], then s += y[r] v_r[i] for r = 1..j-1,
@@ -478,21 +776,19 @@ void fused_dot(FUSED_SOURCE, int64_t j, int64_t n, int64_t tile,
  * compressed row piece is decoded into buf + slot * FUSED_PIECE: slot is
  * the row when keep != 0 (the sweep below reads every row piece again),
  * else the row's place in its group of four. */
-#define FUSED_PIECE 256
-const int64_t fused_piece = FUSED_PIECE;
-
 static inline __attribute__((always_inline)) void
-axpy_piece(FUSED_SOURCE, int64_t j, int64_t i0, int64_t len, const double *y,
-           double *restrict s, double *buf, int keep)
+axpy_piece(const struct walk *k, int64_t i0, int64_t len, double *restrict s,
+           double *buf, int keep)
 {
 #define PIECE_ROW(r, g)                                                   \
     FUSED_ROW(r, i0, i0 + len, buf + (keep ? (r) : (g)) * FUSED_PIECE)
+    const double *y = k->y;
     const double *restrict a = PIECE_ROW(0, 0);
     double ca = y[0];
     for (int64_t i = 0; i < len; i++)
         s[i] = ca * a[i];
     int64_t r = 1;
-    for (; r + 4 <= j; r += 4) {
+    for (; r + 4 <= k->j; r += 4) {
         a = PIECE_ROW(r, 0);
         const double *restrict b = PIECE_ROW(r + 1, 1);
         const double *restrict c = PIECE_ROW(r + 2, 2);
@@ -506,7 +802,7 @@ axpy_piece(FUSED_SOURCE, int64_t j, int64_t i0, int64_t len, const double *y,
             s[i] = t + cd * d[i];
         }
     }
-    for (; r < j; r++) {
+    for (; r < k->j; r++) {
         a = PIECE_ROW(r, 0);
         ca = y[r];
         for (int64_t i = 0; i < len; i++)
@@ -515,17 +811,20 @@ axpy_piece(FUSED_SOURCE, int64_t j, int64_t i0, int64_t len, const double *y,
 #undef PIECE_ROW
 }
 
+/* The axpy's unit: AXPY_RUN elements, piece by piece. */
+#define AXPY_RUN (8 * FUSED_PIECE)
+
 CLONED
-void fused_axpy(FUSED_SOURCE, int64_t j, int64_t n, const double *y,
-                double *w, int32_t store)
+static void axpy_run(const void *job, int64_t q, int64_t me)
 {
+    const struct walk *k = job;
     double s[FUSED_PIECE], buf[4 * FUSED_PIECE];
-    for (int64_t i0 = 0; i0 < n; i0 += FUSED_PIECE) {
-        int64_t len = (i0 + FUSED_PIECE < n ? i0 + FUSED_PIECE : n) - i0;
-        axpy_piece(v_dense, v_ld, v_payloads, v_exponents, v_kind, v_nwords,
-                   v_bs, v_l, v_wpb, j, i0, len, y, s, buf, 0);
-        double *restrict o = w + i0;
-        if (store)
+    int64_t end = (q + 1) * AXPY_RUN < k->n ? (q + 1) * AXPY_RUN : k->n;
+    for (int64_t i0 = q * AXPY_RUN; i0 < end; i0 += FUSED_PIECE) {
+        int64_t len = (i0 + FUSED_PIECE < end ? i0 + FUSED_PIECE : end) - i0;
+        axpy_piece(k, i0, len, s, buf, 0);
+        double *restrict o = k->w + i0;
+        if (k->store)
             for (int64_t i = 0; i < len; i++)
                 o[i] = s[i];
         else
@@ -534,66 +833,143 @@ void fused_axpy(FUSED_SOURCE, int64_t j, int64_t n, const double *y,
     }
 }
 
+void fused_axpy(FUSED_SOURCE, int64_t j, int64_t n, const double *y,
+                double *w, int32_t store)
+{
+    struct walk k = {WALK_SOURCE, j, n, 0, 0, y, w, NULL, NULL, 0, store};
+    pool_split(axpy_run, &k, (n + AXPY_RUN - 1) / AXPY_RUN, POOL_MAX, j * n);
+}
+
 /* The sweep: w -= V y, then u[r] += the tile partials of v_r . w over the
  * updated w — by definition the bytes of fused_axpy followed by fused_dot,
  * in one walk that reads (or decodes) every row piece once.  Per tile of
  * the grid: zero the j x 8 lane accumulators; for each piece of the tile,
  * finish w on the piece (axpy_piece, then the subtraction), then add the
  * piece to every row's lanes; at the tile's end reduce each row's lanes by
- * the fixed tree into u[r].  Pieces start a multiple of FUSED_PIECE — of
- * eight — from the tile's start, so element i joins lane (i - t0) mod 8 in
- * ascending order, as in fused_dot, and only a tile's last piece has a
- * tail.  work: 8 j doubles of lanes, then j * FUSED_PIECE more for the
- * decoded row pieces of a compressed source. */
+ * the fixed tree into the tile's partials.  Pieces start a multiple of
+ * FUSED_PIECE — of eight — from the tile's start, so element i joins lane
+ * (i - t0) mod 8 in ascending order, as in fused_dot, and only a tile's
+ * last piece has a tail.  A thread's slice: 8 j doubles of lanes, then
+ * j * FUSED_PIECE more for the decoded row pieces of a compressed source. */
 CLONED
-void fused_axpy_dot(FUSED_SOURCE, int64_t j, int64_t n, int64_t tile,
-                    const double *y, double *w, double *u, double *work)
+static void axpy_dot_tile(const void *job, int64_t t, int64_t me)
 {
+    const struct walk *k = job;
+    int64_t j = k->j, t0 = (k->round + t) * k->tile;
+    int64_t t1 = t0 + k->tile < k->n ? t0 + k->tile : k->n;
     double s[FUSED_PIECE];
-    double *lanes = work, *buf = work + 8 * j;
-    for (int64_t t0 = 0; t0 < n; t0 += tile) {
-        int64_t t1 = t0 + tile < n ? t0 + tile : n;
-        for (int64_t k = 0; k < 8 * j; k++)
-            lanes[k] = 0.0;
-        for (int64_t i0 = t0; i0 < t1; i0 += FUSED_PIECE) {
-            int64_t len = (i0 + FUSED_PIECE < t1 ? i0 + FUSED_PIECE : t1) - i0;
-            axpy_piece(v_dense, v_ld, v_payloads, v_exponents, v_kind,
-                       v_nwords, v_bs, v_l, v_wpb, j, i0, len, y, s, buf, 1);
-            double *restrict x = w + i0;
-            for (int64_t i = 0; i < len; i++)
-                x[i] -= s[i];
-            for (int64_t r = 0; r < j; r++) {
-                const double *restrict v =
-                    v_dense ? v_dense + r * v_ld + i0 : buf + r * FUSED_PIECE;
-                double a[8];
-                memcpy(a, lanes + 8 * r, sizeof a);
-                int64_t i = 0;
-                for (; i + 8 <= len; i += 8)
-                    for (int k = 0; k < 8; k++)
-                        a[k] += v[i + k] * x[i + k];
-                for (int k = 0; i < len; i++, k++)
-                    a[k] += v[i] * x[i];
-                memcpy(lanes + 8 * r, a, sizeof a);
-            }
-        }
+    double *lanes = k->slices + me * k->stride, *buf = lanes + 8 * j;
+    for (int64_t q = 0; q < 8 * j; q++)
+        lanes[q] = 0.0;
+    for (int64_t i0 = t0; i0 < t1; i0 += FUSED_PIECE) {
+        int64_t len = (i0 + FUSED_PIECE < t1 ? i0 + FUSED_PIECE : t1) - i0;
+        axpy_piece(k, i0, len, s, buf, 1);
+        double *restrict x = k->w + i0;
+        for (int64_t i = 0; i < len; i++)
+            x[i] -= s[i];
         for (int64_t r = 0; r < j; r++) {
-            const double *a = lanes + 8 * r;
-            u[r] += ((a[0] + a[1]) + (a[2] + a[3]))
-                    + ((a[4] + a[5]) + (a[6] + a[7]));
+            const double *restrict v = k->v_dense
+                ? k->v_dense + r * k->v_ld + i0 : buf + r * FUSED_PIECE;
+            double a[8];
+            memcpy(a, lanes + 8 * r, sizeof a);
+            int64_t i = 0;
+            for (; i + 8 <= len; i += 8)
+                for (int q = 0; q < 8; q++)
+                    a[q] += v[i + q] * x[i + q];
+            for (int q = 0; i < len; i++, q++)
+                a[q] += v[i] * x[i];
+            memcpy(lanes + 8 * r, a, sizeof a);
         }
+    }
+    double *p = k->part + t * j;
+    for (int64_t r = 0; r < j; r++) {
+        const double *a = lanes + 8 * r;
+        p[r] = ((a[0] + a[1]) + (a[2] + a[3])) + ((a[4] + a[5]) + (a[6] + a[7]));
     }
 }
 
-/* y = A @ x, CSR with an expanded per-entry row array: entries
- * accumulate in stored order, exactly like np.bincount. */
+void fused_axpy_dot(FUSED_SOURCE, int64_t j, int64_t n, int64_t tile,
+                    const double *y, double *w, double *u, double *work,
+                    int64_t threads)
+{
+    int64_t stride = j * (8 + (v_dense ? 0 : FUSED_PIECE));
+    struct walk k = {WALK_SOURCE, j, n, tile, 0, y, w, work,
+                     work + FUSED_ROUND * j, stride, 0};
+    fused_rounds(axpy_dot_tile, &k, u, threads);
+}
+
+/* ---- SpMV: runs of POOL_ROWS rows ----------------------------------------
+ * A unit is a run of rows; each row is summed by one thread, in entry
+ * order, so a row's bits do not depend on the split. */
+#define POOL_ROWS 1024
+
+struct spmv {
+    const int64_t *rows, *cols;
+    const double *vals, *x;
+    double *y;
+    int64_t width, m, nnz;
+};
+
+static void spmv_split(pool_task task, const struct spmv *a, int64_t work)
+{
+    pool_split(task, a, (a->m + POOL_ROWS - 1) / POOL_ROWS, POOL_MAX, work);
+}
+
+/* The first of the entries, ordered by row, whose row is >= r. */
+static int64_t first_entry(const int64_t *rows, int64_t nnz, int64_t r)
+{
+    int64_t lo = 0, hi = nnz;
+    while (lo < hi) {
+        int64_t mid = lo + (hi - lo) / 2;
+        if (rows[mid] < r)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    return lo;
+}
+
+static void csr_rows(const void *job, int64_t q, int64_t me)
+{
+    const struct spmv *a = job;
+    int64_t r0 = q * POOL_ROWS, r1 = r0 + POOL_ROWS < a->m ? r0 + POOL_ROWS : a->m;
+    int64_t e1 = first_entry(a->rows, a->nnz, r1);
+    for (int64_t r = r0; r < r1; r++)
+        a->y[r] = 0.0;
+    for (int64_t i = first_entry(a->rows, a->nnz, r0); i < e1; i++)
+        a->y[a->rows[i]] += a->vals[i] * a->x[a->cols[i]];
+}
+
+/* y = A @ x, CSR with an expanded per-entry row array, ordered by row (a
+ * CSRMatrix's): entries accumulate in stored order, exactly like
+ * np.bincount. */
 void csr_matvec(const int64_t *rows, const int64_t *cols,
                 const double *data, int64_t nnz, const double *x,
                 double *y, int64_t m)
 {
-    for (int64_t r = 0; r < m; r++)
-        y[r] = 0.0;
-    for (int64_t i = 0; i < nnz; i++)
-        y[rows[i]] += data[i] * x[cols[i]];
+    struct spmv a = {rows, cols, data, x, y, 0, m, nnz};
+    spmv_split(csr_rows, &a, nnz);
+}
+
+static void ell_rows(const void *job, int64_t q, int64_t me)
+{
+    const struct spmv *a = job;
+    int64_t r0 = q * POOL_ROWS, r1 = r0 + POOL_ROWS < a->m ? r0 + POOL_ROWS : a->m;
+    const double *x = a->x;
+    double *restrict y = a->y;
+    if (a->width == 0) {
+        for (int64_t r = r0; r < r1; r++)
+            y[r] = 0.0;
+        return;
+    }
+    for (int64_t r = r0; r < r1; r++)
+        y[r] = a->vals[r] * x[a->cols[r]];
+    for (int64_t s = 1; s < a->width; s++) {
+        const int64_t *c = a->cols + s * a->m;
+        const double *v = a->vals + s * a->m;
+        for (int64_t r = r0; r < r1; r++)
+            y[r] += v[r] * x[c[r]];
+    }
 }
 
 /* y = A @ x, ELL transposed (width, m) layout: per-row accumulation in
@@ -601,18 +977,19 @@ void csr_matvec(const int64_t *rows, const int64_t *cols,
 void ell_matvec(const int64_t *cols_t, const double *vals_t, int64_t width,
                 int64_t m, const double *x, double *y)
 {
-    if (width == 0) {
-        for (int64_t r = 0; r < m; r++)
-            y[r] = 0.0;
-        return;
-    }
-    for (int64_t r = 0; r < m; r++)
-        y[r] = vals_t[r] * x[cols_t[r]];
-    for (int64_t s = 1; s < width; s++) {
-        const int64_t *c = cols_t + s * m;
-        const double *v = vals_t + s * m;
-        for (int64_t r = 0; r < m; r++)
-            y[r] += v[r] * x[c[r]];
+    struct spmv a = {NULL, cols_t, vals_t, x, y, width, m, 0};
+    spmv_split(ell_rows, &a, width * m);
+}
+
+static void sell_rows(const void *job, int64_t q, int64_t me)
+{
+    const struct spmv *a = job;
+    int64_t g = a->m, r0 = q * POOL_ROWS, r1 = r0 + POOL_ROWS < g ? r0 + POOL_ROWS : g;
+    for (int64_t r = r0; r < r1; r++) {
+        double acc = a->vals[r] * a->x[a->cols[r]];
+        for (int64_t s = 1; s < a->width; s++)
+            acc += a->vals[s * g + r] * a->x[a->cols[s * g + r]];
+        a->y[a->rows[r]] = acc;
     }
 }
 
@@ -622,12 +999,8 @@ void sell_group_matvec(const int64_t *rows, const int64_t *cols_t,
                        const double *vals_t, int64_t width, int64_t g,
                        const double *x, double *y)
 {
-    for (int64_t r = 0; r < g; r++) {
-        double acc = vals_t[r] * x[cols_t[r]];
-        for (int64_t s = 1; s < width; s++)
-            acc += vals_t[s * g + r] * x[cols_t[s * g + r]];
-        y[rows[r]] = acc;
-    }
+    struct spmv a = {rows, cols_t, vals_t, x, y, width, g, 0};
+    spmv_split(sell_rows, &a, width * g);
 }
 
 /* ILU(0) numeric factorisation, in place on lu: the IKJ loop of
@@ -852,12 +1225,22 @@ _CDEF = _declarations(C_SOURCE)
 #: an FMA would change the rounding of every accumulation vs numpy.
 #: -O3 is for the loop vectoriser (the exact-scale FRSZ2 decode); it
 #: reorders no floating-point operation under these two flags.  No -m
-#: flag: width comes from the CLONED routines of C_SOURCE.
-_CFLAGS = ["-O3", "-fPIC", "-shared", "-ffp-contract=off", "-fno-fast-math"]
+#: flag: width comes from the CLONED routines of C_SOURCE.  -pthread:
+#: the pool's helpers.
+_CFLAGS = ["-O3", "-fPIC", "-shared", "-ffp-contract=off", "-fno-fast-math",
+           "-pthread"]
 
 #: payload-kind codes shared with the C source
 _ALIGNED_KINDS = {8: 0, 16: 1, 32: 2, 64: 3}
 _PACKED_KIND = 4
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on (its affinity mask)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def _cache_dir() -> str:
@@ -965,7 +1348,8 @@ class _Rows:
     A source is made once by whoever owns the rows and walked many times,
     so it keeps what a walk needs beside its operands: the C arguments
     (:attr:`source`) and one cache-line-aligned work buffer, allocated on
-    first use and sized by ``capacity`` — never by ``n``.
+    first use and sized by ``capacity`` and the engine's threads — never
+    by ``n``: a round of tile partials, then one slice per thread.
 
     :meth:`fused_dot`, :meth:`fused_axpy` and :meth:`fused_axpy_dot` are
     the three walks of a row source of :mod:`repro.fused.kernels` — the
@@ -1016,11 +1400,14 @@ class _Rows:
 
     def fused_dot(self, j: int, n: int, tile: int, w, h) -> int:
         """``h[r] += v_r[:n] . w`` (``fused_dot`` in ``C_SOURCE``)."""
-        used = min(tile, n) if self.piece else 0
-        lib, ptr, work = self._walk(j, n, used)
+        engine = self._engine
+        threads, held = engine.threads, engine.fused_round
+        decoded = -(-min(tile, n) // 8) * 8 if self.piece else 0
+        lib, ptr, work = self._walk(
+            j, n, held * self.capacity + threads * decoded)
         lib.fused_dot(*self.source, j, n, tile, ptr("double *", w),
-                      ptr("double *", h), work)
-        return used
+                      ptr("double *", h), work, threads)
+        return held * j + threads * decoded
 
     def fused_axpy(self, j: int, n: int, tile: int, y, w,
                    store: bool = False) -> int:
@@ -1033,11 +1420,14 @@ class _Rows:
 
     def fused_axpy_dot(self, j: int, n: int, tile: int, y, w, u) -> int:
         """:meth:`fused_axpy`, then ``u[r] += v_r[:n] . w``, in one walk."""
-        lanes = 8 + self.piece
-        lib, ptr, work = self._walk(j, n, self.capacity * lanes)
+        engine = self._engine
+        threads = engine.threads
+        per_row = engine.fused_round + threads * (8 + self.piece)
+        lib, ptr, work = self._walk(j, n, self.capacity * per_row)
         lib.fused_axpy_dot(*self.source, j, n, tile, ptr("double *", y),
-                           ptr("double *", w), ptr("double *", u), work)
-        return j * lanes
+                           ptr("double *", w), ptr("double *", u), work,
+                           threads)
+        return j * per_row
 
 
 class DenseRows(_Rows):
@@ -1257,6 +1647,20 @@ class CEngine:
         self.sweep_chunks = int(self._lib.prec_sweep_chunks)
         #: elements per piece of the fused axpy and sweep (C constant)
         self.fused_piece = int(self._lib.fused_piece)
+        #: tiles whose partials a fused walk holds at once (C constant)
+        self.fused_round = int(self._lib.fused_round)
+        #: values a call must reduce before it is split (C constant)
+        self.pool_min_work = int(self._lib.pool_min_work)
+        #: threads a split call uses, the caller included: the CPUs this
+        #: process may run on (:meth:`set_threads`)
+        self.threads = self.set_threads(_cpus())
+
+    def set_threads(self, threads: int) -> int:
+        """Size the process's pool to ``threads`` (clamped to 1..64; what
+        a worker process that shares the host sets) and return the size.
+        Any size gives the same bits."""
+        self.threads = int(self._lib.engine_set_threads(int(threads)))
+        return self.threads
 
     # -- pointer plumbing ---------------------------------------------
 

@@ -53,6 +53,7 @@ __all__ = [
     "jit_engine_name",
     "jit_unavailable_reason",
     "resolve_backend",
+    "share_cpus",
 ]
 
 #: accepted values for every ``backend=`` knob
@@ -119,6 +120,8 @@ def registered_kernels(backend: Optional[str] = None) -> List[str]:
 _ENGINE = None
 _ENGINE_LOADED = False
 _ENGINE_FAILURE: Optional[str] = None
+#: kernel-running processes this one shares the host's CPUs with
+_CPU_SHARERS = 1
 
 
 def load_engine():
@@ -146,7 +149,21 @@ def load_engine():
         _ENGINE_FAILURE = f"cffi: {type(exc).__name__}: {exc}"
         return None
     _ENGINE = engine
+    share_cpus(_CPU_SHARERS)
     return engine
+
+
+def share_cpus(workers: int) -> None:
+    """Size the engine's thread pool for a process that is one of
+    ``workers`` kernel-running processes on this host (a worker of
+    :class:`repro.parallel.SupervisedPool`): ``max(1, cpus // workers)``
+    threads, at once when the engine is loaded, else when it loads."""
+    global _CPU_SHARERS
+    _CPU_SHARERS = max(1, int(workers))
+    if _ENGINE is not None:
+        from .cbackend import _cpus
+
+        _ENGINE.set_threads(max(1, _cpus() // _CPU_SHARERS))
 
 
 def jit_available() -> bool:

@@ -17,6 +17,8 @@ blocks.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 __all__ = ["run"]
@@ -143,9 +145,14 @@ def _check_fused(engine, rng: np.random.Generator) -> None:
     zeros, subnormals and terms 600 orders of magnitude apart.  The short
     sources cover every slot width; a long one crosses the axpy's piece
     boundary, where a group of four rows continues into the next piece
-    and the sweep's lanes must persist from one piece to the next.
+    and the sweep's lanes must persist from one piece to the next; its
+    dot spans more tiles than one round of partials holds.  A call that
+    runs alone takes its tiles last first, so partials added in any order
+    but the tiles' fail here already.  Last, rows the pool splits: on two
+    threads and on the pool's, each walk must repeat its one-thread bits.
     """
-    from ..core.frsz2 import FRSZ2, decode_tile_numpy
+    from ..core.blocks import BlockLayout
+    from ..core.frsz2 import FRSZ2, Frsz2Compressed, decode_tile_numpy
     from ..fused.kernels import axpy_rows_numpy, dot_rows_numpy
 
     def sample(n):
@@ -187,13 +194,14 @@ def _check_fused(engine, rng: np.random.Generator) -> None:
     # block and leaves a ``mod 8`` tail, and n, do
     cases.append((n, (32, 40, n), (104, n), sources))
     # more than two pieces; tiles of one piece plus a tail that is not a
-    # multiple of 8, of one piece plus one whole lane group, and of n
+    # multiple of 8, of one piece plus one whole lane group, and of n; a
+    # dot over more tiles than one round of partials holds
     n = 2 * piece + 77
     vectors, plain, _ = sample(n)
     sources = [(*float64(vectors), (plain,)),
                (*compressed(vectors, 32, 32), (plain,))]
     tiles = (piece + 13, piece + 8, n)
-    cases.append((n, tiles, tiles, sources))
+    cases.append((n, (*tiles, 8), tiles, sources))
 
     y = np.array([0.5, 3.0, -0.25, 7.0, -1.75, 1.5])
 
@@ -206,30 +214,80 @@ def _check_fused(engine, rng: np.random.Generator) -> None:
                     ref = np.zeros(y.size)
                     dot_rows_numpy(dense, y.size, n, tile, w, ref)
                     for j in (1, 6):
-                        got = np.zeros(j)
-                        rows.fused_dot(j, n, tile, w, got)
-                        _expect(_same_bits(ref[:j], got),
+                        _expect(_same_bits(ref[:j], _dot(rows, j, n, tile, w)),
                                 f"fused.dot_basis ({tag} j={j} tile={tile})")
                 for j in (1, 6):  # axpy: the first row alone; a group of four + one
-                    combined, got = w.copy(), w.copy()
+                    combined = w.copy()
                     axpy_rows_numpy(dense, j, n, y, combined, True)
-                    rows.fused_axpy(j, n, n, y, got, True)
-                    _expect(_same_bits(combined, got),
+                    _expect(_same_bits(combined, _axpy(rows, j, n, y, w, True)),
                             f"fused.combine ({tag} j={j})")
                     # element for element, the axpy is w minus the combine
-                    updated, got = w - combined, w.copy()
-                    rows.fused_axpy(j, n, n, y, got)
-                    _expect(_same_bits(updated, got),
+                    updated = w - combined
+                    _expect(_same_bits(updated, _axpy(rows, j, n, y, w, False)),
                             f"fused.axpy ({tag} j={j})")
                     # the sweep is the axpy, then the dot of what it left;
                     # the ordinary operand does, the lane code is shared
                     for tile in sweep_tiles if w is operands[0] else ():
-                        ref, got, got_w = np.zeros(j), np.zeros(j), w.copy()
+                        ref = np.zeros(j)
                         dot_rows_numpy(dense, j, n, tile, updated, ref)
-                        rows.fused_axpy_dot(j, n, tile, y, got_w, got)
-                        _expect(_same_bits(ref, got)
-                                and _same_bits(updated, got_w),
+                        _expect(_same_bits(np.concatenate((ref, updated)),
+                                           _sweep(rows, j, n, tile, y, w)),
                                 f"fused.axpy_dot ({tag} j={j} tile={tile})")
+
+    # rows the pool splits — more values than its minimum, more tiles than
+    # a round of partials holds: on two threads and on the pool's, every
+    # walk repeats the bits it has on one, which the cases above hold to
+    # the numpy spelling
+    n_tiles = engine.fused_round + 7  # one round of tiles and then some
+    n = max(-(-engine.pool_min_work // y.size), 8 * n_tiles)
+    dense, plain = rng.standard_normal((y.size, n)), rng.standard_normal(n)
+    layout = BlockLayout(n, 32, 32)
+    comps = []
+    for v in dense:  # the codec is held to numpy above
+        payload, exponents = engine.encode(v, layout, False)
+        comps.append(Frsz2Compressed(layout, exponents, payload))
+    walks = []
+    for tag, rows in (
+            ("float64", engine.dense_rows(dense)),
+            ("l=32 bs=32", engine.row_table(map(engine.row_pointers, comps)))):
+        for tile in (n // n_tiles, n):
+            walks += [
+                (f"fused.dot_basis ({tag} tile={tile}",
+                 partial(_dot, rows, y.size, n, tile, plain)),
+                (f"fused.axpy_dot ({tag} tile={tile}",
+                 partial(_sweep, rows, y.size, n, tile, y, plain))]
+        walks.append((f"fused.axpy ({tag}",
+                      partial(_axpy, rows, y.size, n, y, plain, False)))
+    pool = engine.threads
+    try:
+        engine.set_threads(1)
+        alone = [walk() for _, walk in walks]
+        for count in sorted({2, pool}):
+            engine.set_threads(count)
+            # thrice: a helper that woke late for a call did no tile of it
+            for (what, walk), ref in 3 * list(zip(walks, alone)):
+                _expect(_same_bits(ref, walk()),
+                        f"{what} n={n} T={count} against T=1)")
+    finally:
+        engine.set_threads(pool)
+
+
+def _dot(rows, j, n, tile, w):
+    h = np.zeros(j)
+    rows.fused_dot(j, n, tile, w, h)
+    return h
+
+
+def _axpy(rows, j, n, y, w, store):
+    out = w.copy()
+    rows.fused_axpy(j, n, n, y, out, store)
+    return out
+
+
+def _sweep(rows, j, n, tile, y, w):
+    u, out = np.zeros(j), w.copy()
+    rows.fused_axpy_dot(j, n, tile, y, out, u)
+    return np.concatenate((u, out))
 
 
 def _csr_arrays(mask: np.ndarray, values: np.ndarray):
@@ -241,7 +299,7 @@ def _csr_arrays(mask: np.ndarray, values: np.ndarray):
 
 def _check_spmv(engine, rng: np.random.Generator) -> None:
     from ..sparse.csr import CSRMatrix
-    from ..sparse.ell import ELLMatrix
+    from ..sparse.ell import ELLMatrix, ell_matvec_numpy
     from ..sparse.sell import SELLMatrix
 
     m = 70
@@ -268,6 +326,38 @@ def _check_spmv(engine, rng: np.random.Generator) -> None:
         engine.sell_group_matvec(rows, cols_t, vals_t, x, None, y)
     _expect(np.array_equal(ref.view(np.uint64), y.view(np.uint64)),
             "spmv.sell_group_matvec")
+
+    # rows of five entries, as many as the pool splits, on one thread, two
+    # and the pool's: one matrix as an ELL rectangle, as a SELL width group
+    # that stores row r at y[m - 1 - r], then as CSR triplets in row order
+    width = 5
+    m = -(-engine.pool_min_work // width)
+    cols_t = (np.arange(m) + np.array([[0], [1], [-3], [97], [-m // 2]])) % m
+    vals_t = rng.standard_normal((width, m))
+    x = rng.standard_normal(m)
+    ref = ell_matvec_numpy(cols_t, vals_t, x, None, None).view(np.uint64)
+    reverse = np.arange(m)[::-1].copy()
+    counts = sorted({1, 2, engine.threads})
+    pool = engine.threads
+    try:
+        for count in counts:
+            engine.set_threads(count)
+            got = engine.ell_matvec(cols_t, vals_t, x, None, None)
+            _expect(np.array_equal(ref, got.view(np.uint64)),
+                    f"spmv.ell_matvec (m={m} T={count})")
+            engine.sell_group_matvec(reverse, cols_t, vals_t, x, None, got)
+            _expect(np.array_equal(ref, got[::-1].view(np.uint64)),
+                    f"spmv.sell_group_matvec (m={m} T={count})")
+        triplets = (np.repeat(np.arange(m), width), cols_t.T.copy(),
+                    vals_t.T.copy())
+        del cols_t, vals_t
+        for count in counts:
+            engine.set_threads(count)
+            got = engine.csr_matvec(*triplets, x, m)
+            _expect(np.array_equal(ref, got.view(np.uint64)),
+                    f"spmv.csr_matvec (m={m} T={count})")
+    finally:
+        engine.set_threads(pool)
 
 
 def _banded_csr(rng: np.random.Generator, n: int, zero_pivot_row=None):

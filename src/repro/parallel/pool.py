@@ -110,14 +110,19 @@ class PoolEvent:
 # ----------------------------------------------------------------------
 
 
-def _worker_main(conn) -> None:
+def _worker_main(conn, workers: int) -> None:
     """Loop: receive a task, run it, report; exit on ``stop`` or EOF.
 
     Progress messages and cooperative cancellation both flow through the
     injected ``emit``: every call first drains pending supervisor
     messages (a queued ``cancel`` raises :class:`TaskCancelled`), then
-    sends the progress payload.
+    sends the progress payload.  The worker is one of ``workers`` that
+    share the host, so its compiled kernels split their work over its
+    share of the CPUs.
     """
+    from ..jit.dispatch import share_cpus
+
+    share_cpus(workers)
     while True:
         try:
             msg = conn.recv()
@@ -165,11 +170,11 @@ class _Worker:
 
     __slots__ = ("id", "proc", "conn", "current")
 
-    def __init__(self, wid: int, ctx) -> None:
+    def __init__(self, wid: int, ctx, workers: int) -> None:
         self.id = wid
         self.conn, child = ctx.Pipe(duplex=True)
         self.proc = ctx.Process(
-            target=_worker_main, args=(child,), daemon=True,
+            target=_worker_main, args=(child, workers), daemon=True,
             name=f"repro-pool-{wid}",
         )
         self.proc.start()
@@ -202,7 +207,7 @@ class SupervisedPool:
             raise ValueError("pool needs at least one worker")
         self._ctx = context or mp.get_context()
         self._workers: List[_Worker] = [
-            _Worker(i, self._ctx) for i in range(workers)
+            _Worker(i, self._ctx, workers) for i in range(workers)
         ]
         self._pending: deque = deque()
         self._ids = itertools.count()
@@ -295,7 +300,7 @@ class SupervisedPool:
         if worker.proc.is_alive():
             worker.proc.terminate()
         worker.proc.join(timeout=5.0)
-        fresh = _Worker(worker.id, self._ctx)
+        fresh = _Worker(worker.id, self._ctx, len(self._workers))
         self._workers[self._workers.index(worker)] = fresh
 
     def poll(self, timeout: float = 0.0) -> List[PoolEvent]:

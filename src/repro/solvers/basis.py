@@ -182,12 +182,13 @@ class KrylovBasis:
         """Largest float64 working set this basis has held.
 
         ``cached``: the dense ``(n, m+1)`` view, allocated up front.
-        ``streaming``: the work buffer the compiled kernels keep — a
-        ``tile``-double decode buffer or the ``(m+1, 256)`` row pieces
-        and ``8 (m+1)`` lanes of their sweep, whichever a call asked for
-        last — or, if larger, the ``(j, tile)`` scratch of a basis
-        reduced tile by tile: ``O(m x tile)`` either way, never
-        ``O(n x m)``.
+        ``streaming``: what the work buffer the compiled kernels keep
+        holds — the ``m+1`` partials of each tile of one round and, per
+        thread of the pool, a ``tile``-double decode buffer or the
+        ``(m+1, 256)`` row pieces and ``8 (m+1)`` lanes of the sweep,
+        whichever is larger — or, if larger, the ``(j, tile)`` scratch of
+        a basis reduced tile by tile: ``O(threads x m x tile)`` either
+        way, never ``O(n x m)``.
         """
         if self._cache is not None:
             return int(self._cache.nbytes)

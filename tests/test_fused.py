@@ -575,7 +575,8 @@ class TestHostileInputs:
         axpy_dot_fused(cached, y, w, 32)
         axpy_dot_fused(streaming, y, w, 32)
         table = streaming.source.table
-        assert table._work.size == self.j * (8 + engine.fused_piece)
+        assert table._work.size == self.j * (
+            engine.fused_round + engine.threads * (8 + engine.fused_piece))
         for call in (
             lambda: axpy_dot_fused(cached, y[:2], w, 32),
             lambda: axpy_dot_fused(cached, y, w[:99], 32),
@@ -943,12 +944,15 @@ class TestStreamingMemory:
     @requires_jit
     def test_sweep_reports_its_real_buffers(self):
         """The compiled sweep decodes every row piece once and keeps it:
-        ``j`` pieces and ``8 j`` lanes, whatever ``n`` is — in a work
-        buffer the basis keeps, sized for all ``m + 1`` slots and counted
-        in its peak whether or not a call has used all of it."""
+        per thread of the pool ``j`` pieces and ``8 j`` lanes, and one
+        round of ``j`` tile partials, whatever ``n`` is — in a work buffer
+        the basis keeps, sized for all ``m + 1`` slots and counted in its
+        peak whether or not a call has used all of it."""
         from repro.jit import load_engine
 
-        m, piece = 50, load_engine().fused_piece
+        engine = load_engine()
+        m, per_row = 50, (engine.fused_round
+                          + engine.threads * (engine.fused_piece + 8))
         used, peaks = [], []
         for n in (4096, 16384):
             basis = KrylovBasis(n, m, "frsz2_32", basis_mode="streaming",
@@ -961,10 +965,12 @@ class TestStreamingMemory:
             basis.axpy(m, rng.standard_normal(m), w)
             used.append(basis.fused_log.peak_scratch_bytes)
             peaks.append(basis.peak_float64_bytes)
-        assert used == [8 * m * (piece + 8)] * 2  # what the j = 50 call used
-        assert peaks == [8 * (m + 1) * (piece + 8)] * 2  # ~105 KB kept
-        assert peaks[0] <= 8 * ((m + 1) * (piece + 8) + basis.tile_elems)
-        assert peaks[0] <= m * basis.tile_elems * 8
+        assert used == [8 * m * per_row] * 2  # what the j = 50 call used
+        # what the buffer holds: ~240 KB at two threads; the dot's slices
+        # (one tile each) and its partials fit in it
+        assert peaks == [8 * (m + 1) * per_row] * 2
+        dot = engine.fused_round * (m + 1) + engine.threads * basis.tile_elems
+        assert dot <= (m + 1) * per_row
 
     def test_cached_mode_reports_dense_footprint(self):
         basis = KrylovBasis(1000, 30, "frsz2_32", basis_mode="cached")
@@ -1175,7 +1181,9 @@ class TestKeptSource:
         work = table._work
         basis.axpy_dot(3, np.ones(3), w.copy())
         assert table._work is work
-        assert work.size == (self.m + 1) * (8 + table.piece)
+        engine = table._engine
+        assert work.size == (self.m + 1) * (
+            engine.fused_round + engine.threads * (8 + table.piece))
 
     def test_numpy_codecs_keep_no_table(self):
         basis, vectors, w = self._basis("streaming", "numpy")

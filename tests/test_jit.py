@@ -79,7 +79,7 @@ class TestDispatch:
         wrappers = sources[pathlib.Path(cbackend.__file__).resolve()]
         wrappers = wrappers.replace(cbackend.C_SOURCE, "")
         exported = re.findall(r"(\w+)\(", cbackend._CDEF)
-        assert len(exported) == 16 and "frsz2_encode" in exported
+        assert len(exported) == 17 and "engine_set_threads" in exported
         for name in exported:
             assert re.search(r"\b_?lib\.%s\b" % name, wrappers), name
 
@@ -227,7 +227,7 @@ class TestDispatch:
             re.search(r"(\w+)\s*(?:\(|$)", declaration.strip()).group(1)
             for declaration in cbackend._CDEF.split(";") if declaration.strip()
         }
-        assert len(declared) == 19 == cbackend._CDEF.count(";")
+        assert len(declared) == 22 == cbackend._CDEF.count(";")
         assert "SOURCE" not in cbackend._CDEF  # every macro expanded
         assert cbackend._CDEF == cbackend._declarations(cbackend.C_SOURCE)
         assert dispatch.jit_unavailable_reason() is None
@@ -302,7 +302,9 @@ class TestDispatch:
     def test_selftest_is_small_and_quick(self):
         """Every process that asks for ``backend="jit"`` pays the
         self-test once, in wall and in resident memory: its operands
-        stay a few hundred values and the fused family a few ms."""
+        stay a few hundred values — but for one case per family that the
+        pool splits, which holds the pool's minimum of values (half a MiB
+        per float64 array) — and the fused family a few ms."""
         import time
         import tracemalloc
 
@@ -315,14 +317,14 @@ class TestDispatch:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1 << 20
+        assert peak < 4 << 20
         walls = []
         for _ in range(5):
             t0 = time.perf_counter()
             selftest._check_fused(engine, np.random.default_rng(0))
             walls.append(time.perf_counter() - t0)
         # the family is what this engine's self-test adds to the parent's
-        assert min(walls) < 0.010
+        assert min(walls) < 0.020
         # so is the prec.* family: its references are Python loops over
         # seven chunks of rows, every one a few ms at engine load
         walls = []
