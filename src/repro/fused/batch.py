@@ -3,13 +3,12 @@
 Nothing in the package calls these any more: every basis row is read
 where it is stored, so a batched kernel has been a loop of the solo
 kernel of :mod:`repro.fused.kernels` over the columns since the
-in-register reductions, and the batched solve now loops
-:func:`~repro.solvers.orthogonal.cgs_orthogonalize` over its columns
-itself (:mod:`repro.solvers.block`).  The module stays because
+in-register reductions, and the Arnoldi core (:mod:`repro.solvers.block`)
+holds one right-hand side.  The module stays because
 ``benchmarks/perf/layers.py`` imports :class:`BatchTileReader`,
 :func:`dot_basis_batch` and :func:`axpy_batch` (``fused.batch_dot_gbps``)
-and a change that claims a gain may not edit the benchmark; it can go
-with the next ``[benchmark]`` change (ROADMAP item 4).
+and only a ``[benchmark]`` change may edit the benchmark; it goes with
+the one that drops that metric (ROADMAP item 8(c)).
 
 Bit-identity contract
 ---------------------

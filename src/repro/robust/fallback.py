@@ -153,7 +153,6 @@ class RobustCbGmres:
         max_iter: int = DEFAULT_MAX_ITER,
         storage_factory: "Callable[[str, int], VectorAccessor] | None" = None,
         preconditioner: Optional[Preconditioner] = None,
-        orthogonalization: str = "cgs",
         spmv_format: str = "csr",
         basis_mode: str = "cached",
         tile_elems: Optional[int] = None,
@@ -173,7 +172,6 @@ class RobustCbGmres:
         self.max_iter = int(max_iter)
         self._factory = storage_factory
         self.preconditioner = preconditioner
-        self.orthogonalization = orthogonalization
         self.basis_mode = basis_mode
         self.tile_elems = tile_elems
         self.precision = precision
@@ -240,7 +238,6 @@ class RobustCbGmres:
                 storage_factory=self._factory,
                 precision=precision,
                 preconditioner=self.preconditioner,
-                orthogonalization=self.orthogonalization,
                 recovery=True,
                 max_recoveries=self.policy.max_recoveries,
                 basis_mode=self.basis_mode,

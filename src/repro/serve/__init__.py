@@ -49,7 +49,7 @@ from .queue import (
     RejectedError,
 )
 from .soak import SoakError, build_soak_specs, run_soak
-from .worker import IsolationError, run_solve_batch_job, run_solve_job
+from .worker import IsolationError, run_coalesced_job, run_solve_job
 
 __all__ = [
     "AdmissionController",
@@ -73,7 +73,7 @@ __all__ = [
     "TERMINAL_STATES",
     "build_serve_health",
     "build_soak_specs",
-    "run_solve_batch_job",
+    "run_coalesced_job",
     "run_solve_job",
     "run_soak",
     "validate_serve_health",

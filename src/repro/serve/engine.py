@@ -62,7 +62,7 @@ from ..robust.fallback import FallbackPolicy
 from .bus import ProgressBus, ProgressEvent
 from .jobs import AttemptRecord, JobRecord, JobSpec, JobState, TERMINAL_STATES
 from .queue import AdmissionController, RejectedError
-from .worker import run_solve_batch_job, run_solve_job
+from .worker import run_coalesced_job, run_solve_job
 
 __all__ = ["ServeConfig", "SolveEngine"]
 
@@ -103,14 +103,16 @@ class ServeConfig:
     coalesce : bool
         Opt-in throughput mode: queued jobs whose specs differ only in
         ``rhs_seed`` (same matrix, scale, solver configuration) are
-        dispatched as **one** multi-RHS worker task running
-        :meth:`~repro.solvers.gmres.CbGmres.solve_batch` — matrix build
-        and FRSZ2 codec passes are paid once per batch.  Per-job results
-        stay bit-identical to solo runs.  Chaos jobs, deadline jobs and
-        retry attempts never coalesce; a cancelled batch member is
-        finished engine-side while its peers keep computing.
+        dispatched as **one** worker task,
+        :func:`~repro.serve.worker.run_coalesced_job`, that shares one
+        problem build, one preconditioner factorization, one tracer and
+        one pool round trip, then solves the members one after another
+        with the same solver.  Per-job results stay bit-identical to
+        solo runs.  Chaos jobs, deadline jobs and retry attempts never
+        coalesce; a cancelled batch member is finished engine-side while
+        its peers keep computing.
     max_batch : int
-        Largest coalesced batch (right-hand-side columns per task).
+        Largest coalesced batch (right-hand sides per task).
     """
 
     workers: int = 2
@@ -355,7 +357,7 @@ class SolveEngine:
     def _batch_key(self, job: JobRecord):
         key = job.spec.to_dict()
         key.pop("rhs_seed")        # the one thing members may vary
-        key.pop("progress_every")  # per-column in the batch worker
+        key.pop("progress_every")  # per member in the coalesced worker
         return tuple(sorted(key.items()))
 
     def _gather_batch_locked(self, job: JobRecord) -> List[JobRecord]:
@@ -418,7 +420,7 @@ class SolveEngine:
         # so no degradation bookkeeping applies
         storage = batch[0].spec.storage
         task = self._pool.submit(
-            run_solve_batch_job,
+            run_coalesced_job,
             dict(
                 specs=[j.spec.to_dict() for j in batch],
                 job_ids=[j.job_id for j in batch],
@@ -519,7 +521,7 @@ class SolveEngine:
                     if payload is None:
                         self._attempt_failed(
                             job, "error",
-                            "batch result missing this job's column",
+                            "coalesced result missing this job",
                         )
                     else:
                         job.attempts[-1].outcome = "done"

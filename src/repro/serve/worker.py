@@ -30,6 +30,7 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import replace
+from functools import partial
 from typing import Any, Callable, Dict, Iterator, Optional, Sequence
 
 import numpy as np
@@ -40,7 +41,7 @@ from ..robust.faults import FaultInjector, fault_hooks
 from ..solvers.problems import make_problem
 from .jobs import JobSpec
 
-__all__ = ["IsolationError", "run_solve_job", "run_solve_batch_job"]
+__all__ = ["IsolationError", "run_solve_job", "run_coalesced_job"]
 
 
 class IsolationError(RuntimeError):
@@ -96,10 +97,11 @@ def _prepare(spec: Dict[str, Any], storage: str, tracer, **hooks):
 class _Progress:
     """The per-step monitor: progress events for the engine's heartbeat.
 
-    Called as ``monitor(col, iteration, j, basis, implicit_rrn)``;
-    column ``col`` emits at its own spec's ``progress_every`` and
-    ``job_ids`` (batched attempts only) tags each event with its
-    member's id so the engine can route it.
+    Called as ``monitor(col, iteration, j, basis, implicit_rrn)`` with
+    the member index ``col`` bound in (``functools.partial``); member
+    ``col`` emits at its own spec's ``progress_every``, and ``job_ids``
+    (coalesced attempts only) tags each event with its member's id so
+    the engine can route it.
     """
 
     def __init__(self, emit, tracer, storage, specs, job_ids=None) -> None:
@@ -135,7 +137,7 @@ class _Progress:
 
 
 def _payload(job_id, attempt, result, storage, wall, progress, **extra):
-    """The result payload of one job (solo-shaped for batch members)."""
+    """The result payload of one job (solo-shaped for coalesced members)."""
     return {
         "job_id": job_id,
         "attempt": int(attempt),
@@ -222,40 +224,40 @@ def run_solve_job(
         )
 
 
-def run_solve_batch_job(
+def run_coalesced_job(
     specs: Sequence[Dict[str, Any]],
     job_ids: Sequence[str],
     attempt: int,
     storage: str,
     emit: Optional[Callable[[Dict[str, Any]], None]] = None,
 ) -> Dict[str, Any]:
-    """Run one *batched* solve attempt over jobs sharing a matrix key.
+    """Run one *coalesced* attempt over jobs sharing a batch key.
 
     The engine coalesces queued jobs whose specs differ only in
     ``rhs_seed`` (same matrix, scale, solver configuration) into a
-    single worker task: the problem is built **once**, every job
-    contributes one right-hand-side column, and the whole block runs
-    through :meth:`~repro.solvers.gmres.CbGmres.solve_batch` — so the
-    matrix structure, FRSZ2 codec passes and tile sweeps are paid once
-    per batch instead of once per job.  Each job's numbers stay
-    bit-identical to what its own solo :func:`run_solve_job` attempt
-    would have produced (the ``solve_batch`` contract).
+    single worker task.  The attempt shares one problem build, one
+    preconditioner factorization, one tracer and one pool round trip;
+    each member's right-hand side then runs through the solo
+    :meth:`~repro.solvers.gmres.CbGmres.solve` of that one solver, in
+    member order.  A solver keeps no state from one solve to the next,
+    so each member's numbers are bit-identical to what its own solo
+    :func:`run_solve_job` attempt would have produced.
 
     Parameters
     ----------
     specs : sequence of dict
-        Serialized :class:`repro.serve.jobs.JobSpec` per batch member;
-        all members must agree on everything except ``rhs_seed`` and
+        Serialized :class:`repro.serve.jobs.JobSpec` per member; all
+        members must agree on everything except ``rhs_seed`` and
         ``progress_every`` (the engine's batch key guarantees it).
-        Chaos plans are never batched.
+        Chaos plans are never coalesced.
     job_ids : sequence of str
         Engine identities aligned with ``specs``; progress events carry
         the member's ``job_id`` so the engine can route them.
     attempt : int
-        1-based attempt number (batched attempts are always first
+        1-based attempt number (coalesced attempts are always first
         attempts — retries run solo).
     storage : str
-        Storage format shared by the whole batch.
+        Storage format shared by every member.
     emit : callable, optional
         Progress channel injected by the pool.
 
@@ -263,7 +265,8 @@ def run_solve_batch_job(
     -------
     dict
         ``{"results": {job_id: payload}}`` with one solo-shaped result
-        payload per member, plus batch-level bookkeeping.
+        payload per member, plus the attempt's ``batch_columns`` and
+        ``wall_seconds``.
     """
     global _JOBS_RUN
     specs = list(specs)
@@ -274,18 +277,20 @@ def run_solve_batch_job(
         t0 = time.perf_counter()
         tracer = Tracer()
         progress = _Progress(emit, tracer, storage, specs, job_ids)
-        # batch members share the whole solver and preconditioner config
-        # (it is part of the engine's batch key), so one problem and one
-        # factorization serve every column
+        # members share the whole solver and preconditioner config (it is
+        # part of the engine's batch key), so one problem and one
+        # factorization serve every member
         problem, solver = _prepare(specs[0], storage, tracer)
-        columns = [_make_rhs(problem, spec.get("rhs_seed")) for spec in specs]
-        batch = solver.solve_batch(
-            np.stack(columns, axis=1), problem.target_rrn,
-            record_history=False, monitor=progress,
-        )
+        results = [
+            solver.solve(
+                _make_rhs(problem, spec.get("rhs_seed")), problem.target_rrn,
+                record_history=False, monitor=partial(progress, col),
+            )
+            for col, spec in enumerate(specs)
+        ]
 
         _JOBS_RUN += 1
-        # wall clock + tracer are per-batch, shared by members
+        # wall clock + tracer are per-attempt, shared by members
         wall = float(time.perf_counter() - t0)
         return {
             "results": {
@@ -293,10 +298,9 @@ def run_solve_batch_job(
                     job_id, attempt, result, storage, wall, progress,
                     batch_columns=len(job_ids),
                 )
-                for job_id, result in zip(job_ids, batch.results)
+                for job_id, result in zip(job_ids, results)
             },
             "batch_columns": len(job_ids),
-            "batched_spmv_calls": int(batch.batched_spmv_calls),
             "wall_seconds": wall,
         }
 

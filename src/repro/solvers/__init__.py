@@ -11,7 +11,6 @@ from .adaptive import (
 )
 from .analysis import OrthogonalityTrace, basis_perturbation, trace_orthogonality
 from .basis import KrylovBasis
-from .block import BatchGmresResult, solve_batch
 from .calibration import CalibrationResult, calibrate_suite, calibrate_target
 from .fgmres import FlexibleGmres
 from .gmres import (
@@ -26,12 +25,7 @@ from .gmres import (
 )
 from .hessenberg import GivensLeastSquares
 from .options import SolveOptions
-from .orthogonal import (
-    DEFAULT_ETA,
-    OrthogonalizationResult,
-    cgs_orthogonalize,
-    mgs_orthogonalize,
-)
+from .orthogonal import DEFAULT_ETA, OrthogonalizationResult, cgs_orthogonalize
 from .preconditioner import (
     PREC_STORAGES,
     PRECONDITIONERS,
@@ -60,9 +54,7 @@ __all__ = [
     "PrecisionController",
     "PrecisionDecision",
     "storage_unit_roundoff",
-    "BatchGmresResult",
     "KrylovBasis",
-    "solve_batch",
     "OrthogonalityTrace",
     "basis_perturbation",
     "trace_orthogonality",
@@ -83,7 +75,6 @@ __all__ = [
     "DEFAULT_ETA",
     "OrthogonalizationResult",
     "cgs_orthogonalize",
-    "mgs_orthogonalize",
     "Preconditioner",
     "PreconditionerError",
     "ZeroPivotError",

@@ -25,7 +25,7 @@ delivery:
 The controller picks, per restart, the cheapest ladder format whose
 roundoff (times a safety factor) fits inside
 ``max(g_predicted, tau / rho)``, then lets feedback veto it: a cycle
-whose observed reduction was storage-capped, that tripped the CGS/MGS
+whose observed reduction was storage-capped, that tripped the CGS
 re-orthogonalization machinery, that lost orthogonality outright, or
 that needed a fault recovery, forces an upshift that is *held* for a
 few restarts so the controller cannot oscillate.  External floors
@@ -120,7 +120,7 @@ class ControllerConfig:
         ``frsz2_32`` but not ``frsz2_16`` — the paper's own default.
     reorth_fraction : float
         Feedback-upshift trigger: a cycle where at least this fraction
-        of the Arnoldi steps needed re-orthogonalization (the CGS/MGS
+        of the Arnoldi steps needed re-orthogonalization (the CGS
         eta test) *and* the fraction jumped by ``reorth_jump`` over the
         solve's own best cycle is deemed to be eroding the directions,
         and the next cycle runs one rung higher.  The jump term makes

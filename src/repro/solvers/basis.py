@@ -309,8 +309,7 @@ class KrylovBasis:
         Tallies one vector read (``basis.vector_reads`` /
         ``basis.bytes_read``) exactly like :meth:`dot_basis` does per
         vector — the accounting route for vector-at-a-time consumers
-        such as MGS, whose traffic was previously invisible to the
-        timing model.
+        such as flexible GMRES's SpMV operand ``z_{j-1}``.
         """
         with self.tracer.span("basis_read", vectors=1):
             if self.tracer.enabled:

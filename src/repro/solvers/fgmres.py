@@ -60,10 +60,9 @@ class FlexibleGmres(CbGmres):
     The class is :class:`~repro.solvers.gmres.CbGmres` with the Arnoldi
     core's two hook points overridden (``_direction`` stores ``z``
     compressed and hands the read-back to the SpMV, ``_correction``
-    combines ``Z_m y``), so ``solve``, ``solve_batch``, breakdown
-    recovery, the stats billing and the tracer spans (assign a
-    :class:`repro.observe.Tracer` to ``tracer``) are inherited, not
-    re-implemented.
+    combines ``Z_m y``), so ``solve``, breakdown recovery, the stats
+    billing and the tracer spans (assign a :class:`repro.observe.Tracer`
+    to ``tracer``) are inherited, not re-implemented.
 
     Parameters
     ----------
@@ -131,16 +130,16 @@ class FlexibleGmres(CbGmres):
     # -- the two Arnoldi-core hooks that make the cycle flexible --------
     _flexible = True
 
-    def _direction(self, c, j: int) -> np.ndarray:
+    def _direction(self, s, j: int) -> np.ndarray:
         """``z_{j-1} = M^-1 v_{j-1}``, stored compressed (ref [17])."""
-        z_basis = c.stored
-        z_basis.write_vector(j - 1, c.precondition(self.preconditioner, c.v))
-        c.bill(z_basis, writes=1)
+        z_basis = s.stored
+        z_basis.write_vector(j - 1, s.precondition(self.preconditioner, s.v))
+        s.bill(z_basis, writes=1)
         # counted read: the SpMV streams z_{j-1} from compressed
         # storage (ref [17] halves the saving, not the traffic)
         return z_basis.read_vector(j - 1)
 
-    def _correction(self, c) -> np.ndarray:
+    def _correction(self, s) -> np.ndarray:
         """``x = x0 + Z_m y`` — the compressed basis is read here."""
-        with self.tracer.span("update", columns=c.j_used):
-            return c.stored.combine(c.j_used, c.lsq.solve())
+        with self.tracer.span("update", columns=s.j_used):
+            return s.stored.combine(s.j_used, s.lsq.solve())

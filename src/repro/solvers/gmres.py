@@ -206,10 +206,6 @@ class CbGmres:
     preconditioner:
         Right preconditioner ``M`` (the ``M^-1`` of Fig. 1); default is
         the identity, matching the paper's experiments (Section V-C).
-    orthogonalization:
-        ``"cgs"`` (Fig. 1: classical Gram-Schmidt + conditional
-        re-orthogonalization, Ginkgo's choice) or ``"mgs"`` (modified
-        Gram-Schmidt, for numerical comparisons).
     spmv_format:
         SpMV storage format: ``"csr"`` (default) runs the matrix as
         given — bit-identical to the pre-engine solver; ``"ell"`` /
@@ -291,7 +287,6 @@ class CbGmres:
         stall_restarts: Optional[int] = 8,
         stall_factor: float = 0.999,
         preconditioner: Optional[Preconditioner] = None,
-        orthogonalization: str = "cgs",
         recovery: bool = True,
         max_recoveries: int = DEFAULT_MAX_RECOVERIES,
         spmv_format: str = "csr",
@@ -338,9 +333,6 @@ class CbGmres:
         self.stall_restarts = stall_restarts
         self.stall_factor = float(stall_factor)
         self.preconditioner = preconditioner or IdentityPreconditioner()
-        if orthogonalization not in ("cgs", "mgs"):
-            raise ValueError("orthogonalization must be 'cgs' or 'mgs'")
-        self.orthogonalization = orthogonalization
         self.recovery = bool(recovery)
         if max_recoveries < 0:
             raise ValueError("max_recoveries must be non-negative")
@@ -401,75 +393,45 @@ class CbGmres:
         Raises
         ------
         ValueError
-            If ``b`` has the wrong shape, ``b`` or ``x0`` holds a NaN or
-            an Inf, or ``target_rrn`` is negative.
+            If ``b`` or ``x0`` has the wrong shape or holds a NaN or an
+            Inf, or ``target_rrn`` is negative.
         """
-        from .block import solve_batch
+        from .block import _Solve
 
-        # the width-1 call of the package's one restart cycle
-        return solve_batch(
-            self,
-            [b],
-            target_rrn,
-            None if x0 is None else np.asarray(x0, dtype=np.float64)[:, None],
-            record_history,
-            None if monitor is None else lambda col, *step: monitor(*step),
-        )[0]
+        n = self.a.shape[0]
+        b = np.ascontiguousarray(b, dtype=np.float64)
+        if b.shape != (n,):
+            raise ValueError(f"b must have shape ({n},)")
+        target = float(target_rrn)
+        if target < 0:
+            raise ValueError("target_rrn must be non-negative")
+        if x0 is None:
+            x = np.zeros(n)
+        else:
+            x = np.array(x0, dtype=np.float64)
+            if x.shape != (n,):
+                raise ValueError(f"x0 must have shape ({n},)")
+        # a NaN would end as ``converged=False`` without a word, an Inf as a
+        # divide warning deep in the cycle: refuse both here, by name.  A NaN
+        # is the min *and* the max, an Inf one of them — two reductions and no
+        # ``isfinite(b)`` temporary, whose ``n`` freed bytes left the
+        # allocator in a state that cost ``prec_ilu0``'s float64 twin 5 %
+        for name, v in (("right-hand side", b), ("x0", x)):
+            if n and not np.isfinite([v.min(), v.max()]).all():
+                raise ValueError(f"{name} holds a NaN or an Inf")
+        return _Solve(self, b, target, x, record_history, monitor).run()
 
     # -- the Arnoldi core's two hook points (repro.solvers.block) ------
     #: flexible variants keep V in float64 and fill a second stored basis
     _flexible = False
 
-    def _direction(self, c, j: int) -> np.ndarray:
+    def _direction(self, s, j: int) -> np.ndarray:
         """Fig. 1 step 2 operand ``M^-1 v``; the newest vector stays in
         double precision."""
-        return c.precondition(self.preconditioner, c.v)
+        return s.precondition(self.preconditioner, s.v)
 
-    def _correction(self, c) -> np.ndarray:
+    def _correction(self, s) -> np.ndarray:
         """Fig. 1 step 18: ``M^-1 (V_m y)``."""
-        with self.tracer.span("update", columns=c.j_used):
-            update = c.basis.combine(c.j_used, c.lsq.solve())
-        return c.precondition(self.preconditioner, update)
-
-    def solve_batch(
-        self,
-        B,
-        target_rrn,
-        x0: Optional[np.ndarray] = None,
-        record_history: bool = True,
-        monitor=None,
-    ):
-        """Solve ``A X = B`` for many right-hand sides in lockstep.
-
-        The batched path shares one matrix structure across all
-        columns: restart residuals and Arnoldi SpMVs run through the
-        multi-vector kernels (``A @ X``); orthogonalization and the
-        basis writes run every column's own fused dot/axpy and encode.
-        Column ``c`` of the result is **bit-identical** to
-        ``self.solve(B[:, c], ...)`` — converged/poisoned columns
-        simply leave the lockstep early (see
-        :mod:`repro.solvers.block`).
-
-        Parameters
-        ----------
-        B : ndarray (n, nrhs) or sequence of (n,) vectors
-            Right-hand sides, one per column.
-        target_rrn : float or sequence of float
-            Relative-residual target, shared or per column.
-        x0 : ndarray (n, nrhs), optional
-            Initial guesses (default: zero).
-        record_history : bool, default True
-            As in :meth:`solve`, per column.
-        monitor : callable, optional
-            ``monitor(col, iteration, j, basis, implicit_rrn)`` — the
-            :meth:`solve` hook with the column index prepended.
-
-        Returns
-        -------
-        BatchGmresResult
-            Per-column :class:`GmresResult` objects plus counters for
-            how much work ran through the batched SpMV.
-        """
-        from .block import solve_batch
-
-        return solve_batch(self, B, target_rrn, x0, record_history, monitor)
+        with self.tracer.span("update", columns=s.j_used):
+            update = s.basis.combine(s.j_used, s.lsq.solve())
+        return s.precondition(self.preconditioner, update)

@@ -192,23 +192,6 @@ class TestAdaptiveSolve:
         assert a.stats.storage_trace == b.stats.storage_trace
         np.testing.assert_array_equal(a.x, b.x)
 
-    def test_adaptive_solve_batch_matches_solo(self, atmosmodd):
-        """Every batch column owns a controller, so adaptive storage
-        runs in the lockstep — decisions and bits equal the solo solve."""
-        def solver():
-            return CbGmres(atmosmodd.a, "adaptive", m=30, max_iter=600)
-
-        B = np.stack([atmosmodd.b, 0.5 * atmosmodd.b], axis=1)
-        solos = [solver().solve(B[:, c], atmosmodd.target_rrn) for c in range(2)]
-        batch = solver().solve_batch(B, atmosmodd.target_rrn)
-        for solo, col in zip(solos, batch):
-            assert col.storage == ADAPTIVE_STORAGE
-            assert col.converged
-            assert np.array_equal(solo.x, col.x)
-            assert col.stats.storage_trace == solo.stats.storage_trace
-            assert col.precision_trace == solo.precision_trace
-            assert col.stats.writes_by_storage == solo.stats.writes_by_storage
-
     def test_fgmres_adaptive_z_basis(self, lung2):
         res = FlexibleGmres(lung2.a, "adaptive", m=30, max_iter=500).solve(
             lung2.b, lung2.target_rrn

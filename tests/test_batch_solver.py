@@ -1,10 +1,11 @@
-"""Tests for the batched multi-RHS solve path (``CbGmres.solve_batch``).
+"""Tests for solving a batch of right-hand sides with one solver.
 
-The load-bearing property is bit-identity: column ``c`` of a batched
-solve must equal an independent ``solve(B[:, c])`` — solution bits,
-residual history, iteration counts — for every storage format, SpMV
-format and batch width.  Everything else (counters, masking, input
-validation) rides on top of that contract.
+A coalesced serve attempt (``repro.serve.worker.run_coalesced_job``)
+builds one solver and loops ``CbGmres.solve`` over its members.  The
+load-bearing property is that a solver keeps nothing from one solve to
+the next: solve ``c`` of the loop must equal a fresh solver's
+``solve(B[:, c])`` — solution bits, residual history, iteration counts,
+work stats — for every storage format, SpMV format and batch size.
 """
 
 import gc
@@ -15,7 +16,8 @@ import pytest
 
 from repro.accessor import make_accessor
 from repro.observe import Tracer
-from repro.solvers import BatchGmresResult, CbGmres, make_problem
+from repro.serve import JobSpec, run_coalesced_job, run_solve_job
+from repro.solvers import CbGmres, make_problem
 
 from .backends import BACKENDS
 
@@ -31,10 +33,19 @@ def rhs_block(problem, nrhs, seed_base=1000):
     return np.stack(columns, axis=1)
 
 
-def assert_columns_identical(solo_results, batch_result):
+def solve_all(solver, B, target, x0=None):
+    """The coalesced attempt's loop: every column through one solver."""
+    targets = np.broadcast_to(target, B.shape[1])
+    return [
+        solver.solve(B[:, c], targets[c], x0=None if x0 is None else x0[:, c])
+        for c in range(B.shape[1])
+    ]
+
+
+def assert_columns_identical(solo_results, batch_results):
     """Every batch column equals its independent solve, bit for bit."""
-    assert len(solo_results) == len(batch_result)
-    for c, (solo, col) in enumerate(zip(solo_results, batch_result)):
+    assert len(solo_results) == len(batch_results)
+    for c, (solo, col) in enumerate(zip(solo_results, batch_results)):
         assert np.array_equal(solo.x, col.x), f"column {c}: solution bits"
         assert solo.iterations == col.iterations, f"column {c}: iterations"
         assert solo.converged == col.converged, f"column {c}: converged"
@@ -48,8 +59,8 @@ def assert_columns_identical(solo_results, batch_result):
         assert (
             solo.stats.reorthogonalizations == col.stats.reorthogonalizations
         )
-        # adaptive storage: the column's own controller must have taken
-        # the solo decisions (all empty for fixed-storage solves)
+        # adaptive storage: each solve's own controller must have taken
+        # the fresh solver's decisions (all empty for fixed storage)
         assert solo.stats.storage_trace == col.stats.storage_trace
         assert solo.precision_trace == col.precision_trace
         assert solo.stats.reads_by_storage == col.stats.reads_by_storage
@@ -58,7 +69,7 @@ def assert_columns_identical(solo_results, batch_result):
 
 
 class TestBitIdentity:
-    """Satellite 4: batched == loop column-for-column across the grid."""
+    """One solver looped over a batch == a fresh solver per column."""
 
     @pytest.mark.parametrize(
         "storage", ["frsz2_16", "frsz2_32", "float64", "adaptive"]
@@ -77,29 +88,31 @@ class TestBitIdentity:
             )
 
         solos = [solver().solve(B[:, c], target) for c in range(nrhs)]
-        batch = solver().solve_batch(B, target)
-        assert_columns_identical(solos, batch)
+        assert_columns_identical(solos, solve_all(solver(), B, target))
 
     @pytest.mark.parametrize(
         "storage", ["frsz2_16", "frsz2_32", "float64", "adaptive"]
     )
     def test_b1_is_the_plain_solver(self, storage):
-        """A width-1 batch must be today's solver, not a near-clone."""
-        problem = make_problem("lung2", "smoke")
-        b = rhs_block(problem, 1)[:, 0]
-        solo = CbGmres(problem.a, storage, m=30, max_iter=400).solve(
-            b, problem.target_rrn
-        )
-        batch = CbGmres(problem.a, storage, m=30, max_iter=400).solve_batch(
-            b, problem.target_rrn
-        )
-        assert_columns_identical([solo], batch)
+        """A one-member coalesced attempt is the solo attempt, payload
+        and all, not a near-clone."""
+        spec = JobSpec(matrix="lung2", storage=storage, m=30, max_iter=400,
+                       rhs_seed=3).to_dict()
+        solo = run_solve_job(spec, "a", 1, storage)
+        batch = run_coalesced_job([spec], ["a"], attempt=1, storage=storage)
+        got = batch["results"]["a"]
+        assert batch["batch_columns"] == 1
+        assert np.array_equal(got["x"], solo["x"])
+        for key in ("iterations", "final_rrn", "converged", "storage_used",
+                    "progress_events"):
+            assert got[key] == solo[key], key
+        assert set(got) == set(solo) | {"batch_columns"}
 
     @pytest.mark.parametrize("basis_mode", ["cached", "streaming"])
-    def test_adaptive_columns_diverge_inside_the_lockstep(self, basis_mode):
-        """Each column carries its own controller: columns whose
-        decisions differ run side by side in different formats (the
-        batched kernels fall back per column on codec mismatch)."""
+    def test_adaptive_solves_of_one_solver_diverge(self, basis_mode):
+        """Each solve carries its own controller: solves of one solver
+        whose decisions differ run in different formats, each as a
+        fresh solver would."""
         problem = make_problem("atmosmodd", "smoke")
         B = rhs_block(problem, 4)
         target = problem.target_rrn
@@ -111,7 +124,7 @@ class TestBitIdentity:
             )
 
         solos = [solver().solve(B[:, c], target) for c in range(4)]
-        batch = solver().solve_batch(B, target)
+        batch = solve_all(solver(), B, target)
         assert_columns_identical(solos, batch)
         traces = {tuple(r.stats.storage_trace) for r in batch}
         assert len(traces) > 1, "columns should have chosen different formats"
@@ -133,16 +146,15 @@ class TestBitIdentity:
             )
 
         solos = [solver().solve(B[:, c], target) for c in range(3)]
-        batch = solver().solve_batch(B, target)
-        assert_columns_identical(solos, batch)
+        assert_columns_identical(solos, solve_all(solver(), B, target))
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("basis_mode", ["cached", "streaming"])
     @pytest.mark.parametrize("storage", ["frsz2_32", "float64"])
     def test_columns_match_solo_on_each_backend(self, storage, basis_mode, backend):
-        """A batch column is a loop iteration of the solo fused kernel,
-        so it is its solo solve's bits on the compiled reduction too —
-        and the compiled column is the numpy column."""
+        """A reused solver's kept tile tables and SpMV scratch carry
+        nothing into the next solve on the compiled kernels either — and
+        the compiled column is the numpy column."""
         problem = make_problem("lung2", "smoke")
         B = rhs_block(problem, 3)
         target = problem.target_rrn
@@ -154,27 +166,12 @@ class TestBitIdentity:
             )
 
         solos = [solver().solve(B[:, c], target) for c in range(3)]
-        batch = solver().solve_batch(B, target)
+        batch = solve_all(solver(), B, target)
         assert_columns_identical(solos, batch)
-        assert_columns_identical(solver("numpy").solve_batch(B, target), batch)
-
-    def test_mgs_falls_back_to_solo_kernels(self):
-        problem = make_problem("lung2", "smoke")
-        B = rhs_block(problem, 3)
-        target = problem.target_rrn
-
-        def solver():
-            return CbGmres(
-                problem.a, "frsz2_32", m=30, max_iter=400,
-                orthogonalization="mgs",
-            )
-
-        solos = [solver().solve(B[:, c], target) for c in range(3)]
-        batch = solver().solve_batch(B, target)
-        assert_columns_identical(solos, batch)
+        assert_columns_identical(solve_all(solver("numpy"), B, target), batch)
 
     def test_per_column_targets_and_early_exit(self):
-        """Columns leave the lockstep at their own convergence points."""
+        """Each column stops at its own target."""
         problem = make_problem("lung2", "smoke")
         B = rhs_block(problem, 4)
         targets = [1e-2, 1e-6, 1e-9, 1e-4]
@@ -185,10 +182,10 @@ class TestBitIdentity:
         solos = [
             solver().solve(B[:, c], targets[c]) for c in range(4)
         ]
-        batch = solver().solve_batch(B, targets)
+        batch = solve_all(solver(), B, targets)
         assert_columns_identical(solos, batch)
         # looser targets must finish in fewer iterations
-        its = batch.iterations
+        its = [r.iterations for r in batch]
         assert its[0] < its[1] < its[2]
 
     def test_x0_block(self):
@@ -204,57 +201,17 @@ class TestBitIdentity:
             solver().solve(B[:, c], problem.target_rrn, x0=X0[:, c])
             for c in range(2)
         ]
-        batch = solver().solve_batch(B, problem.target_rrn, x0=X0)
+        batch = solve_all(solver(), B, problem.target_rrn, x0=X0)
         assert_columns_identical(solos, batch)
 
 
-class TestBatchedFastPaths:
-    def test_counters_report_shared_work(self):
-        problem = make_problem("lung2", "smoke")
-        B = rhs_block(problem, 4)
-        batch = CbGmres(
-            problem.a, "frsz2_32", m=30, max_iter=400
-        ).solve_batch(B, problem.target_rrn)
-        assert isinstance(batch, BatchGmresResult)
-        assert batch.batched_spmv_calls > 0
-        assert all(batch.converged)
-
-    def test_b1_bypasses_batched_kernels(self):
-        problem = make_problem("lung2", "smoke")
-        B = rhs_block(problem, 1)
-        batch = CbGmres(
-            problem.a, "frsz2_32", m=30, max_iter=400
-        ).solve_batch(B, problem.target_rrn)
-        assert batch.batched_spmv_calls == 0
-
-    def test_monitor_receives_column_index(self):
-        problem = make_problem("lung2", "smoke")
-        B = rhs_block(problem, 3)
-        seen = []
-
-        def monitor(col, iteration, j, basis, implicit_rrn):
-            seen.append((col, iteration, j))
-            assert np.isfinite(implicit_rrn) or implicit_rrn == np.inf
-
-        batch = CbGmres(
-            problem.a, "frsz2_32", m=30, max_iter=400
-        ).solve_batch(B, problem.target_rrn, monitor=monitor)
-        for c, result in enumerate(batch):
-            calls = [t for t in seen if t[0] == c]
-            assert len(calls) == result.iterations
-            assert [t[1] for t in calls] == list(
-                range(1, result.iterations + 1)
-            )
-
-
 class TestOneCore:
-    """``solve`` and ``solve_batch`` are one restart cycle: what the
-    solver is configured with, and what it reports, cannot depend on
-    the entry point."""
+    """``solve`` is the one restart cycle: what the solver is configured
+    with, and what it reports, cannot depend on what it solved before."""
 
     @pytest.mark.parametrize("storage", ["frsz2_32", "adaptive"])
     def test_storage_factory_reaches_batched_solves(self, storage):
-        """Regression: ``solve_batch`` used to build its bases without
+        """Regression: the batch path once built its bases without
         ``storage_factory``, silently bypassing wrapped accessors."""
         problem = make_problem("lung2", "smoke")
         B = rhs_block(problem, 3)
@@ -273,60 +230,53 @@ class TestOneCore:
         solo_builds = len(built)
         assert solo_builds >= 3 * 21  # m + 1 slots per solve
         built.clear()
-        batch = solver().solve_batch(B, problem.target_rrn)
+        batch = solve_all(solver(), B, problem.target_rrn)
         assert len(built) == solo_builds
         assert_columns_identical(solos, batch)
 
     def test_a_solve_leaves_no_reference_cycles(self):
-        """The driver holds every column's basis (the solve's big
-        allocation): it must die by refcount when the call returns, not
-        wait for the cycle collector — serve workers run job after job
-        and their peak RSS is a gated benchmark metric."""
+        """A solve holds its bases (its big allocation): they must die by
+        refcount when the call returns, not wait for the cycle collector
+        — serve workers run job after job and their peak RSS is a gated
+        benchmark metric."""
         problem = make_problem("cfd2", "smoke")
         B = rhs_block(problem, 3)
         gc.collect()
         gc.disable()
         try:
             CbGmres(problem.a, "frsz2_32", m=30).solve(B[:, 0], problem.target_rrn)
-            CbGmres(problem.a, "adaptive", m=30).solve_batch(B, problem.target_rrn)
+            solve_all(CbGmres(problem.a, "adaptive", m=30), B, problem.target_rrn)
             assert gc.collect() == 0
         finally:
             gc.enable()
 
-    def _traced(self, nrhs, batched):
+    def _traced(self, nrhs):
         problem = make_problem("atmosmodd", "smoke")
         B = rhs_block(problem, nrhs)
         tracer = Tracer()
         solver = CbGmres(problem.a, "frsz2_32", m=30, max_iter=600, tracer=tracer)
         t0 = time.perf_counter()
-        if batched:
-            solver.solve_batch(B, problem.target_rrn)
-        else:
-            solver.solve(B[:, 0], problem.target_rrn)
-        return tracer, time.perf_counter() - t0
+        results = solve_all(solver, B, problem.target_rrn)
+        return tracer, time.perf_counter() - t0, results
 
-    def test_span_names_do_not_depend_on_the_width(self):
-        names = [
-            {rec.name for rec in self._traced(nrhs, batched)[0].spans}
-            for nrhs, batched in ((1, False), (1, True), (4, True))
-        ]
-        assert names[0] == names[1] == names[2]
-        assert {"restart", "arnoldi", "spmv", "orthogonalize", "basis_read",
-                "basis_write", "update"} <= names[0]
-
-    def test_restart_span_opens_once_per_lockstep_pass(self):
-        tracer, _ = self._traced(4, True)
+    def test_restart_span_opens_once_per_pass(self):
+        """One top-level ``restart`` span per pass of the cycle (the last
+        one finds the target met), holding every named phase."""
+        tracer, _, (result,) = self._traced(1)
         restarts = [rec for rec in tracer.spans if rec.name == "restart"]
         assert [rec.attrs["index"] for rec in restarts] == list(range(len(restarts)))
-        assert restarts[0].attrs["columns"] == 4
+        assert len(restarts) == result.stats.restarts + 1
         assert all(rec.depth == 0 for rec in restarts)
+        assert {"restart", "arnoldi", "spmv", "orthogonalize", "basis_read",
+                "basis_write", "update"} <= {rec.name for rec in tracer.spans}
 
     def test_named_phases_cover_a_batched_solve(self):
+        """A coalesced attempt shares one tracer across its solves."""
         phases = {"spmv", "prec.apply", "orthogonalize", "basis_read",
                   "basis_write", "update", "restart", "arnoldi"}
         best = 0.0
         for _ in range(3):  # wall-clock share: best of three
-            tracer, wall = self._traced(4, True)
+            tracer, wall, _ = self._traced(4)
             named = sum(
                 rec.exclusive_seconds for rec in tracer.spans
                 if rec.name in phases
@@ -336,31 +286,14 @@ class TestOneCore:
 
 
 class TestResultContainer:
-    def test_sequence_protocol(self):
-        problem = make_problem("lung2", "smoke")
-        B = rhs_block(problem, 2)
-        batch = CbGmres(
-            problem.a, "float64", m=30, max_iter=400
-        ).solve_batch(B, problem.target_rrn)
-        assert len(batch) == 2
-        assert batch[0] is batch.results[0]
-        assert [r.converged for r in batch] == batch.converged
-        assert [r.iterations for r in batch] == batch.iterations
-
-    def test_empty_batch(self):
-        problem = make_problem("lung2", "smoke")
-        batch = CbGmres(
-            problem.a, "float64", m=30, max_iter=400
-        ).solve_batch([], problem.target_rrn)
-        assert len(batch) == 0
-
     def test_zero_rhs_column_short_circuits(self):
         problem = make_problem("lung2", "smoke")
         B = rhs_block(problem, 2)
         B[:, 1] = 0.0
-        batch = CbGmres(
-            problem.a, "frsz2_32", m=30, max_iter=400
-        ).solve_batch(B, problem.target_rrn)
+        batch = solve_all(
+            CbGmres(problem.a, "frsz2_32", m=30, max_iter=400), B,
+            problem.target_rrn,
+        )
         assert batch[1].converged
         assert batch[1].iterations == 0
         assert np.array_equal(batch[1].x, np.zeros(problem.a.shape[0]))
@@ -371,27 +304,20 @@ class TestInputValidation:
     def test_wrong_rhs_shape(self):
         problem = make_problem("lung2", "smoke")
         solver = CbGmres(problem.a, "float64", m=30, max_iter=400)
-        with pytest.raises(ValueError):
-            solver.solve_batch(np.zeros((3, 2)), 1e-6)
-        with pytest.raises(ValueError):
-            solver.solve_batch([np.zeros(3)], 1e-6)
-
-    def test_target_count_mismatch(self):
-        problem = make_problem("lung2", "smoke")
-        solver = CbGmres(problem.a, "float64", m=30, max_iter=400)
-        B = rhs_block(problem, 2)
-        with pytest.raises(ValueError):
-            solver.solve_batch(B, [1e-6, 1e-6, 1e-6])
+        with pytest.raises(ValueError, match="b must have shape"):
+            solver.solve(np.zeros(3), 1e-6)
+        with pytest.raises(ValueError, match="b must have shape"):
+            solver.solve(rhs_block(problem, 2), 1e-6)
 
     def test_negative_target(self):
         problem = make_problem("lung2", "smoke")
         solver = CbGmres(problem.a, "float64", m=30, max_iter=400)
-        with pytest.raises(ValueError):
-            solver.solve_batch(rhs_block(problem, 2), -1.0)
+        with pytest.raises(ValueError, match="non-negative"):
+            solver.solve(rhs_block(problem, 1)[:, 0], -1.0)
 
     def test_x0_shape_mismatch(self):
         problem = make_problem("lung2", "smoke")
         solver = CbGmres(problem.a, "float64", m=30, max_iter=400)
-        B = rhs_block(problem, 2)
-        with pytest.raises(ValueError):
-            solver.solve_batch(B, 1e-6, x0=np.zeros(problem.a.shape[0]))
+        b = rhs_block(problem, 1)[:, 0]
+        with pytest.raises(ValueError, match="x0 must have shape"):
+            solver.solve(b, 1e-6, x0=np.zeros((problem.a.shape[0], 1)))

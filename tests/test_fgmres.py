@@ -165,20 +165,3 @@ class TestArnoldiCoreInheritance:
         names = {rec.name for rec in solver.tracer.spans}
         assert {"restart", "arnoldi", "spmv", "orthogonalize", "basis_read",
                 "basis_write", "update"} <= names
-
-    def test_solve_batch_columns_match_solo(self):
-        """The flexible hooks run at any width of the shared driver."""
-        p = make_problem("atmosmodd", "smoke")
-        B = np.stack([p.b, p.b[::-1].copy(), 0.25 * p.b], axis=1)
-
-        def solver():
-            return FlexibleGmres(p.a, "frsz2_32", m=30)
-
-        batch = solver().solve_batch(B, p.target_rrn)
-        for c, col in enumerate(batch):
-            solo = solver().solve(B[:, c], p.target_rrn)
-            assert col.storage == "fgmres[frsz2_32]"
-            assert np.array_equal(solo.x, col.x)
-            assert solo.iterations == col.iterations
-            assert solo.final_rrn == col.final_rrn
-            assert vars(solo.stats) == vars(col.stats)

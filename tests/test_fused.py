@@ -907,18 +907,6 @@ class TestSolverBitIdentity:
             (s.iteration, s.rrn, s.kind) for s in rs.history
         ]
 
-    def test_mgs_modes_identical(self):
-        p = make_problem("lung2", "smoke")
-        res = [
-            CbGmres(
-                p.a, "frsz2_32", m=20, max_iter=300,
-                orthogonalization="mgs", basis_mode=mode,
-            ).solve(p.b, p.target_rrn)
-            for mode in BASIS_MODES
-        ]
-        np.testing.assert_array_equal(res[0].x, res[1].x)
-        assert res[0].iterations == res[1].iterations
-
 
 class TestStreamingMemory:
     """The streaming mode's reason to exist: O(tile) float64, not O(n*m)."""

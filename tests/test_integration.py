@@ -75,7 +75,6 @@ class TestCombinedFeatures:
             a2,
             "frsz2_32",
             preconditioner=JacobiPreconditioner(a2),
-            orthogonalization="mgs",
         )
         res = solver.solve(b2, p.target_rrn)
         assert res.converged

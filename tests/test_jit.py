@@ -5,9 +5,9 @@ kernel replays the numpy reference's arithmetic exactly — same
 accumulation order, same rounding, no FMA contraction.  This suite
 pins that contract at every layer: stored containers, codec
 round-trips, SpMV formats, fused cached/streaming solves and full
-``CbGmres.solve``/``solve_batch`` runs must all be *byte*-equal across
-backends.  When the jit engine is unavailable (no cffi, no C compiler)
-the jit half skips with the engine's own failure reason.
+``CbGmres.solve`` runs must all be *byte*-equal across backends.
+When the jit engine is unavailable (no cffi, no C compiler) the jit
+half skips with the engine's own failure reason.
 """
 
 import warnings
@@ -707,25 +707,6 @@ class TestSolveBitIdentity:
         assert ref.iterations == alt.iterations
         assert [(s.iteration, s.rrn) for s in ref.history] == \
             [(s.iteration, s.rrn) for s in alt.history]
-
-    def test_solve_batch_matches_numpy(self, problem, backend):
-        rng = np.random.default_rng(17)
-        B = np.stack(
-            [problem.a.matvec(rng.standard_normal(problem.a.shape[1]))
-             for _ in range(3)],
-            axis=1,
-        )
-
-        def run(b):
-            return CbGmres(
-                problem.a, "frsz2_32", m=30, max_iter=400, backend=b
-            ).solve_batch(B, problem.target_rrn)
-
-        ref, alt = run("numpy"), run(backend)
-        for r, a in zip(ref, alt):
-            assert np.array_equal(r.x, a.x)
-            assert r.iterations == a.iterations
-            assert r.final_rrn == a.final_rrn
 
 
 @requires_jit

@@ -385,20 +385,6 @@ class TestPreconditionedSolver:
         assert np.linalg.norm(res.x - x_true) / np.linalg.norm(x_true) < 1e-9
 
 
-class TestMgsOption:
-    def test_mgs_converges_like_cgs(self):
-        p = make_problem("atmosmodd", "smoke")
-        cgs = CbGmres(p.a, orthogonalization="cgs").solve(p.b, p.target_rrn)
-        mgs = CbGmres(p.a, orthogonalization="mgs").solve(p.b, p.target_rrn)
-        assert cgs.converged and mgs.converged
-        assert abs(cgs.iterations - mgs.iterations) <= max(3, cgs.iterations // 10)
-
-    def test_invalid_orthogonalization_rejected(self):
-        p = make_problem("lung2", "smoke")
-        with pytest.raises(ValueError):
-            CbGmres(p.a, orthogonalization="householder")
-
-
 # ----------------------------------------------------------------------
 # ILU(0) in the compiled engine: factorisation and scheduled sweeps
 # ----------------------------------------------------------------------

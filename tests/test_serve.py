@@ -399,7 +399,7 @@ class TestCoalescing:
         self._check_coalesced_bit_identical("frsz2_32")
 
     def test_adaptive_jobs_coalesce_bit_identical_to_solo(self):
-        """Every batch column owns a precision controller, so adaptive
+        """Every member's solve owns a precision controller, so adaptive
         jobs coalesce like any other storage."""
         self._check_coalesced_bit_identical("adaptive")
 
@@ -426,7 +426,7 @@ class TestCoalescing:
             if "batched_with" in e.payload
         }
         assert batched_events == {j.job_id: 3 for j in jobs}
-        # the coalesced columns are bit-identical to solo attempts
+        # the coalesced members are bit-identical to solo attempts
         for i, job in enumerate(jobs):
             ref = run_solve_job(
                 _spec(rhs_seed=i, storage=storage).to_dict(), "ref", 1, storage
@@ -520,14 +520,13 @@ class TestCoalescing:
         self._check_worker_entry("adaptive")
 
     def _check_worker_entry(self, storage):
-        from repro.serve.worker import run_solve_batch_job
+        from repro.serve.worker import run_coalesced_job
 
         specs = [_spec(rhs_seed=i, storage=storage).to_dict() for i in range(3)]
-        out = run_solve_batch_job(
+        out = run_coalesced_job(
             specs, ["a", "b", "c"], attempt=1, storage=storage
         )
         assert out["batch_columns"] == 3
-        assert out["batched_spmv_calls"] > 0
         for i, job_id in enumerate(["a", "b", "c"]):
             ref = run_solve_job(specs[i], "ref", 1, storage)
             got = out["results"][job_id]
@@ -539,15 +538,33 @@ class TestCoalescing:
             assert set(got) == set(ref) | {"batch_columns"}
             assert got["counters"] and ref["counters"]
 
+    def test_worker_entry_tags_progress_by_member(self):
+        """Each member's solve reports under its own job id, at its own
+        spec's ``progress_every``, in member order."""
+        from repro.serve.worker import run_coalesced_job
+
+        specs = [_spec(rhs_seed=i, progress_every=every).to_dict()
+                 for i, every in enumerate((5, 7))]
+        events = []
+        out = run_coalesced_job(
+            specs, ["a", "b"], attempt=1, storage="frsz2_32", emit=events.append
+        )
+        tags = [e["job_id"] for e in events]
+        assert tags == sorted(tags)  # the members run one after another
+        for job_id, every in (("a", 5), ("b", 7)):
+            steps = [e["iteration"] for e in events if e["job_id"] == job_id]
+            iterations = out["results"][job_id]["iterations"]
+            assert steps == list(range(every, iterations + 1, every))
+
     def test_worker_entry_validates_lengths(self):
-        from repro.serve.worker import run_solve_batch_job
+        from repro.serve.worker import run_coalesced_job
 
         with pytest.raises(ValueError):
-            run_solve_batch_job(
+            run_coalesced_job(
                 [_spec().to_dict()], ["a", "b"], attempt=1, storage="frsz2_32"
             )
         with pytest.raises(ValueError):
-            run_solve_batch_job([], [], attempt=1, storage="frsz2_32")
+            run_coalesced_job([], [], attempt=1, storage="frsz2_32")
 
 
 # -- chaos monitor unit -------------------------------------------------
