@@ -259,16 +259,27 @@ class TestOneCore:
         results = solve_all(solver, B, problem.target_rrn)
         return tracer, time.perf_counter() - t0, results
 
-    def test_restart_span_opens_once_per_pass(self):
-        """One top-level ``restart`` span per pass of the cycle (the last
-        one finds the target met), holding every named phase."""
-        tracer, _, (result,) = self._traced(1)
-        restarts = [rec for rec in tracer.spans if rec.name == "restart"]
-        assert [rec.attrs["index"] for rec in restarts] == list(range(len(restarts)))
-        assert len(restarts) == result.stats.restarts + 1
-        assert all(rec.depth == 0 for rec in restarts)
+    def test_span_names_do_not_depend_on_the_width(self):
+        """A coalesced attempt of one or four solves names the same spans
+        as a single solve."""
+        names = [
+            {rec.name for rec in self._traced(nrhs)[0].spans} for nrhs in (1, 4)
+        ]
+        assert names[0] == names[1]
         assert {"restart", "arnoldi", "spmv", "orthogonalize", "basis_read",
-                "basis_write", "update"} <= {rec.name for rec in tracer.spans}
+                "basis_write", "update"} <= names[0]
+
+    def test_restart_span_opens_once_per_lockstep_pass(self):
+        """One top-level ``restart`` span per pass of each solve's cycle
+        (the last one finds the target met), indexed from 0 per solve
+        when a coalesced attempt shares one tracer."""
+        tracer, _, results = self._traced(4)
+        restarts = [rec for rec in tracer.spans if rec.name == "restart"]
+        expected = [
+            i for result in results for i in range(result.stats.restarts + 1)
+        ]
+        assert [rec.attrs["index"] for rec in restarts] == expected
+        assert all(rec.depth == 0 for rec in restarts)
 
     def test_named_phases_cover_a_batched_solve(self):
         """A coalesced attempt shares one tracer across its solves."""
