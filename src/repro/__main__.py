@@ -295,9 +295,8 @@ def _cmd_solve(args) -> int:
                  f"below float64" if info["stored_bytes"] < info["float64_bytes"]
                  else "")
               + ")")
-    if args.spmv_format != "csr":
-        print(f"SpMV engine: {args.spmv_format} -> {solver.a.resolved_format} "
-              f"(padding {solver.a.padding_ratio:.2f}x)")
+    print(f"SpMV engine: {args.spmv_format} -> {solver.a.resolved_format} "
+          f"(padding {solver.a.padding_ratio:.2f}x)")
     res = solver.solve(p.b, target)
     status = "converged" if res.converged else ("stalled" if res.stalled else "hit cap")
     print(f"{args.matrix} (n={p.a.n}, nnz={p.a.nnz}) with {args.storage} basis:")

@@ -45,7 +45,7 @@ from ..solvers.gmres import CbGmres
 from ..solvers.options import SolveOptions
 from ..solvers.preconditioner import PRECONDITIONERS, PREC_STORAGES
 from ..solvers.problems import make_problem
-from ..sparse.engine import SPMV_FORMATS
+from ..sparse.engine import SPMV_FORMATS, SpmvEngine
 from ..sparse.suite import resolve_scale, suite_names
 
 __all__ = [
@@ -204,8 +204,9 @@ def run_bench_entry(
     backend = opts.backend
     problem = make_problem(matrix, scale, target_rrn=target_rrn)
     tracer = Tracer()
-    problem.a.tracer = tracer
-    solver = opts.build(problem.a, tracer=tracer, solver=CbGmres)
+    engine = SpmvEngine(problem.a, format=spmv_format, backend=backend)
+    engine.tracer = tracer
+    solver = opts.build(engine, tracer=tracer, solver=CbGmres)
     engine_name = _dispatch.jit_engine_name() if backend == "jit" else None
     # the preconditioner is factored once from the raw CSR operator and
     # shared by every solve in the entry
@@ -214,11 +215,9 @@ def run_bench_entry(
     # the operator and the preconditioner are shared with the untraced
     # companion solves below; detaching them here keeps the counter
     # snapshot scoped to the traced solve
-    problem.a.tracer = NULL_TRACER
+    engine.tracer = NULL_TRACER
     if prec is not None:
         prec.tracer = NULL_TRACER
-
-    engine = solver.a
 
     def companion(factors=prec, **changes):
         """An untraced solve on the shared engine, ``changes`` apart;
@@ -233,8 +232,7 @@ def run_bench_entry(
         prec_info=prec.cost_info() if prec is not None else None,
     )
 
-    resolved = getattr(engine, "resolved_format", "csr")
-    padding_ratio = float(getattr(engine, "padding_ratio", 1.0))
+    padding_ratio = float(engine.padding_ratio)
     tracer.counters["spmv.padding_ratio"] = padding_ratio
 
     # per-mode comparison: the primary solve is its own mode's row; the
@@ -363,9 +361,9 @@ def run_bench_entry(
         "backend": backend_block,
         "spmv": {
             "requested": str(spmv_format),
-            "format": str(resolved),
+            "format": str(engine.resolved_format),
             "padding_ratio": padding_ratio,
-            "padded_entries": int(getattr(engine, "padded_entries", problem.a.nnz)),
+            "padded_entries": int(engine.padded_entries),
         },
         "basis": {
             "mode": str(basis_mode),

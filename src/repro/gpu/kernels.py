@@ -194,8 +194,11 @@ def spmv_kernel_cost(
     padded_entries: "int | None" = None,
     slice_size: int = 32,
 ) -> KernelCost:
-    """SpMV launch cost per storage format (mirrors the SpmvCounter
-    byte/flop models of :mod:`repro.sparse`).
+    """SpMV launch cost per storage format: the one SpMV traffic model.
+
+    :class:`~repro.sparse.engine.SpmvEngine` prices its ``spmv.*``
+    tracer counters with it, once per matrix, and the timing model its
+    ``spmv`` phase.
 
     * ``csr`` streams values + column indices + row pointers and gathers
       ``x`` once per nonzero;

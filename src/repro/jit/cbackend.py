@@ -1755,68 +1755,41 @@ class CEngine:
         return out
 
     # -- SpMV ---------------------------------------------------------
+    # Each writes through a raw pointer into ``y``, which the caller
+    # has checked (``SpmvEngine.matvec``): a writable C-contiguous
+    # float64 array of the row count, sharing no memory with ``x``.
+    # (``from_buffer`` directly, not ``_ptr``: a product is one frame.)
 
-    def csr_matvec(self, rows, cols, data, x, m) -> np.ndarray:
+    def csr_matvec(self, rows, cols, data, x, y) -> None:
         """Entry-ordered CSR accumulation (``np.bincount`` order)."""
-        x = self._c(x, np.float64)
-        y = np.empty(m, dtype=np.float64)
+        ptr = self._ffi.from_buffer
         self._lib.csr_matvec(
-            self._ptr(rows, "int64_t *"),
-            self._ptr(cols, "int64_t *"),
-            self._ptr(data, "double *"),
-            data.size,
-            self._ptr(x, "double *"),
-            self._ptr(y, "double *"),
-            m,
+            ptr("int64_t *", rows), ptr("int64_t *", cols),
+            ptr("double *", data), data.size,
+            ptr("double *", np.ascontiguousarray(x, dtype=np.float64)),
+            ptr("double *", y), y.size,
         )
-        return y
 
-    def ell_matvec(self, cols_t, vals_t, x, work, out) -> np.ndarray:
+    def ell_matvec(self, cols_t, vals_t, x, work, y) -> None:
         """Slot-ordered ELL accumulation (matches both numpy kernels)."""
-        x = np.ascontiguousarray(x, dtype=np.float64)
+        ptr = self._ffi.from_buffer
         width, m = cols_t.shape
-        y = out if out is not None and out.flags.c_contiguous else np.empty(m)
-        from_buffer = self._ffi.from_buffer
         self._lib.ell_matvec(
-            from_buffer("int64_t *", cols_t),
-            from_buffer("double *", vals_t),
-            width,
-            m,
-            from_buffer("double *", x),
-            from_buffer("double *", y),
+            ptr("int64_t *", cols_t), ptr("double *", vals_t), width, m,
+            ptr("double *", np.ascontiguousarray(x, dtype=np.float64)),
+            ptr("double *", y),
         )
-        if out is not None and y is not out:
-            out[:] = y
-            return out
-        return y
 
     def sell_group_matvec(self, rows, cols_t, vals_t, x, work, y) -> None:
         """One SELL width group; writes ``y[rows]`` in place."""
-        x = self._c(x, np.float64)
+        ptr = self._ffi.from_buffer
         width, g = cols_t.shape
-        if y.flags.c_contiguous:
-            self._lib.sell_group_matvec(
-                self._ptr(rows, "int64_t *"),
-                self._ptr(cols_t, "int64_t *"),
-                self._ptr(vals_t, "double *"),
-                width,
-                g,
-                self._ptr(x, "double *"),
-                self._ptr(y, "double *"),
-            )
-            return
-        tmp = np.empty(g, dtype=np.float64)
-        ident = np.arange(g, dtype=np.int64)
         self._lib.sell_group_matvec(
-            self._ptr(ident, "int64_t *"),
-            self._ptr(cols_t, "int64_t *"),
-            self._ptr(vals_t, "double *"),
-            width,
-            g,
-            self._ptr(x, "double *"),
-            self._ptr(tmp, "double *"),
+            ptr("int64_t *", rows), ptr("int64_t *", cols_t),
+            ptr("double *", vals_t), width, g,
+            ptr("double *", np.ascontiguousarray(x, dtype=np.float64)),
+            ptr("double *", y),
         )
-        y[rows] = tmp
 
     # -- preconditioner set-up and applies ------------------------------
 

@@ -302,6 +302,11 @@ def _check_spmv(engine, rng: np.random.Generator) -> None:
     from ..sparse.ell import ELLMatrix, ell_matvec_numpy
     from ..sparse.sell import SELLMatrix
 
+    def product(kernel, *args, m):
+        y = np.zeros(m)
+        kernel(*args, y)
+        return y.view(np.uint64)
+
     m = 70
     density = 0.15
     mask = rng.random((m, m)) < density
@@ -310,22 +315,19 @@ def _check_spmv(engine, rng: np.random.Generator) -> None:
     a = CSRMatrix((m, m), *_csr_arrays(mask, dense))
     x = rng.standard_normal(m)
 
-    ref = a.matvec(x)
-    got = engine.csr_matvec(a._rows, a.indices, a.data, x, m)
-    _expect(np.array_equal(ref.view(np.uint64), got.view(np.uint64)),
-            "spmv.csr_matvec")
+    ref = a.matvec(x).view(np.uint64)
+    got = product(engine.csr_matvec, a._rows, a.indices, a.data, x, m=m)
+    _expect(np.array_equal(ref, got), "spmv.csr_matvec")
 
     ell = ELLMatrix.from_csr(a)
-    got = engine.ell_matvec(ell.cols_t, ell.vals_t, x, None, None)
-    _expect(np.array_equal(ref.view(np.uint64), got.view(np.uint64)),
-            "spmv.ell_matvec")
+    got = product(engine.ell_matvec, ell.cols_t, ell.vals_t, x, None, m=m)
+    _expect(np.array_equal(ref, got), "spmv.ell_matvec")
 
     sell = SELLMatrix.from_csr(a, slice_size=8, sigma=16)
     y = np.zeros(m)
     for rows, cols_t, vals_t, _ in sell._groups:
         engine.sell_group_matvec(rows, cols_t, vals_t, x, None, y)
-    _expect(np.array_equal(ref.view(np.uint64), y.view(np.uint64)),
-            "spmv.sell_group_matvec")
+    _expect(np.array_equal(ref, y.view(np.uint64)), "spmv.sell_group_matvec")
 
     # rows of five entries, as many as the pool splits, on one thread, two
     # and the pool's: one matrix as an ELL rectangle, as a SELL width group
@@ -335,26 +337,27 @@ def _check_spmv(engine, rng: np.random.Generator) -> None:
     cols_t = (np.arange(m) + np.array([[0], [1], [-3], [97], [-m // 2]])) % m
     vals_t = rng.standard_normal((width, m))
     x = rng.standard_normal(m)
-    ref = ell_matvec_numpy(cols_t, vals_t, x, None, None).view(np.uint64)
+    ref = product(ell_matvec_numpy, cols_t, vals_t, x, None, m=m)
     reverse = np.arange(m)[::-1].copy()
     counts = sorted({1, 2, engine.threads})
     pool = engine.threads
     try:
         for count in counts:
             engine.set_threads(count)
-            got = engine.ell_matvec(cols_t, vals_t, x, None, None)
-            _expect(np.array_equal(ref, got.view(np.uint64)),
+            got = product(engine.ell_matvec, cols_t, vals_t, x, None, m=m)
+            _expect(np.array_equal(ref, got),
                     f"spmv.ell_matvec (m={m} T={count})")
-            engine.sell_group_matvec(reverse, cols_t, vals_t, x, None, got)
-            _expect(np.array_equal(ref, got[::-1].view(np.uint64)),
+            got = product(engine.sell_group_matvec, reverse, cols_t, vals_t,
+                          x, None, m=m)
+            _expect(np.array_equal(ref, got[::-1]),
                     f"spmv.sell_group_matvec (m={m} T={count})")
         triplets = (np.repeat(np.arange(m), width), cols_t.T.copy(),
                     vals_t.T.copy())
         del cols_t, vals_t
         for count in counts:
             engine.set_threads(count)
-            got = engine.csr_matvec(*triplets, x, m)
-            _expect(np.array_equal(ref, got.view(np.uint64)),
+            got = product(engine.csr_matvec, *triplets, x, m=m)
+            _expect(np.array_equal(ref, got),
                     f"spmv.csr_matvec (m={m} T={count})")
     finally:
         engine.set_threads(pool)

@@ -210,6 +210,18 @@ def run_grid(
             results[i] = value
             open_count -= 1
 
+        def settle_event(event) -> None:
+            # "started" and "progress" events settle nothing
+            task = event.task
+            if event.kind == "done":
+                settle(index[task.id], task.result)
+            elif event.kind == "error":
+                settle(index[task.id],
+                       WorkerCrashError(task.label, task.error, kind="error"))
+            elif event.kind == "crashed":
+                settle(index[task.id],
+                       WorkerCrashError(task.label, None, kind="crash"))
+
         while open_count > 0:
             # enforce per-task deadlines (clock starts at task start)
             wait_s = 0.25
@@ -231,15 +243,7 @@ def run_grid(
                     else:
                         wait_s = min(wait_s, remaining)
             for event in pool.poll(timeout=wait_s):
-                i = index[event.task.id]
-                if event.kind == "done":
-                    settle(i, event.task.result)
-                elif event.kind == "error":
-                    settle(i, WorkerCrashError(
-                        event.task.label, event.task.error, kind="error"))
-                elif event.kind == "crashed":
-                    settle(i, WorkerCrashError(
-                        event.task.label, None, kind="crash"))
+                settle_event(event)
             if on_error == "raise" and failures:
                 # near-simultaneous failures race into the supervisor in
                 # worker order; drain briefly so the *earliest-submitted*
@@ -247,15 +251,6 @@ def run_grid(
                 drain_until = time.monotonic() + _RAISE_DRAIN_S
                 while open_count > 0 and time.monotonic() < drain_until:
                     for event in pool.poll(timeout=0.02):
-                        i = index[event.task.id]
-                        if event.kind == "done":
-                            settle(i, event.task.result)
-                        elif event.kind == "error":
-                            settle(i, WorkerCrashError(
-                                event.task.label, event.task.error,
-                                kind="error"))
-                        elif event.kind == "crashed":
-                            settle(i, WorkerCrashError(
-                                event.task.label, None, kind="crash"))
+                        settle_event(event)
                 raise failures[min(failures)]
     return results

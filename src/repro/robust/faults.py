@@ -29,6 +29,7 @@ from ..accessor import VectorAccessor, make_accessor
 from ..accessor.frsz2_accessor import Frsz2Accessor
 from ..core.frsz2 import Frsz2Compressed
 from ..solvers.options import check_choice
+from ..sparse import CSRMatrix, SpmvEngine
 
 __all__ = [
     "FAULT_KINDS",
@@ -211,13 +212,13 @@ class FaultySpmvMatrix:
     """Wrap a SpMV operator; inject NaN/Inf into matvec outputs.
 
     Presents the subset of the operator interface the solvers use
-    (``shape``, ``nnz``, ``matvec``); each matvec is one injector trial,
-    and a fired trial poisons one output element.  The inner operator
-    may be a plain :class:`~repro.sparse.csr.CSRMatrix` or a
+    (``shape``, ``nnz``, ``matvec``, ``resolved_format``,
+    ``padded_entries``); each matvec is one injector trial, and a fired
+    trial poisons one output element.  The inner operator is a
     :class:`~repro.sparse.engine.SpmvEngine` (the fault campaign wraps
-    the engine so faults land on the *selected* format's output);
-    ``resolved_format``/``padded_entries`` pass through so the solver's
-    per-format accounting survives the wrapper.
+    the engine so faults land on the *selected* format's output); a
+    plain :class:`~repro.sparse.csr.CSRMatrix` is wrapped in a ``csr``
+    one.
     """
 
     def __init__(self, inner, injector: FaultInjector, kind: str = "spmv_nan") -> None:
@@ -225,6 +226,8 @@ class FaultySpmvMatrix:
             raise ValueError(
                 f"unknown SpMV fault kind {kind!r}; expected one of {_SPMV_KINDS}"
             )
+        if isinstance(inner, CSRMatrix):
+            inner = SpmvEngine(inner, format="csr")
         self.inner = inner
         self.injector = injector
         self.kind = kind
@@ -243,17 +246,15 @@ class FaultySpmvMatrix:
 
     @property
     def resolved_format(self) -> str:
-        return getattr(self.inner, "resolved_format", "csr")
+        return self.inner.resolved_format
 
     @property
     def padded_entries(self) -> int:
-        return int(getattr(self.inner, "padded_entries", self.inner.nnz))
+        return self.inner.padded_entries
 
     def matvec(self, x: np.ndarray, out: "np.ndarray | None" = None) -> np.ndarray:
-        y = self.inner.matvec(x) if out is None else self.inner.matvec(x, out=out)
+        y = self.inner.matvec(x, out=out)
         if self.injector.fire() and y.size:
-            if out is None:
-                y = np.array(y, dtype=np.float64)
             y[self.injector.choose(y.size)] = (
                 np.nan if self.kind == "spmv_nan" else np.inf
             )

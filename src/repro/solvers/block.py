@@ -134,8 +134,8 @@ class _Solve:
             n=n,
             nnz=a.nnz,
             bits_per_value=self.stored.bits_per_value,
-            spmv_format=getattr(a, "resolved_format", "csr"),
-            spmv_padded_entries=int(getattr(a, "padded_entries", a.nnz)),
+            spmv_format=a.resolved_format,
+            spmv_padded_entries=a.padded_entries,
             basis_mode=solver.basis_mode,
             basis_tile_elems=self.stored.tile_elems,
         )

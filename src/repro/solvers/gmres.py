@@ -187,7 +187,10 @@ class CbGmres:
     Parameters
     ----------
     a:
-        System matrix (CSR).
+        System matrix: a :class:`~repro.sparse.csr.CSRMatrix` (wrapped in
+        a :class:`~repro.sparse.engine.SpmvEngine` of ``spmv_format``), a
+        pre-built engine (kept, with its format), or an operator decorator
+        around one such as a fault injector.
     storage:
         Krylov-basis storage format name (see
         :func:`repro.accessor.list_storage_formats`).
@@ -207,15 +210,11 @@ class CbGmres:
         Right preconditioner ``M`` (the ``M^-1`` of Fig. 1); default is
         the identity, matching the paper's experiments (Section V-C).
     spmv_format:
-        SpMV storage format: ``"csr"`` (default) runs the matrix as
-        given — bit-identical to the pre-engine solver; ``"ell"`` /
-        ``"sell"`` force that layout; ``"auto"`` lets
+        SpMV layout of the engine built around a ``CSRMatrix``:
+        ``"csr"`` (default) multiplies by the matrix as stored,
+        ``"ell"`` / ``"sell"`` force that layout, ``"auto"`` lets
         :func:`repro.sparse.engine.choose_format` pick from the row
-        statistics.  Anything but ``"csr"`` wraps ``a`` in a
-        :class:`~repro.sparse.engine.SpmvEngine` and therefore requires
-        a plain :class:`~repro.sparse.csr.CSRMatrix` (pass a
-        pre-built engine — or wrap decorators such as fault injectors
-        *around* one — to combine the two).
+        statistics.  Every layout gives the same bits.
     recovery:
         When True (default), NaN/Inf escaping the Arnoldi loop — from a
         faulty SpMV, a corrupted stored basis vector, or a poisoned
@@ -241,7 +240,9 @@ class CbGmres:
         emits nested wall-clock spans (``restart`` / ``arnoldi`` /
         ``spmv`` / ``orthogonalize`` / ``basis_read`` / ``basis_write``
         / ``update``) and counters through every instrumented layer
-        (basis, accessors, FRSZ2 codec).  The default null tracer is a
+        (basis, accessors, FRSZ2 codec); the operator's own span and
+        ``spmv.*`` counters come only from a tracer the caller assigns
+        to the engine.  The default null tracer is a
         set of no-ops: results are bit-identical either way, since
         tracing never touches the numerics.
     precision:
@@ -310,20 +311,16 @@ class CbGmres:
         # resolve once so an unavailable-jit warning fires here, not
         # again in every component the resolved name is threaded into
         self.backend = _dispatch.resolve_backend(backend)
-        if spmv_format != "csr" and not isinstance(a, SpmvEngine):
-            if not isinstance(a, CSRMatrix):
-                raise ValueError(
-                    f"spmv_format={spmv_format!r} requires a CSRMatrix (or a "
-                    "pre-built SpmvEngine); got "
-                    f"{type(a).__name__} — wrap operator decorators around "
-                    "an SpmvEngine instead"
-                )
+        if isinstance(a, CSRMatrix):
             a = SpmvEngine(a, format=spmv_format, backend=self.backend)
-        elif backend is not None and hasattr(a, "set_backend"):
-            # a plain CSRMatrix or pre-built SpmvEngine: switch its
-            # kernels in place (bit-identical either way); operators
-            # without the knob (fault injectors, custom wrappers) keep
-            # whatever backend they were built with
+        elif not hasattr(a, "resolved_format"):
+            raise ValueError(
+                "CbGmres multiplies by an SpmvEngine: pass a CSRMatrix, an "
+                f"SpmvEngine or an operator wrapped around one; got {type(a).__name__}"
+            )
+        elif backend is not None and isinstance(a, SpmvEngine):
+            # a pre-built engine: switch its kernel in place (bit-identical
+            # either way); decorators keep their engine's backend
             a.set_backend(self.backend)
         self.a = a
         self.storage = storage

@@ -133,7 +133,7 @@ class SolveOptions:
                 self.preconditioner, raw,
                 storage=self.prec_storage, backend=backend,
             )
-        if self.spmv_format != "csr" and a is raw:
+        if a is raw:
             a = SpmvEngine(raw, format=self.spmv_format, backend=backend)
         if wrap_operator is not None:
             a = wrap_operator(a)

@@ -1,9 +1,9 @@
-"""Sparse-matrix substrate: CSR/COO/ELL/SELL-C-σ containers, the
-structure-driven SpMV engine, MatrixMarket I/O and the Table I
-synthetic matrix suite."""
+"""Sparse-matrix substrate: CSR/COO containers, the ELL / SELL-C-σ
+layouts, the SpMV engine that multiplies through them, MatrixMarket I/O
+and the Table I synthetic matrix suite."""
 
 from .coo import COOMatrix
-from .csr import CSRMatrix, SpmvCounter
+from .csr import CSRMatrix
 from .ell import ELLMatrix
 from .engine import (
     SPMV_FORMATS,
@@ -25,7 +25,6 @@ from .suite import SUITE, MatrixSpec, build_matrix, resolve_scale, suite_names
 __all__ = [
     "COOMatrix",
     "CSRMatrix",
-    "SpmvCounter",
     "ELLMatrix",
     "SELLMatrix",
     "SpmvEngine",

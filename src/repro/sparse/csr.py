@@ -1,62 +1,42 @@
-"""CSR sparse matrix with vectorized SpMV.
+"""CSR sparse matrix: the source layout every SpMV format converts from.
 
 The sparse matrix–vector product is the other memory-bound kernel in
-GMRES besides the orthogonalization (paper Section I).  This CSR
-implementation keeps a precomputed expanded row-index array so SpMV is a
-gather + multiply + segmented sum (``np.bincount``) — fully vectorized
-and robust to empty rows.
-
-The matrix also carries an operation counter so the GPU timing model can
-account the bytes and flops a CUDA SpMV kernel would move.
+GMRES besides the orthogonalization (paper Section I).  This CSR layout
+keeps a precomputed expanded row-index array so SpMV is a gather +
+multiply + segmented sum (``np.bincount``) — fully vectorized and robust
+to empty rows.  :class:`~repro.sparse.engine.SpmvEngine` is the operator
+a solve multiplies by; :meth:`CSRMatrix.matvec` is the plain numpy
+product for everything else (building a right-hand side, checking a
+residual).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from ..jit import dispatch as _dispatch
-from ..observe import NULL_TRACER
 
-__all__ = ["CSRMatrix", "SpmvCounter"]
+__all__ = ["CSRMatrix"]
 
 
 @_dispatch.register("spmv.csr_matvec", "numpy")
 def csr_matvec_numpy(
-    rows: np.ndarray, cols: np.ndarray, data: np.ndarray, x: np.ndarray, m: int
-) -> np.ndarray:
-    """Reference CSR SpMV: gather + multiply + segmented sum.
+    rows: np.ndarray, cols: np.ndarray, data: np.ndarray, x: np.ndarray,
+    y: np.ndarray,
+) -> None:
+    """Reference CSR SpMV into ``y``: gather + multiply + segmented sum.
 
     ``np.bincount`` accumulates the products strictly sequentially in
     stored-entry order, the order the jit kernel replays.
     """
-    prod = data * x[cols]
-    return np.bincount(rows, weights=prod, minlength=m)
-
-
-@dataclass
-class SpmvCounter:
-    """Accumulated SpMV work, consumed by :mod:`repro.gpu.timing`.
-
-    ``format`` names the storage layout whose traffic model produced
-    ``bytes_moved``/``flops`` (padded layouts charge their padding), so
-    per-format accounting survives aggregation.
-    """
-
-    calls: int = 0
-    flops: int = 0
-    bytes_moved: int = 0
-    format: str = "csr"
-
-    def reset(self) -> None:
-        self.calls = 0
-        self.flops = 0
-        self.bytes_moved = 0
+    y[:] = np.bincount(rows, weights=data * x[cols], minlength=y.size)
 
 
 class CSRMatrix:
     """Compressed sparse row matrix (float64 values, int64 indices)."""
+
+    #: the registered SpMV kernel the engine binds
+    kernel_name = "spmv.csr_matvec"
 
     def __init__(
         self,
@@ -82,23 +62,6 @@ class CSRMatrix:
             raise ValueError("column index out of range")
         # expanded row index per stored entry: makes SpMV a bincount
         self._rows = np.repeat(np.arange(m, dtype=np.int64), np.diff(self.indptr))
-        self.counter = SpmvCounter()
-        #: kernel backend; see :meth:`set_backend`
-        self.backend = "numpy"
-        self._matvec_kernel = csr_matvec_numpy
-        #: observe-layer tracer; the null tracer keeps matvec overhead-free
-        self.tracer = NULL_TRACER
-
-    def set_backend(self, backend: "str | None") -> str:
-        """Select the SpMV kernel backend (``"numpy"`` or ``"jit"``).
-
-        The jit kernel is bit-identical to the numpy reference; an
-        unavailable jit engine degrades to numpy with a warning.
-        Returns the resolved backend.
-        """
-        self.backend = _dispatch.resolve_backend(backend)
-        self._matvec_kernel = _dispatch.get_kernel("spmv.csr_matvec", self.backend)
-        return self.backend
 
     # ------------------------------------------------------------------
 
@@ -111,70 +74,27 @@ class CSRMatrix:
         """Row count (square systems use this as the problem size)."""
         return self.shape[0]
 
-    def matvec(self, x: np.ndarray, out: "np.ndarray | None" = None) -> np.ndarray:
-        """y = A @ x, vectorized."""
+    @property
+    def padded_entries(self) -> int:
+        """Stored slots: CSR pads nothing."""
+        return self.nnz
+
+    @property
+    def padding_ratio(self) -> float:
+        return 1.0
+
+    def apply(self, kernel, x: np.ndarray, y: np.ndarray) -> None:
+        """``y = A @ x`` through ``kernel``, a ``spmv.csr_matvec``."""
+        kernel(self._rows, self.indices, self.data, x, y)
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """y = A @ x, the numpy reference product."""
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.shape[1],):
             raise ValueError(f"expected x of shape ({self.shape[1]},)")
-        with self.tracer.span("csr.matvec"):
-            y = self._matvec_kernel(
-                self._rows, self.indices, self.data, x, self.shape[0]
-            )
-        self._count_spmv()
-        if out is not None:
-            out[:] = y
-            return out
+        y = np.empty(self.shape[0])
+        self.apply(csr_matvec_numpy, x, y)
         return y
-
-    def matmat(self, X: np.ndarray, out: "np.ndarray | None" = None) -> np.ndarray:
-        """``Y = A @ X`` for an ``(n, k)`` block of vectors.
-
-        Runs :meth:`matvec` once per column over a contiguous copy of
-        it, so column ``c`` is trivially bit-identical to
-        ``self.matvec(X[:, c])`` and billed exactly like it.  (A shared
-        ``(nnz, k)`` gather was measured slower here: its temporaries
-        fall out of cache, while per-column passes stay resident.)
-        """
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[0] != self.shape[1]:
-            raise ValueError(f"expected X of shape ({self.shape[1]}, k)")
-        m = self.shape[0]
-        k = X.shape[1]
-        if out is None:
-            out = np.empty((m, k), order="F")
-        elif out.shape != (m, k):
-            raise ValueError(f"out must have shape ({m}, {k})")
-        for c in range(k):
-            self.matvec(np.ascontiguousarray(X[:, c]), out=out[:, c])
-        return out
-
-    def rmatvec(self, y: np.ndarray) -> np.ndarray:
-        """x = A.T @ y, vectorized."""
-        y = np.asarray(y, dtype=np.float64)
-        if y.shape != (self.shape[0],):
-            raise ValueError(f"expected y of shape ({self.shape[0]},)")
-        prod = self.data * y[self._rows]
-        self._count_spmv()
-        return np.bincount(self.indices, weights=prod, minlength=self.shape[1])
-
-    def _count_spmv(self) -> None:
-        c = self.counter
-        c.calls += 1
-        c.flops += 2 * self.nnz
-        # CSR kernel traffic: values + column indices + indptr + x gather
-        # (+ y write); the x gather is counted once per nonzero, the
-        # standard pessimistic CSR model
-        c.bytes_moved += self.nnz * (8 + 4) + (self.shape[0] + 1) * 4
-        c.bytes_moved += self.nnz * 8 + self.shape[0] * 8
-        if self.tracer.enabled:
-            self.tracer.count("spmv.calls")
-            self.tracer.count("spmv.flops", 2 * self.nnz)
-            self.tracer.count(
-                "spmv.bytes",
-                self.nnz * (8 + 4) + (self.shape[0] + 1) * 4
-                + self.nnz * 8 + self.shape[0] * 8,
-            )
-            self.tracer.count("spmv.format.csr")
 
     # ------------------------------------------------------------------
 
@@ -224,12 +144,6 @@ class CSRMatrix:
 
     def transpose(self) -> "CSRMatrix":
         return self.to_coo().transpose().to_csr()
-
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x)
-        if x.ndim == 2:
-            return self.matmat(x)
-        return self.matvec(x)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<CSRMatrix {self.shape[0]}x{self.shape[1]} nnz={self.nnz}>"

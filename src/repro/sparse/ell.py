@@ -35,8 +35,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..jit import dispatch as _dispatch
-from ..observe import NULL_TRACER
-from .csr import CSRMatrix, SpmvCounter
+from .csr import CSRMatrix
 
 __all__ = ["ELLMatrix"]
 
@@ -52,37 +51,42 @@ def ell_matvec_numpy(
     vals_t: np.ndarray,
     x: np.ndarray,
     work: "np.ndarray | None",
-    out: "np.ndarray | None",
-) -> np.ndarray:
-    """Reference ELL SpMV over the transposed ``(width, m)`` layout.
+    y: np.ndarray,
+) -> None:
+    """Reference ELL SpMV over the transposed ``(width, m)`` layout, into
+    ``y``.
 
     Both strategies accumulate each row's entries sequentially in slot
     (= CSR entry) order, so they are bit-identical to each other and to
     the jit kernel.  ``_SLOTWISE_MIN_ROWS`` is read at call time so the
-    strategy crossover stays monkeypatchable.
+    strategy crossover stays monkeypatchable.  Padding slots multiply
+    their gathered x entry by 0.0; on a non-finite x that product is an
+    invalid operation whose NaN is the intended propagation semantics,
+    so the warning is suppressed, not the arithmetic.
     """
     width, m = cols_t.shape
     if work is None:
         work = np.empty_like(vals_t)
-    if width > 0 and m >= _SLOTWISE_MIN_ROWS:
-        # slot-wise: per-slot temporaries stay cache-resident
-        y = np.empty(m) if out is None else out
-        np.take(x, cols_t[0], out=y, mode="clip")
-        np.multiply(vals_t[0], y, out=y)
-        tmp = work[0]
-        for k in range(1, width):
-            np.take(x, cols_t[k], out=tmp, mode="clip")
-            np.multiply(vals_t[k], tmp, out=tmp)
-            np.add(y, tmp, out=y)
-        return y
-    # mode="clip" skips per-element bounds checking; the matrix
-    # constructor already validated every column index
-    np.take(x, cols_t, out=work, mode="clip")
-    np.multiply(vals_t, work, out=work)
-    # reducing over the outer axis accumulates sequentially in row-entry
-    # order (bit-identical to the CSR bincount path); an empty axis
-    # yields the additive identity, so width == 0 needs no special case
-    return np.add.reduce(work, axis=0, out=out)
+    with np.errstate(invalid="ignore"):
+        if width > 0 and m >= _SLOTWISE_MIN_ROWS:
+            # slot-wise: per-slot temporaries stay cache-resident
+            np.take(x, cols_t[0], out=y, mode="clip")
+            np.multiply(vals_t[0], y, out=y)
+            tmp = work[0]
+            for k in range(1, width):
+                np.take(x, cols_t[k], out=tmp, mode="clip")
+                np.multiply(vals_t[k], tmp, out=tmp)
+                np.add(y, tmp, out=y)
+            return
+        # mode="clip" skips per-element bounds checking; the matrix
+        # constructor already validated every column index
+        np.take(x, cols_t, out=work, mode="clip")
+        np.multiply(vals_t, work, out=work)
+        # reducing over the outer axis accumulates sequentially in
+        # row-entry order (bit-identical to the CSR bincount path); an
+        # empty axis yields the additive identity, so width == 0 needs
+        # no special case
+        np.add.reduce(work, axis=0, out=y)
 
 
 class ELLMatrix:
@@ -100,8 +104,8 @@ class ELLMatrix:
         row_lengths[i]`` of row ``i`` are padding.
     """
 
-    #: engine-facing format tag
-    format = "ell"
+    #: the registered SpMV kernel the engine binds
+    kernel_name = "spmv.ell_matvec"
 
     def __init__(
         self,
@@ -129,20 +133,8 @@ class ELLMatrix:
             raise ValueError("column index out of range")
         self.width = int(self.cols_t.shape[0])
         self.nnz_ = int(self.row_lengths.sum())
-        #: scratch for the gather/multiply passes (never escapes matvec)
+        #: scratch for the gather/multiply passes (never escapes a product)
         self._work = np.empty_like(self.vals_t)
-        self.counter = SpmvCounter()
-        self.counter.format = self.format
-        #: kernel backend; see :meth:`set_backend`
-        self.backend = "numpy"
-        self._matvec_kernel = ell_matvec_numpy
-        self.tracer = NULL_TRACER
-
-    def set_backend(self, backend: "str | None") -> str:
-        """Select the SpMV kernel backend (``"numpy"`` or ``"jit"``)."""
-        self.backend = _dispatch.resolve_backend(backend)
-        self._matvec_kernel = _dispatch.get_kernel("spmv.ell_matvec", self.backend)
-        return self.backend
 
     # ------------------------------------------------------------------
 
@@ -183,11 +175,6 @@ class ELLMatrix:
         return self.nnz_
 
     @property
-    def n(self) -> int:
-        """Row count (square systems use this as the problem size)."""
-        return self.shape[0]
-
-    @property
     def padded_entries(self) -> int:
         """Stored slots including padding (the dense rectangle)."""
         return self.shape[0] * self.width
@@ -197,88 +184,10 @@ class ELLMatrix:
         """Padded slots per nonzero (1.0 = no padding overhead)."""
         return self.padded_entries / self.nnz_ if self.nnz_ else 1.0
 
-    def matvec(self, x: np.ndarray, out: "np.ndarray | None" = None) -> np.ndarray:
-        """y = A @ x; per-row accumulation order matches the CSR kernel.
-
-        ``out``, when given, must not alias ``x`` (the slot-wise kernel
-        writes partial sums into it while ``x`` is still being read).
-        """
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.shape[1],):
-            raise ValueError(f"expected x of shape ({self.shape[1]},)")
-        with self.tracer.span("ell.matvec"):
-            # padding slots multiply their gathered x entry by 0.0; on
-            # non-finite x that product is an invalid operation whose NaN
-            # result is the intended propagation semantics — suppress the
-            # RuntimeWarning, not the arithmetic
-            with np.errstate(invalid="ignore"):
-                y = self._matvec_kernel(
-                    self.cols_t, self.vals_t, x, self._work, out
-                )
-        self._count_spmv()
-        return y
-
-    def matmat(self, X: np.ndarray, out: "np.ndarray | None" = None) -> np.ndarray:
-        """``Y = A @ X`` for an ``(n, k)`` block of vectors.
-
-        Runs :meth:`matvec` once per column over a contiguous copy of
-        it, so column ``c`` is trivially bit-identical to
-        ``self.matvec(X[:, c])`` and billed exactly like it.  (A
-        column-vectorized slot sweep was measured slower here: its
-        ``(n, k)`` temporaries fall out of cache, while per-column
-        passes stay resident.)
-        """
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[0] != self.shape[1]:
-            raise ValueError(f"expected X of shape ({self.shape[1]}, k)")
-        k = X.shape[1]
-        if out is None:
-            out = np.empty((self.shape[0], k), order="F")
-        elif out.shape != (self.shape[0], k):
-            raise ValueError(f"out must have shape ({self.shape[0]}, {k})")
-        for c in range(k):
-            col = out[:, c]
-            if col.flags.c_contiguous:
-                self.matvec(np.ascontiguousarray(X[:, c]), out=col)
-            else:
-                col[:] = self.matvec(np.ascontiguousarray(X[:, c]))
-        return out
-
-    def rmatvec(self, y: np.ndarray) -> np.ndarray:
-        """x = A.T @ y, vectorized (padding contributes exact zeros)."""
-        y = np.asarray(y, dtype=np.float64)
-        if y.shape != (self.shape[0],):
-            raise ValueError(f"expected y of shape ({self.shape[0]},)")
-        weights = self.vals_t * y[np.newaxis, :]
-        self._count_spmv()
-        return np.bincount(
-            self.cols_t.ravel(), weights=weights.ravel(), minlength=self.shape[1]
-        )
-
-    def _count_spmv(self) -> None:
-        c = self.counter
-        p = self.padded_entries
-        m = self.shape[0]
-        c.calls += 1
-        # the padded rectangle is executed in full: values + column
-        # indices + x gather per slot, plus the y write
-        c.flops += 2 * p
-        c.bytes_moved += p * (8 + 4) + p * 8 + m * 8
-        if self.tracer.enabled:
-            self.tracer.count("spmv.calls")
-            self.tracer.count("spmv.flops", 2 * p)
-            self.tracer.count("spmv.bytes", p * (8 + 4) + p * 8 + m * 8)
-            self.tracer.count("spmv.padded_entries", p)
-            self.tracer.count("spmv.format.ell")
-
-    def to_dense(self) -> np.ndarray:
-        return self.to_csr().to_dense()
-
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x)
-        if x.ndim == 2:
-            return self.matmat(x)
-        return self.matvec(x)
+    def apply(self, kernel, x: np.ndarray, y: np.ndarray) -> None:
+        """``y = A @ x`` through ``kernel``, a ``spmv.ell_matvec``; per-row
+        accumulation order matches the CSR kernel."""
+        kernel(self.cols_t, self.vals_t, x, self._work, y)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -1,4 +1,4 @@
-"""Structure-driven SpMV engine: format selection + unified front end.
+"""Structure-driven SpMV engine: format selection and the one SpMV operator.
 
 The predecessor CB-GMRES GPU paper (Aliaga et al., "Compressed Basis
 GMRES on High Performance GPUs") obtains its SpMV numbers by switching
@@ -24,12 +24,13 @@ is a pure function of the sparsity pattern, so the same matrix always
 selects the same format — the reproducibility contract
 ``python -m repro bench --spmv-format auto`` relies on.
 
-:class:`SpmvEngine` wraps a :class:`~repro.sparse.csr.CSRMatrix` and
-presents the same operator interface (``matvec``/``rmatvec``/``shape``/
-``nnz``/``tracer``), routing ``matvec`` through the selected format's
-kernel.  The ELL and SELL kernels accumulate each row in CSR entry
-order, so the engine's results are bit-identical to the CSR path on
-finite inputs (see :mod:`repro.sparse.ell`).
+:class:`SpmvEngine` is the one SpMV operator: it wraps a
+:class:`~repro.sparse.csr.CSRMatrix`, converts it once to the resolved
+layout (CSR, ELL or SELL — storage and one registered kernel each) and
+runs every product through that layout's kernel.  The ELL and SELL
+kernels accumulate each row in CSR entry order, so the engine's results
+are bit-identical to the CSR path on finite inputs (see
+:mod:`repro.sparse.ell`).
 """
 
 from __future__ import annotations
@@ -38,6 +39,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..gpu.kernels import spmv_kernel_cost
+from ..jit import dispatch as _dispatch
+from ..observe import NULL_TRACER
 from .csr import CSRMatrix
 from .ell import ELLMatrix
 from .sell import DEFAULT_SIGMA, DEFAULT_SLICE_SIZE, SELLMatrix, sell_padded_entries
@@ -134,28 +138,31 @@ def choose_format(
 
 
 class SpmvEngine:
-    """Format-selecting SpMV front end over a CSR matrix.
+    """The SpMV operator a solve multiplies by, over one storage layout.
 
     Parameters
     ----------
     a : CSRMatrix
-        The source matrix (kept as the ``csr`` attribute; non-matvec
-        operator queries delegate to it).
+        The source matrix (kept as the ``csr`` attribute).
     format : {"auto", "csr", "ell", "sell"}, default "auto"
         ``auto`` applies :func:`choose_format`; anything else forces
-        the named storage format.
+        the named layout.  For ``"csr"`` the layout is ``a`` itself.
     slice_size, sigma : int
         SELL-C-σ construction parameters (see
         :class:`~repro.sparse.sell.SELLMatrix`).
     backend : {"numpy", "jit"}, optional
-        Kernel backend applied to the wrapped CSR matrix *and* the
-        selected format's implementation (see :meth:`set_backend`).
+        Kernel backend of the layout's product (see :meth:`set_backend`).
 
     Notes
     -----
-    The engine reads ``a.tracer`` on every matvec, so assigning a tracer
-    to the wrapped CSR matrix (the bench harness does this) also traces
-    the engine's kernel.
+    The engine alone owns what a product needs besides the stored
+    arrays: the kernel binding, the checks on ``x`` and ``out``, the
+    ``<format>.matvec`` span and the ``spmv.*`` counters (priced once,
+    here, by :func:`repro.gpu.kernels.spmv_kernel_cost`).  It is traced
+    only when a caller assigns ``tracer``; a solver never does.  Operator
+    decorators (fault injectors) wrap *around* an engine and pass
+    ``shape``, ``nnz``, ``resolved_format`` and ``padded_entries``
+    through.
     """
 
     def __init__(
@@ -177,34 +184,41 @@ class SpmvEngine:
             )
         self.csr = a
         self.requested_format = format
-        self.slice_size = int(slice_size)
-        self.sigma = int(sigma)
         resolved = choose_format(a, slice_size, sigma) if format == "auto" else format
         self.resolved_format = resolved
         if resolved == "ell":
-            self.impl = ELLMatrix.from_csr(a)
+            self.layout = ELLMatrix.from_csr(a)
         elif resolved == "sell":
-            self.impl = SELLMatrix.from_csr(a, slice_size, sigma)
+            self.layout = SELLMatrix.from_csr(a, slice_size, sigma)
         else:
-            self.impl = a
-        self.backend = self.set_backend(backend)
+            self.layout = a
+        self.padded_entries = self.layout.padded_entries
+        self.padding_ratio = self.layout.padding_ratio
+        cost = spmv_kernel_cost(a.shape[0], a.nnz, resolved, self.padded_entries,
+                                int(slice_size))
+        #: what one product adds to a live tracer's counters
+        self._counts = (
+            ("spmv.calls", 1),
+            ("spmv.flops", int(cost.fp64_flops)),
+            ("spmv.bytes", int(cost.bytes_moved)),
+            ("spmv.padded_entries", self.padded_entries),
+            (f"spmv.format.{resolved}", 1),
+        )
+        self._span = f"{resolved}.matvec"
+        self.tracer = NULL_TRACER
+        self.set_backend(backend)
 
     def set_backend(self, backend: "str | None") -> str:
-        """Select the SpMV kernel backend on the wrapped matrices.
+        """Bind the layout's SpMV kernel under ``backend`` (``"numpy"`` or
+        ``"jit"``) and return the resolved name.
 
-        Applies to both the source CSR matrix (``rmatvec`` and direct
-        CSR use) and the selected format implementation.  The jit
-        kernels are bit-identical to numpy, so switching backends never
-        changes a result bit.  Returns the resolved backend.
+        The jit kernels are bit-identical to numpy, so switching backends
+        never changes a result bit; an unavailable jit engine degrades to
+        numpy with a warning.
         """
-        # resolve once on the CSR matrix, then pin the resolved name on
-        # the impl so an unavailable-jit warning fires at most once
-        self.backend = self.csr.set_backend(backend)
-        if self.impl is not self.csr:
-            self.impl.set_backend(self.backend)
+        self.backend = _dispatch.resolve_backend(backend)
+        self._kernel = _dispatch.get_kernel(self.layout.kernel_name, self.backend)
         return self.backend
-
-    # -- operator interface -------------------------------------------
 
     @property
     def shape(self) -> "tuple[int, int]":
@@ -218,74 +232,56 @@ class SpmvEngine:
     def n(self) -> int:
         return self.csr.shape[0]
 
-    @property
-    def tracer(self):
-        return self.csr.tracer
-
-    @tracer.setter
-    def tracer(self, value) -> None:
-        self.csr.tracer = value
-
-    @property
-    def counter(self):
-        """The active kernel's :class:`~repro.sparse.csr.SpmvCounter`."""
-        return self.impl.counter
-
-    @property
-    def padded_entries(self) -> int:
-        """Stored slots of the selected layout (``nnz`` for CSR)."""
-        if self.impl is self.csr:
-            return self.csr.nnz
-        return self.impl.padded_entries
-
-    @property
-    def padding_ratio(self) -> float:
-        """Padded slots per nonzero of the selected layout."""
-        if self.impl is self.csr:
-            return 1.0
-        return self.impl.padding_ratio
-
-    def stats(self) -> RowStats:
-        """The row statistics the selection was based on."""
-        return row_stats(self.csr, self.slice_size, self.sigma)
-
     def matvec(self, x: np.ndarray, out: "np.ndarray | None" = None) -> np.ndarray:
-        """y = A @ x through the selected format's kernel."""
-        impl = self.impl
-        if impl is not self.csr:
-            impl.tracer = self.csr.tracer  # follow late tracer assignment
-        return impl.matvec(x, out=out)
+        """``y = A @ x`` through the layout's kernel; returns ``y``.
+
+        ``out``, when given, receives ``y`` and is returned: it must be a
+        writable C-contiguous float64 array of shape ``(m,)`` that shares
+        no memory with ``x``.  Anything else is a ``ValueError`` naming
+        ``out`` — the compiled kernels write through a raw pointer.
+        """
+        m, n = self.csr.shape
+        x = np.ascontiguousarray(x, dtype=np.float64)
+        if x.shape != (n,):
+            raise ValueError(f"expected x of shape ({n},)")
+        if out is None:
+            out = np.empty(m)
+        elif not (
+            isinstance(out, np.ndarray) and out.dtype == np.float64
+            and out.shape == (m,) and out.flags.c_contiguous
+            and out.flags.writeable
+        ):
+            raise ValueError(
+                f"out must be a writable C-contiguous float64 array of shape ({m},)"
+            )
+        elif np.may_share_memory(x, out):
+            raise ValueError("out must not share memory with x")
+        tracer = self.tracer
+        with tracer.span(self._span):
+            self.layout.apply(self._kernel, x, out)
+        if tracer.enabled:
+            for name, value in self._counts:
+                tracer.count(name, value)
+        return out
 
     def matmat(self, X: np.ndarray, out: "np.ndarray | None" = None) -> np.ndarray:
-        """Y = A @ X (multi-vector) through the selected format's kernel.
-
-        Every format's ``matmat`` is bit-identical per column to its own
-        ``matvec``, so the engine's multi-vector results inherit the
-        same cross-format bit-identity guarantees as the single-vector
-        path.
-        """
-        impl = self.impl
-        if impl is not self.csr:
-            impl.tracer = self.csr.tracer
-        return impl.matmat(X, out=out)
-
-    def rmatvec(self, y: np.ndarray) -> np.ndarray:
-        """x = A.T @ y through the selected format's kernel."""
-        impl = self.impl
-        if impl is not self.csr:
-            impl.tracer = self.csr.tracer
-        return impl.rmatvec(y)
-
-    # -- CSR-only queries delegate to the source matrix ----------------
-
-    def diagonal(self) -> np.ndarray:
-        return self.csr.diagonal()
-
-    def row_norms(self, ord: float = np.inf) -> np.ndarray:
-        return self.csr.row_norms(ord)
-
-    def to_dense(self) -> np.ndarray:
-        return self.csr.to_dense()
+        """``Y = A @ X`` for an ``(n, k)`` block: one :meth:`matvec` per
+        column, so column ``c`` is bit-identical to ``matvec(X[:, c])``
+        and billed exactly like it.  ``out``, when given, is ``(m, k)``
+        and each of its columns must pass :meth:`matvec`'s ``out`` checks
+        (Fortran order, which is also what ``out=None`` allocates)."""
+        m, n = self.csr.shape
+        X = np.asarray(X)
+        if X.ndim != 2 or X.shape[0] != n:
+            raise ValueError(f"expected X of shape ({n}, k)")
+        k = X.shape[1]
+        if out is None:
+            out = np.empty((m, k), order="F")
+        elif getattr(out, "shape", None) != (m, k):
+            raise ValueError(f"out must have shape ({m}, {k})")
+        for c in range(k):
+            self.matvec(X[:, c], out=out[:, c])
+        return out
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x)

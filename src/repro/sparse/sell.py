@@ -25,8 +25,7 @@ from typing import List, Tuple
 import numpy as np
 
 from ..jit import dispatch as _dispatch
-from ..observe import NULL_TRACER
-from .csr import CSRMatrix, SpmvCounter
+from .csr import CSRMatrix
 
 __all__ = ["SELLMatrix", "DEFAULT_SLICE_SIZE", "DEFAULT_SIGMA", "sell_padded_entries"]
 
@@ -44,14 +43,20 @@ def sell_group_matvec_numpy(
 
     ``np.add.reduce`` over the outer axis accumulates each row's slots
     sequentially in CSR entry order — the order the jit kernel replays.
+    Padding slots multiply a gathered x entry by 0.0; when x carries
+    Inf/NaN that product is an invalid operation (the NaN it yields is
+    the documented propagation behaviour), so the warning — not the
+    arithmetic — is suppressed.
     """
     if work is None:
         work = np.empty(cols_t.shape)
-    # mode="clip" skips per-element bounds checking; the matrix
-    # constructor already validated every column index
-    np.take(x, cols_t, out=work, mode="clip")
-    np.multiply(vals_t, work, out=work)
-    y[rows] = np.add.reduce(work, axis=0)
+    with np.errstate(invalid="ignore"):
+        # mode="clip" skips per-element bounds checking; the matrix
+        # constructor already validated every column index
+        np.take(x, cols_t, out=work, mode="clip")
+        np.multiply(vals_t, work, out=work)
+        y[rows] = np.add.reduce(work, axis=0)
+
 
 #: GPU-warp-sized slices (Ginkgo's SELL-P default)
 DEFAULT_SLICE_SIZE = 32
@@ -118,8 +123,8 @@ class SELLMatrix:
     ``inv_perm`` is its inverse.
     """
 
-    #: engine-facing format tag
-    format = "sell"
+    #: the registered SpMV kernel the engine binds
+    kernel_name = "spmv.sell_group_matvec"
 
     def __init__(
         self,
@@ -156,20 +161,6 @@ class SELLMatrix:
         self.sigma = int(sigma)
         self.slice_widths = np.asarray(slice_widths, dtype=np.int64)
         self.nnz_ = int(self.row_lengths.sum())
-        self.counter = SpmvCounter()
-        self.counter.format = self.format
-        #: kernel backend; see :meth:`set_backend`
-        self.backend = "numpy"
-        self._group_kernel = sell_group_matvec_numpy
-        self.tracer = NULL_TRACER
-
-    def set_backend(self, backend: "str | None") -> str:
-        """Select the SpMV kernel backend (``"numpy"`` or ``"jit"``)."""
-        self.backend = _dispatch.resolve_backend(backend)
-        self._group_kernel = _dispatch.get_kernel(
-            "spmv.sell_group_matvec", self.backend
-        )
-        return self.backend
 
     # ------------------------------------------------------------------
 
@@ -254,11 +245,6 @@ class SELLMatrix:
         return self.nnz_
 
     @property
-    def n(self) -> int:
-        """Row count (square systems use this as the problem size)."""
-        return self.shape[0]
-
-    @property
     def permuted(self) -> bool:
         """True when σ sorting actually moved rows."""
         return bool(np.any(self.perm != np.arange(self.perm.size)))
@@ -273,121 +259,13 @@ class SELLMatrix:
         """Padded slots per nonzero (1.0 = no padding overhead)."""
         return self.padded_entries / self.nnz_ if self.nnz_ else 1.0
 
-    def matvec(self, x: np.ndarray, out: "np.ndarray | None" = None) -> np.ndarray:
-        """y = A @ x; per-row accumulation order matches the CSR kernel."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.shape[1],):
-            raise ValueError(f"expected x of shape ({self.shape[1]},)")
-        with self.tracer.span("sell.matvec"):
-            y = out if out is not None else np.empty(self.shape[0])
-            y[...] = 0.0
-            # padding slots multiply a gathered x entry by 0.0; when x
-            # carries Inf/NaN that product is an invalid operation (the
-            # NaN it yields is the documented propagation behaviour, see
-            # test_nonfinite_inputs_are_never_silently_lost), so the
-            # warning — not the arithmetic — is suppressed here
-            with np.errstate(invalid="ignore"):
-                for rows, cols_t, vals_t, work in self._groups:
-                    self._group_kernel(rows, cols_t, vals_t, x, work, y)
-        self._count_spmv()
-        return y
-
-    def matmat(self, X: np.ndarray, out: "np.ndarray | None" = None) -> np.ndarray:
-        """``Y = A @ X`` for an ``(n, k)`` block of vectors.
-
-        Column ``c`` of the result is bit-identical to
-        ``self.matvec(X[:, c])``: each width group accumulates its slots
-        sequentially (the same left-to-right entry order the
-        single-vector ``np.add.reduce`` performs), vectorized over the
-        ``k`` columns.  Each column is billed as one SpMV call so the
-        per-column accounting matches a loop over :meth:`matvec`.
-        """
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[0] != self.shape[1]:
-            raise ValueError(f"expected X of shape ({self.shape[1]}, k)")
-        k = X.shape[1]
-        if out is None:
-            out = np.empty((self.shape[0], k), order="F")
-        elif out.shape != (self.shape[0], k):
-            raise ValueError(f"out must have shape ({self.shape[0]}, {k})")
-        if self.backend == "jit":
-            # the compiled group kernel has no cross-column temporaries,
-            # so a per-column sweep is already optimal — and trivially
-            # bit-identical to matvec of each column
-            with self.tracer.span("sell.matmat", columns=k):
-                out[...] = 0.0
-                for c in range(k):
-                    col = out[:, c]
-                    y = col if col.flags.c_contiguous else np.zeros(self.shape[0])
-                    xc = np.ascontiguousarray(X[:, c])
-                    for rows, cols_t, vals_t, work in self._groups:
-                        self._group_kernel(rows, cols_t, vals_t, xc, work, y)
-                    if y is not col:
-                        col[:] = y
-            for _ in range(k):
-                self._count_spmv()
-            return out
-        with self.tracer.span("sell.matmat", columns=k):
-            out[...] = 0.0
-            # gather from a C-contiguous copy so each gathered row is
-            # one cache line for all k columns (exact copy: result bits
-            # unchanged)
-            Xc = np.ascontiguousarray(X)
-            with np.errstate(invalid="ignore"):
-                for rows, cols_t, vals_t, _ in self._groups:
-                    w, r = cols_t.shape
-                    acc = np.take(Xc, cols_t[0], axis=0, mode="clip")
-                    np.multiply(vals_t[0][:, None], acc, out=acc)
-                    g = np.empty_like(acc)
-                    for s in range(1, w):
-                        np.take(Xc, cols_t[s], axis=0, out=g, mode="clip")
-                        np.multiply(vals_t[s][:, None], g, out=g)
-                        np.add(acc, g, out=acc)
-                    out[rows, :] = acc
-        for _ in range(k):
-            self._count_spmv()
-        return out
-
-    def rmatvec(self, y: np.ndarray) -> np.ndarray:
-        """x = A.T @ y, vectorized (padding contributes exact zeros)."""
-        y = np.asarray(y, dtype=np.float64)
-        if y.shape != (self.shape[0],):
-            raise ValueError(f"expected y of shape ({self.shape[0]},)")
-        x = np.zeros(self.shape[1])
-        for rows, cols_t, vals_t, _ in self._groups:
-            weights = vals_t * y[rows][np.newaxis, :]
-            x += np.bincount(
-                cols_t.ravel(), weights=weights.ravel(), minlength=self.shape[1]
-            )
-        self._count_spmv()
-        return x
-
-    def _count_spmv(self) -> None:
-        c = self.counter
-        p = self.padded_entries
-        m = self.shape[0]
-        n_slices = self.slice_widths.size
-        # padded values + column indices + x gather, slice pointers, the
-        # row permutation read, and the y write
-        nbytes = p * (8 + 4) + p * 8 + (n_slices + 1) * 4 + m * 4 + m * 8
-        c.calls += 1
-        c.flops += 2 * p
-        c.bytes_moved += nbytes
-        if self.tracer.enabled:
-            self.tracer.count("spmv.calls")
-            self.tracer.count("spmv.flops", 2 * p)
-            self.tracer.count("spmv.bytes", nbytes)
-            self.tracer.count("spmv.padded_entries", p)
-            self.tracer.count("spmv.format.sell")
-
-    def to_dense(self) -> np.ndarray:
-        return self.to_csr().to_dense()
-
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x)
-        if x.ndim == 2:
-            return self.matmat(x)
-        return self.matvec(x)
+    def apply(self, kernel, x: np.ndarray, y: np.ndarray) -> None:
+        """``y = A @ x`` through ``kernel``, a ``spmv.sell_group_matvec``
+        run once per width group; per-row accumulation order matches the
+        CSR kernel."""
+        y[...] = 0.0  # rows of all-empty slices belong to no group
+        for rows, cols_t, vals_t, work in self._groups:
+            kernel(rows, cols_t, vals_t, x, work, y)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -5,6 +5,8 @@ import pytest
 
 from repro.__main__ import build_parser, main
 
+from .backends import BACKENDS
+
 
 @pytest.fixture(autouse=True)
 def smoke_scale(monkeypatch):
@@ -69,7 +71,7 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "frsz2_16" in out
 
-    @pytest.mark.parametrize("backend", ["numpy", "jit"])
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_storage_rounded_zero_pivot_is_a_named_error(self, capsys, backend):
         # frsz2_16 rounds 16 ILU(0) pivots of this matrix to zero: a
         # named error at set-up and exit 2 on either backend — not a

@@ -10,7 +10,7 @@ from repro.solvers import (
     JacobiPreconditioner,
     make_problem,
 )
-from repro.sparse import COOMatrix
+from repro.sparse import COOMatrix, SpmvEngine
 
 
 class TestBasics:
@@ -108,12 +108,14 @@ class TestRef17TradeOff:
 
 
 class _NanAfter:
-    """An operator whose matvec turns NaN after ``clean`` calls."""
+    """An operator decorator whose matvec turns NaN after ``clean`` calls."""
 
-    def __init__(self, inner, clean):
-        self.inner = inner
+    def __init__(self, a, clean):
+        self.inner = inner = SpmvEngine(a, "csr")
         self.shape = inner.shape
         self.nnz = inner.nnz
+        self.resolved_format = inner.resolved_format
+        self.padded_entries = inner.padded_entries
         self.clean = clean
         self.calls = 0
 

@@ -63,8 +63,10 @@ class TestDispatch:
     def test_every_registered_kernel_and_c_function_has_a_caller(self):
         """No dead registration can come back: each registered name is
         resolved by a ``get_kernel("<name>"`` call in the package proper
-        (the self-test does not count), and each function the C source
-        exports is called as ``_lib.<name>`` by some wrapper."""
+        (the self-test does not count) or is the ``kernel_name`` of an
+        SpMV layout, which ``SpmvEngine.set_backend`` resolves; and each
+        function the C source exports is called as ``_lib.<name>`` by
+        some wrapper."""
         import pathlib
         import re
 
@@ -74,7 +76,8 @@ class TestDispatch:
             if path.name != "selftest.py"
         }
         for name in self.KERNELS:
-            call = re.compile(r'get_kernel\(\s*"%s"' % re.escape(name))
+            call = re.compile(r'(get_kernel\(\s*|kernel_name = )"%s"'
+                              % re.escape(name))
             assert any(call.search(text) for text in sources.values()), name
         wrappers = sources[pathlib.Path(cbackend.__file__).resolve()]
         wrappers = wrappers.replace(cbackend.C_SOURCE, "")
@@ -641,6 +644,34 @@ class TestSpmvBitIdentity:
         alt = SpmvEngine(a, format=fmt, backend=backend)
         np.testing.assert_array_equal(ref.matvec(x), alt.matvec(x))
         np.testing.assert_array_equal(ref.matmat(X), alt.matmat(X))
+
+
+#: ``out`` buffers a compiled kernel must never write through: a wrong
+#: dtype or length overran the heap, a strided or aliased one gave a
+#: wrong ``y`` without a word
+HOSTILE_OUT = {
+    "float32": lambda x, m: np.empty(m, dtype=np.float32),
+    "short": lambda x, m: np.empty(m // 2),
+    "long": lambda x, m: np.empty(m + 1000),
+    "strided": lambda x, m: np.empty(2 * m)[::2],
+    "aliased": lambda x, m: x,
+    "readonly": lambda x, m: np.frombuffer(bytes(8 * m)),
+}
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("fmt", sorted(SPMV_FORMATS))
+class TestSpmvHostileOut:
+    @pytest.mark.parametrize("case", sorted(HOSTILE_OUT))
+    def test_out_is_a_named_error(self, backend, fmt, case):
+        a = build_matrix("atmosmodd", "smoke")
+        engine = SpmvEngine(a, format=fmt, backend=backend)
+        x = np.random.default_rng(0).standard_normal(a.shape[1])
+        before = x.copy()
+        with pytest.raises(ValueError, match="out"):
+            engine.matvec(x, out=HOSTILE_OUT[case](x, a.shape[0]))
+        np.testing.assert_array_equal(x, before)
+        np.testing.assert_array_equal(engine.matvec(x), a.matvec(x))
 
 
 # ----------------------------------------------------------------------

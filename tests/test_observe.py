@@ -34,6 +34,7 @@ from repro.core import FRSZ2
 from repro.jit import jit_unavailable_reason
 from repro.observe import NULL_TRACER, NullTracer, Tracer
 from repro.solvers import CbGmres, make_problem
+from repro.sparse import SpmvEngine
 from repro.sparse.generators import stencil_2d
 
 
@@ -122,6 +123,7 @@ class TestInstrumentedSolve:
     def test_solver_emits_expected_span_names(self):
         a, b = _small_problem()
         t = Tracer()
+        a = SpmvEngine(a, "csr")
         a.tracer = t
         res = CbGmres(a, "frsz2_32", m=20, max_iter=200, tracer=t).solve(b, 1e-8)
         assert res.converged
@@ -139,6 +141,7 @@ class TestInstrumentedSolve:
     def test_counters_cover_every_layer(self):
         a, b = _small_problem()
         t = Tracer()
+        a = SpmvEngine(a, "csr")
         a.tracer = t
         res = CbGmres(a, "frsz2_32", m=20, max_iter=200, tracer=t).solve(b, 1e-8)
         c = t.counters
@@ -154,6 +157,7 @@ class TestInstrumentedSolve:
         a2, _ = _small_problem()
         plain = CbGmres(a1, "frsz2_32", m=20, max_iter=200).solve(b, 1e-10)
         t = Tracer()
+        a2 = SpmvEngine(a2, "csr")
         a2.tracer = t
         traced = CbGmres(a2, "frsz2_32", m=20, max_iter=200, tracer=t).solve(b, 1e-10)
         assert np.array_equal(
@@ -242,7 +246,7 @@ class TestBenchDocument:
     def test_write_load_roundtrip(self, bench_doc, tmp_path):
         path = tmp_path / "bench.json"
         write_bench(bench_doc, str(path))
-        assert load_bench(str(path)) == json.load(open(path)) == bench_doc
+        assert load_bench(str(path)) == json.loads(path.read_text()) == bench_doc
 
     def test_validator_rejects_mutations(self, bench_doc):
         bad = copy.deepcopy(bench_doc)

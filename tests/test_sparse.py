@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sparse import COOMatrix, CSRMatrix, read_matrix_market, write_matrix_market
+from repro.observe import Tracer
+from repro.sparse import (
+    COOMatrix, CSRMatrix, SpmvEngine, read_matrix_market, write_matrix_market,
+)
 
 
 def random_coo(m, n, nnz, seed=0):
@@ -89,7 +92,7 @@ class TestSpMV:
     def test_matmul_operator(self):
         a = random_coo(5, 5, 10, seed=6).to_csr()
         x = np.ones(5)
-        assert np.array_equal(a @ x, a.matvec(x))
+        assert np.array_equal(SpmvEngine(a, "csr") @ x, a.matvec(x))
 
     def test_empty_rows_give_zero(self):
         # row 1 empty
@@ -97,33 +100,29 @@ class TestSpMV:
         y = a.matvec(np.ones(3))
         assert y[1] == 0.0
 
-    def test_rmatvec_matches_dense(self):
-        a = random_coo(12, 18, 80, seed=7).to_csr()
-        y = np.random.default_rng(8).standard_normal(12)
-        assert np.allclose(a.rmatvec(y), a.to_dense().T @ y)
-
     def test_wrong_size_raises(self):
         a = random_coo(3, 4, 5, seed=9).to_csr()
         with pytest.raises(ValueError):
             a.matvec(np.ones(3))
         with pytest.raises(ValueError):
-            a.rmatvec(np.ones(4))
+            SpmvEngine(a, "csr").matvec(np.ones(3))
 
     def test_out_parameter(self):
         a = random_coo(6, 6, 12, seed=10).to_csr()
         x = np.ones(6)
         out = np.empty(6)
-        ret = a.matvec(x, out=out)
+        ret = SpmvEngine(a, "csr").matvec(x, out=out)
         assert ret is out
         assert np.array_equal(out, a.matvec(x))
 
     def test_counter_accumulates(self):
         a = random_coo(6, 6, 12, seed=11).to_csr()
-        a.counter.reset()
-        a.matvec(np.ones(6))
-        a.matvec(np.ones(6))
-        assert a.counter.calls == 2
-        assert a.counter.flops == 4 * a.nnz
+        engine = SpmvEngine(a, "csr")
+        engine.tracer = t = Tracer()
+        engine.matvec(np.ones(6))
+        engine.matvec(np.ones(6))
+        assert t.counters["spmv.calls"] == 2
+        assert t.counters["spmv.flops"] == 4 * a.nnz
 
     @given(st.integers(min_value=1, max_value=30), st.integers(min_value=0, max_value=120))
     @settings(max_examples=60, deadline=None)

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.gpu import spmv_kernel_cost, spmv_roofline
+from repro.observe import Tracer
 from repro.solvers import CbGmres, make_problem
 from repro.sparse import (
     CSRMatrix,
@@ -66,12 +67,11 @@ EDGE_CASES = [
 
 def _formats_of(a):
     return {
-        "ell": ELLMatrix.from_csr(a),
-        "sell": SELLMatrix.from_csr(a),
-        "sell-unsorted": SELLMatrix.from_csr(a, sigma=1),
-        "engine-auto": SpmvEngine(a, "auto"),
-        "engine-ell": SpmvEngine(a, "ell"),
-        "engine-sell": SpmvEngine(a, "sell"),
+        "csr": SpmvEngine(a, "csr"),
+        "ell": SpmvEngine(a, "ell"),
+        "sell": SpmvEngine(a, "sell"),
+        "sell-unsorted": SpmvEngine(a, "sell", sigma=1),
+        "auto": SpmvEngine(a, "auto"),
     }
 
 
@@ -107,22 +107,10 @@ class TestKernelEquivalence:
         a = random_csr(**kw)
         x = np.random.default_rng(13).standard_normal(a.shape[1])
         y0 = a.matvec(x)
-        ell = ELLMatrix.from_csr(a)
+        ell = SpmvEngine(a, "ell")
         assert np.array_equal(ell.matvec(x), y0)
         buf = np.full(a.shape[0], np.nan)
         assert np.array_equal(ell.matvec(x, out=buf), y0)
-
-    @pytest.mark.parametrize("kw", EDGE_CASES)
-    def test_rmatvec_close_to_csr(self, kw):
-        # transpose products scatter in a different order per format, so
-        # agreement is up to floating-point associativity
-        a = random_csr(**kw)
-        y = np.random.default_rng(11).standard_normal(a.shape[0])
-        x0 = a.rmatvec(y)
-        for name, op in _formats_of(a).items():
-            if "engine" in name:
-                continue  # engine delegates to one of the tested kernels
-            assert np.allclose(op.rmatvec(y), x0, rtol=1e-13, atol=1e-300), name
 
     def test_every_suite_matrix_bit_identical(self):
         for name in suite_names():
@@ -269,9 +257,10 @@ class TestSolverIntegration:
         assert base.stats.spmv_padded_entries == p.a.nnz
 
     def test_csr_format_keeps_the_plain_matrix(self):
+        # the csr layout is the matrix itself: nothing is converted
         p = make_problem("lung2", "smoke")
         solver = CbGmres(p.a, "float64", spmv_format="csr")
-        assert solver.a is p.a  # bit-identical pre-engine path
+        assert isinstance(solver.a, SpmvEngine) and solver.a.layout is p.a
 
     def test_engine_requires_csr_matrix(self):
         p = make_problem("lung2", "smoke")
@@ -283,17 +272,39 @@ class TestSolverIntegration:
 
 class TestAccounting:
     def test_counters_charge_padding(self):
+        # the engine's counters are the one traffic model, padding included
         a = build_matrix("atmosmodd", "smoke")
-        ell = ELLMatrix.from_csr(a)
         x = np.zeros(a.shape[1])
-        ell.matvec(x)
-        assert ell.counter.format == "ell"
-        assert ell.counter.flops == 2 * ell.padded_entries
-        assert ell.counter.flops >= 2 * a.nnz
-        sell = SELLMatrix.from_csr(a)
-        sell.matvec(x)
-        assert sell.counter.format == "sell"
-        assert sell.counter.flops == 2 * sell.padded_entries
+        for fmt in ("csr", "ell", "sell"):
+            engine = SpmvEngine(a, fmt)
+            engine.tracer = t = Tracer()
+            engine.matvec(x)
+            engine.matvec(x)
+            cost = spmv_kernel_cost(
+                a.shape[0], a.nnz, fmt, engine.padded_entries, DEFAULT_SLICE_SIZE)
+            assert t.counters == {
+                "spmv.calls": 2,
+                "spmv.flops": 2 * cost.fp64_flops,
+                "spmv.bytes": 2 * cost.bytes_moved,
+                "spmv.padded_entries": 2 * engine.padded_entries,
+                f"spmv.format.{fmt}": 2,
+            }, fmt
+            assert t.counters["spmv.flops"] == 4 * engine.padded_entries >= 4 * a.nnz
+            assert [rec.name for rec in t.spans] == [f"{fmt}.matvec"] * 2
+
+    def test_untraced_until_a_caller_sets_the_tracer(self):
+        # a solver's tracer never reaches the operator on its own
+        p = make_problem("lung2", "smoke")
+        engine = SpmvEngine(p.a, "auto")
+        assert engine.resolved_format == "ell"
+        t = Tracer()
+        res = CbGmres(engine, "float64", m=30, tracer=t).solve(p.b, p.target_rrn)
+        assert not any(k.startswith("spmv.") for k in t.counters)
+        assert "ell.matvec" not in t.by_name()
+        engine.tracer = t2 = Tracer()
+        CbGmres(engine, "float64", m=30, tracer=t2).solve(p.b, p.target_rrn)
+        assert t2.counters["spmv.calls"] == res.stats.spmv_calls
+        assert t2.by_name()["ell.matvec"].count == res.stats.spmv_calls
 
     def test_spmv_kernel_cost_orders_formats_by_padding(self):
         # same matrix: the padded formats charge >= the CSR traffic
@@ -354,7 +365,7 @@ class TestNonFiniteWarnings:
         x = self._nonfinite_x(48)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            ELLMatrix.from_csr(a).matvec(x)
+            SpmvEngine(a, "ell").matvec(x)
 
     def test_matmat_emits_no_warnings(self):
         a = random_csr(m=48, n=48, seed=8, empty_every=5)
@@ -363,9 +374,8 @@ class TestNonFiniteWarnings:
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            a.matmat(X)
-            ELLMatrix.from_csr(a).matmat(X)
-            SELLMatrix.from_csr(a).matmat(X)
+            for op in _formats_of(a).values():
+                op.matmat(X)
 
 
 class TestMatmat:
@@ -377,14 +387,10 @@ class TestMatmat:
         rng = np.random.default_rng(42)
         X = np.asfortranarray(rng.standard_normal((a.shape[1], 5)))
         expected = np.stack([a.matvec(X[:, c]) for c in range(5)], axis=1)
-        for name, op in {
-            "csr": a,
-            "ell": ELLMatrix.from_csr(a),
-            "sell": SELLMatrix.from_csr(a),
-            "engine-auto": SpmvEngine(a, "auto"),
-        }.items():
+        for name, op in _formats_of(a).items():
             Y = op.matmat(X)
             assert np.array_equal(Y, expected), name
+            assert np.array_equal(op @ X, expected), name
 
     def test_c_order_input_matches(self):
         # callers may pass a C-ordered block; the contiguous-copy
@@ -393,7 +399,7 @@ class TestMatmat:
         rng = np.random.default_rng(5)
         Xc = np.ascontiguousarray(rng.standard_normal((50, 4)))
         Xf = np.asfortranarray(Xc)
-        for op in (a, ELLMatrix.from_csr(a), SELLMatrix.from_csr(a)):
+        for op in _formats_of(a).values():
             assert np.array_equal(op.matmat(Xc), op.matmat(Xf))
 
     def test_out_buffer(self):
@@ -401,15 +407,18 @@ class TestMatmat:
         X = np.asfortranarray(
             np.random.default_rng(2).standard_normal((40, 3))
         )
-        for op in (a, ELLMatrix.from_csr(a), SELLMatrix.from_csr(a)):
+        for op in _formats_of(a).values():
             expected = op.matmat(X)
             buf = np.full((40, 3), np.nan, order="F")
             got = op.matmat(X, out=buf)
             assert got is buf
             assert np.array_equal(buf, expected)
+            # each column of out is a matvec out: C order is refused
+            with pytest.raises(ValueError, match="out"):
+                op.matmat(X, out=np.empty((40, 3)))
 
     def test_shape_validation(self):
-        a = random_csr(m=40, n=40, seed=4)
+        a = SpmvEngine(random_csr(m=40, n=40, seed=4), "csr")
         with pytest.raises(ValueError):
             a.matmat(np.zeros((39, 3)))
         with pytest.raises(ValueError):
@@ -418,7 +427,7 @@ class TestMatmat:
     def test_bills_one_spmv_per_column(self):
         a = random_csr(m=40, n=40, seed=4)
         X = np.zeros((40, 6), order="F")
-        for op in (a, ELLMatrix.from_csr(a), SELLMatrix.from_csr(a)):
-            before = op.counter.calls
+        for op in _formats_of(a).values():
+            op.tracer = t = Tracer()
             op.matmat(X)
-            assert op.counter.calls == before + 6
+            assert t.counters["spmv.calls"] == 6
