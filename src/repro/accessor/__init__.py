@@ -1,7 +1,7 @@
 """Ginkgo-style Accessor interface: storage format decoupled from the
 float64 arithmetic format (paper refs [1], [9])."""
 
-from .base import TrafficCounter, VectorAccessor
+from .base import VectorAccessor
 from .frsz2_accessor import Frsz2Accessor, Frsz2Tiles
 from .precision import (
     Float16Accessor,
@@ -13,7 +13,6 @@ from .registry import accessor_factory, list_storage_formats, make_accessor
 from .roundtrip import RoundTripAccessor
 
 __all__ = [
-    "TrafficCounter",
     "VectorAccessor",
     "PrecisionAccessor",
     "Float64Accessor",

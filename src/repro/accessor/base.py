@@ -13,47 +13,20 @@ random-access semantics, while :meth:`VectorAccessor.write` always takes
 the full vector (the CB-GMRES access pattern — each Krylov vector is
 produced once, whole).
 
-Accessors also keep a :class:`TrafficCounter` recording the *stored*
-bytes that the corresponding GPU kernel would move, which feeds the
-end-to-end timing model (:mod:`repro.gpu.timing`).
+Accessors bill the *stored* bytes that the corresponding GPU kernel
+would move as ``accessor.*`` counters of the tracer attached with
+:meth:`VectorAccessor.set_tracer`.
 """
 
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..observe import NULL_TRACER
 
-__all__ = ["TrafficCounter", "VectorAccessor"]
-
-
-@dataclass
-class TrafficCounter:
-    """Bytes the storage format moves to/from (simulated) main memory."""
-
-    bytes_read: int = 0
-    bytes_written: int = 0
-    reads: int = 0
-    writes: int = 0
-    #: partial (tile-granular) reads; their bytes land in ``bytes_read``
-    tile_reads: int = 0
-
-    def reset(self) -> None:
-        self.bytes_read = 0
-        self.bytes_written = 0
-        self.reads = 0
-        self.writes = 0
-        self.tile_reads = 0
-
-    def merge(self, other: "TrafficCounter") -> None:
-        self.bytes_read += other.bytes_read
-        self.bytes_written += other.bytes_written
-        self.reads += other.reads
-        self.writes += other.writes
-        self.tile_reads += other.tile_reads
+__all__ = ["VectorAccessor"]
 
 
 class VectorAccessor(abc.ABC):
@@ -71,7 +44,6 @@ class VectorAccessor(abc.ABC):
         if n < 0:
             raise ValueError("vector length must be non-negative")
         self.n = int(n)
-        self.traffic = TrafficCounter()
         self.tracer = NULL_TRACER
 
     # -- storage interface -------------------------------------------------
@@ -94,7 +66,7 @@ class VectorAccessor(abc.ABC):
         Unlike :meth:`write`, clearing is pure bookkeeping: it moves no
         simulated memory traffic (a GPU solver reuses the allocation
         across restarts without touching the old bits) and therefore
-        records nothing in :attr:`traffic`.
+        bills nothing.
         """
         raise NotImplementedError(
             f"{type(self).__name__} does not implement clear()"
@@ -127,12 +99,9 @@ class VectorAccessor(abc.ABC):
         return (self.stored_nbytes() * (i1 - i0)) // self.n
 
     def _record_tile_read(self, i0: int, i1: int) -> None:
-        nbytes = self.tile_stored_nbytes(i0, i1)
-        self.traffic.bytes_read += nbytes
-        self.traffic.tile_reads += 1
         if self.tracer.enabled:
             self.tracer.count("accessor.tile_reads")
-            self.tracer.count("accessor.bytes_read", nbytes)
+            self.tracer.count("accessor.bytes_read", self.tile_stored_nbytes(i0, i1))
 
     def read_tile(self, i0: int, i1: int) -> np.ndarray:
         """Decode the element range ``[i0, i1)`` to float64.
@@ -183,20 +152,14 @@ class VectorAccessor(abc.ABC):
         self.tracer = tracer
 
     def _record_write(self) -> None:
-        nbytes = self.stored_nbytes()
-        self.traffic.bytes_written += nbytes
-        self.traffic.writes += 1
         if self.tracer.enabled:
             self.tracer.count("accessor.writes")
-            self.tracer.count("accessor.bytes_written", nbytes)
+            self.tracer.count("accessor.bytes_written", self.stored_nbytes())
 
     def _record_read(self) -> None:
-        nbytes = self.stored_nbytes()
-        self.traffic.bytes_read += nbytes
-        self.traffic.reads += 1
         if self.tracer.enabled:
             self.tracer.count("accessor.reads")
-            self.tracer.count("accessor.bytes_read", nbytes)
+            self.tracer.count("accessor.bytes_read", self.stored_nbytes())
 
     def __len__(self) -> int:
         return self.n

@@ -215,9 +215,10 @@ class Frsz2Tiles:
       :meth:`~repro.core.frsz2.FRSZ2.tile_decoder` call into the fused
       kernels' scratch rows (numpy codecs, and any tile-at-a-time user).
 
-    Either way each accessor's tile reads are billed individually,
-    exactly like a per-accessor :meth:`~Frsz2Accessor.read_tile` loop —
-    which is also the bitwise fallback this source is exchangeable with.
+    Either way the tracer of the rows (a basis gives all its slots one)
+    is billed the tile reads of a per-accessor
+    :meth:`~Frsz2Accessor.read_tile` loop — which is also the bitwise
+    fallback this source is exchangeable with — in one count per call.
 
     A :class:`~repro.solvers.basis.KrylovBasis` keeps one source with
     room for all its slots for as long as the layout lasts: every write
@@ -318,13 +319,13 @@ class Frsz2Tiles:
         )
 
     def _bill(self, tiles: int, nbytes: int, j: Optional[int]) -> None:
-        for acc in self.accessors[:j]:
-            traffic = acc.traffic
-            traffic.bytes_read += nbytes
-            traffic.tile_reads += tiles
-            if acc.tracer.enabled:
-                acc.tracer.count("accessor.tile_reads", tiles)
-                acc.tracer.count("accessor.bytes_read", nbytes)
+        """Bill the live tracer of the rows ``tiles`` reads of ``nbytes``
+        for each of the leading ``j`` rows (default: all)."""
+        rows = len(self.accessors[:j])
+        if rows:
+            tracer = self.accessors[0].tracer
+            tracer.count("accessor.tile_reads", tiles * rows)
+            tracer.count("accessor.bytes_read", nbytes * rows)
 
     def _blocks(self, i0: int, i1: int) -> int:
         bs = self.layout.block_size
@@ -333,7 +334,10 @@ class Frsz2Tiles:
     def bill_pass(self, tile_elems: int, j: Optional[int] = None) -> None:
         """Bill each of the leading ``j`` accessors (default: all) the
         ``ceil(n / tile_elems)`` tile reads of one pass over the whole
-        tile grid, which the caller makes in one C call."""
+        tile grid, which the caller makes in one C call — when the rows
+        are traced."""
+        if not (self.accessors and self.accessors[0].tracer.enabled):
+            return
         bill = self._pass_bill.get(tile_elems)
         if bill is None:
             n = self.layout.n
@@ -364,7 +368,7 @@ class Frsz2Tiles:
         if self._decode is None:
             self._decode = self.accessors[0].codec.tile_decoder(self._comps)
         self._decode(i0, i1, out)
-        if i0 != i1:
+        if i0 != i1 and self.accessors[0].tracer.enabled:
             self._bill(1, self._blocks(i0, i1) * self._block_nbytes, None)
 
 

@@ -42,9 +42,9 @@ class FallbackPolicy:
     ``chain`` is tried in order; an attempt that converges ends the
     solve.  An attempt fails — and the next format is tried — when it
     stalls, exhausts its ``max_recoveries`` budget, or hits its
-    iteration cap.  ``carry_solution`` warm-starts each escalation from
-    the best finite iterate found so far, so work done in a lossy format
-    is never thrown away.
+    iteration cap.  Each escalation warm-starts from the best finite
+    iterate found so far, so work done in a lossy format is never thrown
+    away.
     """
 
     chain: Tuple[str, ...] = DEFAULT_CHAIN
@@ -52,7 +52,6 @@ class FallbackPolicy:
     #: stall window per attempt (tighter than CbGmres' default of 8 so
     #: hopeless formats hand over quickly)
     stall_restarts: Optional[int] = 4
-    carry_solution: bool = True
 
     def __post_init__(self) -> None:
         if not self.chain:
@@ -75,7 +74,6 @@ class FallbackPolicy:
             chain=chain,
             max_recoveries=self.max_recoveries,
             stall_restarts=self.stall_restarts,
-            carry_solution=self.carry_solution,
         )
 
 
@@ -254,11 +252,7 @@ class RobustCbGmres:
             attempts.append(res)
             if res.converged:
                 break
-            if (
-                self.policy.carry_solution
-                and np.all(np.isfinite(res.x))
-                and res.final_rrn < best_rrn
-            ):
+            if np.all(np.isfinite(res.x)) and res.final_rrn < best_rrn:
                 best_rrn = res.final_rrn
                 x_start = res.x
         return RobustResult(result=attempts[-1], attempts=attempts)

@@ -199,14 +199,6 @@ class FaultyAccessor(VectorAccessor):
     def tile_granularity(self) -> int:
         return self.inner.tile_granularity
 
-    @property
-    def traffic(self):  # delegate so accounting stays on the real format
-        return self.inner.traffic
-
-    @traffic.setter
-    def traffic(self, value):  # the base __init__ assigns a fresh counter
-        pass
-
 
 class FaultySpmvMatrix:
     """Wrap a SpMV operator; inject NaN/Inf into matvec outputs.

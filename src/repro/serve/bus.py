@@ -52,17 +52,18 @@ class _Subscription:
         self.job_id = job_id
 
 
+#: events each job's replay buffer keeps
+_BUFFER_EVENTS = 256
+
+
 class ProgressBus:
     """Publish/subscribe hub with bounded per-job replay buffers."""
 
-    def __init__(self, buffer_events: int = 256) -> None:
-        if buffer_events < 1:
-            raise ValueError("buffer_events must be at least 1")
+    def __init__(self) -> None:
         self._seq = itertools.count()
         self._tokens = itertools.count()
         self._subs: Dict[int, _Subscription] = {}
         self._buffers: Dict[str, Deque[ProgressEvent]] = {}
-        self._buffer_events = buffer_events
         self._closed = False
         #: events published (delivery-independent; health accounting)
         self.published = 0
@@ -107,7 +108,7 @@ class ProgressBus:
         self.published += 1
         if job_id is not None:
             buf = self._buffers.setdefault(
-                job_id, deque(maxlen=self._buffer_events)
+                job_id, deque(maxlen=_BUFFER_EVENTS)
             )
             buf.append(event)
         for sub in list(self._subs.values()):

@@ -35,9 +35,21 @@ Hardening mechanisms, all engine-side (workers stay dumb):
   results, and float64 is the correctness-guaranteeing terminal;
 * **cooperative cancellation** — :meth:`SolveEngine.cancel` asks the
   worker to stop at its next progress tick and force-kills after a
-  grace window, so cancellation always reclaims the worker;
+  grace window, so cancellation always reclaims the worker; a member
+  of a coalesced attempt whose peers are still attached leaves at once
+  instead ("cancelled; batch peers continue"), and only the last one
+  left is cancelled cooperatively;
 * **supervised pool** — a worker process that dies is respawned by
   :class:`repro.parallel.SupervisedPool`; the pool never shrinks.
+
+Every dispatch is one attempt over a list of members
+(:func:`repro.serve.worker.run_attempt`); a solo job is a list of one.
+So there is one start path, one event route — progress is routed by the
+``job_id`` each event carries, ``done`` reads the attempt's
+``{"results": {job_id: payload}}`` — and one cancel rule.  Every payload
+carries ``batch_columns`` and every ``attempt`` event ``batched_with``
+(both 1 for a solo job); ``serve.batches_dispatched`` and
+``serve.batched_jobs`` count only attempts of two or more members.
 
 Threading model: one supervisor thread owns the pool and every state
 transition; public methods only flip flags / append to the admission
@@ -62,7 +74,7 @@ from ..robust.fallback import FallbackPolicy
 from .bus import ProgressBus, ProgressEvent
 from .jobs import AttemptRecord, JobRecord, JobSpec, JobState, TERMINAL_STATES
 from .queue import AdmissionController, RejectedError
-from .worker import run_coalesced_job, run_solve_job
+from .worker import run_attempt
 
 __all__ = ["ServeConfig", "SolveEngine"]
 
@@ -96,21 +108,18 @@ class ServeConfig:
     cancel_grace_s : float
         After a cooperative cancel request, how long a worker may keep
         running before it is force-killed.
-    degrade_on_retry : bool
-        Escalate the storage format one fallback-chain step per retry.
     seed : int
         Root seed of the backoff jitter streams (determinism).
     coalesce : bool
         Opt-in throughput mode: queued jobs whose specs differ only in
         ``rhs_seed`` (same matrix, scale, solver configuration) are
-        dispatched as **one** worker task,
-        :func:`~repro.serve.worker.run_coalesced_job`, that shares one
-        problem build, one preconditioner factorization, one tracer and
-        one pool round trip, then solves the members one after another
-        with the same solver.  Per-job results stay bit-identical to
-        solo runs.  Chaos jobs, deadline jobs and retry attempts never
-        coalesce; a cancelled batch member is finished engine-side while
-        its peers keep computing.
+        dispatched as **one** attempt of several members,
+        :func:`~repro.serve.worker.run_attempt`, that shares one problem
+        build, one preconditioner factorization, one tracer and one pool
+        round trip, then solves the members one after another with the
+        same solver.  Per-job results stay bit-identical to one-member
+        attempts.  Chaos jobs, deadline jobs and retry attempts never
+        coalesce.
     max_batch : int
         Largest coalesced batch (right-hand sides per task).
     """
@@ -123,7 +132,6 @@ class ServeConfig:
     heartbeat_timeout_s: float = 10.0
     default_deadline_s: Optional[float] = None
     cancel_grace_s: float = 0.5
-    degrade_on_retry: bool = True
     seed: int = 0
     coalesce: bool = False
     max_batch: int = 8
@@ -158,7 +166,8 @@ class SolveEngine:
         self._cond = threading.Condition(self._lock)
         self._jobs: Dict[str, JobRecord] = {}
         self._ready: Deque[JobRecord] = deque()
-        #: task id -> member jobs (singleton list for solo dispatches)
+        #: task id -> the attempt's attached members (one for a solo job);
+        #: a member is detached before it turns terminal
         self._by_task: Dict[int, List[JobRecord]] = {}
         self._task_of: Dict[str, PoolTask] = {}
         self._ids = itertools.count(1)
@@ -211,8 +220,10 @@ class SolveEngine:
     def cancel(self, job_id: str) -> bool:
         """Request cancellation; True if the job can still be cancelled.
 
-        Queued and backoff-waiting jobs cancel immediately; running jobs
-        are asked cooperatively and force-killed after the grace window.
+        Queued and backoff-waiting jobs cancel immediately.  A running
+        job with attached batch peers leaves its attempt at once; the
+        last member of an attempt is asked cooperatively and
+        force-killed after the grace window.
         """
         with self._lock:
             job = self._jobs.get(job_id)
@@ -337,11 +348,7 @@ class SolveEngine:
             job = self._ready.popleft()
             if job.terminal:
                 continue
-            batch = self._gather_batch_locked(job)
-            if len(batch) > 1:
-                self._start_batch_attempt(batch)
-            else:
-                self._start_attempt(job)
+            self._start_attempt(self._gather_batch_locked(job))
 
     def _batchable(self, job: JobRecord) -> bool:
         """Only pristine jobs coalesce: first attempt, no chaos plan, no
@@ -375,80 +382,50 @@ class SolveEngine:
                 batch.append(peer)
         return batch
 
-    def _attempt_storage(self, job: JobRecord, attempt_index: int) -> str:
-        if not self.config.degrade_on_retry:
-            return job.spec.storage
-        chain = FallbackPolicy().chain_from(job.spec.storage).chain
-        return chain[min(attempt_index - 1, len(chain) - 1)]
-
-    def _start_attempt(self, job: JobRecord) -> None:
-        attempt_index = len(job.attempts) + 1
-        storage = self._attempt_storage(job, attempt_index)
-        if job.attempts and storage != job.attempts[-1].storage:
-            job.degradations += 1
-            self._scope.scope(f"job.{job.job_id}").count("degradations")
+    def _start_attempt(self, members: List[JobRecord]) -> None:
+        """Dispatch one attempt over ``members`` (a solo job is one).
+        Several members are always first attempts (see
+        :meth:`_batchable`), so only a lead job's retry degrades."""
+        lead = members[0]
+        attempt_index = len(lead.attempts) + 1
+        chain = FallbackPolicy().chain_from(lead.spec.storage).chain
+        storage = chain[min(attempt_index - 1, len(chain) - 1)]
+        if lead.attempts and storage != lead.attempts[-1].storage:
+            lead.degradations += 1
+            self._scope.scope(f"job.{lead.job_id}").count("degradations")
+        peers = f"+{len(members) - 1}" if len(members) > 1 else ""
         task = self._pool.submit(
-            run_solve_job,
+            run_attempt,
             dict(
-                spec=job.spec.to_dict(),
-                job_id=job.job_id,
+                specs=[j.spec.to_dict() for j in members],
+                job_ids=[j.job_id for j in members],
                 attempt=attempt_index,
                 storage=storage,
             ),
-            label=f"{job.job_id}[attempt {attempt_index}]",
+            label=f"{lead.job_id}{peers}[attempt {attempt_index}]",
             emit_kwarg="emit",
         )
         now = time.monotonic()
-        job.attempts.append(
-            AttemptRecord(index=attempt_index, storage=storage, started_at=now)
-        )
-        if job.first_started_at is None:
-            job.first_started_at = now
-            self.admission.record_queue_wait(now - job.submitted_at)
-        job.last_event_at = now
-        job.transition(JobState.RUNNING)
-        self._by_task[task.id] = [job]
-        self._task_of[job.job_id] = task
-        self._scope.scope(f"job.{job.job_id}").count("attempts")
-        self.bus.publish(job.job_id, "attempt", {
-            "attempt": attempt_index, "storage": storage,
-        })
-        self.bus.publish(job.job_id, "state", {"state": JobState.RUNNING})
-
-    def _start_batch_attempt(self, batch: List[JobRecord]) -> None:
-        # batched attempts are always first attempts (see _batchable),
-        # so no degradation bookkeeping applies
-        storage = batch[0].spec.storage
-        task = self._pool.submit(
-            run_coalesced_job,
-            dict(
-                specs=[j.spec.to_dict() for j in batch],
-                job_ids=[j.job_id for j in batch],
-                attempt=1,
-                storage=storage,
-            ),
-            label=f"{batch[0].job_id}+{len(batch) - 1}[batch attempt 1]",
-            emit_kwarg="emit",
-        )
-        now = time.monotonic()
-        for job in batch:
+        for job in members:
             job.attempts.append(
-                AttemptRecord(index=1, storage=storage, started_at=now)
+                AttemptRecord(index=attempt_index, storage=storage, started_at=now)
             )
-            job.first_started_at = now
-            self.admission.record_queue_wait(now - job.submitted_at)
+            if job.first_started_at is None:
+                job.first_started_at = now
+                self.admission.record_queue_wait(now - job.submitted_at)
             job.last_event_at = now
             job.transition(JobState.RUNNING)
             self._task_of[job.job_id] = task
             self._scope.scope(f"job.{job.job_id}").count("attempts")
             self.bus.publish(job.job_id, "attempt", {
-                "attempt": 1, "storage": storage,
-                "batched_with": len(batch),
+                "attempt": attempt_index, "storage": storage,
+                "batched_with": len(members),
             })
             self.bus.publish(job.job_id, "state", {"state": JobState.RUNNING})
-        self._by_task[task.id] = list(batch)
-        self._scope.count("batches_dispatched")
-        self._scope.count("batched_jobs", len(batch))
+        self._by_task[task.id] = list(members)
+        if len(members) > 1:
+            self._scope.count("batches_dispatched")
+            self._scope.count("batched_jobs", len(members))
 
     def _next_wait_locked(self) -> float:
         wait_s = 0.05
@@ -484,89 +461,54 @@ class SolveEngine:
         members = self._by_task.get(event.task.id)
         if members is None:
             return
-        live = [j for j in members if not j.terminal]
         now = time.monotonic()
-        if event.kind == "started":
-            for job in live:
+        if event.kind in ("started", "progress"):
+            # any member's progress proves the shared worker is alive; the
+            # event itself goes to the member whose job_id it carries
+            tag = (event.payload or {}).get("job_id")
+            for job in members:
                 job.last_event_at = now
-        elif event.kind == "progress":
-            payload = dict(event.payload or {})
-            payload.setdefault("kind", "progress")
-            # any member's progress proves the shared worker is alive
-            for job in live:
-                job.last_event_at = now
-            if len(members) == 1:
-                targets = live
-            else:  # batched events are routed by the job_id they carry
-                tid = payload.get("job_id")
-                targets = [j for j in live if j.job_id == tid]
-            for job in targets:
-                self._scope.scope(f"job.{job.job_id}").count("progress_events")
-                self.bus.publish(job.job_id, "progress", payload)
-        elif event.kind == "done":
-            self._release_members(event.task, members)
-            if len(members) == 1:
-                job = members[0]
-                if job.terminal:
-                    return
+                if event.kind == "progress" and job.job_id == tag:
+                    self._scope.scope(f"job.{job.job_id}").count("progress_events")
+                    self.bus.publish(job.job_id, "progress", dict(event.payload))
+            return
+        # the task ended: every member still attached leaves with it
+        for job in members:
+            self._release_task(job)
+        if event.kind == "crashed":
+            self.crashes_observed += 1
+            self._scope.count("worker_crashes")
+        payloads = (event.task.result or {}).get("results", {})
+        for job in members:
+            if event.kind == "done" and job.job_id in payloads:
                 job.attempts[-1].ended_at = now
                 job.attempts[-1].outcome = "done"
-                job.result = event.task.result
+                job.result = payloads[job.job_id]
                 self._finish(job, JobState.DONE)
-            else:
-                payloads = (event.task.result or {}).get("results", {})
-                for job in live:
-                    job.attempts[-1].ended_at = now
-                    payload = payloads.get(job.job_id)
-                    if payload is None:
-                        self._attempt_failed(
-                            job, "error",
-                            "coalesced result missing this job",
-                        )
-                    else:
-                        job.attempts[-1].outcome = "done"
-                        job.result = payload
-                        self._finish(job, JobState.DONE)
-        elif event.kind == "cancelled":
-            self._release_members(event.task, members)
-            for job in live:
+            elif event.kind == "done":
+                self._attempt_failed(job, "error", "attempt result missing this job")
+            elif event.kind == "cancelled":
                 job.attempts[-1].ended_at = now
                 job.attempts[-1].outcome = "cancelled"
                 self._finish(job, JobState.CANCELLED, "cancelled cooperatively")
-        elif event.kind == "error":
-            self._release_members(event.task, members)
-            for job in live:
+            elif event.kind == "error":
                 self._attempt_failed(job, "error", repr(event.task.error))
-        elif event.kind == "crashed":
-            self.crashes_observed += 1
-            self._scope.count("worker_crashes")
-            self._release_members(event.task, members)
-            for job in live:
+            elif event.kind == "crashed":
                 self._attempt_failed(
                     job, "crashed",
                     f"worker process died (exit code {event.task.exitcode})",
                 )
 
-    def _release_task(self, job: JobRecord) -> Optional[PoolTask]:
+    def _release_task(self, job: JobRecord) -> None:
         """Detach one job from its task; drops the task's member entry
-        when the last member leaves.  Returns the task (if any)."""
+        when the last member leaves."""
         task = self._task_of.pop(job.job_id, None)
         if task is not None:
-            members = self._by_task.get(task.id)
-            if members is not None:
-                remaining = [j for j in members if j is not job]
-                if remaining:
-                    self._by_task[task.id] = remaining
-                else:
-                    self._by_task.pop(task.id, None)
-        return task
-
-    def _release_members(self, task, members: List[JobRecord]) -> None:
-        self._by_task.pop(task.id, None)
-        for job in members:
-            held = self._task_of.get(job.job_id)
-            if held is not None and held.id == task.id:
-                self._task_of.pop(job.job_id)
+            remaining = [j for j in self._by_task.get(task.id, ()) if j is not job]
+            if remaining:
+                self._by_task[task.id] = remaining
+            else:
+                self._by_task.pop(task.id, None)
 
     # -- failure/retry path ---------------------------------------------
 
@@ -640,8 +582,9 @@ class SolveEngine:
             )
             if job.state == JobState.RUNNING:
                 task = self._task_of.get(job.job_id)
-                members = self._by_task.get(task.id) if task is not None else None
-                batched = members is not None and len(members) > 1
+                members = (
+                    self._by_task.get(task.id, [job]) if task is not None else [job]
+                )
                 if over_deadline:
                     self.timeouts_enforced += 1
                     self._scope.count("deadline_kills")
@@ -656,10 +599,10 @@ class SolveEngine:
                     )
                     continue
                 if job.cancel_requested:
-                    if batched:
-                        # detach the member engine-side; the shared task
-                        # keeps computing for its peers, and is only
-                        # killed when no live member remains
+                    # one rule: while a peer is still attached the member
+                    # leaves at once and the task computes on; the last
+                    # member is cancelled cooperatively, then killed
+                    if len(members) > 1:
                         self._release_task(job)
                         job.attempts[-1].ended_at = now
                         job.attempts[-1].outcome = "cancelled"
@@ -667,12 +610,6 @@ class SolveEngine:
                             job, JobState.CANCELLED,
                             "cancelled; batch peers continue",
                         )
-                        if (
-                            task is not None
-                            and task.id not in self._by_task
-                            and not task.terminal
-                        ):
-                            self._pool.kill(task)
                     elif job.cancel_requested_at is None:
                         job.cancel_requested_at = now
                         if task is not None:
@@ -696,12 +633,7 @@ class SolveEngine:
                     self._scope.count("hang_kills")
                     if task is not None:
                         self._pool.kill(task)
-                    peers = (
-                        [m for m in members if not m.terminal]
-                        if batched
-                        else [job]
-                    )
-                    for peer in peers:
+                    for peer in members:
                         self._release_task(peer)
                         self._attempt_failed(
                             peer, "hung",

@@ -51,7 +51,6 @@ def build_serve_health(engine) -> Dict[str, Any]:
             "max_queue": engine.config.max_queue,
             "max_retries": engine.config.max_retries,
             "heartbeat_timeout_s": engine.config.heartbeat_timeout_s,
-            "degrade_on_retry": engine.config.degrade_on_retry,
         },
         "jobs": {
             "accepted": admission.accepted,

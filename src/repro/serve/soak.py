@@ -10,7 +10,8 @@ mid-flight, and then checks the invariants that define the contract:
 * every admitted job reaches a terminal state — nothing wedges;
 * no cross-job state leakage (the worker isolation sentinel never
   fires, and a sample of non-faulted jobs is **bit-identical** to
-  direct in-process ``CbGmres.solve`` runs);
+  :func:`direct_solve`, an in-process solve that goes through no
+  worker, payload, monitor or chaos code);
 * every crash/hang/solve-error chaos job was retried with backoff and
   finished ``DONE`` — faults on one job never abort unrelated jobs;
 * backpressure engaged (the bounded queue rejected with
@@ -31,13 +32,13 @@ from typing import Any, Callable, Dict, List, Optional
 import numpy as np
 
 from ..robust.chaos import ChaosSpec
+from ..solvers.problems import make_problem
 from .engine import ServeConfig, SolveEngine
 from .health import build_serve_health, write_serve_report
 from .jobs import JobRecord, JobSpec, JobState
 from .queue import QueueFullError
-from .worker import run_solve_job
 
-__all__ = ["SoakError", "build_soak_specs", "run_soak"]
+__all__ = ["SoakError", "build_soak_specs", "direct_solve", "run_soak"]
 
 #: fast smoke-scale suite matrices used for the job mix
 _MATRICES = ("cfd2", "parabolic_fem", "lung2", "atmosmodd")
@@ -86,6 +87,21 @@ def build_soak_specs(jobs: int, seed: int = 0) -> List[JobSpec]:
     return specs
 
 
+def direct_solve(spec: JobSpec):
+    """The reference a served job must equal, built straight from
+    ``spec``: its problem, the seeded ``b = A x / ||x||`` that
+    :attr:`JobSpec.rhs_seed` documents, and
+    ``spec.options.build(A).solve``."""
+    problem = make_problem(spec.matrix, spec.scale, target_rrn=spec.target_rrn)
+    b = problem.b
+    if spec.rhs_seed is not None:
+        x = np.random.default_rng(spec.rhs_seed).standard_normal(problem.a.shape[1])
+        b = problem.a.matvec(x / np.linalg.norm(x))
+    return spec.options.build(problem.a).solve(
+        b, problem.target_rrn, record_history=False
+    )
+
+
 def _is_process_chaos(spec: JobSpec) -> bool:
     return spec.chaos is not None and spec.chaos["kind"] in (
         "worker_crash", "worker_hang", "solve_error"
@@ -108,7 +124,7 @@ def run_soak(
     """Run the soak; returns ``{"serve": health, "soak": summary}``.
 
     ``verify_every`` samples every n-th clean job for the bit-identity
-    check against a direct in-process solve.  With ``check=True`` (the
+    check against :func:`direct_solve`.  With ``check=True`` (the
     default) any invariant violation raises :class:`SoakError` after
     the engine is shut down.
     """
@@ -205,18 +221,15 @@ def run_soak(
         if r.state == JobState.DONE and len(r.attempts) == 1
     ][::max(verify_every, 1)]
     for record in sample:
-        reference = run_solve_job(
-            record.spec.to_dict(), job_id="soak-ref", attempt=1,
-            storage=record.spec.storage,
-        )
+        reference = direct_solve(record.spec)
         served = record.result
         if served is None:
             failures.append(f"{record.job_id} done without a result payload")
             continue
         same = (
-            np.array_equal(served["x"], reference["x"])
-            and served["iterations"] == reference["iterations"]
-            and served["final_rrn"] == reference["final_rrn"]
+            np.array_equal(served["x"], reference.x)
+            and served["iterations"] == reference.iterations
+            and served["final_rrn"] == reference.final_rrn
         )
         verified += 1
         if not same:
@@ -224,7 +237,7 @@ def run_soak(
             failures.append(
                 f"{record.job_id} not bit-identical to direct solve "
                 f"(iters {served['iterations']} vs "
-                f"{reference['iterations']})"
+                f"{reference.iterations})"
             )
     say(f"soak: bit-identity verified on {verified} jobs "
         f"({mismatched} mismatches)")

@@ -1,20 +1,22 @@
-"""Worker-side job execution: one solve per task, fresh state per job.
+"""Worker-side execution: one attempt per task, fresh state per attempt.
 
 This module is the code that actually runs inside a
-:class:`repro.parallel.pool.SupervisedPool` worker process.  Its
-contract with the engine:
+:class:`repro.parallel.pool.SupervisedPool` worker process.  Every task
+is one :func:`run_attempt` over a list of members; a solo job is a list
+of one.  Its contract with the engine:
 
-* **Isolation, asserted.**  Every job builds its *own* problem, tracer,
-  accessors and solver — nothing is reused across jobs.  A module-level
-  sentinel (:data:`_ACTIVE_JOB`) makes the claim checkable: if a
-  previous job's cleanup ever leaked (its ``finally`` skipped, its
-  state left armed), the next job on that worker raises
-  :class:`IsolationError` instead of silently computing on dirty state.
-  The definitive check is external: the soak harness asserts non-faulted
-  jobs' results are bit-identical to direct ``CbGmres.solve`` calls.
+* **Isolation, asserted.**  Every attempt builds its *own* problem,
+  tracer, accessors and solver — nothing is reused across attempts.  A
+  module-level sentinel (:data:`_ACTIVE_JOB`) makes the claim
+  checkable: if a previous attempt's cleanup ever leaked (its
+  ``finally`` skipped, its state left armed), the next attempt on that
+  worker raises :class:`IsolationError` instead of silently computing
+  on dirty state.  The definitive check is external: the soak harness
+  asserts non-faulted jobs' results are bit-identical to direct
+  ``SolveOptions.build(...).solve`` calls.
 * **Progress = heartbeat.**  The injected ``emit`` callback publishes a
   per-restart progress event (iteration, implicit residual, phase
-  seconds from the job's own :class:`repro.observe.Tracer`).  The
+  seconds from the attempt's own :class:`repro.observe.Tracer`).  The
   engine treats the event stream as the liveness signal, so a worker
   that stops emitting is declared hung and killed; ``emit`` is also the
   cooperative-cancellation point (it raises
@@ -41,7 +43,7 @@ from ..robust.faults import FaultInjector, fault_hooks
 from ..solvers.problems import make_problem
 from .jobs import JobSpec
 
-__all__ = ["IsolationError", "run_solve_job", "run_coalesced_job"]
+__all__ = ["IsolationError", "run_attempt"]
 
 
 class IsolationError(RuntimeError):
@@ -67,12 +69,12 @@ def _make_rhs(problem, rhs_seed: Optional[int]) -> np.ndarray:
 
 
 @contextmanager
-def _owning_worker(kind: str, tag: str) -> Iterator[None]:
-    """Hold the isolation sentinel for one ``kind`` (job/batch) attempt."""
+def _owning_worker(tag: str) -> Iterator[None]:
+    """Hold the isolation sentinel for one attempt."""
     global _ACTIVE_JOB
     if _ACTIVE_JOB is not None:
         raise IsolationError(
-            f"worker started {kind} {tag} while job {_ACTIVE_JOB} "
+            f"worker started attempt {tag} while job {_ACTIVE_JOB} "
             "still owns this process — per-job state leaked"
         )
     _ACTIVE_JOB = tag
@@ -80,6 +82,19 @@ def _owning_worker(kind: str, tag: str) -> Iterator[None]:
         yield
     finally:
         _ACTIVE_JOB = None
+
+
+def _arm_chaos(spec: Dict[str, Any], attempt: int):
+    """The chaos plan of ``spec`` armed for ``attempt``: the solver hooks
+    of a data-level plan, the monitor tick of a process-level one."""
+    if not spec.get("chaos"):
+        return {}, None
+    chaos = ChaosSpec.from_dict(spec["chaos"])
+    if not chaos.armed(attempt):
+        return {}, None
+    if chaos.is_process_kind:
+        return {}, chaos_monitor(chaos)
+    return fault_hooks(chaos.kind, FaultInjector(chaos.rate, chaos.seed)), None
 
 
 def _prepare(spec: Dict[str, Any], storage: str, tracer, **hooks):
@@ -99,27 +114,31 @@ class _Progress:
 
     Called as ``monitor(col, iteration, j, basis, implicit_rrn)`` with
     the member index ``col`` bound in (``functools.partial``); member
-    ``col`` emits at its own spec's ``progress_every``, and ``job_ids``
-    (coalesced attempts only) tags each event with its member's id so
-    the engine can route it.
+    ``col`` emits at its own spec's ``progress_every``, tagged with its
+    ``job_id`` so the engine can route it.  An armed process-level
+    chaos ``tick`` runs first on every step.
     """
 
-    def __init__(self, emit, tracer, storage, specs, job_ids=None) -> None:
+    def __init__(self, emit, tracer, storage, specs, job_ids, tick=None) -> None:
         self.emit = emit
         self.tracer = tracer
         self.storage = storage
         self.every = [max(int(s.get("progress_every", 25)), 1) for s in specs]
         self.job_ids = job_ids
+        self.tick = tick
         self.emitted = 0
 
     def __call__(self, col, iteration, j, basis, implicit_rrn) -> None:
+        if self.tick is not None:
+            self.tick(iteration, j, basis, implicit_rrn)
         if self.emit is None:
             return
         if iteration % self.every[col] != 0 and j != 0:
             return
         self.emitted += 1
-        event = {
+        self.emit({
             "kind": "progress",
+            "job_id": self.job_ids[col],
             "iteration": int(iteration),
             "restart_slot": int(j),
             "implicit_rrn": float(implicit_rrn),
@@ -130,14 +149,11 @@ class _Progress:
                 phase: self.tracer.total_seconds(phase)
                 for phase in _PROGRESS_PHASES
             },
-        }
-        if self.job_ids is not None:
-            event["job_id"] = self.job_ids[col]
-        self.emit(event)
+        })
 
 
-def _payload(job_id, attempt, result, storage, wall, progress, **extra):
-    """The result payload of one job (solo-shaped for coalesced members)."""
+def _payload(job_id, attempt, result, storage, wall, progress, columns):
+    """The result payload of one member."""
     return {
         "job_id": job_id,
         "attempt": int(attempt),
@@ -153,7 +169,7 @@ def _payload(job_id, attempt, result, storage, wall, progress, **extra):
         "wall_seconds": wall,
         "progress_events": int(progress.emitted),
         "worker_jobs_run": int(_JOBS_RUN),
-        **extra,
+        "batch_columns": columns,
         "counters": {
             str(k): (float(v) if isinstance(v, float) else int(v))
             for k, v in sorted(progress.tracer.counters.items())
@@ -161,126 +177,69 @@ def _payload(job_id, attempt, result, storage, wall, progress, **extra):
     }
 
 
-def run_solve_job(
-    spec: Dict[str, Any],
-    job_id: str,
-    attempt: int,
-    storage: str,
-    emit: Optional[Callable[[Dict[str, Any]], None]] = None,
-) -> Dict[str, Any]:
-    """Run one solve attempt; returns the result payload.
-
-    Parameters
-    ----------
-    spec : dict
-        A serialized :class:`repro.serve.jobs.JobSpec`.
-    job_id : str
-        Engine-assigned identity (isolation sentinel + event tagging).
-    attempt : int
-        1-based attempt number (chaos arming, diagnostics).
-    storage : str
-        Storage format for *this* attempt — the engine may have degraded
-        it below ``spec["storage"]`` along the fallback chain.
-    emit : callable, optional
-        Progress channel injected by the pool; ``None`` (direct calls
-        in tests) disables event emission.
-    """
-    global _JOBS_RUN
-    with _owning_worker("job", job_id):
-        t0 = time.perf_counter()
-        chaos = None
-        if spec.get("chaos"):
-            chaos = ChaosSpec.from_dict(spec["chaos"])
-            if not chaos.armed(attempt):
-                chaos = None
-
-        tracer = Tracer()
-        progress = _Progress(emit, tracer, storage, [spec])
-        hooks = {}
-        chaos_tick = None
-        if chaos is not None:
-            if chaos.is_process_kind:
-                chaos_tick = chaos_monitor(chaos)
-            else:
-                hooks = fault_hooks(
-                    chaos.kind, FaultInjector(chaos.rate, chaos.seed)
-                )
-
-        def monitor(*step) -> None:
-            if chaos_tick is not None:
-                chaos_tick(*step)
-            progress(0, *step)
-
-        problem, solver = _prepare(spec, storage, tracer, **hooks)
-        b = _make_rhs(problem, spec.get("rhs_seed"))
-        result = solver.solve(
-            b, problem.target_rrn, record_history=False, monitor=monitor
-        )
-
-        _JOBS_RUN += 1
-        return _payload(
-            job_id, attempt, result, storage,
-            float(time.perf_counter() - t0), progress,
-        )
-
-
-def run_coalesced_job(
+def run_attempt(
     specs: Sequence[Dict[str, Any]],
     job_ids: Sequence[str],
     attempt: int,
     storage: str,
     emit: Optional[Callable[[Dict[str, Any]], None]] = None,
 ) -> Dict[str, Any]:
-    """Run one *coalesced* attempt over jobs sharing a batch key.
+    """Run one attempt over its members; a solo job is a list of one.
 
     The engine coalesces queued jobs whose specs differ only in
-    ``rhs_seed`` (same matrix, scale, solver configuration) into a
-    single worker task.  The attempt shares one problem build, one
-    preconditioner factorization, one tracer and one pool round trip;
-    each member's right-hand side then runs through the solo
+    ``rhs_seed`` (same matrix, scale, solver configuration) into one
+    attempt.  The attempt shares one problem build, one preconditioner
+    factorization, one tracer and one pool round trip; each member's
+    right-hand side then runs through the solo
     :meth:`~repro.solvers.gmres.CbGmres.solve` of that one solver, in
     member order.  A solver keeps no state from one solve to the next,
-    so each member's numbers are bit-identical to what its own solo
-    :func:`run_solve_job` attempt would have produced.
+    so each member's numbers are bit-identical to those of a one-member
+    attempt of its own.
 
     Parameters
     ----------
     specs : sequence of dict
         Serialized :class:`repro.serve.jobs.JobSpec` per member; all
         members must agree on everything except ``rhs_seed`` and
-        ``progress_every`` (the engine's batch key guarantees it).
-        Chaos plans are never coalesced.
+        ``progress_every`` (the engine's batch key guarantees it).  Only
+        a one-member attempt may carry a chaos plan; it is armed when
+        it targets ``attempt``.
     job_ids : sequence of str
-        Engine identities aligned with ``specs``; progress events carry
-        the member's ``job_id`` so the engine can route them.
+        Engine identities aligned with ``specs``: the isolation sentinel,
+        and the ``job_id`` every progress event carries.
     attempt : int
-        1-based attempt number (coalesced attempts are always first
-        attempts — retries run solo).
+        1-based attempt number (chaos arming, diagnostics).
     storage : str
-        Storage format shared by every member.
+        Storage format for *this* attempt, shared by every member — the
+        engine may have degraded it below ``spec["storage"]`` along the
+        fallback chain.
     emit : callable, optional
-        Progress channel injected by the pool.
+        Progress channel injected by the pool; ``None`` (direct calls
+        in tests) disables event emission.
 
     Returns
     -------
     dict
-        ``{"results": {job_id: payload}}`` with one solo-shaped result
-        payload per member, plus the attempt's ``batch_columns`` and
-        ``wall_seconds``.
+        ``{"results": {job_id: payload}}`` with one result payload per
+        member, plus the attempt's ``batch_columns`` and
+        ``wall_seconds`` (each payload carries both as well).
     """
     global _JOBS_RUN
     specs = list(specs)
     job_ids = list(job_ids)
     if not specs or len(specs) != len(job_ids):
         raise ValueError("specs and job_ids must be equal-length and non-empty")
-    with _owning_worker("batch", "+".join(job_ids)):
+    if len(specs) > 1 and any(spec.get("chaos") for spec in specs):
+        raise ValueError("a chaos plan runs only in a one-member attempt")
+    with _owning_worker("+".join(job_ids)):
         t0 = time.perf_counter()
         tracer = Tracer()
-        progress = _Progress(emit, tracer, storage, specs, job_ids)
+        hooks, tick = _arm_chaos(specs[0], attempt)
+        progress = _Progress(emit, tracer, storage, specs, job_ids, tick)
         # members share the whole solver and preconditioner config (it is
         # part of the engine's batch key), so one problem and one
         # factorization serve every member
-        problem, solver = _prepare(specs[0], storage, tracer)
+        problem, solver = _prepare(specs[0], storage, tracer, **hooks)
         results = [
             solver.solve(
                 _make_rhs(problem, spec.get("rhs_seed")), problem.target_rrn,
@@ -296,7 +255,7 @@ def run_coalesced_job(
             "results": {
                 job_id: _payload(
                     job_id, attempt, result, storage, wall, progress,
-                    batch_columns=len(job_ids),
+                    len(job_ids),
                 )
                 for job_id, result in zip(job_ids, results)
             },

@@ -9,9 +9,9 @@ runs it once per fallback attempt.  Tracer spans, breakdown recovery,
 the adaptive precision controller and the stats billing are threaded
 through the cycle once, here.
 
-Many right-hand sides against one matrix — a coalesced serve attempt,
-:func:`repro.serve.worker.run_coalesced_job` — loop this cycle over one
-solver.  A lockstep that advanced ``k`` columns through the same step
+Many right-hand sides against one matrix — a serve attempt of several
+members, :func:`repro.serve.worker.run_attempt` — loop this cycle over
+one solver.  A lockstep that advanced ``k`` columns through the same step
 and turned their ``k`` SpMVs into one multi-vector product measured
 0.94–1.04× that loop on the serve workload's groups (see
 ``docs/ARCHITECTURE.md``, "Arnoldi core"): the orthogonalization and the

@@ -14,6 +14,7 @@ from repro.accessor import (
     make_accessor,
 )
 from repro.compressors import make_compressor
+from repro.observe import Tracer
 
 
 def krylov_vector(n=1000, seed=0):
@@ -146,34 +147,35 @@ class TestRoundTripAccessor:
 
 
 class TestTrafficAccounting:
+    """Stored bytes are billed as ``accessor.*`` counters of the tracer
+    an accessor is given, and to nothing without one."""
+
     def test_write_and_read_counted(self):
         x = krylov_vector(320)
         acc = Frsz2Accessor(320, bit_length=32)
+        acc.write(x)  # untraced: billed nowhere
+        tracer = Tracer()
+        acc.set_tracer(tracer)
         acc.write(x)
         acc.read()
         acc.read()
         expected = acc.stored_nbytes()
-        assert acc.traffic.bytes_written == expected
-        assert acc.traffic.bytes_read == 2 * expected
-        assert acc.traffic.writes == 1 and acc.traffic.reads == 2
+        counters = {k: v for k, v in tracer.counters.items()
+                    if k.startswith("accessor.")}
+        assert counters == {
+            "accessor.writes": 1, "accessor.bytes_written": expected,
+            "accessor.reads": 2, "accessor.bytes_read": 2 * expected,
+        }
 
     def test_traffic_reflects_storage_format(self):
         x = krylov_vector(1000)
-        a64 = Float64Accessor(1000)
-        a16 = Float16Accessor(1000)
-        a64.write(x)
-        a16.write(x)
-        assert a64.traffic.bytes_written == 4 * a16.traffic.bytes_written
-
-    def test_reset_and_merge(self):
-        acc = Float64Accessor(10)
-        acc.write(np.zeros(10))
-        other = Float64Accessor(10)
-        other.write(np.zeros(10))
-        other.traffic.merge(acc.traffic)
-        assert other.traffic.bytes_written == 160
-        acc.traffic.reset()
-        assert acc.traffic.bytes_written == 0
+        written = []
+        for acc in (Float64Accessor(1000), Float16Accessor(1000)):
+            tracer = Tracer()
+            acc.set_tracer(tracer)
+            acc.write(x)
+            written.append(tracer.counters["accessor.bytes_written"])
+        assert written[0] == 4 * written[1]
 
 
 class TestRegistry:

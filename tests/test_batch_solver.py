@@ -1,6 +1,6 @@
 """Tests for solving a batch of right-hand sides with one solver.
 
-A coalesced serve attempt (``repro.serve.worker.run_coalesced_job``)
+A coalesced serve attempt (``repro.serve.worker.run_attempt``)
 builds one solver and loops ``CbGmres.solve`` over its members.  The
 load-bearing property is that a solver keeps nothing from one solve to
 the next: solve ``c`` of the loop must equal a fresh solver's
@@ -16,7 +16,8 @@ import pytest
 
 from repro.accessor import make_accessor
 from repro.observe import Tracer
-from repro.serve import JobSpec, run_coalesced_job, run_solve_job
+from repro.serve import JobSpec, run_attempt
+from repro.serve.soak import direct_solve
 from repro.solvers import CbGmres, make_problem
 
 from .backends import BACKENDS
@@ -94,19 +95,19 @@ class TestBitIdentity:
         "storage", ["frsz2_16", "frsz2_32", "float64", "adaptive"]
     )
     def test_b1_is_the_plain_solver(self, storage):
-        """A one-member coalesced attempt is the solo attempt, payload
-        and all, not a near-clone."""
+        """A solo job is a one-member attempt, and its payload carries
+        the bits of the plain solver built straight from the spec."""
         spec = JobSpec(matrix="lung2", storage=storage, m=30, max_iter=400,
-                       rhs_seed=3).to_dict()
-        solo = run_solve_job(spec, "a", 1, storage)
-        batch = run_coalesced_job([spec], ["a"], attempt=1, storage=storage)
+                       rhs_seed=3)
+        batch = run_attempt([spec.to_dict()], ["a"], attempt=1, storage=storage)
         got = batch["results"]["a"]
-        assert batch["batch_columns"] == 1
-        assert np.array_equal(got["x"], solo["x"])
-        for key in ("iterations", "final_rrn", "converged", "storage_used",
-                    "progress_events"):
-            assert got[key] == solo[key], key
-        assert set(got) == set(solo) | {"batch_columns"}
+        assert batch["batch_columns"] == got["batch_columns"] == 1
+        assert batch["wall_seconds"] == got["wall_seconds"]
+        plain = direct_solve(spec)
+        assert got["x"].tobytes() == plain.x.tobytes()
+        assert (got["iterations"], got["final_rrn"], got["converged"]) == (
+            plain.iterations, plain.final_rrn, plain.converged)
+        assert got["storage_used"] == storage
 
     @pytest.mark.parametrize("basis_mode", ["cached", "streaming"])
     def test_adaptive_solves_of_one_solver_diverge(self, basis_mode):

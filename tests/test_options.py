@@ -25,7 +25,7 @@ from repro.bench.perf import run_bench_entry
 from repro.jit.dispatch import BACKENDS, resolve_backend
 from repro.robust import run_campaign
 from repro.serve import JobSpec
-from repro.serve.worker import run_solve_job
+from repro.serve.worker import run_attempt
 from repro.solvers import (
     ADAPTIVE_STORAGE,
     PREC_STORAGES,
@@ -247,7 +247,7 @@ class TestOneAnswerFromEveryEntryPoint:
     def test_serve_job(self, reference):
         spec = JobSpec(matrix="cfd2", scale="smoke", **EQ)
         assert spec.options == SolveOptions(**EQ)
-        out = run_solve_job(spec.to_dict(), "j", 1, spec.storage)
+        out = run_attempt([spec.to_dict()], ["j"], 1, spec.storage)["results"]["j"]
         assert out["x"].tobytes() == reference.x.tobytes()
         assert out["iterations"] == reference.iterations
         assert out["final_rrn"] == reference.final_rrn

@@ -358,13 +358,13 @@ class TestFaultHooks:
         job, a hand-wrapped solve and the campaign's cell agree — ``x``
         to the byte where it is returned."""
         from repro.jit import resolve_backend
-        from repro.serve import JobSpec, run_solve_job
+        from repro.serve import JobSpec, run_attempt
 
         jit = resolve_backend("jit", warn=False)
         kw = dict(m=30, max_iter=400, basis_mode="streaming", backend=jit)
         spec = JobSpec(matrix="lung2", storage="frsz2_32", **kw,
                        chaos={"kind": kind, "rate": 0.0})
-        out = run_solve_job(spec.to_dict(), "j", 1, spec.storage)
+        out = run_attempt([spec.to_dict()], ["j"], 1, spec.storage)["results"]["j"]
         p = make_problem("lung2", "smoke")
         injector = FaultInjector(0.0, 0)
         ref = CbGmres(

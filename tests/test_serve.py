@@ -5,7 +5,8 @@ reject-with-reason, validated lifecycle transitions, per-job deadlines
 and heartbeat hang detection that *reclaim the worker*, bounded retry
 with backoff and storage degradation, cooperative cancellation, drain
 semantics, per-job state isolation, and — throughout — that a served
-job's numbers are bit-identical to a direct in-process solve.
+job's numbers are bit-identical to a direct in-process solve
+(:func:`repro.serve.soak.direct_solve`, which runs no worker code).
 """
 
 import threading
@@ -29,10 +30,11 @@ from repro.serve import (
     ServeConfig,
     SolveEngine,
     build_serve_health,
-    run_solve_job,
+    run_attempt,
     validate_serve_health,
 )
 from repro.serve.queue import AdmissionController
+from repro.serve.soak import direct_solve
 from repro.serve.worker import _leak_state_for_tests
 
 MATRIX = "cfd2"
@@ -46,6 +48,20 @@ def _spec(**kw):
     kw.setdefault("storage", "frsz2_32")
     kw.setdefault("progress_every", 5)
     return JobSpec(**kw)
+
+
+def _solo(spec, job_id="j"):
+    """The payload of a one-member attempt of ``spec``."""
+    out = run_attempt([spec.to_dict()], [job_id], 1, spec.storage)
+    return out["results"][job_id]
+
+
+def _assert_matches_direct(payload, spec):
+    """``payload`` carries the bits of the direct in-process solve."""
+    ref = direct_solve(spec)
+    assert payload["x"].tobytes() == ref.x.tobytes()
+    assert payload["iterations"] == ref.iterations
+    assert payload["final_rrn"] == ref.final_rrn
 
 
 def _config(**kw):
@@ -177,14 +193,14 @@ class TestWorkerIsolation:
         _leak_state_for_tests("ghost-job")
         try:
             with pytest.raises(IsolationError):
-                run_solve_job(_spec().to_dict(), "next-job", 1, "frsz2_32")
+                _solo(_spec(), "next-job")
         finally:
             from repro.serve import worker
             worker._ACTIVE_JOB = None
 
     def test_sequential_jobs_leave_no_state(self):
-        first = run_solve_job(_spec().to_dict(), "j1", 1, "frsz2_32")
-        second = run_solve_job(_spec().to_dict(), "j2", 1, "frsz2_32")
+        first = _solo(_spec(), "j1")
+        second = _solo(_spec(), "j2")
         assert np.array_equal(first["x"], second["x"])
         assert first["iterations"] == second["iterations"]
 
@@ -197,15 +213,10 @@ class TestEngine:
         with SolveEngine(_config()) as engine:
             jobs = [engine.submit(_spec(rhs_seed=i)) for i in range(3)]
             assert engine.drain(timeout=60)
-        direct = [
-            run_solve_job(_spec(rhs_seed=i).to_dict(), "ref", 1, "frsz2_32")
-            for i in range(3)
-        ]
-        for job, ref in zip(jobs, direct):
+        for job in jobs:
             assert job.state == JobState.DONE
-            assert np.array_equal(job.result["x"], ref["x"])
-            assert job.result["iterations"] == ref["iterations"]
-            assert job.result["final_rrn"] == ref["final_rrn"]
+            assert job.result["batch_columns"] == 1
+            _assert_matches_direct(job.result, job.spec)
 
     def test_backpressure_rejects_with_reason(self):
         config = _config(workers=1, max_queue=1)
@@ -292,8 +303,7 @@ class TestEngine:
         assert hung.state == JobState.TIMED_OUT
         assert "deadline" in hung.reason
         assert follow_up.state == JobState.DONE
-        reference = run_solve_job(_spec().to_dict(), "ref", 1, "frsz2_32")
-        assert np.array_equal(follow_up.result["x"], reference["x"])
+        _assert_matches_direct(follow_up.result, follow_up.spec)
 
     def test_cancel_queued_job_immediate(self):
         config = _config(workers=1)
@@ -362,6 +372,7 @@ class TestEngine:
             assert engine.drain(timeout=60)
         assert job.result["progress_events"] == len(progress) > 0
         for payload in progress:
+            assert payload["job_id"] == job.job_id
             assert payload["implicit_rrn"] >= 0
             assert "spmv" in payload["phase_seconds"]
 
@@ -420,20 +431,13 @@ class TestCoalescing:
         # one batched dispatch, announced on every member's event stream
         assert tracer.counters["serve.batches_dispatched"] == 1
         assert tracer.counters["serve.batched_jobs"] == 3
-        batched_events = {
-            e.job_id: e.payload["batched_with"]
-            for e in attempts
-            if "batched_with" in e.payload
+        batched_events = {e.job_id: e.payload["batched_with"] for e in attempts}
+        assert batched_events == {
+            **{j.job_id: 3 for j in jobs}, attempts[0].job_id: 1,
         }
-        assert batched_events == {j.job_id: 3 for j in jobs}
-        # the coalesced members are bit-identical to solo attempts
-        for i, job in enumerate(jobs):
-            ref = run_solve_job(
-                _spec(rhs_seed=i, storage=storage).to_dict(), "ref", 1, storage
-            )
-            assert np.array_equal(job.result["x"], ref["x"])
-            assert job.result["iterations"] == ref["iterations"]
-            assert job.result["final_rrn"] == ref["final_rrn"]
+        # the coalesced members carry the bits of direct solves
+        for job in jobs:
+            _assert_matches_direct(job.result, job.spec)
 
     def test_max_batch_caps_gather(self):
         config = _config(workers=1, coalesce=True, max_batch=2,
@@ -441,7 +445,7 @@ class TestCoalescing:
         with SolveEngine(config) as engine:
             jobs = self._occupy_and_queue(engine, 3)
             assert engine.drain(timeout=60)
-        widths = sorted(j.result.get("batch_columns", 1) for j in jobs)
+        widths = sorted(j.result["batch_columns"] for j in jobs)
         assert widths == [1, 2, 2]
 
     def test_ineligible_jobs_never_coalesce(self):
@@ -461,7 +465,7 @@ class TestCoalescing:
             assert engine.drain(timeout=60)
         for job in deadlined:
             assert job.state == JobState.DONE
-            assert "batch_columns" not in job.result
+            assert job.result["batch_columns"] == 1
         assert tracer.counters.get("serve.batches_dispatched", 0) == 0
 
     def test_retry_after_crash_runs_solo_while_peers_batch(self):
@@ -478,9 +482,9 @@ class TestCoalescing:
         assert crashy.state == JobState.DONE
         assert crashy.retries == 1
         # neither of the crashy job's attempts was ever batched ...
-        crashy_events = [e for e in attempts if e.job_id == crashy.job_id]
-        assert crashy_events
-        assert all("batched_with" not in e.payload for e in crashy_events)
+        dispatches = [e.payload["batched_with"] for e in attempts
+                      if e.job_id == crashy.job_id and "batched_with" in e.payload]
+        assert dispatches == [1, 1]
         # ... while the peers queued behind it coalesced with each other
         for peer in peers:
             assert peer.state == JobState.DONE
@@ -513,6 +517,41 @@ class TestCoalescing:
             assert peer.state == JobState.DONE
             assert peer.result["batch_columns"] == 3
 
+    def test_last_member_cancel_is_cooperative(self):
+        """One cancel rule for every attempt: a member whose peers are
+        still attached leaves at once while the task computes on; the
+        last member is cancelled cooperatively, like a solo job, and the
+        pool's ``cancelled`` event ends it — no kill, no respawn."""
+        # the hang that holds the worker back is ended by its deadline,
+        # so the grace can be long enough never to decide the last cancel
+        config = _config(workers=1, coalesce=True, cancel_grace_s=30.0,
+                         heartbeat_timeout_s=30.0)
+        with SolveEngine(config) as engine:
+            engine.submit(_spec(chaos=HANG, max_retries=0, deadline_s=1.0))
+            time.sleep(0.4)
+            jobs = [
+                engine.submit(_spec(rhs_seed=i, target_rrn=1e-13,
+                                    max_iter=3000))
+                for i in range(3)
+            ]
+            deadline = time.monotonic() + 30
+            while (any(j.state != JobState.RUNNING for j in jobs)
+                   and time.monotonic() < deadline):
+                time.sleep(0.01)
+            for job in jobs:
+                assert engine.cancel(job.job_id)
+                assert job.wait(timeout=30)
+            follow_up = engine.submit(_spec())
+            assert engine.drain(timeout=120)
+        assert [j.state for j in jobs] == [JobState.CANCELLED] * 3
+        assert [j.reason for j in jobs] == [
+            "cancelled; batch peers continue",
+            "cancelled; batch peers continue",
+            "cancelled cooperatively",
+        ]
+        assert follow_up.state == JobState.DONE
+        _assert_matches_direct(follow_up.result, follow_up.spec)
+
     def test_worker_entry_matches_solo_jobs(self):
         self._check_worker_entry("frsz2_32")
 
@@ -520,33 +559,33 @@ class TestCoalescing:
         self._check_worker_entry("adaptive")
 
     def _check_worker_entry(self, storage):
-        from repro.serve.worker import run_coalesced_job
-
-        specs = [_spec(rhs_seed=i, storage=storage).to_dict() for i in range(3)]
-        out = run_coalesced_job(
-            specs, ["a", "b", "c"], attempt=1, storage=storage
+        """A three-member attempt's members equal one-member attempts of
+        their own, and both equal the direct solve."""
+        specs = [_spec(rhs_seed=i, storage=storage) for i in range(3)]
+        out = run_attempt(
+            [s.to_dict() for s in specs], ["a", "b", "c"], attempt=1,
+            storage=storage,
         )
         assert out["batch_columns"] == 3
-        for i, job_id in enumerate(["a", "b", "c"]):
-            ref = run_solve_job(specs[i], "ref", 1, storage)
+        for spec, job_id in zip(specs, ["a", "b", "c"]):
+            ref = _solo(spec, "ref")
             got = out["results"][job_id]
             assert np.array_equal(got["x"], ref["x"])
             assert got["iterations"] == ref["iterations"]
             assert got["final_rrn"] == ref["final_rrn"]
             assert got["converged"] == ref["converged"]
-            # the payload shape is shared by both entry points
-            assert set(got) == set(ref) | {"batch_columns"}
+            assert set(got) == set(ref)
+            assert (got["batch_columns"], ref["batch_columns"]) == (3, 1)
             assert got["counters"] and ref["counters"]
+            _assert_matches_direct(got, spec)
 
     def test_worker_entry_tags_progress_by_member(self):
         """Each member's solve reports under its own job id, at its own
         spec's ``progress_every``, in member order."""
-        from repro.serve.worker import run_coalesced_job
-
         specs = [_spec(rhs_seed=i, progress_every=every).to_dict()
                  for i, every in enumerate((5, 7))]
         events = []
-        out = run_coalesced_job(
+        out = run_attempt(
             specs, ["a", "b"], attempt=1, storage="frsz2_32", emit=events.append
         )
         tags = [e["job_id"] for e in events]
@@ -557,14 +596,18 @@ class TestCoalescing:
             assert steps == list(range(every, iterations + 1, every))
 
     def test_worker_entry_validates_lengths(self):
-        from repro.serve.worker import run_coalesced_job
-
         with pytest.raises(ValueError):
-            run_coalesced_job(
+            run_attempt(
                 [_spec().to_dict()], ["a", "b"], attempt=1, storage="frsz2_32"
             )
         with pytest.raises(ValueError):
-            run_coalesced_job([], [], attempt=1, storage="frsz2_32")
+            run_attempt([], [], attempt=1, storage="frsz2_32")
+        # a chaos plan runs only in a one-member attempt
+        with pytest.raises(ValueError, match="chaos"):
+            run_attempt(
+                [_spec(chaos=HANG).to_dict(), _spec(rhs_seed=1).to_dict()],
+                ["a", "b"], attempt=1, storage="frsz2_32",
+            )
 
 
 # -- chaos monitor unit -------------------------------------------------
@@ -642,7 +685,7 @@ class TestChaosGoesAroundTheEngine:
 
         plan = ChaosSpec("spmv_nan", rate=0.0, seed=7)
         spec = _spec(spmv_format=spmv_format, chaos=plan.to_dict())
-        out = run_solve_job(spec.to_dict(), "j", 1, spec.storage)
+        out = _solo(spec)
         assert out["converged"]
 
         p = make_problem(MATRIX, spec.scale)

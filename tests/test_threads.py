@@ -24,7 +24,8 @@ import pytest
 from repro.core.frsz2 import FRSZ2
 from repro.fused import DEFAULT_TILE_ELEMS
 from repro.jit import cbackend, dispatch
-from repro.serve import JobSpec, JobState, ServeConfig, SolveEngine, run_solve_job
+from repro.serve import JobSpec, JobState, ServeConfig, SolveEngine
+from repro.serve.soak import direct_solve
 from repro.solvers import CbGmres, make_problem
 from repro.sparse import CSRMatrix, SpmvEngine, generators
 
@@ -329,6 +330,6 @@ class TestPoolLife:
             assert serve.drain(timeout=300)
         for spec, job in zip(specs, jobs):
             assert job.state == JobState.DONE, job.reason
-            direct = run_solve_job(spec.to_dict(), "direct", 1, spec.storage)
-            assert np.array_equal(job.result["x"], direct["x"])
-            assert job.result["iterations"] == direct["iterations"]
+            direct = direct_solve(spec)
+            assert np.array_equal(job.result["x"], direct.x)
+            assert job.result["iterations"] == direct.iterations
