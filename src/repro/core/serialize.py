@@ -7,22 +7,23 @@ and decompressed elsewhere without out-of-band metadata.
 Layout (little endian):
 
     magic   4 bytes  b"FRZ2"
-    version u16      2 (v1 containers remain readable)
+    version u16      2
     l       u16      bit length
     bs      u32      block size
     n       u64      element count
     exponents: num_blocks * i32
     payload:   value stream (dtype implied by l / alignment)
-    crc     u32      (v2 only) CRC32 over header+exponents+payload
+    crc     u32      CRC32 over header+exponents+payload
 
-The version-2 CRC32 trailer covers every preceding byte, so any
+The CRC32 trailer covers every preceding byte, so any
 single-bit corruption of the stream — header, exponents, payload or the
 trailer itself — is detected at load time with a ``ValueError`` instead
 of silently decompressing garbage into a solver.  Header fields are
 validated *before* any size arithmetic, so hostile containers (zero
 block size, unsupported bit length, absurd element counts) fail with a
 precise error naming the bad field rather than a downstream
-division-by-zero or overflow.
+division-by-zero or overflow.  Any other version — the unchecksummed
+version 1 included — is refused.
 """
 
 from __future__ import annotations
@@ -38,31 +39,19 @@ from .frsz2 import Frsz2Compressed
 __all__ = ["dump_bytes", "load_bytes", "dump_file", "load_file", "CONTAINER_VERSION"]
 
 _MAGIC = b"FRZ2"
-#: current (checksummed) container version
+#: the (checksummed) container version written and read
 CONTAINER_VERSION = 2
-_SUPPORTED_VERSIONS = (1, 2)
 _HEADER = struct.Struct("<4sHHIQ")
 _CRC = struct.Struct("<I")
 
 
-def dump_bytes(comp: Frsz2Compressed, version: int = CONTAINER_VERSION) -> bytes:
-    """Serialize a compressed array to bytes.
-
-    ``version=1`` writes the legacy container without the CRC32 trailer
-    (for interoperability with pre-v2 readers).
-    """
-    if version not in _SUPPORTED_VERSIONS:
-        raise ValueError(
-            f"cannot write FRSZ2 container version {version}; "
-            f"supported: {_SUPPORTED_VERSIONS}"
-        )
+def dump_bytes(comp: Frsz2Compressed) -> bytes:
+    """Serialize a compressed array to bytes."""
     layout = comp.layout
     header = _HEADER.pack(
-        _MAGIC, version, layout.bit_length, layout.block_size, layout.n
+        _MAGIC, CONTAINER_VERSION, layout.bit_length, layout.block_size, layout.n
     )
     body = header + comp.exponents.tobytes() + comp.payload.tobytes()
-    if version == 1:
-        return body
     return body + _CRC.pack(zlib.crc32(body) & 0xFFFFFFFF)
 
 
@@ -70,7 +59,7 @@ def load_bytes(data: bytes) -> Frsz2Compressed:
     """Reconstruct a compressed array from :func:`dump_bytes` output.
 
     Raises ``ValueError`` naming the offending field for any malformed,
-    truncated or (v2) corrupted container.
+    truncated or corrupted container.
     """
     if len(data) < _HEADER.size:
         raise ValueError(
@@ -80,7 +69,7 @@ def load_bytes(data: bytes) -> Frsz2Compressed:
     magic, version, l, bs, n = _HEADER.unpack_from(data)
     if magic != _MAGIC:
         raise ValueError("not an FRSZ2 container (bad magic)")
-    if version not in _SUPPORTED_VERSIONS:
+    if version != CONTAINER_VERSION:
         raise ValueError(f"unsupported FRSZ2 container version {version}")
     # Validate header fields before any size arithmetic touches them.
     if bs == 0:
@@ -92,10 +81,9 @@ def load_bytes(data: bytes) -> Frsz2Compressed:
     layout = BlockLayout(n, bs, l)
     off = _HEADER.size
     exp_bytes = layout.num_blocks * 4
-    trailer = _CRC.size if version >= 2 else 0
     payload_bytes = layout.payload_size * layout.payload_dtype.itemsize
     body_size = _HEADER.size + exp_bytes + payload_bytes
-    expected = body_size + trailer
+    expected = body_size + _CRC.size
     if len(data) != expected:
         # Python ints don't overflow, so a hostile element count simply
         # produces an expected size the data can't match.
@@ -103,14 +91,13 @@ def load_bytes(data: bytes) -> Frsz2Compressed:
             f"FRSZ2 container size mismatch for n={n}, block_size={bs}, "
             f"bit_length={l}: expected {expected} bytes, got {len(data)}"
         )
-    if version >= 2:
-        stored = _CRC.unpack_from(data, body_size)[0]
-        actual = zlib.crc32(data[:body_size]) & 0xFFFFFFFF
-        if stored != actual:
-            raise ValueError(
-                f"FRSZ2 container checksum mismatch: stored 0x{stored:08x}, "
-                f"computed 0x{actual:08x} (corrupted stream)"
-            )
+    stored = _CRC.unpack_from(data, body_size)[0]
+    actual = zlib.crc32(data[:body_size]) & 0xFFFFFFFF
+    if stored != actual:
+        raise ValueError(
+            f"FRSZ2 container checksum mismatch: stored 0x{stored:08x}, "
+            f"computed 0x{actual:08x} (corrupted stream)"
+        )
     exponents = np.frombuffer(data, dtype=np.int32, count=layout.num_blocks, offset=off).copy()
     off += exp_bytes
     payload = np.frombuffer(
@@ -119,10 +106,10 @@ def load_bytes(data: bytes) -> Frsz2Compressed:
     return Frsz2Compressed(layout=layout, exponents=exponents, payload=payload)
 
 
-def dump_file(path, comp: Frsz2Compressed, version: int = CONTAINER_VERSION) -> None:
+def dump_file(path, comp: Frsz2Compressed) -> None:
     """Write a compressed array to ``path``."""
     with open(path, "wb") as fh:
-        fh.write(dump_bytes(comp, version=version))
+        fh.write(dump_bytes(comp))
 
 
 def load_file(path) -> Frsz2Compressed:

@@ -192,7 +192,6 @@ def spmv_kernel_cost(
     nnz: int,
     fmt: str = "csr",
     padded_entries: "int | None" = None,
-    slice_size: int = 32,
 ) -> KernelCost:
     """SpMV launch cost per storage format: the one SpMV traffic model.
 
@@ -203,9 +202,7 @@ def spmv_kernel_cost(
     * ``csr`` streams values + column indices + row pointers and gathers
       ``x`` once per nonzero;
     * ``ell`` executes the full padded rectangle (``padded_entries``
-      slots): values + indices + gather per slot, no row pointers;
-    * ``sell`` adds the slice-pointer array and the σ row permutation to
-      the padded-rectangle traffic.
+      slots): values + indices + gather per slot, no row pointers.
 
     Padding shows up as real traffic and real flops — the reason the
     autotuner's rule table bounds the padding ratio before switching a
@@ -221,13 +218,6 @@ def spmv_kernel_cost(
     if fmt == "ell":
         return KernelCost(
             bytes_moved=p * (8 + 4) + p * 8 + n * 8,
-            fp64_flops=2 * p,
-            int_ops=p,
-        )
-    if fmt == "sell":
-        n_slices = (n + slice_size - 1) // slice_size
-        return KernelCost(
-            bytes_moved=p * (8 + 4) + p * 8 + (n_slices + 1) * 4 + n * 4 + n * 8,
             fp64_flops=2 * p,
             int_ops=p,
         )

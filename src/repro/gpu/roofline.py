@@ -122,19 +122,13 @@ def spmv_roofline(a, device: DeviceSpec = H100_PCIE) -> Dict[str, SpmvRooflinePo
     ``auto`` entry duplicates whichever format
     :func:`~repro.sparse.engine.choose_format` selects.
     """
-    from ..sparse.engine import choose_format, row_stats
-    from ..sparse.sell import DEFAULT_SLICE_SIZE
+    from ..sparse.engine import choose_format
 
-    s = row_stats(a)
     n, nnz = a.shape[0], a.nnz
-    padded = {
-        "csr": nnz,
-        "ell": int(round(s.ell_padding * nnz)),
-        "sell": int(round(s.sell_padding * nnz)),
-    }
+    padded = {"csr": nnz, "ell": n * int(np.diff(a.indptr).max(initial=0))}
     out: Dict[str, SpmvRooflinePoint] = {}
     for fmt, p in padded.items():
-        cost = spmv_kernel_cost(n, nnz, fmt, p, DEFAULT_SLICE_SIZE)
+        cost = spmv_kernel_cost(n, nnz, fmt, p)
         t = cost.time_on(device)
         out[fmt] = SpmvRooflinePoint(
             format=fmt,

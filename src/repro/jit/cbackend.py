@@ -26,7 +26,7 @@ Every kernel replays the numpy reference *operation for operation*:
   layout C indexes them by, and the gather checks every index it is
   handed;
 * the SpMV kernels accumulate each row strictly sequentially in entry
-  order, exactly like ``np.bincount`` (CSR) and the slot-wise ELL/SELL
+  order, exactly like ``np.bincount`` (CSR) and the slot-wise ELL
   passes;
 * the fused basis reductions (``fused_dot`` / ``fused_axpy``) follow the
   accumulation order written in :mod:`repro.fused.kernels` — eight
@@ -981,28 +981,6 @@ void ell_matvec(const int64_t *cols_t, const double *vals_t, int64_t width,
     spmv_split(ell_rows, &a, width * m);
 }
 
-static void sell_rows(const void *job, int64_t q, int64_t me)
-{
-    const struct spmv *a = job;
-    int64_t g = a->m, r0 = q * POOL_ROWS, r1 = r0 + POOL_ROWS < g ? r0 + POOL_ROWS : g;
-    for (int64_t r = r0; r < r1; r++) {
-        double acc = a->vals[r] * a->x[a->cols[r]];
-        for (int64_t s = 1; s < a->width; s++)
-            acc += a->vals[s * g + r] * a->x[a->cols[s * g + r]];
-        a->y[a->rows[r]] = acc;
-    }
-}
-
-/* One SELL-C-sigma width group: y[rows[r]] = the row's slot-ordered
- * sum (the caller zeroes y for rows no group covers). */
-void sell_group_matvec(const int64_t *rows, const int64_t *cols_t,
-                       const double *vals_t, int64_t width, int64_t g,
-                       const double *x, double *y)
-{
-    struct spmv a = {rows, cols_t, vals_t, x, y, width, g, 0};
-    spmv_split(sell_rows, &a, width * g);
-}
-
 /* ILU(0) numeric factorisation, in place on lu: the IKJ loop of
  * ilu0_factor_numpy operation for operation (a rounded quotient, then a
  * rounded product and a rounded difference per update; a scatter
@@ -1776,17 +1754,6 @@ class CEngine:
         width, m = cols_t.shape
         self._lib.ell_matvec(
             ptr("int64_t *", cols_t), ptr("double *", vals_t), width, m,
-            ptr("double *", np.ascontiguousarray(x, dtype=np.float64)),
-            ptr("double *", y),
-        )
-
-    def sell_group_matvec(self, rows, cols_t, vals_t, x, work, y) -> None:
-        """One SELL width group; writes ``y[rows]`` in place."""
-        ptr = self._ffi.from_buffer
-        width, g = cols_t.shape
-        self._lib.sell_group_matvec(
-            ptr("int64_t *", rows), ptr("int64_t *", cols_t),
-            ptr("double *", vals_t), width, g,
             ptr("double *", np.ascontiguousarray(x, dtype=np.float64)),
             ptr("double *", y),
         )

@@ -1,7 +1,7 @@
 """Kernel-dispatch registry and backend resolution.
 
 Every kernel a component looks up by name — the FRSZ2 encode, window
-decode and gather, the CSR/ELL/SELL SpMV kernels and the
+decode and gather, the CSR/ELL SpMV kernels and the
 preconditioner's ILU(0) factorisation, triangular sweeps and
 block-diagonal apply — is registered here under a ``(name, backend)``
 key.  Components (the codec, the sparse matrices, the solvers) resolve
@@ -233,7 +233,6 @@ def _ensure_jit_kernels() -> None:
     register_kernel("frsz2.decode_gather", "jit", engine.decode_gather)
     register_kernel("spmv.csr_matvec", "jit", engine.csr_matvec)
     register_kernel("spmv.ell_matvec", "jit", engine.ell_matvec)
-    register_kernel("spmv.sell_group_matvec", "jit", engine.sell_group_matvec)
     register_kernel("prec.ilu0_factor", "jit", engine.ilu0_factor)
     register_kernel("prec.lower_trisolve", "jit", engine.lower_unit_trisolve)
     register_kernel("prec.upper_trisolve", "jit", engine.upper_trisolve)

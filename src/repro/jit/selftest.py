@@ -300,7 +300,6 @@ def _csr_arrays(mask: np.ndarray, values: np.ndarray):
 def _check_spmv(engine, rng: np.random.Generator) -> None:
     from ..sparse.csr import CSRMatrix
     from ..sparse.ell import ELLMatrix, ell_matvec_numpy
-    from ..sparse.sell import SELLMatrix
 
     def product(kernel, *args, m):
         y = np.zeros(m)
@@ -323,22 +322,15 @@ def _check_spmv(engine, rng: np.random.Generator) -> None:
     got = product(engine.ell_matvec, ell.cols_t, ell.vals_t, x, None, m=m)
     _expect(np.array_equal(ref, got), "spmv.ell_matvec")
 
-    sell = SELLMatrix.from_csr(a, slice_size=8, sigma=16)
-    y = np.zeros(m)
-    for rows, cols_t, vals_t, _ in sell._groups:
-        engine.sell_group_matvec(rows, cols_t, vals_t, x, None, y)
-    _expect(np.array_equal(ref, y.view(np.uint64)), "spmv.sell_group_matvec")
-
     # rows of five entries, as many as the pool splits, on one thread, two
-    # and the pool's: one matrix as an ELL rectangle, as a SELL width group
-    # that stores row r at y[m - 1 - r], then as CSR triplets in row order
+    # and the pool's: one matrix as an ELL rectangle, then as CSR triplets
+    # in row order
     width = 5
     m = -(-engine.pool_min_work // width)
     cols_t = (np.arange(m) + np.array([[0], [1], [-3], [97], [-m // 2]])) % m
     vals_t = rng.standard_normal((width, m))
     x = rng.standard_normal(m)
     ref = product(ell_matvec_numpy, cols_t, vals_t, x, None, m=m)
-    reverse = np.arange(m)[::-1].copy()
     counts = sorted({1, 2, engine.threads})
     pool = engine.threads
     try:
@@ -347,10 +339,6 @@ def _check_spmv(engine, rng: np.random.Generator) -> None:
             got = product(engine.ell_matvec, cols_t, vals_t, x, None, m=m)
             _expect(np.array_equal(ref, got),
                     f"spmv.ell_matvec (m={m} T={count})")
-            got = product(engine.sell_group_matvec, reverse, cols_t, vals_t,
-                          x, None, m=m)
-            _expect(np.array_equal(ref, got[::-1]),
-                    f"spmv.sell_group_matvec (m={m} T={count})")
         triplets = (np.repeat(np.arange(m), width), cols_t.T.copy(),
                     vals_t.T.copy())
         del cols_t, vals_t

@@ -33,6 +33,7 @@ import numpy as np
 
 from ..robust.chaos import ChaosSpec
 from ..solvers.problems import make_problem
+from ..sparse.engine import SPMV_FORMATS
 from .engine import ServeConfig, SolveEngine
 from .health import build_serve_health, write_serve_report
 from .jobs import JobRecord, JobSpec, JobState
@@ -43,7 +44,6 @@ __all__ = ["SoakError", "build_soak_specs", "direct_solve", "run_soak"]
 #: fast smoke-scale suite matrices used for the job mix
 _MATRICES = ("cfd2", "parabolic_fem", "lung2", "atmosmodd")
 _STORAGES = ("frsz2_16", "frsz2_32", "float64")
-_SPMV_FORMATS = ("csr", "ell", "sell", "auto")
 _BASIS_MODES = ("cached", "cached", "cached", "streaming")
 
 
@@ -79,7 +79,9 @@ def build_soak_specs(jobs: int, seed: int = 0) -> List[JobSpec]:
             m=20 if i % 2 else 30,
             max_iter=400,
             rhs_seed=seed * 100_000 + i,
-            spmv_format=_SPMV_FORMATS[i % len(_SPMV_FORMATS)],
+            # as many formats as storages: step on by the storage cycle so
+            # every storage meets every format
+            spmv_format=SPMV_FORMATS[i // len(_STORAGES) % len(SPMV_FORMATS)],
             basis_mode=_BASIS_MODES[i % len(_BASIS_MODES)],
             progress_every=5,
             chaos=_chaos_for(i),

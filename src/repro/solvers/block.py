@@ -32,6 +32,10 @@ from .gmres import BreakdownEvent, GmresResult, ResidualSample, SolveStats
 from .hessenberg import GivensLeastSquares
 from .orthogonal import cgs_orthogonalize
 
+#: a restart counts as progress only when its explicit residual is below
+#: this fraction of the best one so far (``CbGmres(stall_restarts=)``)
+STALL_FACTOR = 0.999
+
 #: ``FusedOpLog`` fields mirrored into ``SolveStats.fused_*``
 _FUSED_FIELDS = (
     "dot_calls", "dot_vectors", "axpy_calls", "axpy_vectors",
@@ -269,7 +273,7 @@ class _Solve:
             self.finished = True
             return False
         if solver.stall_restarts is not None and self.stats.restarts > 0:
-            if self.rrn > self.prev_explicit * solver.stall_factor:
+            if self.rrn > self.prev_explicit * STALL_FACTOR:
                 self.stagnant += 1
                 if self.stagnant >= solver.stall_restarts:
                     self.stalled = True

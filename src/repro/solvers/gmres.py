@@ -111,7 +111,7 @@ class SolveStats:
     uncompressed_basis_reads: int = 0
     #: poisoned Arnoldi cycles discarded and restarted (fault tolerance)
     recoveries: int = 0
-    #: storage format the SpMV kernel executed in ("csr"/"ell"/"sell")
+    #: storage format the SpMV kernel executed in ("csr"/"ell")
     spmv_format: str = "csr"
     #: stored slots of that layout including padding (``nnz`` for CSR)
     spmv_padded_entries: int = 0
@@ -202,7 +202,8 @@ class CbGmres:
         Global iteration cap (paper: 20,000).
     stall_restarts:
         Optional early exit: if this many consecutive restarts fail to
-        improve the explicit residual by ``stall_factor``, the solve is
+        improve the best explicit residual by 0.1 %
+        (:data:`repro.solvers.block.STALL_FACTOR`), the solve is
         declared stalled (saves the full 20k iterations on hopeless
         format/problem combinations like float16 on PR02R; ``None``
         reproduces the paper's run-to-the-cap behaviour).
@@ -212,9 +213,9 @@ class CbGmres:
     spmv_format:
         SpMV layout of the engine built around a ``CSRMatrix``:
         ``"csr"`` (default) multiplies by the matrix as stored,
-        ``"ell"`` / ``"sell"`` force that layout, ``"auto"`` lets
+        ``"ell"`` forces that layout, ``"auto"`` lets
         :func:`repro.sparse.engine.choose_format` pick from the row
-        statistics.  Every layout gives the same bits.
+        lengths.  Every layout gives the same bits.
     recovery:
         When True (default), NaN/Inf escaping the Arnoldi loop — from a
         faulty SpMV, a corrupted stored basis vector, or a poisoned
@@ -286,7 +287,6 @@ class CbGmres:
         eta: float = DEFAULT_ETA,
         max_iter: int = DEFAULT_MAX_ITER,
         stall_restarts: Optional[int] = 8,
-        stall_factor: float = 0.999,
         preconditioner: Optional[Preconditioner] = None,
         recovery: bool = True,
         max_recoveries: int = DEFAULT_MAX_RECOVERIES,
@@ -328,7 +328,6 @@ class CbGmres:
         self.eta = float(eta)
         self.max_iter = int(max_iter)
         self.stall_restarts = stall_restarts
-        self.stall_factor = float(stall_factor)
         self.preconditioner = preconditioner or IdentityPreconditioner()
         self.recovery = bool(recovery)
         if max_recoveries < 0:

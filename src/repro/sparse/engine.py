@@ -2,40 +2,37 @@
 
 The predecessor CB-GMRES GPU paper (Aliaga et al., "Compressed Basis
 GMRES on High Performance GPUs") obtains its SpMV numbers by switching
-between Ginkgo's CSR and sliced-ELLPACK kernels depending on matrix
-structure; this module reproduces that decision as a deterministic rule
-table over row-length statistics:
+Ginkgo's SpMV kernel by matrix structure; this module reproduces that
+decision as a deterministic rule over row lengths:
 
 ======  ===========================================================
 format  chosen when
 ======  ===========================================================
+csr     ``nnz == 0`` or fewer than ``PADDED_MIN_ROWS`` rows — too
+        small or degenerate for a padded layout to pay.
 ell     ``max_len <= ELL_MAX_WIDTH`` and ``ell_padding <=
         ELL_MAX_PADDING`` — near-uniform rows (stencils, banded
         matrices): the dense rectangle wastes little traffic and the
         kernel is a single gather/multiply/reduce pass.
-sell    ``sell_padding <= SELL_MAX_PADDING`` — irregular rows that a
-        per-slice width (plus σ-window sorting) repairs.
-csr     everything else — long-tail row-length distributions where
-        any padded layout would multiply the traffic.
+csr     everything else — irregular or long-tail rows, where padding
+        every row to the longest would multiply the traffic.
 ======  ===========================================================
 
-Ties are impossible (rules are checked in order), and every statistic
-is a pure function of the sparsity pattern, so the same matrix always
-selects the same format — the reproducibility contract
+Every suite matrix picks ``ell`` at every scale, so a sliced layout
+(SELL-C-σ, between the two) would never run and the engine has none.
+The rule is a pure function of the sparsity pattern, so the same matrix
+always selects the same format — the reproducibility contract
 ``python -m repro bench --spmv-format auto`` relies on.
 
 :class:`SpmvEngine` is the one SpMV operator: it wraps a
 :class:`~repro.sparse.csr.CSRMatrix`, converts it once to the resolved
-layout (CSR, ELL or SELL — storage and one registered kernel each) and
-runs every product through that layout's kernel.  The ELL and SELL
-kernels accumulate each row in CSR entry order, so the engine's results
-are bit-identical to the CSR path on finite inputs (see
-:mod:`repro.sparse.ell`).
+layout (CSR or ELL — storage and one registered kernel each) and runs
+every product through that layout's kernel.  The ELL kernels accumulate
+each row in CSR entry order, so the engine's results are bit-identical
+to the CSR path on finite inputs (see :mod:`repro.sparse.ell`).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,96 +41,39 @@ from ..jit import dispatch as _dispatch
 from ..observe import NULL_TRACER
 from .csr import CSRMatrix
 from .ell import ELLMatrix
-from .sell import DEFAULT_SIGMA, DEFAULT_SLICE_SIZE, SELLMatrix, sell_padded_entries
 
 __all__ = [
     "SPMV_FORMATS",
+    "PADDED_MIN_ROWS",
     "ELL_MAX_WIDTH",
     "ELL_MAX_PADDING",
-    "SELL_MAX_PADDING",
-    "RowStats",
-    "row_stats",
     "choose_format",
     "SpmvEngine",
 ]
 
 #: accepted values for every ``spmv_format=`` knob
-SPMV_FORMATS = ("auto", "csr", "ell", "sell")
+SPMV_FORMATS = ("auto", "csr", "ell")
 
+#: rule table: fewest rows a padded layout is considered for
+PADDED_MIN_ROWS = 32
 #: rule table: widest row ELL will pad every row to
 ELL_MAX_WIDTH = 64
 #: rule table: maximum padded-slots-per-nonzero ELL may cost
 ELL_MAX_PADDING = 1.5
-#: rule table: maximum padded-slots-per-nonzero SELL-C-σ may cost
-SELL_MAX_PADDING = 2.5
 
 
-@dataclass(frozen=True)
-class RowStats:
-    """Row-length statistics of a sparsity pattern (autotuner features)."""
-
-    rows: int
-    cols: int
-    nnz: int
-    min_len: int
-    max_len: int
-    mean_len: float
-    std_len: float
-    #: coefficient of variation (std / mean; 0 for perfectly uniform rows)
-    cv: float
-    empty_rows: int
-    #: ELLPACK padded slots per nonzero (``rows * max_len / nnz``)
-    ell_padding: float
-    #: SELL-C-σ padded slots per nonzero at the default (C, σ)
-    sell_padding: float
-
-
-def row_stats(
-    a: CSRMatrix,
-    slice_size: int = DEFAULT_SLICE_SIZE,
-    sigma: int = DEFAULT_SIGMA,
-) -> RowStats:
-    """Compute the autotuner's feature vector for a CSR matrix."""
-    lengths = np.diff(a.indptr)
-    m, n = a.shape
-    nnz = int(a.nnz)
-    if m == 0 or nnz == 0:
-        return RowStats(m, n, nnz, 0, 0, 0.0, 0.0, 0.0, m, 1.0, 1.0)
-    mean = float(lengths.mean())
-    std = float(lengths.std())
-    max_len = int(lengths.max())
-    return RowStats(
-        rows=m,
-        cols=n,
-        nnz=nnz,
-        min_len=int(lengths.min()),
-        max_len=max_len,
-        mean_len=mean,
-        std_len=std,
-        cv=std / mean if mean else 0.0,
-        empty_rows=int(np.count_nonzero(lengths == 0)),
-        ell_padding=m * max_len / nnz,
-        sell_padding=sell_padded_entries(lengths, slice_size, sigma) / nnz,
-    )
-
-
-def choose_format(
-    a: CSRMatrix,
-    slice_size: int = DEFAULT_SLICE_SIZE,
-    sigma: int = DEFAULT_SIGMA,
-) -> str:
-    """Deterministic rule table: pick ``csr`` / ``ell`` / ``sell``.
+def choose_format(a: CSRMatrix) -> str:
+    """Deterministic rule table: pick ``csr`` or ``ell``.
 
     A pure function of the sparsity pattern (see the module docstring's
     rule table), so repeated calls on the same matrix always agree.
     """
-    s = row_stats(a, slice_size, sigma)
-    if s.nnz == 0 or s.rows < slice_size:
-        return "csr"  # degenerate or too small for padded layouts to pay
-    if s.max_len <= ELL_MAX_WIDTH and s.ell_padding <= ELL_MAX_PADDING:
+    m, nnz = a.shape[0], int(a.nnz)
+    if nnz == 0 or m < PADDED_MIN_ROWS:
+        return "csr"
+    max_len = int(np.diff(a.indptr).max())
+    if max_len <= ELL_MAX_WIDTH and m * max_len / nnz <= ELL_MAX_PADDING:
         return "ell"
-    if s.sell_padding <= SELL_MAX_PADDING:
-        return "sell"
     return "csr"
 
 
@@ -144,12 +84,9 @@ class SpmvEngine:
     ----------
     a : CSRMatrix
         The source matrix (kept as the ``csr`` attribute).
-    format : {"auto", "csr", "ell", "sell"}, default "auto"
+    format : {"auto", "csr", "ell"}, default "auto"
         ``auto`` applies :func:`choose_format`; anything else forces
         the named layout.  For ``"csr"`` the layout is ``a`` itself.
-    slice_size, sigma : int
-        SELL-C-σ construction parameters (see
-        :class:`~repro.sparse.sell.SELLMatrix`).
     backend : {"numpy", "jit"}, optional
         Kernel backend of the layout's product (see :meth:`set_backend`).
 
@@ -169,8 +106,6 @@ class SpmvEngine:
         self,
         a: CSRMatrix,
         format: str = "auto",
-        slice_size: int = DEFAULT_SLICE_SIZE,
-        sigma: int = DEFAULT_SIGMA,
         backend: "str | None" = None,
     ) -> None:
         if not isinstance(a, CSRMatrix):
@@ -184,18 +119,12 @@ class SpmvEngine:
             )
         self.csr = a
         self.requested_format = format
-        resolved = choose_format(a, slice_size, sigma) if format == "auto" else format
+        resolved = choose_format(a) if format == "auto" else format
         self.resolved_format = resolved
-        if resolved == "ell":
-            self.layout = ELLMatrix.from_csr(a)
-        elif resolved == "sell":
-            self.layout = SELLMatrix.from_csr(a, slice_size, sigma)
-        else:
-            self.layout = a
+        self.layout = ELLMatrix.from_csr(a) if resolved == "ell" else a
         self.padded_entries = self.layout.padded_entries
         self.padding_ratio = self.layout.padding_ratio
-        cost = spmv_kernel_cost(a.shape[0], a.nnz, resolved, self.padded_entries,
-                                int(slice_size))
+        cost = spmv_kernel_cost(a.shape[0], a.nnz, resolved, self.padded_entries)
         #: what one product adds to a live tracer's counters
         self._counts = (
             ("spmv.calls", 1),

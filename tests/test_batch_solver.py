@@ -75,7 +75,7 @@ class TestBitIdentity:
     @pytest.mark.parametrize(
         "storage", ["frsz2_16", "frsz2_32", "float64", "adaptive"]
     )
-    @pytest.mark.parametrize("spmv_format", ["csr", "ell", "sell"])
+    @pytest.mark.parametrize("spmv_format", ["csr", "ell"])
     @pytest.mark.parametrize("nrhs", [1, 2, 7])
     def test_matches_independent_solves(self, storage, spmv_format, nrhs):
         problem = make_problem("lung2", "smoke")

@@ -51,7 +51,7 @@ class TestDispatch:
     #: and two out, the SpMV formats, the preconditioner's four
     KERNELS = sorted([
         "frsz2.encode", "frsz2.decode_tile", "frsz2.decode_gather",
-        "spmv.csr_matvec", "spmv.ell_matvec", "spmv.sell_group_matvec",
+        "spmv.csr_matvec", "spmv.ell_matvec",
         "prec.ilu0_factor",
         "prec.lower_trisolve", "prec.upper_trisolve",
         "prec.block_diag_apply",
@@ -82,7 +82,7 @@ class TestDispatch:
         wrappers = sources[pathlib.Path(cbackend.__file__).resolve()]
         wrappers = wrappers.replace(cbackend.C_SOURCE, "")
         exported = re.findall(r"(\w+)\(", cbackend._CDEF)
-        assert len(exported) == 17 and "engine_set_threads" in exported
+        assert len(exported) == 16 and "engine_set_threads" in exported
         for name in exported:
             assert re.search(r"\b_?lib\.%s\b" % name, wrappers), name
 
@@ -230,7 +230,7 @@ class TestDispatch:
             re.search(r"(\w+)\s*(?:\(|$)", declaration.strip()).group(1)
             for declaration in cbackend._CDEF.split(";") if declaration.strip()
         }
-        assert len(declared) == 22 == cbackend._CDEF.count(";")
+        assert len(declared) == 21 == cbackend._CDEF.count(";")
         assert "SOURCE" not in cbackend._CDEF  # every macro expanded
         assert cbackend._CDEF == cbackend._declarations(cbackend.C_SOURCE)
         assert dispatch.jit_unavailable_reason() is None
@@ -691,7 +691,7 @@ class TestSolveBitIdentity:
         def run(b):
             return CbGmres(
                 problem.a, "frsz2_21", m=30, max_iter=300,
-                spmv_format="sell", basis_mode=basis_mode, backend=b,
+                spmv_format="ell", basis_mode=basis_mode, backend=b,
             ).solve(problem.b, problem.target_rrn)
 
         ref, alt = run("numpy"), run(backend)

@@ -100,6 +100,20 @@ class TestRoundTrip:
             SolveOptions(**{**BASE, field: value})
         assert repr(value) in str(exc.value)
 
+    def test_sell_is_refused_everywhere(self, capsys):
+        """The sliced layout is gone: each way in names the accepted set."""
+        accepted = re.escape(repr(SPMV_FORMATS))
+        with pytest.raises(ValueError, match=f"'sell'.*{accepted}"):
+            SolveOptions(**{**BASE, "spmv_format": "sell"})
+        with pytest.raises(ValueError, match=f"'sell'.*{accepted}"):
+            JobSpec.from_dict({"matrix": "lung2", "storage": "float64",
+                               "spmv_format": "sell"})
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "lung2", "--spmv-format", "sell"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'sell'" in err and "Traceback" not in err
+
     def test_from_dict_names_unknown_and_missing_keys(self):
         with pytest.raises(ValueError, match="restart"):
             SolveOptions.from_dict({**BASE, "restart": 30})
@@ -118,7 +132,7 @@ class TestBuildOrder:
             seen.append(op)
             return op
 
-        opts = SolveOptions(**{**BASE, "spmv_format": "sell",
+        opts = SolveOptions(**{**BASE, "spmv_format": "ell",
                                "preconditioner": "ilu0"})
         solver = opts.build(a, wrap_operator=wrap)
         (engine,) = seen

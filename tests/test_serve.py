@@ -677,7 +677,7 @@ class TestChaosGoesAroundTheEngine:
     with ``spmv_format != "csr"`` solves (it used to die on every
     attempt with "requires a CSRMatrix ... got FaultySpmvMatrix")."""
 
-    @pytest.mark.parametrize("spmv_format", ["auto", "sell"])
+    @pytest.mark.parametrize("spmv_format", ["auto", "ell"])
     def test_spmv_chaos_job_matches_the_hand_built_plan(self, spmv_format):
         from repro.robust import FaultInjector, FaultySpmvMatrix, run_campaign
         from repro.solvers import CbGmres, make_problem

@@ -1,4 +1,4 @@
-"""Tests for the multi-format SpMV engine (ELL, SELL-C-σ, autotuner).
+"""Tests for the SpMV engine (CSR / ELL layouts, autotuner).
 
 The contract under test: every format is a lossless re-layout of the
 same CSR matrix, and — because the padded kernels accumulate each row's
@@ -19,17 +19,14 @@ from repro.observe import Tracer
 from repro.solvers import CbGmres, make_problem
 from repro.sparse import (
     CSRMatrix,
-    DEFAULT_SLICE_SIZE,
     ELLMatrix,
-    SELLMatrix,
     SPMV_FORMATS,
     SpmvEngine,
     build_matrix,
     choose_format,
-    row_stats,
     suite_names,
 )
-from repro.sparse.sell import sell_padded_entries
+from repro.sparse.engine import PADDED_MIN_ROWS
 
 
 def random_csr(m, n, seed=0, max_row=9, empty_every=0, long_rows=()):
@@ -69,8 +66,6 @@ def _formats_of(a):
     return {
         "csr": SpmvEngine(a, "csr"),
         "ell": SpmvEngine(a, "ell"),
-        "sell": SpmvEngine(a, "sell"),
-        "sell-unsorted": SpmvEngine(a, "sell", sigma=1),
         "auto": SpmvEngine(a, "auto"),
     }
 
@@ -117,7 +112,7 @@ class TestKernelEquivalence:
             a = build_matrix(name, "smoke")
             x = np.random.default_rng(5).standard_normal(a.shape[1])
             y0 = a.matvec(x)
-            for fmt in ("ell", "sell", "auto"):
+            for fmt in ("ell", "auto"):
                 y = SpmvEngine(a, fmt).matvec(x)
                 assert np.array_equal(y, y0), (name, fmt)
 
@@ -141,43 +136,24 @@ class TestRoundTrip:
     @pytest.mark.parametrize("kw", EDGE_CASES)
     def test_exact_csr_round_trip(self, kw):
         a = random_csr(**kw)
-        for conv in (
-            ELLMatrix.from_csr(a),
-            SELLMatrix.from_csr(a),
-            SELLMatrix.from_csr(a, slice_size=8, sigma=16),
-            SELLMatrix.from_csr(a, sigma=1),
-        ):
-            b = conv.to_csr()
-            assert b.shape == a.shape
-            assert np.array_equal(b.indptr, a.indptr)
-            assert np.array_equal(b.indices, a.indices)
-            assert np.array_equal(b.data, a.data)
+        b = ELLMatrix.from_csr(a).to_csr()
+        assert b.shape == a.shape
+        assert np.array_equal(b.indptr, a.indptr)
+        assert np.array_equal(b.indices, a.indices)
+        assert np.array_equal(b.data, a.data)
 
     @settings(max_examples=40, deadline=None)
     @given(
         m=st.integers(1, 80),
         n=st.integers(1, 60),
         seed=st.integers(0, 2**31),
-        slice_size=st.integers(1, 48),
-        sigma=st.integers(0, 96),
     )
-    def test_round_trip_property(self, m, n, seed, slice_size, sigma):
+    def test_round_trip_property(self, m, n, seed):
         a = random_csr(m, n, seed=seed, max_row=min(n, 7), empty_every=11)
-        for conv in (
-            ELLMatrix.from_csr(a),
-            SELLMatrix.from_csr(a, slice_size=slice_size, sigma=sigma),
-        ):
-            b = conv.to_csr()
-            assert np.array_equal(b.indptr, a.indptr)
-            assert np.array_equal(b.indices, a.indices)
-            assert np.array_equal(b.data, a.data)
-
-    def test_sell_permutation_is_consistent(self):
-        a = random_csr(m=90, n=70, seed=13, long_rows=(60,))
-        s = SELLMatrix.from_csr(a)
-        assert np.array_equal(s.inv_perm[s.perm], np.arange(90))
-        # sigma<=1 keeps the natural order
-        assert not SELLMatrix.from_csr(a, sigma=1).permuted
+        b = ELLMatrix.from_csr(a).to_csr()
+        assert np.array_equal(b.indptr, a.indptr)
+        assert np.array_equal(b.indices, a.indices)
+        assert np.array_equal(b.data, a.data)
 
 
 class TestAutotuner:
@@ -190,33 +166,34 @@ class TestAutotuner:
             assert choose_format(build_matrix(name, "smoke")) in picks
 
     def test_stencils_pick_ell(self):
-        # banded/stencil suite matrices have near-uniform rows
-        assert choose_format(build_matrix("atmosmodd", "smoke")) == "ell"
-        assert choose_format(build_matrix("lung2", "smoke")) == "ell"
+        # every suite matrix has near-uniform rows: the fact that leaves
+        # the engine no layout between ELL and CSR
+        for name in suite_names():
+            assert choose_format(build_matrix(name, "smoke")) == "ell", name
 
     def test_long_tail_rows_pick_csr(self):
         a = random_csr(m=128, n=128, seed=17, max_row=2, long_rows=(5,))
-        s = row_stats(a)
-        assert s.ell_padding > 10
+        assert ELLMatrix.from_csr(a).padding_ratio > 10
         assert choose_format(a) == "csr"
+
+    def test_irregular_rows_pick_csr(self):
+        # rows too ragged for one ELL width go to CSR, never to a layout
+        # in between
+        for kw in (dict(m=50, n=40, seed=1, empty_every=7),
+                   dict(m=97, n=83, seed=3)):
+            a = random_csr(**kw)
+            assert ELLMatrix.from_csr(a).padding_ratio > 1.5
+            assert choose_format(a) == "csr"
 
     def test_small_or_empty_matrices_pick_csr(self):
         assert choose_format(random_csr(m=8, n=8, seed=1)) == "csr"
         empty = random_csr(m=64, n=64, seed=1, empty_every=1)
         assert empty.nnz == 0
         assert choose_format(empty) == "csr"
-
-    def test_row_stats_fields(self):
-        a = random_csr(m=64, n=64, seed=19, empty_every=9)
-        s = row_stats(a)
-        assert s.rows == 64 and s.cols == 64
-        assert s.nnz == a.nnz
-        assert s.min_len == 0 and s.empty_rows >= 7
-        assert s.ell_padding == pytest.approx(64 * s.max_len / s.nnz)
-        lengths = np.diff(a.indptr)
-        assert s.sell_padding == pytest.approx(
-            sell_padded_entries(lengths) / s.nnz
-        )
+        # the row threshold itself: a diagonal is ELL from 32 rows on
+        for m, pick in ((PADDED_MIN_ROWS - 1, "csr"), (PADDED_MIN_ROWS, "ell")):
+            diag = CSRMatrix((m, m), np.arange(m + 1), np.arange(m), np.ones(m))
+            assert choose_format(diag) == pick
 
     def test_engine_validates_inputs(self):
         a = random_csr(m=40, n=40, seed=2)
@@ -224,7 +201,14 @@ class TestAutotuner:
             SpmvEngine(a, "blocked")
         with pytest.raises(TypeError):
             SpmvEngine(ELLMatrix.from_csr(a))
-        assert "auto" in SPMV_FORMATS and "sell" in SPMV_FORMATS
+        assert SPMV_FORMATS == ("auto", "csr", "ell")
+
+    def test_sell_is_refused_naming_the_accepted_set(self):
+        a = random_csr(m=40, n=40, seed=2)
+        with pytest.raises(ValueError, match=r"'sell'.*\('auto', 'csr', 'ell'\)"):
+            SpmvEngine(a, "sell")
+        with pytest.raises(TypeError):
+            SpmvEngine(a, "ell", slice_size=32)
 
 
 class TestSolverIntegration:
@@ -233,7 +217,7 @@ class TestSolverIntegration:
         base = CbGmres(p.a, "frsz2_32", m=30, max_iter=400).solve(
             p.b, p.target_rrn
         )
-        for fmt in ("auto", "ell", "sell"):
+        for fmt in ("auto", "ell"):
             res = CbGmres(
                 p.a, "frsz2_32", m=30, max_iter=400, spmv_format=fmt
             ).solve(p.b, p.target_rrn)
@@ -275,13 +259,12 @@ class TestAccounting:
         # the engine's counters are the one traffic model, padding included
         a = build_matrix("atmosmodd", "smoke")
         x = np.zeros(a.shape[1])
-        for fmt in ("csr", "ell", "sell"):
+        for fmt in ("csr", "ell"):
             engine = SpmvEngine(a, fmt)
             engine.tracer = t = Tracer()
             engine.matvec(x)
             engine.matvec(x)
-            cost = spmv_kernel_cost(
-                a.shape[0], a.nnz, fmt, engine.padded_entries, DEFAULT_SLICE_SIZE)
+            cost = spmv_kernel_cost(a.shape[0], a.nnz, fmt, engine.padded_entries)
             assert t.counters == {
                 "spmv.calls": 2,
                 "spmv.flops": 2 * cost.fp64_flops,
@@ -313,13 +296,14 @@ class TestAccounting:
         ell = spmv_kernel_cost(n, nnz, "ell", padded_entries=9000)
         assert ell.bytes_moved > csr.bytes_moved - (n + 1) * 4
         assert ell.fp64_flops == 2 * 9000
-        with pytest.raises(KeyError):
-            spmv_kernel_cost(n, nnz, "blocked")
+        for fmt in ("blocked", "sell"):
+            with pytest.raises(KeyError):
+                spmv_kernel_cost(n, nnz, fmt)
 
     def test_spmv_roofline_matches_engine_padding(self):
         a = build_matrix("cfd2", "smoke")
         points = spmv_roofline(a)
-        assert set(points) == {"csr", "ell", "sell", "auto"}
+        assert set(points) == {"csr", "ell", "auto"}
         assert points["csr"].padding_ratio == 1.0
         eng = SpmvEngine(a, "ell")
         assert points["ell"].padded_entries == eng.padded_entries
@@ -327,14 +311,11 @@ class TestAccounting:
         for p in points.values():
             assert p.seconds > 0 and p.bytes_moved > 0
 
-    def test_default_slice_size_is_warp_sized(self):
-        assert DEFAULT_SLICE_SIZE == 32
-
 
 class TestNonFiniteWarnings:
     """Satellite: padded-lane 0*inf products must not leak warnings.
 
-    The ELL/SELL kernels gather with ``mode="clip"`` and multiply the
+    The ELL kernels gather with ``mode="clip"`` and multiply the
     padding slots by 0.0; a non-finite x therefore evaluates ``0 * inf``
     inside the kernel.  The NaN result is the intended propagation
     semantics — but before the ``errstate`` scoping it also emitted a

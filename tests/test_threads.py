@@ -2,7 +2,7 @@
 
 Two groups.  ``TestThreadCountMovesNoBit``: every split kernel — the
 three fused walks over float64 rows and FRSZ2 containers, the SpMV
-kernels of the three formats — gives the same raw bits on one thread,
+kernels of both layouts — gives the same raw bits on one thread,
 two, three and the pool's size, and so do whole solves; a reduction
 that adds partials in the order threads claim them does not load.
 ``TestPoolLife``: the pool survives what a process does around it — a
@@ -126,7 +126,7 @@ class TestThreadCountMovesNoBit:
                 outs = _at_each(counts, lambda: _walks(src, j, n, tile, y, w))
                 _assert_same(counts, outs, f"{source} n={n} j={j} tile={tile}")
 
-    @pytest.mark.parametrize("fmt", ["ell", "sell", "csr"])
+    @pytest.mark.parametrize("fmt", ["ell", "csr"])
     def test_spmv_rows(self, counts, fmt):
         rng = np.random.default_rng(5)
         for a in (generators.convection_diffusion_3d(24, 24, 24, **_ATMOSMODD),
