@@ -331,11 +331,12 @@ class Frsz2Tiles:
         bs = self.layout.block_size
         return (i1 - 1) // bs - i0 // bs + 1
 
-    def bill_pass(self, tile_elems: int, j: Optional[int] = None) -> None:
+    def bill_pass(self, tile_elems: int, j: Optional[int] = None,
+                  passes: int = 1) -> None:
         """Bill each of the leading ``j`` accessors (default: all) the
-        ``ceil(n / tile_elems)`` tile reads of one pass over the whole
-        tile grid, which the caller makes in one C call — when the rows
-        are traced."""
+        ``ceil(n / tile_elems)`` tile reads of each of ``passes`` passes
+        over the whole tile grid, which the caller makes in C — when the
+        rows are traced."""
         if not (self.accessors and self.accessors[0].tracer.enabled):
             return
         bill = self._pass_bill.get(tile_elems)
@@ -349,7 +350,7 @@ class Frsz2Tiles:
             bill = self._pass_bill[tile_elems] = (
                 -(-n // tile_elems), blocks * self._block_nbytes
             )
-        self._bill(*bill, j)
+        self._bill(passes * bill[0], passes * bill[1], j)
 
     def fused_dot(self, j, n, tile, w, h) -> int:
         self.bill_pass(tile, j)
@@ -363,6 +364,13 @@ class Frsz2Tiles:
         self.bill_pass(tile, j)
         return self.table.fused_axpy_dot(j, n, tile, y, w, u)
 
+    def step(self, j, n, tile, w_in, w, eta, h, u, givens, out) -> int:
+        flags = self.table.step(j, n, tile, w_in, w, eta, h, u, givens, out)
+        if self.accessors[0].tracer.enabled:
+            # the walks it made: the dot, the sweep and a second pass's axpy
+            self.bill_pass(tile, j, 3 if flags & _STEP_REORTH else 2)
+        return flags
+
     def load(self, i0: int, i1: int, out: np.ndarray) -> None:
         """Fill ``out[row, :i1 - i0]`` with every accessor's ``[i0, i1)``."""
         if self._decode is None:
@@ -371,6 +379,9 @@ class Frsz2Tiles:
         if i0 != i1 and self.accessors[0].tracer.enabled:
             self._bill(1, self._blocks(i0, i1) * self._block_nbytes, None)
 
+
+#: the step's second-pass flag (``repro.fused.STEP_REORTH``)
+_STEP_REORTH = 1
 
 #: an accessor's C pointers (``None``: cleared, or a numpy codec)
 _POINTERS = attrgetter("_pointers")

@@ -24,16 +24,18 @@ A fused operation validates its operands here, first — a named
 backends — and then makes one call: a walk of its reader's *row source*.
 A source is anything with the three walks ``fused_dot(j, n, tile, w, h)``,
 ``fused_axpy(j, n, tile, y, w, store)`` and ``fused_axpy_dot(j, n, tile,
-y, w, u)``, each returning the doubles of work it used.  There are four:
+y, w, u)``, each returning the doubles of work it used, and the Arnoldi
+``step`` made of them (**step** below).  There are four:
 :class:`_NumpyRows` (float64 rows under the numpy kernels below — the
 reference), the engine's :class:`~repro.jit.cbackend.DenseRows` (the
 same rows, handed to C), :class:`~repro.accessor.Frsz2Tiles` (bills its
 leading ``j`` accessors, then walks the engine's row table over their
 containers) and :class:`_LoadedRows`, the tile-by-tile route of
-everything else.  Which one a reader carries is decided once, where the
-reader is built — for one call, or kept by a :class:`~repro.solvers.
-basis.KrylovBasis` and extended with every write
-(``docs/ARCHITECTURE.md``, "The life of a fused call").
+everything else.  The two compiled ones run ``step`` as one C call; the
+other two run its Python body, :func:`step_rows`.  Which one a reader
+carries is decided once, where the reader is built — for one call, or
+kept by a :class:`~repro.solvers.basis.KrylovBasis` and extended with
+every write (``docs/ARCHITECTURE.md``, "The life of a fused call").
 
 Determinism contract
 --------------------
@@ -58,6 +60,21 @@ kernel, so it is the same on every host, compiler and backend:
     eight from the tile's start, so element ``i`` still joins lane
     ``(i - t0) mod 8`` in ascending order) and every stored value is
     read — a streaming basis decoded — once instead of twice.
+**norm2** — ``||w||`` is the dot of ``w`` with itself as one row: the
+    basis's tile grid, the eight lanes and the tree of **dot**, tile
+    partials summed in tile order from ``+0.0``, then the correctly
+    rounded square root.  No BLAS: its value depends on neither the
+    pool's thread count nor ``OPENBLAS_NUM_THREADS``.
+**step** — one Arnoldi step of CGS2 (paper Fig. 1 steps 3-16), *defined*
+    as :func:`step_rows`: ``w̃ = norm2(w)``; ``h = dot``; ``u = sweep``
+    with ``y = h``; ``h_next = norm2(w)``; if ``h_next < eta w̃`` the
+    second pass ``axpy`` with ``y = u``, ``h += u`` and
+    ``h_next = norm2(w)``; the outcome flags; and, given the Givens
+    state, the column's rotation (:func:`givens_column`) and
+    ``w /= h_next``.  The compiled step walks the same three kernels in
+    one call and reduces the middle norm from the tiles the sweep
+    finishes, whose ``w . w`` partials have **norm2**'s lane order — so
+    the bits are the body's.
 
 The result depends on the values of the rows, the operand and the tile
 size — *not* on where the rows came from.  A :class:`CachedTileReader`
@@ -82,7 +99,9 @@ kernel stays bound by *compressed* memory traffic
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from time import perf_counter_ns
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -93,6 +112,10 @@ from ..observe import NULL_TRACER
 
 __all__ = [
     "DEFAULT_TILE_ELEMS",
+    "STEP_REORTH",
+    "STEP_NONFINITE",
+    "STEP_BREAKDOWN",
+    "STEP_LOSS",
     "FusedOpLog",
     "TileReader",
     "CachedTileReader",
@@ -103,6 +126,12 @@ __all__ = [
     "axpy_fused",
     "axpy_dot_fused",
     "bill_dot_fused",
+    "bill_step_fused",
+    "givens_column",
+    "givens_state",
+    "givens_views",
+    "norm2",
+    "step_rows",
 ]
 
 #: default decoded-tile size in elements (64 FRSZ2 warp blocks); the
@@ -112,6 +141,19 @@ DEFAULT_TILE_ELEMS = 2048
 #: elements per pass of the numpy axpy (its order is grid-independent;
 #: this only bounds the two temporaries)
 _NUMPY_AXPY_PIECE = 8192
+
+#: products per row the numpy dot lays out at once: its whole tiles go a
+#: group of ``_NUMPY_DOT_GROUP // tile`` at a time (this only bounds the
+#: temporaries)
+_NUMPY_DOT_GROUP = 8192
+
+#: the flags word of an Arnoldi step (:func:`step_rows`; the same values
+#: in ``C_SOURCE``): the second pass ran; ``h`` or ``h_next`` is not
+#: finite; breakdown — ``h_next`` is zero or below ``eta eps w̃``; loss of
+#: orthogonality — the second pass failed the eta test again
+STEP_REORTH, STEP_NONFINITE, STEP_BREAKDOWN, STEP_LOSS = 1, 2, 4, 8
+
+_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass
@@ -237,22 +279,40 @@ def dot_rows_numpy(rows, j, n, tile, w, h) -> None:
     padding after the ``len mod 8`` tail, so one ``np.add.accumulate``
     along the lane-row axis performs every lane's sequential sum
     (``+0.0`` added to a lane that never holds ``-0.0`` changes nothing).
+    Whole tiles go a group at a time (``_NUMPY_DOT_GROUP`` products), the
+    short last tile on its own; a group's tile partials join ``h`` in tile
+    order through one more accumulate, with ``h`` in front.
     """
-    lane_rows = -(-min(tile, n) // 8) + 1
-    products = np.zeros((j, lane_rows * 8))
-    sums = np.empty((j, lane_rows, 8))
-    for t0 in range(0, n, tile):
-        t1 = min(t0 + tile, n)
-        used = -(-(t1 - t0) // 8) + 1
-        np.multiply(rows[:j, t0:t1], w[t0:t1], out=products[:, 8:8 + t1 - t0])
-        products[:, 8 + t1 - t0:8 * used] = 0.0
-        a = np.add.accumulate(
-            products[:, :8 * used].reshape(j, used, 8), axis=1, out=sums[:, :used]
-        )[:, -1]
-        # ((a0+a1)+(a2+a3))+((a4+a5)+(a6+a7)), a tree level per addition
-        pairs = a[:, 0::2] + a[:, 1::2]
-        halves = pairs[:, 0::2] + pairs[:, 1::2]
-        h += halves[:, 0] + halves[:, 1]
+    size = min(tile, n)
+    group = max(1, min(_NUMPY_DOT_GROUP // max(size, 1), n // tile))
+    lane_rows = -(-size // 8) + 1
+    products = np.zeros((j, group, lane_rows * 8))
+    sums = np.empty((j, group, lane_rows, 8))
+    partials = np.empty((j, group + 1))
+    whole = n // tile * tile if tile <= n else 0
+    for t0 in range(0, whole, group * tile):
+        _dot_tiles(rows, j, t0, min(group, (whole - t0) // tile), tile, w,
+                   products, sums, partials, h)
+    if whole < n:
+        _dot_tiles(rows, j, whole, 1, n - whole, w, products, sums, partials, h)
+
+
+def _dot_tiles(rows, j, t0, tiles, length, w, products, sums, partials, h):
+    """``tiles`` consecutive tiles of ``length`` from ``t0`` into ``h``."""
+    used = -(-length // 8) + 1
+    end = t0 + tiles * length
+    lanes = products[:, :tiles, :8 * used]
+    np.multiply(rows[:j, t0:end].reshape(j, tiles, length),
+                w[t0:end].reshape(tiles, length), out=lanes[:, :, 8:8 + length])
+    lanes[:, :, 8 + length:] = 0.0
+    a = np.add.accumulate(lanes.reshape(j, tiles, used, 8), axis=2,
+                          out=sums[:, :tiles, :used])[:, :, -1]
+    # ((a0+a1)+(a2+a3))+((a4+a5)+(a6+a7)), a tree level per addition
+    pairs = a[..., 0::2] + a[..., 1::2]
+    halves = pairs[..., 0::2] + pairs[..., 1::2]
+    partials[:, 0] = h
+    np.add(halves[..., 0], halves[..., 1], out=partials[:, 1:tiles + 1])
+    h[:] = np.add.accumulate(partials[:, :tiles + 1], axis=1)[:, -1]
 
 
 def axpy_rows_numpy(rows, j, n, y, w, store=False) -> None:
@@ -273,10 +333,114 @@ def axpy_rows_numpy(rows, j, n, y, w, store=False) -> None:
             w[i0:i1] -= si
 
 
+def norm2_numpy(w: np.ndarray, tile: int) -> float:
+    """``||w||`` in the written order (**norm2**): :func:`dot_rows_numpy`
+    of ``w`` as one row with itself, then ``math.sqrt`` (correctly
+    rounded).  A sum of squares that overflows is ``inf``, not a warning."""
+    acc = np.zeros(1)
+    with np.errstate(over="ignore"):
+        dot_rows_numpy(w.reshape(1, -1), 1, w.size, tile, w, acc)
+    return math.sqrt(acc[0])
+
+
+def givens_state(m: int) -> np.ndarray:
+    """The Givens state of an ``m``-column least squares as one float64
+    array of ``(m + 2)**2 - 3`` values, :func:`givens_views` apart."""
+    return np.zeros((m + 2) ** 2 - 3)
+
+
+def givens_views(state: np.ndarray):
+    """``(cs, sn, g, r)`` of a :func:`givens_state`: the rotations (``m``
+    each), the rotated right-hand side (``m + 1``) and ``R``
+    (``(m + 1) x m``, row-major, column ``c`` filled by column ``c``)."""
+    m = math.isqrt(state.size + 3) - 2
+    return (state[:m], state[m:2 * m], state[2 * m:3 * m + 1],
+            state[3 * m + 1:].reshape(m + 1, m))
+
+
+def givens_column(views, c: int, h: np.ndarray, h_next: float) -> float:
+    """Absorb Hessenberg column ``c``, ``(h, h_next)`` with ``h`` of at most
+    ``c + 1`` values, into a Givens state's :func:`givens_views`; returns
+    the implicit residual ``|g_{c+1}|``.
+
+    The rotations so far are applied to the column and a new one made
+    (``np.hypot``, not ``math.hypot``: the two round differently) in
+    machine floats — the same IEEE double operations, one rounding each,
+    as the compiled step's — then the right-hand side is rotated.
+    """
+    cs, sn, g, r = views
+    col = h.tolist()
+    col.append(float(h_next))
+    col += [0.0] * (c + 2 - len(col))
+    lo = col[0]
+    for i, (co, si) in enumerate(zip(cs[:c].tolist(), sn[:c].tolist())):
+        hi = col[i + 1]
+        col[i] = co * lo + si * hi
+        lo = -si * lo + co * hi
+    a, b = lo, col[c + 1]
+    rr = float(np.hypot(a, b))
+    co, si = (1.0, 0.0) if rr == 0.0 else (a / rr, b / rr)
+    cs[c], sn[c] = co, si
+    col[c], col[c + 1] = rr, 0.0
+    gc = g.item(c)
+    g[c], g[c + 1] = co * gc, -si * gc
+    r[:len(col), c] = col
+    return abs(-si * gc)
+
+
+def step_rows(source, j, n, tile, w_in, w, eta, h, u, givens, out) -> int:
+    """One Arnoldi step over the leading ``j`` rows of ``source``, spelled
+    with its three walks: the **step** of the module doc, the Python body
+    every source that has no compiled step runs, and the reference of
+    the compiled one.
+
+    ``w`` receives ``w_in`` and leaves orthogonalized; ``h`` (``j``)
+    receives the coefficients; ``u`` (``j``) is the sweep's scratch.
+    With ``givens`` (a :func:`givens_state` whose column ``j - 1`` this
+    is) and a finite outcome, the column ``(h, h_next)`` is absorbed
+    (:func:`givens_column`) and — unless a breakdown — ``w /= h_next``.
+    ``out`` receives ``h_next``, the implicit residual ``|g_j|`` (with
+    ``givens``), the nanoseconds spent in basis walks and the doubles of
+    work the largest walk used; returns the ``STEP_*`` flags.
+    """
+    w[:] = w_in
+    w_tilde = norm2_numpy(w, tile)  # omega-tilde of Fig. 1 step 3
+    h[:] = 0.0
+    u[:] = 0.0
+    started = perf_counter_ns()
+    used = source.fused_dot(j, n, tile, w, h)
+    # w -= V_j h and, in the same walk over the stored basis, the u = V_j^T w
+    # a second pass starts from: the eta test asks for that pass on nearly
+    # every step, and when it does not, u is dropped
+    used = max(used, source.fused_axpy_dot(j, n, tile, h, w, u))
+    walked = perf_counter_ns() - started
+    h_next = h_first = norm2_numpy(w, tile)
+    flags = 0
+    if h_next < eta * w_tilde:
+        flags = STEP_REORTH
+        started = perf_counter_ns()
+        source.fused_axpy(j, n, tile, u, w)
+        walked += perf_counter_ns() - started
+        h += u
+        h_next = norm2_numpy(w, tile)
+    if not (math.isfinite(h_next) and bool(np.isfinite(h).all())):
+        flags |= STEP_NONFINITE
+    elif h_next == 0.0 or h_next < eta * _EPS * w_tilde:
+        flags |= STEP_BREAKDOWN
+    elif flags & STEP_REORTH and h_next < eta * h_first:
+        flags |= STEP_LOSS
+    out[0], out[2], out[3] = h_next, walked, used
+    if givens is not None and not flags & STEP_NONFINITE:
+        out[1] = givens_column(givens_views(givens), j - 1, h, h_next)
+        if not flags & STEP_BREAKDOWN:
+            w /= h_next
+    return flags
+
+
 class _NumpyRows:
     """Float64 rows reduced by the numpy kernels above: the no-compiler
     spelling of the engine's row sources (:class:`repro.jit.cbackend.
-    DenseRows`), with their three walks.  It needs no work buffer."""
+    DenseRows`), with their walks.  It needs no work buffer."""
 
     __slots__ = ("rows",)
 
@@ -296,6 +460,8 @@ class _NumpyRows:
         axpy_rows_numpy(self.rows, j, n, y, w)
         dot_rows_numpy(self.rows, j, n, tile, w, u)
         return 0
+
+    step = step_rows
 
 
 def _dense_source(rows: np.ndarray, backend: str):
@@ -341,6 +507,8 @@ class _LoadedRows:
     def fused_axpy_dot(self, j, n, tile, y, w, u) -> int:
         return self._each_tile(j, n, tile, lambda rows, t0, t1: rows.fused_axpy_dot(
             j, t1 - t0, tile, y, w[t0:t1], u))
+
+    step = step_rows
 
 
 # ----------------------------------------------------------------------
@@ -551,3 +719,45 @@ def bill_dot_fused(j: int, n: int, tile_elems: int, tracer=NULL_TRACER,
     used :func:`axpy_dot_fused` result stands for, as that call would."""
     if j:
         _count_call(tracer, log, "dot", j, n, tile_elems)
+
+
+def bill_step_fused(j: int, n: int, tile_elems: int, flags: int, scratch: int,
+                    tracer=NULL_TRACER, log: Optional[FusedOpLog] = None) -> None:
+    """Bill an Arnoldi step (``flags`` from :func:`step_rows`) as the Fig. 1
+    kernels it stands for: a dot and an axpy per Gram-Schmidt pass — the
+    sweep is the first pass's axpy, and its ``u`` the second pass's dot."""
+    calls = 2 if flags & STEP_REORTH else 1
+    tiles, values = calls * -(-n // tile_elems), calls * j * n
+    if log is not None:
+        log.dot_calls += calls
+        log.dot_vectors += calls * j
+        log.axpy_calls += calls
+        log.axpy_vectors += calls * j
+        log.tiles += 2 * tiles
+        log.values += 2 * values
+        if 8 * scratch > log.peak_scratch_bytes:
+            log.peak_scratch_bytes = 8 * scratch
+    if tracer.enabled:
+        tracer.count("basis.fused.dot_calls", calls)
+        tracer.count("basis.fused.axpy_calls", calls)
+        tracer.count("basis.fused.tiles", 2 * tiles)
+        tracer.count("basis.fused.values", 2 * values)
+
+
+def norm2(w: np.ndarray, tile_elems: int = DEFAULT_TILE_ELEMS,
+          backend: Optional[str] = None) -> float:
+    """``||w||_2`` in the written order (**norm2**) over the grid of
+    ``tile_elems``: the same bits on every backend, thread count and BLAS.
+
+    Raises
+    ------
+    ValueError
+        If ``w`` is not a C-contiguous float64 vector or ``tile_elems``
+        is not positive.
+    """
+    w = _operand(w, (None,), "w")
+    if tile_elems < 1:
+        raise ValueError("tile_elems must be positive")
+    if _dispatch.resolve_backend(backend) == "jit":
+        return _dispatch.load_engine().norm2(w, tile_elems)
+    return norm2_numpy(w, tile_elems)

@@ -35,6 +35,12 @@ Every kernel replays the numpy reference *operation for operation*:
   FRSZ2 containers decoded a row piece at a time feed the same loop;
   the sweep ``fused_axpy_dot`` is the one followed by the other, walked
   once: a row's lanes persist across the pieces of a tile;
+* ``fused_norm2`` is ``fused_dot`` of a vector with itself, then the
+  correctly rounded ``sqrt``; the Arnoldi step ``fused_step`` is the three
+  walks, three such norms (the middle one reduced from the sweep's tiles
+  in that same lane order), the flags and the Givens column (``hypot``
+  from libm, the function ``np.hypot`` calls) in the order of its Python
+  body, :func:`repro.fused.kernels.step_rows`;
 * the ILU(0) factorisation and the triangular sweeps perform each row's
   operations in the reference's order; the sweeps visit the *rows* in
   another one — chunks of consecutive rows, independent chunks
@@ -101,6 +107,7 @@ family.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import re
 import subprocess
@@ -115,10 +122,13 @@ __all__ = ["CEngine", "ChunkSweep", "DenseRows", "RowPointers", "TileTable",
            "C_SOURCE"]
 
 C_SOURCE = r"""
+#include <float.h>
+#include <math.h>
 #include <pthread.h>
 #include <signal.h>
 #include <stdint.h>
 #include <string.h>
+#include <time.h>
 #include <unistd.h>
 
 #define MANTISSA_MASK 0xFFFFFFFFFFFFFULL
@@ -708,10 +718,13 @@ struct walk {
     double *part, *slices;
     int64_t stride;
     int32_t store;
+    double *sq;             /* the sweep's tile partials of w . w, or NULL */
+    double sumsq;           /* their sum in tile order, from +0.0 */
 };
 
 /* Every tile of the grid, a round at a time: the round's tiles on the
- * pool, each writing its j partials, then acc[r] += them in tile order. */
+ * pool, each writing its j partials, then acc[r] += them in tile order
+ * (and sumsq += the tile's w . w partial, when the sweep makes one). */
 static void fused_rounds(pool_task task, struct walk *k, double *acc,
                          int64_t threads)
 {
@@ -723,7 +736,16 @@ static void fused_rounds(pool_task task, struct walk *k, double *acc,
         for (int64_t t = 0; t < units; t++)
             for (int64_t r = 0; r < k->j; r++)
                 acc[r] += k->part[t * k->j + r];
+        if (k->sq)
+            for (int64_t t = 0; t < units; t++)
+                k->sumsq += k->sq[t];
     }
+}
+
+/* The fixed tree of eight lanes. */
+static inline __attribute__((always_inline)) double lanes_tree(const double *a)
+{
+    return ((a[0] + a[1]) + (a[2] + a[3])) + ((a[4] + a[5]) + (a[6] + a[7]));
 }
 
 /* The partials of v_r . w over tile t of the round, for every row in
@@ -749,7 +771,7 @@ static void dot_tile(const void *job, int64_t t, int64_t me)
                 a[q] += v[i + q] * x[i + q];
         for (int q = 0; i < len; i++, q++)
             a[q] += v[i] * x[i];
-        p[r] = ((a[0] + a[1]) + (a[2] + a[3])) + ((a[4] + a[5]) + (a[6] + a[7]));
+        p[r] = lanes_tree(a);
     }
 }
 
@@ -761,8 +783,26 @@ void fused_dot(FUSED_SOURCE, int64_t j, int64_t n, int64_t tile,
 {
     int64_t stride = v_dense ? 0 : ((tile < n ? tile : n) + 7) & ~7LL;
     struct walk k = {WALK_SOURCE, j, n, tile, 0, NULL, (double *)w, work,
-                     work + FUSED_ROUND * j, stride, 0};
+                     work + FUSED_ROUND * j, stride, 0, NULL, 0.0};
     fused_rounds(dot_tile, &k, h, threads);
+}
+
+/* ||x||: the dot of x with itself as one row read in place (x . x in the
+ * lane order above, tile partials added in tile order from +0.0), then
+ * the correctly rounded square root. */
+static double norm2_walk(const double *x, int64_t n, int64_t tile,
+                         int64_t threads)
+{
+    double part[FUSED_ROUND], acc = 0.0;
+    struct walk k = {x, n, NULL, NULL, 0, 0, 0, 0, 0, 1, n, tile, 0, NULL,
+                     (double *)x, part, part, 0, 0, NULL, 0.0};
+    fused_rounds(dot_tile, &k, &acc, threads);
+    return sqrt(acc);
+}
+
+double fused_norm2(const double *x, int64_t n, int64_t tile, int64_t threads)
+{
+    return norm2_walk(x, n, tile, threads);
 }
 
 /* Per element: s = y[0] v_0[i], then s += y[r] v_r[i] for r = 1..j-1,
@@ -836,7 +876,8 @@ static void axpy_run(const void *job, int64_t q, int64_t me)
 void fused_axpy(FUSED_SOURCE, int64_t j, int64_t n, const double *y,
                 double *w, int32_t store)
 {
-    struct walk k = {WALK_SOURCE, j, n, 0, 0, y, w, NULL, NULL, 0, store};
+    struct walk k = {WALK_SOURCE, j, n, 0, 0, y, w, NULL, NULL, 0, store,
+                     NULL, 0.0};
     pool_split(axpy_run, &k, (n + AXPY_RUN - 1) / AXPY_RUN, POOL_MAX, j * n);
 }
 
@@ -857,7 +898,7 @@ static void axpy_dot_tile(const void *job, int64_t t, int64_t me)
     const struct walk *k = job;
     int64_t j = k->j, t0 = (k->round + t) * k->tile;
     int64_t t1 = t0 + k->tile < k->n ? t0 + k->tile : k->n;
-    double s[FUSED_PIECE];
+    double s[FUSED_PIECE], sq[8] = {0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0};
     double *lanes = k->slices + me * k->stride, *buf = lanes + 8 * j;
     for (int64_t q = 0; q < 8 * j; q++)
         lanes[q] = 0.0;
@@ -867,6 +908,14 @@ static void axpy_dot_tile(const void *job, int64_t t, int64_t me)
         double *restrict x = k->w + i0;
         for (int64_t i = 0; i < len; i++)
             x[i] -= s[i];
+        if (k->sq) {
+            int64_t i = 0;
+            for (; i + 8 <= len; i += 8)
+                for (int q = 0; q < 8; q++)
+                    sq[q] += x[i + q] * x[i + q];
+            for (int q = 0; i < len; i++, q++)
+                sq[q] += x[i] * x[i];
+        }
         for (int64_t r = 0; r < j; r++) {
             const double *restrict v = k->v_dense
                 ? k->v_dense + r * k->v_ld + i0 : buf + r * FUSED_PIECE;
@@ -882,10 +931,10 @@ static void axpy_dot_tile(const void *job, int64_t t, int64_t me)
         }
     }
     double *p = k->part + t * j;
-    for (int64_t r = 0; r < j; r++) {
-        const double *a = lanes + 8 * r;
-        p[r] = ((a[0] + a[1]) + (a[2] + a[3])) + ((a[4] + a[5]) + (a[6] + a[7]));
-    }
+    for (int64_t r = 0; r < j; r++)
+        p[r] = lanes_tree(lanes + 8 * r);
+    if (k->sq)
+        k->sq[t] = lanes_tree(sq);
 }
 
 void fused_axpy_dot(FUSED_SOURCE, int64_t j, int64_t n, int64_t tile,
@@ -894,8 +943,109 @@ void fused_axpy_dot(FUSED_SOURCE, int64_t j, int64_t n, int64_t tile,
 {
     int64_t stride = j * (8 + (v_dense ? 0 : FUSED_PIECE));
     struct walk k = {WALK_SOURCE, j, n, tile, 0, y, w, work,
-                     work + FUSED_ROUND * j, stride, 0};
+                     work + FUSED_ROUND * j, stride, 0, NULL, 0.0};
     fused_rounds(axpy_dot_tile, &k, u, threads);
+}
+
+/* ---- one Arnoldi step: CGS2, its norms, the eta test and Givens ----------
+ * Everything between the SpMV output w_in and the basis write, in the
+ * order of the step's Python body (repro.fused.kernels.step_rows):
+ * w = w_in and w~ = ||w||; h = V^T w (the dot walk); the sweep w -= V h,
+ * u = V^T w, with ||w||^2 reduced from the tiles it finishes (a tile's
+ * w . w partial has the lane order of the norm's own walk, so h_next is
+ * the norm's bits); the eta test; on a second pass w -= V u (the axpy
+ * walk), h += u and h_next = ||w||.  Then the outcome — non-finite h or
+ * h_next, else breakdown (h_next == 0 or < eta eps w~), else loss of
+ * orthogonality (a second pass that failed the eta test again) — and,
+ * with Givens state (givens != NULL: cs, sn, g, R of an m-column least
+ * squares whose column j - 1 this is), unless non-finite: the rotations
+ * so far applied to (h, h_next), the new rotation by libm's hypot, the
+ * right-hand side rotated, and — unless a breakdown — w /= h_next.
+ * out = {h_next, |g_j|, nanoseconds in the basis walks}; returns the
+ * flags.  The values of STEP_* are those of repro.fused.kernels. */
+#define STEP_REORTH 1
+#define STEP_NONFINITE 2
+#define STEP_BREAKDOWN 4
+#define STEP_LOSS 8
+
+static double now_ns(void)
+{
+    struct timespec t;
+    clock_gettime(CLOCK_MONOTONIC, &t);
+    return (double)t.tv_sec * 1e9 + (double)t.tv_nsec;
+}
+
+int64_t fused_step(FUSED_SOURCE, int64_t j, int64_t n, int64_t tile,
+                   const double *w_in, double *w, double eta, double *h,
+                   double *u, double *givens, int64_t m, double *out,
+                   double *work, int64_t threads)
+{
+    memcpy(w, w_in, (size_t)n * sizeof *w);
+    double w_tilde = norm2_walk(w, n, tile, threads);
+    for (int64_t r = 0; r < j; r++)
+        h[r] = u[r] = 0.0;
+    double sq[FUSED_ROUND], started = now_ns();
+    struct walk k = {WALK_SOURCE, j, n, tile, 0, h, w, work,
+                     work + FUSED_ROUND * j,
+                     v_dense ? 0 : ((tile < n ? tile : n) + 7) & ~7LL, 0,
+                     NULL, 0.0};
+    fused_rounds(dot_tile, &k, h, threads);
+    k.stride = j * (8 + (v_dense ? 0 : FUSED_PIECE));
+    k.sq = sq;
+    fused_rounds(axpy_dot_tile, &k, u, threads);
+    double walked = now_ns() - started;
+    double h_next = sqrt(k.sumsq), h_first = h_next;
+    int64_t flags = 0;
+    if (h_next < eta * w_tilde) {
+        flags |= STEP_REORTH;
+        started = now_ns();
+        struct walk a = {WALK_SOURCE, j, n, 0, 0, u, w, NULL, NULL, 0, 0,
+                         NULL, 0.0};
+        pool_split(axpy_run, &a, (n + AXPY_RUN - 1) / AXPY_RUN, POOL_MAX,
+                   j * n);
+        walked += now_ns() - started;
+        for (int64_t r = 0; r < j; r++)
+            h[r] = h[r] + u[r];
+        h_next = norm2_walk(w, n, tile, threads);
+    }
+    int finite = isfinite(h_next);
+    for (int64_t r = 0; r < j && finite; r++)
+        finite = isfinite(h[r]);
+    if (!finite)
+        flags |= STEP_NONFINITE;
+    else if (h_next == 0.0 || h_next < eta * DBL_EPSILON * w_tilde)
+        flags |= STEP_BREAKDOWN;
+    else if ((flags & STEP_REORTH) && h_next < eta * h_first)
+        flags |= STEP_LOSS;
+    out[0] = h_next;
+    out[2] = walked;
+    if (givens && !(flags & STEP_NONFINITE)) {
+        double *cs = givens, *sn = givens + m, *g = givens + 2 * m;
+        double *col = givens + 3 * m + 1 + (j - 1);  /* R[i][j - 1]: col[i * m] */
+        double lo = h[0];
+        for (int64_t i = 0; i < j - 1; i++) {
+            double hi = h[i + 1];
+            col[i * m] = cs[i] * lo + sn[i] * hi;
+            lo = -sn[i] * lo + cs[i] * hi;
+        }
+        double r = hypot(lo, h_next), c = 1.0, s = 0.0;
+        if (r != 0.0) {
+            c = lo / r;
+            s = h_next / r;
+        }
+        cs[j - 1] = c;
+        sn[j - 1] = s;
+        col[(j - 1) * m] = r;
+        col[j * m] = 0.0;
+        double gj = g[j - 1];
+        g[j - 1] = c * gj;
+        g[j] = -s * gj;
+        out[1] = fabs(g[j]);
+        if (!(flags & STEP_BREAKDOWN))
+            for (int64_t i = 0; i < n; i++)
+                w[i] /= h_next;
+    }
+    return flags;
 }
 
 /* ---- SpMV: runs of POOL_ROWS rows ----------------------------------------
@@ -1204,7 +1354,8 @@ _CDEF = _declarations(C_SOURCE)
 #: -O3 is for the loop vectoriser (the exact-scale FRSZ2 decode); it
 #: reorders no floating-point operation under these two flags.  No -m
 #: flag: width comes from the CLONED routines of C_SOURCE.  -pthread:
-#: the pool's helpers.
+#: the pool's helpers; -lm (after the source): the step's sqrt and hypot,
+#: libm's own — hypot is the function ``np.hypot`` calls.
 _CFLAGS = ["-O3", "-fPIC", "-shared", "-ffp-contract=off", "-fno-fast-math",
            "-pthread"]
 
@@ -1243,7 +1394,7 @@ def _compile(compiler: str, flags, lib_path: str) -> None:
             f.write(C_SOURCE)
         tmp_lib = src_path + ".so"
         subprocess.run(
-            [compiler, *flags, src_path, "-o", tmp_lib],
+            [compiler, *flags, src_path, "-o", tmp_lib, "-lm"],
             check=True,
             capture_output=True,
             text=True,
@@ -1406,6 +1557,35 @@ class _Rows:
                            ptr("double *", w), ptr("double *", u), work,
                            threads)
         return j * per_row
+
+    def step(self, j: int, n: int, tile: int, w_in, w, eta: float, h, u,
+             givens, out) -> int:
+        """One Arnoldi step (``fused_step`` in ``C_SOURCE``): the bits of
+        :func:`repro.fused.kernels.step_rows` over these rows, in one call;
+        ``givens`` (or ``None``), the Givens state whose column ``j - 1``
+        this is, is updated in place.  ``out[3]``: the doubles of work the
+        dot and the sweep each use, the larger."""
+        engine = self._engine
+        threads, held = engine.threads, engine.fused_round
+        decoded = -(-min(tile, n) // 8) * 8 if self.piece else 0
+        per_row = held + threads * (8 + self.piece)
+        lib, ptr, work = self._walk(j, n, max(
+            held * self.capacity + threads * decoded, self.capacity * per_row))
+        m = 0
+        if givens is not None:  # a state of m columns: (m + 2)**2 - 3 doubles
+            m = math.isqrt(givens.size + 3) - 2
+            if (givens.dtype != np.float64 or (m + 2) ** 2 - 3 != givens.size
+                    or not j <= m):
+                raise ValueError(
+                    f"no Givens state of at least {j} columns: "
+                    f"{givens.dtype} {givens.shape}")
+        flags = lib.fused_step(
+            *self.source, j, n, tile, ptr("double *", w_in),
+            ptr("double *", w), eta, ptr("double *", h), ptr("double *", u),
+            engine._ffi.NULL if givens is None else ptr("double *", givens),
+            m, ptr("double *", out), work, threads)
+        out[3] = max(held * j + threads * decoded, j * per_row)
+        return flags
 
 
 class DenseRows(_Rows):
@@ -1699,6 +1879,12 @@ class CEngine:
         """Same-layout :class:`RowPointers` as one fused-kernel source,
         with room for ``capacity`` rows (:meth:`TileTable.bind`)."""
         return TileTable(self, rows, capacity)
+
+    def norm2(self, x: np.ndarray, tile: int) -> float:
+        """``||x||`` of a C-contiguous float64 vector in the fused dot's
+        lane order over a grid of ``tile`` (``fused_norm2``)."""
+        return self._lib.fused_norm2(self._ptr(x, "double *"), x.size, tile,
+                                     self.threads)
 
     def dense_rows(self, rows: np.ndarray) -> "DenseRows":
         """A C-contiguous 2-D float64 array as a fused-kernel source."""

@@ -270,6 +270,75 @@ def _check_fused(engine, rng: np.random.Generator) -> None:
                         f"{what} n={n} T={count} against T=1)")
     finally:
         engine.set_threads(pool)
+    _check_norm2_and_step(engine, rng)
+
+
+def _check_norm2_and_step(engine, rng: np.random.Generator) -> None:
+    """``norm2`` on the codec's edge vectors (subnormals, signed zeros,
+    squares that overflow) and ``step`` against its Python body
+    (``step_rows``) over the same float64 rows, with the Givens state: at
+    j = 1, an exact breakdown (``w`` in the span), a loss of orthogonality
+    (two rows along one direction), a reorthogonalizing step, a one-pass
+    step and a non-finite ``w`` — each checked to be the case it claims,
+    then held to the body's flags, ``h``, ``w``, norm, residual and Givens
+    state, bit for bit.  The reorthogonalizing step, which makes all three
+    walks, also runs over FRSZ2 rows: what the step adds to the walks held
+    above does not depend on the source."""
+    from ..core.blocks import BlockLayout
+    from ..core.frsz2 import Frsz2Compressed
+    from ..fused.kernels import (STEP_BREAKDOWN, STEP_LOSS, STEP_NONFINITE,
+                                 STEP_REORTH, _NumpyRows, givens_column,
+                                 givens_state, givens_views, norm2_numpy)
+
+    n, tile = 203, 64
+    for x, t in ((_sample_values(rng, n), 40), (_sample_small(rng, n), tile)):
+        _expect(_same_bits(np.float64(norm2_numpy(x, t)),
+                           np.float64(engine.norm2(x, t))),
+                f"fused.norm2 (tile={t})")
+
+    e0, e1 = np.zeros(n), np.zeros(n)
+    e0[0] = e1[1] = 1.0
+    spread = np.vstack([e0, 0.5 * e0])
+    orthonormal = rng.standard_normal((6, n))
+    for r, v in enumerate(orthonormal):  # Gram-Schmidt, twice: no LAPACK
+        for _ in range(2):
+            for q in orthonormal[:r]:
+                v -= (v * q).sum() * q
+        v /= np.sqrt((v * v).sum())
+    layout = BlockLayout(n, 32, 32)
+    comps = [Frsz2Compressed(layout, *engine.encode(v, layout, False)[::-1])
+             for v in orthonormal]
+    decoded = np.empty_like(orthonormal)
+    engine.decode_tile(comps)(0, n, decoded)
+    table = engine.row_table(map(engine.row_pointers, comps))
+    # terms 2^16 apart in size: a sum of squares in any other lane order
+    # rounds differently often enough to show through the square root
+    plain = rng.standard_normal(n) * np.exp2(rng.integers(-8, 8, n).astype(float))
+    in_span = (rng.standard_normal((6, 1)) * orthonormal).sum(axis=0) + 1e-6 * plain
+    poisoned = plain.copy()
+    poisoned[77] = np.nan
+    columns = [rng.standard_normal(k + 1) for k in range(5)]
+    for tag, rows, dense, j, w, want in (
+            ("j=1", None, spread, 1, plain, 0),
+            ("breakdown", None, spread, 1, 3.0 * e0, STEP_REORTH | STEP_BREAKDOWN),
+            ("loss", None, spread, 2, e0 + 0.1 * e1, STEP_REORTH | STEP_LOSS),
+            ("reorthogonalizing", None, orthonormal, 6, in_span, STEP_REORTH),
+            ("reorthogonalizing, l=32", table, decoded, 6, in_span, STEP_REORTH),
+            ("one pass", None, orthonormal, 6, plain, 0),
+            ("non-finite", None, orthonormal, 6, poisoned, STEP_NONFINITE)):
+        results = []
+        for source in (_NumpyRows(dense), rows or engine.dense_rows(dense)):
+            givens = givens_state(6)
+            givens[2 * 6] = 1.5  # g_0 = beta
+            for c, h in enumerate(columns[:j - 1]):
+                givens_column(givens_views(givens), c, h, 0.75)
+            h, v, u, out = np.empty(j), np.empty(n), np.empty(j), np.zeros(4)
+            flags = source.step(j, n, tile, w, v, 2.0 ** -0.5, h, u, givens, out)
+            results.append((flags, h, v, out[:2], givens))
+        (flags, *ref), (got_flags, *got) = results
+        _expect(flags == want, f"fused.step ({tag}): the body's flags are {flags}")
+        _expect(got_flags == flags and all(
+            _same_bits(a, b) for a, b in zip(ref, got)), f"fused.step ({tag})")
 
 
 def _dot(rows, j, n, tile, w):

@@ -71,6 +71,9 @@ class NullTracer:
     def count(self, name: str, value: float = 1) -> None:
         return None
 
+    def record(self, name: str, seconds: float, **attrs: Any) -> None:
+        return None
+
     @property
     def spans(self) -> List["SpanRecord"]:
         return []
@@ -209,6 +212,24 @@ class Tracer:
             self._stack[-1].child_seconds += rec.seconds
         self.spans.append(rec)
 
+    def record(self, name: str, seconds: float, **attrs: Any) -> None:
+        """A finished span of ``seconds`` that ends now, nested under the
+        open span: how a compiled call's own parts enter the tree (the
+        Arnoldi step reports the time of its basis walks as one
+        ``basis_read`` under ``orthogonalize``)."""
+        end = self._clock()
+        parent = self._stack[-1] if self._stack else None
+        self.spans.append(SpanRecord(
+            name=name,
+            path=f"{parent.path}/{name}" if parent else name,
+            depth=len(self._stack),
+            start=end - seconds,
+            end=end,
+            attrs=attrs,
+        ))
+        if parent:
+            parent.child_seconds += seconds
+
     def count(self, name: str, value: float = 1) -> None:
         """Add ``value`` to counter ``name`` (created at zero).
 
@@ -308,6 +329,9 @@ class ScopedTracer:
 
     def count(self, name: str, value: float = 1) -> None:
         self.base.count(self._qualify(name), value)
+
+    def record(self, name: str, seconds: float, **attrs: Any) -> None:
+        self.base.record(self._qualify(name), seconds, **attrs)
 
     def scope(self, prefix: str) -> "ScopedTracer":
         """A child scope: ``scope("x").scope("y")`` prefixes ``x.y.``."""

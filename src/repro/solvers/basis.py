@@ -55,9 +55,11 @@ from ..fused import (
     axpy_dot_fused,
     axpy_fused,
     bill_dot_fused,
+    bill_step_fused,
     combine_fused,
     dot_basis_fused,
 )
+from ..fused.kernels import STEP_NONFINITE, STEP_REORTH
 from ..observe import NULL_TRACER
 
 __all__ = ["KrylovBasis", "BASIS_MODES"]
@@ -166,6 +168,9 @@ class KrylovBasis:
             TileReader(None, 0, self.n, self.backend) if self._cache is None
             else CachedTileReader(self._cache, 0, self.backend)
         )
+        #: the step's scratch ``u`` and its ``out`` words (see :meth:`step`)
+        self._u = np.empty(m + 1)
+        self._out = np.zeros(4)
 
     @property
     def bits_per_value(self) -> float:
@@ -413,18 +418,59 @@ class KrylovBasis:
             self._count_read(j)
         bill_dot_fused(j, self.n, self.tile_elems, self.tracer, self.fused_log)
 
-    def _count_read(self, j: int) -> None:
-        """Tally the stored bytes a GPU kernel would stream for ``V_j``
-        (callers skip the call under the null tracer)."""
+    def step(self, j: int, w: np.ndarray, eta: float, lsq=None):
+        """One Arnoldi step against the leading ``j >= 1`` vectors, in one
+        walk of the row source (:func:`repro.fused.kernels.step_rows`).
+
+        ``w`` (the SpMV output, not modified) is copied and orthogonalized
+        by CGS2 with the ``eta`` test of Fig. 1; with ``lsq``, a
+        :class:`~repro.solvers.GivensLeastSquares` holding ``j - 1``
+        columns, the step also absorbs its column and — on a finite step
+        that is no breakdown — normalises the copy.  A compiled source
+        (the mirror's rows, the kept FRSZ2 table) runs it as one C call;
+        every other source runs the Python body, with the same bits.
+
+        Returns ``(flags, h, v, h_next, residual)``: the ``STEP_*`` flags,
+        ``h_{1:j}``, the copy, ``h_{j+1,j}`` and (with ``lsq``) the
+        implicit residual norm.  Billed as Fig. 1's kernels: a dot and an
+        axpy per pass, read ``j`` vectors each; under a live tracer the
+        walks' time is one ``basis_read`` span.
+        """
+        n, tile = self.n, self.tile_elems
+        w = np.ascontiguousarray(w, dtype=np.float64)
+        if w.shape != (n,):
+            raise ValueError(f"w must be a vector of {n} values, got shape {w.shape}")
+        if not 1 <= j <= self.m or lsq is not None and (
+                lsq.size != j - 1 or j > lsq.m):
+            raise ValueError(
+                f"step {j} of a basis of {self.m} and a least squares holding "
+                f"{None if lsq is None else lsq.size} columns"
+            )
+        h, v, out = np.empty(j), np.empty(n), self._out
+        flags = self._rows(j).source.step(
+            j, n, tile, w, v, eta, h, self._u[:j],
+            None if lsq is None else lsq.state, out)
+        if lsq is not None and not flags & STEP_NONFINITE:
+            lsq.size = j  # the step absorbed column j - 1
+        tracer = self.tracer
+        bill_step_fused(j, n, tile, flags, int(out[3]), tracer, self.fused_log)
+        if tracer.enabled:
+            tracer.record("basis_read", out[2] * 1e-9, vectors=j)
+            self._count_read(j, 4 if flags & STEP_REORTH else 2)
+        return flags, h, v, float(out[0]), float(out[1])
+
+    def _count_read(self, j: int, passes: int = 1) -> None:
+        """Tally the stored bytes a GPU kernel would stream for ``V_j``,
+        ``passes`` times (callers skip the call under the null tracer)."""
         if j > 0:
-            self.tracer.count("basis.vector_reads", j)
+            self.tracer.count("basis.vector_reads", passes * j)
             if self.uniform_storage:
                 nbytes = j * self.stored_vector_nbytes
             else:  # mixed-format basis: bill each slot at its own width
                 nbytes = sum(
                     acc.stored_nbytes() for acc in self.accessors[:j]
                 )
-            self.tracer.count("basis.bytes_read", nbytes)
+            self.tracer.count("basis.bytes_read", passes * nbytes)
 
     def reset(self) -> None:
         """Forget all vectors (used at restart).

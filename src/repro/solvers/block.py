@@ -26,11 +26,12 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from ..fused import norm2
+from ..fused.kernels import STEP_BREAKDOWN, STEP_LOSS, STEP_NONFINITE, STEP_REORTH
 from .adaptive import ADAPTIVE_STORAGE, CycleFeedback, PrecisionController
 from .basis import KrylovBasis
 from .gmres import BreakdownEvent, GmresResult, ResidualSample, SolveStats
 from .hessenberg import GivensLeastSquares
-from .orthogonal import cgs_orthogonalize
 
 #: a restart counts as progress only when its explicit residual is below
 #: this fraction of the best one so far (``CbGmres(stall_restarts=)``)
@@ -88,7 +89,6 @@ class _Solve:
     def __init__(self, solver, b, target, x, record_history, monitor):
         self.solver = solver
         self.b = b
-        self.bnorm = float(np.linalg.norm(b))
         self.target = target
         self.x = x
         self.record_history = record_history
@@ -134,6 +134,7 @@ class _Solve:
             solver._storage_factory,
         )
         self.basis = new_basis("float64") if solver._flexible else self.stored
+        self.bnorm = self.norm(b)
         self.stats = SolveStats(
             n=n,
             nnz=a.nnz,
@@ -147,6 +148,12 @@ class _Solve:
         self.events: List[BreakdownEvent] = []
 
     # -- bookkeeping ------------------------------------------------------
+    def norm(self, v: np.ndarray) -> float:
+        """``||v||`` in the fused lane order over the basis's tile grid
+        (:func:`repro.fused.norm2`): no BLAS, so no bit depends on the
+        host's BLAS threads."""
+        return norm2(v, self.basis.tile_elems, self.basis.backend)
+
     def recover(self, event: BreakdownEvent) -> bool:
         """Log a recovery; False — and the solve finished, exhausted —
         once the fruitless budget is spent."""
@@ -251,7 +258,7 @@ class _Solve:
         r = self.b - ax
         self.stats.spmv_calls += 1
         self.stats.dense_vector_ops += 2
-        beta = float(np.linalg.norm(r))
+        beta = self.norm(r)
         if solver.recovery and not np.isfinite(beta):
             # a fault in the restart SpMV itself (x is known finite:
             # poisoned updates are never applied) — recompute on the
@@ -311,12 +318,17 @@ class _Solve:
             self.in_step = False
             return
 
+        # CGS2, the eta test, the Givens column and v = w / h_next: one
+        # walk of the basis (a single C call on a compiled source)
         with self.tracer.span("orthogonalize"):
-            ores = cgs_orthogonalize(self.basis, j, w, solver.eta)
-        self.bill(self.basis, reads=2 * j if ores.reorthogonalized else j)
-        stats.reorthogonalizations += int(ores.reorthogonalized)
+            flags, _, v, _, residual = self.basis.step(j, w, solver.eta, self.lsq)
+        reorth = flags & STEP_REORTH
+        self.bill(self.basis, reads=2 * j if reorth else j)
+        stats.reorthogonalizations += bool(reorth)
         stats.dense_vector_ops += 4
-        if solver.recovery and ores.nonfinite:
+        if flags & STEP_NONFINITE:
+            if not solver.recovery:
+                raise FloatingPointError("non-finite Hessenberg column")
             self.poison = BreakdownEvent(
                 self.total_iters, "nonfinite_orthogonalization"
             )
@@ -324,16 +336,16 @@ class _Solve:
             return
         self.total_iters += 1
         stats.iterations += 1
-        impl = self.lsq.append_column(ores.h, ores.h_next) / self.bnorm
+        impl = residual / self.bnorm
         self.j_used = j
         if self.record_history:
             self.history.append(ResidualSample(self.total_iters, impl, "implicit"))
         if self.monitor is not None:
             self.monitor(self.total_iters, j, self.basis, impl)
-        if ores.breakdown:
+        if flags & STEP_BREAKDOWN:
             self.in_step = False  # happy breakdown: solution is in the subspace
             return
-        if solver.recovery and ores.loss_of_orthogonality:
+        if solver.recovery and flags & STEP_LOSS:
             # the columns absorbed so far are valid: apply the partial
             # update, then restart the cycle early
             self.events.append(
@@ -341,8 +353,7 @@ class _Solve:
             )
             self.in_step = False
             return
-        self.v = ores.w  # the step's own copy: normalised where it is
-        self.v /= ores.h_next
+        self.v = v  # the step's own copy, normalised by the step
         try:
             self.basis.write_vector(j, self.v)
         except (ValueError, OverflowError) as exc:
@@ -383,7 +394,7 @@ class _Solve:
         """Final explicit residual, then the result."""
         with self.tracer.span("spmv"):
             ax = self.solver.a.matvec(self.x)
-        final_rrn = float(np.linalg.norm(self.b - ax) / self.bnorm)
+        final_rrn = self.norm(self.b - ax) / self.bnorm
         self.stats.spmv_calls += 1
         if self.solver.recovery and not np.isfinite(final_rrn):
             # the verification SpMV itself was hit; x is finite, so

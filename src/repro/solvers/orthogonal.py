@@ -7,31 +7,25 @@ pre-orthogonalization norm, a second pass runs and its coefficients are
 accumulated into ``h`` (steps 7-10).  This is the paper's and Ginkgo's
 choice (Aliaga et al., *Compressed Basis GMRES on High Performance
 GPUs*): one walk of the stored basis per pass, where modified
-Gram-Schmidt walks it one vector at a time.
+Gram-Schmidt walks it one vector at a time.  The passes, their norms and
+the eta test are one :meth:`KrylovBasis.step` — a single C call on a
+compiled row source, :func:`repro.fused.step_rows` (its Python body)
+on any other — which the solver also hands its Givens state.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ..fused.kernels import STEP_BREAKDOWN, STEP_LOSS, STEP_NONFINITE, STEP_REORTH
 from .basis import KrylovBasis
 
 __all__ = ["OrthogonalizationResult", "cgs_orthogonalize", "DEFAULT_ETA"]
 
 #: re-orthogonalization threshold; 1/sqrt(2) is the usual DGKS-style choice
 DEFAULT_ETA = 2.0 ** -0.5
-
-_EPS = float(np.finfo(np.float64).eps)
-
-
-def _norm(w: np.ndarray) -> float:
-    """``||w||_2`` of a float64 vector as a machine float: the dot and the
-    correctly rounded root ``np.linalg.norm`` computes for such a vector
-    (same bits — held by a test), without its argument handling."""
-    return math.sqrt(float(w.dot(w)))
 
 
 @dataclass
@@ -56,55 +50,19 @@ class OrthogonalizationResult:
     loss_of_orthogonality: bool = False
 
 
-def _finish(
-    h: np.ndarray,
-    h_next: float,
-    w: np.ndarray,
-    w_tilde: float,
-    reorth: bool,
-    h_first: float,
-    eta: float,
+def cgs_orthogonalize(
+    basis: KrylovBasis, j: int, w: np.ndarray, eta: float = DEFAULT_ETA
 ) -> OrthogonalizationResult:
-    """Classify the step outcome of the Gram-Schmidt passes."""
-    nonfinite = not (math.isfinite(h_next) and bool(np.isfinite(h).all()))
-    breakdown = (not nonfinite) and (
-        h_next == 0.0 or h_next < eta * _EPS * w_tilde
-    )
-    loss = (
-        not nonfinite
-        and not breakdown
-        and reorth
-        and h_next < eta * h_first
-    )
+    """Classical Gram-Schmidt with conditional re-orthogonalization: the
+    Arnoldi step of :meth:`KrylovBasis.step` without a Givens update
+    (``w`` is left as it is; the result holds an orthogonalized copy)."""
+    flags, h, w, h_next, _ = basis.step(j, w, eta)
     return OrthogonalizationResult(
         h=h,
         h_next=h_next,
         w=w,
-        reorthogonalized=reorth,
-        breakdown=breakdown,
-        nonfinite=nonfinite,
-        loss_of_orthogonality=loss,
+        reorthogonalized=bool(flags & STEP_REORTH),
+        breakdown=bool(flags & STEP_BREAKDOWN),
+        nonfinite=bool(flags & STEP_NONFINITE),
+        loss_of_orthogonality=bool(flags & STEP_LOSS),
     )
-
-
-def cgs_orthogonalize(
-    basis: KrylovBasis, j: int, w: np.ndarray, eta: float = DEFAULT_ETA
-) -> OrthogonalizationResult:
-    """Classical Gram-Schmidt with conditional re-orthogonalization."""
-    w = np.array(w, dtype=np.float64)
-    w_tilde = _norm(w)  # omega-tilde of Fig. 1 step 3
-    h = basis.dot_basis(j, w)
-    # w -= V_j h and, in the same walk over the stored basis, the u = V_j^T w
-    # a second pass starts from: the eta test asks for that pass on nearly
-    # every step, and when it does not, u is dropped unbilled
-    u = basis.axpy_dot(j, h, w)
-    h_next = _norm(w)
-    h_first = h_next
-    reorth = h_next < eta * w_tilde
-    if reorth:
-        basis.bill_dot(j)
-        basis.axpy(j, u, w)
-        h = h + u
-        h_next = _norm(w)
-    return _finish(h, h_next, w, w_tilde, reorth, h_first, eta)
-

@@ -27,6 +27,7 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from ..core.ieee754 import effective_biased_exponent, significand53, to_bits
+from ..fused import norm2
 from ..gpu.device import DeviceSpec, H100_PCIE
 from ..gpu.timing import GmresTimingModel
 from ..sparse.csr import CSRMatrix
@@ -125,8 +126,8 @@ def predict_format(
     observed residual reduction per modeled device second — the paper's
     "convergence per unit time of several candidate methods".
     """
-    b = np.asarray(b, dtype=np.float64)
-    bnorm = float(np.linalg.norm(b))
+    b = np.ascontiguousarray(b, dtype=np.float64)
+    bnorm = norm2(b)
     if bnorm == 0.0:
         feats = exponent_spread_features(b)
         return FormatRecommendation(storage="float64", features=feats)

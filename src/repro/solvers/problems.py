@@ -12,6 +12,7 @@ from typing import Optional
 
 import numpy as np
 
+from ..fused import norm2
 from ..sparse.csr import CSRMatrix
 from ..sparse.suite import SUITE, build_matrix, resolve_scale
 
@@ -19,9 +20,11 @@ __all__ = ["Problem", "make_expected_solution", "make_rhs", "make_problem"]
 
 
 def make_expected_solution(n: int) -> np.ndarray:
-    """``x_sol = s / ||s||`` with ``s[i] = sin(i)`` (paper Section V-B)."""
+    """``x_sol = s / ||s||`` with ``s[i] = sin(i)`` (paper Section V-B);
+    the norm in the fused lane order, so ``b`` is the same whatever the
+    host's BLAS threads."""
     s = np.sin(np.arange(n, dtype=np.float64))
-    return s / np.linalg.norm(s)
+    return s / norm2(s)
 
 
 def make_rhs(a: CSRMatrix) -> "tuple[np.ndarray, np.ndarray]":

@@ -1,13 +1,13 @@
 """The scalar glue of an Arnoldi step, and how much interpreter it costs.
 
-Around the basis walks a step does its scalar work in machine floats —
-norms as ``math.sqrt(float(w.dot(w)))``, the Givens column as a Python
-list — which is only allowed because it is the same IEEE operations as
-the numpy-scalar spelling it replaced: both spellings are held to each
-other here as raw ``uint64``, so a numpy that changes its norm fails a
-test, not a benchmark gate.  The last class counts the frames of
-``repro`` code a step enters: the one place a change that re-thickens
-the step turns red, deterministically.
+Around the basis walks a step does its scalar work in one written order:
+the norms are :func:`repro.fused.norm2` — the fused dot's lane order, no
+BLAS — held here to a spelled-out scalar oracle on both backends and at
+several thread counts; the Givens column of
+:meth:`~repro.solvers.GivensLeastSquares.append_column` runs in machine
+floats, held to the numpy-scalar spelling it replaced as raw ``uint64``.
+The last class counts the frames of ``repro`` code a step enters: the one
+place a change that re-thickens the step turns red, deterministically.
 """
 
 import math
@@ -18,8 +18,9 @@ import numpy as np
 import pytest
 
 import repro
+from repro.fused import DEFAULT_TILE_ELEMS, norm2
+from repro.jit import dispatch
 from repro.solvers import CbGmres, GivensLeastSquares
-from repro.solvers.orthogonal import _norm
 from repro.sparse import generators
 
 from .backends import requires_jit
@@ -86,10 +87,10 @@ class TestGivensInMachineFloats:
                     h[i] = 0.0
             assert _bits(ours.append_column(h.copy(), h_next)) == _bits(
                 ref.append_column(h.copy(), h_next))
-            assert _bits(ours._r) == _bits(ref._r)
-            assert _bits(ours._g) == _bits(ref._g)
-            assert _bits(ours._cs) == _bits(ref._cs[: j + 1])
-            assert _bits(ours._sn) == _bits(ref._sn[: j + 1])
+            assert _bits(ours.r) == _bits(ref._r)
+            assert _bits(ours.g) == _bits(ref._g)
+            assert _bits(ours.cs[: j + 1]) == _bits(ref._cs[: j + 1])
+            assert _bits(ours.sn[: j + 1]) == _bits(ref._sn[: j + 1])
         assert ours.size == m
 
     def test_nonfinite_columns_fail_loudly(self):
@@ -105,25 +106,66 @@ class TestGivensInMachineFloats:
             full.append_column(np.array([1.0, 2.0]), 1.0)
 
 
+def _norm2_oracle(w, tile):
+    """The written order of ``norm2``, one scalar at a time: per tile of
+    the grid, eight lanes from +0.0, element ``i`` squared into lane
+    ``(i - t0) mod 8``, the fixed tree; the tile partials summed in tile
+    order from +0.0; the correctly rounded root."""
+    total = 0.0
+    values = w.tolist()
+    for t0 in range(0, len(values), tile):
+        a = [0.0] * 8
+        for i, x in enumerate(values[t0:t0 + tile]):
+            a[i % 8] += x * x
+        total += ((a[0] + a[1]) + (a[2] + a[3])) + ((a[4] + a[5]) + (a[6] + a[7]))
+    return math.sqrt(total)
+
+
+def _norm2_everywhere(w, tile=DEFAULT_TILE_ELEMS):
+    """``norm2(w)`` on the numpy backend and, with an engine, on the jit
+    backend at one, two and three threads of the pool."""
+    got = [norm2(w, tile, "numpy")]
+    engine = dispatch.load_engine()
+    if engine is not None:
+        pool = engine.threads
+        try:
+            for threads in (1, 2, 3):
+                engine.set_threads(threads)
+                got.append(norm2(w, tile, "jit"))
+        finally:
+            engine.set_threads(pool)
+    return got
+
+
 class TestNormInMachineFloats:
     #: the four benchmark workloads' vector lengths (48^3, 24^3, 64^3 and
-    #: the serve suite's cfd2), then odd tails around BLAS unrolls
+    #: the serve suite's cfd2), then odd tails around the lanes and tiles
     LENGTHS = (110592, 13824, 262144, 19683, 1, 2, 3, 7, 31, 33, 255, 1001)
 
     @pytest.mark.parametrize("n", LENGTHS)
-    def test_sqrt_of_dot_is_numpys_norm(self, n):
+    def test_the_written_lane_order(self, n):
         rng = np.random.default_rng(n)
         for scale in (1.0, 1e-160, 1e150):
             w = rng.standard_normal(n) * scale
-            assert _bits(_norm(w)) == _bits(np.linalg.norm(w))
-            assert isinstance(_norm(w), float)
+            want = _norm2_oracle(w, DEFAULT_TILE_ELEMS)
+            for got in _norm2_everywhere(w):
+                assert isinstance(got, float)
+                assert _bits(got) == _bits(want)
+        # a grid of its own: the partials of many tiles, more than a round
+        w = rng.standard_normal(n)
+        for got in _norm2_everywhere(w, 8):
+            assert _bits(got) == _bits(_norm2_oracle(w, 8))
 
     def test_nonfinite_vectors_do_not_raise(self):
-        assert math.isnan(_norm(np.array([1.0, np.nan])))
-        assert _norm(np.array([np.inf, 1.0])) == math.inf
-        with np.errstate(over="ignore"):  # the dot overflows, as in numpy's
-            assert _norm(np.full(4, 1e200)) == math.inf
-        assert _norm(np.zeros(0)) == 0.0
+        # an overflowing sum of squares is inf, not a warning (-W error)
+        for vector, check in (
+            (np.array([1.0, np.nan]), math.isnan),
+            (np.array([np.inf, 1.0]), lambda v: v == math.inf),
+            (np.array([1.0, -np.inf]), lambda v: v == math.inf),
+            (np.full(4, 1e200), lambda v: v == math.inf),
+            (np.zeros(0), lambda v: v == 0.0),
+        ):
+            assert all(map(check, _norm2_everywhere(vector)))
 
 
 def _repro_frames_per_step(storage, basis_mode):
@@ -159,12 +201,12 @@ class TestInterpreterBudget:
     before the basis kept its source, 115.4 and 80.9 while the restart
     cycle stepped a list of columns, 110.2 and 75.7 at one right-hand
     side; 108.1 and 73.5 with one SpMV operator; 101.2 and 71.5 once an
-    untraced accessor bills nothing).  Deterministic: a count, no
-    clock."""
+    untraced accessor bills nothing; 64.0 and 41.3 with the step one
+    call).  Deterministic: a count, no clock."""
 
     @pytest.mark.parametrize("storage, basis_mode, iterations, budget", [
-        ("frsz2_32", "streaming", 119, 103),
-        ("float64", "cached", 117, 73),
+        ("frsz2_32", "streaming", 119, 66),
+        ("float64", "cached", 117, 43),
     ])
     def test_frames_per_step(self, storage, basis_mode, iterations, budget):
         frames, steps = _repro_frames_per_step(storage, basis_mode)

@@ -918,6 +918,119 @@ class TestSolverBitIdentity:
         ]
 
 
+def _three_walks(basis, j, w, eta):
+    """The Arnoldi step as the three billed walks of the basis — dot, sweep
+    and, on a second pass, the dot its ``u`` stands for and the axpy —
+    with ``norm2`` between them: what ``KrylovBasis.step`` must bill."""
+    tile, backend = basis.tile_elems, basis.backend
+    w = w.copy()
+    w_tilde = repro.fused.norm2(w, tile, backend)
+    h = basis.dot_basis(j, w)
+    u = basis.axpy_dot(j, h, w)
+    h_next = repro.fused.norm2(w, tile, backend)
+    if h_next < eta * w_tilde:
+        basis.bill_dot(j)
+        basis.axpy(j, u, w)
+        h = h + u
+        h_next = repro.fused.norm2(w, tile, backend)
+    return h, w, h_next
+
+
+class TestStepIsThePythonBody:
+    """``KrylovBasis.step`` on a compiled source is one C call; its
+    reference is ``step_rows``, the Python body every other source runs.
+    Forcing the body onto the compiled sources moves no bit of a solve on
+    any rung, and the step bills what its three walks billed."""
+
+    RUNGS = ["float64", "float32", "float16", "frsz2_16", "frsz2_21",
+             "frsz2_32", "adaptive"]
+
+    @staticmethod
+    def _solve(p, storage, mode, backend):
+        tracer = Tracer()
+        r = CbGmres(p.a, storage, m=20, max_iter=300, basis_mode=mode,
+                    backend=backend, tracer=tracer).solve(
+                        p.b, p.target_rrn, record_history=True)
+        fused = {k: v for k, v in vars(r.stats).items() if k.startswith("fused_")}
+        counters = {k: v for k, v in tracer.counters.items()
+                    if k.startswith(("basis.", "accessor."))}
+        history = np.array([s.rrn for s in r.history])
+        return (r.iterations, r.x.tobytes(), history.tobytes(), fused, counters,
+                r.stats.reorthogonalizations, r.stats.basis_reads)
+
+    @requires_jit
+    @pytest.mark.parametrize("mode", BASIS_MODES)
+    @pytest.mark.parametrize("storage", RUNGS)
+    def test_forced_body_gives_the_same_solve(self, monkeypatch, storage, mode):
+        from repro.jit import cbackend
+
+        p = make_problem("atmosmodd", "smoke")
+        compiled = self._solve(p, storage, mode, "jit")
+        monkeypatch.setattr(cbackend._Rows, "step", repro.fused.step_rows)
+        assert self._solve(p, storage, mode, "jit") == compiled
+        assert self._solve(p, storage, mode, "numpy") == compiled
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("mode", BASIS_MODES)
+    @pytest.mark.parametrize("storage", ["frsz2_32", "float64"])
+    def test_the_bill_of_the_three_walks(self, storage, mode, backend):
+        rng = np.random.default_rng(7)
+        n, j = 3000, 5
+        twins = []
+        for _ in range(2):
+            tracer = Tracer()
+            basis = KrylovBasis(n, 8, storage, tracer=tracer, basis_mode=mode,
+                                tile_elems=512, backend=backend)
+            twins.append((basis, tracer))
+        vectors = rng.standard_normal((j, n))
+        vectors /= np.linalg.norm(vectors, axis=1)[:, None]
+        for i, v in enumerate(vectors):
+            for basis, _ in twins:
+                basis.write_vector(i, v)
+        for w, passes in ((rng.standard_normal(n), 1),
+                          (rng.standard_normal(j) @ vectors, 2)):
+            (stepped, t_step), (walked, t_walk) = twins
+            flags, h, v, h_next, _ = stepped.step(j, w, 2.0 ** -0.5)
+            ref_h, ref_w, ref_next = _three_walks(walked, j, w, 2.0 ** -0.5)
+            assert bool(flags & repro.fused.STEP_REORTH) == (passes == 2)
+            assert h.tobytes() == ref_h.tobytes()
+            assert v.tobytes() == ref_w.tobytes() and h_next == ref_next
+            assert t_step.counters == t_walk.counters
+            assert vars(stepped.fused_log) == vars(walked.fused_log)
+            # the walks' time: one basis_read record, not one per walk
+            reads = [s for s in t_step.spans if s.name == "basis_read"]
+            assert len(reads) == 1 and reads[0].seconds > 0.0
+            t_step.reset()
+            t_walk.reset()
+
+    def test_step_checks_its_depth_and_operand(self):
+        from repro.solvers import GivensLeastSquares
+
+        basis = KrylovBasis(64, 4, "float64")
+        basis.write_vector(0, np.eye(64)[0])
+        with pytest.raises(ValueError, match="vector of 64"):
+            basis.step(1, np.ones(63), 0.7)
+        for j, lsq in ((0, None), (5, None), (1, GivensLeastSquares(4, 1.0))):
+            if lsq is not None:
+                lsq.append_column(np.ones(1), 1.0)  # holds 1 column, not 0
+            with pytest.raises(ValueError, match="step"):
+                basis.step(j, np.ones(64), 0.7, lsq)
+        with pytest.raises(IndexError):
+            basis.step(2, np.ones(64), 0.7)  # slot 1 is not written
+
+    @requires_jit
+    def test_the_compiled_step_refuses_a_givens_state_it_would_overrun(self):
+        from repro.jit import dispatch
+
+        rows = dispatch.load_engine().dense_rows(np.eye(4, 64))
+        out, u = np.zeros(4), np.zeros(4)
+        for givens in (np.zeros(20), repro.fused.givens_state(2),
+                       repro.fused.givens_state(4).astype(np.float32)):
+            with pytest.raises(ValueError, match="Givens state"):
+                rows.step(3, 64, 64, np.ones(64), np.empty(64), 0.7,
+                          np.empty(3), u[:3], givens, out)
+
+
 class TestStreamingMemory:
     """The streaming mode's reason to exist: O(tile) float64, not O(n*m)."""
 

@@ -82,7 +82,7 @@ class TestDispatch:
         wrappers = sources[pathlib.Path(cbackend.__file__).resolve()]
         wrappers = wrappers.replace(cbackend.C_SOURCE, "")
         exported = re.findall(r"(\w+)\(", cbackend._CDEF)
-        assert len(exported) == 16 and "engine_set_threads" in exported
+        assert len(exported) == 18 and "engine_set_threads" in exported
         for name in exported:
             assert re.search(r"\b_?lib\.%s\b" % name, wrappers), name
 
@@ -230,7 +230,7 @@ class TestDispatch:
             re.search(r"(\w+)\s*(?:\(|$)", declaration.strip()).group(1)
             for declaration in cbackend._CDEF.split(";") if declaration.strip()
         }
-        assert len(declared) == 21 == cbackend._CDEF.count(";")
+        assert len(declared) == 23 == cbackend._CDEF.count(";")
         assert "SOURCE" not in cbackend._CDEF  # every macro expanded
         assert cbackend._CDEF == cbackend._declarations(cbackend.C_SOURCE)
         assert dispatch.jit_unavailable_reason() is None

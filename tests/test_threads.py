@@ -1,10 +1,13 @@
-"""The compiled kernels' thread pool.
+"""The compiled kernels' thread pool, and the host's BLAS threads.
 
-Two groups.  ``TestThreadCountMovesNoBit``: every split kernel — the
+Three groups.  ``TestThreadCountMovesNoBit``: every split kernel — the
 three fused walks over float64 rows and FRSZ2 containers, the SpMV
 kernels of both layouts — gives the same raw bits on one thread,
 two, three and the pool's size, and so do whole solves; a reduction
 that adds partials in the order threads claim them does not load.
+``TestBlasThreadsMoveNoBit``: a solve long enough for OpenBLAS to thread
+its ``ddot`` gives the same bits under one and two BLAS threads, because
+no norm of a solve goes to BLAS.
 ``TestPoolLife``: the pool survives what a process does around it — a
 fork after a pooled walk, two Python threads walking at once, an
 affinity mask of one CPU, a serve worker process.
@@ -188,6 +191,43 @@ class TestThreadCountMovesNoBit:
             monkeypatch.undo()
             dispatch._reset_engine_cache()
         assert dispatch.jit_unavailable_reason() is None
+
+
+class TestBlasThreadsMoveNoBit:
+    """OpenBLAS threads ``ddot`` above n = 10 000, in an order that depends
+    on ``OPENBLAS_NUM_THREADS``; every norm of a solve is ``fused.norm2``,
+    so the thread setting of the host's BLAS moves no bit."""
+
+    #: atmosmodd at default scale (n = 13 824); the numpy streaming cell —
+    #: the tile-by-tile reference route, ≈ 15 s for the whole solve — stops
+    #: at 30 iterations, where a BLAS norm has already moved x
+    CODE = textwrap.dedent("""
+        import hashlib
+        from repro.solvers import CbGmres, make_problem
+        p = make_problem("atmosmodd", "default")
+        for backend, storage, mode, cap in (
+                ("jit", "frsz2_32", "streaming", 1000),
+                ("jit", "float64", "cached", 1000),
+                ("numpy", "frsz2_32", "streaming", 30),
+                ("numpy", "float64", "cached", 1000)):
+            r = CbGmres(p.a, storage, basis_mode=mode, backend=backend,
+                        max_iter=cap).solve(p.b, p.target_rrn)
+            print(backend, storage, mode, r.iterations,
+                  hashlib.sha256(r.x.tobytes()).hexdigest())
+    """)
+
+    def test_one_and_two_blas_threads_give_the_same_bits(self):
+        src = str(pathlib.Path(cbackend.__file__).resolve().parents[2])
+        outs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, (
+                           src, os.environ.get("PYTHONPATH")))))
+            outs.append(subprocess.run(
+                [sys.executable, "-c", self.CODE], env=env, check=True,
+                capture_output=True, text=True, timeout=600).stdout)
+        assert len(outs[0].splitlines()) == 4
+        assert outs[0] == outs[1]
 
 
 def _big_source(engine, compressed=False, n=24576, j=6, seed=0):
