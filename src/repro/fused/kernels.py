@@ -3,10 +3,12 @@
 The paper's central performance claim is *fusion*: FRSZ2 decompression
 happens in-register inside the orthogonalization and solution-update
 kernels, so the compressed Krylov basis is never materialized as float64
-in main memory.  ``dot_basis_fused`` (``V^T w``), ``combine_fused``
-(``V y``), ``axpy_fused`` (``w -= V y``) and the sweep ``axpy_dot_fused``
-(``w -= V y``, then ``V^T w``, in one walk) reproduce that structure:
-they reduce the stored basis row by row over a fixed grid of *tiles*
+in main memory.  A solve reads its basis through exactly those two
+kernels: the Arnoldi **step** (:func:`step_rows`: the dot, the sweep
+``w -= V y`` then ``V^T w`` in one walk, and on a second pass the axpy)
+and ``combine_fused`` (``V y``).  ``dot_basis_fused`` (``V^T w``) and
+``axpy_fused`` (``w -= V y``) are single walks as public operations, for
+timing and for tests.  All of them reduce the stored basis row by row over a fixed grid of *tiles*
 (runs of ``tile_elems`` elements), reading every row where it is stored.
 Under ``backend="jit"`` one C call per fused operation walks the whole
 grid: the columns of the cached mirror are read in place, and a
@@ -24,8 +26,8 @@ A fused operation validates its operands here, first — a named
 backends — and then makes one call: a walk of its reader's *row source*.
 A source is anything with the three walks ``fused_dot(j, n, tile, w, h)``,
 ``fused_axpy(j, n, tile, y, w, store)`` and ``fused_axpy_dot(j, n, tile,
-y, w, u)``, each returning the doubles of work it used, and the Arnoldi
-``step`` made of them (**step** below).  There are four:
+y, w, u)`` (the sweep), each returning the doubles of work it used, and
+the Arnoldi ``step`` made of them.  There are four:
 :class:`_NumpyRows` (float64 rows under the numpy kernels below — the
 reference), the engine's :class:`~repro.jit.cbackend.DenseRows` (the
 same rows, handed to C), :class:`~repro.accessor.Frsz2Tiles` (bills its
@@ -36,6 +38,8 @@ other two run its Python body, :func:`step_rows`.  Which one a reader
 carries is decided once, where the reader is built — for one call, or
 kept by a :class:`~repro.solvers.basis.KrylovBasis` and extended with
 every write (``docs/ARCHITECTURE.md``, "The life of a fused call").
+Every operation and every step bills through one function,
+:func:`bill_fused`, as the Fig. 1 kernels it stands for.
 
 Determinism contract
 --------------------
@@ -124,9 +128,7 @@ __all__ = [
     "dot_basis_fused",
     "combine_fused",
     "axpy_fused",
-    "axpy_dot_fused",
-    "bill_dot_fused",
-    "bill_step_fused",
+    "bill_fused",
     "givens_column",
     "givens_state",
     "givens_views",
@@ -562,29 +564,35 @@ def _coefficients(y, j: int) -> np.ndarray:
     return y
 
 
-def _count_call(tracer, log: Optional[FusedOpLog], kind: str, j: int, n: int,
-                tile_elems: int, scratch: int = 0) -> None:
-    """Bill one Fig. 1 kernel of ``kind`` over ``j`` rows of ``n`` values
-    that used ``scratch`` doubles of buffers."""
-    tiles = -(-n // tile_elems)
+def bill_fused(j: int, n: int, tile_elems: int, scratch: int, tracer,
+               log: Optional[FusedOpLog], dot: int = 0, axpy: int = 0,
+               combine: int = 0) -> None:
+    """Bill ``dot``, ``axpy`` and ``combine`` calls of Fig. 1's kernels,
+    each over ``j`` rows of ``n`` values, that used at most ``scratch``
+    doubles of buffers: one fused operation, or an Arnoldi step — a dot
+    and an axpy per Gram-Schmidt pass (the sweep is the first pass's
+    axpy, and its ``u`` the second pass's dot)."""
+    calls = dot + axpy + combine
+    tiles, values = calls * -(-n // tile_elems), calls * j * n
     if log is not None:
-        if kind == "dot":
-            log.dot_calls += 1
-            log.dot_vectors += j
-        elif kind == "axpy":
-            log.axpy_calls += 1
-            log.axpy_vectors += j
-        else:
-            log.combine_calls += 1
-            log.combine_vectors += j
+        log.dot_calls += dot
+        log.dot_vectors += dot * j
+        log.axpy_calls += axpy
+        log.axpy_vectors += axpy * j
+        log.combine_calls += combine
+        log.combine_vectors += combine * j
         log.tiles += tiles
-        log.values += j * n
+        log.values += values
         if 8 * scratch > log.peak_scratch_bytes:
             log.peak_scratch_bytes = 8 * scratch
     if tracer.enabled:
-        tracer.count(f"basis.fused.{kind}_calls")
+        for name, count in (("basis.fused.dot_calls", dot),
+                            ("basis.fused.axpy_calls", axpy),
+                            ("basis.fused.combine_calls", combine)):
+            if count:
+                tracer.count(name, count)
         tracer.count("basis.fused.tiles", tiles)
-        tracer.count("basis.fused.values", j * n)
+        tracer.count("basis.fused.values", values)
 
 
 def dot_basis_fused(
@@ -625,18 +633,19 @@ def dot_basis_fused(
     h = np.zeros(j)
     if j:
         used = reader.source.fused_dot(j, n, tile_elems, w, h)
-        _count_call(tracer, log, "dot", j, n, tile_elems, used)
+        bill_fused(j, n, tile_elems, used, tracer, log, dot=1)
     return h
 
 
-def _axpy(reader, y, w, tile_elems, tracer, log, kind: str) -> np.ndarray:
+def _axpy(reader, y, w, tile_elems, tracer, log, store: bool) -> np.ndarray:
     j, n = reader.j, reader.n
     if tile_elems < 1:
         raise ValueError("tile_elems must be positive")
     if j:
         used = reader.source.fused_axpy(
-            j, n, tile_elems, _coefficients(y, j), w, kind == "combine")
-        _count_call(tracer, log, kind, j, n, tile_elems, used)
+            j, n, tile_elems, _coefficients(y, j), w, store)
+        bill_fused(j, n, tile_elems, used, tracer, log,
+                   axpy=int(not store), combine=int(store))
     return w
 
 
@@ -652,7 +661,7 @@ def combine_fused(
     Every output element is one sum over the rows in order, so the
     result is independent of the tile grid and of the row source.
     """
-    return _axpy(reader, y, np.zeros(reader.n), tile_elems, tracer, log, "combine")
+    return _axpy(reader, y, np.zeros(reader.n), tile_elems, tracer, log, True)
 
 
 def axpy_fused(
@@ -678,70 +687,7 @@ def axpy_fused(
         ``n`` or ``y`` holds fewer than ``j`` float64 coefficients.
     """
     w = _operand(w, (reader.n,), "w", written=True)
-    return _axpy(reader, y, w, tile_elems, tracer, log, "axpy")
-
-
-def axpy_dot_fused(
-    reader: TileReader,
-    y: np.ndarray,
-    w: np.ndarray,
-    tile_elems: int = DEFAULT_TILE_ELEMS,
-    tracer=NULL_TRACER,
-    log: Optional[FusedOpLog] = None,
-) -> np.ndarray:
-    """``w -= V_j y`` in place, then ``u = V_j^T w`` of the updated ``w``.
-
-    *Defined* as :func:`axpy_fused` followed by :func:`dot_basis_fused` —
-    ``w`` and the returned ``u`` carry exactly those bits — but every row
-    piece is read, and a streaming basis decoded, once instead of twice:
-    a Gram–Schmidt pass plus the projection the next pass starts from.
-
-    Billed as the axpy alone: the counters describe the paper's Fig. 1
-    kernels, and a caller that uses ``u`` in place of a dot says so with
-    :func:`bill_dot_fused`.  What was really read is on the accessors'
-    own traffic counters.  Raises ``ValueError`` like :func:`axpy_fused`.
-    """
-    j, n = reader.j, reader.n
-    w = _operand(w, (n,), "w", written=True)
-    if tile_elems < 1:
-        raise ValueError("tile_elems must be positive")
-    u = np.zeros(j)
-    if j:
-        used = reader.source.fused_axpy_dot(
-            j, n, tile_elems, _coefficients(y, j), w, u)
-        _count_call(tracer, log, "axpy", j, n, tile_elems, used)
-    return u
-
-
-def bill_dot_fused(j: int, n: int, tile_elems: int, tracer=NULL_TRACER,
-                   log: Optional[FusedOpLog] = None) -> None:
-    """Bill the :func:`dot_basis_fused` (``j`` rows of ``n`` values) that a
-    used :func:`axpy_dot_fused` result stands for, as that call would."""
-    if j:
-        _count_call(tracer, log, "dot", j, n, tile_elems)
-
-
-def bill_step_fused(j: int, n: int, tile_elems: int, flags: int, scratch: int,
-                    tracer=NULL_TRACER, log: Optional[FusedOpLog] = None) -> None:
-    """Bill an Arnoldi step (``flags`` from :func:`step_rows`) as the Fig. 1
-    kernels it stands for: a dot and an axpy per Gram-Schmidt pass — the
-    sweep is the first pass's axpy, and its ``u`` the second pass's dot."""
-    calls = 2 if flags & STEP_REORTH else 1
-    tiles, values = calls * -(-n // tile_elems), calls * j * n
-    if log is not None:
-        log.dot_calls += calls
-        log.dot_vectors += calls * j
-        log.axpy_calls += calls
-        log.axpy_vectors += calls * j
-        log.tiles += 2 * tiles
-        log.values += 2 * values
-        if 8 * scratch > log.peak_scratch_bytes:
-            log.peak_scratch_bytes = 8 * scratch
-    if tracer.enabled:
-        tracer.count("basis.fused.dot_calls", calls)
-        tracer.count("basis.fused.axpy_calls", calls)
-        tracer.count("basis.fused.tiles", 2 * tiles)
-        tracer.count("basis.fused.values", 2 * values)
+    return _axpy(reader, y, w, tile_elems, tracer, log, False)
 
 
 def norm2(w: np.ndarray, tile_elems: int = DEFAULT_TILE_ELEMS,

@@ -158,9 +158,10 @@ class RobustCbGmres:
         backend: "str | None" = None,
     ) -> None:
         # a throwaway solver does what every attempt would repeat: it
-        # resolves the backend (one unavailable-jit warning) and converts
-        # the operator, once; the attempts share both
-        first = CbGmres(a, spmv_format=spmv_format, backend=backend)
+        # checks the settings, resolves the backend (one unavailable-jit
+        # warning) and converts the operator, once; the attempts share both
+        first = CbGmres(a, m=m, eta=eta, max_iter=max_iter,
+                        spmv_format=spmv_format, backend=backend)
         self.backend = first.backend if backend is not None else None
         self.spmv_format = spmv_format
         self.a = first.a

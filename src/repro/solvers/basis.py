@@ -19,20 +19,24 @@ Two basis modes reproduce the two kernel structures the paper compares:
     ``O(tile)`` — the paper's in-register fusion argument, and the
     CB-GMRES memory argument of Aliaga et al.
 
-Both modes run ``V^T w`` / ``V y`` through the *same* fused reduction in
-one written accumulation order (cached hands it the columns of the dense
-view in place, streaming the containers to decode), which makes the two
-modes bit-identical — asserted across storages in the test suite.  The
+The solver reads the stored basis through exactly two methods, the two
+fused kernels of Fig. 1: :meth:`KrylovBasis.step` (the orthogonalization
+of one Arnoldi step — dot, sweep and, on a second pass, axpy, in one
+walk of the row source) and :meth:`KrylovBasis.combine` (``V y``, the
+solution update).  Both run the *same* fused reductions in one written
+accumulation order (cached hands them the columns of the dense view in
+place, streaming the containers to decode), which makes the two modes
+bit-identical — asserted across storages in the test suite.  The
 traffic a GPU would move is accounted analytically by the timing model
 from the iteration log (:class:`repro.solvers.gmres.SolveStats`), not
 from the cache.
 
-A fused call costs one kernel call plus ``O(1)`` Python because the basis
-*keeps* the row source the call walks for as long as it stays true: the
+A read costs one kernel call plus ``O(1)`` Python because the basis
+*keeps* the row source it walks for as long as it stays true: the
 mirror's rows (and their C pointer) from construction on, and —
 streaming, compiled — one :class:`~repro.accessor.Frsz2Tiles` that every
 :meth:`KrylovBasis.write_vector` extends in place with the slot it has
-just proved eligible.  A call only checks that the leading ``j`` slots
+just proved eligible.  A read only checks that the leading ``j`` slots
 are still those accessors holding those containers
 (:meth:`KrylovBasis._rows`); if not, it builds the per-call reader that
 proves everything from scratch and loads tile by tile what C cannot walk.
@@ -52,14 +56,9 @@ from ..fused import (
     FusedOpLog,
     StreamingTileReader,
     TileReader,
-    axpy_dot_fused,
-    axpy_fused,
-    bill_dot_fused,
-    bill_step_fused,
     combine_fused,
-    dot_basis_fused,
 )
-from ..fused.kernels import STEP_NONFINITE, STEP_REORTH
+from ..fused.kernels import STEP_NONFINITE, STEP_REORTH, bill_fused
 from ..observe import NULL_TRACER
 
 __all__ = ["KrylovBasis", "BASIS_MODES"]
@@ -134,9 +133,6 @@ class KrylovBasis:
         self.accessors: List[VectorAccessor] = [
             self._make(storage, n) for _ in range(m + 1)
         ]
-        #: per-slot storage-format names (uniform until :meth:`set_storage`
-        #: is called with explicit ``slots``)
-        self.slot_storages: List[str] = [storage] * (m + 1)
         if self.tracer.enabled:
             for acc in self.accessors:
                 acc.set_tracer(self.tracer)
@@ -201,24 +197,12 @@ class KrylovBasis:
         kept = 0 if source is None else source.work_nbytes
         return max(kept, int(self.fused_log.peak_scratch_bytes))
 
-    def set_storage(self, storage: str, slots: "Optional[List[int]]" = None) -> None:
-        """Switch slot(s) to a new storage format.
+    def set_storage(self, storage: str) -> None:
+        """Switch every slot to a new storage format.
 
         The adaptive-precision hook: :class:`~repro.solvers.adaptive.
         PrecisionController` calls this at restart boundaries so each
-        restart cycle's basis lives in the format the controller chose;
-        per-vector adaptation passes explicit ``slots``.
-
-        Parameters
-        ----------
-        storage : str
-            New storage-format name.
-        slots : list of int, optional
-            Slot indices to rebuild; default is every slot (and updates
-            :attr:`storage`, the basis-wide label).  Mixed-format bases
-            are fully supported by both basis modes: the fused tile
-            readers fall back to per-accessor tile decodes when slots
-            disagree.
+        restart cycle's basis lives in the format the controller chose.
 
         Raises
         ------
@@ -230,15 +214,10 @@ class KrylovBasis:
         Notes
         -----
         Rebuilt slots come back *empty* (their stored payload and the
-        cached view column are dropped), so switches belong at restart
-        boundaries — exactly where the controller sits — or on slots
-        not yet written this cycle.
+        cached view are dropped), so switches belong at restart
+        boundaries — exactly where the controller sits.
         """
-        targets = list(range(self.m + 1)) if slots is None else list(slots)
-        for j in targets:
-            if not 0 <= j <= self.m:
-                raise IndexError(f"basis slot {j} out of range [0, {self.m}]")
-        fresh = [self._make(storage, self.n) for _ in targets]
+        fresh = [self._make(storage, self.n) for _ in range(self.m + 1)]
         for acc in fresh:
             gran = int(getattr(acc, "tile_granularity", 1))
             if self.tile_elems % gran:
@@ -249,21 +228,12 @@ class KrylovBasis:
                 )
             if self.tracer.enabled:
                 acc.set_tracer(self.tracer)
-        for j, acc in zip(targets, fresh):
-            self.accessors[j] = acc
-            self.slot_storages[j] = storage
-            if self._cache is not None:
-                self._cache[:, j] = 0.0
-        if isinstance(self._kept.source, Frsz2Tiles) and targets:
-            self._kept.source.truncate(min(targets))
-        if slots is None:
-            self.storage = storage
-
-    @property
-    def uniform_storage(self) -> bool:
-        """True while every slot shares one storage format."""
-        first = self.slot_storages[0]
-        return all(s == first for s in self.slot_storages)
+        self.accessors[:] = fresh
+        self.storage = storage
+        if self._cache is not None:
+            self._cache[:] = 0.0
+        elif self._kept.source is not None:
+            self._kept.source.truncate(0)
 
     def write_vector(self, j: int, v: np.ndarray) -> None:
         """Compress ``v`` into slot ``j`` (and refresh the cached view)."""
@@ -312,8 +282,8 @@ class KrylovBasis:
         """``v_j`` as a *counted* stored-basis read.
 
         Tallies one vector read (``basis.vector_reads`` /
-        ``basis.bytes_read``) exactly like :meth:`dot_basis` does per
-        vector — the accounting route for vector-at-a-time consumers
+        ``basis.bytes_read``) exactly like :meth:`step` and :meth:`combine`
+        do per vector — the accounting route for vector-at-a-time consumers
         such as flexible GMRES's SpMV operand ``z_{j-1}``.
         """
         with self.tracer.span("basis_read", vectors=1):
@@ -370,53 +340,18 @@ class KrylovBasis:
         kept.j = j
         return kept
 
-    def _read(self, fused, j: int, *operands):
-        """One fused kernel over the leading ``j`` vectors, as a counted
-        ``basis_read`` (span and counters only under a live tracer)."""
+    def combine(self, j: int, y: np.ndarray) -> np.ndarray:
+        """``V_j y`` — the solution-update read of Fig. 1 step 18, as a
+        counted ``basis_read`` (span and counters only under a live
+        tracer)."""
         tracer = self.tracer
         if not tracer.enabled:
-            return fused(
-                self._rows(j), *operands, self.tile_elems, tracer, self.fused_log
-            )
+            return combine_fused(
+                self._rows(j), y, self.tile_elems, tracer, self.fused_log)
         with tracer.span("basis_read", vectors=j):
             self._count_read(j)
-            return fused(
-                self._rows(j), *operands, self.tile_elems, tracer, self.fused_log
-            )
-
-    def dot_basis(self, j: int, w: np.ndarray) -> np.ndarray:
-        """``V_j^T w`` — the orthogonalization read of Fig. 1 step 4."""
-        return self._read(dot_basis_fused, j, w)
-
-    def combine(self, j: int, y: np.ndarray) -> np.ndarray:
-        """``V_j y`` — the solution-update read of Fig. 1 step 18."""
-        return self._read(combine_fused, j, y)
-
-    def axpy(self, j: int, y: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """``w -= V_j y`` in place, fused with the basis decode.
-
-        Element-for-element identical to ``w -= self.combine(j, y)``
-        but without materializing the ``(n,)`` product (the fused-update
-        structure of the paper's kernels).
-        """
-        return self._read(axpy_fused, j, y, w)
-
-    def axpy_dot(self, j: int, y: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """``w -= V_j y`` in place, then ``u = V_j^T w`` of the updated ``w``.
-
-        The bits of :meth:`axpy` followed by :meth:`dot_basis` in one
-        walk: every stored value read (streaming: decoded) once.  Billed
-        as the :meth:`axpy` alone, so the counters keep describing
-        Fig. 1's kernels; a caller that uses ``u`` in place of a
-        :meth:`dot_basis` calls :meth:`bill_dot`.
-        """
-        return self._read(axpy_dot_fused, j, y, w)
-
-    def bill_dot(self, j: int) -> None:
-        """Bill the :meth:`dot_basis` whose result :meth:`axpy_dot` gave."""
-        if self.tracer.enabled:
-            self._count_read(j)
-        bill_dot_fused(j, self.n, self.tile_elems, self.tracer, self.fused_log)
+            return combine_fused(
+                self._rows(j), y, self.tile_elems, tracer, self.fused_log)
 
     def step(self, j: int, w: np.ndarray, eta: float, lsq=None):
         """One Arnoldi step against the leading ``j >= 1`` vectors, in one
@@ -453,10 +388,12 @@ class KrylovBasis:
         if lsq is not None and not flags & STEP_NONFINITE:
             lsq.size = j  # the step absorbed column j - 1
         tracer = self.tracer
-        bill_step_fused(j, n, tile, flags, int(out[3]), tracer, self.fused_log)
+        passes = 2 if flags & STEP_REORTH else 1
+        bill_fused(j, n, tile, int(out[3]), tracer, self.fused_log,
+                   dot=passes, axpy=passes)
         if tracer.enabled:
             tracer.record("basis_read", out[2] * 1e-9, vectors=j)
-            self._count_read(j, 4 if flags & STEP_REORTH else 2)
+            self._count_read(j, 2 * passes)
         return flags, h, v, float(out[0]), float(out[1])
 
     def _count_read(self, j: int, passes: int = 1) -> None:
@@ -464,13 +401,8 @@ class KrylovBasis:
         ``passes`` times (callers skip the call under the null tracer)."""
         if j > 0:
             self.tracer.count("basis.vector_reads", passes * j)
-            if self.uniform_storage:
-                nbytes = j * self.stored_vector_nbytes
-            else:  # mixed-format basis: bill each slot at its own width
-                nbytes = sum(
-                    acc.stored_nbytes() for acc in self.accessors[:j]
-                )
-            self.tracer.count("basis.bytes_read", passes * nbytes)
+            self.tracer.count(
+                "basis.bytes_read", passes * j * self.stored_vector_nbytes)
 
     def reset(self) -> None:
         """Forget all vectors (used at restart).

@@ -25,6 +25,7 @@ with ``x = M^-1 u``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
@@ -197,9 +198,9 @@ class CbGmres:
     m:
         Restart length (paper: 100).
     eta:
-        Re-orthogonalization threshold of Fig. 1.
+        Re-orthogonalization threshold of Fig. 1, with ``0 < eta < 1``.
     max_iter:
-        Global iteration cap (paper: 20,000).
+        Global iteration cap (paper: 20,000), an integer ``>= 1``.
     stall_restarts:
         Optional early exit: if this many consecutive restarts fail to
         improve the best explicit residual by 0.1 %
@@ -302,6 +303,12 @@ class CbGmres:
             raise ValueError("GMRES requires a square matrix")
         if m < 1:
             raise ValueError("restart length must be positive")
+        # eta >= 1 asks for a second pass on every step and flags most as a
+        # loss of orthogonality; a NaN or eta <= 0 switches the pass off
+        if not (isinstance(eta, Real) and 0.0 < eta < 1.0):
+            raise ValueError(f"eta must be a finite number with 0 < eta < 1, got {eta!r}")
+        if not isinstance(max_iter, Integral) or max_iter < 1:
+            raise ValueError(f"max_iter must be an integer >= 1, got {max_iter!r}")
         if spmv_format not in SPMV_FORMATS:
             raise ValueError(
                 f"unknown SpMV format {spmv_format!r}; "

@@ -12,12 +12,14 @@ The controller's contract (docs/PRECISION.md):
 """
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.accessor import make_accessor
 from repro.jit import dispatch as jit_dispatch
 from repro.robust import (
     FallbackPolicy,
@@ -218,18 +220,28 @@ class TestAdaptiveSolve:
         assert model.basis_bytes_moved(flat, "float64") >= moved
 
 
+def _mixing(formats, backend="numpy"):
+    """A storage factory that gives slot ``i`` ``formats[i]`` (cycled)."""
+    slots = itertools.count()
+
+    def factory(fmt, n):
+        return make_accessor(formats[next(slots) % len(formats)], n, backend=backend)
+
+    return factory
+
+
 class TestMixedStorageBasis:
-    def test_set_storage_per_slot(self):
+    """A mixed-format basis comes from a storage factory: it reads its
+    slots tile by tile, each at its own format, with the bits of every
+    mode and backend."""
+
+    def test_mixed_slots_from_a_storage_factory(self):
         rng = np.random.default_rng(7)
         vecs = rng.standard_normal((256, 4))
         for mode in ("cached", "streaming"):
-            basis = KrylovBasis(256, 3, "frsz2_32", basis_mode=mode)
-            basis.set_storage("frsz2_16", slots=[1])
-            basis.set_storage("float64", slots=[3])
-            assert not basis.uniform_storage
-            assert basis.slot_storages == [
-                "frsz2_32", "frsz2_16", "frsz2_32", "float64"
-            ]
+            basis = KrylovBasis(256, 3, "frsz2_32", basis_mode=mode,
+                                storage_factory=_mixing(
+                                    ["frsz2_32", "frsz2_16", "frsz2_32", "float64"]))
             for j in range(4):
                 basis.write_vector(j, vecs[:, j])
             # float64 slot is exact; lossy slots are within their bound
@@ -244,13 +256,13 @@ class TestMixedStorageBasis:
         w = rng.standard_normal(300)
         outs = []
         for mode in ("cached", "streaming"):
-            basis = KrylovBasis(300, 2, "frsz2_32", basis_mode=mode)
-            basis.set_storage("frsz2_16", slots=[0])
+            basis = KrylovBasis(300, 3, "frsz2_32", basis_mode=mode,
+                                storage_factory=_mixing(["frsz2_16", "frsz2_32", "frsz2_32"]))
             for j in range(3):
                 basis.write_vector(j, vecs[:, j])
-            outs.append((basis.dot_basis(3, w), basis.combine(3, np.ones(3))))
-        np.testing.assert_array_equal(outs[0][0], outs[1][0])
-        np.testing.assert_array_equal(outs[0][1], outs[1][1])
+            outs.append([*basis.step(3, w, 0.7)[1:4], basis.combine(3, np.ones(3))])
+        for c, s in zip(*outs):
+            np.testing.assert_array_equal(c, s)
 
     @pytest.mark.parametrize(
         "backend",
@@ -273,20 +285,18 @@ class TestMixedStorageBasis:
         w = rng.standard_normal(320)
         outs = {}
         for b in ("numpy", backend):
-            basis = KrylovBasis(320, 2, "frsz2_32", backend=b)
-            basis.set_storage("frsz2_16", slots=[0])
-            basis.set_storage("float64", slots=[2])
-            assert basis.backend == b
-            for j in range(3):
-                basis.write_vector(j, vecs[:, j])
-            outs[b] = (basis.dot_basis(3, w), basis.combine(3, np.ones(3)))
-        np.testing.assert_array_equal(outs["numpy"][0], outs[backend][0])
-        np.testing.assert_array_equal(outs["numpy"][1], outs[backend][1])
-
-    def test_set_storage_rejects_slot_out_of_range(self):
-        basis = KrylovBasis(64, 2, "frsz2_32")
-        with pytest.raises(IndexError, match="slot"):
-            basis.set_storage("float64", slots=[5])
+            basis = KrylovBasis(320, 3, "frsz2_32", backend=b)
+            basis.set_storage("frsz2_16")
+            assert {acc.codec.backend for acc in basis.accessors} == {b}
+            mixed = KrylovBasis(320, 3, "frsz2_32", backend=b, storage_factory=_mixing(
+                ["frsz2_16", "frsz2_32", "float64"], b))
+            outs[b] = []
+            for each in (basis, mixed):
+                for j in range(3):
+                    each.write_vector(j, vecs[:, j])
+                outs[b] += [*each.step(3, w, 0.7)[1:4], each.combine(3, np.ones(3))]
+        for c, s in zip(outs["numpy"], outs[backend]):
+            np.testing.assert_array_equal(c, s)
 
 
 class TestRobustComposition:

@@ -29,15 +29,13 @@ from repro.fused import (
     FusedOpLog,
     StreamingTileReader,
     axpy_batch,
-    axpy_dot_fused,
     axpy_fused,
-    bill_dot_fused,
     combine_fused,
     dot_basis_batch,
     dot_basis_fused,
     tile_grid,
 )
-from repro.fused.kernels import TileReader, _LoadedRows, _NumpyRows
+from repro.fused.kernels import TileReader, _LoadedRows, _NumpyRows, step_rows
 from repro.observe import Tracer
 from repro.solvers import CbGmres, make_problem
 from repro.solvers.basis import BASIS_MODES, KrylovBasis
@@ -209,9 +207,9 @@ class TestWrittenOrder:
                 oracle_axpy(rows, y, w, False))
             # the sweep: the oracle's axpy, then its dot of the result
             # (hostile rows leave 1e300s in w: their products overflow)
-            swept = w.copy()
+            swept, u = w.copy(), np.zeros(j)
             with np.errstate(over="ignore", invalid="ignore"):
-                u = axpy_dot_fused(reader, y, swept, tile)
+                reader.source.fused_axpy_dot(j, n, tile, y, swept, u)
             updated = oracle_axpy(rows, y, w, False)
             assert _bits(swept) == _bits(updated)
             assert _bits(u) == _bits(oracle_dot(rows, updated, tile))
@@ -228,8 +226,9 @@ class TestWrittenOrder:
         assert _bits(combine_fused(reader, y, 32)) == _bits(np.full(n, -0.0))
         assert _bits(axpy_fused(reader, y, np.full(n, -0.0), 32)) == _bits(np.zeros(n))
         # the sweep leaves w = +0.0, whose -0.0 products sum to +0.0
-        swept = np.full(n, -0.0)
-        assert _bits(axpy_dot_fused(reader, y, swept, 32)) == _bits(np.zeros(j))
+        swept, u = np.full(n, -0.0), np.zeros(j)
+        reader.source.fused_axpy_dot(j, n, 32, y, swept, u)
+        assert _bits(u) == _bits(np.zeros(j))
         assert _bits(swept) == _bits(np.zeros(n))
 
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -288,10 +287,10 @@ def _sweep_reader(route, backend, vectors, j):
 
 
 class TestSweepIsAxpyThenDot:
-    """``axpy_dot_fused`` is *defined* as ``axpy_fused`` followed by
-    ``dot_basis_fused``: ``w`` and ``u`` carry those bytes on every
-    reader route, tile grid, depth and backend, whether a tile ends on a
-    lane group, a piece boundary or neither."""
+    """The sweep, a row source's ``fused_axpy_dot`` walk, is *defined* as
+    ``axpy_fused`` followed by ``dot_basis_fused``: ``w`` and ``u`` carry
+    those bytes on every reader route, tile grid, depth and backend,
+    whether a tile ends on a lane group, a piece boundary or neither."""
 
     #: no tails; ``mod 8`` and ``mod 256`` tails; one piece and a lane group
     SIZES = (512, 523, 264)
@@ -313,8 +312,9 @@ class TestSweepIsAxpyThenDot:
                     separate = w.copy()
                     axpy_fused(reader, y, separate, tile)
                     u_separate = dot_basis_fused(reader, separate, tile)
-                    swept = w.copy()
-                    u = axpy_dot_fused(reader, y, swept, tile)
+                    swept, u = w.copy(), np.zeros(j)
+                    if j:  # a walk is never asked for no rows
+                        reader.source.fused_axpy_dot(j, n, tile, y, swept, u)
                     where = f"{route} n={n} j={j} tile={tile}"
                     assert swept.view(np.uint64).tolist() == \
                         separate.view(np.uint64).tolist(), where
@@ -330,45 +330,11 @@ class TestSweepIsAxpyThenDot:
         w, y = rng.standard_normal(n), rng.standard_normal(j)
         results = []
         for route in ("mirror", "c_order", "float64"):
-            swept = w.copy()
-            u = axpy_dot_fused(
-                _sweep_reader(route, backend, vectors, j), y, swept, 96)
+            swept, u = w.copy(), np.zeros(j)
+            _sweep_reader(route, backend, vectors, j).source.fused_axpy_dot(
+                j, n, 96, y, swept, u)
             results.append((_bits(u), _bits(swept)))
         assert results[0] == results[1] == results[2]
-
-    def test_billed_as_the_axpy_alone(self):
-        """The counters describe Fig. 1's kernels: the sweep bills its
-        axpy, and the dot only when the caller says it was used."""
-        from repro.observe import Tracer
-
-        rng = np.random.default_rng(3)
-        n, j = 300, 3
-        tracer = Tracer()
-        basis = KrylovBasis(n, j, "frsz2_32", basis_mode="streaming",
-                            tile_elems=64, tracer=tracer)
-        for i in range(j):
-            basis.write_vector(i, rng.standard_normal(n))
-        tracer.reset()
-        basis.axpy_dot(j, rng.standard_normal(j), rng.standard_normal(n))
-        log = basis.fused_log
-        tiles = len(tile_grid(n, 64))
-        assert (log.axpy_calls, log.axpy_vectors, log.dot_calls) == (1, j, 0)
-        assert (log.tiles, log.values) == (tiles, j * n)
-        assert tracer.counters["basis.vector_reads"] == j
-        assert tracer.counters["basis.fused.axpy_calls"] == 1
-        assert "basis.fused.dot_calls" not in tracer.counters
-        # one walk over the stored basis was decoded, not two
-        assert tracer.counters["accessor.tile_reads"] == j * tiles
-        basis.bill_dot(j)
-        assert (log.dot_calls, log.dot_vectors) == (1, j)
-        assert (log.tiles, log.values) == (2 * tiles, 2 * j * n)
-        assert tracer.counters["basis.vector_reads"] == 2 * j
-        assert tracer.counters["basis.fused.dot_calls"] == 1
-        assert tracer.counters["accessor.tile_reads"] == j * tiles
-        # nothing to bill at depth 0, as a dot over no rows bills nothing
-        before = (log.dot_calls, log.tiles)
-        bill_dot_fused(0, n, 64, tracer, log)
-        assert (log.dot_calls, log.tiles) == before
 
 
 class _Subclassed(Frsz2Accessor):
@@ -440,7 +406,8 @@ class TestEverySourceKind:
             elif walk == "axpy":
                 out = axpy_fused(reader, y, out_w, self.tile)
             else:
-                out = axpy_dot_fused(reader, y, out_w, self.tile)
+                out = np.zeros(self.j)
+                reader.source.fused_axpy_dot(self.j, self.n, self.tile, y, out_w, out)
             return _bits(out), _bits(out_w)
 
         reference = TileReader(_NumpyRows(np.ascontiguousarray(decoded.T)),
@@ -482,17 +449,14 @@ class TestHostileInputs:
                 dot_basis_fused(reader, bad_w, 32)
             with pytest.raises(ValueError, match="w must be"):
                 axpy_fused(reader, np.ones(self.j), bad_w, 32)
-            with pytest.raises(ValueError, match="w must be"):
-                axpy_dot_fused(reader, np.ones(self.j), bad_w, 32)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_read_only_w_is_an_error_before_it_is_written(self, backend):
         frozen = np.ones(self.n)
         frozen.flags.writeable = False
         for reader in self._readers(backend):
-            for op in (axpy_fused, axpy_dot_fused):
-                with pytest.raises(ValueError, match="writable|read-only"):
-                    op(reader, np.ones(self.j), frozen, 32)
+            with pytest.raises(ValueError, match="writable|read-only"):
+                axpy_fused(reader, np.ones(self.j), frozen, 32)
         np.testing.assert_array_equal(frozen, np.ones(self.n))
 
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -507,12 +471,8 @@ class TestHostileInputs:
                 axpy_fused(reader, np.ones(6)[::2], w, 32)
             with pytest.raises(ValueError, match="tile_elems"):
                 dot_basis_fused(reader, w, 0)
-            with pytest.raises(ValueError, match="at least j=3"):
-                axpy_dot_fused(reader, np.ones(2), w, 32)
-            with pytest.raises(ValueError, match="y must be"):
-                axpy_dot_fused(reader, np.ones(6)[::2], w, 32)
             with pytest.raises(ValueError, match="tile_elems"):
-                axpy_dot_fused(reader, np.ones(3), w, 0)
+                axpy_fused(reader, np.ones(3), w, 0)
             # a longer y is fine: the leading j coefficients apply
             np.testing.assert_array_equal(
                 combine_fused(reader, np.array([1.0, 2.0, 3.0, 99.0]), 32),
@@ -543,9 +503,9 @@ class TestHostileInputs:
     def test_the_engine_checks_what_it_hands_to_c(self):
         """The compiled kernels' boundary, in the two layers that own it:
         the fused functions check every operand they are handed (and make
-        ``h`` / ``u`` / the work buffer themselves), the source's
-        ``_walk`` checks ``j`` and ``n`` against the rows it really holds —
-        both before any pointer reaches C."""
+        ``h`` and the work buffer themselves), the source's ``_walk``
+        checks ``j`` and ``n`` against the rows it really holds — both
+        before any pointer reaches C."""
         from repro.jit import load_engine
 
         engine = load_engine()
@@ -578,22 +538,18 @@ class TestHostileInputs:
                 call()
         with pytest.raises(ValueError, match="writable"):
             axpy_fused(cached, y, frozen, 32)
-        # the sweep indexes y, w and u; its lanes and, for a compressed
-        # source, its decoded pieces live in a buffer the source keeps
-        axpy_dot_fused(cached, y, w, 32)
-        axpy_dot_fused(streaming, y, w, 32)
+        # the sweep's lanes and, for a compressed source, its decoded
+        # pieces live in a buffer the source keeps
+        streaming.source.fused_axpy_dot(self.j, self.n, 32, y, w, np.zeros(self.j))
         table = streaming.source.table
         assert table._work.size == self.j * (
             engine.fused_round + engine.threads * (8 + engine.fused_piece))
         for call in (
-            lambda: axpy_dot_fused(cached, y[:2], w, 32),
-            lambda: axpy_dot_fused(cached, y, w[:99], 32),
-            lambda: axpy_dot_fused(cached, y, w, 0),
-            lambda: axpy_dot_fused(cached, y, frozen, 32),
-            lambda: axpy_dot_fused(depth(cached, self.j + 2), np.ones(5), w, 32),
-            lambda: axpy_dot_fused(depth(streaming, self.j, 64), y, np.zeros(64), 32),
-            lambda: axpy_dot_fused(depth(streaming, self.j + 1), np.ones(4), w, 32),
             lambda: table.fused_axpy_dot(0, self.n, 32, y, w, np.zeros(0)),
+            lambda: table.fused_axpy_dot(self.j + 1, self.n, 32, np.ones(4), w,
+                                         np.zeros(self.j + 1)),
+            lambda: table.fused_axpy_dot(self.j, 64, 32, y, np.zeros(64),
+                                         np.zeros(self.j)),
         ):
             with pytest.raises(ValueError):
                 call()
@@ -647,15 +603,10 @@ class TestReaderBitIdentity:
         assert cached.tile_elems == streaming.tile_elems
         w = rng.standard_normal(n)
         y = rng.standard_normal(j)
-        np.testing.assert_array_equal(
-            cached.dot_basis(j, w), streaming.dot_basis(j, w)
-        )
+        for c, s in zip(cached.step(j, w, 0.7), streaming.step(j, w, 0.7)):
+            np.testing.assert_array_equal(c, s)
         np.testing.assert_array_equal(
             cached.combine(j, y), streaming.combine(j, y)
-        )
-        wc, ws = w.copy(), w.copy()
-        np.testing.assert_array_equal(
-            cached.axpy(j, y, wc), streaming.axpy(j, y, ws)
         )
         for i in range(j):
             np.testing.assert_array_equal(
@@ -715,10 +666,10 @@ class TestStreamingReaderSemantics:
         for i in range(3):
             basis.write_vector(i, vectors[:, i])
         held = basis._reader(3)  # one table, alive across the flip
-        before = basis.dot_basis(3, w)
+        before = dot_basis_fused(basis._rows(3), w, 64)
         np.testing.assert_array_equal(dot_basis_fused(held, w, 64), before)
         basis.accessors[1].compressed.payload[70] ^= np.uint32(1 << 30)
-        after = basis.dot_basis(3, w)
+        after = dot_basis_fused(basis._rows(3), w, 64)
         assert after[1] != before[1]
         assert after[0] == before[0] and after[2] == before[2]
         # the flipped payload decoded afresh, by any route
@@ -747,17 +698,18 @@ class TestStreamingReaderSemantics:
         del churn
         # a reader opened now sees the emptied basis, not the old bits
         basis.write_vector(0, vectors[:, 0])
-        assert basis.dot_basis(1, w)[0] != before[0]
+        assert dot_basis_fused(basis._rows(1), w, 64)[0] != before[0]
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize(
         "case", ["plain", "mixed", "unwritten", "wrapped", "float32"])
     def test_every_route_matches_cached_mode(self, backend, case):
         """plain: FRSZ2 rows decoded inside the one C call (jit) or one
-        codec pass per tile (numpy); mixed formats, an unwritten slot, a
-        fault-injecting wrapper and dense float32 storage: per-accessor
-        ``read_tile`` into a scratch the same kernels reduce.  Every
-        route, and a batch column of it, is the scalar oracle's bits."""
+        codec pass per tile (numpy); mixed formats (from a storage
+        factory), an unwritten slot, a fault-injecting wrapper and dense
+        float32 storage: per-accessor ``read_tile`` into a scratch the
+        same kernels reduce.  Every route, and a batch column of it, is
+        the scalar oracle's bits."""
         from repro.robust import FaultInjector, FaultyAccessor
 
         def wrapping(fmt, n, count=iter(range(8))):
@@ -766,6 +718,10 @@ class TestStreamingReaderSemantics:
                 return FaultyAccessor(acc, FaultInjector(0.0, 0), "readout_nan")
             return acc
 
+        def mixing(fmt, n, count=iter(range(8))):  # slot 1: frsz2_16
+            return make_accessor("frsz2_16" if next(count) % 4 == 1 else fmt,
+                                 n, backend=backend)
+
         results, readers = [], []
         y = np.array([0.5, -2.0, 0.25])
         for mode in BASIS_MODES:
@@ -773,18 +729,17 @@ class TestStreamingReaderSemantics:
             basis, vectors, w = self._basis(
                 mode, backend,
                 storage="float32" if case == "float32" else "frsz2_32",
-                factory=wrapping if case == "wrapped" else None, tracer=tracer,
+                factory={"wrapped": wrapping, "mixed": mixing}.get(case),
+                tracer=tracer,
             )
-            if case == "mixed":
-                basis.set_storage("frsz2_16", slots=[1])
             for i in (0, 2) if case == "unwritten" else (0, 1, 2):
                 basis.write_vector(i, vectors[:, i])
             if mode == "streaming":
                 one_call = Frsz2Tiles.open(basis.accessors[:3]) is not None
                 assert one_call == (case == "plain")
             results.append((
-                basis.dot_basis(3, w), basis.combine(3, y),
-                basis.axpy(3, y, w.copy()),
+                dot_basis_fused(basis._rows(3), w, 64), basis.combine(3, y),
+                axpy_fused(basis._rows(3), y, w.copy(), 64),
                 tracer.counters.get("accessor.tile_reads", 0),
                 tracer.counters.get("accessor.bytes_read", 0),
             ))
@@ -918,29 +873,11 @@ class TestSolverBitIdentity:
         ]
 
 
-def _three_walks(basis, j, w, eta):
-    """The Arnoldi step as the three billed walks of the basis — dot, sweep
-    and, on a second pass, the dot its ``u`` stands for and the axpy —
-    with ``norm2`` between them: what ``KrylovBasis.step`` must bill."""
-    tile, backend = basis.tile_elems, basis.backend
-    w = w.copy()
-    w_tilde = repro.fused.norm2(w, tile, backend)
-    h = basis.dot_basis(j, w)
-    u = basis.axpy_dot(j, h, w)
-    h_next = repro.fused.norm2(w, tile, backend)
-    if h_next < eta * w_tilde:
-        basis.bill_dot(j)
-        basis.axpy(j, u, w)
-        h = h + u
-        h_next = repro.fused.norm2(w, tile, backend)
-    return h, w, h_next
-
-
 class TestStepIsThePythonBody:
     """``KrylovBasis.step`` on a compiled source is one C call; its
     reference is ``step_rows``, the Python body every other source runs.
     Forcing the body onto the compiled sources moves no bit of a solve on
-    any rung, and the step bills what its three walks billed."""
+    any rung, and the step bills the kernels of Fig. 1 it stands for."""
 
     RUNGS = ["float64", "float32", "float16", "frsz2_16", "frsz2_21",
              "frsz2_32", "adaptive"]
@@ -974,34 +911,55 @@ class TestStepIsThePythonBody:
     @pytest.mark.parametrize("mode", BASIS_MODES)
     @pytest.mark.parametrize("storage", ["frsz2_32", "float64"])
     def test_the_bill_of_the_three_walks(self, storage, mode, backend):
+        """A step of ``p`` passes bills Fig. 1's kernels — a dot and an
+        axpy per pass, ``j`` vectors each — and each accessor the walks it
+        made: the dot, the sweep and, on a second pass, the axpy.  Its
+        bits are the Python body's over the decoded rows."""
         rng = np.random.default_rng(7)
-        n, j = 3000, 5
-        twins = []
-        for _ in range(2):
-            tracer = Tracer()
-            basis = KrylovBasis(n, 8, storage, tracer=tracer, basis_mode=mode,
-                                tile_elems=512, backend=backend)
-            twins.append((basis, tracer))
+        n, j, tile, eta = 3000, 5, 512, 2.0 ** -0.5
+        tiles = -(-n // tile)
+        twins = [(KrylovBasis(n, 8, storage, tracer=tracer, basis_mode=mode,
+                              tile_elems=tile, backend=backend), tracer)
+                 for tracer in (Tracer(), Tracer())]
         vectors = rng.standard_normal((j, n))
         vectors /= np.linalg.norm(vectors, axis=1)[:, None]
         for i, v in enumerate(vectors):
             for basis, _ in twins:
                 basis.write_vector(i, v)
+        (basis, tracer), (twin, one_walk) = twins
+        rows = np.ascontiguousarray(basis.matrix(j).T)
+        one_walk.reset()
+        dot_basis_fused(twin._rows(j), vectors[0], tile)
         for w, passes in ((rng.standard_normal(n), 1),
                           (rng.standard_normal(j) @ vectors, 2)):
-            (stepped, t_step), (walked, t_walk) = twins
-            flags, h, v, h_next, _ = stepped.step(j, w, 2.0 ** -0.5)
-            ref_h, ref_w, ref_next = _three_walks(walked, j, w, 2.0 ** -0.5)
+            tracer.reset()
+            basis.fused_log = FusedOpLog()
+            flags, h, v, h_next, _ = basis.step(j, w, eta)
+            ref_h, ref_v, out = np.empty(j), np.empty(n), np.zeros(4)
+            assert flags == step_rows(_NumpyRows(rows), j, n, tile, w, ref_v, eta,
+                                      ref_h, np.empty(j), None, out)
             assert bool(flags & repro.fused.STEP_REORTH) == (passes == 2)
             assert h.tobytes() == ref_h.tobytes()
-            assert v.tobytes() == ref_w.tobytes() and h_next == ref_next
-            assert t_step.counters == t_walk.counters
-            assert vars(stepped.fused_log) == vars(walked.fused_log)
+            assert v.tobytes() == ref_v.tobytes() and h_next == out[0]
+            kernels = dict(dot_calls=passes, dot_vectors=passes * j,
+                           axpy_calls=passes, axpy_vectors=passes * j,
+                           combine_calls=0, combine_vectors=0,
+                           tiles=2 * passes * tiles, values=2 * passes * j * n)
+            assert {k: vars(basis.fused_log)[k] for k in kernels} == kernels
+            assert {k: c for k, c in tracer.counters.items()
+                    if k.startswith("basis.")} == {
+                "basis.fused.dot_calls": passes,
+                "basis.fused.axpy_calls": passes,
+                "basis.fused.tiles": 2 * passes * tiles,
+                "basis.fused.values": 2 * passes * j * n,
+                "basis.vector_reads": 2 * passes * j,
+                "basis.bytes_read": 2 * passes * j * basis.stored_vector_nbytes,
+            }
+            assert _accessor_bill(tracer) == {
+                k: (passes + 1) * c for k, c in _accessor_bill(one_walk).items()}
             # the walks' time: one basis_read record, not one per walk
-            reads = [s for s in t_step.spans if s.name == "basis_read"]
+            reads = [s for s in tracer.spans if s.name == "basis_read"]
             assert len(reads) == 1 and reads[0].seconds > 0.0
-            t_step.reset()
-            t_walk.reset()
 
     def test_step_checks_its_depth_and_operand(self):
         from repro.solvers import GivensLeastSquares
@@ -1041,10 +999,8 @@ class TestStreamingMemory:
         rng = np.random.default_rng(0)
         for i in range(m):
             basis.write_vector(i, rng.standard_normal(n))
-        w = rng.standard_normal(n)
-        basis.dot_basis(m, w)
-        basis.axpy(m, rng.standard_normal(m), w)
-        basis.axpy_dot(m, rng.standard_normal(m), w)
+        basis.step(m, rng.standard_normal(n), 0.7)
+        basis.combine(m, rng.standard_normal(m))
         dense_bytes = n * (m + 1) * 8
         assert basis.peak_float64_bytes > 0
         assert basis.peak_float64_bytes <= m * basis.tile_elems * 8
@@ -1071,9 +1027,8 @@ class TestStreamingMemory:
             rng = np.random.default_rng(0)
             for i in range(m):
                 basis.write_vector(i, rng.standard_normal(n))
-            w = rng.standard_normal(n)
-            basis.axpy_dot(m, basis.dot_basis(m, w), w)
-            basis.axpy(m, rng.standard_normal(m), w)
+            basis.step(m, rng.standard_normal(n), 0.7)
+            basis.combine(m, rng.standard_normal(m))
             used.append(basis.fused_log.peak_scratch_bytes)
             peaks.append(basis.peak_float64_bytes)
         assert used == [8 * m * per_row] * 2  # what the j = 50 call used
@@ -1135,12 +1090,15 @@ class TestResetIsolation:
             basis.write_vector(i, rng.standard_normal(300))
         log = basis.fused_log
         assert isinstance(log, FusedOpLog)
-        basis.dot_basis(3, rng.standard_normal(300))
-        assert log.dot_calls == 1 and log.dot_vectors == 3
-        assert log.tiles == len(tile_grid(300, basis.tile_elems))
-        assert log.values == 3 * 300
+        basis.step(3, rng.standard_normal(300), 0.7)
+        passes = log.dot_calls
+        assert passes in (1, 2) and log.axpy_calls == passes
+        assert log.dot_vectors == log.axpy_vectors == 3 * passes
+        assert log.tiles == 2 * passes * len(tile_grid(300, basis.tile_elems))
+        assert log.values == 2 * passes * 3 * 300
         basis.combine(3, rng.standard_normal(3))
         assert log.combine_calls == 1 and log.combine_vectors == 3
+        assert log.values == (2 * passes + 1) * 3 * 300
 
 
 class TestKeptSource:
@@ -1162,25 +1120,29 @@ class TestKeptSource:
         return basis, vectors, rng.standard_normal(self.n)
 
     def _assert_fresh(self, basis, j, w):
-        """Every fused operation of ``basis`` at depth ``j`` against the
-        same operation over a reader built now, as raw uint64."""
-        y = np.linspace(-1.5, 2.0, j)
-
-        def fresh():  # a reader that proves everything from scratch
-            return basis._reader(j)
-
+        """Both reads of ``basis`` at depth ``j`` — the step and the
+        combine — and each walk of the reader they take, against the same
+        over a reader built now, as raw uint64."""
+        n, tile, y = self.n, self.tile, np.linspace(-1.5, 2.0, j)
+        kept, fresh = basis._rows(j), basis._reader(j)
+        flags, h, v, h_next, _ = basis.step(j, w, 0.7)
+        ref_h, ref_v, out = np.empty(j), np.empty(n), np.zeros(4)
+        assert flags == step_rows(fresh.source, j, n, tile, w, ref_v, 0.7,
+                                  ref_h, np.empty(j), None, out)
         pairs = [
-            (basis.dot_basis(j, w), dot_basis_fused(fresh(), w, self.tile)),
-            (basis.combine(j, y), combine_fused(fresh(), y, self.tile)),
-            (basis.axpy(j, y, w.copy()), axpy_fused(fresh(), y, w.copy(), self.tile)),
-        ]
-        kept_w, fresh_w = w.copy(), w.copy()
-        pairs += [
-            (basis.axpy_dot(j, y, kept_w), axpy_dot_fused(fresh(), y, fresh_w, self.tile)),
-            (kept_w, fresh_w),
+            (h, ref_h), (v, ref_v), (h_next, out[0]),
+            (basis.combine(j, y), combine_fused(fresh, y, tile)),
+            (dot_basis_fused(kept, w, tile), dot_basis_fused(fresh, w, tile)),
+            (axpy_fused(kept, y, w.copy(), tile), axpy_fused(fresh, y, w.copy(), tile)),
         ]
         for got, want in pairs:
             assert _bits(got) == _bits(want)
+        sweeps = []
+        for reader in (kept, fresh):
+            swept, u = w.copy(), np.zeros(j)
+            reader.source.fused_axpy_dot(j, n, tile, y, swept, u)
+            sweeps.append(_bits(swept) + _bits(u))
+        assert sweeps[0] == sweeps[1]
 
     @staticmethod
     def _wrap(basis, vectors):
@@ -1195,12 +1157,13 @@ class TestKeptSource:
 
     @staticmethod
     def _set_storage(basis, vectors):
-        basis.set_storage("frsz2_16", slots=[1])
-        basis.write_vector(1, vectors[:, 1])
+        basis.set_storage("frsz2_16")
+        for i in range(4):
+            basis.write_vector(i, vectors[:, i])
 
     @staticmethod
     def _float32_slot(basis, vectors):
-        basis.set_storage("float32", slots=[2])
+        basis.accessors[2] = make_accessor("float32", basis.n, backend=basis.backend)
         basis.write_vector(2, vectors[:, 2])
 
     @staticmethod
@@ -1243,11 +1206,11 @@ class TestKeptSource:
     @requires_jit
     def test_a_bit_flip_is_decoded_through_the_kept_table(self):
         basis, vectors, w = self._basis("streaming", "jit")
-        before = basis.dot_basis(4, w)
+        before = dot_basis_fused(basis._rows(4), w, self.tile)
         kept = basis._kept.source
         self._bit_flip(basis, vectors)
         assert kept.covers(basis.accessors, 4)  # same containers, new bits
-        after = basis.dot_basis(4, w)
+        after = dot_basis_fused(basis._rows(4), w, self.tile)
         assert after[1] != before[1]
         assert _bits(np.delete(after, 1)) == _bits(np.delete(before, 1))
 
@@ -1284,13 +1247,15 @@ class TestKeptSource:
                 basis.write_vector(i, vectors[:, (i + cycle) % (self.m + 1)])
                 table = basis._kept.source.table
                 assert table.count == i + 1 <= table.capacity == self.m + 1
-                basis.axpy_dot(i + 1, basis.dot_basis(i + 1, w), w.copy())
+                basis.combine(i + 1, np.ones(i + 1))
+                if i < self.m:
+                    basis.step(i + 1, w, 0.7)
             assert len(opened) == 1
         with pytest.raises(IndexError):
             basis.write_vector(self.m + 1, w)
         # the work buffer is kept too: one allocation, sized by m
         work = table._work
-        basis.axpy_dot(3, np.ones(3), w.copy())
+        basis.step(3, w, 0.7)
         assert table._work is work
         engine = table._engine
         assert work.size == (self.m + 1) * (

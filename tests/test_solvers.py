@@ -46,15 +46,16 @@ class TestKrylovBasis:
         acc.write(v)
         assert np.array_equal(basis.vector(0), acc.read())
 
-    def test_dot_basis_and_combine(self):
+    def test_step_and_combine(self):
         basis = KrylovBasis(20, 4, "float64")
         rng = np.random.default_rng(2)
-        vs = [rng.standard_normal(20) for _ in range(3)]
+        vs = np.linalg.qr(rng.standard_normal((20, 3)))[0].T
         for j, v in enumerate(vs):
             basis.write_vector(j, v)
         w = rng.standard_normal(20)
-        h = basis.dot_basis(3, w)
-        assert np.allclose(h, [v @ w for v in vs])
+        _, h, v, h_next, _ = basis.step(3, w, 0.7)
+        assert np.allclose(h, vs @ w)
+        assert np.allclose(v, w - vs.T @ h) and h_next == pytest.approx(np.linalg.norm(v))
         y = np.array([1.0, -2.0, 0.5])
         assert np.allclose(basis.combine(3, y), sum(c * v for c, v in zip(y, vs)))
 
@@ -438,3 +439,35 @@ class TestHostileSystems:
             true_rrn = np.linalg.norm(b - dense @ res.x) / bnorm
             assert res.final_rrn == pytest.approx(true_rrn, rel=1e-9, abs=1e-14)
         assert res.converged == consistent
+
+
+class TestHostileSettings:
+    """An ``eta`` outside ``(0, 1)`` restarted nearly every step (2.0) or
+    switched the second pass off without a word (NaN, -1), and
+    ``max_iter < 1`` returned a solve of 0 iterations: each is a
+    ``ValueError`` naming the argument, from every solver that takes it."""
+
+    @pytest.mark.parametrize("solver", ["CbGmres", "FlexibleGmres", "RobustCbGmres"])
+    @pytest.mark.parametrize("setting", [
+        ("eta", 2.0), ("eta", 1.0), ("eta", 0.0), ("eta", -1.0), ("eta", float("nan")),
+        ("eta", float("inf")), ("eta", "0.5"), ("eta", None),
+        ("max_iter", 0), ("max_iter", -5), ("max_iter", 2.5), ("max_iter", "10"),
+    ], ids=lambda s: f"{s[0]}={s[1]!r}")
+    def test_refused_by_name(self, solver, setting):
+        from repro.robust import RobustCbGmres
+        from repro.solvers import FlexibleGmres
+
+        cls = {"CbGmres": CbGmres, "FlexibleGmres": FlexibleGmres,
+               "RobustCbGmres": RobustCbGmres}[solver]
+        name, value = setting
+        a, _, _ = small_system(8)
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            cls(a, **{name: value})
+
+    @pytest.mark.parametrize("eta", [0.1, 2.0 ** -0.5, 0.99])
+    def test_the_ablation_etas_solve(self, eta):
+        a, b, x = small_system()
+        res = CbGmres(a, "float64", m=20, eta=eta, max_iter=1).solve(b, 1e-10)
+        assert res.iterations == 1
+        res = CbGmres(a, "float64", m=20, eta=eta).solve(b, 1e-10)
+        assert res.converged and np.allclose(res.x, x)
