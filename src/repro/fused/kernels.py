@@ -390,6 +390,10 @@ def givens_column(views, c: int, h: np.ndarray, h_next: float) -> float:
     return abs(-si * gc)
 
 
+# a fault-poisoned basis or operand makes a NaN or an Inf here on purpose:
+# the flags report it, as the compiled step does; a warning would not, and
+# under ``-W error`` it would turn the solver's recovery into a crash
+@np.errstate(over="ignore", invalid="ignore")
 def step_rows(source, j, n, tile, w_in, w, eta, h, u, givens, out) -> int:
     """One Arnoldi step over the leading ``j`` rows of ``source``, spelled
     with its three walks: the **step** of the module doc, the Python body

@@ -8,6 +8,14 @@ cells: the adaptive rung, and frsz2_32 under an ILU(0) preconditioner.
 One digest serves each (matrix, storage, mode): the numpy backend and
 the compiled one, on one thread and on the pool's, must all equal it.
 
+Beside the solves it holds one fault campaign: RM07R at smoke scale,
+four storages x the four default faults x two rates, whose cells take
+every branch of the storage escalation — a climb up the ladder
+(frsz2_16 -> frsz2_32), a jump from an off-ladder format to float64
+(float32 under ``readout_nan`` at 0.05) and an adaptive retry with its
+floor raised.  Each cell keeps its outcome, its counts and the exact
+bits of ``final_rrn``.
+
 A change that means to move bits regenerates the file on purpose and
 says so::
 
@@ -22,6 +30,7 @@ import pathlib
 import pytest
 
 from repro.jit import dispatch
+from repro.robust import run_campaign
 from repro.solvers import SolveOptions, make_problem
 
 from .backends import requires_jit
@@ -43,6 +52,16 @@ CELLS = [
 ]
 
 
+#: the escalation campaign: its matrix and storages (the default faults,
+#: rates, seed, m = 50 and scale of ``run_campaign`` otherwise)
+CAMPAIGN = dict(matrix="RM07R", scale=SCALE,
+                storages=("frsz2_16", "frsz2_32", "float32", "adaptive"))
+
+#: the campaign-cell fields a digest keeps (besides ``final_rrn``'s hex)
+CAMPAIGN_FIELDS = ("outcome", "storage_used", "attempts", "iterations",
+                   "recoveries", "breakdowns", "faults_injected")
+
+
 def cell_key(cell) -> str:
     matrix, storage, mode, prec = cell
     return "/".join((matrix, storage, mode) + ((prec,) if prec != "none" else ()))
@@ -61,6 +80,17 @@ def solve_digest(cell, backend: str) -> dict:
                      preconditioner=prec).build(p.a).solve(p.b, p.target_rrn)
     return {"x_sha256": hashlib.sha256(r.x.tobytes()).hexdigest(),
             "iterations": int(r.iterations)}
+
+
+def campaign_digests(backend: str) -> dict:
+    """Every cell of the escalation campaign, keyed fault/storage/rate."""
+    return {
+        f"{c.fault}/{c.storage}/{c.rate}": {
+            **{name: getattr(c, name) for name in CAMPAIGN_FIELDS},
+            "final_rrn": c.final_rrn.hex(),
+        }
+        for c in run_campaign(backend=backend, **CAMPAIGN).cells
+    }
 
 
 @pytest.fixture(scope="module")
@@ -98,9 +128,19 @@ def test_jit_matches_the_committed_digest(committed, pool_threads, cell):
             f"T={threads}"
 
 
+@pytest.mark.parametrize("backend", [
+    "numpy", pytest.param("jit", marks=requires_jit)])
+def test_campaign_matches_the_committed_digest(backend):
+    doc = json.loads(DIGESTS.read_text())
+    assert campaign_digests(backend) == doc["campaign"]
+
+
 if __name__ == "__main__":
     cells = {cell_key(cell): solve_digest(cell, "numpy") for cell in CELLS}
+    campaign = campaign_digests("numpy")
     DIGESTS.parent.mkdir(exist_ok=True)
     DIGESTS.write_text(json.dumps(
-        {"m": M, "scale": SCALE, "cells": cells}, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(cells)} digests to {DIGESTS}")
+        {"m": M, "scale": SCALE, "cells": cells, "campaign": campaign},
+        indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(cells)} digests and {len(campaign)} campaign cells "
+          f"to {DIGESTS}")
