@@ -9,9 +9,9 @@ outputs while CB-GMRES runs:
 1. the unhardened solver (recovery disabled) crashes or diverges;
 2. the hardened solver detects the poisoned Arnoldi cycles, salvages
    the clean columns and restarts from the explicit residual;
-3. ``RobustCbGmres`` escalates the storage format along a fallback
-   chain (``frsz2_16 -> frsz2_32 -> float64``) whenever an attempt
-   stalls or exhausts its recovery budget;
+3. ``RobustCbGmres`` escalates the storage format along
+   ``repro.solvers.escalation`` (``frsz2_16 -> frsz2_32 -> float64``)
+   whenever an attempt stalls or exhausts its recovery budget;
 4. the full campaign sweeps fault kind x storage format x rate and
    prints the survival-rate table.
 
@@ -22,13 +22,7 @@ import os
 
 import numpy as np
 
-from repro.robust import (
-    FallbackPolicy,
-    FaultInjector,
-    FaultySpmvMatrix,
-    RobustCbGmres,
-    run_campaign,
-)
+from repro.robust import FaultInjector, FaultySpmvMatrix, RobustCbGmres, run_campaign
 from repro.solvers import CbGmres, make_problem
 
 SCALE = os.environ.get("REPRO_SCALE", "smoke")
@@ -73,7 +67,7 @@ def demo_fallback_chain() -> None:
     print("=" * 64)
     # PR02R is the paper's hard case: lossy formats struggle, float64 wins
     p = make_problem("PR02R", SCALE)
-    solver = RobustCbGmres(p.a, FallbackPolicy(), m=50, max_iter=2000)
+    solver = RobustCbGmres(p.a, "frsz2_16", m=50, max_iter=2000)
     rr = solver.solve(p.b, p.target_rrn * 1e-4)  # tighten to force escalation
     for i, att in enumerate(rr.attempts):
         status = ("converged" if att.converged

@@ -152,8 +152,8 @@ def _check_fused(engine, rng: np.random.Generator) -> None:
     threads and on the pool's, each walk must repeat its one-thread bits.
     """
     from ..core.blocks import BlockLayout
-    from ..core.frsz2 import FRSZ2, Frsz2Compressed, decode_tile_numpy
-    from ..fused.kernels import axpy_rows_numpy, dot_rows_numpy
+    from ..core.frsz2 import Frsz2Compressed
+    from ..fused.kernels import axpy_rows_numpy
 
     def sample(n):
         # ordinary rows next to each other, so that any reassociation of
@@ -173,10 +173,14 @@ def _check_fused(engine, rng: np.random.Generator) -> None:
         return vectors, plain, hostile
 
     def compressed(vectors, bit_length, block_size):
-        comps = FRSZ2(bit_length, block_size).compress_batch(vectors)
-        decoded = np.empty((len(comps), vectors[0].size))
-        decode_tile_numpy(comps)(0, vectors[0].size, decoded)
-        table = engine.row_table([engine.row_pointers(c) for c in comps])
+        # the engine's encode and decode: the codec families before this
+        # one hold both to numpy, which would cost this family half its time
+        layout = BlockLayout(vectors[0].size, block_size, bit_length)
+        comps = [Frsz2Compressed(layout, *engine.encode(v, layout, False)[::-1])
+                 for v in vectors]
+        table = engine.row_table(map(engine.row_pointers, comps))
+        decoded = np.empty((len(vectors), layout.n))
+        table(0, layout.n, decoded)
         return f"l={bit_length} bs={block_size}", table, decoded
 
     def float64(vectors):
@@ -206,16 +210,14 @@ def _check_fused(engine, rng: np.random.Generator) -> None:
     y = np.array([0.5, 3.0, -0.25, 7.0, -1.75, 1.5])
 
     for n, tiles, sweep_tiles, sources in cases:
+        # the references are numpy dots; each is gathered as its products
+        # and all of a tile are summed in one call (see _numpy_dots)
+        dots, sweeps = [], []
         for tag, rows, dense, operands in sources:
             tag = f"{tag} n={n}"
             for w in operands:
-                for tile in tiles:
-                    # a dot's rows are independent: one reference for any j
-                    ref = np.zeros(y.size)
-                    dot_rows_numpy(dense, y.size, n, tile, w, ref)
-                    for j in (1, 6):
-                        _expect(_same_bits(ref[:j], _dot(rows, j, n, tile, w)),
-                                f"fused.dot_basis ({tag} j={j} tile={tile})")
+                # a dot's rows are independent: one reference for any j
+                dots.append((tag, rows, w, dense * w))
                 for j in (1, 6):  # axpy: the first row alone; a group of four + one
                     combined = w.copy()
                     axpy_rows_numpy(dense, j, n, y, combined, True)
@@ -227,12 +229,20 @@ def _check_fused(engine, rng: np.random.Generator) -> None:
                             f"fused.axpy ({tag} j={j})")
                     # the sweep is the axpy, then the dot of what it left;
                     # the ordinary operand does, the lane code is shared
-                    for tile in sweep_tiles if w is operands[0] else ():
-                        ref = np.zeros(j)
-                        dot_rows_numpy(dense, j, n, tile, updated, ref)
-                        _expect(_same_bits(np.concatenate((ref, updated)),
-                                           _sweep(rows, j, n, tile, y, w)),
-                                f"fused.axpy_dot ({tag} j={j} tile={tile})")
+                    if w is operands[0]:
+                        sweeps.append((tag, rows, j, w, updated,
+                                       dense[:j] * updated))
+        for tile in tiles:
+            for (tag, rows, w, _), ref in zip(dots, _numpy_dots(dots, n, tile)):
+                for j in (1, 6):
+                    _expect(_same_bits(ref[:j], _dot(rows, j, n, tile, w)),
+                            f"fused.dot_basis ({tag} j={j} tile={tile})")
+        for tile in sweep_tiles:
+            for (tag, rows, j, w, updated, _), ref in zip(
+                    sweeps, _numpy_dots(sweeps, n, tile)):
+                _expect(_same_bits(np.concatenate((ref, updated)),
+                                   _sweep(rows, j, n, tile, y, w)),
+                        f"fused.axpy_dot ({tag} j={j} tile={tile})")
 
     # rows the pool splits — more values than its minimum, more tiles than
     # a round of partials holds: on two threads and on the pool's, every
@@ -240,7 +250,9 @@ def _check_fused(engine, rng: np.random.Generator) -> None:
     # the numpy spelling
     n_tiles = engine.fused_round + 7  # one round of tiles and then some
     n = max(-(-engine.pool_min_work // y.size), 8 * n_tiles)
-    dense, plain = rng.standard_normal((y.size, n)), rng.standard_normal(n)
+    # uniform draws: as many normal ones cost this family a millisecond
+    dense = rng.random((y.size + 1, n)) - 0.5
+    dense, plain = dense[:-1], dense[-1]
     layout = BlockLayout(n, 32, 32)
     comps = []
     for v in dense:  # the codec is held to numpy above
@@ -326,12 +338,13 @@ def _check_norm2_and_step(engine, rng: np.random.Generator) -> None:
             ("reorthogonalizing, l=32", table, decoded, 6, in_span, STEP_REORTH),
             ("one pass", None, orthonormal, 6, plain, 0),
             ("non-finite", None, orthonormal, 6, poisoned, STEP_NONFINITE)):
+        prepared = givens_state(6)
+        prepared[2 * 6] = 1.5  # g_0 = beta
+        for c, h in enumerate(columns[:j - 1]):
+            givens_column(givens_views(prepared), c, h, 0.75)
         results = []
         for source in (_NumpyRows(dense), rows or engine.dense_rows(dense)):
-            givens = givens_state(6)
-            givens[2 * 6] = 1.5  # g_0 = beta
-            for c, h in enumerate(columns[:j - 1]):
-                givens_column(givens_views(givens), c, h, 0.75)
+            givens = prepared.copy()
             h, v, u, out = np.empty(j), np.empty(n), np.empty(j), np.zeros(4)
             flags = source.step(j, n, tile, w, v, 2.0 ** -0.5, h, u, givens, out)
             results.append((flags, h, v, out[:2], givens))
@@ -339,6 +352,20 @@ def _check_norm2_and_step(engine, rng: np.random.Generator) -> None:
         _expect(flags == want, f"fused.step ({tag}): the body's flags are {flags}")
         _expect(got_flags == flags and all(
             _same_bits(a, b) for a, b in zip(ref, got)), f"fused.step ({tag})")
+
+
+def _numpy_dots(cases, n, tile):
+    """``dot_rows_numpy`` of every case, in one call: the last item of a
+    case is its products ``v_r[i] * w[i]`` as rows.  A row's sum is its
+    own in the written order, and a product times ``1.0`` is itself, so
+    the products' rows dotted with ones are the cases' dots bit for bit
+    — at the cost of one call per tile instead of one per case."""
+    from ..fused.kernels import dot_rows_numpy
+
+    products = np.concatenate([case[-1] for case in cases])
+    h = np.zeros(len(products))
+    dot_rows_numpy(products, len(products), n, tile, np.ones(n), h)
+    return np.split(h, np.cumsum([len(case[-1]) for case in cases])[:-1])
 
 
 def _dot(rows, j, n, tile, w):

@@ -9,8 +9,8 @@ faults
     accessor round-trip corruption, NaN/Inf in SpMV outputs, serialized
     container bit flips and truncation.
 fallback
-    :class:`FallbackPolicy` / :class:`RobustCbGmres`: storage formats
-    tried lossy-first and escalated on stall or recovery exhaustion,
+    :class:`RobustCbGmres`: the requested storage escalated on stall or
+    recovery exhaustion along :func:`repro.solvers.adaptive.escalation`,
     with uncompressed float64 as the correctness-guaranteeing terminal.
 campaign
     A survival-rate sweep over fault kind × storage format × rate,
@@ -42,7 +42,7 @@ from .campaign import (
     CampaignResult,
     run_campaign,
 )
-from .fallback import DEFAULT_CHAIN, FallbackPolicy, RobustCbGmres, RobustResult
+from .fallback import RobustCbGmres, RobustResult
 from .faults import (
     FAULT_KINDS,
     FaultInjector,
@@ -62,7 +62,6 @@ __all__ = [
     "ChaosError",
     "ChaosSpec",
     "chaos_monitor",
-    "DEFAULT_CHAIN",
     "DEFAULT_FAULTS",
     "DEFAULT_RATES",
     "DEFAULT_STORAGES",
@@ -70,7 +69,6 @@ __all__ = [
     "CampaignCell",
     "CampaignResult",
     "run_campaign",
-    "FallbackPolicy",
     "RobustCbGmres",
     "RobustResult",
     "FAULT_KINDS",

@@ -4,9 +4,10 @@ Each campaign cell runs one CB-GMRES solve under a seeded fault
 injector and classifies the outcome:
 
 * ``converged``  — the first-choice storage format survived the faults;
-* ``fell_back``  — recovery escalated along the fallback chain and a
-  later format (float64 at the latest) converged;
-* ``failed``     — no format in the chain converged (should not happen
+* ``fell_back``  — recovery escalated
+  (:func:`repro.solvers.adaptive.escalation`) and a later attempt
+  (float64 at the latest) converged;
+* ``failed``     — no attempt converged (should not happen
   with the hardened solver on the bundled problems);
 * ``crashed``    — an exception escaped the solve (only reachable with
   ``hardened=False``: the unhardened baseline the campaign exists to
@@ -31,7 +32,7 @@ from ..bench.report import format_table
 from ..parallel import WorkerCrashError, run_grid
 from ..solvers.options import SolveOptions, check_choice
 from ..solvers.problems import Problem, make_problem
-from .fallback import FallbackPolicy, RobustCbGmres
+from .fallback import RobustCbGmres
 from .faults import FAULT_KINDS, FaultInjector, fault_hooks
 
 __all__ = [
@@ -62,7 +63,7 @@ class CampaignCell:
     outcome: str
     #: storage format of the attempt that produced the reported x
     storage_used: str
-    #: fallback-chain attempts consumed (1 = no fallback)
+    #: escalation attempts consumed (1 = no fallback)
     attempts: int
     iterations: int
     recoveries: int
@@ -149,7 +150,6 @@ def _run_cell(
     seed_key: Sequence[int],
     hardened: bool,
     fallback: bool,
-    policy: FallbackPolicy,
     options: SolveOptions,
 ) -> CampaignCell:
     injector = FaultInjector(rate, seed_key)
@@ -157,13 +157,7 @@ def _run_cell(
     hooks = fault_hooks(fault, injector)
     try:
         if hardened and fallback:
-            solver = options.build(
-                problem.a,
-                solver=lambda a, storage, **kw: RobustCbGmres(
-                    a, policy.chain_from(storage), **kw
-                ),
-                **hooks,
-            )
+            solver = options.build(problem.a, solver=RobustCbGmres, **hooks)
             rr = solver.solve(problem.b, problem.target_rrn)
             return CampaignCell(
                 fault=fault, storage=storage, rate=rate,
@@ -208,7 +202,6 @@ def run_campaign(
     max_iter: int = 2000,
     hardened: bool = True,
     fallback: bool = True,
-    policy: Optional[FallbackPolicy] = None,
     target_rrn: Optional[float] = None,
     jobs: int = 1,
     spmv_format: str = "csr",
@@ -248,12 +241,11 @@ def run_campaign(
     ).resolved()
     grid = [replace(base, storage=storage) for storage in storages]
     problem = make_problem(matrix, scale, target_rrn=target_rrn)
-    policy = policy or FallbackPolicy()
     tasks = [
         dict(
             problem=problem, fault=fault, rate=float(rate),
             seed_key=(seed, i_f, i_s, i_r), hardened=hardened,
-            fallback=fallback, policy=policy, options=options,
+            fallback=fallback, options=options,
         )
         for i_f, fault in enumerate(faults)
         for i_s, options in enumerate(grid)

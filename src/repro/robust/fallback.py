@@ -4,85 +4,39 @@ The compressed-basis trade-off is probabilistic: a lossy storage format
 usually converges like float64 (the paper's headline result), but on a
 hostile spectrum — or under hardware faults — it can stall or exhaust
 its recovery budget.  :class:`RobustCbGmres` turns that into a
-guarantee: storage formats are tried cheapest-first along a
-``FallbackPolicy`` chain, escalating whenever an attempt fails, with
+guarantee: it walks :func:`~repro.solvers.adaptive.escalation` of the
+requested storage, one attempt more whenever an attempt fails, with
 uncompressed ``float64`` as the correctness-guaranteeing terminal.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 import numpy as np
 
 from ..accessor import VectorAccessor, make_accessor
-from ..solvers.adaptive import ADAPTIVE_STORAGE, ControllerConfig
-from ..solvers.gmres import (
-    DEFAULT_MAX_ITER,
-    DEFAULT_MAX_RECOVERIES,
-    DEFAULT_RESTART,
-    CbGmres,
-    GmresResult,
-)
+from ..fused import DEFAULT_TILE_ELEMS
+from ..solvers.adaptive import ADAPTIVE_STORAGE, escalation
+from ..solvers.gmres import DEFAULT_MAX_ITER, DEFAULT_RESTART, CbGmres, GmresResult
 from ..solvers.orthogonal import DEFAULT_ETA
 from ..solvers.preconditioner import Preconditioner
 
-__all__ = ["FallbackPolicy", "RobustResult", "RobustCbGmres"]
+__all__ = ["RobustResult", "RobustCbGmres"]
 
-#: lossy-first default chain ending in the exact float64 terminal
-DEFAULT_CHAIN = ("frsz2_16", "frsz2_32", "float64")
-
-
-@dataclass(frozen=True)
-class FallbackPolicy:
-    """When and how to escalate the Krylov-basis storage format.
-
-    ``chain`` is tried in order; an attempt that converges ends the
-    solve.  An attempt fails — and the next format is tried — when it
-    stalls, exhausts its ``max_recoveries`` budget, or hits its
-    iteration cap.  Each escalation warm-starts from the best finite
-    iterate found so far, so work done in a lossy format is never thrown
-    away.
-    """
-
-    chain: Tuple[str, ...] = DEFAULT_CHAIN
-    max_recoveries: int = DEFAULT_MAX_RECOVERIES
-    #: stall window per attempt (tighter than CbGmres' default of 8 so
-    #: hopeless formats hand over quickly)
-    stall_restarts: Optional[int] = 4
-
-    def __post_init__(self) -> None:
-        if not self.chain:
-            raise ValueError("fallback chain must name at least one storage format")
-
-    def chain_from(self, storage: str) -> "FallbackPolicy":
-        """This policy with ``chain`` starting at ``storage``.
-
-        If ``storage`` is in the chain, the chain is truncated to start
-        there; otherwise the format escalates straight to the chain's
-        terminal (the correctness guarantee).
-        """
-        if storage in self.chain:
-            chain = self.chain[self.chain.index(storage):]
-        elif storage == self.chain[-1]:
-            chain = (storage,)
-        else:
-            chain = (storage, self.chain[-1])
-        return FallbackPolicy(
-            chain=chain,
-            max_recoveries=self.max_recoveries,
-            stall_restarts=self.stall_restarts,
-        )
+#: stall window per attempt (tighter than CbGmres' default of 8 so
+#: hopeless formats hand over quickly)
+ATTEMPT_STALL_RESTARTS = 4
 
 
 @dataclass
 class RobustResult:
-    """Outcome of a fallback-chain solve.
+    """Outcome of an escalating solve.
 
-    ``attempts`` holds one :class:`GmresResult` per storage format
-    tried, in chain order; ``result`` is the last (authoritative) one.
+    ``attempts`` holds one :class:`GmresResult` per ``(storage, floor)``
+    tried, in escalation order; ``result`` is the last (authoritative)
+    one.
     """
 
     result: GmresResult
@@ -129,23 +83,28 @@ class RobustResult:
 class RobustCbGmres:
     """CB-GMRES with breakdown recovery and automatic precision fallback.
 
-    Parameters mirror :class:`~repro.solvers.gmres.CbGmres`, with the
-    storage format replaced by a :class:`FallbackPolicy`.
-    ``storage_factory``, when given, maps ``(storage, n)`` to an
-    accessor — the hook the fault-injection campaign uses to wrap every
-    attempt's basis in a :class:`~repro.robust.faults.FaultyAccessor`.
-    ``spmv_format`` (default ``"csr"``) wraps ``a`` in a
+    Parameters mirror :class:`~repro.solvers.gmres.CbGmres`, in its
+    order.  An attempt fails when it stalls (over
+    :data:`ATTEMPT_STALL_RESTARTS` restarts), exhausts its recoveries or
+    hits its iteration cap; the next ``(storage, floor)`` of
+    :func:`~repro.solvers.adaptive.escalation` then warm-starts from the
+    best finite iterate found so far, so work done in a lossy format is
+    never thrown away.  ``storage_factory``, when given, maps
+    ``(storage, n)`` to an accessor — the hook the fault-injection
+    campaign uses to wrap every attempt's basis in a
+    :class:`~repro.robust.faults.FaultyAccessor`.  ``spmv_format``
+    (default ``"csr"``) wraps ``a`` in a
     :class:`~repro.sparse.engine.SpmvEngine` *once*, so every attempt
-    of the chain reuses the same converted layout.  ``backend``
-    (``"numpy"``/``"jit"``) is resolved once and threaded into every
-    attempt's solver; the jit kernels are bit-identical to numpy, so
-    the fallback decisions are unaffected.
+    reuses the same converted layout.  ``backend`` (``"numpy"``/``"jit"``)
+    is resolved once and threaded into every attempt's solver; the jit
+    kernels are bit-identical to numpy, so the fallback decisions are
+    unaffected.
     """
 
     def __init__(
         self,
         a,
-        policy: Optional[FallbackPolicy] = None,
+        storage: str = "frsz2_16",
         m: int = DEFAULT_RESTART,
         eta: float = DEFAULT_ETA,
         max_iter: int = DEFAULT_MAX_ITER,
@@ -154,7 +113,6 @@ class RobustCbGmres:
         spmv_format: str = "csr",
         basis_mode: str = "cached",
         tile_elems: Optional[int] = None,
-        precision: Optional[ControllerConfig] = None,
         backend: "str | None" = None,
     ) -> None:
         # a throwaway solver does what every attempt would repeat: it
@@ -162,51 +120,24 @@ class RobustCbGmres:
         # warning) and converts the operator, once; the attempts share both
         first = CbGmres(a, m=m, eta=eta, max_iter=max_iter,
                         spmv_format=spmv_format, backend=backend)
-        self.backend = first.backend if backend is not None else None
-        self.spmv_format = spmv_format
         self.a = first.a
-        self.policy = policy or FallbackPolicy()
-        self.m = int(m)
-        self.eta = float(eta)
-        self.max_iter = int(max_iter)
-        self._factory = storage_factory
-        self.preconditioner = preconditioner
-        self.basis_mode = basis_mode
-        self.tile_elems = tile_elems
-        self.precision = precision
+        self.storage = storage
         if storage_factory is None:
-            # fail fast on unknown format names in the chain (adaptive
-            # expands to its ladder, validated by ControllerConfig)
-            for storage in self.policy.chain:
-                if storage != ADAPTIVE_STORAGE:
-                    make_accessor(storage, 0)
-
-    def attempt_plan(self) -> "List[Tuple[str, Optional[str]]]":
-        """The ``(storage, adaptive_floor)`` sequence :meth:`solve` walks.
-
-        Fixed chain entries map to ``(storage, None)``.  An
-        ``"adaptive"`` entry expands into one adaptive attempt per
-        non-terminal ladder rung with the escalation floor raised one
-        rung each time — so after a fault-driven escalation the
-        controller can never downshift back below the level the chain
-        has moved past — followed by the ladder's terminal as a plain
-        fixed attempt (the correctness guarantee).  Consecutive
-        duplicates are collapsed.
-        """
-        cfg = self.precision or ControllerConfig()
-        plan: List[Tuple[str, Optional[str]]] = []
-        for storage in self.policy.chain:
-            if storage == ADAPTIVE_STORAGE:
-                for floor in cfg.ladder[:-1]:
-                    plan.append((ADAPTIVE_STORAGE, floor))
-                plan.append((cfg.ladder[-1], None))
-            else:
-                plan.append((storage, None))
-        deduped: List[Tuple[str, Optional[str]]] = []
-        for step in plan:
-            if not deduped or deduped[-1] != step:
-                deduped.append(step)
-        return deduped
+            # fail fast on an unknown format name, before any attempt
+            for name, _ in escalation(storage):
+                if name != ADAPTIVE_STORAGE:
+                    make_accessor(name, 0)
+        #: what every attempt's CbGmres is built with besides its storage
+        self._attempt = dict(
+            m=m, eta=eta, max_iter=max_iter,
+            stall_restarts=ATTEMPT_STALL_RESTARTS,
+            # the (storage, n) factory keeps wrapping accessors (fault
+            # injectors) across the controller's format switches too
+            storage_factory=storage_factory,
+            preconditioner=preconditioner, basis_mode=basis_mode,
+            tile_elems=tile_elems or DEFAULT_TILE_ELEMS,
+            backend=first.backend if backend is not None else None,
+        )
 
     def solve(
         self,
@@ -215,38 +146,12 @@ class RobustCbGmres:
         x0: Optional[np.ndarray] = None,
         record_history: bool = False,
     ) -> RobustResult:
-        """Walk the fallback chain until an attempt converges."""
+        """Walk the escalation until an attempt converges."""
         attempts: List[GmresResult] = []
         x_start = x0
         best_rrn = np.inf
-        for storage, floor in self.attempt_plan():
-            precision = None
-            if storage == ADAPTIVE_STORAGE:
-                precision = dataclasses.replace(
-                    self.precision or ControllerConfig(), floor=floor
-                )
-            solver = CbGmres(
-                self.a,
-                storage,
-                m=self.m,
-                eta=self.eta,
-                max_iter=self.max_iter,
-                stall_restarts=self.policy.stall_restarts,
-                # the (storage, n) factory keeps wrapping accessors (fault
-                # injectors) across the controller's format switches too
-                storage_factory=self._factory,
-                precision=precision,
-                preconditioner=self.preconditioner,
-                recovery=True,
-                max_recoveries=self.policy.max_recoveries,
-                basis_mode=self.basis_mode,
-                backend=self.backend,
-                **(
-                    {"tile_elems": self.tile_elems}
-                    if self.tile_elems is not None
-                    else {}
-                ),
-            )
+        for storage, floor in escalation(self.storage):
+            solver = CbGmres(self.a, storage, floor=floor, **self._attempt)
             res = solver.solve(
                 b, target_rrn, x0=x_start, record_history=record_history
             )

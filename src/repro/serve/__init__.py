@@ -14,8 +14,9 @@ configure (:class:`ServeConfig`) → enqueue (:meth:`SolveEngine.submit`)
 * per-job wall deadlines and heartbeat-based hang detection;
 * bounded retry with exponential backoff + deterministic jitter on
   worker crashes, hangs, and solve errors;
-* automatic precision degradation along the fallback chain
-  (frsz2_16 → frsz2_32 → float64) on repeated failure;
+* automatic precision degradation along
+  :func:`repro.solvers.adaptive.escalation` (frsz2_16 → frsz2_32 →
+  float64) on repeated failure;
 * cooperative cancellation that always reclaims the worker;
 * per-job state isolation, asserted in-worker and verified
   bit-for-bit by the soak harness (:func:`run_soak`).

@@ -28,11 +28,12 @@ Hardening mechanisms, all engine-side (workers stay dumb):
 * **bounded retry with backoff + jitter** — worker crashes, hangs and
   in-process solve errors are retried up to ``max_retries`` times with
   exponential backoff and deterministic, per-job seeded jitter;
-* **precision degradation** — each retry escalates the attempt's
-  storage format one step along the
-  :data:`repro.robust.fallback.DEFAULT_CHAIN`
-  (frsz2_16 → frsz2_32 → float64): degraded-precision results beat no
-  results, and float64 is the correctness-guaranteeing terminal;
+* **precision degradation** — each retry takes the next
+  ``(storage, floor)`` of :func:`repro.solvers.adaptive.escalation`,
+  the same rungs :class:`repro.robust.RobustCbGmres` walks (frsz2_16 →
+  frsz2_32 → float64; an ``adaptive`` job first retries with its floor
+  raised to frsz2_32): degraded-precision results beat no results, and
+  float64 is the correctness-guaranteeing terminal;
 * **cooperative cancellation** — :meth:`SolveEngine.cancel` asks the
   worker to stop at its next progress tick and force-kills after a
   grace window, so cancellation always reclaims the worker; a member
@@ -70,7 +71,7 @@ import numpy as np
 
 from ..observe import NULL_TRACER, ScopedTracer
 from ..parallel.pool import PoolTask, SupervisedPool
-from ..robust.fallback import FallbackPolicy
+from ..solvers.adaptive import escalation
 from .bus import ProgressBus, ProgressEvent
 from .jobs import AttemptRecord, JobRecord, JobSpec, JobState, TERMINAL_STATES
 from .queue import AdmissionController, RejectedError
@@ -388,9 +389,10 @@ class SolveEngine:
         :meth:`_batchable`), so only a lead job's retry degrades."""
         lead = members[0]
         attempt_index = len(lead.attempts) + 1
-        chain = FallbackPolicy().chain_from(lead.spec.storage).chain
-        storage = chain[min(attempt_index - 1, len(chain) - 1)]
-        if lead.attempts and storage != lead.attempts[-1].storage:
+        rungs = escalation(lead.spec.storage)
+        storage, floor = rungs[min(attempt_index - 1, len(rungs) - 1)]
+        last = lead.attempts[-1] if lead.attempts else None
+        if last is not None and (storage, floor) != (last.storage, last.floor):
             lead.degradations += 1
             self._scope.scope(f"job.{lead.job_id}").count("degradations")
         peers = f"+{len(members) - 1}" if len(members) > 1 else ""
@@ -401,6 +403,7 @@ class SolveEngine:
                 job_ids=[j.job_id for j in members],
                 attempt=attempt_index,
                 storage=storage,
+                floor=floor,
             ),
             label=f"{lead.job_id}{peers}[attempt {attempt_index}]",
             emit_kwarg="emit",
@@ -408,7 +411,8 @@ class SolveEngine:
         now = time.monotonic()
         for job in members:
             job.attempts.append(
-                AttemptRecord(index=attempt_index, storage=storage, started_at=now)
+                AttemptRecord(index=attempt_index, storage=storage, floor=floor,
+                              started_at=now)
             )
             if job.first_started_at is None:
                 job.first_started_at = now
@@ -418,7 +422,7 @@ class SolveEngine:
             self._task_of[job.job_id] = task
             self._scope.scope(f"job.{job.job_id}").count("attempts")
             self.bus.publish(job.job_id, "attempt", {
-                "attempt": attempt_index, "storage": storage,
+                "attempt": attempt_index, "storage": storage, "floor": floor,
                 "batched_with": len(members),
             })
             self.bus.publish(job.job_id, "state", {"state": JobState.RUNNING})
@@ -528,7 +532,7 @@ class SolveEngine:
         attempt.error = detail
         self.bus.publish(job.job_id, "attempt", {
             "attempt": attempt.index, "storage": attempt.storage,
-            "outcome": outcome, "error": detail,
+            "floor": attempt.floor, "outcome": outcome, "error": detail,
         })
         if job.cancel_requested:
             self._finish(job, JobState.CANCELLED, "cancelled during retry")

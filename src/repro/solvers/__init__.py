@@ -2,11 +2,11 @@
 
 from .adaptive import (
     ADAPTIVE_STORAGE,
-    DEFAULT_LADDER,
-    ControllerConfig,
+    LADDER,
     CycleFeedback,
     PrecisionController,
     PrecisionDecision,
+    escalation,
     storage_unit_roundoff,
 )
 from .analysis import OrthogonalityTrace, basis_perturbation, trace_orthogonality
@@ -48,11 +48,11 @@ from .problems import Problem, make_expected_solution, make_problem, make_rhs
 
 __all__ = [
     "ADAPTIVE_STORAGE",
-    "DEFAULT_LADDER",
-    "ControllerConfig",
+    "LADDER",
     "CycleFeedback",
     "PrecisionController",
     "PrecisionDecision",
+    "escalation",
     "storage_unit_roundoff",
     "KrylovBasis",
     "OrthogonalityTrace",

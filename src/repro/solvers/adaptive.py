@@ -28,23 +28,27 @@ roundoff (times a safety factor) fits inside
 whose observed reduction was storage-capped, that tripped the CGS
 re-orthogonalization machinery, that lost orthogonality outright, or
 that needed a fault recovery, forces an upshift that is *held* for a
-few restarts so the controller cannot oscillate.  External floors
-(:meth:`PrecisionController.raise_floor`) encode the composition rule
-with :mod:`repro.robust`: once the fault-escalation chain has moved past
-a format, the controller never goes back below it.
+few restarts so the controller cannot oscillate.  A floor given at
+construction encodes the composition rule with :mod:`repro.robust` and
+the serve retry: once an escalation has moved past a format, the
+controller never goes back below it.
+
+:func:`escalation` is the one answer to "the attempt failed, which
+storage next?" — for :class:`repro.robust.RobustCbGmres`, the fault
+campaign and the serve engine's retries alike.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 __all__ = [
     "ADAPTIVE_STORAGE",
-    "DEFAULT_LADDER",
+    "LADDER",
     "STORAGE_UNIT_ROUNDOFF",
+    "escalation",
     "storage_unit_roundoff",
-    "ControllerConfig",
     "CycleFeedback",
     "PrecisionDecision",
     "PrecisionController",
@@ -53,10 +57,36 @@ __all__ = [
 #: the pseudo storage-format name that enables the controller
 ADAPTIVE_STORAGE = "adaptive"
 
-#: cheapest-to-safest storage ladder the controller walks (matches the
-#: fault-escalation chain of :data:`repro.robust.fallback.DEFAULT_CHAIN`
-#: so floors translate one-to-one)
-DEFAULT_LADDER: Tuple[str, ...] = ("frsz2_16", "frsz2_32", "float64")
+#: the storage rungs from cheapest (largest unit roundoff) to safest: the
+#: formats the controller picks from per restart, and the path every
+#: :func:`escalation` climbs, so a floor is a rung of both
+LADDER: Tuple[str, ...] = ("frsz2_16", "frsz2_32", "float64")
+
+#: headroom on the error-bound test: format ``f`` is admissible for a
+#: cycle needing reduction ``g`` only if ``u(f) * SAFETY <= g``
+SAFETY = 4.0
+#: per-cycle reduction assumed before any cycle has been observed: first
+#: cycles on well-behaved systems gain many decades, which admits
+#: ``frsz2_32`` but not ``frsz2_16`` — the paper's own default
+PRIOR_GAIN = 1e-8
+#: a cycle where at least this fraction of the Arnoldi steps needed
+#: re-orthogonalization (the CGS eta test) *and* the fraction jumped by
+#: ``REORTH_JUMP`` over the solve's own best cycle is eroding the
+#: directions, and the next cycle runs one rung higher.  The jump makes
+#: the signal relative: some matrices re-orthogonalize every step even
+#: in float64, which says nothing about the storage
+REORTH_FRACTION = 0.5
+REORTH_JUMP = 0.25
+#: a cycle whose reduction factor is above this made essentially no
+#: progress, which triggers an upshift
+STALL_GAIN = 0.999
+#: a cycle is *storage-capped* when its reduction factor lands within
+#: this multiple of the format's unit roundoff: it hit the error-model
+#: wall, so its gain says more about the format than about the matrix
+CAP_MARGIN = 32.0
+#: restart decisions a feedback-driven upshift is held for, so the
+#: controller cannot oscillate between downshift and upshift
+HOLD_RESTARTS = 2
 
 #: pointwise unit roundoff of each storage format: FRSZ2 keeps an
 #: ``N-1``-bit fixed-point mantissa against a block-shared exponent
@@ -100,84 +130,33 @@ def storage_unit_roundoff(storage: str) -> float:
     raise KeyError(storage)
 
 
-@dataclass(frozen=True)
-class ControllerConfig:
-    """Tuning knobs of the :class:`PrecisionController`.
+def escalation(storage: str) -> Tuple[Tuple[str, Optional[str]], ...]:
+    """The ``(storage, floor)`` attempts a solve asked for ``storage``
+    walks, one more each time the last one failed (stalled, ran out of
+    recoveries or hit its iteration cap).
 
-    Attributes
-    ----------
-    ladder : tuple of str
-        Storage formats from cheapest to safest.  Must be ordered by
-        decreasing unit roundoff.
-    safety : float
-        Headroom multiplier on the error-bound test: format ``f`` is
-        admissible for a cycle needing reduction ``g`` only if
-        ``u(f) * safety <= g``.  Larger is more conservative.
-    prior_gain : float
-        Per-cycle reduction factor assumed before any cycle has been
-        observed.  The default (``1e-8``) reflects that first cycles on
-        well-behaved systems gain many decades, which admits
-        ``frsz2_32`` but not ``frsz2_16`` — the paper's own default.
-    reorth_fraction : float
-        Feedback-upshift trigger: a cycle where at least this fraction
-        of the Arnoldi steps needed re-orthogonalization (the CGS
-        eta test) *and* the fraction jumped by ``reorth_jump`` over the
-        solve's own best cycle is deemed to be eroding the directions,
-        and the next cycle runs one rung higher.  The jump term makes
-        the signal relative: some matrices re-orthogonalize every step
-        even in float64, which says nothing about the storage.
-    reorth_jump : float
-        Minimum increase over the lowest re-orthogonalization fraction
-        seen so far before the ``reorth_fraction`` trigger arms.
-    stall_gain : float
-        A cycle whose reduction factor is above this (i.e. essentially
-        no progress) triggers a feedback upshift.
-    cap_margin : float
-        A cycle counts as *storage-capped* when its observed reduction
-        factor lands within this multiple of the format's unit
-        roundoff — the cycle hit the error-model wall, so its gain says
-        more about the format than about the matrix.
-    hold_restarts : int
-        How many subsequent restart decisions a feedback-driven upshift
-        is held for, preventing downshift/upshift oscillation.
-    floor : str, optional
-        Initial escalation floor: the controller starts with every
-        ladder rung below this format forbidden (equivalent to calling
-        :meth:`PrecisionController.raise_floor` right after
-        construction).  :class:`repro.robust.RobustCbGmres` uses this
-        to re-run adaptive attempts with a raised floor after a
-        fault-driven escalation.
+    * a rung of :data:`LADDER`: it and the rungs above it;
+    * any other fixed format: itself, then the ladder's top, ``float64``
+      (the correctness guarantee);
+    * ``"adaptive"``: the controller with no floor, then with its floor
+      raised one rung at a time — after an escalation it never goes back
+      below the level the failure moved past — then fixed ``float64``.
+
+    ``floor`` is ``None`` for every fixed attempt.
+
+    Examples
+    --------
+    >>> escalation("frsz2_32")
+    (('frsz2_32', None), ('float64', None))
+    >>> escalation("adaptive")
+    (('adaptive', None), ('adaptive', 'frsz2_32'), ('float64', None))
     """
-
-    ladder: Tuple[str, ...] = DEFAULT_LADDER
-    safety: float = 4.0
-    prior_gain: float = 1e-8
-    reorth_fraction: float = 0.5
-    reorth_jump: float = 0.25
-    stall_gain: float = 0.999
-    cap_margin: float = 32.0
-    hold_restarts: int = 2
-    floor: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if len(self.ladder) < 1:
-            raise ValueError("ladder must name at least one storage format")
-        us = [storage_unit_roundoff(f) for f in self.ladder]
-        if any(a <= b for a, b in zip(us, us[1:])):
-            raise ValueError(
-                "ladder must be ordered cheapest (largest roundoff) to "
-                f"safest: {self.ladder}"
-            )
-        if self.safety < 1.0:
-            raise ValueError("safety must be >= 1")
-        if not 0.0 < self.prior_gain < 1.0:
-            raise ValueError("prior_gain must be in (0, 1)")
-        if self.hold_restarts < 0:
-            raise ValueError("hold_restarts must be non-negative")
-        if self.floor is not None and self.floor not in self.ladder:
-            raise ValueError(
-                f"floor {self.floor!r} is not on the ladder {self.ladder}"
-            )
+    if storage == ADAPTIVE_STORAGE:
+        floors = (None,) + LADDER[1:-1]
+        return tuple((storage, f) for f in floors) + ((LADDER[-1], None),)
+    if storage in LADDER:
+        return tuple((rung, None) for rung in LADDER[LADDER.index(storage):])
+    return ((storage, None), (LADDER[-1], None))
 
 
 @dataclass(frozen=True)
@@ -242,14 +221,17 @@ class PrecisionController:
     """Chooses the basis storage format for each restart cycle.
 
     One controller instance serves one solve: it is stateful (observed
-    convergence rate, upshift holds, escalation floors) and is
+    convergence rate, upshift holds) and is
     consulted once per restart via :meth:`decide`, fed once per
     *finished* cycle via :meth:`observe_cycle`.
 
     Parameters
     ----------
-    config : ControllerConfig, optional
-        Tuning knobs; defaults are calibrated on the repo bench grid.
+    floor : str, optional
+        The lowest :data:`LADDER` rung the controller may choose: the
+        composition contract with an escalation (:func:`escalation`), so
+        the error-bound rule never goes back below a format a failed
+        attempt moved past.  ``None`` forbids nothing.
     tracer : repro.observe.Tracer, optional
         Decisions are surfaced as ``precision.*`` counters
         (``precision.restarts.<fmt>``, ``precision.upshifts``,
@@ -258,21 +240,24 @@ class PrecisionController:
     Examples
     --------
     >>> c = PrecisionController()
-    >>> c.decide(rrn=1.0, target_rrn=1e-12).storage
+    >>> c.decide(rrn=1.0, target_rrn=1e-6).storage
     'frsz2_32'
     >>> c.observe_cycle(CycleFeedback("frsz2_32", 1.0, 1e-4, 50))
-    >>> c.decide(rrn=1e-4, target_rrn=1e-12).storage
+    >>> c.decide(rrn=1e-4, target_rrn=1e-6).storage
     'frsz2_16'
     """
 
-    def __init__(self, config: Optional[ControllerConfig] = None, tracer=None) -> None:
+    def __init__(self, floor: Optional[str] = None, tracer=None) -> None:
         from ..observe import NULL_TRACER
 
-        self.config = config or ControllerConfig()
+        if floor is not None and floor not in LADDER:
+            raise ValueError(f"floor {floor!r} is not on the ladder {LADDER}")
         self.tracer = tracer or NULL_TRACER
+        #: the lowest format the controller may choose
+        self.floor = floor or LADDER[0]
+        self._floor_idx = LADDER.index(self.floor)
         self._gain_pred: Optional[float] = None
         self._reorth_ref: Optional[float] = None
-        self._floor_idx = 0
         self._hold_idx = 0
         self._hold_left = 0
         self._restart = 0
@@ -281,31 +266,6 @@ class PrecisionController:
         self.decisions: List[PrecisionDecision] = []
         self.upshifts = 0
         self.downshifts = 0
-        if self.config.floor is not None:
-            self.raise_floor(self.config.floor)
-
-    # -- escalation composition ---------------------------------------
-
-    def raise_floor(self, storage: str) -> None:
-        """Forbid every ladder rung below ``storage`` from now on.
-
-        This is the composition contract with :mod:`repro.robust`:
-        when the fault-escalation chain has moved past a format, the
-        controller must never downshift back below it, no matter what
-        the error-bound rule would admit.  Unknown (off-ladder) names
-        raise ``ValueError``; raising to a level at or below the
-        current floor is a no-op.
-        """
-        if storage not in self.config.ladder:
-            raise ValueError(
-                f"floor {storage!r} is not on the ladder {self.config.ladder}"
-            )
-        self._floor_idx = max(self._floor_idx, self.config.ladder.index(storage))
-
-    @property
-    def floor(self) -> str:
-        """The lowest format the controller may currently choose."""
-        return self.config.ladder[self._floor_idx]
 
     # -- feedback ------------------------------------------------------
 
@@ -319,27 +279,26 @@ class PrecisionController:
         distress — a capped reduction, heavy re-orthogonalization, an
         outright loss of orthogonality, a stall, or fault recoveries.
         """
-        cfg = self.config
         try:
-            idx = cfg.ladder.index(fb.storage)
+            idx = LADDER.index(fb.storage)
         except ValueError:
-            idx = len(cfg.ladder) - 1
+            idx = len(LADDER) - 1
         u = storage_unit_roundoff(fb.storage)
         g_obs: Optional[float] = None
         if fb.start_rrn > 0 and fb.end_rrn >= 0:
             ratio = fb.end_rrn / fb.start_rrn
             if ratio == ratio and ratio != float("inf"):  # finite
                 g_obs = ratio
-        capped = g_obs is None or g_obs <= cfg.cap_margin * u
-        stalled = g_obs is None or g_obs >= cfg.stall_gain
+        capped = g_obs is None or g_obs <= CAP_MARGIN * u
+        stalled = g_obs is None or g_obs >= STALL_GAIN
         frac = (
             fb.reorthogonalizations / fb.iterations if fb.iterations > 0 else None
         )
         heavy_reorth = (
             frac is not None
             and self._reorth_ref is not None
-            and frac >= cfg.reorth_fraction
-            and frac >= self._reorth_ref + cfg.reorth_jump
+            and frac >= REORTH_FRACTION
+            and frac >= self._reorth_ref + REORTH_JUMP
         )
         if frac is not None:
             self._reorth_ref = (
@@ -354,9 +313,9 @@ class PrecisionController:
             or fb.loss_of_orthogonality
             or fb.recoveries > 0
         )
-        if distress and idx + 1 < len(cfg.ladder):
+        if distress and idx + 1 < len(LADDER):
             self._hold_idx = max(self._hold_idx, idx + 1)
-            self._hold_left = cfg.hold_restarts
+            self._hold_left = HOLD_RESTARTS
             if self.tracer.enabled:
                 self.tracer.count("precision.distress")
 
@@ -380,13 +339,12 @@ class PrecisionController:
             :attr:`decisions` and mirrored into ``precision.*``
             tracer counters.
         """
-        cfg = self.config
-        g_pred = self._gain_pred if self._gain_pred is not None else cfg.prior_gain
+        g_pred = self._gain_pred if self._gain_pred is not None else PRIOR_GAIN
         finish = target_rrn / rrn if rrn > 0 else 1.0
         needed = max(g_pred, min(finish, 1.0))
-        idx = len(cfg.ladder) - 1
-        for i, fmt in enumerate(cfg.ladder):
-            if storage_unit_roundoff(fmt) * cfg.safety <= needed:
+        idx = len(LADDER) - 1
+        for i, fmt in enumerate(LADDER):
+            if storage_unit_roundoff(fmt) * SAFETY <= needed:
                 idx = i
                 break
         reason = "error-bound"
@@ -395,7 +353,7 @@ class PrecisionController:
             # the cheaper pick: the remaining distance fits inside one
             # cycle at that format, so distress cannot cost iterations
             closes_out = (
-                storage_unit_roundoff(cfg.ladder[idx]) * cfg.safety <= finish
+                storage_unit_roundoff(LADDER[idx]) * SAFETY <= finish
             )
             if self._hold_idx > idx and not closes_out:
                 idx = self._hold_idx
@@ -406,7 +364,7 @@ class PrecisionController:
             reason = "floor"
             if self.tracer.enabled:
                 self.tracer.count("precision.floor_clamps")
-        storage = cfg.ladder[idx]
+        storage = LADDER[idx]
         decision = PrecisionDecision(
             restart=self._restart,
             storage=storage,

@@ -28,7 +28,7 @@ import numpy as np
 
 from ..fused import norm2
 from ..fused.kernels import STEP_BREAKDOWN, STEP_LOSS, STEP_NONFINITE, STEP_REORTH
-from .adaptive import ADAPTIVE_STORAGE, CycleFeedback, PrecisionController
+from .adaptive import ADAPTIVE_STORAGE, LADDER, CycleFeedback, PrecisionController
 from .basis import KrylovBasis
 from .gmres import BreakdownEvent, GmresResult, ResidualSample, SolveStats
 from .hessenberg import GivensLeastSquares
@@ -116,7 +116,7 @@ class _Solve:
         # traffic-weighted mean)
         self.controller: Optional[PrecisionController] = None
         if storage == ADAPTIVE_STORAGE:
-            self.controller = PrecisionController(solver.precision, tracer=tracer)
+            self.controller = PrecisionController(solver.floor, tracer=tracer)
         self.bits_seen: Dict[str, float] = {}
 
         # the single KrylovBasis construction site
@@ -130,7 +130,7 @@ class _Solve:
         self.stored = new_basis(
             # adaptive: first decision lands before the first write; the
             # ladder top is a never-read placeholder until then
-            self.controller.config.ladder[-1] if self.controller else storage,
+            LADDER[-1] if self.controller else storage,
             solver._storage_factory,
         )
         self.basis = new_basis("float64") if solver._flexible else self.stored

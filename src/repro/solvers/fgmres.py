@@ -33,7 +33,6 @@ import numpy as np
 from ..accessor import VectorAccessor
 from ..sparse.csr import CSRMatrix
 from ..fused import DEFAULT_TILE_ELEMS
-from .adaptive import ControllerConfig
 from .gmres import DEFAULT_MAX_ITER, DEFAULT_RESTART, CbGmres
 from .orthogonal import DEFAULT_ETA
 from .preconditioner import Preconditioner
@@ -84,8 +83,6 @@ class FlexibleGmres(CbGmres):
         ``(storage, n) -> VectorAccessor`` override for the Z basis,
         also used when the adaptive controller rebuilds accessors per
         format switch.
-    precision : ControllerConfig, optional
-        Controller tuning for ``z_storage="adaptive"``.
     basis_mode : str, optional
         ``"cached"`` or ``"streaming"`` for both bases.
     tile_elems : int, optional
@@ -106,7 +103,6 @@ class FlexibleGmres(CbGmres):
         stall_restarts: Optional[int] = 8,
         preconditioner: Optional[Preconditioner] = None,
         storage_factory: "Callable[[str, int], VectorAccessor] | None" = None,
-        precision: Optional[ControllerConfig] = None,
         basis_mode: str = "cached",
         tile_elems: Optional[int] = None,
         backend: "str | None" = None,
@@ -120,7 +116,6 @@ class FlexibleGmres(CbGmres):
             stall_restarts=stall_restarts,
             preconditioner=preconditioner,
             storage_factory=storage_factory,
-            precision=precision,
             basis_mode=basis_mode,
             tile_elems=tile_elems or DEFAULT_TILE_ELEMS,
             backend=backend,

@@ -36,7 +36,7 @@ from ..observe import NULL_TRACER
 from ..sparse.csr import CSRMatrix
 from ..sparse.engine import SPMV_FORMATS, SpmvEngine
 from ..fused import DEFAULT_TILE_ELEMS
-from .adaptive import ControllerConfig, PrecisionDecision
+from .adaptive import ADAPTIVE_STORAGE, LADDER, PrecisionDecision
 from .basis import BASIS_MODES, KrylovBasis
 from .orthogonal import DEFAULT_ETA
 from .preconditioner import IdentityPreconditioner, Preconditioner
@@ -247,16 +247,19 @@ class CbGmres:
         to the engine.  The default null tracer is a
         set of no-ops: results are bit-identical either way, since
         tracing never touches the numerics.
-    precision:
-        Optional :class:`~repro.solvers.adaptive.ControllerConfig`
-        tuning the adaptive precision controller; only consulted when
-        ``storage="adaptive"``, which makes the basis storage a
-        per-restart decision (downshifting toward frsz2_16 when the
-        error model admits it, upshifting on orthogonality distress —
-        see :mod:`repro.solvers.adaptive` and ``docs/PRECISION.md``).
-        Adaptive results keep ``storage="adaptive"`` and additionally
-        carry ``stats.storage_trace`` / ``stats.reads_by_storage`` /
-        ``stats.writes_by_storage`` and ``result.precision_trace``.
+    floor:
+        ``storage="adaptive"`` makes the basis storage a per-restart
+        decision of a :class:`~repro.solvers.adaptive.PrecisionController`
+        (downshifting toward frsz2_16 when the error model admits it,
+        upshifting on orthogonality distress — see
+        :mod:`repro.solvers.adaptive` and ``docs/PRECISION.md``);
+        ``floor`` is the lowest :data:`~repro.solvers.adaptive.LADDER`
+        rung it may pick (``None``: any), what an escalation
+        (:func:`~repro.solvers.adaptive.escalation`) raises after a
+        failed attempt.  Adaptive results keep ``storage="adaptive"``
+        and additionally carry ``stats.storage_trace`` /
+        ``stats.reads_by_storage`` / ``stats.writes_by_storage`` and
+        ``result.precision_trace``.
     storage_factory:
         Override the accessor construction with a format-aware
         ``factory(storage, n)``, honored across adaptive format
@@ -295,7 +298,7 @@ class CbGmres:
         basis_mode: str = "cached",
         tile_elems: int = DEFAULT_TILE_ELEMS,
         tracer=None,
-        precision: Optional[ControllerConfig] = None,
+        floor: Optional[str] = None,
         storage_factory: "Callable[[str, int], VectorAccessor] | None" = None,
         backend: "str | None" = None,
     ) -> None:
@@ -351,7 +354,12 @@ class CbGmres:
             getattr(self.preconditioner, "attach_tracer", lambda t: None)(
                 self.tracer
             )
-        self.precision = precision
+        if floor is not None and (storage != ADAPTIVE_STORAGE or floor not in LADDER):
+            raise ValueError(
+                f"floor {floor!r} needs storage={ADAPTIVE_STORAGE!r} and a rung "
+                f"of the ladder {LADDER}; got storage={storage!r}"
+            )
+        self.floor = floor
         self._storage_factory = storage_factory
 
     def solve(

@@ -7,8 +7,9 @@ The controller's contract (docs/PRECISION.md):
   (x safety) fits inside the reduction the cycle must deliver;
 * storage-distress feedback (capped cycles, relative re-orth jumps,
   orthogonality loss, recoveries) arms a *held* upshift;
-* external floors — the composition rule with ``repro.robust`` — always
-  win over anything the error-bound rule would admit.
+* a floor — the composition rule with an escalation
+  (``escalation``: ``repro.robust`` and the serve retry) — always wins
+  over anything the error-bound rule would admit.
 """
 
 import dataclasses
@@ -21,20 +22,16 @@ from hypothesis import strategies as st
 
 from repro.accessor import make_accessor
 from repro.jit import dispatch as jit_dispatch
-from repro.robust import (
-    FallbackPolicy,
-    RobustCbGmres,
-    run_campaign,
-)
+from repro.robust import RobustCbGmres, run_campaign
 from repro.solvers import (
     ADAPTIVE_STORAGE,
+    LADDER,
     CbGmres,
-    ControllerConfig,
     CycleFeedback,
-    DEFAULT_LADDER,
     FlexibleGmres,
     KrylovBasis,
     PrecisionController,
+    escalation,
     make_problem,
     storage_unit_roundoff,
 )
@@ -65,23 +62,11 @@ class TestUnitRoundoff:
             storage_unit_roundoff("sz3_08")
 
 
-class TestControllerConfig:
-    def test_default_ladder_matches_fallback_chain(self):
-        from repro.robust.fallback import DEFAULT_CHAIN
-
-        assert DEFAULT_LADDER == DEFAULT_CHAIN
-
-    def test_rejects_misordered_ladder(self):
-        with pytest.raises(ValueError, match="ordered"):
-            ControllerConfig(ladder=("float64", "frsz2_16"))
-
-    def test_rejects_off_ladder_floor(self):
-        with pytest.raises(ValueError, match="floor"):
-            ControllerConfig(floor="float32")
-
-    def test_rejects_bad_safety(self):
-        with pytest.raises(ValueError, match="safety"):
-            ControllerConfig(safety=0.5)
+class TestLadder:
+    def test_ladder_is_ordered_cheapest_first(self):
+        us = [storage_unit_roundoff(f) for f in LADDER]
+        assert us == sorted(us, reverse=True) and len(set(us)) == len(us)
+        assert LADDER[-1] == "float64"
 
 
 class TestControllerRules:
@@ -141,21 +126,19 @@ class TestControllerRules:
         assert d.reason == "error-bound"
 
     def test_floor_clamps_and_is_monotone(self):
-        c = PrecisionController()
-        c.raise_floor("float64")
-        c.raise_floor("frsz2_32")  # lowering is a no-op
+        c = PrecisionController(floor="float64")
+        for rrn in (1.0, 1e-5):  # the floor holds at every decision
+            d = c.decide(rrn, 1e-6)
+            assert (d.storage, d.reason) == ("float64", "floor")
         assert c.floor == "float64"
-        d = c.decide(1.0, 1e-6)
-        assert d.storage == "float64"
-        assert d.reason == "floor"
 
     def test_floor_rejects_off_ladder(self):
         with pytest.raises(ValueError, match="ladder"):
-            PrecisionController().raise_floor("float32")
+            PrecisionController(floor="float32")
 
-    def test_config_floor_applies_at_construction(self):
-        c = PrecisionController(ControllerConfig(floor="frsz2_32"))
-        assert c.floor == "frsz2_32"
+    def test_floor_applies_at_construction(self):
+        assert PrecisionController().floor == LADDER[0]
+        assert PrecisionController(floor="frsz2_32").floor == "frsz2_32"
 
     def test_storage_trace_mirrors_decisions(self):
         c = PrecisionController()
@@ -174,7 +157,7 @@ class TestAdaptiveSolve:
         assert res.stats.storage_trace
         assert len(res.precision_trace) == len(res.stats.storage_trace)
         for fmt in res.stats.storage_trace:
-            assert fmt in DEFAULT_LADDER
+            assert fmt in LADDER
 
     def test_traffic_buckets_account_all_basis_io(self, lung2):
         res = CbGmres(lung2.a, "adaptive", m=30, max_iter=500).solve(
@@ -300,36 +283,33 @@ class TestMixedStorageBasis:
 
 
 class TestRobustComposition:
-    def test_attempt_plan_expands_adaptive_with_rising_floors(self):
-        solver = RobustCbGmres(
-            make_problem("lung2", "smoke").a,
-            FallbackPolicy(chain=("adaptive",) + ("float64",)),
-        )
-        plan = solver.attempt_plan()
-        assert plan == [
-            (ADAPTIVE_STORAGE, "frsz2_16"),
+    def test_escalation_expands_adaptive_with_rising_floors(self):
+        plan = escalation(ADAPTIVE_STORAGE)
+        assert plan == (
+            (ADAPTIVE_STORAGE, None),
             (ADAPTIVE_STORAGE, "frsz2_32"),
             ("float64", None),
-        ]
-        # floors are monotone non-decreasing along the plan
-        ladder = list(DEFAULT_LADDER)
-        floors = [ladder.index(f) for _, f in plan if f is not None]
+        )
+        # a floor is a rung of the ladder, rising along the plan
+        floors = [LADDER.index(f or LADDER[0]) for s, f in plan if s == ADAPTIVE_STORAGE]
         assert floors == sorted(floors)
 
     def test_adaptive_chain_solves(self, lung2):
-        solver = RobustCbGmres(
-            lung2.a, FallbackPolicy(chain=("adaptive", "float64")),
-            m=30, max_iter=500,
-        )
+        solver = RobustCbGmres(lung2.a, ADAPTIVE_STORAGE, m=30, max_iter=500)
         rr = solver.solve(lung2.b, lung2.target_rrn)
         assert rr.converged
         # every adaptive attempt honored its floor
-        for (storage, floor), attempt in zip(solver.attempt_plan(), rr.attempts):
+        for (storage, floor), attempt in zip(escalation(ADAPTIVE_STORAGE), rr.attempts):
             if storage != ADAPTIVE_STORAGE or floor is None:
                 continue
-            floor_idx = list(DEFAULT_LADDER).index(floor)
             for fmt in attempt.stats.storage_trace:
-                assert list(DEFAULT_LADDER).index(fmt) >= floor_idx
+                assert LADDER.index(fmt) >= LADDER.index(floor)
+
+    def test_floor_holds_in_a_solve(self, atmosmodd):
+        res = CbGmres(atmosmodd.a, ADAPTIVE_STORAGE, m=20, max_iter=800,
+                      floor="frsz2_32").solve(atmosmodd.b, atmosmodd.target_rrn)
+        assert res.converged
+        assert "frsz2_16" not in res.stats.storage_trace
 
     def test_campaign_accepts_adaptive(self):
         camp = run_campaign(
@@ -352,7 +332,7 @@ class TestRobustComposition:
 _rrn = st.floats(min_value=1e-16, max_value=1.0, allow_nan=False)
 _feedback = st.builds(
     CycleFeedback,
-    storage=st.sampled_from(DEFAULT_LADDER),
+    storage=st.sampled_from(LADDER),
     start_rrn=_rrn,
     end_rrn=_rrn,
     iterations=st.integers(min_value=0, max_value=60),
@@ -362,32 +342,25 @@ _feedback = st.builds(
 )
 _event = st.one_of(
     st.tuples(st.just("observe"), _feedback),
-    st.tuples(st.just("floor"), st.sampled_from(DEFAULT_LADDER)),
     st.tuples(st.just("decide"), _rrn),
 )
 
 
 class TestControllerFuzz:
-    @given(events=st.lists(_event, max_size=40), target=_rrn)
+    @given(events=st.lists(_event, max_size=40), target=_rrn,
+           floor=st.sampled_from((None,) + LADDER))
     @settings(max_examples=200, deadline=None)
-    def test_any_schedule_keeps_invariants(self, events, target):
-        """Arbitrary interleavings of feedback, floor raises and
-        decisions never crash, never leave the ladder, and never pick
-        below the floor in force at decision time."""
-        c = PrecisionController()
-        ladder = list(DEFAULT_LADDER)
+    def test_any_schedule_keeps_invariants(self, events, target, floor):
+        """Arbitrary interleavings of feedback and decisions never
+        crash, never leave the ladder, and never pick below the floor."""
+        c = PrecisionController(floor=floor)
         for kind, payload in events:
             if kind == "observe":
                 c.observe_cycle(payload)
-            elif kind == "floor":
-                floor_before = c.floor
-                c.raise_floor(payload)
-                # floors are monotone
-                assert ladder.index(c.floor) >= ladder.index(floor_before)
             else:
                 d = c.decide(payload, target)
-                assert d.storage in ladder
-                assert ladder.index(d.storage) >= ladder.index(c.floor)
+                assert d.storage in LADDER
+                assert LADDER.index(d.storage) >= LADDER.index(c.floor)
         assert len(c.decisions) == sum(1 for k, _ in events if k == "decide")
 
     @given(

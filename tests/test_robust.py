@@ -3,7 +3,7 @@
 Covers the robustness acceptance surface: seeded injectors replay
 exactly; v2 containers detect every single-bit corruption; injected
 NaN/Inf never crash the hardened solver or escape into the returned
-solution; the fallback chain guarantees convergence via float64.
+solution; the storage escalation guarantees convergence via float64.
 """
 
 import numpy as np
@@ -14,8 +14,6 @@ from hypothesis import strategies as st
 from repro.core import FRSZ2
 from repro.core.serialize import dump_bytes, load_bytes
 from repro.robust import (
-    DEFAULT_CHAIN,
-    FallbackPolicy,
     FaultInjector,
     FaultyAccessor,
     FaultySpmvMatrix,
@@ -29,7 +27,7 @@ from repro.robust import (
     truncate_container,
 )
 from repro.accessor import make_accessor
-from repro.solvers import CbGmres, GivensLeastSquares, make_problem
+from repro.solvers import CbGmres, GivensLeastSquares, escalation, make_problem
 
 
 def small_container(n=40, bs=8, l=21, seed=3):
@@ -242,29 +240,27 @@ class TestRecovery:
 
 
 # ----------------------------------------------------------------------
-# fallback policy / RobustCbGmres
+# escalation / RobustCbGmres
 # ----------------------------------------------------------------------
 
 class TestFallback:
-    def test_chain_from(self):
-        pol = FallbackPolicy()
-        assert pol.chain_from("frsz2_16").chain == DEFAULT_CHAIN
-        assert pol.chain_from("frsz2_32").chain == ("frsz2_32", "float64")
-        assert pol.chain_from("float64").chain == ("float64",)
-        assert pol.chain_from("float32").chain == ("float32", "float64")
+    def test_escalation(self):
+        def fixed(*names):
+            return tuple((name, None) for name in names)
 
-    def test_empty_chain_rejected(self):
-        with pytest.raises(ValueError, match="chain"):
-            FallbackPolicy(chain=())
+        assert escalation("frsz2_16") == fixed("frsz2_16", "frsz2_32", "float64")
+        assert escalation("frsz2_32") == fixed("frsz2_32", "float64")
+        assert escalation("float64") == fixed("float64")
+        assert escalation("float32") == fixed("float32", "float64")
 
     def test_unknown_format_rejected_eagerly(self):
         p = make_problem("lung2", "smoke")
         with pytest.raises(KeyError):
-            RobustCbGmres(p.a, FallbackPolicy(chain=("not_a_format",)))
+            RobustCbGmres(p.a, "not_a_format")
 
     def test_clean_problem_no_fallback(self):
         p = make_problem("lung2", "smoke")
-        rr = RobustCbGmres(p.a, FallbackPolicy(chain=("frsz2_32", "float64")),
+        rr = RobustCbGmres(p.a, "frsz2_32",
                            m=30, max_iter=500).solve(p.b, p.target_rrn)
         assert rr.outcome == "converged"
         assert not rr.fell_back
@@ -272,9 +268,9 @@ class TestFallback:
         assert rr.storage_used == "frsz2_32"
 
     def test_hopeless_format_falls_back_to_terminal(self):
-        # PR02R at a tightened target defeats frsz2_16; float64 guarantees it
+        # PR02R at a tightened target defeats float16; float64 guarantees it
         p = make_problem("PR02R", "smoke")
-        rr = RobustCbGmres(p.a, FallbackPolicy(chain=("frsz2_16", "float64")),
+        rr = RobustCbGmres(p.a, "float16",
                            m=50, max_iter=1500).solve(p.b, p.target_rrn * 1e-4)
         assert rr.converged
         assert rr.fell_back

@@ -259,6 +259,23 @@ class TestEngine:
         assert clean.state == JobState.DONE and clean.retries == 0
         assert engine.crashes_observed == 1
 
+    def test_adaptive_crash_retried_with_raised_floor(self):
+        crash = ChaosSpec("worker_crash", at_iteration=3).to_dict()
+        events = []
+        with SolveEngine(_config()) as engine:
+            engine.subscribe(
+                lambda e: events.append(e.payload) if e.kind == "attempt" else None
+            )
+            job = engine.submit(_spec(storage="adaptive", chaos=crash))
+            assert engine.drain(timeout=60)
+        assert job.state == JobState.DONE
+        assert [a.outcome for a in job.attempts] == ["crashed", "done"]
+        assert [(a.storage, a.floor) for a in job.attempts] == [
+            ("adaptive", None), ("adaptive", "frsz2_32")]
+        assert job.degradations == 1
+        started = [e for e in events if "batched_with" in e]
+        assert [e["floor"] for e in started] == [None, "frsz2_32"]
+
     def test_solve_error_retried(self):
         error = ChaosSpec("solve_error", at_iteration=3).to_dict()
         with SolveEngine(_config()) as engine:

@@ -464,6 +464,23 @@ class TestHostileSettings:
         with pytest.raises(ValueError, match=f"^{name} must be"):
             cls(a, **{name: value})
 
+    @pytest.mark.parametrize("storage, floor", [
+        ("frsz2_32", "frsz2_32"), ("float64", "float64"),
+        ("adaptive", "float32"), ("adaptive", "frsz2_21"), ("adaptive", "bogus"),
+    ])
+    def test_floor_refused_by_name(self, storage, floor):
+        """A floor needs the adaptive controller and a rung of its ladder."""
+        a, _, _ = small_system(8)
+        with pytest.raises(ValueError, match=f"^floor {floor!r}"):
+            CbGmres(a, storage, floor=floor)
+
+    def test_unknown_escalation_storage_refused_at_construction(self):
+        from repro.robust import RobustCbGmres
+
+        a, _, _ = small_system(8)
+        with pytest.raises(KeyError, match="not_a_format"):
+            RobustCbGmres(a, "not_a_format")
+
     @pytest.mark.parametrize("eta", [0.1, 2.0 ** -0.5, 0.99])
     def test_the_ablation_etas_solve(self, eta):
         a, b, x = small_system()
