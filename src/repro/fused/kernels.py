@@ -12,10 +12,12 @@ timing and for tests.  All of them reduce the stored basis row by row over a fix
 (runs of ``tile_elems`` elements), reading every row where it is stored.
 Under ``backend="jit"`` one C call per fused operation walks the whole
 grid: the columns of the cached mirror are read in place, and a
-streaming FRSZ2 basis is decoded one row-tile at a time into a
-``tile``-double work buffer and reduced at once — no ``(j, tile)``
-rectangle exists (the sweep keeps ``j`` row *pieces* of 256 values, the
-one thing it reads twice).  Rows C cannot walk (wrapped, mixed-format
+streaming FRSZ2 basis is decoded one row-tile at a time and reduced at
+once — on the aligned rungs (``l`` 16 and 32) an exact-scale block's
+fields in the registers that take them, any other block into a
+``tile``-double work buffer — and no ``(j, tile)`` rectangle exists (the
+sweep keeps ``j`` row *pieces* of 256 values, the one thing it reads
+twice).  Rows C cannot walk (wrapped, mixed-format
 or unwritten slots, dense formats, numpy codecs) are loaded tile by tile
 into a ``(j, tile)`` scratch and reduced by the same kernels.
 

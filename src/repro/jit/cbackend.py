@@ -20,7 +20,15 @@ Every kernel replays the numpy reference *operation for operation*:
   (``frsz2_decode_tile``; a whole container is its one-row window)
   additionally decodes blocks whose values are all normal as an exact
   integer-times-power-of-two product, which yields the same bits (see
-  ``DECODE_BLOCK_RUN``);
+  ``DECODE_BLOCK_RUN``): in an exact-scale block (``l - 1 <= e_max <=
+  2046``) the smallest nonzero value is normal and the largest finite,
+  so ``c_sig * 2^(e_max - (l - 2) - 1023)`` neither rounds nor flushes.
+  The aligned rungs (``l`` 16 and 32) decode such a block eight fields
+  to a register: a field's ``c_sig < 2^52`` OR-ed into the bits of
+  ``2^52`` is the double ``2^52 + c_sig``, and subtracting ``2^52``
+  leaves ``c_sig`` exactly (``+0`` for ``0``): the exact integer
+  conversion, spelled in 64-bit lanes; the same exact product and the
+  sign bit follow;
 * no decode takes a raw array pointer: each reads a container through
   its :class:`RowPointers`, whose constructor holds the arrays to the
   layout C indexes them by, and the gather checks every index it is
@@ -31,10 +39,13 @@ Every kernel replays the numpy reference *operation for operation*:
 * the fused basis reductions (``fused_dot`` / ``fused_axpy``) follow the
   accumulation order written in :mod:`repro.fused.kernels` — eight
   independent lanes and a fixed tree per tile, a row-ordered sum per
-  element — whatever the rows come from: float64 rows read in place or
-  FRSZ2 containers decoded a row piece at a time feed the same loop;
-  the sweep ``fused_axpy_dot`` is the one followed by the other, walked
-  once: a row's lanes persist across the pieces of a tile;
+  element — whatever the rows come from: float64 rows read in place,
+  FRSZ2 containers decoded a row piece at a time, or — the aligned
+  rungs — a block's fields decoded in the registers its lanes or its
+  sums take, block by block, with every other block of the row decoded
+  into the buffer and added in the same order; the sweep
+  ``fused_axpy_dot`` is the one followed by the other, walked once: a
+  row's lanes persist across the pieces of a tile;
 * ``fused_norm2`` is ``fused_dot`` of a vector with itself, then the
   correctly rounded ``sqrt``; the Arnoldi step ``fused_step`` is the three
   walks, three such norms (the middle one reduced from the sweep's tiles
@@ -64,7 +75,11 @@ runs, and :attr:`CEngine.isa` names it.  Register width moves no bit:
 every operation order above is written out, the two IEEE flags hold in
 every clone, and a rounded product or sum is the same in a 128-bit and
 in a 512-bit register — which the self-test checks at every load for
-whichever clone was bound.  The SpMV kernels are not cloned (their
+whichever clone was bound.  The register decoder of the aligned rungs
+is written once, in plain C over GCC/Clang vector types of eight lanes
+(no intrinsics), so the baseline clone, which a CPU without AVX-512
+binds, runs the algorithm of the ``x86-64-v4`` clone in narrower
+registers.  The SpMV kernels are not cloned (their
 gathers gain nothing, measured).  A compiler that rejects the attribute
 gets one retry with ``-DREPRO_NO_CLONES``, which is the plain build;
 :attr:`CEngine.clone_fallback` then keeps its reason.  ``-march=native``
@@ -328,9 +343,32 @@ static double decode_field(uint64_t f, int64_t e_max, int64_t l)
     return u2d(bits);
 }
 
+/* On a little-endian host a packed stream's bytes hold its bits in order,
+ * so a field of <= 57 bits whose first byte is 8 or more before the end
+ * of the stream is one unaligned 8-byte load, a shift and a mask
+ * (load_field).  LOADS_FIT says so for every field of a run whose last
+ * field starts at bit last; the fields in the stream's last 8 bytes take
+ * the clamped chunk reads, which return the same bits. */
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
+#define LOADS_FIT(nwords, last, l)                                        \
+    ((l) <= 57 && ((last) >> 3) + 8 <= 4 * (nwords))
+#else
+#define LOADS_FIT(nwords, last, l) 0
+#endif
+
+static inline __attribute__((always_inline)) uint64_t
+load_field(const uint32_t *words, int64_t bitpos, int64_t l)
+{
+    uint64_t v;
+    memcpy(&v, (const uint8_t *)words + (bitpos >> 3), sizeof v);
+    return (v >> (bitpos & 7)) & ((1ULL << l) - 1ULL);
+}
+
 static inline __attribute__((always_inline)) uint64_t
 read_packed(const uint32_t *words, int64_t nwords, int64_t bitpos, int64_t l)
 {
+    if (LOADS_FIT(nwords, bitpos, l))
+        return load_field(words, bitpos, l);
     int64_t lo_bits = l < 32 ? l : 32;
     uint64_t val = get_chunk(words, nwords, bitpos, lo_bits);
     if (l > 32)
@@ -379,36 +417,130 @@ static uint64_t read_slot(const uint8_t *payload, int32_t kind,
             o[k] = decode_field((FIELD), e_max, l);                       \
     }
 
+/* The bits of the scale 2^(e_max - (l - 2) - 1023) of an exact-scale
+ * block (DECODE_BLOCK_RUN), or 0: the block takes decode_field. */
+static inline __attribute__((always_inline)) uint64_t
+exact_scale(int64_t e_max, int64_t l)
+{
+    return l <= 54
+        && (uint64_t)(e_max - (l - 1)) <= (uint64_t)(2046 - (l - 1))
+        ? (uint64_t)(e_max - (l - 2)) << 52 : 0;
+}
+
+/* ---- the register decoder of the aligned rungs -------------------------
+ * Kinds 1 and 2 (l = 16 and 32: one field per uint16 / uint32 slot) are
+ * decoded eight fields to a register, in plain C over GCC/Clang vector
+ * types, so every clone runs the same algorithm at its own width.  In an
+ * exact-scale block (DECODE_BLOCK_RUN) the eight fields are zero-extended
+ * to 64 bits; c_sig < 2^52 OR-ed into the bits of 2^52 is the double
+ * 2^52 + c_sig, and subtracting 2^52 leaves c_sig exactly (+0 for 0); the
+ * product with the block's scale is exact, and the sign bit is OR-ed in
+ * last: the bits of the scalar exact branch, field for field. */
+#if defined(__GNUC__) && !defined(__clang__)
+/* the helpers below that take or return a vector are inlined by force,
+ * so no vector crosses a call: gcc's ABI note about them says nothing */
+#pragma GCC diagnostic ignored "-Wpsabi"
+#endif
+typedef double v8df __attribute__((vector_size(64)));
+typedef uint64_t v8du __attribute__((vector_size(64)));
+typedef uint32_t v8su __attribute__((vector_size(32)));
+typedef uint16_t v8hu __attribute__((vector_size(16)));
+
+/* The layouts whose walks take the register route: kind 1 or 2, blocks of
+ * whole registers. */
+#define FIELDS_IN_REGISTERS(kind, bs)                                     \
+    (((kind) == 1 || (kind) == 2) && (bs) % 8 == 0)
+
+/* Fields i .. i + 7 of a kind 1 or 2 payload, in a block of scale s. */
+static inline __attribute__((always_inline)) v8df
+decode8(const uint8_t *payload, int32_t kind, int64_t i, double s)
+{
+    int64_t l = kind == 1 ? 16 : 32;
+    v8du q;
+    if (kind == 1) {
+        v8hu f;  /* widened in two steps: gcc 12 makes one step scalar */
+        memcpy(&f, (const uint16_t *)payload + i, sizeof f);
+        q = __builtin_convertvector(__builtin_convertvector(f, v8su), v8du);
+    } else {
+        v8su f;
+        memcpy(&f, (const uint32_t *)payload + i, sizeof f);
+        q = __builtin_convertvector(f, v8du);
+    }
+    v8du biased = (q & ((1ULL << (l - 1)) - 1)) | 0x4330000000000000ULL;
+    v8df mag = ((v8df)biased - 0x1p52) * s;
+    return (v8df)((v8du)mag | (q << (64 - l) & 0x8000000000000000ULL));
+}
+
+static inline __attribute__((always_inline)) v8df load8(const double *p)
+{
+    v8df v;
+    memcpy(&v, p, sizeof v);
+    return v;
+}
+
+static inline __attribute__((always_inline)) void store8(double *p, v8df v)
+{
+    memcpy(p, &v, sizeof v);
+}
+
+/* decode_range over a kind 1 or 2 payload: an exact-scale block eight
+ * fields at a time, its tail and every other block by DECODE_BLOCK_RUN. */
+static inline __attribute__((always_inline)) void
+decode_fields(const uint8_t *payload, int32_t kind, const int32_t *exponents,
+              int64_t i0, int64_t i1, int64_t bs, double *out)
+{
+    int64_t l = kind == 1 ? 16 : 32;
+    uint64_t sig_mask = (1ULL << (l - 1)) - 1ULL;
+    for (int64_t b = i0 / bs; b * bs < i1; b++) {
+        int64_t lo = b * bs < i0 ? i0 : b * bs;
+        int64_t hi = (b + 1) * bs < i1 ? (b + 1) * bs : i1;
+        int64_t e_max = exponents[b];
+        double scale = u2d(exact_scale(e_max, l));
+        int exact = scale != 0.0;
+        if (exact)
+            for (; lo + 8 <= hi; lo += 8)
+                store8(out + (lo - i0), decode8(payload, kind, lo, scale));
+        int64_t cnt = hi - lo;
+        double *restrict o = out + (lo - i0);
+        if (kind == 1) {
+            const uint16_t *p = (const uint16_t *)payload + lo;
+            DECODE_BLOCK_RUN(p[k], int32_t)
+        } else {
+            const uint32_t *p = (const uint32_t *)payload + lo;
+            DECODE_BLOCK_RUN(p[k], int32_t)
+        }
+    }
+}
+
 /* Decode values [i0, i1) of one container into out[0 .. i1 - i0): one
- * exponent read and one slot-width dispatch per block. */
+ * exponent read per block, one slot-width dispatch per call (kinds 1 and
+ * 2) or per block. */
 CLONED
 static void decode_range(const uint8_t *payload, int32_t kind,
                          int64_t nwords, const int32_t *exponents,
                          int64_t i0, int64_t i1, int64_t bs, int64_t l,
                          int64_t wpb, double *out)
 {
+    if (kind == 1) {
+        decode_fields(payload, 1, exponents, i0, i1, bs, out);
+        return;
+    }
+    if (kind == 2) {
+        decode_fields(payload, 2, exponents, i0, i1, bs, out);
+        return;
+    }
     uint64_t sig_mask = (1ULL << (l - 1)) - 1ULL;
     for (int64_t b = i0 / bs; b * bs < i1; b++) {
         int64_t lo = b * bs < i0 ? i0 : b * bs;
         int64_t hi = (b + 1) * bs < i1 ? (b + 1) * bs : i1;
         int64_t cnt = hi - lo;
         int64_t e_max = exponents[b];
-        int exact = l <= 54 && e_max >= l - 1 && e_max <= 2046;
-        double scale = exact ? u2d((uint64_t)(e_max - (l - 2)) << 52) : 0.0;
+        double scale = u2d(exact_scale(e_max, l));
+        int exact = scale != 0.0;
         double *restrict o = out + (lo - i0);
         switch (kind) {
         case 0: {
             const uint8_t *p = payload + lo;
-            DECODE_BLOCK_RUN(p[k], int32_t)
-            break;
-        }
-        case 1: {
-            const uint16_t *p = (const uint16_t *)payload + lo;
-            DECODE_BLOCK_RUN(p[k], int32_t)
-            break;
-        }
-        case 2: {
-            const uint32_t *p = (const uint32_t *)payload + lo;
             DECODE_BLOCK_RUN(p[k], int32_t)
             break;
         }
@@ -420,8 +552,12 @@ static void decode_range(const uint8_t *payload, int32_t kind,
         default: {
             const uint32_t *words = (const uint32_t *)payload;
             int64_t bit0 = b * wpb * 32 + (lo - b * bs) * l;
-            DECODE_BLOCK_RUN(read_packed(words, nwords, bit0 + k * l, l),
-                             int64_t)
+            if (LOADS_FIT(nwords, bit0 + (cnt - 1) * l, l)) {
+                DECODE_BLOCK_RUN(load_field(words, bit0 + k * l, l), int64_t)
+            } else {
+                DECODE_BLOCK_RUN(read_packed(words, nwords, bit0 + k * l, l),
+                                 int64_t)
+            }
             break;
         }
         }
@@ -748,6 +884,88 @@ static inline __attribute__((always_inline)) double lanes_tree(const double *a)
     return ((a[0] + a[1]) + (a[2] + a[3])) + ((a[4] + a[5]) + (a[6] + a[7]));
 }
 
+static inline __attribute__((always_inline)) double lanes_tree8(v8df a)
+{
+    double l[8];
+    store8(l, a);
+    return lanes_tree(l);
+}
+
+/* A block of a row that the register routes do not decode in registers:
+ * its fields [lo, hi) decoded into buf, then each element i joined to
+ * lane (i - t0) mod 8 of a, in ascending order. */
+static __attribute__((noinline)) void
+dot_block_buffered(const uint8_t *v, int32_t kind, const int32_t *e,
+                   int64_t lo, int64_t hi, int64_t t0, int64_t bs,
+                   const double *x, double *buf, double *a)
+{
+    decode_range(v, kind, 0, e, lo, hi, bs, kind == 1 ? 16 : 32, 0, buf);
+    for (int64_t i = lo; i < hi; i++)
+        a[(i - t0) & 7] += buf[i - lo] * x[i];
+}
+
+/* The register route of dot_tile: rows r .. r + R - 1 (R = DOT_ROWS or
+ * fewer, the rows of one pass: R add chains run at once and share the
+ * loads of w) over the tile [t0, t1).  A block of a row whose fields are
+ * all in the tile, starting a multiple of eight from t0, and exact-scale
+ * is decoded in the registers its products join; any other block of a
+ * row goes through dot_block_buffered — the same lanes, in the same
+ * ascending order. */
+#define DOT_ROWS 4
+
+static inline __attribute__((always_inline)) void
+dot_rows_fields(const struct walk *k, int32_t kind, int64_t r, int R,
+                int64_t t0, int64_t t1, double *buf, double *p)
+{
+    int64_t bs = k->v_bs, l = kind == 1 ? 16 : 32;
+    const double *restrict x = k->w;
+    const uint8_t *const *v = k->v_payloads + r;
+    const int32_t *const *e = k->v_exponents + r;
+    v8df a[DOT_ROWS];
+    for (int g = 0; g < R; g++)
+        a[g] = (v8df){0.0};
+    for (int64_t b0 = t0 / bs * bs; b0 < t1; b0 += bs) {
+        int64_t lo = b0 < t0 ? t0 : b0, hi = b0 + bs < t1 ? b0 + bs : t1;
+        int whole = lo == b0 && hi == b0 + bs && (lo - t0) % 8 == 0;
+        uint64_t s[DOT_ROWS], all = whole;
+        for (int g = 0; g < R; g++)
+            all &= (s[g] = whole ? exact_scale(e[g][b0 / bs], l) : 0) != 0;
+        if (all) {
+            for (int64_t i = lo; i < hi; i += 8) {
+                v8df xv = load8(x + i);
+                for (int g = 0; g < R; g++)
+                    a[g] += decode8(v[g], kind, i, u2d(s[g])) * xv;
+            }
+            continue;
+        }
+        for (int g = 0; g < R; g++) {
+            if (s[g]) {
+                for (int64_t i = lo; i < hi; i += 8)
+                    a[g] += decode8(v[g], kind, i, u2d(s[g])) * load8(x + i);
+            } else {
+                double lanes[8];
+                store8(lanes, a[g]);
+                dot_block_buffered(v[g], kind, e[g], lo, hi, t0, bs, x, buf,
+                                   lanes);
+                a[g] = load8(lanes);
+            }
+        }
+    }
+    for (int g = 0; g < R; g++)
+        p[r + g] = lanes_tree8(a[g]);
+}
+
+static inline __attribute__((always_inline)) void
+dot_fields(const struct walk *k, int32_t kind, int64_t t0, int64_t t1,
+           double *buf, double *p)
+{
+    int64_t r = 0;
+    for (; r + DOT_ROWS <= k->j; r += DOT_ROWS)
+        dot_rows_fields(k, kind, r, DOT_ROWS, t0, t1, buf, p);
+    for (; r < k->j; r++)
+        dot_rows_fields(k, kind, r, 1, t0, t1, buf, p);
+}
+
 /* The partials of v_r . w over tile t of the round, for every row in
  * order.  A partial is the written lane order: eight accumulators from
  * +0.0, element i joins lane (i - t0) mod 8 as a rounded product added
@@ -762,6 +980,13 @@ static void dot_tile(const void *job, int64_t t, int64_t me)
     int64_t len = (t0 + k->tile < k->n ? t0 + k->tile : k->n) - t0;
     const double *restrict x = k->w + t0;
     double *buf = k->slices + me * k->stride, *p = k->part + t * k->j;
+    if (!k->v_dense && FIELDS_IN_REGISTERS(k->v_kind, k->v_bs)) {
+        if (k->v_kind == 1)
+            dot_fields(k, 1, t0, t0 + len, buf, p);
+        else
+            dot_fields(k, 2, t0, t0 + len, buf, p);
+        return;
+    }
     for (int64_t r = 0; r < k->j; r++) {
         const double *restrict v = FUSED_ROW(r, t0, t0 + len, buf);
         double a[8] = {0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0};
@@ -815,11 +1040,84 @@ double fused_norm2(const double *x, int64_t n, int64_t tile, int64_t threads)
  * axpy_piece leaves the sums of elements [i0, i0 + len) in s.  A
  * compressed row piece is decoded into buf + slot * FUSED_PIECE: slot is
  * the row when keep != 0 (the sweep below reads every row piece again),
- * else the row's place in its group of four. */
+ * else the row's place in its group of four.
+ *
+ * The register route (axpy_rows_fields) adds rows r .. r + R - 1 (R = 1
+ * or 4; first: s starts at row r) into s over [i0, i1), block by block:
+ * a whole exact-scale block of every row of the group is decoded eight
+ * fields at a time into the register sums; any other block is decoded
+ * into buf first.  With keep, every decoded row piece is also stored at
+ * buf + row * FUSED_PIECE, where the sweep reads it again. */
+static inline __attribute__((always_inline)) void
+axpy_rows_fields(const struct walk *k, int32_t kind, int64_t r, int R,
+                 int first, int64_t i0, int64_t i1, double *restrict s,
+                 double *buf, int keep)
+{
+    int64_t bs = k->v_bs, l = kind == 1 ? 16 : 32;
+    const double *y = k->y + r;
+    const uint8_t *const *v = k->v_payloads + r;
+    const int32_t *const *e = k->v_exponents + r;
+    for (int64_t b0 = i0 / bs * bs; b0 < i1; b0 += bs) {
+        int64_t lo = b0 < i0 ? i0 : b0, hi = b0 + bs < i1 ? b0 + bs : i1;
+        uint64_t sc[4], all = lo == b0 && hi == b0 + bs;
+        for (int g = 0; g < R; g++)
+            all &= (sc[g] = all ? exact_scale(e[g][b0 / bs], l) : 0) != 0;
+        if (all) {
+            double *kept = buf + r * FUSED_PIECE + (lo - i0);
+            for (int64_t i = lo; i < hi; i += 8) {
+                v8df d = decode8(v[0], kind, i, u2d(sc[0]));
+                v8df t = first ? y[0] * d : load8(s + (i - i0)) + y[0] * d;
+                if (keep)
+                    store8(kept + (i - lo), d);
+                for (int g = 1; g < R; g++) {
+                    d = decode8(v[g], kind, i, u2d(sc[g]));
+                    t = t + y[g] * d;
+                    if (keep)
+                        store8(kept + g * FUSED_PIECE + (i - lo), d);
+                }
+                store8(s + (i - i0), t);
+            }
+            continue;
+        }
+        double *row[4];
+        for (int g = 0; g < R; g++) {
+            row[g] = keep ? buf + (r + g) * FUSED_PIECE + (lo - i0)
+                          : buf + g * FUSED_PIECE;
+            decode_range(v[g], kind, 0, e[g], lo, hi, bs, l, 0, row[g]);
+        }
+        for (int64_t i = lo; i < hi; i++) {
+            double t = first ? y[0] * row[0][i - lo]
+                             : s[i - i0] + y[0] * row[0][i - lo];
+            for (int g = 1; g < R; g++)
+                t += y[g] * row[g][i - lo];
+            s[i - i0] = t;
+        }
+    }
+}
+
+static inline __attribute__((always_inline)) void
+axpy_fields(const struct walk *k, int32_t kind, int64_t i0, int64_t len,
+            double *restrict s, double *buf, int keep)
+{
+    int64_t r = 1;
+    axpy_rows_fields(k, kind, 0, 1, 1, i0, i0 + len, s, buf, keep);
+    for (; r + 4 <= k->j; r += 4)
+        axpy_rows_fields(k, kind, r, 4, 0, i0, i0 + len, s, buf, keep);
+    for (; r < k->j; r++)
+        axpy_rows_fields(k, kind, r, 1, 0, i0, i0 + len, s, buf, keep);
+}
+
 static inline __attribute__((always_inline)) void
 axpy_piece(const struct walk *k, int64_t i0, int64_t len, double *restrict s,
            double *buf, int keep)
 {
+    if (!k->v_dense && FIELDS_IN_REGISTERS(k->v_kind, k->v_bs)) {
+        if (k->v_kind == 1)
+            axpy_fields(k, 1, i0, len, s, buf, keep);
+        else
+            axpy_fields(k, 2, i0, len, s, buf, keep);
+        return;
+    }
 #define PIECE_ROW(r, g)                                                   \
     FUSED_ROW(r, i0, i0 + len, buf + (keep ? (r) : (g)) * FUSED_PIECE)
     const double *y = k->y;

@@ -145,8 +145,10 @@ def _check_fused(engine, rng: np.random.Generator) -> None:
     zeros, subnormals and terms 600 orders of magnitude apart.  The short
     sources cover every slot width; a long one crosses the axpy's piece
     boundary, where a group of four rows continues into the next piece
-    and the sweep's lanes must persist from one piece to the next; its
-    dot spans more tiles than one round of partials holds.  A call that
+    and the sweep's lanes must persist from one piece to the next, with
+    its four ordinary rows first, so that a dot pass of four rows and an
+    axpy group decode whole blocks in registers; its dot spans more
+    tiles than one round of partials holds.  A call that
     runs alone takes its tiles last first, so partials added in any order
     but the tiles' fail here already.  Last, rows the pool splits: on two
     threads and on the pool's, each walk must repeat its one-thread bits.
@@ -202,8 +204,11 @@ def _check_fused(engine, rng: np.random.Generator) -> None:
     # dot over more tiles than one round of partials holds
     n = 2 * piece + 77
     vectors, plain, _ = sample(n)
+    # the four ordinary rows first: every whole block of a dot pass of four
+    # rows, and of an axpy group, is decoded in registers
+    ordinary_first = [vectors[i] for i in (1, 2, 4, 5, 0, 3)]
     sources = [(*float64(vectors), (plain,)),
-               (*compressed(vectors, 32, 32), (plain,))]
+               (*compressed(ordinary_first, 32, 32), (plain,))]
     tiles = (piece + 13, piece + 8, n)
     cases.append((n, (*tiles, 8), tiles, sources))
 

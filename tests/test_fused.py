@@ -1265,3 +1265,158 @@ class TestKeptSource:
         basis, vectors, w = self._basis("streaming", "numpy")
         assert basis._kept.source is None
         self._assert_fresh(basis, 4, w)
+
+
+@requires_jit
+class TestFieldsInRegisters:
+    """The aligned rungs (``l`` 16 and 32) decode a block in the registers
+    its values feed when the block is exact-scale (``l - 1 <= e_max <=
+    2046``), whole in the walk's range and, for a dot, a multiple of eight
+    from the tile's start; any other block is decoded through a buffer,
+    and its values join the same sums in the same order.  Rows here mix
+    both routes — ordinary blocks next to ``e_max = l - 2`` (buffered),
+    ``l - 1`` and 2046 (in registers), fields that are ``-0.0`` (sign bit
+    only) and ``+0.0`` — over ``n`` of ``1`` and ``31 mod 32`` (a short
+    last block), odd and even ``j`` (a dot pass of four rows plus one, or
+    of four and four) and tiles that keep every block whole (2048, 96) or
+    cut them all (40).  Every walk, the window decode and the Arnoldi step
+    are held to the numpy walks over the numpy decode as raw bits, on one
+    thread and on the pool's."""
+
+    TILES = (2048, 96, 40)
+
+    @staticmethod
+    def _containers(l, n, j, exponents, seed):
+        """``j`` hand-made containers: random fields, block exponents drawn
+        from ``exponents`` (``(low, high)``, then the special values each
+        row must hold), a twentieth of the fields ``-0.0`` and as many
+        ``+0.0``."""
+        from repro.core.blocks import BlockLayout
+        from repro.core.frsz2 import Frsz2Compressed
+
+        rng = np.random.default_rng(seed)
+        layout = BlockLayout(n, 32, l)
+        (low, high), special = exponents[0], list(exponents[1:])
+        comps = []
+        for _ in range(j):
+            e_max = rng.integers(low, high + 1, layout.num_blocks)
+            picked = rng.random(layout.num_blocks) < 0.3
+            e_max[picked] = rng.choice(special, int(picked.sum()))
+            e_max[:len(special)] = special  # every row holds every one
+            e_max[-1] = rng.choice(special)  # the short last block too
+            fields = rng.integers(0, 1 << l, layout.payload_size,
+                                  dtype=np.uint64)
+            marks = rng.random(fields.size)
+            fields[marks < 0.05] = 1 << (l - 1)
+            fields[marks > 0.95] = 0
+            comps.append(Frsz2Compressed(
+                layout, e_max.astype(np.int32),
+                fields.astype(layout.payload_dtype)))
+        return comps
+
+    @staticmethod
+    def _sources(comps):
+        """The engine's row table and the numpy decode of the same
+        containers (also the engine's window decode, held to it)."""
+        from repro.core.frsz2 import decode_tile_numpy
+        from repro.jit import load_engine
+
+        engine = load_engine()
+        n, j = comps[0].layout.n, len(comps)
+        rows = np.empty((j, n))
+        decode_tile_numpy(comps)(0, n, rows)
+        table = engine.row_table(map(engine.row_pointers, comps))
+        decoded = np.empty((j, n))
+        table(0, n, decoded)
+        assert _bits(decoded) == _bits(rows)
+        return engine, table, _NumpyRows(rows)
+
+    @staticmethod
+    def _on_each_pool(engine, walk):
+        """``walk()`` on one thread and on the pool's: the same bits."""
+        pool = engine.threads
+        try:
+            engine.set_threads(1)
+            alone = walk()
+            engine.set_threads(max(pool, 2))
+            assert walk() == alone
+        finally:
+            engine.set_threads(pool)
+        return alone
+
+    @pytest.mark.parametrize("l", [16, 32])
+    @pytest.mark.parametrize("n", [32 * 700 + 1, 32 * 700 + 31])
+    @pytest.mark.parametrize("j", [5, 8])
+    @pytest.mark.parametrize("end", ["bottom", "top"])
+    def test_walks_equal_the_numpy_walks(self, l, n, j, end):
+        # the bottom of the exponent range (the smallest exact scale, the
+        # largest that is not) or its top, each next to ordinary blocks of
+        # its own magnitudes; operands scaled to them so that no sum
+        # overflows and none is all zeros
+        exponents = ([(l, l + 30), l - 2, l - 1] if end == "bottom"
+                     else [(2000, 2045), 2046])
+        comps = self._containers(l, n, j, exponents, seed=n + j + l)
+        engine, table, ref = self._sources(comps)
+        top = int(np.frexp(np.abs(ref.rows).max())[1])
+        rng = np.random.default_rng(j)
+        w_dot = np.ldexp(rng.standard_normal(n), -top)
+        y, w = np.ldexp(rng.standard_normal(j), -top - 3), rng.standard_normal(n)
+        y_sweep = np.ldexp(rng.standard_normal(j), -top - 40)
+        w_sweep = np.ldexp(rng.standard_normal(n), -37)
+
+        for tile in self.TILES:
+            h = np.zeros(j)
+            ref.fused_dot(j, n, tile, w_dot, h)
+
+            def dot():
+                out = np.zeros(j)
+                table.fused_dot(j, n, tile, w_dot, out)
+                return _bits(out)
+
+            assert self._on_each_pool(engine, dot) == _bits(h)
+            swept, u = w_sweep.copy(), np.zeros(j)
+            ref.fused_axpy_dot(j, n, tile, y_sweep, swept, u)
+
+            def sweep():
+                out, got = w_sweep.copy(), np.zeros(j)
+                table.fused_axpy_dot(j, n, tile, y_sweep, out, got)
+                return _bits(out) + _bits(got)
+
+            assert self._on_each_pool(engine, sweep) == _bits(swept) + _bits(u)
+        for store in (False, True):
+            expected = w.copy()
+            ref.fused_axpy(j, n, 64, y, expected, store)
+
+            def axpy():
+                out = w.copy()
+                table.fused_axpy(j, n, 64, y, out, store)
+                return _bits(out)
+
+            assert self._on_each_pool(engine, axpy) == _bits(expected)
+
+    @pytest.mark.parametrize("l", [16, 32])
+    @pytest.mark.parametrize("n", [32 * 700 + 1, 32 * 700 + 31])
+    @pytest.mark.parametrize("j", [5, 8])
+    @pytest.mark.parametrize("eta", [0.0, 1e6])
+    def test_step_equals_step_rows(self, l, n, j, eta):
+        """Rows of norm near one next to both ends of the smallest exact
+        scale; ``eta`` 0 takes one pass, 1e6 the second pass (the axpy
+        walk)."""
+        comps = self._containers(l, n, j, [(1011, 1016), l - 2, l - 1],
+                                 seed=n * j + l)
+        engine, table, ref = self._sources(comps)
+        rng = np.random.default_rng(n)
+        w_in = rng.standard_normal(n)
+        givens = repro.fused.givens_state(j)
+        givens[:2 * j] = rng.uniform(-1.0, 1.0, 2 * j)  # cs, sn
+        givens[2 * j] = 1.0  # g_0
+
+        def step(source):
+            w, h, u, out = np.empty(n), np.empty(j), np.empty(j), np.zeros(4)
+            state = givens.copy()
+            flags = source.step(j, n, 2048, w_in, w, eta, h, u, state, out)
+            return (flags, _bits(h), _bits(w), _bits(out[:2]), _bits(state))
+
+        expected = step(ref)
+        assert bool(expected[0] & repro.fused.STEP_REORTH) == (eta > 0)
+        assert self._on_each_pool(engine, lambda: step(table)) == expected
