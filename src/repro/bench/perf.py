@@ -39,7 +39,7 @@ from ..gpu.timing import GmresTimingModel
 from ..jit import dispatch as _dispatch
 from ..observe import NULL_TRACER, Tracer
 from ..parallel import run_grid
-from ..solvers.adaptive import ADAPTIVE_STORAGE
+from ..solvers.adaptive import ADAPTIVE_STORAGE, LADDER
 from ..solvers.basis import BASIS_MODES
 from ..solvers.gmres import CbGmres
 from ..solvers.options import SolveOptions
@@ -257,21 +257,26 @@ def run_bench_entry(
         fixed_bytes = model.basis_bytes_moved(
             fixed.stats, PRECISION_BASELINE_STORAGE
         )
+        cycles = result.stats.cycles
+        shifts = [
+            LADDER.index(cur.storage) - LADDER.index(prev.storage)
+            for prev, cur in zip(cycles, cycles[1:])
+        ]
         precision_block = {
             "baseline_storage": PRECISION_BASELINE_STORAGE,
-            "trace": [str(s) for s in result.stats.storage_trace],
+            "trace": [str(c.storage) for c in cycles],
             "decisions": [
                 {
-                    "restart": int(d.restart),
-                    "storage": str(d.storage),
-                    "rrn": float(d.rrn),
-                    "needed_gain": float(d.needed_gain),
-                    "reason": str(d.reason),
+                    "restart": k,
+                    "storage": str(c.storage),
+                    "rrn": float(c.start_rrn),
+                    "needed_gain": float(c.needed_gain),
+                    "reason": str(c.reason),
                 }
-                for d in result.precision_trace
+                for k, c in enumerate(cycles)
             ],
-            "upshifts": int(result.stats.precision_upshifts),
-            "downshifts": int(result.stats.precision_downshifts),
+            "upshifts": sum(s > 0 for s in shifts),
+            "downshifts": sum(s < 0 for s in shifts),
             "reads_by_storage": {
                 str(f): int(c)
                 for f, c in sorted(result.stats.reads_by_storage.items())

@@ -126,35 +126,24 @@ class GmresTimingModel:
     def time_stats(self, stats: "SolveStats", storage: str) -> SolveTiming:
         """Predicted runtime for a recorded work log.
 
-        Adaptive-precision solves populate
-        ``SolveStats.reads_by_storage`` / ``writes_by_storage``; when
-        present, each bucket is priced at its own format's width and the
-        scalar ``storage`` label (``"adaptive"``) is only cosmetic —
-        this is how the bytes-moved savings of mixed-storage bases reach
-        the model instead of being flattened to one width.
+        Adaptive-precision solves split their traffic by format
+        (``SolveStats.reads_by_storage`` / ``writes_by_storage``): each
+        format's share is priced at its own width and the scalar
+        ``storage`` label (``"adaptive"``) is only cosmetic — this is
+        how the bytes-moved savings of mixed-storage bases reach the
+        model instead of being flattened to one width.
         """
         n = stats.n
         d = self.device
-        reads_by = getattr(stats, "reads_by_storage", None) or {}
-        writes_by = getattr(stats, "writes_by_storage", None) or {}
-        if reads_by:
-            basis_read_s = sum(
-                count * self.basis_read_cost(n, self._model_storage_name(f)).time_on(d)
-                for f, count in reads_by.items()
-            )
-        else:
-            basis_read_s = stats.basis_reads * self.basis_read_cost(
-                n, self._model_storage_name(storage)
-            ).time_on(d)
-        if writes_by:
-            basis_write_s = sum(
-                count * self.basis_write_cost(n, self._model_storage_name(f)).time_on(d)
-                for f, count in writes_by.items()
-            )
-        else:
-            basis_write_s = stats.basis_writes * self.basis_write_cost(
-                n, self._model_storage_name(storage)
-            ).time_on(d)
+        reads_by, writes_by = self._traffic_by_storage(stats, storage)
+        basis_read_s = sum(
+            count * self.basis_read_cost(n, self._model_storage_name(f)).time_on(d)
+            for f, count in reads_by.items()
+        )
+        basis_write_s = sum(
+            count * self.basis_write_cost(n, self._model_storage_name(f)).time_on(d)
+            for f, count in writes_by.items()
+        )
         # FGMRES-style solvers stream an uncompressed V basis as well
         uncompressed = getattr(stats, "uncompressed_basis_reads", 0)
         if uncompressed:
@@ -180,12 +169,7 @@ class GmresTimingModel:
         ``precision`` block reports savings on.
         """
         n = stats.n
-        reads_by = getattr(stats, "reads_by_storage", None) or {}
-        writes_by = getattr(stats, "writes_by_storage", None) or {}
-        if not reads_by:
-            reads_by = {storage: stats.basis_reads}
-        if not writes_by:
-            writes_by = {storage: stats.basis_writes}
+        reads_by, writes_by = self._traffic_by_storage(stats, storage)
         total = 0.0
         for f, count in reads_by.items():
             total += count * self.basis_read_cost(
@@ -196,6 +180,15 @@ class GmresTimingModel:
                 n, self._model_storage_name(f)
             ).bytes_moved
         return total
+
+    @staticmethod
+    def _traffic_by_storage(stats: "SolveStats", storage: str):
+        """Stored-basis ``(reads, writes)`` by format: an adaptive solve's
+        split, else all of it at ``storage``."""
+        return (
+            stats.reads_by_storage or {storage: stats.basis_reads},
+            stats.writes_by_storage or {storage: stats.basis_writes},
+        )
 
     def phase_times(
         self,
@@ -257,7 +250,7 @@ class GmresTimingModel:
         every fused kernel's traffic is dominated by the stored-basis
         reads the buckets count.
         """
-        reads_by = getattr(stats, "reads_by_storage", None) or {}
+        reads_by = stats.reads_by_storage
         if reads_by:
             total_reads = sum(reads_by.values())
             if not total_reads:

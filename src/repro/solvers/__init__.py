@@ -3,9 +3,8 @@
 from .adaptive import (
     ADAPTIVE_STORAGE,
     LADDER,
-    CycleFeedback,
+    CycleRecord,
     PrecisionController,
-    PrecisionDecision,
     escalation,
     storage_unit_roundoff,
 )
@@ -49,9 +48,8 @@ from .problems import Problem, make_expected_solution, make_problem, make_rhs
 __all__ = [
     "ADAPTIVE_STORAGE",
     "LADDER",
-    "CycleFeedback",
+    "CycleRecord",
     "PrecisionController",
-    "PrecisionDecision",
     "escalation",
     "storage_unit_roundoff",
     "KrylovBasis",

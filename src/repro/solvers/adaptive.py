@@ -40,8 +40,9 @@ campaign and the serve engine's retries alike.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 __all__ = [
     "ADAPTIVE_STORAGE",
@@ -49,8 +50,7 @@ __all__ = [
     "STORAGE_UNIT_ROUNDOFF",
     "escalation",
     "storage_unit_roundoff",
-    "CycleFeedback",
-    "PrecisionDecision",
+    "CycleRecord",
     "PrecisionController",
 ]
 
@@ -159,17 +159,25 @@ def escalation(storage: str) -> Tuple[Tuple[str, Optional[str]], ...]:
     return ((storage, None), (LADDER[-1], None))
 
 
-@dataclass(frozen=True)
-class CycleFeedback:
-    """What one finished restart cycle tells the controller.
+@dataclass
+class CycleRecord:
+    """One restart cycle of a solve, filled in as the cycle runs.
+
+    Every solve keeps one record per Arnoldi cycle it opened, fixed
+    storage included, in ``SolveStats.cycles``.  Under
+    ``storage="adaptive"`` the controller opens it (:meth:`PrecisionController.decide`)
+    and reads it back once the cycle is over
+    (:meth:`PrecisionController.observe_cycle`).
 
     Attributes
     ----------
     storage : str
-        Format the cycle's basis was stored in.
+        Format the cycle's stored basis was kept in.
     start_rrn, end_rrn : float
-        Explicit relative residual at the cycle's start and end; their
-        ratio is the observed per-cycle reduction factor.
+        Explicit relative residual at the cycle's start and the next one
+        computed after it (the next cycle's start, else the solve's
+        final residual); their ratio is the observed per-cycle reduction
+        factor.  ``end_rrn`` is NaN while the cycle is open.
     iterations : int
         Arnoldi steps the cycle ran.
     reorthogonalizations : int
@@ -177,44 +185,34 @@ class CycleFeedback:
     loss_of_orthogonality : bool
         The cycle ended on a hard re-orthogonalization failure.
     recoveries : int
-        Poisoned-cycle recoveries charged during the cycle (faults).
+        Recoveries charged from the cycle's start to the next cycle's
+        (faults, a non-finite restart residual after the cycle included).
+    basis_reads, basis_writes : int
+        The cycle's share of ``SolveStats.basis_reads`` /
+        ``basis_writes``.
+    bits_per_value : float
+        Stored width of the cycle's basis, taken when the cycle closed.
+    needed_gain : float or None
+        Adaptive solves: the per-cycle reduction the cycle was budgeted
+        for (``max(g_predicted, tau / rho)``).
+    reason : str or None
+        Adaptive solves: ``"error-bound"`` (the rule picked the storage),
+        ``"feedback-hold"`` (an upshift hold overrode a cheaper
+        admissible pick) or ``"floor"`` (an escalation floor overrode it).
     """
 
     storage: str
     start_rrn: float
-    end_rrn: float
-    iterations: int
+    end_rrn: float = math.nan
+    iterations: int = 0
     reorthogonalizations: int = 0
     loss_of_orthogonality: bool = False
     recoveries: int = 0
-
-
-@dataclass(frozen=True)
-class PrecisionDecision:
-    """One per-restart storage decision.
-
-    Attributes
-    ----------
-    restart : int
-        Restart-cycle index the decision applies to.
-    storage : str
-        Chosen format.
-    rrn : float
-        Explicit relative residual at decision time.
-    needed_gain : float
-        The per-cycle reduction the cycle was budgeted for
-        (``max(g_predicted, tau / rho)``).
-    reason : str
-        ``"error-bound"`` (the rule picked it), ``"feedback-hold"``
-        (an upshift hold overrode a cheaper admissible pick), or
-        ``"floor"`` (an external escalation floor overrode it).
-    """
-
-    restart: int
-    storage: str
-    rrn: float
-    needed_gain: float
-    reason: str
+    basis_reads: int = 0
+    basis_writes: int = 0
+    bits_per_value: float = 64.0
+    needed_gain: Optional[float] = None
+    reason: Optional[str] = None
 
 
 class PrecisionController:
@@ -234,15 +232,18 @@ class PrecisionController:
         attempt moved past.  ``None`` forbids nothing.
     tracer : repro.observe.Tracer, optional
         Decisions are surfaced as ``precision.*`` counters
-        (``precision.restarts.<fmt>``, ``precision.upshifts``,
-        ``precision.downshifts``, ``precision.floor_clamps``).
+        (``precision.restarts.<fmt>``, ``precision.floor_clamps``,
+        ``precision.distress``); the solve adds ``precision.upshifts`` /
+        ``precision.downshifts`` from its sequence of records.
 
     Examples
     --------
     >>> c = PrecisionController()
-    >>> c.decide(rrn=1.0, target_rrn=1e-6).storage
-    'frsz2_32'
-    >>> c.observe_cycle(CycleFeedback("frsz2_32", 1.0, 1e-4, 50))
+    >>> first = c.decide(rrn=1.0, target_rrn=1e-6)
+    >>> first.storage, first.reason
+    ('frsz2_32', 'error-bound')
+    >>> first.end_rrn, first.iterations = 1e-4, 50  # what the cycle did
+    >>> c.observe_cycle(first)
     >>> c.decide(rrn=1e-4, target_rrn=1e-6).storage
     'frsz2_16'
     """
@@ -260,16 +261,10 @@ class PrecisionController:
         self._reorth_ref: Optional[float] = None
         self._hold_idx = 0
         self._hold_left = 0
-        self._restart = 0
-        self._last_idx: Optional[int] = None
-        #: every decision taken, in order (the bench trace)
-        self.decisions: List[PrecisionDecision] = []
-        self.upshifts = 0
-        self.downshifts = 0
 
     # -- feedback ------------------------------------------------------
 
-    def observe_cycle(self, fb: CycleFeedback) -> None:
+    def observe_cycle(self, fb: CycleRecord) -> None:
         """Fold one finished cycle into the controller state.
 
         Updates the convergence-rate estimate from the cycle's observed
@@ -321,7 +316,7 @@ class PrecisionController:
 
     # -- decisions -----------------------------------------------------
 
-    def decide(self, rrn: float, target_rrn: float) -> PrecisionDecision:
+    def decide(self, rrn: float, target_rrn: float) -> CycleRecord:
         """Pick the storage format for the restart cycle starting now.
 
         Parameters
@@ -333,11 +328,11 @@ class PrecisionController:
 
         Returns
         -------
-        PrecisionDecision
-            The chosen format plus the budgeted per-cycle reduction and
-            the reason it won.  The decision is appended to
-            :attr:`decisions` and mirrored into ``precision.*``
-            tracer counters.
+        CycleRecord
+            The record of the cycle starting now: the chosen format, the
+            start residual, the budgeted per-cycle reduction and the
+            reason the format won.  The choice is mirrored into the
+            ``precision.restarts.<fmt>`` tracer counter.
         """
         g_pred = self._gain_pred if self._gain_pred is not None else PRIOR_GAIN
         finish = target_rrn / rrn if rrn > 0 else 1.0
@@ -365,30 +360,8 @@ class PrecisionController:
             if self.tracer.enabled:
                 self.tracer.count("precision.floor_clamps")
         storage = LADDER[idx]
-        decision = PrecisionDecision(
-            restart=self._restart,
-            storage=storage,
-            rrn=float(rrn),
-            needed_gain=float(needed),
-            reason=reason,
-        )
-        self.decisions.append(decision)
-        if self._last_idx is not None:
-            if idx > self._last_idx:
-                self.upshifts += 1
-                if self.tracer.enabled:
-                    self.tracer.count("precision.upshifts")
-            elif idx < self._last_idx:
-                self.downshifts += 1
-                if self.tracer.enabled:
-                    self.tracer.count("precision.downshifts")
         if self.tracer.enabled:
             self.tracer.count(f"precision.restarts.{storage}")
-        self._last_idx = idx
-        self._restart += 1
-        return decision
-
-    @property
-    def storage_trace(self) -> List[str]:
-        """The storage format chosen at each restart, in order."""
-        return [d.storage for d in self.decisions]
+        return CycleRecord(
+            storage, float(rrn), needed_gain=float(needed), reason=reason
+        )

@@ -22,13 +22,13 @@ basis writes were already per column, and so is every compiled
 from __future__ import annotations
 
 import inspect
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
 from ..fused import norm2
 from ..fused.kernels import STEP_BREAKDOWN, STEP_LOSS, STEP_NONFINITE, STEP_REORTH
-from .adaptive import ADAPTIVE_STORAGE, LADDER, CycleFeedback, PrecisionController
+from .adaptive import ADAPTIVE_STORAGE, LADDER, CycleRecord, PrecisionController
 from .basis import KrylovBasis
 from .gmres import BreakdownEvent, GmresResult, ResidualSample, SolveStats
 from .hessenberg import GivensLeastSquares
@@ -67,7 +67,6 @@ class _Solve:
     """
 
     # per-solve progress
-    total_iters = 0
     stagnant = 0
     fruitless = 0
     prev_explicit = np.inf
@@ -82,9 +81,10 @@ class _Solve:
     j_used = 0
     poison: Optional[BreakdownEvent] = None
     in_step = False
-    #: adaptive: stat counters at the open cycle's start (for the
-    #: per-cycle feedback deltas)
-    cycle_mark: Optional[dict] = None
+    #: the open cycle's record (the last of ``stats.cycles``), filled as
+    #: the cycle runs; None before the first cycle and once the last
+    #: one closed
+    cycle: Optional[CycleRecord] = None
 
     def __init__(self, solver, b, target, x, record_history, monitor):
         self.solver = solver
@@ -111,13 +111,10 @@ class _Solve:
         # adaptive: the solve's own controller (a fresh one per solve
         # keeps solves of one solver independent — and the cached/
         # streaming bit-identity contract: decisions depend only on
-        # explicit residuals, which both modes share exactly) and the
-        # stored bits of every format actually used (for the
-        # traffic-weighted mean)
+        # explicit residuals, which both modes share exactly)
         self.controller: Optional[PrecisionController] = None
         if storage == ADAPTIVE_STORAGE:
             self.controller = PrecisionController(solver.floor, tracer=tracer)
-        self.bits_seen: Dict[str, float] = {}
 
         # the single KrylovBasis construction site
         def new_basis(fmt, storage_factory=None) -> KrylovBasis:
@@ -155,10 +152,12 @@ class _Solve:
         return norm2(v, self.basis.tile_elems, self.basis.backend)
 
     def recover(self, event: BreakdownEvent) -> bool:
-        """Log a recovery; False — and the solve finished, exhausted —
-        once the fruitless budget is spent."""
+        """Log a recovery, charged to the open cycle; False — and the
+        solve finished, exhausted — once the fruitless budget is spent."""
         self.events.append(event)
         self.stats.recoveries += 1
+        if self.cycle is not None:
+            self.cycle.recoveries += 1
         self.fruitless += 1
         if self.fruitless > self.solver.max_recoveries:
             self.exhausted = True
@@ -169,10 +168,10 @@ class _Solve:
     def bill(self, basis: KrylovBasis, reads: int = 0, writes: int = 0) -> None:
         """Bill vector touches of ``basis`` to the work log.
 
-        The stored basis feeds ``basis_reads``/``basis_writes`` (split
-        per storage format under the controller); reads of a separate
-        float64 ``V`` are full-width vectors the timing model prices
-        uncompressed, and its writes are not stored-basis traffic.
+        The stored basis feeds ``basis_reads``/``basis_writes`` and the
+        open cycle's share of them; reads of a separate float64 ``V``
+        are full-width vectors the timing model prices uncompressed, and
+        its writes are not stored-basis traffic.
         """
         stats = self.stats
         if basis is not self.stored:
@@ -180,14 +179,9 @@ class _Solve:
             return
         stats.basis_reads += reads
         stats.basis_writes += writes
-        if self.controller is not None:
-            fmt = basis.storage
-            self.bits_seen[fmt] = basis.bits_per_value
-            for bucket, k in (
-                (stats.reads_by_storage, reads), (stats.writes_by_storage, writes)
-            ):
-                if k:
-                    bucket[fmt] = bucket.get(fmt, 0) + k
+        cycle = self.cycle
+        cycle.basis_reads += reads
+        cycle.basis_writes += writes
 
     def precondition(self, prec, v: np.ndarray) -> np.ndarray:
         """``M^-1 v``, billed; the identity passes ``v`` through."""
@@ -196,36 +190,36 @@ class _Solve:
         self.stats.preconditioner_applies += 1
         return prec.apply(v)
 
-    def select_storage(self) -> None:
-        """Adaptive restart step: feed the finished cycle back, then
-        pick this cycle's storage — both on explicit residuals, so the
-        decision stream is identical across basis modes."""
-        controller, stats, stored = self.controller, self.stats, self.stored
-        mark = self.cycle_mark
-        if mark is not None:
-            controller.observe_cycle(CycleFeedback(
-                storage=stored.storage,
-                start_rrn=mark["rrn"],
-                end_rrn=self.rrn,
-                iterations=stats.iterations - mark["iters"],
-                reorthogonalizations=stats.reorthogonalizations - mark["reorth"],
-                loss_of_orthogonality=any(
-                    e.kind == "loss_of_orthogonality"
-                    for e in self.events[mark["events"]:]
-                ),
-                recoveries=stats.recoveries - mark["recov"],
-            ))
-        decision = controller.decide(self.rrn, self.target)
-        if decision.storage != stored.storage:
-            stored.set_storage(decision.storage)
-        stats.storage_trace.append(decision.storage)
-        self.cycle_mark = {
-            "rrn": self.rrn,
-            "iters": stats.iterations,
-            "reorth": stats.reorthogonalizations,
-            "recov": stats.recoveries,
-            "events": len(self.events),
-        }
+    def close_cycle(self, end_rrn: float) -> None:
+        """Close the open cycle's record on the next explicit residual."""
+        cycle = self.cycle
+        cycle.end_rrn = end_rrn
+        cycle.bits_per_value = self.stored.bits_per_value
+        self.cycle = None
+
+    def open_cycle(self) -> None:
+        """Open the new cycle's record.  Adaptive: feed the finished
+        cycle back first, then take the record of the storage the
+        controller picks — both on explicit residuals, so the decision
+        stream is identical across basis modes."""
+        cycles, stored, controller = self.stats.cycles, self.stored, self.controller
+        if controller is None:
+            cycle = CycleRecord(stored.storage, self.rrn)
+        else:
+            last = cycles[-1] if cycles else None
+            if last is not None:
+                controller.observe_cycle(last)
+            cycle = controller.decide(self.rrn, self.target)
+            if last is not None and self.tracer.enabled:
+                shift = LADDER.index(cycle.storage) - LADDER.index(last.storage)
+                if shift:
+                    self.tracer.count(
+                        "precision.upshifts" if shift > 0 else "precision.downshifts"
+                    )
+            if cycle.storage != stored.storage:
+                stored.set_storage(cycle.storage)
+        cycles.append(cycle)
+        self.cycle = cycle
 
     # -- the restart cycle ------------------------------------------------
     def run(self) -> GmresResult:
@@ -263,20 +257,22 @@ class _Solve:
             # a fault in the restart SpMV itself (x is known finite:
             # poisoned updates are never applied) — recompute on the
             # next pass
-            self.recover(BreakdownEvent(self.total_iters, "nonfinite_residual"))
+            self.recover(BreakdownEvent(self.stats.iterations, "nonfinite_residual"))
             return False
         self.rrn = beta / self.bnorm
+        if self.cycle is not None:
+            self.close_cycle(self.rrn)
         if self.rrn < self.prev_explicit:
             self.fruitless = 0  # real progress: replenish the budget
         if self.record_history:
             self.history.append(
-                ResidualSample(self.total_iters, self.rrn, "explicit")
+                ResidualSample(self.stats.iterations, self.rrn, "explicit")
             )
         if self.rrn <= self.target:
             self.converged = True
             self.finished = True
             return False
-        if self.total_iters >= solver.max_iter:
+        if self.stats.iterations >= solver.max_iter:
             self.finished = True
             return False
         if solver.stall_restarts is not None and self.stats.restarts > 0:
@@ -290,8 +286,7 @@ class _Solve:
                 self.stagnant = 0
         self.prev_explicit = min(self.prev_explicit, self.rrn)
 
-        if self.controller is not None:
-            self.select_storage()
+        self.open_cycle()
         self.basis.reset()
         if self.stored is not self.basis:
             self.stored.reset()
@@ -314,7 +309,7 @@ class _Solve:
         stats = self.stats
         stats.spmv_calls += 1
         if solver.recovery and not np.all(np.isfinite(w)):
-            self.poison = BreakdownEvent(self.total_iters, "nonfinite_spmv")
+            self.poison = BreakdownEvent(stats.iterations, "nonfinite_spmv")
             self.in_step = False
             return
 
@@ -322,26 +317,28 @@ class _Solve:
         # walk of the basis (a single C call on a compiled source)
         with self.tracer.span("orthogonalize"):
             flags, _, v, _, residual = self.basis.step(j, w, solver.eta, self.lsq)
-        reorth = flags & STEP_REORTH
+        reorth = bool(flags & STEP_REORTH)
         self.bill(self.basis, reads=2 * j if reorth else j)
-        stats.reorthogonalizations += bool(reorth)
+        cycle = self.cycle
+        stats.reorthogonalizations += reorth
+        cycle.reorthogonalizations += reorth
         stats.dense_vector_ops += 4
         if flags & STEP_NONFINITE:
             if not solver.recovery:
                 raise FloatingPointError("non-finite Hessenberg column")
             self.poison = BreakdownEvent(
-                self.total_iters, "nonfinite_orthogonalization"
+                stats.iterations, "nonfinite_orthogonalization"
             )
             self.in_step = False
             return
-        self.total_iters += 1
         stats.iterations += 1
+        cycle.iterations += 1
         impl = residual / self.bnorm
         self.j_used = j
         if self.record_history:
-            self.history.append(ResidualSample(self.total_iters, impl, "implicit"))
+            self.history.append(ResidualSample(stats.iterations, impl, "implicit"))
         if self.monitor is not None:
-            self.monitor(self.total_iters, j, self.basis, impl)
+            self.monitor(stats.iterations, j, self.basis, impl)
         if flags & STEP_BREAKDOWN:
             self.in_step = False  # happy breakdown: solution is in the subspace
             return
@@ -349,8 +346,9 @@ class _Solve:
             # the columns absorbed so far are valid: apply the partial
             # update, then restart the cycle early
             self.events.append(
-                BreakdownEvent(self.total_iters, "loss_of_orthogonality")
+                BreakdownEvent(stats.iterations, "loss_of_orthogonality")
             )
+            cycle.loss_of_orthogonality = True
             self.in_step = False
             return
         self.v = v  # the step's own copy, normalised by the step
@@ -360,12 +358,12 @@ class _Solve:
             if not solver.recovery:
                 raise
             self.poison = BreakdownEvent(
-                self.total_iters, "basis_write_failed", str(exc)
+                stats.iterations, "basis_write_failed", str(exc)
             )
             self.in_step = False
             return
         self.bill(self.basis, writes=1)
-        if impl <= self.target or self.total_iters >= solver.max_iter:
+        if impl <= self.target or stats.iterations >= solver.max_iter:
             self.in_step = False
 
     def update(self) -> None:
@@ -383,7 +381,7 @@ class _Solve:
         update = solver._correction(self)
         if solver.recovery and not np.all(np.isfinite(update)):
             # corrupted stored vectors leaked into the update: drop it
-            self.recover(BreakdownEvent(self.total_iters, "nonfinite_update"))
+            self.recover(BreakdownEvent(self.stats.iterations, "nonfinite_update"))
             return
         self.x = self.x + update
         self.bill(self.stored, reads=self.j_used)
@@ -399,29 +397,34 @@ class _Solve:
         if self.solver.recovery and not np.isfinite(final_rrn):
             # the verification SpMV itself was hit; x is finite, so
             # report the last trustworthy explicit residual, not NaN
-            self.events.append(BreakdownEvent(self.total_iters, "nonfinite_residual"))
-            final_rrn = self.rrn if np.isfinite(self.rrn) else float(self.prev_explicit)
+            self.events.append(
+                BreakdownEvent(self.stats.iterations, "nonfinite_residual")
+            )
+            # the last explicit residual is finite, or no restart got one
+            final_rrn = self.rrn
         return self.finalize(final_rrn)
 
     def finalize(self, final_rrn: float) -> GmresResult:
         """Close the work log and build the result."""
-        stats, stored, controller = self.stats, self.stored, self.controller
+        stats, stored = self.stats, self.stored
+        if self.cycle is not None:  # no restart after it: the solve ended in it
+            self.close_cycle(final_rrn)
         # round-trip formats only know their compressed size after writing
         stats.bits_per_value = stored.bits_per_value
-        if controller is not None:
-            stats.precision_upshifts = controller.upshifts
-            stats.precision_downshifts = controller.downshifts
+        if self.controller is not None:
             # one scalar cannot name a mixed-storage solve's width, so
             # report the traffic-weighted mean of the formats used
-            touches = {
-                fmt: stats.reads_by_storage.get(fmt, 0)
-                + stats.writes_by_storage.get(fmt, 0)
-                for fmt in self.bits_seen
-            }
+            bits, touches = {}, {}
+            for cycle in stats.cycles:
+                fmt = cycle.storage
+                bits[fmt] = cycle.bits_per_value
+                touches[fmt] = (
+                    touches.get(fmt, 0) + cycle.basis_reads + cycle.basis_writes
+                )
             weight = sum(touches.values())
             if weight:
                 stats.bits_per_value = (
-                    sum(self.bits_seen[f] * t for f, t in touches.items()) / weight
+                    sum(bits[f] * t for f, t in touches.items()) / weight
                 )
         # every basis of the solve contributes float64 working set and
         # fused-kernel work (flexible GMRES holds two)
@@ -435,7 +438,7 @@ class _Solve:
         return GmresResult(
             x=self.x,
             converged=self.converged,
-            iterations=self.total_iters,
+            iterations=stats.iterations,
             final_rrn=final_rrn,
             target_rrn=self.target,
             storage=self.label,
@@ -444,5 +447,4 @@ class _Solve:
             stalled=self.stalled,
             breakdown_events=self.events,
             recovery_exhausted=self.exhausted,
-            precision_trace=list(controller.decisions) if controller else [],
         )

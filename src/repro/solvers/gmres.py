@@ -36,7 +36,7 @@ from ..observe import NULL_TRACER
 from ..sparse.csr import CSRMatrix
 from ..sparse.engine import SPMV_FORMATS, SpmvEngine
 from ..fused import DEFAULT_TILE_ELEMS
-from .adaptive import ADAPTIVE_STORAGE, LADDER, PrecisionDecision
+from .adaptive import ADAPTIVE_STORAGE, LADDER, CycleRecord
 from .basis import BASIS_MODES, KrylovBasis
 from .orthogonal import DEFAULT_ETA
 from .preconditioner import IdentityPreconditioner, Preconditioner
@@ -133,19 +133,29 @@ class SolveStats:
     fused_combine_vectors: int = 0
     fused_tiles: int = 0
     fused_values: int = 0
-    #: adaptive precision (``storage="adaptive"``): the format each
-    #: restart cycle's basis was stored in, in restart order — empty for
-    #: fixed-storage solves
-    storage_trace: List[str] = field(default_factory=list)
-    #: adaptive precision: ``basis_reads`` split by the storage format
-    #: the touched vectors were stored in (the timing model prices each
-    #: bucket at its own width); empty for fixed-storage solves
-    reads_by_storage: Dict[str, int] = field(default_factory=dict)
-    #: adaptive precision: ``basis_writes`` split by storage format
-    writes_by_storage: Dict[str, int] = field(default_factory=dict)
-    #: controller decisions that moved up/down the precision ladder
-    precision_upshifts: int = 0
-    precision_downshifts: int = 0
+    #: one :class:`~repro.solvers.adaptive.CycleRecord` per restart
+    #: cycle the solve opened, in order
+    cycles: List[CycleRecord] = field(default_factory=list)
+
+    def _split_by_storage(self, touches: str) -> Dict[str, int]:
+        split: Dict[str, int] = {}
+        for cycle in self.cycles:
+            count = getattr(cycle, touches)
+            if count and cycle.reason is not None:
+                split[cycle.storage] = split.get(cycle.storage, 0) + count
+        return split
+
+    @property
+    def reads_by_storage(self) -> Dict[str, int]:
+        """Adaptive solves: ``basis_reads`` split by the storage format
+        of the cycle that read (the timing model prices each bucket at
+        its own width); empty for fixed-storage solves."""
+        return self._split_by_storage("basis_reads")
+
+    @property
+    def writes_by_storage(self) -> Dict[str, int]:
+        """Adaptive solves: ``basis_writes`` split by storage format."""
+        return self._split_by_storage("basis_writes")
 
 
 @dataclass
@@ -165,9 +175,6 @@ class GmresResult:
     breakdown_events: List[BreakdownEvent] = field(default_factory=list)
     #: the recovery budget ran out before the solve could finish
     recovery_exhausted: bool = False
-    #: adaptive precision: one :class:`~repro.solvers.adaptive.
-    #: PrecisionDecision` per restart cycle (empty for fixed storage)
-    precision_trace: List[PrecisionDecision] = field(default_factory=list)
 
     @property
     def recoveries(self) -> int:
@@ -180,6 +187,13 @@ class GmresResult:
         its = np.array([s.iteration for s in samples], dtype=np.int64)
         rrns = np.array([s.rrn for s in samples])
         return its, rrns
+
+
+def _is_count(value, least: int) -> bool:
+    """``value`` is an integer (not a bool) ``>= least``."""
+    return (
+        isinstance(value, Integral) and not isinstance(value, bool) and value >= least
+    )
 
 
 class CbGmres:
@@ -207,7 +221,8 @@ class CbGmres:
         (:data:`repro.solvers.block.STALL_FACTOR`), the solve is
         declared stalled (saves the full 20k iterations on hopeless
         format/problem combinations like float16 on PR02R; ``None``
-        reproduces the paper's run-to-the-cap behaviour).
+        reproduces the paper's run-to-the-cap behaviour).  An integer
+        ``>= 1``.
     preconditioner:
         Right preconditioner ``M`` (the ``M^-1`` of Fig. 1); default is
         the identity, matching the paper's experiments (Section V-C).
@@ -256,10 +271,9 @@ class CbGmres:
         ``floor`` is the lowest :data:`~repro.solvers.adaptive.LADDER`
         rung it may pick (``None``: any), what an escalation
         (:func:`~repro.solvers.adaptive.escalation`) raises after a
-        failed attempt.  Adaptive results keep ``storage="adaptive"``
-        and additionally carry ``stats.storage_trace`` /
-        ``stats.reads_by_storage`` / ``stats.writes_by_storage`` and
-        ``result.precision_trace``.
+        failed attempt.  Adaptive results keep ``storage="adaptive"``;
+        each of their ``stats.cycles`` records names its storage and
+        why the controller chose it.
     storage_factory:
         Override the accessor construction with a format-aware
         ``factory(storage, n)``, honored across adaptive format
@@ -272,7 +286,7 @@ class CbGmres:
         while persistent faults end it promptly with
         ``recovery_exhausted=True`` (callers such as
         :class:`repro.robust.RobustCbGmres` then escalate the storage
-        format).
+        format).  An integer ``>= 0``.
     backend:
         Kernel backend (``"numpy"``/``"jit"``, see
         :mod:`repro.jit.dispatch`) threaded onto the SpMV kernels and
@@ -312,6 +326,17 @@ class CbGmres:
             raise ValueError(f"eta must be a finite number with 0 < eta < 1, got {eta!r}")
         if not isinstance(max_iter, Integral) or max_iter < 1:
             raise ValueError(f"max_iter must be an integer >= 1, got {max_iter!r}")
+        # counts: the stall test would read 0 or -3 as 1 and 2.5 as 3, the
+        # budget would truncate 2.7 to 2, and a bool is no count at all
+        if stall_restarts is not None and not _is_count(stall_restarts, 1):
+            raise ValueError(
+                "stall_restarts must be None or an integer >= 1, "
+                f"got {stall_restarts!r}"
+            )
+        if not _is_count(max_recoveries, 0):
+            raise ValueError(
+                f"max_recoveries must be an integer >= 0, got {max_recoveries!r}"
+            )
         if spmv_format not in SPMV_FORMATS:
             raise ValueError(
                 f"unknown SpMV format {spmv_format!r}; "
@@ -340,8 +365,6 @@ class CbGmres:
         self.stall_restarts = stall_restarts
         self.preconditioner = preconditioner or IdentityPreconditioner()
         self.recovery = bool(recovery)
-        if max_recoveries < 0:
-            raise ValueError("max_recoveries must be non-negative")
         self.max_recoveries = int(max_recoveries)
         if basis_mode not in BASIS_MODES:
             raise ValueError(

@@ -22,12 +22,18 @@ from hypothesis import strategies as st
 
 from repro.accessor import make_accessor
 from repro.jit import dispatch as jit_dispatch
-from repro.robust import RobustCbGmres, run_campaign
+from repro.observe import Tracer
+from repro.robust import (
+    FaultInjector,
+    FaultySpmvMatrix,
+    RobustCbGmres,
+    run_campaign,
+)
 from repro.solvers import (
     ADAPTIVE_STORAGE,
     LADDER,
     CbGmres,
-    CycleFeedback,
+    CycleRecord,
     FlexibleGmres,
     KrylovBasis,
     PrecisionController,
@@ -81,7 +87,7 @@ class TestControllerRules:
     def test_near_convergence_admits_cheapest(self):
         c = PrecisionController()
         c.decide(1.0, 1e-6)
-        c.observe_cycle(CycleFeedback("frsz2_32", 1.0, 1e-4, 50))
+        c.observe_cycle(CycleRecord("frsz2_32", 1.0, 1e-4, 50))
         d = c.decide(1e-4, 1e-6)
         # finish line 1e-2 fits inside one frsz2_16 cycle
         assert d.storage == "frsz2_16"
@@ -91,23 +97,22 @@ class TestControllerRules:
         c.decide(1.0, 1e-30)
         # a frsz2_16 cycle landing at ~2.5 u16 is storage-capped: the
         # controller must not adopt 7.5e-5 as the matrix's rate
-        c.observe_cycle(CycleFeedback("frsz2_16", 1.0, 7.5e-5, 50))
+        c.observe_cycle(CycleRecord("frsz2_16", 1.0, 7.5e-5, 50))
         assert c._gain_pred is None
 
     def test_distress_arms_held_upshift(self):
         c = PrecisionController()
-        c.decide(1.0, 1e-30)
-        c.observe_cycle(CycleFeedback("frsz2_32", 1.0, 0.9999, 50))  # stall
+        first = c.decide(1.0, 1e-30)
+        c.observe_cycle(CycleRecord("frsz2_32", 1.0, 0.9999, 50))  # stall
         d = c.decide(0.9999, 1e-30)
-        assert d.storage == "float64"
+        assert (first.storage, d.storage) == ("frsz2_32", "float64")
         assert d.reason == "feedback-hold"
-        assert c.upshifts == 1
 
     def test_hold_yields_to_closeout(self):
         c = PrecisionController()
         c.decide(1.0, 1e-3)
         # capped-but-excellent cycle arms a hold...
-        c.observe_cycle(CycleFeedback("frsz2_32", 1.0, 1e-9, 50))
+        c.observe_cycle(CycleRecord("frsz2_32", 1.0, 1e-9, 50))
         d = c.decide(1e-2, 1e-3)
         # ...but the remaining decade fits inside one frsz2_16 cycle,
         # so the hold must not force an expensive closing cycle
@@ -120,8 +125,8 @@ class TestControllerRules:
         # 100% re-orthogonalization on the very first cycle sets the
         # reference; with no jump over it, no distress upshift fires
         # (some matrices re-orthogonalize every step even in float64)
-        c.observe_cycle(CycleFeedback("frsz2_32", 1.0, 1e-4, 50,
-                                      reorthogonalizations=50))
+        c.observe_cycle(CycleRecord("frsz2_32", 1.0, 1e-4, 50,
+                                    reorthogonalizations=50))
         d = c.decide(1e-4, 1e-30)
         assert d.reason == "error-bound"
 
@@ -140,11 +145,12 @@ class TestControllerRules:
         assert PrecisionController().floor == LADDER[0]
         assert PrecisionController(floor="frsz2_32").floor == "frsz2_32"
 
-    def test_storage_trace_mirrors_decisions(self):
+    def test_decide_opens_the_cycle_record(self):
         c = PrecisionController()
-        c.decide(1.0, 1e-6)
-        c.decide(1e-3, 1e-6)
-        assert c.storage_trace == [d.storage for d in c.decisions]
+        for rrn in (1.0, 1e-3):
+            d = c.decide(rrn, 1e-6)
+            assert (d.start_rrn, d.iterations, d.basis_writes) == (rrn, 0, 0)
+            assert d.needed_gain > 0 and d.reason == "error-bound"
 
 
 class TestAdaptiveSolve:
@@ -154,10 +160,9 @@ class TestAdaptiveSolve:
         )
         assert res.converged
         assert res.storage == ADAPTIVE_STORAGE
-        assert res.stats.storage_trace
-        assert len(res.precision_trace) == len(res.stats.storage_trace)
-        for fmt in res.stats.storage_trace:
-            assert fmt in LADDER
+        assert res.stats.cycles
+        for cycle in res.stats.cycles:
+            assert cycle.storage in LADDER and cycle.reason is not None
 
     def test_traffic_buckets_account_all_basis_io(self, lung2):
         res = CbGmres(lung2.a, "adaptive", m=30, max_iter=500).solve(
@@ -174,7 +179,7 @@ class TestAdaptiveSolve:
             ).solve(atmosmodd.b, atmosmodd.target_rrn)
         a, b = runs["cached"], runs["streaming"]
         assert a.iterations == b.iterations
-        assert a.stats.storage_trace == b.stats.storage_trace
+        assert a.stats.cycles == b.stats.cycles
         np.testing.assert_array_equal(a.x, b.x)
 
     def test_fgmres_adaptive_z_basis(self, lung2):
@@ -182,8 +187,7 @@ class TestAdaptiveSolve:
             lung2.b, lung2.target_rrn
         )
         assert res.converged
-        assert res.stats.storage_trace
-        assert res.precision_trace
+        assert res.stats.cycles and res.stats.cycles[0].reason is not None
         assert sum(res.stats.writes_by_storage.values()) == res.stats.basis_writes
 
     def test_timing_model_prices_buckets(self, lung2):
@@ -197,10 +201,87 @@ class TestAdaptiveSolve:
         assert moved > 0
         # a pure-float64 pricing of the same log must cost at least as
         # much as the mixed-format buckets
-        flat = dataclasses.replace(
-            res.stats, reads_by_storage={}, writes_by_storage={}
-        )
+        flat = dataclasses.replace(res.stats, cycles=[])
         assert model.basis_bytes_moved(flat, "float64") >= moved
+
+
+class _FireOn(FaultInjector):
+    """An injector that fires on the listed trials only."""
+
+    def __init__(self, *trials):
+        super().__init__(0.0, 0)
+        self.hits = set(trials)
+
+    def fire(self):
+        self.trials += 1
+        return self.trials in self.hits
+
+
+def _traced_solve(solver_cls, a, storage, p, m, **kw):
+    solver = solver_cls(a, storage, m=m, max_iter=800, **kw)
+    solver.tracer = tracer = Tracer()
+    return solver.solve(p.b, p.target_rrn), tracer
+
+
+def _assert_records_add_up(res, tracer):
+    """One record per opened cycle, and the records sum to the solve's
+    totals, each cycle ending where the next one starts."""
+    stats, cycles = res.stats, res.stats.cycles
+    opened = sum(1 for s in tracer.spans if s.name == "arnoldi" and s.attrs["j"] == 1)
+    assert len(cycles) == opened > 1
+    assert sum(c.iterations for c in cycles) == res.iterations == stats.iterations
+    assert sum(c.basis_reads for c in cycles) == stats.basis_reads
+    assert sum(c.basis_writes for c in cycles) == stats.basis_writes
+    assert sum(c.reorthogonalizations for c in cycles) == stats.reorthogonalizations
+    assert sum(c.recoveries for c in cycles) <= stats.recoveries
+    for before, after in zip(cycles, cycles[1:]):
+        assert before.end_rrn == after.start_rrn
+    assert cycles[0].start_rrn == 1.0
+    assert all(c.basis_writes > 0 and c.bits_per_value > 0 for c in cycles)
+    # the shift counters the solve emits are the records' storage steps
+    steps = [LADDER.index(b.storage) - LADDER.index(a.storage)
+             for a, b in zip(cycles, cycles[1:]) if a.reason is not None]
+    assert tracer.counters.get("precision.upshifts", 0) == sum(s > 0 for s in steps)
+    assert tracer.counters.get("precision.downshifts", 0) == sum(s < 0 for s in steps)
+
+
+class TestCycleRecords:
+    """``SolveStats.cycles``: the one per-cycle record of every solve."""
+
+    @pytest.mark.parametrize("solver_cls", [CbGmres, FlexibleGmres])
+    @pytest.mark.parametrize("storage", ["frsz2_32", "float64", ADAPTIVE_STORAGE])
+    def test_records_add_up(self, atmosmodd, solver_cls, storage):
+        res, tracer = _traced_solve(solver_cls, atmosmodd.a, storage, atmosmodd, 20)
+        assert res.converged
+        _assert_records_add_up(res, tracer)
+        adaptive = storage == ADAPTIVE_STORAGE
+        for cycle in res.stats.cycles:
+            assert (cycle.reason is not None) == adaptive
+            assert cycle.storage in LADDER if adaptive else cycle.storage == storage
+        # the last cycle ends on the solve's own final residual
+        assert res.stats.cycles[-1].end_rrn == res.final_rrn
+        # fixed storage keeps no per-storage split
+        assert bool(res.stats.reads_by_storage) == adaptive
+
+    def test_records_of_a_fault_injected_adaptive_solve(self, atmosmodd):
+        """The restart residual after the first cycle (SpMV trial 22 at
+        m = 20) comes back NaN: its recovery is charged to the cycle
+        before it, which the controller then reads as distress."""
+        a = FaultySpmvMatrix(atmosmodd.a, _FireOn(22), "spmv_nan")
+        res, tracer = _traced_solve(CbGmres, a, ADAPTIVE_STORAGE, atmosmodd, 20)
+        assert res.converged
+        assert [e.kind for e in res.breakdown_events] == ["nonfinite_residual"]
+        _assert_records_add_up(res, tracer)
+        cycles = res.stats.cycles
+        assert [c.recoveries for c in cycles] == [1] + [0] * (len(cycles) - 1)
+        assert cycles[0].iterations == 20 == res.breakdown_events[0].iteration
+        assert cycles[1].reason == "feedback-hold"
+
+    def test_records_of_a_seeded_fault_injected_solve(self, atmosmodd):
+        a = FaultySpmvMatrix(atmosmodd.a, FaultInjector(0.05, 3), "spmv_nan")
+        res, tracer = _traced_solve(CbGmres, a, ADAPTIVE_STORAGE, atmosmodd, 20)
+        assert res.recoveries > 1
+        _assert_records_add_up(res, tracer)
 
 
 def _mixing(formats, backend="numpy"):
@@ -302,14 +383,14 @@ class TestRobustComposition:
         for (storage, floor), attempt in zip(escalation(ADAPTIVE_STORAGE), rr.attempts):
             if storage != ADAPTIVE_STORAGE or floor is None:
                 continue
-            for fmt in attempt.stats.storage_trace:
-                assert LADDER.index(fmt) >= LADDER.index(floor)
+            for cycle in attempt.stats.cycles:
+                assert LADDER.index(cycle.storage) >= LADDER.index(floor)
 
     def test_floor_holds_in_a_solve(self, atmosmodd):
         res = CbGmres(atmosmodd.a, ADAPTIVE_STORAGE, m=20, max_iter=800,
                       floor="frsz2_32").solve(atmosmodd.b, atmosmodd.target_rrn)
         assert res.converged
-        assert "frsz2_16" not in res.stats.storage_trace
+        assert "frsz2_16" not in {c.storage for c in res.stats.cycles}
 
     def test_campaign_accepts_adaptive(self):
         camp = run_campaign(
@@ -331,7 +412,7 @@ class TestRobustComposition:
 
 _rrn = st.floats(min_value=1e-16, max_value=1.0, allow_nan=False)
 _feedback = st.builds(
-    CycleFeedback,
+    CycleRecord,
     storage=st.sampled_from(LADDER),
     start_rrn=_rrn,
     end_rrn=_rrn,
@@ -361,7 +442,7 @@ class TestControllerFuzz:
                 d = c.decide(payload, target)
                 assert d.storage in LADDER
                 assert LADDER.index(d.storage) >= LADDER.index(c.floor)
-        assert len(c.decisions) == sum(1 for k, _ in events if k == "decide")
+                assert d.start_rrn == payload and d.reason is not None
 
     @given(
         fault=st.sampled_from(("payload_bitflip", "readout_nan")),

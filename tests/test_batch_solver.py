@@ -60,12 +60,9 @@ def assert_columns_identical(solo_results, batch_results):
         assert (
             solo.stats.reorthogonalizations == col.stats.reorthogonalizations
         )
-        # adaptive storage: each solve's own controller must have taken
-        # the fresh solver's decisions (all empty for fixed storage)
-        assert solo.stats.storage_trace == col.stats.storage_trace
-        assert solo.precision_trace == col.precision_trace
-        assert solo.stats.reads_by_storage == col.stats.reads_by_storage
-        assert solo.stats.writes_by_storage == col.stats.writes_by_storage
+        # every cycle alike; adaptive storage: each solve's own controller
+        # must have taken the fresh solver's decisions
+        assert solo.stats.cycles == col.stats.cycles
         assert solo.stats.bits_per_value == col.stats.bits_per_value
 
 
@@ -127,7 +124,7 @@ class TestBitIdentity:
         solos = [solver().solve(B[:, c], target) for c in range(4)]
         batch = solve_all(solver(), B, target)
         assert_columns_identical(solos, batch)
-        traces = {tuple(r.stats.storage_trace) for r in batch}
+        traces = {tuple(c.storage for c in r.stats.cycles) for r in batch}
         assert len(traces) > 1, "columns should have chosen different formats"
         assert any(len(r.stats.writes_by_storage) > 1 for r in batch)
         for r in batch:

@@ -464,6 +464,30 @@ class TestHostileSettings:
         with pytest.raises(ValueError, match=f"^{name} must be"):
             cls(a, **{name: value})
 
+    @pytest.mark.parametrize("solver", ["CbGmres", "FlexibleGmres"])
+    @pytest.mark.parametrize("value", [0, -3, 2.5, True, "4"], ids=repr)
+    def test_stall_restarts_refused_by_name(self, solver, value):
+        """A count of restarts is ``None`` or an integer ``>= 1``: the
+        stall test would read ``0`` and ``-3`` as 1 and ``2.5`` as 3."""
+        from repro.solvers import FlexibleGmres
+
+        cls = {"CbGmres": CbGmres, "FlexibleGmres": FlexibleGmres}[solver]
+        a, _, _ = small_system(8)
+        with pytest.raises(ValueError, match="^stall_restarts must be"):
+            cls(a, stall_restarts=value)
+        for fine in (None, 1, np.int64(3)):
+            assert cls(a, stall_restarts=fine).stall_restarts == fine
+
+    @pytest.mark.parametrize("value", [-1, 2.7, True, None, "3"], ids=repr)
+    def test_max_recoveries_refused_by_name(self, value):
+        """A recovery budget is an integer ``>= 0``: ``2.7`` would be
+        truncated to 2 and ``True`` read as 1."""
+        a, _, _ = small_system(8)
+        with pytest.raises(ValueError, match="^max_recoveries must be"):
+            CbGmres(a, max_recoveries=value)
+        for fine in (0, 4, np.int64(2)):
+            assert CbGmres(a, max_recoveries=fine).max_recoveries == fine
+
     @pytest.mark.parametrize("storage, floor", [
         ("frsz2_32", "frsz2_32"), ("float64", "float64"),
         ("adaptive", "float32"), ("adaptive", "frsz2_21"), ("adaptive", "bogus"),
