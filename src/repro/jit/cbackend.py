@@ -88,22 +88,50 @@ was measured equal and not taken: a cached library would be fatal
 
 Threads
 -------
-The three fused walks and the SpMV kernels are split over one pool of
-threads (pthreads inside ``C_SOURCE``, "one pool, two clients" there).
-The unit of a split is a tile of the walk's grid (``fused_dot``, the
-sweep), a run of eight pieces (``fused_axpy``) or a run of
-``POOL_ROWS`` rows (SpMV).  The caller claims units from the last one
-down, the helpers from the first up, off one atomic word.  Every unit
-writes only what is its own: the elements of ``w`` or ``y`` in its
-range, each summed in the written order on one thread, or the ``j``
-partials of its tile, into the caller's buffer.  The caller adds the
-partials to ``h`` / ``u`` in tile order after the join, a round of
-``FUSED_ROUND`` tiles at a time.  So no bit depends on the thread count
-or on which thread took which unit; and since a call on one thread
-takes its tiles last first, the self-test fails a reduction in any
-other order.  Each thread's decode buffer, lanes and row pieces are its
-slice of the work buffer the source keeps (:class:`_Rows`: ``capacity x
-(FUSED_ROUND + threads x slice)`` doubles); helpers allocate nothing.
+The three fused walks, the SpMV kernels and the two ILU(0) sweeps are
+split over one pool of threads (pthreads inside ``C_SOURCE``, "one
+pool, three clients" there).  The unit of a split is a tile of the
+walk's grid (``fused_dot``, the sweep), a run of eight pieces
+(``fused_axpy``) or a run of ``POOL_ROWS`` rows (SpMV).  The caller
+claims units from the last one down, the helpers from the first up, off
+one atomic word.  Every unit writes only what is its own: the elements
+of ``w`` or ``y`` in its range, each summed in the written order on one
+thread, or the ``j`` partials of its tile, into the caller's buffer.
+The caller adds the partials to ``h`` / ``u`` in tile order after the
+join, a round of ``FUSED_ROUND`` tiles at a time.  So no bit depends on
+the thread count or on which thread took which unit; and since a call
+on one thread takes its tiles last first, the self-test fails a
+reduction in any other order.  Each thread's decode buffer, lanes and
+row pieces are its slice of the work buffer the source keeps
+(:class:`_Rows`: ``capacity x (FUSED_ROUND + threads x slice)``
+doubles); helpers allocate nothing.
+
+A triangular sweep is one split call too, of one unit per thread that
+only names the thread's slice of the per-call work buffer
+(:class:`ChunkSweep`: ``threads x SWEEP_CHUNKS x (stride + SWEEP_ROWS)``
+doubles).  Its work is the lock-step groups of chunks the schedule
+prepared, at most ``SWEEP_CHUNKS`` chunks of one level each, listed
+level by level.  Every thread takes the next group off one *forward*
+counter — not the pool's claim word, which hands the caller units last
+first — waits until the chunks finished (a second counter, added with a
+release after each group and read with an acquire) reach the number of
+chunks in the levels below the group's, then runs it.  The rule is
+safe:
+
+* no deadlock, at any thread count: the groups are claimed in level
+  order, so a thread only ever waits for groups claimed before its own;
+  the earliest unfinished group has every lower level finished, hence
+  its wait is over, and a thread holds it;
+* no early read: the first group of a level ``>= l`` to start needs the
+  count of every chunk below ``l`` first, so no chunk of a level
+  ``>= l`` is counted until all lower ones are, and reaching the count
+  proves them finished;
+* no bit moves: a row keeps its entry order and its arithmetic, and
+  reads only rows that are final — as on one thread, where every wait
+  is already satisfied.
+
+A waiting thread spins a bounded number of times, then yields the CPU,
+so two threads on one CPU finish (``taskset -c 0``).
 
 The pool has :attr:`CEngine.threads` threads, the caller included: the
 CPUs in the process's affinity mask, or its share when it is one of
@@ -140,6 +168,7 @@ C_SOURCE = r"""
 #include <float.h>
 #include <math.h>
 #include <pthread.h>
+#include <sched.h>
 #include <signal.h>
 #include <stdint.h>
 #include <string.h>
@@ -595,9 +624,10 @@ int64_t frsz2_decode_gather(const uint8_t *payload, int32_t kind,
     return 0;
 }
 
-/* ---- one pool, two clients ---------------------------------------------
+/* ---- one pool, three clients -------------------------------------------
  * A split call cuts its work into units — the tiles of a fused walk's grid,
- * runs of pieces of the axpy, runs of rows of an SpMV — which the caller
+ * runs of pieces of the axpy, runs of rows of an SpMV, one per thread of a
+ * triangular sweep (whose own claims are below) — which the caller
  * and the helper threads claim off one atomic word: the caller from the
  * last unit down, the helpers from the first up.  A unit writes only what
  * is its own (its rows of y, its elements of w, its tile's partials), so
@@ -621,7 +651,7 @@ int64_t frsz2_decode_gather(const uint8_t *payload, int32_t kind,
  * is split — below it, waking a helper costs what the second core saves;
  * elements per piece of the axpy and the sweep; tiles whose partials a
  * walk holds before adding them up (a round: the partials are a bound
- * independent of n).  Measured: docs/ARCHITECTURE.md, "One pool, two
+ * independent of n).  Measured: docs/ARCHITECTURE.md, "One pool, three
  * clients". */
 #define POOL_MIN_WORK 65536
 #define FUSED_PIECE 256
@@ -815,12 +845,23 @@ static void pool_unload(void)
  * (row r = dense + r * ld: the columns of the basis mirror, the rows of a
  * scratch a fallback reader filled, a float64 factor) or, when dense ==
  * NULL, FRSZ2 containers of one layout, decoded one row piece at a time
- * into buf.  p prefixes the argument names, so a kernel may take two. */
+ * into buf.  p prefixes the argument names, so a kernel may take two;
+ * SOURCE_FIELDS(p) holds them in a struct, SOURCE_NAMES(p) passes them on. */
 #define SOURCE(p)                                                         \
     const double *p##dense, int64_t p##ld,                                \
     const uint8_t *const *p##payloads,                                    \
     const int32_t *const *p##exponents, int32_t p##kind,                  \
     int64_t p##nwords, int64_t p##bs, int64_t p##l, int64_t p##wpb
+#define SOURCE_FIELDS(p)                                                  \
+    const double *p##dense;                                               \
+    int64_t p##ld;                                                        \
+    const uint8_t *const *p##payloads;                                    \
+    const int32_t *const *p##exponents;                                   \
+    int32_t p##kind;                                                      \
+    int64_t p##nwords, p##bs, p##l, p##wpb;
+#define SOURCE_NAMES(p)                                                   \
+    p##dense, p##ld, p##payloads, p##exponents, p##kind, p##nwords,       \
+    p##bs, p##l, p##wpb
 #define SOURCE_ROW(p, r, i0, i1, buf)                                     \
     (p##dense ? p##dense + (r) * p##ld + (i0)                             \
               : (decode_range(p##payloads[r], p##kind, p##nwords,         \
@@ -836,17 +877,10 @@ static void pool_unload(void)
  * thread (thread me's at slices + me * stride). */
 #define FUSED_SOURCE SOURCE(v_)
 #define FUSED_ROW(r, i0, i1, buf) SOURCE_ROW(k->v_, r, i0, i1, buf)
-#define WALK_SOURCE                                                       \
-    v_dense, v_ld, v_payloads, v_exponents, v_kind, v_nwords, v_bs, v_l,  \
-    v_wpb
+#define WALK_SOURCE SOURCE_NAMES(v_)
 
 struct walk {
-    const double *v_dense;
-    int64_t v_ld;
-    const uint8_t *const *v_payloads;
-    const int32_t *const *v_exponents;
-    int32_t v_kind;
-    int64_t v_nwords, v_bs, v_l, v_wpb;
+    SOURCE_FIELDS(v_)
     int64_t j, n, tile;
     int64_t round;          /* the round's first tile */
     const double *y;
@@ -1468,21 +1502,33 @@ int64_t prec_ilu0_factor(const int64_t *indptr, const int64_t *cols,
     return -1;
 }
 
-/* ---- chunk-wavefront triangular sweeps --------------------------------
+/* ---- chunk-wavefront triangular sweeps: the pool's third client -------
  * The result of a sweep is defined by the natural-order recurrence of
  * lower_unit_trisolve_numpy / upper_trisolve_numpy; the order rows are
  * visited in is free wherever they do not depend on each other.  Rows are
  * cut into chunks of SWEEP_ROWS consecutive rows; a chunk's level is 0
  * when its rows reference no other chunk, else 1 + the highest level of
  * the chunks they reference.  Chunks of one level are independent, so up
- * to SWEEP_CHUNKS of them are walked in lock-step (row q of each, then
- * row q + 1): their recurrences overlap in the pipeline where one chunk
- * alone waits a multiply, a subtraction and a divide for every row.  Rows
- * of a chunk stay in order and every row keeps its entry order, so no bit
- * depends on the geometry; both constants are picked by measurement
- * (docs/PRECONDITIONING.md). */
+ * to SWEEP_CHUNKS of them — a group, which never crosses a level — are
+ * walked in lock-step (row q of each, then row q + 1): their recurrences
+ * overlap in the pipeline where one chunk alone waits a multiply, a
+ * subtraction and a divide for every row.  Rows of a chunk stay in order
+ * and every row keeps its entry order, so no bit depends on the geometry;
+ * both constants are picked by measurement (docs/PRECONDITIONING.md).
+ *
+ * A sweep is one split call of threads units; a unit only names the
+ * thread's slice of the work buffer.  Every thread takes the next group
+ * off one forward counter (next) and waits, before it runs the group,
+ * until done — the chunks finished, added with a release after each
+ * group — reaches need[g], the number of chunks in the levels below the
+ * group's.  Claims in level order rule out a deadlock, and the count
+ * proves the lower levels final (the module docstring, "Threads", has
+ * both proofs).  A wait spins SWEEP_SPINS times, then yields the CPU, so
+ * a peer that shares it runs.  Alone (small, one thread, or the pool
+ * held) the same loop finds every wait satisfied. */
 #define SWEEP_ROWS 256
 #define SWEEP_CHUNKS 4
+#define SWEEP_SPINS 1024
 const int64_t prec_sweep_rows = SWEEP_ROWS;
 const int64_t prec_sweep_chunks = SWEEP_CHUNKS;
 
@@ -1490,7 +1536,7 @@ const int64_t prec_sweep_chunks = SWEEP_CHUNKS;
  * backward over a strictly-upper one (level: zeros on entry).  Returns
  * -1, or the first visited row holding an entry that is not strictly on
  * its side of the diagonal (which also bounds every index by n). */
-int64_t prec_chunk_levels(const int64_t *indptr, const int64_t *indices,
+int64_t prec_chunk_levels(const int64_t *indptr, const int32_t *indices,
                           int64_t n, int32_t upper, int64_t *level)
 {
     int64_t nc = (n + SWEEP_ROWS - 1) / SWEEP_ROWS;
@@ -1515,89 +1561,128 @@ int64_t prec_chunk_levels(const int64_t *indptr, const int64_t *indices,
     return -1;
 }
 
-/* The chunks [c0, c0 + g) of order, one level's lock-step group: rows
- * [lo[c], lo[c] + len[c]) and the chunk's values, read where they are
- * stored or decoded into its slice of work. */
-#define SWEEP_GROUP(p, work, stride)                                      \
-    int64_t lo[SWEEP_CHUNKS], len[SWEEP_CHUNKS], k0[SWEEP_CHUNKS];        \
-    const double *val[SWEEP_CHUNKS];                                      \
-    int64_t g = end - c0 < SWEEP_CHUNKS ? end - c0 : SWEEP_CHUNKS;        \
-    int64_t longest = 0;                                                  \
-    for (int64_t c = 0; c < g; c++) {                                     \
-        lo[c] = order[c0 + c] * SWEEP_ROWS;                               \
-        len[c] = (lo[c] + SWEEP_ROWS < n ? lo[c] + SWEEP_ROWS : n) - lo[c]; \
-        if (len[c] > longest)                                             \
-            longest = len[c];                                             \
-        k0[c] = indptr[lo[c]];                                            \
-        val[c] = SOURCE_ROW(p, 0, k0[c], indptr[lo[c] + len[c]],          \
-                            (work) + c * (stride));                       \
-    }
+/* One sweep's arguments, shared by its threads: the pattern, the values
+ * (v_) and the upper sweep's diagonal (d_), the groups — group g is the
+ * chunks order[group[g] .. group[g + 1]) and waits for need[g] finished
+ * chunks — the vectors, the work buffer (one slice of SWEEP_SLICE(stride)
+ * doubles per thread, stride: the most values any chunk has) and the two
+ * counters, each on its own cache line. */
+#define SWEEP_SLICE(stride) (SWEEP_CHUNKS * ((stride) + SWEEP_ROWS))
 
-/* Forward sweep: L y = b with strictly-lower CSR L and an implicit unit
- * diagonal (the ILU(0) L factor).  order lists the chunks level by level,
- * level l being order[level_ptr[l] .. level_ptr[l + 1]); work holds
- * SWEEP_CHUNKS * stride doubles when the values are compressed (stride:
- * the most values any chunk has). */
-void prec_lower_trisolve(const int64_t *indptr, const int64_t *indices,
-                         SOURCE(v_), const int64_t *order,
-                         const int64_t *level_ptr, int64_t nlevels,
-                         const double *b, double *y, int64_t n,
-                         double *work, int64_t stride)
+struct sweep {
+    const int64_t *indptr;
+    const int32_t *indices;
+    SOURCE_FIELDS(v_)
+    SOURCE_FIELDS(d_)
+    const int64_t *order, *group, *need;
+    int64_t groups, n, stride;
+    const double *b;
+    double *y, *work;
+    int64_t next __attribute__((aligned(64)));   /* groups claimed */
+    int64_t done __attribute__((aligned(64)));   /* chunks finished */
+};
+
+/* Group g's rows, in lock-step, with its values read where they are
+ * stored or decoded into buf (the diagonal's after SWEEP_CHUNKS value
+ * slices, SWEEP_ROWS doubles a chunk). */
+static inline __attribute__((always_inline)) void
+sweep_group(const struct sweep *k, int64_t g, double *buf, int upper)
 {
-    for (int64_t lev = 0; lev < nlevels; lev++) {
-        int64_t end = level_ptr[lev + 1];
-        for (int64_t c0 = level_ptr[lev]; c0 < end; c0 += SWEEP_CHUNKS) {
-            SWEEP_GROUP(v_, work, stride)
-            for (int64_t q = 0; q < longest; q++)
-                for (int64_t c = 0; c < g; c++) {
-                    if (q >= len[c])
-                        continue;
-                    int64_t i = lo[c] + q;
-                    int64_t s0 = indptr[i], cnt = indptr[i + 1] - s0;
-                    const double *v = val[c] + (s0 - k0[c]);
-                    const int64_t *col = indices + s0;
-                    double s = b[i];
-                    for (int64_t k = 0; k < cnt; k++)
-                        s -= v[k] * y[col[k]];
-                    y[i] = s;
-                }
+    const int64_t *indptr = k->indptr;
+    const int32_t *indices = k->indices;
+    const double *b = k->b;
+    double *y = k->y;
+    int64_t n = k->n, lo[SWEEP_CHUNKS], len[SWEEP_CHUNKS], k0[SWEEP_CHUNKS];
+    const double *val[SWEEP_CHUNKS], *diag[SWEEP_CHUNKS];
+    int64_t c0 = k->group[g], count = k->group[g + 1] - c0, longest = 0;
+    for (int64_t c = 0; c < count; c++) {
+        lo[c] = k->order[c0 + c] * SWEEP_ROWS;
+        len[c] = (lo[c] + SWEEP_ROWS < n ? lo[c] + SWEEP_ROWS : n) - lo[c];
+        if (len[c] > longest)
+            longest = len[c];
+        k0[c] = indptr[lo[c]];
+        val[c] = SOURCE_ROW(k->v_, 0, k0[c], indptr[lo[c] + len[c]],
+                            buf + c * k->stride);
+        if (upper)
+            diag[c] = SOURCE_ROW(k->d_, 0, lo[c], lo[c] + len[c],
+                                 buf + SWEEP_CHUNKS * k->stride
+                                 + c * SWEEP_ROWS);
+    }
+    for (int64_t q = 0; q < longest; q++)
+        for (int64_t c = 0; c < count; c++) {
+            if (q >= len[c])
+                continue;
+            int64_t r = upper ? len[c] - 1 - q : q, i = lo[c] + r;
+            int64_t s0 = indptr[i], cnt = indptr[i + 1] - s0;
+            const double *v = val[c] + (s0 - k0[c]);
+            const int32_t *col = indices + s0;
+            double s = b[i];
+            for (int64_t e = 0; e < cnt; e++)
+                s -= v[e] * y[col[e]];
+            y[i] = upper ? s / diag[c][r] : s;
         }
+}
+
+/* Thread me's part of a sweep: the next group until none is left. */
+static inline __attribute__((always_inline)) void
+sweep_claims(const void *job, int64_t me, int upper)
+{
+    struct sweep *k = (struct sweep *)job;
+    double *buf = k->work ? k->work + me * SWEEP_SLICE(k->stride) : NULL;
+    for (int64_t g; (g = __atomic_fetch_add(&k->next, 1, __ATOMIC_RELAXED))
+                    < k->groups;) {
+        for (int spins = 0;
+             __atomic_load_n(&k->done, __ATOMIC_ACQUIRE) < k->need[g];)
+            if (spins < SWEEP_SPINS)
+                spins++;
+            else
+                sched_yield();
+        sweep_group(k, g, buf, upper);
+        __atomic_fetch_add(&k->done, k->group[g + 1] - k->group[g],
+                           __ATOMIC_RELEASE);
     }
 }
 
-/* Backward sweep: U y = b with strictly-upper CSR entries plus a separate
- * diagonal source (d_: its chunk slices follow the value slices in work,
- * SWEEP_ROWS doubles each). */
-void prec_upper_trisolve(const int64_t *indptr, const int64_t *indices,
-                         SOURCE(v_), SOURCE(d_), const int64_t *order,
-                         const int64_t *level_ptr, int64_t nlevels,
-                         const double *b, double *y, int64_t n,
-                         double *work, int64_t stride)
+static void lower_claims(const void *job, int64_t unit, int64_t me)
 {
-    double *dwork = work + SWEEP_CHUNKS * stride;
-    for (int64_t lev = 0; lev < nlevels; lev++) {
-        int64_t end = level_ptr[lev + 1];
-        for (int64_t c0 = level_ptr[lev]; c0 < end; c0 += SWEEP_CHUNKS) {
-            SWEEP_GROUP(v_, work, stride)
-            const double *diag[SWEEP_CHUNKS];
-            for (int64_t c = 0; c < g; c++)
-                diag[c] = SOURCE_ROW(d_, 0, lo[c], lo[c] + len[c],
-                                     dwork + c * SWEEP_ROWS);
-            for (int64_t q = 0; q < longest; q++)
-                for (int64_t c = 0; c < g; c++) {
-                    if (q >= len[c])
-                        continue;
-                    int64_t r = len[c] - 1 - q, i = lo[c] + r;
-                    int64_t s0 = indptr[i], cnt = indptr[i + 1] - s0;
-                    const double *v = val[c] + (s0 - k0[c]);
-                    const int64_t *col = indices + s0;
-                    double s = b[i];
-                    for (int64_t k = 0; k < cnt; k++)
-                        s -= v[k] * y[col[k]];
-                    y[i] = s / diag[c][r];
-                }
-        }
-    }
+    (void)unit;
+    sweep_claims(job, me, 0);
+}
+
+static void upper_claims(const void *job, int64_t unit, int64_t me)
+{
+    (void)unit;
+    sweep_claims(job, me, 1);
+}
+
+/* Forward sweep: L y = b with strictly-lower CSR L and an implicit unit
+ * diagonal (the ILU(0) L factor), on up to threads threads; work holds
+ * threads * SWEEP_SLICE(stride) doubles when the values are compressed. */
+void prec_lower_trisolve(const int64_t *indptr, const int32_t *indices,
+                         SOURCE(v_), const int64_t *order,
+                         const int64_t *group, const int64_t *need,
+                         int64_t groups, const double *b, double *y,
+                         int64_t n, double *work, int64_t stride,
+                         int64_t threads)
+{
+    struct sweep k = {indptr, indices, SOURCE_NAMES(v_), .order = order,
+                      .group = group, .need = need, .groups = groups, .n = n,
+                      .stride = stride, .b = b, .y = y, .work = work};
+    pool_split(lower_claims, &k, threads, threads, indptr[n]);
+}
+
+/* Backward sweep: U y = b with strictly-upper CSR entries plus a separate
+ * diagonal source (d_). */
+void prec_upper_trisolve(const int64_t *indptr, const int32_t *indices,
+                         SOURCE(v_), SOURCE(d_), const int64_t *order,
+                         const int64_t *group, const int64_t *need,
+                         int64_t groups, const double *b, double *y,
+                         int64_t n, double *work, int64_t stride,
+                         int64_t threads)
+{
+    struct sweep k = {indptr, indices, SOURCE_NAMES(v_), SOURCE_NAMES(d_),
+                      order, group, need, groups, n, stride, b, y, work};
+    pool_split(upper_claims, &k, threads, threads, indptr[n]);
 }
 
 /* out = blockdiag(B_0, B_1, ...) @ v with flattened zero-padded
@@ -1981,31 +2066,44 @@ class ChunkSweep:
     The preparation is the chunk-wavefront schedule of the C kernels
     (see ``prec_lower_trisolve`` in ``C_SOURCE``): :attr:`order` lists
     the chunks of ``engine.sweep_rows`` consecutive rows level by level,
-    level ``l`` being ``order[level_ptr[l]:level_ptr[l + 1]]``.  It is
-    made once, from the pattern alone, and checked here — every index in
-    bounds and strictly on its side of the diagonal — before C may walk
-    it.  The values come with each call: a one-row :class:`TileTable`
-    (decoded a chunk at a time into a per-call work buffer) or float64
-    values read where they are stored.
+    level ``l`` being ``order[level_ptr[l]:level_ptr[l + 1]]``, and
+    :attr:`group` cuts it into the lock-step groups of up to
+    ``engine.sweep_chunks`` chunks the pool's threads claim: group ``g``
+    is ``order[group[g]:group[g + 1]]``, inside one level, and waits for
+    the ``need[g]`` chunks of the levels below it.  It is made once, from
+    the pattern alone, and checked here — every index in bounds and
+    strictly on its side of the diagonal — before C may walk it.  Column
+    indices are ``int32`` (``indptr`` stays ``int64``), so a pattern of
+    ``2**31`` rows or more is refused.  The values come with each call: a
+    one-row :class:`TileTable` (decoded a chunk at a time into a per-call
+    work buffer, a slice per thread) or float64 values read where they
+    are stored.
     """
 
     __slots__ = ("_engine", "indptr", "indices", "n", "order", "level_ptr",
-                 "stride", "_pattern", "_levels")
+                 "group", "need", "stride", "_pattern", "_groups")
 
     #: sweep direction; the subclasses fix it
     upper = False
 
     def __init__(self, engine: "CEngine", indptr, indices) -> None:
         self._engine = engine
+        self.n = n = len(indptr) - 1
+        if n >= 2 ** 31:
+            raise ValueError(
+                f"a sweep of {n} rows does not fit int32 column indices"
+            )
         self.indptr = indptr = engine._c(indptr, np.int64)
-        self.indices = indices = engine._c(indices, np.int64)
+        indices = np.asarray(indices)
+        if indices.dtype != np.int32:  # out of range stays out of range
+            indices = np.clip(indices, -1, n)
+        self.indices = indices = engine._c(indices, np.int32)
         _check_csr_pattern(indptr, indices)
-        self.n = n = indptr.size - 1
-        rows = engine.sweep_rows
+        rows, width = engine.sweep_rows, engine.sweep_chunks
         chunks = -(-n // rows)
         level = np.zeros(chunks, dtype=np.int64)
         self._pattern = (engine._ptr(indptr, "int64_t *"),
-                         engine._ptr(indices, "int64_t *"))
+                         engine._ptr(indices, "int32_t *"))
         bad = engine._lib.prec_chunk_levels(
             *self._pattern, n, int(self.upper), engine._ptr(level, "int64_t *")
         )
@@ -2020,12 +2118,17 @@ class ChunkSweep:
             self.order = chunks - 1 - np.argsort(level[::-1], kind="stable")
         else:
             self.order = np.argsort(level, kind="stable")
-        self.level_ptr = np.concatenate(
-            ([0], np.cumsum(np.bincount(level)))
-        ).astype(np.int64)
-        self._levels = (engine._ptr(self.order, "int64_t *"),
-                        engine._ptr(self.level_ptr, "int64_t *"),
-                        self.level_ptr.size - 1)
+        per_level = np.bincount(level)
+        self.level_ptr = np.concatenate(([0], np.cumsum(per_level)))
+        # each level cut into groups of up to ``width`` chunks; a group
+        # waits for the chunks of the levels below its own
+        groups = -(-per_level // width)
+        self.need = np.repeat(self.level_ptr[:-1], groups)
+        rank = np.arange(self.need.size) - np.repeat(np.cumsum(groups) - groups, groups)
+        self.group = np.append(self.need + rank * width, chunks)
+        self._groups = (engine._ptr(self.order, "int64_t *"),
+                        engine._ptr(self.group, "int64_t *"),
+                        engine._ptr(self.need, "int64_t *"), self.need.size)
         #: the most values any chunk holds (one chunk's share of the work)
         bounds = indptr[np.minimum(np.arange(chunks + 1) * rows, n)]
         self.stride = int(np.diff(bounds).max(initial=0))
@@ -2039,17 +2142,16 @@ class ChunkSweep:
         sources = [*engine._values_source(data, self.indices.size, "data")]
         for diagonal in udiag:
             sources += engine._values_source(diagonal, n, "udiag")
+        threads = engine.threads
         work = engine._ffi.NULL
         if any(isinstance(values, TileTable) for values in (data, *udiag)):
-            work = engine._ptr(
-                np.empty(engine.sweep_chunks * (self.stride + engine.sweep_rows)),
-                "double *",
-            )
+            slice_ = engine.sweep_chunks * (self.stride + engine.sweep_rows)
+            work = engine._ptr(np.empty(threads * slice_), "double *")
         y = np.empty(n)
         kernel(
-            *self._pattern, *sources, *self._levels,
+            *self._pattern, *sources, *self._groups,
             engine._ptr(b, "double *"), engine._ptr(y, "double *"), n,
-            work, self.stride,
+            work, self.stride, threads,
         )
         return y
 

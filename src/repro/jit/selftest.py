@@ -269,25 +269,31 @@ def _check_fused(engine, rng: np.random.Generator) -> None:
             ("l=32 bs=32", engine.row_table(map(engine.row_pointers, comps)))):
         for tile in (n // n_tiles, n):
             walks += [
-                (f"fused.dot_basis ({tag} tile={tile}",
+                (f"fused.dot_basis ({tag} tile={tile} n={n}",
                  partial(_dot, rows, y.size, n, tile, plain)),
-                (f"fused.axpy_dot ({tag} tile={tile}",
+                (f"fused.axpy_dot ({tag} tile={tile} n={n}",
                  partial(_sweep, rows, y.size, n, tile, y, plain))]
-        walks.append((f"fused.axpy ({tag}",
+        walks.append((f"fused.axpy ({tag} n={n}",
                       partial(_axpy, rows, y.size, n, y, plain, False)))
+    _split_repeats_alone(engine, walks, rounds=3)
+    _check_norm2_and_step(engine, rng)
+
+
+def _split_repeats_alone(engine, runs, rounds: int) -> None:
+    """Each ``(what, run)`` of a split kernel gives its one-thread bits on
+    two threads and on the pool's, ``rounds`` times: a helper that woke
+    late for a call did no unit of it."""
     pool = engine.threads
     try:
         engine.set_threads(1)
-        alone = [walk() for _, walk in walks]
+        alone = [run() for _, run in runs]
         for count in sorted({2, pool}):
             engine.set_threads(count)
-            # thrice: a helper that woke late for a call did no tile of it
-            for (what, walk), ref in 3 * list(zip(walks, alone)):
-                _expect(_same_bits(ref, walk()),
-                        f"{what} n={n} T={count} against T=1)")
+            for (what, run), ref in rounds * list(zip(runs, alone)):
+                _expect(_same_bits(ref, run()),
+                        f"{what} T={count} against T=1)")
     finally:
         engine.set_threads(pool)
-    _check_norm2_and_step(engine, rng)
 
 
 def _check_norm2_and_step(engine, rng: np.random.Generator) -> None:
@@ -486,8 +492,30 @@ def _chunked_pattern(n: int, rows: int, upper: bool):
     return indptr, cols.astype(np.int64)
 
 
+def _leveled_pattern(chunks: int, rows: int):
+    """A strictly-upper pattern of ``chunks`` chunks of ``rows`` rows, in
+    int32: a row reads the rows 1, 3 and 7 after it in its chunk and the
+    row eight chunks after it — levels of eight chunks, two lock-step
+    groups of four each.  Built from one chunk's rows, and cheaply: the
+    self-test's budget."""
+    q = np.arange(rows, dtype=np.int32)
+    own = np.stack([q + 1, q + 3, q + 7, q + 8 * rows], axis=1)
+    keep = own < rows
+    keep[:, 3] = True
+    near, last = own[keep], own[:, :3][keep[:, :3]]  # the last eight: no far row
+    starts = rows * np.arange(chunks, dtype=np.int32)[:, None]
+    cols = np.concatenate([(near + starts[:-8]).ravel(),
+                           (last + starts[-8:]).ravel()])
+    counts = keep.sum(axis=1)
+    indptr = np.zeros(chunks * rows + 1, dtype=np.int64)
+    np.cumsum(np.concatenate([np.tile(counts, chunks - 8),
+                              np.tile(counts - 1, 8)]), out=indptr[1:])
+    return indptr, cols
+
+
 def _check_prec(engine, rng: np.random.Generator) -> None:
-    from ..core.frsz2 import FRSZ2
+    from ..core.blocks import BlockLayout
+    from ..core.frsz2 import Frsz2Compressed
     from ..solvers import prec_kernels
 
     # the factorisation: every stored value, every diagonal position and
@@ -504,6 +532,17 @@ def _check_prec(engine, rng: np.random.Generator) -> None:
             f"prec.ilu0_factor (zero pivot row: {zero_pivot_row})",
         )
 
+    def stored(v, bit_length):
+        """``v`` as a one-row FRSZ2 table, and what it decodes to: the
+        engine's encode and decode, which the codec families hold to
+        numpy (numpy's would cost this family half its time)."""
+        layout = BlockLayout(v.size, 32, bit_length)
+        comp = Frsz2Compressed(layout, *engine.encode(v, layout, False)[::-1])
+        table = engine.row_table([engine.row_pointers(comp)])
+        decoded = np.empty((1, v.size))
+        table(0, v.size, decoded)
+        return table, decoded[0]
+
     # the scheduled sweeps: seven chunks, the last one short, five of
     # them in one level; float64 values read in place and FRSZ2 values
     # decoded a chunk at a time must both replay the natural-order
@@ -511,15 +550,13 @@ def _check_prec(engine, rng: np.random.Generator) -> None:
     rows = engine.sweep_rows
     n = 6 * rows + 37
     b = rng.standard_normal(n) * np.exp2(rng.integers(-30, 30, n).astype(float))
-    codec = FRSZ2(bit_length=21, block_size=32)
     for upper, name in ((False, "prec.lower_trisolve"), (True, "prec.upper_trisolve")):
         ip, cols = _chunked_pattern(n, rows, upper)
-        comps = [codec.compress(rng.standard_normal(cols.size))]
+        values = [rng.standard_normal(cols.size)]
         if upper:
             diag = rng.standard_normal(n)
-            comps.append(codec.compress(diag + 2.0 * np.sign(diag)))
-        dense = [codec.decompress(c) for c in comps]
-        tables = [engine.row_table([engine.row_pointers(c)]) for c in comps]
+            values.append(diag + 2.0 * np.sign(diag))
+        tables, dense = zip(*(stored(v, 21) for v in values))
         reference = (prec_kernels.upper_trisolve_numpy if upper
                      else prec_kernels.lower_unit_trisolve_numpy)
         ref = reference(ip, cols)(*dense, b).view(np.uint64)
@@ -536,6 +573,21 @@ def _check_prec(engine, rng: np.random.Generator) -> None:
         got = engine.block_diag_apply(blocks, b[:n], bs, n)
         _expect(np.array_equal(ref.view(np.uint64), got.view(np.uint64)),
                 f"prec.block_diag_apply (bs={bs})")
+
+    # a sweep the pool splits — more entries than its minimum, levels of
+    # two groups — over FRSZ2 values and diagonal, decoded into each
+    # thread's slice of the work buffer: on two threads and on the pool's,
+    # it repeats the bits it has on one, which the sweeps above hold to the
+    # reference.  The values all differ (a slice of another thread's would
+    # show) and cost nothing to draw; the lower sweep, which runs the same
+    # claims, is left to tests/test_threads.py: the family's budget
+    ip, cols = _leveled_pattern(68, rows)
+    n = ip.size - 1
+    tables = [stored(v, 32)[0] for v in (np.linspace(-0.2, 0.2, cols.size),
+                                         np.linspace(2.0, 3.0, n))]
+    sweep = partial(engine.upper_trisolve(ip, cols), *tables, rng.random(n) - 0.5)
+    _split_repeats_alone(
+        engine, [(f"prec.upper_trisolve (l=32 bs=32 n={n}", sweep)], rounds=1)
 
 
 def run(engine) -> None:

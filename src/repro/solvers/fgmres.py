@@ -33,7 +33,7 @@ import numpy as np
 from ..accessor import VectorAccessor
 from ..sparse.csr import CSRMatrix
 from ..fused import DEFAULT_TILE_ELEMS
-from .gmres import DEFAULT_MAX_ITER, DEFAULT_RESTART, CbGmres
+from .gmres import DEFAULT_MAX_ITER, DEFAULT_MAX_RECOVERIES, DEFAULT_RESTART, CbGmres
 from .orthogonal import DEFAULT_ETA
 from .preconditioner import Preconditioner
 
@@ -60,8 +60,7 @@ class FlexibleGmres(CbGmres):
     core's two hook points overridden (``_direction`` stores ``z``
     compressed and hands the read-back to the SpMV, ``_correction``
     combines ``Z_m y``), so ``solve``, breakdown recovery, the stats
-    billing and the tracer spans (assign a :class:`repro.observe.Tracer`
-    to ``tracer``) are inherited, not re-implemented.
+    billing and the tracer spans are inherited, not re-implemented.
 
     Parameters
     ----------
@@ -79,6 +78,9 @@ class FlexibleGmres(CbGmres):
         Consecutive non-improving restarts before declaring a stall.
     preconditioner : Preconditioner, optional
         ``M`` in ``z = M^-1 v`` (identity when omitted).
+    recovery, max_recoveries, spmv_format, tracer, floor : optional
+        As for :class:`~repro.solvers.gmres.CbGmres`; a ``tracer`` also
+        reaches the preconditioner (``attach_tracer``).
     storage_factory : callable, optional
         ``(storage, n) -> VectorAccessor`` override for the Z basis,
         also used when the adaptive controller rebuilds accessors per
@@ -102,9 +104,14 @@ class FlexibleGmres(CbGmres):
         max_iter: int = DEFAULT_MAX_ITER,
         stall_restarts: Optional[int] = 8,
         preconditioner: Optional[Preconditioner] = None,
-        storage_factory: "Callable[[str, int], VectorAccessor] | None" = None,
+        recovery: bool = True,
+        max_recoveries: int = DEFAULT_MAX_RECOVERIES,
+        spmv_format: str = "csr",
         basis_mode: str = "cached",
         tile_elems: Optional[int] = None,
+        tracer=None,
+        floor: Optional[str] = None,
+        storage_factory: "Callable[[str, int], VectorAccessor] | None" = None,
         backend: "str | None" = None,
     ) -> None:
         super().__init__(
@@ -115,9 +122,14 @@ class FlexibleGmres(CbGmres):
             max_iter=max_iter,
             stall_restarts=stall_restarts,
             preconditioner=preconditioner,
-            storage_factory=storage_factory,
+            recovery=recovery,
+            max_recoveries=max_recoveries,
+            spmv_format=spmv_format,
             basis_mode=basis_mode,
             tile_elems=tile_elems or DEFAULT_TILE_ELEMS,
+            tracer=tracer,
+            floor=floor,
+            storage_factory=storage_factory,
             backend=backend,
         )
         self.z_storage = z_storage

@@ -372,6 +372,8 @@ class ILU0Preconditioner(Preconditioner):
     ) -> None:
         if a.shape[0] != a.shape[1]:
             raise ValueError("ILU(0) requires a square matrix")
+        if a.shape[0] >= 2 ** 31:
+            raise ValueError("ILU(0) keeps int32 column indices: n < 2**31")
         if storage not in _CLASS_STORAGES:
             raise PreconditionerError(
                 f"unknown prec storage {storage!r}; expected one of {_CLASS_STORAGES}"
@@ -406,10 +408,11 @@ class ILU0Preconditioner(Preconditioner):
         # at and after its diagonal position
         past_diagonal = np.arange(lu.size, dtype=np.int64) - diag_pos[rows]
         lower, upper = past_diagonal < 0, past_diagonal > 0
+        # the sweeps' column indices are int32 (their row pointers int64)
         self._l_indptr = _offsets(diag_pos - a.indptr[:-1])
-        self._l_indices = cols[lower]
+        self._l_indices = cols[lower].astype(np.int32)
         self._u_indptr = _offsets(a.indptr[1:] - diag_pos - 1)
-        self._u_indices = cols[upper]
+        self._u_indices = cols[upper].astype(np.int32)
         self._l_acc = self._store(lu[lower])
         self._u_acc = self._store(lu[upper])
         self._d_acc = self._store(lu[diag_pos])

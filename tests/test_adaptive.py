@@ -218,8 +218,8 @@ class _FireOn(FaultInjector):
 
 
 def _traced_solve(solver_cls, a, storage, p, m, **kw):
-    solver = solver_cls(a, storage, m=m, max_iter=800, **kw)
-    solver.tracer = tracer = Tracer()
+    tracer = Tracer()
+    solver = solver_cls(a, storage, m=m, max_iter=800, tracer=tracer, **kw)
     return solver.solve(p.b, p.target_rrn), tracer
 
 

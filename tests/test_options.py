@@ -23,6 +23,7 @@ from repro.__main__ import SHARED_BY_COMMAND, build_parser, main
 from repro.accessor import list_storage_formats
 from repro.bench.perf import run_bench_entry
 from repro.jit.dispatch import BACKENDS, resolve_backend
+from repro.observe import Tracer
 from repro.robust import run_campaign
 from repro.serve import JobSpec
 from repro.serve.worker import run_attempt
@@ -31,6 +32,7 @@ from repro.solvers import (
     PREC_STORAGES,
     PRECONDITIONERS,
     CbGmres,
+    FlexibleGmres,
     SolveOptions,
     make_preconditioner,
     make_problem,
@@ -159,6 +161,23 @@ class TestBuildOrder:
         a, _ = stencil
         solver = SolveOptions(**BASE).build(a, recovery=False, eta=0.5)
         assert solver.recovery is False and solver.eta == 0.5
+
+    def test_flexible_gmres_takes_what_cb_gmres_takes(self, stencil):
+        """``FlexibleGmres`` is built like ``CbGmres``: a tracer passed to
+        ``build`` reaches the solver and its preconditioner, and so do
+        the recovery, floor and SpMV-format arguments."""
+        a, b = stencil
+        tracer = Tracer()
+        opts = SolveOptions(**{**BASE, "storage": ADAPTIVE_STORAGE,
+                               "preconditioner": "ilu0"})
+        solver = opts.build(a, solver=FlexibleGmres, tracer=tracer,
+                            recovery=False, max_recoveries=3,
+                            floor="frsz2_16")
+        assert solver.tracer is tracer is solver.preconditioner.tracer
+        assert (solver.recovery, solver.max_recoveries) == (False, 3)
+        assert solver.floor == "frsz2_16"
+        assert solver.solve(b, 1e-8).converged
+        assert tracer.counters["prec.applies"] > 0
 
 
 class TestUnavailableJitWarnsOnce:

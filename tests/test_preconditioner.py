@@ -505,6 +505,34 @@ class TestIlu0FactorBitIdentity:
         assert min(walls) < 0.05
 
 
+class TestIlu0AgainstScipy:
+    """An oracle that shares no code with the sweeps: the apply is
+    ``U^-1 L^-1 v`` by ``scipy.sparse.linalg.spsolve_triangular`` on the
+    factors the preconditioner stores (unit-lower L, upper U with its
+    diagonal), decoded from their storage."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("storage", ["float64", "frsz2_32"])
+    @pytest.mark.parametrize("matrix", ["aniso_jump", "conv_dom", "bem_dense", "lung2"])
+    def test_apply_is_the_two_triangular_solves(self, matrix, storage, backend):
+        sparse = pytest.importorskip("scipy.sparse")
+        linalg = pytest.importorskip("scipy.sparse.linalg")
+        a = make_problem(matrix, "smoke").a
+        p = ILU0Preconditioner(a, storage=storage, backend=backend)
+        n = a.shape[0]
+        lower = sparse.csr_matrix(
+            (p._read(p._l_acc), p._l_indices, p._l_indptr), shape=(n, n))
+        upper = sparse.csr_matrix(
+            (p._read(p._u_acc), p._u_indices, p._u_indptr), shape=(n, n)
+        ) + sparse.diags(p._read(p._d_acc))
+        v = np.sin(np.arange(n, dtype=np.float64) + 1.0)
+        y = linalg.spsolve_triangular(lower, v, lower=True, unit_diagonal=True)
+        want = linalg.spsolve_triangular(sparse.csr_matrix(upper), y, lower=False)
+        # entries that cancel to 1e-3 of the largest keep 1e-12 of it
+        np.testing.assert_allclose(p.apply(v), want, rtol=1e-12,
+                                   atol=1e-12 * np.abs(want).max())
+
+
 def _store(storage, values, backend="jit"):
     if values.size == 0:
         return None
@@ -681,6 +709,29 @@ class TestScheduledSweeps:
         needed = np.zeros(chunks, dtype=np.int64)
         np.maximum.at(needed, reader[across], level[read[across]] + 1)
         np.testing.assert_array_equal(level, needed)
+        # the groups the threads claim: in order, each of 1..sweep_chunks
+        # chunks inside one level, waiting for the chunks below that level
+        group, ptr = sweep.group, sweep.level_ptr
+        assert group[0] == 0 and group[-1] == chunks
+        assert np.all(np.diff(group) >= 1) and np.all(np.diff(group) <= engine.sweep_chunks)
+        own = np.searchsorted(ptr, group[:-1], side="right") - 1
+        assert np.all(group[1:] <= ptr[own + 1])
+        np.testing.assert_array_equal(sweep.need, ptr[own])
+
+    def test_a_pattern_of_2_31_rows_is_refused_by_name(self):
+        """Column indices are int32: no sweep of 2**31 rows is prepared
+        (a zero-stride view: the check comes before any copy)."""
+        engine = dispatch.load_engine()
+        indptr = np.lib.stride_tricks.as_strided(
+            np.zeros(1, dtype=np.int64), shape=(2 ** 31 + 1,), strides=(0,))
+        for make in (engine.lower_unit_trisolve, engine.upper_trisolve):
+            with pytest.raises(ValueError, match="2147483648 rows .* int32"):
+                make(indptr, np.empty(0, dtype=np.int32))
+
+    def test_the_sweeps_keep_int32_indices_and_no_int64_copy(self):
+        p = ILU0Preconditioner(make_problem("aniso_jump", "smoke").a, backend="jit")
+        for indices, sweep in ((p._l_indices, p._lower), (p._u_indices, p._upper)):
+            assert indices.dtype == np.int32 and sweep.indices is indices
 
     def test_pattern_on_the_wrong_side_of_the_diagonal_is_rejected(self):
         engine = dispatch.load_engine()

@@ -29,7 +29,8 @@ from repro.fused import DEFAULT_TILE_ELEMS
 from repro.jit import cbackend, dispatch
 from repro.serve import JobSpec, JobState, ServeConfig, SolveEngine
 from repro.serve.soak import direct_solve
-from repro.solvers import CbGmres, make_problem
+from repro.solvers import CbGmres, make_preconditioner, make_problem
+from repro.solvers.preconditioner import _stored_values
 from repro.sparse import CSRMatrix, SpmvEngine, generators
 
 from .backends import requires_jit
@@ -108,6 +109,22 @@ def _solve_words(a, b, target, storage, mode, backend, m=30, max_iter=400):
             np.array([r.iterations], dtype=np.int64))
 
 
+def _sweep_repeats_alone(counts, sweep, args, rhs, what):
+    """``sweep(*args, b)`` at every thread count gives its one-thread
+    bits, for two right-hand sides in turn: a result vector that reuses
+    the memory of the call before holds the other one's answer, so a row
+    read before it is final shows."""
+    engine = dispatch.load_engine()
+    engine.set_threads(1)
+    refs = [_words([sweep(*args, b)]) for b in rhs]
+    for count in counts:
+        engine.set_threads(count)
+        for _ in range(5):
+            for b, ref in zip(rhs, refs):
+                assert np.array_equal(ref, _words([sweep(*args, b)])), \
+                    f"{what} T={count}"
+
+
 class TestThreadCountMovesNoBit:
     """ROADMAP 6(d): the thread count is a metamorphic invariant."""
 
@@ -168,6 +185,52 @@ class TestThreadCountMovesNoBit:
             outs = _at_each(counts, lambda: _solve_words(
                 spmv, b, 1e-12, storage, mode, "jit", m=50, max_iter=2000))
             _assert_same(counts, outs, f"stream_lowmem {storage}")
+
+    def test_the_two_sweeps(self, counts):
+        """The ILU(0) sweeps, whose groups the threads claim in level
+        order: aniso_jump 32^3 (each triangle above the pool's minimum)
+        with float64 and frsz2_32 factors, then a chain (one chunk a
+        level) and one level of 64 lock-step groups, each both ways over
+        float64 and FRSZ2 values — every thread count gives y's bits."""
+        engine = dispatch.load_engine()
+        a = generators.aniso_jump_3d(32, 32, 32, contrast=1e6)
+        rng = np.random.default_rng(3)
+        rhs = rng.standard_normal((2, a.shape[0]))
+        for storage in ("float64", "frsz2_32"):
+            p = make_preconditioner("ilu0", a, storage=storage, backend="jit")
+            assert min(p._l_indices.size, p._u_indices.size) > engine.pool_min_work
+            values = [_stored_values(acc) for acc in (p._l_acc, p._u_acc, p._d_acc)]
+            _sweep_repeats_alone(counts, p._lower, values[:1], rhs,
+                                 f"aniso_jump 32^3 {storage} lower")
+            _sweep_repeats_alone(counts, p._upper, values[1:], rhs,
+                                 f"aniso_jump 32^3 {storage} upper")
+
+        # long enough that a helper woken late still runs some groups
+        rows, chunks = engine.sweep_rows, 256
+        n = chunks * rows
+        i = np.arange(n)[:, None]
+        j = i - np.arange(5, 0, -1)  # the five rows before, ascending
+        rhs = rng.standard_normal((2, n))
+        for name, keep, levels in (
+                ("chain", j >= 0, [1] * chunks),
+                ("wide", (j >= 0) & (j // rows == i // rows), [chunks])):
+            ip = np.concatenate(([0], np.cumsum(keep.sum(axis=1))))
+            cols = j[keep].astype(np.int32)
+            data = 0.2 * rng.standard_normal(cols.size)
+            udiag = 2.0 + rng.random(n)
+            # reversed, rows and columns, the pattern is strictly upper
+            lower = engine.lower_unit_trisolve(ip, cols)
+            upper = engine.upper_trisolve(ip[-1] - ip[::-1], n - 1 - cols[::-1])
+            for sweep in (lower, upper):
+                assert np.diff(sweep.level_ptr).tolist() == levels
+            compressed = "l=32 bs=32"
+            for source, (values, diagonal) in (
+                    ("float64", (data, udiag)),
+                    (compressed, [_rows(engine, compressed, x[None])
+                                  for x in (data, udiag)])):
+                for sweep, args in ((lower, (values,)), (upper, (values, diagonal))):
+                    _sweep_repeats_alone(counts, sweep, args, rhs,
+                                         f"{name} {source} upper={sweep.upper}")
 
     def test_partials_added_in_claim_order_refuse_to_load(
             self, monkeypatch, tmp_path):
