@@ -4,6 +4,16 @@ These reproduce the original CB-GMRES storage formats of [1]: values are
 cast to the storage precision on write and promoted back to float64 on
 read, while all arithmetic stays in double precision.  ``float64`` is the
 identity format (the uncompressed baseline of every experiment).
+
+A dense slot keeps its stored values in one array, ``_data``, and
+clearing it allocates nothing: ``_data`` becomes ``None``, which every
+read serves as zeros, as a GPU solver keeps its allocation across
+restarts.  A ``float64`` slot copies each write into the one buffer it
+allocated on its first; the narrower rungs cast into a new array, so a
+refused write leaves the previous contents in place.  Kernels that read
+a slot where it is stored (:func:`repro.solvers.preconditioner.
+_stored_values`) and fault injectors that flip its bits
+(:class:`repro.robust.FaultyAccessor`) reach the same ``_data``.
 """
 
 from __future__ import annotations
@@ -22,7 +32,8 @@ class PrecisionAccessor(VectorAccessor):
 
     def __init__(self, n: int) -> None:
         super().__init__(n)
-        self._data = np.zeros(n, dtype=self.storage_dtype)
+        #: the stored values; ``None`` (never written, or cleared) reads as zeros
+        self._data = None
 
     def write(self, values: np.ndarray) -> None:
         values = self._check_write(values)
@@ -32,16 +43,30 @@ class PrecisionAccessor(VectorAccessor):
 
     def read(self) -> np.ndarray:
         self._record_read()
+        if self._data is None:
+            return np.zeros(self.n)
         return self._data.astype(np.float64)
 
     def read_tile(self, i0: int, i1: int) -> np.ndarray:
         # dense storage seeks for free: decode only the requested range
         i0, i1 = self._check_tile(i0, i1)
         self._record_tile_read(i0, i1)
+        if self._data is None:
+            return np.zeros(i1 - i0)
         return self._data[i0:i1].astype(np.float64)
 
+    def read_into(self, out: np.ndarray) -> np.ndarray:
+        """Promote the stored values into ``out`` in one copy."""
+        if out.shape != (self.n,) or out.dtype != np.float64:
+            raise ValueError(
+                f"out must be a float64 array of shape ({self.n},)"
+            )
+        self._record_read()
+        out[:] = 0.0 if self._data is None else self._data
+        return out
+
     def clear(self) -> None:
-        self._data = np.zeros(self.n, dtype=self.storage_dtype)
+        self._data = None
 
     def stored_nbytes(self) -> int:
         return self.n * np.dtype(self.storage_dtype).itemsize
@@ -53,9 +78,17 @@ class Float64Accessor(PrecisionAccessor):
     name = "float64"
     storage_dtype = np.float64
 
-    def read(self) -> np.ndarray:
-        self._record_read()
-        return self._data.copy()
+    def __init__(self, n: int) -> None:
+        super().__init__(n)
+        self._buffer = None  # allocated by the first write, kept after
+
+    def write(self, values: np.ndarray) -> None:
+        values = self._check_write(values)
+        if self._buffer is None:
+            self._buffer = np.empty(self.n)
+        self._buffer[:] = values
+        self._data = self._buffer
+        self._record_write()
 
 
 class Float32Accessor(PrecisionAccessor):

@@ -6,8 +6,10 @@ convergence ... by compressing and immediately decompressing the Krylov
 vectors through the LibPressio interface".  This accessor does exactly
 that: on write, the vector passes through a generic compressor's round
 trip and the lossy reconstruction is kept in float64; reads return it
-unchanged.  ``stored_nbytes`` reports the *actual compressed size*, so
-bits-per-value accounting matches the discussion in Section VI-A.
+unchanged (a dense float64 slot, read like
+:class:`~repro.accessor.PrecisionAccessor`'s).  ``stored_nbytes``
+reports the *actual compressed size*, so bits-per-value accounting
+matches the discussion in Section VI-A.
 """
 
 from __future__ import annotations
@@ -15,19 +17,22 @@ from __future__ import annotations
 import numpy as np
 
 from ..compressors.base import Compressor
-from .base import VectorAccessor
+from .precision import PrecisionAccessor
 
 __all__ = ["RoundTripAccessor"]
 
 
-class RoundTripAccessor(VectorAccessor):
-    """Inject a generic lossy compressor's error into stored vectors."""
+class RoundTripAccessor(PrecisionAccessor):
+    """Inject a generic lossy compressor's error into stored vectors.
+
+    Reads slice the kept reconstruction freely; tile bytes are pro-rated
+    from the actual compressed size.
+    """
 
     def __init__(self, n: int, compressor: Compressor, name: str) -> None:
         super().__init__(n)
         self.compressor = compressor
         self.name = name
-        self._data = np.zeros(n)
         self._stored_nbytes = n * 8  # nothing compressed yet
 
     def write(self, values: np.ndarray) -> None:
@@ -38,19 +43,8 @@ class RoundTripAccessor(VectorAccessor):
         self._data, self._stored_nbytes = self.compressor.roundtrip_with_size(values)
         self._record_write()
 
-    def read(self) -> np.ndarray:
-        self._record_read()
-        return self._data.copy()
-
-    def read_tile(self, i0: int, i1: int) -> np.ndarray:
-        # the lossy reconstruction is kept dense, so tiles slice freely;
-        # tile bytes are pro-rated from the actual compressed size
-        i0, i1 = self._check_tile(i0, i1)
-        self._record_tile_read(i0, i1)
-        return self._data[i0:i1].copy()
-
     def clear(self) -> None:
-        self._data = np.zeros(self.n)
+        super().clear()
         self._stored_nbytes = self.n * 8
 
     def stored_nbytes(self) -> int:

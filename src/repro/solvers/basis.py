@@ -11,7 +11,11 @@ Two basis modes reproduce the two kernel structures the paper compares:
     Keeps a dense float64 view of the decompressed vectors (the
     "materialized" structure a naive CPU port would use).  Fast in
     NumPy, but the float64 working set is ``O(n x (m+1))`` regardless of
-    the storage format.
+    the storage format.  The view is reserved up front and never
+    cleared: a column becomes resident when a write fills it, and every
+    read stops at the written slots (the *fence*), so a restart costs no
+    pass over the view and a cycle that writes ``k`` of the ``m+1``
+    slots touches ``k`` columns.
 ``streaming``
     Never materializes the basis: the fused kernels of
     :mod:`repro.fused` decode one row-tile of compressed blocks at a
@@ -147,9 +151,10 @@ class KrylovBasis:
         #: fused-kernel work log (tiles, values, peak scratch bytes)
         self.fused_log = FusedOpLog()
         # decompressed view of every written vector (column j = V[:, j]);
-        # streaming mode drops it entirely — that is the point
+        # streaming mode drops it entirely — that is the point.  Left
+        # unfilled: no read passes ``_written`` (see write_vector)
         self._cache: Optional[np.ndarray] = (
-            np.zeros((n, m + 1), order="F") if basis_mode == "cached" else None
+            np.empty((n, m + 1), order="F") if basis_mode == "cached" else None
         )
         self._written = 0
         #: the reader, and in it the row source, that fused calls walk
@@ -182,7 +187,9 @@ class KrylovBasis:
     def peak_float64_bytes(self) -> int:
         """Largest float64 working set this basis has held.
 
-        ``cached``: the dense ``(n, m+1)`` view, allocated up front.
+        ``cached``: the dense ``(n, m+1)`` view, reserved up front and
+        made resident by writes (a column no write reaches is never
+        touched, but it is counted).
         ``streaming``: what the work buffer the compiled kernels keep
         holds — the ``m+1`` partials of each tile of one round and, per
         thread of the pool, a ``tile``-double decode buffer or the
@@ -213,9 +220,10 @@ class KrylovBasis:
 
         Notes
         -----
-        Rebuilt slots come back *empty* (their stored payload and the
-        cached view are dropped), so switches belong at restart
-        boundaries — exactly where the controller sits.
+        Rebuilt slots come back *empty*: like :meth:`reset`, the switch
+        forgets every vector, so switches belong at restart boundaries —
+        exactly where the controller sits.  Nothing is written to the
+        cached view; the fence keeps its old columns unread.
         """
         fresh = [self._make(storage, self.n) for _ in range(self.m + 1)]
         for acc in fresh:
@@ -230,9 +238,12 @@ class KrylovBasis:
                 acc.set_tracer(self.tracer)
         self.accessors[:] = fresh
         self.storage = storage
-        if self._cache is not None:
-            self._cache[:] = 0.0
-        elif self._kept.source is not None:
+        self._forget()
+
+    def _forget(self) -> None:
+        """Fence off every written slot: reads stop at ``_written``."""
+        self._written = 0
+        if self._cache is None and self._kept.source is not None:
             self._kept.source.truncate(0)
 
     def write_vector(self, j: int, v: np.ndarray) -> None:
@@ -243,6 +254,11 @@ class KrylovBasis:
         with self.tracer.span("basis_write", slot=j):
             acc.write(v)
             if self._cache is not None:
+                # ``_written`` is a high-water mark: slots a write skips
+                # come inside the fence and must read as their cleared
+                # accessors do (Arnoldi never skips one)
+                if j > self._written:
+                    self._cache[:, self._written:j] = 0.0
                 # refreshing the lossy view decompresses the vector we
                 # just wrote (one bulk decode straight into the column;
                 # it is part of the write, not a stored-basis read)
@@ -407,15 +423,13 @@ class KrylovBasis:
     def reset(self) -> None:
         """Forget all vectors (used at restart).
 
-        Clears the dense view *and* the accessor payloads (compressed
-        streams, decoded-block caches), so neither basis mode can
+        Fences off the dense view — no read reaches a slot the next cycle
+        has not written, so its old columns stay as they are, untouched —
+        and clears the accessor payloads (compressed streams, dense
+        slots, both without allocating), so neither basis mode can
         observe pre-restart bits through any access path.
         """
-        self._written = 0
-        if self._cache is not None:
-            self._cache[:] = 0.0
-        elif self._kept.source is not None:
-            self._kept.source.truncate(0)
+        self._forget()
         for acc in self.accessors:
             try:
                 acc.clear()

@@ -140,8 +140,8 @@ def _stored_values(acc):
     """The values ``acc`` stores, for a kernel that reads them in place.
 
     Read where they are stored when that is provably what ``read()``
-    would decode: the array of an exact :class:`Float64Accessor` itself
-    (not a copy — the kernels only read it) and, under a compiled codec,
+    would decode: the array of an exact, written :class:`Float64Accessor`
+    itself (not a copy — the kernels only read it) and, under a compiled codec,
     the engine's one-row table over a plain :class:`Frsz2Accessor`
     (:meth:`Frsz2Tiles.open`'s eligibility rule), which the sweeps decode
     a chunk at a time.  Anything else — narrower IEEE rungs, wrappers and
@@ -150,7 +150,7 @@ def _stored_values(acc):
     """
     if acc is None:
         return np.empty(0, dtype=np.float64)
-    if type(acc) is Float64Accessor:
+    if type(acc) is Float64Accessor and acc._data is not None:
         acc._record_read()
         return acc._data
     tiles = Frsz2Tiles.open([acc])

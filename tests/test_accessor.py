@@ -146,6 +146,84 @@ class TestRoundTripAccessor:
         assert np.array_equal(acc.read(), acc.read())
 
 
+def _dense(kind, n):
+    if kind == "roundtrip":
+        return RoundTripAccessor(n, make_compressor("sz3_06"), "sz3_06")
+    return make_accessor(kind, n)
+
+
+def _reads(acc, i0=16, i1=48):
+    """Every read of a dense slot, as raw bytes."""
+    return [a.view(np.uint64).tolist() for a in (
+        acc.read(), acc.read_tile(i0, i1), acc.read_into(np.empty(acc.n)))]
+
+
+class TestDenseSlotContract:
+    """A dense slot keeps its storage across clears: ``clear`` allocates
+    nothing, a cleared or never-written slot reads as zeros through every
+    read, and a later write reads as it would on a fresh slot."""
+
+    n = 64
+
+    @pytest.mark.parametrize("kind", ["float64", "float32", "float16", "roundtrip"])
+    def test_cleared_slot_reads_zeros_and_writes_as_fresh(self, kind):
+        x, y = krylov_vector(self.n, seed=1), krylov_vector(self.n, seed=2)
+        zeros = _reads(_dense("float64", self.n))
+        acc = _dense(kind, self.n)
+        assert _reads(acc) == zeros  # never written
+        acc.write(x)
+        assert _reads(acc) != zeros
+        acc.clear()
+        assert _reads(acc) == zeros
+        acc.write(y)
+        fresh = _dense(kind, self.n)
+        fresh.write(y)
+        assert _reads(acc) == _reads(fresh)
+
+    def test_float64_keeps_one_buffer(self):
+        acc = Float64Accessor(self.n)
+        acc.write(krylov_vector(self.n, seed=1))
+        buffer = acc._data
+        acc.clear()
+        y = krylov_vector(self.n, seed=2)
+        acc.write(y)
+        assert acc._data is buffer and np.array_equal(acc.read(), y)
+        y[0] = 7.0  # the write copied: the caller's array is not the slot
+        assert acc.read()[0] != 7.0
+
+    def test_float64_read_into_equals_read(self):
+        acc = Float64Accessor(self.n)
+        acc.write(krylov_vector(self.n))
+        out = acc.read_into(np.full(self.n, np.nan))
+        assert out.view(np.uint64).tolist() == acc.read().view(np.uint64).tolist()
+        with pytest.raises(ValueError):
+            acc.read_into(np.empty(self.n, dtype=np.float32))
+
+    def test_refused_float32_write_keeps_previous_value(self):
+        x = krylov_vector(self.n)
+        acc = Float32Accessor(self.n)
+        acc.write(x)
+        before = _reads(acc)
+        with pytest.raises(OverflowError):
+            acc.write(np.full(self.n, 1e200))
+        assert _reads(acc) == before
+
+    def test_payload_bitflip_reaches_a_float64_slot(self):
+        from repro.robust import FaultInjector, FaultyAccessor
+
+        x = krylov_vector(self.n)
+        acc = FaultyAccessor(Float64Accessor(self.n), FaultInjector(1.0, 5),
+                             "payload_bitflip")
+        acc.write(x)
+        seen = acc.read()
+        flipped = seen.view(np.uint64) ^ x.view(np.uint64)
+        assert sum(bin(int(word)).count("1") for word in flipped) == 1
+        # the bit flipped where the slot stores it: every read sees it
+        twin = Float64Accessor(self.n)
+        twin.write(seen)
+        assert _reads(acc.inner) == _reads(twin)
+
+
 class TestTrafficAccounting:
     """Stored bytes are billed as ``accessor.*`` counters of the tracer
     an accessor is given, and to nothing without one."""

@@ -41,6 +41,8 @@ from repro.solvers import CbGmres, make_problem
 from repro.solvers.basis import BASIS_MODES, KrylovBasis
 from repro.solvers.orthogonal import cgs_orthogonalize
 
+from repro.jit import dispatch
+
 from .backends import BACKENDS, requires_jit
 
 STORAGES = ["frsz2_16", "frsz2_32", "float32", "float64"]
@@ -1064,24 +1066,66 @@ class TestStreamingMemory:
 
 
 class TestResetIsolation:
-    """reset() clears the cache and the accessor payloads (satellite 2)."""
+    """reset() and set_storage() clear the accessor payloads and fence
+    the cached view: its old columns stay as they were, and no read —
+    step, combine, vector, matrix, an accessor's — reaches them."""
+
+    n, m = 200, 3
+
+    def _assert_as_fresh(self, basis, slots, vectors, w):
+        """``basis`` after writing ``slots`` is a basis built now and
+        given the same writes, as raw bytes, through every read."""
+        storage, mode = basis.storage, basis.basis_mode
+        fresh = KrylovBasis(self.n, self.m, storage, basis_mode=mode,
+                            tile_elems=basis.tile_elems, backend=basis.backend)
+        for each in (basis, fresh):
+            for i in slots:
+                each.write_vector(i, vectors[:, i])
+        j = slots[-1] + 1
+        y = np.linspace(-1.5, 2.0, j)
+        got, want = [], []
+        for each, reads in ((basis, got), (fresh, want)):
+            flags, *arrays = each.step(j, w, 0.7)
+            reads += [flags, *map(_bits, arrays), _bits(each.combine(j, y)),
+                      _bits(each.matrix(j))]
+            for i in range(j):
+                acc = each.accessors[i]
+                reads += [_bits(each.vector(i)), _bits(acc.read()),
+                          _bits(acc.read_tile(64, 128)),
+                          _bits(acc.read_into(np.empty(self.n)))]
+        assert got == want
+        if slots == (0, 2):  # the skipped slot is inside the fence: zeros
+            assert _bits(basis.vector(1)) == _bits(np.zeros(self.n))
 
     @pytest.mark.parametrize("storage", STORAGES)
     @pytest.mark.parametrize("mode", BASIS_MODES)
     def test_no_stale_bits_after_reset(self, storage, mode):
         rng = np.random.default_rng(9)
-        n = 200
-        basis = KrylovBasis(n, 3, storage, basis_mode=mode)
-        basis.write_vector(0, rng.standard_normal(n))
-        basis.reset()
-        with pytest.raises(IndexError):
-            basis.vector(0)
-        # the accessor payload itself is gone, not just fenced
-        np.testing.assert_array_equal(
-            basis.accessors[0].read(), np.zeros(n)
-        )
-        if mode == "cached":
-            assert not basis._cache.any()
+        n, m = self.n, self.m
+        vectors = rng.standard_normal((n, m + 1))
+        w = rng.standard_normal(n)
+        backends = ("numpy", "jit") if dispatch.jit_available() else ("numpy",)
+        for backend in backends:
+            for forget in ("reset", "set_storage"):
+                for slots in ((0, 1, 2), (0, 2)):
+                    basis = KrylovBasis(n, m, storage, basis_mode=mode,
+                                        tile_elems=64, backend=backend)
+                    for i in range(m + 1):
+                        basis.write_vector(i, rng.standard_normal(n))
+                    if forget == "reset":
+                        basis.reset()
+                    else:
+                        basis.set_storage(storage)  # fresh accessors
+                    with pytest.raises(IndexError):
+                        basis.vector(0)
+                    # the accessor payload itself is gone, not just fenced
+                    np.testing.assert_array_equal(
+                        basis.accessors[0].read(), np.zeros(n)
+                    )
+                    if mode == "cached":
+                        # what the fence keeps out must never be read
+                        basis._cache[:, basis._written:] = np.nan
+                    self._assert_as_fresh(basis, slots, vectors, w)
 
     def test_fused_log_counts_accumulate(self):
         rng = np.random.default_rng(1)

@@ -774,6 +774,7 @@ class TestScheduledSweeps:
         x = np.linspace(1.0, 2.0, 64)
         f64 = _store("float64", x)
         assert _stored_values(f64) is f64._data
+        assert not _stored_values(Float64Accessor(64)).any()  # never written
         compiled = _store("frsz2_32", x)
         table = _stored_values(compiled)
         assert not isinstance(table, np.ndarray) and table.count == 1
