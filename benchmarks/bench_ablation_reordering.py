@@ -18,8 +18,13 @@ storage-format artifact.
 import numpy as np
 
 from repro.bench import format_table
-from repro.solvers import CbGmres, exponent_spread_features, make_problem
-from repro.sparse import magnitude_ordering, permute_system, reverse_cuthill_mckee
+from repro.solvers import CbGmres, make_problem
+from repro.sparse import (
+    frsz2_kill_fraction,
+    magnitude_ordering,
+    permute_system,
+    reverse_cuthill_mckee,
+)
 
 
 def test_ablation_reordering_pr02r(benchmark, paper_report):
@@ -37,7 +42,7 @@ def test_ablation_reordering_pr02r(benchmark, paper_report):
                 a, b = p.a, p.b
             else:
                 a, b = permute_system(p.a, p.b, perm)
-            kill = exponent_spread_features(b / np.linalg.norm(b)).frsz2_kill_fraction
+            kill = frsz2_kill_fraction(b / np.linalg.norm(b))
             frsz2 = CbGmres(a, "frsz2_32", stall_restarts=10).solve(b, p.target_rrn)
             f64 = CbGmres(a, "float64", stall_restarts=10).solve(b, p.target_rrn)
             rows.append(

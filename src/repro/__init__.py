@@ -17,7 +17,7 @@ sparse
     synthetic analogs of the SuiteSparse CFD matrices of Table I.
 solvers
     Restarted CB-GMRES per the paper's Fig. 1, target-RRN calibration
-    (Section V-C), and the future-work format predictor.
+    (Section V-C), and the per-restart precision controller.
 gpu
     H100 performance-model substrate: device catalog, roofline and
     instruction-cost kernel models, warp-level SIMT executor, and the

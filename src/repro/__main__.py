@@ -14,8 +14,6 @@ experiment ID
     fig8, fig10, fig11) on the terminal.
 calibrate
     Run the Section V-C target-accuracy calibration over the suite.
-predict MATRIX
-    Recommend a basis storage format (the §VIII future-work predictor).
 faults
     Run the seeded fault-injection campaign (fault kind × storage
     format × rate) and print the survival-rate table.  ``--jobs N``
@@ -132,7 +130,6 @@ SHARED_BY_COMMAND: "Dict[str, Dict[str, Dict[str, Any]]]" = {
     },
     "experiment": {"scale": {}},
     "calibrate": {"scale": {}, "max-iter": {}},
-    "predict": {"scale": {}},
     "faults": {
         "scale": {},
         "storages": dict(
@@ -407,22 +404,6 @@ def _cmd_calibrate(args) -> int:
     return 0
 
 
-def _cmd_predict(args) -> int:
-    from .solvers import make_problem, predict_format
-
-    p = make_problem(args.matrix, args.scale)
-    rec = predict_format(p.a, p.b)
-    print(f"recommended storage for {args.matrix}: {rec.storage}")
-    print(f"  features: frsz2 block-kill fraction {rec.features.frsz2_kill_fraction:.1%}, "
-          f"float16 range loss {rec.features.float16_loss_fraction:.1%}, "
-          f"{rec.features.exponent_concentration} exponents cover 90% of values")
-    for fmt, reason in rec.rejected.items():
-        print(f"  screened out {fmt}: {reason}")
-    for fmt, score in sorted(rec.probe_scores.items(), key=lambda kv: -kv[1]):
-        print(f"  probe score {fmt}: {score:.3g} (residual decades per modeled second)")
-    return 0
-
-
 def _cmd_faults(args) -> int:
     from .robust import DEFAULT_FAULTS, DEFAULT_RATES, DEFAULT_STORAGES, run_campaign
 
@@ -685,10 +666,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_command("calibrate", "run the Section V-C calibration")
     _add_shared(p, "calibrate")
 
-    p = add_command("predict", "recommend a basis storage format")
-    p.add_argument("matrix")
-    _add_shared(p, "predict")
-
     p = add_command("faults", "run the fault-injection survival campaign")
     p.add_argument("--matrix", default="atmosmodd")
     p.add_argument("--seed", type=int, default=0)
@@ -773,7 +750,6 @@ _COMMANDS = {
     "compress": _cmd_compress,
     "experiment": _cmd_experiment,
     "calibrate": _cmd_calibrate,
-    "predict": _cmd_predict,
     "faults": _cmd_faults,
     "bench": _cmd_bench,
     "serve": _cmd_serve,

@@ -514,6 +514,15 @@ def _leveled_pattern(chunks: int, rows: int):
 
 
 def _check_prec(engine, rng: np.random.Generator) -> None:
+    """The ``prec.*`` kernels against their numpy references, as raw bits.
+
+    The split-sweep case at the end checks the bits of the split route,
+    not its waits: a 0.3 ms sweep on one right-hand side mostly finishes
+    before a helper thread joins, so a sweep that does not wait for the
+    levels below can still pass here.  The gate that catches one is
+    ``tests/test_threads.py::TestThreadCountMovesNoBit::test_the_two_sweeps``
+    and its CI step under ``taskset -c 0``.
+    """
     from ..core.blocks import BlockLayout
     from ..core.frsz2 import Frsz2Compressed
     from ..solvers import prec_kernels

@@ -17,7 +17,6 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from ..accessor import VectorAccessor, make_accessor
-from ..fused import DEFAULT_TILE_ELEMS
 from ..solvers.adaptive import ADAPTIVE_STORAGE, escalation
 from ..solvers.gmres import DEFAULT_MAX_ITER, DEFAULT_RESTART, CbGmres, GmresResult
 from ..solvers.orthogonal import DEFAULT_ETA
@@ -112,7 +111,6 @@ class RobustCbGmres:
         preconditioner: Optional[Preconditioner] = None,
         spmv_format: str = "csr",
         basis_mode: str = "cached",
-        tile_elems: Optional[int] = None,
         backend: "str | None" = None,
     ) -> None:
         # a throwaway solver does what every attempt would repeat: it
@@ -135,7 +133,6 @@ class RobustCbGmres:
             # injectors) across the controller's format switches too
             storage_factory=storage_factory,
             preconditioner=preconditioner, basis_mode=basis_mode,
-            tile_elems=tile_elems or DEFAULT_TILE_ELEMS,
             backend=first.backend if backend is not None else None,
         )
 

@@ -37,12 +37,6 @@ from .preconditioner import (
     ZeroPivotError,
     make_preconditioner,
 )
-from .predictor import (
-    BasisRiskFeatures,
-    FormatRecommendation,
-    exponent_spread_features,
-    predict_format,
-)
 from .problems import Problem, make_expected_solution, make_problem, make_rhs
 
 __all__ = [
@@ -83,10 +77,6 @@ __all__ = [
     "BlockJacobiPreconditioner",
     "ILU0Preconditioner",
     "make_preconditioner",
-    "BasisRiskFeatures",
-    "FormatRecommendation",
-    "exponent_spread_features",
-    "predict_format",
     "Problem",
     "make_expected_solution",
     "make_problem",

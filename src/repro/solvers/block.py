@@ -120,7 +120,7 @@ class _Solve:
         def new_basis(fmt, storage_factory=None) -> KrylovBasis:
             return KrylovBasis(
                 n, solver.m, fmt, tracer=tracer,
-                basis_mode=solver.basis_mode, tile_elems=solver.tile_elems,
+                basis_mode=solver.basis_mode,
                 storage_factory=storage_factory, backend=solver.backend,
             )
 

@@ -35,7 +35,6 @@ from ..jit import dispatch as _dispatch
 from ..observe import NULL_TRACER
 from ..sparse.csr import CSRMatrix
 from ..sparse.engine import SPMV_FORMATS, SpmvEngine
-from ..fused import DEFAULT_TILE_ELEMS
 from .adaptive import ADAPTIVE_STORAGE, LADDER, CycleRecord
 from .basis import BASIS_MODES, KrylovBasis
 from .orthogonal import DEFAULT_ETA
@@ -248,10 +247,6 @@ class CbGmres:
         kernels decode one compressed tile at a time (``O(tile)``
         float64 working set, the paper's in-register fusion structure).
         The two modes are bit-identical.
-    tile_elems:
-        Fused-kernel tile size in elements (rounded up to the storage
-        format's block granularity).  Part of the determinism contract:
-        solves with different tile sizes may differ in the last ulp.
     tracer:
         Optional :class:`repro.observe.Tracer`.  When given, the solve
         emits nested wall-clock spans (``restart`` / ``arnoldi`` /
@@ -310,7 +305,6 @@ class CbGmres:
         max_recoveries: int = DEFAULT_MAX_RECOVERIES,
         spmv_format: str = "csr",
         basis_mode: str = "cached",
-        tile_elems: int = DEFAULT_TILE_ELEMS,
         tracer=None,
         floor: Optional[str] = None,
         storage_factory: "Callable[[str, int], VectorAccessor] | None" = None,
@@ -371,7 +365,6 @@ class CbGmres:
                 f"unknown basis_mode {basis_mode!r}; expected one of {BASIS_MODES}"
             )
         self.basis_mode = basis_mode
-        self.tile_elems = int(tile_elems)
         self.tracer = tracer or NULL_TRACER
         if self.tracer is not NULL_TRACER:
             getattr(self.preconditioner, "attach_tracer", lambda t: None)(

@@ -9,6 +9,7 @@ from .engine import SPMV_FORMATS, SpmvEngine, choose_format
 from .io import read_matrix_market, write_matrix_market
 from .reorder import (
     Permutation,
+    frsz2_kill_fraction,
     magnitude_ordering,
     permute_system,
     reverse_cuthill_mckee,
@@ -23,6 +24,7 @@ __all__ = [
     "SPMV_FORMATS",
     "choose_format",
     "Permutation",
+    "frsz2_kill_fraction",
     "magnitude_ordering",
     "permute_system",
     "reverse_cuthill_mckee",

@@ -17,7 +17,8 @@ Provided orderings:
   the log-magnitude of a scale vector (e.g. the matrix row norms or a
   prototype residual), directly packing same-exponent values into the
   same FRSZ2 blocks.  This is the idealized "friendly ordering" that
-  turns a PR02R into an HV15R.
+  turns a PR02R into an HV15R.  :func:`frsz2_kill_fraction` measures
+  what it fixes: the share of blocks that mix exponents too far apart.
 * :func:`permute_system` / :class:`Permutation` — apply a symmetric
   permutation to ``A``, ``b`` and back-permute the solution.
 """
@@ -28,12 +29,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..core.blocks import DEFAULT_BLOCK_SIZE
+from ..core.ieee754 import effective_biased_exponent, significand53, to_bits
 from .csr import CSRMatrix
 
 __all__ = [
     "Permutation",
     "reverse_cuthill_mckee",
     "magnitude_ordering",
+    "frsz2_kill_fraction",
     "permute_system",
 ]
 
@@ -159,6 +163,24 @@ def magnitude_ordering(scale: np.ndarray) -> Permutation:
     mag = np.abs(scale)
     key = np.where(mag > 0, np.log2(np.where(mag > 0, mag, 1.0)), -np.inf)
     return Permutation(np.argsort(key, kind="stable"))
+
+
+def frsz2_kill_fraction(v: np.ndarray) -> float:
+    """Fraction of the FRSZ2 blocks of ``v`` (32 values each) holding a
+    nonzero value more than ``l - 2 = 30`` binades below the block's
+    largest exponent, which frsz2_32 stores as zero.  Zeros are never
+    killed; an empty ``v`` gives 0."""
+    bits = to_bits(np.asarray(v, dtype=np.float64))
+    if bits.size == 0:
+        return 0.0
+    bs = DEFAULT_BLOCK_SIZE
+    # biased exponents are >= 1, so 0 marks a zero (or padding) member
+    e = np.zeros(-(-bits.size // bs) * bs, dtype=np.int64)
+    e[: bits.size] = np.where(
+        significand53(bits) != 0, effective_biased_exponent(bits), 0)
+    e = e.reshape(-1, bs)
+    killed = (e.max(axis=1)[:, None] - e > 30) & (e > 0)
+    return float(killed.any(axis=1).mean())
 
 
 def permute_system(

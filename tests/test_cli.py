@@ -126,11 +126,15 @@ class TestCommands:
     def test_experiment_unknown(self, capsys):
         assert main(["experiment", "fig99"]) == 2
 
-    def test_predict(self, capsys):
-        assert main(["predict", "PR02R"]) == 0
-        out = capsys.readouterr().out
-        assert "recommended storage" in out
-        assert "screened out" in out
+    def test_the_removed_predict_command_is_refused(self, capsys):
+        """The format predictor's command is gone: ``predict`` is refused
+        like any unknown command, by argparse, with exit 2."""
+        with pytest.raises(SystemExit) as exc:
+            main(["predict", "PR02R"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: " in err and "invalid choice: 'predict'" in err
+        assert "Traceback" not in err
 
     def test_calibrate(self, capsys):
         assert main(["calibrate", "--max-iter", "60"]) == 0

@@ -21,7 +21,6 @@ CASES = {
     "cfd_solver_comparison.py": "storage-format comparison",
     "compression_study.py": "compressors on v_0",
     "roofline_h100.py": "bandwidth eff",
-    "format_prediction.py": "predicted",
     "orthogonality_analysis.py": "iterations",
     "fault_tolerance_demo.py": "survival",
 }

@@ -13,7 +13,6 @@ from repro.solvers import (
     JacobiPreconditioner,
     calibrate_target,
     make_problem,
-    predict_format,
 )
 from repro.sparse import (
     build_matrix,
@@ -47,22 +46,6 @@ class TestFileRoundTripPipeline:
         r2 = CbGmres(a2, "float32").solve(b, 1e-10)
         assert r1.iterations == r2.iterations
         assert np.array_equal(r1.x, r2.x)
-
-
-class TestPredictorGuidedSolve:
-    def test_predict_then_solve(self):
-        """The §VIII workflow: predict a format, then use it."""
-        p = make_problem("StocF-1465", "smoke")
-        rec = predict_format(p.a, p.b, probe_iterations=10)
-        res = CbGmres(p.a, rec.storage).solve(p.b, p.target_rrn)
-        assert res.converged
-
-    def test_predictor_avoids_known_failures(self):
-        p = make_problem("PR02R", "smoke")
-        rec = predict_format(p.a, p.b, probe_iterations=10)
-        # whatever it picks must actually converge
-        res = CbGmres(p.a, rec.storage, max_iter=3000).solve(p.b, p.target_rrn)
-        assert res.converged
 
 
 class TestCombinedFeatures:

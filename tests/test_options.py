@@ -251,8 +251,8 @@ class TestCliChoicesAreTheOwners:
                 elif action.dest == "scale":
                     assert tuple(action.choices) in (SCALES, (None,) + SCALES)
                     checked += 1
-        # solve / faults / bench / serve take all five, seven take --scale
-        assert checked == 4 * 5 + 7
+        # solve / faults / bench / serve take all five, six take --scale
+        assert checked == 4 * 5 + 6
 
 
 # -- the four former build sites against one hand-built solver ----------

@@ -9,6 +9,7 @@ from repro.sparse import (
     COOMatrix,
     Permutation,
     build_matrix,
+    frsz2_kill_fraction,
     magnitude_ordering,
     permute_system,
     reverse_cuthill_mckee,
@@ -122,21 +123,42 @@ class TestMagnitudeOrdering:
 
     def test_groups_exponents_into_blocks(self):
         """The point of the ordering: blocks stop mixing exponents."""
-        from repro.solvers import exponent_spread_features
-
         rng = np.random.default_rng(3)
         v = rng.standard_normal(32 * 64)
         v[rng.random(v.size) < 1 / 16] *= 1e12  # scattered spikes
-        before = exponent_spread_features(v).frsz2_kill_fraction
-        after = exponent_spread_features(
-            magnitude_ordering(v).apply_vector(v)
-        ).frsz2_kill_fraction
+        before = frsz2_kill_fraction(v)
+        after = frsz2_kill_fraction(magnitude_ordering(v).apply_vector(v))
         assert before > 0.5
         assert after < 0.1
 
     def test_rejects_2d(self):
         with pytest.raises(ValueError):
             magnitude_ordering(np.ones((2, 2)))
+
+
+class TestKillFraction:
+    def test_uniform_magnitudes_have_no_kill_risk(self):
+        rng = np.random.default_rng(0)
+        v = rng.standard_normal(1024)
+        v /= np.linalg.norm(v)
+        assert frsz2_kill_fraction(v) == 0.0
+
+    def test_mixed_blocks_detected(self):
+        # one huge value per 32-block destroys its neighbours
+        v = np.full(1024, 1e-12)
+        v[::32] = 1.0
+        assert frsz2_kill_fraction(v) == 1.0
+
+    def test_empty_vector(self):
+        assert frsz2_kill_fraction(np.zeros(0)) == 0.0
+
+    def test_all_zero_vector(self):
+        assert frsz2_kill_fraction(np.zeros(64)) == 0.0
+
+    def test_zeros_do_not_count_as_killed(self):
+        v = np.zeros(64)
+        v[0] = 1.0
+        assert frsz2_kill_fraction(v) == 0.0
 
 
 class TestPermuteSystem:
