@@ -14,14 +14,15 @@ a custom-block-size FRSZ2 basis, plus a device-model cost including the
 cross-warp reduction penalty for BS > 32.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.accessor import accessor_factory
 from repro.bench import format_table
 from repro.core import FRSZ2
-from repro.gpu import H100_PCIE
-from repro.gpu.kernels import KernelCost, format_cost
+from repro.gpu import format_cost, solve_phases
 from repro.solvers import CbGmres, make_problem
 
 BLOCK_SIZES = (4, 8, 16, 32, 64, 128)
@@ -55,14 +56,10 @@ def test_ablation_block_size_end_to_end(benchmark, paper_report):
             )
             bits = 32 + 32.0 / bs  # Eq. 3 storage per value
             ops, derate = _model_ops(bs)
-            # modeled per-iteration basis traffic cost on the H100
-            per_read = KernelCost(
-                bytes_moved=p.a.n * bits / 8,
-                fp64_flops=2 * p.a.n,
-                int_ops=p.a.n * ops,
-                bw_derate=derate,
-            ).time_on(H100_PCIE)
-            total = res.stats.basis_reads * per_read
+            # the walks of the solve priced on the H100 at this block size
+            cost = replace(format_cost("frsz2_32"), stored_bits=bits,
+                           decompress_ops=ops, bandwidth_derate=derate)
+            total = solve_phases(res.stats, formats={"frsz2_32": cost})["basis_read"]
             rows.append((bs, bits, res.iterations, res.converged, total * 1e3))
             if bs == 32:
                 base_time = total

@@ -9,25 +9,22 @@ FRSZ2's best (atmosmodd) and worst (PR02R) problems.
 """
 
 from repro.bench import format_table
-from repro.gpu import GmresTimingModel
+from repro.gpu import speedup_table
 from repro.solvers import CbGmres, FlexibleGmres, make_problem
 
 
 def test_related_work_cb_vs_fgmres(benchmark, paper_report):
-    model = GmresTimingModel()
-
     def run():
         rows = []
         for matrix in ("atmosmodd", "PR02R"):
             p = make_problem(matrix)
             base = CbGmres(p.a, "float64").solve(p.b, p.target_rrn)
-            base_t = model.time_result(base).total_seconds
             cb = CbGmres(p.a, "frsz2_32", stall_restarts=10).solve(p.b, p.target_rrn)
             fg = FlexibleGmres(p.a, "frsz2_32", stall_restarts=10).solve(
                 p.b, p.target_rrn
             )
+            speedups = speedup_table([base, cb, fg])
             for label, r in (("cb-gmres[frsz2_32]", cb), ("fgmres[frsz2_32]", fg)):
-                t = model.time_stats(r.stats, "frsz2_32").total_seconds
                 rows.append(
                     (
                         matrix,
@@ -35,7 +32,7 @@ def test_related_work_cb_vs_fgmres(benchmark, paper_report):
                         r.iterations,
                         "yes" if r.converged else "no",
                         base.iterations,
-                        f"{base_t / t:.3f}" if r.converged else "-",
+                        f"{speedups[r.storage]:.3f}" if r.converged else "-",
                     )
                 )
         return rows

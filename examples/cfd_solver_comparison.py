@@ -14,7 +14,7 @@ Run:  python examples/cfd_solver_comparison.py [matrix ...]
 import sys
 
 from repro.bench import FIG7_FORMATS, format_table
-from repro.gpu import GmresTimingModel, H100_PCIE
+from repro.gpu import speedup_table
 from repro.solvers import CbGmres, make_problem
 from repro.sparse import suite_names
 
@@ -23,15 +23,13 @@ def compare(matrix: str) -> None:
     problem = make_problem(matrix)
     print(f"\n{matrix}: n={problem.a.n}, nnz={problem.a.nnz}, "
           f"target RRN {problem.target_rrn:.0e}")
-    model = GmresTimingModel(H100_PCIE)
     results = {}
     for storage in FIG7_FORMATS:
         solver = CbGmres(problem.a, storage=storage, stall_restarts=10)
         results[storage] = solver.solve(problem.b, problem.target_rrn)
-    base = model.time_result(results["float64"]).total_seconds
+    speedups = speedup_table(list(results.values()))
     rows = []
     for storage, r in results.items():
-        speedup = base / model.time_result(r).total_seconds if r.converged else float("nan")
         rows.append(
             (
                 storage,
@@ -39,7 +37,7 @@ def compare(matrix: str) -> None:
                 f"{r.final_rrn:.2e}",
                 "yes" if r.converged else ("stalled" if r.stalled else "no"),
                 f"{r.stats.bits_per_value:.1f}",
-                f"{speedup:.2f}" if r.converged else "-",
+                f"{speedups[storage]:.2f}" if r.converged else "-",
             )
         )
     print(

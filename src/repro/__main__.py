@@ -273,7 +273,7 @@ def _cmd_list(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    from .gpu import GmresTimingModel
+    from .gpu import solve_phases
     from .solvers import CbGmres, FlexibleGmres, SolveOptions, make_problem
 
     options = SolveOptions(storage=args.storage, **_solve_kwargs(args))
@@ -304,10 +304,10 @@ def _cmd_solve(args) -> int:
     print(f"  basis mode {res.stats.basis_mode} "
           f"(peak float64 working set {res.stats.basis_peak_float64_bytes} bytes, "
           f"tile {res.stats.basis_tile_elems} elems)")
-    t = GmresTimingModel().time_result(res)
-    print(f"  modeled H100 time {t.total_seconds * 1e3:.2f} ms "
-          f"(spmv {t.spmv_seconds*1e3:.2f}, basis reads {t.basis_read_seconds*1e3:.2f}, "
-          f"writes {t.basis_write_seconds*1e3:.2f})")
+    t = solve_phases(res.stats, prec_info=solver.preconditioner.cost_info())
+    print(f"  modeled H100 time {sum(t.values()) * 1e3:.2f} ms "
+          f"(spmv {t['spmv']*1e3:.2f}, basis reads {t['basis_read']*1e3:.2f}, "
+          f"writes {t['basis_write']*1e3:.2f})")
     return 0 if res.converged else 1
 
 

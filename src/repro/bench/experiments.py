@@ -19,7 +19,7 @@ import numpy as np
 
 from ..core.ieee754 import biased_exponent, to_bits
 from ..gpu.device import DeviceSpec, H100_PCIE
-from ..gpu.timing import GmresTimingModel
+from ..gpu.timing import speedup_table
 from ..solvers.basis import KrylovBasis
 from ..solvers.gmres import CbGmres, GmresResult
 from ..solvers.orthogonal import cgs_orthogonalize
@@ -168,24 +168,19 @@ def figure11_rows(
     """
     scale = resolve_scale(scale)
     sweep = format_sweep(scale)
-    model = GmresTimingModel(device)
     per_matrix: List[Tuple] = []
     collected: Dict[str, List[float]] = {fmt: [] for fmt in FIG7_FORMATS}
     collected_no_pr: Dict[str, List[float]] = {fmt: [] for fmt in FIG7_FORMATS}
     for name in suite_names():
-        base = sweep[name]["float64"]
-        base_t = model.time_result(base).total_seconds
+        speedups = speedup_table(list(sweep[name].values()), device)
         row = [name]
         for fmt in FIG7_FORMATS:
-            r = sweep[name][fmt]
-            if r.converged:
-                s = base_t / model.time_result(r).total_seconds
-                row.append(s)
+            s = speedups.get(fmt, float("nan"))
+            row.append(s)
+            if fmt in speedups:
                 collected[fmt].append(s)
                 if name != "PR02R":
                     collected_no_pr[fmt].append(s)
-            else:
-                row.append(float("nan"))
         per_matrix.append(tuple(row))
     mean = {f: float(np.mean(v)) if v else float("nan") for f, v in collected.items()}
     mean_no_pr = {

@@ -4,11 +4,11 @@ Replays a fixed matrix × storage-format grid through the traced
 CB-GMRES solver and records, for every solve, only what a machine can
 reproduce byte for byte: iteration / restart / re-orthogonalisation
 counts, the final RRN, the stored bits per value, the tracer's counter
-snapshot, and the GPU timing model's predicted per-kernel seconds
-(:meth:`repro.gpu.timing.GmresTimingModel.phase_times`, the quantity
-the paper's Fig. 11 argues about) attributed to the phases ``spmv`` /
-``preconditioner`` / ``orthogonalize`` / ``basis_read`` /
-``basis_write`` / ``update`` / ``other``.
+snapshot, and the GPU timing model's predicted seconds
+(:func:`repro.gpu.timing.solve_phases`, the quantity the paper's
+Fig. 11 argues about) per phase ``spmv`` / ``preconditioner`` /
+``orthogonalize`` / ``basis_read`` / ``basis_write`` / ``update`` /
+``other``, which sum to the entry's ``modeled_seconds``.
 
 Nothing here reads a clock.  Host durations are the business of
 ``benchmarks/perf`` (``BENCHMARK.json``), the repository's one
@@ -35,7 +35,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ..gpu.device import DeviceSpec, H100_PCIE
-from ..gpu.timing import GmresTimingModel
+from ..gpu.timing import PHASES, solve_phases
 from ..jit import dispatch as _dispatch
 from ..observe import NULL_TRACER, Tracer
 from ..parallel import run_grid
@@ -69,23 +69,16 @@ __all__ = [
 
 #: schema identifier embedded in every bench file
 BENCH_SCHEMA = "repro.bench.gmres"
-#: bump on any incompatible change to the document layout (v7: every
-#: host-time field is gone and the document records ``source_sha256``)
-BENCH_SCHEMA_VERSION = 7
+#: bump on any incompatible change to the document layout (v8: one
+#: model prices an entry — ``basis.modeled_fused_seconds`` is gone and the
+#: ``precision`` block compares modeled basis seconds)
+BENCH_SCHEMA_VERSION = 8
 #: per-phase attribution keys (observe span names + the remainder)
-BENCH_PHASES = (
-    "spmv",
-    "preconditioner",
-    "orthogonalize",
-    "basis_read",
-    "basis_write",
-    "update",
-    "other",
-)
+BENCH_PHASES = PHASES
 #: the storage grid the perf trajectory tracks (acceptance floor)
 DEFAULT_BENCH_STORAGES = ("float64", "float32", "frsz2_32", "adaptive")
 #: fixed-storage companion every adaptive entry's ``precision`` block
-#: measures its bytes-moved savings and iteration delta against
+#: measures its modeled basis seconds and iteration delta against
 PRECISION_BASELINE_STORAGE = "frsz2_32"
 #: small-but-varied default matrix grid (fast at smoke scale)
 DEFAULT_BENCH_MATRICES = ("atmosmodd", "cfd2", "lung2")
@@ -227,8 +220,8 @@ def run_bench_entry(
             engine, solver=CbGmres, **shared
         ).solve(problem.b, problem.target_rrn)
 
-    modeled = GmresTimingModel(device).phase_times(
-        result.stats, storage,
+    modeled = solve_phases(
+        result.stats, device,
         prec_info=prec.cost_info() if prec is not None else None,
     )
 
@@ -246,16 +239,16 @@ def run_bench_entry(
 
     # adaptive entries report the controller's decisions and their
     # payoff against an untraced fixed-storage companion solve on the
-    # same operator: modeled stored-basis bytes saved and the
-    # iteration-count delta — the acceptance criteria of the adaptive
-    # controller, kept per commit in the trajectory file
+    # same operator: modeled basis seconds (the basis_read and
+    # basis_write phases) saved and the iteration-count delta — the
+    # acceptance criteria of the adaptive controller, kept per commit in
+    # the trajectory file
     precision_block: Optional[dict] = None
     if storage == ADAPTIVE_STORAGE:
-        model = GmresTimingModel(device)
         fixed = companion(storage=PRECISION_BASELINE_STORAGE)
-        adaptive_bytes = model.basis_bytes_moved(result.stats, storage)
-        fixed_bytes = model.basis_bytes_moved(
-            fixed.stats, PRECISION_BASELINE_STORAGE
+        fixed_phases = solve_phases(fixed.stats, device)
+        adaptive_s, fixed_s = (
+            p["basis_read"] + p["basis_write"] for p in (modeled, fixed_phases)
         )
         cycles = result.stats.cycles
         shifts = [
@@ -277,18 +270,10 @@ def run_bench_entry(
             ],
             "upshifts": sum(s > 0 for s in shifts),
             "downshifts": sum(s < 0 for s in shifts),
-            "reads_by_storage": {
-                str(f): int(c)
-                for f, c in sorted(result.stats.reads_by_storage.items())
-            },
-            "writes_by_storage": {
-                str(f): int(c)
-                for f, c in sorted(result.stats.writes_by_storage.items())
-            },
-            "adaptive_basis_bytes": float(adaptive_bytes),
-            "baseline_basis_bytes": float(fixed_bytes),
-            "bytes_saved_fraction": float(
-                1.0 - adaptive_bytes / fixed_bytes if fixed_bytes else 0.0
+            "adaptive_basis_seconds": float(adaptive_s),
+            "baseline_basis_seconds": float(fixed_s),
+            "seconds_saved_fraction": float(
+                1.0 - adaptive_s / fixed_s if fixed_s else 0.0
             ),
             "baseline_iterations": int(fixed.iterations),
             "iterations_delta_fraction": float(
@@ -376,11 +361,6 @@ def run_bench_entry(
             "peak_float64_bytes": int(result.stats.basis_peak_float64_bytes),
             "stored_bytes_per_vector": int(
                 round(result.stats.bits_per_value * result.stats.n / 8)
-            ),
-            "modeled_fused_seconds": float(
-                GmresTimingModel(device).fused_kernel_seconds(
-                    result.stats, storage
-                )
             ),
             "bit_identical_modes": bit_identical,
             "modes": {
@@ -642,8 +622,8 @@ def validate_bench(doc: dict) -> None:
         _expect(isinstance(basis, dict), f"{where}.basis", "expected an object")
         _expect(
             set(basis) == {"mode", "tile_elems", "peak_float64_bytes",
-                           "stored_bytes_per_vector", "modeled_fused_seconds",
-                           "bit_identical_modes", "modes"},
+                           "stored_bytes_per_vector", "bit_identical_modes",
+                           "modes"},
             f"{where}.basis",
             f"unexpected basis block keys {sorted(basis)}",
         )
@@ -651,8 +631,6 @@ def validate_bench(doc: dict) -> None:
         for key in ("tile_elems", "peak_float64_bytes",
                     "stored_bytes_per_vector"):
             _expect_int(basis[key], f"{where}.basis.{key}")
-        _expect_number(basis["modeled_fused_seconds"],
-                       f"{where}.basis.modeled_fused_seconds")
         _expect(isinstance(basis["bit_identical_modes"], bool),
                 f"{where}.basis.bit_identical_modes", "expected a boolean")
         _expect(basis["bit_identical_modes"] is True,
@@ -704,8 +682,8 @@ def _validate_precision_block(precision: object, where: str) -> None:
             "adaptive entries must carry a precision block")
     expected = {
         "baseline_storage", "trace", "decisions", "upshifts", "downshifts",
-        "reads_by_storage", "writes_by_storage", "adaptive_basis_bytes",
-        "baseline_basis_bytes", "bytes_saved_fraction", "baseline_iterations",
+        "adaptive_basis_seconds", "baseline_basis_seconds",
+        "seconds_saved_fraction", "baseline_iterations",
         "iterations_delta_fraction", "baseline_converged",
     }
     _expect(set(precision) == expected, where,
@@ -734,21 +712,8 @@ def _validate_precision_block(precision: object, where: str) -> None:
             _expect_number(dec[key], f"{dwhere}.{key}")
     for key in ("upshifts", "downshifts", "baseline_iterations"):
         _expect_int(precision[key], f"{where}.{key}")
-    for key in ("reads_by_storage", "writes_by_storage"):
-        buckets = precision[key]
-        _expect(
-            isinstance(buckets, dict) and buckets
-            and all(
-                isinstance(f, str)
-                and isinstance(c, int)
-                and not isinstance(c, bool)
-                for f, c in buckets.items()
-            ),
-            f"{where}.{key}",
-            "expected a non-empty {storage: count} object",
-        )
-    for key in ("adaptive_basis_bytes", "baseline_basis_bytes",
-                "bytes_saved_fraction", "iterations_delta_fraction"):
+    for key in ("adaptive_basis_seconds", "baseline_basis_seconds",
+                "seconds_saved_fraction", "iterations_delta_fraction"):
         _expect_number(precision[key], f"{where}.{key}")
     _expect(isinstance(precision["baseline_converged"], bool),
             f"{where}.baseline_converged", "expected a boolean")

@@ -41,7 +41,8 @@ carries is decided once, where the reader is built — for one call, or
 kept by a :class:`~repro.solvers.basis.KrylovBasis` and extended with
 every write (``docs/ARCHITECTURE.md``, "The life of a fused call").
 Every operation and every step bills through one function,
-:func:`bill_fused`, as the Fig. 1 kernels it stands for.
+:func:`bill_fused`, as the walks it made: one per operation, and
+:func:`step_walks` per step.
 
 Determinism contract
 --------------------
@@ -100,7 +101,7 @@ three and the pool's threads.
 On a GPU each tile maps onto a thread block's registers: the paper's
 "46 spare instructions" budget pays for the in-register decode while the
 kernel stays bound by *compressed* memory traffic
-(:func:`repro.gpu.kernels.fused_dot_cost` models exactly that).
+(:func:`repro.gpu.kernels.walk_cost` models exactly that).
 """
 
 from __future__ import annotations
@@ -131,6 +132,7 @@ __all__ = [
     "combine_fused",
     "axpy_fused",
     "bill_fused",
+    "step_walks",
     "givens_column",
     "givens_state",
     "givens_views",
@@ -164,21 +166,13 @@ _EPS = float(np.finfo(np.float64).eps)
 class FusedOpLog:
     """Work log of the fused kernels run against one basis.
 
-    Mirrored into :class:`~repro.solvers.gmres.SolveStats` (the
-    ``fused_*`` fields) so the GPU timing model can price the fused
-    kernels from compressed traffic
-    (:meth:`repro.gpu.timing.GmresTimingModel.fused_kernel_seconds`).
+    ``tiles`` is mirrored into ``SolveStats.fused_tiles``; what the GPU
+    timing model prices is the walks each cycle's record counts
+    (:func:`repro.gpu.timing.solve_phases`).
     """
 
-    dot_calls: int = 0
-    dot_vectors: int = 0
-    axpy_calls: int = 0
-    axpy_vectors: int = 0
-    combine_calls: int = 0
-    combine_vectors: int = 0
+    #: row-tiles the walks visited (``walks x ceil(n / tile)``)
     tiles: int = 0
-    #: basis values reduced (sum of n x j)
-    values: int = 0
     #: most float64 bytes any fused call used: a round of ``j`` tile
     #: partials plus, per thread of the pool, the ``tile``-double decode
     #: buffer of a compressed source or the sweep's ``8 j`` lanes and
@@ -570,35 +564,26 @@ def _coefficients(y, j: int) -> np.ndarray:
     return y
 
 
+def step_walks(flags: int) -> int:
+    """Walks of the basis an Arnoldi step with ``flags`` made: the dot and
+    the sweep, and the axpy of a second pass (:func:`step_rows`)."""
+    return 2 + (flags & STEP_REORTH)
+
+
 def bill_fused(j: int, n: int, tile_elems: int, scratch: int, tracer,
-               log: Optional[FusedOpLog], dot: int = 0, axpy: int = 0,
-               combine: int = 0) -> None:
-    """Bill ``dot``, ``axpy`` and ``combine`` calls of Fig. 1's kernels,
-    each over ``j`` rows of ``n`` values, that used at most ``scratch``
-    doubles of buffers: one fused operation, or an Arnoldi step — a dot
-    and an axpy per Gram-Schmidt pass (the sweep is the first pass's
-    axpy, and its ``u`` the second pass's dot)."""
-    calls = dot + axpy + combine
-    tiles, values = calls * -(-n // tile_elems), calls * j * n
+               log: Optional[FusedOpLog], walks: int = 1) -> None:
+    """Bill ``walks`` walks over ``j`` rows of ``n`` values that used at
+    most ``scratch`` doubles of buffers: one fused operation, or an
+    Arnoldi step (:func:`step_walks`)."""
+    tiles = walks * -(-n // tile_elems)
     if log is not None:
-        log.dot_calls += dot
-        log.dot_vectors += dot * j
-        log.axpy_calls += axpy
-        log.axpy_vectors += axpy * j
-        log.combine_calls += combine
-        log.combine_vectors += combine * j
         log.tiles += tiles
-        log.values += values
         if 8 * scratch > log.peak_scratch_bytes:
             log.peak_scratch_bytes = 8 * scratch
     if tracer.enabled:
-        for name, count in (("basis.fused.dot_calls", dot),
-                            ("basis.fused.axpy_calls", axpy),
-                            ("basis.fused.combine_calls", combine)):
-            if count:
-                tracer.count(name, count)
+        tracer.count("basis.fused.walks", walks)
         tracer.count("basis.fused.tiles", tiles)
-        tracer.count("basis.fused.values", values)
+        tracer.count("basis.fused.values", walks * j * n)
 
 
 def dot_basis_fused(
@@ -639,7 +624,7 @@ def dot_basis_fused(
     h = np.zeros(j)
     if j:
         used = reader.source.fused_dot(j, n, tile_elems, w, h)
-        bill_fused(j, n, tile_elems, used, tracer, log, dot=1)
+        bill_fused(j, n, tile_elems, used, tracer, log)
     return h
 
 
@@ -650,8 +635,7 @@ def _axpy(reader, y, w, tile_elems, tracer, log, store: bool) -> np.ndarray:
     if j:
         used = reader.source.fused_axpy(
             j, n, tile_elems, _coefficients(y, j), w, store)
-        bill_fused(j, n, tile_elems, used, tracer, log,
-                   axpy=int(not store), combine=int(store))
+        bill_fused(j, n, tile_elems, used, tracer, log)
     return w
 
 

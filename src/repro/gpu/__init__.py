@@ -13,10 +13,9 @@ from .kernels import (
     FormatCost,
     KernelCost,
     format_cost,
-    fused_axpy_cost,
-    fused_dot_cost,
     read_kernel_cost,
     spmv_kernel_cost,
+    walk_cost,
 )
 from .roofline import (
     DEFAULT_FORMATS,
@@ -30,7 +29,7 @@ from .roofline import (
     roofline_series,
     spmv_roofline,
 )
-from .timing import GmresTimingModel, SolveTiming, speedup_table
+from .timing import PHASES, solve_phases, speedup_table
 from .warp import Warp, WarpKernelReport, warp_compress_block, warp_decompress_block
 
 __all__ = [
@@ -44,8 +43,7 @@ __all__ = [
     "format_cost",
     "read_kernel_cost",
     "spmv_kernel_cost",
-    "fused_dot_cost",
-    "fused_axpy_cost",
+    "walk_cost",
     "RooflinePoint",
     "SpmvRooflinePoint",
     "DEFAULT_FORMATS",
@@ -56,8 +54,8 @@ __all__ = [
     "bandwidth_efficiency",
     "cuszp2_bandwidth_range",
     "frsz2_vs_cuszp2_speedup",
-    "GmresTimingModel",
-    "SolveTiming",
+    "PHASES",
+    "solve_phases",
     "speedup_table",
     "Warp",
     "WarpKernelReport",

@@ -6,8 +6,8 @@ per value (measured on the SIMT warp executor, plus a surcharge for the
 straddling-layout bit gymnastics of non-power-of-two ``l``), and the
 alignment class that determines achievable bandwidth.
 
-The GMRES kernels (SpMV, orthogonalization reads/writes, vector updates)
-are composed from the same primitives by :mod:`repro.gpu.timing`.
+The GMRES kernels (SpMV, basis walks and writes, vector updates) are
+composed from the same primitives by :mod:`repro.gpu.timing`.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ __all__ = [
     "KernelCost",
     "read_kernel_cost",
     "spmv_kernel_cost",
-    "fused_dot_cost",
-    "fused_axpy_cost",
+    "walk_cost",
     "FORMATS",
 ]
 
@@ -150,38 +149,27 @@ def read_kernel_cost(fmt: FormatCost, n: int, arithmetic_intensity: float) -> Ke
     )
 
 
-def fused_dot_cost(fmt: FormatCost, n: int, j: float) -> KernelCost:
-    """Fused ``V_j^T w`` kernel: decompress-in-register dot products.
+def walk_cost(fmt: FormatCost, n: int, vectors: float, walks: float = 1) -> KernelCost:
+    """``walks`` fused walks of a stored basis that read ``vectors``
+    stored vectors of ``n`` values between them: the decompress-in-register
+    dot, sweep, axpy and combine of the Arnoldi step and the update.
 
-    The paper's Fig. 4 argument made concrete: the kernel streams the
-    ``j`` stored basis vectors at their *compressed* width (plus ``w``
-    once in float64 and the ``j`` partial results), runs 2 flops per
-    decoded value, and pays the format's decode instructions in the INT
-    pipe — where they hide under the memory latency ("46 spare
-    instructions").  The kernel is bandwidth-bound on compressed
-    traffic, so frsz2_32 moves half the bytes the float64 basis would.
+    The paper's Fig. 4 argument made concrete: every stored vector
+    streams at its *compressed* width (and its coefficient as one
+    double), runs 2 flops per decoded value, and pays the format's decode
+    instructions in the INT pipe — where they hide under the memory
+    latency ("46 spare instructions").  Each walk also streams its
+    float64 operand in and out once (``2 n`` doubles: the dot only reads
+    it and the combine only writes it, a vector per walk the model does
+    not resolve).  The walks are priced as one launch, the roofline of
+    their summed demand: every value of one format costs the same bytes,
+    flops and decode instructions, so the sum is bound by the pipe that
+    binds the walks, up to the operand of the shortest ones.
     """
     return KernelCost(
-        bytes_moved=j * n * fmt.stored_bits / 8.0 + n * 8 + j * 8,
-        fp64_flops=2 * j * n,
-        int_ops=j * n * fmt.decompress_ops,
-        aligned=fmt.aligned,
-        bw_derate=fmt.bandwidth_derate,
-    )
-
-
-def fused_axpy_cost(fmt: FormatCost, n: int, j: float) -> KernelCost:
-    """Fused ``w -= V_j y`` (or ``V_j y``) kernel.
-
-    Streams the ``j`` stored vectors compressed and ``w`` twice
-    (read-modify-write), with the ``y`` coefficients register-resident;
-    2 flops per decoded value and the decode instructions on the INT
-    pipe, exactly like :func:`fused_dot_cost`.
-    """
-    return KernelCost(
-        bytes_moved=j * n * fmt.stored_bits / 8.0 + 2 * n * 8 + j * 8,
-        fp64_flops=2 * j * n,
-        int_ops=j * n * fmt.decompress_ops,
+        bytes_moved=vectors * (n * fmt.stored_bits / 8.0 + 8) + walks * 16.0 * n,
+        fp64_flops=2 * vectors * n,
+        int_ops=vectors * n * fmt.decompress_ops,
         aligned=fmt.aligned,
         bw_derate=fmt.bandwidth_derate,
     )

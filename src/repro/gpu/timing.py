@@ -1,92 +1,105 @@
-"""End-to-end CB-GMRES timing model (paper Fig. 11).
+"""End-to-end CB-GMRES timing model (paper Fig. 11): one price per solve.
 
-Combines the *measured* iteration structure of a solve (the
-:class:`~repro.solvers.gmres.SolveStats` work log: how many SpMVs,
-basis-vector reads/writes and dense vector operations actually happened)
-with the *modeled* per-kernel costs on a GPU (:mod:`repro.gpu.kernels`)
-to predict the wall-clock a CUDA implementation would take — the
-quantity Fig. 11 reports as speedup over float64 storage.
+:func:`solve_phases` combines the *measured* work of a solve — the
+:class:`~repro.solvers.gmres.SolveStats` log and, per restart cycle, the
+walks its Arnoldi steps and its update made over the basis and the
+vectors it wrote (:class:`~repro.solvers.adaptive.CycleRecord`) — with
+the *modeled* per-kernel costs on a GPU (:mod:`repro.gpu.kernels`), phase
+by phase under the tracer's span names.  A solve's modeled time is the
+sum of its phases, so no part is priced above the whole, and
+:func:`speedup_table` — the quantity Fig. 11 reports — divides two such
+sums.
 
-This split mirrors the paper's own reasoning: convergence (iterations)
-comes from the numerics, runtime per iteration comes from bytes moved,
-and the Krylov-basis traffic is the only term the storage format
-changes.
+This split mirrors the paper's own reasoning, shared with CB-GMRES
+(Aliaga et al.): convergence (iterations) comes from the numerics,
+runtime per iteration from bytes moved, and the Krylov-basis traffic is
+the only term the storage format changes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Sequence
+from typing import TYPE_CHECKING, Dict, Mapping, Optional, Sequence
 
 from .device import DeviceSpec, H100_PCIE
-from .kernels import (
-    KernelCost,
-    format_cost,
-    fused_axpy_cost,
-    fused_dot_cost,
-    spmv_kernel_cost,
-)
+from .kernels import FormatCost, KernelCost, format_cost, spmv_kernel_cost, walk_cost
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (solvers uses gpu)
     from ..solvers.gmres import GmresResult, SolveStats
 
-__all__ = ["GmresTimingModel", "SolveTiming", "speedup_table"]
+__all__ = ["PHASES", "solve_phases", "speedup_table"]
+
+#: the priced phases: the observe layer's span names plus the remainder
+PHASES = (
+    "spmv",
+    "preconditioner",
+    "orthogonalize",
+    "basis_read",
+    "basis_write",
+    "update",
+    "other",
+)
 
 
-@dataclass(frozen=True)
-class SolveTiming:
-    """Predicted device runtime of one solve, broken down by kernel."""
+def _format(storage: str, formats: Optional[Mapping[str, FormatCost]]) -> FormatCost:
+    """The cost profile a storage name is priced at.
 
-    storage: str
-    spmv_seconds: float
-    basis_read_seconds: float
-    basis_write_seconds: float
-    vector_ops_seconds: float
-
-    @property
-    def total_seconds(self) -> float:
-        return (
-            self.spmv_seconds
-            + self.basis_read_seconds
-            + self.basis_write_seconds
-            + self.vector_ops_seconds
-        )
+    Round-trip comparator formats (sz3_08, zfp_fr_32, ...) have no GPU
+    implementation — the paper injects their error through LibPressio
+    precisely to avoid one — so they are charged full float64 traffic,
+    matching the paper's practice of not reporting their runtime.
+    """
+    if formats and storage in formats:
+        return formats[storage]
+    try:
+        return format_cost(storage)
+    except KeyError:
+        return format_cost("float64")
 
 
-class GmresTimingModel:
-    """Predict CB-GMRES runtime from a solve's work log."""
+def solve_phases(
+    stats: "SolveStats",
+    device: DeviceSpec = H100_PCIE,
+    prec_info: Optional[Dict] = None,
+    formats: Optional[Mapping[str, FormatCost]] = None,
+) -> Dict[str, float]:
+    """Predicted device seconds of one solve, per phase of :data:`PHASES`.
 
-    def __init__(self, device: DeviceSpec = H100_PCIE) -> None:
-        self.device = device
+    * ``basis_read``: the walks each cycle record counts — its Arnoldi
+      steps' (two per step, three after a re-orthogonalization, over
+      ``j`` vectors each) at the storage the steps walk, and its update's
+      one walk at the cycle's storage — as one :func:`walk_cost` launch
+      per storage;
+    * ``basis_write``: each record's writes, compressed from float64 at
+      the cycle's storage;
+    * ``spmv``: every logged product in the engine's layout;
+    * ``preconditioner``: the logged applies, priced from ``prec_info``
+      (a preconditioner's ``cost_info()``; without it the phase is 0);
+    * ``orthogonalize`` / ``update`` / ``other``: the float64 vector
+      operations around the walks — four per Arnoldi step (the copy, the
+      norms, the normalisation), one per solution update, the rest (the
+      explicit residuals).
 
-    # -- kernel building blocks ---------------------------------------
+    ``formats`` replaces the catalog's cost profile of the storage names
+    it holds (an ablation's codec parameters).
+    """
+    n = stats.n
+    walked: Dict[str, list] = {}
+    written: Dict[str, int] = {}
+    for c in stats.cycles:
+        steps = walked.setdefault(c.step_storage or c.storage, [0, 0])
+        steps[0] += c.step_walks
+        steps[1] += c.step_vectors
+        if c.update_vectors:
+            combine = walked.setdefault(c.storage, [0, 0])
+            combine[0] += 1
+            combine[1] += c.update_vectors
+        written[c.storage] = written.get(c.storage, 0) + c.basis_writes
 
-    def spmv_cost(
-        self,
-        n: int,
-        nnz: int,
-        fmt: str = "csr",
-        padded_entries: "int | None" = None,
-    ) -> KernelCost:
-        """SpMV in the given storage format (padded layouts charge
-        their padding as traffic; see
-        :func:`repro.gpu.kernels.spmv_kernel_cost`)."""
-        return spmv_kernel_cost(n, nnz, fmt, padded_entries)
+    def seconds(cost: KernelCost) -> float:
+        return cost.time_on(device)
 
-    def basis_read_cost(self, n: int, storage: str) -> KernelCost:
-        """Read one stored basis vector (dot-product side: 2 flops/value)."""
-        fmt = format_cost(storage)
-        return KernelCost(
-            bytes_moved=n * fmt.stored_bits / 8.0,
-            fp64_flops=2 * n,
-            int_ops=n * fmt.decompress_ops,
-            aligned=fmt.aligned,
-            bw_derate=fmt.bandwidth_derate,
-        )
-
-    def basis_write_cost(self, n: int, storage: str) -> KernelCost:
-        """Compress + store one basis vector (reads it in double first)."""
-        fmt = format_cost(storage)
+    def write_cost(fmt: FormatCost) -> KernelCost:
+        # reads the float64 vector, stores it compressed
         return KernelCost(
             bytes_moved=n * 8 + n * fmt.stored_bits / 8.0,
             fp64_flops=n,
@@ -95,235 +108,62 @@ class GmresTimingModel:
             bw_derate=fmt.bandwidth_derate,
         )
 
-    def dense_vector_cost(self, n: int) -> KernelCost:
-        """One float64 streaming vector op (axpy/norm/copy)."""
-        return KernelCost(bytes_moved=3 * n * 8, fp64_flops=2 * n, int_ops=0)
-
-    def prec_apply_cost(self, n: int, info: Dict) -> KernelCost:
-        """One ``M^-1 v`` apply from a preconditioner's ``cost_info()``.
-
-        Streams the stored factor/block values at their *stored* width
-        (``stored_bytes`` — the term the compression ladder shrinks),
-        plus the float64 read of ``v`` and write of the result; each
-        stored entry costs a multiply-add and, for compressed storages,
-        its decode integer ops.  Triangular solves are sequential along
-        rows on a GPU, but level-scheduled implementations stay
-        memory-bound, so the roofline over these terms is the right
-        first-order price.
-        """
-        fmt = format_cost(info.get("storage", "float64"))
-        entries = int(info.get("entries", 0))
-        return KernelCost(
-            bytes_moved=float(info.get("stored_bytes", 8 * entries)) + 16.0 * n,
+    # one float64 streaming vector op (copy / norm / axpy)
+    vec = seconds(KernelCost(bytes_moved=3 * n * 8, fp64_flops=2 * n, int_ops=0))
+    ortho = 4 * stats.iterations * vec
+    update = stats.restarts * vec
+    prec = 0.0
+    if prec_info and stats.preconditioner_applies:
+        # the stored factor values at their stored width, plus the float64
+        # operand in and the result out; a multiply-add and the decode per
+        # entry (level-scheduled triangular solves stay memory-bound)
+        fmt = format_cost(prec_info.get("storage", "float64"))
+        entries = int(prec_info.get("entries", 0))
+        prec = stats.preconditioner_applies * seconds(KernelCost(
+            bytes_moved=float(prec_info.get("stored_bytes", 8 * entries)) + 16.0 * n,
             fp64_flops=2 * entries,
             int_ops=entries * fmt.decompress_ops + entries,
             aligned=fmt.aligned,
             bw_derate=fmt.bandwidth_derate,
-        )
-
-    # -- end-to-end -----------------------------------------------------
-
-    def time_stats(self, stats: "SolveStats", storage: str) -> SolveTiming:
-        """Predicted runtime for a recorded work log.
-
-        Adaptive-precision solves split their traffic by format
-        (``SolveStats.reads_by_storage`` / ``writes_by_storage``): each
-        format's share is priced at its own width and the scalar
-        ``storage`` label (``"adaptive"``) is only cosmetic — this is
-        how the bytes-moved savings of mixed-storage bases reach the
-        model instead of being flattened to one width.
-        """
-        n = stats.n
-        d = self.device
-        reads_by, writes_by = self._traffic_by_storage(stats, storage)
-        basis_read_s = sum(
-            count * self.basis_read_cost(n, self._model_storage_name(f)).time_on(d)
-            for f, count in reads_by.items()
-        )
-        basis_write_s = sum(
-            count * self.basis_write_cost(n, self._model_storage_name(f)).time_on(d)
-            for f, count in writes_by.items()
-        )
-        # FGMRES-style solvers stream an uncompressed V basis as well
-        uncompressed = getattr(stats, "uncompressed_basis_reads", 0)
-        if uncompressed:
-            basis_read_s += uncompressed * self.basis_read_cost(n, "float64").time_on(d)
-        spmv_fmt = getattr(stats, "spmv_format", "csr")
-        spmv_padded = getattr(stats, "spmv_padded_entries", 0) or stats.nnz
-        return SolveTiming(
-            storage=storage,
-            spmv_seconds=stats.spmv_calls
-            * self.spmv_cost(n, stats.nnz, spmv_fmt, spmv_padded).time_on(d),
-            basis_read_seconds=basis_read_s,
-            basis_write_seconds=basis_write_s,
-            vector_ops_seconds=stats.dense_vector_ops * self.dense_vector_cost(n).time_on(d),
-        )
-
-    def basis_bytes_moved(self, stats: "SolveStats", storage: str) -> float:
-        """Modeled stored-basis bytes a GPU would move for this work log.
-
-        Sums ``reads + writes`` at each format's stored width (write
-        traffic includes the float64 source read, matching
-        :meth:`basis_write_cost`).  Adaptive solves price each
-        per-storage bucket at its own width — the quantity the bench
-        ``precision`` block reports savings on.
-        """
-        n = stats.n
-        reads_by, writes_by = self._traffic_by_storage(stats, storage)
-        total = 0.0
-        for f, count in reads_by.items():
-            total += count * self.basis_read_cost(
-                n, self._model_storage_name(f)
-            ).bytes_moved
-        for f, count in writes_by.items():
-            total += count * self.basis_write_cost(
-                n, self._model_storage_name(f)
-            ).bytes_moved
-        return total
-
-    @staticmethod
-    def _traffic_by_storage(stats: "SolveStats", storage: str):
-        """Stored-basis ``(reads, writes)`` by format: an adaptive solve's
-        split, else all of it at ``storage``."""
-        return (
-            stats.reads_by_storage or {storage: stats.basis_reads},
-            stats.writes_by_storage or {storage: stats.basis_writes},
-        )
-
-    def phase_times(
-        self,
-        stats: "SolveStats",
-        storage: str,
-        prec_info: "Dict | None" = None,
-    ) -> Dict[str, float]:
-        """Predicted seconds per solver phase, keyed by the observe-layer
-        span names (``spmv`` / ``orthogonalize`` / ``basis_read`` /
-        ``basis_write`` / ``update`` / ``preconditioner`` / ``other``).
-
-        The dense-vector-op budget of :meth:`time_stats` is apportioned
-        by where the work log accrued it: 4 ops per Arnoldi step belong
-        to the orthogonalization, 1 per restart to the solution update,
-        and the remainder (the explicit-residual recomputations) to
-        ``other``.  ``prec_info`` (a preconditioner's ``cost_info()``)
-        prices the logged ``preconditioner_applies``; without it the
-        ``preconditioner`` phase is 0, keeping the key set uniform.
-        """
-        t = self.time_stats(stats, self._model_storage_name(storage))
-        vec = self.dense_vector_cost(stats.n).time_on(self.device)
-        ortho_vec = 4 * stats.iterations * vec
-        update_vec = stats.restarts * vec
-        residual_vec = max(
-            t.vector_ops_seconds - ortho_vec - update_vec, 0.0
-        )
-        prec_s = 0.0
-        applies = getattr(stats, "preconditioner_applies", 0)
-        if prec_info and applies:
-            prec_s = applies * self.prec_apply_cost(
-                stats.n, prec_info
-            ).time_on(self.device)
-        return {
-            "spmv": t.spmv_seconds,
-            "orthogonalize": ortho_vec,
-            "basis_read": t.basis_read_seconds,
-            "basis_write": t.basis_write_seconds,
-            "update": update_vec,
-            "preconditioner": prec_s,
-            "other": residual_vec,
-        }
-
-    def fused_kernel_seconds(self, stats: "SolveStats", storage: str) -> float:
-        """Predicted seconds of the *fused* basis kernels of a solve.
-
-        Prices the logged fused-kernel work (``SolveStats.fused_*``)
-        with :func:`~repro.gpu.kernels.fused_dot_cost` /
-        :func:`~repro.gpu.kernels.fused_axpy_cost`, i.e. reading the
-        basis at its compressed width instead of the float64 width the
-        materialized structure streams.  Each kind is modeled as
-        ``calls`` launches of an average-width (``vectors / calls``)
-        kernel — the roofline is near-linear in the vector count, so the
-        average-width launch is an accurate stand-in for the exact
-        per-``j`` sequence.
-
-        Adaptive solves carry per-format read buckets
-        (``SolveStats.reads_by_storage``): the fused time is then the
-        read-share-weighted mix of the per-format predictions, since
-        every fused kernel's traffic is dominated by the stored-basis
-        reads the buckets count.
-        """
-        reads_by = stats.reads_by_storage
-        if reads_by:
-            total_reads = sum(reads_by.values())
-            if not total_reads:
-                return 0.0
-            return sum(
-                count / total_reads * self._fused_seconds_at(stats, f)
-                for f, count in reads_by.items()
-            )
-        return self._fused_seconds_at(stats, storage)
-
-    def _fused_seconds_at(self, stats: "SolveStats", storage: str) -> float:
-        """Fused-kernel prediction with the whole log priced at one format."""
-        fmt = format_cost(self._model_storage_name(storage))
-        n = stats.n
-        d = self.device
-        total = 0.0
-        dot_calls = getattr(stats, "fused_dot_calls", 0)
-        if dot_calls:
-            avg_j = getattr(stats, "fused_dot_vectors", 0) / dot_calls
-            total += dot_calls * fused_dot_cost(fmt, n, avg_j).time_on(d)
-        axpy_calls = getattr(stats, "fused_axpy_calls", 0) + getattr(
-            stats, "fused_combine_calls", 0
-        )
-        if axpy_calls:
-            axpy_vectors = getattr(stats, "fused_axpy_vectors", 0) + getattr(
-                stats, "fused_combine_vectors", 0
-            )
-            total += axpy_calls * fused_axpy_cost(
-                fmt, n, axpy_vectors / axpy_calls
-            ).time_on(d)
-        return total
-
-    def time_result(self, result: "GmresResult") -> SolveTiming:
-        """Predicted runtime for a finished :class:`GmresResult`."""
-        storage = self._model_storage_name(result.storage)
-        return self.time_stats(result.stats, storage)
-
-    @staticmethod
-    def _model_storage_name(storage: str) -> str:
-        """Map solver storage names onto modeled format profiles.
-
-        Round-trip comparator formats (sz3_08, zfp_fr_32, ...) have no
-        GPU implementation — the paper injects their error through
-        LibPressio precisely to avoid one — so their *hypothetical*
-        timing uses the stored-size-equivalent dense profile (float32
-        bits as a stand-in is wrong; we charge full float64 traffic,
-        matching the paper's practice of not reporting their runtime).
-        """
-        try:
-            format_cost(storage)
-            return storage
-        except KeyError:
-            return "float64"
+        ))
+    return {
+        "spmv": stats.spmv_calls * seconds(spmv_kernel_cost(
+            n, stats.nnz, stats.spmv_format, stats.spmv_padded_entries or stats.nnz
+        )),
+        "preconditioner": prec,
+        "orthogonalize": ortho,
+        "basis_read": sum(
+            seconds(walk_cost(_format(f, formats), n, vectors, walks))
+            for f, (walks, vectors) in walked.items()
+        ),
+        "basis_write": sum(
+            count * seconds(write_cost(_format(f, formats)))
+            for f, count in written.items()
+        ),
+        "update": update,
+        "other": max(stats.dense_vector_ops * vec - ortho - update, 0.0),
+    }
 
 
 def speedup_table(
     results: "Sequence[GmresResult]", device: DeviceSpec = H100_PCIE
 ) -> Dict[str, float]:
-    """Fig. 11: speedup of each storage format over float64.
+    """Fig. 11: modeled speedup of each result's solve over the float64
+    one, keyed by its ``storage`` label; each solve's time is the sum of
+    its :func:`solve_phases`.
 
-    ``results`` must contain a float64 run (the baseline); formats that
-    did not converge are omitted, matching the removed bars of Fig. 11.
+    ``results`` must contain a converged float64 run (the baseline);
+    formats that did not converge are omitted, matching the removed bars
+    of Fig. 11.
     """
-    model = GmresTimingModel(device)
     baseline = next((r for r in results if r.storage == "float64"), None)
     if baseline is None:
         raise ValueError("speedup_table needs a float64 baseline result")
     if not baseline.converged:
         raise ValueError("the float64 baseline did not converge")
-    base_t = model.time_result(baseline).total_seconds
-    out: Dict[str, float] = {}
-    for r in results:
-        if not r.converged:
-            continue
-        out[r.storage] = base_t / model.time_result(r).total_seconds
-    return out
+
+    def total(r: "GmresResult") -> float:
+        return sum(solve_phases(r.stats, device).values())
+
+    base_t = total(baseline)
+    return {r.storage: base_t / total(r) for r in results if r.converged}

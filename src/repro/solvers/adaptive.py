@@ -187,9 +187,19 @@ class CycleRecord:
     recoveries : int
         Recoveries charged from the cycle's start to the next cycle's
         (faults, a non-finite restart residual after the cycle included).
-    basis_reads, basis_writes : int
-        The cycle's share of ``SolveStats.basis_reads`` /
-        ``basis_writes``.
+    step_walks, step_vectors : int
+        Walks of the basis the cycle's Arnoldi steps made
+        (:func:`repro.fused.kernels.step_walks`: two per step, three
+        after a re-orthogonalization) and the vectors they read (``j``
+        per walk at step ``j``).
+    update_vectors : int
+        Vectors the solution update's one walk (``V y``) read; 0 when
+        the cycle ended without one.
+    basis_writes : int
+        Vectors written to the stored basis.
+    step_storage : str or None
+        Storage of the basis the steps walk when it is not the stored
+        one — a flexible solve's float64 ``V``; None: ``storage``.
     bits_per_value : float
         Stored width of the cycle's basis, taken when the cycle closed.
     needed_gain : float or None
@@ -208,8 +218,11 @@ class CycleRecord:
     reorthogonalizations: int = 0
     loss_of_orthogonality: bool = False
     recoveries: int = 0
-    basis_reads: int = 0
+    step_walks: int = 0
+    step_vectors: int = 0
+    update_vectors: int = 0
     basis_writes: int = 0
+    step_storage: Optional[str] = None
     bits_per_value: float = 64.0
     needed_gain: Optional[float] = None
     reason: Optional[str] = None

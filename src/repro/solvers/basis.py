@@ -31,9 +31,9 @@ solution update).  Both run the *same* fused reductions in one written
 accumulation order (cached hands them the columns of the dense view in
 place, streaming the containers to decode), which makes the two modes
 bit-identical — asserted across storages in the test suite.  The
-traffic a GPU would move is accounted analytically by the timing model
-from the iteration log (:class:`repro.solvers.gmres.SolveStats`), not
-from the cache.
+traffic a GPU would move is priced analytically by the timing model from
+the walks each cycle's record counts
+(:func:`repro.gpu.timing.solve_phases`), not from the cache.
 
 A read costs one kernel call plus ``O(1)`` Python because the basis
 *keeps* the row source it walks for as long as it stays true: the
@@ -62,7 +62,7 @@ from ..fused import (
     TileReader,
     combine_fused,
 )
-from ..fused.kernels import STEP_NONFINITE, STEP_REORTH, bill_fused
+from ..fused.kernels import STEP_NONFINITE, bill_fused, step_walks
 from ..observe import NULL_TRACER
 
 __all__ = ["KrylovBasis", "BASIS_MODES"]
@@ -148,7 +148,7 @@ class KrylovBasis:
             int(getattr(acc, "tile_granularity", 1)) for acc in self.accessors
         )
         self.tile_elems = max(gran, ((int(tile_elems) + gran - 1) // gran) * gran)
-        #: fused-kernel work log (tiles, values, peak scratch bytes)
+        #: fused-kernel work log (tiles, peak scratch bytes)
         self.fused_log = FusedOpLog()
         # decompressed view of every written vector (column j = V[:, j]);
         # streaming mode drops it entirely — that is the point.  Left
@@ -286,7 +286,7 @@ class KrylovBasis:
         Cached mode returns the dense view's column; streaming mode
         decompresses on demand (bit-identical — decoding is
         deterministic).  Uncounted; use :meth:`read_vector` on solver
-        hot paths so the traffic reaches the timing model.
+        hot paths so the tracer counts the traffic.
         """
         if j >= self._written:
             raise IndexError(f"basis slot {j} has not been written")
@@ -383,9 +383,9 @@ class KrylovBasis:
 
         Returns ``(flags, h, v, h_next, residual)``: the ``STEP_*`` flags,
         ``h_{1:j}``, the copy, ``h_{j+1,j}`` and (with ``lsq``) the
-        implicit residual norm.  Billed as Fig. 1's kernels: a dot and an
-        axpy per pass, read ``j`` vectors each; under a live tracer the
-        walks' time is one ``basis_read`` span.
+        implicit residual norm.  Billed as the walks it made
+        (:func:`~repro.fused.kernels.step_walks`), ``j`` vectors each;
+        under a live tracer the walks' time is one ``basis_read`` span.
         """
         n, tile = self.n, self.tile_elems
         w = np.ascontiguousarray(w, dtype=np.float64)
@@ -404,21 +404,20 @@ class KrylovBasis:
         if lsq is not None and not flags & STEP_NONFINITE:
             lsq.size = j  # the step absorbed column j - 1
         tracer = self.tracer
-        passes = 2 if flags & STEP_REORTH else 1
-        bill_fused(j, n, tile, int(out[3]), tracer, self.fused_log,
-                   dot=passes, axpy=passes)
+        walks = step_walks(flags)
+        bill_fused(j, n, tile, int(out[3]), tracer, self.fused_log, walks)
         if tracer.enabled:
             tracer.record("basis_read", out[2] * 1e-9, vectors=j)
-            self._count_read(j, 2 * passes)
+            self._count_read(j, walks)
         return flags, h, v, float(out[0]), float(out[1])
 
-    def _count_read(self, j: int, passes: int = 1) -> None:
-        """Tally the stored bytes a GPU kernel would stream for ``V_j``,
-        ``passes`` times (callers skip the call under the null tracer)."""
+    def _count_read(self, j: int, walks: int = 1) -> None:
+        """Tally the stored bytes ``walks`` walks over ``V_j`` stream
+        (callers skip the call under the null tracer)."""
         if j > 0:
-            self.tracer.count("basis.vector_reads", passes * j)
+            self.tracer.count("basis.vector_reads", walks * j)
             self.tracer.count(
-                "basis.bytes_read", passes * j * self.stored_vector_nbytes)
+                "basis.bytes_read", walks * j * self.stored_vector_nbytes)
 
     def reset(self) -> None:
         """Forget all vectors (used at restart).

@@ -6,7 +6,7 @@ validates its input and runs one :class:`_Solve`;
 :class:`~repro.solvers.fgmres.FlexibleGmres` runs the same object with
 the two hook points overridden, and :class:`repro.robust.RobustCbGmres`
 runs it once per fallback attempt.  Tracer spans, breakdown recovery,
-the adaptive precision controller and the stats billing are threaded
+the adaptive precision controller and the per-cycle billing are threaded
 through the cycle once, here.
 
 Many right-hand sides against one matrix — a serve attempt of several
@@ -27,7 +27,9 @@ from typing import List, Optional
 import numpy as np
 
 from ..fused import norm2
-from ..fused.kernels import STEP_BREAKDOWN, STEP_LOSS, STEP_NONFINITE, STEP_REORTH
+from ..fused.kernels import (
+    STEP_BREAKDOWN, STEP_LOSS, STEP_NONFINITE, STEP_REORTH, step_walks,
+)
 from .adaptive import ADAPTIVE_STORAGE, LADDER, CycleRecord, PrecisionController
 from .basis import KrylovBasis
 from .gmres import BreakdownEvent, GmresResult, ResidualSample, SolveStats
@@ -36,12 +38,6 @@ from .hessenberg import GivensLeastSquares
 #: a restart counts as progress only when its explicit residual is below
 #: this fraction of the best one so far (``CbGmres(stall_restarts=)``)
 STALL_FACTOR = 0.999
-
-#: ``FusedOpLog`` fields mirrored into ``SolveStats.fused_*``
-_FUSED_FIELDS = (
-    "dot_calls", "dot_vectors", "axpy_calls", "axpy_vectors",
-    "combine_calls", "combine_vectors", "tiles", "values",
-)
 
 
 class _Solve:
@@ -56,14 +52,15 @@ class _Solve:
         :class:`~repro.solvers.gmres.CbGmres`.
     ``solver._correction(s) -> update``
         The solution update closing a cycle — ``M^-1 (V_m y)`` (step
-        18).  Must read ``s.j_used`` vectors of ``s.stored``: the cycle
-        bills them once the update is known to be finite.
+        18).  Must walk ``s.j_used`` vectors of ``s.stored`` once: the
+        cycle bills that walk.
 
     ``basis`` is the Arnoldi basis ``V`` the solve orthogonalizes
-    against; ``stored`` is the basis whose traffic the timing model
-    prices as compressed and whose format the adaptive ``controller``
-    moves — ``V`` itself for CB-GMRES, the second (``Z``) basis of a
-    solver with ``_flexible`` set, whose ``V`` stays float64.
+    against; ``stored`` is the basis whose writes and update the cycle
+    records bill at the cycle's storage and whose format the adaptive
+    ``controller`` moves — ``V`` itself for CB-GMRES, the second
+    (``Z``) basis of a solver with ``_flexible`` set, whose ``V`` stays
+    float64 (its records name it ``step_storage``).
     """
 
     # per-solve progress
@@ -165,24 +162,6 @@ class _Solve:
             return False
         return True
 
-    def bill(self, basis: KrylovBasis, reads: int = 0, writes: int = 0) -> None:
-        """Bill vector touches of ``basis`` to the work log.
-
-        The stored basis feeds ``basis_reads``/``basis_writes`` and the
-        open cycle's share of them; reads of a separate float64 ``V``
-        are full-width vectors the timing model prices uncompressed, and
-        its writes are not stored-basis traffic.
-        """
-        stats = self.stats
-        if basis is not self.stored:
-            stats.uncompressed_basis_reads += reads
-            return
-        stats.basis_reads += reads
-        stats.basis_writes += writes
-        cycle = self.cycle
-        cycle.basis_reads += reads
-        cycle.basis_writes += writes
-
     def precondition(self, prec, v: np.ndarray) -> np.ndarray:
         """``M^-1 v``, billed; the identity passes ``v`` through."""
         if prec.is_identity:
@@ -218,6 +197,8 @@ class _Solve:
                     )
             if cycle.storage != stored.storage:
                 stored.set_storage(cycle.storage)
+        if self.basis is not stored:
+            cycle.step_storage = self.basis.storage
         cycles.append(cycle)
         self.cycle = cycle
 
@@ -296,7 +277,8 @@ class _Solve:
         self.poison = None
         self.in_step = True
         self.basis.write_vector(0, self.v)  # storage rejections propagate
-        self.bill(self.basis, writes=1)
+        if self.basis is self.stored:
+            self.cycle.basis_writes += 1
         return True
 
     def arnoldi_step(self, j: int) -> None:
@@ -317,9 +299,11 @@ class _Solve:
         # walk of the basis (a single C call on a compiled source)
         with self.tracer.span("orthogonalize"):
             flags, _, v, _, residual = self.basis.step(j, w, solver.eta, self.lsq)
-        reorth = bool(flags & STEP_REORTH)
-        self.bill(self.basis, reads=2 * j if reorth else j)
         cycle = self.cycle
+        walks = step_walks(flags)
+        cycle.step_walks += walks
+        cycle.step_vectors += walks * j
+        reorth = bool(flags & STEP_REORTH)
         stats.reorthogonalizations += reorth
         cycle.reorthogonalizations += reorth
         stats.dense_vector_ops += 4
@@ -362,7 +346,8 @@ class _Solve:
             )
             self.in_step = False
             return
-        self.bill(self.basis, writes=1)
+        if self.basis is self.stored:
+            cycle.basis_writes += 1
         if impl <= self.target or stats.iterations >= solver.max_iter:
             self.in_step = False
 
@@ -379,12 +364,12 @@ class _Solve:
             if self.j_used == 0:
                 return  # fault hit before any column was absorbed
         update = solver._correction(self)
+        self.cycle.update_vectors += self.j_used
         if solver.recovery and not np.all(np.isfinite(update)):
             # corrupted stored vectors leaked into the update: drop it
             self.recover(BreakdownEvent(self.stats.iterations, "nonfinite_update"))
             return
         self.x = self.x + update
-        self.bill(self.stored, reads=self.j_used)
         self.stats.dense_vector_ops += 1
         self.stats.restarts += 1
 
@@ -413,13 +398,15 @@ class _Solve:
         stats.bits_per_value = stored.bits_per_value
         if self.controller is not None:
             # one scalar cannot name a mixed-storage solve's width, so
-            # report the traffic-weighted mean of the formats used
+            # report the mean of the formats used, weighted by the stored
+            # vectors each cycle read or wrote
             bits, touches = {}, {}
             for cycle in stats.cycles:
                 fmt = cycle.storage
                 bits[fmt] = cycle.bits_per_value
-                touches[fmt] = (
-                    touches.get(fmt, 0) + cycle.basis_reads + cycle.basis_writes
+                touches[fmt] = touches.get(fmt, 0) + (
+                    cycle.update_vectors + cycle.basis_writes
+                    + (cycle.step_vectors if cycle.step_storage is None else 0)
                 )
             weight = sum(touches.values())
             if weight:
@@ -430,11 +417,7 @@ class _Solve:
         # fused-kernel work (flexible GMRES holds two)
         bases = [self.basis] if stored is self.basis else [self.basis, stored]
         stats.basis_peak_float64_bytes = sum(b.peak_float64_bytes for b in bases)
-        for name in _FUSED_FIELDS:
-            setattr(
-                stats, f"fused_{name}",
-                sum(getattr(b.fused_log, name) for b in bases),
-            )
+        stats.fused_tiles = sum(b.fused_log.tiles for b in bases)
         return GmresResult(
             x=self.x,
             converged=self.converged,

@@ -19,9 +19,11 @@ Both effects are structural and this implementation reproduces them:
   orthogonalization + ``Z`` compressed), so the memory-traffic savings
   are roughly halved relative to CB-GMRES.
 
-The work log feeds the same GPU timing model; the
-``uncompressed_basis_reads`` counter carries the V-basis traffic that
-CB-GMRES would have compressed.
+The work log feeds the same GPU timing model: each cycle's record
+counts the Arnoldi steps' walks of the float64 ``V`` (its
+``step_storage``) beside the writes and the update of the compressed
+``Z``, so the V-basis traffic CB-GMRES would have compressed is priced
+at float64.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ class FlexibleGmres(CbGmres):
         """``z_{j-1} = M^-1 v_{j-1}``, stored compressed (ref [17])."""
         z_basis = s.stored
         z_basis.write_vector(j - 1, s.precondition(self.preconditioner, s.v))
-        s.bill(z_basis, writes=1)
+        s.cycle.basis_writes += 1
         # counted read: the SpMV streams z_{j-1} from compressed
         # storage (ref [17] halves the saving, not the traffic)
         return z_basis.read_vector(j - 1)

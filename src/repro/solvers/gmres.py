@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from numbers import Integral, Real
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -86,14 +86,16 @@ class BreakdownEvent:
 
 @dataclass
 class SolveStats:
-    """Work log consumed by the GPU timing model (Fig. 11).
+    """Work log of a solve, priced by the GPU timing model (Fig. 11,
+    :func:`repro.gpu.timing.solve_phases`).
 
-    ``basis_reads``/``basis_writes`` count *vector touches* of the
-    compressed Krylov basis: orthogonalizing iteration ``j`` reads ``j``
-    stored vectors (twice when re-orthogonalized) and writes one; the
-    solution update reads ``j`` vectors.  Together with ``n``,
-    ``bits_per_value`` and the SpMV log this determines the bytes a GPU
-    implementation moves.
+    The basis traffic is counted per restart cycle, in ``cycles``: the
+    walks each Arnoldi step made over the basis (the dot and the sweep,
+    and the axpy of a second pass: ``2j`` or ``3j`` vectors at step
+    ``j``), the solution update's walk over ``j_used`` vectors, and the
+    vectors written, each at the cycle's storage.  Together with ``n``
+    and the SpMV log this determines the bytes a GPU implementation
+    moves.
     """
 
     n: int = 0
@@ -102,13 +104,9 @@ class SolveStats:
     iterations: int = 0
     restarts: int = 0
     spmv_calls: int = 0
-    basis_reads: int = 0
-    basis_writes: int = 0
     dense_vector_ops: int = 0
     reorthogonalizations: int = 0
     preconditioner_applies: int = 0
-    #: basis-vector reads that bypass compression (FGMRES's V basis)
-    uncompressed_basis_reads: int = 0
     #: poisoned Arnoldi cycles discarded and restarted (fault tolerance)
     recoveries: int = 0
     #: storage format the SpMV kernel executed in ("csr"/"ell")
@@ -121,40 +119,11 @@ class SolveStats:
     basis_tile_elems: int = 0
     #: largest float64 working set the basis held during the solve
     basis_peak_float64_bytes: int = 0
-    #: fused-kernel work log (feeds the modeled fused-kernel time):
-    #: calls and stored-vector operands of each fused primitive, plus
-    #: the total tiles visited and basis values reduced
-    fused_dot_calls: int = 0
-    fused_dot_vectors: int = 0
-    fused_axpy_calls: int = 0
-    fused_axpy_vectors: int = 0
-    fused_combine_calls: int = 0
-    fused_combine_vectors: int = 0
+    #: row-tiles the fused walks visited, over every basis of the solve
     fused_tiles: int = 0
-    fused_values: int = 0
     #: one :class:`~repro.solvers.adaptive.CycleRecord` per restart
     #: cycle the solve opened, in order
     cycles: List[CycleRecord] = field(default_factory=list)
-
-    def _split_by_storage(self, touches: str) -> Dict[str, int]:
-        split: Dict[str, int] = {}
-        for cycle in self.cycles:
-            count = getattr(cycle, touches)
-            if count and cycle.reason is not None:
-                split[cycle.storage] = split.get(cycle.storage, 0) + count
-        return split
-
-    @property
-    def reads_by_storage(self) -> Dict[str, int]:
-        """Adaptive solves: ``basis_reads`` split by the storage format
-        of the cycle that read (the timing model prices each bucket at
-        its own width); empty for fixed-storage solves."""
-        return self._split_by_storage("basis_reads")
-
-    @property
-    def writes_by_storage(self) -> Dict[str, int]:
-        """Adaptive solves: ``basis_writes`` split by storage format."""
-        return self._split_by_storage("basis_writes")
 
 
 @dataclass

@@ -178,7 +178,8 @@ class Preconditioner(abc.ABC):
             self.tracer = tracer
 
     def cost_info(self) -> Optional[Dict[str, Any]]:
-        """Inputs for :func:`repro.gpu.timing.prec_apply_cost` (None = free)."""
+        """The ``prec_info`` of :func:`repro.gpu.timing.solve_phases`, which
+        prices an apply from it (None = free)."""
         return None
 
 

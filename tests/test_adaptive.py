@@ -165,11 +165,15 @@ class TestAdaptiveSolve:
             assert cycle.storage in LADDER and cycle.reason is not None
 
     def test_traffic_buckets_account_all_basis_io(self, lung2):
-        res = CbGmres(lung2.a, "adaptive", m=30, max_iter=500).solve(
-            lung2.b, lung2.target_rrn
-        )
-        assert sum(res.stats.reads_by_storage.values()) == res.stats.basis_reads
-        assert sum(res.stats.writes_by_storage.values()) == res.stats.basis_writes
+        """Every vector the basis walked or wrote is in a cycle record."""
+        tracer = Tracer()
+        res = CbGmres(lung2.a, "adaptive", m=30, max_iter=500,
+                      tracer=tracer).solve(lung2.b, lung2.target_rrn)
+        cycles = res.stats.cycles
+        assert tracer.counters["basis.vector_reads"] == sum(
+            c.step_vectors + c.update_vectors for c in cycles)
+        assert tracer.counters["accessor.writes"] == sum(
+            c.basis_writes for c in cycles)
 
     def test_cached_streaming_bit_identity(self, atmosmodd):
         runs = {}
@@ -188,21 +192,28 @@ class TestAdaptiveSolve:
         )
         assert res.converged
         assert res.stats.cycles and res.stats.cycles[0].reason is not None
-        assert sum(res.stats.writes_by_storage.values()) == res.stats.basis_writes
+        # the steps walk the float64 V; the Z writes are the cycle's
+        for cycle in res.stats.cycles:
+            assert cycle.step_storage == "float64" and cycle.basis_writes > 0
 
     def test_timing_model_prices_buckets(self, lung2):
-        from repro.gpu import GmresTimingModel
+        from repro.gpu import solve_phases
 
         res = CbGmres(lung2.a, "adaptive", m=30, max_iter=500).solve(
             lung2.b, lung2.target_rrn
         )
-        model = GmresTimingModel()
-        moved = model.basis_bytes_moved(res.stats, res.storage)
-        assert moved > 0
-        # a pure-float64 pricing of the same log must cost at least as
-        # much as the mixed-format buckets
-        flat = dataclasses.replace(res.stats, cycles=[])
-        assert model.basis_bytes_moved(flat, "float64") >= moved
+
+        def basis_seconds(stats):
+            phases = solve_phases(stats)
+            return phases["basis_read"] + phases["basis_write"]
+
+        mixed = basis_seconds(res.stats)
+        assert mixed > 0
+        # the same records priced at float64 must cost at least as much
+        # as each cycle at its own width
+        flat = dataclasses.replace(res.stats, cycles=[
+            dataclasses.replace(c, storage="float64") for c in res.stats.cycles])
+        assert basis_seconds(flat) >= mixed
 
 
 class _FireOn(FaultInjector):
@@ -230,8 +241,11 @@ def _assert_records_add_up(res, tracer):
     opened = sum(1 for s in tracer.spans if s.name == "arnoldi" and s.attrs["j"] == 1)
     assert len(cycles) == opened > 1
     assert sum(c.iterations for c in cycles) == res.iterations == stats.iterations
-    assert sum(c.basis_reads for c in cycles) == stats.basis_reads
-    assert sum(c.basis_writes for c in cycles) == stats.basis_writes
+    # the walks the records bill are the walks the bases counted
+    assert sum(c.step_walks + (c.update_vectors > 0) for c in cycles) == \
+        tracer.counters["basis.fused.walks"]
+    assert sum(c.step_vectors + c.update_vectors for c in cycles) * stats.n == \
+        tracer.counters["basis.fused.values"]
     assert sum(c.reorthogonalizations for c in cycles) == stats.reorthogonalizations
     assert sum(c.recoveries for c in cycles) <= stats.recoveries
     for before, after in zip(cycles, cycles[1:]):
@@ -260,8 +274,10 @@ class TestCycleRecords:
             assert cycle.storage in LADDER if adaptive else cycle.storage == storage
         # the last cycle ends on the solve's own final residual
         assert res.stats.cycles[-1].end_rrn == res.final_rrn
-        # fixed storage keeps no per-storage split
-        assert bool(res.stats.reads_by_storage) == adaptive
+        # a flexible solve's steps walk its float64 V
+        flexible = solver_cls is FlexibleGmres
+        assert {c.step_storage for c in res.stats.cycles} == {
+            "float64" if flexible else None}
 
     def test_records_of_a_fault_injected_adaptive_solve(self, atmosmodd):
         """The restart residual after the first cycle (SpMV trial 22 at

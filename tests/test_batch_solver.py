@@ -56,7 +56,6 @@ def assert_columns_identical(solo_results, batch_results):
         assert solo_hist == col_hist, f"column {c}: residual history"
         assert solo.stats.restarts == col.stats.restarts
         assert solo.stats.spmv_calls == col.stats.spmv_calls
-        assert solo.stats.basis_writes == col.stats.basis_writes
         assert (
             solo.stats.reorthogonalizations == col.stats.reorthogonalizations
         )
@@ -126,11 +125,9 @@ class TestBitIdentity:
         assert_columns_identical(solos, batch)
         traces = {tuple(c.storage for c in r.stats.cycles) for r in batch}
         assert len(traces) > 1, "columns should have chosen different formats"
-        assert any(len(r.stats.writes_by_storage) > 1 for r in batch)
+        assert any(len({c.storage for c in r.stats.cycles}) > 1 for r in batch)
         for r in batch:
             assert r.storage == "adaptive"
-            assert sum(r.stats.writes_by_storage.values()) == r.stats.basis_writes
-            assert sum(r.stats.reads_by_storage.values()) == r.stats.basis_reads
 
     def test_streaming_basis_mode(self):
         problem = make_problem("lung2", "smoke")

@@ -35,7 +35,7 @@ from repro.fused import (
     dot_basis_fused,
     tile_grid,
 )
-from repro.fused.kernels import TileReader, _LoadedRows, _NumpyRows, step_rows
+from repro.fused.kernels import TileReader, _LoadedRows, _NumpyRows, step_rows, step_walks
 from repro.observe import Tracer
 from repro.solvers import CbGmres, make_problem
 from repro.solvers.basis import BASIS_MODES, KrylovBasis
@@ -795,11 +795,10 @@ class TestStreamingReaderSemantics:
     def test_traffic_and_counters_of_one_streaming_solve(self):
         """The ``stream_lowmem`` benchmark system (atmosmodd 24^3,
         frsz2_32, m=50): the bill of one solve.  The ``basis.*`` side
-        bills Fig. 1's kernels — a dot and an axpy per Gram–Schmidt pass,
-        unchanged since the per-vector gather loop — and not the sweep's
-        speculative dot on the 2 of 119 steps that drop it; the accessor
-        side counts what was really decoded: three walks over the stored
-        basis per two-pass step where there were four."""
+        bills the walks the steps made — the dot and the sweep, and the
+        axpy on the 117 of 119 steps that take a second pass — and the
+        update's; the accessor side counts what was really decoded, and
+        the two agree byte for byte."""
         from repro.observe import Tracer
         from repro.sparse import generators
 
@@ -820,7 +819,7 @@ class TestStreamingReaderSemantics:
             backend="jit", tracer=tracer, storage_factory=factory,
         ).solve(b, 1e-12)
         assert result.converged and result.iterations == 119
-        assert result.stats.fused_tiles == 3325
+        assert result.stats.fused_tiles == 2506
         assert result.stats.reorthogonalizations == 117
         assert len(made) > 0 and "accessor.reads" not in tracer.counters
         expected = {
@@ -828,13 +827,11 @@ class TestStreamingReaderSemantics:
             "accessor.bytes_read": 475409088,
             "accessor.writes": 122,
             "accessor.bytes_written": 6956928,
-            "basis.vector_reads": 11075,
-            "basis.bytes_read": 631540800,
-            "basis.fused.dot_calls": 236,
-            "basis.fused.axpy_calls": 236,
-            "basis.fused.combine_calls": 3,
-            "basis.fused.tiles": 3325,
-            "basis.fused.values": 153100800,
+            "basis.vector_reads": 8337,
+            "basis.bytes_read": 475409088,
+            "basis.fused.walks": 2 * 119 + 117 + 3,
+            "basis.fused.tiles": 2506,
+            "basis.fused.values": 115250688,
         }
         assert {k: tracer.counters[k] for k in expected} == expected
 
@@ -895,7 +892,7 @@ class TestStepIsThePythonBody:
                     if k.startswith(("basis.", "accessor."))}
         history = np.array([s.rrn for s in r.history])
         return (r.iterations, r.x.tobytes(), history.tobytes(), fused, counters,
-                r.stats.reorthogonalizations, r.stats.basis_reads)
+                r.stats.reorthogonalizations, r.stats.cycles)
 
     @requires_jit
     @pytest.mark.parametrize("mode", BASIS_MODES)
@@ -913,10 +910,10 @@ class TestStepIsThePythonBody:
     @pytest.mark.parametrize("mode", BASIS_MODES)
     @pytest.mark.parametrize("storage", ["frsz2_32", "float64"])
     def test_the_bill_of_the_three_walks(self, storage, mode, backend):
-        """A step of ``p`` passes bills Fig. 1's kernels — a dot and an
-        axpy per pass, ``j`` vectors each — and each accessor the walks it
-        made: the dot, the sweep and, on a second pass, the axpy.  Its
-        bits are the Python body's over the decoded rows."""
+        """A step of ``p`` passes bills the walks it made — the dot, the
+        sweep and, on a second pass, the axpy, ``j`` vectors each — to the
+        basis counters and to each accessor alike.  Its bits are the
+        Python body's over the decoded rows."""
         rng = np.random.default_rng(7)
         n, j, tile, eta = 3000, 5, 512, 2.0 ** -0.5
         tiles = -(-n // tile)
@@ -943,19 +940,16 @@ class TestStepIsThePythonBody:
             assert bool(flags & repro.fused.STEP_REORTH) == (passes == 2)
             assert h.tobytes() == ref_h.tobytes()
             assert v.tobytes() == ref_v.tobytes() and h_next == out[0]
-            kernels = dict(dot_calls=passes, dot_vectors=passes * j,
-                           axpy_calls=passes, axpy_vectors=passes * j,
-                           combine_calls=0, combine_vectors=0,
-                           tiles=2 * passes * tiles, values=2 * passes * j * n)
-            assert {k: vars(basis.fused_log)[k] for k in kernels} == kernels
+            walks = passes + 1
+            assert step_walks(flags) == walks
+            assert basis.fused_log.tiles == walks * tiles
             assert {k: c for k, c in tracer.counters.items()
                     if k.startswith("basis.")} == {
-                "basis.fused.dot_calls": passes,
-                "basis.fused.axpy_calls": passes,
-                "basis.fused.tiles": 2 * passes * tiles,
-                "basis.fused.values": 2 * passes * j * n,
-                "basis.vector_reads": 2 * passes * j,
-                "basis.bytes_read": 2 * passes * j * basis.stored_vector_nbytes,
+                "basis.fused.walks": walks,
+                "basis.fused.tiles": walks * tiles,
+                "basis.fused.values": walks * j * n,
+                "basis.vector_reads": walks * j,
+                "basis.bytes_read": walks * j * basis.stored_vector_nbytes,
             }
             assert _accessor_bill(tracer) == {
                 k: (passes + 1) * c for k, c in _accessor_bill(one_walk).items()}
@@ -1052,7 +1046,6 @@ class TestStreamingMemory:
             r = CbGmres(p.a, "frsz2_32", m=m, max_iter=400, basis_mode=mode)
             stats[mode] = r.solve(p.b, p.target_rrn).stats
             assert stats[mode].basis_mode == mode
-            assert stats[mode].fused_dot_calls > 0
             assert stats[mode].fused_tiles > 0
         assert stats["cached"].basis_peak_float64_bytes == n * (m + 1) * 8
         assert stats["streaming"].basis_peak_float64_bytes < n * (m + 1) * 8
@@ -1134,15 +1127,12 @@ class TestResetIsolation:
             basis.write_vector(i, rng.standard_normal(300))
         log = basis.fused_log
         assert isinstance(log, FusedOpLog)
-        basis.step(3, rng.standard_normal(300), 0.7)
-        passes = log.dot_calls
-        assert passes in (1, 2) and log.axpy_calls == passes
-        assert log.dot_vectors == log.axpy_vectors == 3 * passes
-        assert log.tiles == 2 * passes * len(tile_grid(300, basis.tile_elems))
-        assert log.values == 2 * passes * 3 * 300
+        tiles = len(tile_grid(300, basis.tile_elems))
+        flags = basis.step(3, rng.standard_normal(300), 0.7)[0]
+        walks = step_walks(flags)
+        assert walks in (2, 3) and log.tiles == walks * tiles
         basis.combine(3, rng.standard_normal(3))
-        assert log.combine_calls == 1 and log.combine_vectors == 3
-        assert log.values == (2 * passes + 1) * 3 * 300
+        assert log.tiles == (walks + 1) * tiles
 
 
 class TestKeptSource:

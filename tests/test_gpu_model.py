@@ -1,12 +1,14 @@
 """Tests for the GPU performance model (device, kernels, roofline, timing)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.gpu import (
     A100_SXM,
     H100_PCIE,
-    GmresTimingModel,
+    PHASES,
     achieved_bandwidth,
     bandwidth_efficiency,
     cuszp2_bandwidth_range,
@@ -14,10 +16,14 @@ from repro.gpu import (
     frsz2_vs_cuszp2_speedup,
     read_kernel_cost,
     roofline_series,
+    solve_phases,
     speedup_table,
 )
+from repro.fused import STEP_REORTH
 from repro.gpu.kernels import KernelCost
-from repro.solvers import CbGmres, make_problem
+from repro.solvers import CbGmres, FlexibleGmres, SolveOptions, make_problem
+
+from .backends import BACKENDS
 
 
 class TestDeviceSpec:
@@ -160,20 +166,23 @@ class TestTimingModel:
 
     def test_timing_breakdown_positive(self):
         p = make_problem("lung2", "smoke")
-        t = GmresTimingModel().time_result(self._solve("frsz2_32", p))
-        assert t.spmv_seconds > 0
-        assert t.basis_read_seconds > 0
-        assert t.basis_write_seconds > 0
-        assert t.total_seconds > 0
+        t = solve_phases(self._solve("frsz2_32", p).stats)
+        assert tuple(t) == PHASES
+        assert t["spmv"] > 0
+        assert t["basis_read"] > 0
+        assert t["basis_write"] > 0
+        assert t["preconditioner"] == 0.0  # no cost_info: free
 
     def test_smaller_storage_means_less_basis_read_time(self):
+        """Per stored vector the walks read, a float16 basis costs less
+        than half a float64 one."""
         p = make_problem("lung2", "smoke")
-        model = GmresTimingModel()
-        r64 = self._solve("float64", p)
-        r16 = self._solve("float16", p)
-        per_read64 = model.time_result(r64).basis_read_seconds / r64.stats.basis_reads
-        per_read16 = model.time_result(r16).basis_read_seconds / r16.stats.basis_reads
-        assert per_read16 < per_read64 / 2
+        per_vector = {}
+        for fmt in ("float64", "float16"):
+            stats = self._solve(fmt, p).stats
+            vectors = sum(c.step_vectors + c.update_vectors for c in stats.cycles)
+            per_vector[fmt] = solve_phases(stats)["basis_read"] / vectors
+        assert per_vector["float16"] < per_vector["float64"] / 2
 
     def test_speedup_table_baseline_is_one(self):
         p = make_problem("lung2", "smoke")
@@ -202,3 +211,128 @@ class TestTimingModel:
         table = speedup_table(results)
         assert table["frsz2_32"] > table["float32"] > 0.95
         assert table["frsz2_32"] > 1.0
+
+
+class _WalkProbe:
+    """What the row sources walked, counted beside the solver's billing:
+    every outermost ``step`` call records ``(j, flags)``, every outermost
+    ``fused_axpy(..., store=True)`` (the update's ``V y``) its ``j``.
+    Calls nested in another (a Python step body's walks, a compiled
+    table under :class:`Frsz2Tiles`, a tile of a loaded source) are the
+    same walk and are not counted again."""
+
+    def __init__(self, monkeypatch):
+        from repro.accessor import Frsz2Tiles
+        from repro.fused.kernels import _LoadedRows, _NumpyRows
+        from repro.jit import cbackend, dispatch
+
+        self.steps, self.combines, self.depth = [], [], 0
+        sources = [_NumpyRows, _LoadedRows, Frsz2Tiles]
+        if dispatch.jit_available():
+            sources.append(cbackend._Rows)
+        for cls in sources:
+            monkeypatch.setattr(cls, "step", self._wrap(
+                cls.step, lambda args, kw, flags: self.steps.append((args[0], flags))))
+            monkeypatch.setattr(cls, "fused_axpy", self._wrap(
+                cls.fused_axpy, self._combine))
+
+    def _combine(self, args, kwargs, _):
+        if (args[5] if len(args) > 5 else kwargs.get("store", False)):
+            self.combines.append(args[0])
+
+    def _wrap(self, walk, record):
+        def wrapped(source, *args, **kwargs):
+            self.depth += 1
+            try:
+                out = walk(source, *args, **kwargs)
+            finally:
+                self.depth -= 1
+            if not self.depth:
+                record(args, kwargs, out)
+            return out
+        return wrapped
+
+    def step_vectors_per_cycle(self):
+        """Per cycle (a step at ``j = 1`` opens one), the vectors its steps
+        walked: the dot and the sweep, and the axpy after a re-orth."""
+        cycles = []
+        for j, flags in self.steps:
+            if j == 1:
+                cycles.append(0)
+            cycles[-1] += (3 if flags & STEP_REORTH else 2) * j
+        return cycles
+
+
+def _assert_billed_walks_ran(result, probe):
+    cycles = result.stats.cycles
+    assert [c.step_vectors for c in cycles] == probe.step_vectors_per_cycle()
+    assert sum(c.step_walks for c in cycles) == sum(
+        3 if flags & STEP_REORTH else 2 for _, flags in probe.steps)
+    assert [c.update_vectors for c in cycles if c.update_vectors] == probe.combines
+    # and the price is the sum of its parts
+    phases = solve_phases(result.stats)
+    total = sum(phases.values())
+    assert all(0.0 <= s <= total for s in phases.values()) and phases["basis_read"] > 0
+
+
+class TestBilledWalks:
+    """The walks a cycle record bills are the walks the row sources ran,
+    counted independently at the sources' ``step`` and combine."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("mode", ["cached", "streaming"])
+    @pytest.mark.parametrize("storage", ["float64", "frsz2_16", "frsz2_32"])
+    @pytest.mark.parametrize("matrix", ["atmosmodd", "cfd2", "lung2"])
+    def test_fixed_storage(self, monkeypatch, matrix, storage, mode, backend):
+        p = make_problem(matrix, "smoke")
+        probe = _WalkProbe(monkeypatch)
+        r = CbGmres(p.a, storage, m=30, basis_mode=mode, backend=backend).solve(
+            p.b, p.target_rrn)
+        assert r.converged and probe.steps
+        _assert_billed_walks_ran(r, probe)
+        assert {c.step_storage for c in r.stats.cycles} == {None}
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_adaptive(self, monkeypatch, backend):
+        p = make_problem("atmosmodd", "smoke")
+        probe = _WalkProbe(monkeypatch)
+        r = CbGmres(p.a, "adaptive", m=20, backend=backend).solve(p.b, p.target_rrn)
+        assert r.converged and len({c.storage for c in r.stats.cycles}) > 1
+        _assert_billed_walks_ran(r, probe)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_flexible(self, monkeypatch, backend):
+        """The steps walk the float64 V, priced at float64; the update
+        walks the compressed Z."""
+        p = make_problem("atmosmodd", "smoke")
+        probe = _WalkProbe(monkeypatch)
+        r = FlexibleGmres(p.a, "frsz2_32", m=20, backend=backend).solve(
+            p.b, p.target_rrn)
+        assert r.converged and len(r.stats.cycles) > 1
+        _assert_billed_walks_ran(r, probe)
+        assert {c.step_storage for c in r.stats.cycles} == {"float64"}
+        at_z = dataclasses.replace(r.stats, cycles=[
+            dataclasses.replace(c, step_storage=None) for c in r.stats.cycles])
+        assert solve_phases(at_z)["basis_read"] < solve_phases(r.stats)["basis_read"]
+
+
+class TestOnePrice:
+    def test_a_preconditioned_solve_prices_its_applies(self):
+        p = make_problem("lung2", "smoke")
+        solver = SolveOptions(storage="frsz2_32", preconditioner="ilu0").build(p.a)
+        r = solver.solve(p.b, p.target_rrn)
+        info = solver.preconditioner.cost_info()
+        free, priced = solve_phases(r.stats), solve_phases(r.stats, prec_info=info)
+        assert free["preconditioner"] == 0.0 < priced["preconditioner"]
+        assert {k: v for k, v in free.items() if k != "preconditioner"} == {
+            k: v for k, v in priced.items() if k != "preconditioner"}
+
+    def test_formats_replace_a_storage_profile(self):
+        """An ablation's cost profile replaces the catalog's for its
+        storage name, and only there."""
+        p = make_problem("lung2", "smoke")
+        stats = CbGmres(p.a, "frsz2_32").solve(p.b, p.target_rrn).stats
+        wide = dataclasses.replace(format_cost("frsz2_32"), stored_bits=64.0)
+        priced = solve_phases(stats, formats={"frsz2_32": wide})
+        assert priced["basis_read"] > solve_phases(stats)["basis_read"]
+        assert solve_phases(stats, formats={"float16": wide}) == solve_phases(stats)

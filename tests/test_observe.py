@@ -136,7 +136,8 @@ class TestInstrumentedSolve:
         # one spmv per matvec: restarts + iterations + final verification
         assert agg["spmv"].count == res.stats.spmv_calls
         assert agg["arnoldi"].count == res.iterations
-        assert agg["basis_write"].count == res.stats.basis_writes
+        assert agg["basis_write"].count == sum(
+            c.basis_writes for c in res.stats.cycles)
 
     def test_counters_cover_every_layer(self):
         a, b = _small_problem()
@@ -145,11 +146,17 @@ class TestInstrumentedSolve:
         a.tracer = t
         res = CbGmres(a, "frsz2_32", m=20, max_iter=200, tracer=t).solve(b, 1e-8)
         c = t.counters
+        cycles = res.stats.cycles
+        writes = sum(cycle.basis_writes for cycle in cycles)
         assert c["spmv.calls"] == res.stats.spmv_calls
-        assert c["frsz2.compress.calls"] == res.stats.basis_writes
-        assert c["accessor.writes"] == res.stats.basis_writes
-        assert c["frsz2.compress.values"] == res.stats.basis_writes * a.shape[0]
-        assert c["basis.vector_reads"] > 0
+        assert c["frsz2.compress.calls"] == writes
+        assert c["accessor.writes"] == writes
+        assert c["frsz2.compress.values"] == writes * a.shape[0]
+        # the walks the records bill are the walks the basis counted
+        assert c["basis.vector_reads"] == sum(
+            cycle.step_vectors + cycle.update_vectors for cycle in cycles)
+        assert c["basis.fused.walks"] == sum(
+            cycle.step_walks + (cycle.update_vectors > 0) for cycle in cycles)
         assert c["basis.bytes_read"] > 0
 
     def test_null_tracer_results_bit_identical(self):
@@ -361,9 +368,19 @@ class TestCommittedTrajectory:
 
     def test_every_entry_records_fused_basis_counters(self, doc):
         for e in doc["entries"]:
-            assert {"basis.fused.dot_calls", "basis.fused.tiles",
+            assert {"basis.fused.walks", "basis.fused.tiles",
                     "basis.fused.values"} <= set(e["counters"]), \
                 (e["matrix"], e["storage"])
+
+    def test_no_phase_is_priced_above_the_whole(self, doc):
+        """One price per entry: its phases sum to ``modeled_seconds``, so
+        none (the basis walks included) exceeds it."""
+        for e in doc["entries"]:
+            total = e["modeled_seconds"]
+            phases = [cell["modeled_seconds"] for cell in e["phases"].values()]
+            assert sum(phases) == pytest.approx(total, rel=1e-12)
+            assert all(0.0 <= s <= total for s in phases), (e["matrix"], e["storage"])
+            assert e["phases"]["basis_read"]["modeled_seconds"] > 0
 
     def test_grid_includes_adaptive_entries(self, doc):
         assert any(e["storage"] == "adaptive" for e in doc["entries"])
