@@ -5,6 +5,8 @@ its rows through the ``paper_report`` fixture, which (a) saves them under
 ``benchmarks/results/<test>.txt`` and (b) replays them in the pytest
 terminal summary so ``pytest benchmarks/ --benchmark-only`` output
 contains every reproduced table/figure even with output capture on.
+``benchmarks/results/`` is a run output: git ignores it, and each run
+rewrites its files at the scale it ran.
 
 Scale control: set ``REPRO_SCALE=smoke|default|paper`` (see
 repro.sparse.suite).

@@ -67,10 +67,11 @@ def solve_phases(
     * ``basis_read``: the walks each cycle record counts — its Arnoldi
       steps' (two per step, three after a re-orthogonalization, over
       ``j`` vectors each) at the storage the steps walk, and its update's
-      one walk at the cycle's storage — as one :func:`walk_cost` launch
-      per storage;
+      one walk and its one-vector direction reads at the cycle's
+      storage — as one :func:`walk_cost` launch per storage;
     * ``basis_write``: each record's writes, compressed from float64 at
-      the cycle's storage;
+      the cycle's storage, and its step writes at the storage the steps
+      walk;
     * ``spmv``: every logged product in the engine's layout;
     * ``preconditioner``: the logged applies, priced from ``prec_info``
       (a preconditioner's ``cost_info()``; without it the phase is 0);
@@ -86,14 +87,17 @@ def solve_phases(
     walked: Dict[str, list] = {}
     written: Dict[str, int] = {}
     for c in stats.cycles:
-        steps = walked.setdefault(c.step_storage or c.storage, [0, 0])
+        stepped = c.step_storage or c.storage
+        steps = walked.setdefault(stepped, [0, 0])
         steps[0] += c.step_walks
         steps[1] += c.step_vectors
-        if c.update_vectors:
-            combine = walked.setdefault(c.storage, [0, 0])
-            combine[0] += 1
-            combine[1] += c.update_vectors
+        if c.update_vectors or c.direction_reads:
+            stored = walked.setdefault(c.storage, [0, 0])
+            stored[0] += (c.update_vectors > 0) + c.direction_reads
+            stored[1] += c.update_vectors + c.direction_reads
         written[c.storage] = written.get(c.storage, 0) + c.basis_writes
+        if c.step_writes:
+            written[stepped] = written.get(stepped, 0) + c.step_writes
 
     def seconds(cost: KernelCost) -> float:
         return cost.time_on(device)

@@ -6,7 +6,9 @@ hostile spectrum — or under hardware faults — it can stall or exhaust
 its recovery budget.  :class:`RobustCbGmres` turns that into a
 guarantee: it walks :func:`~repro.solvers.adaptive.escalation` of the
 requested storage, one attempt more whenever an attempt fails, with
-uncompressed ``float64`` as the correctness-guaranteeing terminal.
+uncompressed ``float64`` as the correctness-guaranteeing terminal.  An
+``adaptive`` attempt climbs the rungs inside its own solve (its
+controller's floor), so its escalation is ``float64`` alone.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ ATTEMPT_STALL_RESTARTS = 4
 class RobustResult:
     """Outcome of an escalating solve.
 
-    ``attempts`` holds one :class:`GmresResult` per ``(storage, floor)``
-    tried, in escalation order; ``result`` is the last (authoritative)
+    ``attempts`` holds one :class:`GmresResult` per storage tried, in
+    escalation order; ``result`` is the last (authoritative)
     one.
     """
 
@@ -85,7 +87,7 @@ class RobustCbGmres:
     Parameters mirror :class:`~repro.solvers.gmres.CbGmres`, in its
     order.  An attempt fails when it stalls (over
     :data:`ATTEMPT_STALL_RESTARTS` restarts), exhausts its recoveries or
-    hits its iteration cap; the next ``(storage, floor)`` of
+    hits its iteration cap; the next storage of
     :func:`~repro.solvers.adaptive.escalation` then warm-starts from the
     best finite iterate found so far, so work done in a lossy format is
     never thrown away.  ``storage_factory``, when given, maps
@@ -122,7 +124,7 @@ class RobustCbGmres:
         self.storage = storage
         if storage_factory is None:
             # fail fast on an unknown format name, before any attempt
-            for name, _ in escalation(storage):
+            for name in escalation(storage):
                 if name != ADAPTIVE_STORAGE:
                     make_accessor(name, 0)
         #: what every attempt's CbGmres is built with besides its storage
@@ -147,8 +149,8 @@ class RobustCbGmres:
         attempts: List[GmresResult] = []
         x_start = x0
         best_rrn = np.inf
-        for storage, floor in escalation(self.storage):
-            solver = CbGmres(self.a, storage, floor=floor, **self._attempt)
+        for storage in escalation(self.storage):
+            solver = CbGmres(self.a, storage, **self._attempt)
             res = solver.solve(
                 b, target_rrn, x0=x_start, record_history=record_history
             )

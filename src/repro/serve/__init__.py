@@ -16,7 +16,7 @@ configure (:class:`ServeConfig`) → enqueue (:meth:`SolveEngine.submit`)
   worker crashes, hangs, and solve errors;
 * automatic precision degradation along
   :func:`repro.solvers.adaptive.escalation` (frsz2_16 → frsz2_32 →
-  float64) on repeated failure;
+  float64; adaptive → float64) on repeated failure;
 * cooperative cancellation that always reclaims the worker;
 * per-job state isolation, asserted in-worker and verified
   bit-for-bit by the soak harness (:func:`run_soak`).

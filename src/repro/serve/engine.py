@@ -28,12 +28,13 @@ Hardening mechanisms, all engine-side (workers stay dumb):
 * **bounded retry with backoff + jitter** — worker crashes, hangs and
   in-process solve errors are retried up to ``max_retries`` times with
   exponential backoff and deterministic, per-job seeded jitter;
-* **precision degradation** — each retry takes the next
-  ``(storage, floor)`` of :func:`repro.solvers.adaptive.escalation`,
-  the same rungs :class:`repro.robust.RobustCbGmres` walks (frsz2_16 →
-  frsz2_32 → float64; an ``adaptive`` job first retries with its floor
-  raised to frsz2_32): degraded-precision results beat no results, and
-  float64 is the correctness-guaranteeing terminal;
+* **precision degradation** — each retry takes the next storage of
+  :func:`repro.solvers.adaptive.escalation`, the same rungs
+  :class:`repro.robust.RobustCbGmres` walks (frsz2_16 → frsz2_32 →
+  float64; an ``adaptive`` job, whose controller already climbs the
+  rungs inside its solve, retries on float64): degraded-precision
+  results beat no results, and float64 is the correctness-guaranteeing
+  terminal;
 * **cooperative cancellation** — :meth:`SolveEngine.cancel` asks the
   worker to stop at its next progress tick and force-kills after a
   grace window, so cancellation always reclaims the worker; a member
@@ -390,9 +391,9 @@ class SolveEngine:
         lead = members[0]
         attempt_index = len(lead.attempts) + 1
         rungs = escalation(lead.spec.storage)
-        storage, floor = rungs[min(attempt_index - 1, len(rungs) - 1)]
+        storage = rungs[min(attempt_index - 1, len(rungs) - 1)]
         last = lead.attempts[-1] if lead.attempts else None
-        if last is not None and (storage, floor) != (last.storage, last.floor):
+        if last is not None and storage != last.storage:
             lead.degradations += 1
             self._scope.scope(f"job.{lead.job_id}").count("degradations")
         peers = f"+{len(members) - 1}" if len(members) > 1 else ""
@@ -403,7 +404,6 @@ class SolveEngine:
                 job_ids=[j.job_id for j in members],
                 attempt=attempt_index,
                 storage=storage,
-                floor=floor,
             ),
             label=f"{lead.job_id}{peers}[attempt {attempt_index}]",
             emit_kwarg="emit",
@@ -411,8 +411,7 @@ class SolveEngine:
         now = time.monotonic()
         for job in members:
             job.attempts.append(
-                AttemptRecord(index=attempt_index, storage=storage, floor=floor,
-                              started_at=now)
+                AttemptRecord(index=attempt_index, storage=storage, started_at=now)
             )
             if job.first_started_at is None:
                 job.first_started_at = now
@@ -422,7 +421,7 @@ class SolveEngine:
             self._task_of[job.job_id] = task
             self._scope.scope(f"job.{job.job_id}").count("attempts")
             self.bus.publish(job.job_id, "attempt", {
-                "attempt": attempt_index, "storage": storage, "floor": floor,
+                "attempt": attempt_index, "storage": storage,
                 "batched_with": len(members),
             })
             self.bus.publish(job.job_id, "state", {"state": JobState.RUNNING})
@@ -532,7 +531,7 @@ class SolveEngine:
         attempt.error = detail
         self.bus.publish(job.job_id, "attempt", {
             "attempt": attempt.index, "storage": attempt.storage,
-            "floor": attempt.floor, "outcome": outcome, "error": detail,
+            "outcome": outcome, "error": detail,
         })
         if job.cancel_requested:
             self._finish(job, JobState.CANCELLED, "cancelled during retry")

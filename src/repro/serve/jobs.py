@@ -109,7 +109,7 @@ class JobSpec:
         Requested Krylov-basis storage format.  On repeated attempt
         failures the engine may *degrade* it along
         :func:`repro.solvers.adaptive.escalation` (frsz2_16 → frsz2_32 →
-        float64); the per-attempt storage and adaptive floor are
+        float64; ``adaptive`` → float64); the per-attempt storage is
         recorded in each :class:`AttemptRecord`.
     m, max_iter : int
         Restart length and iteration cap.
@@ -191,8 +191,6 @@ class AttemptRecord:
     index: int  # 1-based
     storage: str
     started_at: float
-    #: the adaptive controller's floor (``None``: no floor, or fixed storage)
-    floor: Optional[str] = None
     ended_at: Optional[float] = None
     #: how the attempt ended: done/error/crashed/hung/cancelled/timed_out
     outcome: Optional[str] = None
@@ -224,7 +222,7 @@ class JobRecord:
     reason: Optional[str] = None
     #: times this job was retried (attempts - 1, counted explicitly)
     retries: int = 0
-    #: times a retry moved the attempt's ``(storage, floor)`` up the escalation
+    #: times a retry moved the attempt's storage up the escalation
     degradations: int = 0
     cancel_requested: bool = False
     finished: threading.Event = field(default_factory=threading.Event)

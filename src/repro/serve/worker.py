@@ -97,14 +97,14 @@ def _arm_chaos(spec: Dict[str, Any], attempt: int):
     return fault_hooks(chaos.kind, FaultInjector(chaos.rate, chaos.seed)), None
 
 
-def _prepare(spec: Dict[str, Any], storage: str, floor, tracer, **hooks):
+def _prepare(spec: Dict[str, Any], storage: str, tracer, **hooks):
     """Problem and solver of one (lead) job spec, for this attempt's
-    ``storage`` and adaptive ``floor``; ``hooks`` are the chaos wrappers
-    of :meth:`~repro.solvers.options.SolveOptions.build`."""
+    ``storage``; ``hooks`` are the chaos wrappers of
+    :meth:`~repro.solvers.options.SolveOptions.build`."""
     job = JobSpec.from_dict(spec)
     problem = make_problem(job.matrix, job.scale, target_rrn=job.target_rrn)
     solver = replace(job.options, storage=storage).build(
-        problem.a, tracer=tracer, floor=floor, **hooks
+        problem.a, tracer=tracer, **hooks
     )
     return problem, solver
 
@@ -182,7 +182,6 @@ def run_attempt(
     job_ids: Sequence[str],
     attempt: int,
     storage: str,
-    floor: Optional[str] = None,
     emit: Optional[Callable[[Dict[str, Any]], None]] = None,
 ) -> Dict[str, Any]:
     """Run one attempt over its members; a solo job is a list of one.
@@ -214,9 +213,6 @@ def run_attempt(
         Storage format for *this* attempt, shared by every member — the
         engine may have degraded it from ``spec["storage"]`` along
         :func:`repro.solvers.adaptive.escalation`.
-    floor : str, optional
-        The adaptive controller's floor for this attempt (``None`` for
-        the first attempt and for every fixed storage).
     emit : callable, optional
         Progress channel injected by the pool; ``None`` (direct calls
         in tests) disables event emission.
@@ -243,7 +239,7 @@ def run_attempt(
         # members share the whole solver and preconditioner config (it is
         # part of the engine's batch key), so one problem and one
         # factorization serve every member
-        problem, solver = _prepare(specs[0], storage, floor, tracer, **hooks)
+        problem, solver = _prepare(specs[0], storage, tracer, **hooks)
         results = [
             solver.solve(
                 _make_rhs(problem, spec.get("rhs_seed")), problem.target_rrn,

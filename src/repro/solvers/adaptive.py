@@ -22,16 +22,16 @@ delivery:
   convergence the *required* per-cycle reduction shrinks, so the final
   cycles tolerate the cheapest formats.
 
-The controller picks, per restart, the cheapest ladder format whose
-roundoff (times a safety factor) fits inside
-``max(g_predicted, tau / rho)``, then lets feedback veto it: a cycle
-whose observed reduction was storage-capped, that tripped the CGS
-re-orthogonalization machinery, that lost orthogonality outright, or
-that needed a fault recovery, forces an upshift that is *held* for a
-few restarts so the controller cannot oscillate.  A floor given at
-construction encodes the composition rule with :mod:`repro.robust` and
-the serve retry: once an escalation has moved past a format, the
-controller never goes back below it.
+The controller picks, per restart, the cheapest ladder format at or
+above its *floor* whose roundoff (times a safety factor) fits inside
+``max(g_predicted, tau / rho)``.  The floor only rises: a cycle in
+distress — its explicit residual did not fall below
+:data:`~repro.solvers.block.STALL_FACTOR` of its start (or was not
+finite), it lost orthogonality, or it needed a fault recovery — lifts
+the floor to the rung above its own for the rest of the solve.  A rung
+that once failed to reduce the residual has no claim on a later cycle:
+the rule :func:`escalation` applies between attempts, applied between
+cycles.
 
 :func:`escalation` is the one answer to "the attempt failed, which
 storage next?" — for :class:`repro.robust.RobustCbGmres`, the fault
@@ -59,7 +59,7 @@ ADAPTIVE_STORAGE = "adaptive"
 
 #: the storage rungs from cheapest (largest unit roundoff) to safest: the
 #: formats the controller picks from per restart, and the path every
-#: :func:`escalation` climbs, so a floor is a rung of both
+#: :func:`escalation` climbs
 LADDER: Tuple[str, ...] = ("frsz2_16", "frsz2_32", "float64")
 
 #: headroom on the error-bound test: format ``f`` is admissible for a
@@ -69,24 +69,10 @@ SAFETY = 4.0
 #: cycles on well-behaved systems gain many decades, which admits
 #: ``frsz2_32`` but not ``frsz2_16`` — the paper's own default
 PRIOR_GAIN = 1e-8
-#: a cycle where at least this fraction of the Arnoldi steps needed
-#: re-orthogonalization (the CGS eta test) *and* the fraction jumped by
-#: ``REORTH_JUMP`` over the solve's own best cycle is eroding the
-#: directions, and the next cycle runs one rung higher.  The jump makes
-#: the signal relative: some matrices re-orthogonalize every step even
-#: in float64, which says nothing about the storage
-REORTH_FRACTION = 0.5
-REORTH_JUMP = 0.25
-#: a cycle whose reduction factor is above this made essentially no
-#: progress, which triggers an upshift
-STALL_GAIN = 0.999
 #: a cycle is *storage-capped* when its reduction factor lands within
 #: this multiple of the format's unit roundoff: it hit the error-model
 #: wall, so its gain says more about the format than about the matrix
 CAP_MARGIN = 32.0
-#: restart decisions a feedback-driven upshift is held for, so the
-#: controller cannot oscillate between downshift and upshift
-HOLD_RESTARTS = 2
 
 #: pointwise unit roundoff of each storage format: FRSZ2 keeps an
 #: ``N-1``-bit fixed-point mantissa against a block-shared exponent
@@ -130,33 +116,27 @@ def storage_unit_roundoff(storage: str) -> float:
     raise KeyError(storage)
 
 
-def escalation(storage: str) -> Tuple[Tuple[str, Optional[str]], ...]:
-    """The ``(storage, floor)`` attempts a solve asked for ``storage``
-    walks, one more each time the last one failed (stalled, ran out of
-    recoveries or hit its iteration cap).
+def escalation(storage: str) -> Tuple[str, ...]:
+    """The storages a solve asked for ``storage`` walks, one more each
+    time the last attempt failed (stalled, ran out of recoveries or hit
+    its iteration cap).
 
     * a rung of :data:`LADDER`: it and the rungs above it;
     * any other fixed format: itself, then the ladder's top, ``float64``
       (the correctness guarantee);
-    * ``"adaptive"``: the controller with no floor, then with its floor
-      raised one rung at a time — after an escalation it never goes back
-      below the level the failure moved past — then fixed ``float64``.
-
-    ``floor`` is ``None`` for every fixed attempt.
+    * ``"adaptive"``: the controller, which climbs the rungs inside the
+      solve by itself, then fixed ``float64``.
 
     Examples
     --------
     >>> escalation("frsz2_32")
-    (('frsz2_32', None), ('float64', None))
+    ('frsz2_32', 'float64')
     >>> escalation("adaptive")
-    (('adaptive', None), ('adaptive', 'frsz2_32'), ('float64', None))
+    ('adaptive', 'float64')
     """
-    if storage == ADAPTIVE_STORAGE:
-        floors = (None,) + LADDER[1:-1]
-        return tuple((storage, f) for f in floors) + ((LADDER[-1], None),)
     if storage in LADDER:
-        return tuple((rung, None) for rung in LADDER[LADDER.index(storage):])
-    return ((storage, None), (LADDER[-1], None))
+        return LADDER[LADDER.index(storage):]
+    return (storage, LADDER[-1])
 
 
 @dataclass
@@ -195,20 +175,26 @@ class CycleRecord:
     update_vectors : int
         Vectors the solution update's one walk (``V y``) read; 0 when
         the cycle ended without one.
+    direction_reads : int
+        Vectors read back one at a time from the stored basis, one walk
+        each — a flexible solve's ``z_{j-1}`` for the SpMV.
     basis_writes : int
         Vectors written to the stored basis.
     step_storage : str or None
         Storage of the basis the steps walk when it is not the stored
         one — a flexible solve's float64 ``V``; None: ``storage``.
+    step_writes : int
+        Vectors written to that ``step_storage`` basis; 0 when the steps
+        walk the stored one.
     bits_per_value : float
         Stored width of the cycle's basis, taken when the cycle closed.
     needed_gain : float or None
         Adaptive solves: the per-cycle reduction the cycle was budgeted
         for (``max(g_predicted, tau / rho)``).
     reason : str or None
-        Adaptive solves: ``"error-bound"`` (the rule picked the storage),
-        ``"feedback-hold"`` (an upshift hold overrode a cheaper
-        admissible pick) or ``"floor"`` (an escalation floor overrode it).
+        Adaptive solves: ``"error-bound"`` (the rule picked the storage)
+        or ``"floor"`` (the floor a distressed cycle raised overrode a
+        cheaper admissible pick).
     """
 
     storage: str
@@ -221,8 +207,10 @@ class CycleRecord:
     step_walks: int = 0
     step_vectors: int = 0
     update_vectors: int = 0
+    direction_reads: int = 0
     basis_writes: int = 0
     step_storage: Optional[str] = None
+    step_writes: int = 0
     bits_per_value: float = 64.0
     needed_gain: Optional[float] = None
     reason: Optional[str] = None
@@ -232,17 +220,12 @@ class PrecisionController:
     """Chooses the basis storage format for each restart cycle.
 
     One controller instance serves one solve: it is stateful (observed
-    convergence rate, upshift holds) and is
-    consulted once per restart via :meth:`decide`, fed once per
-    *finished* cycle via :meth:`observe_cycle`.
+    convergence rate, floor) and is consulted once per restart via
+    :meth:`decide`, fed once per *finished* cycle via
+    :meth:`observe_cycle`.
 
     Parameters
     ----------
-    floor : str, optional
-        The lowest :data:`LADDER` rung the controller may choose: the
-        composition contract with an escalation (:func:`escalation`), so
-        the error-bound rule never goes back below a format a failed
-        attempt moved past.  ``None`` forbids nothing.
     tracer : repro.observe.Tracer, optional
         Decisions are surfaced as ``precision.*`` counters
         (``precision.restarts.<fmt>``, ``precision.floor_clamps``,
@@ -261,69 +244,40 @@ class PrecisionController:
     'frsz2_16'
     """
 
-    def __init__(self, floor: Optional[str] = None, tracer=None) -> None:
+    def __init__(self, tracer=None) -> None:
         from ..observe import NULL_TRACER
 
-        if floor is not None and floor not in LADDER:
-            raise ValueError(f"floor {floor!r} is not on the ladder {LADDER}")
         self.tracer = tracer or NULL_TRACER
-        #: the lowest format the controller may choose
-        self.floor = floor or LADDER[0]
-        self._floor_idx = LADDER.index(self.floor)
+        self._floor_idx = 0
         self._gain_pred: Optional[float] = None
-        self._reorth_ref: Optional[float] = None
-        self._hold_idx = 0
-        self._hold_left = 0
+
+    @property
+    def floor(self) -> str:
+        """The lowest :data:`LADDER` rung the controller may choose; it
+        only rises, one rung above each cycle in distress."""
+        return LADDER[self._floor_idx]
 
     # -- feedback ------------------------------------------------------
 
     def observe_cycle(self, fb: CycleRecord) -> None:
         """Fold one finished cycle into the controller state.
 
-        Updates the convergence-rate estimate from the cycle's observed
-        reduction factor (only when the cycle was *not* storage-capped:
-        a capped cycle's gain says more about the format than the
-        matrix) and arms a held upshift when the cycle showed storage
-        distress — a capped reduction, heavy re-orthogonalization, an
-        outright loss of orthogonality, a stall, or fault recoveries.
+        A cycle that made progress (its explicit residual fell below
+        :data:`~repro.solvers.block.STALL_FACTOR` of its start) and was
+        not storage-capped sets the convergence-rate estimate.  A cycle
+        in distress — no progress, a loss of orthogonality, or a fault
+        recovery — raises the floor to the rung above its own.  A
+        capped cycle is a success, not distress.
         """
-        try:
-            idx = LADDER.index(fb.storage)
-        except ValueError:
-            idx = len(LADDER) - 1
-        u = storage_unit_roundoff(fb.storage)
-        g_obs: Optional[float] = None
-        if fb.start_rrn > 0 and fb.end_rrn >= 0:
-            ratio = fb.end_rrn / fb.start_rrn
-            if ratio == ratio and ratio != float("inf"):  # finite
-                g_obs = ratio
-        capped = g_obs is None or g_obs <= CAP_MARGIN * u
-        stalled = g_obs is None or g_obs >= STALL_GAIN
-        frac = (
-            fb.reorthogonalizations / fb.iterations if fb.iterations > 0 else None
-        )
-        heavy_reorth = (
-            frac is not None
-            and self._reorth_ref is not None
-            and frac >= REORTH_FRACTION
-            and frac >= self._reorth_ref + REORTH_JUMP
-        )
-        if frac is not None:
-            self._reorth_ref = (
-                frac if self._reorth_ref is None else min(self._reorth_ref, frac)
-            )
-        if g_obs is not None and not capped:
-            self._gain_pred = g_obs
-        distress = (
-            capped
-            or stalled
-            or heavy_reorth
-            or fb.loss_of_orthogonality
-            or fb.recoveries > 0
-        )
-        if distress and idx + 1 < len(LADDER):
-            self._hold_idx = max(self._hold_idx, idx + 1)
-            self._hold_left = HOLD_RESTARTS
+        from .block import STALL_FACTOR  # block imports this module
+
+        idx = LADDER.index(fb.storage) if fb.storage in LADDER else len(LADDER) - 1
+        ratio = fb.end_rrn / fb.start_rrn if fb.start_rrn > 0 else math.nan
+        progress = ratio < STALL_FACTOR  # False for a NaN
+        if progress and ratio > CAP_MARGIN * storage_unit_roundoff(fb.storage):
+            self._gain_pred = ratio
+        if not progress or fb.loss_of_orthogonality or fb.recoveries > 0:
+            self._floor_idx = max(self._floor_idx, min(idx + 1, len(LADDER) - 1))
             if self.tracer.enabled:
                 self.tracer.count("precision.distress")
 
@@ -356,17 +310,6 @@ class PrecisionController:
                 idx = i
                 break
         reason = "error-bound"
-        if self._hold_left > 0:
-            # a held upshift yields when the finish line alone admits
-            # the cheaper pick: the remaining distance fits inside one
-            # cycle at that format, so distress cannot cost iterations
-            closes_out = (
-                storage_unit_roundoff(LADDER[idx]) * SAFETY <= finish
-            )
-            if self._hold_idx > idx and not closes_out:
-                idx = self._hold_idx
-                reason = "feedback-hold"
-            self._hold_left -= 1
         if self._floor_idx > idx:
             idx = self._floor_idx
             reason = "floor"

@@ -36,7 +36,9 @@ from .gmres import BreakdownEvent, GmresResult, ResidualSample, SolveStats
 from .hessenberg import GivensLeastSquares
 
 #: a restart counts as progress only when its explicit residual is below
-#: this fraction of the best one so far (``CbGmres(stall_restarts=)``)
+#: this fraction of a reference: the best one so far for the stall exit
+#: (``CbGmres(stall_restarts=)``), the cycle's own start for the adaptive
+#: controller's distress test
 STALL_FACTOR = 0.999
 
 
@@ -111,7 +113,7 @@ class _Solve:
         # explicit residuals, which both modes share exactly)
         self.controller: Optional[PrecisionController] = None
         if storage == ADAPTIVE_STORAGE:
-            self.controller = PrecisionController(solver.floor, tracer=tracer)
+            self.controller = PrecisionController(tracer=tracer)
 
         # the single KrylovBasis construction site
         def new_basis(fmt, storage_factory=None) -> KrylovBasis:
@@ -168,6 +170,13 @@ class _Solve:
             return v
         self.stats.preconditioner_applies += 1
         return prec.apply(v)
+
+    def count_write(self, cycle: CycleRecord) -> None:
+        """Bill one write of the basis the steps walk to the cycle."""
+        if self.basis is self.stored:
+            cycle.basis_writes += 1
+        else:
+            cycle.step_writes += 1
 
     def close_cycle(self, end_rrn: float) -> None:
         """Close the open cycle's record on the next explicit residual."""
@@ -277,8 +286,7 @@ class _Solve:
         self.poison = None
         self.in_step = True
         self.basis.write_vector(0, self.v)  # storage rejections propagate
-        if self.basis is self.stored:
-            self.cycle.basis_writes += 1
+        self.count_write(self.cycle)
         return True
 
     def arnoldi_step(self, j: int) -> None:
@@ -346,8 +354,7 @@ class _Solve:
             )
             self.in_step = False
             return
-        if self.basis is self.stored:
-            cycle.basis_writes += 1
+        self.count_write(cycle)
         if impl <= self.target or stats.iterations >= solver.max_iter:
             self.in_step = False
 
@@ -405,7 +412,7 @@ class _Solve:
                 fmt = cycle.storage
                 bits[fmt] = cycle.bits_per_value
                 touches[fmt] = touches.get(fmt, 0) + (
-                    cycle.update_vectors + cycle.basis_writes
+                    cycle.update_vectors + cycle.direction_reads + cycle.basis_writes
                     + (cycle.step_vectors if cycle.step_storage is None else 0)
                 )
             weight = sum(touches.values())

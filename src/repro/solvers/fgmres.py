@@ -20,10 +20,10 @@ Both effects are structural and this implementation reproduces them:
   are roughly halved relative to CB-GMRES.
 
 The work log feeds the same GPU timing model: each cycle's record
-counts the Arnoldi steps' walks of the float64 ``V`` (its
-``step_storage``) beside the writes and the update of the compressed
-``Z``, so the V-basis traffic CB-GMRES would have compressed is priced
-at float64.
+counts the Arnoldi steps' walks and writes of the float64 ``V`` (its
+``step_storage``) beside the writes, the read-backs of ``z_{j-1}`` and
+the update of the compressed ``Z``, so the V-basis traffic CB-GMRES
+would have compressed is priced at float64.
 """
 
 from __future__ import annotations
@@ -68,6 +68,7 @@ class FlexibleGmres(CbGmres):
         s.cycle.basis_writes += 1
         # counted read: the SpMV streams z_{j-1} from compressed
         # storage (ref [17] halves the saving, not the traffic)
+        s.cycle.direction_reads += 1
         return z_basis.read_vector(j - 1)
 
     def _correction(self, s) -> np.ndarray:

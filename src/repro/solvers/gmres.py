@@ -35,7 +35,7 @@ from ..jit import dispatch as _dispatch
 from ..observe import NULL_TRACER
 from ..sparse.csr import CSRMatrix
 from ..sparse.engine import SPMV_FORMATS, SpmvEngine
-from .adaptive import ADAPTIVE_STORAGE, LADDER, CycleRecord
+from .adaptive import CycleRecord
 from .basis import BASIS_MODES, KrylovBasis
 from .orthogonal import DEFAULT_ETA
 from .preconditioner import IdentityPreconditioner, Preconditioner
@@ -176,7 +176,16 @@ class CbGmres:
         around one such as a fault injector.
     storage:
         Krylov-basis storage format name (see
-        :func:`repro.accessor.list_storage_formats`).
+        :func:`repro.accessor.list_storage_formats`), or ``"adaptive"``:
+        the storage is then a per-restart decision of a
+        :class:`~repro.solvers.adaptive.PrecisionController`
+        (downshifting toward frsz2_16 when the error model admits it,
+        never again to a rung at or below one whose cycle was in
+        distress — see
+        :mod:`repro.solvers.adaptive` and ``docs/PRECISION.md``).
+        Adaptive results keep ``storage="adaptive"``; each of their
+        ``stats.cycles`` records names its storage and why the
+        controller chose it.
     m:
         Restart length (paper: 100).
     eta:
@@ -226,18 +235,6 @@ class CbGmres:
         to the engine.  The default null tracer is a
         set of no-ops: results are bit-identical either way, since
         tracing never touches the numerics.
-    floor:
-        ``storage="adaptive"`` makes the basis storage a per-restart
-        decision of a :class:`~repro.solvers.adaptive.PrecisionController`
-        (downshifting toward frsz2_16 when the error model admits it,
-        upshifting on orthogonality distress — see
-        :mod:`repro.solvers.adaptive` and ``docs/PRECISION.md``);
-        ``floor`` is the lowest :data:`~repro.solvers.adaptive.LADDER`
-        rung it may pick (``None``: any), what an escalation
-        (:func:`~repro.solvers.adaptive.escalation`) raises after a
-        failed attempt.  Adaptive results keep ``storage="adaptive"``;
-        each of their ``stats.cycles`` records names its storage and
-        why the controller chose it.
     storage_factory:
         Override the accessor construction with a format-aware
         ``factory(storage, n)``, honored across adaptive format
@@ -275,7 +272,6 @@ class CbGmres:
         spmv_format: str = "csr",
         basis_mode: str = "cached",
         tracer=None,
-        floor: Optional[str] = None,
         storage_factory: "Callable[[str, int], VectorAccessor] | None" = None,
         backend: "str | None" = None,
     ) -> None:
@@ -339,12 +335,6 @@ class CbGmres:
             getattr(self.preconditioner, "attach_tracer", lambda t: None)(
                 self.tracer
             )
-        if floor is not None and (storage != ADAPTIVE_STORAGE or floor not in LADDER):
-            raise ValueError(
-                f"floor {floor!r} needs storage={ADAPTIVE_STORAGE!r} and a rung "
-                f"of the ladder {LADDER}; got storage={storage!r}"
-            )
-        self.floor = floor
         self._storage_factory = storage_factory
 
     def solve(

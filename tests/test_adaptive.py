@@ -3,17 +3,19 @@ composition with the robust fault-escalation chain.
 
 The controller's contract (docs/PRECISION.md):
 
-* per restart it picks the cheapest ladder format whose unit roundoff
-  (x safety) fits inside the reduction the cycle must deliver;
-* storage-distress feedback (capped cycles, relative re-orth jumps,
-  orthogonality loss, recoveries) arms a *held* upshift;
-* a floor — the composition rule with an escalation
-  (``escalation``: ``repro.robust`` and the serve retry) — always wins
-  over anything the error-bound rule would admit.
+* per restart it picks the cheapest ladder format at or above its floor
+  whose unit roundoff (x safety) fits inside the reduction the cycle
+  must deliver;
+* a cycle in distress (no progress, orthogonality loss, recoveries)
+  raises the floor to the rung above its own for the rest of the solve,
+  so no later cycle runs at or below a rung that failed;
+* ``escalation`` (``repro.robust``, the campaign and the serve retry)
+  runs the controller once, then fixed float64.
 """
 
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -41,6 +43,8 @@ from repro.solvers import (
     make_problem,
     storage_unit_roundoff,
 )
+from repro.solvers.block import STALL_FACTOR
+from repro.sparse.suite import suite_names
 
 
 @pytest.fixture(scope="module")
@@ -101,49 +105,80 @@ class TestControllerRules:
         assert c._gain_pred is None
 
     def test_distress_arms_held_upshift(self):
+        """A stalled cycle arms an upshift held for the rest of the solve:
+        the floor rises to the rung above it and stays there."""
         c = PrecisionController()
         first = c.decide(1.0, 1e-30)
         c.observe_cycle(CycleRecord("frsz2_32", 1.0, 0.9999, 50))  # stall
-        d = c.decide(0.9999, 1e-30)
-        assert (first.storage, d.storage) == ("frsz2_32", "float64")
-        assert d.reason == "feedback-hold"
+        later = [c.decide(rrn, 1e-30) for rrn in (0.9999, 1e-3, 1e-20)]
+        assert first.storage == "frsz2_32"
+        assert [d.storage for d in later] == ["float64"] * 3
 
-    def test_hold_yields_to_closeout(self):
+    def test_floor_does_not_yield_to_closeout(self):
+        """RM07R's stall: a frsz2_16 cycle admitted by the finish line
+        raises the residual.  Its gain is no rate to plan with, and the
+        finish line, which still admits frsz2_16, does not lower the
+        floor that cycle raised."""
+        c = PrecisionController()
+        c.decide(1.0, 1e-6)
+        c.observe_cycle(CycleRecord("frsz2_32", 1.0, 2.06e-6, 50))
+        d = c.decide(2.06e-6, 1e-6)
+        assert (d.storage, d.reason) == ("frsz2_16", "error-bound")
+        c.observe_cycle(CycleRecord("frsz2_16", 2.06e-6, 3.18e-6, 50))
+        assert c._gain_pred == 2.06e-6
+        d = c.decide(3.18e-6, 1e-6)
+        assert (d.storage, d.reason) == ("frsz2_32", "floor")
+
+    def test_capped_cycle_is_a_success(self):
+        """A cycle that hit its format's wall made progress: no distress,
+        so a cheaper rung stays open once the finish line admits it."""
         c = PrecisionController()
         c.decide(1.0, 1e-3)
-        # capped-but-excellent cycle arms a hold...
         c.observe_cycle(CycleRecord("frsz2_32", 1.0, 1e-9, 50))
+        assert c.floor == LADDER[0]
         d = c.decide(1e-2, 1e-3)
-        # ...but the remaining decade fits inside one frsz2_16 cycle,
-        # so the hold must not force an expensive closing cycle
-        assert d.storage == "frsz2_16"
-        assert d.reason == "error-bound"
+        assert (d.storage, d.reason) == ("frsz2_16", "error-bound")
 
-    def test_reorth_signal_is_relative(self):
+    def test_reorthogonalization_is_no_distress(self):
+        """Some matrices re-orthogonalize every step even in float64: a
+        cycle that did so and made progress moves no floor."""
         c = PrecisionController()
         c.decide(1.0, 1e-30)
-        # 100% re-orthogonalization on the very first cycle sets the
-        # reference; with no jump over it, no distress upshift fires
-        # (some matrices re-orthogonalize every step even in float64)
-        c.observe_cycle(CycleRecord("frsz2_32", 1.0, 1e-4, 50,
+        c.observe_cycle(CycleRecord("frsz2_16", 1.0, 1e-2, 50,
                                     reorthogonalizations=50))
-        d = c.decide(1e-4, 1e-30)
-        assert d.reason == "error-bound"
+        assert c.floor == LADDER[0]
+        assert c.decide(1e-2, 1e-30).reason == "error-bound"
 
     def test_floor_clamps_and_is_monotone(self):
-        c = PrecisionController(floor="float64")
-        for rrn in (1.0, 1e-5):  # the floor holds at every decision
-            d = c.decide(rrn, 1e-6)
-            assert (d.storage, d.reason) == ("float64", "floor")
-        assert c.floor == "float64"
+        c = PrecisionController()
+        floors = []
+        for record in (
+            CycleRecord("frsz2_16", 1.0, 1.0, 50),  # stall: floor frsz2_32
+            CycleRecord("frsz2_32", 1.0, 1e-4, 50),  # progress: floor held
+            CycleRecord("frsz2_32", 1.0, 0.5, 50, recoveries=1),
+            CycleRecord("frsz2_16", 1.0, 1e-4, 50, loss_of_orthogonality=True),
+        ):
+            c.observe_cycle(record)
+            floors.append(c.floor)
+            # the finish line admits frsz2_16 at every decision
+            d = c.decide(1e-4, 1e-5)
+            assert (d.storage, d.reason) == (c.floor, "floor")
+        assert floors == ["frsz2_32", "frsz2_32", "float64", "float64"]
 
     def test_floor_rejects_off_ladder(self):
-        with pytest.raises(ValueError, match="ladder"):
-            PrecisionController(floor="float32")
+        """A record at a storage off the ladder counts as its top: the
+        floor never leaves the ladder."""
+        c = PrecisionController()
+        c.observe_cycle(CycleRecord("float32", 1.0, math.nan, 50))
+        assert c.floor == "float64"
+        assert c.decide(1.0, 1e-6).storage == "float64"
 
     def test_floor_applies_at_construction(self):
-        assert PrecisionController().floor == LADDER[0]
-        assert PrecisionController(floor="frsz2_32").floor == "frsz2_32"
+        """A new controller's floor is the ladder's bottom: its first
+        pick is the error-bound rule's alone."""
+        c = PrecisionController()
+        assert c.floor == LADDER[0]
+        assert c.decide(1.0, 1e-6).reason == "error-bound"
 
     def test_decide_opens_the_cycle_record(self):
         c = PrecisionController()
@@ -282,7 +317,8 @@ class TestCycleRecords:
     def test_records_of_a_fault_injected_adaptive_solve(self, atmosmodd):
         """The restart residual after the first cycle (SpMV trial 22 at
         m = 20) comes back NaN: its recovery is charged to the cycle
-        before it, which the controller then reads as distress."""
+        before it, which the controller then reads as distress — every
+        later cycle runs above that cycle's rung."""
         a = FaultySpmvMatrix(atmosmodd.a, _FireOn(22), "spmv_nan")
         res, tracer = _traced_solve(CbGmres, a, ADAPTIVE_STORAGE, atmosmodd, 20)
         assert res.converged
@@ -291,7 +327,9 @@ class TestCycleRecords:
         cycles = res.stats.cycles
         assert [c.recoveries for c in cycles] == [1] + [0] * (len(cycles) - 1)
         assert cycles[0].iterations == 20 == res.breakdown_events[0].iteration
-        assert cycles[1].reason == "feedback-hold"
+        assert cycles[0].storage == "frsz2_32"
+        assert (cycles[1].storage, cycles[1].reason) == ("float64", "floor")
+        assert {c.storage for c in cycles[1:]} == {"float64"}
 
     def test_records_of_a_seeded_fault_injected_solve(self, atmosmodd):
         a = FaultySpmvMatrix(atmosmodd.a, FaultInjector(0.05, 3), "spmv_nan")
@@ -379,34 +417,45 @@ class TestMixedStorageBasis:
             np.testing.assert_array_equal(c, s)
 
 
+def _assert_distress_raises_the_floor(cycles):
+    """No cycle after a distressed one runs at or below its rung (at the
+    ladder's top: below it)."""
+    top = len(LADDER) - 1
+    floor = 0
+    for cycle in cycles:
+        rung = LADDER.index(cycle.storage)
+        assert rung >= floor
+        ratio = cycle.end_rrn / cycle.start_rrn
+        if not ratio < STALL_FACTOR or cycle.loss_of_orthogonality or cycle.recoveries:
+            floor = max(floor, min(rung + 1, top))
+
+
 class TestRobustComposition:
     def test_escalation_expands_adaptive_with_rising_floors(self):
+        """The controller raises its own floor inside the solve, so the
+        escalation runs it once, then the ladder's top."""
         plan = escalation(ADAPTIVE_STORAGE)
-        assert plan == (
-            (ADAPTIVE_STORAGE, None),
-            (ADAPTIVE_STORAGE, "frsz2_32"),
-            ("float64", None),
-        )
-        # a floor is a rung of the ladder, rising along the plan
-        floors = [LADDER.index(f or LADDER[0]) for s, f in plan if s == ADAPTIVE_STORAGE]
-        assert floors == sorted(floors)
+        assert plan == (ADAPTIVE_STORAGE, "float64")
+        assert escalation("frsz2_16") == LADDER
+        assert escalation("float32") == ("float32", "float64")
 
     def test_adaptive_chain_solves(self, lung2):
         solver = RobustCbGmres(lung2.a, ADAPTIVE_STORAGE, m=30, max_iter=500)
         rr = solver.solve(lung2.b, lung2.target_rrn)
-        assert rr.converged
-        # every adaptive attempt honored its floor
-        for (storage, floor), attempt in zip(escalation(ADAPTIVE_STORAGE), rr.attempts):
-            if storage != ADAPTIVE_STORAGE or floor is None:
-                continue
-            for cycle in attempt.stats.cycles:
-                assert LADDER.index(cycle.storage) >= LADDER.index(floor)
+        assert rr.converged and not rr.fell_back
+        assert rr.storage_used == ADAPTIVE_STORAGE
 
-    def test_floor_holds_in_a_solve(self, atmosmodd):
-        res = CbGmres(atmosmodd.a, ADAPTIVE_STORAGE, m=20, max_iter=800,
-                      floor="frsz2_32").solve(atmosmodd.b, atmosmodd.target_rrn)
+    def test_floor_holds_in_a_solve(self):
+        """RM07R: the frsz2_16 cycle raises the residual, and the solve
+        closes on frsz2_32."""
+        p = make_problem("RM07R", "smoke")
+        res = CbGmres(p.a, ADAPTIVE_STORAGE, m=50).solve(p.b, p.target_rrn)
         assert res.converged
-        assert "frsz2_16" not in {c.storage for c in res.stats.cycles}
+        cycles = res.stats.cycles
+        assert [c.storage for c in cycles] == ["frsz2_32", "frsz2_16", "frsz2_32"]
+        assert cycles[1].end_rrn > cycles[1].start_rrn
+        assert cycles[2].reason == "floor"
+        _assert_distress_raises_the_floor(cycles)
 
     def test_campaign_accepts_adaptive(self):
         camp = run_campaign(
@@ -444,21 +493,41 @@ _event = st.one_of(
 
 
 class TestControllerFuzz:
-    @given(events=st.lists(_event, max_size=40), target=_rrn,
-           floor=st.sampled_from((None,) + LADDER))
+    @given(events=st.lists(_event, max_size=40), target=_rrn)
     @settings(max_examples=200, deadline=None)
-    def test_any_schedule_keeps_invariants(self, events, target, floor):
+    def test_any_schedule_keeps_invariants(self, events, target):
         """Arbitrary interleavings of feedback and decisions never
-        crash, never leave the ladder, and never pick below the floor."""
-        c = PrecisionController(floor=floor)
+        crash, never leave the ladder, never pick below the floor, and
+        never lower it."""
+        c = PrecisionController()
+        floor = c.floor
         for kind, payload in events:
             if kind == "observe":
                 c.observe_cycle(payload)
+                assert LADDER.index(c.floor) >= LADDER.index(floor)
+                floor = c.floor
             else:
                 d = c.decide(payload, target)
                 assert d.storage in LADDER
                 assert LADDER.index(d.storage) >= LADDER.index(c.floor)
                 assert d.start_rrn == payload and d.reason is not None
+
+    @given(records=st.lists(_feedback, max_size=20), target=_rrn)
+    @settings(max_examples=200, deadline=None)
+    def test_no_cycle_after_distress_runs_at_or_below_its_rung(self, records, target):
+        """Feed each decision back as the record of the cycle it ran,
+        with an arbitrary outcome: a distressed cycle's rung (or, at the
+        ladder's top, anything below it) is never picked again."""
+        c = PrecisionController()
+        ran = []
+        rrn = 1.0
+        for outcome in records:
+            d = c.decide(rrn, target)
+            cycle = dataclasses.replace(outcome, storage=d.storage, start_rrn=rrn)
+            c.observe_cycle(cycle)
+            ran.append(cycle)
+            rrn = cycle.end_rrn
+        _assert_distress_raises_the_floor(ran)
 
     @given(
         fault=st.sampled_from(("payload_bitflip", "readout_nan")),
@@ -480,3 +549,43 @@ class TestControllerFuzz:
         assert cell.outcome in ("converged", "fell_back")
         assert np.isfinite(cell.final_rrn)
         assert cell.final_rrn <= 1.0
+
+
+# ---------------------------------------------------------------------
+# the 14 smoke matrices: the controller converges where a fixed rung does
+# ---------------------------------------------------------------------
+
+#: bit-identical to numpy, and ~10x faster on aniso_jump's 17 300 steps
+_FAST = "jit" if jit_dispatch.jit_available() else "numpy"
+
+
+class TestAdaptiveConvergesOnTheSuite:
+    """Plain ``adaptive`` at m = 50 against fixed ``frsz2_32`` on the
+    smoke matrices: a cheaper rung that fails costs one cycle, not the
+    solve."""
+
+    @pytest.mark.parametrize("matrix", ["RM07R", "StocF-1465", "PR02R"])
+    def test_within_twice_fixed_frsz2_32(self, matrix):
+        p = make_problem(matrix, "smoke")
+        fixed, adaptive = (
+            CbGmres(p.a, storage, m=50, backend=_FAST).solve(
+                p.b, p.target_rrn, record_history=False)
+            for storage in ("frsz2_32", ADAPTIVE_STORAGE)
+        )
+        assert fixed.converged and adaptive.converged
+        assert adaptive.iterations <= 2 * fixed.iterations
+        _assert_distress_raises_the_floor(adaptive.stats.cycles)
+
+    def test_converges_on_aniso_jump(self):
+        """Fixed frsz2_32 reaches 1.2e-7 in 20 000 iterations here."""
+        p = make_problem("aniso_jump", "smoke")
+        res = CbGmres(p.a, ADAPTIVE_STORAGE, m=50, backend=_FAST).solve(
+            p.b, p.target_rrn, record_history=False)
+        assert res.converged
+
+    @pytest.mark.parametrize("matrix", suite_names())
+    def test_robust_adaptive_takes_one_attempt(self, matrix):
+        p = make_problem(matrix, "smoke")
+        rr = RobustCbGmres(p.a, ADAPTIVE_STORAGE, m=50, backend=_FAST).solve(
+            p.b, p.target_rrn)
+        assert rr.converged and len(rr.attempts) == 1

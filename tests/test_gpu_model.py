@@ -1,6 +1,7 @@
 """Tests for the GPU performance model (device, kernels, roofline, timing)."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from repro.gpu import (
 )
 from repro.fused import STEP_REORTH
 from repro.gpu.kernels import KernelCost
+from repro.observe import Tracer
 from repro.solvers import CbGmres, FlexibleGmres, SolveOptions, make_problem
 
 from .backends import BACKENDS
@@ -302,18 +304,34 @@ class TestBilledWalks:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_flexible(self, monkeypatch, backend):
-        """The steps walk the float64 V, priced at float64; the update
-        walks the compressed Z."""
-        p = make_problem("atmosmodd", "smoke")
-        probe = _WalkProbe(monkeypatch)
-        r = FlexibleGmres(p.a, "frsz2_32", m=20, backend=backend).solve(
-            p.b, p.target_rrn)
-        assert r.converged and len(r.stats.cycles) > 1
-        _assert_billed_walks_ran(r, probe)
-        assert {c.step_storage for c in r.stats.cycles} == {"float64"}
-        at_z = dataclasses.replace(r.stats, cycles=[
-            dataclasses.replace(c, step_storage=None) for c in r.stats.cycles])
-        assert solve_phases(at_z)["basis_read"] < solve_phases(r.stats)["basis_read"]
+        """The steps walk and write the float64 V, priced at float64; the
+        SpMV reads z_{j-1} back and the update walks the compressed Z.
+        Every vector the bases read or wrote is in a record."""
+        for matrix, storage in itertools.product(
+                ("atmosmodd", "lung2"), ("frsz2_32", "adaptive")):
+            p = make_problem(matrix, "smoke")
+            probe = _WalkProbe(monkeypatch)
+            tracer = Tracer()
+            r = FlexibleGmres(p.a, storage, m=20, backend=backend,
+                              tracer=tracer).solve(p.b, p.target_rrn)
+            monkeypatch.undo()
+            cycles = r.stats.cycles
+            assert r.converged
+            _assert_billed_walks_ran(r, probe)
+            assert {c.step_storage for c in cycles} == {"float64"}
+            assert tracer.counters["accessor.writes"] == sum(
+                c.basis_writes + c.step_writes for c in cycles)
+            assert tracer.counters["basis.vector_reads"] == sum(
+                c.step_vectors + c.update_vectors + c.direction_reads for c in cycles)
+            assert [c.direction_reads for c in cycles] == [c.iterations for c in cycles]
+            at_z = dataclasses.replace(r.stats, cycles=[
+                dataclasses.replace(c, step_storage=None) for c in cycles])
+            assert solve_phases(at_z)["basis_read"] < solve_phases(r.stats)["basis_read"]
+            unbilled = dataclasses.replace(r.stats, cycles=[
+                dataclasses.replace(c, step_writes=0, direction_reads=0)
+                for c in cycles])
+            for phase in ("basis_read", "basis_write"):
+                assert solve_phases(unbilled)[phase] < solve_phases(r.stats)[phase]
 
 
 class TestOnePrice:

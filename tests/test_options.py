@@ -165,17 +165,15 @@ class TestBuildOrder:
     def test_flexible_gmres_takes_what_cb_gmres_takes(self, stencil):
         """``FlexibleGmres`` is built like ``CbGmres``: a tracer passed to
         ``build`` reaches the solver and its preconditioner, and so do
-        the recovery, floor and SpMV-format arguments."""
+        the recovery and SpMV-format arguments."""
         a, b = stencil
         tracer = Tracer()
         opts = SolveOptions(**{**BASE, "storage": ADAPTIVE_STORAGE,
                                "preconditioner": "ilu0"})
         solver = opts.build(a, solver=FlexibleGmres, tracer=tracer,
-                            recovery=False, max_recoveries=3,
-                            floor="frsz2_16")
+                            recovery=False, max_recoveries=3)
         assert solver.tracer is tracer is solver.preconditioner.tracer
         assert (solver.recovery, solver.max_recoveries) == (False, 3)
-        assert solver.floor == "frsz2_16"
         assert solver.solve(b, 1e-8).converged
         assert tracer.counters["prec.applies"] > 0
 

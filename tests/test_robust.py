@@ -245,13 +245,11 @@ class TestRecovery:
 
 class TestFallback:
     def test_escalation(self):
-        def fixed(*names):
-            return tuple((name, None) for name in names)
-
-        assert escalation("frsz2_16") == fixed("frsz2_16", "frsz2_32", "float64")
-        assert escalation("frsz2_32") == fixed("frsz2_32", "float64")
-        assert escalation("float64") == fixed("float64")
-        assert escalation("float32") == fixed("float32", "float64")
+        assert escalation("frsz2_16") == ("frsz2_16", "frsz2_32", "float64")
+        assert escalation("frsz2_32") == ("frsz2_32", "float64")
+        assert escalation("float64") == ("float64",)
+        assert escalation("float32") == ("float32", "float64")
+        assert escalation("adaptive") == ("adaptive", "float64")
 
     def test_unknown_format_rejected_eagerly(self):
         p = make_problem("lung2", "smoke")

@@ -260,6 +260,8 @@ class TestEngine:
         assert engine.crashes_observed == 1
 
     def test_adaptive_crash_retried_with_raised_floor(self):
+        """The controller climbs the rungs inside a solve, so a retried
+        adaptive job goes to the escalation's top: float64."""
         crash = ChaosSpec("worker_crash", at_iteration=3).to_dict()
         events = []
         with SolveEngine(_config()) as engine:
@@ -270,11 +272,12 @@ class TestEngine:
             assert engine.drain(timeout=60)
         assert job.state == JobState.DONE
         assert [a.outcome for a in job.attempts] == ["crashed", "done"]
-        assert [(a.storage, a.floor) for a in job.attempts] == [
-            ("adaptive", None), ("adaptive", "frsz2_32")]
+        assert [a.storage for a in job.attempts] == ["adaptive", "float64"]
         assert job.degradations == 1
         started = [e for e in events if "batched_with" in e]
-        assert [e["floor"] for e in started] == [None, "frsz2_32"]
+        assert [e["storage"] for e in started] == ["adaptive", "float64"]
+        assert not any("floor" in e for e in events)
+        assert job.result["storage_used"] == "float64"
 
     def test_solve_error_retried(self):
         error = ChaosSpec("solve_error", at_iteration=3).to_dict()

@@ -488,16 +488,6 @@ class TestHostileSettings:
         for fine in (0, 4, np.int64(2)):
             assert CbGmres(a, max_recoveries=fine).max_recoveries == fine
 
-    @pytest.mark.parametrize("storage, floor", [
-        ("frsz2_32", "frsz2_32"), ("float64", "float64"),
-        ("adaptive", "float32"), ("adaptive", "frsz2_21"), ("adaptive", "bogus"),
-    ])
-    def test_floor_refused_by_name(self, storage, floor):
-        """A floor needs the adaptive controller and a rung of its ladder."""
-        a, _, _ = small_system(8)
-        with pytest.raises(ValueError, match=f"^floor {floor!r}"):
-            CbGmres(a, storage, floor=floor)
-
     def test_unknown_escalation_storage_refused_at_construction(self):
         from repro.robust import RobustCbGmres
 
