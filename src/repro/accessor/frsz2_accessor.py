@@ -206,8 +206,8 @@ class Frsz2Tiles:
     the containers (and their C pointers) it was given alive and reads
     what they hold at the time of each call.  Two routes serve it:
 
-    * the three walks :meth:`fused_dot` / :meth:`fused_axpy` /
-      :meth:`fused_axpy_dot` of a row source (:mod:`repro.fused.kernels`)
+    * the walks :meth:`fused_dot` / :meth:`fused_axpy` (and their
+      width-two forms) of a row source (:mod:`repro.fused.kernels`)
       — under jit codecs, one C call over the engine's row table decodes
       each row-tile into a work buffer and reduces it at once, so no tile
       is ever materialised;
@@ -360,16 +360,30 @@ class Frsz2Tiles:
         self.bill_pass(tile, j)
         return self.table.fused_axpy(j, n, tile, y, w, store)
 
-    def fused_axpy_dot(self, j, n, tile, y, w, u) -> int:
+    def fused_dot2(self, j, n, tile, x, y, hx, hy) -> int:
         self.bill_pass(tile, j)
-        return self.table.fused_axpy_dot(j, n, tile, y, w, u)
+        return self.table.fused_dot2(j, n, tile, x, y, hx, hy)
 
-    def step(self, j, n, tile, w_in, w, eta, h, u, givens, out) -> int:
-        flags = self.table.step(j, n, tile, w_in, w, eta, h, u, givens, out)
-        if self.accessors[0].tracer.enabled:
-            # the walks it made: the dot, the sweep and a second pass's axpy
-            self.bill_pass(tile, j, 3 if flags & _STEP_REORTH else 2)
+    def fused_axpy2(self, j, n, tile, a, x, b, y) -> int:
+        self.bill_pass(tile, j)
+        return self.table.fused_axpy2(j, n, tile, a, x, b, y)
+
+    def step(self, k, n, tile, t, w_in, eta, state, q, w, a, b, out) -> int:
+        flags = self.table.step(k, n, tile, t, w_in, eta, state, q, w, a, b, out)
+        if k and self.accessors[0].tracer.enabled:
+            # the walks it made: the dot and the axpy
+            self.bill_pass(tile, k, 2)
         return flags
+
+    def column(self, r, n, tile, q, w, w_in, k, eta, flexible, state, a, b,
+               out) -> int:
+        if self.accessors[0].tracer.enabled:
+            # row r decoded once, whole: what a load of it is billed
+            self.accessors[r].tracer.count("accessor.tile_reads")
+            self.accessors[r].tracer.count(
+                "accessor.bytes_read", self._blocks(0, n) * self._block_nbytes)
+        return self.table.column(r, n, tile, q, w, w_in, k, eta, flexible, state,
+                                 a, b, out)
 
     def load(self, i0: int, i1: int, out: np.ndarray) -> None:
         """Fill ``out[row, :i1 - i0]`` with every accessor's ``[i0, i1)``."""
@@ -378,10 +392,6 @@ class Frsz2Tiles:
         self._decode(i0, i1, out)
         if i0 != i1 and self.accessors[0].tracer.enabled:
             self._bill(1, self._blocks(i0, i1) * self._block_nbytes, None)
-
-
-#: the step's second-pass flag (``repro.fused.STEP_REORTH``)
-_STEP_REORTH = 1
 
 #: an accessor's C pointers (``None``: cleared, or a numpy codec)
 _POINTERS = attrgetter("_pointers")

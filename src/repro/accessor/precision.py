@@ -9,7 +9,8 @@ A dense slot keeps its stored values in one array, ``_data``, and
 clearing it allocates nothing: ``_data`` becomes ``None``, which every
 read serves as zeros, as a GPU solver keeps its allocation across
 restarts.  A ``float64`` slot copies each write into the one buffer it
-allocated on its first; the narrower rungs cast into a new array, so a
+allocated on its first (or was given: :meth:`Float64Accessor.keep_in`);
+the narrower rungs cast into a new array, so a
 refused write leaves the previous contents in place.  Kernels that read
 a slot where it is stored (:func:`repro.solvers.preconditioner.
 _stored_values`) and fault injectors that flip its bits
@@ -89,6 +90,14 @@ class Float64Accessor(PrecisionAccessor):
         self._buffer[:] = values
         self._data = self._buffer
         self._record_write()
+
+    def keep_in(self, buffer: np.ndarray) -> None:
+        """Store every later write in ``buffer``, a float64 array of ``n``
+        values its owner keeps (a column of a basis's cached view), in
+        place of a buffer of the slot's own."""
+        if buffer.shape != (self.n,) or buffer.dtype != np.float64:
+            raise ValueError(f"buffer must be a float64 array of shape ({self.n},)")
+        self._buffer = buffer
 
 
 class Float32Accessor(PrecisionAccessor):

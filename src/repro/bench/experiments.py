@@ -20,9 +20,10 @@ import numpy as np
 from ..core.ieee754 import biased_exponent, to_bits
 from ..gpu.device import DeviceSpec, H100_PCIE
 from ..gpu.timing import speedup_table
+from ..fused.kernels import STEP_BREAKDOWN, STEP_LOSS, STEP_NONFINITE
 from ..solvers.basis import KrylovBasis
 from ..solvers.gmres import CbGmres, GmresResult
-from ..solvers.orthogonal import cgs_orthogonalize
+from ..solvers.orthogonal import DEFAULT_ETA
 from ..solvers.problems import make_problem
 from ..sparse.suite import SUITE, build_matrix, resolve_scale, suite_names
 
@@ -199,29 +200,27 @@ def krylov_vectors(
 ) -> Dict[int, np.ndarray]:
     """Krylov basis vectors v_j at the requested Arnoldi steps (Fig. 2).
 
-    Runs the Arnoldi process in float64 on the suite problem and captures
-    the normalized basis vectors the solver would compress.
+    Runs the Arnoldi process in float64 on the suite problem — the
+    solver's steps (:meth:`KrylovBasis.step`) — and captures the
+    normalized basis vectors the solver would compress.
     """
     p = make_problem(matrix, scale)
     n = p.a.n
-    m = max(iterations) + 1
-    basis = KrylovBasis(n, m + 1, "float64")
+    last = max(iterations)
+    basis = KrylovBasis(n, last + 1, "float64")
     r = p.b.copy()
-    beta = float(np.linalg.norm(r))
-    v = r / beta
-    basis.write_vector(0, v)
+    t = r / float(np.linalg.norm(r))
     captured: Dict[int, np.ndarray] = {}
-    if 0 in iterations:
-        captured[0] = v.copy()
-    for j in range(1, m + 1):
-        w = p.a.matvec(v)
-        res = cgs_orthogonalize(basis, j, w)
-        if res.breakdown:
+    for j in range(last + 1):
+        # the step over j stored vectors finishes v_j and makes the next
+        flags, v, t, *_ = basis.step(j, t, p.a.matvec(t), DEFAULT_ETA)
+        if flags & (STEP_NONFINITE | STEP_LOSS):
             break
-        v = res.w / res.h_next
         basis.write_vector(j, v)
         if j in iterations:
             captured[j] = v.copy()
+        if flags & STEP_BREAKDOWN:
+            break
     return captured
 
 

@@ -4,9 +4,9 @@ The paper's central performance claim is *fusion*: FRSZ2 decompression
 happens in-register inside the orthogonalization and solution-update
 kernels, so the compressed Krylov basis is never materialized as float64
 in main memory.  A solve reads its basis through exactly those two
-kernels: the Arnoldi **step** (:func:`step_rows`: the dot, the sweep
-``w -= V y`` then ``V^T w`` in one walk, and on a second pass the axpy)
-and ``combine_fused`` (``V y``).  ``dot_basis_fused`` (``V^T w``) and
+kernels: the Arnoldi **step** (:func:`step_rows`: DCGS2's two walks of
+width two, ``V^T t`` and ``V^T w`` in one, then ``t -= V a`` and
+``w -= V b`` in one) and ``combine_fused`` (``V y``).  ``dot_basis_fused`` (``V^T w``) and
 ``axpy_fused`` (``w -= V y``) are single walks as public operations, for
 timing and for tests.  All of them reduce the stored basis row by row over a fixed grid of *tiles*
 (runs of ``tile_elems`` elements), reading every row where it is stored.
@@ -15,9 +15,10 @@ grid: the columns of the cached mirror are read in place, and a
 streaming FRSZ2 basis is decoded one row-tile at a time and reduced at
 once — on the aligned rungs (``l`` 16 and 32) an exact-scale block's
 fields in the registers that take them, any other block into a
-``tile``-double work buffer — and no ``(j, tile)`` rectangle exists (the
-sweep keeps ``j`` row *pieces* of 256 values, the one thing it reads
-twice).  Rows C cannot walk (wrapped, mixed-format
+``tile``-double work buffer — and no ``(j, tile)`` rectangle exists.  A
+walk of width two reads (decodes) each stored value once and uses it for
+both of its operands: the paper's "decode once, use twice".  Rows C
+cannot walk (wrapped, mixed-format
 or unwritten slots, dense formats, numpy codecs) are loaded tile by tile
 into a ``(j, tile)`` scratch and reduced by the same kernels.
 
@@ -26,10 +27,11 @@ One call, one layer of checks
 A fused operation validates its operands here, first — a named
 ``ValueError`` before anything is billed or written, the same on both
 backends — and then makes one call: a walk of its reader's *row source*.
-A source is anything with the three walks ``fused_dot(j, n, tile, w, h)``,
-``fused_axpy(j, n, tile, y, w, store)`` and ``fused_axpy_dot(j, n, tile,
-y, w, u)`` (the sweep), each returning the doubles of work it used, and
-the Arnoldi ``step`` made of them.  There are four:
+A source is anything with the walks ``fused_dot(j, n, tile, w, h)`` and
+``fused_axpy(j, n, tile, y, w, store)``, their width-two forms
+``fused_dot2(j, n, tile, x, y, hx, hy)`` and ``fused_axpy2(j, n, tile, a,
+x, b, y)``, each returning the doubles of work it used, and the Arnoldi
+``step`` made of the last two.  There are four:
 :class:`_NumpyRows` (float64 rows under the numpy kernels below — the
 reference), the engine's :class:`~repro.jit.cbackend.DenseRows` (the
 same rows, handed to C), :class:`~repro.accessor.Frsz2Tiles` (bills its
@@ -42,7 +44,7 @@ kept by a :class:`~repro.solvers.basis.KrylovBasis` and extended with
 every write (``docs/ARCHITECTURE.md``, "The life of a fused call").
 Every operation and every step bills through one function,
 :func:`bill_fused`, as the walks it made: one per operation, and
-:func:`step_walks` per step.
+:func:`step_walks` — two — per step.
 
 Determinism contract
 --------------------
@@ -58,30 +60,36 @@ kernel, so it is the same on every host, compiler and backend:
 **axpy / combine** — for each element ``i``: ``s = y[0] * v_0[i]``, then
     ``s += y[r] * v_r[i]`` for ``r = 1 .. j-1``, then ``w[i] -= s``
     (axpy) or ``out[i] = s`` (combine).  Independent of the grid.
-**sweep** — *defined* as the axpy followed by the dot of the updated
-    ``w``: nothing new is specified, so ``w`` and ``u`` carry exactly
-    the bytes of the two calls.  What the compiled kernel changes is the
-    walk: per tile it finishes ``w`` piece by piece and adds each piece
-    to the rows' lanes while it is at hand, so a row's eight lanes
-    persist across the pieces of a tile (pieces start a multiple of
-    eight from the tile's start, so element ``i`` still joins lane
-    ``(i - t0) mod 8`` in ascending order) and every stored value is
+**width two** — ``dot2`` is *defined* as the **dot** of ``x`` then the
+    **dot** of ``y``, ``axpy2`` as the **axpy** of ``x`` with ``a`` then
+    of ``y`` with ``b``: nothing new is specified, so each operand
+    carries exactly the bytes of its own call.  What the compiled kernel
+    changes is the walk: a row's value, read or decoded once, joins both
+    operands' lanes (sums) while it is at hand, so the stored basis is
     read — a streaming basis decoded — once instead of twice.
 **norm2** — ``||w||`` is the dot of ``w`` with itself as one row: the
     basis's tile grid, the eight lanes and the tree of **dot**, tile
     partials summed in tile order from ``+0.0``, then the correctly
     rounded square root.  No BLAS: its value depends on neither the
     pool's thread count nor ``OPENBLAS_NUM_THREADS``.
-**step** — one Arnoldi step of CGS2 (paper Fig. 1 steps 3-16), *defined*
-    as :func:`step_rows`: ``w̃ = norm2(w)``; ``h = dot``; ``u = sweep``
-    with ``y = h``; ``h_next = norm2(w)``; if ``h_next < eta w̃`` the
-    second pass ``axpy`` with ``y = u``, ``h += u`` and
-    ``h_next = norm2(w)``; the outcome flags; and, given the Givens
-    state, the column's rotation (:func:`givens_column`) and
-    ``w /= h_next``.  The compiled step walks the same three kernels in
-    one call and reduces the middle norm from the tiles the sweep
-    finishes, whose ``w . w`` partials have **norm2**'s lane order — so
-    the bits are the body's.
+**step** — one Arnoldi step of DCGS2 (Świrydowicz et al.; Bielich et
+    al.), *defined* as :func:`step_rows`.  The step before left a
+    tentative vector ``t`` orthogonalized once and not stored;
+    ``w = A M^-1 t``.  ``omega = norm2(w)``; ``a, b = dot2(t, w)``;
+    ``axpy2`` (``q = t - V a``, ``w' = w - V b``); ``rho = norm2(q)``
+    and ``q /= rho`` (the vector stored, once); :func:`step_column`,
+    from ``q~``, ``q`` as stored: ``c`` = the dot of ``q~`` as one row
+    with ``w`` — every coefficient of ``w`` from ``w`` itself, as
+    classical Gram-Schmidt takes them — and ``w' -= c q~``;
+    ``nu = norm2(w')``; the outcome flags; given the
+    least-squares state, column ``k - 1`` made final (``h += sigma a``,
+    subdiagonal ``sigma rho``) and absorbed (:func:`givens_column`), and
+    column ``k`` opened — ``((b, c) - H a) / rho``, subdiagonal
+    ``nu / rho`` — with the residual it would leave read
+    (:func:`givens_peek`); and ``w /= nu``, the next tentative vector.
+    The compiled step runs the same walks and the same scalar
+    operations, in this order, in one call — so the bits are the
+    body's.
 
 The result depends on the values of the rows, the operand and the tile
 size — *not* on where the rows came from.  A :class:`CachedTileReader`
@@ -119,7 +127,6 @@ from ..observe import NULL_TRACER
 
 __all__ = [
     "DEFAULT_TILE_ELEMS",
-    "STEP_REORTH",
     "STEP_NONFINITE",
     "STEP_BREAKDOWN",
     "STEP_LOSS",
@@ -154,10 +161,11 @@ _NUMPY_AXPY_PIECE = 8192
 _NUMPY_DOT_GROUP = 8192
 
 #: the flags word of an Arnoldi step (:func:`step_rows`; the same values
-#: in ``C_SOURCE``): the second pass ran; ``h`` or ``h_next`` is not
-#: finite; breakdown — ``h_next`` is zero or below ``eta eps w̃``; loss of
-#: orthogonality — the second pass failed the eta test again
-STEP_REORTH, STEP_NONFINITE, STEP_BREAKDOWN, STEP_LOSS = 1, 2, 4, 8
+#: in ``C_SOURCE``): a coefficient or a norm is not finite; breakdown —
+#: the new direction's norm ``nu`` is zero or below ``eta eps omega``;
+#: loss of orthogonality — ``rho < eta``: the tentative vector had lost
+#: most of its length to the stored span, so one pass had not been enough
+STEP_NONFINITE, STEP_BREAKDOWN, STEP_LOSS = 2, 4, 8
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -174,10 +182,9 @@ class FusedOpLog:
     #: row-tiles the walks visited (``walks x ceil(n / tile)``)
     tiles: int = 0
     #: most float64 bytes any fused call used: a round of ``j`` tile
-    #: partials plus, per thread of the pool, the ``tile``-double decode
-    #: buffer of a compressed source or the sweep's ``8 j`` lanes and
-    #: ``(j, piece)`` decoded row pieces — or the ``(j, tile)`` scratch of
-    #: a source loaded tile by tile
+    #: partials per operand plus, per thread of the pool, the
+    #: ``tile``-double decode buffer of a compressed source — or the
+    #: ``(j, tile)`` scratch of a source loaded tile by tile
     peak_scratch_bytes: int = 0
 
 
@@ -331,42 +338,45 @@ def axpy_rows_numpy(rows, j, n, y, w, store=False) -> None:
             w[i0:i1] -= si
 
 
-def norm2_numpy(w: np.ndarray, tile: int) -> float:
-    """``||w||`` in the written order (**norm2**): :func:`dot_rows_numpy`
-    of ``w`` as one row with itself, then ``math.sqrt`` (correctly
-    rounded).  A sum of squares that overflows is ``inf``, not a warning."""
+def dot_numpy(x: np.ndarray, y: np.ndarray, tile: int) -> float:
+    """``x . y`` in the written order: :func:`dot_rows_numpy` of ``x`` as
+    one row."""
     acc = np.zeros(1)
+    dot_rows_numpy(x.reshape(1, -1), 1, x.size, tile, y, acc)
+    return float(acc[0])
+
+
+def norm2_numpy(w: np.ndarray, tile: int) -> float:
+    """``||w||`` in the written order (**norm2**): :func:`dot_numpy` of
+    ``w`` with itself, then ``math.sqrt`` (correctly rounded).  A sum of
+    squares that overflows is ``inf``, not a warning."""
     with np.errstate(over="ignore"):
-        dot_rows_numpy(w.reshape(1, -1), 1, w.size, tile, w, acc)
-    return math.sqrt(acc[0])
+        return math.sqrt(dot_numpy(w, w, tile))
 
 
 def givens_state(m: int) -> np.ndarray:
-    """The Givens state of an ``m``-column least squares as one float64
-    array of ``(m + 2)**2 - 3`` values, :func:`givens_views` apart."""
-    return np.zeros((m + 2) ** 2 - 3)
+    """The least-squares state of an ``m``-column Arnoldi cycle as one
+    float64 array of ``2 m**2 + 5 m + 1`` values, :func:`givens_views`
+    apart."""
+    return np.zeros(2 * m * m + 5 * m + 1)
 
 
 def givens_views(state: np.ndarray):
-    """``(cs, sn, g, r)`` of a :func:`givens_state`: the rotations (``m``
-    each), the rotated right-hand side (``m + 1``) and ``R``
-    (``(m + 1) x m``, row-major, column ``c`` filled by column ``c``)."""
-    m = math.isqrt(state.size + 3) - 2
-    return (state[:m], state[m:2 * m], state[2 * m:3 * m + 1],
-            state[3 * m + 1:].reshape(m + 1, m))
+    """``(cs, sn, g, r, hess)`` of a :func:`givens_state`: the rotations
+    (``m`` each), the rotated right-hand side (``m + 1``), ``R`` and the
+    Hessenberg matrix ``H`` itself (``(m + 1) x m`` each, row-major,
+    column ``c`` filled by column ``c``)."""
+    m = (math.isqrt(8 * state.size + 17) - 5) // 4
+    r0 = 3 * m + 1
+    r1 = r0 + (m + 1) * m
+    return (state[:m], state[m:2 * m], state[2 * m:r0],
+            state[r0:r1].reshape(m + 1, m), state[r1:].reshape(m + 1, m))
 
 
-def givens_column(views, c: int, h: np.ndarray, h_next: float) -> float:
-    """Absorb Hessenberg column ``c``, ``(h, h_next)`` with ``h`` of at most
-    ``c + 1`` values, into a Givens state's :func:`givens_views`; returns
-    the implicit residual ``|g_{c+1}|``.
-
-    The rotations so far are applied to the column and a new one made
-    (``np.hypot``, not ``math.hypot``: the two round differently) in
-    machine floats — the same IEEE double operations, one rounding each,
-    as the compiled step's — then the right-hand side is rotated.
-    """
-    cs, sn, g, r = views
+def _rotated(views, c: int, h, h_next: float):
+    """Column ``c``, ``(h, h_next)``, under the rotations so far: the list
+    of its rotated values and the new rotation ``(rr, co, si)``."""
+    cs, sn = views[0], views[1]
     col = h.tolist()
     col.append(float(h_next))
     col += [0.0] * (c + 2 - len(col))
@@ -378,6 +388,21 @@ def givens_column(views, c: int, h: np.ndarray, h_next: float) -> float:
     a, b = lo, col[c + 1]
     rr = float(np.hypot(a, b))
     co, si = (1.0, 0.0) if rr == 0.0 else (a / rr, b / rr)
+    return col, rr, co, si
+
+
+def givens_column(views, c: int, h: np.ndarray, h_next: float) -> float:
+    """Absorb Hessenberg column ``c``, ``(h, h_next)`` with ``h`` of at most
+    ``c + 1`` values, into a least-squares state's :func:`givens_views`;
+    returns the implicit residual ``|g_{c+1}|``.
+
+    The rotations so far are applied to the column and a new one made
+    (``np.hypot``, not ``math.hypot``: the two round differently) in
+    machine floats — the same IEEE double operations, one rounding each,
+    as the compiled step's — then the right-hand side is rotated.
+    """
+    cs, sn, g, r = views[:4]
+    col, rr, co, si = _rotated(views, c, h, h_next)
     cs[c], sn[c] = co, si
     col[c], col[c + 1] = rr, 0.0
     gc = g.item(c)
@@ -386,56 +411,115 @@ def givens_column(views, c: int, h: np.ndarray, h_next: float) -> float:
     return abs(-si * gc)
 
 
+def givens_peek(views, c: int, h: np.ndarray, h_next: float) -> float:
+    """The implicit residual :func:`givens_column` would return for the
+    same column, with the state left as it is."""
+    return abs(-_rotated(views, c, h, h_next)[3] * views[2].item(c))
+
+
 # a fault-poisoned basis or operand makes a NaN or an Inf here on purpose:
 # the flags report it, as the compiled step does; a warning would not, and
 # under ``-W error`` it would turn the solver's recovery into a crash
-@np.errstate(over="ignore", invalid="ignore")
-def step_rows(source, j, n, tile, w_in, w, eta, h, u, givens, out) -> int:
-    """One Arnoldi step over the leading ``j`` rows of ``source``, spelled
-    with its three walks: the **step** of the module doc, the Python body
-    every source that has no compiled step runs, and the reference of
-    the compiled one.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def step_rows(source, k, n, tile, t, w_in, eta, state, q, w, a, b, out) -> int:
+    """The first half of an Arnoldi step over the leading ``k`` rows ``V``
+    of ``source``, spelled with its two walks: the **step** of the module
+    doc, the Python body every source that has no compiled step runs, and
+    the reference of the compiled one.
 
-    ``w`` receives ``w_in`` and leaves orthogonalized; ``h`` (``j``)
-    receives the coefficients; ``u`` (``j``) is the sweep's scratch.
-    With ``givens`` (a :func:`givens_state` whose column ``j - 1`` this
-    is) and a finite outcome, the column ``(h, h_next)`` is absorbed
-    (:func:`givens_column`) and — unless a breakdown — ``w /= h_next``.
-    ``out`` receives ``h_next``, the implicit residual ``|g_j|`` (with
-    ``givens``), the nanoseconds spent in basis walks and the doubles of
-    work the largest walk used; returns the ``STEP_*`` flags.
+    ``t`` is the tentative vector the last step left (unit norm, not yet
+    orthogonal to ``V`` to working accuracy, not stored) and ``w_in`` its
+    SpMV output ``A M^-1 t``.  ``q`` receives ``t`` orthogonalized and
+    normalised — the vector to store in slot ``k`` — and ``w`` receives
+    ``w_in`` orthogonalized once against ``V``; ``a`` (``k``) receives
+    ``V^T t`` and ``b`` (``k + 1``) ``V^T w_in``.  With ``state`` (a
+    :func:`givens_state` whose column ``k - 1`` is tentative) and a finite
+    outcome, column ``k - 1`` is made final and absorbed
+    (:func:`givens_column`).  ``out`` receives ``rho = ||t - V a||``, the
+    residual the absorbed column leaves, the nanoseconds spent in basis
+    walks, the doubles of work the largest walk used and ``||w_in||``
+    (words 0, 2, 3, 4 and 5); returns the ``STEP_*`` flags.
+    :func:`step_column` opens column ``k`` once ``q`` is stored.
+
+    Without ``w_in`` (``None``; ``w`` and ``b`` are not touched) the step
+    *closes* a cycle: the walks have width one and no column opens.
     """
-    w[:] = w_in
-    w_tilde = norm2_numpy(w, tile)  # omega-tilde of Fig. 1 step 3
-    h[:] = 0.0
-    u[:] = 0.0
-    started = perf_counter_ns()
-    used = source.fused_dot(j, n, tile, w, h)
-    # w -= V_j h and, in the same walk over the stored basis, the u = V_j^T w
-    # a second pass starts from: the eta test asks for that pass on nearly
-    # every step, and when it does not, u is dropped
-    used = max(used, source.fused_axpy_dot(j, n, tile, h, w, u))
-    walked = perf_counter_ns() - started
-    h_next = h_first = norm2_numpy(w, tile)
-    flags = 0
-    if h_next < eta * w_tilde:
-        flags = STEP_REORTH
+    q[:] = t
+    close = w_in is None
+    a[:k] = 0.0
+    out[5] = 0.0
+    if not close:
+        w[:] = w_in
+        out[5] = norm2_numpy(w, tile)  # w-tilde of Fig. 1 step 3
+        b[:k] = 0.0
+    used = walked = 0
+    if k:
         started = perf_counter_ns()
-        source.fused_axpy(j, n, tile, u, w)
-        walked += perf_counter_ns() - started
-        h += u
-        h_next = norm2_numpy(w, tile)
-    if not (math.isfinite(h_next) and bool(np.isfinite(h).all())):
-        flags |= STEP_NONFINITE
-    elif h_next == 0.0 or h_next < eta * _EPS * w_tilde:
-        flags |= STEP_BREAKDOWN
-    elif flags & STEP_REORTH and h_next < eta * h_first:
-        flags |= STEP_LOSS
-    out[0], out[2], out[3] = h_next, walked, used
-    if givens is not None and not flags & STEP_NONFINITE:
-        out[1] = givens_column(givens_views(givens), j - 1, h, h_next)
-        if not flags & STEP_BREAKDOWN:
-            w /= h_next
+        if close:
+            used = source.fused_dot(k, n, tile, q, a)
+            source.fused_axpy(k, n, tile, a, q)
+        else:
+            used = source.fused_dot2(k, n, tile, q, w, a, b[:k])
+            used = max(used, source.fused_axpy2(k, n, tile, a, q, b, w))
+        walked = perf_counter_ns() - started
+    rho = np.float64(norm2_numpy(q, tile))  # 0.0 divides as IEEE does
+    q /= rho
+    finite = math.isfinite(rho) and bool(np.isfinite(a[:k]).all()) and (
+        close or bool(np.isfinite(b[:k]).all()))
+    flags = STEP_NONFINITE if not finite else STEP_LOSS if rho < eta else 0
+    out[0], out[2], out[3], out[4] = rho, 0.0, walked, used
+    if state is not None and finite:
+        views = givens_views(state)
+        hess = views[4]
+        if k:
+            sigma = hess[k, k - 1]
+            hess[:k, k - 1] = hess[:k, k - 1] + sigma * a[:k]
+            hess[k, k - 1] = sigma * rho
+            out[2] = givens_column(views, k - 1, hess[:k, k - 1],
+                                   hess.item(k, k - 1))
+        else:
+            views[2][0] = views[2].item(0) * rho
+    return flags
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def step_column(v, n, tile, w, w_in, k, eta, flexible, state, a, b, out) -> int:
+    """The second half of an Arnoldi step, once the vector :func:`step_rows`
+    finished is stored: ``v`` holds what was stored.  ``c = v . w_in``
+    (the dot of ``v`` as one row with the product the first half walked),
+    ``w -= c v``, ``nu = ||w||``; the outcome
+    flags (breakdown: ``nu`` zero or below ``eta eps ||w_in||``); given the
+    least-squares state and a finite outcome, column ``k`` opens tentative
+    in ``H`` — ``((b, c) - H a) / rho``, subdiagonal ``nu / rho``, or
+    ``(b, c)`` and ``nu`` when ``flexible`` — and ``out[2]`` receives the
+    residual it would leave (:func:`givens_peek`); unless a flag, ``w /=
+    nu``: the next tentative vector.  ``out[1]`` receives the subdiagonal
+    entry; returns the ``STEP_*`` flags."""
+    rho = out[0]
+    c = b[k] = dot_numpy(v, w_in, tile)
+    w -= c * v
+    nu = norm2_numpy(w, tile)
+    flags = 0
+    if not (math.isfinite(c) and math.isfinite(nu)):
+        flags = STEP_NONFINITE
+    elif nu == 0.0 or nu < eta * _EPS * out[5]:
+        flags = STEP_BREAKDOWN
+    sigma_new = nu if flexible else nu / rho
+    out[1] = sigma_new
+    if state is not None and not flags & STEP_NONFINITE:
+        views = givens_views(state)
+        hess = views[4]
+        col = b[:k + 1].copy()
+        if not flexible:
+            p = np.zeros(k + 1)
+            for l in range(k):
+                p[:l + 2] += hess[:l + 2, l] * a[l]
+            col = (col - p) / rho
+        hess[:k + 1, k] = col
+        hess[k + 1, k] = sigma_new
+        out[2] = givens_peek(views, k, col, sigma_new)
+    if not flags:
+        w /= nu
     return flags
 
 
@@ -453,17 +537,29 @@ class _NumpyRows:
         dot_rows_numpy(self.rows, j, n, tile, w, h)
         return 0
 
+    def fused_dot2(self, j, n, tile, x, y, hx, hy) -> int:
+        # width two, as it is defined: the dot of x, then the dot of y
+        dot_rows_numpy(self.rows, j, n, tile, x, hx)
+        dot_rows_numpy(self.rows, j, n, tile, y, hy)
+        return 0
+
     def fused_axpy(self, j, n, tile, y, w, store=False) -> int:
         axpy_rows_numpy(self.rows, j, n, y, w, store)
         return 0
 
-    def fused_axpy_dot(self, j, n, tile, y, w, u) -> int:
-        # the sweep, as it is defined: the axpy, then the dot of what it left
-        axpy_rows_numpy(self.rows, j, n, y, w)
-        dot_rows_numpy(self.rows, j, n, tile, w, u)
+    def fused_axpy2(self, j, n, tile, a, x, b, y) -> int:
+        axpy_rows_numpy(self.rows, j, n, a, x)
+        axpy_rows_numpy(self.rows, j, n, b, y)
         return 0
 
     step = step_rows
+
+    def column(self, r, n, tile, buf, w, w_in, k, eta, flexible, state, a, b,
+               out) -> int:
+        """:func:`step_column` with row ``r`` as the stored vector (``buf``,
+        where a compiled column decodes a compressed row, is not needed)."""
+        return step_column(self.rows[r, :n], n, tile, w, w_in, k, eta, flexible,
+                           state, a, b, out)
 
 
 def _dense_source(rows: np.ndarray, backend: str):
@@ -506,9 +602,13 @@ class _LoadedRows:
         return self._each_tile(j, n, tile, lambda rows, t0, t1: rows.fused_axpy(
             j, t1 - t0, tile, y, w[t0:t1], store))
 
-    def fused_axpy_dot(self, j, n, tile, y, w, u) -> int:
-        return self._each_tile(j, n, tile, lambda rows, t0, t1: rows.fused_axpy_dot(
-            j, t1 - t0, tile, y, w[t0:t1], u))
+    def fused_dot2(self, j, n, tile, x, y, hx, hy) -> int:
+        return self._each_tile(j, n, tile, lambda rows, t0, t1: rows.fused_dot2(
+            j, t1 - t0, tile, x[t0:t1], y[t0:t1], hx, hy))
+
+    def fused_axpy2(self, j, n, tile, a, x, b, y) -> int:
+        return self._each_tile(j, n, tile, lambda rows, t0, t1: rows.fused_axpy2(
+            j, t1 - t0, tile, a, x[t0:t1], b, y[t0:t1]))
 
     step = step_rows
 
@@ -564,10 +664,11 @@ def _coefficients(y, j: int) -> np.ndarray:
     return y
 
 
-def step_walks(flags: int) -> int:
-    """Walks of the basis an Arnoldi step with ``flags`` made: the dot and
-    the sweep, and the axpy of a second pass (:func:`step_rows`)."""
-    return 2 + (flags & STEP_REORTH)
+def step_walks(rows: int) -> int:
+    """Walks of the basis an Arnoldi step over ``rows`` stored vectors
+    makes: the width-two dot and the width-two axpy (:func:`step_rows`) —
+    none before anything is stored."""
+    return 2 if rows else 0
 
 
 def bill_fused(j: int, n: int, tile_elems: int, scratch: int, tracer,

@@ -152,7 +152,7 @@ def read_kernel_cost(fmt: FormatCost, n: int, arithmetic_intensity: float) -> Ke
 def walk_cost(fmt: FormatCost, n: int, vectors: float, walks: float = 1) -> KernelCost:
     """``walks`` fused walks of a stored basis that read ``vectors``
     stored vectors of ``n`` values between them: the decompress-in-register
-    dot, sweep, axpy and combine of the Arnoldi step and the update.
+    walks of the Arnoldi step (two of width two) and the update's combine.
 
     The paper's Fig. 4 argument made concrete: every stored vector
     streams at its *compressed* width (and its coefficient as one

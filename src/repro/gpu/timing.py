@@ -65,8 +65,9 @@ def solve_phases(
     """Predicted device seconds of one solve, per phase of :data:`PHASES`.
 
     * ``basis_read``: the walks each cycle record counts — its Arnoldi
-      steps' (two per step, three after a re-orthogonalization, over
-      ``j`` vectors each) at the storage the steps walk, and its update's
+      steps' (two per step over ``k`` stored vectors, ``k`` vectors each,
+      and two for the close of its last column) at the storage the steps
+      walk, and its update's
       one walk and its one-vector direction reads at the cycle's
       storage — as one :func:`walk_cost` launch per storage;
     * ``basis_write``: each record's writes, compressed from float64 at

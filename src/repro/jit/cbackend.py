@@ -43,15 +43,17 @@ Every kernel replays the numpy reference *operation for operation*:
   FRSZ2 containers decoded a row piece at a time, or — the aligned
   rungs — a block's fields decoded in the registers its lanes or its
   sums take, block by block, with every other block of the row decoded
-  into the buffer and added in the same order; the sweep
-  ``fused_axpy_dot`` is the one followed by the other, walked once: a
-  row's lanes persist across the pieces of a tile;
+  into the buffer and added in the same order; the walks of width two
+  ``fused_dot2`` / ``fused_axpy2`` are two walks of width one, each
+  operand with the bits of its own, walked once: a value read or decoded
+  once joins both operands' lanes or sums;
 * ``fused_norm2`` is ``fused_dot`` of a vector with itself, then the
-  correctly rounded ``sqrt``; the Arnoldi step ``fused_step`` is the three
-  walks, three such norms (the middle one reduced from the sweep's tiles
-  in that same lane order), the flags and the Givens column (``hypot``
-  from libm, the function ``np.hypot`` calls) in the order of its Python
-  body, :func:`repro.fused.kernels.step_rows`;
+  correctly rounded ``sqrt``; the Arnoldi step's two halves
+  ``fused_step`` and ``fused_column`` are its two walks of width two,
+  such norms and dots, the flags and the Givens columns (``hypot`` from
+  libm, the function ``np.hypot`` calls) in the order of their Python
+  bodies, :func:`repro.fused.kernels.step_rows` and
+  :func:`~repro.fused.kernels.step_column`;
 * the ILU(0) factorisation and the triangular sweeps perform each row's
   operations in the reference's order; the sweeps visit the *rows* in
   another one — chunks of consecutive rows, independent chunks
@@ -68,8 +70,8 @@ ISA clones
 The library is built for baseline x86-64, so that one cached file loads
 on every CPU that shares the cache directory — and the routines whose
 time is the decode and the lanes (``frsz2_encode``, ``decode_range``
-and the units of the three fused walks, ``dot_tile``, ``axpy_run`` and
-``axpy_dot_tile``) are compiled a second time for ``x86-64-v4`` (``CLONED`` in ``C_SOURCE``, GCC/Clang
+and the units of the fused walks, ``dot_tile`` and ``axpy_run``) are
+compiled a second time for ``x86-64-v4`` (``CLONED`` in ``C_SOURCE``, GCC/Clang
 ``target_clones``); the dynamic loader binds the widest clone the CPU
 runs, and :attr:`CEngine.isa` names it.  Register width moves no bit:
 every operation order above is written out, the two IEEE flags hold in
@@ -88,23 +90,25 @@ was measured equal and not taken: a cached library would be fatal
 
 Threads
 -------
-The three fused walks, the SpMV kernels and the two ILU(0) sweeps are
+The fused walks, the SpMV kernels and the two ILU(0) sweeps are
 split over one pool of threads (pthreads inside ``C_SOURCE``, "one
 pool, three clients" there).  The unit of a split is a tile of the
-walk's grid (``fused_dot``, the sweep), a run of eight pieces
-(``fused_axpy``) or a run of ``POOL_ROWS`` rows (SpMV).  The caller
+walk's grid (``fused_dot``, ``fused_dot2``), a run of eight pieces
+(``fused_axpy``, ``fused_axpy2``) or a run of ``POOL_ROWS`` rows
+(SpMV).  The caller
 claims units from the last one down, the helpers from the first up, off
 one atomic word.  Every unit writes only what is its own: the elements
 of ``w`` or ``y`` in its range, each summed in the written order on one
-thread, or the ``j`` partials of its tile, into the caller's buffer.
-The caller adds the partials to ``h`` / ``u`` in tile order after the
-join, a round of ``FUSED_ROUND`` tiles at a time.  So no bit depends on
+thread, or the ``j`` partials of its tile per operand, into the
+caller's buffer.  The caller adds the partials to each operand's
+coefficients in tile order after the join, a round of ``FUSED_ROUND``
+tiles at a time.  So no bit depends on
 the thread count or on which thread took which unit; and since a call
 on one thread takes its tiles last first, the self-test fails a
-reduction in any other order.  Each thread's decode buffer, lanes and
-row pieces are its slice of the work buffer the source keeps
-(:class:`_Rows`: ``capacity x (FUSED_ROUND + threads x slice)``
-doubles); helpers allocate nothing.
+reduction in any other order.  Each thread's decode buffer is its slice
+of the work buffer the source keeps (:class:`_Rows`: ``2 x FUSED_ROUND x
+capacity`` partials, then ``threads x tile`` doubles); helpers allocate
+nothing.
 
 A triangular sweep is one split call too, of one unit per thread that
 only names the thread's slice of the per-call work buffer
@@ -649,7 +653,7 @@ int64_t frsz2_decode_gather(const uint8_t *payload, int32_t kind,
 
 /* Values a walk (rows x n) or an SpMV (stored entries) must have before it
  * is split — below it, waking a helper costs what the second core saves;
- * elements per piece of the axpy and the sweep; tiles whose partials a
+ * elements per piece of the axpy; tiles whose partials a
  * walk holds before adding them up (a round: the partials are a bound
  * independent of n).  Measured: docs/ARCHITECTURE.md, "One pool, three
  * clients". */
@@ -869,46 +873,54 @@ static void pool_unload(void)
                               p##wpb, buf), (const double *)(buf)))
 
 /* ---- fused basis reductions: one source, the basis rows ---------------
- * Each walk is cut into units for the pool: the tiles of its grid (dot,
- * sweep) or runs of pieces (axpy).  A walk's arguments travel to the
- * units in one struct walk: the source (FUSED_SOURCE's nine, so
- * FUSED_ROW reads k->v_*), the operands, and the caller's work buffer —
- * FUSED_ROUND * j tile partials, then one slice of stride doubles per
- * thread (thread me's at slices + me * stride). */
+ * Each walk is cut into units for the pool: the tiles of its grid (dot)
+ * or runs of pieces (axpy).  A walk's arguments travel to the units in one
+ * struct walk: the source (FUSED_SOURCE's nine, so FUSED_ROW reads
+ * k->v_*), the operands, and the caller's work buffer — FUSED_ROUND tiles'
+ * partials, then one slice of stride doubles per thread (thread me's at
+ * slices + me * stride).  A walk has width one or two: with w2 set, every
+ * row it reads (or decodes) once serves both operands — the dot reduces
+ * it against w and w2, the axpy subtracts it from w with y and from w2
+ * with y2 — and each operand gets the bits of its own walk of width one. */
 #define FUSED_SOURCE SOURCE(v_)
 #define FUSED_ROW(r, i0, i1, buf) SOURCE_ROW(k->v_, r, i0, i1, buf)
-#define WALK_SOURCE SOURCE_NAMES(v_)
 
 struct walk {
     SOURCE_FIELDS(v_)
     int64_t j, n, tile;
     int64_t round;          /* the round's first tile */
-    const double *y;
-    double *w;
-    double *part, *slices;
+    const double *y, *y2;   /* the axpy's coefficients */
+    double *w, *w2;         /* the operands; w2 == NULL: width one */
+    const double *src, *src2;  /* the axpy's inputs, when not w and w2 */
+    double *part, *slices;  /* a tile's partials: j per operand, w's first */
     int64_t stride;
     int32_t store;
-    double *sq;             /* the sweep's tile partials of w . w, or NULL */
-    double sumsq;           /* their sum in tile order, from +0.0 */
 };
 
+#define WALK_SOURCE                                                       \
+    .v_dense = v_dense, .v_ld = v_ld, .v_payloads = v_payloads,           \
+    .v_exponents = v_exponents, .v_kind = v_kind, .v_nwords = v_nwords,   \
+    .v_bs = v_bs, .v_l = v_l, .v_wpb = v_wpb
+
 /* Every tile of the grid, a round at a time: the round's tiles on the
- * pool, each writing its j partials, then acc[r] += them in tile order
- * (and sumsq += the tile's w . w partial, when the sweep makes one). */
+ * pool, each writing its partials, then acc[r] += them in tile order (and
+ * acc2[r] += those of w2, for a walk of width two). */
 static void fused_rounds(pool_task task, struct walk *k, double *acc,
-                         int64_t threads)
+                         double *acc2, int64_t threads)
 {
-    int64_t tiles = (k->n + k->tile - 1) / k->tile;
+    int64_t tiles = (k->n + k->tile - 1) / k->tile, j = k->j;
+    int64_t per = k->w2 ? 2 * j : j;
     for (k->round = 0; k->round < tiles; k->round += FUSED_ROUND) {
         int64_t units = tiles - k->round;
         units = units < FUSED_ROUND ? units : FUSED_ROUND;
-        pool_split(task, k, units, threads, k->j * k->n);
+        pool_split(task, k, units, threads, j * k->n);
         for (int64_t t = 0; t < units; t++)
-            for (int64_t r = 0; r < k->j; r++)
-                acc[r] += k->part[t * k->j + r];
-        if (k->sq)
+            for (int64_t r = 0; r < j; r++)
+                acc[r] += k->part[t * per + r];
+        if (acc2)
             for (int64_t t = 0; t < units; t++)
-                k->sumsq += k->sq[t];
+                for (int64_t r = 0; r < j; r++)
+                    acc2[r] += k->part[t * per + j + r];
     }
 }
 
@@ -927,37 +939,42 @@ static inline __attribute__((always_inline)) double lanes_tree8(v8df a)
 
 /* A block of a row that the register routes do not decode in registers:
  * its fields [lo, hi) decoded into buf, then each element i joined to
- * lane (i - t0) mod 8 of a, in ascending order. */
+ * lane (i - t0) mod 8 of a (and of a2 against x2, when x2 is set), in
+ * ascending order. */
 static __attribute__((noinline)) void
 dot_block_buffered(const uint8_t *v, int32_t kind, const int32_t *e,
                    int64_t lo, int64_t hi, int64_t t0, int64_t bs,
-                   const double *x, double *buf, double *a)
+                   const double *x, const double *x2, double *buf, double *a,
+                   double *a2)
 {
     decode_range(v, kind, 0, e, lo, hi, bs, kind == 1 ? 16 : 32, 0, buf);
     for (int64_t i = lo; i < hi; i++)
         a[(i - t0) & 7] += buf[i - lo] * x[i];
+    if (x2)
+        for (int64_t i = lo; i < hi; i++)
+            a2[(i - t0) & 7] += buf[i - lo] * x2[i];
 }
 
-/* The register route of dot_tile: rows r .. r + R - 1 (R = DOT_ROWS or
- * fewer, the rows of one pass: R add chains run at once and share the
- * loads of w) over the tile [t0, t1).  A block of a row whose fields are
- * all in the tile, starting a multiple of eight from t0, and exact-scale
- * is decoded in the registers its products join; any other block of a
- * row goes through dot_block_buffered — the same lanes, in the same
- * ascending order. */
+/* The register route of dot_tile: rows r .. r + R - 1 (R = DOT_ROWS, or
+ * half of it at width two, or fewer: the rows of one pass, whose add
+ * chains run at once and share the loads of the operands) over the tile
+ * [t0, t1).  A block of a row whose fields are all in the tile, starting a
+ * multiple of eight from t0, and exact-scale is decoded in the registers
+ * its products join; any other block of a row goes through
+ * dot_block_buffered — the same lanes, in the same ascending order. */
 #define DOT_ROWS 4
 
 static inline __attribute__((always_inline)) void
 dot_rows_fields(const struct walk *k, int32_t kind, int64_t r, int R,
-                int64_t t0, int64_t t1, double *buf, double *p)
+                int64_t t0, int64_t t1, double *buf, double *p, int two)
 {
     int64_t bs = k->v_bs, l = kind == 1 ? 16 : 32;
-    const double *restrict x = k->w;
+    const double *restrict x = k->w, *restrict x2 = two ? k->w2 : NULL;
     const uint8_t *const *v = k->v_payloads + r;
     const int32_t *const *e = k->v_exponents + r;
-    v8df a[DOT_ROWS];
+    v8df a[DOT_ROWS], a2[DOT_ROWS];
     for (int g = 0; g < R; g++)
-        a[g] = (v8df){0.0};
+        a[g] = a2[g] = (v8df){0.0};
     for (int64_t b0 = t0 / bs * bs; b0 < t1; b0 += bs) {
         int64_t lo = b0 < t0 ? t0 : b0, hi = b0 + bs < t1 ? b0 + bs : t1;
         int whole = lo == b0 && hi == b0 + bs && (lo - t0) % 8 == 0;
@@ -966,97 +983,206 @@ dot_rows_fields(const struct walk *k, int32_t kind, int64_t r, int R,
             all &= (s[g] = whole ? exact_scale(e[g][b0 / bs], l) : 0) != 0;
         if (all) {
             for (int64_t i = lo; i < hi; i += 8) {
-                v8df xv = load8(x + i);
-                for (int g = 0; g < R; g++)
-                    a[g] += decode8(v[g], kind, i, u2d(s[g])) * xv;
+                v8df xv = load8(x + i), x2v = two ? load8(x2 + i) : xv;
+                for (int g = 0; g < R; g++) {
+                    v8df d = decode8(v[g], kind, i, u2d(s[g]));
+                    a[g] += d * xv;
+                    if (two)
+                        a2[g] += d * x2v;
+                }
             }
             continue;
         }
         for (int g = 0; g < R; g++) {
             if (s[g]) {
-                for (int64_t i = lo; i < hi; i += 8)
-                    a[g] += decode8(v[g], kind, i, u2d(s[g])) * load8(x + i);
+                for (int64_t i = lo; i < hi; i += 8) {
+                    v8df d = decode8(v[g], kind, i, u2d(s[g]));
+                    a[g] += d * load8(x + i);
+                    if (two)
+                        a2[g] += d * load8(x2 + i);
+                }
             } else {
-                double lanes[8];
+                double lanes[8], lanes2[8];
                 store8(lanes, a[g]);
-                dot_block_buffered(v[g], kind, e[g], lo, hi, t0, bs, x, buf,
-                                   lanes);
+                store8(lanes2, a2[g]);
+                dot_block_buffered(v[g], kind, e[g], lo, hi, t0, bs, x, x2,
+                                   buf, lanes, lanes2);
                 a[g] = load8(lanes);
+                a2[g] = load8(lanes2);
             }
         }
     }
-    for (int g = 0; g < R; g++)
+    for (int g = 0; g < R; g++) {
         p[r + g] = lanes_tree8(a[g]);
+        if (two)
+            p[k->j + r + g] = lanes_tree8(a2[g]);
+    }
 }
 
 static inline __attribute__((always_inline)) void
 dot_fields(const struct walk *k, int32_t kind, int64_t t0, int64_t t1,
-           double *buf, double *p)
+           double *buf, double *p, int two)
 {
     int64_t r = 0;
-    for (; r + DOT_ROWS <= k->j; r += DOT_ROWS)
-        dot_rows_fields(k, kind, r, DOT_ROWS, t0, t1, buf, p);
+    if (two)
+        for (; r + DOT_ROWS / 2 <= k->j; r += DOT_ROWS / 2)
+            dot_rows_fields(k, kind, r, DOT_ROWS / 2, t0, t1, buf, p, 1);
+    else
+        for (; r + DOT_ROWS <= k->j; r += DOT_ROWS)
+            dot_rows_fields(k, kind, r, DOT_ROWS, t0, t1, buf, p, 0);
     for (; r < k->j; r++)
-        dot_rows_fields(k, kind, r, 1, t0, t1, buf, p);
+        dot_rows_fields(k, kind, r, 1, t0, t1, buf, p, two);
 }
 
-/* The partials of v_r . w over tile t of the round, for every row in
- * order.  A partial is the written lane order: eight accumulators from
- * +0.0, element i joins lane (i - t0) mod 8 as a rounded product added
- * with a rounded sum, then the fixed tree below.  The eight lanes are
- * independent, so the vectoriser may keep them in any register width
- * without moving a bit. */
+/* The float64 route of dot_tile: rows r .. r + R - 1 read in place, a
+ * pass of R rows sharing the loads of the operands; each row's lanes take
+ * its products in ascending order, eight at a time. */
+static inline __attribute__((always_inline)) void
+dot_rows_dense(const struct walk *k, int64_t r, int R, int64_t t0,
+               int64_t len, const double *restrict x,
+               const double *restrict x2, double *p, int two)
+{
+    const double *v[DOT_ROWS];
+    v8df a[DOT_ROWS], a2[DOT_ROWS];
+    for (int g = 0; g < R; g++) {
+        v[g] = k->v_dense + (r + g) * k->v_ld + t0;
+        a[g] = a2[g] = (v8df){0.0};
+    }
+    int64_t i = 0;
+    for (; i + 8 <= len; i += 8) {
+        v8df xv = load8(x + i), x2v = two ? load8(x2 + i) : xv;
+        for (int g = 0; g < R; g++) {
+            v8df vi = load8(v[g] + i);
+            a[g] += vi * xv;
+            if (two)
+                a2[g] += vi * x2v;
+        }
+    }
+    for (int g = 0; g < R; g++) {
+        double l[8], l2[8];
+        store8(l, a[g]);
+        store8(l2, a2[g]);
+        for (int64_t e = i, q = 0; e < len; e++, q++) {
+            l[q] += v[g][e] * x[e];
+            if (two)
+                l2[q] += v[g][e] * x2[e];
+        }
+        p[r + g] = lanes_tree(l);
+        if (two)
+            p[k->j + r + g] = lanes_tree(l2);
+    }
+}
+
+/* The partials of v_r . w (and v_r . w2) over tile t of the round, for
+ * every row in order.  A partial is the written lane order: eight
+ * accumulators from +0.0, element i joins lane (i - t0) mod 8 as a
+ * rounded product added with a rounded sum, then the fixed tree below.
+ * The eight lanes are independent, so the vectoriser may keep them in any
+ * register width without moving a bit. */
+static inline __attribute__((always_inline)) void
+dot_tile_width(const struct walk *k, int64_t t, int64_t me, int two)
+{
+    int64_t t0 = (k->round + t) * k->tile, j = k->j;
+    int64_t len = (t0 + k->tile < k->n ? t0 + k->tile : k->n) - t0;
+    const double *restrict x = k->w + t0;
+    const double *restrict x2 = two ? k->w2 + t0 : x;
+    double *buf = k->slices + me * k->stride, *p = k->part + t * (1 + two) * j;
+    if (k->v_dense) {
+        int64_t r = 0;
+        for (; r + DOT_ROWS <= j; r += DOT_ROWS)
+            dot_rows_dense(k, r, DOT_ROWS, t0, len, x, x2, p, two);
+        for (; r < j; r++)
+            dot_rows_dense(k, r, 1, t0, len, x, x2, p, two);
+        return;
+    }
+    if (FIELDS_IN_REGISTERS(k->v_kind, k->v_bs)) {
+        if (k->v_kind == 1)
+            dot_fields(k, 1, t0, t0 + len, buf, p, two);
+        else
+            dot_fields(k, 2, t0, t0 + len, buf, p, two);
+        return;
+    }
+    for (int64_t r = 0; r < j; r++) {
+        const double *restrict v = FUSED_ROW(r, t0, t0 + len, buf);
+        v8df av = {0.0}, av2 = {0.0};
+        int64_t i = 0;
+        for (; i + 8 <= len; i += 8) {
+            v8df vi = load8(v + i);
+            av += vi * load8(x + i);
+            if (two)
+                av2 += vi * load8(x2 + i);
+        }
+        double a[8], a2[8];
+        store8(a, av);
+        store8(a2, av2);
+        for (int q = 0; i < len; i++, q++) {
+            a[q] += v[i] * x[i];
+            if (two)
+                a2[q] += v[i] * x2[i];
+        }
+        p[r] = lanes_tree(a);
+        if (two)
+            p[j + r] = lanes_tree(a2);
+    }
+}
+
 CLONED
 static void dot_tile(const void *job, int64_t t, int64_t me)
 {
     const struct walk *k = job;
-    int64_t t0 = (k->round + t) * k->tile;
-    int64_t len = (t0 + k->tile < k->n ? t0 + k->tile : k->n) - t0;
-    const double *restrict x = k->w + t0;
-    double *buf = k->slices + me * k->stride, *p = k->part + t * k->j;
-    if (!k->v_dense && FIELDS_IN_REGISTERS(k->v_kind, k->v_bs)) {
-        if (k->v_kind == 1)
-            dot_fields(k, 1, t0, t0 + len, buf, p);
-        else
-            dot_fields(k, 2, t0, t0 + len, buf, p);
-        return;
-    }
-    for (int64_t r = 0; r < k->j; r++) {
-        const double *restrict v = FUSED_ROW(r, t0, t0 + len, buf);
-        double a[8] = {0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0};
-        int64_t i = 0;
-        for (; i + 8 <= len; i += 8)
-            for (int q = 0; q < 8; q++)
-                a[q] += v[i + q] * x[i + q];
-        for (int q = 0; i < len; i++, q++)
-            a[q] += v[i] * x[i];
-        p[r] = lanes_tree(a);
-    }
+    if (k->w2)
+        dot_tile_width(k, t, me, 1);
+    else
+        dot_tile_width(k, t, me, 0);
 }
 
-/* h[r] += the tile partials of v_r . w in tile order.  A compressed row
- * tile is decoded into the thread's slice: min(tile, n) doubles, rounded
- * up to a cache line. */
+/* A dot walk's work buffer: the partials of a round, then per thread a
+ * compressed row tile decoded into its slice — min(tile, n) doubles,
+ * rounded up to a cache line. */
+static struct walk dot_walk(FUSED_SOURCE, int64_t j, int64_t n, int64_t tile,
+                            const double *x, const double *x2, double *work)
+{
+    struct walk k = {WALK_SOURCE, .j = j, .n = n, .tile = tile,
+                     .w = (double *)x, .w2 = (double *)x2, .part = work,
+                     .slices = work + FUSED_ROUND * j * (x2 ? 2 : 1),
+                     .stride = v_dense ? 0 : ((tile < n ? tile : n) + 7) & ~7LL};
+    return k;
+}
+
+/* h[r] += the tile partials of v_r . w in tile order. */
 void fused_dot(FUSED_SOURCE, int64_t j, int64_t n, int64_t tile,
                const double *w, double *h, double *work, int64_t threads)
 {
-    int64_t stride = v_dense ? 0 : ((tile < n ? tile : n) + 7) & ~7LL;
-    struct walk k = {WALK_SOURCE, j, n, tile, 0, NULL, (double *)w, work,
-                     work + FUSED_ROUND * j, stride, 0, NULL, 0.0};
-    fused_rounds(dot_tile, &k, h, threads);
+    struct walk k = dot_walk(SOURCE_NAMES(v_), j, n, tile, w, NULL, work);
+    fused_rounds(dot_tile, &k, h, NULL, threads);
 }
 
-/* ||x||: the dot of x with itself as one row read in place (x . x in the
- * lane order above, tile partials added in tile order from +0.0), then
- * the correctly rounded square root. */
+/* fused_dot of x into hx and of y into hy, in one walk. */
+void fused_dot2(FUSED_SOURCE, int64_t j, int64_t n, int64_t tile,
+                const double *x, const double *y, double *hx, double *hy,
+                double *work, int64_t threads)
+{
+    struct walk k = dot_walk(SOURCE_NAMES(v_), j, n, tile, x, y, work);
+    fused_rounds(dot_tile, &k, hx, hy, threads);
+}
+
+/* x . y: the dot of x as one row read in place with y (the lane order
+ * above, tile partials added in tile order from +0.0). */
+static double dense_dot(const double *x, const double *y, int64_t n,
+                        int64_t tile, int64_t threads)
+{
+    double part[FUSED_ROUND], acc = 0.0;
+    struct walk k = {.v_dense = x, .v_ld = n, .j = 1, .n = n, .tile = tile,
+                     .w = (double *)y, .part = part, .slices = part};
+    fused_rounds(dot_tile, &k, &acc, NULL, threads);
+    return acc;
+}
+
+/* ||x||: x . x, then the correctly rounded square root. */
 static double norm2_walk(const double *x, int64_t n, int64_t tile,
                          int64_t threads)
 {
-    double part[FUSED_ROUND], acc = 0.0;
-    struct walk k = {x, n, NULL, NULL, 0, 0, 0, 0, 0, 1, n, tile, 0, NULL,
-                     (double *)x, part, part, 0, 0, NULL, 0.0};
-    fused_rounds(dot_tile, &k, &acc, threads);
-    return sqrt(acc);
+    return sqrt(dense_dot(x, x, n, tile, threads));
 }
 
 double fused_norm2(const double *x, int64_t n, int64_t tile, int64_t threads)
@@ -1065,30 +1191,29 @@ double fused_norm2(const double *x, int64_t n, int64_t tile, int64_t threads)
 }
 
 /* Per element: s = y[0] v_0[i], then s += y[r] v_r[i] for r = 1..j-1,
- * then w[i] -= s (store == 0) or w[i] = s (store != 0: combine).  Every
- * element is independent, so the walk is free: short pieces keep the
- * partial sums and the decoded row pieces close, and rows are taken four
- * at a time so a partial sum stays in a register across four of its
- * additions — still added one row after the other, in row order.
+ * then w[i] -= s (store == 0) or w[i] = s (store != 0: combine); at width
+ * two the same sum s2 with y2, and w2[i] -= s2.  Every element is
+ * independent, so the walk is free: short pieces keep the partial sums
+ * and the decoded row pieces close, and rows are taken four at a time so
+ * a partial sum stays in a register across four of its additions — still
+ * added one row after the other, in row order.
  *
- * axpy_piece leaves the sums of elements [i0, i0 + len) in s.  A
- * compressed row piece is decoded into buf + slot * FUSED_PIECE: slot is
- * the row when keep != 0 (the sweep below reads every row piece again),
- * else the row's place in its group of four.
+ * axpy_piece leaves the sums of elements [i0, i0 + len) in s (and s2).  A
+ * compressed row piece is decoded into buf + g * FUSED_PIECE, g the row's
+ * place in its group of four.
  *
  * The register route (axpy_rows_fields) adds rows r .. r + R - 1 (R = 1
  * or 4; first: s starts at row r) into s over [i0, i1), block by block:
  * a whole exact-scale block of every row of the group is decoded eight
  * fields at a time into the register sums; any other block is decoded
- * into buf first.  With keep, every decoded row piece is also stored at
- * buf + row * FUSED_PIECE, where the sweep reads it again. */
+ * into buf first. */
 static inline __attribute__((always_inline)) void
 axpy_rows_fields(const struct walk *k, int32_t kind, int64_t r, int R,
                  int first, int64_t i0, int64_t i1, double *restrict s,
-                 double *buf, int keep)
+                 double *restrict s2, double *buf, int two)
 {
     int64_t bs = k->v_bs, l = kind == 1 ? 16 : 32;
-    const double *y = k->y + r;
+    const double *y = k->y + r, *y2 = two ? k->y2 + r : y;
     const uint8_t *const *v = k->v_payloads + r;
     const int32_t *const *e = k->v_exponents + r;
     for (int64_t b0 = i0 / bs * bs; b0 < i1; b0 += bs) {
@@ -1097,26 +1222,27 @@ axpy_rows_fields(const struct walk *k, int32_t kind, int64_t r, int R,
         for (int g = 0; g < R; g++)
             all &= (sc[g] = all ? exact_scale(e[g][b0 / bs], l) : 0) != 0;
         if (all) {
-            double *kept = buf + r * FUSED_PIECE + (lo - i0);
             for (int64_t i = lo; i < hi; i += 8) {
                 v8df d = decode8(v[0], kind, i, u2d(sc[0]));
                 v8df t = first ? y[0] * d : load8(s + (i - i0)) + y[0] * d;
-                if (keep)
-                    store8(kept + (i - lo), d);
+                v8df t2 = t;
+                if (two)
+                    t2 = first ? y2[0] * d : load8(s2 + (i - i0)) + y2[0] * d;
                 for (int g = 1; g < R; g++) {
                     d = decode8(v[g], kind, i, u2d(sc[g]));
                     t = t + y[g] * d;
-                    if (keep)
-                        store8(kept + g * FUSED_PIECE + (i - lo), d);
+                    if (two)
+                        t2 = t2 + y2[g] * d;
                 }
                 store8(s + (i - i0), t);
+                if (two)
+                    store8(s2 + (i - i0), t2);
             }
             continue;
         }
         double *row[4];
         for (int g = 0; g < R; g++) {
-            row[g] = keep ? buf + (r + g) * FUSED_PIECE + (lo - i0)
-                          : buf + g * FUSED_PIECE;
+            row[g] = buf + g * FUSED_PIECE;
             decode_range(v[g], kind, 0, e[g], lo, hi, bs, l, 0, row[g]);
         }
         for (int64_t i = lo; i < hi; i++) {
@@ -1126,59 +1252,75 @@ axpy_rows_fields(const struct walk *k, int32_t kind, int64_t r, int R,
                 t += y[g] * row[g][i - lo];
             s[i - i0] = t;
         }
+        if (two)
+            for (int64_t i = lo; i < hi; i++) {
+                double t = first ? y2[0] * row[0][i - lo]
+                                 : s2[i - i0] + y2[0] * row[0][i - lo];
+                for (int g = 1; g < R; g++)
+                    t += y2[g] * row[g][i - lo];
+                s2[i - i0] = t;
+            }
     }
 }
 
 static inline __attribute__((always_inline)) void
 axpy_fields(const struct walk *k, int32_t kind, int64_t i0, int64_t len,
-            double *restrict s, double *buf, int keep)
+            double *restrict s, double *restrict s2, double *buf, int two)
 {
     int64_t r = 1;
-    axpy_rows_fields(k, kind, 0, 1, 1, i0, i0 + len, s, buf, keep);
+    axpy_rows_fields(k, kind, 0, 1, 1, i0, i0 + len, s, s2, buf, two);
     for (; r + 4 <= k->j; r += 4)
-        axpy_rows_fields(k, kind, r, 4, 0, i0, i0 + len, s, buf, keep);
+        axpy_rows_fields(k, kind, r, 4, 0, i0, i0 + len, s, s2, buf, two);
     for (; r < k->j; r++)
-        axpy_rows_fields(k, kind, r, 1, 0, i0, i0 + len, s, buf, keep);
+        axpy_rows_fields(k, kind, r, 1, 0, i0, i0 + len, s, s2, buf, two);
 }
 
 static inline __attribute__((always_inline)) void
 axpy_piece(const struct walk *k, int64_t i0, int64_t len, double *restrict s,
-           double *buf, int keep)
+           double *restrict s2, double *buf, int two)
 {
     if (!k->v_dense && FIELDS_IN_REGISTERS(k->v_kind, k->v_bs)) {
         if (k->v_kind == 1)
-            axpy_fields(k, 1, i0, len, s, buf, keep);
+            axpy_fields(k, 1, i0, len, s, s2, buf, two);
         else
-            axpy_fields(k, 2, i0, len, s, buf, keep);
+            axpy_fields(k, 2, i0, len, s, s2, buf, two);
         return;
     }
-#define PIECE_ROW(r, g)                                                   \
-    FUSED_ROW(r, i0, i0 + len, buf + (keep ? (r) : (g)) * FUSED_PIECE)
-    const double *y = k->y;
+#define PIECE_ROW(r, g) FUSED_ROW(r, i0, i0 + len, buf + (g) * FUSED_PIECE)
+    const double *y = k->y, *y2 = two ? k->y2 : k->y;
     const double *restrict a = PIECE_ROW(0, 0);
-    double ca = y[0];
-    for (int64_t i = 0; i < len; i++)
-        s[i] = ca * a[i];
+    for (int64_t i = 0; i < len; i++) {
+        s[i] = y[0] * a[i];
+        if (two)
+            s2[i] = y2[0] * a[i];
+    }
     int64_t r = 1;
     for (; r + 4 <= k->j; r += 4) {
         a = PIECE_ROW(r, 0);
         const double *restrict b = PIECE_ROW(r + 1, 1);
         const double *restrict c = PIECE_ROW(r + 2, 2);
         const double *restrict d = PIECE_ROW(r + 3, 3);
-        double cb = y[r + 1], cc = y[r + 2], cd = y[r + 3];
-        ca = y[r];
         for (int64_t i = 0; i < len; i++) {
-            double t = s[i] + ca * a[i];
-            t += cb * b[i];
-            t += cc * c[i];
-            s[i] = t + cd * d[i];
+            double t = s[i] + y[r] * a[i];
+            t += y[r + 1] * b[i];
+            t += y[r + 2] * c[i];
+            s[i] = t + y[r + 3] * d[i];
         }
+        if (two)
+            for (int64_t i = 0; i < len; i++) {
+                double t = s2[i] + y2[r] * a[i];
+                t += y2[r + 1] * b[i];
+                t += y2[r + 2] * c[i];
+                s2[i] = t + y2[r + 3] * d[i];
+            }
     }
     for (; r < k->j; r++) {
         a = PIECE_ROW(r, 0);
-        ca = y[r];
-        for (int64_t i = 0; i < len; i++)
-            s[i] += ca * a[i];
+        for (int64_t i = 0; i < len; i++) {
+            s[i] += y[r] * a[i];
+            if (two)
+                s2[i] += y2[r] * a[i];
+        }
     }
 #undef PIECE_ROW
 }
@@ -1186,116 +1328,90 @@ axpy_piece(const struct walk *k, int64_t i0, int64_t len, double *restrict s,
 /* The axpy's unit: AXPY_RUN elements, piece by piece. */
 #define AXPY_RUN (8 * FUSED_PIECE)
 
-CLONED
-static void axpy_run(const void *job, int64_t q, int64_t me)
+static inline __attribute__((always_inline)) void
+axpy_run_width(const struct walk *k, int64_t q, int two)
 {
-    const struct walk *k = job;
-    double s[FUSED_PIECE], buf[4 * FUSED_PIECE];
+    double s[FUSED_PIECE], s2[FUSED_PIECE], buf[4 * FUSED_PIECE];
     int64_t end = (q + 1) * AXPY_RUN < k->n ? (q + 1) * AXPY_RUN : k->n;
     for (int64_t i0 = q * AXPY_RUN; i0 < end; i0 += FUSED_PIECE) {
         int64_t len = (i0 + FUSED_PIECE < end ? i0 + FUSED_PIECE : end) - i0;
-        axpy_piece(k, i0, len, s, buf, 0);
+        axpy_piece(k, i0, len, s, s2, buf, two);
         double *restrict o = k->w + i0;
         if (k->store)
             for (int64_t i = 0; i < len; i++)
                 o[i] = s[i];
+        else if (k->src)
+            for (int64_t i = 0; i < len; i++)
+                o[i] = k->src[i0 + i] - s[i];
         else
             for (int64_t i = 0; i < len; i++)
                 o[i] -= s[i];
+        if (two) {
+            double *restrict o2 = k->w2 + i0;
+            if (k->src2)
+                for (int64_t i = 0; i < len; i++)
+                    o2[i] = k->src2[i0 + i] - s2[i];
+            else
+                for (int64_t i = 0; i < len; i++)
+                    o2[i] -= s2[i];
+        }
     }
+}
+
+CLONED
+static void axpy_run(const void *job, int64_t q, int64_t me)
+{
+    const struct walk *k = job;
+    (void)me;
+    if (k->w2)
+        axpy_run_width(k, q, 1);
+    else
+        axpy_run_width(k, q, 0);
+}
+
+static void axpy_walk(struct walk *k)
+{
+    pool_split(axpy_run, k, (k->n + AXPY_RUN - 1) / AXPY_RUN, POOL_MAX,
+               k->j * k->n);
 }
 
 void fused_axpy(FUSED_SOURCE, int64_t j, int64_t n, const double *y,
                 double *w, int32_t store)
 {
-    struct walk k = {WALK_SOURCE, j, n, 0, 0, y, w, NULL, NULL, 0, store,
-                     NULL, 0.0};
-    pool_split(axpy_run, &k, (n + AXPY_RUN - 1) / AXPY_RUN, POOL_MAX, j * n);
+    struct walk k = {WALK_SOURCE, .j = j, .n = n, .y = y, .w = w,
+                     .store = store};
+    axpy_walk(&k);
 }
 
-/* The sweep: w -= V y, then u[r] += the tile partials of v_r . w over the
- * updated w — by definition the bytes of fused_axpy followed by fused_dot,
- * in one walk that reads (or decodes) every row piece once.  Per tile of
- * the grid: zero the j x 8 lane accumulators; for each piece of the tile,
- * finish w on the piece (axpy_piece, then the subtraction), then add the
- * piece to every row's lanes; at the tile's end reduce each row's lanes by
- * the fixed tree into the tile's partials.  Pieces start a multiple of
- * FUSED_PIECE — of eight — from the tile's start, so element i joins lane
- * (i - t0) mod 8 in ascending order, as in fused_dot, and only a tile's
- * last piece has a tail.  A thread's slice: 8 j doubles of lanes, then
- * j * FUSED_PIECE more for the decoded row pieces of a compressed source. */
-CLONED
-static void axpy_dot_tile(const void *job, int64_t t, int64_t me)
+/* fused_axpy of x with a and of y with b, in one walk. */
+void fused_axpy2(FUSED_SOURCE, int64_t j, int64_t n, const double *a,
+                 double *x, const double *b, double *y)
 {
-    const struct walk *k = job;
-    int64_t j = k->j, t0 = (k->round + t) * k->tile;
-    int64_t t1 = t0 + k->tile < k->n ? t0 + k->tile : k->n;
-    double s[FUSED_PIECE], sq[8] = {0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0};
-    double *lanes = k->slices + me * k->stride, *buf = lanes + 8 * j;
-    for (int64_t q = 0; q < 8 * j; q++)
-        lanes[q] = 0.0;
-    for (int64_t i0 = t0; i0 < t1; i0 += FUSED_PIECE) {
-        int64_t len = (i0 + FUSED_PIECE < t1 ? i0 + FUSED_PIECE : t1) - i0;
-        axpy_piece(k, i0, len, s, buf, 1);
-        double *restrict x = k->w + i0;
-        for (int64_t i = 0; i < len; i++)
-            x[i] -= s[i];
-        if (k->sq) {
-            int64_t i = 0;
-            for (; i + 8 <= len; i += 8)
-                for (int q = 0; q < 8; q++)
-                    sq[q] += x[i + q] * x[i + q];
-            for (int q = 0; i < len; i++, q++)
-                sq[q] += x[i] * x[i];
-        }
-        for (int64_t r = 0; r < j; r++) {
-            const double *restrict v = k->v_dense
-                ? k->v_dense + r * k->v_ld + i0 : buf + r * FUSED_PIECE;
-            double a[8];
-            memcpy(a, lanes + 8 * r, sizeof a);
-            int64_t i = 0;
-            for (; i + 8 <= len; i += 8)
-                for (int q = 0; q < 8; q++)
-                    a[q] += v[i + q] * x[i + q];
-            for (int q = 0; i < len; i++, q++)
-                a[q] += v[i] * x[i];
-            memcpy(lanes + 8 * r, a, sizeof a);
-        }
-    }
-    double *p = k->part + t * j;
-    for (int64_t r = 0; r < j; r++)
-        p[r] = lanes_tree(lanes + 8 * r);
-    if (k->sq)
-        k->sq[t] = lanes_tree(sq);
+    struct walk k = {WALK_SOURCE, .j = j, .n = n, .y = a, .y2 = b, .w = x,
+                     .w2 = y};
+    axpy_walk(&k);
 }
 
-void fused_axpy_dot(FUSED_SOURCE, int64_t j, int64_t n, int64_t tile,
-                    const double *y, double *w, double *u, double *work,
-                    int64_t threads)
-{
-    int64_t stride = j * (8 + (v_dense ? 0 : FUSED_PIECE));
-    struct walk k = {WALK_SOURCE, j, n, tile, 0, y, w, work,
-                     work + FUSED_ROUND * j, stride, 0, NULL, 0.0};
-    fused_rounds(axpy_dot_tile, &k, u, threads);
-}
-
-/* ---- one Arnoldi step: CGS2, its norms, the eta test and Givens ----------
- * Everything between the SpMV output w_in and the basis write, in the
- * order of the step's Python body (repro.fused.kernels.step_rows):
- * w = w_in and w~ = ||w||; h = V^T w (the dot walk); the sweep w -= V h,
- * u = V^T w, with ||w||^2 reduced from the tiles it finishes (a tile's
- * w . w partial has the lane order of the norm's own walk, so h_next is
- * the norm's bits); the eta test; on a second pass w -= V u (the axpy
- * walk), h += u and h_next = ||w||.  Then the outcome — non-finite h or
- * h_next, else breakdown (h_next == 0 or < eta eps w~), else loss of
- * orthogonality (a second pass that failed the eta test again) — and,
- * with Givens state (givens != NULL: cs, sn, g, R of an m-column least
- * squares whose column j - 1 this is), unless non-finite: the rotations
- * so far applied to (h, h_next), the new rotation by libm's hypot, the
- * right-hand side rotated, and — unless a breakdown — w /= h_next.
- * out = {h_next, |g_j|, nanoseconds in the basis walks}; returns the
- * flags.  The values of STEP_* are those of repro.fused.kernels. */
-#define STEP_REORTH 1
+/* ---- one Arnoldi step: DCGS2, its norms, the tests and Givens ------------
+ * A step is two calls, in the order of its Python body
+ * (repro.fused.kernels.step_rows, then step_column), around the write of
+ * the vector it finishes into slot k.  fused_step, over the k stored rows
+ * V: omega = ||w_in|| (out[5]); the two walks of width two, a = V^T t
+ * and b = V^T w_in (fused_dot2), then q = t - V a and w = w_in - V b
+ * (fused_axpy2); rho = ||q||, q /= rho.  The outcome: non-finite (rho, a
+ * or b), else loss of orthogonality (rho < eta: the tentative vector t
+ * had lost most of its length to the stored span).  With the
+ * least-squares state (state != NULL: cs, sn, g, R and H of an m-column
+ * system whose column k - 1 is tentative) and a finite outcome: column
+ * k - 1 becomes final, H[:k, k-1] += sigma a and H[k, k-1] = sigma rho
+ * (sigma = H[k, k-1], the tentative scale of t; at k == 0 the right-hand
+ * side, g[0] *= rho), and is absorbed: the rotations so far applied to
+ * it, the new rotation by libm's hypot, the right-hand side rotated, the
+ * residual it leaves in out[2].  out[0] = rho, out[3] = nanoseconds in
+ * the basis walks; returns the flags.  With w_in == NULL the step closes
+ * a cycle: walks of width one over t alone, and w, b untouched.
+ * fused_column, once q is stored, opens column k from what was stored.
+ * The values of STEP_* are those of repro.fused.kernels. */
 #define STEP_NONFINITE 2
 #define STEP_BREAKDOWN 4
 #define STEP_LOSS 8
@@ -1307,76 +1423,182 @@ static double now_ns(void)
     return (double)t.tv_sec * 1e9 + (double)t.tv_nsec;
 }
 
-int64_t fused_step(FUSED_SOURCE, int64_t j, int64_t n, int64_t tile,
-                   const double *w_in, double *w, double eta, double *h,
-                   double *u, double *givens, int64_t m, double *out,
-                   double *work, int64_t threads)
+/* The rotations 0 .. c - 1 of cs, sn applied to column c of an
+ * m-column R, held in col (col[i * m]) and h_next below it; leaves the new
+ * rotation in *co, *si and returns the new diagonal. */
+static double givens_rotate(const double *cs, const double *sn, double *col,
+                            int64_t m, int64_t c, double h_next, double *co,
+                            double *si)
 {
-    memcpy(w, w_in, (size_t)n * sizeof *w);
-    double w_tilde = norm2_walk(w, n, tile, threads);
-    for (int64_t r = 0; r < j; r++)
-        h[r] = u[r] = 0.0;
-    double sq[FUSED_ROUND], started = now_ns();
-    struct walk k = {WALK_SOURCE, j, n, tile, 0, h, w, work,
-                     work + FUSED_ROUND * j,
-                     v_dense ? 0 : ((tile < n ? tile : n) + 7) & ~7LL, 0,
-                     NULL, 0.0};
-    fused_rounds(dot_tile, &k, h, threads);
-    k.stride = j * (8 + (v_dense ? 0 : FUSED_PIECE));
-    k.sq = sq;
-    fused_rounds(axpy_dot_tile, &k, u, threads);
-    double walked = now_ns() - started;
-    double h_next = sqrt(k.sumsq), h_first = h_next;
+    double lo = col[0];
+    for (int64_t i = 0; i < c; i++) {
+        double hi = col[(i + 1) * m];
+        col[i * m] = cs[i] * lo + sn[i] * hi;
+        lo = -sn[i] * lo + cs[i] * hi;
+    }
+    double r = hypot(lo, h_next);
+    *co = 1.0;
+    *si = 0.0;
+    if (r != 0.0) {
+        *co = lo / r;
+        *si = h_next / r;
+    }
+    return r;
+}
+
+int64_t fused_step(FUSED_SOURCE, int64_t k, int64_t n, int64_t tile,
+                   const double *t, const double *w_in, double eta,
+                   double *state, int64_t m, double *q, double *w, double *a,
+                   double *b, double *out, double *work, int64_t threads)
+{
+    int close = w_in == NULL;
+    double walked = 0.0;
+    for (int64_t r = 0; r < k; r++)
+        a[r] = 0.0;
+    out[5] = 0.0;
+    if (!close) {
+        out[5] = norm2_walk(w_in, n, tile, threads);
+        for (int64_t r = 0; r < k; r++)
+            b[r] = 0.0;
+    }
+    if (k) {  /* the axpy writes t - V a into q and w_in - V b into w */
+        double started = now_ns();
+        struct walk d = dot_walk(SOURCE_NAMES(v_), k, n, tile, t,
+                                 close ? NULL : w_in, work);
+        fused_rounds(dot_tile, &d, a, close ? NULL : b, threads);
+        struct walk x = {WALK_SOURCE, .j = k, .n = n, .y = a, .w = q,
+                         .src = t};
+        if (!close) {
+            x.y2 = b;
+            x.w2 = w;
+            x.src2 = w_in;
+        }
+        axpy_walk(&x);
+        walked = now_ns() - started;
+    } else {
+        memcpy(q, t, (size_t)n * sizeof *q);
+        if (!close)
+            memcpy(w, w_in, (size_t)n * sizeof *w);
+    }
+    double rho = norm2_walk(q, n, tile, threads);
+    for (int64_t i = 0; i < n; i++)
+        q[i] /= rho;
+    int finite = isfinite(rho);
+    for (int64_t r = 0; r < k && finite; r++)
+        finite = isfinite(a[r]) && (close || isfinite(b[r]));
+    int64_t flags = !finite ? STEP_NONFINITE : rho < eta ? STEP_LOSS : 0;
+    out[0] = rho;
+    out[2] = 0.0;
+    out[3] = walked;
+    if (state && finite) {
+        double *cs = state, *sn = state + m, *g = state + 2 * m;
+        double *R = state + 3 * m + 1, *H = R + (m + 1) * m;
+        if (k) {
+            double *h = H + (k - 1), sigma = h[k * m], co, si;
+            for (int64_t i = 0; i < k; i++)
+                h[i * m] = h[i * m] + sigma * a[i];
+            h[k * m] = sigma * rho;
+            double *col = R + (k - 1);  /* R[i][k - 1]: col[i * m] */
+            for (int64_t i = 0; i <= k; i++)
+                col[i * m] = h[i * m];
+            double r = givens_rotate(cs, sn, col, m, k - 1, h[k * m], &co,
+                                     &si);
+            cs[k - 1] = co;
+            sn[k - 1] = si;
+            col[(k - 1) * m] = r;
+            col[k * m] = 0.0;
+            double gk = g[k - 1];
+            g[k - 1] = co * gk;
+            g[k] = -si * gk;
+            out[2] = fabs(-si * gk);
+        } else {
+            g[0] = g[0] * rho;
+        }
+    }
+    return flags;
+}
+
+/* w -= c v, and ||w|| of the result in the lane order of norm2_walk: per
+ * tile, element i joins lane (i - t0) mod 8, the fixed tree, the tile
+ * partials added in tile order from +0.0 — read while w is at hand. */
+CLONED
+static double axpy_norm(double *w, const double *v, double c, int64_t n,
+                        int64_t tile)
+{
+    double acc = 0.0;
+    v8df cv = {c, c, c, c, c, c, c, c};
+    for (int64_t t0 = 0; t0 < n; t0 += tile) {
+        int64_t len = (t0 + tile < n ? t0 + tile : n) - t0, i = 0;
+        double *restrict x = w + t0;
+        const double *restrict y = v + t0;
+        v8df a = {0.0};
+        for (; i + 8 <= len; i += 8) {
+            v8df xi = load8(x + i) - cv * load8(y + i);
+            store8(x + i, xi);
+            a += xi * xi;
+        }
+        double lanes[8];
+        store8(lanes, a);
+        for (int q = 0; i < len; i++, q++) {
+            x[i] -= c * y[i];
+            lanes[q] += x[i] * x[i];
+        }
+        acc += lanes_tree(lanes);
+    }
+    return sqrt(acc);
+}
+
+/* The second half of a step, once q is stored in slot k — row r of this
+ * source holds what was stored, read in place or decoded into buf (the
+ * Python body: step_column): c = v_r . w_in (the lane order of the norm),
+ * w -= c v_r and nu = ||w|| in one pass (axpy_norm); the outcome —
+ * non-finite (c, nu), else breakdown (nu == 0 or < eta eps omega, omega =
+ * out[5], the first half's ||w_in||); with the state, column k opened:
+ * (b, c) — less H a (p_i = sum over l >= i - 1 of H[i, l] a[l], from +0.0
+ * in ascending l) and divided by rho = out[0] unless flexible — with
+ * H[k + 1, k] = nu (/ rho unless flexible), and the residual it would
+ * leave read off a rotated copy into out[2]; then, unless a flag, w /= nu,
+ * the next tentative vector.  out[1] = H[k + 1, k]; returns the flags. */
+int64_t fused_column(FUSED_SOURCE, int64_t r, int64_t n, int64_t tile,
+                     double *buf, double *w, const double *w_in, int64_t k,
+                     double eta,
+                     int32_t flexible, double *state, int64_t m,
+                     const double *a, double *b, double *out, int64_t threads)
+{
+    const double *v = SOURCE_ROW(v_, r, 0, n, buf);
+    double rho = out[0];
+    double c = b[k] = dense_dot(v, w_in, n, tile, threads);
+    double nu = axpy_norm(w, v, c, n, tile);
     int64_t flags = 0;
-    if (h_next < eta * w_tilde) {
-        flags |= STEP_REORTH;
-        started = now_ns();
-        struct walk a = {WALK_SOURCE, j, n, 0, 0, u, w, NULL, NULL, 0, 0,
-                         NULL, 0.0};
-        pool_split(axpy_run, &a, (n + AXPY_RUN - 1) / AXPY_RUN, POOL_MAX,
-                   j * n);
-        walked += now_ns() - started;
-        for (int64_t r = 0; r < j; r++)
-            h[r] = h[r] + u[r];
-        h_next = norm2_walk(w, n, tile, threads);
-    }
-    int finite = isfinite(h_next);
-    for (int64_t r = 0; r < j && finite; r++)
-        finite = isfinite(h[r]);
-    if (!finite)
-        flags |= STEP_NONFINITE;
-    else if (h_next == 0.0 || h_next < eta * DBL_EPSILON * w_tilde)
-        flags |= STEP_BREAKDOWN;
-    else if ((flags & STEP_REORTH) && h_next < eta * h_first)
-        flags |= STEP_LOSS;
-    out[0] = h_next;
-    out[2] = walked;
-    if (givens && !(flags & STEP_NONFINITE)) {
-        double *cs = givens, *sn = givens + m, *g = givens + 2 * m;
-        double *col = givens + 3 * m + 1 + (j - 1);  /* R[i][j - 1]: col[i * m] */
+    if (!(isfinite(c) && isfinite(nu)))
+        flags = STEP_NONFINITE;
+    else if (nu == 0.0 || nu < eta * DBL_EPSILON * out[5])
+        flags = STEP_BREAKDOWN;
+    double sigma_new = flexible ? nu : nu / rho;
+    out[1] = sigma_new;
+    if (state && !(flags & STEP_NONFINITE)) {
+        double *cs = state, *sn = state + m, *g = state + 2 * m;
+        double *H = state + 3 * m + 1 + (m + 1) * m, *h = H + k;
+        for (int64_t i = 0; i <= k; i++) {
+            double x = b[i];
+            if (!flexible) {
+                double p = 0.0;
+                for (int64_t l = i ? i - 1 : 0; l < k; l++)
+                    p += H[i * m + l] * a[l];
+                x = (x - p) / rho;
+            }
+            h[i * m] = x;
+        }
+        h[(k + 1) * m] = sigma_new;
         double lo = h[0];
-        for (int64_t i = 0; i < j - 1; i++) {
-            double hi = h[i + 1];
-            col[i * m] = cs[i] * lo + sn[i] * hi;
-            lo = -sn[i] * lo + cs[i] * hi;
-        }
-        double r = hypot(lo, h_next), c = 1.0, s = 0.0;
-        if (r != 0.0) {
-            c = lo / r;
-            s = h_next / r;
-        }
-        cs[j - 1] = c;
-        sn[j - 1] = s;
-        col[(j - 1) * m] = r;
-        col[j * m] = 0.0;
-        double gj = g[j - 1];
-        g[j - 1] = c * gj;
-        g[j] = -s * gj;
-        out[1] = fabs(g[j]);
-        if (!(flags & STEP_BREAKDOWN))
-            for (int64_t i = 0; i < n; i++)
-                w[i] /= h_next;
+        for (int64_t i = 0; i < k; i++)
+            lo = -sn[i] * lo + cs[i] * h[(i + 1) * m];
+        double rr = hypot(lo, sigma_new);
+        out[2] = fabs(-(rr != 0.0 ? sigma_new / rr : 0.0) * g[k]);
     }
+    if (!flags)
+        for (int64_t i = 0; i < n; i++)
+            w[i] /= nu;
     return flags;
 }
 
@@ -1853,6 +2075,13 @@ class RowPointers:
         self.exponents = from_buffer("int32_t *", exponents)
 
 
+def _bad_state(state: np.ndarray, k: int) -> None:
+    """Refuse ``state``: not the float64 least-squares state of ``m``
+    columns (``2 m**2 + 5 m + 1`` doubles) with room for column ``k``."""
+    raise ValueError(f"no least-squares state of more than {k} columns: "
+                     f"{state.dtype} {state.shape}")
+
+
 class _Rows:
     """``count`` rows of ``length`` values, as the fused kernels walk them:
     the base of the two ``FUSED_SOURCE``s of ``C_SOURCE``.
@@ -1863,12 +2092,13 @@ class _Rows:
     first use and sized by ``capacity`` and the engine's threads — never
     by ``n``: a round of tile partials, then one slice per thread.
 
-    :meth:`fused_dot`, :meth:`fused_axpy` and :meth:`fused_axpy_dot` are
-    the three walks of a row source of :mod:`repro.fused.kernels` — the
-    only way to the C kernels, for a solve and for the self-test alike.
-    Their caller has validated the operands it passes (contiguous float64
-    vectors: ``w`` of at least ``n`` values, writable where written;
-    ``y``, ``h``, ``u`` of at least ``j``; ``tile >= 1``); they check what
+    :meth:`fused_dot`, :meth:`fused_axpy` and their width-two forms
+    :meth:`fused_dot2` and :meth:`fused_axpy2` are the walks of a row
+    source of :mod:`repro.fused.kernels` — the only way to the C kernels,
+    for a solve and for the self-test alike.  Their caller has validated
+    the operands it passes (contiguous float64 vectors: ``w`` of at least
+    ``n`` values, writable where written; coefficients of at least ``j``;
+    ``tile >= 1``); they check what
     only the source knows — ``j`` against its rows, ``n`` against their
     length — and return the doubles of work the walk used.
     """
@@ -1903,23 +2133,35 @@ class _Rows:
             )
         if work > self._work.size:
             # 64-byte registers walk it: a buffer that straddles cache
-            # lines costs the sweep a tenth of its time
+            # lines costs a walk a tenth of its time
             raw = np.empty(work + 7)
             skip = -(raw.ctypes.data // 8) % 8
             self._work = raw[skip:skip + work]
             self._work_ptr = self._engine._ptr(self._work, "double *")
         return self._engine._lib, self._engine._ffi.from_buffer, self._work_ptr
 
+    def _dot_work(self, rows: int, n: int, tile: int, width: int) -> int:
+        """Doubles a dot walk of ``width`` operands over ``rows`` rows uses:
+        a round of partials, then a decoded row tile per thread."""
+        engine = self._engine
+        decoded = -(-min(tile, n) // 8) * 8 if self.piece else 0
+        return engine.fused_round * width * rows + engine.threads * decoded
+
     def fused_dot(self, j: int, n: int, tile: int, w, h) -> int:
         """``h[r] += v_r[:n] . w`` (``fused_dot`` in ``C_SOURCE``)."""
-        engine = self._engine
-        threads, held = engine.threads, engine.fused_round
-        decoded = -(-min(tile, n) // 8) * 8 if self.piece else 0
-        lib, ptr, work = self._walk(
-            j, n, held * self.capacity + threads * decoded)
+        lib, ptr, work = self._walk(j, n, self._dot_work(self.capacity, n, tile, 1))
         lib.fused_dot(*self.source, j, n, tile, ptr("double *", w),
-                      ptr("double *", h), work, threads)
-        return held * j + threads * decoded
+                      ptr("double *", h), work, self._engine.threads)
+        return self._dot_work(j, n, tile, 1)
+
+    def fused_dot2(self, j: int, n: int, tile: int, x, y, hx, hy) -> int:
+        """:meth:`fused_dot` of ``x`` into ``hx`` and of ``y`` into ``hy``,
+        in one walk."""
+        lib, ptr, work = self._walk(j, n, self._dot_work(self.capacity, n, tile, 2))
+        lib.fused_dot2(*self.source, j, n, tile, ptr("double *", x),
+                       ptr("double *", y), ptr("double *", hx),
+                       ptr("double *", hy), work, self._engine.threads)
+        return self._dot_work(j, n, tile, 2)
 
     def fused_axpy(self, j: int, n: int, tile: int, y, w,
                    store: bool = False) -> int:
@@ -1930,46 +2172,74 @@ class _Rows:
                        ptr("double *", w), store)
         return 0
 
-    def fused_axpy_dot(self, j: int, n: int, tile: int, y, w, u) -> int:
-        """:meth:`fused_axpy`, then ``u[r] += v_r[:n] . w``, in one walk."""
-        engine = self._engine
-        threads = engine.threads
-        per_row = engine.fused_round + threads * (8 + self.piece)
-        lib, ptr, work = self._walk(j, n, self.capacity * per_row)
-        lib.fused_axpy_dot(*self.source, j, n, tile, ptr("double *", y),
-                           ptr("double *", w), ptr("double *", u), work,
-                           threads)
-        return j * per_row
+    def fused_axpy2(self, j: int, n: int, tile: int, a, x, b, y) -> int:
+        """:meth:`fused_axpy` of ``x`` with ``a`` and of ``y`` with ``b``,
+        in one walk."""
+        lib, ptr, _ = self._walk(j, n)
+        lib.fused_axpy2(*self.source, j, n, ptr("double *", a),
+                        ptr("double *", x), ptr("double *", b),
+                        ptr("double *", y))
+        return 0
 
-    def step(self, j: int, n: int, tile: int, w_in, w, eta: float, h, u,
-             givens, out) -> int:
-        """One Arnoldi step (``fused_step`` in ``C_SOURCE``): the bits of
-        :func:`repro.fused.kernels.step_rows` over these rows, in one call;
-        ``givens`` (or ``None``), the Givens state whose column ``j - 1``
-        this is, is updated in place.  ``out[3]``: the doubles of work the
-        dot and the sweep each use, the larger."""
+    def step(self, k: int, n: int, tile: int, t, w_in, eta: float, state, q,
+             w, a, b, out) -> int:
+        """The first half of an Arnoldi step over the leading ``k`` rows
+        (``fused_step`` in ``C_SOURCE``): the bits of
+        :func:`repro.fused.kernels.step_rows`, in one call; ``state`` (or
+        ``None``), the least-squares state whose column ``k - 1`` the step
+        makes final, is updated in place; without ``w_in`` the step closes
+        the cycle.  ``out[4]``: the doubles of work the dot walk uses (the
+        axpy uses none)."""
         engine = self._engine
-        threads, held = engine.threads, engine.fused_round
-        decoded = -(-min(tile, n) // 8) * 8 if self.piece else 0
-        per_row = held + threads * (8 + self.piece)
-        lib, ptr, work = self._walk(j, n, max(
-            held * self.capacity + threads * decoded, self.capacity * per_row))
+        used, work = 0, engine._ffi.NULL
+        if k:
+            held, decoded = engine.fused_round, -(-min(tile, n) // 8) * 8
+            decoded = engine.threads * decoded if self.piece else 0
+            used = (held if w_in is None else 2 * held) * k + decoded
+            lib, ptr, work = self._walk(k, n, 2 * held * self.capacity + decoded)
+        else:  # nothing stored yet: only the step's dense work
+            lib, ptr = engine._lib, engine._ffi.from_buffer
         m = 0
-        if givens is not None:  # a state of m columns: (m + 2)**2 - 3 doubles
-            m = math.isqrt(givens.size + 3) - 2
-            if (givens.dtype != np.float64 or (m + 2) ** 2 - 3 != givens.size
-                    or not j <= m):
-                raise ValueError(
-                    f"no Givens state of at least {j} columns: "
-                    f"{givens.dtype} {givens.shape}")
+        if state is not None:  # m columns: 2 m**2 + 5 m + 1 doubles
+            m = (math.isqrt(8 * state.size + 17) - 5) // 4
+            if (state.dtype != np.float64 or 2 * m * m + 5 * m + 1 != state.size
+                    or not k - (w_in is None) < m):
+                _bad_state(state, k - (w_in is None))
+        null = engine._ffi.NULL
         flags = lib.fused_step(
-            *self.source, j, n, tile, ptr("double *", w_in),
-            ptr("double *", w), eta, ptr("double *", h), ptr("double *", u),
-            engine._ffi.NULL if givens is None else ptr("double *", givens),
-            m, ptr("double *", out), work, threads)
-        out[3] = max(held * j + threads * decoded, j * per_row)
+            *self.source, k, n, tile, ptr("double *", t),
+            null if w_in is None else ptr("double *", w_in), eta,
+            null if state is None else ptr("double *", state), m,
+            ptr("double *", q), null if w_in is None else ptr("double *", w),
+            ptr("double *", a), null if w_in is None else ptr("double *", b),
+            ptr("double *", out), work, engine.threads)
+        out[4] = used
         return flags
 
+    def column(self, r: int, n: int, tile: int, buf, w, w_in, k: int,
+               eta: float, flexible: bool, state, a, b, out) -> int:
+        """The second half of the step (``fused_column``): row ``r`` holds
+        the vector the first half finished, as stored (a compressed row is
+        decoded into ``buf``, ``n`` doubles); ``w`` becomes the next
+        tentative vector and column ``k`` opens in ``state``."""
+        if not 0 <= r < self.count or n != self.length:
+            raise ValueError(
+                f"source holds {self.count} rows of {self.length} values; "
+                f"asked for row {r} of n={n}")
+        engine = self._engine
+        ptr = engine._ffi.from_buffer
+        m = 0
+        if state is not None:
+            m = (math.isqrt(8 * state.size + 17) - 5) // 4
+            if (state.dtype != np.float64 or 2 * m * m + 5 * m + 1 != state.size
+                    or not k < m):
+                _bad_state(state, k)
+        return engine._lib.fused_column(
+            *self.source, r, n, tile, ptr("double *", buf), ptr("double *", w),
+            ptr("double *", w_in), k, eta, flexible,
+            engine._ffi.NULL if state is None else ptr("double *", state), m,
+            ptr("double *", a), ptr("double *", b), ptr("double *", out),
+            engine.threads)
 
 class DenseRows(_Rows):
     """The rows of a C-contiguous float64 ``(count, length)`` array, read
@@ -2203,7 +2473,7 @@ class CEngine:
         #: chunk-wavefront geometry of the triangular sweeps (C constants)
         self.sweep_rows = int(self._lib.prec_sweep_rows)
         self.sweep_chunks = int(self._lib.prec_sweep_chunks)
-        #: elements per piece of the fused axpy and sweep (C constant)
+        #: elements per piece of the fused axpy (C constant)
         self.fused_piece = int(self._lib.fused_piece)
         #: tiles whose partials a fused walk holds at once (C constant)
         self.fused_round = int(self._lib.fused_round)

@@ -139,19 +139,20 @@ def _check_fused(engine, rng: np.random.Generator) -> None:
     (``engine.dense_rows`` / ``engine.row_table``): the route a solve takes.
     Float64 rows read in place and FRSZ2 rows decoded in the kernel must
     both reproduce ``dot_rows_numpy`` / ``axpy_rows_numpy`` — and the
-    sweep the one after the other, which is its definition — over the
+    walks of width two each operand's own walk, which is their definition
+    (the dot of width two at every tile but a case's first) — over the
     decoded rows bit for bit: tiles with and without a
     ``len mod 8`` tail, a tile not aligned to the block size, signed
     zeros, subnormals and terms 600 orders of magnitude apart.  The short
     sources cover every slot width; a long one crosses the axpy's piece
-    boundary, where a group of four rows continues into the next piece
-    and the sweep's lanes must persist from one piece to the next, with
-    its four ordinary rows first, so that a dot pass of four rows and an
-    axpy group decode whole blocks in registers; its dot spans more
-    tiles than one round of partials holds.  A call that
-    runs alone takes its tiles last first, so partials added in any order
-    but the tiles' fail here already.  Last, rows the pool splits: on two
-    threads and on the pool's, each walk must repeat its one-thread bits.
+    boundary, where a group of four rows continues into the next piece,
+    with its four ordinary rows first, so that a dot pass (of four rows,
+    or of two at width two) and an axpy group decode whole blocks in
+    registers; its dot spans more tiles than one round of partials
+    holds.  A call that runs alone takes its tiles last first, so partials
+    added in any order but the tiles' fail here already.  Last, rows the
+    pool splits: on two threads and on the pool's, each walk must repeat
+    its one-thread bits.
     """
     from ..core.blocks import BlockLayout
     from ..core.frsz2 import Frsz2Compressed
@@ -196,9 +197,8 @@ def _check_fused(engine, rng: np.random.Generator) -> None:
     sources = [(*float64(vectors), (plain, hostile))]
     for bit_length, block_size in ((16, 32), (21, 32), (32, 32), (32, 5)):
         sources.append((*compressed(vectors, bit_length, block_size), (plain,)))
-    # the sweep's tile walk is one piece here: a tile that ends inside a
-    # block and leaves a ``mod 8`` tail, and n, do
-    cases.append((n, (32, 40, n), (104, n), sources))
+    # a tile that ends inside a block and leaves a ``mod 8`` tail, and n
+    cases.append((n, (32, 40, n), sources))
     # more than two pieces; tiles of one piece plus a tail that is not a
     # multiple of 8, of one piece plus one whole lane group, and of n; a
     # dot over more tiles than one round of partials holds
@@ -209,45 +209,53 @@ def _check_fused(engine, rng: np.random.Generator) -> None:
     ordinary_first = [vectors[i] for i in (1, 2, 4, 5, 0, 3)]
     sources = [(*float64(vectors), (plain,)),
                (*compressed(ordinary_first, 32, 32), (plain,))]
-    tiles = (piece + 13, piece + 8, n)
-    cases.append((n, (*tiles, 8), tiles, sources))
+    cases.append((n, (piece + 13, piece + 8, n, 8), sources))
 
     y = np.array([0.5, 3.0, -0.25, 7.0, -1.75, 1.5])
+    y2 = y[::-1] * 0.375
 
-    for n, tiles, sweep_tiles, sources in cases:
+    for n, tiles, sources in cases:
         # the references are numpy dots; each is gathered as its products
-        # and all of a tile are summed in one call (see _numpy_dots)
-        dots, sweeps = [], []
+        # and all of a tile are summed in one call (see _numpy_dots); a
+        # second operand's only serve the walks of width two
+        dots, seconds, pairs = [], [], []
         for tag, rows, dense, operands in sources:
             tag = f"{tag} n={n}"
+            # width two: the ordinary operand with a second one; the lane
+            # code is shared, so the hostile operand need not pair
+            other = operands[0][::-1] * 0.5
+            pairs.append((tag, rows, operands[0], other, len(dots), len(seconds)))
+            # a dot's rows are independent: one reference for any j
+            dots += [(tag, rows, w, dense * w) for w in operands]
+            seconds.append((tag, rows, other, dense * other))
             for w in operands:
-                # a dot's rows are independent: one reference for any j
-                dots.append((tag, rows, w, dense * w))
                 for j in (1, 6):  # axpy: the first row alone; a group of four + one
                     combined = w.copy()
                     axpy_rows_numpy(dense, j, n, y, combined, True)
                     _expect(_same_bits(combined, _axpy(rows, j, n, y, w, True)),
                             f"fused.combine ({tag} j={j})")
                     # element for element, the axpy is w minus the combine
-                    updated = w - combined
-                    _expect(_same_bits(updated, _axpy(rows, j, n, y, w, False)),
+                    _expect(_same_bits(w - combined, _axpy(rows, j, n, y, w, False)),
                             f"fused.axpy ({tag} j={j})")
-                    # the sweep is the axpy, then the dot of what it left;
-                    # the ordinary operand does, the lane code is shared
-                    if w is operands[0]:
-                        sweeps.append((tag, rows, j, w, updated,
-                                       dense[:j] * updated))
+            # five rows: the first alone and a group of four (the axpy), two
+            # passes of two and one row alone (the dot)
+            x, o = operands[0].copy(), other.copy()
+            axpy_rows_numpy(dense, 5, n, y, x)
+            axpy_rows_numpy(dense, 5, n, y2, o)
+            _expect(_same_bits(np.concatenate((x, o)),
+                               _axpy2(rows, 5, n, y, operands[0], y2, other)),
+                    f"fused.axpy2 ({tag} j=5)")
         for tile in tiles:
-            for (tag, rows, w, _), ref in zip(dots, _numpy_dots(dots, n, tile)):
+            refs = _numpy_dots(dots + seconds * (tile != tiles[0]), n, tile)
+            for (tag, rows, w, _), ref in zip(dots, refs):
                 for j in (1, 6):
                     _expect(_same_bits(ref[:j], _dot(rows, j, n, tile, w)),
                             f"fused.dot_basis ({tag} j={j} tile={tile})")
-        for tile in sweep_tiles:
-            for (tag, rows, j, w, updated, _), ref in zip(
-                    sweeps, _numpy_dots(sweeps, n, tile)):
-                _expect(_same_bits(np.concatenate((ref, updated)),
-                                   _sweep(rows, j, n, tile, y, w)),
-                        f"fused.axpy_dot ({tag} j={j} tile={tile})")
+            for tag, rows, w, other, at, second in pairs * (tile != tiles[0]):
+                _expect(_same_bits(
+                    np.concatenate((refs[at][:5], refs[len(dots) + second][:5])),
+                    _dot2(rows, 5, n, tile, w, other)),
+                    f"fused.dot2 ({tag} j=5 tile={tile})")
 
     # rows the pool splits — more values than its minimum, more tiles than
     # a round of partials holds: on two threads and on the pool's, every
@@ -256,8 +264,8 @@ def _check_fused(engine, rng: np.random.Generator) -> None:
     n_tiles = engine.fused_round + 7  # one round of tiles and then some
     n = max(-(-engine.pool_min_work // y.size), 8 * n_tiles)
     # uniform draws: as many normal ones cost this family a millisecond
-    dense = rng.random((y.size + 1, n)) - 0.5
-    dense, plain = dense[:-1], dense[-1]
+    dense = rng.random((y.size + 2, n)) - 0.5
+    dense, plain, other = dense[:-2], dense[-2], dense[-1]
     layout = BlockLayout(n, 32, 32)
     comps = []
     for v in dense:  # the codec is held to numpy above
@@ -267,14 +275,15 @@ def _check_fused(engine, rng: np.random.Generator) -> None:
     for tag, rows in (
             ("float64", engine.dense_rows(dense)),
             ("l=32 bs=32", engine.row_table(map(engine.row_pointers, comps)))):
-        for tile in (n // n_tiles, n):
-            walks += [
-                (f"fused.dot_basis ({tag} tile={tile} n={n}",
-                 partial(_dot, rows, y.size, n, tile, plain)),
-                (f"fused.axpy_dot ({tag} tile={tile} n={n}",
-                 partial(_sweep, rows, y.size, n, tile, y, plain))]
-        walks.append((f"fused.axpy ({tag} n={n}",
-                      partial(_axpy, rows, y.size, n, y, plain, False)))
+        tile = n // n_tiles
+        walks += [(f"fused.dot_basis ({tag} tile={tile} n={n}",
+                   partial(_dot, rows, y.size, n, tile, plain)),
+                  (f"fused.dot2 ({tag} tile={tile} n={n}",
+                   partial(_dot2, rows, y.size, n, tile, plain, other)),
+                  (f"fused.axpy ({tag} n={n}",
+                   partial(_axpy, rows, y.size, n, y, plain, False)),
+                  (f"fused.axpy2 ({tag} n={n}",
+                   partial(_axpy2, rows, y.size, n, y, plain, y2, other))]
     _split_repeats_alone(engine, walks, rounds=3)
     _check_norm2_and_step(engine, rng)
 
@@ -299,21 +308,22 @@ def _split_repeats_alone(engine, runs, rounds: int) -> None:
 def _check_norm2_and_step(engine, rng: np.random.Generator) -> None:
     """``norm2`` on the codec's edge vectors (subnormals, signed zeros,
     squares that overflow) and ``step`` against its Python body
-    (``step_rows``) over the same float64 rows, with the Givens state: at
-    j = 1, an exact breakdown (``w`` in the span), a loss of orthogonality
-    (two rows along one direction), a reorthogonalizing step, a one-pass
-    step and a non-finite ``w`` — each checked to be the case it claims,
-    then held to the body's flags, ``h``, ``w``, norm, residual and Givens
-    state, bit for bit.  The reorthogonalizing step, which makes all three
-    walks, also runs over FRSZ2 rows: what the step adds to the walks held
-    above does not depend on the source."""
+    (``step_rows``) over the same float64 rows, with a least-squares state
+    whose column ``k - 1`` is tentative: a cycle's first step (``k = 0``),
+    an exact breakdown (``w`` in the span), a loss of orthogonality (``t``
+    mostly along a stored row), an ordinary step over FRSZ2 rows, one
+    without the correction (``flexible``) over float64 rows, the close
+    of a cycle (no product) and a non-finite ``w`` — each checked to be
+    the case it claims, then held to the body's flags, ``q``, next
+    tentative vector, coefficients, ``out`` words and state, bit for
+    bit."""
     from ..core.blocks import BlockLayout
     from ..core.frsz2 import Frsz2Compressed
     from ..fused.kernels import (STEP_BREAKDOWN, STEP_LOSS, STEP_NONFINITE,
-                                 STEP_REORTH, _NumpyRows, givens_column,
-                                 givens_state, givens_views, norm2_numpy)
+                                 _NumpyRows, givens_column, givens_state,
+                                 givens_views, norm2_numpy)
 
-    n, tile = 203, 64
+    n, tile, m = 203, 64, 7
     for x, t in ((_sample_values(rng, n), 40), (_sample_small(rng, n), tile)):
         _expect(_same_bits(np.float64(norm2_numpy(x, t)),
                            np.float64(engine.norm2(x, t))),
@@ -321,13 +331,16 @@ def _check_norm2_and_step(engine, rng: np.random.Generator) -> None:
 
     e0, e1 = np.zeros(n), np.zeros(n)
     e0[0] = e1[1] = 1.0
-    spread = np.vstack([e0, 0.5 * e0])
-    orthonormal = rng.standard_normal((6, n))
+    orthonormal = rng.standard_normal((7, n))
     for r, v in enumerate(orthonormal):  # Gram-Schmidt, twice: no LAPACK
         for _ in range(2):
             for q in orthonormal[:r]:
                 v -= (v * q).sum() * q
         v /= np.sqrt((v * v).sum())
+    # the tentative vector: orthogonalized once, with a rounding's worth
+    # of the stored span left in it
+    tentative, orthonormal = orthonormal[6] + 1e-9 * orthonormal[0], orthonormal[:6]
+    tentative /= np.sqrt((tentative * tentative).sum())
     layout = BlockLayout(n, 32, 32)
     comps = [Frsz2Compressed(layout, *engine.encode(v, layout, False)[::-1])
              for v in orthonormal]
@@ -337,28 +350,54 @@ def _check_norm2_and_step(engine, rng: np.random.Generator) -> None:
     # terms 2^16 apart in size: a sum of squares in any other lane order
     # rounds differently often enough to show through the square root
     plain = rng.standard_normal(n) * np.exp2(rng.integers(-8, 8, n).astype(float))
-    in_span = (rng.standard_normal((6, 1)) * orthonormal).sum(axis=0) + 1e-6 * plain
     poisoned = plain.copy()
     poisoned[77] = np.nan
-    columns = [rng.standard_normal(k + 1) for k in range(5)]
-    for tag, rows, dense, j, w, want in (
-            ("j=1", None, spread, 1, plain, 0),
-            ("breakdown", None, spread, 1, 3.0 * e0, STEP_REORTH | STEP_BREAKDOWN),
-            ("loss", None, spread, 2, e0 + 0.1 * e1, STEP_REORTH | STEP_LOSS),
-            ("reorthogonalizing", None, orthonormal, 6, in_span, STEP_REORTH),
-            ("reorthogonalizing, l=32", table, decoded, 6, in_span, STEP_REORTH),
-            ("one pass", None, orthonormal, 6, plain, 0),
-            ("non-finite", None, orthonormal, 6, poisoned, STEP_NONFINITE)):
-        prepared = givens_state(6)
-        prepared[2 * 6] = 1.5  # g_0 = beta
-        for c, h in enumerate(columns[:j - 1]):
-            givens_column(givens_views(prepared), c, h, 0.75)
+    lost = (e0 + 0.1 * e1) / np.sqrt(1.01)
+    # least-squares states whose column k - 1 is tentative, the columns
+    # before it absorbed: one per depth the cases take
+    prepared = {}
+    for k in (0, 1, 6):
+        prepared[k] = givens_state(m)
+        views = givens_views(prepared[k])
+        views[2][0] = 1.5  # g_0 = beta
+        hess = views[4]
+        for c in range(k):
+            hess[:c + 1, c] = rng.standard_normal(c + 1)
+            hess[c + 1, c] = 0.75
+            if c < k - 1:
+                givens_column(views, c, hess[:c + 1, c], 0.75)
+    for tag, rows, dense, k, t, w, flexible, want in (
+            ("k=0", None, orthonormal, 0, tentative, plain, False, 0),
+            ("breakdown", None, e0[None], 1, e1, 3.0 * e0 + 2.0 * e1, False,
+             STEP_BREAKDOWN),
+            ("loss", None, e0[None], 1, lost, plain, False, STEP_LOSS),
+            ("ordinary, l=32", table, decoded, 6, tentative, plain, False, 0),
+            ("flexible", None, orthonormal, 6, tentative, plain, True, 0),
+            ("close", None, orthonormal, 6, tentative, None, False, 0),
+            ("non-finite", None, orthonormal, 6, tentative, poisoned, False,
+             STEP_NONFINITE)):
         results = []
-        for source in (_NumpyRows(dense), rows or engine.dense_rows(dense)):
-            givens = prepared.copy()
-            h, v, u, out = np.empty(j), np.empty(n), np.empty(j), np.zeros(4)
-            flags = source.step(j, n, tile, w, v, 2.0 ** -0.5, h, u, givens, out)
-            results.append((flags, h, v, out[:2], givens))
+        for compiled in (False, True):
+            source = (rows or engine.dense_rows(dense)) if compiled else _NumpyRows(dense)
+            live = prepared[k].copy()
+            q, v, a, b, out = (np.empty(n), np.zeros(n), np.empty(k),
+                               np.zeros(k + 1), np.zeros(6))
+            flags = source.step(k, n, tile, t, w, 2.0 ** -0.5, live, q, v, a, b,
+                                out)
+            if not flags and w is not None:  # q stored as row k: the column
+                if rows is None:
+                    stored = np.vstack([dense, q])
+                    after = engine.dense_rows(stored) if compiled else _NumpyRows(stored)
+                else:
+                    qcomp = Frsz2Compressed(layout, *engine.encode(q, layout, False)[::-1])
+                    after = engine.row_table(map(engine.row_pointers, [*comps, qcomp]))
+                    if not compiled:
+                        stored = np.empty((k + 1, n))
+                        after(0, n, stored)
+                        after = _NumpyRows(stored)
+                flags = after.column(k, n, tile, np.empty(n), v, w, k, 2.0 ** -0.5, flexible,
+                                     live, a, b, out)
+            results.append((flags, q, v, a, b, out[[0, 1, 2, 5]], live))
         (flags, *ref), (got_flags, *got) = results
         _expect(flags == want, f"fused.step ({tag}): the body's flags are {flags}")
         _expect(got_flags == flags and all(
@@ -391,10 +430,16 @@ def _axpy(rows, j, n, y, w, store):
     return out
 
 
-def _sweep(rows, j, n, tile, y, w):
-    u, out = np.zeros(j), w.copy()
-    rows.fused_axpy_dot(j, n, tile, y, out, u)
-    return np.concatenate((u, out))
+def _dot2(rows, j, n, tile, x, y):
+    hx, hy = np.zeros(j), np.zeros(j)
+    rows.fused_dot2(j, n, tile, x, y, hx, hy)
+    return np.concatenate((hx, hy))
+
+
+def _axpy2(rows, j, n, a, x, b, y):
+    x, y = x.copy(), y.copy()
+    rows.fused_axpy2(j, n, n, a, x, b, y)
+    return np.concatenate((x, y))
 
 
 def _csr_arrays(mask: np.ndarray, values: np.ndarray):

@@ -74,6 +74,12 @@ PRIOR_GAIN = 1e-8
 #: wall, so its gain says more about the format than about the matrix
 CAP_MARGIN = 32.0
 
+#: a cycle is in *distress* when its explicit residual ends above this
+#: multiple of the implicit one its least squares closed on: the stored
+#: basis no longer carries the Arnoldi relation, so the residual the cycle
+#: minimised is not the solve's (its gain then says nothing of the matrix)
+GAP_MARGIN = 1e3
+
 #: pointwise unit roundoff of each storage format: FRSZ2 keeps an
 #: ``N-1``-bit fixed-point mantissa against a block-shared exponent
 #: (relative error ``2**-(N-1)`` — paper Section IV-A), IEEE formats
@@ -158,20 +164,26 @@ class CycleRecord:
         computed after it (the next cycle's start, else the solve's
         final residual); their ratio is the observed per-cycle reduction
         factor.  ``end_rrn`` is NaN while the cycle is open.
+    implicit_rrn : float
+        The implicit relative residual of the least squares the cycle's
+        update solved (NaN: no update).
     iterations : int
         Arnoldi steps the cycle ran.
     reorthogonalizations : int
-        Steps whose eta test forced a second orthogonalization pass.
+        Steps whose walks orthogonalized a vector a second time (every
+        step over a stored vector).
     loss_of_orthogonality : bool
-        The cycle ended on a hard re-orthogonalization failure.
+        A second pass took most of a vector (``rho < eta``): the cycle
+        ended on it.
     recoveries : int
         Recoveries charged from the cycle's start to the next cycle's
         (faults, a non-finite restart residual after the cycle included).
     step_walks, step_vectors : int
         Walks of the basis the cycle's Arnoldi steps made
-        (:func:`repro.fused.kernels.step_walks`: two per step, three
-        after a re-orthogonalization) and the vectors they read (``j``
-        per walk at step ``j``).
+        (:func:`repro.fused.kernels.step_walks`: two per step over a
+        stored vector, two more for the close of the cycle's last column)
+        and the vectors they read (``k`` per walk over ``k`` stored
+        vectors).
     update_vectors : int
         Vectors the solution update's one walk (``V y``) read; 0 when
         the cycle ended without one.
@@ -200,6 +212,7 @@ class CycleRecord:
     storage: str
     start_rrn: float
     end_rrn: float = math.nan
+    implicit_rrn: float = math.nan
     iterations: int = 0
     reorthogonalizations: int = 0
     loss_of_orthogonality: bool = False
@@ -265,8 +278,9 @@ class PrecisionController:
         A cycle that made progress (its explicit residual fell below
         :data:`~repro.solvers.block.STALL_FACTOR` of its start) and was
         not storage-capped sets the convergence-rate estimate.  A cycle
-        in distress — no progress, a loss of orthogonality, or a fault
-        recovery — raises the floor to the rung above its own.  A
+        in distress — no progress, a loss of orthogonality, an explicit
+        residual above :data:`GAP_MARGIN` times its implicit one, or a
+        fault recovery — raises the floor to the rung above its own.  A
         capped cycle is a success, not distress.
         """
         from .block import STALL_FACTOR  # block imports this module
@@ -274,9 +288,12 @@ class PrecisionController:
         idx = LADDER.index(fb.storage) if fb.storage in LADDER else len(LADDER) - 1
         ratio = fb.end_rrn / fb.start_rrn if fb.start_rrn > 0 else math.nan
         progress = ratio < STALL_FACTOR  # False for a NaN
-        if progress and ratio > CAP_MARGIN * storage_unit_roundoff(fb.storage):
+        gap = fb.end_rrn > GAP_MARGIN * fb.implicit_rrn  # False for a NaN
+        if progress and not gap and ratio > CAP_MARGIN * storage_unit_roundoff(
+                fb.storage):
             self._gain_pred = ratio
-        if not progress or fb.loss_of_orthogonality or fb.recoveries > 0:
+        if (not progress or gap or fb.loss_of_orthogonality
+                or fb.recoveries > 0):
             self._floor_idx = max(self._floor_idx, min(idx + 1, len(LADDER) - 1))
             if self.tracer.enabled:
                 self.tracer.count("precision.distress")

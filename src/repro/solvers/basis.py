@@ -25,9 +25,11 @@ Two basis modes reproduce the two kernel structures the paper compares:
 
 The solver reads the stored basis through exactly two methods, the two
 fused kernels of Fig. 1: :meth:`KrylovBasis.step` (the orthogonalization
-of one Arnoldi step — dot, sweep and, on a second pass, axpy, in one
-walk of the row source) and :meth:`KrylovBasis.combine` (``V y``, the
-solution update).  Both run the *same* fused reductions in one written
+of one Arnoldi step — DCGS2's two walks of width two, in one call on the
+row source) and :meth:`KrylovBasis.combine` (``V y``, the solution
+update).  A step leaves the vector it makes *tentative*: the next step
+finishes it with its own walks and hands it back normalised, and only
+then is it written — each slot is stored (encoded) once.  Both run the *same* fused reductions in one written
 accumulation order (cached hands them the columns of the dense view in
 place, streaming the containers to decode), which makes the two modes
 bit-identical — asserted across storages in the test suite.  The
@@ -52,7 +54,7 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from ..accessor import Frsz2Tiles, VectorAccessor, accessor_factory
+from ..accessor import Float64Accessor, Frsz2Tiles, VectorAccessor, accessor_factory
 from ..jit import dispatch as _dispatch
 from ..fused import (
     DEFAULT_TILE_ELEMS,
@@ -62,7 +64,7 @@ from ..fused import (
     TileReader,
     combine_fused,
 )
-from ..fused.kernels import STEP_NONFINITE, bill_fused, step_walks
+from ..fused.kernels import STEP_NONFINITE, _LoadedRows, _NumpyRows, bill_fused
 from ..observe import NULL_TRACER
 
 __all__ = ["KrylovBasis", "BASIS_MODES"]
@@ -156,6 +158,13 @@ class KrylovBasis:
         self._cache: Optional[np.ndarray] = (
             np.empty((n, m + 1), order="F") if basis_mode == "cached" else None
         )
+        #: the view's columns; a plain ``float64`` slot stores its values
+        #: in its column (:meth:`_keep_in_view`), so a vector is stored once
+        self._columns = (
+            None if self._cache is None
+            else [self._cache[:, j] for j in range(m + 1)]
+        )
+        self._keep_in_view()
         self._written = 0
         #: the reader, and in it the row source, that fused calls walk
         #: without building anything (see :meth:`_rows`): the basis sets
@@ -169,9 +178,11 @@ class KrylovBasis:
             TileReader(None, 0, self.n, self.backend) if self._cache is None
             else CachedTileReader(self._cache, 0, self.backend)
         )
-        #: the step's scratch ``u`` and its ``out`` words (see :meth:`step`)
-        self._u = np.empty(m + 1)
-        self._out = np.zeros(4)
+        #: the ``out`` words of a step (see :meth:`step`), and the buffer
+        #: a streaming step decodes the vector it stored into (made on
+        #: first use)
+        self._out = np.zeros(6)
+        self._row: Optional[np.ndarray] = None
 
     @property
     def bits_per_value(self) -> float:
@@ -191,12 +202,11 @@ class KrylovBasis:
         made resident by writes (a column no write reaches is never
         touched, but it is counted).
         ``streaming``: what the work buffer the compiled kernels keep
-        holds — the ``m+1`` partials of each tile of one round and, per
-        thread of the pool, a ``tile``-double decode buffer or the
-        ``(m+1, 256)`` row pieces and ``8 (m+1)`` lanes of the sweep,
-        whichever is larger — or, if larger, the ``(j, tile)`` scratch of
-        a basis reduced tile by tile: ``O(threads x m x tile)`` either
-        way, never ``O(n x m)``.
+        holds — two operands' ``m+1`` partials of each tile of one round
+        and, per thread of the pool, a ``tile``-double decode buffer — or,
+        if larger, the ``(j, tile)`` scratch of a basis reduced tile by
+        tile: ``O(m + threads x tile)`` or ``O(m x tile)``, never
+        ``O(n x m)``.
         """
         if self._cache is not None:
             return int(self._cache.nbytes)
@@ -238,7 +248,18 @@ class KrylovBasis:
                 acc.set_tracer(self.tracer)
         self.accessors[:] = fresh
         self.storage = storage
+        self._keep_in_view()
         self._forget()
+
+    def _keep_in_view(self) -> None:
+        """Hand every plain ``float64`` slot its column of the cached view
+        as the buffer it stores into: its write is then the view's refresh
+        too.  Any other slot keeps its own storage, and a write decodes it
+        into its column."""
+        if self._columns is not None:
+            for acc, column in zip(self.accessors, self._columns):
+                if type(acc) is Float64Accessor:
+                    acc.keep_in(column)
 
     def _forget(self) -> None:
         """Fence off every written slot: reads stop at ``_written``."""
@@ -261,8 +282,11 @@ class KrylovBasis:
                     self._cache[:, self._written:j] = 0.0
                 # refreshing the lossy view decompresses the vector we
                 # just wrote (one bulk decode straight into the column;
-                # it is part of the write, not a stored-basis read)
-                acc.read_into(self._cache[:, j])
+                # it is part of the write, not a stored-basis read) —
+                # unless the slot stored it there itself
+                column = self._columns[j]
+                if getattr(acc, "_buffer", None) is not column:
+                    acc.read_into(column)
             elif self.backend == "jit":
                 # the container just stored becomes row j of the kept
                 # source: what a per-call reader proves over all its
@@ -369,47 +393,101 @@ class KrylovBasis:
             return combine_fused(
                 self._rows(j), y, self.tile_elems, tracer, self.fused_log)
 
-    def step(self, j: int, w: np.ndarray, eta: float, lsq=None):
-        """One Arnoldi step against the leading ``j >= 1`` vectors, in one
-        walk of the row source (:func:`repro.fused.kernels.step_rows`).
+    def step(self, k: int, t: np.ndarray, w, eta: float, lsq=None,
+             flexible: bool = False):
+        """One Arnoldi step of DCGS2 against the leading ``k >= 0`` stored
+        vectors ``V``, which stores the vector it finishes in slot ``k``
+        (:func:`repro.fused.kernels.step_rows`, the write, then
+        :func:`~repro.fused.kernels.step_column`).
 
-        ``w`` (the SpMV output, not modified) is copied and orthogonalized
-        by CGS2 with the ``eta`` test of Fig. 1; with ``lsq``, a
-        :class:`~repro.solvers.GivensLeastSquares` holding ``j - 1``
-        columns, the step also absorbs its column and — on a finite step
-        that is no breakdown — normalises the copy.  A compiled source
-        (the mirror's rows, the kept FRSZ2 table) runs it as one C call;
-        every other source runs the Python body, with the same bits.
+        ``t`` is the tentative vector the previous step returned (or
+        ``r / ||r||`` at a cycle's start) and ``w`` (the SpMV output, not
+        modified) its product ``A M^-1 t``.  The two walks of width two
+        orthogonalize both against ``V`` at once: ``t`` a second time — it
+        becomes ``q``, normalised, written to slot ``k`` — and ``w`` a
+        first time; then ``w`` is orthogonalized against ``q`` *as stored*
+        (the lossy vector the solution update will combine) and becomes
+        the next tentative vector, normalised unless a flag is raised.
+        With ``lsq``, a :class:`~repro.solvers.GivensLeastSquares` whose
+        column ``k - 1`` is tentative, the step makes that column final and
+        absorbs it, and opens column ``k``; ``flexible`` (a flexible
+        solve's ``w`` is ``A z`` of a stored ``z``) leaves out the
+        correction that makes it a column of ``A M^-1 q``.  A compiled
+        source (the mirror's rows, the kept FRSZ2 table) runs each half as
+        one C call; every other source runs the Python body, with the same
+        bits.  A flag raised before the write (non-finite, loss of
+        orthogonality) leaves slot ``k`` unwritten and no column opened;
+        a refused write raises.
 
-        Returns ``(flags, h, v, h_next, residual)``: the ``STEP_*`` flags,
-        ``h_{1:j}``, the copy, ``h_{j+1,j}`` and (with ``lsq``) the
-        implicit residual norm.  Billed as the walks it made
-        (:func:`~repro.fused.kernels.step_walks`), ``j`` vectors each;
-        under a live tracer the walks' time is one ``basis_read`` span.
+        With ``w`` ``None`` the step *closes* a cycle: ``t``'s second pass
+        alone (two walks of width one) makes column ``k - 1`` final and
+        absorbs it; nothing is written and no column opens.
+
+        Returns ``(flags, q, t_next, a, b, rho, h_next, residual)``: the
+        ``STEP_*`` flags, ``q`` (the vector written), the next
+        tentative vector, ``V^T t``, ``V^T w`` with ``q . w`` last,
+        ``||t - V a||``, the new column's subdiagonal entry and (with
+        ``lsq``) the implicit residual it would leave.  Billed as the walks
+        it made (:func:`~repro.fused.kernels.step_walks`), ``k`` vectors
+        each; under a live tracer the walks' time is one ``basis_read``
+        span.
         """
-        n, tile = self.n, self.tile_elems
-        w = np.ascontiguousarray(w, dtype=np.float64)
-        if w.shape != (n,):
-            raise ValueError(f"w must be a vector of {n} values, got shape {w.shape}")
-        if not 1 <= j <= self.m or lsq is not None and (
-                lsq.size != j - 1 or j > lsq.m):
+        n, tile, close = self.n, self.tile_elems, w is None
+        t = np.ascontiguousarray(t, dtype=np.float64)
+        if not close:
+            w = np.ascontiguousarray(w, dtype=np.float64)
+        if t.shape != (n,) or not close and w.shape != (n,):
             raise ValueError(
-                f"step {j} of a basis of {self.m} and a least squares holding "
-                f"{None if lsq is None else lsq.size} columns"
+                f"t and w must be vectors of {n} values, got shapes "
+                f"{t.shape} and {None if close else w.shape}")
+        if not 0 <= k <= self.m or lsq is not None and (
+                lsq.size != max(k - 1, 0) or k >= lsq.m + close):
+            raise ValueError(
+                f"step over {k} vectors of a basis of {self.m} and a least "
+                f"squares holding {None if lsq is None else lsq.size} columns"
             )
-        h, v, out = np.empty(j), np.empty(n), self._out
-        flags = self._rows(j).source.step(
-            j, n, tile, w, v, eta, h, self._u[:j],
-            None if lsq is None else lsq.state, out)
-        if lsq is not None and not flags & STEP_NONFINITE:
-            lsq.size = j  # the step absorbed column j - 1
-        tracer = self.tracer
-        walks = step_walks(flags)
-        bill_fused(j, n, tile, int(out[3]), tracer, self.fused_log, walks)
-        if tracer.enabled:
-            tracer.record("basis_read", out[2] * 1e-9, vectors=j)
-            self._count_read(j, walks)
-        return flags, h, v, float(out[0]), float(out[1])
+        q, a, b, out = np.empty(n), np.empty(k), np.zeros(k + 1), self._out
+        v, state = None if close else np.empty(n), None if lsq is None else lsq.state
+        reader = self._rows(k)
+        flags = reader.source.step(k, n, tile, t, w, eta, state, q, v, a, b, out)
+        if k:
+            if lsq is not None and not flags & STEP_NONFINITE:
+                lsq.size = k  # the step absorbed column k - 1
+            tracer = self.tracer
+            bill_fused(k, n, tile, int(out[4]), tracer, self.fused_log, 2)
+            if tracer.enabled:
+                tracer.record("basis_read", out[3] * 1e-9, vectors=k)
+                self._count_read(k, 2)
+        out[1] = 0.0
+        if not (close or flags):
+            self.write_vector(k, q)
+            kept = self._kept.source
+            if self._cache is not None:
+                # the mirror's column k is the write, read where it is
+                flags = kept.column(k, n, tile, q, v, w, k, eta, flexible,
+                                    state, a, b, out)
+            else:  # a compressed row k is decoded once, into _row
+                if self._row is None:
+                    self._row = np.empty(n)
+                source = kept if reader is self._kept and len(
+                    kept.accessors) > k else self._slot(k)
+                flags = source.column(k if source is kept else 0, n, tile,
+                                      self._row, v, w, k, eta, flexible,
+                                      state, a, b, out)
+                if self.tracer.enabled:
+                    self._count_read(1)
+        return flags, q, v, a, b, float(out[0]), float(out[1]), float(out[2])
+
+    def _slot(self, k: int):
+        """Slot ``k`` alone as a one-row source, for a column the kept
+        source cannot reach (streaming): the compiled table a fresh reader
+        proves, or the slot loaded — and billed — by that reader's route."""
+        source = StreamingTileReader(self.accessors[k:k + 1], 1, self.backend).source
+        if type(source) is _LoadedRows:
+            rows = np.empty((1, self.n))
+            source.load(0, self.n, rows)
+            return _NumpyRows(rows)
+        return source
 
     def _count_read(self, j: int, walks: int = 1) -> None:
         """Tally the stored bytes ``walks`` walks over ``V_j`` stream

@@ -27,9 +27,7 @@ from typing import List, Optional
 import numpy as np
 
 from ..fused import norm2
-from ..fused.kernels import (
-    STEP_BREAKDOWN, STEP_LOSS, STEP_NONFINITE, STEP_REORTH, step_walks,
-)
+from ..fused.kernels import STEP_BREAKDOWN, STEP_LOSS, STEP_NONFINITE, step_walks
 from .adaptive import ADAPTIVE_STORAGE, LADDER, CycleRecord, PrecisionController
 from .basis import KrylovBasis
 from .gmres import BreakdownEvent, GmresResult, ResidualSample, SolveStats
@@ -74,7 +72,9 @@ class _Solve:
     stalled = False
     exhausted = False
     finished = False
-    # the open Arnoldi cycle
+    # the open Arnoldi cycle: the tentative vector the next step finishes
+    # and stores, and the columns whose vectors are stored (the last one
+    # tentative until a step or the cycle's end absorbs it)
     lsq: Optional[GivensLeastSquares] = None
     v: Optional[np.ndarray] = None
     j_used = 0
@@ -171,13 +171,6 @@ class _Solve:
         self.stats.preconditioner_applies += 1
         return prec.apply(v)
 
-    def count_write(self, cycle: CycleRecord) -> None:
-        """Bill one write of the basis the steps walk to the cycle."""
-        if self.basis is self.stored:
-            cycle.basis_writes += 1
-        else:
-            cycle.step_writes += 1
-
     def close_cycle(self, end_rrn: float) -> None:
         """Close the open cycle's record on the next explicit residual."""
         cycle = self.cycle
@@ -235,7 +228,8 @@ class _Solve:
 
     def restart(self) -> bool:
         """Explicit residual and exit tests; True when a new Arnoldi
-        cycle opens (slot 0 written)."""
+        cycle opens (its first tentative vector ``r / ||r||``, which the
+        first step stores in slot 0)."""
         solver = self.solver
         with self.tracer.span("spmv"):
             ax = solver.a.matvec(self.x)
@@ -285,13 +279,12 @@ class _Solve:
         self.j_used = 0
         self.poison = None
         self.in_step = True
-        self.basis.write_vector(0, self.v)  # storage rejections propagate
-        self.count_write(self.cycle)
         return True
 
     def arnoldi_step(self, j: int) -> None:
-        """Fig. 1 steps 2-16 at depth ``j``; clears ``in_step`` when the
-        cycle ends here."""
+        """Fig. 1 steps 2-16 at depth ``j``, by DCGS2: the SpMV of the
+        tentative vector, then one step that stores it as ``v_{j-1}``;
+        clears ``in_step`` when the cycle ends here."""
         solver = self.solver
         z = solver._direction(self, j)
         with self.tracer.span("spmv"):
@@ -303,17 +296,28 @@ class _Solve:
             self.in_step = False
             return
 
-        # CGS2, the eta test, the Givens column and v = w / h_next: one
-        # walk of the basis (a single C call on a compiled source)
-        with self.tracer.span("orthogonalize"):
-            flags, _, v, _, residual = self.basis.step(j, w, solver.eta, self.lsq)
+        # DCGS2's two walks, v_{j-1} finished and stored, the Hessenberg
+        # column j - 2 made final and absorbed, column j - 1 opened and the
+        # next tentative vector: one step of the basis
+        try:
+            with self.tracer.span("orthogonalize"):
+                flags, _, t, _, _, _, _, residual = self.basis.step(
+                    j - 1, self.v, w, solver.eta, self.lsq, solver._flexible)
+        except (ValueError, OverflowError) as exc:
+            if not solver.recovery or j == 1:
+                raise  # a storage that refuses a cycle's first vector
+            self.poison = BreakdownEvent(
+                stats.iterations, "basis_write_failed", str(exc)
+            )
+            self.in_step = False
+            return
         cycle = self.cycle
-        walks = step_walks(flags)
-        cycle.step_walks += walks
-        cycle.step_vectors += walks * j
-        reorth = bool(flags & STEP_REORTH)
-        stats.reorthogonalizations += reorth
-        cycle.reorthogonalizations += reorth
+        walks = step_walks(j - 1)
+        if walks:  # the walks orthogonalized v_{j-1} a second time
+            cycle.step_walks += walks
+            cycle.step_vectors += walks * (j - 1)
+            stats.reorthogonalizations += 1
+            cycle.reorthogonalizations += 1
         stats.dense_vector_ops += 4
         if flags & STEP_NONFINITE:
             if not solver.recovery:
@@ -323,53 +327,79 @@ class _Solve:
             )
             self.in_step = False
             return
+        if flags & STEP_LOSS:
+            # one pass had not been enough for v_{j-1}: the cycle closes
+            # on the columns absorbed so far (v_{j-1} is not stored and no
+            # column opened) and restarts on a fresh residual
+            if solver.recovery:
+                self.events.append(
+                    BreakdownEvent(stats.iterations, "loss_of_orthogonality")
+                )
+                cycle.loss_of_orthogonality = True
+            self.in_step = False
+            return
         stats.iterations += 1
         cycle.iterations += 1
-        impl = residual / self.bnorm
+        if self.basis is self.stored:
+            cycle.basis_writes += 1
+        else:
+            cycle.step_writes += 1
         self.j_used = j
+        impl = residual / self.bnorm
         if self.record_history:
             self.history.append(ResidualSample(stats.iterations, impl, "implicit"))
         if self.monitor is not None:
             self.monitor(stats.iterations, j, self.basis, impl)
         if flags & STEP_BREAKDOWN:
-            self.in_step = False  # happy breakdown: solution is in the subspace
-            return
-        if solver.recovery and flags & STEP_LOSS:
-            # the columns absorbed so far are valid: apply the partial
-            # update, then restart the cycle early
-            self.events.append(
-                BreakdownEvent(stats.iterations, "loss_of_orthogonality")
-            )
-            cycle.loss_of_orthogonality = True
+            # happy breakdown: the solution is in the subspace, and the
+            # new column, whose vector vanished, is final as it is
+            self.lsq.finish()
             self.in_step = False
             return
-        self.v = v  # the step's own copy, normalised by the step
-        try:
-            self.basis.write_vector(j, self.v)
-        except (ValueError, OverflowError) as exc:
-            if not solver.recovery:
-                raise
-            self.poison = BreakdownEvent(
-                stats.iterations, "basis_write_failed", str(exc)
-            )
-            self.in_step = False
-            return
-        self.count_write(cycle)
+        self.v = t  # the next tentative vector, normalised by the step
         if impl <= self.target or stats.iterations >= solver.max_iter:
             self.in_step = False
+
+    def close(self) -> None:
+        """Make the cycle's last column final: the second pass of the
+        tentative vector it left, without a product (two walks of width
+        one), absorbed like any step's — and, like any step's, a loss of
+        orthogonality when that pass takes most of the vector.  A stored
+        vector the walks find poisoned leaves that column out of the
+        update."""
+        j, solver, cycle = self.j_used, self.solver, self.cycle
+        with self.tracer.span("orthogonalize"):
+            flags = self.basis.step(
+                j, self.v, None, solver.eta, self.lsq, solver._flexible)[0]
+        walks = step_walks(j)
+        cycle.step_walks += walks
+        cycle.step_vectors += walks * j
+        if flags & STEP_NONFINITE:
+            self.j_used = self.lsq.size
+        elif flags & STEP_LOSS and solver.recovery:
+            self.events.append(
+                BreakdownEvent(self.stats.iterations, "loss_of_orthogonality"))
+            cycle.loss_of_orthogonality = True
 
     def update(self) -> None:
         """The solution update closing the cycle."""
         solver = self.solver
         if self.poison is not None:
             # discard the poisoned tail; columns absorbed before the
-            # fault are provably finite and are salvaged into a partial
-            # update below (the next restart re-anchors on a fresh
-            # explicit residual either way)
+            # fault are provably finite — a walk has read every vector
+            # they update with — and are salvaged into a partial update
+            # below (the next restart re-anchors on a fresh explicit
+            # residual either way)
             if not self.recover(self.poison):
                 return
+            self.j_used = self.lsq.size
             if self.j_used == 0:
                 return  # fault hit before any column was absorbed
+        elif self.j_used > self.lsq.size:
+            self.close()
+            if self.j_used == 0:
+                return
+        self.cycle.implicit_rrn = self.lsq.residual_norm / self.bnorm
         update = solver._correction(self)
         self.cycle.update_vectors += self.j_used
         if solver.recovery and not np.all(np.isfinite(update)):

@@ -2,8 +2,10 @@
 
 The solver follows the paper's algorithmic formulation exactly:
 
-* classical Gram-Schmidt with conditional re-orthogonalization
-  (``eta``-test against the pre-orthogonalization norm);
+* Gram-Schmidt against the stored basis, twice for every vector, by
+  DCGS2 (:mod:`repro.solvers.orthogonal`: a vector's second pass shares
+  the walks of the next one's first) — where the paper's Fig. 1 runs
+  classical Gram-Schmidt with a conditional second pass;
 * incremental Givens least squares giving the *implicit* residual norm
   every iteration; the *explicit* residual is recomputed only at each
   restart — producing the correction jumps of Fig. 9a;
@@ -75,8 +77,8 @@ class BreakdownEvent:
     Hessenberg column), ``"nonfinite_update"`` (the solution update
     itself was poisoned), ``"nonfinite_residual"`` (the restart residual
     came back non-finite), ``"basis_write_failed"`` (the storage format
-    rejected the vector), or ``"loss_of_orthogonality"`` (the
-    re-orthogonalization pass failed the eta test again).
+    rejected the vector), or ``"loss_of_orthogonality"`` (a vector's second
+    Gram-Schmidt pass took most of it: ``rho < eta``).
     """
 
     iteration: int
@@ -90,9 +92,10 @@ class SolveStats:
     :func:`repro.gpu.timing.solve_phases`).
 
     The basis traffic is counted per restart cycle, in ``cycles``: the
-    walks each Arnoldi step made over the basis (the dot and the sweep,
-    and the axpy of a second pass: ``2j`` or ``3j`` vectors at step
-    ``j``), the solution update's walk over ``j_used`` vectors, and the
+    walks each Arnoldi step made over the basis (the dot and the axpy of
+    width two: ``2k`` vectors over ``k`` stored ones, and two more for
+    the close of a cycle's last column), the solution update's walk over
+    ``j_used`` vectors, and the
     vectors written, each at the cycle's storage.  Together with ``n``
     and the SpMV log this determines the bytes a GPU implementation
     moves.
@@ -189,7 +192,10 @@ class CbGmres:
     m:
         Restart length (paper: 100).
     eta:
-        Re-orthogonalization threshold of Fig. 1, with ``0 < eta < 1``.
+        The threshold of Fig. 1, with ``0 < eta < 1``: a breakdown when a
+        new direction keeps less than ``eta eps`` of its norm, a loss of
+        orthogonality when a vector's second pass leaves less than
+        ``eta`` of it.
     max_iter:
         Global iteration cap (paper: 20,000), an integer ``>= 1``.
     stall_restarts:
@@ -279,8 +285,8 @@ class CbGmres:
             raise ValueError("GMRES requires a square matrix")
         if m < 1:
             raise ValueError("restart length must be positive")
-        # eta >= 1 asks for a second pass on every step and flags most as a
-        # loss of orthogonality; a NaN or eta <= 0 switches the pass off
+        # eta >= 1 flags nearly every step as a loss of orthogonality; a
+        # NaN or eta <= 0 switches both of its tests off
         if not (isinstance(eta, Real) and 0.0 < eta < 1.0):
             raise ValueError(f"eta must be a finite number with 0 < eta < 1, got {eta!r}")
         if not isinstance(max_iter, Integral) or max_iter < 1:

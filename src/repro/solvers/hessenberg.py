@@ -25,11 +25,14 @@ class GivensLeastSquares:
 
     The state is one float64 array, :attr:`state`
     (:func:`repro.fused.givens_state`): the rotations ``cs`` and ``sn``,
-    the rotated right-hand side ``g`` and ``R``, each also a view of its
-    own.  :meth:`append_column` absorbs a column in machine floats
-    (:func:`repro.fused.givens_column`); the compiled Arnoldi step
-    (:meth:`repro.solvers.KrylovBasis.step`) does the same IEEE operations
-    on :attr:`state` in place, so both leave the same bits.
+    the rotated right-hand side ``g``, ``R`` and the Hessenberg matrix
+    ``h`` itself, each also a view of its own.  :meth:`append_column`
+    absorbs a column in machine floats (:func:`repro.fused.givens_column`);
+    the Arnoldi step (:meth:`repro.solvers.KrylovBasis.step`) does the same
+    IEEE operations on :attr:`state` in place, so both leave the same bits.
+    A step keeps the column it opens *tentative* in ``h`` — the next step
+    makes it final and absorbs it — and :meth:`finish` absorbs the
+    tentative column a cycle ends on.
     """
 
     def __init__(self, m: int, beta: float) -> None:
@@ -38,7 +41,7 @@ class GivensLeastSquares:
         self.m = m
         self.state = givens_state(m)
         self._views = givens_views(self.state)
-        self.cs, self.sn, self.g, self.r = self._views
+        self.cs, self.sn, self.g, self.r, self.h = self._views
         self.g[0] = beta
         #: number of columns absorbed so far
         self.size = 0
@@ -63,6 +66,13 @@ class GivensLeastSquares:
         residual = givens_column(self._views, self.size, h, h_next)
         self.size += 1
         return residual
+
+    def finish(self) -> float:
+        """Absorb the tentative column the last Arnoldi step left in ``h``
+        (column :attr:`size`, its subdiagonal below it); returns the
+        implicit residual, the one that step read."""
+        c = self.size
+        return self.append_column(self.h[:c + 1, c], self.h.item(c + 1, c))
 
     def solve(self) -> np.ndarray:
         """Back-substitute for the minimizer ``y`` over the first j columns."""

@@ -1,16 +1,23 @@
-"""Orthogonalization for the Arnoldi process (Fig. 1 steps 4-11).
+"""Orthogonalization for the Arnoldi process (Fig. 1 steps 4-11), by DCGS2.
 
-Classical Gram-Schmidt against the (lossy) stored basis with the
-conditional re-orthogonalization of the paper's Fig. 1: after the first
-pass, if the remaining norm ``h_{j+1,j}`` dropped below ``eta`` times the
-pre-orthogonalization norm, a second pass runs and its coefficients are
-accumulated into ``h`` (steps 7-10).  This is the paper's and Ginkgo's
-choice (Aliaga et al., *Compressed Basis GMRES on High Performance
-GPUs*): one walk of the stored basis per pass, where modified
-Gram-Schmidt walks it one vector at a time.  The passes, their norms and
-the eta test are one :meth:`KrylovBasis.step` — a single C call on a
-compiled row source, :func:`repro.fused.step_rows` (its Python body)
-on any other — which the solver also hands its Givens state.
+The paper's Fig. 1 runs classical Gram-Schmidt with a conditional second
+pass (the ``eta`` test of steps 7-10): up to three walks of the stored
+basis per step.  This package runs the low-synchronization DCGS2 of
+Świrydowicz et al. (NLAA 2021) and Bielich et al. (Parallel Computing
+2022) instead: the second pass of a vector is delayed to the next step,
+where it shares the walks of the next vector's first pass — two walks of
+width two per step (``V^T t`` with ``V^T w``, then ``t -= V a`` with
+``w -= V b``), each stored value read (decoded) once and used twice.
+A step leaves its vector *tentative* — orthogonalized once, normalised,
+not stored — and the next step finishes it: ``rho = ||t - V a||`` is
+computed explicitly (the stored rows are only as orthonormal as their
+storage), ``q = (t - V a) / rho`` is written once, and the Hessenberg
+column of the step before becomes final (``h += sigma a``, subdiagonal
+``sigma rho``).  ``eta`` keeps two roles: the breakdown test of the new
+direction, and a loss of orthogonality raised when ``rho < eta``.  The
+walks, the norms, the tests and the Givens update are one
+:meth:`KrylovBasis.step` — a single C call on a compiled row source,
+:func:`repro.fused.step_rows` (its Python body) on any other.
 """
 
 from __future__ import annotations
@@ -19,50 +26,57 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..fused.kernels import STEP_BREAKDOWN, STEP_LOSS, STEP_NONFINITE, STEP_REORTH
+from ..fused import norm2
+from ..fused.kernels import STEP_LOSS, STEP_NONFINITE
 from .basis import KrylovBasis
 
 __all__ = ["OrthogonalizationResult", "cgs_orthogonalize", "DEFAULT_ETA"]
 
-#: re-orthogonalization threshold; 1/sqrt(2) is the usual DGKS-style choice
+#: breakdown and loss-of-orthogonality threshold; 1/sqrt(2) is the usual
+#: DGKS-style choice
 DEFAULT_ETA = 2.0 ** -0.5
 
 
 @dataclass
 class OrthogonalizationResult:
-    """Output of one Arnoldi orthogonalization step."""
+    """Output of one Arnoldi step of DCGS2 (see :func:`cgs_orthogonalize`)."""
 
-    #: h_{1:j,j} — projection coefficients onto the stored basis
+    #: ``V^T t`` — the coefficients of the tentative vector on the basis
     h: np.ndarray
-    #: h_{j+1,j} — the norm of the orthogonalized vector
+    #: ``||t - V h||`` — the norm the tentative vector kept
     h_next: float
-    #: the orthogonalized (not yet normalized) vector
+    #: ``(t - V h) / h_next`` — the vector the step stores
     w: np.ndarray
-    #: whether the conditional second pass ran
-    reorthogonalized: bool
-    #: breakdown: w vanished against the basis (Fig. 1 step 12)
+    #: breakdown: ``w`` vanished against the basis, ``h_next`` below
+    #: ``eta eps ||w||`` (Fig. 1 step 12)
     breakdown: bool
     #: a NaN/Inf contaminated the coefficients (corrupted basis or w)
     nonfinite: bool = False
-    #: the re-orthogonalization pass failed the eta test again ("twice is
-    #: enough"): the new direction is numerically inside the stored span,
-    #: i.e. the lossy basis has lost orthogonality beyond repair
+    #: ``h_next < eta``: the tentative vector had lost most of its length
+    #: to the stored span — one pass had not been enough
     loss_of_orthogonality: bool = False
 
 
 def cgs_orthogonalize(
     basis: KrylovBasis, j: int, w: np.ndarray, eta: float = DEFAULT_ETA
 ) -> OrthogonalizationResult:
-    """Classical Gram-Schmidt with conditional re-orthogonalization: the
-    Arnoldi step of :meth:`KrylovBasis.step` without a Givens update
-    (``w`` is left as it is; the result holds an orthogonalized copy)."""
-    flags, h, w, h_next, _ = basis.step(j, w, eta)
+    """The Arnoldi step of :meth:`KrylovBasis.step` over the leading ``j``
+    stored vectors with ``w`` as both the tentative vector and its product,
+    without a least squares: ``w`` (left as it is) is orthogonalized
+    against the basis by the step's two walks of width two, the
+    normalised result is stored in slot ``j`` as a step stores it, and the
+    result holds its coefficients, its remaining norm and that vector.
+    The same walks and the same work as a solver's step; ``w`` of unit
+    norm reads ``loss_of_orthogonality`` as the solver does."""
+    flags, q, _, a, _, rho, _, _ = basis.step(j, w, w, eta)
+    omega = norm2(np.ascontiguousarray(w, dtype=np.float64), basis.tile_elems,
+                  basis.backend)
     return OrthogonalizationResult(
-        h=h,
-        h_next=h_next,
-        w=w,
-        reorthogonalized=bool(flags & STEP_REORTH),
-        breakdown=bool(flags & STEP_BREAKDOWN),
+        h=a,
+        h_next=rho,
+        w=q,
+        breakdown=bool(not rho >= eta * np.finfo(np.float64).eps * omega
+                       or rho == 0.0),
         nonfinite=bool(flags & STEP_NONFINITE),
         loss_of_orthogonality=bool(flags & STEP_LOSS),
     )

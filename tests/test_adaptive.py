@@ -378,7 +378,7 @@ class TestMixedStorageBasis:
                                 storage_factory=_mixing(["frsz2_16", "frsz2_32", "frsz2_32"]))
             for j in range(3):
                 basis.write_vector(j, vecs[:, j])
-            outs.append([*basis.step(3, w, 0.7)[1:4], basis.combine(3, np.ones(3))])
+            outs.append([*basis.step(3, w / np.linalg.norm(w), w, 0.7)[1:6], basis.combine(3, np.ones(3))])
         for c, s in zip(*outs):
             np.testing.assert_array_equal(c, s)
 
@@ -412,7 +412,7 @@ class TestMixedStorageBasis:
             for each in (basis, mixed):
                 for j in range(3):
                     each.write_vector(j, vecs[:, j])
-                outs[b] += [*each.step(3, w, 0.7)[1:4], each.combine(3, np.ones(3))]
+                outs[b] += [*each.step(3, w / np.linalg.norm(w), w, 0.7)[1:6], each.combine(3, np.ones(3))]
         for c, s in zip(outs["numpy"], outs[backend]):
             np.testing.assert_array_equal(c, s)
 
@@ -447,14 +447,15 @@ class TestRobustComposition:
 
     def test_floor_holds_in_a_solve(self):
         """RM07R: the frsz2_16 cycle raises the residual, and the solve
-        closes on frsz2_32."""
+        closes on frsz2_32, held there by the floor."""
         p = make_problem("RM07R", "smoke")
         res = CbGmres(p.a, ADAPTIVE_STORAGE, m=50).solve(p.b, p.target_rrn)
         assert res.converged
         cycles = res.stats.cycles
-        assert [c.storage for c in cycles] == ["frsz2_32", "frsz2_16", "frsz2_32"]
+        assert [c.storage for c in cycles[:2]] == ["frsz2_32", "frsz2_16"]
         assert cycles[1].end_rrn > cycles[1].start_rrn
-        assert cycles[2].reason == "floor"
+        assert len(cycles) > 2 and all(
+            c.storage == "frsz2_32" and c.reason == "floor" for c in cycles[2:])
         _assert_distress_raises_the_floor(cycles)
 
     def test_campaign_accepts_adaptive(self):

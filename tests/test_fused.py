@@ -35,7 +35,7 @@ from repro.fused import (
     dot_basis_fused,
     tile_grid,
 )
-from repro.fused.kernels import TileReader, _LoadedRows, _NumpyRows, step_rows, step_walks
+from repro.fused.kernels import TileReader, _LoadedRows, _NumpyRows, step_walks
 from repro.observe import Tracer
 from repro.solvers import CbGmres, make_problem
 from repro.solvers.basis import BASIS_MODES, KrylovBasis
@@ -158,6 +158,31 @@ def _bits(x):
     return np.asarray(x, dtype=np.float64).view(np.uint64).tolist()
 
 
+def _unit(v):
+    """``v`` scaled to unit norm: a step's tentative vector."""
+    return v / np.linalg.norm(v)
+
+
+def _step_outputs(source, k, n, tile, t, w, eta, stored=None, state=None,
+                  flexible=False, half=False):
+    """A step over a row source as raw bits: its flags, ``q``, the next
+    tentative vector, ``a``, ``b``, its ``out`` words (``rho``, the new
+    subdiagonal, the residual, ``||w||``) and the least-squares state it
+    leaves (``None``: none given).  The first half runs on ``source``; the
+    second, unless a flag or ``half``, on ``stored`` — a source whose row
+    ``k`` holds ``q`` as stored (default: ``q`` itself, as float64 rows)."""
+    q, v, a, b, out = np.empty(n), np.zeros(n), np.empty(k), np.zeros(k + 1), np.zeros(6)
+    live = None if state is None else state.copy()
+    flags = source.step(k, n, tile, t, w, eta, live, q, v, a, b, out)
+    if not (flags or half):
+        if stored is None:
+            stored = _NumpyRows(np.vstack([np.zeros((k, n)), q]))
+        flags = stored.column(k, n, tile, np.empty(n), v, w, k, eta, flexible, live, a,
+                              b, out)
+    return (flags, _bits(q), _bits(v), _bits(a), _bits(b), _bits(out[[0, 1, 2, 5]]),
+            None if live is None else _bits(live))
+
+
 #: the values that break a sloppy summation: signed zeros, subnormals,
 #: and magnitudes whose sums cancel 600 orders of magnitude apart
 _SPECIALS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
@@ -207,14 +232,17 @@ class TestWrittenOrder:
                 oracle_axpy(rows, y, np.zeros(n), True))
             assert _bits(axpy_fused(reader, y, w.copy(), tile)) == _bits(
                 oracle_axpy(rows, y, w, False))
-            # the sweep: the oracle's axpy, then its dot of the result
-            # (hostile rows leave 1e300s in w: their products overflow)
-            swept, u = w.copy(), np.zeros(j)
+            # width two: each operand the oracle's walk of its own (hostile
+            # rows leave 1e300s in w: their products overflow)
+            x, y2 = w[::-1] * 0.5, y[::-1] * 0.25
+            hw, hx, a, b = np.zeros(j), np.zeros(j), w.copy(), x.copy()
             with np.errstate(over="ignore", invalid="ignore"):
-                reader.source.fused_axpy_dot(j, n, tile, y, swept, u)
-            updated = oracle_axpy(rows, y, w, False)
-            assert _bits(swept) == _bits(updated)
-            assert _bits(u) == _bits(oracle_dot(rows, updated, tile))
+                reader.source.fused_dot2(j, n, tile, w, x, hw, hx)
+                reader.source.fused_axpy2(j, n, tile, y, a, y2, b)
+            assert _bits(hw) == _bits(oracle_dot(rows, w, tile))
+            assert _bits(hx) == _bits(oracle_dot(rows, x, tile))
+            assert _bits(a) == _bits(oracle_axpy(rows, y, w, False))
+            assert _bits(b) == _bits(oracle_axpy(rows, y2, x, False))
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_all_negative_zero_products(self, backend):
@@ -227,11 +255,13 @@ class TestWrittenOrder:
         assert _bits(dot_basis_fused(reader, w, 32)) == _bits(np.zeros(j))
         assert _bits(combine_fused(reader, y, 32)) == _bits(np.full(n, -0.0))
         assert _bits(axpy_fused(reader, y, np.full(n, -0.0), 32)) == _bits(np.zeros(n))
-        # the sweep leaves w = +0.0, whose -0.0 products sum to +0.0
-        swept, u = np.full(n, -0.0), np.zeros(j)
-        reader.source.fused_axpy_dot(j, n, 32, y, swept, u)
-        assert _bits(u) == _bits(np.zeros(j))
-        assert _bits(swept) == _bits(np.zeros(n))
+        # width two: the same signs for both operands
+        hx, hy = np.zeros(j), np.zeros(j)
+        reader.source.fused_dot2(j, n, 32, w, -w, hx, hy)
+        assert _bits(hx) == _bits(hy) == _bits(np.zeros(j))
+        x, z = np.full(n, -0.0), np.full(n, -0.0)
+        reader.source.fused_axpy2(j, n, 32, y, x, y, z)
+        assert _bits(x) == _bits(z) == _bits(np.zeros(n))
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_rows_and_load_serve_the_same_values(self, backend):
@@ -250,7 +280,7 @@ class TestWrittenOrder:
             assert _bits(op(in_place)) == _bits(op(by_tile))
 
 
-#: reader routes of the sweep: name -> storage of each slot (cycled),
+#: reader routes of the walks: name -> storage of each slot (cycled),
 #: ``None`` for the dense caches
 _SWEEP_ROUTES = {
     "mirror": None,          # F-order cache, rows read in place
@@ -288,11 +318,23 @@ def _sweep_reader(route, backend, vectors, j):
     return StreamingTileReader(accs, j, backend)
 
 
+def _walks_of_width_two(reader, j, n, tile, w, x, y, y2):
+    """``fused_dot2`` of ``(w, x)`` and ``fused_axpy2`` of ``(w, x)`` with
+    ``(y, y2)`` over ``reader``'s source, as raw bits."""
+    hw, hx, a, b = np.zeros(j), np.zeros(j), w.copy(), x.copy()
+    if j:  # a walk is never asked for no rows
+        reader.source.fused_dot2(j, n, tile, w, x, hw, hx)
+        reader.source.fused_axpy2(j, n, tile, y, a, y2, b)
+    return _bits(hw), _bits(hx), _bits(a), _bits(b)
+
+
 class TestSweepIsAxpyThenDot:
-    """The sweep, a row source's ``fused_axpy_dot`` walk, is *defined* as
-    ``axpy_fused`` followed by ``dot_basis_fused``: ``w`` and ``u`` carry
-    those bytes on every reader route, tile grid, depth and backend,
-    whether a tile ends on a lane group, a piece boundary or neither."""
+    """The step's two walks have width two, and each is *defined* by the
+    walks of width one: ``fused_dot2`` as the dot of each operand,
+    ``fused_axpy2`` — the sweep of both vectors by the stored rows — as
+    the axpy of each.  Every operand carries those bytes on every reader
+    route, tile grid, depth and backend, whether a tile ends on a lane
+    group, a piece boundary or neither."""
 
     #: no tails; ``mod 8`` and ``mod 256`` tails; one piece and a lane group
     SIZES = (512, 523, 264)
@@ -303,24 +345,22 @@ class TestSweepIsAxpyThenDot:
         rng = np.random.default_rng(41)
         for n in self.SIZES:
             vectors = rng.standard_normal((n, 50)) / np.sqrt(n)
-            w = rng.standard_normal(n)
+            w, x = rng.standard_normal(n), rng.standard_normal(n)
             for j in (0, 1, 4, 5, 50):
-                y = rng.standard_normal(j)
+                y, y2 = rng.standard_normal(j), rng.standard_normal(j)
                 for tile in (32, 40, 2048, n + 7):
                     reader = _sweep_reader(route, backend, vectors, j)
                     if route == "streaming":
                         one_call = type(reader.source) is Frsz2Tiles
                         assert one_call == (backend == "jit" and j > 0)
-                    separate = w.copy()
-                    axpy_fused(reader, y, separate, tile)
-                    u_separate = dot_basis_fused(reader, separate, tile)
-                    swept, u = w.copy(), np.zeros(j)
-                    if j:  # a walk is never asked for no rows
-                        reader.source.fused_axpy_dot(j, n, tile, y, swept, u)
+                    separate = (
+                        _bits(dot_basis_fused(reader, w, tile)),
+                        _bits(dot_basis_fused(reader, x, tile)),
+                        _bits(axpy_fused(reader, y, w.copy(), tile)),
+                        _bits(axpy_fused(reader, y2, x.copy(), tile)))
                     where = f"{route} n={n} j={j} tile={tile}"
-                    assert swept.view(np.uint64).tolist() == \
-                        separate.view(np.uint64).tolist(), where
-                    assert _bits(u) == _bits(u_separate), where
+                    assert _walks_of_width_two(
+                        reader, j, n, tile, w, x, y, y2) == separate, where
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_routes_agree_with_each_other(self, backend):
@@ -329,13 +369,12 @@ class TestSweepIsAxpyThenDot:
         rng = np.random.default_rng(43)
         n, j = 523, 5
         vectors = rng.standard_normal((n, j))
-        w, y = rng.standard_normal(n), rng.standard_normal(j)
-        results = []
-        for route in ("mirror", "c_order", "float64"):
-            swept, u = w.copy(), np.zeros(j)
-            _sweep_reader(route, backend, vectors, j).source.fused_axpy_dot(
-                j, n, 96, y, swept, u)
-            results.append((_bits(u), _bits(swept)))
+        w, x = rng.standard_normal(n), rng.standard_normal(n)
+        y, y2 = rng.standard_normal(j), rng.standard_normal(j)
+        results = [
+            _walks_of_width_two(_sweep_reader(route, backend, vectors, j),
+                                j, n, 96, w, x, y, y2)
+            for route in ("mirror", "c_order", "float64")]
         assert results[0] == results[1] == results[2]
 
 
@@ -350,8 +389,9 @@ def _accessor_bill(tracer):
 
 class TestEverySourceKind:
     """The row-source protocol of :mod:`repro.fused.kernels`: whatever
-    source a reader carries, each of the three walks leaves the same bytes
-    and bills every accessor the tile reads of a ``read_tile`` loop."""
+    source a reader carries, each walk — the dot, the axpy and the sweep
+    (the axpy of width two) — leaves the same bytes and bills every
+    accessor the tile reads of a ``read_tile`` loop."""
 
     n, j, tile = 523, 5, 96
 
@@ -408,8 +448,9 @@ class TestEverySourceKind:
             elif walk == "axpy":
                 out = axpy_fused(reader, y, out_w, self.tile)
             else:
-                out = np.zeros(self.j)
-                reader.source.fused_axpy_dot(self.j, self.n, self.tile, y, out_w, out)
+                out = w[::-1].copy()
+                reader.source.fused_axpy2(self.j, self.n, self.tile, y, out_w,
+                                          y[::-1].copy(), out)
             return _bits(out), _bits(out_w)
 
         reference = TileReader(_NumpyRows(np.ascontiguousarray(decoded.T)),
@@ -540,18 +581,20 @@ class TestHostileInputs:
                 call()
         with pytest.raises(ValueError, match="writable"):
             axpy_fused(cached, y, frozen, 32)
-        # the sweep's lanes and, for a compressed source, its decoded
-        # pieces live in a buffer the source keeps
-        streaming.source.fused_axpy_dot(self.j, self.n, 32, y, w, np.zeros(self.j))
+        # the partials of both operands and, for a compressed source, its
+        # decoded tiles live in a buffer the source keeps
+        streaming.source.fused_dot2(self.j, self.n, 32, w, w, np.zeros(self.j),
+                                    np.zeros(self.j))
         table = streaming.source.table
-        assert table._work.size == self.j * (
-            engine.fused_round + engine.threads * (8 + engine.fused_piece))
+        assert table._work.size == 2 * self.j * engine.fused_round + (
+            engine.threads * 32)
+        x = np.zeros(self.n)
         for call in (
-            lambda: table.fused_axpy_dot(0, self.n, 32, y, w, np.zeros(0)),
-            lambda: table.fused_axpy_dot(self.j + 1, self.n, 32, np.ones(4), w,
-                                         np.zeros(self.j + 1)),
-            lambda: table.fused_axpy_dot(self.j, 64, 32, y, np.zeros(64),
-                                         np.zeros(self.j)),
+            lambda: table.fused_dot2(0, self.n, 32, w, x, np.zeros(0), np.zeros(0)),
+            lambda: table.fused_axpy2(self.j + 1, self.n, 32, np.ones(4), x,
+                                      np.ones(4), np.zeros(self.n)),
+            lambda: table.fused_axpy2(self.j, 64, 32, y, np.zeros(64), y,
+                                      np.zeros(64)),
         ):
             with pytest.raises(ValueError):
                 call()
@@ -605,7 +648,8 @@ class TestReaderBitIdentity:
         assert cached.tile_elems == streaming.tile_elems
         w = rng.standard_normal(n)
         y = rng.standard_normal(j)
-        for c, s in zip(cached.step(j, w, 0.7), streaming.step(j, w, 0.7)):
+        t = _unit(rng.standard_normal(n))
+        for c, s in zip(cached.step(j, t, w, 0.7), streaming.step(j, t, w, 0.7)):
             np.testing.assert_array_equal(c, s)
         np.testing.assert_array_equal(
             cached.combine(j, y), streaming.combine(j, y)
@@ -795,10 +839,11 @@ class TestStreamingReaderSemantics:
     def test_traffic_and_counters_of_one_streaming_solve(self):
         """The ``stream_lowmem`` benchmark system (atmosmodd 24^3,
         frsz2_32, m=50): the bill of one solve.  The ``basis.*`` side
-        bills the walks the steps made — the dot and the sweep, and the
-        axpy on the 117 of 119 steps that take a second pass — and the
-        update's; the accessor side counts what was really decoded, and
-        the two agree byte for byte."""
+        bills the walks the steps made — the dot and the axpy of width two
+        on the 116 steps that have stored rows, and the two of each cycle's
+        close — the decode of each vector a step stored, and the update's
+        walks; the accessor side counts what was really decoded, and the
+        two agree byte for byte."""
         from repro.observe import Tracer
         from repro.sparse import generators
 
@@ -819,25 +864,25 @@ class TestStreamingReaderSemantics:
             backend="jit", tracer=tracer, storage_factory=factory,
         ).solve(b, 1e-12)
         assert result.converged and result.iterations == 119
-        assert result.stats.fused_tiles == 2506
-        assert result.stats.reorthogonalizations == 117
+        assert result.stats.fused_tiles == 1687
+        assert result.stats.reorthogonalizations == 116
         assert len(made) > 0 and "accessor.reads" not in tracer.counters
         expected = {
-            "accessor.tile_reads": 58359,
-            "accessor.bytes_read": 475409088,
-            "accessor.writes": 122,
-            "accessor.bytes_written": 6956928,
-            "basis.vector_reads": 8337,
-            "basis.bytes_read": 475409088,
-            "basis.fused.walks": 2 * 119 + 117 + 3,
-            "basis.fused.tiles": 2506,
-            "basis.fused.values": 115250688,
+            "accessor.tile_reads": 39312,
+            "accessor.bytes_read": 326063232,
+            "accessor.writes": 119,
+            "accessor.bytes_written": 6785856,
+            "basis.vector_reads": 5718,
+            "basis.bytes_read": 326063232,
+            "basis.fused.walks": 2 * 116 + 2 * 3 + 3,
+            "basis.fused.tiles": 1687,
+            "basis.fused.values": 77400576,
         }
         assert {k: tracer.counters[k] for k in expected} == expected
 
 
 class TestArnoldiBitIdentity:
-    """One CGS Arnoldi step produces identical Hessenberg entries."""
+    """One DCGS2 Arnoldi step produces identical Hessenberg entries."""
 
     @pytest.mark.parametrize("storage", STORAGES)
     def test_hessenberg_entries_identical(self, storage):
@@ -849,7 +894,8 @@ class TestArnoldiBitIdentity:
         rs = cgs_orthogonalize(streaming, j, w.copy(), eta=0.7)
         np.testing.assert_array_equal(rc.h, rs.h)
         assert rc.h_next == rs.h_next
-        assert rc.reorthogonalized == rs.reorthogonalized
+        assert (rc.breakdown, rc.loss_of_orthogonality) == (
+            rs.breakdown, rs.loss_of_orthogonality)
         np.testing.assert_array_equal(rc.w, rs.w)
 
 
@@ -910,79 +956,107 @@ class TestStepIsThePythonBody:
     @pytest.mark.parametrize("mode", BASIS_MODES)
     @pytest.mark.parametrize("storage", ["frsz2_32", "float64"])
     def test_the_bill_of_the_three_walks(self, storage, mode, backend):
-        """A step of ``p`` passes bills the walks it made — the dot, the
-        sweep and, on a second pass, the axpy, ``j`` vectors each — to the
-        basis counters and to each accessor alike.  Its bits are the
-        Python body's over the decoded rows."""
+        """A step bills the walks it made — the dot and the axpy of width
+        two, ``k`` vectors each, whatever its flags — to the basis counters
+        and to each accessor alike; the vector it finishes is written to
+        slot ``k`` and, streaming, decoded once more (one more vector read:
+        the column is made from what was stored); before anything is
+        stored it walks nothing.  Its bits are the Python body's over the
+        decoded rows."""
         rng = np.random.default_rng(7)
-        n, j, tile, eta = 3000, 5, 512, 2.0 ** -0.5
+        n, k, tile, eta = 3000, 5, 512, 2.0 ** -0.5
         tiles = -(-n // tile)
         twins = [(KrylovBasis(n, 8, storage, tracer=tracer, basis_mode=mode,
                               tile_elems=tile, backend=backend), tracer)
                  for tracer in (Tracer(), Tracer())]
-        vectors = rng.standard_normal((j, n))
+        vectors = rng.standard_normal((k, n))
         vectors /= np.linalg.norm(vectors, axis=1)[:, None]
         for i, v in enumerate(vectors):
             for basis, _ in twins:
                 basis.write_vector(i, v)
         (basis, tracer), (twin, one_walk) = twins
-        rows = np.ascontiguousarray(basis.matrix(j).T)
+        rows = np.ascontiguousarray(basis.matrix(k).T)
         one_walk.reset()
-        dot_basis_fused(twin._rows(j), vectors[0], tile)
-        for w, passes in ((rng.standard_normal(n), 1),
-                          (rng.standard_normal(j) @ vectors, 2)):
+        dot_basis_fused(twin._rows(k), vectors[0], tile)
+        stored = basis.stored_vector_nbytes
+        streaming = mode == "streaming"
+        for t, w, want in ((_unit(rng.standard_normal(n)), rng.standard_normal(n), 0),
+                           # mostly along a stored vector: rho < eta
+                           (_unit(vectors[0] + 0.3 * _unit(rng.standard_normal(n))),
+                            rng.standard_normal(n), repro.fused.STEP_LOSS)):
             tracer.reset()
             basis.fused_log = FusedOpLog()
-            flags, h, v, h_next, _ = basis.step(j, w, eta)
-            ref_h, ref_v, out = np.empty(j), np.empty(n), np.zeros(4)
-            assert flags == step_rows(_NumpyRows(rows), j, n, tile, w, ref_v, eta,
-                                      ref_h, np.empty(j), None, out)
-            assert bool(flags & repro.fused.STEP_REORTH) == (passes == 2)
-            assert h.tobytes() == ref_h.tobytes()
-            assert v.tobytes() == ref_v.tobytes() and h_next == out[0]
-            walks = passes + 1
-            assert step_walks(flags) == walks
-            assert basis.fused_log.tiles == walks * tiles
-            assert {k: c for k, c in tracer.counters.items()
-                    if k.startswith("basis.")} == {
+            flags, q, v, a, b, rho, h_next, _ = basis.step(k, t, w, eta)
+            counters, spans = dict(tracer.counters), list(tracer.spans)
+            wrote = not flags
+            after = _NumpyRows(np.vstack([rows, basis.vector(k)])) if wrote else None
+            ref = _step_outputs(_NumpyRows(rows), k, n, tile, t, w, eta, after)
+            assert flags == ref[0] == want
+            assert (_bits(q), _bits(v), _bits(a), _bits(b)) == ref[1:5]
+            assert _bits([rho, h_next]) == ref[5][:2]
+            walks = step_walks(k)
+            assert walks == 2 and basis.fused_log.tiles == walks * tiles
+            read = walks * k + (wrote and streaming)
+            assert {c: x for c, x in counters.items()
+                    if c.startswith("basis.")} == {
                 "basis.fused.walks": walks,
                 "basis.fused.tiles": walks * tiles,
-                "basis.fused.values": walks * j * n,
-                "basis.vector_reads": walks * j,
-                "basis.bytes_read": walks * j * basis.stored_vector_nbytes,
+                "basis.fused.values": walks * k * n,
+                "basis.vector_reads": read,
+                "basis.bytes_read": read * stored,
             }
-            assert _accessor_bill(tracer) == {
-                k: (passes + 1) * c for k, c in _accessor_bill(one_walk).items()}
+            bill = {c: x for c, x in counters.items() if c.startswith("accessor.")}
+            walked = _accessor_bill(one_walk)
+            refresh = wrote and not (streaming or storage == "float64")
+            assert bill.get("accessor.tile_reads", 0) == (
+                walks * walked.get("accessor.tile_reads", 0) + (wrote and streaming))
+            assert bill.get("accessor.bytes_read", 0) == walks * walked.get(
+                "accessor.bytes_read", 0) + (
+                    stored if refresh or wrote and streaming else 0)
+            assert bill.get("accessor.reads", 0) == refresh
+            assert bill.get("accessor.writes", 0) == wrote
             # the walks' time: one basis_read record, not one per walk
-            reads = [s for s in tracer.spans if s.name == "basis_read"]
+            reads = [r for r in spans if r.name == "basis_read"]
             assert len(reads) == 1 and reads[0].seconds > 0.0
+        tracer.reset()
+        basis.step(0, vectors[0], w, eta)
+        assert step_walks(0) == 0 and not any(
+            c.startswith("basis.fused.") for c in tracer.counters)
 
     def test_step_checks_its_depth_and_operand(self):
         from repro.solvers import GivensLeastSquares
 
         basis = KrylovBasis(64, 4, "float64")
         basis.write_vector(0, np.eye(64)[0])
-        with pytest.raises(ValueError, match="vector of 64"):
-            basis.step(1, np.ones(63), 0.7)
-        for j, lsq in ((0, None), (5, None), (1, GivensLeastSquares(4, 1.0))):
-            if lsq is not None:
+        t = np.eye(64)[1]
+        with pytest.raises(ValueError, match="vectors of 64"):
+            basis.step(1, t, np.ones(63), 0.7)
+        with pytest.raises(ValueError, match="vectors of 64"):
+            basis.step(1, np.ones(63), np.ones(64), 0.7)
+        for k, lsq in ((-1, None), (5, None), (1, GivensLeastSquares(4, 1.0)),
+                       (4, GivensLeastSquares(4, 1.0))):
+            if k == 1:
                 lsq.append_column(np.ones(1), 1.0)  # holds 1 column, not 0
             with pytest.raises(ValueError, match="step"):
-                basis.step(j, np.ones(64), 0.7, lsq)
+                basis.step(k, t, np.ones(64), 0.7, lsq)
         with pytest.raises(IndexError):
-            basis.step(2, np.ones(64), 0.7)  # slot 1 is not written
+            basis.step(2, t, np.ones(64), 0.7)  # slot 1 is not written
 
     @requires_jit
     def test_the_compiled_step_refuses_a_givens_state_it_would_overrun(self):
         from repro.jit import dispatch
 
         rows = dispatch.load_engine().dense_rows(np.eye(4, 64))
-        out, u = np.zeros(4), np.zeros(4)
-        for givens in (np.zeros(20), repro.fused.givens_state(2),
-                       repro.fused.givens_state(4).astype(np.float32)):
-            with pytest.raises(ValueError, match="Givens state"):
-                rows.step(3, 64, 64, np.ones(64), np.empty(64), 0.7,
-                          np.empty(3), u[:3], givens, out)
+        for state in (np.zeros(20), repro.fused.givens_state(3),
+                      repro.fused.givens_state(4).astype(np.float32)):
+            with pytest.raises(ValueError, match="least-squares state"):
+                rows.step(3, 64, 64, np.eye(64)[5], np.ones(64), 0.7, state,
+                          np.empty(64), np.empty(64), np.empty(3), np.empty(4),
+                          np.zeros(6))
+            with pytest.raises(ValueError, match="least-squares state"):
+                rows.column(3, 64, 64, np.empty(64), np.ones(64), np.ones(64), 3,
+                            0.7, False,
+                            state, np.zeros(3), np.zeros(4), np.zeros(6))
 
 
 class TestStreamingMemory:
@@ -995,7 +1069,7 @@ class TestStreamingMemory:
         rng = np.random.default_rng(0)
         for i in range(m):
             basis.write_vector(i, rng.standard_normal(n))
-        basis.step(m, rng.standard_normal(n), 0.7)
+        basis.step(m, _unit(rng.standard_normal(n)), rng.standard_normal(n), 0.7)
         basis.combine(m, rng.standard_normal(m))
         dense_bytes = n * (m + 1) * 8
         assert basis.peak_float64_bytes > 0
@@ -1006,16 +1080,15 @@ class TestStreamingMemory:
 
     @requires_jit
     def test_sweep_reports_its_real_buffers(self):
-        """The compiled sweep decodes every row piece once and keeps it:
-        per thread of the pool ``j`` pieces and ``8 j`` lanes, and one
-        round of ``j`` tile partials, whatever ``n`` is — in a work buffer
-        the basis keeps, sized for all ``m + 1`` slots and counted in its
-        peak whether or not a call has used all of it."""
+        """The compiled step's walks keep, per thread of the pool, one
+        decoded row tile, and one round of ``2 j`` tile partials (both
+        operands'), whatever ``n`` is — in a work buffer the basis keeps,
+        sized for all ``m + 1`` slots and counted in its peak whether or
+        not a call has used all of it; the axpy of width two keeps none."""
         from repro.jit import load_engine
 
         engine = load_engine()
-        m, per_row = 50, (engine.fused_round
-                          + engine.threads * (engine.fused_piece + 8))
+        m = 50
         used, peaks = [], []
         for n in (4096, 16384):
             basis = KrylovBasis(n, m, "frsz2_32", basis_mode="streaming",
@@ -1023,16 +1096,14 @@ class TestStreamingMemory:
             rng = np.random.default_rng(0)
             for i in range(m):
                 basis.write_vector(i, rng.standard_normal(n))
-            basis.step(m, rng.standard_normal(n), 0.7)
+            basis.step(m, _unit(rng.standard_normal(n)), rng.standard_normal(n), 0.7)
             basis.combine(m, rng.standard_normal(m))
             used.append(basis.fused_log.peak_scratch_bytes)
             peaks.append(basis.peak_float64_bytes)
-        assert used == [8 * m * per_row] * 2  # what the j = 50 call used
-        # what the buffer holds: ~240 KB at two threads; the dot's slices
-        # (one tile each) and its partials fit in it
-        assert peaks == [8 * (m + 1) * per_row] * 2
-        dot = engine.fused_round * (m + 1) + engine.threads * basis.tile_elems
-        assert dot <= (m + 1) * per_row
+        decoded = engine.threads * basis.tile_elems
+        # what the k = 50 call used
+        assert used == [8 * (2 * engine.fused_round * m + decoded)] * 2
+        assert peaks == [8 * (2 * engine.fused_round * (m + 1) + decoded)] * 2
 
     def test_cached_mode_reports_dense_footprint(self):
         basis = KrylovBasis(1000, 30, "frsz2_32", basis_mode="cached")
@@ -1077,8 +1148,9 @@ class TestResetIsolation:
         j = slots[-1] + 1
         y = np.linspace(-1.5, 2.0, j)
         got, want = [], []
+        t = _unit(w[::-1].copy())
         for each, reads in ((basis, got), (fresh, want)):
-            flags, *arrays = each.step(j, w, 0.7)
+            flags, *arrays = each.step(j, t, w, 0.7)
             reads += [flags, *map(_bits, arrays), _bits(each.combine(j, y)),
                       _bits(each.matrix(j))]
             for i in range(j):
@@ -1128,9 +1200,9 @@ class TestResetIsolation:
         log = basis.fused_log
         assert isinstance(log, FusedOpLog)
         tiles = len(tile_grid(300, basis.tile_elems))
-        flags = basis.step(3, rng.standard_normal(300), 0.7)[0]
-        walks = step_walks(flags)
-        assert walks in (2, 3) and log.tiles == walks * tiles
+        basis.step(3, _unit(rng.standard_normal(300)), rng.standard_normal(300), 0.7)
+        walks = step_walks(3)
+        assert walks == 2 and log.tiles == walks * tiles
         basis.combine(3, rng.standard_normal(3))
         assert log.tiles == (walks + 1) * tiles
 
@@ -1159,24 +1231,19 @@ class TestKeptSource:
         over a reader built now, as raw uint64."""
         n, tile, y = self.n, self.tile, np.linspace(-1.5, 2.0, j)
         kept, fresh = basis._rows(j), basis._reader(j)
-        flags, h, v, h_next, _ = basis.step(j, w, 0.7)
-        ref_h, ref_v, out = np.empty(j), np.empty(n), np.zeros(4)
-        assert flags == step_rows(fresh.source, j, n, tile, w, ref_v, 0.7,
-                                  ref_h, np.empty(j), None, out)
+        t = _unit(w[::-1].copy())
+        # the step's walks (its first half: a step writes its slot)
+        assert _step_outputs(kept.source, j, n, tile, t, w, 0.7, half=True) == \
+            _step_outputs(fresh.source, j, n, tile, t, w, 0.7, half=True)
         pairs = [
-            (h, ref_h), (v, ref_v), (h_next, out[0]),
             (basis.combine(j, y), combine_fused(fresh, y, tile)),
             (dot_basis_fused(kept, w, tile), dot_basis_fused(fresh, w, tile)),
             (axpy_fused(kept, y, w.copy(), tile), axpy_fused(fresh, y, w.copy(), tile)),
         ]
         for got, want in pairs:
             assert _bits(got) == _bits(want)
-        sweeps = []
-        for reader in (kept, fresh):
-            swept, u = w.copy(), np.zeros(j)
-            reader.source.fused_axpy_dot(j, n, tile, y, swept, u)
-            sweeps.append(_bits(swept) + _bits(u))
-        assert sweeps[0] == sweeps[1]
+        assert _walks_of_width_two(kept, j, n, tile, w, t, y, y[::-1].copy()) == \
+            _walks_of_width_two(fresh, j, n, tile, w, t, y, y[::-1].copy())
 
     @staticmethod
     def _wrap(basis, vectors):
@@ -1283,17 +1350,17 @@ class TestKeptSource:
                 assert table.count == i + 1 <= table.capacity == self.m + 1
                 basis.combine(i + 1, np.ones(i + 1))
                 if i < self.m:
-                    basis.step(i + 1, w, 0.7)
+                    basis.step(i + 1, _unit(w), w, 0.7)
             assert len(opened) == 1
         with pytest.raises(IndexError):
             basis.write_vector(self.m + 1, w)
         # the work buffer is kept too: one allocation, sized by m
         work = table._work
-        basis.step(3, w, 0.7)
+        basis.step(3, _unit(w), w, 0.7)
         assert table._work is work
         engine = table._engine
-        assert work.size == (self.m + 1) * (
-            engine.fused_round + engine.threads * (8 + table.piece))
+        assert work.size == (self.m + 1) * 2 * engine.fused_round + (
+            engine.threads * self.tile)
 
     def test_numpy_codecs_keep_no_table(self):
         basis, vectors, w = self._basis("streaming", "numpy")
@@ -1408,15 +1475,12 @@ class TestFieldsInRegisters:
                 return _bits(out)
 
             assert self._on_each_pool(engine, dot) == _bits(h)
-            swept, u = w_sweep.copy(), np.zeros(j)
-            ref.fused_axpy_dot(j, n, tile, y_sweep, swept, u)
-
-            def sweep():
-                out, got = w_sweep.copy(), np.zeros(j)
-                table.fused_axpy_dot(j, n, tile, y_sweep, out, got)
-                return _bits(out) + _bits(got)
-
-            assert self._on_each_pool(engine, sweep) == _bits(swept) + _bits(u)
+            # width two: the dot and the axpy each of two operands
+            expected = _walks_of_width_two(TileReader(ref, j, n, "numpy"), j, n,
+                                           tile, w_dot, w_sweep, y, y_sweep)
+            assert self._on_each_pool(engine, lambda: _walks_of_width_two(
+                TileReader(table, j, n, "jit"), j, n, tile, w_dot, w_sweep, y,
+                y_sweep)) == expected
         for store in (False, True):
             expected = w.copy()
             ref.fused_axpy(j, n, 64, y, expected, store)
@@ -1434,23 +1498,48 @@ class TestFieldsInRegisters:
     @pytest.mark.parametrize("eta", [0.0, 1e6])
     def test_step_equals_step_rows(self, l, n, j, eta):
         """Rows of norm near one next to both ends of the smallest exact
-        scale; ``eta`` 0 takes one pass, 1e6 the second pass (the axpy
-        walk)."""
+        scale, under a least-squares state whose column ``j - 1`` is
+        tentative; ``eta`` 0 raises no flag, 1e6 a loss of orthogonality
+        (the new column is not opened)."""
         comps = self._containers(l, n, j, [(1011, 1016), l - 2, l - 1],
                                  seed=n * j + l)
         engine, table, ref = self._sources(comps)
         rng = np.random.default_rng(n)
-        w_in = rng.standard_normal(n)
-        givens = repro.fused.givens_state(j)
-        givens[:2 * j] = rng.uniform(-1.0, 1.0, 2 * j)  # cs, sn
-        givens[2 * j] = 1.0  # g_0
+        t, w_in = _unit(rng.standard_normal(n)), rng.standard_normal(n)
+        m = j + 1
+        state = repro.fused.givens_state(m)
+        state[:2 * m] = rng.uniform(-1.0, 1.0, 2 * m)  # cs, sn
+        views = repro.fused.givens_views(state)
+        views[2][0] = 1.0  # g_0
+        hess = views[4]
+        for c in range(j):
+            hess[:c + 1, c] = rng.standard_normal(c + 1)
+            hess[c + 1, c] = 0.75
 
-        def step(source):
-            w, h, u, out = np.empty(n), np.empty(j), np.empty(j), np.zeros(4)
-            state = givens.copy()
-            flags = source.step(j, n, 2048, w_in, w, eta, h, u, state, out)
-            return (flags, _bits(h), _bits(w), _bits(out[:2]), _bits(state))
+        from repro.core.frsz2 import Frsz2Compressed, decode_tile_numpy
 
-        expected = step(ref)
-        assert bool(expected[0] & repro.fused.STEP_REORTH) == (eta > 0)
-        assert self._on_each_pool(engine, lambda: step(table)) == expected
+        def step(compiled):
+            """The step, then — q stored at the rung, as row j of a table
+            of the same layout — its column."""
+            q, v, a, b, out = (np.empty(n), np.zeros(n), np.empty(j),
+                               np.zeros(j + 1), np.zeros(6))
+            live = state.copy()
+            flags = (table if compiled else ref).step(
+                j, n, 2048, t, w_in, eta, live, q, v, a, b, out)
+            if not flags:
+                layout = comps[0].layout
+                stored = [*comps, Frsz2Compressed(
+                    layout, *engine.encode(q, layout, False)[::-1])]
+                after = engine.row_table(map(engine.row_pointers, stored))
+                if not compiled:
+                    rows = np.empty((j + 1, n))
+                    decode_tile_numpy(stored)(0, n, rows)
+                    after = _NumpyRows(rows)
+                flags = after.column(j, n, 2048, np.empty(n), v, w_in, j, eta, False, live, a,
+                                     b, out)
+            return (flags, _bits(q), _bits(v), _bits(a), _bits(b),
+                    _bits(out[[0, 1, 2, 5]]), _bits(live))
+
+        expected = step(False)
+        assert expected[0] == (repro.fused.STEP_LOSS if eta > 1 else 0)
+        assert self._on_each_pool(engine, lambda: step(True)) == expected

@@ -20,7 +20,6 @@ from repro.gpu import (
     solve_phases,
     speedup_table,
 )
-from repro.fused import STEP_REORTH
 from repro.gpu.kernels import KernelCost
 from repro.observe import Tracer
 from repro.solvers import CbGmres, FlexibleGmres, SolveOptions, make_problem
@@ -217,7 +216,7 @@ class TestTimingModel:
 
 class _WalkProbe:
     """What the row sources walked, counted beside the solver's billing:
-    every outermost ``step`` call records ``(j, flags)``, every outermost
+    every outermost ``step`` call records ``(k, flags)``, every outermost
     ``fused_axpy(..., store=True)`` (the update's ``V y``) its ``j``.
     Calls nested in another (a Python step body's walks, a compiled
     table under :class:`Frsz2Tiles`, a tile of a loaded source) are the
@@ -255,21 +254,23 @@ class _WalkProbe:
         return wrapped
 
     def step_vectors_per_cycle(self):
-        """Per cycle (a step at ``j = 1`` opens one), the vectors its steps
-        walked: the dot and the sweep, and the axpy after a re-orth."""
+        """Per cycle (a step over ``k = 0`` stored vectors opens one), the
+        vectors its steps walked: the dot and the axpy of width two,
+        ``k`` vectors each."""
         cycles = []
-        for j, flags in self.steps:
-            if j == 1:
+        for k, _ in self.steps:
+            if k == 0:
                 cycles.append(0)
-            cycles[-1] += (3 if flags & STEP_REORTH else 2) * j
+            cycles[-1] += 2 * k
         return cycles
 
 
 def _assert_billed_walks_ran(result, probe):
     cycles = result.stats.cycles
     assert [c.step_vectors for c in cycles] == probe.step_vectors_per_cycle()
-    assert sum(c.step_walks for c in cycles) == sum(
-        3 if flags & STEP_REORTH else 2 for _, flags in probe.steps)
+    # two walks per step over a stored vector, whatever its flags
+    assert sum(c.step_walks for c in cycles) == 2 * sum(
+        1 for k, _ in probe.steps if k)
     assert [c.update_vectors for c in cycles if c.update_vectors] == probe.combines
     # and the price is the sum of its parts
     phases = solve_phases(result.stats)

@@ -82,7 +82,7 @@ class TestDispatch:
         wrappers = sources[pathlib.Path(cbackend.__file__).resolve()]
         wrappers = wrappers.replace(cbackend.C_SOURCE, "")
         exported = re.findall(r"(\w+)\(", cbackend._CDEF)
-        assert len(exported) == 18 and "engine_set_threads" in exported
+        assert len(exported) == 20 and "engine_set_threads" in exported
         for name in exported:
             assert re.search(r"\b_?lib\.%s\b" % name, wrappers), name
 
@@ -197,22 +197,23 @@ class TestDispatch:
 
     @requires_jit
     def test_selftest_crosses_a_piece_boundary(self, monkeypatch):
-        """The sweep's lanes live across the pieces of a tile.  An engine
-        that starts them afresh at every piece is right for any tile of
-        one piece — every operand the self-test had before the sweep —
-        and must not load."""
+        """A dot of width two keeps its lanes across the whole of a tile.
+        An engine whose dot2 cuts its tiles at an axpy piece is right for
+        any tile of one piece, and must not load: the self-test's long
+        source has tiles of more than one."""
 
-        real = cbackend._Rows.fused_axpy_dot
+        real = cbackend._Rows.fused_dot2
 
-        def lanes_per_piece(self, j, n, tile, y, w, u):
-            return real(self, j, n, min(tile, self._engine.fused_piece), y, w, u)
+        def tiles_of_a_piece(self, j, n, tile, x, y, hx, hy):
+            return real(self, j, n, min(tile, self._engine.fused_piece), x, y,
+                        hx, hy)
 
-        monkeypatch.setattr(cbackend._Rows, "fused_axpy_dot", lanes_per_piece)
+        monkeypatch.setattr(cbackend._Rows, "fused_dot2", tiles_of_a_piece)
         dispatch._reset_engine_cache()
         try:
             assert dispatch.load_engine() is None
             reason = dispatch.jit_unavailable_reason()
-            assert "fused.axpy_dot" in reason and "n=589" in reason
+            assert "fused.dot2" in reason and "n=589" in reason
         finally:
             monkeypatch.undo()
             dispatch._reset_engine_cache()
@@ -230,7 +231,7 @@ class TestDispatch:
             re.search(r"(\w+)\s*(?:\(|$)", declaration.strip()).group(1)
             for declaration in cbackend._CDEF.split(";") if declaration.strip()
         }
-        assert len(declared) == 23 == cbackend._CDEF.count(";")
+        assert len(declared) == 25 == cbackend._CDEF.count(";")
         assert "SOURCE" not in cbackend._CDEF  # every macro expanded
         assert cbackend._CDEF == cbackend._declarations(cbackend.C_SOURCE)
         assert dispatch.jit_unavailable_reason() is None

@@ -401,7 +401,7 @@ class TestWrappedBasisTakesPerAccessorReads:
                 basis.write_vector(i, vectors[:, i])
             if mode == "streaming":
                 assert Frsz2Tiles.open(basis.accessors[:3]) is None
-            out.append((*basis.step(3, w, 0.7)[1:4],
+            out.append((*basis.step(3, w / np.linalg.norm(w), w, 0.7)[1:6],
                         basis.combine(3, np.array([1.0, -0.5, 2.0]))))
         for c, s in zip(*out):
             np.testing.assert_array_equal(c, s)

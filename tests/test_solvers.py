@@ -52,10 +52,18 @@ class TestKrylovBasis:
         vs = np.linalg.qr(rng.standard_normal((20, 3)))[0].T
         for j, v in enumerate(vs):
             basis.write_vector(j, v)
-        w = rng.standard_normal(20)
-        _, h, v, h_next, _ = basis.step(3, w, 0.7)
-        assert np.allclose(h, vs @ w)
-        assert np.allclose(v, w - vs.T @ h) and h_next == pytest.approx(np.linalg.norm(v))
+        t, w = rng.standard_normal(20), rng.standard_normal(20)
+        t /= np.linalg.norm(t)
+        flags, q, t_next, a, b, rho, _, _ = basis.step(3, t, w, 0.7)
+        assert flags == 0
+        # t is finished: its coefficients out, normalised
+        assert np.allclose(a, vs @ t)
+        assert rho == pytest.approx(np.linalg.norm(t - vs.T @ a))
+        assert np.allclose(q, (t - vs.T @ a) / rho)
+        # w is orthogonalized once against the basis and q, then normalised
+        assert np.allclose(b, [*(vs @ w), q @ (w - vs.T @ b[:3])])
+        assert np.abs(vs @ t_next).max() < 1e-12 and abs(q @ t_next) < 1e-12
+        assert np.linalg.norm(t_next) == pytest.approx(1.0)
         y = np.array([1.0, -2.0, 0.5])
         assert np.allclose(basis.combine(3, y), sum(c * v for c, v in zip(y, vs)))
 
@@ -99,26 +107,31 @@ class TestOrthogonalization:
         w = np.random.default_rng(4).standard_normal(50)
         res = cgs_orthogonalize(basis, 4, w)
         assert np.abs(q.T @ res.w).max() < 1e-12
-        assert res.h_next == pytest.approx(np.linalg.norm(res.w))
+        assert np.linalg.norm(res.w) == pytest.approx(1.0)
+        assert res.h_next == pytest.approx(np.linalg.norm(w - q @ res.h))
 
     def test_cgs_coefficients_reconstruct_w(self):
         basis, q = self._basis_with_orthonormal_vectors()
         w = np.random.default_rng(5).standard_normal(50)
         res = cgs_orthogonalize(basis, 4, w)
-        assert np.allclose(q @ res.h + res.w, w, atol=1e-12)
+        assert np.allclose(q @ res.h + res.h_next * res.w, w, atol=1e-12)
 
     def test_reorthogonalization_triggers_for_nearly_dependent_vector(self):
         basis, q = self._basis_with_orthonormal_vectors()
-        # w almost inside span(q): first CGS pass leaves a tiny remainder
+        # a unit w almost inside span(q): the pass leaves a tiny remainder,
+        # which flags the loss (a solver's cycle closes on it and restarts)
         w = q @ np.ones(4) + 1e-9 * np.random.default_rng(6).standard_normal(50)
-        res = cgs_orthogonalize(basis, 4, w)
-        assert res.reorthogonalized
-        assert np.abs(q.T @ res.w).max() < 1e-14
+        res = cgs_orthogonalize(basis, 4, w / np.linalg.norm(w))
+        assert res.loss_of_orthogonality and not res.breakdown
+        assert res.h_next < 1e-8
 
     def test_breakdown_detected_for_dependent_vector(self):
-        basis, q = self._basis_with_orthonormal_vectors()
-        res = cgs_orthogonalize(basis, 4, q @ np.array([1.0, 2.0, 3.0, 4.0]))
-        assert res.breakdown
+        # coordinate vectors: the pass cancels w exactly
+        basis = KrylovBasis(50, 5, "float64")
+        for j in range(4):
+            basis.write_vector(j, np.eye(50)[j])
+        res = cgs_orthogonalize(basis, 4, np.array([1.0, 2.0, 3.0, 4.0] + [0.0] * 46))
+        assert res.breakdown and res.h_next == 0.0
 
 
 class TestGivensLeastSquares:

@@ -84,14 +84,17 @@ def _rows(engine, source, rows):
 
 
 def _walks(src, j, n, tile, y, w):
-    """The three walks of ``src`` from the same operands."""
+    """The walks of ``src`` — the dot and the axpy, at width one and two —
+    from the same operands."""
     h = np.zeros(j)
     src.fused_dot(j, n, tile, w, h)
-    u, swept = np.zeros(j), w.copy()
-    src.fused_axpy_dot(j, n, tile, y, swept, u)
+    x, hw, hx = w[::-1].copy(), np.zeros(j), np.zeros(j)
+    src.fused_dot2(j, n, tile, w, x, hw, hx)
     updated = w.copy()
     src.fused_axpy(j, n, tile, y, updated)
-    return h, u, swept, updated
+    a, b = w.copy(), x.copy()
+    src.fused_axpy2(j, n, tile, y, a, y[::-1].copy(), b)
+    return h, hw, hx, updated, a, b
 
 
 def _irregular(rng, m):
@@ -237,8 +240,8 @@ class TestThreadCountMovesNoBit:
         """A walk that adds its tile partials in the order its threads
         claim tiles — on one thread: last tile first — must not load."""
         tile_order = ("        for (int64_t t = 0; t < units; t++)\n"
-                      "            for (int64_t r = 0; r < k->j; r++)\n"
-                      "                acc[r] += k->part[t * k->j + r];")
+                      "            for (int64_t r = 0; r < j; r++)\n"
+                      "                acc[r] += k->part[t * per + r];")
         assert cbackend.C_SOURCE.count(tile_order) == 1
         planted = cbackend.C_SOURCE.replace(
             tile_order, tile_order.replace(
