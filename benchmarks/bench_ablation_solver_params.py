@@ -1,25 +1,19 @@
-"""Ablations over the solver parameters the paper fixes.
+"""Ablation over the restart length ``m``, which the paper fixes.
 
-* Restart length ``m``: the paper pins m = 100 "to limit the memory
-  requirements" (Section V-B, footnote 5).  The sweep exposes the
-  trade-off the choice balances: short restarts discard subspace
-  information (more iterations), long ones grow the basis traffic per
-  iteration (the orthogonalization reads j vectors at step j) and the
-  Krylov-basis memory footprint.
-* Re-orthogonalization threshold ``eta`` (Fig. 1 step 7): large eta
-  re-orthogonalizes nearly always (robust, a third basis walk per step),
-  small eta nearly never (cheap, risks losing orthogonality with a
-  lossy basis).
+The paper pins m = 100 "to limit the memory requirements" (Section V-B,
+footnote 5).  The sweep exposes the trade-off the choice balances: short
+restarts discard subspace information (more iterations), long ones grow
+the basis traffic per iteration (the orthogonalization reads j vectors
+at step j) and the Krylov-basis memory footprint.  (The threshold
+``eta`` of Fig. 1 step 7 is not swept: under DCGS2 every vector gets its
+second pass, and ``eta`` only sets the breakdown and loss tests.)
 """
-
-import numpy as np
 
 from repro.bench import format_table
 from repro.gpu import solve_phases
 from repro.solvers import CbGmres, make_problem
 
 RESTARTS = (25, 50, 100, 200)
-ETAS = (0.1, 2.0 ** -0.5, 0.99)
 
 
 def test_ablation_restart_length(benchmark, paper_report):
@@ -57,36 +51,3 @@ def test_ablation_restart_length(benchmark, paper_report):
     # basis memory grows linearly with m (the paper's reason for m=100)
     assert by_m[200][4] > by_m[100][4] > by_m[25][4]
 
-
-def test_ablation_reorthogonalization_threshold(benchmark, paper_report):
-    p = make_problem("atmosmodd")
-
-    def run():
-        rows = []
-        for eta in ETAS:
-            res = CbGmres(p.a, "frsz2_32", eta=eta).solve(p.b, p.target_rrn)
-            rows.append(
-                (
-                    f"{eta:.3f}",
-                    res.iterations,
-                    "yes" if res.converged else "no",
-                    res.stats.reorthogonalizations,
-                    sum(c.step_vectors + c.update_vectors for c in res.stats.cycles),
-                )
-            )
-        return rows
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1, warmup_rounds=0)
-    paper_report(
-        format_table(
-            "Ablation — re-orthogonalization threshold eta (Fig. 1 step 7)",
-            ["eta", "iterations", "converged", "re-orthogonalizations", "basis vectors walked"],
-            rows,
-        )
-    )
-    assert all(r[2] == "yes" for r in rows)
-    reorths = [r[3] for r in rows]
-    # larger eta can only trigger more second passes
-    assert reorths[0] <= reorths[1] <= reorths[2]
-    # eta ~ 1 pays extra basis walks
-    assert rows[2][4] >= rows[1][4]

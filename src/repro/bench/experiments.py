@@ -20,7 +20,7 @@ import numpy as np
 from ..core.ieee754 import biased_exponent, to_bits
 from ..gpu.device import DeviceSpec, H100_PCIE
 from ..gpu.timing import speedup_table
-from ..fused.kernels import STEP_BREAKDOWN, STEP_LOSS, STEP_NONFINITE
+from ..fused.kernels import STEP_BREAKDOWN, STEP_NONFINITE
 from ..solvers.basis import KrylovBasis
 from ..solvers.gmres import CbGmres, GmresResult
 from ..solvers.orthogonal import DEFAULT_ETA
@@ -214,13 +214,12 @@ def krylov_vectors(
     for j in range(last + 1):
         # the step over j stored vectors finishes v_j and makes the next
         flags, v, t, *_ = basis.step(j, t, p.a.matvec(t), DEFAULT_ETA)
-        if flags & (STEP_NONFINITE | STEP_LOSS):
+        if v is None:  # not stored: a flag before the write
             break
-        basis.write_vector(j, v)
         if j in iterations:
             captured[j] = v.copy()
-        if flags & STEP_BREAKDOWN:
-            break
+        if flags & (STEP_BREAKDOWN | STEP_NONFINITE):
+            break  # no next tentative vector
     return captured
 
 

@@ -162,7 +162,8 @@ _NUMPY_DOT_GROUP = 8192
 
 #: the flags word of an Arnoldi step (:func:`step_rows`; the same values
 #: in ``C_SOURCE``): a coefficient or a norm is not finite; breakdown —
-#: the new direction's norm ``nu`` is zero or below ``eta eps omega``;
+#: the new direction's norm ``nu`` is zero or below ``eta eps omega``,
+#: or a final column's subdiagonal below ``eta eps`` times its norm;
 #: loss of orthogonality — ``rho < eta``: the tentative vector had lost
 #: most of its length to the stored span, so one pass had not been enough
 STEP_NONFINITE, STEP_BREAKDOWN, STEP_LOSS = 2, 4, 8
@@ -441,6 +442,16 @@ def step_rows(source, k, n, tile, t, w_in, eta, state, q, w, a, b, out) -> int:
     (words 0, 2, 3, 4 and 5); returns the ``STEP_*`` flags.
     :func:`step_column` opens column ``k`` once ``q`` is stored.
 
+    A final column whose subdiagonal ``sigma rho`` is zero or below ``eta
+    eps`` times the column's norm (the sum of its squares in row order,
+    then ``math.sqrt``; not when that norm overflows) is a *breakdown*
+    of column ``k - 1``, found by its vector's second pass: the direction
+    the step before left had vanished against the basis, and only a
+    rounding's worth of it was left for that step's one pass to see.  The
+    flag replaces the loss a vanished ``t`` would raise; ``q`` is not
+    stored and the cycle ends on the absorbed column, as a breakdown
+    found by :func:`step_column` ends it on the column it opens.
+
     Without ``w_in`` (``None``; ``w`` and ``b`` are not touched) the step
     *closes* a cycle: the walks have width one and no column opens.
     """
@@ -475,8 +486,14 @@ def step_rows(source, k, n, tile, t, w_in, eta, state, q, w, a, b, out) -> int:
             sigma = hess[k, k - 1]
             hess[:k, k - 1] = hess[:k, k - 1] + sigma * a[:k]
             hess[k, k - 1] = sigma * rho
-            out[2] = givens_column(views, k - 1, hess[:k, k - 1],
-                                   hess.item(k, k - 1))
+            col = hess[:k + 1, k - 1].tolist()
+            sq = 0.0
+            for x in col:
+                sq += x * x
+            norm = math.sqrt(sq)
+            if col[k] == 0.0 or math.isfinite(norm) and col[k] < eta * _EPS * norm:
+                flags = STEP_BREAKDOWN  # the breakdown of column k - 1
+            out[2] = givens_column(views, k - 1, hess[:k, k - 1], col[k])
         else:
             views[2][0] = views[2].item(0) * rho
     return flags

@@ -1407,8 +1407,12 @@ void fused_axpy2(FUSED_SOURCE, int64_t j, int64_t n, const double *a,
  * (sigma = H[k, k-1], the tentative scale of t; at k == 0 the right-hand
  * side, g[0] *= rho), and is absorbed: the rotations so far applied to
  * it, the new rotation by libm's hypot, the right-hand side rotated, the
- * residual it leaves in out[2].  out[0] = rho, out[3] = nanoseconds in
- * the basis walks; returns the flags.  With w_in == NULL the step closes
+ * residual it leaves in out[2]; a final subdiagonal that is zero or below
+ * eta eps times the column's norm (its squares summed from +0.0 in row
+ * order, then sqrt; not when that norm overflows) is a breakdown of
+ * column k - 1, found by its vector's second pass, and replaces the loss.
+ * out[0] = rho, out[3] = nanoseconds in the basis walks; returns the
+ * flags.  With w_in == NULL the step closes
  * a cycle: walks of width one over t alone, and w, b untouched.
  * fused_column, once q is stored, opens column k from what was stored.
  * The values of STEP_* are those of repro.fused.kernels. */
@@ -1498,6 +1502,12 @@ int64_t fused_step(FUSED_SOURCE, int64_t k, int64_t n, int64_t tile,
             for (int64_t i = 0; i < k; i++)
                 h[i * m] = h[i * m] + sigma * a[i];
             h[k * m] = sigma * rho;
+            double sq = 0.0, hk = h[k * m];
+            for (int64_t i = 0; i <= k; i++)
+                sq += h[i * m] * h[i * m];
+            double norm = sqrt(sq);
+            if (hk == 0.0 || (isfinite(norm) && hk < eta * DBL_EPSILON * norm))
+                flags = STEP_BREAKDOWN;  /* the breakdown of column k - 1 */
             double *col = R + (k - 1);  /* R[i][k - 1]: col[i * m] */
             for (int64_t i = 0; i <= k; i++)
                 col[i * m] = h[i * m];

@@ -311,12 +311,13 @@ def _check_norm2_and_step(engine, rng: np.random.Generator) -> None:
     (``step_rows``) over the same float64 rows, with a least-squares state
     whose column ``k - 1`` is tentative: a cycle's first step (``k = 0``),
     an exact breakdown (``w`` in the span), a loss of orthogonality (``t``
-    mostly along a stored row), an ordinary step over FRSZ2 rows, one
-    without the correction (``flexible``) over float64 rows, the close
-    of a cycle (no product) and a non-finite ``w`` — each checked to be
-    the case it claims, then held to the body's flags, ``q``, next
-    tentative vector, coefficients, ``out`` words and state, bit for
-    bit."""
+    mostly along a stored row), the breakdown of the tentative column
+    (``t`` along a stored row but for a rounding), an ordinary step over
+    FRSZ2 rows, one without the correction (``flexible``) over float64
+    rows, the close of a cycle (no product) and a non-finite ``w`` —
+    each checked to be the case it claims, then held to the body's
+    flags, ``q``, next tentative vector, coefficients, ``out`` words and
+    state, bit for bit."""
     from ..core.blocks import BlockLayout
     from ..core.frsz2 import Frsz2Compressed
     from ..fused.kernels import (STEP_BREAKDOWN, STEP_LOSS, STEP_NONFINITE,
@@ -353,6 +354,8 @@ def _check_norm2_and_step(engine, rng: np.random.Generator) -> None:
     poisoned = plain.copy()
     poisoned[77] = np.nan
     lost = (e0 + 0.1 * e1) / np.sqrt(1.01)
+    # a rounding's worth left of a direction: column 0 breaks down
+    vanished = e0 + 1e-17 * e1
     # least-squares states whose column k - 1 is tentative, the columns
     # before it absorbed: one per depth the cases take
     prepared = {}
@@ -371,6 +374,8 @@ def _check_norm2_and_step(engine, rng: np.random.Generator) -> None:
             ("breakdown", None, e0[None], 1, e1, 3.0 * e0 + 2.0 * e1, False,
              STEP_BREAKDOWN),
             ("loss", None, e0[None], 1, lost, plain, False, STEP_LOSS),
+            ("late breakdown", None, e0[None], 1, vanished, plain, False,
+             STEP_BREAKDOWN),
             ("ordinary, l=32", table, decoded, 6, tentative, plain, False, 0),
             ("flexible", None, orthonormal, 6, tentative, plain, True, 0),
             ("close", None, orthonormal, 6, tentative, None, False, 0),

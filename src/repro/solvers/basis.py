@@ -67,10 +67,17 @@ from ..fused import (
 from ..fused.kernels import STEP_NONFINITE, _LoadedRows, _NumpyRows, bill_fused
 from ..observe import NULL_TRACER
 
-__all__ = ["KrylovBasis", "BASIS_MODES"]
+__all__ = ["KrylovBasis", "BASIS_MODES", "StorageRefused"]
 
 #: supported basis modes (``--basis-mode`` on the CLI)
 BASIS_MODES = ("cached", "streaming")
+
+
+class StorageRefused(Exception):
+    """The storage refused the vector an Arnoldi step finished
+    (:meth:`KrylovBasis.step`): the step's walks ran — and are billed —
+    and its first half absorbed the previous column; the storage's own
+    ``ValueError`` or ``OverflowError`` is ``__cause__``."""
 
 
 class KrylovBasis:
@@ -416,15 +423,18 @@ class KrylovBasis:
         source (the mirror's rows, the kept FRSZ2 table) runs each half as
         one C call; every other source runs the Python body, with the same
         bits.  A flag raised before the write (non-finite, loss of
-        orthogonality) leaves slot ``k`` unwritten and no column opened;
-        a refused write raises.
+        orthogonality, the breakdown of column ``k - 1`` its final
+        subdiagonal shows) leaves slot ``k`` unwritten and no column
+        opened; a refused write raises :class:`StorageRefused`.
 
         With ``w`` ``None`` the step *closes* a cycle: ``t``'s second pass
         alone (two walks of width one) makes column ``k - 1`` final and
         absorbs it; nothing is written and no column opens.
 
         Returns ``(flags, q, t_next, a, b, rho, h_next, residual)``: the
-        ``STEP_*`` flags, ``q`` (the vector written), the next
+        ``STEP_*`` flags, ``q`` (the vector written, ``None`` when a flag
+        before the write left slot ``k`` unwritten; a close's ``t``
+        orthogonalized and normalised), the next
         tentative vector, ``V^T t``, ``V^T w`` with ``q . w`` last,
         ``||t - V a||``, the new column's subdiagonal entry and (with
         ``lsq``) the implicit residual it would leave.  Billed as the walks
@@ -460,7 +470,10 @@ class KrylovBasis:
                 self._count_read(k, 2)
         out[1] = 0.0
         if not (close or flags):
-            self.write_vector(k, q)
+            try:
+                self.write_vector(k, q)
+            except (ValueError, OverflowError) as exc:
+                raise StorageRefused(str(exc)) from exc
             kept = self._kept.source
             if self._cache is not None:
                 # the mirror's column k is the write, read where it is
@@ -476,6 +489,8 @@ class KrylovBasis:
                                       state, a, b, out)
                 if self.tracer.enabled:
                     self._count_read(1)
+        elif not close:
+            q = None
         return flags, q, v, a, b, float(out[0]), float(out[1]), float(out[2])
 
     def _slot(self, k: int):

@@ -29,7 +29,7 @@ import numpy as np
 from ..fused import norm2
 from ..fused.kernels import STEP_BREAKDOWN, STEP_LOSS, STEP_NONFINITE, step_walks
 from .adaptive import ADAPTIVE_STORAGE, LADDER, CycleRecord, PrecisionController
-from .basis import KrylovBasis
+from .basis import KrylovBasis, StorageRefused
 from .gmres import BreakdownEvent, GmresResult, ResidualSample, SolveStats
 from .hessenberg import GivensLeastSquares
 
@@ -298,24 +298,26 @@ class _Solve:
 
         # DCGS2's two walks, v_{j-1} finished and stored, the Hessenberg
         # column j - 2 made final and absorbed, column j - 1 opened and the
-        # next tentative vector: one step of the basis
+        # next tentative vector: one step of the basis, its walks billed
+        # first (they run before the write a storage may refuse)
+        cycle = self.cycle
+        walks = step_walks(j - 1)
+        cycle.step_walks += walks
+        cycle.step_vectors += walks * (j - 1)
         try:
             with self.tracer.span("orthogonalize"):
-                flags, _, t, _, _, _, _, residual = self.basis.step(
+                flags, q, t, _, _, _, _, residual = self.basis.step(
                     j - 1, self.v, w, solver.eta, self.lsq, solver._flexible)
-        except (ValueError, OverflowError) as exc:
+        except StorageRefused as exc:
             if not solver.recovery or j == 1:
-                raise  # a storage that refuses a cycle's first vector
+                # a storage that refuses a cycle's first vector
+                raise exc.__cause__ from None
             self.poison = BreakdownEvent(
                 stats.iterations, "basis_write_failed", str(exc)
             )
             self.in_step = False
             return
-        cycle = self.cycle
-        walks = step_walks(j - 1)
         if walks:  # the walks orthogonalized v_{j-1} a second time
-            cycle.step_walks += walks
-            cycle.step_vectors += walks * (j - 1)
             stats.reorthogonalizations += 1
             cycle.reorthogonalizations += 1
         stats.dense_vector_ops += 4
@@ -327,11 +329,13 @@ class _Solve:
             )
             self.in_step = False
             return
-        if flags & STEP_LOSS:
-            # one pass had not been enough for v_{j-1}: the cycle closes
-            # on the columns absorbed so far (v_{j-1} is not stored and no
-            # column opened) and restarts on a fresh residual
-            if solver.recovery:
+        if q is None:
+            # v_{j-1} was not stored and no column opened: the cycle closes
+            # on the columns absorbed so far.  Either one pass had not been
+            # enough for it (a loss: the cycle restarts on a fresh
+            # residual), or it had vanished — the breakdown of column
+            # j - 2, which the step before saw only a rounding of
+            if flags & STEP_LOSS and solver.recovery:
                 self.events.append(
                     BreakdownEvent(stats.iterations, "loss_of_orthogonality")
                 )
@@ -364,9 +368,10 @@ class _Solve:
         """Make the cycle's last column final: the second pass of the
         tentative vector it left, without a product (two walks of width
         one), absorbed like any step's — and, like any step's, a loss of
-        orthogonality when that pass takes most of the vector.  A stored
-        vector the walks find poisoned leaves that column out of the
-        update."""
+        orthogonality when that pass takes most of the vector, unless the
+        column's final subdiagonal shows a breakdown (which ends nothing
+        more).  A stored vector the walks find poisoned leaves that
+        column out of the update."""
         j, solver, cycle = self.j_used, self.solver, self.cycle
         with self.tracer.span("orthogonalize"):
             flags = self.basis.step(

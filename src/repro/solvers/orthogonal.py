@@ -13,11 +13,18 @@ not stored — and the next step finishes it: ``rho = ||t - V a||`` is
 computed explicitly (the stored rows are only as orthonormal as their
 storage), ``q = (t - V a) / rho`` is written once, and the Hessenberg
 column of the step before becomes final (``h += sigma a``, subdiagonal
-``sigma rho``).  ``eta`` keeps two roles: the breakdown test of the new
-direction, and a loss of orthogonality raised when ``rho < eta``.  The
-walks, the norms, the tests and the Givens update are one
-:meth:`KrylovBasis.step` — a single C call on a compiled row source,
-:func:`repro.fused.step_rows` (its Python body) on any other.
+``sigma rho``).  ``eta`` keeps two roles: the breakdown test, and a loss
+of orthogonality raised when ``rho < eta``.  A breakdown is tested twice:
+on the new direction after its one pass (``nu`` below ``eta eps ||w||``,
+which an exact cancellation meets), and on the column its second pass
+makes final (``sigma rho`` below ``eta eps`` times the column's norm,
+which a direction that vanished only to rounding meets — its first pass
+leaves a rounding's worth, a tentative vector of noise); either ends the
+cycle as a breakdown, never as a loss.  The walks, the norms, the tests
+and the Givens update are one :meth:`KrylovBasis.step` — a single C call
+on a compiled row source, :func:`repro.fused.step_rows` (its Python
+body) on any other.  :func:`cgs_orthogonalize` gives one vector both
+passes at once, for a caller that has a single vector to orthogonalize.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..fused import norm2
-from ..fused.kernels import STEP_LOSS, STEP_NONFINITE
+from ..fused.kernels import STEP_NONFINITE
 from .basis import KrylovBasis
 
 __all__ = ["OrthogonalizationResult", "cgs_orthogonalize", "DEFAULT_ETA"]
@@ -39,44 +46,52 @@ DEFAULT_ETA = 2.0 ** -0.5
 
 @dataclass
 class OrthogonalizationResult:
-    """Output of one Arnoldi step of DCGS2 (see :func:`cgs_orthogonalize`)."""
+    """Output of :func:`cgs_orthogonalize`: ``w`` orthogonalized twice."""
 
-    #: ``V^T t`` — the coefficients of the tentative vector on the basis
+    #: ``h_{1:j}`` — the coefficients of ``w`` on the stored basis
     h: np.ndarray
-    #: ``||t - V h||`` — the norm the tentative vector kept
+    #: ``h_{j+1}`` — the norm the two passes left
     h_next: float
-    #: ``(t - V h) / h_next`` — the vector the step stores
+    #: the orthogonalized (not normalised) vector, ``h_next`` times the
+    #: second pass's unit vector
     w: np.ndarray
-    #: breakdown: ``w`` vanished against the basis, ``h_next`` below
-    #: ``eta eps ||w||`` (Fig. 1 step 12)
+    #: breakdown: ``w`` vanished against the basis, ``h_next`` zero or
+    #: below ``eta eps ||w||`` (Fig. 1 step 12)
     breakdown: bool
     #: a NaN/Inf contaminated the coefficients (corrupted basis or w)
     nonfinite: bool = False
-    #: ``h_next < eta``: the tentative vector had lost most of its length
-    #: to the stored span — one pass had not been enough
+    #: the second pass took most of what the first left (below ``eta``
+    #: of it): ``w`` is numerically inside the stored span beyond what a
+    #: second pass repairs
     loss_of_orthogonality: bool = False
 
 
 def cgs_orthogonalize(
     basis: KrylovBasis, j: int, w: np.ndarray, eta: float = DEFAULT_ETA
 ) -> OrthogonalizationResult:
-    """The Arnoldi step of :meth:`KrylovBasis.step` over the leading ``j``
-    stored vectors with ``w`` as both the tentative vector and its product,
-    without a least squares: ``w`` (left as it is) is orthogonalized
-    against the basis by the step's two walks of width two, the
-    normalised result is stored in slot ``j`` as a step stores it, and the
-    result holds its coefficients, its remaining norm and that vector.
-    The same walks and the same work as a solver's step; ``w`` of unit
-    norm reads ``loss_of_orthogonality`` as the solver does."""
-    flags, q, _, a, _, rho, _, _ = basis.step(j, w, w, eta)
+    """Classical Gram-Schmidt with two passes of ``w`` (left as it is)
+    against the leading ``j`` stored vectors, each pass the close of
+    :meth:`KrylovBasis.step` (the step without a product: two walks of
+    width one, nothing stored).  A solver's step gives each vector the
+    same two passes, one in each of two steps, sharing their walks with
+    the next vector's first; alone, a vector pays for both.  The
+    breakdown and the loss are the tests of the paper's Fig. 1 on the
+    two passes' norms."""
+    flags, q, _, a, _, rho, _, _ = basis.step(j, w, None, eta)
+    h, h_next, loss = a, rho, False
+    if not flags & STEP_NONFINITE and rho > 0.0:
+        flags, q, _, a, _, rho, _, _ = basis.step(j, q, None, eta)
+        h, h_next, loss = h + h_next * a, h_next * rho, rho < eta
+    nonfinite = bool(flags & STEP_NONFINITE)
     omega = norm2(np.ascontiguousarray(w, dtype=np.float64), basis.tile_elems,
                   basis.backend)
+    breakdown = not nonfinite and (
+        h_next == 0.0 or h_next < eta * np.finfo(np.float64).eps * omega)
     return OrthogonalizationResult(
-        h=a,
-        h_next=rho,
-        w=q,
-        breakdown=bool(not rho >= eta * np.finfo(np.float64).eps * omega
-                       or rho == 0.0),
-        nonfinite=bool(flags & STEP_NONFINITE),
-        loss_of_orthogonality=bool(flags & STEP_LOSS),
+        h=h,
+        h_next=h_next,
+        w=q * h_next if h_next else np.zeros_like(q),
+        breakdown=breakdown,
+        nonfinite=nonfinite,
+        loss_of_orthogonality=loss and not (nonfinite or breakdown),
     )

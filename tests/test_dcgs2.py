@@ -5,16 +5,21 @@ the vector it finishes once; the paper's Fig. 1 step (classical
 Gram-Schmidt with the DGKS second pass, ``CGS2``) made two or three walks
 of width one.  These tests hold the new step to what the old one
 delivered on the 14 smoke matrices x four storages at m = 30: it
-converges wherever CGS2 converged, to the target, in at most
-``max(cgs2 + 1, 1.02 cgs2)`` iterations, and a float64 basis stays
-orthonormal to ``1e-12`` in every cycle.
+converges wherever CGS2 converged, to the target, and a float64 basis
+stays orthonormal to ``1e-12`` in every cycle.  It takes at most
+``max(cgs2 + 1, 1.02 cgs2)`` iterations on every such cell but one:
+PR02R on ``frsz2_32`` takes 217 against 209, a miss held as a strict
+xfail (:data:`AT_THE_FLOOR`), so the bound does not hold suite-wide.
 """
 
 import numpy as np
 import pytest
 
+from repro.accessor import Float64Accessor
+from repro.fused.kernels import _NumpyRows, step_rows
 from repro.jit import dispatch
 from repro.solvers import CbGmres, make_problem
+from repro.sparse import CSRMatrix
 from repro.sparse.suite import suite_names
 
 #: the restart length, iteration cap and storages of every cell
@@ -93,3 +98,77 @@ class TestOrthonormalFloat64Basis:
                     backend=BACKEND).solve(p.b, p.target_rrn, monitor=monitor)
         assert r.converged and len(cycles) == len(r.stats.cycles)
         assert max(cycles) <= 1e-12, cycles
+
+
+class TestKrylovExhaustion:
+    """A right-hand side in a two-dimensional invariant subspace: the third
+    direction vanishes to a rounding, which its one pass cannot tell from
+    a direction; its second pass, in the next step, finds the breakdown
+    in the column it makes final — a happy breakdown, not a loss."""
+
+    @pytest.mark.parametrize("backend", sorted({"numpy", BACKEND}))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_ends_on_a_breakdown_without_a_loss(self, backend, seed):
+        n = 60
+        d = np.where(np.arange(n) % 2, 3.0, 1.0)
+        a = CSRMatrix((n, n), np.arange(n + 1), np.arange(n), d)
+        b = np.random.default_rng(seed).standard_normal(n)
+        r = CbGmres(a, "float64", m=5, backend=backend).solve(b, 1e-10)
+        assert r.converged and r.iterations == 2 and r.stats.spmv_calls == 5
+        assert r.breakdown_events == []
+        assert [c.loss_of_orthogonality for c in r.stats.cycles] == [False]
+
+
+class _Refusing(Float64Accessor):
+    """A float64 slot whose storage refuses the write a shared countdown
+    reaches zero on (the third write of the solve, by default)."""
+
+    def __init__(self, n, left):
+        super().__init__(n)
+        self.left = left
+
+    def write(self, values):
+        self.left[0] -= 1
+        if self.left[0] == 0:
+            raise ValueError("this storage refuses the vector")
+        super().write(values)
+
+
+class TestRefusedWrite:
+    """A step whose write the storage refuses has run its walks: they are
+    billed, and only the refusal is a ``basis_write_failed`` recovery."""
+
+    def _solver(self, recovery, backend=BACKEND):
+        left = [3]  # slot 2 of the first cycle
+        a = make_problem("lung2", "smoke").a
+        return CbGmres(a, "float64", m=10, backend=backend, recovery=recovery,
+                       storage_factory=lambda fmt, n: _Refusing(n, left))
+
+    def test_recovers_with_the_walks_billed(self):
+        p = make_problem("lung2", "smoke")
+        r = self._solver(True).solve(p.b, p.target_rrn)
+        assert r.converged
+        assert [e.kind for e in r.breakdown_events] == ["basis_write_failed"]
+        first = r.stats.cycles[0]
+        # steps over 0, 1 and 2 stored vectors ran; the last one's write
+        # was refused after its two walks over two vectors
+        assert (first.iterations, first.step_walks, first.step_vectors) == (2, 4, 6)
+
+    def test_without_recovery_the_storage_error_propagates(self):
+        p = make_problem("lung2", "smoke")
+        with pytest.raises(ValueError, match="refuses the vector"):
+            self._solver(False).solve(p.b, p.target_rrn)
+
+    def test_other_errors_of_a_step_are_not_a_refusal(self, monkeypatch):
+        calls = []
+
+        def broken(*args):
+            calls.append(None)
+            if len(calls) == 3:  # the step over two stored vectors
+                raise ValueError("not the storage")
+            return step_rows(*args)
+
+        monkeypatch.setattr(_NumpyRows, "step", broken)
+        p = make_problem("lung2", "smoke")
+        with pytest.raises(ValueError, match="not the storage"):
+            self._solver(True, "numpy").solve(p.b, p.target_rrn)

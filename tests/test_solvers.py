@@ -107,31 +107,27 @@ class TestOrthogonalization:
         w = np.random.default_rng(4).standard_normal(50)
         res = cgs_orthogonalize(basis, 4, w)
         assert np.abs(q.T @ res.w).max() < 1e-12
-        assert np.linalg.norm(res.w) == pytest.approx(1.0)
-        assert res.h_next == pytest.approx(np.linalg.norm(w - q @ res.h))
+        assert res.h_next == pytest.approx(np.linalg.norm(res.w))
 
     def test_cgs_coefficients_reconstruct_w(self):
         basis, q = self._basis_with_orthonormal_vectors()
         w = np.random.default_rng(5).standard_normal(50)
         res = cgs_orthogonalize(basis, 4, w)
-        assert np.allclose(q @ res.h + res.h_next * res.w, w, atol=1e-12)
+        assert np.allclose(q @ res.h + res.w, w, atol=1e-12)
 
     def test_reorthogonalization_triggers_for_nearly_dependent_vector(self):
         basis, q = self._basis_with_orthonormal_vectors()
-        # a unit w almost inside span(q): the pass leaves a tiny remainder,
-        # which flags the loss (a solver's cycle closes on it and restarts)
+        # w almost inside span(q): the first pass leaves a tiny remainder,
+        # which the second pass cleans to working accuracy
         w = q @ np.ones(4) + 1e-9 * np.random.default_rng(6).standard_normal(50)
-        res = cgs_orthogonalize(basis, 4, w / np.linalg.norm(w))
-        assert res.loss_of_orthogonality and not res.breakdown
-        assert res.h_next < 1e-8
+        res = cgs_orthogonalize(basis, 4, w)
+        assert not (res.loss_of_orthogonality or res.breakdown)
+        assert np.abs(q.T @ res.w).max() < 1e-14
 
     def test_breakdown_detected_for_dependent_vector(self):
-        # coordinate vectors: the pass cancels w exactly
-        basis = KrylovBasis(50, 5, "float64")
-        for j in range(4):
-            basis.write_vector(j, np.eye(50)[j])
-        res = cgs_orthogonalize(basis, 4, np.array([1.0, 2.0, 3.0, 4.0] + [0.0] * 46))
-        assert res.breakdown and res.h_next == 0.0
+        basis, q = self._basis_with_orthonormal_vectors()
+        res = cgs_orthogonalize(basis, 4, q @ np.array([1.0, 2.0, 3.0, 4.0]))
+        assert res.breakdown
 
 
 class TestGivensLeastSquares:
